@@ -34,6 +34,7 @@ use zendoo_snark::VerifyingKey;
 use crate::block::ScBlockHeader;
 use crate::mst::{mst_position, Mst, MstDelta, Utxo};
 use crate::params::LatusParams;
+use crate::proof::check_path_depth;
 use crate::state::{
     bt_list_accumulator, delta_sequence_accumulator, epoch_start_digest, full_sync_accumulator,
     state_digest,
@@ -562,6 +563,7 @@ impl OwnershipWitness {
                 "membership proof at wrong MST position",
             ));
         }
+        check_path_depth(&self.mst_proof, params.mst_depth, "btr/path-depth")?;
         if !self.mst_proof.verify_occupied(&mst_root, &self.utxo.leaf()) {
             return Err(fail("btr/membership", "utxo not in the committed MST"));
         }

@@ -33,7 +33,9 @@ use crate::mst::{mst_position, Mst, MstDelta, Utxo};
 use crate::params::LatusParams;
 use crate::proof::{proof_system, EpochProofBuilder, LatusProofSystem};
 use crate::state::SidechainState;
-use crate::tx::{apply_transaction, BackwardTransferTx, PaymentTx, ScTransaction, TxError};
+use crate::tx::{
+    apply_transaction, check_transaction, BackwardTransferTx, PaymentTx, ScTransaction, TxError,
+};
 
 /// All proving/verifying material of one Latus deployment.
 pub struct LatusKeys {
@@ -315,8 +317,7 @@ impl LatusNode {
                 ));
             }
         }
-        let mut scratch = self.state.clone();
-        apply_transaction(&self.params, &mut scratch, &tx)?;
+        check_transaction(&self.params, &self.state, &tx)?;
         self.pending.push(tx);
         Ok(())
     }

@@ -13,6 +13,7 @@ use zendoo_core::ids::Address;
 use zendoo_core::transfer::BackwardTransfer;
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
+use zendoo_primitives::smt::SmtProof;
 use zendoo_snark::circuit::{gadget_cost, Unsatisfied};
 use zendoo_snark::recursive::{RecursiveSystem, StateProof, TransitionVerifier};
 
@@ -54,8 +55,29 @@ pub fn proof_system(params: LatusParams, seed: &[u8]) -> LatusProofSystem {
     RecursiveSystem::new_deterministic(LatusTransitionVerifier::new(params), seed)
 }
 
+/// Pins a witnessed MST path to the deployment's depth: a path of any
+/// other length still computes *a* root, just not one of this tree.
+pub(crate) fn check_path_depth(
+    path: &SmtProof,
+    depth: u32,
+    rule: &'static str,
+) -> Result<(), Unsatisfied> {
+    if path.siblings().len() == depth as usize {
+        Ok(())
+    } else {
+        Err(Unsatisfied::new(
+            rule,
+            format!(
+                "MST path has {} siblings, the tree has depth {depth}",
+                path.siblings().len()
+            ),
+        ))
+    }
+}
+
 /// Running accumulator tuple during witness replay.
 struct Replay {
+    depth: u32,
     mst_root: Fp,
     bt_acc: Fp,
     delta_acc: Fp,
@@ -69,6 +91,7 @@ impl Replay {
 
     /// Applies a leaf update, folding the delta accumulator.
     fn apply_update(&mut self, update: &LeafUpdate) -> Result<(), Unsatisfied> {
+        check_path_depth(&update.path, self.depth, "latus/path-depth")?;
         self.mst_root = update.apply_to_root(&self.mst_root).ok_or_else(|| {
             Unsatisfied::new("latus/path", "leaf update path does not match running root")
         })?;
@@ -119,7 +142,7 @@ fn check_spend(
 fn check_occupied_slot(
     replay: &Replay,
     position: u64,
-    occupied: &zendoo_primitives::smt::SmtProof,
+    occupied: &SmtProof,
     occupied_leaf: &Fp,
     ft_index: usize,
 ) -> Result<(), Unsatisfied> {
@@ -129,6 +152,7 @@ fn check_occupied_slot(
             format!("ft {ft_index}: collision proof at wrong position"),
         ));
     }
+    check_path_depth(occupied, replay.depth, "latus/path-depth")?;
     if *occupied_leaf == empty_leaf() || occupied.compute_root(occupied_leaf) != replay.mst_root {
         return Err(Unsatisfied::new(
             "latus/ft-collision",
@@ -159,6 +183,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
     ) -> Result<(), Unsatisfied> {
         let depth = self.params.mst_depth;
         let mut replay = Replay {
+            depth,
             mst_root: w.pre_mst_root,
             bt_acc: w.pre_bt_accumulator,
             delta_acc: w.pre_delta_accumulator,
@@ -406,6 +431,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
                                     format!("btr {i}: absence proof at wrong position"),
                                 ));
                             }
+                            check_path_depth(path, depth, "latus/path-depth")?;
                             let found = found_leaf.unwrap_or_else(empty_leaf);
                             if path.compute_root(&found) != replay.mst_root {
                                 return Err(Unsatisfied::new(
@@ -690,6 +716,34 @@ mod tests {
         }
         let err = sys.prove_base(from, to, &witness).unwrap_err();
         assert!(format!("{err}").contains("input-auth"), "{err}");
+    }
+
+    #[test]
+    fn witnessed_path_must_have_the_tree_depth() {
+        let alice = Keypair::from_seed(b"alice");
+        let (mut state, utxos) = funded(&alice, &[10]);
+        let sys = system();
+        let from = state.digest();
+        let tx = ScTransaction::Payment(PaymentTx::create(
+            vec![(utxos[0], &alice.secret)],
+            vec![(Address::from_label("bob"), Amount::from_units(10))],
+        ));
+        let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
+        let to = state.digest();
+        // The exact-length path proves.
+        assert_eq!(witness.updates[0].path.siblings().len(), 16);
+        sys.prove_base(from, to, &witness).unwrap();
+        // A short and a long (beyond the 64 index bits) path are
+        // refused by name, not by whatever root they happen to compute.
+        for len in [15, 65] {
+            let mut tampered = witness.clone();
+            let path = &mut tampered.updates[0].path;
+            let mut siblings = path.siblings().to_vec();
+            siblings.resize(len, Fp::from_u64(7));
+            *path = SmtProof::from_parts(path.index(), siblings);
+            let err = sys.prove_base(from, to, &tampered).unwrap_err();
+            assert!(format!("{err}").contains("latus/path-depth"), "{err}");
+        }
     }
 
     #[test]

@@ -97,6 +97,28 @@ impl Encode for SignedInput {
     }
 }
 
+/// Signs `sighash` once per input. The sighash covers only the spent
+/// UTXOs and what they are spent into, so it is known before any
+/// signature exists.
+fn sign_inputs(inputs: &[(Utxo, &SecretKey)], sighash: &Digest32) -> Vec<SignedInput> {
+    inputs
+        .iter()
+        .map(|(utxo, sk)| SignedInput {
+            utxo: *utxo,
+            pubkey: sk.public_key(),
+            signature: sk.sign(SC_SIGHASH_CONTEXT, sighash.as_bytes()),
+        })
+        .collect()
+}
+
+fn payment_sighash(spent: &[Utxo], outputs: &[Utxo]) -> Digest32 {
+    digest("zendoo/sc-payment-sighash", &(spent, outputs))
+}
+
+fn bt_sighash(spent: &[Utxo], backward_transfers: &[BackwardTransfer]) -> Digest32 {
+    digest("zendoo/sc-bt-sighash", &(spent, backward_transfers))
+}
+
 /// A regular multi-input multi-output payment (§5.3.1).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PaymentTx {
@@ -110,7 +132,7 @@ impl PaymentTx {
     /// The message inputs sign: spent UTXOs + created outputs.
     pub fn sighash(&self) -> Digest32 {
         let spent: Vec<Utxo> = self.inputs.iter().map(|i| i.utxo).collect();
-        digest("zendoo/sc-payment-sighash", &(spent, self.outputs.clone()))
+        payment_sighash(&spent, &self.outputs)
     }
 
     /// Builds and signs a payment. Output nonces are derived from the
@@ -121,22 +143,11 @@ impl PaymentTx {
     ) -> PaymentTx {
         let spent: Vec<Utxo> = inputs.iter().map(|(u, _)| *u).collect();
         let outputs = derive_outputs("zendoo/payment-out", &spent, &recipients);
-        let mut tx = PaymentTx {
-            inputs: inputs
-                .iter()
-                .map(|(utxo, sk)| SignedInput {
-                    utxo: *utxo,
-                    pubkey: sk.public_key(),
-                    signature: sk.sign(SC_SIGHASH_CONTEXT, b"placeholder"),
-                })
-                .collect(),
+        let sighash = payment_sighash(&spent, &outputs);
+        PaymentTx {
+            inputs: sign_inputs(&inputs, &sighash),
             outputs,
-        };
-        let sighash = tx.sighash();
-        for (input, (_, sk)) in tx.inputs.iter_mut().zip(&inputs) {
-            input.signature = sk.sign(SC_SIGHASH_CONTEXT, sighash.as_bytes());
         }
-        tx
     }
 }
 
@@ -154,10 +165,7 @@ impl BackwardTransferTx {
     /// The message inputs sign.
     pub fn sighash(&self) -> Digest32 {
         let spent: Vec<Utxo> = self.inputs.iter().map(|i| i.utxo).collect();
-        digest(
-            "zendoo/sc-bt-sighash",
-            &(spent, self.backward_transfers.clone()),
-        )
+        bt_sighash(&spent, &self.backward_transfers)
     }
 
     /// Builds and signs a backward-transfer transaction.
@@ -165,25 +173,16 @@ impl BackwardTransferTx {
         inputs: Vec<(Utxo, &SecretKey)>,
         withdrawals: Vec<(Address, Amount)>,
     ) -> BackwardTransferTx {
-        let mut tx = BackwardTransferTx {
-            inputs: inputs
-                .iter()
-                .map(|(utxo, sk)| SignedInput {
-                    utxo: *utxo,
-                    pubkey: sk.public_key(),
-                    signature: sk.sign(SC_SIGHASH_CONTEXT, b"placeholder"),
-                })
-                .collect(),
-            backward_transfers: withdrawals
-                .into_iter()
-                .map(|(receiver, amount)| BackwardTransfer { receiver, amount })
-                .collect(),
-        };
-        let sighash = tx.sighash();
-        for (input, (_, sk)) in tx.inputs.iter_mut().zip(&inputs) {
-            input.signature = sk.sign(SC_SIGHASH_CONTEXT, sighash.as_bytes());
+        let spent: Vec<Utxo> = inputs.iter().map(|(u, _)| *u).collect();
+        let backward_transfers: Vec<BackwardTransfer> = withdrawals
+            .into_iter()
+            .map(|(receiver, amount)| BackwardTransfer { receiver, amount })
+            .collect();
+        let sighash = bt_sighash(&spent, &backward_transfers);
+        BackwardTransferTx {
+            inputs: sign_inputs(&inputs, &sighash),
+            backward_transfers,
         }
-        tx
     }
 }
 
@@ -525,58 +524,89 @@ impl std::fmt::Display for TxError {
 
 impl std::error::Error for TxError {}
 
+/// Decides whether [`apply_transaction`] accepts `tx` on `state`, without
+/// touching the tree: every §5.3 rule of a payment or backward-transfer
+/// transaction, and the mainchain binding of a synchronized one (whose
+/// items then degrade to rejections individually and never fail the
+/// transaction). `apply_transaction` runs exactly this before it
+/// mutates anything, so the two cannot disagree.
+///
+/// # Errors
+///
+/// [`TxError`] per the rules of the transaction's type.
+pub fn check_transaction(
+    params: &crate::params::LatusParams,
+    state: &SidechainState,
+    tx: &ScTransaction,
+) -> Result<(), TxError> {
+    match tx {
+        ScTransaction::Payment(p) => check_spend(state, &p.inputs, &p.outputs, &[], &p.sighash()),
+        ScTransaction::BackwardTransfer(bt) => check_spend(
+            state,
+            &bt.inputs,
+            &[],
+            &bt.backward_transfers,
+            &bt.sighash(),
+        ),
+        ScTransaction::ForwardTransfers(ft) => ft
+            .binding
+            .verify_forward_transfers(&ft.mc_block, &params.sidechain_id, &ft.transfers)
+            .then_some(())
+            .ok_or(TxError::BadMcBinding),
+        ScTransaction::BackwardTransferRequests(btr) => btr
+            .binding
+            .verify_backward_transfer_requests(&btr.mc_block, &params.sidechain_id, &btr.requests)
+            .then_some(())
+            .ok_or(TxError::BadMcBinding),
+    }
+}
+
 /// Applies a transaction to the state (the `update` function of §5.3),
 /// returning the transition witness. Application is atomic: on error the
 /// state is unchanged.
 ///
 /// # Errors
 ///
-/// [`TxError`] per the rules of the transaction's type. Synchronized
-/// transactions (`ForwardTransfers`, `BackwardTransferRequests`) never
-/// fail as a whole — individual items degrade to rejections — except on
-/// arithmetic overflow.
+/// [`TxError`] per the rules of the transaction's type
+/// ([`check_transaction`]). Synchronized transactions
+/// (`ForwardTransfers`, `BackwardTransferRequests`) never fail as a
+/// whole once their binding verifies — individual items degrade to
+/// rejections.
 pub fn apply_transaction(
     params: &crate::params::LatusParams,
     state: &mut SidechainState,
     tx: &ScTransaction,
 ) -> Result<TransitionWitness, TxError> {
-    match tx {
-        ScTransaction::Payment(p) => {
-            apply_spend(state, tx, &p.inputs, &p.outputs, &[], p.sighash())
+    check_transaction(params, state, tx)?;
+    Ok(match tx {
+        ScTransaction::Payment(p) => execute_spend(state, tx, &p.inputs, &p.outputs, &[]),
+        ScTransaction::BackwardTransfer(bt) => {
+            execute_spend(state, tx, &bt.inputs, &[], &bt.backward_transfers)
         }
-        ScTransaction::BackwardTransfer(bt) => apply_spend(
-            state,
-            tx,
-            &bt.inputs,
-            &[],
-            &bt.backward_transfers,
-            bt.sighash(),
-        ),
-        ScTransaction::ForwardTransfers(ft) => apply_forward_transfers(params, state, tx, ft),
-        ScTransaction::BackwardTransferRequests(btr) => apply_btrs(params, state, tx, btr),
-    }
+        ScTransaction::ForwardTransfers(ft) => execute_forward_transfers(params, state, tx, ft),
+        ScTransaction::BackwardTransferRequests(btr) => execute_btrs(state, tx, btr),
+    })
 }
 
-/// Shared plan/execute path for payments and backward-transfer txs.
-fn apply_spend(
-    state: &mut SidechainState,
-    tx: &ScTransaction,
+/// The plan half of a payment or backward-transfer transaction: every
+/// rule, no mutation.
+fn check_spend(
+    state: &SidechainState,
     inputs: &[SignedInput],
     outputs: &[Utxo],
     withdrawals: &[BackwardTransfer],
-    sighash: Digest32,
-) -> Result<TransitionWitness, TxError> {
+    sighash: &Digest32,
+) -> Result<(), TxError> {
     if inputs.is_empty() {
         return Err(TxError::NoInputs);
     }
-    // ---- Plan (no mutation) ----
     let mut seen = HashSet::new();
     let mut total_in = Amount::ZERO;
     for (i, input) in inputs.iter().enumerate() {
         if !seen.insert(input.utxo.digest()) {
             return Err(TxError::DuplicateInput(input.utxo.digest()));
         }
-        if !input.verify(&sighash) {
+        if !input.verify(sighash) {
             return Err(TxError::BadAuthorization { input: i });
         }
         if !state.mst().contains(&input.utxo) {
@@ -615,8 +645,19 @@ fn apply_spend(
             return Err(TxError::OutputCollision { position });
         }
     }
+    Ok(())
+}
 
-    // ---- Execute, recording the witness ----
+/// The execute half of a spend that passed [`check_spend`], recording
+/// the witness.
+fn execute_spend(
+    state: &mut SidechainState,
+    tx: &ScTransaction,
+    inputs: &[SignedInput],
+    outputs: &[Utxo],
+    withdrawals: &[BackwardTransfer],
+) -> TransitionWitness {
+    let depth = state.mst().depth();
     let pre_mst_root = state.mst().root();
     let pre_bt_accumulator = state.bt_accumulator();
     let pre_delta_accumulator = state.delta_accumulator();
@@ -645,7 +686,7 @@ fn apply_spend(
     for withdrawal in withdrawals {
         state.append_backward_transfer(*withdrawal);
     }
-    Ok(TransitionWitness {
+    TransitionWitness {
         tx: tx.clone(),
         pre_mst_root,
         pre_bt_accumulator,
@@ -655,7 +696,7 @@ fn apply_spend(
         ft_steps: Vec::new(),
         btr_steps: Vec::new(),
         appended_bts: withdrawals.to_vec(),
-    })
+    }
 }
 
 /// Deterministic UTXO minted by the `i`-th FT of an FTTx.
@@ -775,19 +816,12 @@ pub fn salvage_payback(metadata: &[u8]) -> Address {
     Address(Digest32(bytes))
 }
 
-fn apply_forward_transfers(
+fn execute_forward_transfers(
     params: &crate::params::LatusParams,
     state: &mut SidechainState,
     tx: &ScTransaction,
     ft_tx: &ForwardTransfersTx,
-) -> Result<TransitionWitness, TxError> {
-    if !ft_tx.binding.verify_forward_transfers(
-        &ft_tx.mc_block,
-        &params.sidechain_id,
-        &ft_tx.transfers,
-    ) {
-        return Err(TxError::BadMcBinding);
-    }
+) -> TransitionWitness {
     let pre_mst_root = state.mst().root();
     let pre_bt_accumulator = state.bt_accumulator();
     let pre_delta_accumulator = state.delta_accumulator();
@@ -912,7 +946,7 @@ fn apply_forward_transfers(
         }
     }
     state.record_sync(crate::state::SyncKind::ForwardTransfers, &ft_tx.mc_block);
-    Ok(TransitionWitness {
+    TransitionWitness {
         tx: tx.clone(),
         pre_mst_root,
         pre_bt_accumulator,
@@ -922,22 +956,14 @@ fn apply_forward_transfers(
         ft_steps: steps,
         btr_steps: Vec::new(),
         appended_bts: appended,
-    })
+    }
 }
 
-fn apply_btrs(
-    params: &crate::params::LatusParams,
+fn execute_btrs(
     state: &mut SidechainState,
     tx: &ScTransaction,
     btr_tx: &BtrTx,
-) -> Result<TransitionWitness, TxError> {
-    if !btr_tx.binding.verify_backward_transfer_requests(
-        &btr_tx.mc_block,
-        &params.sidechain_id,
-        &btr_tx.requests,
-    ) {
-        return Err(TxError::BadMcBinding);
-    }
+) -> TransitionWitness {
     let pre_mst_root = state.mst().root();
     let pre_bt_accumulator = state.bt_accumulator();
     let pre_delta_accumulator = state.delta_accumulator();
@@ -980,7 +1006,7 @@ fn apply_btrs(
         crate::state::SyncKind::BackwardTransferRequests,
         &btr_tx.mc_block,
     );
-    Ok(TransitionWitness {
+    TransitionWitness {
         tx: tx.clone(),
         pre_mst_root,
         pre_bt_accumulator,
@@ -990,7 +1016,7 @@ fn apply_btrs(
         ft_steps: Vec::new(),
         btr_steps: steps,
         appended_bts: appended,
-    })
+    }
 }
 
 /// Derives output UTXOs with per-transaction-unique nonces.

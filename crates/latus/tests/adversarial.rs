@@ -168,6 +168,62 @@ fn btr_tampered_fields_rejected() {
 }
 
 #[test]
+fn ownership_path_of_wrong_depth_rejected() {
+    use zendoo_core::withdrawal::{btr_public_inputs, BtrSysData};
+    use zendoo_latus::cert::{sign_withdrawal, utxo_proofdata, OwnershipWitness};
+    use zendoo_primitives::smt::SmtProof;
+    use zendoo_snark::circuit::Circuit;
+
+    let mut h = TwoChains::new("adv-path-depth");
+    h.bootstrap_funded(800);
+    let utxo = h.node.utxos_of(&h.sc_address())[0];
+    let receiver = Address::from_label("legit");
+    let anchor_cert = h.node.cert_inclusion_for(0).unwrap().clone();
+    let anchor_block = anchor_cert.mc_header.hash();
+    let position = zendoo_latus::mst::mst_position(&utxo, common::MST_DEPTH);
+    let exact = h.node.state().mst().proof(position);
+    let public = btr_public_inputs(
+        &BtrSysData {
+            last_cert_block: anchor_block,
+            nullifier: utxo.nullifier(),
+            receiver,
+            amount: utxo.amount,
+        },
+        &utxo_proofdata(&utxo).merkle_root(),
+    );
+    let witness_with = |len: usize| {
+        let mut siblings = exact.siblings().to_vec();
+        siblings.resize(len, Fp::from_u64(7));
+        OwnershipWitness {
+            utxo,
+            owner: h.sc_user.public,
+            authorization: sign_withdrawal(
+                "btr",
+                &h.sc_user.secret,
+                &utxo,
+                &receiver,
+                &anchor_block,
+            ),
+            mst_proof: SmtProof::from_parts(position, siblings),
+            anchor_cert: anchor_cert.clone(),
+        }
+    };
+    let depth = common::MST_DEPTH as usize;
+    h.keys
+        .btr_circuit
+        .check(&public, &witness_with(depth))
+        .expect("the exact-length path satisfies the circuit");
+    for len in [depth - 1, 65] {
+        let err = h
+            .keys
+            .btr_circuit
+            .check(&public, &witness_with(len))
+            .unwrap_err();
+        assert!(format!("{err}").contains("btr/path-depth"), "{err}");
+    }
+}
+
+#[test]
 fn btr_by_non_owner_cannot_be_proven() {
     let mut h = TwoChains::new("adv-btr-owner");
     h.bootstrap_funded(800);

@@ -251,9 +251,9 @@ fn mont_mul<P: FieldParams>(a: &U256, b: &U256) -> U256 {
     for i in 0..4 {
         // t += a[i] * b
         let mut carry = 0u128;
-        for j in 0..4 {
-            let acc = t[j] as u128 + (a.0[i] as u128) * (b.0[j] as u128) + carry;
-            t[j] = acc as u64;
+        for (tj, bj) in t.iter_mut().zip(b.0) {
+            let acc = *tj as u128 + (a.0[i] as u128) * (bj as u128) + carry;
+            *tj = acc as u64;
             carry = acc >> 64;
         }
         let acc = t[4] as u128 + carry;

@@ -10,6 +10,7 @@ use crate::poseidon;
 use crate::sha256::sha256_tagged;
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
+use std::sync::OnceLock;
 
 /// A 2-to-1 node hash used to build Merkle trees.
 ///
@@ -54,7 +55,8 @@ impl MerkleHasher for PoseidonHasher {
     }
 
     fn empty() -> Self::Node {
-        poseidon::hash_many(&[])
+        static EMPTY: OnceLock<Fp> = OnceLock::new();
+        *EMPTY.get_or_init(|| poseidon::hash_many(&[]))
     }
 }
 

@@ -14,17 +14,29 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A Schnorr secret key (a nonzero scalar).
+/// A Schnorr secret key (a nonzero scalar), with its public key derived
+/// once at construction: signing hashes the public key into the
+/// challenge, and deriving it is a full scalar multiplication.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey(Fr);
+pub struct SecretKey {
+    scalar: Fr,
+    public: PublicKey,
+}
 
 impl SecretKey {
+    fn from_scalar(scalar: Fr) -> Self {
+        SecretKey {
+            scalar,
+            public: PublicKey((JacobianPoint::generator() * scalar).to_affine()),
+        }
+    }
+
     /// Generates a fresh random secret key.
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         loop {
             let sk = Fr::random(rng);
             if !sk.is_zero() {
-                return SecretKey(sk);
+                return SecretKey::from_scalar(sk);
             }
         }
     }
@@ -38,18 +50,18 @@ impl SecretKey {
             // Probability 2^-256; re-derive for totality.
             SecretKey::from_seed(&digest)
         } else {
-            SecretKey(sk)
+            SecretKey::from_scalar(sk)
         }
     }
 
     /// The corresponding public key.
     pub fn public_key(&self) -> PublicKey {
-        PublicKey((JacobianPoint::generator() * self.0).to_affine())
+        self.public
     }
 
     /// The underlying scalar (used by the VRF, which shares keys).
     pub(crate) fn scalar(&self) -> Fr {
-        self.0
+        self.scalar
     }
 
     /// Signs `msg`, domain-separated by `context`.
@@ -57,15 +69,15 @@ impl SecretKey {
         // Deterministic nonce: k = H(sk ‖ ctx ‖ m), rejecting k = 0.
         let k_bytes = sha256_tagged(
             "zendoo/schnorr-nonce",
-            &[&self.0.to_be_bytes(), context.as_bytes(), msg],
+            &[&self.scalar.to_be_bytes(), context.as_bytes(), msg],
         );
         let mut k = Fr::from_be_bytes_reduced(&k_bytes);
         if k.is_zero() {
             k = Fr::one();
         }
         let r_point = (JacobianPoint::generator() * k).to_affine();
-        let e = challenge(context, &r_point, &self.public_key(), msg);
-        let s = k + e * self.0;
+        let e = challenge(context, &r_point, &self.public, msg);
+        let s = k + e * self.scalar;
         Signature { r: r_point, s }
     }
 }
@@ -252,6 +264,26 @@ mod tests {
         let s1 = kp.secret.sign("test", b"m");
         let s2 = kp.secret.sign("test", b"m");
         assert_eq!(s1, s2);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn known_answer_key_and_signature() {
+        // Generated before the public key was cached in the secret key.
+        let kp = Keypair::from_seed(b"kat");
+        assert_eq!(kp.public, kp.secret.public_key());
+        assert_eq!(
+            hex(&kp.public.to_bytes()),
+            "02182c626cb07c31c97bdd434210ff43e09b118ecf7131c76b3f1b7b2f9a130a11"
+        );
+        assert_eq!(
+            hex(&kp.secret.sign("kat-ctx", b"message").to_bytes()),
+            "0207147cd82342fdbb38f1eb04269ea527c7636f8e4892dbd59da6cc4a0ae45c98\
+             a7dd194b1cf9957a1dc43dca4c09106100a765f3a03637dedfd8d2001e559048"
+        );
     }
 
     #[test]

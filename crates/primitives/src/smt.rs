@@ -5,11 +5,49 @@
 //! either *occupied* (holding the hash of an unspent output) or *empty*
 //! (the `H(Null)` constant). Empty subtrees hash to precomputed constants,
 //! so storage and update cost are proportional to occupancy, not capacity.
+//!
+//! # The folding invariant
+//!
+//! `empty[l]`, the hash of an empty subtree of height `l`, does not depend
+//! on the tree's depth: `empty[0] = H(Null)` and
+//! `empty[l+1] = H(empty[l], empty[l])`. The table is computed once per
+//! process, and wherever a node hash has both inputs equal to `empty[l]`
+//! — walking up from an empty or just-cleared slot in a
+//! [`SparseMerkleTree`] update or in [`SmtProof::compute_root`] — the
+//! result is read from the table instead of recomputed. The value is the
+//! one the permutation produced when the table was built, so roots and
+//! proof verdicts are exactly those of hashing every level.
 
 use crate::field::Fp;
 use crate::merkle::{MerkleHasher, PoseidonHasher};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
+
+/// Height of the tallest supported tree (indices are `u64`).
+const MAX_DEPTH: u32 = 63;
+
+fn empty_subtrees() -> &'static [Fp; MAX_DEPTH as usize + 1] {
+    static EMPTY: OnceLock<[Fp; MAX_DEPTH as usize + 1]> = OnceLock::new();
+    EMPTY.get_or_init(|| {
+        let mut empty = [PoseidonHasher::empty(); MAX_DEPTH as usize + 1];
+        for l in 1..empty.len() {
+            empty[l] = PoseidonHasher::combine(&empty[l - 1], &empty[l - 1]);
+        }
+        empty
+    })
+}
+
+/// The parent of `left` and `right` at `height` (the children's level):
+/// the table entry when both are the empty subtree of that height, a
+/// Poseidon combine otherwise.
+fn parent(height: usize, left: &Fp, right: &Fp) -> Fp {
+    let empty = empty_subtrees();
+    match (empty.get(height), empty.get(height + 1)) {
+        (Some(child), Some(folded)) if left == child && right == child => *folded,
+        _ => PoseidonHasher::combine(left, right),
+    }
+}
 
 /// Errors from sparse-tree operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,13 +101,11 @@ pub struct SparseMerkleTree {
     /// Interior nodes that differ from the empty-subtree constant,
     /// keyed by `(level, index)`; level 1..=depth.
     nodes: HashMap<(u32, u64), Fp>,
-    /// `empty[l]` = hash of an empty subtree of height `l`.
-    empty: Vec<Fp>,
 }
 
 impl SparseMerkleTree {
     /// Maximum supported depth (indices are `u64`).
-    pub const MAX_DEPTH: u32 = 63;
+    pub const MAX_DEPTH: u32 = MAX_DEPTH;
 
     /// Creates an empty tree with `2^depth` slots.
     ///
@@ -78,21 +114,14 @@ impl SparseMerkleTree {
     /// Panics if `depth` is 0 or exceeds [`Self::MAX_DEPTH`].
     pub fn new(depth: u32) -> Self {
         assert!(
-            depth >= 1 && depth <= Self::MAX_DEPTH,
+            (1..=Self::MAX_DEPTH).contains(&depth),
             "depth must be in 1..={}",
             Self::MAX_DEPTH
         );
-        let mut empty = Vec::with_capacity(depth as usize + 1);
-        empty.push(PoseidonHasher::empty());
-        for l in 1..=depth as usize {
-            let child = empty[l - 1];
-            empty.push(PoseidonHasher::combine(&child, &child));
-        }
         SparseMerkleTree {
             depth,
             leaves: BTreeMap::new(),
             nodes: HashMap::new(),
-            empty,
         }
     }
 
@@ -185,11 +214,7 @@ impl SparseMerkleTree {
             let sibling_index = (index >> level) ^ 1;
             siblings.push(self.node(level, sibling_index));
         }
-        SmtProof {
-            index,
-            siblings,
-            empty_leaf: self.empty[0],
-        }
+        SmtProof { index, siblings }
     }
 
     fn check_range(&self, index: u64) -> Result<(), SmtError> {
@@ -205,14 +230,14 @@ impl SparseMerkleTree {
 
     /// Value of the node at `(level, index)`; level 0 = leaves.
     fn node(&self, level: u32, index: u64) -> Fp {
-        if level == 0 {
-            self.leaves.get(&index).copied().unwrap_or(self.empty[0])
+        let stored = if level == 0 {
+            self.leaves.get(&index)
         } else {
-            self.nodes
-                .get(&(level, index))
-                .copied()
-                .unwrap_or(self.empty[level as usize])
-        }
+            self.nodes.get(&(level, index))
+        };
+        stored
+            .copied()
+            .unwrap_or_else(|| empty_subtrees()[level as usize])
     }
 
     /// Recomputes interior nodes along the path from leaf `index` to root.
@@ -221,8 +246,8 @@ impl SparseMerkleTree {
             let node_index = index >> level;
             let left = self.node(level - 1, node_index * 2);
             let right = self.node(level - 1, node_index * 2 + 1);
-            let value = PoseidonHasher::combine(&left, &right);
-            if value == self.empty[level as usize] {
+            let value = parent(level as usize - 1, &left, &right);
+            if value == empty_subtrees()[level as usize] {
                 self.nodes.remove(&(level, node_index));
             } else {
                 self.nodes.insert((level, node_index), value);
@@ -237,16 +262,24 @@ impl SparseMerkleTree {
 pub struct SmtProof {
     index: u64,
     siblings: Vec<Fp>,
-    empty_leaf: Fp,
 }
 
 impl SmtProof {
+    /// Constructs a proof from raw parts (used by serialization layers;
+    /// nothing about the parts is trusted until a root is checked).
+    pub fn from_parts(index: u64, siblings: Vec<Fp>) -> Self {
+        SmtProof { index, siblings }
+    }
+
     /// The slot index the proof speaks about.
     pub fn index(&self) -> u64 {
         self.index
     }
 
-    /// The sibling path (leaf level first).
+    /// The sibling path (leaf level first). A proof for a tree of depth
+    /// `D` has exactly `D` siblings; a verifier that knows `D` must check
+    /// the length, because a shorter or longer path still computes *a*
+    /// root.
     pub fn siblings(&self) -> &[Fp] {
         &self.siblings
     }
@@ -258,19 +291,23 @@ impl SmtProof {
 
     /// Verifies that slot `index` is empty under `root`.
     pub fn verify_empty(&self, root: &Fp) -> bool {
-        let empty = self.empty_leaf;
-        self.compute_root(&empty) == *root
+        self.compute_root(&empty_subtrees()[0]) == *root
     }
 
-    /// Root implied by placing `leaf` at the proof's slot.
+    /// Root implied by placing `leaf` at the proof's slot. Total: index
+    /// bits beyond the 64th are zero, whatever the path length.
     pub fn compute_root(&self, leaf: &Fp) -> Fp {
         let mut acc = *leaf;
         for (level, sibling) in self.siblings.iter().enumerate() {
-            let bit = (self.index >> level) & 1;
-            acc = if bit == 0 {
-                PoseidonHasher::combine(&acc, sibling)
+            let bit = if level < u64::BITS as usize {
+                (self.index >> level) & 1
             } else {
-                PoseidonHasher::combine(sibling, &acc)
+                0
+            };
+            acc = if bit == 0 {
+                parent(level, &acc, sibling)
+            } else {
+                parent(level, sibling, &acc)
             };
         }
         acc
@@ -383,6 +420,217 @@ mod tests {
         assert_eq!(a.root(), b.root());
     }
 
+    // Generated at the commit before the shared table replaced the
+    // per-tree empty vector.
+    #[test]
+    fn known_answer_empty_roots() {
+        for (depth, expected) in [
+            (
+                3,
+                "44f8231f06414e57afcee1dda853b9ccaf27eae117e7131f37ebdd28632309cd",
+            ),
+            (
+                40,
+                "52ce519269773d1f6362f4de2df815133a2cc711fb273c73019cd41ac522092c",
+            ),
+            (
+                48,
+                "38844efde22f11de13f9b8b655457a18a8108c686b44de50ab388d56df4f53a0",
+            ),
+            (
+                63,
+                "5e89b17af5e5bc05cfab288c2f0dffd533f51abbe8479f3162d7aaef250bd6d3",
+            ),
+        ] {
+            assert_eq!(SparseMerkleTree::new(depth).root(), Fp::from_hex(expected));
+        }
+        let mut tree = SparseMerkleTree::new(40);
+        tree.insert(0x12_3456_789a, Fp::from_u64(77)).unwrap();
+        tree.insert(5, Fp::from_u64(78)).unwrap();
+        assert_eq!(
+            tree.root(),
+            Fp::from_hex("5cea0548edd549529a1eb0f727bf6fc18c4ee045efa71cdc4c2805293279dda6")
+        );
+    }
+
+    #[test]
+    fn membership_proof_never_proves_emptiness() {
+        // The proof used to carry its own "empty leaf" constant, so a
+        // prover who set it to X could pass off a slot holding X as
+        // empty. The constant is now the verifier's.
+        for x in [Fp::ZERO, Fp::from_u64(1), Fp::from_u64(700)] {
+            let mut tree = SparseMerkleTree::new(5);
+            tree.insert(7, x).unwrap();
+            let proof = tree.proof(7);
+            assert_eq!(proof.compute_root(&x), tree.root());
+            assert!(!proof.verify_empty(&tree.root()));
+        }
+    }
+
+    #[test]
+    fn compute_root_is_total_in_the_path_length() {
+        let mut tree = SparseMerkleTree::new(40);
+        let leaf = Fp::from_u64(9);
+        tree.insert(u64::MAX >> 24, leaf).unwrap();
+        let exact = tree.proof(u64::MAX >> 24);
+        assert!(exact.verify_occupied(&tree.root(), &leaf));
+        let with_len = |len: usize| {
+            let mut siblings = exact.siblings().to_vec();
+            siblings.resize(len, Fp::from_u64(3));
+            SmtProof::from_parts(u64::MAX, siblings)
+        };
+        // Neither panics, and a path of another length is another root.
+        assert!(!with_len(39).verify_occupied(&tree.root(), &leaf));
+        assert!(!with_len(65).verify_occupied(&tree.root(), &leaf));
+        // Index bits beyond the 64th are zero: the accumulator is the
+        // left child at levels 64 and up.
+        let long = with_len(66);
+        let mut acc = with_len(64).compute_root(&leaf);
+        for sibling in &long.siblings()[64..] {
+            acc = PoseidonHasher::combine(&acc, sibling);
+        }
+        assert_eq!(long.compute_root(&leaf), acc);
+    }
+
+    fn permutations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        use crate::poseidon::PERMUTATIONS;
+        empty_subtrees();
+        let before = PERMUTATIONS.with(|n| n.get());
+        let out = f();
+        (out, PERMUTATIONS.with(|n| n.get()) - before)
+    }
+
+    #[test]
+    fn folding_saves_the_expected_permutations() {
+        // One leaf at slot 0; slot 2^20 shares its path from level 21 up,
+        // so the 20 levels below are empty beside empty.
+        let mut tree = SparseMerkleTree::new(40);
+        tree.insert(0, Fp::from_u64(1)).unwrap();
+        let (slot, leaf) = (1u64 << 20, Fp::from_u64(2));
+        let proof = tree.proof(slot);
+        let (_, old_root_cost) = permutations(|| proof.verify_empty(&tree.root()));
+        assert_eq!(old_root_cost, 20);
+        let (_, new_root_cost) = permutations(|| proof.compute_root(&leaf));
+        assert_eq!(new_root_cost, 40);
+        let (_, insert_cost) = permutations(|| tree.insert(slot, leaf).unwrap());
+        assert_eq!(insert_cost, 40);
+        let (_, remove_cost) = permutations(|| tree.remove(slot).unwrap());
+        assert_eq!(remove_cost, 20);
+        let (_, new_tree_cost) = permutations(|| SparseMerkleTree::new(40).root());
+        assert_eq!(new_tree_cost, 0);
+    }
+
+    /// The tree as it was before folding: a per-tree empty vector and a
+    /// combine at every level of every update.
+    struct AlwaysHash {
+        depth: u32,
+        empty: Vec<Fp>,
+        nodes: HashMap<(u32, u64), Fp>,
+    }
+
+    impl AlwaysHash {
+        fn new(depth: u32) -> Self {
+            let mut empty = vec![crate::poseidon::hash_many(&[])];
+            for l in 0..depth as usize {
+                empty.push(PoseidonHasher::combine(&empty[l], &empty[l]));
+            }
+            AlwaysHash {
+                depth,
+                empty,
+                nodes: HashMap::new(),
+            }
+        }
+
+        fn node(&self, level: u32, index: u64) -> Fp {
+            let stored = self.nodes.get(&(level, index)).copied();
+            stored.unwrap_or(self.empty[level as usize])
+        }
+
+        fn set(&mut self, index: u64, leaf: Option<Fp>) {
+            match leaf {
+                Some(leaf) => self.nodes.insert((0, index), leaf),
+                None => self.nodes.remove(&(0, index)),
+            };
+            for level in 1..=self.depth {
+                let i = index >> level;
+                let value = PoseidonHasher::combine(
+                    &self.node(level - 1, 2 * i),
+                    &self.node(level - 1, 2 * i + 1),
+                );
+                self.nodes.insert((level, i), value);
+            }
+        }
+
+        fn siblings(&self, index: u64) -> Vec<Fp> {
+            (0..self.depth)
+                .map(|level| self.node(level, (index >> level) ^ 1))
+                .collect()
+        }
+
+        fn compute_root(&self, index: u64, leaf: &Fp) -> Fp {
+            let mut acc = *leaf;
+            for (level, sibling) in self.siblings(index).iter().enumerate() {
+                acc = if (index >> level) & 1 == 0 {
+                    PoseidonHasher::combine(&acc, sibling)
+                } else {
+                    PoseidonHasher::combine(sibling, &acc)
+                };
+            }
+            acc
+        }
+    }
+
+    /// Random insert/remove sequence at `depth`, in lock-step with the
+    /// always-hash reference; then everything is removed again.
+    fn differential(depth: u32, ops: &[(u64, u64)]) -> Result<(), TestCaseError> {
+        let mut tree = SparseMerkleTree::new(depth);
+        let mut reference = AlwaysHash::new(depth);
+        let mask = (1u64 << depth) - 1;
+        for (raw, val) in ops {
+            // Cluster the slots so that paths share low levels too.
+            let index = ((raw & 0xF) | ((raw >> 4) << (depth - 2))) & mask;
+            let leaf = Fp::from_u64(*val);
+            if tree.is_occupied(index) {
+                tree.remove(index).unwrap();
+                reference.set(index, None);
+            } else {
+                tree.insert(index, leaf).unwrap();
+                reference.set(index, Some(leaf));
+            }
+            prop_assert_eq!(tree.root(), reference.node(depth, 0));
+            for probe in [index, index ^ 1, index ^ (1 << (depth - 1))] {
+                let proof = tree.proof(probe);
+                prop_assert_eq!(proof.siblings(), &reference.siblings(probe)[..]);
+                let held = tree.get(probe).unwrap_or(reference.empty[0]);
+                prop_assert_eq!(proof.compute_root(&held), tree.root());
+                prop_assert_eq!(
+                    proof.compute_root(&leaf),
+                    reference.compute_root(probe, &leaf)
+                );
+                prop_assert_eq!(proof.verify_empty(&tree.root()), !tree.is_occupied(probe));
+            }
+        }
+        let occupied: Vec<u64> = tree.iter().map(|(i, _)| i).collect();
+        for index in occupied {
+            tree.remove(index).unwrap();
+        }
+        prop_assert_eq!(tree.root(), reference.empty[depth as usize]);
+        prop_assert!(tree.nodes.is_empty(), "node map must shrink back to empty");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn prop_matches_always_hash_reference(
+            ops in proptest::collection::vec((0u64..64, 1u64..1_000_000), 1..24)
+        ) {
+            for depth in [6, 40, 48] {
+                differential(depth, &ops)?;
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
@@ -392,12 +640,12 @@ mod tests {
             let mut tree = SparseMerkleTree::new(6);
             let mut reference = std::collections::BTreeMap::new();
             for (idx, val) in ops {
-                if reference.contains_key(&idx) {
+                if let std::collections::btree_map::Entry::Vacant(slot) = reference.entry(idx) {
+                    tree.insert(idx, Fp::from_u64(val)).unwrap();
+                    slot.insert(val);
+                } else {
                     tree.remove(idx).unwrap();
                     reference.remove(&idx);
-                } else {
-                    tree.insert(idx, Fp::from_u64(val)).unwrap();
-                    reference.insert(idx, val);
                 }
             }
             // Rebuild from scratch and compare roots.

@@ -21,10 +21,10 @@ fmt:
     cargo fmt
 
 # Lints, warnings-as-errors, on the crates introduced/refactored since
-# the seed (the seed crates carry pre-existing style noise; --no-deps
-# keeps the gate scoped to these).
+# the seed plus zendoo-primitives (the other seed crates carry
+# pre-existing style noise; --no-deps keeps the gate scoped to these).
 clippy:
-    cargo clippy -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store --all-targets --no-deps -- -D warnings
+    cargo clippy -p zendoo-primitives -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store --all-targets --no-deps -- -D warnings
 
 # Rustdoc gate: the whole workspace documents cleanly.
 doc:
