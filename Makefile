@@ -9,7 +9,7 @@ fmt-check:
 	cargo fmt --check
 
 clippy:
-	cargo clippy -p zendoo-primitives -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store --all-targets --no-deps -- -D warnings
+	cargo clippy -p zendoo-primitives -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store -p zendoo-latus --all-targets --no-deps -- -D warnings
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

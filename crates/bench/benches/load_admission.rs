@@ -36,9 +36,10 @@ use zendoo_core::ids::Address;
 use zendoo_loadgen::{LoadConfig, LoadGen, Population, Shape};
 use zendoo_mainchain::chain::{BlockCandidates, Blockchain, ChainParams};
 use zendoo_mainchain::mempool::{fee_of, Mempool, MempoolConfig};
-use zendoo_mainchain::sigbatch::{admit_batch_with, default_workers};
+use zendoo_mainchain::sigbatch::admit_batch_with;
 use zendoo_mainchain::transaction::McTransaction;
 use zendoo_primitives::digest::Digest32;
+use zendoo_snark::batch::default_workers;
 use zendoo_telemetry::Telemetry;
 
 /// Transactions admitted per scenario measurement.

@@ -350,8 +350,10 @@ mod tests {
 
     fn chain_with_ft() -> (Blockchain, Wallet) {
         let alice = Wallet::from_seed(b"alice");
-        let mut params = ChainParams::default();
-        params.genesis_outputs = vec![TxOut::regular(alice.address(), Amount::from_units(10_000))];
+        let params = ChainParams {
+            genesis_outputs: vec![TxOut::regular(alice.address(), Amount::from_units(10_000))],
+            ..ChainParams::default()
+        };
         let mut chain = Blockchain::new(params);
         // Register the sidechain so the MC accepts FTs to it.
         struct AcceptAll;

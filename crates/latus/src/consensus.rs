@@ -222,6 +222,28 @@ pub fn verify_leadership(
     output == claim.output && output.as_unit_fraction() < params.threshold(alpha)
 }
 
+/// Verifies the leadership embedded in a block header: the VRF proof
+/// must be valid for `(η ‖ slot)` under the forger's key and its output
+/// below the forger's stake threshold. Used by validating (non-forging)
+/// nodes.
+pub fn verify_block_leadership(
+    params: &ConsensusParams,
+    distribution: &StakeDistribution,
+    forger: &PublicKey,
+    slot: u64,
+    proof: &VrfProof,
+) -> bool {
+    let address = Address::from_public_key(forger);
+    let alpha = distribution.relative_stake(&address);
+    if alpha <= 0.0 {
+        return false;
+    }
+    match vrf::verify(forger, &slot_message(params, slot), proof) {
+        Some(output) => output.as_unit_fraction() < params.threshold(alpha),
+        None => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,27 +359,5 @@ mod tests {
         assert_eq!(dist.stake_of(&alice), Amount::from_units(30));
         assert_eq!(dist.total(), Amount::from_units(30));
         assert!((dist.relative_stake(&alice) - 1.0).abs() < 1e-12);
-    }
-}
-
-/// Verifies the leadership embedded in a block header: the VRF proof
-/// must be valid for `(η ‖ slot)` under the forger's key and its output
-/// below the forger's stake threshold. Used by validating (non-forging)
-/// nodes.
-pub fn verify_block_leadership(
-    params: &ConsensusParams,
-    distribution: &StakeDistribution,
-    forger: &PublicKey,
-    slot: u64,
-    proof: &VrfProof,
-) -> bool {
-    let address = Address::from_public_key(forger);
-    let alpha = distribution.relative_stake(&address);
-    if alpha <= 0.0 {
-        return false;
-    }
-    match vrf::verify(forger, &slot_message(params, slot), proof) {
-        Some(output) => output.as_unit_fraction() < params.threshold(alpha),
-        None => false,
     }
 }

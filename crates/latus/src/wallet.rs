@@ -94,7 +94,7 @@ impl ScWallet {
             .into_iter()
             .map(|(_, u)| u)
             .collect();
-        coins.sort_by(|a, b| b.amount.cmp(&a.amount));
+        coins.sort_by_key(|coin| std::cmp::Reverse(coin.amount));
         let mut selected = Vec::new();
         let mut total = Amount::ZERO;
         for coin in coins {

@@ -40,11 +40,13 @@ impl TwoChains {
         let schedule = EpochSchedule::new(START_BLOCK, EPOCH_LEN, SUBMIT_LEN).unwrap();
         let keys = Arc::new(LatusKeys::generate(params, schedule, b"harness-seed"));
 
-        let mut chain_params = ChainParams::default();
-        chain_params.genesis_outputs = vec![TxOut::regular(
-            mc_wallet.address(),
-            Amount::from_units(1_000_000),
-        )];
+        let chain_params = ChainParams {
+            genesis_outputs: vec![TxOut::regular(
+                mc_wallet.address(),
+                Amount::from_units(1_000_000),
+            )],
+            ..ChainParams::default()
+        };
         let mut chain = Blockchain::new(chain_params);
         let config = keys.sidechain_config(&params, schedule);
         chain

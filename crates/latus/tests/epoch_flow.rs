@@ -44,11 +44,13 @@ impl TwoChains {
         let schedule = EpochSchedule::new(START_BLOCK, EPOCH_LEN, SUBMIT_LEN).unwrap();
         let keys = Arc::new(LatusKeys::generate(params, schedule, b"e2e-seed"));
 
-        let mut chain_params = ChainParams::default();
-        chain_params.genesis_outputs = vec![TxOut::regular(
-            mc_wallet.address(),
-            Amount::from_units(1_000_000),
-        )];
+        let chain_params = ChainParams {
+            genesis_outputs: vec![TxOut::regular(
+                mc_wallet.address(),
+                Amount::from_units(1_000_000),
+            )],
+            ..ChainParams::default()
+        };
         let mut chain = Blockchain::new(chain_params);
 
         // Declare the sidechain at height 1 (activation at height 2).

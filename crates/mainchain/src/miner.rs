@@ -90,9 +90,9 @@ impl Miner {
     /// index), all signatures verified on scoped worker threads, and
     /// the verdicts cached so [`Miner::mine`]'s dry run re-verifies
     /// nothing. One lane per core by default
-    /// ([`crate::sigbatch::default_workers`]).
+    /// ([`zendoo_snark::batch::default_workers`]).
     pub fn submit_batch(&mut self, chain: &Blockchain, txs: Vec<McTransaction>) -> AdmissionReport {
-        let workers = sigbatch::default_workers(txs.len());
+        let workers = zendoo_snark::batch::default_workers(txs.len());
         self.submit_batch_with_workers(chain, txs, workers)
     }
 

@@ -67,15 +67,6 @@ impl SigCheck {
     }
 }
 
-/// A sensible worker count for batch verification on this host: one
-/// lane per available core, never more lanes than checks.
-pub fn default_workers(checks: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    cores.min(checks).max(1)
-}
-
 /// Verifies every check, `workers` at a time, returning verdicts in
 /// check order. `workers == 1` (or a single check) short-circuits to
 /// the serial path with no thread overhead.
@@ -310,13 +301,6 @@ mod tests {
     #[test]
     fn empty_batch_is_vacuous() {
         assert!(verify_sig_batch(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn default_workers_bounded_by_checks() {
-        assert_eq!(default_workers(0), 1);
-        assert_eq!(default_workers(1), 1);
-        assert!(default_workers(64) >= 1);
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl TransferTx {
     /// keys blanked (outpoints + outputs only).
     pub fn sighash(&self) -> Digest32 {
         let outpoints: Vec<OutPoint> = self.inputs.iter().map(|i| i.outpoint).collect();
-        digest(SIGHASH_CONTEXT, &(outpoints, self.outputs.clone()))
+        sighash_of(&outpoints, &self.outputs)
     }
 
     /// Total value created by outputs (`None` on overflow).
@@ -216,23 +216,21 @@ impl TransferTx {
     /// Builds and signs a transfer in one step: `spends` pairs each spent
     /// outpoint with the secret key controlling it.
     pub fn signed(spends: &[(OutPoint, &SecretKey)], outputs: Vec<Output>) -> Self {
-        let mut tx = TransferTx {
+        // The sighash covers no key and no signature, so it is known
+        // before any input is signed: one signature per input.
+        let outpoints: Vec<OutPoint> = spends.iter().map(|(outpoint, _)| *outpoint).collect();
+        let sighash = sighash_of(&outpoints, &outputs);
+        TransferTx {
             inputs: spends
                 .iter()
                 .map(|(outpoint, sk)| TxIn {
                     outpoint: *outpoint,
                     pubkey: sk.public_key(),
-                    // Placeholder; replaced after the sighash is known.
-                    signature: sk.sign(SIGHASH_CONTEXT, b"placeholder"),
+                    signature: sk.sign(SIGHASH_CONTEXT, sighash.as_bytes()),
                 })
                 .collect(),
             outputs,
-        };
-        let sighash = tx.sighash();
-        for (input, (_, sk)) in tx.inputs.iter_mut().zip(spends) {
-            input.signature = sk.sign(SIGHASH_CONTEXT, sighash.as_bytes());
         }
-        tx
     }
 
     /// Builds a transaction claiming escrow-kind outputs.
@@ -356,6 +354,11 @@ impl McTransaction {
     }
 }
 
+/// The transfer sighash over its two ingredients.
+fn sighash_of(outpoints: &[OutPoint], outputs: &[Output]) -> Digest32 {
+    digest(SIGHASH_CONTEXT, &(outpoints, outputs))
+}
+
 /// The keypair escrow-claiming transactions fill their inputs with.
 ///
 /// **Not an authority.** The seed is public and anyone can derive it;
@@ -431,6 +434,24 @@ mod tests {
             ))],
         );
         assert!(tx.verify_input(0, &spent));
+    }
+
+    #[test]
+    fn signed_transfer_known_answer() {
+        // Generated while `signed` still signed a placeholder first: the
+        // single-pass form produces the same bytes.
+        let (alice, bob) = (keypair(b"alice"), keypair(b"bob"));
+        let tx = TransferTx::signed(
+            &[(outpoint(1), &alice.secret), (outpoint(2), &bob.secret)],
+            vec![Output::Regular(TxOut::regular(
+                Address::from_label("carol"),
+                Amount::from_units(9),
+            ))],
+        );
+        assert_eq!(
+            McTransaction::Transfer(tx).txid().to_hex(),
+            "ddf7cb4c1674ee542d99c41be0eb06cde4cd575c7580191d06a507a5d6205200"
+        );
     }
 
     #[test]

@@ -196,6 +196,22 @@ impl U256 {
         (self.0[i / 64] >> (i % 64)) & 1 == 1
     }
 
+    /// The `width` bits starting at bit `pos` as an integer (bits past
+    /// 255 read as zero); `width` must be in `1..=63`. This is the digit
+    /// extraction shared by the windowed exponentiation in
+    /// [`crate::field`] and the scalar recodings in [`crate::curve`].
+    pub(crate) const fn window(&self, pos: usize, width: usize) -> u64 {
+        let (limb, offset) = (pos / 64, pos % 64);
+        if limb >= 4 {
+            return 0;
+        }
+        let mut v = self.0[limb] >> offset;
+        if offset + width > 64 && limb + 1 < 4 {
+            v |= self.0[limb + 1] << (64 - offset);
+        }
+        v & ((1 << width) - 1)
+    }
+
     /// Number of significant bits (0 for zero).
     pub const fn bits(&self) -> usize {
         let mut i = 3;
@@ -372,6 +388,21 @@ mod tests {
         assert_eq!(b.bits(), 69);
         assert!(b.bit(68));
         assert!(!b.bit(67));
+    }
+
+    #[test]
+    fn window_reads_across_limbs_and_past_the_top() {
+        let a = U256::from_hex("f123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef");
+        assert_eq!(a.window(0, 4), 0xf);
+        assert_eq!(a.window(4, 8), 0xde);
+        assert_eq!(a.window(60, 8), 0xf0);
+        assert_eq!(a.window(62, 5), 0b11100);
+        assert_eq!(a.window(252, 4), 0xf);
+        assert_eq!(a.window(252, 8), 0xf);
+        assert_eq!(a.window(256, 5), 0);
+        for pos in 0..256 {
+            assert_eq!(a.window(pos, 1) == 1, a.bit(pos));
+        }
     }
 
     #[test]

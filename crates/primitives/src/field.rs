@@ -103,9 +103,10 @@ impl<P: FieldParams> Fp256<P> {
         Self::from_u256(U256::from_u64(v))
     }
 
-    /// The multiplicative identity.
+    /// The multiplicative identity: `R mod N = 2^256 − N` in Montgomery
+    /// form (valid because `2^255 < N < 2^256`).
     pub fn one() -> Self {
-        Self::from_u64(1)
+        Self::from_raw(P::MODULUS.wrapping_neg())
     }
 
     /// Interprets 32 big-endian bytes as an integer and reduces modulo `N`.
@@ -189,14 +190,28 @@ impl<P: FieldParams> Fp256<P> {
         self.add_ref(self)
     }
 
-    /// Exponentiation by a 256-bit exponent (square-and-multiply).
+    /// Exponentiation by a 256-bit exponent with a fixed 4-bit window:
+    /// four squarings per exponent nibble and one multiplication by a
+    /// precomputed power `self^1 … self^15` per nonzero nibble — 256
+    /// squarings and at most 64 + 14 multiplications, where the
+    /// exponents of [`Fp256::invert`] and [`Fp256::sqrt`] (almost all
+    /// ones) cost the bitwise loop ~250 multiplications.
     pub fn pow(&self, exp: &U256) -> Self {
-        let mut acc = Self::one();
-        let bits = exp.bits();
-        for i in (0..bits).rev() {
-            acc = acc.square();
-            if exp.bit(i) {
-                acc = acc.mul_ref(self);
+        let mut powers = [*self; 15];
+        for j in 1..15 {
+            powers[j] = powers[j - 1].mul_ref(self);
+        }
+        let mut nibbles = (0..exp.bits().div_ceil(4)).rev();
+        let Some(top) = nibbles.next() else {
+            return Self::one();
+        };
+        // The top nibble of a nonzero exponent is nonzero.
+        let mut acc = powers[exp.window(4 * top, 4) as usize - 1];
+        for i in nibbles {
+            acc = acc.square().square().square().square();
+            match exp.window(4 * i, 4) as usize {
+                0 => {}
+                nibble => acc = acc.mul_ref(&powers[nibble - 1]),
             }
         }
         acc
@@ -503,7 +518,56 @@ mod tests {
         assert_eq!(a.pow(&U256::from_u64(77)), expected);
     }
 
+    /// The bit-at-a-time square-and-multiply `pow` replaced: the oracle
+    /// for the windowed form.
+    fn pow_bitwise<P: FieldParams>(base: &Fp256<P>, exp: &U256) -> Fp256<P> {
+        let mut acc = Fp256::one();
+        for i in (0..exp.bits()).rev() {
+            acc = acc.square();
+            if exp.bit(i) {
+                acc = acc.mul_ref(base);
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn pow_edge_exponents_match_bitwise() {
+        let mut r = rng();
+        let (a, s) = (Fp::random(&mut r), Fr::random(&mut r));
+        for exp in [
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(15),
+            U256::from_u64(16),
+            U256::MAX,
+            SecpBase::INV_EXP,
+            SecpBase::SQRT_EXP,
+        ] {
+            assert_eq!(a.pow(&exp), pow_bitwise(&a, &exp));
+            assert_eq!(Fp::ZERO.pow(&exp), pow_bitwise(&Fp::ZERO, &exp));
+        }
+        for exp in [U256::ZERO, U256::ONE, SecpScalar::INV_EXP] {
+            assert_eq!(s.pow(&exp), pow_bitwise(&s, &exp));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_pow_matches_bitwise(
+            base in any::<[u8; 32]>(), exp in any::<[u8; 32]>(), shift in 0usize..256
+        ) {
+            // Shifted exponents cover every length, not only full-width ones.
+            let mut exp = U256::from_be_bytes(&exp);
+            for _ in 0..shift {
+                exp = exp.shr1();
+            }
+            let a = Fp::from_be_bytes_reduced(&base);
+            prop_assert_eq!(a.pow(&exp), pow_bitwise(&a, &exp));
+            let s = Fr::from_be_bytes_reduced(&base);
+            prop_assert_eq!(s.pow(&exp), pow_bitwise(&s, &exp));
+        }
+
         #[test]
         fn prop_field_ring_axioms(x in any::<u64>(), y in any::<u64>(), z in any::<u64>()) {
             let (a, b, c) = (Fp::from_u64(x), Fp::from_u64(y), Fp::from_u64(z));

@@ -45,3 +45,9 @@ pub mod vrf;
 pub use digest::Digest32;
 pub use encode::Encode;
 pub use field::{Fp, Fr};
+
+/// Lower-case hex of `bytes`, for the known-answer tests.
+#[cfg(test)]
+pub(crate) fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}

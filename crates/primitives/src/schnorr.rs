@@ -27,7 +27,7 @@ impl SecretKey {
     fn from_scalar(scalar: Fr) -> Self {
         SecretKey {
             scalar,
-            public: PublicKey((JacobianPoint::generator() * scalar).to_affine()),
+            public: PublicKey(JacobianPoint::mul_generator(&scalar).to_affine()),
         }
     }
 
@@ -75,7 +75,7 @@ impl SecretKey {
         if k.is_zero() {
             k = Fr::one();
         }
-        let r_point = (JacobianPoint::generator() * k).to_affine();
+        let r_point = JacobianPoint::mul_generator(&k).to_affine();
         let e = challenge(context, &r_point, &self.public, msg);
         let s = k + e * self.scalar;
         Signature { r: r_point, s }
@@ -109,15 +109,14 @@ impl PublicKey {
         AffinePoint::from_compressed(bytes).map(PublicKey)
     }
 
-    /// Verifies `sig` over `msg` under this key: `s·G == R + e·PK`.
+    /// Verifies `sig` over `msg` under this key: `s·G − e·PK == R`, the
+    /// left side in one interleaved pass and the comparison projective.
     pub fn verify(&self, context: &str, msg: &[u8], sig: &Signature) -> bool {
         if self.0.is_identity() || sig.r.is_identity() {
             return false;
         }
         let e = challenge(context, &sig.r, self, msg);
-        let lhs = JacobianPoint::generator() * sig.s;
-        let rhs = sig.r.to_jacobian() + self.0 * e;
-        lhs == rhs
+        JacobianPoint::lincomb_generator(&sig.s, &-e, &self.0).eq_affine(&sig.r)
     }
 }
 
@@ -202,6 +201,7 @@ fn challenge(context: &str, r: &AffinePoint, pk: &PublicKey, msg: &[u8]) -> Fr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hex;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -259,15 +259,42 @@ mod tests {
     }
 
     #[test]
+    fn hostile_signatures_fail() {
+        let kp = Keypair::from_seed(b"victim");
+        let sig = kp.secret.sign("test", b"message");
+        assert!(kp.public.verify("test", b"message", &sig));
+        let identity = AffinePoint::identity();
+        let rejected = |pk: &PublicKey, r, s| !pk.verify("test", b"message", &Signature { r, s });
+        // R = identity, alone and with the s that would balance it.
+        assert!(rejected(&kp.public, identity, sig.s));
+        assert!(rejected(&kp.public, identity, Fr::ZERO));
+        // PK = identity: s·G − e·0 = R holds for R = s·G, and must not pass.
+        let r = JacobianPoint::mul_generator(&sig.s).to_affine();
+        assert!(rejected(&PublicKey(identity), r, sig.s));
+        // s off by one in either direction, R negated.
+        assert!(rejected(&kp.public, sig.r, sig.s + Fr::one()));
+        assert!(rejected(&kp.public, sig.r, sig.s - Fr::one()));
+        assert!(rejected(&kp.public, sig.r.negate(), sig.s));
+        assert!(rejected(&kp.public, sig.r.negate(), -sig.s));
+        // A valid signature does not transfer to the negated key.
+        assert!(rejected(&PublicKey(kp.public.0.negate()), sig.r, sig.s));
+    }
+
+    #[test]
+    fn non_canonical_s_is_rejected_at_parse() {
+        let kp = Keypair::from_seed(b"victim");
+        let mut bytes = kp.secret.sign("test", b"message").to_bytes();
+        // s + n does not fit the canonical range (s + n ≥ n).
+        bytes[33..].copy_from_slice(&[0xff; 32]);
+        assert!(Signature::from_bytes(&bytes).is_none());
+    }
+
+    #[test]
     fn deterministic_signing() {
         let kp = Keypair::from_seed(b"seed");
         let s1 = kp.secret.sign("test", b"m");
         let s2 = kp.secret.sign("test", b"m");
         assert_eq!(s1, s2);
-    }
-
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub fn prove(sk: &SecretKey, msg: &[u8]) -> (VrfOutput, VrfProof) {
     if k.is_zero() {
         k = Fr::one();
     }
-    let u = (JacobianPoint::generator() * k).to_affine();
+    let u = JacobianPoint::mul_generator(&k).to_affine();
     let v = (h * k).to_affine();
     let c = dleq_challenge(&h, &sk.public_key(), &gamma, &u, &v, msg);
     let s = k + c * sk.scalar();
@@ -93,8 +93,9 @@ pub fn verify(pk: &PublicKey, msg: &[u8], proof: &VrfProof) -> Option<VrfOutput>
     }
     let h = AffinePoint::hash_to_curve(H2C_DOMAIN, msg);
     // U = s·G - c·PK ; V = s·H - c·Γ — recompute the transcript commitments.
-    let u = (JacobianPoint::generator() * proof.s + (pk.point() * proof.c).negate()).to_affine();
-    let v = (h * proof.s + (proof.gamma * proof.c).negate()).to_affine();
+    let minus_c = -proof.c;
+    let u = JacobianPoint::lincomb_generator(&proof.s, &minus_c, &pk.point()).to_affine();
+    let v = JacobianPoint::lincomb(&proof.s, &h, &minus_c, &proof.gamma).to_affine();
     let c = dleq_challenge(&h, pk, &proof.gamma, &u, &v, msg);
     if c == proof.c {
         Some(proof.output())
@@ -128,6 +129,7 @@ fn dleq_challenge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hex;
     use crate::schnorr::Keypair;
     use rand::SeedableRng;
 
@@ -140,6 +142,46 @@ mod tests {
         let kp = Keypair::random(&mut rng());
         let (out, proof) = prove(&kp.secret, b"slot-5");
         assert_eq!(verify(&kp.public, b"slot-5", &proof), Some(out));
+    }
+
+    #[test]
+    fn known_answer_proof() {
+        // Generated by the double-and-add multiplication before it was
+        // replaced by the windowed layer in `curve`.
+        let kp = Keypair::from_seed(b"kat");
+        let (out, proof) = prove(&kp.secret, b"epoch-7/slot-3");
+        assert_eq!(
+            hex(&proof.to_bytes()),
+            "026a4e756e2fe9b5cc7db30f61df9c3b5c745b281e15da1138319575ae957c9562\
+             b4c542bdeb104f324105e4e788212e1b54b18dfe6529c003c4a5bf6961665635\
+             1fc27edd9261fd0ee92ed0587f7428b363859bb9c38359468873f7accea1e697"
+        );
+        assert_eq!(
+            hex(&out.0),
+            "8b786deef8e999a600a634876f7d6be31a02371b74d3eec7b5672ae5e3b95af3"
+        );
+        assert_eq!(verify(&kp.public, b"epoch-7/slot-3", &proof), Some(out));
+    }
+
+    #[test]
+    fn tampered_transcript_rejected() {
+        let kp = Keypair::from_seed(b"forger");
+        let (_, proof) = prove(&kp.secret, b"m");
+        let bump_s = VrfProof {
+            s: proof.s + Fr::one(),
+            ..proof
+        };
+        let bump_c = VrfProof {
+            c: proof.c + Fr::one(),
+            ..proof
+        };
+        let negated = VrfProof {
+            gamma: proof.gamma.negate(),
+            ..proof
+        };
+        for bad in [bump_s, bump_c, negated] {
+            assert!(verify(&kp.public, b"m", &bad).is_none());
+        }
     }
 
     #[test]

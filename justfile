@@ -1,15 +1,15 @@
 # Zendoo reproduction — developer tasks.
 #
-# `just ci` is the gate: formatting, lints on the crates that are kept
-# warning-clean, and the tier-1 test suite.
+# `just ci` is the gate: formatting, lints on every library crate, and
+# the tier-1 test suite.
 
 # Default: list recipes.
 default:
     @just --list
 
-# Full CI gate: format check, clippy on the newer crates, rustdoc
-# warnings-as-errors + doc-tests, tier-1 tests, adversarial and
-# Byzantine suites.
+# Full CI gate: format check, clippy on every library crate, rustdoc
+# warnings-as-errors + doc-tests, tier-1 tests, adversarial, Byzantine
+# and persistence suites.
 ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store
 
 # Formatting check (whole workspace).
@@ -20,11 +20,11 @@ fmt-check:
 fmt:
     cargo fmt
 
-# Lints, warnings-as-errors, on the crates introduced/refactored since
-# the seed plus zendoo-primitives (the other seed crates carry
-# pre-existing style noise; --no-deps keeps the gate scoped to these).
+# Lints, warnings-as-errors, on every library crate (--no-deps keeps
+# the offline stand-ins in crates/support out; zendoo-bench and the root
+# facade are not gated).
 clippy:
-    cargo clippy -p zendoo-primitives -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store --all-targets --no-deps -- -D warnings
+    cargo clippy -p zendoo-primitives -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store -p zendoo-latus --all-targets --no-deps -- -D warnings
 
 # Rustdoc gate: the whole workspace documents cleanly.
 doc:
