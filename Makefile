@@ -1,9 +1,9 @@
 # Zendoo reproduction — make mirror of the justfile (the container may
 # not have `just` installed).
 
-.PHONY: ci fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store bench bench-smoke obs-report demo
+.PHONY: ci fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-benchmark bench bench-smoke obs-report demo
 
-ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store
+ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-benchmark
 
 fmt-check:
 	cargo fmt --check
@@ -22,13 +22,17 @@ test:
 	cargo test -q
 
 test-adversarial:
-	@total=0; for spec in "zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec"; do set -- $$spec; out=$$(cargo test -q -p "$$1" --test "$$2" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "adversarial tests: $$total total"
+	@total=0; for spec in "zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec"; do set -- $$spec; out=$$(cargo test -q -p "$$1" --test "$$2" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "adversarial tests: $$total total"
 
 test-byzantine:
 	@total=0; for spec in "zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism"; do set -- $$spec; out=$$(cargo test -q -p "$$1" --test "$$2" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "byzantine tests: $$total total"
 
 test-store:
 	@total=0; for spec in "zendoo-store recovery" "zendoo-sim persistence"; do set -- $$spec; out=$$(cargo test -q -p "$$1" --test "$$2" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "store tests: $$total total"
+
+test-benchmark:
+	cargo test -q --offline --manifest-path benchmark/Cargo.toml
+	cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 
 bench:
 	cargo bench -p zendoo-bench

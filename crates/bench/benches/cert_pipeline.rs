@@ -22,6 +22,7 @@ use zendoo_mainchain::transaction::McTransaction;
 use zendoo_mainchain::{Block, Wallet};
 use zendoo_primitives::digest::Digest32;
 use zendoo_snark::backend::{prove, setup_deterministic, ProvingKey};
+use zendoo_telemetry::Telemetry;
 
 fn sc_id(i: usize) -> SidechainId {
     SidechainId::from_label(&format!("bench-pipe-{i}"))
@@ -70,7 +71,10 @@ fn chain_with_cert_block(n: usize) -> (Blockchain, Block, Vec<Digest32>) {
             McTransaction::Certificate(Box::new(cert))
         })
         .collect();
-    let block = chain.build_next_block(miner.address(), certs, 8).unwrap();
+    let block = chain
+        .prepare_block(miner.address(), certs, 8)
+        .unwrap()
+        .block;
     let active: Vec<Digest32> = (0..=chain.height())
         .map(|h| chain.hash_at_height(h).unwrap())
         .collect();
@@ -107,8 +111,14 @@ fn bench_block_validation(c: &mut Criterion) {
         // Pipeline: stage-2 parallel prefetch + stage-3 cached apply.
         group.bench_with_input(BenchmarkId::new("parallel", n), &block, |b, block| {
             b.iter(|| {
-                let verdicts =
-                    pipeline::verify_block_proofs(chain.state(), block, hash, &active, None);
+                let verdicts = pipeline::verify_block_proofs(
+                    chain.state(),
+                    block,
+                    hash,
+                    &active,
+                    None,
+                    &Telemetry::disabled(),
+                );
                 let mut state = chain.state().clone();
                 let undo =
                     pipeline::apply_block(&mut state, block, hash, &active, subsidy, &verdicts)
@@ -126,10 +136,28 @@ fn bench_stage2_only(c: &mut Criterion) {
         let (chain, block, active) = chain_with_cert_block(n);
         let hash = block.hash();
         group.bench_with_input(BenchmarkId::new("1-worker", n), &block, |b, block| {
-            b.iter(|| pipeline::verify_block_proofs(chain.state(), block, hash, &active, Some(1)))
+            b.iter(|| {
+                pipeline::verify_block_proofs(
+                    chain.state(),
+                    block,
+                    hash,
+                    &active,
+                    Some(1),
+                    &Telemetry::disabled(),
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("all-cores", n), &block, |b, block| {
-            b.iter(|| pipeline::verify_block_proofs(chain.state(), block, hash, &active, None))
+            b.iter(|| {
+                pipeline::verify_block_proofs(
+                    chain.state(),
+                    block,
+                    hash,
+                    &active,
+                    None,
+                    &Telemetry::disabled(),
+                )
+            })
         });
     }
     group.finish();

@@ -118,8 +118,9 @@ fn bench_observe(c: &mut Criterion) {
         // proof), so the certificate is appended after mining — the
         // router only reads the transaction list.
         let mut block = chain_with_source()
-            .build_next_block(miner.address(), vec![], 2)
-            .unwrap();
+            .prepare_block(miner.address(), vec![], 2)
+            .unwrap()
+            .block;
         block
             .transactions
             .push(McTransaction::Certificate(Box::new(cert_with_transfers(n))));

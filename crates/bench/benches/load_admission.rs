@@ -166,7 +166,7 @@ fn batched_vs_per_tx(chain: &mut Blockchain, population: Population) -> String {
     let batch = pool.take_ordered(usize::MAX);
     let started = Instant::now();
     let prepared = chain
-        .prepare_block_candidates(
+        .prepare_block(
             miner,
             BlockCandidates::admitted(batch.txs, batch.sig_verdicts),
             1,
@@ -202,7 +202,7 @@ fn batched_vs_per_tx(chain: &mut Blockchain, population: Population) -> String {
     let taken = pool.take_ordered(usize::MAX);
     let started = Instant::now();
     let prepared = chain
-        .prepare_block_candidates(miner, BlockCandidates::unchecked(taken.txs), 1)
+        .prepare_block(miner, BlockCandidates::unchecked(taken.txs), 1)
         .unwrap();
     let per_tx_build_secs = started.elapsed().as_secs_f64();
     assert_eq!(prepared.block.transactions.len(), n + 1);
@@ -283,7 +283,7 @@ fn cached_vs_reverify(chain: &mut Blockchain, population: Population) -> String 
 
     let started = Instant::now();
     let prepared = chain
-        .prepare_block_candidates(
+        .prepare_block(
             miner,
             BlockCandidates::admitted(batch.txs.clone(), batch.sig_verdicts),
             1,
@@ -294,7 +294,7 @@ fn cached_vs_reverify(chain: &mut Blockchain, population: Population) -> String 
 
     let started = Instant::now();
     let prepared = chain
-        .prepare_block_candidates(miner, BlockCandidates::unchecked(batch.txs), 1)
+        .prepare_block(miner, BlockCandidates::unchecked(batch.txs), 1)
         .unwrap();
     let reverify_secs = started.elapsed().as_secs_f64();
     assert_eq!(prepared.block.transactions.len(), n + 1);

@@ -13,14 +13,18 @@
 //!   `tick.shard.sync`) — the single source of per-tick wall-clock
 //!   accounting.
 //!
-//! The scenario runs in [`StepMode::Serial`] deliberately: the serial
-//! path exercises all three pipeline stage spans at submission (the
-//! sharded path reuses recorded verdicts, so its stage 2 shows up as
-//! `mc.stage2.verdicts_reused` instead of a verify span).
+//! The mainchain pipeline figures (every `mc.*` / `snark.*` key a
+//! block submission records) are taken from a **follower**: a fresh
+//! `Blockchain` fed the world's active chain through `submit_block`.
+//! That is what a receiving node pays — all three stage spans at
+//! submission — whereas the world's own tick submits each block with
+//! the verdicts its builder recorded, so its stage 2 shows up as
+//! `mc.stage2.verdicts_reused` instead of a verify span.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use zendoo_sim::{scenarios, SimConfig, StepMode, World};
-use zendoo_telemetry::render_report;
+use zendoo_mainchain::Blockchain;
+use zendoo_sim::{scenarios, SimConfig, World};
+use zendoo_telemetry::{render_report, Snapshot, Telemetry};
 
 /// Chains in the instrumented ring (the acceptance scenario size).
 const CHAINS: usize = 16;
@@ -31,7 +35,6 @@ const EPOCHS: u64 = 2;
 /// Builds and runs the instrumented ring world to completion.
 fn run_instrumented_ring() -> World {
     let config = SimConfig {
-        step_mode: StepMode::Serial,
         epoch_len: scenarios::ring_epoch_len(CHAINS),
         telemetry: true,
         ..SimConfig::with_sidechains(CHAINS)
@@ -44,6 +47,22 @@ fn run_instrumented_ring() -> World {
     world
 }
 
+/// Replays the world's active chain into a recording follower through
+/// carrier-less `submit_block` and returns what the follower recorded.
+fn follower_snapshot(world: &World) -> Snapshot {
+    let (telemetry, recorder) = Telemetry::in_memory();
+    let mut follower = Blockchain::new(world.chain.params().clone());
+    follower.set_telemetry(telemetry);
+    for height in 1..=world.chain.height() {
+        let block = world.chain.block_at_height(height).expect("active block");
+        follower
+            .submit_block(block.clone())
+            .expect("follower accepts");
+    }
+    assert_eq!(follower.tip_hash(), world.chain.tip_hash());
+    recorder.snapshot()
+}
+
 /// Runs the scenario, checks the snapshot covers the pipeline end to
 /// end, and writes `BENCH_pipeline_obs.json`.
 fn emit_obs_report(c: &mut Criterion) {
@@ -52,7 +71,14 @@ fn emit_obs_report(c: &mut Criterion) {
         world.metrics.cross_transfers_delivered, CHAINS as u64,
         "ring workload did not settle"
     );
-    let snapshot = world.telemetry_snapshot();
+    // The world's snapshot, with every key a block submission records
+    // replaced by the follower's reading of it.
+    let mut snapshot = world.telemetry_snapshot();
+    let follower = follower_snapshot(&world);
+    snapshot.spans.extend(follower.spans);
+    snapshot.counters.extend(follower.counters);
+    snapshot.gauges.extend(follower.gauges);
+    snapshot.histograms.extend(follower.histograms);
 
     // The snapshot must cover every instrumented layer.
     for span in [
@@ -86,7 +112,7 @@ fn emit_obs_report(c: &mut Criterion) {
 
     let hit_rate = hits as f64 / (hits + misses) as f64;
     let scenario = format!(
-        "  \"scenario\": {{\"sidechains\": {CHAINS}, \"epochs\": {EPOCHS}, \"step_mode\": \"serial\", \"mc_blocks\": {}}},\n",
+        "  \"scenario\": {{\"sidechains\": {CHAINS}, \"epochs\": {EPOCHS}, \"mc_pipeline\": \"follower\", \"mc_blocks\": {}}},\n",
         world.metrics.mc_blocks,
     );
     let derived = format!(

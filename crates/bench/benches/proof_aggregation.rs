@@ -93,7 +93,7 @@ fn chain_with_cert_block(n: usize) -> (Blockchain, Block, BlockProof, Vec<Digest
             McTransaction::Certificate(Box::new(cert))
         })
         .collect();
-    let prepared = chain.prepare_next_block(miner.address(), certs, 8).unwrap();
+    let prepared = chain.prepare_block(miner.address(), certs, 8).unwrap();
     let proof = prepared.proof.expect("aggregated builder attaches a proof");
     let active: Vec<Digest32> = (0..=chain.height())
         .map(|h| chain.hash_at_height(h).unwrap())
@@ -113,7 +113,16 @@ fn bench_receiver_stage2(c: &mut Criterion) {
         let (chain, block, proof, active) = chain_with_cert_block(n);
         let hash = block.hash();
         group.bench_with_input(BenchmarkId::new("individual", n), &block, |b, block| {
-            b.iter(|| pipeline::verify_block_proofs(chain.state(), block, hash, &active, Some(1)))
+            b.iter(|| {
+                pipeline::verify_block_proofs(
+                    chain.state(),
+                    block,
+                    hash,
+                    &active,
+                    Some(1),
+                    &telemetry,
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("aggregated", n), &block, |b, block| {
             b.iter(|| {
@@ -164,10 +173,16 @@ fn emit_aggregation_report(c: &mut Criterion) {
         let mut build = Vec::new();
         for _ in 0..SAMPLES {
             let start = Instant::now();
-            let verdicts =
-                pipeline::verify_block_proofs(chain.state(), &block, hash, &active, Some(1));
+            let verdicts = pipeline::verify_block_proofs(
+                chain.state(),
+                &block,
+                hash,
+                &active,
+                Some(1),
+                &telemetry,
+            );
             individual.push(start.elapsed().as_nanos() as u64);
-            assert_eq!(verdicts.len(), n);
+            assert_eq!(verdicts.proofs.len(), n);
 
             let start = Instant::now();
             let cached = pipeline::verify_block_aggregate(

@@ -1,20 +1,18 @@
-//! Sharded vs serial simulation stepping at 1/8/32 sidechains.
+//! Sharded vs one-lane simulation stepping at 1/8/32 sidechains.
 //!
 //! Shape to reproduce: Zendoo sidechains are *decoupled* — the
 //! mainchain never executes sidechain logic — so the per-tick
 //! sidechain phase (node sync + certificate production) fans out over
 //! worker threads while the coordinator overlaps the block's own
-//! stage-2/3 submission. The sharded path additionally prepares each
-//! block in one pass with recorded proof verdicts (each SNARK verified
-//! once per node) where the serial reference re-validates the accepted
-//! prefix per candidate and re-verifies at submission.
+//! stage-2/3 submission. The baseline ("serial" in the report keys) is
+//! the same tick on `workers: Some(1)`: the in-thread sequential loop.
 //!
 //! Besides timing, this bench emits `BENCH_sharded_sim.json` at the
 //! workspace root. For every world size it reports:
 //!
-//! * measured wall clock per mode **on this host** (on a single-core
-//!   container the thread fan-out cannot shorten wall clock; the gain
-//!   there comes from the one-pass/verdict-reuse coordinator), and
+//! * measured wall clock per worker count **on this host** (on a
+//!   single-core container the thread fan-out cannot shorten wall
+//!   clock), and
 //! * the work/span decomposition read off the world's telemetry
 //!   snapshot (`tick.coordinator`, `tick.shard.sync` and
 //!   `tick.shard.critical` span totals): `work = Σ(coordinator +
@@ -23,13 +21,13 @@
 //!   pays — their ratio is the multi-core speedup of the sharded step,
 //!   independent of the benchmarking host's core count.
 //!
-//! The run also re-checks the determinism contract: both modes must
-//! finish on the same tip with the same metrics.
+//! The run also re-checks the determinism contract: both worker counts
+//! must finish on the same tip with the same metrics.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use zendoo_sim::{scenarios, SimConfig, StepMode, World};
+use zendoo_sim::{scenarios, SimConfig, World};
 use zendoo_telemetry::Snapshot;
 
 /// Worlds per measurement: enough to smooth scheduler noise without
@@ -42,12 +40,17 @@ fn ticks_for(chains: usize) -> u64 {
     (scenarios::ring_epoch_len(chains) as u64 + 1) * 2
 }
 
-/// Builds the ring world and runs it to completion in `mode` with
-/// telemetry recording on, returning the world, its telemetry snapshot
-/// and the measured wall nanoseconds of the stepped phase.
-fn run_ring(chains: usize, mode: StepMode) -> (World, Snapshot, u64) {
+/// The baseline: one lane, the in-thread sequential loop.
+const SERIAL: Option<usize> = Some(1);
+/// One lane per available core (the `SimConfig` default).
+const SHARDED: Option<usize> = None;
+
+/// Builds the ring world and runs it to completion on `workers` lanes
+/// with telemetry recording on, returning the world, its telemetry
+/// snapshot and the measured wall nanoseconds of the stepped phase.
+fn run_ring(chains: usize, workers: Option<usize>) -> (World, Snapshot, u64) {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         epoch_len: scenarios::ring_epoch_len(chains),
         telemetry: true,
         ..SimConfig::with_sidechains(chains)
@@ -96,15 +99,10 @@ fn bench_world_step(c: &mut Criterion) {
     group.sample_size(SAMPLES);
     for chains in [1usize, 8] {
         group.bench_with_input(BenchmarkId::new("serial", chains), &chains, |b, &n| {
-            b.iter(|| run_ring(n, StepMode::Serial).0.metrics.mc_blocks)
+            b.iter(|| run_ring(n, SERIAL).0.metrics.mc_blocks)
         });
         group.bench_with_input(BenchmarkId::new("sharded", chains), &chains, |b, &n| {
-            b.iter(|| {
-                run_ring(n, StepMode::Sharded { workers: None })
-                    .0
-                    .metrics
-                    .mc_blocks
-            })
+            b.iter(|| run_ring(n, SHARDED).0.metrics.mc_blocks)
         });
     }
     group.finish();
@@ -123,10 +121,9 @@ fn emit_sharded_report(c: &mut Criterion) {
         let mut serial_works = Vec::new();
         let mut checked = false;
         for _ in 0..SAMPLES {
-            let (serial_world, serial_snapshot, serial_wall) = run_ring(chains, StepMode::Serial);
-            let (sharded_world, sharded_snapshot, sharded_wall) =
-                run_ring(chains, StepMode::Sharded { workers: None });
-            // Determinism contract: the modes may differ only in time.
+            let (serial_world, serial_snapshot, serial_wall) = run_ring(chains, SERIAL);
+            let (sharded_world, sharded_snapshot, sharded_wall) = run_ring(chains, SHARDED);
+            // Determinism contract: the runs may differ only in time.
             assert_eq!(
                 serial_world.chain.tip_hash(),
                 sharded_world.chain.tip_hash(),
@@ -171,14 +168,14 @@ fn emit_sharded_report(c: &mut Criterion) {
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"sharded_sim\",\n  \"host_cores\": {cores},\n  \"note\": \"speedup_measured is wall clock on this host; speedup_multicore_span is serial wall over the sharded critical path (coordinator + slowest shard per tick), i.e. the speedup with >= one core per sidechain. Determinism (serial tip/metrics == sharded) is asserted during the run.\",\n  \"worlds\": [{entries}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"sharded_sim\",\n  \"host_cores\": {cores},\n  \"note\": \"serial is the tick on one worker lane (workers: Some(1)), sharded is one lane per core; speedup_measured is wall clock on this host; speedup_multicore_span is serial wall over the sharded critical path (coordinator + slowest shard per tick), i.e. the modelled speedup with >= one core per sidechain. Determinism (serial tip/metrics == sharded) is asserted during the run.\",\n  \"worlds\": [{entries}\n  ]\n}}\n",
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded_sim.json");
     std::fs::write(path, &json).expect("write BENCH_sharded_sim.json");
     println!("sharded_sim/report written to BENCH_sharded_sim.json");
 
     // Keep criterion's harness shape: time the accounting fold.
-    let (_, snapshot, _) = run_ring(1, StepMode::Sharded { workers: None });
+    let (_, snapshot, _) = run_ring(1, SHARDED);
     c.bench_function("sharded_sim/work_span_fold", |b| {
         b.iter(|| work_and_span(&snapshot))
     });

@@ -1,8 +1,8 @@
 //! Shared fixtures for the Zendoo benchmark harness.
 //!
-//! Each bench target regenerates one experiment from `DESIGN.md` §4;
-//! `EXPERIMENTS.md` records the measured results and compares the
-//! shapes against the paper's claims.
+//! Each bench target measures one layer; the committed `BENCH_*.json`
+//! files at the workspace root record the results (`just bench-smoke`
+//! regenerates them).
 
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
 use zendoo_core::ids::{Address, Amount, SidechainId};

@@ -532,7 +532,7 @@ mod tests {
 
     #[test]
     fn membership_and_absence_exclusive() {
-        // Invariant 4 of DESIGN.md: the same id can never have both.
+        // The same id can never have both.
         let commitment = build_three();
         let root = commitment.root();
         let present = SidechainId::from_label("a");

@@ -191,24 +191,6 @@ pub fn parse_cross_metadata(bytes: &[u8]) -> Option<CrossChainMetadata> {
 /// included) can authorize spending them.
 const ESCROW_AUTHORITY_SEED: &[u8] = b"zendoo/xct-escrow-authority-v1";
 
-/// The historic escrow authority's keypair — test-only.
-///
-/// Early revisions modeled the escrow as mainchain UTXOs controlled by
-/// this well-known key, operated by the `CrossChainRouter` (a trusted
-/// operator). Escrow is now a consensus-enforced output kind (see
-/// [`crate::escrow`]): escrow UTXOs are spendable only through
-/// validated settlement batches or consensus-checked refunds, and
-/// signatures on escrow inputs are ignored entirely. This function
-/// survives solely so adversarial tests can demonstrate that key-signed
-/// escrow spends are rejected; production code cannot reach it
-/// (`cargo build` without the `test-authority` feature does not compile
-/// it in).
-#[cfg(any(test, feature = "test-authority"))]
-#[deprecated(note = "escrow is a consensus-enforced output kind; this key authorizes nothing")]
-pub fn escrow_keypair() -> Keypair {
-    Keypair::from_seed(ESCROW_AUTHORITY_SEED)
-}
-
 /// The mainchain address escrow backward transfers must pay.
 ///
 /// Purely a marker: it pairs a certificate's escrow backward transfers

@@ -1,4 +1,4 @@
-//! Property tests for the SCTxsCommitment tree (DESIGN.md invariant 4):
+//! Property tests for the SCTxsCommitment tree:
 //! over arbitrary populations of sidechains and transfers, membership
 //! and absence proofs are complete, sound, and mutually exclusive.
 

@@ -10,10 +10,28 @@ use zendoo_core::crosschain::{
 use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
 use zendoo_core::proofdata::{ProofData, ProofDataElem};
 use zendoo_core::transfer::BackwardTransfer;
+use zendoo_core::verifier::ProofCheck;
 use zendoo_core::WithdrawalCertificate;
-use zendoo_mainchain::registry::{RegistryError, SidechainRegistry};
+use zendoo_mainchain::registry::{RegistryError, RegistryUndo, SidechainRegistry};
 use zendoo_primitives::digest::Digest32;
 use zendoo_sim::{Action, Schedule, SimConfig, World};
+
+/// Offers `cert` to `registry` as a block at `height` would, with the
+/// SNARK verified inline.
+fn accept(
+    registry: &mut SidechainRegistry,
+    cert: &WithdrawalCertificate,
+    height: u64,
+) -> Result<(), RegistryError> {
+    registry.accept_certificate_journaled(
+        cert,
+        height,
+        Digest32::hash_bytes(b"blk"),
+        |_| Some(Digest32::ZERO),
+        ProofCheck::run,
+        &mut RegistryUndo::default(),
+    )
+}
 
 fn two_chain_world() -> (World, SidechainId, SidechainId) {
     let world = World::new(SimConfig::with_sidechains(2));
@@ -53,11 +71,7 @@ fn replayed_transfer_is_rejected() {
     // Epoch 2's submission window opens at height 20 (epoch_len 6,
     // submit_len 2, start 2): an in-window, in-schedule replay.
     let cert = forged_cert(sc0, &[xct], 2);
-    let err = replay_registry
-        .accept_certificate(&cert, 20, Digest32::hash_bytes(b"blk"), |_| {
-            Some(Digest32::ZERO)
-        })
-        .unwrap_err();
+    let err = accept(&mut replay_registry, &cert, 20).unwrap_err();
     assert!(
         matches!(err, RegistryError::NullifierReused(n) if n == xct.nullifier),
         "replay must trip the nullifier set, got {err:?}"
@@ -109,11 +123,7 @@ fn forged_nullifier_is_rejected() {
 
     let mut registry = world.chain.state().registry.clone();
     let cert = forged_cert(sc0, &[forged], 0);
-    let err = registry
-        .accept_certificate(&cert, 8, Digest32::hash_bytes(b"blk"), |_| {
-            Some(Digest32::ZERO)
-        })
-        .unwrap_err();
+    let err = accept(&mut registry, &cert, 8).unwrap_err();
     assert!(
         matches!(
             err,
@@ -208,11 +218,7 @@ fn missing_escrow_is_rejected() {
     cert.bt_list.clear(); // declared, but nothing escrowed
 
     let mut registry = world.chain.state().registry.clone();
-    let err = registry
-        .accept_certificate(&cert, 8, Digest32::hash_bytes(b"blk"), |_| {
-            Some(Digest32::ZERO)
-        })
-        .unwrap_err();
+    let err = accept(&mut registry, &cert, 8).unwrap_err();
     assert!(matches!(
         err,
         RegistryError::CrossChain(zendoo_core::crosschain::XctError::EscrowMismatch { .. })

@@ -10,7 +10,7 @@
 //! ("the stake distribution SD is fixed before the epoch begins") and
 //! the epoch randomness is derived from a hash chain seeded at genesis —
 //! a simulated randomness beacon standing in for Ouroboros's VRF-output
-//! folding (see DESIGN.md §3).
+//! folding.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -34,7 +34,7 @@ pub struct ConsensusParams {
     /// The bootstrap authority: a forger allowed to produce blocks
     /// regardless of stake. Real deployments distribute genesis stake
     /// instead; the authority keeps single-forger simulations honest
-    /// about their trust model (documented in DESIGN.md §3).
+    /// about their trust model.
     pub bootstrap_forger: Option<PublicKey>,
 }
 

@@ -9,7 +9,17 @@
 //! reorgs of up to [`ChainParams::max_reorg_depth`] blocks are exact
 //! state rollbacks (the mechanism exercised by the paper's "mainchain
 //! forks resolution" property, §5.1) without retaining a full state
-//! snapshot per block.
+//! snapshot per block. A heavier branch rooted deeper than that is
+//! refused before anything is disconnected.
+//!
+//! One block path: [`Blockchain::prepare_block`] is the only builder
+//! (a one-pass greedy fill that records the proof verdicts of its dry
+//! run) and [`Blockchain::submit`] the only way a block joins the
+//! chain. What may accompany a block — its builder's verdicts, its
+//! recursive proof — is an explicit carrier argument threaded down to
+//! stage 2; [`Blockchain::submit_block`] is the carrier-less call a
+//! receiving node makes, and [`Blockchain::mine_next_block`] is strict
+//! prepare + submit. The chain keeps no per-submission state.
 
 use std::collections::{HashMap, HashSet};
 use zendoo_core::commitment::{ScTxsCommitment, ScTxsCommitmentBuilder};
@@ -337,11 +347,11 @@ impl From<Vec<McTransaction>> for BlockCandidates {
     }
 }
 
-/// A block assembled by [`Blockchain::prepare_next_block`]: the mined
-/// block, the candidates it had to reject, and the proof verdicts
-/// recorded during the dry run — [`Blockchain::submit_prepared`]
-/// consumes the verdicts so stage 2 re-verifies nothing the builder
-/// already checked.
+/// A block assembled by [`Blockchain::prepare_block`]: the mined block,
+/// the candidates it had to reject, and what the builder may hand to
+/// [`Blockchain::submit`] alongside the block — the proof verdicts
+/// recorded during the dry run (stage 2 then re-verifies nothing the
+/// builder already checked) and the block-level recursive proof.
 #[derive(Debug)]
 pub struct PreparedBlock {
     /// The assembled, mined (not yet submitted) block.
@@ -354,7 +364,7 @@ pub struct PreparedBlock {
     pub verdicts: ProofVerdicts,
     /// The block-level recursive proof, built when the chain runs in
     /// [`VerifyMode::Aggregated`] so receiving nodes can verify one
-    /// proof instead of N ([`Blockchain::submit_block_with_proof`]).
+    /// proof instead of N.
     pub proof: Option<BlockProof>,
 }
 
@@ -369,15 +379,8 @@ pub struct Blockchain {
     /// Single undo record per active block (pruned beyond
     /// `max_reorg_depth`) — stage 3's journal, not a state snapshot.
     undo: HashMap<Digest32, BlockUndo>,
-    /// Builder-supplied verdicts for the block hash being submitted via
-    /// [`Blockchain::submit_prepared`]; consumed by `connect_block`.
-    pending_verdicts: Option<(Digest32, ProofVerdicts)>,
     /// How stage 2 establishes proof verdicts for arriving blocks.
     verify_mode: VerifyMode,
-    /// Caller-supplied [`BlockProof`] for the block hash being
-    /// submitted ([`Blockchain::submit_block_with_proof`] /
-    /// [`Blockchain::submit_prepared`]); consumed by `connect_block`.
-    pending_block_proof: Option<(Digest32, BlockProof)>,
     /// Recursive block proofs of connected blocks (self-built by the
     /// miner or verified on arrival), by block hash — the inputs to
     /// [`Blockchain::epoch_proof`] and the proofs relayed to peers.
@@ -393,35 +396,15 @@ pub struct Blockchain {
 impl Blockchain {
     /// Creates a chain with a freshly mined genesis block.
     pub fn new(params: ChainParams) -> Self {
-        let coinbase = McTransaction::Coinbase(CoinbaseTx {
-            height: 0,
-            outputs: params.genesis_outputs.clone(),
-        });
-        let transactions = vec![coinbase];
-        let commitment = ScTxsCommitmentBuilder::new().build();
-        let mut header = BlockHeader {
-            parent: Digest32::ZERO,
-            height: 0,
-            time: 0,
-            tx_root: Block::compute_tx_root(&transactions),
-            sc_txs_commitment: commitment.root(),
-            target: params.target,
-            nonce: 0,
-        };
-        header.nonce = mine(
-            &params.target,
-            |nonce| {
-                let mut h = header;
-                h.nonce = nonce;
-                h.hash()
-            },
-            params.max_mine_attempts,
+        let genesis = mine_block(
+            &params,
+            Digest32::ZERO,
+            0,
+            0,
+            params.genesis_outputs.clone(),
+            Vec::new(),
         )
         .expect("genesis mining must succeed at configured difficulty");
-        let genesis = Block {
-            header,
-            transactions,
-        };
         let genesis_hash = genesis.hash();
 
         let mut state = ChainState::default();
@@ -454,9 +437,7 @@ impl Blockchain {
             active: vec![genesis_hash],
             state,
             undo: HashMap::new(),
-            pending_verdicts: None,
             verify_mode: VerifyMode::default(),
-            pending_block_proof: None,
             block_proofs: HashMap::new(),
             genesis_hash,
             telemetry: Telemetry::disabled(),
@@ -731,22 +712,57 @@ impl Blockchain {
         builder.build()
     }
 
-    /// Submits a block: validates, stores, and reorganizes if it creates
-    /// a heavier chain.
+    /// Submits a block as a receiving node sees it, with nothing
+    /// accompanying it: validates, stores, and reorganizes if it creates
+    /// a heavier chain. [`Blockchain::submit`] without a carrier.
+    ///
+    /// # Errors
+    ///
+    /// See [`Blockchain::submit`].
+    pub fn submit_block(&mut self, block: Block) -> Result<SubmitOutcome, BlockError> {
+        self.submit(block, None, None)
+    }
+
+    /// The one way a block joins the chain: validates, stores, and
+    /// reorganizes if it creates a heavier chain. The optional carrier
+    /// travels with the block down to stage 2 and can only save work,
+    /// never change the outcome (including the precise [`BlockError`] on
+    /// rejection):
+    ///
+    /// * `verdicts` — the proof verdicts its builder recorded
+    ///   ([`PreparedBlock::verdicts`]): each proof is verified once per
+    ///   node, at build time, instead of again at submission;
+    /// * `proof` — its recursive [`BlockProof`] (the shape a relaying
+    ///   peer sends): under [`VerifyMode::Aggregated`] stage 2 verifies
+    ///   the single aggregate against this node's own collected work
+    ///   list, falling back to individual verification if it fails.
+    ///   Ignored under [`VerifyMode::Individual`].
     ///
     /// # Errors
     ///
     /// [`BlockError`] for structural violations immediately; stateful
     /// violations surface when the block's branch attempts activation.
-    pub fn submit_block(&mut self, block: Block) -> Result<SubmitOutcome, BlockError> {
-        let result = self.submit_block_inner(block);
+    /// [`BlockError::ReorgTooDeep`] refuses a heavier branch rooted below
+    /// the retained undo window and leaves the chain exactly as it was.
+    pub fn submit(
+        &mut self,
+        block: Block,
+        verdicts: Option<ProofVerdicts>,
+        proof: Option<BlockProof>,
+    ) -> Result<SubmitOutcome, BlockError> {
+        let result = self.submit_inner(block, verdicts, proof);
         if let Err(error) = &result {
             self.count_rejection(error);
         }
         result
     }
 
-    fn submit_block_inner(&mut self, block: Block) -> Result<SubmitOutcome, BlockError> {
+    fn submit_inner(
+        &mut self,
+        block: Block,
+        verdicts: Option<ProofVerdicts>,
+        proof: Option<BlockProof>,
+    ) -> Result<SubmitOutcome, BlockError> {
         let hash = block.hash();
         if self.blocks.contains_key(&hash) {
             return Err(BlockError::Duplicate(hash));
@@ -782,7 +798,7 @@ impl Blockchain {
         if cumulative_work <= tip_work {
             return Ok(SubmitOutcome::StoredOnFork);
         }
-        let (disconnected, connected) = self.activate(hash)?;
+        let (disconnected, connected) = self.activate(hash, verdicts, proof)?;
         if disconnected.is_empty() && connected.len() == 1 {
             Ok(SubmitOutcome::ExtendedActiveChain)
         } else {
@@ -794,99 +810,107 @@ impl Blockchain {
     }
 
     /// Makes `new_tip` the active tip, disconnecting/connecting as
-    /// needed. On a connect failure, the offending block is marked
-    /// invalid and the previous active chain is restored.
+    /// needed; the carrier (`verdicts`, `proof`) belongs to `new_tip`.
+    /// On a connect failure, the offending block is marked invalid and
+    /// the previous active chain is restored. A branch rooted below the
+    /// retained undo window is refused before anything is disconnected.
     fn activate(
         &mut self,
         new_tip: Digest32,
+        mut verdicts: Option<ProofVerdicts>,
+        mut proof: Option<BlockProof>,
     ) -> Result<(Vec<Digest32>, Vec<Digest32>), BlockError> {
         // Path from new_tip down to the first active ancestor.
         let mut to_connect = Vec::new();
         let mut cursor = new_tip;
         while !self.is_active(&cursor) {
             to_connect.push(cursor);
-            cursor = self
-                .blocks
-                .get(&cursor)
-                .expect("stored during submit")
-                .block
-                .header
-                .parent;
+            cursor = self.blocks[&cursor].block.header.parent;
         }
-        let fork_point = cursor;
+        let fork_height = self.blocks[&cursor].block.header.height as usize;
         to_connect.reverse();
+
+        // Every block above the fork point must still have its undo
+        // record: decide that before the first disconnect, so a refused
+        // reorg leaves the active chain and the block store untouched.
+        if self.active[fork_height + 1..]
+            .iter()
+            .any(|stale| !self.undo.contains_key(stale))
+        {
+            self.blocks.remove(&new_tip);
+            return Err(BlockError::ReorgTooDeep);
+        }
 
         // Disconnect the stale suffix.
         let mut disconnected = Vec::new();
-        while self.tip_hash() != fork_point {
-            let tip = self.tip_hash();
-            self.disconnect_tip()?;
-            disconnected.push(tip);
+        while self.active.len() > fork_height + 1 {
+            disconnected.push(self.disconnect_tip());
         }
 
         // Connect the new branch.
         let mut connected = Vec::new();
         for hash in &to_connect {
-            match self.connect_block(*hash) {
-                Ok(()) => connected.push(*hash),
-                Err(e) => {
-                    // Invalidate and roll back to the previous chain.
-                    self.invalid.insert(*hash);
-                    self.blocks.remove(hash);
-                    for done in connected.iter().rev() {
-                        self.disconnect_tip()
-                            .expect("undo for just-connected block exists");
-                        let _ = done;
-                    }
-                    for stale in disconnected.iter().rev() {
-                        self.connect_block(*stale)
-                            .expect("previously active block must reconnect");
-                    }
-                    return Err(e);
+            let carried = if *hash == new_tip {
+                (verdicts.take(), proof.take())
+            } else {
+                (None, None)
+            };
+            if let Err(e) = self.connect_block(*hash, carried.0, carried.1) {
+                // Invalidate and roll back to the previous chain.
+                self.invalid.insert(*hash);
+                self.blocks.remove(hash);
+                for _ in &connected {
+                    self.disconnect_tip();
                 }
+                for stale in disconnected.iter().rev() {
+                    self.connect_block(*stale, None, None)
+                        .expect("previously active block must reconnect");
+                }
+                return Err(e);
             }
+            connected.push(*hash);
         }
         Ok((disconnected, connected))
     }
 
-    /// Disconnects the active tip, replaying its undo journal.
-    fn disconnect_tip(&mut self) -> Result<(), BlockError> {
+    /// Disconnects the active tip, replaying its undo journal, and
+    /// returns its hash. Callers only disconnect blocks whose undo
+    /// record is retained (`activate` checks before it starts).
+    fn disconnect_tip(&mut self) -> Digest32 {
         let tip = self.tip_hash();
-        if tip == self.genesis_hash {
-            return Err(BlockError::ReorgTooDeep);
-        }
-        let undo = self.undo.remove(&tip).ok_or(BlockError::ReorgTooDeep)?;
-        self.record_disconnect_event(tip, self.active.len() as u64 - 1, &undo);
+        let undo = self
+            .undo
+            .remove(&tip)
+            .expect("undo record checked before the first disconnect");
+        self.record_disconnect_event(tip, self.height(), &undo);
         pipeline::revert_block(&mut self.state, undo);
         self.active.pop();
-        Ok(())
+        tip
     }
 
     /// Connects a stored block on top of the current tip: stage 2
-    /// verifies every SNARK in the block in parallel before stage 3
-    /// applies it atomically.
-    fn connect_block(&mut self, hash: Digest32) -> Result<(), BlockError> {
-        let stored = self.blocks.get(&hash).expect("stored during submit");
-        let block = stored.block.clone();
+    /// establishes the verdict of every SNARK in the block before stage
+    /// 3 applies it atomically. `verdicts` and `proof` are the carrier
+    /// the block was submitted with, if any.
+    fn connect_block(
+        &mut self,
+        hash: Digest32,
+        verdicts: Option<ProofVerdicts>,
+        proof: Option<BlockProof>,
+    ) -> Result<(), BlockError> {
+        let block = self.blocks[&hash].block.clone();
         debug_assert_eq!(block.header.parent, self.tip_hash());
-        // A recursive proof accompanying this block: supplied alongside
-        // the submission, or recorded when the block first connected
+        // A recursive proof accompanying this block: carried with the
+        // submission, or recorded when the block first connected
         // (reorg reconnects reuse it).
-        let supplied_proof = match self.pending_block_proof.take() {
-            Some((proof_hash, proof)) if proof_hash == hash => Some(proof),
-            other => {
-                self.pending_block_proof = other;
-                self.block_proofs.get(&hash).copied()
-            }
-        };
+        let supplied_proof = proof.or_else(|| self.block_proofs.get(&hash).copied());
         let mut proof_to_record = None;
         // Stage 2: establish the block's proof verdicts against the
         // pre-block state (read-only; no mutation can have happened
         // yet). Three sources, in order of preference:
         //
-        // 1. A block arriving through `submit_prepared` brings the
-        //    verdicts its builder already recorded — nothing verifies
-        //    twice on the same node.
+        // 1. Carried verdicts: what the block's builder already
+        //    recorded — nothing verifies twice on the same node.
         // 2. Under `VerifyMode::Aggregated`, an accompanying
         //    `BlockProof` is checked against this node's own collected
         //    work list: one SNARK verification for the whole block. On
@@ -898,16 +922,15 @@ impl Blockchain {
         // Statements none of these anticipated fall back to inline
         // verification in stage 3 — the sources are optimizations,
         // never a semantic change.
-        let verdicts = match self.pending_verdicts.take() {
-            Some((prepared_hash, verdicts)) if prepared_hash == hash => {
+        let verdicts = match verdicts {
+            Some(verdicts) => {
                 self.telemetry.counter("mc.stage2.verdicts_reused", 1);
                 // The builder's own proof is carriage for peers, not
                 // re-verified here.
                 proof_to_record = supplied_proof;
                 verdicts
             }
-            other => {
-                self.pending_verdicts = other;
+            None => {
                 let aggregated = match (self.verify_mode, supplied_proof) {
                     (VerifyMode::Aggregated, Some(proof)) => {
                         let verdicts = pipeline::verify_block_aggregate(
@@ -940,7 +963,7 @@ impl Blockchain {
                     Some(verdicts) => verdicts,
                     None => {
                         let _span = self.telemetry.span("mc.stage2.verify");
-                        pipeline::verify_block_proofs_with(
+                        pipeline::verify_block_proofs(
                             &self.state,
                             &block,
                             hash,
@@ -953,8 +976,8 @@ impl Blockchain {
             }
         };
         // Stage 3: atomic application (reverts itself on failure).
-        let (hits_before, misses_before) = verdicts.cache_stats();
-        let (sig_hits_before, sig_misses_before) = verdicts.sig_cache_stats();
+        let (hits_before, misses_before) = verdicts.proofs.stats();
+        let sigs_before = verdicts.sigs.stats();
         let undo = {
             let _span = self.telemetry.span("mc.stage3.apply");
             pipeline::apply_block(
@@ -967,18 +990,12 @@ impl Blockchain {
             )?
         };
         if self.telemetry.is_enabled() {
-            let (hits, misses) = verdicts.cache_stats();
+            let (hits, misses) = verdicts.proofs.stats();
             self.telemetry
                 .counter("mc.verdict_cache.hit", hits - hits_before);
             self.telemetry
                 .counter("mc.verdict_cache.miss", misses - misses_before);
-            let (sig_hits, sig_misses) = verdicts.sig_cache_stats();
-            if sig_hits + sig_misses > sig_hits_before + sig_misses_before {
-                self.telemetry
-                    .counter("mc.sig_cache.hit", sig_hits - sig_hits_before);
-                self.telemetry
-                    .counter("mc.sig_cache.miss", sig_misses - sig_misses_before);
-            }
+            self.count_sig_cache(&verdicts, sigs_before);
             self.telemetry.counter("mc.blocks_connected", 1);
             self.telemetry
                 .observe("mc.block_txs", block.transactions.len() as u64);
@@ -993,6 +1010,17 @@ impl Blockchain {
         Ok(())
     }
 
+    /// Counts the signature-cache hits and misses since `before` on
+    /// `mc.sig_cache.*` (nothing when no signature was checked).
+    fn count_sig_cache(&self, verdicts: &ProofVerdicts, before: (u64, u64)) {
+        let (hits, misses) = verdicts.sigs.stats();
+        if hits + misses > before.0 + before.1 {
+            self.telemetry.counter("mc.sig_cache.hit", hits - before.0);
+            self.telemetry
+                .counter("mc.sig_cache.miss", misses - before.1);
+        }
+    }
+
     fn prune_undo(&mut self) {
         if self.active.len() > self.params.max_reorg_depth {
             let prune_below = self.active.len() - self.params.max_reorg_depth;
@@ -1002,68 +1030,48 @@ impl Blockchain {
         }
     }
 
-    /// Assembles, mines and returns (without submitting) the next block
-    /// on the active tip. Invalid transactions are rejected.
+    /// Assembles and mines (without submitting) the next block on the
+    /// active tip in **one pass**: every candidate is applied to a
+    /// single scratch state in order, a failing candidate is rolled
+    /// back via the undo journal and reported in
+    /// [`PreparedBlock::rejected`] (the greedy fill a miner wants —
+    /// without re-validating the accepted prefix per candidate), and
+    /// every proof verified during the dry run is recorded in
+    /// [`PreparedBlock::verdicts`] so [`Blockchain::submit`] never
+    /// re-verifies it.
     ///
-    /// # Errors
-    ///
-    /// Propagates the first transaction validation error, or
-    /// [`BlockError::MiningFailed`].
-    pub fn build_next_block(
-        &self,
-        miner: Address,
-        transactions: Vec<McTransaction>,
-        time: u64,
-    ) -> Result<Block, BlockError> {
-        // Validate first: a rejected candidate must surface before any
-        // proof-of-work is spent on a block that would be discarded.
-        let (accepted, mut rejected, fees, verdicts) = self.fill_block(transactions.into());
-        if let Some((_, error)) = rejected.drain(..).next() {
-            return Err(error);
-        }
-        drop(verdicts);
-        self.assemble_and_mine(miner, accepted, fees, time)
-    }
-
-    /// Assembles and mines the next block in **one pass**: every
-    /// candidate is applied to a single scratch state in order, a
-    /// failing candidate is rolled back via the undo journal and
-    /// reported in [`PreparedBlock::rejected`] (the greedy fill a miner
-    /// wants — without re-validating the accepted prefix per
-    /// candidate), and every proof verified during the dry run is
-    /// recorded in [`PreparedBlock::verdicts`] so
-    /// [`Blockchain::submit_prepared`] never re-verifies it.
+    /// A plain `Vec<McTransaction>` is a list of raw candidates;
+    /// pool-sourced candidates carrying admission context
+    /// ([`BlockCandidates::admitted`]) skip the redundant stage-1
+    /// precheck and answer signature checks from the admission verdict
+    /// cache.
     ///
     /// # Errors
     ///
     /// [`BlockError::MiningFailed`] or amount overflow while assembling
     /// the coinbase; per-candidate failures are reported in the
     /// returned `rejected` list instead.
-    pub fn prepare_next_block(
+    pub fn prepare_block(
         &self,
         miner: Address,
-        candidates: Vec<McTransaction>,
+        candidates: impl Into<BlockCandidates>,
         time: u64,
     ) -> Result<PreparedBlock, BlockError> {
-        self.prepare_block_candidates(miner, candidates.into(), time)
-    }
-
-    /// [`Blockchain::prepare_next_block`] for candidates carrying
-    /// admission context ([`BlockCandidates`]): pool-sourced
-    /// candidates skip the redundant stage-1 precheck and answer
-    /// signature checks from the admission verdict cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`Blockchain::prepare_next_block`].
-    pub fn prepare_block_candidates(
-        &self,
-        miner: Address,
-        candidates: BlockCandidates,
-        time: u64,
-    ) -> Result<PreparedBlock, BlockError> {
-        let (accepted, rejected, fees, verdicts) = self.fill_block(candidates);
-        let block = self.assemble_and_mine(miner, accepted, fees, time)?;
+        let (accepted, rejected, fees, verdicts) = self.fill_block(candidates.into());
+        let subsidy = self
+            .params
+            .block_subsidy
+            .checked_add(fees)
+            .ok_or(BlockError::AmountOverflow)?;
+        let block = mine_block(
+            &self.params,
+            self.tip_hash(),
+            self.height() + 1,
+            time,
+            vec![TxOut::regular(miner, subsidy)],
+            accepted,
+        )
+        .ok_or(BlockError::MiningFailed)?;
         let proof = self.build_block_proof(&block);
         Ok(PreparedBlock {
             block,
@@ -1123,19 +1131,9 @@ impl Blockchain {
         } = candidates;
         let height = self.height() + 1;
         let mut scratch = self.state.clone();
-        let mut undo = BlockUndo::scratch(&scratch);
-        let mut verdicts = ProofVerdicts::recording().with_signatures(sig_verdicts);
-        for payout in scratch.registry.begin_block(height) {
-            for (i, bt) in payout.transfers.iter().enumerate() {
-                scratch.utxos.insert(
-                    OutPoint {
-                        txid: payout.certificate_digest,
-                        index: i as u32,
-                    },
-                    bt.tx_out(),
-                );
-            }
-        }
+        let mut undo = BlockUndo::new(&scratch);
+        let mut verdicts = ProofVerdicts::recording(sig_verdicts);
+        pipeline::begin_block(&mut scratch, height, &mut undo);
         let mut fees = Amount::ZERO;
         let mut accepted = Vec::with_capacity(candidates.len());
         let mut rejected = Vec::new();
@@ -1180,64 +1178,12 @@ impl Blockchain {
         }
         verdicts.freeze();
         if self.telemetry.is_enabled() {
-            let (sig_hits, sig_misses) = verdicts.sig_cache_stats();
-            if sig_hits + sig_misses > 0 {
-                self.telemetry.counter("mc.sig_cache.hit", sig_hits);
-                self.telemetry.counter("mc.sig_cache.miss", sig_misses);
-            }
+            self.count_sig_cache(&verdicts, (0, 0));
         }
         for (_, error) in &rejected {
             self.count_rejection(error);
         }
         (accepted, rejected, fees, verdicts)
-    }
-
-    /// Assembles the coinbase + accepted transactions and mines the
-    /// header.
-    fn assemble_and_mine(
-        &self,
-        miner: Address,
-        accepted: Vec<McTransaction>,
-        fees: Amount,
-        time: u64,
-    ) -> Result<Block, BlockError> {
-        let height = self.height() + 1;
-        let subsidy = self
-            .params
-            .block_subsidy
-            .checked_add(fees)
-            .ok_or(BlockError::AmountOverflow)?;
-        let coinbase = McTransaction::Coinbase(CoinbaseTx {
-            height,
-            outputs: vec![TxOut::regular(miner, subsidy)],
-        });
-        let mut all = Vec::with_capacity(accepted.len() + 1);
-        all.push(coinbase);
-        all.extend(accepted);
-        let commitment = Self::build_commitment(&all);
-        let mut header = BlockHeader {
-            parent: self.tip_hash(),
-            height,
-            time,
-            tx_root: Block::compute_tx_root(&all),
-            sc_txs_commitment: commitment.root(),
-            target: self.params.target,
-            nonce: 0,
-        };
-        header.nonce = mine(
-            &self.params.target,
-            |nonce| {
-                let mut h = header;
-                h.nonce = nonce;
-                h.hash()
-            },
-            self.params.max_mine_attempts,
-        )
-        .ok_or(BlockError::MiningFailed)?;
-        Ok(Block {
-            header,
-            transactions: all,
-        })
     }
 
     /// Fork-injection hook: mines `count` empty blocks (coinbase only,
@@ -1270,109 +1216,88 @@ impl Blockchain {
         let mut parent = *base;
         let mut branch = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let height = start + 1 + i;
-            let coinbase = McTransaction::Coinbase(CoinbaseTx {
-                height,
-                outputs: vec![TxOut::regular(miner, self.params.block_subsidy)],
-            });
-            let all = vec![coinbase];
-            let commitment = Self::build_commitment(&all);
-            let mut header = BlockHeader {
+            let block = mine_block(
+                &self.params,
                 parent,
-                height,
-                time: time_base + i,
-                tx_root: Block::compute_tx_root(&all),
-                sc_txs_commitment: commitment.root(),
-                target: self.params.target,
-                nonce: 0,
-            };
-            header.nonce = mine(
-                &self.params.target,
-                |nonce| {
-                    let mut h = header;
-                    h.nonce = nonce;
-                    h.hash()
-                },
-                self.params.max_mine_attempts,
+                start + 1 + i,
+                time_base + i,
+                vec![TxOut::regular(miner, self.params.block_subsidy)],
+                Vec::new(),
             )
             .ok_or(BlockError::MiningFailed)?;
-            let block = Block {
-                header,
-                transactions: all,
-            };
             parent = block.hash();
             branch.push(block);
         }
         Ok(branch)
     }
 
-    /// Submits a block assembled by [`Blockchain::prepare_next_block`],
-    /// threading the builder's recorded proof verdicts into stage 2 —
-    /// each proof is verified once per node (at build time) instead of
-    /// once at build and again at submission.
+    /// Convenience: build, mine and submit the next block in one call,
+    /// strictly — the first candidate the builder rejects is the error
+    /// and nothing is submitted. The builder's recorded verdicts (and,
+    /// under [`VerifyMode::Aggregated`], its recursive proof) travel
+    /// with the block.
     ///
     /// # Errors
     ///
-    /// See [`Blockchain::submit_block`].
-    pub fn submit_prepared(
-        &mut self,
-        prepared: PreparedBlock,
-    ) -> Result<SubmitOutcome, BlockError> {
-        let hash = prepared.block.hash();
-        self.pending_verdicts = Some((hash, prepared.verdicts));
-        self.pending_block_proof = prepared.proof.map(|proof| (hash, proof));
-        let result = self.submit_block(prepared.block);
-        self.pending_verdicts = None;
-        self.pending_block_proof = None;
-        result
-    }
-
-    /// Submits a block together with its recursive [`BlockProof`] (the
-    /// shape a relaying peer sends under [`VerifyMode::Aggregated`]):
-    /// stage 2 verifies the single aggregate against this node's own
-    /// collected work list instead of verifying every proof in the
-    /// block. An aggregate that fails falls back to individual
-    /// verification, so the consensus outcome — including the precise
-    /// [`BlockError`] on rejection — is identical to
-    /// [`Blockchain::submit_block`]. Under [`VerifyMode::Individual`]
-    /// the proof is ignored.
-    ///
-    /// # Errors
-    ///
-    /// See [`Blockchain::submit_block`].
-    pub fn submit_block_with_proof(
-        &mut self,
-        block: Block,
-        proof: BlockProof,
-    ) -> Result<SubmitOutcome, BlockError> {
-        self.pending_block_proof = Some((block.hash(), proof));
-        let result = self.submit_block(block);
-        self.pending_block_proof = None;
-        result
-    }
-
-    /// Convenience: build, mine and submit the next block in one call.
-    /// Under [`VerifyMode::Aggregated`] the block's recursive proof is
-    /// built and submitted along with it, so stage 2 verifies the one
-    /// aggregate instead of every statement individually.
-    ///
-    /// # Errors
-    ///
-    /// See [`Blockchain::build_next_block`] and
-    /// [`Blockchain::submit_block`].
+    /// The first rejected candidate's [`BlockError`], else see
+    /// [`Blockchain::prepare_block`] and [`Blockchain::submit`].
     pub fn mine_next_block(
         &mut self,
         miner: Address,
         transactions: Vec<McTransaction>,
         time: u64,
     ) -> Result<Block, BlockError> {
-        let block = self.build_next_block(miner, transactions, time)?;
-        match self.build_block_proof(&block) {
-            Some(proof) => self.submit_block_with_proof(block.clone(), proof)?,
-            None => self.submit_block(block.clone())?,
-        };
-        Ok(block)
+        let prepared = self.prepare_block(miner, transactions, time)?;
+        if let Some((_, error)) = prepared.rejected.into_iter().next() {
+            return Err(error);
+        }
+        self.submit(
+            prepared.block.clone(),
+            Some(prepared.verdicts),
+            prepared.proof,
+        )?;
+        Ok(prepared.block)
     }
+}
+
+/// Assembles the block `coinbase_outputs` + `transactions` on `parent`
+/// and mines its header; `None` when the attempt bound is exhausted.
+fn mine_block(
+    params: &ChainParams,
+    parent: Digest32,
+    height: u64,
+    time: u64,
+    coinbase_outputs: Vec<TxOut>,
+    transactions: Vec<McTransaction>,
+) -> Option<Block> {
+    let mut all = Vec::with_capacity(transactions.len() + 1);
+    all.push(McTransaction::Coinbase(CoinbaseTx {
+        height,
+        outputs: coinbase_outputs,
+    }));
+    all.extend(transactions);
+    let mut header = BlockHeader {
+        parent,
+        height,
+        time,
+        tx_root: Block::compute_tx_root(&all),
+        sc_txs_commitment: Blockchain::build_commitment(&all).root(),
+        target: params.target,
+        nonce: 0,
+    };
+    header.nonce = mine(
+        &params.target,
+        |nonce| {
+            let mut h = header;
+            h.nonce = nonce;
+            h.hash()
+        },
+        params.max_mine_attempts,
+    )?;
+    Some(Block {
+        header,
+        transactions: all,
+    })
 }
 
 impl std::fmt::Debug for Blockchain {

@@ -48,7 +48,8 @@ pub mod wallet;
 
 pub use block::{Block, BlockHeader};
 pub use chain::{
-    BlockCandidates, BlockError, Blockchain, ChainEvent, ChainParams, ChainState, SubmitOutcome,
+    BlockCandidates, BlockError, Blockchain, ChainEvent, ChainParams, ChainState, PreparedBlock,
+    SubmitOutcome,
 };
 pub use mempool::{Mempool, MempoolConfig};
 pub use miner::Miner;

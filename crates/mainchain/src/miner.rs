@@ -122,11 +122,10 @@ impl Miner {
     }
 
     /// Assembles, mines and submits the next block in one pass
-    /// ([`Blockchain::prepare_next_block`]): candidates the chain
-    /// rejects are dropped from the pool, and every proof verified
-    /// while building is reused at submission
-    /// ([`Blockchain::submit_prepared`]) instead of being verified a
-    /// second time.
+    /// ([`Blockchain::prepare_block`]): candidates the chain rejects are
+    /// dropped from the pool, and every proof verified while building
+    /// travels with the block ([`Blockchain::submit`]) instead of being
+    /// verified a second time.
     ///
     /// # Errors
     ///
@@ -134,10 +133,10 @@ impl Miner {
     pub fn mine(&mut self, chain: &mut Blockchain, time: u64) -> Result<Block, BlockError> {
         let batch = self.mempool.take_ordered(self.max_txs_per_block);
         let candidates = BlockCandidates::admitted(batch.txs, batch.sig_verdicts);
-        let prepared = chain.prepare_block_candidates(self.address, candidates, time)?;
-        let block = prepared.block.clone();
+        let prepared = chain.prepare_block(self.address, candidates, time)?;
+        let block = prepared.block;
         let confirmed: Vec<Digest32> = block.transactions.iter().map(|t| t.txid()).collect();
-        match chain.submit_prepared(prepared)? {
+        match chain.submit(block.clone(), Some(prepared.verdicts), prepared.proof)? {
             SubmitOutcome::ExtendedActiveChain | SubmitOutcome::Reorganized { .. } => {
                 self.mempool.remove_confirmed(&confirmed);
             }

@@ -25,6 +25,7 @@
 //!    snapshot per block the chain used to retain (O(UTXO-set) memory
 //!    per block, now O(block)).
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use zendoo_core::ids::{Amount, EpochId, SidechainId};
 use zendoo_core::settlement;
@@ -138,59 +139,30 @@ pub fn precheck_block(
 
 // ---- Stage 2: parallel proof verification --------------------------------
 
-/// Verdicts of a block's SNARK checks, keyed by full statement identity
-/// ([`ProofCheck::key`]). Stage 3 consults the cache at exactly the
-/// point where the serial validator would verify inline; a miss falls
-/// back to inline verification, so the cache can only save work, never
-/// change an outcome.
-///
-/// A **recording** cache ([`ProofVerdicts::recording`]) additionally
-/// memoizes every inline verification it performs. A block builder
-/// threads one recording cache through its dry run and hands it to
-/// [`crate::chain::Blockchain::submit_prepared`]: each proof is then
-/// verified exactly once per node — at build time — instead of once at
-/// build and again at stage 2 of submission.
+/// One verdict cache: boolean outcomes by key, with one contract — a
+/// hit can never change an outcome, because a miss runs the check
+/// inline. A **recording** cache additionally memoizes every inline
+/// outcome (interior mutability, so stage 3 records through the shared
+/// reference it is handed).
 #[derive(Debug, Default)]
-pub struct ProofVerdicts {
-    verdicts: HashMap<Digest32, bool>,
-    /// Verdicts memoized by a recording cache (interior mutability so
-    /// stage 3 can record through the shared `&ProofVerdicts` it is
-    /// handed). `None` disables recording.
-    memo: Option<std::cell::RefCell<HashMap<Digest32, bool>>>,
-    /// Checks answered from the cache (prefetched or memoized).
-    hits: std::cell::Cell<u64>,
-    /// Checks that fell back to inline verification.
-    misses: std::cell::Cell<u64>,
-    /// Transfer-signature verdicts established at mempool admission,
-    /// keyed by [`crate::sigbatch::sig_cache_key`] (txid + key +
-    /// message + signature — a verdict can only answer the exact check
-    /// that produced it). Same contract as the proof verdicts: a miss
-    /// verifies inline, so the cache never changes an outcome.
-    sigs: HashMap<Digest32, bool>,
-    /// Signature checks answered from `sigs`.
-    sig_hits: std::cell::Cell<u64>,
-    /// Signature checks that verified inline.
-    sig_misses: std::cell::Cell<u64>,
+pub struct VerdictCache {
+    verdicts: RefCell<HashMap<Digest32, bool>>,
+    recording: bool,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
-impl ProofVerdicts {
-    /// An empty cache: every check verifies inline (the serial path).
-    pub fn inline() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache that memoizes every inline verification it runs,
-    /// so later checks of the same statement are free.
-    pub fn recording() -> Self {
-        ProofVerdicts {
-            memo: Some(std::cell::RefCell::new(HashMap::new())),
+impl VerdictCache {
+    fn with_verdicts(verdicts: HashMap<Digest32, bool>) -> Self {
+        VerdictCache {
+            verdicts: RefCell::new(verdicts),
             ..Self::default()
         }
     }
 
-    /// Number of cached verdicts (prefetched plus recorded).
+    /// Number of cached verdicts.
     pub fn len(&self) -> usize {
-        self.verdicts.len() + self.memo.as_ref().map(|m| m.borrow().len()).unwrap_or(0)
+        self.verdicts.borrow().len()
     }
 
     /// Returns `true` when nothing is cached.
@@ -198,70 +170,83 @@ impl ProofVerdicts {
         self.len() == 0
     }
 
-    /// The verdict for `job`: cached if prefetched or previously
-    /// recorded, inline otherwise (memoized when recording).
-    pub fn check(&self, job: &ProofCheck) -> bool {
-        let key = job.key();
-        if let Some(verdict) = self.verdicts.get(&key) {
+    /// The verdict for `key`: cached if known, `inline()` otherwise
+    /// (memoized when recording).
+    pub fn check(&self, key: Digest32, inline: impl FnOnce() -> bool) -> bool {
+        if let Some(verdict) = self.verdicts.borrow().get(&key) {
             self.hits.set(self.hits.get().saturating_add(1));
             return *verdict;
         }
-        if let Some(memo) = &self.memo {
-            if let Some(verdict) = memo.borrow().get(&key) {
-                self.hits.set(self.hits.get().saturating_add(1));
-                return *verdict;
-            }
-            self.misses.set(self.misses.get().saturating_add(1));
-            let verdict = job.run();
-            memo.borrow_mut().insert(key, verdict);
-            return verdict;
-        }
         self.misses.set(self.misses.get().saturating_add(1));
-        job.run()
+        let verdict = inline();
+        if self.recording {
+            self.verdicts.borrow_mut().insert(key, verdict);
+        }
+        verdict
     }
 
-    /// `(hits, misses)` of every [`ProofVerdicts::check`] so far: a hit
-    /// was answered from the cache, a miss ran inline verification.
-    pub fn cache_stats(&self) -> (u64, u64) {
+    /// `(hits, misses)` of every [`VerdictCache::check`] so far: a hit
+    /// was answered from the cache, a miss ran the check inline.
+    pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
     }
+}
 
-    /// Stops recording, promoting every memoized verdict into the
-    /// plain cache (the shape `submit_prepared` consumes).
+/// What stage 3 knows before it starts: the verdicts of a block's SNARK
+/// checks, keyed by full statement identity ([`ProofCheck::key`]), and
+/// the transfer-signature verdicts established at mempool admission,
+/// keyed by [`crate::sigbatch::sig_cache_key`] (txid + key + message +
+/// signature — a verdict can only answer the exact check that produced
+/// it). Both are [`VerdictCache`]s, consulted at exactly the point
+/// where the validator would verify inline.
+///
+/// A block builder threads a [`ProofVerdicts::recording`] cache through
+/// its dry run and hands it to [`crate::chain::Blockchain::submit`]:
+/// each proof is then verified exactly once per node — at build time —
+/// instead of once at build and again at stage 2 of submission.
+#[derive(Debug, Default)]
+pub struct ProofVerdicts {
+    /// SNARK verdicts (prefetched by stage 2, or recorded by a dry run).
+    pub proofs: VerdictCache,
+    /// Transfer-signature verdicts from admission.
+    pub sigs: VerdictCache,
+}
+
+impl ProofVerdicts {
+    /// Two empty caches: every check verifies inline.
+    pub fn inline() -> Self {
+        Self::default()
+    }
+
+    /// An empty proof cache that memoizes every inline verification it
+    /// runs, beside the signature verdicts admission established.
+    pub fn recording(sigs: HashMap<Digest32, bool>) -> Self {
+        ProofVerdicts {
+            proofs: VerdictCache {
+                recording: true,
+                ..VerdictCache::default()
+            },
+            sigs: VerdictCache::with_verdicts(sigs),
+        }
+    }
+
+    fn prefetched(proofs: HashMap<Digest32, bool>) -> Self {
+        ProofVerdicts {
+            proofs: VerdictCache::with_verdicts(proofs),
+            sigs: VerdictCache::default(),
+        }
+    }
+
+    /// The verdict for `job`: cached if prefetched or previously
+    /// recorded, inline otherwise.
+    pub fn check(&self, job: &ProofCheck) -> bool {
+        self.proofs.check(job.key(), || job.run())
+    }
+
+    /// Stops recording; the recorded verdicts stay (the shape
+    /// [`crate::chain::Blockchain::submit`] consumes).
     pub fn freeze(&mut self) {
-        if let Some(memo) = self.memo.take() {
-            self.verdicts.extend(memo.into_inner());
-        }
-    }
-
-    /// Attaches transfer-signature verdicts established at admission
-    /// (keyed by [`crate::sigbatch::sig_cache_key`]).
-    pub fn with_signatures(mut self, sigs: HashMap<Digest32, bool>) -> Self {
-        self.sigs = sigs;
-        self
-    }
-
-    /// Returns `true` when any signature verdicts are attached (lets
-    /// stage 3 skip computing cache keys entirely when there are none).
-    pub fn has_sig_verdicts(&self) -> bool {
-        !self.sigs.is_empty()
-    }
-
-    /// The verdict for one input signature: cached if admission
-    /// already verified it, `inline()` otherwise.
-    pub fn check_signature(&self, key: Digest32, inline: impl FnOnce() -> bool) -> bool {
-        if let Some(verdict) = self.sigs.get(&key) {
-            self.sig_hits.set(self.sig_hits.get().saturating_add(1));
-            return *verdict;
-        }
-        self.sig_misses.set(self.sig_misses.get().saturating_add(1));
-        inline()
-    }
-
-    /// `(hits, misses)` of every [`ProofVerdicts::check_signature`] so
-    /// far.
-    pub fn sig_cache_stats(&self) -> (u64, u64) {
-        (self.sig_hits.get(), self.sig_misses.get())
+        self.proofs.recording = false;
     }
 }
 
@@ -360,28 +345,10 @@ pub fn collect_proof_checks(
 
 /// Stage 2: collects a block's proof work list and verifies it on
 /// `workers` scoped threads (defaulting to one lane per core). Returns
-/// the filled verdict cache for stage 3.
-pub fn verify_block_proofs(
-    state: &ChainState,
-    block: &Block,
-    block_hash: Digest32,
-    active: &[Digest32],
-    workers: Option<usize>,
-) -> ProofVerdicts {
-    verify_block_proofs_with(
-        state,
-        block,
-        block_hash,
-        active,
-        workers,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`verify_block_proofs`] with telemetry: batch sizes and per-worker
+/// the filled verdict cache for stage 3. Batch sizes and per-worker
 /// verify time record through `telemetry` (see
 /// [`batch::verify_batch_with`]).
-pub fn verify_block_proofs_with(
+pub fn verify_block_proofs(
     state: &ChainState,
     block: &Block,
     block_hash: Digest32,
@@ -396,15 +363,14 @@ pub fn verify_block_proofs_with(
     let items = proof_batch_items(&checks);
     let workers = workers.unwrap_or_else(|| batch::default_workers(items.len()));
     let outcomes = batch::verify_batch_with(&items, workers, telemetry);
-    let mut verdicts = HashMap::with_capacity(checks.len());
-    for (check, verdict) in checks.iter().zip(outcomes) {
-        // Duplicate statements (same key) necessarily share a verdict.
-        verdicts.insert(check.key(), verdict);
-    }
-    ProofVerdicts {
-        verdicts,
-        ..ProofVerdicts::default()
-    }
+    // Duplicate statements (same key) necessarily share a verdict.
+    ProofVerdicts::prefetched(
+        checks
+            .iter()
+            .zip(outcomes)
+            .map(|(check, verdict)| (check.key(), verdict))
+            .collect(),
+    )
 }
 
 // ---- Stage 2, aggregated: one recursive proof per block ------------------
@@ -490,14 +456,9 @@ pub fn verify_block_aggregate(
     if !AggregationSystem::shared().verify_block_proof(proof, &expected_digest, expected_count) {
         return None;
     }
-    let mut verdicts = HashMap::with_capacity(checks.len());
-    for check in &checks {
-        verdicts.insert(check.key(), true);
-    }
-    Some(ProofVerdicts {
-        verdicts,
-        ..ProofVerdicts::default()
-    })
+    Some(ProofVerdicts::prefetched(
+        checks.iter().map(|check| (check.key(), true)).collect(),
+    ))
 }
 
 // ---- Stage 3: atomic application with a single undo record ---------------
@@ -533,19 +494,14 @@ pub struct UndoMark {
 }
 
 impl BlockUndo {
-    fn new(state: &ChainState) -> Self {
+    /// An empty journal over `state` (stage 3 keeps it as the block's
+    /// undo record; the block builder's dry run discards it).
+    pub(crate) fn new(state: &ChainState) -> Self {
         BlockUndo {
             ops: Vec::new(),
             registry: RegistryUndo::default(),
             minted: state.minted,
         }
-    }
-
-    /// A throwaway journal for dry-run application (block building
-    /// validates candidate transactions on a scratch state and discards
-    /// the journal).
-    pub fn scratch(state: &ChainState) -> Self {
-        Self::new(state)
     }
 
     /// Number of journaled UTXO mutations.
@@ -628,7 +584,7 @@ pub fn revert_block(state: &mut ChainState, undo: BlockUndo) {
 /// the partial journal is reverted and the state is untouched.
 ///
 /// `verdicts` supplies the stage-2 proof verdicts; pass
-/// [`ProofVerdicts::inline`] for the serial path.
+/// [`ProofVerdicts::inline`] to verify every proof inline.
 ///
 /// # Errors
 ///
@@ -660,18 +616,10 @@ pub fn apply_block(
     }
 }
 
-fn apply_block_inner(
-    state: &mut ChainState,
-    block: &Block,
-    block_hash: Digest32,
-    active: &[Digest32],
-    block_subsidy: Amount,
-    verdicts: &ProofVerdicts,
-    undo: &mut BlockUndo,
-) -> Result<(), BlockError> {
-    let height = block.header.height;
-
-    // Phase 0: epoch bookkeeping — ceasing + certificate maturity.
+/// Block start, shared by stage 3 and the block builder's dry run:
+/// epoch bookkeeping at `height` — ceasing (Def 4.2) and certificate
+/// maturity, whose payouts become UTXOs before any transaction runs.
+pub(crate) fn begin_block(state: &mut ChainState, height: u64, undo: &mut BlockUndo) {
     let payouts = state
         .registry
         .begin_block_journaled(height, &mut undo.registry);
@@ -688,6 +636,19 @@ fn apply_block_inner(
             );
         }
     }
+}
+
+fn apply_block_inner(
+    state: &mut ChainState,
+    block: &Block,
+    block_hash: Digest32,
+    active: &[Digest32],
+    block_subsidy: Amount,
+    verdicts: &ProofVerdicts,
+    undo: &mut BlockUndo,
+) -> Result<(), BlockError> {
+    let height = block.header.height;
+    begin_block(state, height, undo);
 
     // Phase 1: non-coinbase transactions, accumulating fees.
     let mut fees = Amount::ZERO;
@@ -778,7 +739,7 @@ pub fn apply_transaction(
             // attached, the txid) is shared by every input — compute
             // each at most once per transaction, not per input.
             let mut sighash_memo: Option<Digest32> = None;
-            let txid_for_sigs = verdicts.has_sig_verdicts().then(|| tx.txid());
+            let txid_for_sigs = (!verdicts.sigs.is_empty()).then(|| tx.txid());
             for (i, input) in t.inputs.iter().enumerate() {
                 let spent = *state
                     .utxos
@@ -793,7 +754,7 @@ pub fn apply_transaction(
                         }
                         let sighash = *sighash_memo.get_or_insert_with(|| t.sighash());
                         let ok = match txid_for_sigs {
-                            Some(txid) => verdicts.check_signature(
+                            Some(txid) => verdicts.sigs.check(
                                 crate::sigbatch::sig_cache_key(&txid, input, &sighash),
                                 || input.verify_signature(&sighash),
                             ),

@@ -391,26 +391,12 @@ impl SidechainRegistry {
     }
 
     /// Registers a new sidechain (§4.2), declared in a block at
-    /// `declared_at`.
+    /// `declared_at`, journaling the mutation into `undo`.
     ///
     /// # Errors
     ///
     /// Rejects reused/reserved ids, invalid configs, and activation
     /// heights not strictly in the future.
-    pub fn declare(
-        &mut self,
-        config: SidechainConfig,
-        declared_at: u64,
-    ) -> Result<(), RegistryError> {
-        self.declare_journaled(config, declared_at, &mut RegistryUndo::default())
-    }
-
-    /// [`SidechainRegistry::declare`], journaling the mutation into
-    /// `undo`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SidechainRegistry::declare`].
     pub fn declare_journaled(
         &mut self,
         config: SidechainConfig,
@@ -447,13 +433,8 @@ impl SidechainRegistry {
     /// Block-start processing at `height`: ceases sidechains whose window
     /// closed empty (Def 4.2) and matures the winning certificate of each
     /// window that closed — returning the payouts the chain must credit.
-    pub fn begin_block(&mut self, height: u64) -> Vec<MaturedPayout> {
-        self.begin_block_journaled(height, &mut RegistryUndo::default())
-    }
-
-    /// [`SidechainRegistry::begin_block`], journaling every mutation
-    /// (ceasings, maturities, balance debits, consumed nullifiers) into
-    /// `undo`.
+    /// Every mutation (ceasings, maturities, balance debits, consumed
+    /// nullifiers) is journaled into `undo`.
     pub fn begin_block_journaled(
         &mut self,
         height: u64,
@@ -556,26 +537,13 @@ impl SidechainRegistry {
         payouts
     }
 
-    /// Credits a forward transfer (the FT side of the safeguard).
+    /// Credits a forward transfer (the FT side of the safeguard),
+    /// journaling the balance credit into `undo`.
     ///
     /// # Errors
     ///
     /// Unknown or ceased destination sidechains reject the transfer (the
     /// containing transaction is invalid).
-    pub fn credit_forward_transfer(
-        &mut self,
-        id: &SidechainId,
-        amount: Amount,
-    ) -> Result<(), RegistryError> {
-        self.credit_forward_transfer_journaled(id, amount, &mut RegistryUndo::default())
-    }
-
-    /// [`SidechainRegistry::credit_forward_transfer`], journaling the
-    /// balance credit into `undo`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SidechainRegistry::credit_forward_transfer`].
     pub fn credit_forward_transfer_journaled(
         &mut self,
         id: &SidechainId,
@@ -598,63 +566,19 @@ impl SidechainRegistry {
     }
 
     /// Accepts a withdrawal certificate carried by the block at
-    /// `height` / `block_hash` ("WCert Verification", §4.1.2).
+    /// `height` / `block_hash` ("WCert Verification", §4.1.2),
+    /// journaling the certificate insertion into `undo`.
     ///
     /// `boundary_hash(h)` must return the active-chain block hash at
-    /// height `h` (for the `wcert_sysdata` epoch anchors).
+    /// height `h` (for the `wcert_sysdata` epoch anchors). `check` is
+    /// the SNARK check — the staged pipeline passes its stage-2 verdict
+    /// cache, [`ProofCheck::run`] verifies inline; every cheap rule
+    /// still runs here, in serial order.
     ///
     /// # Errors
     ///
     /// All rules of §4.1.2: active sidechain, correct window, increasing
     /// quality, valid SNARK, safeguard.
-    pub fn accept_certificate<F>(
-        &mut self,
-        cert: &WithdrawalCertificate,
-        height: u64,
-        block_hash: Digest32,
-        boundary_hash: F,
-    ) -> Result<(), RegistryError>
-    where
-        F: Fn(u64) -> Option<Digest32>,
-    {
-        self.accept_certificate_with(cert, height, block_hash, boundary_hash, ProofCheck::run)
-    }
-
-    /// [`SidechainRegistry::accept_certificate`] with a pluggable SNARK
-    /// check — the staged pipeline passes its stage-2 verdict cache;
-    /// every cheap rule still runs here, in serial order.
-    ///
-    /// # Errors
-    ///
-    /// See [`SidechainRegistry::accept_certificate`].
-    pub fn accept_certificate_with<F, C>(
-        &mut self,
-        cert: &WithdrawalCertificate,
-        height: u64,
-        block_hash: Digest32,
-        boundary_hash: F,
-        check: C,
-    ) -> Result<(), RegistryError>
-    where
-        F: Fn(u64) -> Option<Digest32>,
-        C: FnOnce(&ProofCheck) -> bool,
-    {
-        self.accept_certificate_journaled(
-            cert,
-            height,
-            block_hash,
-            boundary_hash,
-            check,
-            &mut RegistryUndo::default(),
-        )
-    }
-
-    /// [`SidechainRegistry::accept_certificate_with`], journaling the
-    /// certificate insertion into `undo`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SidechainRegistry::accept_certificate`].
     pub fn accept_certificate_journaled<F, C>(
         &mut self,
         cert: &WithdrawalCertificate,
@@ -759,39 +683,14 @@ impl SidechainRegistry {
     }
 
     /// Accepts a backward transfer request (§4.1.2.1). Consumes the
-    /// nullifier; moves no coins.
+    /// nullifier (journaled into `undo`); moves no coins. `check` is the
+    /// SNARK check (see
+    /// [`SidechainRegistry::accept_certificate_journaled`]).
     ///
     /// # Errors
     ///
     /// Unknown/ceased sidechain, disabled BTRs, reused nullifier, or
     /// invalid proof.
-    pub fn accept_btr(&mut self, btr: &BackwardTransferRequest) -> Result<(), RegistryError> {
-        self.accept_btr_with(btr, ProofCheck::run)
-    }
-
-    /// [`SidechainRegistry::accept_btr`] with a pluggable SNARK check
-    /// (see [`SidechainRegistry::accept_certificate_with`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`SidechainRegistry::accept_btr`].
-    pub fn accept_btr_with<C>(
-        &mut self,
-        btr: &BackwardTransferRequest,
-        check: C,
-    ) -> Result<(), RegistryError>
-    where
-        C: FnOnce(&ProofCheck) -> bool,
-    {
-        self.accept_btr_journaled(btr, check, &mut RegistryUndo::default())
-    }
-
-    /// [`SidechainRegistry::accept_btr_with`], journaling the consumed
-    /// nullifier into `undo`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SidechainRegistry::accept_btr`].
     pub fn accept_btr_journaled<C>(
         &mut self,
         btr: &BackwardTransferRequest,
@@ -822,43 +721,15 @@ impl SidechainRegistry {
     }
 
     /// Accepts a ceased sidechain withdrawal (§5.5.3.3): consumes the
-    /// nullifier, debits the balance and returns the payout for the chain
-    /// layer to credit.
+    /// nullifier, debits the balance (both journaled into `undo`) and
+    /// returns the payout for the chain layer to credit. `check` is the
+    /// SNARK check (see
+    /// [`SidechainRegistry::accept_certificate_journaled`]).
     ///
     /// # Errors
     ///
     /// Requires a *ceased* sidechain, an enabled CSW key, a fresh
     /// nullifier, a valid proof, and the safeguard.
-    pub fn accept_csw(
-        &mut self,
-        csw: &CeasedSidechainWithdrawal,
-    ) -> Result<BackwardTransfer, RegistryError> {
-        self.accept_csw_with(csw, ProofCheck::run)
-    }
-
-    /// [`SidechainRegistry::accept_csw`] with a pluggable SNARK check
-    /// (see [`SidechainRegistry::accept_certificate_with`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`SidechainRegistry::accept_csw`].
-    pub fn accept_csw_with<C>(
-        &mut self,
-        csw: &CeasedSidechainWithdrawal,
-        check: C,
-    ) -> Result<BackwardTransfer, RegistryError>
-    where
-        C: FnOnce(&ProofCheck) -> bool,
-    {
-        self.accept_csw_journaled(csw, check, &mut RegistryUndo::default())
-    }
-
-    /// [`SidechainRegistry::accept_csw_with`], journaling the balance
-    /// debit and consumed nullifier into `undo`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SidechainRegistry::accept_csw`].
     pub fn accept_csw_journaled<C>(
         &mut self,
         csw: &CeasedSidechainWithdrawal,

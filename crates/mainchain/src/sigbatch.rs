@@ -8,10 +8,9 @@
 //! signature, so a verdict can never authorize anything but the exact
 //! signature it was computed for) and travels with the pooled entry
 //! into the block template: the miner's stage-3 dry run consults the
-//! cache through [`crate::pipeline::ProofVerdicts::check_signature`]
-//! and re-verifies nothing. A cache miss falls back to inline
-//! verification — parallelism and caching are optimizations, never a
-//! semantic change.
+//! cache ([`crate::pipeline::ProofVerdicts::sigs`]) and re-verifies
+//! nothing. A cache miss falls back to inline verification —
+//! parallelism and caching are optimizations, never a semantic change.
 //!
 //! [`admit_batch_with`] is the full admission path: stage-1 precheck,
 //! input resolution against the confirmed UTXO set (establishing each

@@ -136,16 +136,14 @@ fn receiver_verifies_one_aggregate_for_the_whole_block() {
     assert_eq!(builder.tip_hash(), receiver.tip_hash(), "identical setup");
 
     let prepared = builder
-        .prepare_next_block(miner.address(), cert_block_txs(&builder, &pks, 8), 8)
+        .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 8), 8)
         .unwrap();
     let proof = prepared.proof.expect("aggregated builder attaches a proof");
     assert_eq!(proof.count(), 8, "one wrapped statement per certificate");
     let block = prepared.block.clone();
 
     recorder.drain();
-    receiver
-        .submit_block_with_proof(block.clone(), proof)
-        .unwrap();
+    receiver.submit(block.clone(), None, Some(proof)).unwrap();
     let snap = recorder.drain();
 
     // One aggregate verification covered the whole block: the
@@ -164,7 +162,9 @@ fn receiver_verifies_one_aggregate_for_the_whole_block() {
     );
 
     // Consensus outcome identical to the builder's own application.
-    builder.submit_prepared(prepared).unwrap();
+    builder
+        .submit(prepared.block, Some(prepared.verdicts), prepared.proof)
+        .unwrap();
     assert_eq!(builder.tip_hash(), receiver.tip_hash());
     assert_eq!(builder.state(), receiver.state());
     for i in 0..8 {
@@ -188,12 +188,12 @@ fn aggregated_success_still_populates_the_verdict_cache() {
     let (builder, pks, miner, _) = node_with_sidechains(8, VerifyMode::Aggregated);
     let (mut receiver, _, _, recorder) = node_with_sidechains(8, VerifyMode::Aggregated);
     let prepared = builder
-        .prepare_next_block(miner.address(), cert_block_txs(&builder, &pks, 8), 8)
+        .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 8), 8)
         .unwrap();
 
     recorder.drain();
     receiver
-        .submit_block_with_proof(prepared.block, prepared.proof.unwrap())
+        .submit(prepared.block, None, Some(prepared.proof.unwrap()))
         .unwrap();
     let snap = recorder.drain();
 
@@ -208,7 +208,7 @@ fn tampered_aggregate_falls_back_with_identical_consensus_outcome() {
     let (builder, pks, miner, _) = node_with_sidechains(4, VerifyMode::Aggregated);
     let (mut receiver, _, _, recorder) = node_with_sidechains(4, VerifyMode::Aggregated);
     let prepared = builder
-        .prepare_next_block(miner.address(), cert_block_txs(&builder, &pks, 4), 8)
+        .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 4), 8)
         .unwrap();
     // "Tamper" by attaching the aggregate of a *different* block (the
     // empty block at the tip): a real proof, but of the wrong
@@ -218,7 +218,7 @@ fn tampered_aggregate_falls_back_with_identical_consensus_outcome() {
 
     recorder.drain();
     receiver
-        .submit_block_with_proof(prepared.block, wrong_proof)
+        .submit(prepared.block, None, Some(wrong_proof))
         .unwrap();
     let snap = recorder.drain();
 
@@ -243,7 +243,7 @@ fn tampered_aggregate_falls_back_with_identical_consensus_outcome() {
 fn aggregate_over_tampered_statement_attributes_the_precise_error() {
     let (builder, pks, miner, _) = node_with_sidechains(4, VerifyMode::Aggregated);
     let prepared = builder
-        .prepare_next_block(miner.address(), cert_block_txs(&builder, &pks, 4), 8)
+        .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 4), 8)
         .unwrap();
     let honest_proof = prepared.proof.unwrap();
 
@@ -289,7 +289,7 @@ fn aggregate_over_tampered_statement_attributes_the_precise_error() {
     let (mut receiver, _, _, recorder) = node_with_sidechains(4, VerifyMode::Aggregated);
     recorder.drain();
     let err = receiver
-        .submit_block_with_proof(tampered.clone(), honest_proof)
+        .submit(tampered.clone(), None, Some(honest_proof))
         .unwrap_err();
     let snap = recorder.drain();
     assert_eq!(format!("{err:?}"), format!("{control_err:?}"));
@@ -307,8 +307,9 @@ fn missing_aggregate_counts_and_falls_back() {
     let (builder, pks, miner, _) = node_with_sidechains(2, VerifyMode::Aggregated);
     let (mut receiver, _, _, recorder) = node_with_sidechains(2, VerifyMode::Aggregated);
     let block = builder
-        .build_next_block(miner.address(), cert_block_txs(&builder, &pks, 2), 8)
-        .unwrap();
+        .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 2), 8)
+        .unwrap()
+        .block;
 
     recorder.drain();
     receiver.submit_block(block).unwrap();
@@ -322,17 +323,13 @@ fn missing_aggregate_counts_and_falls_back() {
 fn empty_block_carries_and_verifies_the_empty_aggregate() {
     let (builder, _, miner, _) = node_with_sidechains(1, VerifyMode::Aggregated);
     let (mut receiver, _, _, recorder) = node_with_sidechains(1, VerifyMode::Aggregated);
-    let prepared = builder
-        .prepare_next_block(miner.address(), vec![], 8)
-        .unwrap();
+    let prepared = builder.prepare_block(miner.address(), vec![], 8).unwrap();
     let proof = prepared.proof.expect("empty blocks still carry a proof");
     assert_eq!(proof.count(), 0);
     assert!(proof.aggregate().is_none(), "no statements, no SNARK");
 
     recorder.drain();
-    receiver
-        .submit_block_with_proof(prepared.block, proof)
-        .unwrap();
+    receiver.submit(prepared.block, None, Some(proof)).unwrap();
     let snap = recorder.drain();
     assert_eq!(snap.counters.get("mc.stage2.agg_verified"), Some(&1));
 }
@@ -342,12 +339,12 @@ fn individual_mode_ignores_supplied_proofs() {
     let (builder, pks, miner, _) = node_with_sidechains(2, VerifyMode::Aggregated);
     let (mut receiver, _, _, recorder) = node_with_sidechains(2, VerifyMode::Individual);
     let prepared = builder
-        .prepare_next_block(miner.address(), cert_block_txs(&builder, &pks, 2), 8)
+        .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 2), 8)
         .unwrap();
 
     recorder.drain();
     receiver
-        .submit_block_with_proof(prepared.block, prepared.proof.unwrap())
+        .submit(prepared.block, None, Some(prepared.proof.unwrap()))
         .unwrap();
     let snap = recorder.drain();
     assert_eq!(snap.counters.get("mc.stage2.agg_verified"), None);

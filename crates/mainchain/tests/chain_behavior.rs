@@ -1,7 +1,6 @@
 //! Behavioral tests of the mainchain state machine: mining, transfers,
 //! forward transfers, certificate windows, quality replacement, ceasing,
-//! CSW, nullifiers, the safeguard, and reorgs (experiments E6, E10, E12
-//! in DESIGN.md).
+//! CSW, nullifiers, the safeguard, and reorgs.
 //!
 //! Certificates here are produced with a *permissive* sidechain circuit
 //! (`AcceptAll`) — these tests exercise the mainchain rules, not the
@@ -529,13 +528,72 @@ fn reorg_rolls_back_sidechain_state() {
     assert_eq!(h.chain.height(), height_before + 2);
 }
 
+/// A heavier fork rooted below the retained undo window is refused
+/// *before* anything is disconnected: tip, height, state and the block
+/// store are exactly as they were, and the chain keeps mining.
+#[test]
+fn refused_deep_fork_leaves_the_chain_untouched() {
+    let miner = Wallet::from_seed(b"miner");
+    let mut chain = Blockchain::new(ChainParams {
+        max_reorg_depth: 3,
+        ..ChainParams::default()
+    });
+    for time in 1..=8 {
+        chain
+            .mine_next_block(miner.address(), vec![], time)
+            .unwrap();
+    }
+    let tip = chain.tip_hash();
+    let state = chain.state().clone();
+
+    // Eight blocks off height 2: the seventh (height 9) is the first
+    // heavier than the tip, six blocks above the fork point.
+    let base = chain.hash_at_height(2).unwrap();
+    let branch = chain.mine_branch(&base, 8, miner.address(), 500).unwrap();
+    for block in &branch[..6] {
+        assert_eq!(
+            chain.submit_block(block.clone()).unwrap(),
+            zendoo_mainchain::SubmitOutcome::StoredOnFork
+        );
+    }
+    assert_eq!(
+        chain.submit_block(branch[6].clone()),
+        Err(zendoo_mainchain::BlockError::ReorgTooDeep)
+    );
+    assert_eq!(chain.tip_hash(), tip);
+    assert_eq!(chain.height(), 8);
+    assert_eq!(chain.state(), &state);
+    for height in 0..=8 {
+        assert!(chain.block_at_height(height).is_some());
+    }
+    // The refused block is not stored, so its child has no parent.
+    assert!(chain.block(&branch[6].hash()).is_none());
+    assert!(matches!(
+        chain.submit_block(branch[7].clone()),
+        Err(zendoo_mainchain::BlockError::UnknownParent(_))
+    ));
+
+    // The chain still mines, and a fork inside the window still wins.
+    chain.mine_next_block(miner.address(), vec![], 9).unwrap();
+    assert_eq!(chain.height(), 9);
+    let shallow = chain
+        .mine_branch(&chain.hash_at_height(7).unwrap(), 3, miner.address(), 600)
+        .unwrap();
+    for block in shallow {
+        chain.submit_block(block).unwrap();
+    }
+    assert_eq!(chain.height(), 10);
+    assert_ne!(chain.hash_at_height(8), Some(tip));
+}
+
 #[test]
 fn duplicate_block_rejected() {
     let mut h = Harness::new();
     let block = h
         .chain
-        .build_next_block(h.miner.address(), vec![], 99)
-        .unwrap();
+        .prepare_block(h.miner.address(), vec![], 99)
+        .unwrap()
+        .block;
     h.chain.submit_block(block.clone()).unwrap();
     assert!(matches!(
         h.chain.submit_block(block),
@@ -558,8 +616,9 @@ fn tampered_block_commitment_rejected() {
         .unwrap();
     let mut block = h
         .chain
-        .build_next_block(h.miner.address(), vec![ft], 99)
-        .unwrap();
+        .prepare_block(h.miner.address(), vec![ft], 99)
+        .unwrap()
+        .block;
     // Corrupt the commitment and re-mine so PoW still passes.
     block.header.sc_txs_commitment = Digest32::hash_bytes(b"lie");
     let target = h.chain.params().target;

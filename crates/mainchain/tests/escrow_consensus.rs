@@ -1,7 +1,7 @@
 //! Adversarial suite for the consensus-enforced escrow output kind.
 //!
 //! Escrowed cross-chain value used to sit behind a well-known keypair —
-//! anyone could derive `escrow_keypair()` and spend it. It is now a
+//! anyone could derive it from its public seed and spend it. It is now a
 //! structural output kind ([`zendoo_core::escrow::EscrowTag`]) that
 //! only the consensus settlement/refund rules can move. Every test in
 //! this file is a theft (or laundering) attempt, and every one must be
@@ -40,6 +40,7 @@ use zendoo_mainchain::pipeline;
 use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 use zendoo_mainchain::Wallet;
 use zendoo_primitives::digest::Digest32;
+use zendoo_primitives::schnorr::Keypair;
 use zendoo_snark::backend::{prove, setup_deterministic, ProvingKey};
 use zendoo_snark::circuit::{Circuit, Unsatisfied};
 use zendoo_snark::inputs::PublicInputs;
@@ -165,22 +166,25 @@ fn batch_of(transfers: Vec<CrossChainTransfer>) -> SettlementBatch {
 
 // ---- Theft path 1: the old well-known key ---------------------------------
 
+/// The historic escrow authority's keypair: anyone can derive it from
+/// the well-known seed, which is why it must authorize nothing.
+fn historic_escrow_key() -> Keypair {
+    let key = Keypair::from_seed(b"zendoo/xct-escrow-authority-v1");
+    // Sanity: the key really does control the escrow *address* — only
+    // the output kind stands between it and the coins.
+    assert_eq!(Address::from_public_key(&key.public), escrow_address());
+    key
+}
+
 /// The historic escrow keypair is still derivable (that is the point of
 /// the test), signs a perfectly valid-looking transfer of the escrow
 /// UTXO to the attacker — and consensus rejects it: signatures simply
 /// do not authorize escrow-kind spends.
 #[test]
-#[allow(deprecated)]
 fn derived_escrow_key_cannot_spend_escrow() {
     let t = transfer(sc_id(0), 1, 100);
     let (mut chain, _, miner) = chain_with(1, escrow_premine(&[t]));
-    let escrow_key = zendoo_core::crosschain::escrow_keypair();
-    // Sanity: the key really does control the escrow *address* — only
-    // the output kind stands between it and the coins.
-    assert_eq!(
-        Address::from_public_key(&escrow_key.public),
-        escrow_address()
-    );
+    let escrow_key = historic_escrow_key();
     let outpoints = escrow_outpoints(&chain);
     let spends: Vec<_> = outpoints
         .iter()
@@ -435,8 +439,9 @@ fn coinbase_cannot_mint_escrow_outputs() {
     let block = {
         // Hand-build a block whose coinbase smuggles an escrow output.
         let mut block = chain
-            .build_next_block(Address::from_label("m"), vec![], 8)
-            .unwrap();
+            .prepare_block(Address::from_label("m"), vec![], 8)
+            .unwrap()
+            .block;
         if let McTransaction::Coinbase(cb) = &mut block.transactions[0] {
             cb.outputs.push(TxOut::escrow(
                 escrow_address(),
@@ -701,7 +706,6 @@ fn reorg_across_escrow_spend_restores_the_kind() {
 /// from the declaration (no genesis premine involved), the old key
 /// cannot touch them, and the matching settlement spends them.
 #[test]
-#[allow(deprecated)]
 fn certificate_maturation_mints_tagged_escrow_utxos() {
     // Source certifies its 6-block epoch 0; the destination sits on a
     // 30-block epoch so it stays active through delivery.
@@ -773,7 +777,7 @@ fn certificate_maturation_mints_tagged_escrow_utxos() {
     );
 
     // The old key cannot move it...
-    let escrow_key = zendoo_core::crosschain::escrow_keypair();
+    let escrow_key = historic_escrow_key();
     let theft = McTransaction::Transfer(TransferTx::signed(
         &[(outpoint, &escrow_key.secret)],
         vec![Output::Regular(TxOut::regular(

@@ -1,8 +1,10 @@
 //! Staged-pipeline behavior: multi-certificate blocks verify their
 //! proofs in parallel with verdicts identical to the serial path, the
-//! per-block undo journal is an exact rollback, and the batched
-//! settlement consensus rules hold on the mainchain apply path.
+//! per-block undo journal is an exact rollback, the one-pass block
+//! fill equals the per-prefix greedy fill, and the batched settlement
+//! consensus rules hold on the mainchain apply path.
 
+use proptest::prelude::*;
 use zendoo_core::crosschain::{escrow_address, CrossChainTransfer};
 use zendoo_core::escrow::{EscrowError, EscrowTag};
 use zendoo_core::ids::{Address, Amount, EpochId, SidechainId};
@@ -15,7 +17,7 @@ use zendoo_core::{
 use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
 use zendoo_mainchain::pipeline::{self, ProofVerdicts};
 use zendoo_mainchain::registry::RegistryError;
-use zendoo_mainchain::transaction::{McTransaction, Output, TransferTx, TxOut};
+use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 use zendoo_mainchain::Wallet;
 use zendoo_primitives::digest::Digest32;
 use zendoo_snark::backend::{prove, setup_deterministic, ProvingKey};
@@ -158,7 +160,10 @@ fn parallel_verdicts_match_serial_application() {
     let certs: Vec<McTransaction> = (0..8)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&chain, &pks, i))))
         .collect();
-    let block = chain.build_next_block(miner.address(), certs, 8).unwrap();
+    let block = chain
+        .prepare_block(miner.address(), certs, 8)
+        .unwrap()
+        .block;
     let hash = block.hash();
 
     // Stage 2 prefetch with multiple workers...
@@ -170,8 +175,9 @@ fn parallel_verdicts_match_serial_application() {
             .map(|h| chain.hash_at_height(h).unwrap())
             .collect::<Vec<_>>(),
         Some(4),
+        &zendoo_telemetry::Telemetry::disabled(),
     );
-    assert_eq!(verdicts.len(), 8, "one verdict per certificate");
+    assert_eq!(verdicts.proofs.len(), 8, "one verdict per certificate");
 
     // ...then stage 3 with the cache and stage 3 inline must agree.
     let active: Vec<Digest32> = (0..=chain.height())
@@ -200,7 +206,10 @@ fn block_undo_is_an_exact_rollback() {
     let certs: Vec<McTransaction> = (0..3)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&chain, &pks, i))))
         .collect();
-    let block = chain.build_next_block(miner.address(), certs, 8).unwrap();
+    let block = chain
+        .prepare_block(miner.address(), certs, 8)
+        .unwrap()
+        .block;
     let hash = block.hash();
     let active: Vec<Digest32> = (0..=chain.height())
         .map(|h| chain.hash_at_height(h).unwrap())
@@ -220,6 +229,165 @@ fn block_undo_is_an_exact_rollback() {
     assert_ne!(state, before, "block had effects");
     pipeline::revert_block(&mut state, undo);
     assert_eq!(state, before, "undo journal restores the state exactly");
+}
+
+// ---- One-pass fill ≡ per-prefix greedy fill -------------------------------
+
+/// The greedy reference the one-pass builder must equal: candidate `i`
+/// is accepted iff a block of the accepted prefix plus `i` rejects
+/// nothing — one full dry run per candidate, O(n²) overall. Returns the
+/// accepted candidates in order and, per rejected candidate, its index
+/// and error.
+fn per_prefix_greedy_fill(
+    chain: &Blockchain,
+    candidates: &[McTransaction],
+) -> (Vec<McTransaction>, Vec<(usize, BlockError)>) {
+    let mut accepted: Vec<McTransaction> = Vec::new();
+    let mut rejected = Vec::new();
+    for (i, tx) in candidates.iter().enumerate() {
+        let mut trial = accepted.clone();
+        trial.push(tx.clone());
+        let prepared = chain
+            .prepare_block(Address::from_label("m"), trial, 8)
+            .unwrap();
+        match prepared.rejected.into_iter().next() {
+            None => accepted.push(tx.clone()),
+            Some((_, error)) => rejected.push((i, error)),
+        }
+    }
+    (accepted, rejected)
+}
+
+/// One generated candidate: `(kind, user, coin, back)`.
+type Op = (usize, usize, usize, usize);
+
+/// Builds the candidate list `ops` describe, over a chain where each of
+/// three users owns four 1,000-unit coins and two sidechains can
+/// certify epoch 0. Kinds: 0 = valid transfer of `coin` (two ops naming
+/// one coin are an in-block double spend), 1 = overspend, 2 = bad
+/// signature, 3 = child spending output 0 of the transfer candidate
+/// `back` places before it (accepted or not), 4 = certificate, 5 =
+/// certificate with a cross-wired proof.
+fn candidates_from(
+    chain: &Blockchain,
+    pks: &[ProvingKey],
+    users: &[Wallet],
+    ops: &[Op],
+) -> Vec<McTransaction> {
+    let pay = |to: usize, units: u64| {
+        vec![Output::Regular(TxOut::regular(
+            users[to % users.len()].address(),
+            Amount::from_units(units),
+        ))]
+    };
+    // Output 0 of every transfer candidate so far, with its owner.
+    let mut heads: Vec<(OutPoint, usize)> = Vec::new();
+    let mut candidates = Vec::new();
+    for &(kind, user, coin, back) in ops {
+        let (outpoint, _) = chain.state().utxos.owned_by(&users[user % 3].address())[coin];
+        let secret = |owner: usize| &users[owner % 3].keypair().secret;
+        let (transfer, receiver) = match kind {
+            0 => (
+                TransferTx::signed(&[(outpoint, secret(user))], pay(user + 1, 900)),
+                user + 1,
+            ),
+            1 => (
+                TransferTx::signed(&[(outpoint, secret(user))], pay(user + 1, 1_001)),
+                user + 1,
+            ),
+            2 => {
+                let mut tx = TransferTx::signed(&[(outpoint, secret(user))], pay(user + 1, 900));
+                tx.outputs = pay(user + 2, 900); // not what was signed
+                (tx, user + 2)
+            }
+            3 if !heads.is_empty() => {
+                let (head, owner) = heads[heads.len() - 1 - back % heads.len()];
+                (
+                    TransferTx::signed(&[(head, secret(owner))], pay(owner + 1, 500)),
+                    owner + 1,
+                )
+            }
+            _ => {
+                let mut cert = epoch0_cert(chain, pks, coin % 2);
+                if kind == 5 {
+                    cert.proof = epoch0_cert(chain, pks, (coin + 1) % 2).proof;
+                }
+                candidates.push(McTransaction::Certificate(Box::new(cert)));
+                continue;
+            }
+        };
+        let tx = McTransaction::Transfer(transfer);
+        let head = OutPoint {
+            txid: tx.txid(),
+            index: 0,
+        };
+        heads.push((head, receiver));
+        candidates.push(tx);
+    }
+    candidates
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The one-pass fill behind `prepare_block` accepts the same
+    /// candidates in the same order as the per-prefix greedy fill, and
+    /// rejects each of the others with the same `BlockError`.
+    #[test]
+    fn prop_one_pass_fill_equals_per_prefix_greedy_fill(
+        random in proptest::collection::vec((0usize..6, 0usize..3, 0usize..3, 0usize..16), 4..10),
+        user in 0usize..3,
+    ) {
+        let users: Vec<Wallet> = (0..3)
+            .map(|i| Wallet::from_seed(format!("fill-user-{i}").as_bytes()))
+            .collect();
+        let premine = users
+            .iter()
+            .flat_map(|user| vec![TxOut::regular(user.address(), Amount::from_units(1_000)); 4])
+            .collect();
+        let (chain, pks, miner) = chain_with_sidechains_premined(2, premine);
+        // Every list ends with one of each named case, on coin 3 (which
+        // the random part never touches, so these verdicts are known).
+        let n = random.len();
+        let mut ops = random;
+        ops.extend([
+            (0, user, 3, 0),     // valid transfer
+            (3, 0, 0, 0),        // child of an accepted parent
+            (0, user, 3, 0),     // in-block double spend
+            (1, user + 1, 3, 0), // overspend
+            (3, 0, 0, 0),        // child of a rejected parent
+            (2, user + 2, 3, 0), // bad signature
+            (5, 0, 1, 0),        // certificate with a tampered proof
+        ]);
+        let candidates = candidates_from(&chain, &pks, &users, &ops);
+
+        let prepared = chain
+            .prepare_block(miner.address(), candidates.clone(), 8)
+            .unwrap();
+        let (accepted, rejected) = per_prefix_greedy_fill(&chain, &candidates);
+
+        let tail: Vec<_> = rejected
+            .iter()
+            .filter(|(i, _)| *i >= n)
+            .map(|(i, error)| (i - n, error.variant_name()))
+            .collect();
+        prop_assert_eq!(
+            tail,
+            vec![
+                (2, "missing_input"),
+                (3, "value_imbalance"),
+                (4, "missing_input"),
+                (5, "bad_input_authorization"),
+                (6, "registry"),
+            ]
+        );
+        prop_assert_eq!(&prepared.block.transactions[1..], &accepted[..]);
+        let reference: Vec<(McTransaction, BlockError)> = rejected
+            .into_iter()
+            .map(|(i, error)| (candidates[i].clone(), error))
+            .collect();
+        prop_assert_eq!(prepared.rejected, reference);
+    }
 }
 
 // ---- Batched settlement consensus rules ----------------------------------

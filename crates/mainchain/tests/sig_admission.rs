@@ -236,7 +236,7 @@ fn forged_verdict_fools_only_the_local_builder_never_consensus() {
     // Without a verdict the builder falls back to inline verification
     // and drops the forged transfer from the template.
     let honest = chain
-        .prepare_block_candidates(
+        .prepare_block(
             Address::from_label("miner"),
             BlockCandidates::admitted(vec![bad.clone()], HashMap::new()),
             1,
@@ -246,7 +246,7 @@ fn forged_verdict_fools_only_the_local_builder_never_consensus() {
 
     // A forged `true` verdict makes the *local* builder include it…
     let poisoned = chain
-        .prepare_block_candidates(
+        .prepare_block(
             Address::from_label("miner"),
             BlockCandidates::admitted(vec![bad], HashMap::from([(forged_key, true)])),
             1,

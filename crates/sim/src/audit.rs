@@ -21,7 +21,7 @@
 //!    the registry.
 //!
 //! Snapshots are pure functions of world state, so two worlds that are
-//! bit-identical (e.g. Serial vs Sharded stepping) produce equal
+//! bit-identical (e.g. stepped on one lane vs four) produce equal
 //! snapshot streams — the Byzantine determinism tests compare them
 //! directly.
 

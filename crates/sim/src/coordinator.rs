@@ -1,53 +1,41 @@
-//! The mainchain-side coordinator: drives one simulation tick in
-//! either step mode.
+//! The mainchain-side coordinator: drives one simulation tick.
 //!
-//! Both paths perform the same logical phases —
+//! There is one tick, and it performs these phases —
 //!
 //! 1. snapshot the router against the pre-block tip (reorg undo),
 //! 2. drain matured cross-chain settlements into the mempool,
-//! 3. assemble, mine and submit the next mainchain block,
+//! 3. prepare the next mainchain block in one pass
+//!    (`Blockchain::prepare_block`, recording proof verdicts) and
+//!    submit it with those verdicts as its carrier
+//!    (`Blockchain::submit`), so each proof is verified once per node,
 //! 4. hand the block to every sidechain shard (sync + certify),
 //! 5. fold shard effect logs and fresh router receipts into the
-//!    metrics
+//!    metrics.
 //!
-//! — and differ only in *how* phases 3–4 execute:
-//!
-//! * [`StepMode::Serial`] re-validates the accepted prefix per
-//!   candidate (the legacy greedy fill), verifies every proof at build
-//!   *and* submission, and walks the shards sequentially;
-//! * [`StepMode::Sharded`] prepares the block in one pass
-//!   (`Blockchain::prepare_next_block`, recording proof verdicts that
-//!   `submit_prepared` reuses so each proof is verified once per
-//!   node), then overlaps the block's stage-2/3 submission with the
-//!   shard phase on scoped worker threads (the `crossbeam` scoped
-//!   pattern of `zendoo_snark::batch`).
+//! Phases 3 (the submission half) and 4 overlap: the shards run on
+//! `SimConfig::workers` scoped worker lanes (the `crossbeam` scoped
+//! pattern of `zendoo_snark::batch`) while the coordinator thread
+//! submits the block and feeds the router. With one lane the same work
+//! runs as an in-thread sequential loop — the determinism reference.
 //!
 //! Determinism contract: shard work communicates only through ordered
 //! [`ShardEffects`] logs, applied in sidechain declaration order, so a
-//! sharded step is bit-identical to a serial step on panic-free,
-//! error-free runs (`crates/sim/tests/determinism.rs` enforces this;
-//! on a `NodeError` the serial path stops at the failing shard while
-//! the sharded path completes the remaining shards before reporting
-//! the same first error).
+//! tick is bit-identical for every worker count
+//! (`crates/sim/tests/determinism.rs` enforces this). On a `NodeError`
+//! the remaining shards still complete before the first error, in
+//! declaration order, is reported.
 
 use crossbeam::thread;
 use zendoo_core::crosschain::CrossChainTransfer;
 use zendoo_core::ids::SidechainId;
 use zendoo_mainchain::transaction::McTransaction;
+use zendoo_mainchain::{Block, BlockCandidates, BlockError, PreparedBlock};
 use zendoo_telemetry::Telemetry;
 
-use crate::shard::{ShardEffects, SidechainShard, StepMode};
+use crate::shard::{ShardEffects, SidechainShard};
 use crate::world::{SimError, World};
 
-/// Dispatches one tick according to the world's step mode.
-pub(crate) fn step(world: &mut World) -> Result<(), SimError> {
-    match world.mode {
-        StepMode::Serial => step_serial(world),
-        StepMode::Sharded { workers } => step_sharded(world, workers),
-    }
-}
-
-/// Shared prologue: bump time, snapshot the router against the
+/// The tick's prologue: bump time, snapshot the router against the
 /// pre-block tip (pruned to the reorg window), drain matured
 /// settlements into the mempool, and partition the router's remaining
 /// in-flight queue per destination (each shard's read-only inbound
@@ -81,9 +69,9 @@ fn prologue(world: &mut World) -> std::collections::BTreeMap<SidechainId, Vec<Cr
 /// Folds one shard's effect log into the coordinator state. Returns
 /// the shard's error, if any.
 ///
-/// Callers invoke this in sidechain declaration order in both step
-/// modes, so absorbing the shard-local telemetry snapshot here keeps
-/// the aggregate independent of worker-thread scheduling.
+/// The tick invokes this in sidechain declaration order, so absorbing
+/// the shard-local telemetry snapshot here keeps the aggregate
+/// independent of worker-thread scheduling.
 fn apply_effects(world: &mut World, effects: ShardEffects) -> Option<SimError> {
     if let Some(snapshot) = &effects.telemetry {
         world.absorb_shard_telemetry(snapshot);
@@ -121,123 +109,26 @@ fn apply_effects(world: &mut World, effects: ShardEffects) -> Option<SimError> {
     effects.error.map(SimError::Node)
 }
 
-/// The reference serial tick (legacy behavior, kept as the determinism
-/// oracle and benchmark baseline).
-///
-/// All wall-clock accounting flows through [`Telemetry::time`] (which
-/// measures unconditionally and records a span only when the world is
-/// recording), so every consumer of per-tick timing reads one clock:
-/// the `tick` / `tick.coordinator` / `tick.shard.*` spans.
-fn step_serial(world: &mut World) -> Result<(), SimError> {
+/// One tick. All wall-clock accounting flows through
+/// [`Telemetry::time`] (which measures unconditionally and records a
+/// span only when the world is recording), so every consumer of
+/// per-tick timing reads one clock: the `tick` / `tick.coordinator` /
+/// `tick.shard.*` spans. See [`tick`] for the phase spans.
+pub(crate) fn step(world: &mut World) -> Result<(), SimError> {
     let telemetry = world.telemetry.clone();
-    let (walk, total_nanos) = telemetry.time("tick", || step_serial_walk(world, &telemetry));
-    // A failing tick (chain error, first failing shard) records no
-    // coordinator span.
-    let shard_nanos = walk?;
-    // In a serial tick, everything that is not shard work is
-    // coordinator work by definition (prologue, block build/submit,
-    // router observation, effect fold) — measure it exactly as the
-    // difference, so the work/span model never undercounts the
-    // serial-only critical path.
-    let shard_sum: u64 = shard_nanos.iter().map(|(_, nanos)| nanos).sum();
-    telemetry.span_nanos("tick.coordinator", total_nanos.saturating_sub(shard_sum));
-    record_shard_critical(&telemetry, &shard_nanos);
-    Ok(())
-}
-
-/// Records the tick's shard critical path — the slowest shard's wall
-/// time, i.e. what the shard phase costs a machine with at least one
-/// core per sidechain. Together with `tick.coordinator` this lets the
-/// work/span model be read straight off a telemetry snapshot:
-/// `work = Σ tick.coordinator + Σ tick.shard.sync`,
-/// `span = Σ tick.coordinator + Σ tick.shard.critical`.
-fn record_shard_critical(telemetry: &Telemetry, shard_nanos: &[(SidechainId, u64)]) {
-    let max = shard_nanos
-        .iter()
-        .map(|(_, nanos)| *nanos)
-        .max()
-        .unwrap_or(0);
-    telemetry.span_nanos("tick.shard.critical", max);
-}
-
-/// The serial tick body: returns per-shard nanoseconds in declaration
-/// order on success.
-fn step_serial_walk(
-    world: &mut World,
-    telemetry: &Telemetry,
-) -> Result<Vec<(SidechainId, u64)>, SimError> {
-    let (mut partition, _) = telemetry.time("tick.prologue", || prologue(world));
-
-    // Greedy candidate filter, one full dry-run block build per
-    // candidate; rejected transactions are counted, not fatal (fault
-    // scenarios schedule actions that are *supposed* to fail). The
-    // telemetry-side rejection counters are bumped by `fill_block`
-    // inside each dry-run build — exactly once per rejected candidate,
-    // because a rejected transaction is never retried. The pool drains
-    // in template order (consensus, settlements, transfers by fee
-    // rate) — the same order the sharded path sees, which is what
-    // keeps the two modes bit-identical. The serial oracle drops the
-    // pooled signature verdicts on purpose: every signature re-checks
-    // inline here, so any caching bug in the sharded path shows up as
-    // a determinism divergence.
-    let queued = world.mc_mempool.take_ordered(usize::MAX).txs;
-    let mut accepted = Vec::new();
-    for tx in queued {
-        let mut candidate = accepted.clone();
-        candidate.push(tx.clone());
-        match world
-            .chain
-            .build_next_block(world.miner.address(), candidate, world.time)
-        {
-            Ok(_) => accepted.push(tx),
-            Err(_) => world.note_rejection(&tx),
-        }
-    }
-    world.metrics.certificates_accepted += accepted
-        .iter()
-        .filter(|tx| matches!(tx, McTransaction::Certificate(_)))
-        .count() as u64;
-    let block = world
-        .chain
-        .mine_next_block(world.miner.address(), accepted, world.time)?;
-    world.metrics.mc_blocks += 1;
-
-    world.router.observe_block(&world.chain, &block);
-
-    let withhold_all = world.withhold_certificates;
-    let record = telemetry.is_enabled();
-    let mut shard_nanos = Vec::with_capacity(world.order.len());
-    for id in world.order.clone() {
-        let shard = world.shards.get_mut(&id).expect("declared");
-        if shard.quarantined {
-            continue;
-        }
-        let inbound = partition.remove(&id).unwrap_or_default();
-        let effects = shard.sync_and_certify(&block, withhold_all, inbound, record);
-        shard_nanos.push((id, effects.nanos));
-        if let Some(error) = apply_effects(world, effects) {
-            // Legacy semantics: the serial walk stops at the first
-            // failing shard.
-            return Err(error);
-        }
-    }
-    world.sync_cross_metrics();
-    Ok(shard_nanos)
-}
-
-/// The sharded tick: one-pass block preparation with verdict reuse,
-/// then the shard phase on scoped worker threads overlapped with the
-/// block's submission. Timing flows through [`Telemetry::time`] like
-/// the serial path; see [`step_sharded_body`] for the phase spans.
-fn step_sharded(world: &mut World, workers: Option<usize>) -> Result<(), SimError> {
-    let telemetry = world.telemetry.clone();
-    let (body, _total_nanos) =
-        telemetry.time("tick", || step_sharded_body(world, workers, &telemetry));
+    let (outcome, _total_nanos) = telemetry.time("tick", || tick(world, &telemetry));
     // A preparation failure records no coordinator span; a submission
     // failure or shard error still does (the effect fold ran).
-    let (coordinator_nanos, shard_nanos, submit_result, first_error) = body?;
+    let (coordinator_nanos, shard_nanos, submit_result, first_error) = outcome?;
     telemetry.span_nanos("tick.coordinator", coordinator_nanos);
-    record_shard_critical(&telemetry, &shard_nanos);
+    // The shard critical path — the slowest shard's wall time, i.e.
+    // what the shard phase costs a machine with at least one core per
+    // sidechain. Together with `tick.coordinator` this lets the
+    // work/span model be read straight off a telemetry snapshot:
+    // `work = Σ tick.coordinator + Σ tick.shard.sync`,
+    // `span = Σ tick.coordinator + Σ tick.shard.critical`.
+    let critical = shard_nanos.iter().copied().max().unwrap_or(0);
+    telemetry.span_nanos("tick.shard.critical", critical);
     submit_result?;
     match first_error {
         Some(error) => Err(error),
@@ -245,24 +136,38 @@ fn step_sharded(world: &mut World, workers: Option<usize>) -> Result<(), SimErro
     }
 }
 
-/// The phase outcome of one sharded tick: coordinator-critical-path
+/// The phase outcome of one tick: coordinator-critical-path
 /// nanoseconds, per-shard nanoseconds in declaration order, the block
 /// submission result and the first shard error (if any).
-type ShardedTick = (
-    u64,
-    Vec<(SidechainId, u64)>,
-    Result<(), zendoo_mainchain::BlockError>,
-    Option<SimError>,
-);
+type TickOutcome = (u64, Vec<u64>, Result<(), BlockError>, Option<SimError>);
 
-/// The sharded tick body. Errors returned here are *preparation*
-/// failures (no timing recorded); submission and shard failures are
-/// reported inside the tuple so the caller can record timing first.
-fn step_sharded_body(
-    world: &mut World,
-    workers: Option<usize>,
-    telemetry: &Telemetry,
-) -> Result<ShardedTick, SimError> {
+/// One worker lane's share of the shard phase: live shards, each paired
+/// with its declaration index (effects are re-ordered by it afterwards)
+/// and its inbound partition (by value — no shard touches the router).
+type Lane<'a> = Vec<(usize, &'a mut SidechainShard, Vec<CrossChainTransfer>)>;
+
+/// Walks one lane in order. Shard panics are contained inside
+/// `sync_and_certify`; a lane itself never panics.
+fn run_lane(
+    lane: Lane<'_>,
+    block: &Block,
+    withhold_all: bool,
+    record: bool,
+) -> Vec<(usize, ShardEffects)> {
+    lane.into_iter()
+        .map(|(index, shard, inbound)| {
+            (
+                index,
+                shard.sync_and_certify(block, withhold_all, inbound, record),
+            )
+        })
+        .collect()
+}
+
+/// The tick body. Errors returned here are *preparation* failures (no
+/// timing recorded); submission and shard failures are reported inside
+/// the tuple so the caller can record timing first.
+fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimError> {
     // Everything before the worker scope is coordinator critical path
     // (prologue's router snapshot + settlement + partition included).
     let (mut partition, prologue_nanos) = telemetry.time("tick.prologue", || prologue(world));
@@ -272,28 +177,33 @@ fn step_sharded_body(
     // (`World::pool_mc_tx` / `World::admit_mc_batch`), so the builder
     // skips the redundant re-run (`mc.precheck.skipped`), and any
     // admission-time signature verdicts ride along so stage 3's dry
-    // run re-verifies nothing.
+    // run re-verifies nothing. Rejected candidates are counted, not
+    // fatal (fault scenarios schedule actions that are *supposed* to
+    // fail).
     let batch = world.mc_mempool.take_ordered(usize::MAX);
-    let candidates = zendoo_mainchain::BlockCandidates::admitted(batch.txs, batch.sig_verdicts);
+    let candidates = BlockCandidates::admitted(batch.txs, batch.sig_verdicts);
     let (prepared, prepare_nanos) = telemetry.time("tick.mc.prepare", || {
         world
             .chain
-            .prepare_block_candidates(world.miner.address(), candidates, world.time)
+            .prepare_block(world.miner.address(), candidates, world.time)
     });
-    let prepared = prepared?;
+    let PreparedBlock {
+        block,
+        rejected,
+        verdicts,
+        proof,
+    } = prepared?;
     // Telemetry-side rejection counters were already bumped once per
-    // rejected candidate by `fill_block` inside the preparation; only
-    // the sim-level metrics are folded here.
-    for (tx, _) in &prepared.rejected {
+    // rejected candidate inside the preparation; only the sim-level
+    // metrics are folded here.
+    for (tx, _) in &rejected {
         world.note_rejection(tx);
     }
-    world.metrics.certificates_accepted += prepared
-        .block
+    world.metrics.certificates_accepted += block
         .transactions
         .iter()
         .filter(|tx| matches!(tx, McTransaction::Certificate(_)))
         .count() as u64;
-    let block = prepared.block.clone();
     let withhold_all = world.withhold_certificates;
     let record = telemetry.is_enabled();
 
@@ -305,15 +215,15 @@ fn step_sharded_body(
         router,
         shards,
         order,
+        workers,
         ..
     } = world;
+    let workers = *workers;
 
-    // Live shards in declaration order, each paired with its original
-    // index (effects are re-ordered by it afterwards) and its inbound
-    // partition (by value — no shard touches the router).
+    // Live shards in declaration order.
     let mut by_id: std::collections::BTreeMap<SidechainId, &mut SidechainShard> =
         shards.iter_mut().map(|(id, shard)| (*id, shard)).collect();
-    let mut work: Vec<(usize, &mut SidechainShard, Vec<CrossChainTransfer>)> = Vec::new();
+    let mut work: Lane<'_> = Vec::new();
     for (index, id) in order.iter().enumerate() {
         let shard = by_id.remove(id).expect("declared");
         if shard.quarantined {
@@ -332,70 +242,43 @@ fn step_sharded_body(
         })
         .clamp(1, live.max(1));
 
-    let (submit_result, mut indexed_effects, mc_tail_nanos) = if workers <= 1 {
-        // No parallelism available: submit first, then walk the shards
-        // in order on this thread (identical outcomes, no spawn cost).
-        let (submit, tail) = telemetry.time("tick.mc.submit", || {
-            let submit = chain.submit_prepared(prepared).map(|_| ());
-            if submit.is_ok() {
-                router.observe_block(chain, &block);
+    // The coordinator's own critical path through the shard phase:
+    // stage 2 consumes the carried verdicts, stage 3 applies, and the
+    // router observes the connected block.
+    let block_ref = &block;
+    let submit = || {
+        telemetry.time("tick.mc.submit", || {
+            let result = chain
+                .submit(block_ref.clone(), Some(verdicts), proof)
+                .map(|_| ());
+            if result.is_ok() {
+                router.observe_block(chain, block_ref);
             }
-            submit
-        });
-        let effects = work
-            .into_iter()
-            .map(|(index, shard, inbound)| {
-                (
-                    index,
-                    shard.sync_and_certify(&block, withhold_all, inbound, record),
-                )
-            })
-            .collect::<Vec<_>>();
+            result
+        })
+    };
+
+    let (submit_result, mut indexed_effects, mc_tail_nanos) = if workers <= 1 {
+        // One lane: submit first, then walk the shards in order on this
+        // thread (identical outcomes, no spawn cost).
+        let (submit, tail) = submit();
+        let effects = run_lane(work, block_ref, withhold_all, record);
         (submit, effects, tail)
     } else {
         // Round-robin the shards over `workers` lanes; the coordinator
-        // thread submits the block (stage 2 consumes the recorded
-        // verdicts, stage 3 applies) and feeds the router while the
-        // lanes sync.
-        let mut lanes: Vec<Vec<(usize, &mut SidechainShard, Vec<CrossChainTransfer>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
+        // thread submits the block while the lanes sync.
+        let mut lanes: Vec<Lane<'_>> = (0..workers).map(|_| Vec::new()).collect();
         for (slot, item) in work.into_iter().enumerate() {
             lanes[slot % workers].push(item);
         }
-        let block_ref = &block;
         thread::scope(|scope| {
             let handles: Vec<_> = lanes
                 .into_iter()
-                .map(|lane| {
-                    scope.spawn(move |_| {
-                        lane.into_iter()
-                            .map(|(index, shard, inbound)| {
-                                (
-                                    index,
-                                    shard.sync_and_certify(
-                                        block_ref,
-                                        withhold_all,
-                                        inbound,
-                                        record,
-                                    ),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
+                .map(|lane| scope.spawn(move |_| run_lane(lane, block_ref, withhold_all, record)))
                 .collect();
-            // Coordinator critical path, overlapped with the lanes.
-            let (submit, tail) = telemetry.time("tick.mc.submit", || {
-                let submit = chain.submit_prepared(prepared).map(|_| ());
-                if submit.is_ok() {
-                    router.observe_block(chain, block_ref);
-                }
-                submit
-            });
+            let (submit, tail) = submit();
             let mut effects = Vec::with_capacity(live);
             for handle in handles {
-                // Shard panics are contained inside `sync_and_certify`;
-                // a lane itself never panics.
                 effects.extend(handle.join().expect("worker lane panicked"));
             }
             (submit, effects, tail)
@@ -416,7 +299,7 @@ fn step_sharded_body(
         let mut shard_nanos = Vec::with_capacity(indexed_effects.len());
         let mut first_error = None;
         for (_, effects) in indexed_effects {
-            shard_nanos.push((effects.id, effects.nanos));
+            shard_nanos.push(effects.nanos);
             let error = apply_effects(world, effects);
             if first_error.is_none() {
                 first_error = error;

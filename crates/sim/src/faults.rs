@@ -10,7 +10,8 @@
 //! [`crate::audit::ConservationAuditor`]).
 //!
 //! Plans are data, so the same plan replays bit-identically under
-//! every [`crate::StepMode`] and [`zendoo_mainchain::VerifyMode`] —
+//! every [`crate::SimConfig::workers`] count and
+//! [`zendoo_mainchain::VerifyMode`] —
 //! and [`FaultPlan::random`] derives arbitrarily composed plans from a
 //! single seed, which the property tests print on failure for exact
 //! reproduction.

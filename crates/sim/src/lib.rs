@@ -15,7 +15,7 @@
 //! The world is an MC-side **coordinator** plus one [`shard`] per
 //! sidechain; since the mainchain never executes sidechain logic (the
 //! paper's decoupling), the per-tick sidechain phase fans out over
-//! worker threads under [`shard::StepMode::Sharded`]:
+//! [`SimConfig::workers`] worker threads:
 //!
 //! ```text
 //!                ┌──────────── coordinator ────────────┐
@@ -34,8 +34,8 @@
 //! ```
 //!
 //! Shards return ordered effect logs the coordinator applies in
-//! declaration order, so a sharded step is **bit-identical** to a
-//! serial step (`tests/determinism.rs`); a panicking shard is
+//! declaration order, so a tick is **bit-identical** for every worker
+//! count (`tests/determinism.rs`); a panicking shard is
 //! quarantined and its chain ceases like any liveness-faulty
 //! sidechain. See the "Concurrency model" section of `ARCHITECTURE.md`
 //! and `docs/SCENARIOS.md` for the scenario ↔ paper map.
@@ -66,6 +66,6 @@ pub use audit::{AuditSnapshot, AuditViolation, ConservationAuditor};
 pub use events::{Action, Schedule};
 pub use faults::{Fault, FaultPlan, RunError};
 pub use metrics::Metrics;
-pub use shard::{ShardEffects, ShardMetrics, SidechainShard, StepMode};
+pub use shard::{ShardEffects, ShardMetrics, SidechainShard};
 pub use world::{ScInstance, SimConfig, SimError, User, World};
 pub use zendoo_mainchain::pipeline::VerifyMode;

@@ -8,7 +8,6 @@
 use crate::audit::ConservationAuditor;
 use crate::events::{Action, Schedule};
 use crate::faults::{Fault, FaultPlan, RunError};
-use crate::shard::StepMode;
 use crate::world::{SimConfig, SimError, World};
 use zendoo_mainchain::pipeline::VerifyMode;
 
@@ -151,15 +150,19 @@ pub fn ring_schedule(chains: usize) -> Schedule {
 /// Scale scenario: `chains` sidechains advancing in lockstep, every
 /// chain simultaneously sending one cross-chain transfer to its ring
 /// successor — the workload of the sharded-simulation benchmark and
-/// the determinism suite. `mode` selects the step implementation
-/// (outcomes are identical in every mode).
+/// the determinism suite. `workers` is [`SimConfig::workers`]
+/// (outcomes are identical for every value).
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`].
-pub fn cross_chain_ring(chains: usize, epochs: u32, mode: StepMode) -> Result<World, SimError> {
+pub fn cross_chain_ring(
+    chains: usize,
+    epochs: u32,
+    workers: Option<usize>,
+) -> Result<World, SimError> {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         epoch_len: ring_epoch_len(chains),
         ..SimConfig::with_sidechains(chains)
     };
@@ -195,11 +198,10 @@ pub fn sustained_load(epochs: u32, payments_per_block: u32) -> Result<World, Sim
 
 // ---- Composed Byzantine scenarios -------------------------------------
 //
-// Each takes the step and verify modes explicitly so the Byzantine
-// suite can assert bit-identical outcomes across
-// `StepMode::{Serial,Sharded}` × `VerifyMode::{Individual,Aggregated}`,
-// and returns the world together with the auditor that watched every
-// tick.
+// Each takes the worker count and verify mode explicitly so the
+// Byzantine suite can assert bit-identical outcomes across
+// `workers` × `VerifyMode::{Individual,Aggregated}`, and returns the
+// world together with the auditor that watched every tick.
 
 /// Composed fault 1 — *partition healing into a reorg storm with escrow
 /// value in flight*: three chains; a cross-chain transfer escrows on
@@ -213,11 +215,11 @@ pub fn sustained_load(epochs: u32, payments_per_block: u32) -> Result<World, Sim
 ///
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn partition_reorg_storm(
-    mode: StepMode,
+    workers: Option<usize>,
     verify: VerifyMode,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         verify_mode: verify,
         ..SimConfig::with_sidechains(3)
     };
@@ -262,11 +264,11 @@ pub fn partition_reorg_storm(
 ///
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn certifier_quality_wars(
-    mode: StepMode,
+    workers: Option<usize>,
     verify: VerifyMode,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         verify_mode: verify,
         ..SimConfig::with_sidechains(2)
     };
@@ -300,7 +302,7 @@ pub const CASCADE_SENDERS: usize = 6;
 ///
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn withholding_cascade(
-    mode: StepMode,
+    workers: Option<usize>,
     verify: VerifyMode,
     users: usize,
 ) -> Result<(World, ConservationAuditor), RunError> {
@@ -317,7 +319,7 @@ pub fn withholding_cascade(
         genesis_users.push((format!("sender-{i}"), 100_000));
     }
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         verify_mode: verify,
         genesis_users,
         extra_genesis_outputs: population.genesis_outputs(),
@@ -367,11 +369,11 @@ pub fn withholding_cascade(
 ///
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn relay_equivocation(
-    mode: StepMode,
+    workers: Option<usize>,
     verify: VerifyMode,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         verify_mode: verify,
         ..SimConfig::with_sidechains(2)
     };
@@ -408,12 +410,12 @@ pub fn relay_equivocation(
 ///
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn long_horizon_soak(
-    mode: StepMode,
+    workers: Option<usize>,
     verify: VerifyMode,
     epochs: u64,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         verify_mode: verify,
         ..SimConfig::with_sidechains(3)
     };

@@ -13,11 +13,11 @@
 //! coordinator state.
 //!
 //! The coordinator (`World::step`) applies effect logs in sidechain
-//! **declaration order**, which is what makes a parallel step
-//! bit-identical to a serial one: the only shard→coordinator channel
-//! is the effect log, and its application order is fixed regardless of
-//! thread scheduling. See `docs/SCENARIOS.md` and the "Concurrency
-//! model" section of `ARCHITECTURE.md`.
+//! **declaration order**, which is what makes a tick bit-identical for
+//! every worker count: the only shard→coordinator channel is the
+//! effect log, and its application order is fixed regardless of thread
+//! scheduling. See `docs/SCENARIOS.md` and the "Concurrency model"
+//! section of `ARCHITECTURE.md`.
 //!
 //! Shards also contain **panics**: a panicking shard is quarantined
 //! (its sidechain stops syncing and certifying — from the mainchain's
@@ -34,35 +34,6 @@ use zendoo_mainchain::Block;
 use zendoo_telemetry::Snapshot;
 
 use crate::world::ScInstance;
-
-/// How `World::step` executes its per-sidechain phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepMode {
-    /// The reference implementation: the legacy per-candidate greedy
-    /// block fill (inline proof verification at build *and* submit)
-    /// followed by a sequential walk over the shards. Kept as the
-    /// determinism oracle and the benchmark baseline.
-    Serial,
-    /// The sharded coordinator: one-pass block preparation with
-    /// recorded proof verdicts reused at submission, and the
-    /// per-sidechain phase fanned out over scoped worker threads while
-    /// the coordinator overlaps the block's stage-2/3 submission.
-    /// Outcomes are bit-identical to [`StepMode::Serial`] (enforced by
-    /// `tests/determinism.rs`).
-    Sharded {
-        /// Worker-thread count; `None` uses one lane per available
-        /// core. Clamped to the shard count; `1` short-circuits to an
-        /// in-thread loop with no spawn overhead.
-        workers: Option<usize>,
-    },
-}
-
-impl Default for StepMode {
-    /// Sharded with one worker lane per available core.
-    fn default() -> Self {
-        StepMode::Sharded { workers: None }
-    }
-}
 
 /// Per-sidechain counters, owned by the shard itself (the global
 /// [`crate::metrics::Metrics`] aggregates across chains).

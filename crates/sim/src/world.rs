@@ -7,11 +7,11 @@
 //! users and the global metrics) and one [`SidechainShard`] per
 //! deployed sidechain (the node, its fault flags and per-chain
 //! metrics). Each tick the coordinator mines the next mainchain block
-//! and hands it to every shard; under [`StepMode::Sharded`] the shards
-//! run on scoped worker threads, overlapped with the block's own
-//! proof-verification stage, and return ordered effect logs the
-//! coordinator applies in declaration order — so a parallel step is
-//! bit-identical to a serial one.
+//! and hands it to every shard; the shards run on scoped worker
+//! threads ([`SimConfig::workers`] lanes), overlapped with the block's
+//! own submission, and return ordered effect logs the coordinator
+//! applies in declaration order — so a tick is bit-identical for every
+//! worker count.
 //!
 //! The world drives each sidechain node block-by-block against the
 //! shared mainchain, produces certificates per sidechain at epoch
@@ -20,14 +20,14 @@
 //!
 //! # Examples
 //!
-//! Two sidechains exchange value through the mainchain; the parallel
-//! step mode is an explicit switch:
+//! Two sidechains exchange value through the mainchain, on two worker
+//! lanes:
 //!
 //! ```
-//! use zendoo_sim::{Schedule, Action, SimConfig, StepMode, World};
+//! use zendoo_sim::{Schedule, Action, SimConfig, World};
 //!
 //! let mut config = SimConfig::with_sidechains(2);
-//! config.step_mode = StepMode::Sharded { workers: Some(2) };
+//! config.workers = Some(2);
 //! let mut world = World::new(config);
 //!
 //! let schedule = Schedule::new()
@@ -62,7 +62,7 @@ use zendoo_telemetry::{InMemoryRecorder, Snapshot, Telemetry};
 
 use crate::coordinator;
 use crate::metrics::Metrics;
-use crate::shard::{ShardMetrics, SidechainShard, StepMode};
+use crate::shard::{ShardMetrics, SidechainShard};
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -81,9 +81,13 @@ pub struct SimConfig {
     pub genesis_users: Vec<(String, u64)>,
     /// Setup seed (keys are deterministic per seed).
     pub seed: Vec<u8>,
-    /// How [`World::step`] executes (see [`StepMode`]); switchable
-    /// later via [`World::set_step_mode`].
-    pub step_mode: StepMode,
+    /// Worker lanes for the per-sidechain phase of [`World::step`]:
+    /// `None` (the default) uses one lane per available core. Clamped
+    /// to the live shard count; `Some(1)` is an in-thread sequential
+    /// loop with no spawn overhead — the determinism reference.
+    /// Outcomes are bit-identical for every value; only the wall-clock
+    /// profile changes.
+    pub workers: Option<usize>,
     /// When `true` the world records telemetry into an
     /// [`InMemoryRecorder`] from construction on (spans, counters and
     /// histograms across the mainchain pipeline, the router and the
@@ -125,7 +129,7 @@ impl Default for SimConfig {
             mst_depth: 16,
             genesis_users: vec![("alice".into(), 1_000_000), ("bob".into(), 500_000)],
             seed: b"zendoo-sim".to_vec(),
-            step_mode: StepMode::default(),
+            workers: None,
             telemetry: false,
             verify_mode: VerifyMode::default(),
             mempool: MempoolConfig::default(),
@@ -286,10 +290,9 @@ pub struct World {
     /// The cross-chain transfer router.
     pub router: CrossChainRouter,
     /// The fee-prioritized pool of MC transactions awaiting the next
-    /// block (capacity from [`SimConfig::mempool`]). Both step modes
-    /// drain it through [`Mempool::take_ordered`], so the template
-    /// order — consensus, settlements, transfers by fee rate — is
-    /// identical in every mode.
+    /// block (capacity from [`SimConfig::mempool`]). The tick drains it
+    /// through [`Mempool::take_ordered`]: template order is consensus,
+    /// settlements, transfers by fee rate.
     pub(crate) mc_mempool: Mempool,
     /// When `true`, certificates of *all* sidechains are produced but
     /// not submitted (the withheld-certificate fault).
@@ -311,8 +314,8 @@ pub struct World {
     pub(crate) forged_certs: BTreeSet<zendoo_primitives::digest::Digest32>,
     pub(crate) miner: Wallet,
     pub(crate) time: u64,
-    /// How `step` executes (serial reference vs sharded workers).
-    pub(crate) mode: StepMode,
+    /// Worker lanes for the shard phase ([`SimConfig::workers`]).
+    pub(crate) workers: Option<usize>,
     /// The telemetry handle shared by the chain, the router, the miner
     /// admission path and the coordinator (disabled unless
     /// [`SimConfig::telemetry`] or [`World::enable_telemetry`]).
@@ -486,7 +489,7 @@ impl World {
             forged_certs: BTreeSet::new(),
             miner,
             time: 1,
-            mode: config.step_mode,
+            workers: config.workers,
             telemetry,
             recorder,
             persistence: None,
@@ -761,7 +764,7 @@ impl World {
     /// stage-1 stateless precheck, fee resolution against the
     /// confirmed UTXO set (establishing the entry's priority), then
     /// [`Mempool::admit`]. Every transaction pooled here has passed
-    /// precheck, which is what lets both step modes hand the drained
+    /// precheck, which is what lets the tick hand the drained
     /// template to the block builder as *admitted* candidates (the
     /// redundant stage-1 re-run is skipped and counted as
     /// `mc.precheck.skipped`).
@@ -1243,18 +1246,6 @@ impl World {
 
     // ---- Progression --------------------------------------------------
 
-    /// The current step mode.
-    pub fn step_mode(&self) -> StepMode {
-        self.mode
-    }
-
-    /// Switches how [`World::step`] executes. Outcomes are identical in
-    /// every mode (see [`StepMode`]); only the wall-clock profile
-    /// changes.
-    pub fn set_step_mode(&mut self, mode: StepMode) {
-        self.mode = mode;
-    }
-
     /// The mainchain's current proof-verification mode.
     pub fn verify_mode(&self) -> VerifyMode {
         self.chain.verify_mode()
@@ -1308,7 +1299,7 @@ impl World {
 
     /// Merges a shard-local snapshot into the world recorder (used by
     /// the coordinator, which absorbs shard effects in declaration
-    /// order so Serial and Sharded aggregation are identical).
+    /// order so the aggregate is identical for every worker count).
     pub(crate) fn absorb_shard_telemetry(&mut self, snapshot: &Snapshot) {
         if let Some(recorder) = &self.recorder {
             recorder.absorb(snapshot);
@@ -1321,9 +1312,9 @@ impl World {
     /// sidechain shard, and — at epoch boundaries — produces and
     /// (unless withheld) submits each sidechain's certificate.
     ///
-    /// Under [`StepMode::Sharded`] the per-sidechain phase runs on
-    /// scoped worker threads, overlapped with the block's submission;
-    /// the result is bit-identical to [`StepMode::Serial`].
+    /// The per-sidechain phase runs on [`SimConfig::workers`] scoped
+    /// worker lanes, overlapped with the block's submission; the result
+    /// is bit-identical for every worker count.
     ///
     /// # Errors
     ///
@@ -1456,7 +1447,7 @@ impl World {
                 reorged = true;
                 // Transactions from disconnected blocks re-enter the
                 // mempool (mirrors `Miner::on_reorg`); the next step's
-                // greedy filter drops any that became invalid on the
+                // block builder rejects any that became invalid on the
                 // new branch.
                 for hash in &disconnected {
                     if let Some(block) = self.chain.block(hash) {
@@ -1493,7 +1484,7 @@ impl World {
             }
         }
         // Roll every live shard back to the fork base and replay the
-        // branch (a rare path, kept serial in every step mode). Stalled
+        // branch (a rare path, always sequential). Stalled
         // shards only get their backlog rewritten — they catch up when
         // they heal.
         let mut reverted = 0;

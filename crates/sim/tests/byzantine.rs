@@ -3,36 +3,17 @@
 //! storms, withholding cascades, quality wars, relay equivocation) in
 //! one run, a [`ConservationAuditor`] checks every value pool after
 //! every tick, and every scenario must be bit-identical across
-//! `StepMode::{Serial,Sharded}` × `VerifyMode::{Individual,Aggregated}`
-//! — the fault machinery itself is part of the determinism contract.
+//! `workers ∈ {1, 2, 3, 4, per-core}` ×
+//! `VerifyMode::{Individual,Aggregated}` — the fault machinery itself
+//! is part of the determinism contract — and replayable by a cacheless
+//! follower.
 
+mod common;
+
+use common::{assert_follower_replay_matches, MATRIX};
 use zendoo_mainchain::SidechainStatus;
 use zendoo_sim::scenarios::{self, CASCADE_SENDERS};
-use zendoo_sim::{ConservationAuditor, RunError, SimError, StepMode, VerifyMode, World};
-
-/// Every (step, verify) combination each scenario must agree across.
-const MODES: [(StepMode, VerifyMode, &str); 4] = [
-    (
-        StepMode::Serial,
-        VerifyMode::Individual,
-        "serial/individual",
-    ),
-    (
-        StepMode::Sharded { workers: Some(3) },
-        VerifyMode::Individual,
-        "sharded(3)/individual",
-    ),
-    (
-        StepMode::Serial,
-        VerifyMode::Aggregated,
-        "serial/aggregated",
-    ),
-    (
-        StepMode::Sharded { workers: Some(2) },
-        VerifyMode::Aggregated,
-        "sharded(2)/aggregated",
-    ),
-];
+use zendoo_sim::{ConservationAuditor, RunError, SimError, VerifyMode, World};
 
 /// Everything externally observable, for cross-mode comparison.
 fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
@@ -44,31 +25,34 @@ fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// Runs `scenario` under every mode combination, asserts all runs are
-/// bit-identical (world state, metrics and the full audited snapshot
-/// stream), and returns the serial/individual reference run.
+/// Runs `scenario` under every `(workers, verify)` pair of the matrix,
+/// asserts all runs are bit-identical (world state, metrics and the
+/// full audited snapshot stream) and that a cacheless follower replays
+/// the reference chain, and returns the one-lane/individual reference
+/// run.
 fn assert_identical_across_modes(
     name: &str,
-    scenario: impl Fn(StepMode, VerifyMode) -> Result<(World, ConservationAuditor), RunError>,
+    scenario: impl Fn(Option<usize>, VerifyMode) -> Result<(World, ConservationAuditor), RunError>,
 ) -> (World, ConservationAuditor) {
-    let (reference, reference_audit) = scenario(MODES[0].0, MODES[0].1)
-        .unwrap_or_else(|e| panic!("{name} failed under {}: {e}", MODES[0].2));
+    let (reference, reference_audit) = scenario(MATRIX[0].0, MATRIX[0].1)
+        .unwrap_or_else(|e| panic!("{name} failed under {:?}: {e}", MATRIX[0]));
     assert!(
         !reference_audit.snapshots().is_empty(),
         "{name}: auditor observed no ticks"
     );
-    for (mode, verify, label) in MODES.into_iter().skip(1) {
-        let (world, audit) =
-            scenario(mode, verify).unwrap_or_else(|e| panic!("{name} failed under {label}: {e}"));
+    assert_follower_replay_matches(&reference);
+    for (workers, verify) in MATRIX.into_iter().skip(1) {
+        let (world, audit) = scenario(workers, verify)
+            .unwrap_or_else(|e| panic!("{name} failed under ({workers:?}, {verify:?}): {e}"));
         assert_eq!(
             observe(&reference),
             observe(&world),
-            "{name}: {label} diverged from the serial/individual reference"
+            "{name}: ({workers:?}, {verify:?}) diverged from the reference"
         );
         assert_eq!(
             reference_audit.snapshots(),
             audit.snapshots(),
-            "{name}: {label} audit history diverged"
+            "{name}: ({workers:?}, {verify:?}) audit history diverged"
         );
     }
     (reference, reference_audit)

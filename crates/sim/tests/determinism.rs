@@ -1,12 +1,17 @@
-//! The sharded-world determinism contract: a parallel step is
-//! bit-identical to a serial step, and a panicking shard is contained
-//! without perturbing the rest of the world — with or without
-//! telemetry recording enabled.
+//! The sharded-world determinism contract: a tick is bit-identical for
+//! every worker count (one lane — the in-thread sequential loop — is
+//! the reference), and a panicking shard is contained without
+//! perturbing the rest of the world — with or without telemetry
+//! recording enabled. A cacheless follower replay checks that no cache
+//! on the tick's block path ever changed an outcome.
 
-use zendoo_sim::{scenarios, Action, Schedule, SimConfig, StepMode, VerifyMode, World};
+mod common;
+
+use common::{assert_follower_replay_matches, MATRIX};
+use zendoo_sim::{scenarios, Action, Schedule, SimConfig, VerifyMode, World};
 use zendoo_telemetry::{Histogram, Snapshot};
 
-/// Every externally observable outcome of a run, for cross-mode
+/// Every externally observable outcome of a run, for cross-run
 /// comparison.
 fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
     let tip = world.chain.tip_hash();
@@ -48,50 +53,43 @@ fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
 }
 
 #[test]
-fn sharded_16_chain_world_is_bit_identical_to_serial() {
+fn four_lane_16_chain_world_is_bit_identical_to_one_lane() {
     let epochs = 2;
-    let serial = scenarios::cross_chain_ring(16, epochs, StepMode::Serial).unwrap();
-    let sharded =
-        scenarios::cross_chain_ring(16, epochs, StepMode::Sharded { workers: Some(4) }).unwrap();
+    let one_lane = scenarios::cross_chain_ring(16, epochs, Some(1)).unwrap();
+    let four_lanes = scenarios::cross_chain_ring(16, epochs, Some(4)).unwrap();
     // The workload is non-trivial: every chain certified and the ring
     // transfers settled.
-    assert!(serial.metrics.certificates_accepted >= 16);
-    assert_eq!(serial.metrics.cross_transfers_initiated, 16);
-    assert_eq!(serial.metrics.cross_transfers_delivered, 16);
-    assert!(serial.conservation_holds() && serial.safeguards_hold());
+    assert!(one_lane.metrics.certificates_accepted >= 16);
+    assert_eq!(one_lane.metrics.cross_transfers_initiated, 16);
+    assert_eq!(one_lane.metrics.cross_transfers_delivered, 16);
+    assert!(one_lane.conservation_holds() && one_lane.safeguards_hold());
 
     assert_eq!(
-        observe(&serial),
-        observe(&sharded),
-        "sharded step diverged from the serial reference"
+        observe(&one_lane),
+        observe(&four_lanes),
+        "four worker lanes diverged from the one-lane reference"
     );
+    assert_follower_replay_matches(&one_lane);
 }
 
 #[test]
 fn worker_count_does_not_change_outcomes() {
-    let base = scenarios::cross_chain_ring(5, 1, StepMode::Sharded { workers: Some(1) }).unwrap();
-    for workers in [2usize, 5, 16] {
-        let other = scenarios::cross_chain_ring(
-            5,
-            1,
-            StepMode::Sharded {
-                workers: Some(workers),
-            },
-        )
-        .unwrap();
+    let base = scenarios::cross_chain_ring(5, 1, Some(1)).unwrap();
+    for workers in [Some(2), Some(5), Some(16), None] {
+        let other = scenarios::cross_chain_ring(5, 1, workers).unwrap();
         assert_eq!(
             observe(&base),
             observe(&other),
-            "outcome changed at workers={workers}"
+            "outcome changed at workers={workers:?}"
         );
     }
 }
 
-/// Runs a 4-chain world in `mode` with a crash fault injected on chain
-/// 2 just before its epoch-0 certificate.
-fn panic_world(mode: StepMode) -> World {
+/// Runs a 4-chain world on `workers` lanes with a crash fault injected
+/// on chain 2 just before its epoch-0 certificate.
+fn panic_world(workers: Option<usize>) -> World {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         ..SimConfig::with_sidechains(4)
     };
     let mut world = World::new(config.clone());
@@ -105,17 +103,17 @@ fn panic_world(mode: StepMode) -> World {
 
 #[test]
 fn shard_panic_is_contained_and_quarantines_only_that_chain() {
-    for mode in [
-        StepMode::Serial,
-        StepMode::Sharded { workers: Some(4) },
-        StepMode::Sharded { workers: Some(1) },
-    ] {
-        let world = panic_world(mode);
+    for workers in [Some(1), Some(4), None] {
+        let world = panic_world(workers);
         let ids = world.sidechain_ids().to_vec();
 
         // The panic was contained, counted, and quarantined chain 2.
-        assert_eq!(world.metrics.shard_panics, 1, "{mode:?}");
-        assert_eq!(world.quarantined_sidechains(), vec![ids[2]], "{mode:?}");
+        assert_eq!(world.metrics.shard_panics, 1, "workers={workers:?}");
+        assert_eq!(
+            world.quarantined_sidechains(),
+            vec![ids[2]],
+            "workers={workers:?}"
+        );
         assert_eq!(world.shard_metrics_of(&ids[2]).unwrap().panics, 1);
         assert!(world.shard(&ids[2]).unwrap().is_quarantined());
 
@@ -125,7 +123,7 @@ fn shard_panic_is_contained_and_quarantines_only_that_chain() {
         assert_eq!(
             world.sidechain_status_of(&ids[2]),
             Some(zendoo_mainchain::SidechainStatus::Ceased),
-            "{mode:?}"
+            "workers={workers:?}"
         );
 
         // Every other chain kept certifying on schedule.
@@ -133,36 +131,37 @@ fn shard_panic_is_contained_and_quarantines_only_that_chain() {
             assert_eq!(
                 world.sidechain_status_of(&id),
                 Some(zendoo_mainchain::SidechainStatus::Active),
-                "{mode:?}"
+                "workers={workers:?}"
             );
             assert!(world.shard_metrics_of(&id).unwrap().certificates_produced >= 2);
         }
         // And the world's global invariants held throughout.
-        assert!(world.conservation_holds(), "{mode:?}");
-        assert!(world.safeguards_hold(), "{mode:?}");
+        assert!(world.conservation_holds(), "workers={workers:?}");
+        assert!(world.safeguards_hold(), "workers={workers:?}");
     }
 }
 
 #[test]
-fn panic_containment_is_mode_independent() {
-    let serial = panic_world(StepMode::Serial);
-    let sharded = panic_world(StepMode::Sharded { workers: Some(3) });
+fn panic_containment_is_worker_count_independent() {
+    let one_lane = panic_world(Some(1));
+    let three_lanes = panic_world(Some(3));
     assert_eq!(
-        observe(&serial),
-        observe(&sharded),
-        "panic containment diverged across modes"
+        observe(&one_lane),
+        observe(&three_lanes),
+        "panic containment diverged across worker counts"
     );
+    assert_follower_replay_matches(&one_lane);
 }
 
 /// An escrow settlement landing in the very tick a shard is
 /// quarantined, plus a second escrowed transfer whose destination *is*
 /// the quarantined chain: the quarantine path cannot strand escrowed
-/// value in either step mode — the first transfer delivers, the second
-/// refunds once the crashed chain ceases, and both modes agree
+/// value on any worker count — the first transfer delivers, the second
+/// refunds once the crashed chain ceases, and the runs agree
 /// bit-for-bit.
-fn escrow_vs_quarantine_world(mode: StepMode) -> World {
+fn escrow_vs_quarantine_world(workers: Option<usize>) -> World {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         ..SimConfig::with_sidechains(3)
     };
     let mut world = World::new(config);
@@ -183,32 +182,45 @@ fn escrow_vs_quarantine_world(mode: StepMode) -> World {
 
 #[test]
 fn escrow_spend_in_quarantine_tick_strands_no_value() {
-    for mode in [StepMode::Serial, StepMode::Sharded { workers: Some(3) }] {
-        let world = escrow_vs_quarantine_world(mode);
+    for workers in [Some(1), Some(3)] {
+        let world = escrow_vs_quarantine_world(workers);
         let ids = world.sidechain_ids().to_vec();
 
         // The crash was contained in the settlement tick and the chain
         // ceased as a liveness fault.
-        assert_eq!(world.metrics.shard_panics, 1, "{mode:?}");
-        assert_eq!(world.quarantined_sidechains(), vec![ids[2]], "{mode:?}");
+        assert_eq!(world.metrics.shard_panics, 1, "workers={workers:?}");
+        assert_eq!(
+            world.quarantined_sidechains(),
+            vec![ids[2]],
+            "workers={workers:?}"
+        );
         assert_eq!(
             world.sidechain_status_of(&ids[2]),
             Some(zendoo_mainchain::SidechainStatus::Ceased),
-            "{mode:?}"
+            "workers={workers:?}"
         );
 
         // No escrowed value stranded: one transfer delivered (same
         // tick as the panic), the other refunded after the ceasing.
-        assert_eq!(world.metrics.cross_transfers_initiated, 2, "{mode:?}");
-        assert_eq!(world.metrics.cross_transfers_delivered, 1, "{mode:?}");
-        assert_eq!(world.metrics.cross_transfers_refunded, 1, "{mode:?}");
+        assert_eq!(
+            world.metrics.cross_transfers_initiated, 2,
+            "workers={workers:?}"
+        );
+        assert_eq!(
+            world.metrics.cross_transfers_delivered, 1,
+            "workers={workers:?}"
+        );
+        assert_eq!(
+            world.metrics.cross_transfers_refunded, 1,
+            "workers={workers:?}"
+        );
         let records = world.router.settlements();
-        assert_eq!(records.len(), 2, "{mode:?}");
+        assert_eq!(records.len(), 2, "workers={workers:?}");
         assert_eq!(
             records[0].mc_height, 11,
-            "epoch-0 settlement landed in the quarantine tick's block ({mode:?})"
+            "epoch-0 settlement landed in the quarantine tick's block (workers={workers:?})"
         );
-        assert_eq!(records[1].refund_txs, 1, "{mode:?}");
+        assert_eq!(records[1].refund_txs, 1, "workers={workers:?}");
 
         // The refund paid alice's payback address on the mainchain.
         let alice = world.user("alice").unwrap().clone();
@@ -220,29 +232,30 @@ fn escrow_spend_in_quarantine_tick_strands_no_value() {
                 .balance_of(&alice.mc_address())
                 .units(),
             1_000_000 - 20_000 + 3_000,
-            "{mode:?}"
+            "workers={workers:?}"
         );
-        assert!(world.conservation_holds(), "{mode:?}");
-        assert!(world.safeguards_hold(), "{mode:?}");
+        assert!(world.conservation_holds(), "workers={workers:?}");
+        assert!(world.safeguards_hold(), "workers={workers:?}");
     }
 
-    // And the whole story is bit-identical across step modes.
-    let serial = escrow_vs_quarantine_world(StepMode::Serial);
-    let sharded = escrow_vs_quarantine_world(StepMode::Sharded { workers: Some(3) });
+    // And the whole story is bit-identical across worker counts.
+    let one_lane = escrow_vs_quarantine_world(Some(1));
+    let three_lanes = escrow_vs_quarantine_world(Some(3));
     assert_eq!(
-        observe(&serial),
-        observe(&sharded),
-        "escrow-vs-quarantine run diverged across modes"
+        observe(&one_lane),
+        observe(&three_lanes),
+        "escrow-vs-quarantine run diverged across worker counts"
     );
+    assert_follower_replay_matches(&one_lane);
 }
 
 // ---- Telemetry recording must not perturb determinism ---------------
 
 /// Runs the ring workload with telemetry recording **on** from
 /// construction.
-fn instrumented_ring(chains: usize, epochs: u32, mode: StepMode) -> World {
+fn instrumented_ring(chains: usize, epochs: u32, workers: Option<usize>) -> World {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         epoch_len: scenarios::ring_epoch_len(chains),
         telemetry: true,
         ..SimConfig::with_sidechains(chains)
@@ -293,27 +306,26 @@ fn deterministic_view(
 }
 
 /// The tentpole determinism claim under instrumentation: a recording
-/// 16-chain world is still bit-identical Serial vs Sharded (telemetry
-/// is strictly write-only — no instrument site feeds back into
-/// consensus or scheduling).
+/// 16-chain world is still bit-identical on one lane and on four
+/// (telemetry is strictly write-only — no instrument site feeds back
+/// into consensus or scheduling).
 #[test]
-fn instrumented_16_chain_world_is_bit_identical_across_modes() {
-    let serial = instrumented_ring(16, 1, StepMode::Serial);
-    let sharded = instrumented_ring(16, 1, StepMode::Sharded { workers: Some(4) });
-    assert!(serial.metrics.certificates_accepted >= 16);
-    assert!(serial.conservation_holds() && serial.safeguards_hold());
+fn instrumented_16_chain_world_is_bit_identical_across_worker_counts() {
+    let one_lane = instrumented_ring(16, 1, Some(1));
+    let four_lanes = instrumented_ring(16, 1, Some(4));
+    assert!(one_lane.metrics.certificates_accepted >= 16);
+    assert!(one_lane.conservation_holds() && one_lane.safeguards_hold());
     assert_eq!(
-        observe(&serial),
-        observe(&sharded),
-        "recording telemetry perturbed the sharded/serial contract"
+        observe(&one_lane),
+        observe(&four_lanes),
+        "recording telemetry perturbed the worker-count contract"
     );
 
-    // Both modes recorded real data…
-    let serial_snap = serial.telemetry_snapshot();
-    let sharded_snap = sharded.telemetry_snapshot();
-    assert!(!serial_snap.is_empty() && !sharded_snap.is_empty());
-    // …and the counters that describe *outcomes* (rather than how the
-    // mode schedules verification work) agree across modes exactly.
+    // Both runs recorded real data…
+    let one_lane_snap = one_lane.telemetry_snapshot();
+    let four_lanes_snap = four_lanes.telemetry_snapshot();
+    assert!(!one_lane_snap.is_empty() && !four_lanes_snap.is_empty());
+    // …and the counters that describe *outcomes* agree exactly.
     for name in [
         "mc.blocks_connected",
         "mc.rejects",
@@ -323,25 +335,27 @@ fn instrumented_16_chain_world_is_bit_identical_across_modes() {
         "shard.certificates_produced",
     ] {
         assert_eq!(
-            serial_snap.counters.get(name),
-            sharded_snap.counters.get(name),
-            "outcome counter {name} diverged across modes"
+            one_lane_snap.counters.get(name),
+            four_lanes_snap.counters.get(name),
+            "outcome counter {name} diverged across worker counts"
         );
     }
     assert_eq!(
-        serial_snap.histograms.get("router.settlement.batch_size"),
-        sharded_snap.histograms.get("router.settlement.batch_size"),
-        "settlement batch-size histogram diverged across modes"
+        one_lane_snap.histograms.get("router.settlement.batch_size"),
+        four_lanes_snap
+            .histograms
+            .get("router.settlement.batch_size"),
+        "settlement batch-size histogram diverged across worker counts"
     );
 }
 
 // ---- Aggregated verification must not perturb consensus --------------
 
-/// Runs the ring workload under an explicit (step mode, verify mode)
+/// Runs the ring workload under an explicit (workers, verify mode)
 /// pair, recording telemetry.
-fn verify_mode_ring(chains: usize, step_mode: StepMode, verify_mode: VerifyMode) -> World {
+fn verify_mode_ring(chains: usize, workers: Option<usize>, verify_mode: VerifyMode) -> World {
     let config = SimConfig {
-        step_mode,
+        workers,
         verify_mode,
         epoch_len: scenarios::ring_epoch_len(chains),
         telemetry: true,
@@ -357,44 +371,35 @@ fn verify_mode_ring(chains: usize, step_mode: StepMode, verify_mode: VerifyMode)
 
 /// The aggregation acceptance claim: [`VerifyMode::Aggregated`] is a
 /// pure verification-cost optimisation — every externally observable
-/// outcome is bit-identical to [`VerifyMode::Individual`], in both
-/// step modes, and the cross pairs agree too (Serial×Individual ==
-/// Sharded×Aggregated and so on).
+/// outcome is bit-identical to [`VerifyMode::Individual`], on every
+/// worker count, and the cross pairs agree too (one lane × Individual
+/// == four lanes × Aggregated and so on).
 #[test]
-fn aggregated_mode_is_bit_identical_to_individual_across_step_modes() {
-    let reference = verify_mode_ring(8, StepMode::Serial, VerifyMode::Individual);
+fn aggregated_mode_is_bit_identical_to_individual_across_the_matrix() {
+    let reference = verify_mode_ring(8, MATRIX[0].0, MATRIX[0].1);
     assert!(reference.metrics.certificates_accepted >= 8);
     assert!(reference.conservation_holds() && reference.safeguards_hold());
     let expected = observe(&reference);
+    assert_follower_replay_matches(&reference);
 
-    for (step_mode, verify_mode) in [
-        (StepMode::Serial, VerifyMode::Aggregated),
-        (
-            StepMode::Sharded { workers: Some(4) },
-            VerifyMode::Individual,
-        ),
-        (
-            StepMode::Sharded { workers: Some(4) },
-            VerifyMode::Aggregated,
-        ),
-    ] {
-        let world = verify_mode_ring(8, step_mode, verify_mode);
+    for (workers, verify_mode) in MATRIX.into_iter().skip(1) {
+        let world = verify_mode_ring(8, workers, verify_mode);
         assert_eq!(world.verify_mode(), verify_mode);
         assert_eq!(
             expected,
             observe(&world),
-            "({step_mode:?}, {verify_mode:?}) diverged from (Serial, Individual)"
+            "({workers:?}, {verify_mode:?}) diverged from the reference"
         );
         let snapshot = world.telemetry_snapshot();
         if verify_mode == VerifyMode::Aggregated {
             // The aggregated runs really built block proofs — the
             // bit-identical outcome is not because the mode was inert.
             let builds = snapshot.spans.get("mc.agg.build").map_or(0, |s| s.count);
-            assert!(builds > 0, "no block proofs built under {step_mode:?}");
+            assert!(builds > 0, "no block proofs built at workers={workers:?}");
             assert_eq!(
                 snapshot.counters.get("mc.agg.build_failed"),
                 None,
-                "block-proof aggregation failed under {step_mode:?}"
+                "block-proof aggregation failed at workers={workers:?}"
             );
         } else {
             assert!(!snapshot.spans.contains_key("mc.agg.build"));
@@ -408,49 +413,47 @@ fn aggregated_mode_is_bit_identical_to_individual_across_step_modes() {
 /// fork-branch replay, quality-war forgery pooling — must not leak
 /// scheduling nondeterminism: a composed-fault world (partition healed
 /// into a three-fork reorg storm with escrow in flight) is
-/// bit-identical across the whole step-mode × worker-count ×
-/// verify-mode matrix, down to the per-tick audit snapshot stream.
+/// bit-identical across the whole worker-count × verify-mode matrix,
+/// down to the per-tick audit snapshot stream.
 #[test]
-fn composed_fault_world_is_bit_identical_across_the_mode_matrix() {
+fn composed_fault_world_is_bit_identical_across_the_matrix() {
     let (reference, reference_audit) =
-        scenarios::partition_reorg_storm(StepMode::Serial, VerifyMode::Individual).unwrap();
+        scenarios::partition_reorg_storm(MATRIX[0].0, MATRIX[0].1).unwrap();
     // The reference run really exercised the fault paths.
     assert!(reference.metrics.partitions >= 1 && reference.metrics.reorgs >= 3);
     assert!(reference.metrics.blocks_replayed >= 2);
+    assert_follower_replay_matches(&reference);
 
-    for verify in [VerifyMode::Individual, VerifyMode::Aggregated] {
-        for workers in [Some(1), Some(4), None] {
-            let (world, audit) =
-                scenarios::partition_reorg_storm(StepMode::Sharded { workers }, verify)
-                    .unwrap_or_else(|e| panic!("workers={workers:?}/{verify:?}: {e}"));
-            assert_eq!(
-                observe(&reference),
-                observe(&world),
-                "composed-fault world diverged at workers={workers:?} {verify:?}"
-            );
-            assert_eq!(
-                reference_audit.snapshots(),
-                audit.snapshots(),
-                "audit history diverged at workers={workers:?} {verify:?}"
-            );
-        }
+    for (workers, verify) in MATRIX.into_iter().skip(1) {
+        let (world, audit) = scenarios::partition_reorg_storm(workers, verify)
+            .unwrap_or_else(|e| panic!("workers={workers:?}/{verify:?}: {e}"));
+        assert_eq!(
+            observe(&reference),
+            observe(&world),
+            "composed-fault world diverged at workers={workers:?} {verify:?}"
+        );
+        assert_eq!(
+            reference_audit.snapshots(),
+            audit.snapshots(),
+            "audit history diverged at workers={workers:?} {verify:?}"
+        );
     }
 }
 
-/// Two identical instrumented runs of the *same* mode produce the same
-/// snapshot modulo wall-clock nanoseconds: fixed key order, identical
-/// span counts, counters, gauges and value histograms — the
+/// Two identical instrumented runs on the *same* worker count produce
+/// the same snapshot modulo wall-clock nanoseconds: fixed key order,
+/// identical span counts, counters, gauges and value histograms — the
 /// "aggregates deterministically" half of the recorder contract, under
 /// real worker threads.
 #[test]
-fn instrumented_runs_are_reproducible_within_a_mode() {
-    for mode in [StepMode::Serial, StepMode::Sharded { workers: Some(3) }] {
-        let first = instrumented_ring(4, 1, mode).telemetry_snapshot();
-        let second = instrumented_ring(4, 1, mode).telemetry_snapshot();
+fn instrumented_runs_are_reproducible_on_a_worker_count() {
+    for workers in [Some(1), Some(3)] {
+        let first = instrumented_ring(4, 1, workers).telemetry_snapshot();
+        let second = instrumented_ring(4, 1, workers).telemetry_snapshot();
         assert_eq!(
             deterministic_view(&first),
             deterministic_view(&second),
-            "snapshot not reproducible in {mode:?}"
+            "snapshot not reproducible at workers={workers:?}"
         );
     }
 }

@@ -4,10 +4,12 @@
 //! and any failure is reproducible from the printed seed alone,
 //! because the plan is a pure function of it.
 
+mod common;
+
+use common::assert_follower_replay_matches;
 use proptest::prelude::*;
 use zendoo_sim::{
-    Action, ConservationAuditor, FaultPlan, RunError, Schedule, SimConfig, StepMode, VerifyMode,
-    World,
+    Action, ConservationAuditor, FaultPlan, RunError, Schedule, SimConfig, VerifyMode, World,
 };
 
 const CHAINS: usize = 3;
@@ -15,9 +17,12 @@ const TICKS: u64 = 26;
 
 /// Runs the seed's random fault plan over a small cross-chain workload
 /// with the auditor attached to every tick.
-fn run_random_plan(seed: u64, mode: StepMode) -> Result<(World, ConservationAuditor), RunError> {
+fn run_random_plan(
+    seed: u64,
+    workers: Option<usize>,
+) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
-        step_mode: mode,
+        workers,
         verify_mode: VerifyMode::Individual,
         ..SimConfig::with_sidechains(CHAINS)
     };
@@ -51,7 +56,7 @@ proptest! {
     /// never appear, vanish, or settle twice.
     #[test]
     fn prop_random_fault_plans_conserve_value(seed in any::<u64>()) {
-        let (world, auditor) = run_random_plan(seed, StepMode::Serial)
+        let (world, auditor) = run_random_plan(seed, Some(1))
             .unwrap_or_else(|e| panic!("replay with FaultPlan::random({seed}, {CHAINS}, {TICKS}): {e}"));
         prop_assert!(world.conservation_holds(), "seed {} broke conservation", seed);
         prop_assert!(world.safeguards_hold(), "seed {} broke the safeguard", seed);
@@ -75,7 +80,7 @@ proptest! {
     #[test]
     fn prop_malformed_fts_reconcile_after_drain(seed in any::<u64>()) {
         let config = SimConfig {
-            step_mode: StepMode::Serial,
+            workers: Some(1),
             verify_mode: VerifyMode::Individual,
             ..SimConfig::with_sidechains(CHAINS)
         };
@@ -104,27 +109,29 @@ proptest! {
     }
 
     /// A plan is a pure function of its seed: the same seed replays to
-    /// a bit-identical world and audit history, serially and sharded.
+    /// a bit-identical world and audit history, on one lane and on
+    /// three, and a cacheless follower replays the resulting chain.
     #[test]
     fn prop_same_seed_reproduces_the_run(seed in any::<u64>()) {
         let plan = FaultPlan::random(seed, CHAINS, TICKS);
         prop_assert_eq!(plan.seed(), seed);
         prop_assert!(!plan.is_empty(), "random plans always schedule faults");
 
-        let (first, first_audit) = run_random_plan(seed, StepMode::Serial)
+        let (first, first_audit) = run_random_plan(seed, Some(1))
             .unwrap_or_else(|e| panic!("replay with FaultPlan::random({seed}, {CHAINS}, {TICKS}): {e}"));
-        for mode in [StepMode::Serial, StepMode::Sharded { workers: Some(3) }] {
-            let (world, audit) = run_random_plan(seed, mode)
-                .unwrap_or_else(|e| panic!("seed {seed} under {mode:?}: {e}"));
+        assert_follower_replay_matches(&first);
+        for workers in [Some(1), Some(3)] {
+            let (world, audit) = run_random_plan(seed, workers)
+                .unwrap_or_else(|e| panic!("seed {seed} under workers={workers:?}: {e}"));
             prop_assert_eq!(
                 &observe(&first),
                 &observe(&world),
-                "seed {} diverged under {:?}", seed, mode
+                "seed {} diverged under workers={:?}", seed, workers
             );
             prop_assert_eq!(
                 first_audit.snapshots(),
                 audit.snapshots(),
-                "seed {} audit history diverged under {:?}", seed, mode
+                "seed {} audit history diverged under workers={:?}", seed, workers
             );
         }
     }

@@ -1,12 +1,16 @@
 //! The determinism contract under generated load: a world driven by
 //! `zendoo-loadgen` traffic through the batched admission path is
-//! bit-identical Serial vs Sharded (and across admission worker
-//! counts), and the sharded block builder really does skip re-running
-//! stage-1 and signature verification for admitted candidates.
+//! bit-identical across shard worker counts (and across admission
+//! worker counts), a cacheless follower replays the chain it built, and
+//! the block builder really does skip re-running stage-1 and signature
+//! verification for admitted candidates.
 
+mod common;
+
+use common::assert_follower_replay_matches;
 use zendoo_loadgen::{LoadConfig, LoadGen, Population, Shape};
 use zendoo_mainchain::sigbatch::AdmissionReport;
-use zendoo_sim::{SimConfig, StepMode, World};
+use zendoo_sim::{SimConfig, World};
 
 const TICKS: u64 = 14; // two full epochs (epoch_len 6 + submit window)
 const BATCH: usize = 60;
@@ -15,7 +19,7 @@ const BATCH: usize = 60;
 /// batched admission path, settling each tick's confirmations back
 /// into the population. Returns the world and every tick's report.
 fn run_under_load(
-    mode: StepMode,
+    shard_workers: Option<usize>,
     workers: usize,
     telemetry: bool,
 ) -> (World, Vec<AdmissionReport>) {
@@ -26,7 +30,7 @@ fn run_under_load(
     };
     let mut population = Population::generate(&load);
     let config = SimConfig {
-        step_mode: mode,
+        workers: shard_workers,
         telemetry,
         extra_genesis_outputs: population.genesis_outputs(),
         ..SimConfig::with_sidechains(2)
@@ -59,10 +63,9 @@ fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
 }
 
 #[test]
-fn loaded_world_is_bit_identical_serial_vs_sharded() {
-    let (serial, serial_reports) = run_under_load(StepMode::Serial, 1, false);
-    let (sharded, sharded_reports) =
-        run_under_load(StepMode::Sharded { workers: Some(3) }, 4, false);
+fn loaded_world_is_bit_identical_across_worker_counts() {
+    let (serial, serial_reports) = run_under_load(Some(1), 1, false);
+    let (sharded, sharded_reports) = run_under_load(Some(3), 4, false);
 
     // The workload was real: most batches fully admitted and settled,
     // and the epoch machinery kept certifying underneath the load.
@@ -78,7 +81,7 @@ fn loaded_world_is_bit_identical_serial_vs_sharded() {
     );
     assert!(serial.conservation_holds() && serial.safeguards_hold());
 
-    // Admission itself is mode- and worker-independent…
+    // Admission itself is worker-independent…
     assert_eq!(
         serial_reports, sharded_reports,
         "admission reports diverged between 1 and 4 workers"
@@ -87,13 +90,16 @@ fn loaded_world_is_bit_identical_serial_vs_sharded() {
     assert_eq!(
         observe(&serial),
         observe(&sharded),
-        "sharded world diverged from serial under generated load"
+        "three-lane world diverged from one lane under generated load"
     );
+    // The admission signature verdicts the builder consumed changed no
+    // outcome: a follower verifying every signature itself agrees.
+    assert_follower_replay_matches(&serial);
 }
 
 #[test]
-fn sharded_builder_reuses_admission_work_under_load() {
-    let (world, reports) = run_under_load(StepMode::Sharded { workers: Some(3) }, 4, true);
+fn builder_reuses_admission_work_under_load() {
+    let (world, reports) = run_under_load(Some(3), 4, true);
     let snapshot = world.telemetry_snapshot();
 
     let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);

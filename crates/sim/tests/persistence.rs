@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use zendoo_sim::{Action, Schedule, SimConfig, StepMode, VerifyMode, World};
+use zendoo_sim::{Action, Schedule, SimConfig, VerifyMode, World};
 use zendoo_store::chain_state_digest;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -18,7 +18,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn config(persist_dir: Option<PathBuf>) -> SimConfig {
     SimConfig {
-        step_mode: StepMode::Serial,
+        workers: Some(1),
         verify_mode: VerifyMode::Individual,
         persist_dir,
         ..SimConfig::with_sidechains(2)

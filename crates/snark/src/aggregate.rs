@@ -39,7 +39,8 @@
 //! the stand-in for a universal setup ceremony. In the simulated
 //! backend the proving key *could* forge, but every soundness property
 //! exercised here rests on [`crate::backend::prove`] refusing
-//! unsatisfied statements, not on key secrecy (see DESIGN.md §3).
+//! unsatisfied statements, not on key secrecy (see the substitution
+//! model in [`crate::backend`]).
 
 use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;

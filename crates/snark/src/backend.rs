@@ -3,7 +3,7 @@
 //! # Substitution model
 //!
 //! A production zk-SNARK backend is replaced by a *sound-in-the-model*
-//! simulation (see DESIGN.md §3):
+//! simulation:
 //!
 //! * [`setup`] mints a Schnorr keypair per circuit. The signing key lives
 //!   in the [`ProvingKey`] — it plays the role of the trusted setup's

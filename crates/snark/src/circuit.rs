@@ -4,7 +4,8 @@
 //! finite field" in public inputs and witness variables. In this
 //! reproduction a [`Circuit`] is an executable predicate — the constraint
 //! system evaluated directly — plus a constraint-count estimate that
-//! preserves the *cost shape* of real proving (see DESIGN.md §3).
+//! preserves the *cost shape* of real proving (see the substitution
+//! model in [`crate::backend`]).
 
 use std::fmt;
 use zendoo_primitives::digest::Digest32;

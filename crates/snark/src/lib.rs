@@ -11,9 +11,9 @@
 //! The backend simulates a zk-SNARK soundly *in the trusted-setup model*:
 //! `Prove` evaluates the real constraint system and refuses false
 //! statements; proofs are 65-byte attestations under a per-circuit setup
-//! key. See `DESIGN.md` §3 for why this preserves every property the
-//! protocol relies on (completeness, model soundness, succinctness, and
-//! the unified verifier interface). The zero-knowledge property is not
+//! key. See the substitution model in [`backend`] for why this preserves
+//! every property the protocol relies on (completeness, model soundness,
+//! succinctness, and the unified verifier interface). The zero-knowledge property is not
 //! exercised by any experiment in the paper and is not claimed here.
 //!
 //! # Examples

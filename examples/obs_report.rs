@@ -7,7 +7,7 @@
 //! cargo run --release --example obs_report
 //! ```
 
-use zendoo::sim::{scenarios, SimConfig, StepMode, World};
+use zendoo::sim::{scenarios, SimConfig, World};
 use zendoo::telemetry::render_report;
 
 fn main() {
@@ -22,8 +22,8 @@ fn main() {
     };
     let ticks = (config.epoch_len as u64 + 1) * (epochs + 1);
     println!(
-        "running a {chains}-chain ring for {ticks} ticks ({epochs} withdrawal epochs), mode {:?}, telemetry on…\n",
-        config.step_mode,
+        "running a {chains}-chain ring for {ticks} ticks ({epochs} withdrawal epochs), workers {:?}, telemetry on…\n",
+        config.workers,
     );
     let mut world = World::new(config);
     scenarios::ring_schedule(chains)
@@ -41,13 +41,5 @@ fn main() {
         world.metrics.cross_transfers_initiated,
     );
 
-    // The same mode-switch contract holds under instrumentation: flip
-    // to the serial reference and the world stays bit-identical (see
-    // crates/sim/tests/determinism.rs); only the span profile changes.
-    match world.step_mode() {
-        StepMode::Sharded { .. } => {
-            println!("\n(sharded mode reuses recorded proof verdicts at submission — stage 2 shows up as the mc.stage2.verdicts_reused counter; run the serial reference to see mc.stage2.verify spans)");
-        }
-        StepMode::Serial => {}
-    }
+    println!("\n(the tick submits each block with the proof verdicts its builder recorded — stage 2 shows up as the mc.stage2.verdicts_reused counter; a receiving node fed by `submit_block` pays the mc.stage2.verify spans instead, see `cargo bench -p zendoo-bench --bench pipeline_obs`)");
 }

@@ -9,8 +9,8 @@ default:
 
 # Full CI gate: format check, clippy on every library crate, rustdoc
 # warnings-as-errors + doc-tests, tier-1 tests, adversarial, Byzantine
-# and persistence suites.
-ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store
+# and persistence suites, and the standalone benchmark package.
+ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-benchmark
 
 # Formatting check (whole workspace).
 fmt-check:
@@ -42,19 +42,23 @@ test:
 # The adversarial/soundness suites, by name: every escrow theft path
 # (escrow_consensus), tampered/forged block-proof aggregates
 # (aggregation), forged-signature/poisoned-verdict batched admission
-# (sig_admission), cross-chain forgery/replay (the two adversarial
-# files) and the hostile-input codec corpus (settlement_codec). The
+# (sig_admission), the one-pass-fill ≡ per-prefix-greedy-fill oracle
+# (pipeline), cross-chain forgery/replay (the two adversarial files)
+# and the hostile-input codec corpus (settlement_codec). The
 # passed total is summed from the run output (no extra cargo
 # invocations) and printed so a shrinking suite is visible in CI.
 test-adversarial:
-    @total=0; for spec in "zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec"; do set -- $spec; out=$(cargo test -q -p "$1" --test "$2" 2>&1) || { echo "$out"; exit 1; }; echo "$out"; n=$(echo "$out" | awk '/^test result: ok/ {s+=$4} END {print s+0}'); total=$((total + n)); done; echo "adversarial tests: $total total"
+    @total=0; for spec in "zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec"; do set -- $spec; out=$(cargo test -q -p "$1" --test "$2" 2>&1) || { echo "$out"; exit 1; }; echo "$out"; n=$(echo "$out" | awk '/^test result: ok/ {s+=$4} END {print s+0}'); total=$((total + n)); done; echo "adversarial tests: $total total"
 
 # The composed Byzantine suites (docs/SCENARIOS.md, "Byzantine
 # fault-composition scenarios"): the five long-horizon fault-layered
 # scenarios with per-tick conservation auditing (byzantine), random
 # fault plans against the auditor (fault_props), and the determinism
-# matrix the fault machinery must stay inside (determinism). Same
-# summed-total reporting as test-adversarial.
+# matrix the fault machinery must stay inside (determinism): one tick,
+# bit-identical across workers ∈ {1, 2, 3, 4, per-core} × verify mode,
+# with every reference world replayed by a cacheless follower
+# (tests/common/mod.rs). Same summed-total reporting as
+# test-adversarial.
 test-byzantine:
     @total=0; for spec in "zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism"; do set -- $spec; out=$(cargo test -q -p "$1" --test "$2" 2>&1) || { echo "$out"; exit 1; }; echo "$out"; n=$(echo "$out" | awk '/^test result: ok/ {s+=$4} END {print s+0}'); total=$((total + n)); done; echo "byzantine tests: $total total"
 
@@ -65,6 +69,14 @@ test-byzantine:
 # test-adversarial.
 test-store:
     @total=0; for spec in "zendoo-store recovery" "zendoo-sim persistence"; do set -- $spec; out=$(cargo test -q -p "$1" --test "$2" 2>&1) || { echo "$out"; exit 1; }; echo "$out"; n=$(echo "$out" | awk '/^test result: ok/ {s+=$4} END {print s+0}'); total=$((total + n)); done; echo "store tests: $total total"
+
+# The standalone benchmark package (BENCHMARK.json runs it from its own
+# checkout): its unit tests, then every workload once at smoke size. It
+# pins the public API by name, so a renamed function fails here rather
+# than in the driver.
+test-benchmark:
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 
 # Benchmarks (criterion stand-in prints ns/iter).
 bench:
@@ -78,7 +90,7 @@ bench-crosschain:
 # verification (serial vs parallel), windowed batch settlement
 # (emits BENCH_settlement.json with per-window tx counts), the
 # sharded simulation world (emits BENCH_sharded_sim.json with
-# serial-vs-sharded wall clock + work/span multi-core speedups),
+# one-lane-vs-sharded wall clock + work/span multi-core speedups),
 # recursive block-proof aggregation (emits BENCH_proof_agg.json:
 # flat aggregated verification vs linear individual at 1/16/256
 # certs), the instrumented pipeline (emits + pretty-prints
