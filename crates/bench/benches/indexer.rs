@@ -6,16 +6,19 @@
 //! linear index build; balance and pending-inbound point queries stay
 //! logarithmic in the set size afterwards.
 //!
-//! Besides the criterion timings (at a reduced scale), this bench
-//! builds the full-scale store from synthetic chain events, kills it,
-//! recovers, and emits `BENCH_indexer.json` at the workspace root with
-//! the measured cold-start breakdown and per-query-class latency
-//! percentiles — all read from the `store.*` / `indexer.*` telemetry
-//! spans the components record about themselves.
+//! This bench builds the full-scale store from synthetic chain events,
+//! kills it, recovers, and records `BENCH_indexer.json` through
+//! [`zendoo_bench::write_report`] with the measured cold-start
+//! breakdown and per-query-class latency percentiles — all read from
+//! the `store.*` / `indexer.*` telemetry spans the components record
+//! about themselves. (Cold start at workload size is the benchmark's
+//! `node_restart`: `cold_start_s`, `store.replay_ms`,
+//! `store.index_rebuild_ms`.)
 
 use std::path::PathBuf;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use zendoo_bench::write_report;
 use zendoo_core::escrow::EscrowTag;
 use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
 use zendoo_mainchain::chain::{Blockchain, ChainParams};
@@ -193,20 +196,24 @@ fn emit_indexer_report(c: &mut Criterion) {
     }
     let pending_list = quantiles(&recorder.drain(), "indexer.query.pending");
 
-    let json = format!(
-        "{{\n  \"bench\": \"indexer\",\n  \"scale\": {{\"utxos\": {utxos}, \"pending_inbound\": {PENDING}, \"destinations\": {DESTS}, \"funded_addresses\": {funded}, \"journal_bytes\": {journal_bytes}}},\n  \"cold_start\": {{\"records_replayed\": {records}, \"journal_replay_ms\": {replay_ms}, \"index_rebuild_ms\": {rebuild_ms}, \"total_ms\": {total_ms}}},\n  \"queries\": {{\n    {balance},\n    {point},\n    {list}\n  }}\n}}\n",
-        funded = indexer.funded_addresses(),
-        replay_ms = replay_ns / 1_000_000,
-        rebuild_ms = rebuild_ns / 1_000_000,
-        total_ms = (replay_ns + rebuild_ns) / 1_000_000,
-        balance = query_block("balance", balance),
-        point = query_block("pending_inbound_point", pending_point),
-        list = query_block("pending_inbound_list", pending_list),
+    write_report(
+        "indexer",
+        &format!(
+            "{{\"utxos\": {utxos}, \"pending_inbound\": {PENDING}, \"destinations\": {DESTS}, \"funded_addresses\": {}, \"journal_bytes\": {journal_bytes}}}",
+            indexer.funded_addresses(),
+        ),
+        &format!(
+            "{{\n    \"cold_start\": {{\"records_replayed\": {records}, \"journal_replay_ms\": {}, \"index_rebuild_ms\": {}, \"total_ms\": {}}},\n    \"queries\": {{\n      {},\n      {},\n      {}\n    }}\n  }}",
+            replay_ns / 1_000_000,
+            rebuild_ns / 1_000_000,
+            (replay_ns + rebuild_ns) / 1_000_000,
+            query_block("balance", balance),
+            query_block("pending_inbound_point", pending_point),
+            query_block("pending_inbound_list", pending_list),
+        ),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_indexer.json");
-    std::fs::write(path, &json).expect("write BENCH_indexer.json");
     println!(
-        "indexer/report: {utxos} UTXOs replayed in {}ms + rebuilt in {}ms; pending point query p99 {}ns (BENCH_indexer.json)",
+        "indexer/report: {utxos} UTXOs replayed in {}ms + rebuilt in {}ms; pending point query p99 {}ns",
         replay_ns / 1_000_000,
         rebuild_ns / 1_000_000,
         pending_point.2,
@@ -220,25 +227,5 @@ fn emit_indexer_report(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Reduced-scale criterion timings: cold start and incremental sync.
-fn bench_cold_start(c: &mut Criterion) {
-    let dir = temp_dir("cold");
-    let events = synthetic_events(10, 1_000, 50, 1_000);
-    let store = populate(&dir, &events, Telemetry::disabled());
-    drop(store);
-
-    let mut group = c.benchmark_group("indexer/cold_start");
-    group.sample_size(20);
-    group.bench_function("10k_utxos", |b| {
-        b.iter(|| {
-            let store = UtxoStore::open(&dir, Telemetry::disabled()).expect("recover");
-            let indexer = Indexer::from_store(&store, Telemetry::disabled());
-            std::hint::black_box(indexer.pending_total())
-        })
-    });
-    group.finish();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-criterion_group!(benches, bench_cold_start, emit_indexer_report);
+criterion_group!(benches, emit_indexer_report);
 criterion_main!(benches);

@@ -10,8 +10,10 @@
 //! digest (one hash each), orders of magnitude cheaper than a curve
 //! verification.
 //!
-//! Besides timing, this bench emits `BENCH_proof_agg.json` at the
-//! workspace root. For 1/16/256 certificates per block it reports:
+//! This bench records `BENCH_proof_agg.json` through
+//! [`zendoo_bench::write_report`]. For 1/16/256 certificates per block
+//! it reports (medians of five passes; aggregate validity is asserted
+//! during the run):
 //!
 //! * `individual_ns` — full stage-2 verification, one SNARK per
 //!   statement (single worker: the linear baseline);
@@ -25,8 +27,8 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use zendoo_bench::AcceptAll;
+use criterion::{criterion_group, criterion_main, Criterion};
+use zendoo_bench::{host_cores, write_report, AcceptAll};
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
 use zendoo_core::ids::SidechainId;
 use zendoo_core::proofdata::ProofData;
@@ -101,51 +103,26 @@ fn chain_with_cert_block(n: usize) -> (Blockchain, Block, BlockProof, Vec<Digest
     (chain, prepared.block, proof, active)
 }
 
+/// The receiver's own collected work list for `block`.
+fn work_list(chain: &Blockchain, block: &Block, active: &[Digest32]) -> Vec<BatchItem> {
+    pipeline::collect_proof_checks(chain.state(), block, block.hash(), active)
+        .into_iter()
+        .map(|check| BatchItem {
+            vk: check.vk,
+            inputs: check.inputs,
+            proof: check.proof,
+        })
+        .collect()
+}
+
 fn median(mut samples: Vec<u64>) -> u64 {
     samples.sort_unstable();
     samples[samples.len() / 2]
 }
 
-fn bench_receiver_stage2(c: &mut Criterion) {
-    let mut group = c.benchmark_group("proof_aggregation/receiver_stage2");
-    let telemetry = Telemetry::disabled();
-    for n in [1usize, 16] {
-        let (chain, block, proof, active) = chain_with_cert_block(n);
-        let hash = block.hash();
-        group.bench_with_input(BenchmarkId::new("individual", n), &block, |b, block| {
-            b.iter(|| {
-                pipeline::verify_block_proofs(
-                    chain.state(),
-                    block,
-                    hash,
-                    &active,
-                    Some(1),
-                    &telemetry,
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("aggregated", n), &block, |b, block| {
-            b.iter(|| {
-                pipeline::verify_block_aggregate(
-                    chain.state(),
-                    block,
-                    hash,
-                    &active,
-                    &proof,
-                    &telemetry,
-                )
-                .expect("valid aggregate")
-            })
-        });
-    }
-    group.finish();
-}
-
 /// One full measurement pass per block size, emitting the JSON report.
 fn emit_aggregation_report(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = host_cores();
     let telemetry = Telemetry::disabled();
     let system = AggregationSystem::shared();
     let mut entries = String::new();
@@ -155,15 +132,7 @@ fn emit_aggregation_report(c: &mut Criterion) {
         let hash = block.hash();
         // The receiver's own collected work list and expected digest,
         // shared by all aggregate-side measurements below.
-        let items: Vec<BatchItem> =
-            pipeline::collect_proof_checks(chain.state(), &block, hash, &active)
-                .into_iter()
-                .map(|check| BatchItem {
-                    vk: check.vk,
-                    inputs: check.inputs,
-                    proof: check.proof,
-                })
-                .collect();
+        let items = work_list(&chain, &block, &active);
         assert_eq!(items.len(), n, "one statement per certificate");
         let (digest, count) = expected_statement(&items);
 
@@ -227,12 +196,11 @@ fn emit_aggregation_report(c: &mut Criterion) {
             individual as f64 / aggregated as f64,
         ));
     }
-    let json = format!(
-        "{{\n  \"bench\": \"proof_agg\",\n  \"host_cores\": {cores},\n  \"note\": \"individual_ns = stage-2 with one SNARK verification per statement (single worker, the linear baseline); aggregated_ns = full aggregate-mode stage 2 (recollect statements + recompute multiset digest + one SNARK verification); aggregate_verify_ns = the SNARK component alone, flat across block sizes (the O(1) claim); build_ns = builder-side fold cost. Aggregate validity is asserted during the run.\",\n  \"blocks\": [{entries}\n  ]\n}}\n",
+    write_report(
+        "proof_agg",
+        &format!("{{\"certs_per_block\": [1, 16, 256], \"samples\": {SAMPLES}}}"),
+        &format!("[{entries}\n  ]"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_proof_agg.json");
-    std::fs::write(path, &json).expect("write BENCH_proof_agg.json");
-    println!("proof_aggregation/report written to BENCH_proof_agg.json");
 
     // The flat component really is flat: 256 certs within 2x of 1 cert.
     let (one, big) = (flat_points[0], flat_points[2]);
@@ -243,20 +211,11 @@ fn emit_aggregation_report(c: &mut Criterion) {
 
     // Keep criterion's harness shape: time the digest recomputation.
     let (chain, block, _, active) = chain_with_cert_block(16);
-    let hash = block.hash();
-    let items: Vec<BatchItem> =
-        pipeline::collect_proof_checks(chain.state(), &block, hash, &active)
-            .into_iter()
-            .map(|check| BatchItem {
-                vk: check.vk,
-                inputs: check.inputs,
-                proof: check.proof,
-            })
-            .collect();
+    let items = work_list(&chain, &block, &active);
     c.bench_function("proof_aggregation/expected_statement_16", |b| {
         b.iter(|| expected_statement(&items))
     });
 }
 
-criterion_group!(benches, bench_receiver_stage2, emit_aggregation_report);
+criterion_group!(benches, emit_aggregation_report);
 criterion_main!(benches);

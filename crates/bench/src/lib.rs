@@ -1,8 +1,24 @@
-//! Shared fixtures for the Zendoo benchmark harness.
+//! Paper-shape scaling curves, and the fixtures they share.
 //!
-//! Each bench target measures one layer; the committed `BENCH_*.json`
-//! files at the workspace root record the results (`just bench-smoke`
-//! regenerates them).
+//! The repository has **one** benchmark system, split by one rule:
+//!
+//! * anything end-to-end, or per-layer *on a workload* (stage times,
+//!   cache ratios, admission, settlement batching, lane efficiency,
+//!   restart), is a named metric of the standalone `benchmark/` package
+//!   that `BENCHMARK.json` declares — it judges every claim;
+//! * this crate keeps only what no workload can show: how a cost
+//!   *scales* with a parameter the paper's claims are about
+//!   (`snark_succinctness` E1, `recursion` E2, `wcert_verification` E3,
+//!   `commitment_tree` E4, `mst` E5, `consensus` E7, `primitives` E14,
+//!   `ablation_parallel` §5.4.1, `crosschain_routing`; criterion prints
+//!   ns/iter), plus `tests/noop_overhead.rs`.
+//!
+//! Two curves are worth a committed record: `proof_aggregation` (1 → 256
+//! certificates a block) and `indexer` (10⁶ UTXOs / 10⁵ pending
+//! transfers). Only they write a file, both through [`write_report`]
+//! (`make bench-smoke` regenerates them).
+
+use std::process::Command;
 
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
 use zendoo_core::ids::{Address, Amount, SidechainId};
@@ -67,4 +83,50 @@ pub fn snark_certificate(
     let inputs = wcert_public_inputs(&sysdata, &cert.proofdata.merkle_root());
     cert.proof = prove(&pk, &circuit, &inputs, &()).expect("accept-all proves");
     (cert, vk, pk, prev_end, epoch_end)
+}
+
+/// Cores available to this process (`host_cores` in every report).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// `git describe` of HEAD where the bench runs: the abbreviated commit,
+/// `-dirty` appended when the working tree differs from it (a report is
+/// necessarily produced before the commit that carries it exists).
+fn git_rev() -> String {
+    Command::new("git")
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=12",
+            "--exclude=*",
+        ])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |rev| rev.trim().to_owned())
+}
+
+/// The one reporter: writes `BENCH_<bench>.json` at the workspace root
+/// with where the numbers come from (`host_cores`, `git_rev`), at what
+/// size (`scale`) and what was measured (`results`). `scale` and
+/// `results` are JSON values the bench formats itself.
+///
+/// # Panics
+///
+/// When the file cannot be written — a bench whose record is lost has
+/// failed.
+pub fn write_report(bench: &str, scale: &str, results: &str) {
+    let json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"host_cores\": {},\n  \"git_rev\": \"{}\",\n  \"scale\": {scale},\n  \"results\": {results}\n}}\n",
+        host_cores(),
+        git_rev(),
+    );
+    let file = format!("BENCH_{bench}.json");
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("{bench}/report written to {file}");
 }

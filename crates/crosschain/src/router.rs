@@ -623,7 +623,7 @@ impl CrossChainRouter {
     }
 }
 
-/// Mirrors `SidechainRegistry::begin_block_journaled`'s ceasing rule: returns
+/// Mirrors `SidechainRegistry::begin_block`'s ceasing rule: returns
 /// `true` when `entry` will be marked ceased by the epoch bookkeeping
 /// of the block at `height` (its submission window closes there with no
 /// accepted certificate).

@@ -82,15 +82,6 @@ pub fn parse_wcert_proofdata(data: &ProofData) -> Option<(Digest32, Fp, Digest32
     }
 }
 
-/// Parses the declared cross-chain transfers out of Latus certificate
-/// proofdata (element 3).
-pub fn parse_wcert_declared(data: &ProofData) -> Option<Vec<CrossChainTransfer>> {
-    match data.get(3)? {
-        ProofDataElem::Bytes(bytes) => crosschain::decode_xct_list(bytes)?.ok(),
-        _ => None,
-    }
-}
-
 /// Builds the Latus BTR/CSW proofdata (`proofdata = {utxo}`, §5.5.3.2).
 pub fn utxo_proofdata(utxo: &Utxo) -> ProofData {
     ProofData(vec![ProofDataElem::Bytes(utxo.encoded())])

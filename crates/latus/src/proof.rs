@@ -606,27 +606,6 @@ impl EpochProofBuilder {
         }
         system.prove_chain(&self.states, &self.witnesses).map(Some)
     }
-
-    /// Parallel variant of [`EpochProofBuilder::prove`] using `workers`
-    /// concurrent lanes (the computational half of §5.4.1; see
-    /// [`crate::prover_pool`] for the dispatch/reward half).
-    ///
-    /// # Errors
-    ///
-    /// Propagates unsatisfied transitions from the proving system.
-    pub fn prove_parallel(
-        &self,
-        system: &LatusProofSystem,
-        workers: usize,
-    ) -> Result<Option<StateProof>, zendoo_snark::backend::ProveError> {
-        if self.witnesses.is_empty() {
-            return Ok(None);
-        }
-        let prover = zendoo_snark::parallel::ParallelProver::new(system, workers);
-        prover
-            .prove_chain(&self.states, &self.witnesses)
-            .map(|(proof, _)| Some(proof))
-    }
 }
 
 #[cfg(test)]

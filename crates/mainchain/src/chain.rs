@@ -306,9 +306,8 @@ impl ChainEvent {
 /// signature verdicts batch admission recorded — the builder skips
 /// the redundant precheck (counted on `mc.precheck.skipped`) and
 /// answers signature checks from the verdict cache. Raw candidates
-/// ([`BlockCandidates::unchecked`], or any plain `Vec` via `From`)
-/// get the explicit stage-1 pass at build time instead (counted on
-/// `mc.precheck.run`).
+/// (any plain `Vec` via `From`) get the explicit stage-1 pass at build
+/// time instead (counted on `mc.precheck.run`).
 #[derive(Debug, Default)]
 pub struct BlockCandidates {
     /// Candidate transactions, in template order.
@@ -322,14 +321,6 @@ pub struct BlockCandidates {
 }
 
 impl BlockCandidates {
-    /// Candidates of unknown provenance: stage-1 runs at build time.
-    pub fn unchecked(txs: Vec<McTransaction>) -> Self {
-        BlockCandidates {
-            txs,
-            ..Self::default()
-        }
-    }
-
     /// Pool-sourced candidates: stage-1 already ran at admission, and
     /// `sig_verdicts` carries the signatures verified there.
     pub fn admitted(txs: Vec<McTransaction>, sig_verdicts: HashMap<Digest32, bool>) -> Self {
@@ -341,9 +332,13 @@ impl BlockCandidates {
     }
 }
 
+/// Candidates of unknown provenance: stage-1 runs at build time.
 impl From<Vec<McTransaction>> for BlockCandidates {
     fn from(txs: Vec<McTransaction>) -> Self {
-        Self::unchecked(txs)
+        BlockCandidates {
+            txs,
+            ..Self::default()
+        }
     }
 }
 

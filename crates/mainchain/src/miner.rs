@@ -93,18 +93,6 @@ impl Miner {
     /// ([`zendoo_snark::batch::default_workers`]).
     pub fn submit_batch(&mut self, chain: &Blockchain, txs: Vec<McTransaction>) -> AdmissionReport {
         let workers = zendoo_snark::batch::default_workers(txs.len());
-        self.submit_batch_with_workers(chain, txs, workers)
-    }
-
-    /// [`Miner::submit_batch`] with an explicit worker count
-    /// (`1` = fully serial inline verification; the admitted set is
-    /// identical for every value).
-    pub fn submit_batch_with_workers(
-        &mut self,
-        chain: &Blockchain,
-        txs: Vec<McTransaction>,
-        workers: usize,
-    ) -> AdmissionReport {
         let telemetry = self.telemetry.clone();
         sigbatch::admit_batch_with(
             &mut self.mempool,

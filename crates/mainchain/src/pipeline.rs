@@ -620,9 +620,7 @@ pub fn apply_block(
 /// epoch bookkeeping at `height` — ceasing (Def 4.2) and certificate
 /// maturity, whose payouts become UTXOs before any transaction runs.
 pub(crate) fn begin_block(state: &mut ChainState, height: u64, undo: &mut BlockUndo) {
-    let payouts = state
-        .registry
-        .begin_block_journaled(height, &mut undo.registry);
+    let payouts = state.registry.begin_block(height, &mut undo.registry);
     for payout in payouts {
         for (i, bt) in payout.transfers.iter().enumerate() {
             create_utxo(
@@ -858,7 +856,7 @@ pub fn apply_transaction(
                         );
                     }
                     Output::Forward(ft) => {
-                        state.registry.credit_forward_transfer_journaled(
+                        state.registry.credit_forward_transfer(
                             &ft.sidechain_id,
                             ft.amount,
                             &mut undo.registry,
@@ -871,11 +869,11 @@ pub fn apply_transaction(
         McTransaction::SidechainDeclaration(config) => {
             state
                 .registry
-                .declare_journaled((**config).clone(), height, &mut undo.registry)?;
+                .declare((**config).clone(), height, &mut undo.registry)?;
             Ok(Amount::ZERO)
         }
         McTransaction::Certificate(cert) => {
-            state.registry.accept_certificate_journaled(
+            state.registry.accept_certificate(
                 cert,
                 height,
                 block_hash,
@@ -886,19 +884,16 @@ pub fn apply_transaction(
             Ok(Amount::ZERO)
         }
         McTransaction::Btr(btr) => {
-            state.registry.accept_btr_journaled(
-                btr,
-                |job| verdicts.check(job),
-                &mut undo.registry,
-            )?;
+            state
+                .registry
+                .accept_btr(btr, |job| verdicts.check(job), &mut undo.registry)?;
             Ok(Amount::ZERO)
         }
         McTransaction::Csw(csw) => {
-            let bt = state.registry.accept_csw_journaled(
-                csw,
-                |job| verdicts.check(job),
-                &mut undo.registry,
-            )?;
+            let bt =
+                state
+                    .registry
+                    .accept_csw(csw, |job| verdicts.check(job), &mut undo.registry)?;
             create_utxo(
                 state,
                 undo,

@@ -210,9 +210,8 @@ impl From<XctError> for RegistryError {
     }
 }
 
-/// One journaled registry mutation, recorded by the `*_journaled`
-/// mutation methods and replayed in reverse by
-/// [`SidechainRegistry::revert`].
+/// One journaled registry mutation, recorded by the mutation methods
+/// and replayed in reverse by [`SidechainRegistry::revert`].
 #[derive(Clone, Debug)]
 enum RegistryOp {
     /// A sidechain was declared (undo: remove the entry).
@@ -397,7 +396,7 @@ impl SidechainRegistry {
     ///
     /// Rejects reused/reserved ids, invalid configs, and activation
     /// heights not strictly in the future.
-    pub fn declare_journaled(
+    pub fn declare(
         &mut self,
         config: SidechainConfig,
         declared_at: u64,
@@ -435,11 +434,7 @@ impl SidechainRegistry {
     /// window that closed — returning the payouts the chain must credit.
     /// Every mutation (ceasings, maturities, balance debits, consumed
     /// nullifiers) is journaled into `undo`.
-    pub fn begin_block_journaled(
-        &mut self,
-        height: u64,
-        undo: &mut RegistryUndo,
-    ) -> Vec<MaturedPayout> {
+    pub fn begin_block(&mut self, height: u64, undo: &mut RegistryUndo) -> Vec<MaturedPayout> {
         let mut payouts = Vec::new();
         for (id, entry) in self.entries.iter_mut() {
             if entry.status == SidechainStatus::Ceased {
@@ -544,7 +539,7 @@ impl SidechainRegistry {
     ///
     /// Unknown or ceased destination sidechains reject the transfer (the
     /// containing transaction is invalid).
-    pub fn credit_forward_transfer_journaled(
+    pub fn credit_forward_transfer(
         &mut self,
         id: &SidechainId,
         amount: Amount,
@@ -579,7 +574,7 @@ impl SidechainRegistry {
     ///
     /// All rules of §4.1.2: active sidechain, correct window, increasing
     /// quality, valid SNARK, safeguard.
-    pub fn accept_certificate_journaled<F, C>(
+    pub fn accept_certificate<F, C>(
         &mut self,
         cert: &WithdrawalCertificate,
         height: u64,
@@ -685,13 +680,13 @@ impl SidechainRegistry {
     /// Accepts a backward transfer request (§4.1.2.1). Consumes the
     /// nullifier (journaled into `undo`); moves no coins. `check` is the
     /// SNARK check (see
-    /// [`SidechainRegistry::accept_certificate_journaled`]).
+    /// [`SidechainRegistry::accept_certificate`]).
     ///
     /// # Errors
     ///
     /// Unknown/ceased sidechain, disabled BTRs, reused nullifier, or
     /// invalid proof.
-    pub fn accept_btr_journaled<C>(
+    pub fn accept_btr<C>(
         &mut self,
         btr: &BackwardTransferRequest,
         check: C,
@@ -724,13 +719,13 @@ impl SidechainRegistry {
     /// nullifier, debits the balance (both journaled into `undo`) and
     /// returns the payout for the chain layer to credit. `check` is the
     /// SNARK check (see
-    /// [`SidechainRegistry::accept_certificate_journaled`]).
+    /// [`SidechainRegistry::accept_certificate`]).
     ///
     /// # Errors
     ///
     /// Requires a *ceased* sidechain, an enabled CSW key, a fresh
     /// nullifier, a valid proof, and the safeguard.
-    pub fn accept_csw_journaled<C>(
+    pub fn accept_csw<C>(
         &mut self,
         csw: &CeasedSidechainWithdrawal,
         check: C,

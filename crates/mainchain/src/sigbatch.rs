@@ -17,9 +17,9 @@
 //! transaction's fee for the mempool's priority index), batched
 //! signature verification, and fee-prioritized pooling.
 
-use crossbeam::thread;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_primitives::digest::Digest32;
+use zendoo_snark::batch::fan_out;
 use zendoo_telemetry::Telemetry;
 
 use crate::chain::{BlockError, ChainState};
@@ -84,34 +84,12 @@ pub fn verify_sig_batch_with(
 ) -> Vec<bool> {
     telemetry.observe("sig.batch.sigs", checks.len() as u64);
     let _batch_span = telemetry.span("sig.batch.verify");
-    let workers = workers.clamp(1, checks.len().max(1));
-    if workers == 1 || checks.len() <= 1 {
-        let _span = telemetry.span("sig.batch.verify.worker");
-        return checks.iter().map(SigCheck::verify).collect();
-    }
-    let mut verdicts = vec![false; checks.len()];
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                scope.spawn(move |_| {
-                    let _span = telemetry.span("sig.batch.verify.worker");
-                    checks
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % workers == worker)
-                        .map(|(i, check)| (i, check.verify()))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, verdict) in handle.join().expect("verifier thread panicked") {
-                verdicts[i] = verdict;
-            }
-        }
-    })
-    .expect("thread scope");
-    verdicts
+    fan_out(
+        checks,
+        workers,
+        || telemetry.span("sig.batch.verify.worker"),
+        SigCheck::verify,
+    )
 }
 
 /// What became of one admission batch.

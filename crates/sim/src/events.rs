@@ -9,27 +9,22 @@ use std::collections::BTreeMap;
 
 use crate::world::{SimError, World};
 
-/// One scripted action. Single-chain variants target the primary
-/// sidechain; the `…On`/indexed variants name a sidechain by its
+/// One scripted action. Every per-chain variant names its sidechain by
 /// position in [`crate::world::SimConfig::sidechain_labels`].
 #[derive(Clone, Debug)]
 pub enum Action {
-    /// `ForwardTransfer(user, amount)` — queue an MC→SC transfer.
-    ForwardTransfer(String, u64),
-    /// `ScPay(from, to, amount)` — a sidechain payment.
-    ScPay(String, String, u64),
-    /// `ScWithdraw(user, amount)` — initiate an SC→MC withdrawal.
-    ScWithdraw(String, u64),
-    /// `ForwardTransferTo(sc_index, user, amount)`.
+    /// `ForwardTransferTo(sc_index, user, amount)` — queue an MC→SC
+    /// transfer.
     ForwardTransferTo(usize, String, u64),
     /// `MalformedForwardTransferTo(sc_index, user, amount)` — a forward
     /// transfer with deliberately corrupted receiver metadata; the
     /// destination must refund it through the consensus-checked
     /// backward-transfer path, never strand it.
     MalformedForwardTransferTo(usize, String, u64),
-    /// `ScPayOn(sc_index, from, to, amount)`.
+    /// `ScPayOn(sc_index, from, to, amount)` — a sidechain payment.
     ScPayOn(usize, String, String, u64),
-    /// `ScWithdrawOn(sc_index, user, amount)`.
+    /// `ScWithdrawOn(sc_index, user, amount)` — initiate an SC→MC
+    /// withdrawal.
     ScWithdrawOn(usize, String, u64),
     /// `CrossTransfer(from_sc_index, to_sc_index, user, amount)` — a
     /// sidechain→sidechain transfer routed through the mainchain.
@@ -108,11 +103,6 @@ impl Schedule {
         };
         for action in actions {
             let result = match action {
-                Action::ForwardTransfer(user, amount) => {
-                    world.queue_forward_transfer(user, *amount)
-                }
-                Action::ScPay(from, to, amount) => world.sc_pay(from, to, *amount),
-                Action::ScWithdraw(user, amount) => world.sc_withdraw(user, *amount),
                 Action::ForwardTransferTo(index, user, amount) => world
                     .sidechain_id_at(*index)
                     .and_then(|sc| world.queue_forward_transfer_on(&sc, user, *amount)),

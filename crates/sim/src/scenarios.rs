@@ -20,9 +20,9 @@ use zendoo_mainchain::pipeline::VerifyMode;
 pub fn happy_path(epochs: u32) -> Result<World, SimError> {
     let mut world = World::new(SimConfig::default());
     let schedule = Schedule::new()
-        .at(0, Action::ForwardTransfer("alice".into(), 10_000))
-        .at(3, Action::ScPay("alice".into(), "bob".into(), 2_500))
-        .at(5, Action::ScWithdraw("bob".into(), 1_000));
+        .at(0, Action::ForwardTransferTo(0, "alice".into(), 10_000))
+        .at(3, Action::ScPayOn(0, "alice".into(), "bob".into(), 2_500))
+        .at(5, Action::ScWithdrawOn(0, "bob".into(), 1_000));
     // Each epoch is epoch_len blocks; run enough ticks.
     let config = SimConfig::default();
     let ticks = (config.epoch_len as u64 + 1) * (epochs as u64 + 1);
@@ -40,7 +40,7 @@ pub fn withheld_certificates() -> Result<World, SimError> {
     let mut world = World::new(SimConfig::default());
     let config = SimConfig::default();
     let schedule = Schedule::new()
-        .at(0, Action::ForwardTransfer("alice".into(), 5_000))
+        .at(0, Action::ForwardTransferTo(0, "alice".into(), 5_000))
         .at(config.epoch_len as u64 + 2, Action::WithholdCertificates);
     let ticks = (config.epoch_len as u64 + 1) * 4;
     schedule.run(&mut world, ticks)?;
@@ -57,7 +57,7 @@ pub fn mc_fork_mid_epoch(depth: u64) -> Result<World, SimError> {
     let mut world = World::new(SimConfig::default());
     let config = SimConfig::default();
     let schedule = Schedule::new()
-        .at(0, Action::ForwardTransfer("alice".into(), 5_000))
+        .at(0, Action::ForwardTransferTo(0, "alice".into(), 5_000))
         .at(config.epoch_len as u64 + 3, Action::McFork(depth));
     let ticks = (config.epoch_len as u64 + 1) * 3;
     schedule.run(&mut world, ticks)?;
@@ -169,30 +169,6 @@ pub fn cross_chain_ring(
     let ticks = (config.epoch_len as u64 + 1) * (epochs as u64 + 1);
     let mut world = World::new(config);
     ring_schedule(chains).run(&mut world, ticks)?;
-    Ok(world)
-}
-
-/// Stress scenario: sustained mixed workload over `epochs` epochs with
-/// payments and withdrawals every block — used by throughput
-/// measurements.
-///
-/// # Errors
-///
-/// Propagates [`SimError`].
-pub fn sustained_load(epochs: u32, payments_per_block: u32) -> Result<World, SimError> {
-    let config = SimConfig::default();
-    let mut world = World::new(config.clone());
-    let mut schedule = Schedule::new().at(0, Action::ForwardTransfer("alice".into(), 800_000));
-    let ticks = (config.epoch_len as u64 + 1) * (epochs as u64 + 1);
-    for tick in 2..ticks {
-        for i in 0..payments_per_block {
-            schedule = schedule.at(
-                tick,
-                Action::ScPay("alice".into(), "bob".into(), 10 + i as u64),
-            );
-        }
-    }
-    schedule.run(&mut world, ticks)?;
     Ok(world)
 }
 
@@ -489,7 +465,10 @@ mod tests {
         assert!(world.metrics.certificates_accepted >= 2);
         assert_eq!(world.metrics.certificates_rejected, 0);
         assert!(world.conservation_holds());
-        assert_eq!(world.sidechain_status(), Some(SidechainStatus::Active));
+        assert_eq!(
+            world.sidechain_status_of(&world.sidechain_ids()[0]),
+            Some(SidechainStatus::Active)
+        );
         // The withdrawal eventually paid out on the MC.
         let bob = world.user("bob").unwrap();
         assert!(!world
@@ -503,7 +482,10 @@ mod tests {
     #[test]
     fn withheld_certificates_cease_the_sidechain() {
         let world = withheld_certificates().unwrap();
-        assert_eq!(world.sidechain_status(), Some(SidechainStatus::Ceased));
+        assert_eq!(
+            world.sidechain_status_of(&world.sidechain_ids()[0]),
+            Some(SidechainStatus::Ceased)
+        );
         assert!(world.metrics.certificates_withheld > 0);
         assert!(world.conservation_holds());
     }
@@ -596,6 +578,9 @@ mod tests {
         assert!(world.metrics.sc_blocks_reverted >= 1);
         assert!(world.metrics.certificates_accepted >= 1);
         assert!(world.conservation_holds());
-        assert_eq!(world.sidechain_status(), Some(SidechainStatus::Active));
+        assert_eq!(
+            world.sidechain_status_of(&world.sidechain_ids()[0]),
+            Some(SidechainStatus::Active)
+        );
     }
 }

@@ -89,7 +89,7 @@ pub struct ShardEffects {
     /// the node itself).
     pub error: Option<NodeError>,
     /// Wall-clock nanoseconds this shard's tick took (feeds the
-    /// work/span accounting in `BENCH_sharded_sim.json`).
+    /// `tick.shard.sync` / `tick.shard.critical` spans).
     pub nanos: u64,
     /// The shard-local telemetry recorded during this tick (present
     /// only when the world is recording). Shards never touch the

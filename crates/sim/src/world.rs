@@ -67,9 +67,7 @@ use crate::shard::{ShardMetrics, SidechainShard};
 /// Simulation configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Labels of the simulated sidechains, in declaration order; the
-    /// first is the *primary* sidechain the legacy single-chain API
-    /// operates on.
+    /// Labels of the simulated sidechains, in declaration order.
     pub sidechain_labels: Vec<String>,
     /// Withdrawal-epoch length in MC blocks (shared by all sidechains).
     pub epoch_len: u32,
@@ -140,8 +138,7 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// A default configuration with `n` sidechains (`sc-0` … `sc-{n-1}`;
-    /// the first keeps the legacy primary label).
+    /// A default configuration with `n` sidechains (`sc-0` … `sc-{n-1}`).
     pub fn with_sidechains(n: usize) -> Self {
         SimConfig {
             sidechain_labels: (0..n).map(|i| format!("sc-{i}")).collect(),
@@ -156,28 +153,29 @@ impl SimConfig {
 pub struct User {
     /// Mainchain wallet.
     pub wallet: Wallet,
-    /// Keypair on the primary sidechain (legacy single-chain shape).
-    pub sc_keys: Keypair,
     per_chain: BTreeMap<SidechainId, Keypair>,
 }
 
 impl User {
-    /// The user's address on the primary sidechain.
-    pub fn sc_address(&self) -> Address {
-        Address::from_public_key(&self.sc_keys.public)
-    }
-
     /// The user's mainchain address.
     pub fn mc_address(&self) -> Address {
         self.wallet.address()
     }
 
-    /// The user's keypair on a specific sidechain.
+    /// The user's keypair on a deployed sidechain.
+    ///
+    /// # Panics
+    ///
+    /// When the world never deployed `id` — every [`World`] entry point
+    /// answers that with [`SimError::UnknownSidechain`] before asking.
     pub fn sc_keys_on(&self, id: &SidechainId) -> &Keypair {
-        self.per_chain.get(id).unwrap_or(&self.sc_keys)
+        self.per_chain
+            .get(id)
+            .unwrap_or_else(|| panic!("no keys on undeployed sidechain {id}"))
     }
 
-    /// The user's address on a specific sidechain.
+    /// The user's address on a deployed sidechain; panics like
+    /// [`User::sc_keys_on`].
     pub fn sc_address_on(&self, id: &SidechainId) -> Address {
         Address::from_public_key(&self.sc_keys_on(id).public)
     }
@@ -279,14 +277,12 @@ pub struct World {
     /// Per-sidechain shards (instance + faults + per-chain metrics),
     /// keyed by id.
     pub(crate) shards: BTreeMap<SidechainId, SidechainShard>,
-    /// Sidechain ids in declaration order (`order[0]` is primary).
+    /// Sidechain ids in declaration order.
     pub(crate) order: Vec<SidechainId>,
     /// Named users.
     pub users: HashMap<String, User>,
     /// Collected metrics.
     pub metrics: Metrics,
-    /// The primary sidechain's id (legacy single-chain API target).
-    pub sidechain_id: SidechainId,
     /// The cross-chain transfer router.
     pub router: CrossChainRouter,
     /// The fee-prioritized pool of MC transactions awaiting the next
@@ -374,28 +370,26 @@ impl World {
             .genesis_users
             .iter()
             .map(|(name, _)| {
-                // The primary chain keeps the legacy per-user seed so
-                // single-chain scenarios stay byte-for-byte stable.
-                let primary = Keypair::from_seed(format!("sc-{name}").as_bytes());
+                // The first chain's seed carries no chain label: every
+                // recorded digest of a single-chain run depends on it.
                 let per_chain: BTreeMap<SidechainId, Keypair> = config
                     .sidechain_labels
                     .iter()
                     .zip(&sidechain_ids)
                     .enumerate()
                     .map(|(i, (label, id))| {
-                        let keys = if i == 0 {
-                            primary.clone()
+                        let seed = if i == 0 {
+                            format!("sc-{name}")
                         } else {
-                            Keypair::from_seed(format!("sc-{label}-{name}").as_bytes())
+                            format!("sc-{label}-{name}")
                         };
-                        (*id, keys)
+                        (*id, Keypair::from_seed(seed.as_bytes()))
                     })
                     .collect();
                 (
                     name.clone(),
                     User {
                         wallet: Wallet::from_seed(format!("mc-{name}").as_bytes()),
-                        sc_keys: primary,
                         per_chain,
                     },
                 )
@@ -468,10 +462,9 @@ impl World {
         let mut world = World {
             chain,
             shards,
-            order: sidechain_ids.clone(),
+            order: sidechain_ids,
             users,
             metrics: Metrics::default(),
-            sidechain_id: sidechain_ids[0],
             router: {
                 let mut router = CrossChainRouter::new();
                 router.set_telemetry(telemetry.clone());
@@ -728,25 +721,16 @@ impl World {
             .ok_or_else(|| SimError::UnknownSidechain(id.to_string()))
     }
 
-    /// The primary sidechain's node (legacy single-chain accessor).
-    pub fn node(&self) -> &LatusNode {
-        &self.shards[&self.sidechain_id].instance.node
-    }
-
-    /// Mutable access to the primary sidechain's node.
-    pub fn node_mut(&mut self) -> &mut LatusNode {
-        let id = self.sidechain_id;
-        &mut self
-            .shards
-            .get_mut(&id)
-            .expect("primary exists")
-            .instance
-            .node
-    }
-
     /// The node of a specific sidechain.
     pub fn node_of(&self, id: &SidechainId) -> Result<&LatusNode, SimError> {
         Ok(&self.instance(id)?.node)
+    }
+
+    /// Mutable access to a sidechain's node, for driving it past what
+    /// the world's own entry points accept (adversarial tests submit
+    /// transfers the world would refuse to build).
+    pub fn node_of_mut(&mut self, id: &SidechainId) -> Result<&mut LatusNode, SimError> {
+        Ok(&mut self.instance_mut(id)?.node)
     }
 
     // ---- Actions ------------------------------------------------------
@@ -866,18 +850,8 @@ impl World {
         &self.forged_certs
     }
 
-    /// Queues a forward transfer from a user to their own address on the
-    /// primary sidechain.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError`] on unknown users or insufficient funds.
-    pub fn queue_forward_transfer(&mut self, name: &str, amount: u64) -> Result<(), SimError> {
-        let primary = self.sidechain_id;
-        self.queue_forward_transfer_on(&primary, name, amount)
-    }
-
-    /// Queues a forward transfer into a specific sidechain.
+    /// Queues a forward transfer from a user to their own address on a
+    /// sidechain.
     ///
     /// # Errors
     ///
@@ -975,21 +949,11 @@ impl World {
         Ok((selected, total))
     }
 
-    /// Submits a payment between users on the primary sidechain.
+    /// Submits a payment between users on a sidechain.
     ///
     /// # Errors
     ///
-    /// [`SimError`] when funds are insufficient.
-    pub fn sc_pay(&mut self, from: &str, to: &str, amount: u64) -> Result<(), SimError> {
-        let primary = self.sidechain_id;
-        self.sc_pay_on(&primary, from, to, amount)
-    }
-
-    /// Submits a payment between users on a specific sidechain.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError`] when funds are insufficient.
+    /// [`SimError`] on unknown users/sidechains or insufficient funds.
     pub fn sc_pay_on(
         &mut self,
         sc: &SidechainId,
@@ -997,6 +961,7 @@ impl World {
         to: &str,
         amount: u64,
     ) -> Result<(), SimError> {
+        self.instance(sc)?;
         let sender = self.user(from)?.clone();
         let receiver = self.user(to)?.sc_address_on(sc);
         let amount = Amount::from_units(amount);
@@ -1014,27 +979,18 @@ impl World {
         Ok(())
     }
 
-    /// Initiates a sidechain→mainchain withdrawal on the primary chain.
+    /// Initiates a sidechain→mainchain withdrawal.
     ///
     /// # Errors
     ///
-    /// [`SimError`] when funds are insufficient.
-    pub fn sc_withdraw(&mut self, name: &str, amount: u64) -> Result<(), SimError> {
-        let primary = self.sidechain_id;
-        self.sc_withdraw_on(&primary, name, amount)
-    }
-
-    /// Initiates a withdrawal from a specific sidechain.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError`] when funds are insufficient.
+    /// [`SimError`] on unknown users/sidechains or insufficient funds.
     pub fn sc_withdraw_on(
         &mut self,
         sc: &SidechainId,
         name: &str,
         amount: u64,
     ) -> Result<(), SimError> {
+        self.instance(sc)?;
         let user = self.user(name)?.clone();
         let amount = Amount::from_units(amount);
         let (selected, total) = self.select_inputs(sc, &user, amount)?;
@@ -1067,6 +1023,8 @@ impl World {
         name: &str,
         amount: u64,
     ) -> Result<CrossChainTransfer, SimError> {
+        self.instance(from_sc)?;
+        self.instance(to_sc)?;
         let user = self.user(name)?.clone();
         let amount = Amount::from_units(amount);
         let (selected, _) = self.select_inputs(from_sc, &user, amount)?;
@@ -1288,8 +1246,7 @@ impl World {
     /// counters (`mc.reject.*`, `mc.verdict_cache.*`, `router.*`,
     /// `shard.*`) and histograms (`router.settlement.batch_size`,
     /// `mc.block_txs`, …). Empty when recording is off. Render it with
-    /// [`zendoo_telemetry::render_report`] or serialise it via
-    /// [`Snapshot::to_json`].
+    /// [`zendoo_telemetry::render_report`].
     pub fn telemetry_snapshot(&self) -> Snapshot {
         self.recorder
             .as_ref()
@@ -1377,16 +1334,22 @@ impl World {
         Ok(())
     }
 
-    /// Runs until the primary sidechain has certified `epochs` more
-    /// withdrawal epochs (or the step budget runs out).
+    /// The first declared sidechain's node: every chain shares one
+    /// epoch schedule, so it is the world's epoch clock.
+    fn first_node(&self) -> &LatusNode {
+        &self.shards[&self.order[0]].instance.node
+    }
+
+    /// Runs until the first declared sidechain has certified `epochs`
+    /// more withdrawal epochs (or the step budget runs out).
     ///
     /// # Errors
     ///
     /// [`SimError`] on failures.
     pub fn run_epochs(&mut self, epochs: u32) -> Result<(), SimError> {
-        let target = self.node().current_epoch() + epochs;
+        let target = self.first_node().current_epoch() + epochs;
         let mut budget = 10_000u32;
-        while self.node().current_epoch() < target && budget > 0 {
+        while self.first_node().current_epoch() < target && budget > 0 {
             self.step()?;
             budget -= 1;
         }
@@ -1587,12 +1550,6 @@ impl World {
 
     // ---- Audits -------------------------------------------------------
 
-    /// The primary sidechain's balance held on the mainchain (safeguard;
-    /// legacy single-chain shim for [`World::sidechain_balance_of`]).
-    pub fn sidechain_balance(&self) -> Amount {
-        self.sidechain_balance_of(&self.sidechain_id)
-    }
-
     /// A sidechain's balance held on the mainchain (safeguard).
     pub fn sidechain_balance_of(&self, id: &SidechainId) -> Amount {
         self.chain
@@ -1601,11 +1558,6 @@ impl World {
             .get(id)
             .map(|e| e.balance)
             .unwrap_or(Amount::ZERO)
-    }
-
-    /// The registry status of the primary sidechain (legacy shim).
-    pub fn sidechain_status(&self) -> Option<zendoo_mainchain::SidechainStatus> {
-        self.sidechain_status_of(&self.sidechain_id)
     }
 
     /// The registry status of a sidechain.
@@ -1649,8 +1601,8 @@ impl std::fmt::Debug for World {
         f.debug_struct("World")
             .field("mc_height", &self.chain.height())
             .field("sidechains", &self.order.len())
-            .field("sc_height", &self.node().chain().len())
-            .field("epoch", &self.node().current_epoch())
+            .field("sc_height", &self.first_node().chain().len())
+            .field("epoch", &self.first_node().current_epoch())
             .field("metrics", &self.metrics)
             .finish()
     }

@@ -218,11 +218,11 @@ fn long_horizon_soak_survives_sixty_four_epochs_of_mixed_faults() {
 
     // The horizon was real: ≥64 epochs certified under a standing
     // quality war with a fault injected almost every epoch.
-    assert!(
-        world.node().current_epoch() >= 64,
-        "soaked {} epochs",
-        world.node().current_epoch()
-    );
+    let epochs = world
+        .node_of(&world.sidechain_ids()[0])
+        .unwrap()
+        .current_epoch();
+    assert!(epochs >= 64, "soaked {epochs} epochs");
     assert!(world.metrics.partitions >= 10, "partitions recurred");
     assert!(
         world.metrics.relay_equivocations >= 5,
@@ -297,4 +297,31 @@ fn fork_deeper_than_history_is_a_typed_error() {
     assert!(world.inject_mc_fork(height - 1).is_ok());
     assert_eq!(world.metrics.reorgs, 1);
     assert!(world.conservation_holds());
+}
+
+#[test]
+fn cross_transfer_to_undeployed_chain_is_a_typed_error() {
+    use zendoo_core::ids::SidechainId;
+    use zendoo_sim::SimConfig;
+
+    let mut world = World::new(SimConfig::default());
+    let home = world.sidechain_ids()[0];
+    world
+        .queue_forward_transfer_on(&home, "alice", 10_000)
+        .unwrap();
+    world.run(2).unwrap();
+
+    // Alice has no keys on a chain the world never deployed: the typed
+    // error, not a receiver derived from another chain's key, and the
+    // world untouched.
+    let undeployed = SidechainId::from_label("never-deployed");
+    let metrics_before = world.metrics.clone();
+    let refused = world.queue_cross_transfer(&home, &undeployed, "alice", 1_000);
+    assert!(
+        matches!(refused, Err(SimError::UnknownSidechain(_))),
+        "{refused:?}"
+    );
+    assert_eq!(world.metrics, metrics_before);
+    let node = world.node_of(&home).unwrap();
+    assert!(node.pending_cross_transfers().is_empty());
 }

@@ -4,6 +4,7 @@
 use zendoo_mainchain::{Blockchain, VerifyMode};
 use zendoo_sim::World;
 use zendoo_store::chain_state_digest;
+use zendoo_telemetry::{Snapshot, Telemetry};
 
 /// Every `(workers, verify mode)` pair a world must be bit-identical
 /// across; the first — one lane, individual verification — is the
@@ -29,8 +30,14 @@ pub const MATRIX: [(Option<usize>, VerifyMode); 10] = [
 /// lands on the same tip and the same state digest. A cache that ever
 /// changed an outcome in the world's tick would make the follower
 /// reject a block or diverge here.
-pub fn assert_follower_replay_matches(world: &World) {
+///
+/// Returns what the follower recorded about itself: the spans and
+/// counters a *receiving* node pays (the world submits each block with
+/// its builder's verdicts, so its own stage 2 never verifies).
+pub fn assert_follower_replay_matches(world: &World) -> Snapshot {
+    let (telemetry, recorder) = Telemetry::in_memory();
     let mut follower = Blockchain::new(world.chain.params().clone());
+    follower.set_telemetry(telemetry);
     for height in 1..=world.chain.height() {
         let block = world.chain.block_at_height(height).expect("active block");
         follower
@@ -43,4 +50,5 @@ pub fn assert_follower_replay_matches(world: &World) {
         chain_state_digest(&world.chain),
         "follower state diverged from the world's chain"
     );
+    recorder.snapshot()
 }

@@ -347,6 +347,43 @@ fn instrumented_16_chain_world_is_bit_identical_across_worker_counts() {
             .get("router.settlement.batch_size"),
         "settlement batch-size histogram diverged across worker counts"
     );
+
+    // The span-name contract: `benchmark/` reads these by name and
+    // reports `null` — it does not fail — when one is renamed. The
+    // world's snapshot carries the tick spans; `mc.stage2.verify` and
+    // `snark.batch.verify` only exist on a receiving node, so a
+    // recording follower's reading is merged in.
+    let mut recorded = one_lane_snap;
+    recorded.merge(&assert_follower_replay_matches(&one_lane));
+    for span in [
+        "tick",
+        "tick.prologue",
+        "tick.mc.prepare",
+        "tick.mc.submit",
+        "tick.fold",
+        "tick.coordinator",
+        "tick.shard.sync",
+        "tick.shard.critical",
+        "mc.stage1.precheck",
+        "mc.stage2.verify",
+        "mc.stage3.apply",
+        "snark.batch.verify",
+        "router.observe",
+    ] {
+        assert!(recorded.spans.contains_key(span), "span {span} missing");
+    }
+    let consulted: u64 = ["mc.verdict_cache.hit", "mc.verdict_cache.miss"]
+        .iter()
+        .filter_map(|name| recorded.counters.get(*name))
+        .sum();
+    assert!(consulted > 0, "verdict cache never consulted");
+    assert!(
+        recorded
+            .histograms
+            .get("router.settlement.batch_size")
+            .is_some_and(|sizes| sizes.count() > 0),
+        "no settlement batches recorded"
+    );
 }
 
 // ---- Aggregated verification must not perturb consensus --------------

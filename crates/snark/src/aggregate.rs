@@ -51,7 +51,7 @@ use zendoo_telemetry::Telemetry;
 use crate::backend::{
     prove, setup_deterministic, verify, Proof, ProveError, ProvingKey, VerifyingKey,
 };
-use crate::batch::BatchItem;
+use crate::batch::{fan_out, BatchItem};
 use crate::circuit::{gadget_cost, Circuit, Unsatisfied};
 use crate::inputs::PublicInputs;
 
@@ -510,11 +510,28 @@ impl AggregationSystem {
             return Ok(BlockProof::empty());
         }
         let _build = telemetry.span("snark.aggregate.build");
-        let workers = workers.clamp(1, items.len());
-        let mut layer = {
+        let layer: Vec<AggregateProof> = {
             let _span = telemetry.span("snark.aggregate.wrap");
-            run_layer(items, workers, |item| self.wrap(item))?
+            fan_out(items, workers, || (), |item| self.wrap(item))
+                .into_iter()
+                .collect::<Result<_, _>>()?
         };
+        let (aggregate, depth) = self.fold_layers(layer, workers, telemetry)?;
+        telemetry.observe("snark.aggregate.depth", depth);
+        Ok(BlockProof {
+            aggregate: Some(aggregate),
+        })
+    }
+
+    /// Folds a non-empty layer pairwise until one proof remains (one
+    /// `snark.aggregate.fold` span per tree level), returning it with
+    /// the tree depth.
+    fn fold_layers(
+        &self,
+        mut layer: Vec<AggregateProof>,
+        workers: usize,
+        telemetry: &Telemetry,
+    ) -> Result<(AggregateProof, u64), ProveError> {
         let mut depth = 0u64;
         while layer.len() > 1 {
             depth += 1;
@@ -523,15 +540,19 @@ impl AggregationSystem {
                 .map(|pair| (pair[0], pair.get(1).copied()))
                 .collect();
             let _span = telemetry.span("snark.aggregate.fold");
-            layer = run_layer(&pairs, workers, |(left, right)| match right {
-                Some(right) => self.fold(left, right),
-                None => Ok(*left),
-            })?;
+            layer = fan_out(
+                &pairs,
+                workers,
+                || (),
+                |(left, right)| match right {
+                    Some(right) => self.fold(left, right),
+                    None => Ok(*left),
+                },
+            )
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         }
-        telemetry.observe("snark.aggregate.depth", depth);
-        Ok(BlockProof {
-            aggregate: Some(layer.remove(0)),
-        })
+        Ok((layer.remove(0), depth))
     }
 
     /// Folds a window of per-block proofs into one epoch proof — just
@@ -549,25 +570,14 @@ impl AggregationSystem {
         workers: usize,
         telemetry: &Telemetry,
     ) -> Result<BlockProof, ProveError> {
-        let mut layer: Vec<AggregateProof> = blocks.iter().filter_map(|b| b.aggregate).collect();
+        let layer: Vec<AggregateProof> = blocks.iter().filter_map(|b| b.aggregate).collect();
         if layer.is_empty() {
             return Ok(BlockProof::empty());
         }
-        let workers = workers.clamp(1, layer.len());
         let _build = telemetry.span("snark.aggregate.epoch");
-        while layer.len() > 1 {
-            let pairs: Vec<(AggregateProof, Option<AggregateProof>)> = layer
-                .chunks(2)
-                .map(|pair| (pair[0], pair.get(1).copied()))
-                .collect();
-            let _span = telemetry.span("snark.aggregate.fold");
-            layer = run_layer(&pairs, workers, |(left, right)| match right {
-                Some(right) => self.fold(left, right),
-                None => Ok(*left),
-            })?;
-        }
+        let (aggregate, _depth) = self.fold_layers(layer, workers, telemetry)?;
         Ok(BlockProof {
-            aggregate: Some(layer.remove(0)),
+            aggregate: Some(aggregate),
         })
     }
 
@@ -601,40 +611,6 @@ impl std::fmt::Debug for AggregationSystem {
             .field("fold_vk", &self.fold_vk)
             .finish()
     }
-}
-
-/// Runs one tree layer: `jobs[i]` is processed by worker `i % workers`;
-/// results return in job order. Single worker or single job
-/// short-circuits to the serial path with no thread overhead.
-fn run_layer<J, F>(jobs: &[J], workers: usize, f: F) -> Result<Vec<AggregateProof>, ProveError>
-where
-    J: Sync,
-    F: Fn(&J) -> Result<AggregateProof, ProveError> + Sync,
-{
-    if workers == 1 || jobs.len() == 1 {
-        return jobs.iter().map(&f).collect();
-    }
-    let results = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let f = &f;
-            handles.push(scope.spawn(move |_| {
-                jobs.iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % workers == worker)
-                    .map(|(i, job)| (i, f(job)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        let mut indexed: Vec<(usize, Result<AggregateProof, ProveError>)> = Vec::new();
-        for handle in handles {
-            indexed.extend(handle.join().expect("aggregation worker panicked"));
-        }
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed
-    })
-    .expect("thread scope");
-    results.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

@@ -4,9 +4,11 @@
 //! posting* (§4.1.2), and verifications of distinct postings share no
 //! state — a block carrying many certificates/BTRs/CSWs can therefore
 //! check all of its proofs concurrently before any state mutation.
-//! [`verify_batch`] fans a work list out over scoped worker threads
-//! (the same strided layout as [`crate::parallel::ParallelProver`])
-//! and returns one verdict per item, in order.
+//! [`verify_batch`] fans a work list out over scoped worker threads and
+//! returns one verdict per item, in order. [`fan_out`] is that fan-out
+//! itself — the one strided scoped-thread map in the workspace, shared
+//! with signature batches, [`crate::parallel::ParallelProver`] and the
+//! aggregation fold.
 
 use crossbeam::thread;
 use zendoo_telemetry::Telemetry;
@@ -50,39 +52,71 @@ pub fn verify_batch(items: &[BatchItem], workers: usize) -> Vec<bool> {
 
 /// [`verify_batch`] with telemetry: records the batch size
 /// (`snark.batch.proofs` histogram), per-worker wall time
-/// (`snark.batch.worker` span), and total batch wall time
+/// (`snark.batch.verify.worker` span), and total batch wall time
 /// (`snark.batch.verify` span).
 pub fn verify_batch_with(items: &[BatchItem], workers: usize, telemetry: &Telemetry) -> Vec<bool> {
     telemetry.observe("snark.batch.proofs", items.len() as u64);
     let _batch_span = telemetry.span("snark.batch.verify");
+    fan_out(
+        items,
+        workers,
+        || telemetry.span("snark.batch.verify.worker"),
+        BatchItem::verify,
+    )
+}
+
+/// Maps `f` over `items` on `workers` scoped threads — item `i` runs on
+/// worker `i % workers` — and returns the results in item order.
+/// `enter` runs once on each worker before its first item and its
+/// result is held until the worker is done (a span guard; `|| ()` when
+/// there is nothing to hold). `workers` is clamped to the item count;
+/// one worker (or at most one item) runs in the calling thread with no
+/// spawn.
+///
+/// # Panics
+///
+/// Re-raises a panic of `f` or `enter`.
+pub fn fan_out<T, R, G>(
+    items: &[T],
+    workers: usize,
+    enter: impl Fn() -> G + Sync,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+{
     let workers = workers.clamp(1, items.len().max(1));
-    if workers == 1 || items.len() <= 1 {
-        let _span = telemetry.span("snark.batch.verify.worker");
-        return items.iter().map(BatchItem::verify).collect();
+    if workers == 1 {
+        let _guard = enter();
+        return items.iter().map(f).collect();
     }
-    let mut verdicts = vec![false; items.len()];
+    let (enter, f) = (&enter, &f);
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
                 scope.spawn(move |_| {
-                    let _span = telemetry.span("snark.batch.verify.worker");
+                    let _guard = enter();
                     items
                         .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % workers == worker)
-                        .map(|(i, item)| (i, item.verify()))
-                        .collect::<Vec<_>>()
+                        .skip(worker)
+                        .step_by(workers)
+                        .map(f)
+                        .collect::<Vec<R>>()
                 })
             })
             .collect();
-        for handle in handles {
-            for (i, verdict) in handle.join().expect("verifier thread panicked") {
-                verdicts[i] = verdict;
-            }
-        }
+        // Lane `w` holds the results of items w, w + workers, …: take
+        // them back round-robin.
+        let mut lanes: Vec<_> = handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker thread panicked").into_iter())
+            .collect();
+        (0..items.len())
+            .map(|i| lanes[i % workers].next().expect("one result per item"))
+            .collect()
     })
-    .expect("thread scope");
-    verdicts
+    .expect("thread scope")
 }
 
 #[cfg(test)]

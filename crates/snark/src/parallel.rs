@@ -13,10 +13,10 @@
 //! shape of the sequential [`RecursiveSystem::prove_chain`]. The
 //! dispatch/reward bookkeeping lives in `zendoo-latus::prover_pool`.
 
-use crossbeam::thread;
 use zendoo_primitives::field::Fp;
 
 use crate::backend::ProveError;
+use crate::batch::fan_out;
 use crate::recursive::{RecursiveSystem, StateProof, TransitionVerifier};
 
 /// Per-run statistics: which worker produced how many proofs.
@@ -133,30 +133,7 @@ where
         J: Sync,
         F: Fn(&J) -> Result<StateProof, ProveError> + Sync,
     {
-        if self.workers == 1 || jobs.len() == 1 {
-            return jobs.iter().map(&f).collect();
-        }
-        let results = thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.workers);
-            for worker in 0..self.workers {
-                let f = &f;
-                handles.push(scope.spawn(move |_| {
-                    jobs.iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % self.workers == worker)
-                        .map(|(i, job)| (i, f(job)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            let mut indexed: Vec<(usize, Result<StateProof, ProveError>)> = Vec::new();
-            for handle in handles {
-                indexed.extend(handle.join().expect("worker thread panicked"));
-            }
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed
-        })
-        .expect("thread scope");
-        results.into_iter().map(|(_, r)| r).collect()
+        fan_out(jobs, self.workers, || (), f).into_iter().collect()
     }
 }
 

@@ -202,11 +202,6 @@ impl Histogram {
         self.max
     }
 
-    /// Mean of recorded samples, rounded down (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
     /// Estimates the `q`-quantile (`q` in `[0, 1]`): finds the bucket
     /// containing the rank-`q` sample, interpolates linearly inside it,
     /// and clamps to the observed `[min, max]`. The estimate is always

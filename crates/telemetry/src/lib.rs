@@ -7,9 +7,7 @@
 //! costs one branch per call site and never reads the clock).
 //!
 //! Like `crates/support/`, this crate has **zero dependencies**: the
-//! build environment is offline, so everything — including the JSON
-//! emission used by the `BENCH_*.json` reports — is implemented
-//! in-repo.
+//! build environment is offline, so everything is implemented in-repo.
 //!
 //! # Model
 //!
@@ -25,7 +23,7 @@
 //!   `docs/OBSERVABILITY.md` for the convention).
 //! * The [`InMemoryRecorder`] aggregates everything into a
 //!   [`Snapshot`]: `BTreeMap`s keyed by name, so iteration order (and
-//!   the rendered report, and the JSON) is fixed regardless of the
+//!   the rendered report) is fixed regardless of the
 //!   order events arrived in. Snapshots [`Snapshot::merge`]
 //!   commutatively, which is how per-shard recorders fold into the
 //!   world's recorder in declaration order.

@@ -39,8 +39,7 @@ impl SpanStats {
 /// A deterministic aggregate of everything a recorder saw.
 ///
 /// All maps are `BTreeMap`s keyed by event name, so iteration order —
-/// and therefore [`render_report`] output and [`Snapshot::to_json`] —
-/// is fixed regardless of the order events arrived in.
+/// and therefore [`render_report`] output — is fixed regardless of the order events arrived in.
 ///
 /// # Examples
 ///
@@ -121,111 +120,6 @@ impl Snapshot {
             && self.gauges.is_empty()
             && self.histograms.is_empty()
     }
-
-    /// Serialises the snapshot to the repo's `BENCH_*.json` shape:
-    /// hand-rolled, deterministic key order, with p50/p90/p99/max for
-    /// every span and histogram. `bench` names the emitting benchmark.
-    pub fn to_json(&self, bench: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"bench\": {},", json_str(bench));
-
-        out.push_str("  \"spans\": [\n");
-        let mut first = true;
-        for (path, s) in &self.spans {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    {{\"path\": {}, \"count\": {}, \"total_ns\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-                json_str(path),
-                s.count,
-                s.total_nanos,
-                s.nanos.mean(),
-                s.nanos.quantile(0.50),
-                s.nanos.quantile(0.90),
-                s.nanos.quantile(0.99),
-                s.nanos.max(),
-            );
-        }
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"counters\": {");
-        let mut first = true;
-        for (name, value) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    {}: {}", json_str(name), value);
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-
-        out.push_str("  \"gauges\": {");
-        let mut first = true;
-        for (name, value) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    {}: {}", json_str(name), value);
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-
-        out.push_str("  \"histograms\": [\n");
-        let mut first = true;
-        for (name, h) in &self.histograms {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"min\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-                json_str(name),
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-                h.max(),
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// Escapes `s` as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A [`Recorder`] that aggregates events into a [`Snapshot`] under a
@@ -440,37 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_and_balanced() {
-        let a = sample().to_json("pipeline_obs");
-        let b = sample().to_json("pipeline_obs");
-        assert_eq!(a, b);
-        assert_eq!(
-            a.matches('{').count(),
-            a.matches('}').count(),
-            "unbalanced braces:\n{a}"
-        );
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert!(a.contains("\"bench\": \"pipeline_obs\""));
-        assert!(a.contains("\"p99_ns\""));
-    }
-
-    #[test]
-    fn empty_snapshot_json_is_balanced() {
-        let json = Snapshot::default().to_json("empty");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
     fn drain_resets() {
         let rec = InMemoryRecorder::new();
         rec.add("x", 1);
         assert!(!rec.drain().is_empty());
         assert!(rec.snapshot().is_empty());
-    }
-
-    #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

@@ -17,20 +17,23 @@ fn main() {
     println!("=== Ceased sidechain & CSW recovery ===\n");
 
     let mut world = World::new(SimConfig::default());
+    let sc = world.sidechain_ids()[0];
 
     // Alice moves coins over and the first epoch certifies normally.
-    world.queue_forward_transfer("alice", 7_500).unwrap();
+    world
+        .queue_forward_transfer_on(&sc, "alice", 7_500)
+        .unwrap();
     world.run_epochs(1).unwrap();
     println!(
         "epoch 0 certified; sidechain status = {:?}",
-        world.sidechain_status().unwrap()
+        world.sidechain_status_of(&sc).unwrap()
     );
 
     // Disaster: the sidechain stops producing certificates (operators
     // vanish, or a malicious majority censors them).
     world.withhold_certificates = true;
     println!("\n-- sidechain stops certifying --");
-    while world.sidechain_status() == Some(SidechainStatus::Active) {
+    while world.sidechain_status_of(&sc) == Some(SidechainStatus::Active) {
         world.step().unwrap();
     }
     println!(
@@ -45,7 +48,8 @@ fn main() {
     // Alice still holds her UTXO and the last certified state is public:
     // she builds a CSW against the epoch-0 certificate.
     let alice = world.user("alice").unwrap().clone();
-    let utxo = world.node().utxos_of(&alice.sc_address())[0];
+    let node = world.node_of(&sc).unwrap();
+    let utxo = node.utxos_of(&alice.sc_address_on(&sc))[0];
     println!(
         "\nalice's stranded utxo: {} coins at nullifier {:?}",
         utxo.amount,
@@ -53,9 +57,8 @@ fn main() {
     );
 
     let rescue_addr = Address::from_label("alice-rescue");
-    let csw = world
-        .node()
-        .create_csw(0, &utxo, &alice.sc_keys.secret, rescue_addr)
+    let csw = node
+        .create_csw(0, &utxo, &alice.sc_keys_on(&sc).secret, rescue_addr)
         .unwrap();
     world.queue_mc_tx(McTransaction::Csw(Box::new(csw.clone())));
     world.step().unwrap();

@@ -20,12 +20,18 @@ fn main() {
     println!("=== Data-availability attack & mst_delta recovery ===\n");
 
     let mut world = World::new(SimConfig::default());
+    let sc = world.sidechain_ids()[0];
 
     // Epoch 0: alice receives coins; the state is public so far.
-    world.queue_forward_transfer("alice", 4_200).unwrap();
+    world
+        .queue_forward_transfer_on(&sc, "alice", 4_200)
+        .unwrap();
     world.run_epochs(1).unwrap();
     let alice = world.user("alice").unwrap().clone();
-    let utxo = world.node().utxos_of(&alice.sc_address())[0];
+    let utxo = world
+        .node_of(&sc)
+        .unwrap()
+        .utxos_of(&alice.sc_address_on(&sc))[0];
     println!(
         "epoch 0 certified publicly; alice's utxo ({} coins) is in the committed MST",
         utxo.amount
@@ -41,7 +47,7 @@ fn main() {
 
     // The sidechain then ceases (the adversary walks away).
     world.withhold_certificates = true;
-    while world.sidechain_status() == Some(SidechainStatus::Active) {
+    while world.sidechain_status_of(&sc) == Some(SidechainStatus::Active) {
         world.step().unwrap();
     }
     println!("sidechain ceased\n");
@@ -50,9 +56,10 @@ fn main() {
     //   * her utxo + key,
     //   * the epoch-0 certificate (and its state, which WAS published),
     //   * the epoch-1 and epoch-2 certificates' deltas.
+    let node = world.node_of(&sc).unwrap();
     let mut deltas = BTreeMap::new();
     for epoch in 1u32..=2 {
-        let delta = world.node().epoch_delta(epoch).unwrap().clone();
+        let delta = node.epoch_delta(epoch).unwrap().clone();
         println!(
             "epoch {epoch} delta: {} touched slot(s); alice's slot touched: {}",
             delta.count(),
@@ -62,9 +69,8 @@ fn main() {
     }
 
     let rescue = Address::from_label("alice-survives");
-    let csw = world
-        .node()
-        .create_historical_csw(0, 2, &utxo, &alice.sc_keys.secret, rescue, &deltas)
+    let csw = node
+        .create_historical_csw(0, 2, &utxo, &alice.sc_keys_on(&sc).secret, rescue, &deltas)
         .unwrap();
     world.queue_mc_tx(McTransaction::Csw(Box::new(csw)));
     world.step().unwrap();

@@ -41,5 +41,5 @@ fn main() {
         world.metrics.cross_transfers_initiated,
     );
 
-    println!("\n(the tick submits each block with the proof verdicts its builder recorded — stage 2 shows up as the mc.stage2.verdicts_reused counter; a receiving node fed by `submit_block` pays the mc.stage2.verify spans instead, see `cargo bench -p zendoo-bench --bench pipeline_obs`)");
+    println!("\n(the tick submits each block with the proof verdicts its builder recorded — stage 2 shows up as the mc.stage2.verdicts_reused counter; a receiving node fed by `submit_block` pays the mc.stage2.verify spans instead — the benchmark's `mainchain.follower_*` metrics and `snark.batch_verify8_ms` measure that side)");
 }

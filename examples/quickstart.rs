@@ -15,19 +15,19 @@ fn main() {
     // One mainchain + one Latus sidechain, with alice and bob funded at
     // mainchain genesis.
     let mut world = World::new(SimConfig::default());
-    println!(
-        "world created: sidechain {} registered on the mainchain",
-        world.sidechain_id
-    );
+    let sc = world.sidechain_ids()[0];
+    println!("world created: sidechain {sc} registered on the mainchain");
 
     // Alice moves 10 000 coins to the sidechain (a forward transfer —
     // the coins are destroyed on the MC and credited to the sidechain's
     // safeguard balance).
-    world.queue_forward_transfer("alice", 10_000).unwrap();
+    world
+        .queue_forward_transfer_on(&sc, "alice", 10_000)
+        .unwrap();
     world.step().unwrap();
     println!(
         "forward transfer mined; sidechain balance on MC = {}",
-        world.sidechain_balance()
+        world.sidechain_balance_of(&sc)
     );
 
     // Run a full withdrawal epoch: the node forges one SC block per MC
@@ -42,18 +42,19 @@ fn main() {
 
     // Alice's coins exist on the sidechain now.
     let alice = world.user("alice").unwrap().clone();
+    let alice_sc = alice.sc_address_on(&sc);
     println!(
         "alice's sidechain balance = {}",
-        world.node().balance_of(&alice.sc_address())
+        world.node_of(&sc).unwrap().balance_of(&alice_sc)
     );
 
     // She withdraws 4 000 back to the mainchain.
-    world.sc_withdraw("alice", 4_000).unwrap();
+    world.sc_withdraw_on(&sc, "alice", 4_000).unwrap();
     world.run_epochs(2).unwrap();
     println!(
         "after withdrawal + maturity: alice MC balance = {}, SC balance = {}",
         world.chain.state().utxos.balance_of(&alice.mc_address()),
-        world.node().balance_of(&alice.sc_address()),
+        world.node_of(&sc).unwrap().balance_of(&alice_sc),
     );
 
     assert!(world.conservation_holds());

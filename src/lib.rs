@@ -44,7 +44,8 @@
 //! use zendoo::sim::{SimConfig, World};
 //!
 //! let mut world = World::new(SimConfig::default());
-//! world.queue_forward_transfer("alice", 1_000).unwrap();
+//! let sc = world.sidechain_ids()[0];
+//! world.queue_forward_transfer_on(&sc, "alice", 1_000).unwrap();
 //! world.run_epochs(1).unwrap();
 //! assert!(world.conservation_holds());
 //! ```

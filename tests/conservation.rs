@@ -12,12 +12,12 @@ const N_SIDECHAINS: usize = 3;
 /// One randomly generated scripted action.
 fn action_strategy() -> impl Strategy<Value = Action> {
     prop_oneof![
-        (1u64..5_000).prop_map(|amount| Action::ForwardTransfer("alice".into(), amount)),
-        (1u64..5_000).prop_map(|amount| Action::ForwardTransfer("bob".into(), amount)),
-        (1u64..3_000).prop_map(|amount| Action::ScPay("alice".into(), "bob".into(), amount)),
-        (1u64..3_000).prop_map(|amount| Action::ScPay("bob".into(), "alice".into(), amount)),
-        (1u64..2_000).prop_map(|amount| Action::ScWithdraw("alice".into(), amount)),
-        (1u64..2_000).prop_map(|amount| Action::ScWithdraw("bob".into(), amount)),
+        (1u64..5_000).prop_map(|amount| Action::ForwardTransferTo(0, "alice".into(), amount)),
+        (1u64..5_000).prop_map(|amount| Action::ForwardTransferTo(0, "bob".into(), amount)),
+        (1u64..3_000).prop_map(|amount| Action::ScPayOn(0, "alice".into(), "bob".into(), amount)),
+        (1u64..3_000).prop_map(|amount| Action::ScPayOn(0, "bob".into(), "alice".into(), amount)),
+        (1u64..2_000).prop_map(|amount| Action::ScWithdrawOn(0, "alice".into(), amount)),
+        (1u64..2_000).prop_map(|amount| Action::ScWithdrawOn(0, "bob".into(), amount)),
     ]
 }
 
@@ -41,8 +41,9 @@ proptest! {
 
         // (2) Safeguard: the sidechain balance tracked by the MC equals
         // SC-side value plus not-yet-matured withdrawals.
-        let mc_view = world.sidechain_balance();
-        let sc_value = world.node().state().total_value();
+        let sc = world.sidechain_ids()[0];
+        let mc_view = world.sidechain_balance_of(&sc);
+        let sc_value = world.node_of(&sc).unwrap().state().total_value();
         prop_assert!(
             sc_value <= mc_view,
             "sidechain holds more value ({sc_value}) than the MC safeguard ({mc_view})"
@@ -234,14 +235,14 @@ proptest! {
 fn long_run_conservation() {
     // A longer deterministic mixed workload across 6 epochs.
     let schedule = Schedule::new()
-        .at(0, Action::ForwardTransfer("alice".into(), 50_000))
-        .at(2, Action::ScPay("alice".into(), "bob".into(), 10_000))
-        .at(4, Action::ScWithdraw("bob".into(), 5_000))
-        .at(8, Action::ForwardTransfer("bob".into(), 20_000))
-        .at(10, Action::ScPay("bob".into(), "alice".into(), 7_000))
-        .at(12, Action::ScWithdraw("alice".into(), 30_000))
-        .at(15, Action::ForwardTransfer("alice".into(), 1))
-        .at(18, Action::ScWithdraw("alice".into(), 100));
+        .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
+        .at(2, Action::ScPayOn(0, "alice".into(), "bob".into(), 10_000))
+        .at(4, Action::ScWithdrawOn(0, "bob".into(), 5_000))
+        .at(8, Action::ForwardTransferTo(0, "bob".into(), 20_000))
+        .at(10, Action::ScPayOn(0, "bob".into(), "alice".into(), 7_000))
+        .at(12, Action::ScWithdrawOn(0, "alice".into(), 30_000))
+        .at(15, Action::ForwardTransferTo(0, "alice".into(), 1))
+        .at(18, Action::ScWithdrawOn(0, "alice".into(), 100));
     let mut world = World::new(SimConfig::default());
     schedule.run(&mut world, 45).unwrap();
     assert!(world.conservation_holds());
