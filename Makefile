@@ -7,11 +7,11 @@ ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-stor
 fmt-check:
 	cargo fmt --check
 
-# --no-deps keeps the offline stand-ins in crates/support out;
-# zendoo-bench and the root facade are not linted (bench-build at least
-# compiles the former).
+# Every workspace member that is ours: the library crates, the scaling
+# curves (zendoo-bench) and the root facade with its examples and tests.
+# --no-deps keeps the offline stand-ins in crates/support out.
 clippy:
-	cargo clippy -p zendoo-primitives -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store -p zendoo-latus --all-targets --no-deps -- -D warnings
+	cargo clippy -p zendoo-primitives -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store -p zendoo-latus -p zendoo-bench -p zendoo --all-targets --no-deps -- -D warnings
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
@@ -60,8 +60,8 @@ test-benchmark:
 	cargo test -q --offline --manifest-path benchmark/Cargo.toml
 	cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 
-# Nothing else in `ci` compiles crates/bench (clippy skips it), so an
-# API change would otherwise break the scaling curves silently.
+# Builds the scaling curves as `cargo bench` would (clippy only checks
+# them), so an API change cannot break them silently.
 bench-build:
 	cargo bench -p zendoo-bench --no-run
 

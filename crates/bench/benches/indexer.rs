@@ -15,7 +15,7 @@
 //! `node_restart`: `cold_start_s`, `store.replay_ms`,
 //! `store.index_rebuild_ms`.)
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use zendoo_bench::write_report;
@@ -115,7 +115,7 @@ fn synthetic_events(
 
 /// Bootstraps a store in `dir` from an empty chain and feeds it the
 /// synthetic events (committing once per block, as the sim does).
-fn populate(dir: &PathBuf, events: &[ChainEvent], telemetry: Telemetry) -> UtxoStore {
+fn populate(dir: &Path, events: &[ChainEvent], telemetry: Telemetry) -> UtxoStore {
     let chain = Blockchain::new(ChainParams::default());
     let mut store = UtxoStore::open(dir, telemetry).expect("open");
     store.bootstrap(&chain).expect("bootstrap");

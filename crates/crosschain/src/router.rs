@@ -254,21 +254,6 @@ impl CrossChainRouter {
             })
     }
 
-    /// The in-flight transfers currently queued for one destination
-    /// sidechain, in `(source, epoch)` window order.
-    ///
-    /// This is the single-destination slice of
-    /// [`CrossChainRouter::pending_by_destination`]; a node answering
-    /// "incoming balance" queries for its own chain only needs this.
-    pub fn pending_for_destination(&self, dest: &SidechainId) -> Vec<CrossChainTransfer> {
-        self.pending
-            .values()
-            .flat_map(|window| window.items.iter())
-            .filter(|item| item.transfer.dest == *dest)
-            .map(|item| item.transfer)
-            .collect()
-    }
-
     /// Partitions the in-flight queue by destination sidechain:
     /// every transfer awaiting maturity, grouped under the chain that
     /// will receive it, in `(source, epoch)` window order within each

@@ -284,8 +284,9 @@ impl From<TxError> for ScBlockError {
     }
 }
 
-/// Applies a block to `state`, returning the transition witnesses in
-/// order (for the epoch proof, Fig 10).
+/// Applies a block to `state`, returning each transition witness with
+/// the state digest after its step, in order (what the epoch proof
+/// records, Fig 10).
 ///
 /// `last_referenced_mc` is the hash of the most recently referenced MC
 /// block before this one (enforcing reference contiguity, §5.1).
@@ -293,13 +294,13 @@ impl From<TxError> for ScBlockError {
 /// # Errors
 ///
 /// [`ScBlockError`]; the state may be partially mutated on error — the
-/// caller (the node) applies to a scratch state first.
+/// caller (the node) applies to a clone and adopts it on success.
 pub fn apply_block(
     params: &LatusParams,
     state: &mut SidechainState,
     block: &ScBlock,
     last_referenced_mc: Digest32,
-) -> Result<Vec<TransitionWitness>, ScBlockError> {
+) -> Result<Vec<(TransitionWitness, Fp)>, ScBlockError> {
     if block.compute_tx_root() != block.header.tx_root {
         return Err(ScBlockError::TxRootMismatch);
     }
@@ -325,14 +326,15 @@ pub fn apply_block(
         expected_parent = reference.mc_block_hash();
     }
 
-    let mut witnesses = Vec::new();
+    let mut recorded = Vec::new();
     for tx in block.ordered_transactions() {
-        witnesses.push(apply_transaction(params, state, &tx)?);
+        let witness = apply_transaction(params, state, &tx)?;
+        recorded.push((witness, state.digest()));
     }
     if state.digest() != block.header.state_digest {
         return Err(ScBlockError::StateDigestMismatch);
     }
-    Ok(witnesses)
+    Ok(recorded)
 }
 
 #[cfg(test)]

@@ -68,11 +68,6 @@ impl ConsensusParams {
         slot / self.slots_per_epoch
     }
 
-    /// The first slot of a consensus epoch.
-    pub fn first_slot(&self, epoch: u64) -> u64 {
-        epoch * self.slots_per_epoch
-    }
-
     /// The randomness `η_e` for a consensus epoch (hash-chained beacon).
     pub fn epoch_randomness(&self, epoch: u64) -> Digest32 {
         let mut eta = self.randomness_seed;

@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
 use zendoo_core::config::{SidechainConfig, SidechainConfigBuilder};
-use zendoo_core::crosschain::{escrow_address, CrossChainTransfer, InboundCrossTransfer};
+use zendoo_core::crosschain::{
+    declared_transfers, escrow_address, CrossChainTransfer, InboundCrossTransfer,
+};
 use zendoo_core::epoch::EpochSchedule;
 use zendoo_core::ids::{Address, Amount, EpochId, SidechainId};
 use zendoo_core::withdrawal::{
@@ -290,11 +292,6 @@ impl LatusNode {
     /// The withdrawal epoch currently being filled.
     pub fn current_epoch(&self) -> EpochId {
         self.current_epoch
-    }
-
-    /// The forger's address (stake identity).
-    pub fn forger_address(&self) -> Address {
-        Address::from_public_key(&self.forger.public)
     }
 
     /// Queues a user transaction after validating it against the current
@@ -656,14 +653,15 @@ impl LatusNode {
             return Err(NodeError::Unavailable("invalid slot leadership"));
         }
 
-        // Stateful validation on a scratch state, then adopt.
-        let mut scratch = self.state.clone();
-        let witnesses =
-            crate::block::apply_block(&self.params, &mut scratch, block, self.last_mc_ref)
-                .map_err(|_| NodeError::Unavailable("block failed stateful validation"))?;
+        // Execute the block once, on a clone: on error the clone is
+        // dropped and the node is untouched; on success it becomes the
+        // live state and the old state moves into the rollback snapshot.
+        let mut next = self.state.clone();
+        let recorded = crate::block::apply_block(&self.params, &mut next, block, self.last_mc_ref)
+            .map_err(|_| NodeError::Unavailable("block failed stateful validation"))?;
 
         let snapshot = NodeSnapshot {
-            state: self.state.clone(),
+            state: std::mem::replace(&mut self.state, next),
             epoch_builder: self.epoch_builder.clone(),
             last_mc_ref: self.last_mc_ref,
             epoch_mc_headers: self.epoch_mc_headers.clone(),
@@ -673,14 +671,6 @@ impl LatusNode {
             current_epoch: self.current_epoch,
             cert_inclusions: self.cert_inclusions.clone(),
         };
-        // Re-apply on the live state to obtain per-step digests (the
-        // scratch run already guaranteed success).
-        let mut recorded = Vec::with_capacity(witnesses.len());
-        for tx in block.ordered_transactions() {
-            let witness = apply_transaction(&self.params, &mut self.state, &tx)
-                .expect("validated on scratch state");
-            recorded.push((witness, self.state.digest()));
-        }
         for (witness, digest) in recorded {
             self.epoch_builder.record(witness, digest);
         }
@@ -1065,9 +1055,24 @@ impl LatusNode {
         self.cert_inclusions = snapshot.cert_inclusions;
         if snapshot.current_epoch < self.current_epoch {
             self.current_epoch = snapshot.current_epoch;
-            self.produced_certs.split_off(&snapshot.current_epoch);
+            let reopened = self.produced_certs.split_off(&snapshot.current_epoch);
             self.epoch_msts.split_off(&snapshot.current_epoch);
             self.epoch_deltas.split_off(&snapshot.current_epoch);
+            // The reopened epoch's certificate consumed the transfers
+            // it declared. Those whose escrow withdrawal survives in
+            // the restored state (declarations follow BT-list order)
+            // wait for the next certificate again — or it could never
+            // pair them and the chain would stop certifying.
+            let escrow = escrow_address();
+            let bts = self.state.backward_transfers();
+            let surviving = bts.iter().filter(|bt| bt.receiver == escrow).count();
+            let declared = reopened
+                .values()
+                .next()
+                .and_then(|cert| declared_transfers(cert).ok())
+                .unwrap_or_default();
+            self.pending_cross
+                .splice(0..0, declared.into_iter().take(surviving));
         }
         self.snapshots.truncate(target);
         Ok(reverted)
@@ -1097,5 +1102,103 @@ impl std::fmt::Debug for LatusNode {
             .field("epoch", &self.current_epoch)
             .field("utxos", &self.state.mst().len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tx::ReceiverMetadata;
+    use crate::wallet::ScWallet;
+    use zendoo_mainchain::chain::{Blockchain, ChainParams};
+    use zendoo_mainchain::transaction::{McTransaction, TxOut};
+    use zendoo_mainchain::wallet::Wallet;
+
+    /// `receive_block` executes a block once, on a clone it then adopts:
+    /// the follower must record exactly the transition steps (and
+    /// per-step digests) the forger recorded while building the block.
+    #[test]
+    fn follower_epoch_builder_matches_forger_after_multi_transaction_block() {
+        let mc_wallet = Wallet::from_seed(b"mc-user");
+        let alice = ScWallet::from_seed(b"sc-alice");
+        let sid = SidechainId::from_label("node-follower");
+        let params = LatusParams::new(sid, 16);
+        let schedule = EpochSchedule::new(2, 6, 2).unwrap();
+        let keys = Arc::new(LatusKeys::generate(params, schedule, b"node-test"));
+        let mut chain = Blockchain::new(ChainParams {
+            genesis_outputs: vec![TxOut::regular(
+                mc_wallet.address(),
+                Amount::from_units(100_000),
+            )],
+            ..ChainParams::default()
+        });
+        let declaration =
+            McTransaction::SidechainDeclaration(Box::new(keys.sidechain_config(&params, schedule)));
+        chain
+            .mine_next_block(mc_wallet.address(), vec![declaration], 1)
+            .unwrap();
+        let forger_keys = Keypair::from_seed(b"forger");
+        let node = |keypair: Keypair| {
+            LatusNode::new(
+                params,
+                schedule,
+                ConsensusParams::with_bootstrap(forger_keys.public),
+                Arc::clone(&keys),
+                keypair,
+                chain.tip_hash(),
+            )
+        };
+        let mut forger = node(forger_keys.clone());
+        let mut follower = node(Keypair::from_seed(b"follower"));
+
+        // Two deposits, so the next block can carry two independent
+        // withdrawals beside its synchronized halves.
+        let meta = ReceiverMetadata {
+            receiver: alice.address(),
+            payback: mc_wallet.address(),
+        };
+        for time in 2..=3 {
+            let ft = mc_wallet
+                .forward_transfer(
+                    &chain,
+                    sid,
+                    meta.to_bytes(),
+                    Amount::from_units(1_000),
+                    Amount::ZERO,
+                )
+                .unwrap();
+            let mc_block = chain
+                .mine_next_block(mc_wallet.address(), vec![ft], time)
+                .unwrap();
+            let sc_block = forger.sync_mainchain_block(&mc_block).unwrap();
+            follower.receive_block(&sc_block, &mc_block).unwrap();
+        }
+        for coin in forger.utxos_of(&alice.address()) {
+            forger
+                .submit_transaction(alice.withdraw_utxo(&coin, mc_wallet.address()))
+                .unwrap();
+        }
+        let mc_block = chain
+            .mine_next_block(mc_wallet.address(), vec![], 4)
+            .unwrap();
+        let sc_block = forger.sync_mainchain_block(&mc_block).unwrap();
+        assert_eq!(sc_block.transactions.len(), 2);
+        follower.receive_block(&sc_block, &mc_block).unwrap();
+
+        assert_eq!(follower.epoch_builder.len(), forger.epoch_builder.len());
+        assert_eq!(follower.epoch_builder.len(), 3 * 2 + 2);
+        assert_eq!(
+            follower.epoch_builder.initial_digest(),
+            forger.epoch_builder.initial_digest()
+        );
+        assert_eq!(
+            follower.epoch_builder.final_digest(),
+            forger.epoch_builder.final_digest()
+        );
+        assert_eq!(follower.state.digest(), forger.state.digest());
+        // The rollback snapshot holds the pre-block state itself.
+        let before = follower.snapshots.last().unwrap().state.digest();
+        assert_eq!(before, forger.snapshots.last().unwrap().state.digest());
+        assert_ne!(before, follower.state.digest());
     }
 }

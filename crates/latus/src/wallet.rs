@@ -82,22 +82,21 @@ impl ScWallet {
         state.balance_of(&self.address)
     }
 
-    /// Largest-first coin selection covering `target`.
-    fn select(
+    /// The one coin-selection routine: walks this wallet's UTXOs in
+    /// MST position order and takes them until `target` is covered
+    /// (first-fit), returning the selection and its total.
+    ///
+    /// # Errors
+    ///
+    /// [`ScWalletError::InsufficientFunds`].
+    pub fn select(
         &self,
         state: &SidechainState,
         target: Amount,
     ) -> Result<(Vec<Utxo>, Amount), ScWalletError> {
-        let mut coins: Vec<Utxo> = state
-            .mst()
-            .owned_by(&self.address)
-            .into_iter()
-            .map(|(_, u)| u)
-            .collect();
-        coins.sort_by_key(|coin| std::cmp::Reverse(coin.amount));
         let mut selected = Vec::new();
         let mut total = Amount::ZERO;
-        for coin in coins {
+        for (_, coin) in state.mst().owned_by(&self.address) {
             if total >= target {
                 break;
             }
@@ -292,16 +291,37 @@ mod tests {
     }
 
     #[test]
-    fn multi_coin_selection_prefers_large_coins() {
+    fn multi_coin_selection_takes_coins_in_position_order() {
         let alice = ScWallet::from_seed(b"alice");
         let state = funded(&alice, &[1, 2, 3, 50]);
+        let coins: Vec<Utxo> = state
+            .mst()
+            .owned_by(&alice.address())
+            .into_iter()
+            .map(|(_, coin)| coin)
+            .collect();
+        for target in [1, 3, 6, 40, 56] {
+            let (selected, total) = alice.select(&state, Amount::from_units(target)).unwrap();
+            // First-fit: the shortest prefix of the position-ordered
+            // coins that covers the target, whatever their sizes.
+            assert_eq!(selected, coins[..selected.len()]);
+            assert!(total >= Amount::from_units(target));
+            let without_last = Amount::checked_sum(
+                selected[..selected.len() - 1]
+                    .iter()
+                    .map(|coin| coin.amount),
+            )
+            .unwrap();
+            assert!(without_last < Amount::from_units(target));
+        }
         let tx = alice
             .pay(&state, Address::from_label("bob"), Amount::from_units(40))
             .unwrap();
-        if let ScTransaction::Payment(p) = &tx {
-            assert_eq!(p.inputs.len(), 1, "the 50-coin covers it alone");
-        } else {
+        let ScTransaction::Payment(payment) = &tx else {
             panic!("expected payment");
-        }
+        };
+        let (selected, _) = alice.select(&state, Amount::from_units(40)).unwrap();
+        let spent: Vec<Utxo> = payment.inputs.iter().map(|input| input.utxo).collect();
+        assert_eq!(spent, selected, "pay spends exactly the selection");
     }
 }

@@ -225,15 +225,4 @@ impl Population {
             self.users[index].pending = None;
         }
     }
-
-    /// Total value the population still controls (confirmed coins
-    /// only; in-flight spends count their *current* coin).
-    pub fn confirmed_value(&self) -> Amount {
-        Amount::checked_sum(
-            self.users
-                .iter()
-                .filter_map(|user| user.coin.map(|(_, amount)| amount)),
-        )
-        .expect("population value fits in u64")
-    }
 }

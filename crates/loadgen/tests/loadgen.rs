@@ -4,7 +4,7 @@
 
 use zendoo_loadgen::{LoadConfig, LoadGen, Population, Shape};
 use zendoo_mainchain::chain::{Blockchain, ChainParams};
-use zendoo_mainchain::mempool::fee_of;
+use zendoo_mainchain::mempool::{fee_of, MempoolConfig};
 use zendoo_mainchain::miner::Miner;
 use zendoo_mainchain::transaction::{McTransaction, Output};
 use zendoo_mainchain::wallet::Wallet;
@@ -53,13 +53,15 @@ fn generated_traffic_survives_real_admission_and_mining() {
     let config = config(300);
     let (mut chain, population) = bound(&config);
     let mut gen = LoadGen::new(population, Shape::Uniform, &config);
-    let mut miner = Miner::new(Wallet::from_seed(b"load-miner").address());
-    miner.max_txs_per_block = 10_000;
+    let mut miner = Miner::new(
+        Wallet::from_seed(b"load-miner").address(),
+        MempoolConfig::default(),
+    );
 
     for round in 0..3u64 {
         let batch = gen.next_batch(150);
         assert_eq!(batch.len(), 150, "population large enough per round");
-        let report = miner.submit_batch(&chain, batch);
+        let report = miner.submit_batch(&chain, batch, 2, |_, _| {});
         assert_eq!(
             report.admitted, 150,
             "round {round}: every generated tx admits"

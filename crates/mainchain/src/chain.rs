@@ -451,12 +451,6 @@ impl Blockchain {
         }
     }
 
-    /// Returns `true` when connect/disconnect events are being
-    /// recorded.
-    pub fn event_log_enabled(&self) -> bool {
-        self.event_log.is_some()
-    }
-
     /// Takes every event recorded since the last drain, in the order
     /// the chain performed the transitions. Empty when the log is
     /// disabled.
@@ -668,13 +662,6 @@ impl Blockchain {
             .get(hash)
             .map(|s| self.hash_at_height(s.block.header.height) == Some(*hash))
             .unwrap_or(false)
-    }
-
-    /// Rebuilds the sidechain-transactions commitment of a stored block
-    /// (sidechain nodes use this to extract their slice, §5.5.1).
-    pub fn commitment_for(&self, hash: &Digest32) -> Option<ScTxsCommitment> {
-        self.block(hash)
-            .map(|b| Self::build_commitment(&b.transactions))
     }
 
     /// Builds the commitment tree for a transaction list (§4.1.3: FTs,

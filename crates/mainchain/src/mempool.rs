@@ -177,13 +177,14 @@ pub struct TakenBatch {
 /// # Examples
 ///
 /// ```
-/// use zendoo_mainchain::mempool::Mempool;
+/// use zendoo_core::ids::Amount;
+/// use zendoo_mainchain::mempool::{AdmitOutcome, Mempool};
 /// use zendoo_mainchain::transaction::{CoinbaseTx, McTransaction};
 ///
 /// let mut pool = Mempool::new();
 /// let tx = McTransaction::Coinbase(CoinbaseTx { height: 1, outputs: vec![] });
-/// assert!(pool.insert(tx.clone()));
-/// assert!(!pool.insert(tx), "duplicates rejected");
+/// assert_eq!(pool.admit(tx.clone(), Amount::ZERO, vec![]), AdmitOutcome::Admitted);
+/// assert_eq!(pool.admit(tx, Amount::ZERO, vec![]), AdmitOutcome::Duplicate);
 /// assert_eq!(pool.len(), 1);
 /// ```
 #[derive(Clone, Debug)]
@@ -236,12 +237,6 @@ impl Mempool {
         let b = txid.as_bytes();
         let route = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
         (route % self.shards.len() as u64) as usize
-    }
-
-    /// Adds a fee-less transaction (compatibility shim over
-    /// [`Mempool::admit`]); returns `true` only if pooled.
-    pub fn insert(&mut self, tx: McTransaction) -> bool {
-        self.admit(tx, Amount::ZERO, Vec::new()) == AdmitOutcome::Admitted
     }
 
     /// Admits a transaction with its fee (as resolved against the
@@ -344,13 +339,6 @@ impl Mempool {
         self.count == 0
     }
 
-    /// Removes and returns up to `max` transactions in template order
-    /// (highest priority first). Compatibility shim over
-    /// [`Mempool::take_ordered`] that drops the signature verdicts.
-    pub fn take(&mut self, max: usize) -> Vec<McTransaction> {
-        self.take_ordered(max).txs
-    }
-
     /// Removes and returns up to `max` transactions as a block
     /// template: consensus transactions first, then settlements, then
     /// transfers by descending fee rate (a k-way merge of the shard
@@ -400,14 +388,6 @@ impl Mempool {
         self.update_gauges();
     }
 
-    /// Re-queues transactions (e.g. from disconnected blocks after a
-    /// reorg) as fee-less entries; duplicates are ignored.
-    pub fn reinsert_all<I: IntoIterator<Item = McTransaction>>(&mut self, txs: I) {
-        for tx in txs {
-            self.insert(tx);
-        }
-    }
-
     fn update_gauges(&self) {
         if self.telemetry.is_enabled() {
             self.telemetry.gauge("mc.mempool.size", self.count as u64);
@@ -455,6 +435,11 @@ mod tests {
         })
     }
 
+    /// Pools `tx` at fee zero; `true` only if it was pooled.
+    fn insert(pool: &mut Mempool, tx: McTransaction) -> bool {
+        pool.admit(tx, Amount::ZERO, vec![]) == AdmitOutcome::Admitted
+    }
+
     fn small_pool(max_count: usize) -> Mempool {
         Mempool::with_config(MempoolConfig {
             shards: 4,
@@ -470,7 +455,7 @@ mod tests {
         pool.admit(a.clone(), Amount::from_units(10), vec![]);
         pool.admit(b.clone(), Amount::from_units(30), vec![]);
         pool.admit(c.clone(), Amount::from_units(20), vec![]);
-        let taken = pool.take(3);
+        let taken = pool.take_ordered(3).txs;
         assert_eq!(taken, vec![b, c, a], "highest fee rate first");
         assert!(pool.is_empty());
     }
@@ -478,8 +463,8 @@ mod tests {
     #[test]
     fn take_more_than_available() {
         let mut pool = Mempool::new();
-        pool.insert(tx(1));
-        assert_eq!(pool.take(10).len(), 1);
+        insert(&mut pool, tx(1));
+        assert_eq!(pool.take_ordered(10).txs.len(), 1);
         assert!(pool.is_empty());
     }
 
@@ -487,10 +472,10 @@ mod tests {
     fn equal_fees_drain_oldest_first() {
         let mut pool = Mempool::new();
         for i in 0..5 {
-            pool.insert(transfer(i));
+            insert(&mut pool, transfer(i));
         }
         let expected: Vec<McTransaction> = (0..5).map(transfer).collect();
-        assert_eq!(pool.take(5), expected);
+        assert_eq!(pool.take_ordered(5).txs, expected);
     }
 
     #[test]
@@ -575,26 +560,27 @@ mod tests {
         assert!(pool.contains(&claim.txid()));
         assert!(!pool.contains(&whale.txid()));
         // And protected classes lead the template.
-        assert_eq!(pool.take(1).pop().unwrap(), claim);
+        assert_eq!(pool.take_ordered(1).txs.pop().unwrap(), claim);
     }
 
     #[test]
     fn remove_confirmed_clears_entries() {
         let mut pool = Mempool::new();
-        pool.insert(tx(1));
-        pool.insert(tx(2));
+        insert(&mut pool, tx(1));
+        insert(&mut pool, tx(2));
         pool.remove_confirmed(&[tx(1).txid()]);
         assert_eq!(pool.len(), 1);
         assert!(!pool.contains(&tx(1).txid()));
         // And the removed tx can re-enter (e.g. after a reorg).
-        assert!(pool.insert(tx(1)));
+        assert!(insert(&mut pool, tx(1)));
     }
 
     #[test]
     fn reinsert_ignores_duplicates() {
         let mut pool = Mempool::new();
-        pool.insert(tx(1));
-        pool.reinsert_all([tx(1), tx(2)]);
+        insert(&mut pool, tx(1));
+        assert!(!insert(&mut pool, tx(1)));
+        assert!(insert(&mut pool, tx(2)));
         assert_eq!(pool.len(), 2);
     }
 

@@ -10,7 +10,7 @@ use zendoo_core::ids::{Address, Amount};
 use zendoo_mainchain::chain::{
     BlockCandidates, BlockError, Blockchain, ChainParams, SubmitOutcome,
 };
-use zendoo_mainchain::mempool::Mempool;
+use zendoo_mainchain::mempool::{Mempool, MempoolConfig};
 use zendoo_mainchain::miner::Miner;
 use zendoo_mainchain::sigbatch::{admit_batch_with, sig_cache_key};
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
@@ -155,7 +155,10 @@ fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
     let (mut chain, wallets) = chain_with_users(10);
     let (telemetry, recorder) = Telemetry::in_memory();
     chain.set_telemetry(telemetry.clone());
-    let mut miner = Miner::new(Wallet::from_seed(b"sig-miner").address());
+    let mut miner = Miner::new(
+        Wallet::from_seed(b"sig-miner").address(),
+        MempoolConfig::default(),
+    );
     miner.set_telemetry(telemetry);
 
     let txs: Vec<McTransaction> = wallets
@@ -170,7 +173,7 @@ fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
             .unwrap()
         })
         .collect();
-    let report = miner.submit_batch(&chain, txs);
+    let report = miner.submit_batch(&chain, txs, 2, |_, _| {});
     assert_eq!(report.admitted, 10);
     assert_eq!(report.sig_checks, 10);
 

@@ -96,17 +96,6 @@ impl AffinePoint {
         }
     }
 
-    /// Constructs a point from affine coordinates, checking the curve
-    /// equation.
-    pub fn from_xy(x: Fp, y: Fp) -> Option<Self> {
-        let p = AffinePoint {
-            x,
-            y,
-            infinity: false,
-        };
-        p.is_on_curve().then_some(p)
-    }
-
     /// Returns `true` for the identity element.
     pub fn is_identity(&self) -> bool {
         self.infinity

@@ -259,7 +259,7 @@ impl ConservationAuditor {
             let Some(shard) = world.shard(id) else {
                 continue;
             };
-            if shard.quarantined || shard.partitioned.is_some() || shard.diverged.is_some() {
+            if shard.quarantined || shard.stalled() {
                 continue;
             }
             let Some(entry) = state.registry.get(id) else {

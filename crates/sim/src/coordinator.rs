@@ -3,11 +3,11 @@
 //! There is one tick, and it performs these phases —
 //!
 //! 1. snapshot the router against the pre-block tip (reorg undo),
-//! 2. drain matured cross-chain settlements into the mempool,
-//! 3. prepare the next mainchain block in one pass
-//!    (`Blockchain::prepare_block`, recording proof verdicts) and
-//!    submit it with those verdicts as its carrier
-//!    (`Blockchain::submit`), so each proof is verified once per node,
+//! 2. drain matured cross-chain settlements into the miner's pool,
+//! 3. prepare the next mainchain block in one pass (`Miner::prepare`,
+//!    recording proof verdicts) and submit it with those verdicts as
+//!    its carrier (`Blockchain::submit`), so each proof is verified
+//!    once per node,
 //! 4. hand the block to every sidechain shard (sync + certify),
 //! 5. fold shard effect logs and fresh router receipts into the
 //!    metrics.
@@ -29,7 +29,7 @@ use crossbeam::thread;
 use zendoo_core::crosschain::CrossChainTransfer;
 use zendoo_core::ids::SidechainId;
 use zendoo_mainchain::transaction::McTransaction;
-use zendoo_mainchain::{Block, BlockCandidates, BlockError, PreparedBlock};
+use zendoo_mainchain::{Block, BlockError, PreparedBlock};
 use zendoo_telemetry::Telemetry;
 
 use crate::shard::{ShardEffects, SidechainShard};
@@ -61,7 +61,7 @@ fn prologue(world: &mut World) -> std::collections::BTreeMap<SidechainId, Vec<Cr
         // Consensus-assembled escrow claims: zero-fee, but classed as
         // settlements by the pool, so no fee-paying flood can evict or
         // outrank them.
-        world.pool_mc_tx(tx);
+        world.queue_mc_tx(tx);
     }
     world.router.pending_by_destination()
 }
@@ -69,17 +69,16 @@ fn prologue(world: &mut World) -> std::collections::BTreeMap<SidechainId, Vec<Cr
 /// Folds one shard's effect log into the coordinator state. Returns
 /// the shard's error, if any.
 ///
-/// The tick invokes this in sidechain declaration order, so absorbing
-/// the shard-local telemetry snapshot here keeps the aggregate
-/// independent of worker-thread scheduling.
-fn apply_effects(world: &mut World, effects: ShardEffects) -> Option<SimError> {
+/// The tick (and `World::inject_mc_fork`, for the replacement branch)
+/// invokes this in sidechain declaration order, so absorbing the
+/// shard-local telemetry snapshot here keeps the aggregate independent
+/// of worker-thread scheduling.
+pub(crate) fn apply_effects(world: &mut World, effects: ShardEffects) -> Option<SimError> {
     if let Some(snapshot) = &effects.telemetry {
         world.absorb_shard_telemetry(snapshot);
     }
     world.metrics.sc_blocks += effects.forged;
-    if effects.stalled {
-        world.metrics.blocks_buffered += 1;
-    }
+    world.metrics.blocks_buffered += effects.buffered;
     world.metrics.blocks_replayed += effects.replayed;
     let quality_war = world
         .shards
@@ -96,10 +95,10 @@ fn apply_effects(world: &mut World, effects: ShardEffects) -> Option<SimError> {
             // strictly-increasing-quality rule — which is exactly the
             // quality-war safety argument the scenario audits.
             world.pool_forged_competitor(&cert, 1);
-            world.pool_mc_tx(McTransaction::Certificate(Box::new(cert.clone())));
+            world.queue_mc_tx(McTransaction::Certificate(Box::new(cert.clone())));
             world.pool_forged_competitor(&cert, -1);
         } else {
-            world.pool_mc_tx(McTransaction::Certificate(Box::new(cert)));
+            world.queue_mc_tx(McTransaction::Certificate(Box::new(cert)));
         }
     }
     world.metrics.certificates_withheld += effects.withheld;
@@ -150,7 +149,7 @@ type Lane<'a> = Vec<(usize, &'a mut SidechainShard, Vec<CrossChainTransfer>)>;
 /// `sync_and_certify`; a lane itself never panics.
 fn run_lane(
     lane: Lane<'_>,
-    block: &Block,
+    feed: &[Block],
     withhold_all: bool,
     record: bool,
 ) -> Vec<(usize, ShardEffects)> {
@@ -158,7 +157,7 @@ fn run_lane(
         .map(|(index, shard, inbound)| {
             (
                 index,
-                shard.sync_and_certify(block, withhold_all, inbound, record),
+                shard.sync_and_certify(feed, withhold_all, inbound, record),
             )
         })
         .collect()
@@ -172,20 +171,16 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     // (prologue's router snapshot + settlement + partition included).
     let (mut partition, prologue_nanos) = telemetry.time("tick.prologue", || prologue(world));
 
-    // The drained template arrives as *admitted* candidates: every
-    // entry passed stage-1 precheck on its way into the pool
-    // (`World::pool_mc_tx` / `World::admit_mc_batch`), so the builder
+    // The miner drains its pool into the block builder as *admitted*
+    // candidates: every entry passed stage-1 precheck on its way in
+    // (`World::queue_mc_tx` / `World::admit_mc_batch`), so the builder
     // skips the redundant re-run (`mc.precheck.skipped`), and any
     // admission-time signature verdicts ride along so stage 3's dry
     // run re-verifies nothing. Rejected candidates are counted, not
     // fatal (fault scenarios schedule actions that are *supposed* to
     // fail).
-    let batch = world.mc_mempool.take_ordered(usize::MAX);
-    let candidates = BlockCandidates::admitted(batch.txs, batch.sig_verdicts);
     let (prepared, prepare_nanos) = telemetry.time("tick.mc.prepare", || {
-        world
-            .chain
-            .prepare_block(world.miner.address(), candidates, world.time)
+        world.miner.prepare(&world.chain, world.time)
     });
     let PreparedBlock {
         block,
@@ -197,7 +192,9 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     // rejected candidate inside the preparation; only the sim-level
     // metrics are folded here.
     for (tx, _) in &rejected {
-        world.note_rejection(tx);
+        world
+            .metrics
+            .note_rejection(matches!(tx, McTransaction::Certificate(_)));
     }
     world.metrics.certificates_accepted += block
         .transactions
@@ -246,6 +243,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     // stage 2 consumes the carried verdicts, stage 3 applies, and the
     // router observes the connected block.
     let block_ref = &block;
+    let feed = std::slice::from_ref(block_ref);
     let submit = || {
         telemetry.time("tick.mc.submit", || {
             let result = chain
@@ -262,7 +260,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
         // One lane: submit first, then walk the shards in order on this
         // thread (identical outcomes, no spawn cost).
         let (submit, tail) = submit();
-        let effects = run_lane(work, block_ref, withhold_all, record);
+        let effects = run_lane(work, feed, withhold_all, record);
         (submit, effects, tail)
     } else {
         // Round-robin the shards over `workers` lanes; the coordinator
@@ -274,7 +272,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
         thread::scope(|scope| {
             let handles: Vec<_> = lanes
                 .into_iter()
-                .map(|lane| scope.spawn(move |_| run_lane(lane, block_ref, withhold_all, record)))
+                .map(|lane| scope.spawn(move |_| run_lane(lane, feed, withhold_all, record)))
                 .collect();
             let (submit, tail) = submit();
             let mut effects = Vec::with_capacity(live);

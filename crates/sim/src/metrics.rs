@@ -69,6 +69,18 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Folds one rejected mainchain candidate in — the single
+    /// bookkeeping path shared by admission rejections
+    /// (`World::queue_mc_tx`, `World::admit_mc_batch`), build-time
+    /// rejections and re-pooling after a reorg, so no source is under-
+    /// or double-counted.
+    pub(crate) fn note_rejection(&mut self, certificate: bool) {
+        self.rejections += 1;
+        if certificate {
+            self.certificates_rejected += 1;
+        }
+    }
+
     /// Renders a compact human-readable report.
     pub fn report(&self) -> String {
         format!(

@@ -209,13 +209,17 @@ pub fn partition_reorg_storm(
     // inside the submission window. The forks then land on the empty
     // mid-epoch blocks around the escrow's maturity and delivery:
     // deep enough to rewind the settlement repeatedly, shallow enough
-    // to keep every certificate-carrying block on the active chain (a
-    // fork that disconnects one forces its re-pooled certificate
-    // outside the submission window — faithful Def 4.2 ceasing, which
-    // is the *withholding* scenario's job, not this one's). Each fork
-    // lengthens the chain by one block, which shifts later epoch
-    // boundaries one tick earlier — the tick arithmetic below accounts
-    // for the two forks already injected when placing the third.
+    // to keep every certificate-carrying block (the first of a window)
+    // on the active chain. Only that placement matters: a fork whose
+    // `depth + 1` empty branch blocks cover a chain's whole submission
+    // window leaves no block for the re-pooled certificate — faithful
+    // Def 4.2 ceasing, which is the *withholding* scenario's job, not
+    // this one's — whereas a fork that merely replaces an epoch's last
+    // block is harmless (the nodes certify again on the branch, see
+    // `tests/byzantine.rs`). Each fork lengthens the chain by one
+    // block, which shifts later epoch boundaries one tick earlier — the
+    // tick arithmetic below accounts for the two forks already injected
+    // when placing the third.
     let plan = FaultPlan::new(0)
         .at(3, Fault::Partition(1))
         .at(5, Fault::HealPartition(1))
@@ -377,10 +381,13 @@ pub fn relay_equivocation(
 ///
 /// Every mainchain fork lengthens the chain by one block, so epoch
 /// boundaries drift one tick *earlier* per prior fork. A tick-indexed
-/// [`FaultPlan`] would slowly slide its injections into the submission
-/// windows and disconnect certificate inclusions; instead the soak
-/// keys each injection off the **height the tick is about to mine** —
-/// its position inside the current epoch — which is immune to drift.
+/// [`FaultPlan`] would slowly slide its forks into the submission
+/// windows, where one that disconnects the certificate-carrying block
+/// covers the whole window with empty blocks and ceases every chain
+/// (Def 4.2 censorship; a fork replacing an epoch's *last* block does
+/// not — the nodes certify again on the branch). Instead the soak keys
+/// each injection off the **height the tick is about to mine** — its
+/// position inside the current epoch — which is immune to drift.
 ///
 /// # Errors
 ///

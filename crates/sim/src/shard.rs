@@ -66,8 +66,8 @@ pub struct ShardMetrics {
 pub struct ShardEffects {
     /// The shard's sidechain.
     pub id: SidechainId,
-    /// Sidechain blocks forged this tick (catch-up after a heal can
-    /// forge several: the whole backlog plus the current block).
+    /// Sidechain blocks forged this tick (catch-up after a heal or a
+    /// mainchain fork forges several: the whole backlog plus the feed).
     pub forged: u64,
     /// Certificates produced at the epoch boundaries crossed this
     /// tick, in epoch order, for the coordinator to queue on the
@@ -76,10 +76,10 @@ pub struct ShardEffects {
     /// Epoch boundaries crossed with certification withheld (the
     /// scripted liveness fault).
     pub withheld: u64,
-    /// The mainchain block was buffered instead of synced: the shard
-    /// is partitioned from the mainchain or stuck on an equivocated
-    /// sibling block.
-    pub stalled: bool,
+    /// Mainchain blocks buffered instead of synced this tick: the
+    /// shard is partitioned from the mainchain or stuck on an
+    /// equivocated sibling block.
+    pub buffered: u64,
     /// Buffered canonical blocks replayed into the node this tick
     /// (non-zero on the first sync after a heal).
     pub replayed: u64,
@@ -111,12 +111,10 @@ pub struct SidechainShard {
     /// Fault injection: panic on the next sync (before any node
     /// mutation, so the quarantined node state stays consistent).
     pub(crate) panic_next_sync: bool,
-    /// Network-partition fault: while `Some`, the shard receives no
+    /// Network-partition fault: while set, the shard receives no
     /// mainchain blocks (the coordinator's deliveries accumulate in
-    /// `backlog`). The anchor is the last canonical block the node
-    /// synced before the partition, so a reorg below it knows the node
-    /// must roll back.
-    pub(crate) partitioned: Option<zendoo_primitives::digest::Digest32>,
+    /// `backlog`).
+    pub(crate) partitioned: bool,
     /// Relay-equivocation fault: while `Some`, the node has adopted a
     /// sibling block from an equivocating relay and cannot extend the
     /// canonical chain (every canonical delivery would be
@@ -124,8 +122,11 @@ pub struct SidechainShard {
     /// canonical block both histories share — and the heal rolls the
     /// node back to it before replaying the backlog.
     pub(crate) diverged: Option<zendoo_primitives::digest::Digest32>,
-    /// Canonical blocks withheld from the node while partitioned or
-    /// diverged, replayed in order on the first sync after the heal.
+    /// The shard's pending feed: canonical blocks withheld from the
+    /// node while partitioned or diverged, replayed in order on the
+    /// first sync after the heal. A shard with a non-empty backlog is
+    /// simply behind; a mainchain fork drops the part it disconnected
+    /// ([`SidechainShard::reorg`]).
     pub(crate) backlog: Vec<Block>,
     /// Adversarial-certifier fault: while set, every honest
     /// certificate this shard produces is raced on the mainchain by
@@ -145,7 +146,7 @@ impl SidechainShard {
             withheld: false,
             quarantined: false,
             panic_next_sync: false,
-            partitioned: None,
+            partitioned: false,
             diverged: None,
             backlog: Vec::new(),
             quality_war: false,
@@ -174,27 +175,16 @@ impl SidechainShard {
         self.quarantined
     }
 
-    /// Returns `true` while the shard is partitioned from the
-    /// mainchain (`World::inject_partition`).
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned.is_some()
-    }
-
-    /// Returns `true` while the node follows an equivocated sibling
-    /// block (`World::inject_relay_equivocation`).
-    pub fn is_diverged(&self) -> bool {
-        self.diverged.is_some()
+    /// Returns `true` while the shard buffers its feed instead of
+    /// syncing it: partitioned from the mainchain, or following an
+    /// equivocated sibling block.
+    pub(crate) fn stalled(&self) -> bool {
+        self.partitioned || self.diverged.is_some()
     }
 
     /// Canonical blocks currently buffered, awaiting a heal.
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()
-    }
-
-    /// Returns `true` while this shard's honest certificates are raced
-    /// by injected forged competitors.
-    pub fn in_quality_war(&self) -> bool {
-        self.quality_war
     }
 
     /// The transfers currently routed toward this chain (escrowed on
@@ -204,22 +194,80 @@ impl SidechainShard {
         &self.pending_inbound
     }
 
+    /// Relay-equivocation fault: the node adopts `phantom` — a sibling
+    /// of the canonical tip only this shard was shown — and diverges;
+    /// the phantom's parent is the last block both histories share.
+    pub(crate) fn adopt_phantom(&mut self, phantom: &Block) -> Result<(), NodeError> {
+        self.instance.node.sync_mainchain_block(phantom)?;
+        self.diverged = Some(phantom.header.parent);
+        self.metrics.sc_blocks += 1;
+        self.metrics.equivocations += 1;
+        Ok(())
+    }
+
+    /// Heals a relay equivocation: rolls the node back to the last
+    /// canonical block it shares with the mainchain. Returns the number
+    /// of SC blocks reverted (0 if the shard was not diverged).
+    pub(crate) fn heal_relay(&mut self) -> Result<usize, NodeError> {
+        let Some(base) = self.diverged.take() else {
+            return Ok(0);
+        };
+        let reverted = self.instance.node.rollback_to_mc(&base)?;
+        self.metrics.sc_blocks_reverted += reverted as u64;
+        Ok(reverted)
+    }
+
+    /// Mainchain-fork resolution (§5.1) for this shard, given the
+    /// `disconnected` block hashes of a reorg onto a branch rooted at
+    /// `fork_base`: the node rolls back to the fork base iff the
+    /// canonical block it stands on was disconnected, and the
+    /// disconnected part of the pending feed is dropped — the
+    /// replacement branch arrives as the feed of the next
+    /// [`SidechainShard::sync_and_certify`]. Returns the number of SC
+    /// blocks reverted.
+    pub(crate) fn reorg(
+        &mut self,
+        fork_base: &zendoo_primitives::digest::Digest32,
+        disconnected: &[zendoo_primitives::digest::Digest32],
+    ) -> Result<usize, NodeError> {
+        // A diverged node stands on a phantom block; the canonical
+        // block under it is the equivocation anchor.
+        let stands_on = self.diverged.or_else(|| {
+            let tip = self.instance.node.chain().last()?;
+            tip.header.mc_ref_hashes.last().copied()
+        });
+        let mut reverted = 0;
+        if stands_on.is_some_and(|hash| disconnected.contains(&hash)) {
+            reverted = self.instance.node.rollback_to_mc(fork_base)?;
+            self.metrics.sc_blocks_reverted += reverted as u64;
+            // The rollback removed the phantom relay block along with
+            // its anchor: the equivocation is resolved and the shard
+            // resumes on its own.
+            self.diverged = None;
+        }
+        self.backlog
+            .retain(|block| !disconnected.contains(&block.hash()));
+        Ok(reverted)
+    }
+
     /// One tick of shard work: adopt the freshly mined mainchain
-    /// block, forge the corresponding sidechain block and — at an epoch
-    /// boundary — produce (or deliberately withhold) the withdrawal
-    /// certificate. Panics are contained: the shard quarantines itself
-    /// and reports the payload in [`ShardEffects::panicked`].
+    /// blocks of `feed` (one per tick; a whole replacement branch after
+    /// a mainchain fork), forge the corresponding sidechain blocks and
+    /// — at every epoch boundary crossed — produce (or deliberately
+    /// withhold) the withdrawal certificate. Panics are contained: the
+    /// shard quarantines itself and reports the payload in
+    /// [`ShardEffects::panicked`].
     ///
     /// A partitioned or diverged shard does no node work at all: the
-    /// block is buffered and the effects report `stalled`. The first
-    /// sync after a heal replays the whole backlog before the current
-    /// block — crossing every epoch boundary the shard missed, so
-    /// late certificates are produced (and rejected by the mainchain
-    /// if the submission window already closed: Def 4.2 ceasing is
-    /// decided by the mainchain, never by the faulty shard).
+    /// feed is buffered and the effects report it. The first sync after
+    /// a heal replays the whole backlog before the feed — crossing
+    /// every epoch boundary the shard missed, so late certificates are
+    /// produced (and rejected by the mainchain if the submission window
+    /// already closed: Def 4.2 ceasing is decided by the mainchain,
+    /// never by the faulty shard).
     pub(crate) fn sync_and_certify(
         &mut self,
-        block: &Block,
+        feed: &[Block],
         withhold_all: bool,
         inbound: Vec<CrossChainTransfer>,
         record: bool,
@@ -232,82 +280,70 @@ impl SidechainShard {
             forged: 0,
             certificates: Vec::new(),
             withheld: 0,
-            stalled: false,
+            buffered: 0,
             replayed: 0,
             panicked: None,
             error: None,
             nanos: 0,
             telemetry: None,
         };
-        if self.partitioned.is_some() || self.diverged.is_some() {
-            self.backlog.push(block.clone());
-            self.metrics.blocks_buffered += 1;
-            effects.stalled = true;
-            effects.nanos = start.elapsed().as_nanos() as u64;
-            if record {
-                let mut snapshot = Snapshot::default();
-                snapshot.add_span("tick.shard.sync", effects.nanos);
-                snapshot.add_counter("shard.blocks_buffered", 1);
-                effects.telemetry = Some(snapshot);
-            }
-            return effects;
-        }
-        let backlog = std::mem::take(&mut self.backlog);
-        let replay = backlog.len() as u64;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.catch_up(&backlog, block, withhold_all)
-        }));
-        match outcome {
-            Ok(Ok((forged, certificates, withheld))) => {
-                effects.forged = forged;
-                effects.certificates = certificates;
-                effects.withheld = withheld;
-                effects.replayed = replay;
-                self.metrics.sc_blocks += forged;
-                self.metrics.certificates_produced += effects.certificates.len() as u64;
-                self.metrics.certificates_withheld += withheld;
-                self.metrics.blocks_replayed += replay;
-            }
-            Ok(Err(error)) => {
-                effects.error = Some(error);
-            }
-            Err(payload) => {
-                self.quarantined = true;
-                self.metrics.panics += 1;
-                effects.panicked = Some(panic_message(payload));
+        if self.stalled() {
+            self.backlog.extend_from_slice(feed);
+            effects.buffered = feed.len() as u64;
+            self.metrics.blocks_buffered += effects.buffered;
+        } else {
+            let backlog = std::mem::take(&mut self.backlog);
+            let replay = backlog.len() as u64;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.catch_up(&backlog, feed, withhold_all)
+            }));
+            match outcome {
+                Ok(Ok((forged, certificates, withheld))) => {
+                    effects.forged = forged;
+                    effects.certificates = certificates;
+                    effects.withheld = withheld;
+                    effects.replayed = replay;
+                    self.metrics.sc_blocks += forged;
+                    self.metrics.certificates_produced += effects.certificates.len() as u64;
+                    self.metrics.certificates_withheld += withheld;
+                    self.metrics.blocks_replayed += replay;
+                }
+                Ok(Err(error)) => {
+                    effects.error = Some(error);
+                }
+                Err(payload) => {
+                    self.quarantined = true;
+                    self.metrics.panics += 1;
+                    effects.panicked = Some(panic_message(payload));
+                }
             }
         }
         effects.nanos = start.elapsed().as_nanos() as u64;
         if record {
             let mut snapshot = Snapshot::default();
             snapshot.add_span("tick.shard.sync", effects.nanos);
-            if effects.forged > 0 {
-                snapshot.add_counter("shard.sc_blocks_forged", effects.forged);
-            }
-            if !effects.certificates.is_empty() {
-                snapshot.add_counter(
+            for (name, value) in [
+                ("shard.blocks_buffered", effects.buffered),
+                ("shard.sc_blocks_forged", effects.forged),
+                (
                     "shard.certificates_produced",
                     effects.certificates.len() as u64,
-                );
-            }
-            if effects.withheld > 0 {
-                snapshot.add_counter("shard.certificates_withheld", effects.withheld);
-            }
-            if effects.replayed > 0 {
-                snapshot.add_counter("shard.blocks_replayed", effects.replayed);
-            }
-            if effects.panicked.is_some() {
-                snapshot.add_counter("shard.panics", 1);
-            }
-            if effects.error.is_some() {
-                snapshot.add_counter("shard.node_errors", 1);
+                ),
+                ("shard.certificates_withheld", effects.withheld),
+                ("shard.blocks_replayed", effects.replayed),
+                ("shard.panics", effects.panicked.is_some() as u64),
+                ("shard.node_errors", effects.error.is_some() as u64),
+            ] {
+                if value > 0 {
+                    snapshot.add_counter(name, value);
+                }
             }
             effects.telemetry = Some(snapshot);
         }
         effects
     }
 
-    /// Replays the healed backlog, then the current block, through
+    /// Replays the healed backlog, then the feed, through
     /// [`SidechainShard::tick`], aggregating
     /// `(forged, certificates, withheld)` across every block. On an
     /// error the partial work stays in the node (the node rolled its
@@ -318,20 +354,16 @@ impl SidechainShard {
     fn catch_up(
         &mut self,
         backlog: &[Block],
-        current: &Block,
+        feed: &[Block],
         withhold_all: bool,
     ) -> Result<(u64, Vec<WithdrawalCertificate>, u64), NodeError> {
         let mut forged = 0;
         let mut certificates = Vec::new();
         let mut withheld = 0;
-        for block in backlog.iter().chain(std::iter::once(current)) {
-            let (f, certificate, w) = self.tick(block, withhold_all)?;
-            if f {
-                forged += 1;
-            }
-            if let Some(certificate) = certificate {
-                certificates.push(*certificate);
-            }
+        for block in backlog.iter().chain(feed) {
+            let (certificate, w) = self.tick(block, withhold_all)?;
+            forged += 1;
+            certificates.extend(certificate);
             if w {
                 withheld += 1;
             }
@@ -340,33 +372,31 @@ impl SidechainShard {
     }
 
     /// The fallible per-block body `sync_and_certify` wraps with panic
-    /// containment. Also used by `World::inject_mc_fork` for the
-    /// replacement branch's tip — the one replayed block beyond the
-    /// pre-fork chain, whose epoch boundary (if any) must still
-    /// certify.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn tick(
+    /// containment: sync one mainchain block (forging one sidechain
+    /// block) and, if it closes a withdrawal epoch, certify it.
+    /// Returns the certificate, or whether certification was withheld.
+    fn tick(
         &mut self,
         block: &Block,
         withhold_all: bool,
-    ) -> Result<(bool, Option<Box<WithdrawalCertificate>>, bool), NodeError> {
+    ) -> Result<(Option<WithdrawalCertificate>, bool), NodeError> {
         if self.panic_next_sync {
             self.panic_next_sync = false;
             panic!("injected shard fault on {}", self.instance.label);
         }
         self.instance.node.sync_mainchain_block(block)?;
         if !self.instance.node.epoch_complete() {
-            return Ok((true, None, false));
+            return Ok((None, false));
         }
         if withhold_all || self.withheld {
             // The sidechain stops certifying entirely: a node that
             // never published its certificate cannot prove later
             // epochs either (the proof chain is broken) — exactly the
             // liveness fault Def 4.2 punishes with ceasing.
-            return Ok((true, None, true));
+            return Ok((None, true));
         }
-        let certificate = match self.instance.node.produce_certificate() {
-            Ok(certificate) => certificate,
+        match self.instance.node.produce_certificate() {
+            Ok(certificate) => Ok((Some(certificate), false)),
             // A certifier that cannot assemble this epoch's proof —
             // e.g. the previous certificate's inclusion was
             // disconnected by a reorg and never re-observed, so the
@@ -374,10 +404,9 @@ impl SidechainShard {
             // the mainchain ceases the chain (Def 4.2). That is a
             // liveness fault of the Byzantine environment, not a
             // simulator error; only real proving failures propagate.
-            Err(NodeError::Unavailable(_)) => return Ok((true, None, true)),
-            Err(error) => return Err(error),
-        };
-        Ok((true, Some(Box::new(certificate)), false))
+            Err(NodeError::Unavailable(_)) => Ok((None, true)),
+            Err(error) => Err(error),
+        }
     }
 }
 

@@ -3,8 +3,8 @@
 //! chain, deterministic time, and fault injection.
 //!
 //! The world is split into an **MC-side coordinator** (this module plus
-//! [`crate::coordinator`]: the mainchain, the router, the mempool, the
-//! users and the global metrics) and one [`SidechainShard`] per
+//! [`crate::coordinator`]: the mainchain, its [`Miner`], the router,
+//! the users and the global metrics) and one [`SidechainShard`] per
 //! deployed sidechain (the node, its fault flags and per-chain
 //! metrics). Each tick the coordinator mines the next mainchain block
 //! and hands it to every shard; the shards run on scoped worker
@@ -49,11 +49,13 @@ use zendoo_crosschain::{CrossChainRouter, RouterSnapshot};
 use zendoo_latus::consensus::ConsensusParams;
 use zendoo_latus::node::{LatusKeys, LatusNode, NodeError};
 use zendoo_latus::params::LatusParams;
-use zendoo_latus::tx::{BackwardTransferTx, PaymentTx, ReceiverMetadata, ScTransaction};
+use zendoo_latus::tx::ReceiverMetadata;
+use zendoo_latus::wallet::{ScWallet, ScWalletError};
 use zendoo_mainchain::chain::{Blockchain, ChainParams, SubmitOutcome};
-use zendoo_mainchain::mempool::{self, AdmitOutcome, Mempool, MempoolConfig};
+use zendoo_mainchain::mempool::{AdmitOutcome, MempoolConfig};
+use zendoo_mainchain::miner::Miner;
 use zendoo_mainchain::pipeline::VerifyMode;
-use zendoo_mainchain::sigbatch::{self, AdmissionReport};
+use zendoo_mainchain::sigbatch::AdmissionReport;
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
 use zendoo_mainchain::wallet::Wallet;
 use zendoo_primitives::schnorr::Keypair;
@@ -100,7 +102,7 @@ pub struct SimConfig {
     /// instead of one proof per statement. Switchable later via
     /// [`World::set_verify_mode`].
     pub verify_mode: VerifyMode,
-    /// Capacity and sharding of the coordinator's MC mempool. The
+    /// Capacity and sharding of the miner's MC mempool. The
     /// default budget is far above scenario-scale traffic (nothing is
     /// ever evicted); load tests shrink it to exercise fee-prioritized
     /// eviction under pressure.
@@ -147,13 +149,13 @@ impl SimConfig {
     }
 }
 
-/// A named participant: a mainchain wallet plus a sidechain keypair per
+/// A named participant: a mainchain wallet plus a sidechain wallet per
 /// deployed sidechain.
 #[derive(Clone, Debug)]
 pub struct User {
     /// Mainchain wallet.
     pub wallet: Wallet,
-    per_chain: BTreeMap<SidechainId, Keypair>,
+    per_chain: BTreeMap<SidechainId, ScWallet>,
 }
 
 impl User {
@@ -162,22 +164,28 @@ impl User {
         self.wallet.address()
     }
 
-    /// The user's keypair on a deployed sidechain.
+    /// The user's wallet on a deployed sidechain.
     ///
     /// # Panics
     ///
     /// When the world never deployed `id` — every [`World`] entry point
     /// answers that with [`SimError::UnknownSidechain`] before asking.
-    pub fn sc_keys_on(&self, id: &SidechainId) -> &Keypair {
+    fn sc_wallet_on(&self, id: &SidechainId) -> &ScWallet {
         self.per_chain
             .get(id)
             .unwrap_or_else(|| panic!("no keys on undeployed sidechain {id}"))
     }
 
+    /// The user's keypair on a deployed sidechain; panics when the
+    /// world never deployed `id`.
+    pub fn sc_keys_on(&self, id: &SidechainId) -> &Keypair {
+        self.sc_wallet_on(id).keypair()
+    }
+
     /// The user's address on a deployed sidechain; panics like
     /// [`User::sc_keys_on`].
     pub fn sc_address_on(&self, id: &SidechainId) -> Address {
-        Address::from_public_key(&self.sc_keys_on(id).public)
+        self.sc_wallet_on(id).address()
     }
 }
 
@@ -263,6 +271,21 @@ impl From<NodeError> for SimError {
     }
 }
 
+/// Insufficient sidechain funds read as the node would report the
+/// resulting transaction: inputs below outputs.
+impl From<ScWalletError> for SimError {
+    fn from(e: ScWalletError) -> Self {
+        let ScWalletError::InsufficientFunds {
+            requested,
+            available,
+        } = e;
+        SimError::Node(NodeError::Tx(zendoo_latus::tx::TxError::ValueImbalance {
+            input: available,
+            output: requested,
+        }))
+    }
+}
+
 impl From<StoreError> for SimError {
     fn from(e: StoreError) -> Self {
         SimError::Store(e.to_string())
@@ -285,11 +308,10 @@ pub struct World {
     pub metrics: Metrics,
     /// The cross-chain transfer router.
     pub router: CrossChainRouter,
-    /// The fee-prioritized pool of MC transactions awaiting the next
-    /// block (capacity from [`SimConfig::mempool`]). The tick drains it
-    /// through [`Mempool::take_ordered`]: template order is consensus,
-    /// settlements, transfers by fee rate.
-    pub(crate) mc_mempool: Mempool,
+    /// The mainchain miner: admission into its fee-prioritized pool
+    /// (capacity from [`SimConfig::mempool`]), the block template the
+    /// tick prepares, and re-pooling after a reorg.
+    pub(crate) miner: Miner,
     /// When `true`, certificates of *all* sidechains are produced but
     /// not submitted (the withheld-certificate fault).
     pub withhold_certificates: bool,
@@ -308,12 +330,11 @@ pub struct World {
     /// on purpose (a reorg never legitimizes a forgery, so the set is
     /// not part of the router undo records).
     pub(crate) forged_certs: BTreeSet<zendoo_primitives::digest::Digest32>,
-    pub(crate) miner: Wallet,
     pub(crate) time: u64,
     /// Worker lanes for the shard phase ([`SimConfig::workers`]).
     pub(crate) workers: Option<usize>,
-    /// The telemetry handle shared by the chain, the router, the miner
-    /// admission path and the coordinator (disabled unless
+    /// The telemetry handle shared by the chain, the router, the
+    /// miner's pool and the coordinator (disabled unless
     /// [`SimConfig::telemetry`] or [`World::enable_telemetry`]).
     pub(crate) telemetry: Telemetry,
     /// The sink behind `telemetry` when recording is on.
@@ -360,7 +381,6 @@ impl World {
             !config.sidechain_labels.is_empty(),
             "at least one sidechain required"
         );
-        let miner = Wallet::from_seed(b"sim-miner");
         let sidechain_ids: Vec<SidechainId> = config
             .sidechain_labels
             .iter()
@@ -372,7 +392,7 @@ impl World {
             .map(|(name, _)| {
                 // The first chain's seed carries no chain label: every
                 // recorded digest of a single-chain run depends on it.
-                let per_chain: BTreeMap<SidechainId, Keypair> = config
+                let per_chain: BTreeMap<SidechainId, ScWallet> = config
                     .sidechain_labels
                     .iter()
                     .zip(&sidechain_ids)
@@ -383,7 +403,7 @@ impl World {
                         } else {
                             format!("sc-{label}-{name}")
                         };
-                        (*id, Keypair::from_seed(seed.as_bytes()))
+                        (*id, ScWallet::from_seed(seed.as_bytes()))
                     })
                     .collect();
                 (
@@ -416,6 +436,8 @@ impl World {
         };
         chain.set_telemetry(telemetry.clone());
         chain.set_verify_mode(config.verify_mode);
+        let mut miner = Miner::new(Wallet::from_seed(b"sim-miner").address(), config.mempool);
+        miner.set_telemetry(telemetry.clone());
 
         let schedule = EpochSchedule::new(2, config.epoch_len, config.submit_len)
             .expect("simulation schedule valid");
@@ -470,17 +492,12 @@ impl World {
                 router.set_telemetry(telemetry.clone());
                 router
             },
-            mc_mempool: {
-                let mut pool = Mempool::with_config(config.mempool);
-                pool.set_telemetry(telemetry.clone());
-                pool
-            },
+            miner,
             withhold_certificates: false,
             receipts_cursor: 0,
             settlements_seen: 0,
             router_undo: Vec::new(),
             forged_certs: BTreeSet::new(),
-            miner,
             time: 1,
             workers: config.workers,
             telemetry,
@@ -735,86 +752,37 @@ impl World {
 
     // ---- Actions ------------------------------------------------------
 
-    /// Queues a mainchain transaction for the next mined block.
-    /// Stage-1 stateless prechecks run at admission, mirroring
-    /// [`zendoo_mainchain::miner::Miner::submit_transaction`]:
-    /// structurally invalid submissions are rejected (and counted) here
-    /// instead of occupying mempool space until the next mined block.
+    /// Queues a mainchain transaction for the next mined block through
+    /// the miner's single admission path
+    /// ([`Miner::submit_transaction`]: stage-1 precheck, fee resolution
+    /// against the confirmed UTXO set, pooling). A refused submission —
+    /// structurally invalid, or ranked below a full pool's floor —
+    /// counts as a rejection; duplicates are dropped silently.
     pub fn queue_mc_tx(&mut self, tx: McTransaction) {
-        self.pool_mc_tx(tx);
-    }
-
-    /// The single admission path into the coordinator's mempool:
-    /// stage-1 stateless precheck, fee resolution against the
-    /// confirmed UTXO set (establishing the entry's priority), then
-    /// [`Mempool::admit`]. Every transaction pooled here has passed
-    /// precheck, which is what lets the tick hand the drained
-    /// template to the block builder as *admitted* candidates (the
-    /// redundant stage-1 re-run is skipped and counted as
-    /// `mc.precheck.skipped`).
-    pub(crate) fn pool_mc_tx(&mut self, tx: McTransaction) {
-        if let Err(error) = zendoo_mainchain::pipeline::precheck_transaction(&tx) {
-            // The chain never sees an admission reject, so the
-            // telemetry side is counted here; the sim-level metrics go
-            // through the same path as build-time rejections.
-            self.chain.count_rejection(&error);
-            self.note_rejection(&tx);
-            return;
-        }
-        let fee = mempool::fee_of(&tx, |op| self.chain.state().utxos.get(op).map(|o| o.amount));
-        let is_certificate = matches!(tx, McTransaction::Certificate(_));
-        // A pool-full rejection counts like any other rejection (the
-        // pool's own `mc.mempool.rejected_full` counter carries the
-        // telemetry side); duplicates are dropped silently.
-        if self.mc_mempool.admit(tx, fee, Vec::new()) == AdmitOutcome::RejectedFull {
-            self.metrics.rejections += 1;
-            if is_certificate {
-                self.metrics.certificates_rejected += 1;
-            }
+        let certificate = matches!(tx, McTransaction::Certificate(_));
+        match self.miner.submit_transaction(&self.chain, tx) {
+            Ok(AdmitOutcome::Admitted | AdmitOutcome::Duplicate) => {}
+            Ok(AdmitOutcome::RejectedFull) | Err(_) => self.metrics.note_rejection(certificate),
         }
     }
 
-    /// Admits a whole batch through the fee-aware, batch-verified
-    /// admission path ([`zendoo_mainchain::sigbatch::admit_batch_with`]):
-    /// stage-1 precheck, input resolution against the confirmed UTXO
-    /// set, all transfer signatures verified on `workers` scoped
-    /// threads, and the verdicts pooled alongside each entry so the
-    /// next block build re-verifies nothing. The admitted set is
-    /// identical for every `workers` value; rejections land on the
-    /// same counters as [`World::queue_mc_tx`] rejections.
+    /// Admits a whole batch through the miner's fee-aware,
+    /// batch-verified admission path ([`Miner::submit_batch`]): all
+    /// transfer signatures verified on `workers` scoped threads, the
+    /// verdicts pooled alongside each entry so the next block build
+    /// re-verifies nothing. The admitted set is identical for every
+    /// `workers` value; rejections land on the same counters as
+    /// [`World::queue_mc_tx`] rejections.
     pub fn admit_mc_batch(&mut self, txs: Vec<McTransaction>, workers: usize) -> AdmissionReport {
-        let telemetry = self.telemetry.clone();
         let World {
             chain,
-            mc_mempool,
+            miner,
             metrics,
             ..
         } = self;
-        sigbatch::admit_batch_with(
-            mc_mempool,
-            chain.state(),
-            txs,
-            workers,
-            &telemetry,
-            |tx, error| {
-                chain.count_rejection(error);
-                metrics.rejections += 1;
-                if matches!(tx, McTransaction::Certificate(_)) {
-                    metrics.certificates_rejected += 1;
-                }
-            },
-        )
-    }
-
-    /// Folds one rejected mainchain candidate into the sim metrics —
-    /// the single bookkeeping path shared by admission rejections
-    /// ([`World::queue_mc_tx`]) and build-time rejections in both step
-    /// modes, so neither source is under- or double-counted.
-    pub(crate) fn note_rejection(&mut self, tx: &McTransaction) {
-        self.metrics.rejections += 1;
-        if matches!(tx, McTransaction::Certificate(_)) {
-            self.metrics.certificates_rejected += 1;
-        }
+        miner.submit_batch(chain, txs, workers, |tx, _| {
+            metrics.note_rejection(matches!(tx, McTransaction::Certificate(_)));
+        })
     }
 
     /// Quality-war injection: pools a forged competitor of `honest`
@@ -841,7 +809,7 @@ impl World {
         }
         self.forged_certs.insert(forged.digest());
         self.metrics.certificates_forged += 1;
-        self.pool_mc_tx(McTransaction::Certificate(Box::new(forged)));
+        self.queue_mc_tx(McTransaction::Certificate(Box::new(forged)));
     }
 
     /// Digests of every forged competing certificate injected so far
@@ -875,7 +843,7 @@ impl World {
             Amount::from_units(amount),
             Amount::ZERO,
         )?;
-        self.pool_mc_tx(tx);
+        self.queue_mc_tx(tx);
         self.metrics.forward_transfers += 1;
         Ok(())
     }
@@ -915,38 +883,10 @@ impl World {
             Amount::from_units(amount),
             Amount::ZERO,
         )?;
-        self.pool_mc_tx(tx);
+        self.queue_mc_tx(tx);
         self.metrics.forward_transfers += 1;
         self.metrics.forward_transfers_malformed += 1;
         Ok(())
-    }
-
-    /// Gathers enough of a user's UTXOs on `sc` to cover `amount`.
-    fn select_inputs(
-        &self,
-        sc: &SidechainId,
-        user: &User,
-        amount: Amount,
-    ) -> Result<(Vec<zendoo_latus::mst::Utxo>, Amount), SimError> {
-        let node = &self.instance(sc)?.node;
-        let mut selected = Vec::new();
-        let mut total = Amount::ZERO;
-        for utxo in node.utxos_of(&user.sc_address_on(sc)) {
-            if total >= amount {
-                break;
-            }
-            total = total.checked_add(utxo.amount).expect("fits");
-            selected.push(utxo);
-        }
-        if total < amount {
-            return Err(SimError::Node(NodeError::Tx(
-                zendoo_latus::tx::TxError::ValueImbalance {
-                    input: total,
-                    output: amount,
-                },
-            )));
-        }
-        Ok((selected, total))
     }
 
     /// Submits a payment between users on a sidechain.
@@ -961,25 +901,17 @@ impl World {
         to: &str,
         amount: u64,
     ) -> Result<(), SimError> {
-        self.instance(sc)?;
-        let sender = self.user(from)?.clone();
+        let state = self.instance(sc)?.node.state();
+        let sender = self.user(from)?.sc_wallet_on(sc);
         let receiver = self.user(to)?.sc_address_on(sc);
-        let amount = Amount::from_units(amount);
-        let (selected, total) = self.select_inputs(sc, &sender, amount)?;
-        let sender_keys = sender.sc_keys_on(sc);
-        let inputs: Vec<_> = selected.iter().map(|u| (*u, &sender_keys.secret)).collect();
-        let change = total.checked_sub(amount).expect("selection covers amount");
-        let mut outputs = vec![(receiver, amount)];
-        if !change.is_zero() {
-            outputs.push((sender.sc_address_on(sc), change));
-        }
-        let tx = ScTransaction::Payment(PaymentTx::create(inputs, outputs));
+        let tx = sender.pay(state, receiver, Amount::from_units(amount))?;
         self.instance_mut(sc)?.node.submit_transaction(tx)?;
         self.metrics.sc_payments += 1;
         Ok(())
     }
 
-    /// Initiates a sidechain→mainchain withdrawal.
+    /// Initiates a sidechain→mainchain withdrawal (whole-UTXO: change
+    /// also returns to the user's MC address).
     ///
     /// # Errors
     ///
@@ -990,20 +922,11 @@ impl World {
         name: &str,
         amount: u64,
     ) -> Result<(), SimError> {
-        self.instance(sc)?;
-        let user = self.user(name)?.clone();
-        let amount = Amount::from_units(amount);
-        let (selected, total) = self.select_inputs(sc, &user, amount)?;
-        let user_keys = user.sc_keys_on(sc);
-        let inputs: Vec<_> = selected.iter().map(|u| (*u, &user_keys.secret)).collect();
-        // A BT tx has no outputs; whole-UTXO withdrawal refunds the
-        // change as a second withdrawal to the user's MC address.
-        let mut withdrawals = vec![(user.mc_address(), amount)];
-        let change = total.checked_sub(amount).expect("selection covers amount");
-        if !change.is_zero() {
-            withdrawals.push((user.mc_address(), change));
-        }
-        let tx = ScTransaction::BackwardTransfer(BackwardTransferTx::create(inputs, withdrawals));
+        let state = self.instance(sc)?.node.state();
+        let user = self.user(name)?;
+        let tx =
+            user.sc_wallet_on(sc)
+                .withdraw(state, user.mc_address(), Amount::from_units(amount))?;
         self.instance_mut(sc)?.node.submit_transaction(tx)?;
         self.metrics.backward_transfers += 1;
         Ok(())
@@ -1023,20 +946,19 @@ impl World {
         name: &str,
         amount: u64,
     ) -> Result<CrossChainTransfer, SimError> {
-        self.instance(from_sc)?;
+        let state = self.instance(from_sc)?.node.state();
         self.instance(to_sc)?;
-        let user = self.user(name)?.clone();
+        let user = self.user(name)?;
+        let (receiver, payback) = (user.sc_address_on(to_sc), user.mc_address());
+        let wallet = user.sc_wallet_on(from_sc).clone();
         let amount = Amount::from_units(amount);
-        let (selected, _) = self.select_inputs(from_sc, &user, amount)?;
-        let receiver = user.sc_address_on(to_sc);
-        let payback = user.mc_address();
-        let user_keys = user.sc_keys_on(from_sc);
-        let inputs: Vec<_> = selected.iter().map(|u| (*u, &user_keys.secret)).collect();
-        let dest = *to_sc;
+        let (selected, _) = wallet.select(state, amount)?;
+        let secret = &wallet.keypair().secret;
+        let inputs = selected.into_iter().map(|utxo| (utxo, secret)).collect();
         let xct = self
             .instance_mut(from_sc)?
             .node
-            .submit_cross_transfer(inputs, amount, dest, receiver, payback)?;
+            .submit_cross_transfer(inputs, amount, *to_sc, receiver, payback)?;
         self.metrics.cross_transfers_initiated += 1;
         Ok(xct)
     }
@@ -1066,7 +988,7 @@ impl World {
     }
 
     /// Injects a network partition: the shard stops receiving mainchain
-    /// blocks and buffers them instead, anchored at the current tip.
+    /// blocks and buffers them instead.
     /// Heals via [`World::heal_partition`] (the backlog replays at the
     /// shard's next sync). A no-op error if the chain is unknown or the
     /// shard is already partitioned/diverged.
@@ -1076,15 +998,14 @@ impl World {
     /// [`SimError::UnknownSidechain`] for undeclared chains;
     /// [`SimError::Config`] when the shard is already stalled.
     pub fn inject_partition(&mut self, sc: &SidechainId) -> Result<(), SimError> {
-        let anchor = self.chain.tip_hash();
         let shard = self
             .shards
             .get_mut(sc)
             .ok_or_else(|| SimError::UnknownSidechain(sc.to_string()))?;
-        if shard.partitioned.is_some() || shard.diverged.is_some() {
+        if shard.stalled() {
             return Err(SimError::Config("shard already partitioned or diverged"));
         }
-        shard.partitioned = Some(anchor);
+        shard.partitioned = true;
         self.metrics.partitions += 1;
         Ok(())
     }
@@ -1097,7 +1018,7 @@ impl World {
     /// ceases the chain, per the paper's Def 4.2). Idempotent.
     pub fn heal_partition(&mut self, sc: &SidechainId) {
         if let Some(shard) = self.shards.get_mut(sc) {
-            shard.partitioned = None;
+            shard.partitioned = false;
         }
     }
 
@@ -1122,37 +1043,26 @@ impl World {
         &mut self,
         sc: &SidechainId,
     ) -> Result<zendoo_primitives::digest::Digest32, SimError> {
-        let tip = self.chain.tip_hash();
-        {
-            let shard = self
-                .shards
-                .get(sc)
-                .ok_or_else(|| SimError::UnknownSidechain(sc.to_string()))?;
-            if shard.partitioned.is_some() || shard.diverged.is_some() {
-                return Err(SimError::Config("shard already partitioned or diverged"));
-            }
+        let shard = self
+            .shards
+            .get_mut(sc)
+            .ok_or_else(|| SimError::UnknownSidechain(sc.to_string()))?;
+        if shard.stalled() {
+            return Err(SimError::Config("shard already partitioned or diverged"));
         }
+        // The tip is the last block the node shares with the canonical
+        // chain — the heal target.
+        let tip = self.chain.tip_hash();
         let phantom = self
             .chain
             .mine_branch(&tip, 1, self.miner.address(), 800_000 + self.time)?
             .pop()
             .expect("mine_branch(count=1) yields one block");
-        let phantom_hash = phantom.hash();
-        let shard = self.shards.get_mut(sc).expect("checked above");
-        shard
-            .instance
-            .node
-            .sync_mainchain_block(&phantom)
-            .map_err(SimError::Node)?;
-        // The tip is the last block the node shares with the canonical
-        // chain — the heal target.
-        shard.diverged = Some(tip);
-        shard.metrics.sc_blocks += 1;
-        shard.metrics.equivocations += 1;
+        shard.adopt_phantom(&phantom)?;
         self.metrics.sc_blocks += 1;
         self.metrics.relay_equivocations += 1;
         self.time += 1;
-        Ok(phantom_hash)
+        Ok(phantom.hash())
     }
 
     /// Heals a relay equivocation: rolls the diverged node back to the
@@ -1169,15 +1079,7 @@ impl World {
         let Some(shard) = self.shards.get_mut(sc) else {
             return Ok(0);
         };
-        let Some(base) = shard.diverged.take() else {
-            return Ok(0);
-        };
-        let reverted = shard
-            .instance
-            .node
-            .rollback_to_mc(&base)
-            .map_err(SimError::Node)?;
-        shard.metrics.sc_blocks_reverted += reverted as u64;
+        let reverted = shard.heal_relay()?;
         self.metrics.sc_blocks_reverted += reverted as u64;
         Ok(reverted)
     }
@@ -1235,7 +1137,7 @@ impl World {
         let (telemetry, recorder) = Telemetry::in_memory();
         self.chain.set_telemetry(telemetry.clone());
         self.router.set_telemetry(telemetry.clone());
-        self.mc_mempool.set_telemetry(telemetry.clone());
+        self.miner.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
         self.recorder = Some(recorder);
     }
@@ -1357,14 +1259,16 @@ impl World {
     }
 
     /// Injects a mainchain fork: builds `depth + 1` empty blocks on the
-    /// branch point `depth` blocks below the tip, triggering a reorg,
-    /// then re-syncs every node onto the new branch and rewinds the
-    /// cross-chain router to its snapshot at the fork base (so queued
-    /// escrows, nullifier reservations and receipts roll back in
-    /// lock-step with the registry undo records). Stalled shards
-    /// (partitioned or relay-diverged) are not re-synced; their backlog
-    /// is rewritten to the new branch and, if the fork dug below their
-    /// anchor, their node is rolled back with it.
+    /// branch point `depth` blocks below the tip, triggering a reorg;
+    /// re-pools the disconnected transactions ([`Miner::on_reorg`]);
+    /// rewinds the cross-chain router to its snapshot at the fork base
+    /// (so queued escrows, nullifier reservations and receipts roll
+    /// back in lock-step with the registry undo records) and lets it
+    /// observe the branch; and rewrites what each shard will be fed
+    /// ([`SidechainShard::reorg`]) before running the ordinary shard
+    /// phase over the replacement branch — so a node certifies at
+    /// every epoch boundary the branch crosses, a stalled shard buffers
+    /// the branch, and a shard that is merely behind catches up.
     ///
     /// Returns the total number of SC blocks reverted across chains.
     ///
@@ -1374,6 +1278,8 @@ impl World {
     /// deepest currently injectable fork (the tip height minus the
     /// genesis block, capped by the chain's `max_reorg_depth` undo
     /// window); other [`SimError`]s if the reorg cannot be performed.
+    /// Once the chain has reorganized every shard is still served; the
+    /// first shard error, in declaration order, is reported last.
     pub fn inject_mc_fork(&mut self, depth: u64) -> Result<usize, SimError> {
         let height = self.chain.height();
         // Saturation is intentional: at genesis (height 0) there is
@@ -1388,10 +1294,9 @@ impl World {
                 max,
             });
         }
-        let fork_height = height - depth;
         let fork_base = self
             .chain
-            .hash_at_height(fork_height)
+            .hash_at_height(height - depth)
             .expect("fork base exists");
 
         // Mine the competing branch directly off the stored fork base
@@ -1401,32 +1306,22 @@ impl World {
         let branch =
             self.chain
                 .mine_branch(&fork_base, depth + 1, self.miner.address(), time_base)?;
-        let mut reorged = false;
-        let mut dropped: Vec<McTransaction> = Vec::new();
+        let mut disconnected = Vec::new();
         for block in &branch {
-            if let SubmitOutcome::Reorganized { disconnected, .. } =
-                self.chain.submit_block(block.clone())?
+            if let SubmitOutcome::Reorganized {
+                disconnected: hashes,
+                ..
+            } = self.chain.submit_block(block.clone())?
             {
-                reorged = true;
-                // Transactions from disconnected blocks re-enter the
-                // mempool (mirrors `Miner::on_reorg`); the next step's
-                // block builder rejects any that became invalid on the
-                // new branch.
-                for hash in &disconnected {
-                    if let Some(block) = self.chain.block(hash) {
-                        dropped.extend(block.transactions.iter().skip(1).cloned());
-                    }
-                }
+                self.metrics.reorgs += 1;
+                disconnected = hashes;
             }
         }
-        if reorged {
-            self.metrics.reorgs += 1;
-        }
-        // Re-admission recomputes each fee against the post-reorg UTXO
-        // set (inputs confirmed only on the abandoned branch resolve to
-        // nothing and pool at zero fee until the builder rejects them).
-        for tx in dropped {
-            self.pool_mc_tx(tx);
+        // The next step's block builder rejects any re-pooled
+        // transaction that became invalid on the new branch.
+        for tx in self.miner.on_reorg(&self.chain, &disconnected) {
+            self.metrics
+                .note_rejection(matches!(tx, McTransaction::Certificate(_)));
         }
         // Rewind the router (and the receipt-derived metrics) to the
         // fork base, then let it observe the replacement branch —
@@ -1446,106 +1341,32 @@ impl World {
                 self.router.observe_block(&self.chain, block);
             }
         }
-        // Roll every live shard back to the fork base and replay the
-        // branch (a rare path, always sequential). Stalled
-        // shards only get their backlog rewritten — they catch up when
-        // they heal.
-        let mut reverted = 0;
+        // The shard phase of a fork (a rare path, one lane): every live
+        // shard in declaration order, its effects folded like a tick's.
+        let mut partition = self.router.pending_by_destination();
         let withhold_all = self.withhold_certificates;
-        let mut pooled: Vec<(WithdrawalCertificate, bool)> = Vec::new();
+        let record = self.telemetry.is_enabled();
+        let mut reverted = 0;
+        let mut first_error = None;
         for id in self.order.clone() {
             let shard = self.shards.get_mut(&id).expect("declared");
             if shard.quarantined {
                 continue;
             }
-            if shard.partitioned.is_some() || shard.diverged.is_some() {
-                let anchor = shard.partitioned.or(shard.diverged).expect("stalled");
-                let anchor_height = self
-                    .chain
-                    .block(&anchor)
-                    .map(|block| block.header.height)
-                    .unwrap_or(0);
-                if anchor_height > fork_height {
-                    // The fork dug below the shard's anchor: the blocks
-                    // the node stands on were disconnected, so it
-                    // reorgs with the chain even while stalled.
-                    let shard_reverted = shard.instance.node.rollback_to_mc(&fork_base)?;
-                    shard.metrics.sc_blocks_reverted += shard_reverted as u64;
+            let error = match shard.reorg(&fork_base, &disconnected) {
+                Ok(shard_reverted) => {
                     reverted += shard_reverted;
-                    if shard.partitioned.is_some() {
-                        shard.partitioned = Some(fork_base);
-                    } else {
-                        // The reorg removed the phantom relay block
-                        // along with the anchor — the equivocation is
-                        // resolved and the shard resumes on its own.
-                        shard.diverged = None;
-                    }
+                    let inbound = partition.remove(&id).unwrap_or_default();
+                    let effects = shard.sync_and_certify(&branch, withhold_all, inbound, record);
+                    coordinator::apply_effects(self, effects)
                 }
-                // Blocks above the fork point were replaced; the new
-                // branch joins the backlog in canonical order.
-                shard
-                    .backlog
-                    .retain(|block| block.header.height <= fork_height);
-                shard.backlog.extend(branch.iter().cloned());
-                continue;
-            }
-            let shard_reverted = shard.instance.node.rollback_to_mc(&fork_base)?;
-            shard.metrics.sc_blocks_reverted += shard_reverted as u64;
-            reverted += shard_reverted;
-            // All branch blocks except the tip replace heights the node
-            // had already crossed — any certificate it produced for
-            // them is recovered through the dropped-transaction re-pool
-            // above, so a plain re-sync suffices.
-            let (last, prefix) = branch.split_last().expect("depth >= 1");
-            for block in prefix {
-                shard.instance.node.sync_mainchain_block(block)?;
-                shard.metrics.sc_blocks += 1;
-                self.metrics.sc_blocks += 1;
-            }
-            // The branch tip is one block beyond the pre-fork chain: new
-            // territory, so it gets full tick semantics — an epoch
-            // boundary landing here must still produce (or withhold)
-            // the certificate, with the same panic containment as a
-            // regular step.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                shard.tick(last, withhold_all)
-            }));
-            match outcome {
-                Ok(Ok((forged, certificate, withheld))) => {
-                    if forged {
-                        shard.metrics.sc_blocks += 1;
-                        self.metrics.sc_blocks += 1;
-                    }
-                    if withheld {
-                        shard.metrics.certificates_withheld += 1;
-                        self.metrics.certificates_withheld += 1;
-                    }
-                    if let Some(certificate) = certificate {
-                        shard.metrics.certificates_produced += 1;
-                        pooled.push((*certificate, shard.quality_war));
-                    }
-                }
-                Ok(Err(error)) => return Err(SimError::Node(error)),
-                Err(_payload) => {
-                    shard.quarantined = true;
-                    shard.metrics.panics += 1;
-                    self.metrics.shard_panics += 1;
-                }
-            }
-        }
-        for (certificate, war) in pooled {
-            self.metrics.certificates_produced += 1;
-            if war {
-                self.pool_forged_competitor(&certificate, 1);
-                self.pool_mc_tx(McTransaction::Certificate(Box::new(certificate.clone())));
-                self.pool_forged_competitor(&certificate, -1);
-            } else {
-                self.pool_mc_tx(McTransaction::Certificate(Box::new(certificate)));
-            }
+                Err(error) => Some(SimError::Node(error)),
+            };
+            first_error = first_error.or(error);
         }
         self.metrics.sc_blocks_reverted += reverted as u64;
         self.time = time_base + depth + 1;
-        Ok(reverted)
+        first_error.map_or(Ok(reverted), Err)
     }
 
     // ---- Audits -------------------------------------------------------

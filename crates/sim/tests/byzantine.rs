@@ -299,6 +299,166 @@ fn fork_deeper_than_history_is_a_typed_error() {
     assert!(world.conservation_holds());
 }
 
+/// Def 4.2 ceases a chain only when no certificate lands inside its
+/// submission window. A fork that replaces the last block of a
+/// withdrawal epoch (or digs below it) leaves the window open: the node
+/// reverts with the mainchain (§5.1), re-crosses the boundary on the
+/// replacement branch and certifies again — the stale certificate,
+/// which proves the disconnected `mc_end`, is rejected, and the
+/// re-issued one is accepted one block later, still inside the window.
+#[test]
+fn fork_replacing_an_epoch_boundary_recertifies_inside_the_window() {
+    use zendoo_sim::SimConfig;
+
+    let epoch_len = SimConfig::default().epoch_len as u64;
+    // The last blocks of epochs 0 and 1 (epoch 0 spans heights 2..=7).
+    for boundary in [1 + epoch_len, 1 + 2 * epoch_len] {
+        for depth in 1..=3 {
+            let case = format!("boundary {boundary}, depth {depth}");
+            let mut world = World::new(SimConfig::default());
+            let sc = world.sidechain_ids()[0];
+            world
+                .queue_forward_transfer_on(&sc, "alice", 5_000)
+                .unwrap();
+            while world.chain.height() < boundary {
+                world.step().unwrap();
+            }
+            let before = world.metrics.clone();
+
+            world.inject_mc_fork(depth).unwrap();
+            assert_eq!(
+                world.metrics.certificates_produced,
+                before.certificates_produced + 1,
+                "{case}: the node certifies the boundary again on the branch"
+            );
+            // The very next block — the window's last — settles it.
+            world.step().unwrap();
+            assert_eq!(
+                world.metrics.certificates_rejected,
+                before.certificates_rejected + 1,
+                "{case}: the stale certificate is rejected"
+            );
+            assert_eq!(
+                world.metrics.certificates_accepted,
+                before.certificates_accepted + 1,
+                "{case}: the re-issued certificate is accepted in the same window"
+            );
+
+            for _ in 1..20 {
+                world.step().unwrap();
+                assert!(
+                    world.conservation_holds() && world.safeguards_hold(),
+                    "{case}"
+                );
+            }
+            assert_eq!(
+                world.sidechain_status_of(&sc),
+                Some(SidechainStatus::Active),
+                "{case}"
+            );
+            assert_eq!(world.metrics.certificates_withheld, 0, "{case}");
+            assert_eq!(world.metrics.certificates_rejected, 1, "{case}");
+            // One accepted certificate per epoch whose window has opened.
+            let epochs_certified = (world.chain.height() - 2) / epoch_len;
+            assert_eq!(
+                world.metrics.certificates_accepted, epochs_certified,
+                "{case}"
+            );
+            assert_eq!(
+                world.metrics.certificates_produced,
+                epochs_certified + 1,
+                "{case}: every epoch once, the forked boundary twice"
+            );
+        }
+    }
+}
+
+/// The same fork on a chain whose closed epoch declared a cross-chain
+/// transfer: the rollback reopens the epoch, so the declaration the
+/// discarded certificate had consumed must ride the re-issued one —
+/// otherwise the escrow withdrawal could never be paired again and the
+/// sender would stop certifying. The transfer settles exactly once.
+#[test]
+fn fork_replacing_an_epoch_boundary_redeclares_its_cross_transfers() {
+    use zendoo_sim::{Action, Schedule, SimConfig};
+
+    for depth in 1..=3 {
+        let mut world = World::new(SimConfig::with_sidechains(2));
+        let schedule = Schedule::new()
+            .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
+            .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000));
+        schedule.run(&mut world, 6).unwrap();
+        assert_eq!(world.chain.height(), 7, "the last block of epoch 0");
+
+        world.inject_mc_fork(depth).unwrap();
+        let mut auditor = ConservationAuditor::new();
+        for _ in 0..14 {
+            world.step().unwrap();
+            auditor
+                .observe(&world)
+                .unwrap_or_else(|v| panic!("depth {depth}: {v}"));
+        }
+        for id in world.sidechain_ids() {
+            assert_eq!(
+                world.sidechain_status_of(id),
+                Some(SidechainStatus::Active),
+                "depth {depth}"
+            );
+        }
+        assert_eq!(world.metrics.certificates_withheld, 0, "depth {depth}");
+        assert_eq!(world.metrics.cross_transfers_delivered, 1, "depth {depth}");
+        assert_eq!(world.metrics.cross_transfers_refunded, 0, "depth {depth}");
+        assert_eq!(world.metrics.cross_transfers_rejected, 0, "depth {depth}");
+    }
+}
+
+/// A healed shard that has not replayed its backlog yet is simply
+/// behind: a fork injected before its next tick trims the replaced part
+/// of the backlog and the shard catches up through the ordinary phase
+/// (it used to be rolled back to a block it never saw — an error
+/// reported after the chain had already reorganized, wedging the world).
+#[test]
+fn fork_right_after_a_heal_catches_the_shard_up() {
+    use zendoo_sim::SimConfig;
+
+    let mut world = World::new(SimConfig::default());
+    let sc = world.sidechain_ids()[0];
+    world
+        .queue_forward_transfer_on(&sc, "alice", 5_000)
+        .unwrap();
+    world.run(3).unwrap();
+    world.inject_partition(&sc).unwrap();
+    world.run(3).unwrap();
+    assert_eq!(world.shard(&sc).unwrap().backlog_len(), 3);
+    world.heal_partition(&sc);
+
+    let height = world.chain.height();
+    let reverted = world.inject_mc_fork(1).unwrap();
+    assert_eq!(reverted, 0, "the node never saw the disconnected block");
+    assert_eq!(world.chain.height(), height + 1);
+    assert_eq!(world.shard(&sc).unwrap().backlog_len(), 0);
+    assert_eq!(
+        world.metrics.blocks_replayed, 2,
+        "the surviving backlog replays; the replaced block does not"
+    );
+    assert_eq!(
+        world.node_of(&sc).unwrap().chain().len() as u64,
+        world.chain.height() - 1,
+        "one SC block per MC block since the declaration"
+    );
+
+    for _ in 0..8 {
+        world.step().unwrap();
+        assert_eq!(world.shard(&sc).unwrap().backlog_len(), 0);
+        assert!(world.conservation_holds() && world.safeguards_hold());
+    }
+    assert_eq!(
+        world.sidechain_status_of(&sc),
+        Some(SidechainStatus::Active)
+    );
+    assert_eq!(world.metrics.certificates_withheld, 0);
+}
+
 #[test]
 fn cross_transfer_to_undeployed_chain_is_a_typed_error() {
     use zendoo_core::ids::SidechainId;

@@ -477,6 +477,72 @@ fn composed_fault_world_is_bit_identical_across_the_matrix() {
     }
 }
 
+/// A fork that replaces the last block of an epoch in the very tick one
+/// chain's partition heals: the live chains roll back across the
+/// boundary and certify again on the branch, the healed one — merely
+/// behind — catches up and certifies for the first time, all through
+/// the ordinary shard phase, folded in declaration order.
+fn boundary_fork_world(workers: Option<usize>, verify_mode: VerifyMode) -> World {
+    let config = SimConfig {
+        workers,
+        verify_mode,
+        ..SimConfig::with_sidechains(3)
+    };
+    let mut world = World::new(config);
+    let ids = world.sidechain_ids().to_vec();
+    let schedule = Schedule::new()
+        .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
+        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000));
+    for tick in 0..20 {
+        schedule.fire(&mut world, tick);
+        match tick {
+            3 => world.inject_partition(&ids[2]).unwrap(),
+            // Tip 7 is the last block of epoch 0; depth 2 digs below it.
+            6 => {
+                world.heal_partition(&ids[2]);
+                assert_eq!(world.inject_mc_fork(2).unwrap(), 4);
+            }
+            _ => {}
+        }
+        world.step().unwrap();
+    }
+    world
+}
+
+/// The fork path is the shard phase, so it lives inside the determinism
+/// contract like any tick — including when it crosses an epoch boundary
+/// and re-issues certificates.
+#[test]
+fn boundary_crossing_fork_is_bit_identical_across_the_matrix() {
+    let reference = boundary_fork_world(MATRIX[0].0, MATRIX[0].1);
+    // Both live chains certified epoch 0 twice (the stale certificates
+    // are the only rejections); the healed one replayed what survived
+    // of its backlog and caught up inside the window.
+    assert_eq!(reference.metrics.certificates_rejected, 2);
+    assert_eq!(reference.metrics.rejections, 2);
+    assert_eq!(reference.metrics.certificates_withheld, 0);
+    assert_eq!(reference.metrics.blocks_buffered, 3);
+    assert_eq!(reference.metrics.blocks_replayed, 1);
+    assert_eq!(reference.metrics.cross_transfers_delivered, 1);
+    for id in reference.sidechain_ids() {
+        assert_eq!(
+            reference.sidechain_status_of(id),
+            Some(zendoo_mainchain::SidechainStatus::Active)
+        );
+    }
+    assert!(reference.conservation_holds() && reference.safeguards_hold());
+    let expected = observe(&reference);
+    assert_follower_replay_matches(&reference);
+
+    for (workers, verify_mode) in MATRIX.into_iter().skip(1) {
+        assert_eq!(
+            expected,
+            observe(&boundary_fork_world(workers, verify_mode)),
+            "({workers:?}, {verify_mode:?}) diverged from the reference"
+        );
+    }
+}
+
 /// Two identical instrumented runs on the *same* worker count produce
 /// the same snapshot modulo wall-clock nanoseconds: fixed key order,
 /// identical span counts, counters, gauges and value histograms — the

@@ -9,16 +9,16 @@ mod common;
 use common::assert_follower_replay_matches;
 use proptest::prelude::*;
 use zendoo_sim::{
-    Action, ConservationAuditor, FaultPlan, RunError, Schedule, SimConfig, VerifyMode, World,
+    Action, ConservationAuditor, Fault, FaultPlan, RunError, Schedule, SimConfig, VerifyMode, World,
 };
 
 const CHAINS: usize = 3;
 const TICKS: u64 = 26;
 
-/// Runs the seed's random fault plan over a small cross-chain workload
-/// with the auditor attached to every tick.
-fn run_random_plan(
-    seed: u64,
+/// Runs a fault plan over a small cross-chain workload with the auditor
+/// attached to every tick.
+fn run_plan(
+    plan: &FaultPlan,
     workers: Option<usize>,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
@@ -30,10 +30,74 @@ fn run_random_plan(
     let schedule = Schedule::new()
         .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
         .at(2, Action::CrossTransfer(0, 1, "alice".into(), 10_000));
-    let plan = FaultPlan::random(seed, CHAINS, TICKS);
     let mut auditor = ConservationAuditor::new();
     plan.run(&mut world, &schedule, TICKS, &mut auditor)?;
     Ok((world, auditor))
+}
+
+/// [`run_plan`] over the seed's random fault plan.
+fn run_random_plan(
+    seed: u64,
+    workers: Option<usize>,
+) -> Result<(World, ConservationAuditor), RunError> {
+    run_plan(&FaultPlan::random(seed, CHAINS, TICKS), workers)
+}
+
+/// Two fork placements the random plans only hit by luck, pinned: no
+/// honest chain may cease under either, on one lane and on three.
+fn assert_every_chain_survives(name: &str, plan: FaultPlan, stale_certificates: u64) {
+    let (first, first_audit) = run_plan(&plan, Some(1)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(first_audit.snapshots().len() as u64, TICKS);
+    assert_eq!(
+        (
+            first.metrics.rejections,
+            first.metrics.certificates_rejected
+        ),
+        (stale_certificates, stale_certificates),
+        "{name}: nothing but the stale certificates is rejected"
+    );
+    assert_eq!(first.metrics.certificates_withheld, 0, "{name}");
+    assert_eq!(first.metrics.cross_transfers_delivered, 1, "{name}");
+    for id in first.sidechain_ids() {
+        assert_eq!(
+            first.sidechain_status_of(id),
+            Some(zendoo_mainchain::SidechainStatus::Active),
+            "{name}"
+        );
+        assert_eq!(first.shard(id).unwrap().backlog_len(), 0, "{name}");
+    }
+    assert_follower_replay_matches(&first);
+    let (world, audit) = run_plan(&plan, Some(3)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(
+        observe(&first),
+        observe(&world),
+        "{name}: three lanes diverged"
+    );
+    assert_eq!(first_audit.snapshots(), audit.snapshots(), "{name}");
+}
+
+/// Forks that replace the last block of an epoch (tick `k` starts at
+/// tip height `k + 1`, plus one per earlier fork): every chain
+/// re-certifies on the branch, inside the still-open window.
+#[test]
+fn forks_on_epoch_boundaries_cease_no_chain() {
+    let plan = FaultPlan::new(0)
+        .at(6, Fault::Reorg(1)) // tip 7, the end of epoch 0
+        .at(11, Fault::Reorg(2)); // tip 13, the end of epoch 1
+                                  // Each fork strands the certificate every chain had just pooled.
+    assert_every_chain_survives("forks on epoch boundaries", plan, 2 * CHAINS as u64);
+}
+
+/// A fork fired in the same tick as a heal, before the backlog
+/// replayed: the healed shard is simply behind and catches up.
+#[test]
+fn fork_in_the_tick_of_a_heal_ceases_no_chain() {
+    let plan = FaultPlan::new(0)
+        .at(3, Fault::Partition(1))
+        .at(6, Fault::HealPartition(1))
+        .at(6, Fault::Reorg(1));
+    // The partitioned chain had not certified epoch 0 yet.
+    assert_every_chain_survives("fork in the tick of a heal", plan, CHAINS as u64 - 1);
 }
 
 /// Everything externally observable, for reproducibility comparison.

@@ -203,24 +203,9 @@ impl Indexer {
         found
     }
 
-    /// Number of transfers escrowed toward `dest`.
-    pub fn pending_inbound_count(&self, dest: &SidechainId) -> usize {
-        self.pending.get(dest).map(BTreeMap::len).unwrap_or(0)
-    }
-
     /// Total pending inbound transfers across all destinations.
     pub fn pending_total(&self) -> usize {
         self.pending.values().map(BTreeMap::len).sum()
-    }
-
-    /// Total value escrowed toward `dest`.
-    pub fn pending_inbound_value(&self, dest: &SidechainId) -> Amount {
-        self.pending
-            .get(dest)
-            .map(|map| {
-                Amount::checked_sum(map.values().map(|p| p.amount)).expect("chain-invariant sum")
-            })
-            .unwrap_or(Amount::ZERO)
     }
 
     /// Root of `dest`'s incremental inbound tree — a succinct
@@ -238,11 +223,6 @@ impl Indexer {
             .telemetry
             .time("indexer.query.receipt", || receipts.get(nullifier));
         found
-    }
-
-    /// Number of receipts ingested.
-    pub fn receipt_count(&self) -> usize {
-        self.receipts.len()
     }
 }
 

@@ -24,12 +24,13 @@ fn main() {
 
     // ---- Mainchain bootstrap with a funded user.
     let alice_mc = Wallet::from_seed(b"alice");
-    let mut params = ChainParams::default();
-    params.genesis_outputs = vec![TxOut::regular(
-        alice_mc.address(),
-        Amount::from_units(1_000_000),
-    )];
-    let mut chain = Blockchain::new(params);
+    let mut chain = Blockchain::new(ChainParams {
+        genesis_outputs: vec![TxOut::regular(
+            alice_mc.address(),
+            Amount::from_units(1_000_000),
+        )],
+        ..ChainParams::default()
+    });
 
     // ---- Latus setup: trusted setup + sidechain registration (§4.2).
     let sid = SidechainId::from_label("lifecycle-demo");

@@ -23,7 +23,7 @@ use zendoo::mainchain::transaction::{McTransaction, TxOut};
 use zendoo::mainchain::wallet::Wallet;
 use zendoo::primitives::digest::Digest32;
 use zendoo::primitives::schnorr::{Keypair, Signature};
-use zendoo::snark::backend::{prove, setup_deterministic, Proof, ProvingKey};
+use zendoo::snark::backend::{prove, setup_deterministic, Proof};
 use zendoo::snark::circuit::{Circuit, Unsatisfied};
 use zendoo::snark::inputs::PublicInputs;
 
@@ -95,11 +95,13 @@ fn sysdata_for(
 #[test]
 fn three_trust_models_one_verifier() {
     let miner = Wallet::from_seed(b"miner");
-    let mut params = ChainParams::default();
-    params.genesis_outputs = vec![TxOut::regular(
-        miner.address(),
-        Amount::from_units(1_000_000),
-    )];
+    let params = ChainParams {
+        genesis_outputs: vec![TxOut::regular(
+            miner.address(),
+            Amount::from_units(1_000_000),
+        )],
+        ..ChainParams::default()
+    };
     let mut h = Harness {
         chain: Blockchain::new(params),
         miner,
@@ -287,8 +289,4 @@ fn forged_certificates_rejected_under_every_model() {
     assert!(h
         .mine(vec![McTransaction::Certificate(Box::new(cert))])
         .is_err());
-    let _ = committee_placeholder(&pk);
 }
-
-/// Silences an unused-variable pattern on some toolchains.
-fn committee_placeholder(_pk: &ProvingKey) {}
