@@ -1,8 +1,8 @@
 # Zendoo reproduction — developer tasks. `make ci` is the gate.
 
-.PHONY: ci fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-benchmark bench-build bench bench-smoke obs-report demo
+.PHONY: ci fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-tree test-benchmark bench-build bench bench-smoke obs-report demo
 
-ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store bench-build test-benchmark
+ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-tree bench-build test-benchmark
 
 fmt-check:
 	cargo fmt --check
@@ -52,6 +52,19 @@ test-byzantine:
 test-store:
 	@total=0; for spec in "zendoo-store recovery" "zendoo-sim persistence"; do set -- $$spec; out=$$(cargo test -q -p "$$1" --test "$$2" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "store tests: $$total total"
 
+# The one tree, by name: the sparse Merkle tree's differential against
+# the recursive reference of its definition (depths 6 / 40 / 63), the
+# tamper matrix, the persistence laws and the permutation-count pin
+# (every `smt::` unit test), then the Latus cases that rest on the
+# canonical-update rule — a witness replays pre- and post-root, a
+# collision is a membership proof, absence cannot be forged from a
+# neighbour, over-long paths and wrong sibling kinds are refused by rule
+# name, snapshots are handles bounded by the reorg horizon. Each spec is
+# `package target filter…` (`lib` = the unit tests); a renamed test
+# shows as a smaller total.
+test-tree:
+	@total=0; for spec in "zendoo-primitives lib smt::" "zendoo-latus lib payment_witness_replays_root_transition forward_transfer_collision_refunds_payback btr_absence_cannot_be_forged_from_a_neighbour witnessed_path_longer_than_the_tree" "zendoo-latus adversarial removal_with_the_wrong_sibling_kind ownership_path_longer_than_the_tree" "zendoo-latus epoch_flow snapshots_are_handles"; do set -- $$spec; pkg=$$1; target=$$2; shift 2; if [ "$$target" = lib ]; then target=--lib; else target="--test $$target"; fi; out=$$(cargo test -q -p "$$pkg" $$target -- "$$@" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "tree tests: $$total total"
+
 # The standalone benchmark package (BENCHMARK.json runs it from its own
 # checkout): its unit tests, then every workload once at smoke size. It
 # pins the public API by name, so a renamed function fails here rather
@@ -70,7 +83,7 @@ bench:
 
 # The routing hot path plus the two curves that keep a committed record:
 # rewrites BENCH_proof_agg.json (1/16/256 certificates a block) and
-# BENCH_indexer.json (cold start + queries at 10^6 UTXOs; ~4 minutes).
+# BENCH_indexer.json (cold start + queries at 10^6 UTXOs; about a minute).
 bench-smoke:
 	cargo bench -p zendoo-bench --bench crosschain_routing
 	cargo bench -p zendoo-bench --bench proof_aggregation

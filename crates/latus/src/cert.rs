@@ -454,13 +454,14 @@ impl Circuit for WcertCircuit {
         Ok(())
     }
 
+    /// A model, not a circuit. The certificate witnesses no MST path
+    /// (the state proof carries them all), so none is charged.
     fn constraint_cost(&self, _public: &PublicInputs, w: &WcertWitness) -> u64 {
         let headers = (w.mc_headers.len() + w.sc_headers.len()) as u64;
         let folds = (w.bt_list.len() + w.touch_sequence.len() + w.mc_headers.len() * 2) as u64;
         gadget_cost::PROOF_VERIFY
             + headers * 2 * gadget_cost::POSEIDON_HASH2
             + folds * gadget_cost::POSEIDON_HASH2
-            + self.params.mst_depth as u64 * gadget_cost::MERKLE_STEP
     }
 }
 
@@ -615,9 +616,11 @@ impl Circuit for BtrCircuit {
         w.check("btr", &self.params, public)
     }
 
-    fn constraint_cost(&self, _public: &PublicInputs, _w: &OwnershipWitness) -> u64 {
+    /// A model, not a circuit: the membership path is charged the
+    /// siblings it carries; a fixed-shape circuit would pad it to a bound.
+    fn constraint_cost(&self, _public: &PublicInputs, w: &OwnershipWitness) -> u64 {
         gadget_cost::SCHNORR_VERIFY
-            + self.params.mst_depth as u64 * gadget_cost::MERKLE_STEP
+            + w.mst_proof.siblings().len() as u64 * gadget_cost::MERKLE_STEP
             + 8 * gadget_cost::POSEIDON_HASH2
     }
 }
@@ -742,13 +745,15 @@ impl Circuit for CswCircuit {
         }
     }
 
+    /// A model, not a circuit: the membership path is charged the
+    /// siblings it carries; a fixed-shape circuit would pad it to a bound.
     fn constraint_cost(&self, _public: &PublicInputs, w: &CswWitness) -> u64 {
-        let links = match w {
-            CswWitness::Direct(_) => 0u64,
-            CswWitness::Historical { later, .. } => later.len() as u64,
+        let (ownership, links) = match w {
+            CswWitness::Direct(ownership) => (ownership, 0u64),
+            CswWitness::Historical { base, later } => (base, later.len() as u64),
         };
         gadget_cost::SCHNORR_VERIFY
-            + self.params.mst_depth as u64 * gadget_cost::MERKLE_STEP
+            + ownership.mst_proof.siblings().len() as u64 * gadget_cost::MERKLE_STEP
             + (links + 8) * gadget_cost::POSEIDON_HASH2
     }
 }

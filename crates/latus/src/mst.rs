@@ -3,19 +3,22 @@
 //!
 //! The MST is a fixed-depth sparse Merkle tree whose leaves are UTXO
 //! slots. `MST_Position(utxo)` deterministically assigns each UTXO a slot
-//! independent of the current state; occupied slots hold the Poseidon
-//! leaf of the UTXO, empty slots hold the `H(Null)` constant. Position
-//! collisions are possible and surface as [`MstError::SlotCollision`] —
-//! the forward-transfer failure mode of §5.3.2.
+//! independent of the current state; an occupied slot holds the Poseidon
+//! leaf of its UTXO, and the tree is the compact, persistent one of
+//! [`zendoo_primitives::smt`] (same map, same membership and absence
+//! statements as Fig 9; a subtree with one occupant is hashed as that
+//! leaf). Position collisions are possible and surface as
+//! [`MstError::SlotCollision`] — the forward-transfer failure mode of
+//! §5.3.2.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::poseidon;
-use zendoo_primitives::smt::{SmtError, SmtProof, SparseMerkleTree};
+use zendoo_primitives::smt::{NodeOpening, Smt, SmtError, SmtProof};
 
 /// An unspent output on the Latus sidechain: `(addr, amount, nonce)`
 /// (§5.2).
@@ -107,7 +110,9 @@ impl From<SmtError> for MstError {
     }
 }
 
-/// The Merkle State Tree: sparse tree + UTXO payload storage.
+/// The Merkle State Tree: the sparse tree with each UTXO kept in its
+/// leaf. `Clone` is a root handle (no UTXO is copied), so a snapshot of
+/// the state or a closed epoch's tree costs one pointer.
 ///
 /// # Examples
 ///
@@ -129,20 +134,14 @@ impl From<SmtError> for MstError {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Mst {
-    tree: SparseMerkleTree,
-    /// Payload per occupied position.
-    utxos: HashMap<u64, Utxo>,
-    /// Index from utxo digest to position.
-    by_digest: HashMap<Digest32, u64>,
+    tree: Smt<Utxo>,
 }
 
 impl Mst {
     /// Creates an empty MST of the given depth (`D_MST`).
     pub fn new(depth: u32) -> Self {
         Mst {
-            tree: SparseMerkleTree::new(depth),
-            utxos: HashMap::new(),
-            by_digest: HashMap::new(),
+            tree: Smt::new(depth),
         }
     }
 
@@ -153,12 +152,12 @@ impl Mst {
 
     /// Number of occupied slots.
     pub fn len(&self) -> usize {
-        self.utxos.len()
+        self.tree.len()
     }
 
     /// Returns `true` if no UTXO is stored.
     pub fn is_empty(&self) -> bool {
-        self.utxos.is_empty()
+        self.tree.is_empty()
     }
 
     /// The current MST root (`mst_t`).
@@ -168,55 +167,53 @@ impl Mst {
 
     /// Returns `true` if the exact UTXO is present.
     pub fn contains(&self, utxo: &Utxo) -> bool {
-        self.by_digest.contains_key(&utxo.digest())
+        self.position_of(utxo).is_some()
     }
 
     /// The UTXO at `position`, if occupied.
     pub fn utxo_at(&self, position: u64) -> Option<&Utxo> {
-        self.utxos.get(&position)
+        self.tree.payload(position)
     }
 
-    /// The position of a stored UTXO.
+    /// The Poseidon leaf at `position`, if occupied.
+    pub fn leaf_at(&self, position: u64) -> Option<Fp> {
+        self.tree.get(position)
+    }
+
+    /// The position of a stored UTXO: `MST_Position` is a function of
+    /// the UTXO alone, so this is one slot lookup and a comparison.
     pub fn position_of(&self, utxo: &Utxo) -> Option<u64> {
-        self.by_digest.get(&utxo.digest()).copied()
+        let position = mst_position(utxo, self.depth());
+        (self.utxo_at(position) == Some(utxo)).then_some(position)
     }
 
-    /// All UTXOs owned by `address`, sorted by position.
+    /// All UTXOs owned by `address`, in position order.
     pub fn owned_by(&self, address: &Address) -> Vec<(u64, Utxo)> {
-        let mut owned: Vec<(u64, Utxo)> = self
-            .utxos
-            .iter()
-            .filter(|(_, u)| u.address == *address)
-            .map(|(p, u)| (*p, *u))
-            .collect();
-        owned.sort_by_key(|(p, _)| *p);
-        owned
+        self.iter()
+            .filter(|(_, utxo)| utxo.address == *address)
+            .map(|(position, utxo)| (position, *utxo))
+            .collect()
     }
 
     /// Total value held by `address`.
     pub fn balance_of(&self, address: &Address) -> Amount {
         Amount::checked_sum(
-            self.utxos
-                .values()
-                .filter(|u| u.address == *address)
-                .map(|u| u.amount),
+            self.iter()
+                .filter(|(_, utxo)| utxo.address == *address)
+                .map(|(_, utxo)| utxo.amount),
         )
         .expect("sidechain supply fits in u64")
     }
 
     /// Total value of all stored UTXOs.
     pub fn total_value(&self) -> Amount {
-        Amount::checked_sum(self.utxos.values().map(|u| u.amount))
+        Amount::checked_sum(self.iter().map(|(_, utxo)| utxo.amount))
             .expect("sidechain supply fits in u64")
     }
 
     /// Iterates over `(position, utxo)` in position order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Utxo)> {
-        let mut positions: Vec<u64> = self.utxos.keys().copied().collect();
-        positions.sort_unstable();
-        positions
-            .into_iter()
-            .map(move |p| (p, self.utxos.get(&p).expect("key from map")))
+        self.tree.iter().map(|(position, _, utxo)| (position, utxo))
     }
 
     /// Inserts a UTXO at its deterministic position, returning it.
@@ -226,13 +223,11 @@ impl Mst {
     /// [`MstError::SlotCollision`] if the slot is taken.
     pub fn add(&mut self, utxo: &Utxo) -> Result<u64, MstError> {
         let position = mst_position(utxo, self.depth());
-        if self.tree.is_occupied(position) {
-            return Err(MstError::SlotCollision { position });
+        match self.tree.insert_with(position, utxo.leaf(), *utxo) {
+            Ok(()) => Ok(position),
+            Err(SmtError::SlotOccupied(position)) => Err(MstError::SlotCollision { position }),
+            Err(e) => Err(e.into()),
         }
-        self.tree.insert(position, utxo.leaf())?;
-        self.utxos.insert(position, *utxo);
-        self.by_digest.insert(utxo.digest(), position);
-        Ok(position)
     }
 
     /// Removes a stored UTXO, returning its position.
@@ -241,20 +236,27 @@ impl Mst {
     ///
     /// [`MstError::UnknownUtxo`] if absent.
     pub fn remove(&mut self, utxo: &Utxo) -> Result<u64, MstError> {
-        let digest = utxo.digest();
-        let position = *self
-            .by_digest
-            .get(&digest)
-            .ok_or(MstError::UnknownUtxo(digest))?;
+        let position = self
+            .position_of(utxo)
+            .ok_or_else(|| MstError::UnknownUtxo(utxo.digest()))?;
         self.tree.remove(position)?;
-        self.utxos.remove(&position);
-        self.by_digest.remove(&digest);
         Ok(position)
     }
 
     /// Membership/absence proof for `position`.
     pub fn proof(&self, position: u64) -> SmtProof {
         self.tree.proof(position)
+    }
+
+    /// [`Mst::proof`] plus the opening of the path's deepest sibling:
+    /// what spending the UTXO at `position` must witness.
+    pub fn proof_with_sibling(&self, position: u64) -> (SmtProof, Option<NodeOpening>) {
+        self.tree.proof_with_sibling(position)
+    }
+
+    /// Tree nodes this handle keeps alive that `other` does not share.
+    pub fn unshared_nodes(&self, other: &Mst) -> usize {
+        self.tree.unshared_nodes(&other.tree)
     }
 }
 

@@ -8,7 +8,7 @@
 //! produces a certificate whose SNARK proof attests the entire epoch
 //! (Fig 11). It also serves user-facing proof requests (BTR/CSW).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
 use zendoo_core::config::{SidechainConfig, SidechainConfigBuilder};
@@ -177,8 +177,10 @@ impl From<ProveError> for NodeError {
     }
 }
 
-/// Snapshot for mainchain-reorg rollback.
-#[derive(Clone)]
+/// Snapshot for mainchain-reorg rollback. It costs O(block), not
+/// O(state): the MST inside `state` is a root handle, `epoch_builder`
+/// shares the epoch's witnesses block by block, and the certificate
+/// inclusions are shared pointers.
 struct NodeSnapshot {
     state: SidechainState,
     epoch_builder: EpochProofBuilder,
@@ -192,7 +194,7 @@ struct NodeSnapshot {
     /// disconnect the very block that carried a certificate; a
     /// rollback that kept the stale inclusion would later prove a
     /// certificate against a window that no longer carries it.
-    cert_inclusions: BTreeMap<EpochId, CertInclusion>,
+    cert_inclusions: BTreeMap<EpochId, Arc<CertInclusion>>,
 }
 
 /// A Latus full node / forger.
@@ -205,8 +207,11 @@ pub struct LatusNode {
     state: SidechainState,
     chain: Vec<ScBlock>,
     /// Pre-block snapshots keyed by the MC block each SC block
-    /// references (for MC-reorg rollback).
-    snapshots: Vec<NodeSnapshot>,
+    /// references (for MC-reorg rollback), the newest `reorg_horizon`
+    /// of them.
+    snapshots: VecDeque<NodeSnapshot>,
+    /// How many blocks back a mainchain reorg can reach.
+    reorg_horizon: usize,
     pending: Vec<ScTransaction>,
     epoch_builder: EpochProofBuilder,
     current_epoch: EpochId,
@@ -214,8 +219,9 @@ pub struct LatusNode {
     epoch_mc_headers: Vec<zendoo_mainchain::BlockHeader>,
     epoch_sc_headers: Vec<ScBlockHeader>,
     /// Certificate inclusions observed in MC blocks, per epoch.
-    cert_inclusions: BTreeMap<EpochId, CertInclusion>,
-    /// MST snapshot at each epoch close (serves BTR/CSW proofs).
+    cert_inclusions: BTreeMap<EpochId, Arc<CertInclusion>>,
+    /// The MST at each epoch close, as a root handle a historical
+    /// BTR/CSW proof walks.
     epoch_msts: BTreeMap<EpochId, Mst>,
     /// Delta committed per closed epoch (serves historical CSW proofs).
     epoch_deltas: BTreeMap<EpochId, MstDelta>,
@@ -255,7 +261,8 @@ impl LatusNode {
             forger,
             state,
             chain: Vec::new(),
-            snapshots: Vec::new(),
+            snapshots: VecDeque::new(),
+            reorg_horizon: zendoo_mainchain::chain::ChainParams::default().max_reorg_depth + 1,
             pending: Vec::new(),
             epoch_builder,
             current_epoch: 0,
@@ -272,6 +279,30 @@ impl LatusNode {
             pending_cross: Vec::new(),
             xct_nonce: 0,
         }
+    }
+
+    /// Tells the node how far back its mainchain can reorganise
+    /// (`max_reorg_depth + 1` blocks; [`LatusNode::new`] assumes the
+    /// default chain parameters). Rollback snapshots older than that are
+    /// dropped: no fork can reach them.
+    pub fn set_reorg_horizon(&mut self, blocks: usize) {
+        self.reorg_horizon = blocks;
+        self.prune_snapshots();
+    }
+
+    fn prune_snapshots(&mut self) {
+        let excess = self.snapshots.len().saturating_sub(self.reorg_horizon);
+        self.snapshots.drain(..excess);
+    }
+
+    /// Rollback snapshots currently held.
+    pub fn snapshot_count(&self) -> usize {
+        self.snapshots.len()
+    }
+
+    /// The MST as it stood when `epoch` closed, if this node closed it.
+    pub fn epoch_mst(&self, epoch: EpochId) -> Option<&Mst> {
+        self.epoch_msts.get(&epoch)
     }
 
     /// The node's sidechain state.
@@ -448,11 +479,11 @@ impl LatusNode {
         if let Some((cert, proof)) = &reference.wcert {
             self.cert_inclusions.insert(
                 cert.epoch_id,
-                CertInclusion {
+                Arc::new(CertInclusion {
                     certificate: cert.clone(),
                     mc_header: mc_block.header,
                     inclusion: proof.clone(),
-                },
+                }),
             );
         }
 
@@ -483,7 +514,8 @@ impl LatusNode {
         let result = self.forge_and_apply(reference, mc_block, transactions, leadership);
         match result {
             Ok(block) => {
-                self.snapshots.push(snapshot);
+                self.snapshots.push_back(snapshot);
+                self.prune_snapshots();
                 Ok(block)
             }
             Err(e) => {
@@ -586,9 +618,7 @@ impl LatusNode {
         };
         block.header.tx_root = block.compute_tx_root();
 
-        for (witness, digest) in recorded {
-            self.epoch_builder.record(witness, digest);
-        }
+        self.epoch_builder.record_block(recorded);
         self.last_mc_ref = block.mc_references[0].mc_block_hash();
         self.epoch_mc_headers.push(mc_block.header);
         self.epoch_sc_headers.push(block.header.clone());
@@ -671,19 +701,17 @@ impl LatusNode {
             current_epoch: self.current_epoch,
             cert_inclusions: self.cert_inclusions.clone(),
         };
-        for (witness, digest) in recorded {
-            self.epoch_builder.record(witness, digest);
-        }
+        self.epoch_builder.record_block(recorded);
         // Track certificate inclusions observed in the reference.
         for reference in &block.mc_references {
             if let Some((cert, proof)) = &reference.wcert {
                 self.cert_inclusions.insert(
                     cert.epoch_id,
-                    CertInclusion {
+                    Arc::new(CertInclusion {
                         certificate: cert.clone(),
                         mc_header: mc_block.header,
                         inclusion: proof.clone(),
-                    },
+                    }),
                 );
             }
         }
@@ -692,7 +720,8 @@ impl LatusNode {
         self.epoch_sc_headers.push(block.header.clone());
         self.chain.push(block.clone());
         self.next_slot = block.header.slot + 1;
-        self.snapshots.push(snapshot);
+        self.snapshots.push_back(snapshot);
+        self.prune_snapshots();
         Ok(())
     }
 
@@ -744,14 +773,13 @@ impl LatusNode {
         let prev_cert_inclusion = if epoch == 0 {
             None
         } else {
-            Some(
+            let inclusion =
                 self.cert_inclusions
                     .get(&(epoch - 1))
                     .ok_or(NodeError::Unavailable(
                         "previous certificate inclusion not observed on MC",
-                    ))?
-                    .clone(),
-            )
+                    ))?;
+            Some(CertInclusion::clone(inclusion))
         };
 
         // The recursive proof over the epoch (Fig 11).
@@ -858,7 +886,7 @@ impl LatusNode {
 
     /// The certificate inclusion observed on the MC for `epoch`.
     pub fn cert_inclusion_for(&self, epoch: EpochId) -> Option<&CertInclusion> {
-        self.cert_inclusions.get(&epoch)
+        self.cert_inclusions.get(&epoch).map(Arc::as_ref)
     }
 
     /// Builds a fully proven BTR for a UTXO committed by the certificate
@@ -935,8 +963,7 @@ impl LatusNode {
         let mut later = Vec::new();
         for epoch in (anchor_epoch + 1)..=latest_epoch {
             let cert = self
-                .cert_inclusions
-                .get(&epoch)
+                .cert_inclusion_for(epoch)
                 .ok_or(NodeError::Unavailable("later certificate inclusion"))?
                 .clone();
             let delta = later_deltas
@@ -995,8 +1022,7 @@ impl LatusNode {
             .get(&anchor_epoch)
             .ok_or(NodeError::Unavailable("epoch MST snapshot"))?;
         let anchor_cert = self
-            .cert_inclusions
-            .get(&anchor_epoch)
+            .cert_inclusion_for(anchor_epoch)
             .ok_or(NodeError::Unavailable("anchor certificate inclusion"))?
             .clone();
         let position = mst_position(utxo, self.params.mst_depth);
@@ -1037,7 +1063,10 @@ impl LatusNode {
             .iter()
             .rposition(|s| s.last_mc_ref == *mc_hash)
             .ok_or(NodeError::Unavailable("rollback target not in history"))?;
-        let snapshot = self.snapshots[target].clone();
+        // The target snapshot and everything after it describe blocks
+        // that are about to be gone: take it out, drop the rest.
+        self.snapshots.truncate(target + 1);
+        let snapshot = self.snapshots.pop_back().expect("target is in range");
         let reverted = self.chain.len() - snapshot.chain_len;
         self.state = snapshot.state;
         self.epoch_builder = snapshot.epoch_builder;
@@ -1074,7 +1103,6 @@ impl LatusNode {
             self.pending_cross
                 .splice(0..0, declared.into_iter().take(surviving));
         }
-        self.snapshots.truncate(target);
         Ok(reverted)
     }
 
@@ -1197,8 +1225,8 @@ mod tests {
         );
         assert_eq!(follower.state.digest(), forger.state.digest());
         // The rollback snapshot holds the pre-block state itself.
-        let before = follower.snapshots.last().unwrap().state.digest();
-        assert_eq!(before, forger.snapshots.last().unwrap().state.digest());
+        let before = follower.snapshots.back().unwrap().state.digest();
+        assert_eq!(before, forger.snapshots.back().unwrap().state.digest());
         assert_ne!(before, follower.state.digest());
     }
 }

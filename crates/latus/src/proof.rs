@@ -9,11 +9,12 @@
 //! witnesses of a withdrawal epoch and folds them into one constant-size
 //! proof via the balanced merge tree of Fig 11.
 
+use std::sync::Arc;
 use zendoo_core::ids::Address;
 use zendoo_core::transfer::BackwardTransfer;
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
-use zendoo_primitives::smt::SmtProof;
+use zendoo_primitives::smt::{SmtProof, WitnessError};
 use zendoo_snark::circuit::{gadget_cost, Unsatisfied};
 use zendoo_snark::recursive::{RecursiveSystem, StateProof, TransitionVerifier};
 
@@ -23,9 +24,9 @@ use crate::state::{
     fold_backward_transfer, fold_delta_position, fold_sync, state_digest, SyncKind,
 };
 use crate::tx::{
-    btr_claimed_utxo, classify_ft_metadata, empty_leaf, ft_batch_output_utxo, ft_output_utxo,
-    salvage_payback, BtrStep, FtEntryStep, FtKind, FtStep, LeafUpdate, ScTransaction, SignedInput,
-    TransitionWitness,
+    btr_claimed_utxo, classify_ft_metadata, ft_batch_output_utxo, ft_output_utxo, salvage_payback,
+    BtrStep, FtEntryStep, FtKind, FtStep, LeafUpdate, ScTransaction, SignedInput,
+    TransitionWitness, UpdateError,
 };
 
 /// The Latus single-transition constraint system.
@@ -55,20 +56,23 @@ pub fn proof_system(params: LatusParams, seed: &[u8]) -> LatusProofSystem {
     RecursiveSystem::new_deterministic(LatusTransitionVerifier::new(params), seed)
 }
 
-/// Pins a witnessed MST path to the deployment's depth: a path of any
-/// other length still computes *a* root, just not one of this tree.
+/// Pins a witnessed MST path to the deployment's tree: it reads its
+/// index bits at this depth and walks at most `depth` levels. (A path
+/// ends as soon as it meets an empty subtree or a lone leaf, so most are
+/// much shorter.)
 pub(crate) fn check_path_depth(
     path: &SmtProof,
     depth: u32,
     rule: &'static str,
 ) -> Result<(), Unsatisfied> {
-    if path.siblings().len() == depth as usize {
+    if path.depth() == depth && path.siblings().len() <= depth as usize {
         Ok(())
     } else {
         Err(Unsatisfied::new(
             rule,
             format!(
-                "MST path has {} siblings, the tree has depth {depth}",
+                "MST path of depth {} with {} siblings, the tree has depth {depth}",
+                path.depth(),
                 path.siblings().len()
             ),
         ))
@@ -92,8 +96,12 @@ impl Replay {
     /// Applies a leaf update, folding the delta accumulator.
     fn apply_update(&mut self, update: &LeafUpdate) -> Result<(), Unsatisfied> {
         check_path_depth(&update.path, self.depth, "latus/path-depth")?;
-        self.mst_root = update.apply_to_root(&self.mst_root).ok_or_else(|| {
-            Unsatisfied::new("latus/path", "leaf update path does not match running root")
+        self.mst_root = update.apply_to_root(&self.mst_root).map_err(|e| match e {
+            UpdateError::Witness(WitnessError::SiblingOpening) => Unsatisfied::new(
+                "latus/sibling-opening",
+                "a removal must open its deepest sibling as the leaf or interior node it is",
+            ),
+            _ => Unsatisfied::new("latus/path", "leaf update path does not match running root"),
         })?;
         self.delta_acc = fold_delta_position(self.delta_acc, update.position());
         Ok(())
@@ -128,7 +136,7 @@ fn check_spend(
             format!("input {index} update at wrong MST position"),
         ));
     }
-    if update.old_leaf != Some(input.utxo.leaf()) || update.new_leaf.is_some() {
+    if update.old_leaf() != Some(input.utxo.leaf()) || update.new_leaf.is_some() {
         return Err(Unsatisfied::new(
             "latus/input-leaf",
             format!("input {index} update is not a removal of the spent utxo"),
@@ -138,12 +146,12 @@ fn check_spend(
 }
 
 /// Checks that a collision rejection's evidence proves `position`
-/// occupied under the running root.
+/// occupied under the running root: a membership proof of whatever leaf
+/// sits there.
 fn check_occupied_slot(
     replay: &Replay,
     position: u64,
     occupied: &SmtProof,
-    occupied_leaf: &Fp,
     ft_index: usize,
 ) -> Result<(), Unsatisfied> {
     if occupied.index() != position {
@@ -153,7 +161,7 @@ fn check_occupied_slot(
         ));
     }
     check_path_depth(occupied, replay.depth, "latus/path-depth")?;
-    if *occupied_leaf == empty_leaf() || occupied.compute_root(occupied_leaf) != replay.mst_root {
+    if occupied.value().is_none() || occupied.root() != Some(replay.mst_root) {
         return Err(Unsatisfied::new(
             "latus/ft-collision",
             format!("ft {ft_index}: slot not provably occupied"),
@@ -212,7 +220,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
                 }
                 for (output, update) in tx.outputs.iter().zip(&w.updates[tx.inputs.len()..]) {
                     if update.position() != mst_position(output, depth)
-                        || update.old_leaf.is_some()
+                        || update.old_leaf().is_some()
                         || update.new_leaf != Some(output.leaf())
                     {
                         return Err(Unsatisfied::new(
@@ -287,7 +295,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
                         (_, Some((receiver, _)), FtStep::Minted(update)) => {
                             let utxo = ft_output_utxo(&tx.mc_block, i, receiver, ft.amount);
                             if update.position() != mst_position(&utxo, depth)
-                                || update.old_leaf.is_some()
+                                || update.old_leaf().is_some()
                                 || update.new_leaf != Some(utxo.leaf())
                             {
                                 return Err(Unsatisfied::new(
@@ -297,22 +305,9 @@ impl TransitionVerifier for LatusTransitionVerifier {
                             }
                             replay.apply_update(update)?;
                         }
-                        (
-                            _,
-                            Some((receiver, payback)),
-                            FtStep::RejectedCollision {
-                                occupied,
-                                occupied_leaf,
-                            },
-                        ) => {
+                        (_, Some((receiver, payback)), FtStep::RejectedCollision { occupied }) => {
                             let utxo = ft_output_utxo(&tx.mc_block, i, receiver, ft.amount);
-                            check_occupied_slot(
-                                &replay,
-                                mst_position(&utxo, depth),
-                                occupied,
-                                occupied_leaf,
-                                i,
-                            )?;
+                            check_occupied_slot(&replay, mst_position(&utxo, depth), occupied, i)?;
                             replay.append_bt(payback, ft.amount);
                         }
                         (FtKind::Settlement(batch), _, FtStep::Settled(entry_steps)) => {
@@ -335,7 +330,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
                                 match entry_step {
                                     FtEntryStep::Minted(update) => {
                                         if update.position() != mst_position(&utxo, depth)
-                                            || update.old_leaf.is_some()
+                                            || update.old_leaf().is_some()
                                             || update.new_leaf != Some(utxo.leaf())
                                         {
                                             return Err(Unsatisfied::new(
@@ -347,15 +342,11 @@ impl TransitionVerifier for LatusTransitionVerifier {
                                         }
                                         replay.apply_update(update)?;
                                     }
-                                    FtEntryStep::RejectedCollision {
-                                        occupied,
-                                        occupied_leaf,
-                                    } => {
+                                    FtEntryStep::RejectedCollision { occupied } => {
                                         check_occupied_slot(
                                             &replay,
                                             mst_position(&utxo, depth),
                                             occupied,
-                                            occupied_leaf,
                                             i,
                                         )?;
                                         replay.append_bt(xct.payback, xct.amount);
@@ -412,7 +403,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
                         }
                         (Some(utxo), BtrStep::Fulfilled(update)) => {
                             if update.position() != mst_position(&utxo, depth)
-                                || update.old_leaf != Some(utxo.leaf())
+                                || update.old_leaf() != Some(utxo.leaf())
                                 || update.new_leaf.is_some()
                             {
                                 return Err(Unsatisfied::new(
@@ -423,7 +414,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
                             replay.apply_update(update)?;
                             replay.append_bt(request.receiver, request.amount);
                         }
-                        (Some(utxo), BtrStep::RejectedAbsent { path, found_leaf }) => {
+                        (Some(utxo), BtrStep::RejectedAbsent { path }) => {
                             let position = mst_position(&utxo, depth);
                             if path.index() != position {
                                 return Err(Unsatisfied::new(
@@ -432,14 +423,13 @@ impl TransitionVerifier for LatusTransitionVerifier {
                                 ));
                             }
                             check_path_depth(path, depth, "latus/path-depth")?;
-                            let found = found_leaf.unwrap_or_else(empty_leaf);
-                            if path.compute_root(&found) != replay.mst_root {
+                            if path.root() != Some(replay.mst_root) {
                                 return Err(Unsatisfied::new(
                                     "latus/btr-absent",
                                     format!("btr {i}: slot contents not proven"),
                                 ));
                             }
-                            if found == utxo.leaf() {
+                            if path.value() == Some(utxo.leaf()) {
                                 return Err(Unsatisfied::new(
                                     "latus/btr-censor",
                                     format!("btr {i}: claimed utxo IS present — cannot reject"),
@@ -471,38 +461,45 @@ impl TransitionVerifier for LatusTransitionVerifier {
         Ok(())
     }
 
+    /// A model, not a circuit: it charges every witnessed MST path the
+    /// siblings it actually carries (≈ log₂ of the occupancy). A
+    /// fixed-shape circuit would pad each path to a bound it chooses.
     fn transition_cost(&self, w: &TransitionWitness) -> u64 {
-        let depth = self.params.mst_depth as u64;
-        let per_path = depth * gadget_cost::MERKLE_STEP;
-        let (sigs, paths, folds) = match &w.tx {
-            ScTransaction::Payment(tx) => (
-                tx.inputs.len() as u64,
-                (tx.inputs.len() + tx.outputs.len()) as u64,
-                0u64,
-            ),
-            ScTransaction::BackwardTransfer(tx) => (
-                tx.inputs.len() as u64,
-                tx.inputs.len() as u64,
-                tx.backward_transfers.len() as u64,
-            ),
-            ScTransaction::ForwardTransfers(tx) => {
-                // An aggregated settlement FT costs one path per entry.
-                let paths: u64 = tx
-                    .transfers
-                    .iter()
-                    .map(
-                        |ft| match classify_ft_metadata(&self.params.sidechain_id, ft) {
-                            FtKind::Settlement(batch) => batch.transfers.len() as u64,
-                            _ => 1,
-                        },
-                    )
-                    .sum();
-                (0, paths, 2)
+        let path = |p: &SmtProof| p.siblings().len() as u64;
+        let update = |u: &LeafUpdate| path(&u.path);
+        let entry = |step: &FtEntryStep| match step {
+            FtEntryStep::Minted(u) => update(u),
+            FtEntryStep::RejectedCollision { occupied } => path(occupied),
+        };
+        let levels: u64 = w.updates.iter().map(update).sum::<u64>()
+            + w.ft_steps
+                .iter()
+                .map(|step| match step {
+                    FtStep::Minted(u) => update(u),
+                    FtStep::RejectedCollision { occupied } => path(occupied),
+                    FtStep::Settled(entries) => entries.iter().map(entry).sum(),
+                    FtStep::RejectedMalformed => 0,
+                })
+                .sum::<u64>()
+            + w.btr_steps
+                .iter()
+                .map(|step| match step {
+                    BtrStep::Fulfilled(u) => update(u),
+                    BtrStep::RejectedAbsent { path: p } => path(p),
+                    BtrStep::RejectedMalformed => 0,
+                })
+                .sum::<u64>();
+        let (sigs, folds) = match &w.tx {
+            ScTransaction::Payment(tx) => (tx.inputs.len() as u64, 0u64),
+            ScTransaction::BackwardTransfer(tx) => {
+                (tx.inputs.len() as u64, tx.backward_transfers.len() as u64)
             }
-            ScTransaction::BackwardTransferRequests(tx) => (0, tx.requests.len() as u64, 2),
+            ScTransaction::ForwardTransfers(_) | ScTransaction::BackwardTransferRequests(_) => {
+                (0, 2)
+            }
         };
         sigs * gadget_cost::SCHNORR_VERIFY
-            + paths * per_path
+            + levels * gadget_cost::MERKLE_STEP
             + (folds + 4) * gadget_cost::POSEIDON_HASH2
     }
 }
@@ -549,45 +546,55 @@ fn check_value_balance(
 /// Accumulates a withdrawal epoch's transitions and proves them
 /// (Fig 11: block-level and epoch-level composition collapse into one
 /// balanced fold over all transitions of the epoch).
+///
+/// Transitions are kept one shared chunk per SC block, so cloning the
+/// builder — a node does, for every block's rollback snapshot — copies
+/// one pointer per block of the epoch and no witness.
 #[derive(Clone, Debug)]
 pub struct EpochProofBuilder {
-    states: Vec<Fp>,
-    witnesses: Vec<TransitionWitness>,
+    initial: Fp,
+    blocks: Vec<Arc<Vec<(TransitionWitness, Fp)>>>,
 }
 
 impl EpochProofBuilder {
     /// Starts an epoch at `initial_digest` (the post-reset state digest).
     pub fn new(initial_digest: Fp) -> Self {
         EpochProofBuilder {
-            states: vec![initial_digest],
-            witnesses: Vec::new(),
+            initial: initial_digest,
+            blocks: Vec::new(),
         }
     }
 
-    /// Records one applied transition and its post-state digest.
-    pub fn record(&mut self, witness: TransitionWitness, post_digest: Fp) {
-        self.states.push(post_digest);
-        self.witnesses.push(witness);
+    /// Records the transitions one SC block applied, in order, each with
+    /// its post-state digest.
+    pub fn record_block(&mut self, transitions: Vec<(TransitionWitness, Fp)>) {
+        self.blocks.push(Arc::new(transitions));
+    }
+
+    fn transitions(&self) -> impl DoubleEndedIterator<Item = &(TransitionWitness, Fp)> {
+        self.blocks.iter().flat_map(|block| block.iter())
     }
 
     /// Number of recorded transitions.
     pub fn len(&self) -> usize {
-        self.witnesses.len()
+        self.blocks.iter().map(|block| block.len()).sum()
     }
 
     /// Returns `true` if no transition was recorded (empty epoch).
     pub fn is_empty(&self) -> bool {
-        self.witnesses.is_empty()
+        self.len() == 0
     }
 
     /// The initial state digest.
     pub fn initial_digest(&self) -> Fp {
-        self.states[0]
+        self.initial
     }
 
     /// The latest state digest.
     pub fn final_digest(&self) -> Fp {
-        *self.states.last().expect("nonempty by construction")
+        self.transitions()
+            .next_back()
+            .map_or(self.initial, |(_, digest)| *digest)
     }
 
     /// Folds all transitions into one proof. Returns `None` for an empty
@@ -601,10 +608,14 @@ impl EpochProofBuilder {
         &self,
         system: &LatusProofSystem,
     ) -> Result<Option<StateProof>, zendoo_snark::backend::ProveError> {
-        if self.witnesses.is_empty() {
+        if self.is_empty() {
             return Ok(None);
         }
-        system.prove_chain(&self.states, &self.witnesses).map(Some)
+        let states: Vec<Fp> = std::iter::once(self.initial)
+            .chain(self.transitions().map(|(_, digest)| *digest))
+            .collect();
+        let witnesses: Vec<&TransitionWitness> = self.transitions().map(|(w, _)| w).collect();
+        system.prove_chain(&states, &witnesses).map(Some)
     }
 }
 
@@ -698,9 +709,9 @@ mod tests {
     }
 
     #[test]
-    fn witnessed_path_must_have_the_tree_depth() {
+    fn witnessed_path_longer_than_the_tree_is_refused_by_name() {
         let alice = Keypair::from_seed(b"alice");
-        let (mut state, utxos) = funded(&alice, &[10]);
+        let (mut state, utxos) = funded(&alice, &[10, 20]);
         let sys = system();
         let from = state.digest();
         let tx = ScTransaction::Payment(PaymentTx::create(
@@ -709,17 +720,20 @@ mod tests {
         ));
         let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
         let to = state.digest();
-        // The exact-length path proves.
-        assert_eq!(witness.updates[0].path.siblings().len(), 16);
+        // The honest path is as long as the occupancy makes it — two
+        // leaves part at their first differing bit — not as the tree.
+        let honest = witness.updates[0].path.clone();
+        assert!(honest.siblings().len() < 16);
         sys.prove_base(from, to, &witness).unwrap();
-        // A short and a long (beyond the 64 index bits) path are
-        // refused by name, not by whatever root they happen to compute.
-        for len in [15, 65] {
+        // A path with more siblings than the tree has levels (17, and 65
+        // — beyond the index bits), or one read at another depth, is
+        // refused by name, not by whatever root it happens to compute.
+        for (depth, len) in [(16, 17), (16, 65), (15, 1), (17, 1)] {
             let mut tampered = witness.clone();
-            let path = &mut tampered.updates[0].path;
-            let mut siblings = path.siblings().to_vec();
+            let mut siblings = honest.siblings().to_vec();
             siblings.resize(len, Fp::from_u64(7));
-            *path = SmtProof::from_parts(path.index(), siblings);
+            tampered.updates[0].path =
+                SmtProof::from_parts(honest.index(), depth, siblings, honest.ending());
             let err = sys.prove_base(from, to, &tampered).unwrap_err();
             assert!(format!("{err}").contains("latus/path-depth"), "{err}");
         }
@@ -742,7 +756,7 @@ mod tests {
             )],
         ));
         let w1 = apply_transaction(&params(), &mut state, &tx1).unwrap();
-        builder.record(w1, state.digest());
+        builder.record_block(vec![(w1, state.digest())]);
 
         let bob_utxo = state.mst().owned_by(&Address::from_public_key(&bob.public))[0].1;
         let tx2 = ScTransaction::Payment(PaymentTx::create(
@@ -750,7 +764,7 @@ mod tests {
             vec![(Address::from_label("carol"), Amount::from_units(10))],
         ));
         let w2 = apply_transaction(&params(), &mut state, &tx2).unwrap();
-        builder.record(w2, state.digest());
+        builder.record_block(vec![(w2, state.digest())]);
 
         assert_eq!(builder.len(), 2);
         let proof = builder.prove(&sys).unwrap().expect("nonempty epoch");

@@ -18,9 +18,8 @@ use zendoo_core::withdrawal::BackwardTransferRequest;
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::field::Fp;
-use zendoo_primitives::merkle::{MerkleHasher, PoseidonHasher};
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
-use zendoo_primitives::smt::SmtProof;
+use zendoo_primitives::smt::{NodeOpening, SmtProof, WitnessError};
 
 use crate::mst::{mst_position, Utxo};
 use crate::state::SidechainState;
@@ -28,24 +27,31 @@ use crate::state::SidechainState;
 /// Signature context for sidechain transactions.
 const SC_SIGHASH_CONTEXT: &str = "zendoo/sc-sighash-v1";
 
-/// The empty-slot leaf constant.
-pub fn empty_leaf() -> Fp {
-    PoseidonHasher::empty()
+/// Why a [`LeafUpdate`] does not apply to a root.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum UpdateError {
+    /// The path authenticates against another root than the running one.
+    StaleRoot,
+    /// The witness itself does not compute.
+    Witness(WitnessError),
 }
 
 /// One single-leaf MST mutation with its authentication path.
 ///
-/// `path` is valid against the tree root *before* this update; applying
-/// the update replaces `old_leaf` with `new_leaf` at `path`'s position
-/// and yields the next root. `None` denotes the empty slot.
+/// `path` is valid against the tree root *before* this update and says
+/// what the slot held; applying the update writes `new_leaf` there and
+/// yields the next root. `None` denotes the empty slot.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LeafUpdate {
     /// Merkle path (and position) of the touched slot.
     pub path: SmtProof,
-    /// Leaf before (`None` = empty).
-    pub old_leaf: Option<Fp>,
     /// Leaf after (`None` = empty).
     pub new_leaf: Option<Fp>,
+    /// A removal's deepest path sibling, opened as the leaf or interior
+    /// node it is: it decides whether that sibling floats up, so the
+    /// post-root is the canonical one (`None` for insertions and for the
+    /// tree's last leaf).
+    pub sibling: Option<NodeOpening>,
 }
 
 impl LeafUpdate {
@@ -54,17 +60,28 @@ impl LeafUpdate {
         self.path.index()
     }
 
-    /// Verifies the pre-image against `root` and returns the post-root.
+    /// Leaf before (`None` = empty), as the path witnesses it.
+    pub fn old_leaf(&self) -> Option<Fp> {
+        self.path.value()
+    }
+
+    /// Verifies the pre-image against `root` and returns the post-root,
+    /// both recomputed from the witness alone.
     ///
-    /// Returns `None` if the path does not authenticate `old_leaf` under
-    /// `root`.
-    pub fn apply_to_root(&self, root: &Fp) -> Option<Fp> {
-        let old = self.old_leaf.unwrap_or_else(empty_leaf);
-        if self.path.compute_root(&old) != *root {
-            return None;
+    /// # Errors
+    ///
+    /// [`UpdateError`] if the path does not authenticate under `root` or
+    /// the witness is not a well-formed insertion or removal.
+    pub fn apply_to_root(&self, root: &Fp) -> Result<Fp, UpdateError> {
+        let (before, after) = self
+            .path
+            .roots_of_update(self.new_leaf.as_ref(), self.sibling.as_ref())
+            .map_err(UpdateError::Witness)?;
+        if before == *root {
+            Ok(after)
+        } else {
+            Err(UpdateError::StaleRoot)
         }
-        let new = self.new_leaf.unwrap_or_else(empty_leaf);
-        Some(self.path.compute_root(&new))
     }
 }
 
@@ -388,10 +405,8 @@ pub enum FtStep {
     /// `MST_Position` collided with an occupied slot; coins refunded via
     /// backward transfer. The proof shows the slot was occupied.
     RejectedCollision {
-        /// Occupancy proof at the contested slot.
+        /// Membership proof of whatever holds the contested slot.
         occupied: SmtProof,
-        /// The leaf found there.
-        occupied_leaf: Fp,
     },
     /// An aggregated settlement forward transfer (batched cross-chain
     /// delivery): one sub-step per batch entry, in entry order.
@@ -413,10 +428,8 @@ pub enum FtEntryStep {
     /// The entry's deterministic slot was occupied; its coins refunded
     /// via backward transfer to the entry's payback address.
     RejectedCollision {
-        /// Occupancy proof at the contested slot.
+        /// Membership proof of whatever holds the contested slot.
         occupied: SmtProof,
-        /// The leaf found there.
-        occupied_leaf: Fp,
     },
 }
 
@@ -426,12 +439,10 @@ pub enum BtrStep {
     /// The claimed UTXO existed; it is spent and a BT appended.
     Fulfilled(LeafUpdate),
     /// The claimed UTXO was not in the state (double-spent or never
-    /// existed); proof shows the slot empty or differently occupied.
+    /// existed); the path shows the slot empty or differently occupied.
     RejectedAbsent {
         /// Path at the claimed position.
         path: SmtProof,
-        /// What the slot holds (`None` = empty).
-        found_leaf: Option<Fp>,
     },
     /// The request's proofdata did not decode to a UTXO, or its fields
     /// disagreed with the request.
@@ -665,23 +676,23 @@ fn execute_spend(
     let mut updates = Vec::with_capacity(inputs.len() + outputs.len());
     for input in inputs {
         let position = state.mst().position_of(&input.utxo).expect("planned above");
-        let path = state.mst().proof(position);
+        let (path, sibling) = state.mst().proof_with_sibling(position);
         updates.push(LeafUpdate {
             path,
-            old_leaf: Some(input.utxo.leaf()),
             new_leaf: None,
+            sibling,
         });
         state.remove_utxo(&input.utxo).expect("planned above");
     }
     for output in outputs {
         let position = mst_position(output, depth);
         let path = state.mst().proof(position);
+        state.insert_utxo(output).expect("planned above");
         updates.push(LeafUpdate {
             path,
-            old_leaf: None,
-            new_leaf: Some(output.leaf()),
+            new_leaf: state.mst().leaf_at(position),
+            sibling: None,
         });
-        state.insert_utxo(output).expect("planned above");
     }
     for withdrawal in withdrawals {
         state.append_backward_transfer(*withdrawal);
@@ -838,25 +849,23 @@ fn execute_forward_transfers(
         utxo: &Utxo,
         payback: Address,
         depth: u32,
-    ) -> Result<LeafUpdate, (SmtProof, Fp)> {
+    ) -> Result<LeafUpdate, SmtProof> {
         let position = mst_position(utxo, depth);
-        if let Some(present) = state.mst().utxo_at(position) {
-            let occupied_leaf = present.leaf();
-            let occupied = state.mst().proof(position);
+        let path = state.mst().proof(position);
+        if path.value().is_some() {
             let refund = BackwardTransfer {
                 receiver: payback,
                 amount: utxo.amount,
             };
             state.append_backward_transfer(refund);
             appended.push(refund);
-            return Err((occupied, occupied_leaf));
+            return Err(path);
         }
-        let path = state.mst().proof(position);
-        state.insert_utxo(utxo).expect("slot checked empty");
+        state.insert_utxo(utxo).expect("slot proven empty");
         Ok(LeafUpdate {
             path,
-            old_leaf: None,
-            new_leaf: Some(utxo.leaf()),
+            new_leaf: state.mst().leaf_at(position),
+            sibling: None,
         })
     }
 
@@ -888,10 +897,7 @@ fn execute_forward_transfers(
                 let utxo = ft_output_utxo(&ft_tx.mc_block, i, receiver, ft.amount);
                 match mint_or_refund(state, &mut appended, &utxo, payback, depth) {
                     Ok(update) => steps.push(FtStep::Minted(update)),
-                    Err((occupied, occupied_leaf)) => steps.push(FtStep::RejectedCollision {
-                        occupied,
-                        occupied_leaf,
-                    }),
+                    Err(occupied) => steps.push(FtStep::RejectedCollision { occupied }),
                 }
             }
             FtKind::Cross { meta } => {
@@ -907,10 +913,7 @@ fn execute_forward_transfers(
                         });
                         steps.push(FtStep::Minted(update));
                     }
-                    Err((occupied, occupied_leaf)) => steps.push(FtStep::RejectedCollision {
-                        occupied,
-                        occupied_leaf,
-                    }),
+                    Err(occupied) => steps.push(FtStep::RejectedCollision { occupied }),
                 }
             }
             FtKind::Settlement(batch) => {
@@ -933,11 +936,8 @@ fn execute_forward_transfers(
                             );
                             entry_steps.push(FtEntryStep::Minted(update));
                         }
-                        Err((occupied, occupied_leaf)) => {
-                            entry_steps.push(FtEntryStep::RejectedCollision {
-                                occupied,
-                                occupied_leaf,
-                            });
+                        Err(occupied) => {
+                            entry_steps.push(FtEntryStep::RejectedCollision { occupied });
                         }
                     }
                 }
@@ -982,8 +982,8 @@ fn execute_btrs(
             continue;
         }
         let position = mst_position(&utxo, depth);
-        if state.mst().contains(&utxo) {
-            let path = state.mst().proof(position);
+        let (path, sibling) = state.mst().proof_with_sibling(position);
+        if state.mst().utxo_at(position) == Some(&utxo) {
             state.remove_utxo(&utxo).expect("present");
             let bt = BackwardTransfer {
                 receiver: request.receiver,
@@ -993,13 +993,11 @@ fn execute_btrs(
             appended.push(bt);
             steps.push(BtrStep::Fulfilled(LeafUpdate {
                 path,
-                old_leaf: Some(utxo.leaf()),
                 new_leaf: None,
+                sibling,
             }));
         } else {
-            let path = state.mst().proof(position);
-            let found_leaf = state.mst().utxo_at(position).map(|u| u.leaf());
-            steps.push(BtrStep::RejectedAbsent { path, found_leaf });
+            steps.push(BtrStep::RejectedAbsent { path });
         }
     }
     state.record_sync(
@@ -1040,6 +1038,7 @@ fn derive_outputs(domain: &str, spent: &[Utxo], recipients: &[(Address, Amount)]
 mod tests {
     use super::*;
     use crate::params::LatusParams;
+    use crate::state::state_digest;
     use zendoo_core::commitment::ScTxsCommitmentBuilder;
     use zendoo_core::ids::SidechainId;
     use zendoo_core::proofdata::{ProofData, ProofDataElem};
@@ -1381,22 +1380,62 @@ mod tests {
         }
         let blocker = blocker.expect("a colliding nonce exists in 2M draws");
         state.mst_mut().add(&blocker).unwrap();
+        for n in 0..4u8 {
+            let bystander = Utxo {
+                address: Address::from_label("bystander"),
+                amount: Amount::from_units(1),
+                nonce: Digest32::hash_bytes(&[n]),
+            };
+            state.mst_mut().add(&bystander).unwrap();
+        }
 
         let tx = ScTransaction::ForwardTransfers(ForwardTransfersTx {
             mc_block,
-            transfers: vec![ft],
+            transfers: vec![ft.clone()],
             binding,
         });
+        let from = state.digest();
         let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
-        assert!(matches!(
-            witness.ft_steps[0],
-            FtStep::RejectedCollision { .. }
-        ));
-        assert_eq!(state.backward_transfers().len(), 1);
+        // The evidence is a membership proof of whatever holds the slot.
+        let FtStep::RejectedCollision { occupied } = &witness.ft_steps[0] else {
+            panic!("collision expected, got {:?}", witness.ft_steps[0]);
+        };
+        assert_eq!(occupied.index(), position);
+        assert_eq!(occupied.value(), Some(blocker.leaf()));
+        assert!(occupied.verify_occupied(&witness.pre_mst_root, &blocker.leaf()));
         assert_eq!(
-            state.backward_transfers()[0].receiver,
-            Address::from_label("mc-refund")
+            state.backward_transfers(),
+            [BackwardTransfer {
+                receiver: Address::from_label("mc-refund"),
+                amount: ft.amount,
+            }]
         );
+        assert_eq!(state.mst().len(), 5, "nothing minted");
+
+        // The circuit accepts exactly that, and neither the same path
+        // ending in nothing nor a mint over the occupant.
+        let system = crate::proof::proof_system(params(), b"collision");
+        let to = state.digest();
+        system.prove_base(from, to, &witness).unwrap();
+        let refused = |step: FtStep| {
+            let mut tampered = witness.clone();
+            tampered.ft_steps[0] = step;
+            format!("{}", system.prove_base(from, to, &tampered).unwrap_err())
+        };
+        let emptied = SmtProof::from_parts(
+            position,
+            16,
+            occupied.siblings().to_vec(),
+            zendoo_primitives::smt::Ending::Empty,
+        );
+        let err = refused(FtStep::RejectedCollision { occupied: emptied });
+        assert!(err.contains("latus/ft-collision"), "{err}");
+        let err = refused(FtStep::Minted(LeafUpdate {
+            path: occupied.clone(),
+            new_leaf: Some(would_be.leaf()),
+            sibling: None,
+        }));
+        assert!(err.contains("latus/ft-mint"), "{err}");
     }
 
     fn make_btr(utxo: &Utxo) -> BackwardTransferRequest {
@@ -1428,6 +1467,62 @@ mod tests {
             BtrStep::RejectedAbsent { .. }
         ));
         assert_eq!(state.backward_transfers().len(), 1);
+    }
+
+    /// The leaf-must-bind-its-index case: a forger who wants to censor
+    /// a request claims its UTXO absent. A path that ends in a
+    /// *neighbour's* lone leaf proves absence only for slots below the
+    /// node the walk reached — never for an occupied slot.
+    #[test]
+    fn btr_absence_cannot_be_forged_from_a_neighbour() {
+        let alice = Keypair::from_seed(b"alice");
+        let (mut state, utxos) = funded_state(&alice, &[10, 20, 30]);
+        let claimed = utxos[0];
+        let position = mst_position(&claimed, 16);
+        let honest_path = state.mst().proof(position);
+        let neighbour_path = state.mst().proof(mst_position(&utxos[1], 16));
+        let from = state.digest();
+        let tx = btr_tx(vec![make_btr(&claimed)]);
+        let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
+        assert!(matches!(witness.btr_steps[0], BtrStep::Fulfilled(_)));
+
+        // The censoring transition: nothing spent, nothing paid out.
+        let system = crate::proof::proof_system(params(), b"censor");
+        let censored = state_digest(
+            witness.pre_mst_root,
+            witness.pre_bt_accumulator,
+            witness.pre_delta_accumulator,
+            crate::state::fold_sync(
+                witness.pre_sync_accumulator,
+                crate::state::SyncKind::BackwardTransferRequests,
+                &match &tx {
+                    ScTransaction::BackwardTransferRequests(btr) => btr.mc_block,
+                    _ => unreachable!(),
+                },
+            ),
+        );
+        let refused = |path: SmtProof| {
+            let mut tampered = witness.clone();
+            tampered.btr_steps[0] = BtrStep::RejectedAbsent { path };
+            tampered.appended_bts.clear();
+            format!(
+                "{}",
+                system.prove_base(from, censored, &tampered).unwrap_err()
+            )
+        };
+        // The neighbour's genuine path and leaf, relabelled.
+        let relabelled = SmtProof::from_parts(
+            position,
+            16,
+            neighbour_path.siblings().to_vec(),
+            neighbour_path.ending(),
+        );
+        assert_eq!(relabelled.root(), None, "the leaf is not below the walk");
+        let err = refused(relabelled);
+        assert!(err.contains("latus/btr-absent"), "{err}");
+        // The slot's own path says what it holds.
+        let err = refused(honest_path);
+        assert!(err.contains("latus/btr-censor"), "{err}");
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn btr_tampered_fields_rejected() {
 }
 
 #[test]
-fn ownership_path_of_wrong_depth_rejected() {
+fn ownership_path_longer_than_the_tree_rejected() {
     use zendoo_core::withdrawal::{btr_public_inputs, BtrSysData};
     use zendoo_latus::cert::{sign_withdrawal, utxo_proofdata, OwnershipWitness};
     use zendoo_primitives::smt::SmtProof;
@@ -191,7 +191,7 @@ fn ownership_path_of_wrong_depth_rejected() {
         },
         &utxo_proofdata(&utxo).merkle_root(),
     );
-    let witness_with = |len: usize| {
+    let witness_with = |depth: u32, len: usize| {
         let mut siblings = exact.siblings().to_vec();
         siblings.resize(len, Fp::from_u64(7));
         OwnershipWitness {
@@ -204,23 +204,104 @@ fn ownership_path_of_wrong_depth_rejected() {
                 &receiver,
                 &anchor_block,
             ),
-            mst_proof: SmtProof::from_parts(position, siblings),
+            mst_proof: SmtProof::from_parts(position, depth, siblings, exact.ending()),
             anchor_cert: anchor_cert.clone(),
         }
     };
-    let depth = common::MST_DEPTH as usize;
+    let honest = exact.siblings().len();
+    assert!(
+        honest < common::MST_DEPTH as usize,
+        "a path ends at a lone leaf"
+    );
     h.keys
         .btr_circuit
-        .check(&public, &witness_with(depth))
-        .expect("the exact-length path satisfies the circuit");
-    for len in [depth - 1, 65] {
+        .check(&public, &witness_with(common::MST_DEPTH, honest))
+        .expect("the honest path satisfies the circuit");
+    // More siblings than the tree has levels (17, and 65 — beyond the
+    // index bits), or a path read at another depth: refused by name.
+    for (depth, len) in [
+        (common::MST_DEPTH, common::MST_DEPTH as usize + 1),
+        (common::MST_DEPTH, 65),
+        (common::MST_DEPTH - 1, honest),
+    ] {
         let err = h
             .keys
             .btr_circuit
-            .check(&public, &witness_with(len))
+            .check(&public, &witness_with(depth, len))
             .unwrap_err();
         assert!(format!("{err}").contains("btr/path-depth"), "{err}");
     }
+}
+
+/// A spend's witness says what the deepest sibling of the spent leaf is
+/// — a lone leaf floats up into the freed place, an interior node stays —
+/// and the circuit checks that opening against the witnessed sibling
+/// hash. A prover who opens it as the other kind (to leave
+/// `H_node(EMPTY, leaf)` where `leaf` belongs: a second root for the
+/// same UTXO set) is refused under a rule of its own.
+#[test]
+fn removal_with_the_wrong_sibling_kind_is_unsatisfied() {
+    use zendoo_latus::mst::Utxo;
+    use zendoo_latus::params::LatusParams;
+    use zendoo_latus::proof::proof_system;
+    use zendoo_latus::state::SidechainState;
+    use zendoo_latus::tx::{apply_transaction, PaymentTx, ScTransaction};
+    use zendoo_primitives::schnorr::Keypair;
+    use zendoo_primitives::smt::NodeOpening;
+
+    let params = LatusParams::new(
+        zendoo_core::ids::SidechainId::from_label("adv-sibling"),
+        common::MST_DEPTH,
+    );
+    let system = proof_system(params, b"adv-sibling");
+    let alice = Keypair::from_seed(b"alice");
+    let mut state = SidechainState::new(common::MST_DEPTH);
+    let coins: Vec<Utxo> = (0..6u8)
+        .map(|n| Utxo {
+            address: Address::from_public_key(&alice.public),
+            amount: Amount::from_units(10),
+            nonce: Digest32::hash_bytes(&[n]),
+        })
+        .collect();
+    for coin in &coins {
+        state.mst_mut().add(coin).unwrap();
+    }
+    // Six leaves: some spend sits beside a lone leaf, some beside an
+    // interior node. Cover both directions of the swap.
+    let mut kinds = std::collections::BTreeSet::new();
+    for coin in &coins {
+        let mut state = state.clone();
+        let from = state.digest();
+        let spend = ScTransaction::Payment(PaymentTx::create(
+            vec![(*coin, &alice.secret)],
+            vec![(Address::from_label("bob"), Amount::from_units(10))],
+        ));
+        let witness = apply_transaction(&params, &mut state, &spend).unwrap();
+        let to = state.digest();
+        system.prove_base(from, to, &witness).unwrap();
+
+        let honest = witness.updates[0]
+            .sibling
+            .expect("the tree holds six leaves");
+        let swapped = match honest {
+            NodeOpening::Leaf { .. } => NodeOpening::Interior {
+                left: Fp::from_u64(1),
+                right: Fp::from_u64(2),
+            },
+            NodeOpening::Interior { left, .. } => NodeOpening::Leaf {
+                index: 0,
+                value: left,
+            },
+        };
+        kinds.insert(matches!(honest, NodeOpening::Leaf { .. }));
+        for bad in [Some(swapped), None] {
+            let mut tampered = witness.clone();
+            tampered.updates[0].sibling = bad;
+            let err = system.prove_base(from, to, &tampered).unwrap_err();
+            assert!(format!("{err}").contains("latus/sibling-opening"), "{err}");
+        }
+    }
+    assert_eq!(kinds.len(), 2, "both sibling kinds were exercised");
 }
 
 #[test]

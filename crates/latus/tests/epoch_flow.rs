@@ -485,3 +485,97 @@ fn mainchain_reorg_rolls_back_sidechain() {
     h.synced_height = h.chain.height();
     assert_eq!(h.node.chain().len(), 2, "one block per new-branch MC block");
 }
+
+/// The memory model after the persistent tree: rollback snapshots are
+/// bounded by the mainchain's reorg horizon, a snapshot of the state is a
+/// root handle sharing every untouched subtree with the live tree, and a
+/// closed epoch's MST — another handle — still serves a withdrawal proof
+/// after two later epochs of writes.
+#[test]
+fn snapshots_are_handles_bounded_by_the_reorg_horizon() {
+    const HORIZON: usize = 4;
+    let mut h = TwoChains::new();
+    h.node.set_reorg_horizon(HORIZON);
+
+    // One deposit a block, to a fresh receiver each time (the first one
+    // is the user whose coin is withdrawn at the end).
+    let mut deposits = 0u32;
+    let mut deposit = |h: &mut TwoChains| {
+        let receiver = if deposits == 0 {
+            h.sc_address()
+        } else {
+            Address::from_label(&format!("depositor-{deposits}"))
+        };
+        deposits += 1;
+        let meta = ReceiverMetadata {
+            receiver,
+            payback: h.mc_wallet.address(),
+        };
+        h.mc_wallet
+            .forward_transfer(
+                &h.chain,
+                h.sid,
+                meta.to_bytes(),
+                Amount::from_units(100),
+                Amount::ZERO,
+            )
+            .unwrap()
+    };
+    let mut certs = Vec::new();
+    let mut tips = vec![h.chain.tip_hash()];
+    for _epoch in 0..3 {
+        while !h.node.epoch_complete() {
+            let before = h.node.state().mst().clone();
+            let ft = deposit(&mut h);
+            h.step(vec![ft]);
+            tips.push(h.chain.tip_hash());
+            assert!(h.node.snapshot_count() <= HORIZON);
+
+            // The pre-block handle still answers for the pre-block tree,
+            // and the block copied one path beside it.
+            let live = h.node.state().mst();
+            assert_eq!(live.len(), before.len() + 1);
+            assert_ne!(live.root(), before.root());
+            let copied = live.unshared_nodes(&before);
+            assert!(
+                (1..=MST_DEPTH as usize + 2).contains(&copied),
+                "one mint copied {copied} nodes"
+            );
+            if before.len() >= 8 {
+                let all = live.unshared_nodes(&zendoo_latus::mst::Mst::new(MST_DEPTH));
+                assert!(copied * 2 < all, "{copied} of {all} nodes copied");
+            }
+        }
+        let cert = h.node.produce_certificate().unwrap();
+        h.step(vec![McTransaction::Certificate(Box::new(cert.clone()))]);
+        tips.push(h.chain.tip_hash());
+        certs.push(cert);
+    }
+    assert_eq!(h.node.snapshot_count(), HORIZON);
+
+    // Epoch 0's tree is what its certificate committed, untouched by the
+    // two epochs of deposits since, and proves the first coin.
+    let coin = h.node.utxos_of(&h.sc_address())[0];
+    let position = zendoo_latus::mst::mst_position(&coin, MST_DEPTH);
+    let (_, root0, _) = zendoo_latus::cert::parse_wcert_proofdata(&certs[0].proofdata).unwrap();
+    let archived = h.node.epoch_mst(0).unwrap();
+    assert_eq!(archived.root(), root0);
+    assert_ne!(archived.root(), h.node.state().mst().root());
+    assert!(archived.len() < h.node.state().mst().len());
+    assert!(archived
+        .proof(position)
+        .verify_occupied(&root0, &coin.leaf()));
+    h.node
+        .create_btr(0, &coin, &h.sc_user.secret, Address::from_label("exit"))
+        .expect("the epoch-0 handle serves the withdrawal proof");
+
+    // A fork inside the horizon can be rolled back; one beyond it has
+    // no snapshot left to land on.
+    let n = tips.len();
+    assert!(h.node.rollback_to_mc(&tips[n - 1 - HORIZON - 1]).is_err());
+    assert_eq!(
+        h.node.rollback_to_mc(&tips[n - 1 - HORIZON]).unwrap(),
+        HORIZON
+    );
+    assert_eq!(h.node.snapshot_count(), 0);
+}

@@ -69,6 +69,15 @@ pub(crate) struct LoadUser {
     pub pending: Option<PendingSpend>,
 }
 
+/// User `index` of the population seeded `seed`, not yet funded.
+fn derive_user(seed: u64, index: usize) -> LoadUser {
+    LoadUser {
+        wallet: Wallet::from_seed(format!("loadgen-{seed}-user-{index}").as_bytes()),
+        coin: None,
+        pending: None,
+    }
+}
+
 /// A deterministic population of funded users.
 ///
 /// # Examples
@@ -99,15 +108,29 @@ impl Population {
     /// Derives `config.users` wallets eagerly from `config.seed`.
     /// Derivation is the expensive part of construction (one key
     /// derivation per user) and is paid exactly once; the same
-    /// population can then back any number of traffic shapes.
+    /// population can then back any number of traffic shapes. Each
+    /// wallet is a function of the seed and its index alone, so the
+    /// indices are split into one contiguous run per core and the runs
+    /// concatenated in order.
     pub fn generate(config: &LoadConfig) -> Self {
-        let users = (0..config.users)
-            .map(|i| LoadUser {
-                wallet: Wallet::from_seed(format!("loadgen-{}-user-{i}", config.seed).as_bytes()),
-                coin: None,
-                pending: None,
-            })
-            .collect();
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let run = config.users.div_ceil(lanes).max(1);
+        let users = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..config.users)
+                .step_by(run)
+                .map(|start| {
+                    let end = (start + run).min(config.users);
+                    scope.spawn(move || {
+                        (start..end)
+                            .map(|i| derive_user(config.seed, i))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .flat_map(|run| run.join().expect("key derivation panicked"))
+                .collect()
+        });
         Population {
             users,
             in_flight: HashMap::new(),

@@ -27,6 +27,26 @@ fn bound(config: &LoadConfig) -> (Blockchain, Population) {
     (chain, population)
 }
 
+/// `Population::generate` derives its wallets on one thread per core;
+/// every user must still be the wallet a serial loop over the indices
+/// derives, in index order, whatever the split.
+#[test]
+fn parallel_derivation_matches_serial_derivation() {
+    for users in [0, 1, 2, 7, 101] {
+        let config = config(users);
+        let population = Population::generate(&config);
+        assert_eq!(population.len(), users);
+        for i in 0..users {
+            let serial = Wallet::from_seed(format!("loadgen-{}-user-{i}", config.seed).as_bytes());
+            assert_eq!(
+                population.address_of(i),
+                serial.address(),
+                "user {i} of {users}"
+            );
+        }
+    }
+}
+
 #[test]
 fn identical_seeds_emit_identical_traffic() {
     let config = config(500);

@@ -239,6 +239,15 @@ pub fn hash2(a: &Fp, b: &Fp) -> Fp {
     state[0]
 }
 
+/// Keyed-leaf compression: one permutation over `(key, value)` under a
+/// capacity constant of its own, so no output is also a [`hash2`] or
+/// [`hash_many`] output (the sparse tree's `H_leaf`, see [`crate::smt`]).
+pub fn hash_leaf(key: &Fp, value: &Fp) -> Fp {
+    let mut state = [*key, *value, Fp::from_u64(3u64 << 32)];
+    permute(&mut state);
+    state[0]
+}
+
 /// Variable-length sponge hash (rate 2, capacity 1).
 ///
 /// The input length is absorbed into the capacity as padding-free domain

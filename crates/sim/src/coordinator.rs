@@ -66,6 +66,12 @@ fn prologue(world: &mut World) -> std::collections::BTreeMap<SidechainId, Vec<Cr
     world.router.pending_by_destination()
 }
 
+/// How many worker lanes `SimConfig::workers` asks for: its value, or
+/// one per core.
+pub(crate) fn lanes(workers: Option<usize>) -> usize {
+    workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Folds one shard's effect log into the coordinator state. Returns
 /// the shard's error, if any.
 ///
@@ -231,13 +237,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     }
     let live = work.len();
 
-    let workers = workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, live.max(1));
+    let workers = lanes(workers).clamp(1, live.max(1));
 
     // The coordinator's own critical path through the shard phase:
     // stage 2 consumes the carried verdicts, stage 3 applies, and the

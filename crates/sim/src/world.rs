@@ -59,6 +59,7 @@ use zendoo_mainchain::sigbatch::AdmissionReport;
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
 use zendoo_mainchain::wallet::Wallet;
 use zendoo_primitives::schnorr::Keypair;
+use zendoo_snark::batch::fan_out;
 use zendoo_store::{chain_state_digest, Indexer, StoreError, UtxoStore};
 use zendoo_telemetry::{InMemoryRecorder, Snapshot, Telemetry};
 
@@ -386,10 +387,16 @@ impl World {
             .iter()
             .map(|label| SidechainId::from_label(label))
             .collect();
-        let users: HashMap<String, User> = config
-            .genesis_users
-            .iter()
-            .map(|(name, _)| {
+        // Set-up is key derivation — one mainchain wallet and one wallet
+        // per sidechain for every user, one trusted setup per sidechain —
+        // and every key is a pure function of its seed: derive them on
+        // the tick's worker lanes, results in declaration order.
+        let workers = coordinator::lanes(config.workers);
+        let users: HashMap<String, User> = fan_out(
+            &config.genesis_users,
+            workers,
+            || (),
+            |(name, _)| {
                 // The first chain's seed carries no chain label: every
                 // recorded digest of a single-chain run depends on it.
                 let per_chain: BTreeMap<SidechainId, ScWallet> = config
@@ -413,8 +420,10 @@ impl World {
                         per_chain,
                     },
                 )
-            })
-            .collect();
+            },
+        )
+        .into_iter()
+        .collect();
 
         let chain_params = ChainParams {
             genesis_outputs: config
@@ -441,11 +450,24 @@ impl World {
 
         let schedule = EpochSchedule::new(2, config.epoch_len, config.submit_len)
             .expect("simulation schedule valid");
+        let all_keys = fan_out(
+            &sidechain_ids,
+            workers,
+            || (),
+            |id| {
+                let params = LatusParams::new(*id, config.mst_depth);
+                let keys = LatusKeys::generate(params, schedule, &config.seed);
+                (params, Arc::new(keys))
+            },
+        );
         let mut declarations = Vec::new();
         let mut prepared = Vec::new();
-        for (label, id) in config.sidechain_labels.iter().zip(&sidechain_ids) {
-            let params = LatusParams::new(*id, config.mst_depth);
-            let keys = Arc::new(LatusKeys::generate(params, schedule, &config.seed));
+        for ((label, id), (params, keys)) in config
+            .sidechain_labels
+            .iter()
+            .zip(&sidechain_ids)
+            .zip(all_keys)
+        {
             declarations.push(McTransaction::SidechainDeclaration(Box::new(
                 keys.sidechain_config(&params, schedule),
             )));
@@ -462,7 +484,7 @@ impl World {
             } else {
                 Keypair::from_seed(format!("sim-forger-{label}").as_bytes())
             };
-            let node = LatusNode::new(
+            let mut node = LatusNode::new(
                 params,
                 schedule,
                 ConsensusParams::with_bootstrap(forger.public),
@@ -470,6 +492,7 @@ impl World {
                 forger,
                 chain.tip_hash(),
             );
+            node.set_reorg_horizon(chain.params().max_reorg_depth + 1);
             shards.insert(
                 id,
                 SidechainShard::new(ScInstance {

@@ -52,6 +52,55 @@ fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// `World::new` derives every wallet and every sidechain's keys on the
+/// worker lanes. One lane is the serial derivation (it runs in the
+/// calling thread); any other count must bootstrap the same world: same
+/// addresses, same verification keys, same genesis and declaration
+/// blocks.
+#[test]
+fn world_bootstrap_is_the_serial_derivation_on_any_worker_count() {
+    let bootstrap = |workers: Option<usize>| {
+        let mut config = SimConfig::with_sidechains(3);
+        config.workers = workers;
+        let world = World::new(config);
+        let users: Vec<_> = ["alice", "bob"]
+            .iter()
+            .map(|name| {
+                let user = world.user(name).unwrap();
+                let on_chains: Vec<_> = world
+                    .sidechain_ids()
+                    .iter()
+                    .map(|id| user.sc_address_on(id))
+                    .collect();
+                (user.mc_address(), on_chains)
+            })
+            .collect();
+        let keys: Vec<_> = world
+            .sidechain_ids()
+            .iter()
+            .map(|id| {
+                let keys = &world.sidechain(id).unwrap().keys;
+                (*id, keys.wcert_vk, keys.btr_vk, keys.csw_vk)
+            })
+            .collect();
+        (
+            world.chain.genesis_hash(),
+            world.chain.tip_hash(),
+            world.chain.state().clone(),
+            users,
+            keys,
+        )
+    };
+    let serial = bootstrap(Some(1));
+    for workers in [Some(2), Some(3), Some(7), None] {
+        assert_eq!(
+            serial,
+            bootstrap(workers),
+            "bootstrap changed at workers={workers:?}"
+        );
+    }
+}
+
 #[test]
 fn four_lane_16_chain_world_is_bit_identical_to_one_lane() {
     let epochs = 2;

@@ -342,16 +342,18 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
 
     /// Folds a sequence of transitions into one proof via a balanced merge
     /// tree (Figs 10–11). `states` must contain `witnesses.len() + 1`
-    /// digests: `s_0, s_1, …, s_n`.
+    /// digests: `s_0, s_1, …, s_n`. Witnesses may be owned or borrowed
+    /// (`&[W]` or `&[&W]`), so a caller holding them elsewhere need not
+    /// copy them.
     ///
     /// # Errors
     ///
     /// Fails on arity mismatch, an empty sequence, or any unsatisfied
     /// transition.
-    pub fn prove_chain(
+    pub fn prove_chain<W: std::borrow::Borrow<V::Witness>>(
         &self,
         states: &[Fp],
-        witnesses: &[V::Witness],
+        witnesses: &[W],
     ) -> Result<StateProof, ProveError> {
         if witnesses.is_empty() || states.len() != witnesses.len() + 1 {
             return Err(ProveError::Unsatisfied(Unsatisfied::new(
@@ -365,7 +367,7 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
         }
         let mut layer: Vec<StateProof> = Vec::with_capacity(witnesses.len());
         for (i, witness) in witnesses.iter().enumerate() {
-            layer.push(self.prove_base(states[i], states[i + 1], witness)?);
+            layer.push(self.prove_base(states[i], states[i + 1], witness.borrow())?);
         }
         // Balanced fold: pair adjacent proofs until one remains.
         while layer.len() > 1 {
@@ -536,7 +538,7 @@ mod tests {
     #[test]
     fn prove_chain_rejects_empty_and_mismatched() {
         let sys = system();
-        assert!(sys.prove_chain(&[digest_of(0)], &[]).is_err());
+        assert!(sys.prove_chain::<Step>(&[digest_of(0)], &[]).is_err());
         assert!(sys
             .prove_chain(&[digest_of(0)], &[Step { old: 0, delta: 1 }])
             .is_err());

@@ -31,8 +31,9 @@ use zendoo_telemetry::Telemetry;
 use crate::store::{AppliedDelta, UtxoStore};
 
 /// Depth of each per-sidechain inbound tree: 2^48 slots keeps the
-/// birthday-collision probability negligible at 10^5 pending transfers
-/// while an insert touches only 48 nodes.
+/// birthday-collision probability negligible at 10^5 pending transfers.
+/// Depth is free: an insert touches the ≈ log₂ n levels the pending
+/// transfers share, not 48.
 const INBOUND_TREE_DEPTH: u32 = 48;
 
 /// One escrowed transfer waiting to enter its destination sidechain.
