@@ -1,14 +1,15 @@
 # Zendoo reproduction — developer tasks. `make ci` is the gate.
 
-.PHONY: ci fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-tree test-benchmark bench-build bench bench-smoke obs-report demo
+.PHONY: ci fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-tree test-claims test-benchmark bench-build bench bench-smoke obs-report demo
 
-ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-tree bench-build test-benchmark
+ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-tree test-claims bench-build test-benchmark
 
 fmt-check:
 	cargo fmt --check
 
-# Every workspace member that is ours: the library crates, the scaling
-# curves (zendoo-bench) and the root facade with its examples and tests.
+# Every workspace member that is ours: the library crates, the two
+# recorded curves (zendoo-bench) and the root facade with its examples
+# and tests.
 # --no-deps keeps the offline stand-ins in crates/support out.
 clippy:
 	cargo clippy -p zendoo-primitives -p zendoo-crosschain -p zendoo-sim -p zendoo-mainchain -p zendoo-telemetry -p zendoo-snark -p zendoo-core -p zendoo-loadgen -p zendoo-store -p zendoo-latus -p zendoo-bench -p zendoo --all-targets --no-deps -- -D warnings
@@ -24,15 +25,22 @@ test:
 	cargo build --release
 	cargo test -q
 
+# $(call run-suites,<label>,<specs>): runs each spec — `package target
+# filter…`, where target is an integration test or `lib` for the unit
+# tests — and prints the passed total summed from the run output, so a
+# shrinking or renamed suite is visible.
+define run-suites
+@total=0; for spec in $(2); do set -- $$spec; pkg=$$1; target=$$2; shift 2; if [ "$$target" = lib ]; then target=--lib; else target="--test $$target"; fi; out=$$(cargo test -q -p "$$pkg" $$target -- "$$@" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "$(1) tests: $$total total"
+endef
+
 # The adversarial/soundness suites, by name: every escrow theft path
 # (escrow_consensus), tampered/forged block-proof aggregates
 # (aggregation), forged-signature/poisoned-verdict batched admission
 # (sig_admission), the one-pass-fill ≡ per-prefix-greedy-fill oracle
 # (pipeline), cross-chain forgery/replay (the two adversarial files) and
-# the hostile-input codec corpus (settlement_codec). The passed total is
-# summed from the run output and printed so a shrinking suite is visible.
+# the hostile-input codec corpus (settlement_codec).
 test-adversarial:
-	@total=0; for spec in "zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec"; do set -- $$spec; out=$$(cargo test -q -p "$$1" --test "$$2" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "adversarial tests: $$total total"
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec")
 
 # The composed Byzantine suites (docs/SCENARIOS.md): the long-horizon
 # fault-layered scenarios with per-tick conservation auditing
@@ -43,14 +51,14 @@ test-adversarial:
 # follower (tests/common/mod.rs) — plus the span-name contract the
 # benchmark reads.
 test-byzantine:
-	@total=0; for spec in "zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism"; do set -- $$spec; out=$$(cargo test -q -p "$$1" --test "$$2" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "byzantine tests: $$total total"
+	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism")
 
 # The persistence suites: journal kill-and-recover, torn-tail and
 # rollback replay at the store level (recovery), and the world-level
 # lockstep contract — per-tick digest equality through mid-run kills,
 # torn tails and reorgs (persistence).
 test-store:
-	@total=0; for spec in "zendoo-store recovery" "zendoo-sim persistence"; do set -- $$spec; out=$$(cargo test -q -p "$$1" --test "$$2" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "store tests: $$total total"
+	$(call run-suites,store,"zendoo-store recovery" "zendoo-sim persistence")
 
 # The one tree, by name: the sparse Merkle tree's differential against
 # the recursive reference of its definition (depths 6 / 40 / 63), the
@@ -59,11 +67,17 @@ test-store:
 # canonical-update rule — a witness replays pre- and post-root, a
 # collision is a membership proof, absence cannot be forged from a
 # neighbour, over-long paths and wrong sibling kinds are refused by rule
-# name, snapshots are handles bounded by the reorg horizon. Each spec is
-# `package target filter…` (`lib` = the unit tests); a renamed test
-# shows as a smaller total.
+# name, snapshots are handles bounded by the reorg horizon.
 test-tree:
-	@total=0; for spec in "zendoo-primitives lib smt::" "zendoo-latus lib payment_witness_replays_root_transition forward_transfer_collision_refunds_payback btr_absence_cannot_be_forged_from_a_neighbour witnessed_path_longer_than_the_tree" "zendoo-latus adversarial removal_with_the_wrong_sibling_kind ownership_path_longer_than_the_tree" "zendoo-latus epoch_flow snapshots_are_handles"; do set -- $$spec; pkg=$$1; target=$$2; shift 2; if [ "$$target" = lib ]; then target=--lib; else target="--test $$target"; fi; out=$$(cargo test -q -p "$$pkg" $$target -- "$$@" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "tree tests: $$total total"
+	$(call run-suites,tree,"zendoo-primitives lib smt::" "zendoo-latus lib payment_witness_replays_root_transition forward_transfer_collision_refunds_payback btr_absence_cannot_be_forged_from_a_neighbour witnessed_path_longer_than_the_tree" "zendoo-latus adversarial removal_with_the_wrong_sibling_kind ownership_path_longer_than_the_tree" "zendoo-latus epoch_flow snapshots_are_handles")
+
+# The paper's scaling claims as assertions on operation counts
+# (tests/paper_claims.rs: experiment → test table in its header), the
+# two claims that live beside their code (E5 at tree level, E7's
+# leadership ∝ stake) and the cost lines of zendoo-snark's private
+# circuits. Host-independent: no clock is read.
+test-claims:
+	$(call run-suites,claims,"zendoo paper_claims" "zendoo-primitives lib smt::tests::a_write_costs_log_occupancy_not_depth" "zendoo-latus lib consensus::tests::leadership_frequency_tracks_stake" "zendoo-snark lib merge_is_charged_the_two_checks_it_runs wrap_and_fold_are_charged_the_checks_they_run")
 
 # The standalone benchmark package (BENCHMARK.json runs it from its own
 # checkout): its unit tests, then every workload once at smoke size. It
@@ -73,19 +87,18 @@ test-benchmark:
 	cargo test -q --offline --manifest-path benchmark/Cargo.toml
 	cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 
-# Builds the scaling curves as `cargo bench` would (clippy only checks
-# them), so an API change cannot break them silently.
+# Builds the two recorded curves as `cargo bench` would (clippy only
+# checks them), so an API change cannot break them silently.
 bench-build:
 	cargo bench -p zendoo-bench --no-run
 
 bench:
 	cargo bench -p zendoo-bench
 
-# The routing hot path plus the two curves that keep a committed record:
-# rewrites BENCH_proof_agg.json (1/16/256 certificates a block) and
+# The two curves that keep a committed record: rewrites
+# BENCH_proof_agg.json (1/16/256 certificates a block) and
 # BENCH_indexer.json (cold start + queries at 10^6 UTXOs; about a minute).
 bench-smoke:
-	cargo bench -p zendoo-bench --bench crosschain_routing
 	cargo bench -p zendoo-bench --bench proof_aggregation
 	cargo bench -p zendoo-bench --bench indexer
 

@@ -17,7 +17,6 @@
 
 use std::path::{Path, PathBuf};
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use zendoo_bench::write_report;
 use zendoo_core::escrow::EscrowTag;
 use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
@@ -147,7 +146,7 @@ fn query_block(name: &str, (count, p50, p99, max): (u64, u64, u64, u64)) -> Stri
 
 /// The full-scale run: populate, kill, recover cold, query — and write
 /// the JSON report.
-fn emit_indexer_report(c: &mut Criterion) {
+fn main() {
     let dir = temp_dir("report");
     let events = synthetic_events(BLOCKS, CREATED_PER_BLOCK, SPENT_PER_BLOCK, PENDING);
     let store = populate(&dir, &events, Telemetry::disabled());
@@ -218,14 +217,5 @@ fn emit_indexer_report(c: &mut Criterion) {
         rebuild_ns / 1_000_000,
         pending_point.2,
     );
-
-    // Keep criterion's harness shape: time a point query at full scale.
-    let probe = Nullifier(digest("null", 1));
-    c.bench_function("indexer/pending_point_1m", |b| {
-        b.iter(|| indexer.pending_inbound_for(&dests[1], &probe))
-    });
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-criterion_group!(benches, emit_indexer_report);
-criterion_main!(benches);

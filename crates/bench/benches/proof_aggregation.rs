@@ -20,14 +20,14 @@
 //! * `aggregated_ns` — full aggregate-mode stage 2: recollect the work
 //!   list, recompute the expected digest, verify one SNARK;
 //! * `aggregate_verify_ns` — the SNARK-verification component alone
-//!   (work list and digest already in hand): flat across block sizes,
-//!   this is the O(1) claim;
+//!   (work list and digest already in hand): flat across block sizes —
+//!   the O(1) claim, asserted as *one* verification at every size by
+//!   `tests/paper_claims.rs`; this file records what it takes;
 //! * `build_ns` — the block builder's one-time cost to fold the
 //!   aggregate (wrap per statement + fold tree, all cores).
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use zendoo_bench::{host_cores, write_report, AcceptAll};
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
 use zendoo_core::ids::SidechainId;
@@ -121,12 +121,11 @@ fn median(mut samples: Vec<u64>) -> u64 {
 }
 
 /// One full measurement pass per block size, emitting the JSON report.
-fn emit_aggregation_report(c: &mut Criterion) {
+fn main() {
     let cores = host_cores();
     let telemetry = Telemetry::disabled();
     let system = AggregationSystem::shared();
     let mut entries = String::new();
-    let mut flat_points: Vec<u64> = Vec::new();
     for (slot, n) in [1usize, 16, 256].into_iter().enumerate() {
         let (chain, block, proof, active) = chain_with_cert_block(n);
         let hash = block.hash();
@@ -179,7 +178,6 @@ fn emit_aggregation_report(c: &mut Criterion) {
         let aggregated = median(aggregated);
         let verify_only = median(verify_only);
         let build = median(build);
-        flat_points.push(verify_only);
         println!(
             "proof_aggregation/report {n} certs: individual {:.2} ms, aggregated {:.3} ms (verify-only {:.3} ms), build {:.2} ms => {:.1}x stage-2 speedup",
             individual as f64 / 1e6,
@@ -201,21 +199,4 @@ fn emit_aggregation_report(c: &mut Criterion) {
         &format!("{{\"certs_per_block\": [1, 16, 256], \"samples\": {SAMPLES}}}"),
         &format!("[{entries}\n  ]"),
     );
-
-    // The flat component really is flat: 256 certs within 2x of 1 cert.
-    let (one, big) = (flat_points[0], flat_points[2]);
-    assert!(
-        big <= one.saturating_mul(2).max(one + 200_000),
-        "aggregate verification not O(1): 1 cert {one} ns vs 256 certs {big} ns"
-    );
-
-    // Keep criterion's harness shape: time the digest recomputation.
-    let (chain, block, _, active) = chain_with_cert_block(16);
-    let items = work_list(&chain, &block, &active);
-    c.bench_function("proof_aggregation/expected_statement_16", |b| {
-        b.iter(|| expected_statement(&items))
-    });
 }
-
-criterion_group!(benches, emit_aggregation_report);
-criterion_main!(benches);

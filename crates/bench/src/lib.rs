@@ -1,4 +1,4 @@
-//! Paper-shape scaling curves, and the fixtures they share.
+//! The two scaling curves worth a committed record, and their reporter.
 //!
 //! The repository has **one** benchmark system, split by one rule:
 //!
@@ -6,31 +6,24 @@
 //!   cache ratios, admission, settlement batching, lane efficiency,
 //!   restart), is a named metric of the standalone `benchmark/` package
 //!   that `BENCHMARK.json` declares — it judges every claim;
-//! * this crate keeps only what no workload can show: how a cost
-//!   *scales* with a parameter the paper's claims are about
-//!   (`snark_succinctness` E1, `recursion` E2, `wcert_verification` E3,
-//!   `commitment_tree` E4, `mst` E5, `consensus` E7, `primitives` E14,
-//!   `ablation_parallel` §5.4.1, `crosschain_routing`; criterion prints
-//!   ns/iter), plus `tests/noop_overhead.rs`.
-//!
-//! Two curves are worth a committed record: `proof_aggregation` (1 → 256
-//! certificates a block) and `indexer` (10⁶ UTXOs / 10⁵ pending
-//! transfers). Only they write a file, both through [`write_report`]
-//! (`make bench-smoke` regenerates them).
+//! * how a cost *scales* with a parameter the paper's claims are about
+//!   is a statement on operation counts, asserted by the root
+//!   `tests/paper_claims.rs` (`make test-claims`), not a curve;
+//! * this crate keeps the two curves whose wall clock *is* the result:
+//!   `proof_aggregation` (1 → 256 certificates a block) and `indexer`
+//!   (10⁶ UTXOs / 10⁵ pending transfers). Each is a plain program that
+//!   times itself and writes `BENCH_*.json` through [`write_report`]
+//!   (`make bench-smoke` regenerates both) — plus
+//!   `tests/noop_overhead.rs`.
 
 use std::process::Command;
 
-use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
-use zendoo_core::ids::{Address, Amount, SidechainId};
-use zendoo_core::proofdata::ProofData;
-use zendoo_core::transfer::BackwardTransfer;
 use zendoo_primitives::digest::Digest32;
-use zendoo_snark::backend::{prove, setup_deterministic, Proof, ProvingKey, VerifyingKey};
 use zendoo_snark::circuit::{Circuit, Unsatisfied};
 use zendoo_snark::inputs::PublicInputs;
 
-/// A permissive circuit for benches that measure everything *around*
-/// the circuit (certificate plumbing, quality rules, sysdata assembly).
+/// A permissive circuit for a bench that measures everything *around*
+/// the circuit (collecting, aggregating and checking a block's proofs).
 pub struct AcceptAll(pub &'static str);
 
 impl Circuit for AcceptAll {
@@ -43,46 +36,6 @@ impl Circuit for AcceptAll {
     fn check(&self, _: &PublicInputs, _: &()) -> Result<(), Unsatisfied> {
         Ok(())
     }
-}
-
-/// Deterministic backward-transfer list of the given size.
-pub fn bt_list(n: usize) -> Vec<BackwardTransfer> {
-    (0..n)
-        .map(|i| BackwardTransfer {
-            receiver: Address::from_label(&format!("receiver-{i}")),
-            amount: Amount::from_units(i as u64 + 1),
-        })
-        .collect()
-}
-
-/// Builds a certificate with `n` backward transfers plus a valid proof
-/// under the [`AcceptAll`] circuit, returning everything a verifier
-/// needs.
-pub fn snark_certificate(
-    n: usize,
-) -> (
-    WithdrawalCertificate,
-    VerifyingKey,
-    ProvingKey,
-    Digest32,
-    Digest32,
-) {
-    let circuit = AcceptAll("wcert");
-    let (pk, vk) = setup_deterministic(&circuit, b"bench");
-    let prev_end = Digest32::hash_bytes(b"prev-end");
-    let epoch_end = Digest32::hash_bytes(b"epoch-end");
-    let mut cert = WithdrawalCertificate {
-        sidechain_id: SidechainId::from_label("bench-sc"),
-        epoch_id: 0,
-        quality: 1,
-        bt_list: bt_list(n),
-        proofdata: ProofData::empty(),
-        proof: Proof::from_bytes(&[0u8; 65]).expect("placeholder"),
-    };
-    let sysdata = WcertSysData::for_certificate(&cert, prev_end, epoch_end);
-    let inputs = wcert_public_inputs(&sysdata, &cert.proofdata.merkle_root());
-    cert.proof = prove(&pk, &circuit, &inputs, &()).expect("accept-all proves");
-    (cert, vk, pk, prev_end, epoch_end)
 }
 
 /// Cores available to this process (`host_cores` in every report).

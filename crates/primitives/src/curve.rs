@@ -423,6 +423,7 @@ impl JacobianPoint {
     /// Fixed-base scalar multiplication `scalar · G` from the comb
     /// table: one mixed addition per nonzero nibble, no doublings.
     pub fn mul_generator(scalar: &Fr) -> Self {
+        crate::opcount::group_mul();
         let k = scalar.to_u256();
         let mut acc = Self::identity();
         for (i, row) in generator_tables().comb().chunks_exact(COMB_ROW).enumerate() {
@@ -567,6 +568,7 @@ fn odd_multiples(p: &JacobianPoint) -> [JacobianPoint; 1 << (VAR_WIDTH - 2)] {
 /// a per-call table for the others) and all of them share one chain of
 /// doublings.
 fn interleave<const N: usize>(g: Option<&Fr>, terms: [(&Fr, &JacobianPoint); N]) -> JacobianPoint {
+    crate::opcount::group_mul();
     let g = g.map(|g| (wnaf(&g.to_u256(), GEN_WIDTH), generator_tables().odd()));
     let terms = terms.map(|(k, p)| (wnaf(&k.to_u256(), VAR_WIDTH), odd_multiples(p)));
     let mut acc = JacobianPoint::identity();

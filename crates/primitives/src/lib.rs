@@ -14,7 +14,9 @@
 //! * [`poseidon`] — the SNARK-friendly algebraic hash (paper §5.4);
 //! * [`merkle`] — Merkle hash trees and proofs (paper Definition 2.2);
 //! * [`smt`] — the fixed-depth sparse Merkle tree behind the Latus MST;
-//! * [`digest`] / [`encode`] — canonical ids and deterministic encoding.
+//! * [`digest`] / [`encode`] — canonical ids and deterministic encoding;
+//! * [`opcount`] — per-thread counts of permutations, group
+//!   multiplications and SHA-256 compressions, for claims on cost shape.
 //!
 //! # Examples
 //!
@@ -36,6 +38,7 @@ pub mod digest;
 pub mod encode;
 pub mod field;
 pub mod merkle;
+pub mod opcount;
 pub mod poseidon;
 pub mod schnorr;
 pub mod sha256;

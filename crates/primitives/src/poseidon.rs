@@ -189,17 +189,9 @@ fn full_round(state: &mut [Fp; T], rc: &[Fp; T], mds: &Matrix) {
     apply_mds(state, mds);
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Permutations run by the current thread; lets tests pin how many a
-    /// tree operation costs.
-    pub(crate) static PERMUTATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// The Poseidon permutation over a width-3 state.
 pub fn permute(state: &mut [Fp; T]) {
-    #[cfg(test)]
-    PERMUTATIONS.with(|n| n.set(n.get() + 1));
+    crate::opcount::permutation();
     let p = params();
     for rc in &p.head {
         full_round(state, rc, &p.mds);

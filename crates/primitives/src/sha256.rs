@@ -107,6 +107,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        crate::opcount::sha_block();
         let mut w = [0u32; 64];
         for (i, item) in w.iter_mut().take(16).enumerate() {
             *item = u32::from_be_bytes([

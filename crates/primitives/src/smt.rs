@@ -1098,11 +1098,9 @@ mod tests {
     }
 
     fn permutations<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        use crate::poseidon::PERMUTATIONS;
         empty_hash();
-        let before = PERMUTATIONS.with(|n| n.get());
-        let out = f();
-        (out, PERMUTATIONS.with(|n| n.get()) - before)
+        let (out, cost) = crate::opcount::measure(f);
+        (out, cost.permutations)
     }
 
     /// The paper-shape claim (E5, after the compact definition): a write

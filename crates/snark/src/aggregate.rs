@@ -665,6 +665,48 @@ mod tests {
         assert_eq!(count, 2);
     }
 
+    /// The cost lines beside what `check` runs: the model charges a Wrap
+    /// one in-circuit proof check and a Fold two, whatever the children
+    /// cover, and those are the verifications the checks perform.
+    #[test]
+    fn wrap_and_fold_are_charged_the_checks_they_run() {
+        use zendoo_primitives::opcount::measure;
+        let sys = system();
+        let batch = items(4);
+        let wraps: Vec<_> = batch.iter().map(|item| sys.wrap(item).unwrap()).collect();
+        let wrap_inputs = aggregate_inputs(&wraps[0].digest, 1);
+        let (ok, ran) = measure(|| WrapCircuit.check(&wrap_inputs, &batch[0]));
+        assert_eq!(ok, Ok(()));
+        assert_eq!(
+            WrapCircuit.constraint_cost(&wrap_inputs, &batch[0]),
+            ran.group_muls * gadget_cost::PROOF_VERIFY
+        );
+        assert_eq!(ran.group_muls, 1);
+
+        let circuit = FoldCircuit {
+            wrap_vk: sys.wrap_vk,
+            fold_vk: sys.fold_vk,
+        };
+        let pairs = [
+            sys.fold(&wraps[0], &wraps[1]).unwrap(),
+            sys.fold(&wraps[2], &wraps[3]).unwrap(),
+        ];
+        for (left, right) in [(wraps[0], wraps[1]), (pairs[0], pairs[1])] {
+            let inputs = aggregate_inputs(
+                &left.digest.combine(&right.digest),
+                left.count + right.count,
+            );
+            let witness = FoldWitness { left, right };
+            let (ok, ran) = measure(|| circuit.check(&inputs, &witness));
+            assert_eq!(ok, Ok(()));
+            assert_eq!(
+                circuit.constraint_cost(&inputs, &witness),
+                ran.group_muls * gadget_cost::PROOF_VERIFY
+            );
+            assert_eq!(ran.group_muls, 2);
+        }
+    }
+
     #[test]
     fn wrap_refuses_invalid_leaf() {
         let sys = system();

@@ -66,8 +66,13 @@ pub trait Circuit {
 
     /// Approximate number of R1CS constraints this assignment occupies.
     ///
-    /// Used for cost accounting and benchmark reporting; has no effect on
-    /// soundness. The default charges a flat cost.
+    /// A model of the prover's work in [`gadget_cost`] units, with no
+    /// effect on soundness and no caller in production code: the claim
+    /// tests (`tests/paper_claims.rs` at the root, and the cost-line
+    /// tests beside the private circuits of this crate) read it next to
+    /// the measured operation counts, so the shape it states — linear in
+    /// the statement, constant per recursion step — cannot drift from
+    /// what `check` runs. The default charges a flat cost.
     fn constraint_cost(&self, _public: &PublicInputs, _witness: &Self::Witness) -> u64 {
         1 << 10
     }
@@ -91,9 +96,9 @@ impl<C: Circuit> Circuit for &C {
 }
 
 /// Reference constraint-cost figures for common gadgets, mirroring the
-/// R1CS sizes of production circuits. Benchmarks report
-/// `constraints = Σ gadget costs` so that the *shape* of proving cost over
-/// workload size matches a real backend.
+/// R1CS sizes of production circuits: `constraints = Σ gadget costs`, so
+/// that the *shape* of the modelled proving cost over workload size
+/// matches a real backend.
 pub mod gadget_cost {
     /// One Poseidon 2-to-1 compression (t=3, 8 full + 57 partial rounds,
     /// x^5 S-box ⇒ ~3 constraints per S-box application).

@@ -192,16 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn work_is_distributed() {
-        let system = RecursiveSystem::new_deterministic(Counter, b"par");
-        let (states, witnesses) = chain_inputs(16);
-        let prover = ParallelProver::new(&system, 4);
-        let (_, report) = prover.prove_chain(&states, &witnesses).unwrap();
-        assert_eq!(report.base_proofs, vec![4, 4, 4, 4]);
-        assert!(report.merge_proofs.iter().sum::<u64>() >= 15 - 8);
-    }
-
-    #[test]
     fn bad_witness_fails_in_parallel_too() {
         let system = RecursiveSystem::new_deterministic(Counter, b"par");
         let (states, mut witnesses) = chain_inputs(8);

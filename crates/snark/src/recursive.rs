@@ -48,7 +48,8 @@ pub trait TransitionVerifier {
         witness: &Self::Witness,
     ) -> Result<(), Unsatisfied>;
 
-    /// Constraint-cost estimate for one transition (reporting only).
+    /// Constraint-cost estimate for one transition: the Base circuit's
+    /// [`Circuit::constraint_cost`], a model (see there).
     fn transition_cost(&self, _witness: &Self::Witness) -> u64 {
         4 * gadget_cost::MERKLE_STEP
     }
@@ -491,6 +492,41 @@ mod tests {
         assert_eq!(merged.from_state(), digest_of(0));
         assert_eq!(merged.to_state(), digest_of(7));
         assert_eq!(merged.kind(), ProofKind::Merge);
+    }
+
+    /// The cost line beside what `check` runs: the model charges a Merge
+    /// two in-circuit proof checks whatever its children fold, and those
+    /// are the verifications the check performs.
+    #[test]
+    fn merge_is_charged_the_two_checks_it_runs() {
+        use zendoo_primitives::opcount::measure;
+        let sys = system();
+        let leaves: Vec<StateProof> = (0..4)
+            .map(|i| {
+                sys.prove_base(digest_of(i), digest_of(i + 1), &Step { old: i, delta: 1 })
+                    .unwrap()
+            })
+            .collect();
+        let halves = [
+            sys.merge(&leaves[0], &leaves[1]).unwrap(),
+            sys.merge(&leaves[2], &leaves[3]).unwrap(),
+        ];
+        let circuit = MergeCircuit {
+            verifier_id: sys.verifier.id(),
+            base_vk: sys.base_vk,
+            merge_vk: sys.merge_vk,
+        };
+        for (left, right) in [(leaves[0], leaves[1]), (halves[0], halves[1])] {
+            let inputs = transition_inputs(&left.from, &right.to);
+            let witness = MergeWitness { left, right };
+            let (ok, ran) = measure(|| circuit.check(&inputs, &witness));
+            assert_eq!(ok, Ok(()));
+            assert_eq!(
+                circuit.constraint_cost(&inputs, &witness),
+                ran.group_muls * gadget_cost::PROOF_VERIFY
+            );
+            assert_eq!(ran.group_muls, 2);
+        }
     }
 
     #[test]
