@@ -35,12 +35,20 @@ endef
 
 # The adversarial/soundness suites, by name: every escrow theft path
 # (escrow_consensus), tampered/forged block-proof aggregates
-# (aggregation), forged-signature/poisoned-verdict batched admission
-# (sig_admission), the one-pass-fill ≡ per-prefix-greedy-fill oracle
-# (pipeline), cross-chain forgery/replay (the two adversarial files) and
-# the hostile-input codec corpus (settlement_codec).
+# (aggregation), forged-signature/poisoned-verdict batched admission and
+# the forgeries a plain sum of verification equations accepts — a
+# cancelling pair, traded nonce points, a bad signature first / middle /
+# last, an all-bad batch, random corrupted subsets on 1/2/3/8/64 workers
+# against the per-signature oracle (sig_admission), the
+# one-pass-fill ≡ per-prefix-greedy-fill oracle and a cacheless node
+# refusing a re-mined block with a bad signature exactly as fully inline
+# validation does, in both verify modes (pipeline), the batch equation
+# itself — identity keys and nonce points inside a valid batch, the
+# empty batch (every schnorr:: unit test), cross-chain forgery/replay
+# (the two adversarial files) and the hostile-input codec corpus
+# (settlement_codec).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec")
 
 # The composed Byzantine suites (docs/SCENARIOS.md): the long-horizon
 # fault-layered scenarios with per-tick conservation auditing

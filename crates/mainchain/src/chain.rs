@@ -4,7 +4,8 @@
 //! Fork choice is by cumulative work (Def 3.1's Bitcoin-backbone model).
 //! Block acceptance runs the three-stage [`crate::pipeline`]: stateless
 //! precheck at submission, parallel SNARK verification of the block's
-//! certificate/BTR/CSW proofs, then atomic state application journaled
+//! certificate/BTR/CSW proofs beside one batch equation over its
+//! transfer signatures, then atomic state application journaled
 //! into a single [`crate::pipeline::BlockUndo`] record per block — so
 //! reorgs of up to [`ChainParams::max_reorg_depth`] blocks are exact
 //! state rollbacks (the mechanism exercised by the paper's "mainchain
@@ -35,6 +36,7 @@ use crate::block::{Block, BlockHeader};
 use crate::pipeline::{self, BlockUndo, ProofVerdicts, VerifyMode};
 use crate::pow::{mine, Target};
 use crate::registry::{RegistryError, SidechainRegistry};
+use crate::sigbatch;
 use crate::transaction::{CoinbaseTx, McTransaction, OutPoint, TxOut};
 use crate::utxo::UtxoSet;
 
@@ -941,20 +943,30 @@ impl Blockchain {
                     }
                     (VerifyMode::Individual, _) => None,
                 };
-                match aggregated {
-                    Some(verdicts) => verdicts,
-                    None => {
-                        let _span = self.telemetry.span("mc.stage2.verify");
-                        pipeline::verify_block_proofs(
-                            &self.state,
-                            &block,
-                            hash,
-                            &self.active,
-                            None,
-                            &self.telemetry,
-                        )
-                    }
-                }
+                // What this node verifies itself, under one span: the
+                // proofs no aggregate covered, and — whichever way the
+                // proof verdicts came — the block's transfer signatures
+                // as one batch, so stage 3 finds a verdict where it
+                // would verify each signature inline.
+                let has_transfers = block
+                    .transactions
+                    .iter()
+                    .any(|tx| matches!(tx, McTransaction::Transfer(_)));
+                let _span = (aggregated.is_none() || has_transfers)
+                    .then(|| self.telemetry.span("mc.stage2.verify"));
+                let mut verdicts = aggregated.unwrap_or_else(|| {
+                    pipeline::verify_block_proofs(
+                        &self.state,
+                        &block,
+                        hash,
+                        &self.active,
+                        None,
+                        &self.telemetry,
+                    )
+                });
+                verdicts.sigs =
+                    sigbatch::verify_block_signatures(&self.state, &block, &self.telemetry);
+                verdicts
             }
         };
         // Stage 3: atomic application (reverts itself on failure).

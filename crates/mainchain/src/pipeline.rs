@@ -8,15 +8,20 @@
 //!    `scTxsCommitment` rebuild. No chain state is consulted beyond the
 //!    consensus parameters; [`precheck_transaction`] is the same stage
 //!    applied to a single transaction at mempool admission.
-//! 2. **Parallel proof verification** ([`verify_block_proofs`]) — every
-//!    SNARK check the block owes (certificates, BTRs, CSWs) is
-//!    collected into a work list and verified on scoped worker threads
-//!    *before any state mutation*. The verdicts land in a
-//!    [`ProofVerdicts`] cache keyed by full statement identity, so
-//!    stage 3 consumes them without re-deriving trust: a cache miss
-//!    (the prefetch guessed a different statement than the stateful
-//!    walk assembles) silently falls back to inline verification —
-//!    parallelism is an optimization, never a semantic change.
+//! 2. **Parallel proof and signature verification**
+//!    ([`verify_block_proofs`], [`crate::sigbatch`]) — every SNARK check
+//!    the block owes (certificates, BTRs, CSWs) is collected into a
+//!    work list and verified on scoped worker threads *before any state
+//!    mutation*, one check per statement; every transfer signature
+//!    whose input resolves in the pre-block state is collected beside
+//!    them and verified as one batch equation per worker. The verdicts
+//!    land in a [`ProofVerdicts`] cache keyed by full statement (or
+//!    signature) identity, so stage 3 consumes them without re-deriving
+//!    trust: a cache miss (the prefetch guessed a different statement
+//!    than the stateful walk assembles, an input spends an output of
+//!    the same block) silently falls back to inline verification —
+//!    parallelism and batching are optimizations, never a semantic
+//!    change.
 //! 3. **Atomic state application** ([`apply_block`]) — the stateful
 //!    walk. All mutations are journaled into a single [`BlockUndo`]
 //!    record per block; on any failure the journal is replayed in
@@ -153,7 +158,7 @@ pub struct VerdictCache {
 }
 
 impl VerdictCache {
-    fn with_verdicts(verdicts: HashMap<Digest32, bool>) -> Self {
+    pub(crate) fn with_verdicts(verdicts: HashMap<Digest32, bool>) -> Self {
         VerdictCache {
             verdicts: RefCell::new(verdicts),
             ..Self::default()
@@ -194,7 +199,8 @@ impl VerdictCache {
 
 /// What stage 3 knows before it starts: the verdicts of a block's SNARK
 /// checks, keyed by full statement identity ([`ProofCheck::key`]), and
-/// the transfer-signature verdicts established at mempool admission,
+/// the transfer-signature verdicts established as a batch — at mempool
+/// admission for a builder, in stage 2 for a node receiving the block —
 /// keyed by [`crate::sigbatch::sig_cache_key`] (txid + key + message +
 /// signature — a verdict can only answer the exact check that produced
 /// it). Both are [`VerdictCache`]s, consulted at exactly the point
@@ -208,7 +214,7 @@ impl VerdictCache {
 pub struct ProofVerdicts {
     /// SNARK verdicts (prefetched by stage 2, or recorded by a dry run).
     pub proofs: VerdictCache,
-    /// Transfer-signature verdicts from admission.
+    /// Transfer-signature verdicts (from admission, or from stage 2).
     pub sigs: VerdictCache,
 }
 

@@ -1,30 +1,47 @@
-//! Batched transfer-signature verification at mempool admission.
+//! Batched transfer-signature verification, at mempool admission and
+//! in stage 2 of block acceptance.
 //!
-//! A transfer's input signatures share no state with any other
-//! transfer's, so a whole admission batch can verify concurrently —
-//! the same strided scoped-thread layout as
-//! [`zendoo_snark::batch::verify_batch`] uses for SNARK proofs. Every
-//! verdict is cached under [`sig_cache_key`] (txid + key + message +
-//! signature, so a verdict can never authorize anything but the exact
-//! signature it was computed for) and travels with the pooled entry
-//! into the block template: the miner's stage-3 dry run consults the
-//! cache ([`crate::pipeline::ProofVerdicts::sigs`]) and re-verifies
-//! nothing. A cache miss falls back to inline verification —
+//! Wherever two or more transfer signatures are checked together, what
+//! verifies them is one randomised equation over the whole lot
+//! ([`zendoo_primitives::schnorr::verify_batch`]): one multi-scalar
+//! evaluation on one shared chain of doublings instead of one per
+//! signature — a validator's one cost still linear in traffic, at
+//! about 0.4 of the per-signature price. [`verify_sig_batch_with`] cuts
+//! the checks into one contiguous chunk per worker
+//! ([`zendoo_snark::batch::fan_out`]), each chunk one equation. An
+//! equation that fails says *that* its chunk holds a bad signature, not
+//! which: the chunk is re-verified signature by signature
+//! ([`SigCheck::verify`]) — the per-signature check is the definition,
+//! the equation only a faster way to the same verdict vector. It has
+//! two callers:
+//!
+//! * **admission** ([`admit_batch_with`]): stage-1 precheck, input
+//!   resolution against the confirmed UTXO set (establishing each
+//!   transaction's fee for the mempool's priority index), the batch,
+//!   and fee-prioritized pooling. Every verdict is cached under
+//!   [`sig_cache_key`] (txid + key + message + signature, so a verdict
+//!   can never authorize anything but the exact signature it was
+//!   computed for) and travels with the pooled entry into the block
+//!   template: the miner's stage-3 dry run consults the cache
+//!   ([`crate::pipeline::ProofVerdicts::sigs`]) and re-verifies nothing;
+//! * **stage 2** of a node connecting a block nobody vouched for
+//!   (`verify_block_signatures`): the same checks against the pre-block
+//!   state, the same cache handed to stage 3.
+//!
+//! A cache miss falls back to inline verification — batching,
 //! parallelism and caching are optimizations, never a semantic change.
-//!
-//! [`admit_batch_with`] is the full admission path: stage-1 precheck,
-//! input resolution against the confirmed UTXO set (establishing each
-//! transaction's fee for the mempool's priority index), batched
-//! signature verification, and fee-prioritized pooling.
 
 use zendoo_core::ids::{Address, Amount};
 use zendoo_primitives::digest::Digest32;
-use zendoo_snark::batch::fan_out;
+use zendoo_primitives::schnorr;
+use zendoo_snark::batch::{default_workers, fan_out};
 use zendoo_telemetry::Telemetry;
 
+use crate::block::Block;
 use crate::chain::{BlockError, ChainState};
 use crate::mempool::{fee_of, AdmitOutcome, Mempool};
-use crate::transaction::{McTransaction, OutputKind, TxIn};
+use crate::pipeline::VerdictCache;
+use crate::transaction::{McTransaction, OutputKind, TransferTx, TxIn, SIGHASH_CONTEXT};
 
 /// The cache key of one signature verdict: binds the transaction, the
 /// key, the signed message *and* the signature bytes, so a cached
@@ -66,17 +83,19 @@ impl SigCheck {
     }
 }
 
-/// Verifies every check, `workers` at a time, returning verdicts in
-/// check order. `workers == 1` (or a single check) short-circuits to
-/// the serial path with no thread overhead.
+/// Verifies every check, returning verdicts in check order: the checks
+/// are cut into `workers` contiguous chunks and each chunk is **one**
+/// batch equation ([`schnorr::verify_batch`]) on its own scoped thread.
+/// `workers == 1` (or a single check) runs in the calling thread.
 pub fn verify_sig_batch(checks: &[SigCheck], workers: usize) -> Vec<bool> {
     verify_sig_batch_with(checks, workers, &Telemetry::disabled())
 }
 
 /// [`verify_sig_batch`] with telemetry: records the batch size
 /// (`sig.batch.sigs` histogram), per-worker wall time
-/// (`sig.batch.verify.worker` span), and total batch wall time
-/// (`sig.batch.verify` span).
+/// (`sig.batch.verify.worker` span), total batch wall time
+/// (`sig.batch.verify` span) and every chunk that had to be re-verified
+/// one signature at a time (`sig.batch.fallback` counter).
 pub fn verify_sig_batch_with(
     checks: &[SigCheck],
     workers: usize,
@@ -84,11 +103,110 @@ pub fn verify_sig_batch_with(
 ) -> Vec<bool> {
     telemetry.observe("sig.batch.sigs", checks.len() as u64);
     let _batch_span = telemetry.span("sig.batch.verify");
+    let per_chunk = checks.len().div_ceil(workers.max(1)).max(1);
+    let chunks: Vec<&[SigCheck]> = checks.chunks(per_chunk).collect();
+    // At most `workers` chunks, so each lane of the fan-out takes one.
     fan_out(
-        checks,
+        &chunks,
         workers,
         || telemetry.span("sig.batch.verify.worker"),
-        SigCheck::verify,
+        |chunk| verify_chunk(chunk, telemetry),
+    )
+    .concat()
+}
+
+/// One worker's share: the whole chunk as one equation, and when that
+/// fails, each signature alone. The equation says *that* a chunk holds
+/// a bad signature and not which, so the fallback is linear — junk
+/// signatures are free to send, and a flood of them costs one wasted
+/// equation per chunk on top of the per-signature loop, where a
+/// bisection would cost `n·log n`.
+fn verify_chunk(chunk: &[SigCheck], telemetry: &Telemetry) -> Vec<bool> {
+    if chunk.len() > 1 {
+        let items: Vec<_> = chunk
+            .iter()
+            .map(|c| {
+                let message: &[u8] = c.sighash.as_bytes();
+                (&c.tx_in.pubkey, message, &c.tx_in.signature)
+            })
+            .collect();
+        if schnorr::verify_batch(SIGHASH_CONTEXT, &items) {
+            return vec![true; chunk.len()];
+        }
+        telemetry.counter("sig.batch.fallback", 1);
+    }
+    chunk.iter().map(SigCheck::verify).collect()
+}
+
+/// Queues the signature checks `transfer` owes against `state`: one per
+/// input that resolves to a regular output, after the cheap check that
+/// the input's key hashes to that output's address. Escrow-kind inputs
+/// are consensus-authorized and carry no meaningful signature;
+/// unresolved inputs may spend an output that does not exist yet (an
+/// earlier transaction of the same block, a payout still maturing) and
+/// are left to whoever applies the transaction.
+///
+/// # Errors
+///
+/// [`BlockError::BadInputAuthorization`] at the first input whose key
+/// does not match; nothing stays queued for the transaction then.
+pub(crate) fn queue_sig_checks(
+    state: &ChainState,
+    txid: Digest32,
+    transfer: &TransferTx,
+    checks: &mut Vec<SigCheck>,
+) -> Result<(), BlockError> {
+    let start = checks.len();
+    let sighash = transfer.sighash();
+    for (i, input) in transfer.inputs.iter().enumerate() {
+        match state.utxos.get(&input.outpoint) {
+            Some(spent) if spent.kind == OutputKind::Regular => {
+                if Address::from_public_key(&input.pubkey) != spent.address {
+                    checks.truncate(start);
+                    return Err(BlockError::BadInputAuthorization { input: i });
+                }
+                checks.push(SigCheck {
+                    txid,
+                    input: i,
+                    tx_in: input.clone(),
+                    sighash,
+                });
+            }
+            Some(_) | None => {}
+        }
+    }
+    Ok(())
+}
+
+/// Stage 2 for signatures: every check the block's transfers owe
+/// against the pre-block state ([`queue_sig_checks`]), verified as one
+/// batch on one lane per core, as the verdict cache stage 3 consults
+/// where it would otherwise verify inline. A transaction whose key does
+/// not match queues nothing — stage 3 refuses it, and the block, by the
+/// cheaper rule.
+pub(crate) fn verify_block_signatures(
+    state: &ChainState,
+    block: &Block,
+    telemetry: &Telemetry,
+) -> VerdictCache {
+    let mut checks = Vec::new();
+    for tx in &block.transactions {
+        if let McTransaction::Transfer(transfer) = tx {
+            // An `Err` is stage 3's to report, in transaction order.
+            let _ = queue_sig_checks(state, tx.txid(), transfer, &mut checks);
+        }
+    }
+    if checks.is_empty() {
+        return VerdictCache::default();
+    }
+    let workers = default_workers(checks.len());
+    let verdicts = verify_sig_batch_with(&checks, workers, telemetry);
+    VerdictCache::with_verdicts(
+        checks
+            .iter()
+            .map(SigCheck::cache_key)
+            .zip(verdicts)
+            .collect(),
     )
 }
 
@@ -148,7 +266,7 @@ where
     let mut checks: Vec<SigCheck> = Vec::new();
     let mut pending: Vec<Pending> = Vec::new();
 
-    'txs: for tx in txs {
+    for tx in txs {
         let txid = tx.txid();
         if pool.contains(&txid) {
             report.duplicate += 1;
@@ -161,29 +279,10 @@ where
         }
         let start = checks.len();
         if let McTransaction::Transfer(t) = &tx {
-            let sighash = t.sighash();
-            for (i, input) in t.inputs.iter().enumerate() {
-                match state.utxos.get(&input.outpoint) {
-                    Some(spent) if spent.kind == OutputKind::Regular => {
-                        if Address::from_public_key(&input.pubkey) != spent.address {
-                            let error = BlockError::BadInputAuthorization { input: i };
-                            on_reject(&tx, &error);
-                            report.rejected += 1;
-                            checks.truncate(start);
-                            continue 'txs;
-                        }
-                        checks.push(SigCheck {
-                            txid,
-                            input: i,
-                            tx_in: input.clone(),
-                            sighash,
-                        });
-                    }
-                    // Escrow spends are consensus-authorized;
-                    // unresolvable inputs are the block builder's to
-                    // reject (the outpoint may mature or arrive later).
-                    Some(_) | None => {}
-                }
+            if let Err(error) = queue_sig_checks(state, txid, t, &mut checks) {
+                on_reject(&tx, &error);
+                report.rejected += 1;
+                continue;
             }
         }
         let fee = fee_of(&tx, |op| state.utxos.get(op).map(|o| o.amount));

@@ -19,7 +19,7 @@ use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::schnorr::{Keypair, PublicKey, SecretKey, Signature};
 
 /// Signature context for transaction inputs.
-const SIGHASH_CONTEXT: &str = "zendoo/mc-sighash-v1";
+pub(crate) const SIGHASH_CONTEXT: &str = "zendoo/mc-sighash-v1";
 
 /// A reference to a spendable output: `(txid, output index)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]

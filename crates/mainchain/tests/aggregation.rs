@@ -7,6 +7,9 @@
 //! back to individual verification, so the aggregate is a pure
 //! verification-cost optimisation, never a consensus change.
 
+mod common;
+
+use common::remine;
 use std::sync::Arc;
 use zendoo_core::ids::SidechainId;
 use zendoo_core::proofdata::ProofData;
@@ -14,10 +17,8 @@ use zendoo_core::{
     certificate::{wcert_public_inputs, WcertSysData},
     SidechainConfigBuilder, WithdrawalCertificate,
 };
-use zendoo_mainchain::block::Block;
 use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
 use zendoo_mainchain::pipeline::VerifyMode;
-use zendoo_mainchain::pow;
 use zendoo_mainchain::registry::RegistryError;
 use zendoo_mainchain::transaction::McTransaction;
 use zendoo_mainchain::Wallet;
@@ -107,26 +108,6 @@ fn cert_block_txs(chain: &Blockchain, pks: &[ProvingKey], n: usize) -> Vec<McTra
     (0..n)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(chain, pks, i))))
         .collect()
-}
-
-/// Recomputes a (tampered) block's roots and re-mines its header so it
-/// passes stage 1 again — only the SNARK statements inside differ.
-fn remine(chain: &Blockchain, mut block: Block) -> Block {
-    let mut header = block.header;
-    header.tx_root = Block::compute_tx_root(&block.transactions);
-    header.sc_txs_commitment = Blockchain::build_commitment(&block.transactions).root();
-    header.nonce = pow::mine(
-        &chain.params().target,
-        |nonce| {
-            let mut h = header;
-            h.nonce = nonce;
-            h.hash()
-        },
-        chain.params().max_mine_attempts,
-    )
-    .expect("re-mining at test difficulty");
-    block.header = header;
-    block
 }
 
 #[test]

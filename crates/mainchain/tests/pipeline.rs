@@ -4,6 +4,9 @@
 //! fill equals the per-prefix greedy fill, and the batched settlement
 //! consensus rules hold on the mainchain apply path.
 
+mod common;
+
+use common::remine;
 use proptest::prelude::*;
 use zendoo_core::crosschain::{escrow_address, CrossChainTransfer};
 use zendoo_core::escrow::{EscrowError, EscrowTag};
@@ -14,12 +17,15 @@ use zendoo_core::{
     certificate::{wcert_public_inputs, WcertSysData},
     SidechainConfigBuilder, WithdrawalCertificate,
 };
+use zendoo_mainchain::block::Block;
 use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
-use zendoo_mainchain::pipeline::{self, ProofVerdicts};
+use zendoo_mainchain::pipeline::{self, ProofVerdicts, VerifyMode};
 use zendoo_mainchain::registry::RegistryError;
 use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 use zendoo_mainchain::Wallet;
 use zendoo_primitives::digest::Digest32;
+use zendoo_primitives::schnorr::Keypair;
+use zendoo_snark::aggregate::BlockProof;
 use zendoo_snark::backend::{prove, setup_deterministic, ProvingKey};
 use zendoo_snark::circuit::{Circuit, Unsatisfied};
 use zendoo_snark::inputs::PublicInputs;
@@ -229,6 +235,262 @@ fn block_undo_is_an_exact_rollback() {
     assert_ne!(state, before, "block had effects");
     pipeline::revert_block(&mut state, undo);
     assert_eq!(state, before, "undo journal restores the state exactly");
+}
+
+// ---- Stage 2 batches the block's signatures; stage 3 is unchanged ----------
+
+const SIG_USERS: usize = 9;
+const MODES: [VerifyMode; 2] = [VerifyMode::Individual, VerifyMode::Aggregated];
+
+fn sig_user(i: usize) -> Wallet {
+    Wallet::from_seed(format!("pipe-user-{i}").as_bytes())
+}
+
+/// Two regular outputs for each of [`SIG_USERS`] users, after `escrow`.
+fn sig_premine(escrow: Vec<TxOut>) -> Vec<TxOut> {
+    let users = (0..SIG_USERS).flat_map(|i| {
+        let address = sig_user(i).address();
+        [1_000, 2_000].map(|units| TxOut::regular(address, Amount::from_units(units)))
+    });
+    escrow.into_iter().chain(users).collect()
+}
+
+/// A node at height 7 holding [`sig_premine`], two certifiable
+/// sidechains and its own recorder. Deterministic: two calls give two
+/// nodes at one tip.
+fn sig_node(
+    mode: VerifyMode,
+    escrow: Vec<TxOut>,
+) -> (
+    Blockchain,
+    Vec<ProvingKey>,
+    Wallet,
+    std::sync::Arc<zendoo_telemetry::InMemoryRecorder>,
+) {
+    let (mut chain, pks, miner) = chain_with_sidechains_premined(2, sig_premine(escrow));
+    let (telemetry, recorder) = zendoo_telemetry::Telemetry::in_memory();
+    chain.set_telemetry(telemetry);
+    chain.set_verify_mode(mode);
+    (chain, pks, miner, recorder)
+}
+
+/// User `i` spending both premined outputs in one two-input transfer.
+fn pay_both(chain: &Blockchain, i: usize) -> McTransaction {
+    let user = sig_user(i);
+    let owned = chain.state().utxos.owned_by(&user.address());
+    let spends: Vec<_> = owned
+        .iter()
+        .map(|(outpoint, _)| (*outpoint, &user.keypair().secret))
+        .collect();
+    assert_eq!(spends.len(), 2);
+    McTransaction::Transfer(TransferTx::signed(
+        &spends,
+        vec![Output::Regular(TxOut::regular(
+            Address::from_label("bob"),
+            Amount::from_units(2_900 + i as u64),
+        ))],
+    ))
+}
+
+/// Two certificates, then every user's two-input transfer: the block a
+/// builder in `mode` makes of them, with its recursive proof if any.
+fn sig_block(mode: VerifyMode) -> (Block, Option<BlockProof>) {
+    let (builder, pks, miner, _) = sig_node(mode, Vec::new());
+    let mut txs: Vec<McTransaction> = (0..2)
+        .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&builder, &pks, i))))
+        .collect();
+    txs.extend((0..SIG_USERS).map(|i| pay_both(&builder, i)));
+    let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
+    assert!(prepared.rejected.is_empty());
+    assert_eq!(prepared.proof.is_some(), mode == VerifyMode::Aggregated);
+    (prepared.block, prepared.proof)
+}
+
+/// The transfer at `block.transactions[tx]`, to tamper with.
+fn transfer_mut(block: &mut Block, tx: usize) -> &mut TransferTx {
+    match &mut block.transactions[tx] {
+        McTransaction::Transfer(t) => t,
+        other => panic!("transaction {tx} is not a transfer: {other:?}"),
+    }
+}
+
+/// What the validator did before stage 2 knew about signatures: stage 3
+/// over the pre-block state with every check inline.
+fn inline_verdict(chain: &Blockchain, block: &Block) -> Result<(), BlockError> {
+    let active: Vec<Digest32> = (0..=chain.height())
+        .map(|h| chain.hash_at_height(h).unwrap())
+        .collect();
+    pipeline::apply_block(
+        &mut chain.state().clone(),
+        block,
+        block.hash(),
+        &active,
+        chain.params().block_subsidy,
+        &ProofVerdicts::inline(),
+    )
+    .map(|_| ())
+}
+
+/// Submits `block` to a fresh cacheless receiver in `mode` and asserts
+/// it is refused with exactly the inline validator's error, leaving tip
+/// and state as they were.
+fn assert_refused_as_inline(
+    mode: VerifyMode,
+    block: Block,
+    proof: Option<BlockProof>,
+    expected: &BlockError,
+) -> zendoo_telemetry::Snapshot {
+    let (mut receiver, _, _, recorder) = sig_node(mode, Vec::new());
+    let block = remine(&receiver, block);
+    assert_eq!(inline_verdict(&receiver, &block).as_ref(), Err(expected));
+    let (tip, state) = (receiver.tip_hash(), receiver.state().clone());
+    recorder.drain();
+    assert_eq!(
+        receiver.submit(block, None, proof).as_ref(),
+        Err(expected),
+        "{mode:?}"
+    );
+    assert_eq!(receiver.tip_hash(), tip);
+    assert_eq!(receiver.state(), &state, "a refused block leaves no trace");
+    recorder.drain()
+}
+
+/// A signature that verifies — for another key over other bytes.
+fn junk_signature() -> zendoo_primitives::schnorr::Signature {
+    Keypair::from_seed(b"mallory")
+        .secret
+        .sign("forged", b"junk")
+}
+
+#[test]
+fn bad_signature_refuses_the_block_wherever_it_sits_in_either_mode() {
+    for mode in MODES {
+        let (block, proof) = sig_block(mode);
+        // Coinbase and two certificates precede the transfers.
+        for k in [0, SIG_USERS / 2, SIG_USERS - 1] {
+            let mut bad = block.clone();
+            transfer_mut(&mut bad, 3 + k).inputs[1].signature = junk_signature();
+            let snap = assert_refused_as_inline(
+                mode,
+                bad,
+                proof,
+                &BlockError::BadInputAuthorization { input: 1 },
+            );
+            // Certificates are no part of what was tampered with: the
+            // aggregate still covers them, and the signatures went
+            // through the batch all the same.
+            assert_eq!(
+                snap.counters.get("mc.stage2.agg_verified").copied(),
+                (mode == VerifyMode::Aggregated).then_some(1)
+            );
+            assert_eq!(snap.spans["mc.stage2.verify"].count, 1);
+            assert_eq!(snap.spans["sig.batch.verify"].count, 1);
+            assert_eq!(
+                snap.histograms["sig.batch.sigs"].sum(),
+                2 * SIG_USERS as u64
+            );
+        }
+    }
+}
+
+#[test]
+fn an_earlier_transaction_failing_a_cheaper_rule_still_names_the_block_error() {
+    for mode in MODES {
+        let (block, _) = sig_block(mode);
+        let mut bad = block.clone();
+        transfer_mut(&mut bad, 3 + 6).inputs[1].signature = junk_signature();
+
+        // An earlier transfer spends an output that does not exist.
+        let ghost = OutPoint {
+            txid: Digest32::hash_bytes(b"no such transaction"),
+            index: 0,
+        };
+        let mut missing = bad.clone();
+        transfer_mut(&mut missing, 3 + 2).inputs[0].outpoint = ghost;
+        assert_refused_as_inline(mode, missing, None, &BlockError::MissingInput(ghost));
+
+        // An earlier transfer is signed, validly, by a key that does
+        // not own what it spends: refused on the address, input 0.
+        let stranger = Keypair::from_seed(b"stranger");
+        let mut stolen = bad.clone();
+        let theft = transfer_mut(&mut stolen, 3 + 2);
+        let spends: Vec<_> = theft
+            .inputs
+            .iter()
+            .map(|input| (input.outpoint, &stranger.secret))
+            .collect();
+        *theft = TransferTx::signed(&spends, theft.outputs.clone());
+        assert_refused_as_inline(
+            mode,
+            stolen,
+            None,
+            &BlockError::BadInputAuthorization { input: 0 },
+        );
+    }
+}
+
+#[test]
+fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
+    let batch = batch_for(sc_id(0), &[100, 50]);
+    let carol = Wallet::from_seed(b"pipe-carol");
+    for mode in MODES {
+        let escrow = || escrow_premine(&batch.transfers);
+        let (mut builder, _, miner, _) = sig_node(mode, escrow());
+        // A settlement (escrow-kind inputs: signatures present, ignored
+        // by consensus), three ordinary payments, and a payment to carol
+        // that carol spends on in the same block.
+        let settlement = McTransaction::Transfer(TransferTx::escrow_claiming(
+            &escrow_outpoints(&builder),
+            vec![Output::Forward(batch.forward_transfer().unwrap())],
+        ));
+        let user = sig_user(3);
+        let owned = builder.state().utxos.owned_by(&user.address());
+        let to_carol = McTransaction::Transfer(TransferTx::signed(
+            &[(owned[0].0, &user.keypair().secret)],
+            vec![Output::Regular(TxOut::regular(
+                carol.address(),
+                owned[0].1.amount,
+            ))],
+        ));
+        let carol_spends = McTransaction::Transfer(TransferTx::signed(
+            &[(
+                OutPoint {
+                    txid: to_carol.txid(),
+                    index: 0,
+                },
+                &carol.keypair().secret,
+            )],
+            vec![Output::Regular(TxOut::regular(
+                Address::from_label("dave"),
+                Amount::from_units(900),
+            ))],
+        ));
+        let mut txs = vec![settlement, to_carol, carol_spends];
+        txs.extend((0..3).map(|i| pay_both(&builder, i)));
+        let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
+        assert!(prepared.rejected.is_empty(), "{:?}", prepared.rejected);
+
+        let (mut receiver, _, _, recorder) = sig_node(mode, escrow());
+        recorder.drain();
+        receiver
+            .submit(prepared.block.clone(), None, prepared.proof)
+            .unwrap();
+        let snap = recorder.drain();
+        // The batch held what resolves to a regular output before the
+        // block — 1 + 3·2 inputs; the two escrow inputs owe no
+        // signature and carol's, spending an output of this block, was
+        // verified inline where stage 3 met it.
+        assert_eq!(snap.histograms["sig.batch.sigs"].sum(), 7);
+        assert_eq!(snap.counters.get("mc.sig_cache.hit"), Some(&7));
+        assert_eq!(snap.counters.get("mc.sig_cache.miss"), Some(&1));
+        assert_eq!(snap.counters.get("sig.batch.fallback"), None);
+
+        builder
+            .submit(prepared.block, Some(prepared.verdicts), prepared.proof)
+            .unwrap();
+        assert_eq!(receiver.tip_hash(), builder.tip_hash());
+        assert_eq!(receiver.state(), builder.state());
+    }
 }
 
 // ---- One-pass fill ≡ per-prefix greedy fill -------------------------------

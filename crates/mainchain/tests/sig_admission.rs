@@ -2,20 +2,28 @@
 //! admission, worker parallelism never changes the admitted set, an
 //! admitted batch mines without re-running stage-1 or signature
 //! verification — and a *forged* verdict cache can fool only the local
-//! template builder, never an independent verifier.
+//! template builder, never an independent verifier. Each worker's chunk
+//! is one batch equation: the forgeries a plain sum of the verification
+//! equations would accept are flagged at their indices, and the verdict
+//! vector equals the per-signature oracle for every worker count.
 
 use std::collections::HashMap;
 
+use proptest::prelude::*;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_mainchain::chain::{
     BlockCandidates, BlockError, Blockchain, ChainParams, SubmitOutcome,
 };
 use zendoo_mainchain::mempool::{Mempool, MempoolConfig};
 use zendoo_mainchain::miner::Miner;
-use zendoo_mainchain::sigbatch::{admit_batch_with, sig_cache_key};
-use zendoo_mainchain::transaction::{McTransaction, TxOut};
+use zendoo_mainchain::sigbatch::{
+    admit_batch_with, sig_cache_key, verify_sig_batch, verify_sig_batch_with, SigCheck,
+};
+use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 use zendoo_mainchain::wallet::Wallet;
-use zendoo_primitives::schnorr::Keypair;
+use zendoo_primitives::digest::Digest32;
+use zendoo_primitives::field::Fr;
+use zendoo_primitives::schnorr::{Keypair, Signature};
 use zendoo_telemetry::Telemetry;
 
 /// A chain premined for `n` independent spenders.
@@ -268,4 +276,206 @@ fn forged_verdict_fools_only_the_local_builder_never_consensus() {
         replay.submit_block(poisoned.block),
         Err(BlockError::BadInputAuthorization { input: 0 })
     ));
+}
+
+// ---- One equation per chunk: verdicts equal the per-signature oracle ------
+
+const WORKERS: [usize; 5] = [1, 2, 3, 8, 64];
+
+/// `n` valid one-input checks under distinct keys, as admission queues
+/// them.
+fn checks(n: u64) -> Vec<SigCheck> {
+    (0..n)
+        .map(|i| {
+            let kp = Keypair::from_seed(&i.to_le_bytes());
+            let tx = TransferTx::signed(
+                &[(
+                    OutPoint {
+                        txid: Digest32::hash_bytes(&i.to_le_bytes()),
+                        index: 0,
+                    },
+                    &kp.secret,
+                )],
+                vec![Output::Regular(TxOut::regular(
+                    Address::from_label("dst"),
+                    Amount::from_units(i + 1),
+                ))],
+            );
+            SigCheck {
+                txid: McTransaction::Transfer(tx.clone()).txid(),
+                input: 0,
+                tx_in: tx.inputs[0].clone(),
+                sighash: tx.sighash(),
+            }
+        })
+        .collect()
+}
+
+/// The oracle the batch stands in for: every signature on its own.
+fn oracle(checks: &[SigCheck]) -> Vec<bool> {
+    checks.iter().map(SigCheck::verify).collect()
+}
+
+/// Asserts the batch verdicts equal the oracle's — and `expected` — for
+/// every worker count, twice over.
+fn assert_verdicts(checks: &[SigCheck], expected: &[bool]) {
+    assert_eq!(oracle(checks), expected);
+    for workers in WORKERS {
+        for _ in 0..2 {
+            assert_eq!(
+                verify_sig_batch(checks, workers),
+                expected,
+                "workers={workers}"
+            );
+        }
+    }
+}
+
+/// `(R, s)` of a signature, as bytes and scalar.
+fn split(sig: &Signature) -> ([u8; 33], Fr) {
+    let bytes = sig.to_bytes();
+    let s = Fr::from_be_bytes_canonical(bytes[33..].try_into().unwrap()).unwrap();
+    (bytes[..33].try_into().unwrap(), s)
+}
+
+fn join(r: [u8; 33], s: Fr) -> Signature {
+    let mut bytes = [0u8; 65];
+    bytes[..33].copy_from_slice(&r);
+    bytes[33..].copy_from_slice(&s.to_be_bytes());
+    Signature::from_bytes(&bytes).unwrap()
+}
+
+#[test]
+fn forgeries_a_plain_sum_accepts_are_flagged_at_their_indices() {
+    let n = 8;
+    let valid = checks(n);
+    assert_verdicts(&valid, &vec![true; n as usize]);
+    let flagged =
+        |bad: &[usize]| -> Vec<bool> { (0..n as usize).map(|i| !bad.contains(&i)).collect() };
+
+    // s₁ + δ beside s₂ − δ: the two errors cancel in an unweighted sum.
+    let mut batch = valid.clone();
+    let delta = Fr::from_u64(7);
+    let (r1, s1) = split(&batch[1].tx_in.signature);
+    let (r2, s2) = split(&batch[2].tx_in.signature);
+    batch[1].tx_in.signature = join(r1, s1 + delta);
+    batch[2].tx_in.signature = join(r2, s2 - delta);
+    assert_verdicts(&batch, &flagged(&[1, 2]));
+
+    // Two checks trade nonce points: Σ Rᵢ does not change.
+    let mut batch = valid.clone();
+    let (r0, s0) = split(&batch[0].tx_in.signature);
+    let (r5, s5) = split(&batch[5].tx_in.signature);
+    batch[0].tx_in.signature = join(r5, s0);
+    batch[5].tx_in.signature = join(r0, s5);
+    assert_verdicts(&batch, &flagged(&[0, 5]));
+
+    // The same valid check twice is twice valid.
+    let mut batch = valid.clone();
+    batch[6] = batch[3].clone();
+    assert_verdicts(&batch, &flagged(&[]));
+
+    // One bad signature at the first, a middle and the last index.
+    for at in [0, n as usize / 2, n as usize - 1] {
+        let mut batch = valid.clone();
+        batch[at].sighash = Digest32::hash_bytes(b"another message");
+        assert_verdicts(&batch, &flagged(&[at]));
+    }
+
+    // Nothing but bad signatures.
+    let mut batch = valid.clone();
+    for check in &mut batch {
+        let (r, s) = split(&check.tx_in.signature);
+        check.tx_in.signature = join(r, s + Fr::one());
+    }
+    assert_verdicts(&batch, &vec![false; n as usize]);
+}
+
+#[test]
+fn a_failed_equation_is_counted_once_per_chunk() {
+    let fallbacks = |batch: &[SigCheck], workers| {
+        let (telemetry, recorder) = Telemetry::in_memory();
+        let verdicts = verify_sig_batch_with(batch, workers, &telemetry);
+        assert_eq!(verdicts, oracle(batch));
+        let snapshot = recorder.snapshot();
+        assert_eq!(
+            snapshot.histograms["sig.batch.sigs"].sum(),
+            batch.len() as u64
+        );
+        assert_eq!(snapshot.spans["sig.batch.verify"].count, 1);
+        snapshot.counters.get("sig.batch.fallback").copied()
+    };
+    let valid = checks(8);
+    assert_eq!(fallbacks(&valid, 2), None, "every equation held");
+    let mut batch = valid.clone();
+    batch[1].tx_in.signature = valid[2].tx_in.signature;
+    assert_eq!(fallbacks(&batch, 1), Some(1));
+    assert_eq!(fallbacks(&batch, 2), Some(1), "the second chunk's held");
+    batch[6].tx_in.signature = valid[2].tx_in.signature;
+    assert_eq!(fallbacks(&batch, 2), Some(2));
+    // Chunks of one have no equation to fail: they are `verify`.
+    assert_eq!(fallbacks(&batch, 8), None);
+
+    // The same counter at admission: junk is refused, and seen.
+    let (chain, wallets) = chain_with_users(4);
+    let txs: Vec<McTransaction> = wallets
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let tx = w
+                .pay(
+                    &chain,
+                    Address::from_label("bob"),
+                    Amount::from_units(10),
+                    Amount::from_units(1),
+                )
+                .unwrap();
+            if i == 3 {
+                tamper(&tx)
+            } else {
+                tx
+            }
+        })
+        .collect();
+    let (telemetry, recorder) = Telemetry::in_memory();
+    let report = admit_batch_with(
+        &mut Mempool::new(),
+        chain.state(),
+        txs,
+        1,
+        &telemetry,
+        |_, _| {},
+    );
+    assert_eq!((report.admitted, report.rejected), (3, 1));
+    assert_eq!(
+        recorder.snapshot().counters.get("sig.batch.fallback"),
+        Some(&1)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    #[test]
+    fn prop_verdicts_equal_the_per_signature_oracle(
+        n in 1u64..20,
+        corrupt in proptest::collection::vec((0usize..20, 0u8..4), 0..6),
+    ) {
+        let mut batch = checks(n);
+        let donor = checks(21).pop().unwrap();
+        for (at, how) in corrupt {
+            let check = &mut batch[at % n as usize];
+            let (r, s) = split(&check.tx_in.signature);
+            match how {
+                0 => check.tx_in.signature = join(r, s + Fr::one()),
+                1 => check.tx_in.signature = join(split(&donor.tx_in.signature).0, s),
+                2 => check.sighash = donor.sighash,
+                _ => check.tx_in.pubkey = donor.tx_in.pubkey,
+            }
+        }
+        let expected = oracle(&batch);
+        for workers in WORKERS {
+            prop_assert_eq!(&verify_sig_batch(&batch, workers), &expected, "workers={}", workers);
+            prop_assert_eq!(&verify_sig_batch(&batch, workers), &expected, "again, workers={}", workers);
+        }
+    }
 }

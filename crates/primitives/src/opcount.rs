@@ -7,9 +7,12 @@
 //! unlike a wall clock, is the same on every host. The three primitives
 //! bump a counter where they do their work — [`crate::poseidon::permute`],
 //! the multiplication layer of [`crate::curve`] (one multi-scalar
-//! evaluation, `k·G`, `k·P`, `a·G + b·P` or `a·P + b·Q`, is one
-//! `group_mul`) and the SHA-256 compression function — and
-//! [`measure`] reads the difference around a closure.
+//! evaluation, `k·G`, `k·P`, `a·G + b·P`, `a·P + b·Q` or the
+//! `g·G + Σ kᵢ·Pᵢ` of a whole signature batch, is one `group_mul`: the
+//! unit is the shared chain of doublings, so
+//! [`crate::schnorr::verify_batch`] over n signatures counts 1 where n
+//! calls of `verify` count n) and the SHA-256 compression function —
+//! and [`measure`] reads the difference around a closure.
 //!
 //! **Counts are per calling thread.** Work a call hands to other threads
 //! (`zendoo_snark::batch::fan_out` with more than one worker, the sharded
@@ -35,7 +38,7 @@ pub struct OpCount {
     pub permutations: u64,
     /// Multi-scalar group evaluations: a Schnorr signature or
     /// verification — and so a simulated SNARK proof or its check — is
-    /// one.
+    /// one, and so is a batch of verifications.
     pub group_muls: u64,
     /// SHA-256 compressions (64-byte blocks).
     pub sha_blocks: u64,

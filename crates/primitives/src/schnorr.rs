@@ -9,7 +9,7 @@
 
 use crate::curve::{AffinePoint, JacobianPoint};
 use crate::field::Fr;
-use crate::sha256::sha256_tagged;
+use crate::sha256::{sha256_tagged, Sha256};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -189,6 +189,61 @@ impl Keypair {
     }
 }
 
+/// Verifies a batch of `(key, message, signature)` under one `context`
+/// with one multi-scalar evaluation: `Σ zᵢ·Rᵢ + Σ zᵢeᵢ·PKᵢ − (Σ zᵢsᵢ)·G`
+/// is the identity when every signature satisfies `sᵢ·G − eᵢ·PKᵢ == Rᵢ`,
+/// and for a batch holding any that does not, only with probability
+/// `2⁻¹²⁸` over the coefficients `zᵢ`. Those are hashed from the whole
+/// batch — every key, message and signature — so they repeat from run
+/// to run and no signer can pick a signature after seeing its own.
+///
+/// `true` says every signature is valid; `false` says some signature is
+/// not, and not which: the caller re-verifies one by one to find it.
+/// An empty batch is vacuously valid and a batch of one *is*
+/// [`PublicKey::verify`].
+pub fn verify_batch(context: &str, items: &[(&PublicKey, &[u8], &Signature)]) -> bool {
+    match items {
+        [] => return true,
+        [(pk, msg, sig)] => return pk.verify(context, msg, sig),
+        _ => {}
+    }
+    // What `verify` rejects before it multiplies, rejected before any
+    // table is built: the identity has no multiples to tabulate.
+    if items
+        .iter()
+        .any(|(pk, _, sig)| pk.0.is_identity() || sig.r.is_identity())
+    {
+        return false;
+    }
+    let mut transcript = Sha256::new();
+    transcript.update(&(context.len() as u64).to_be_bytes());
+    transcript.update(context.as_bytes());
+    for (pk, msg, sig) in items {
+        transcript.update(&pk.to_bytes());
+        transcript.update(&(msg.len() as u64).to_be_bytes());
+        transcript.update(msg);
+        transcript.update(&sig.to_bytes());
+    }
+    let transcript = transcript.finalize();
+    let mut g = Fr::ZERO;
+    let mut terms = Vec::with_capacity(2 * items.len());
+    for (i, (pk, msg, sig)) in items.iter().enumerate() {
+        let digest = sha256_tagged(
+            "zendoo/schnorr-batch-z",
+            &[&transcript, &(i as u64).to_be_bytes()],
+        );
+        // The low half of the digest: 128 bits keep `z·R` at half the
+        // additions of a full scalar.
+        let mut z = [0u8; 32];
+        z[16..].copy_from_slice(&digest[16..]);
+        let z = Fr::from_be_bytes_reduced(&z);
+        g -= z * sig.s;
+        terms.push((z * challenge(context, &sig.r, pk, msg), pk.0));
+        terms.push((z, sig.r));
+    }
+    JacobianPoint::lincomb_many(&g, &terms).is_some_and(|sum| sum.is_identity())
+}
+
 /// Fiat–Shamir challenge `e = H(ctx ‖ R ‖ PK ‖ m)` as a scalar.
 fn challenge(context: &str, r: &AffinePoint, pk: &PublicKey, msg: &[u8]) -> Fr {
     let digest = sha256_tagged(
@@ -278,6 +333,144 @@ mod tests {
         assert!(rejected(&kp.public, sig.r.negate(), -sig.s));
         // A valid signature does not transfer to the negated key.
         assert!(rejected(&PublicKey(kp.public.0.negate()), sig.r, sig.s));
+
+        // The same forgeries inside an otherwise valid batch: a typed
+        // `false`, never a panic from a table of identities.
+        let good = signed(4);
+        assert!(batch_ok(&good));
+        let forged = [
+            (kp.public, identity, sig.s),
+            (kp.public, identity, Fr::ZERO),
+            (PublicKey(identity), r, sig.s),
+            (PublicKey(identity), identity, Fr::ZERO),
+            (kp.public, sig.r, sig.s + Fr::one()),
+            (kp.public, sig.r.negate(), -sig.s),
+            (PublicKey(kp.public.0.negate()), sig.r, sig.s),
+        ];
+        for (pk, r, s) in forged {
+            for at in [0, 2, 4] {
+                let mut batch = good.clone();
+                batch.insert(at, (pk, b"message".to_vec(), Signature { r, s }));
+                assert!(!batch_ok(&batch), "forgery at {at} of {}", batch.len());
+            }
+        }
+        // Nothing to check is vacuously valid, and a batch of one is `verify`.
+        assert!(verify_batch("test", &[]));
+        assert!(batch_ok(&good[..1]));
+        assert!(!verify_batch("test", &[(&kp.public, b"other", &sig)]));
+    }
+
+    /// `n` valid items under context `"test"`, distinct keys and messages.
+    fn signed(n: u64) -> Vec<(PublicKey, Vec<u8>, Signature)> {
+        (0..n)
+            .map(|i| {
+                let kp = Keypair::from_seed(&i.to_le_bytes());
+                let msg = format!("message {i}").into_bytes();
+                let sig = kp.secret.sign("test", &msg);
+                (kp.public, msg, sig)
+            })
+            .collect()
+    }
+
+    fn batch_ok(batch: &[(PublicKey, Vec<u8>, Signature)]) -> bool {
+        let items: Vec<_> = batch
+            .iter()
+            .map(|(pk, msg, sig)| (pk, msg.as_slice(), sig))
+            .collect();
+        verify_batch("test", &items)
+    }
+
+    /// What the batch stands in for: every signature on its own.
+    fn each_ok(batch: &[(PublicKey, Vec<u8>, Signature)]) -> bool {
+        batch
+            .iter()
+            .all(|(pk, msg, sig)| pk.verify("test", msg, sig))
+    }
+
+    #[test]
+    fn batch_accepts_what_verify_accepts() {
+        for n in [2, 3, 17] {
+            let batch = signed(n);
+            assert!(each_ok(&batch) && batch_ok(&batch), "n = {n}");
+        }
+        // The same valid item twice, and one key signing twice.
+        let mut batch = signed(3);
+        batch.push(batch[1].clone());
+        let kp = Keypair::from_seed(&1u64.to_le_bytes());
+        batch.push((
+            kp.public,
+            b"again".to_vec(),
+            kp.secret.sign("test", b"again"),
+        ));
+        assert!(batch_ok(&batch));
+        // Valid under another context is invalid under this one.
+        let items: Vec<_> = batch.iter().map(|(p, m, s)| (p, m.as_slice(), s)).collect();
+        assert!(!verify_batch("other", &items));
+    }
+
+    #[test]
+    fn batch_rejects_what_a_plain_sum_accepts() {
+        // s₁ + δ and s₂ − δ: the errors cancel in Σ sᵢ·G − eᵢ·PKᵢ − Rᵢ
+        // and in no sum with independent coefficients.
+        let delta = Fr::from_u64(5);
+        let mut batch = signed(4);
+        batch[1].2.s += delta;
+        batch[2].2.s -= delta;
+        assert!(!batch_ok(&batch));
+        // Two items trade nonce points: Σ Rᵢ is unchanged.
+        let mut batch = signed(4);
+        let (r0, r3) = (batch[0].2.r, batch[3].2.r);
+        batch[0].2.r = r3;
+        batch[3].2.r = r0;
+        assert!(!batch_ok(&batch));
+        // One bad signature wherever it sits, and nothing but bad ones.
+        for n in [2usize, 9] {
+            for at in [0, n / 2, n - 1] {
+                let mut batch = signed(n as u64);
+                batch[at].1.push(0);
+                assert!(!batch_ok(&batch), "bad message at {at} of {n}");
+                let mut batch = signed(n as u64);
+                batch[at].0 = Keypair::from_seed(b"someone else").public;
+                assert!(!batch_ok(&batch), "wrong key at {at} of {n}");
+            }
+            let mut batch = signed(n as u64);
+            batch.iter_mut().for_each(|(_, _, sig)| sig.s += Fr::one());
+            assert!(!batch_ok(&batch));
+        }
+    }
+
+    #[test]
+    fn batch_verdict_is_reproducible() {
+        // The coefficients come from the batch alone: the same batch
+        // costs the same and answers the same, run after run.
+        let mut batch = signed(6);
+        batch[4].2.s += Fr::one();
+        let runs: Vec<_> = (0..3)
+            .map(|_| crate::opcount::measure(|| batch_ok(&batch)))
+            .collect();
+        assert!(runs.iter().all(|run| *run == runs[0] && !run.0));
+        assert_eq!(runs[0].1.group_muls, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_batch_equals_the_conjunction_of_verifies(
+            n in 2u64..12,
+            corrupt in proptest::collection::vec((0usize..12, 0u8..4), 0..4),
+        ) {
+            let mut batch = signed(n);
+            for (at, how) in corrupt {
+                let (pk, msg, sig) = &mut batch[at % n as usize];
+                match how {
+                    0 => sig.s += Fr::one(),
+                    1 => sig.r = sig.r.negate(),
+                    2 => msg.push(how),
+                    _ => *pk = Keypair::from_seed(msg).public,
+                }
+            }
+            proptest::prop_assert_eq!(batch_ok(&batch), each_ok(&batch));
+        }
     }
 
     #[test]

@@ -31,6 +31,11 @@ pub const MATRIX: [(Option<usize>, VerifyMode); 10] = [
 /// changed an outcome in the world's tick would make the follower
 /// reject a block or diverge here.
 ///
+/// The follower's stage 2 verifies each block's transfer signatures as
+/// one batch equation per worker, so every reference world of the
+/// determinism matrix also exercises the batch against the chain its
+/// builder assembled from per-transaction admission verdicts.
+///
 /// Returns what the follower recorded about itself: the spans and
 /// counters a *receiving* node pays (the world submits each block with
 /// its builder's verdicts, so its own stage 2 never verifies).

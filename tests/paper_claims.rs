@@ -17,6 +17,7 @@
 //! | E3 certificate cost, SNARK vs committee (§4.1.2) | `e3_a_certificate_is_one_check_plus_hashing_linear_in_the_bt_list` | `snark.verify_us`, `primitives.schnorr_verify_us` |
 //! | E2 recursive composition (Def 2.5, Figs 10–11) | `e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs` | `latus.produce_certificate_p50_ms` |
 //! | block-level aggregation | `aggregated_stage2_is_one_verification_for_any_number_of_certificates` | `BENCH_proof_agg.json`, `snark.aggregate_verify_us` |
+//! | what stays linear in traffic: transfer signatures (§4.1.2) | `a_blocks_transfer_signatures_are_one_evaluation_for_any_number_of_transfers` | `follower_block_ms`, `mainchain.sig_batch_verify_ms` |
 //! | E4 `SCTxsCommitment` (§4.1.3, Figs 4/12) | `e4_commitment_proofs_are_logarithmic_in_the_sidechains` | `core.sc_commitment_us` |
 //! | E5 MST write, tree level (§5.2, Fig 9) | `zendoo-primitives`: `smt::tests::a_write_costs_log_occupancy_not_depth` | `primitives.smt_insert_us` |
 //! | E5 MST write, Latus level | `e5_a_forward_transfer_costs_log_occupancy_at_any_depth` | `latus.mst_add_us` |
@@ -65,7 +66,8 @@ use zendoo::latus::tx::{
 use zendoo::mainchain::chain::{Blockchain, ChainParams};
 use zendoo::mainchain::pipeline::{self, VerifyMode};
 use zendoo::mainchain::pow::Target;
-use zendoo::mainchain::transaction::{McTransaction, TxOut};
+use zendoo::mainchain::sigbatch::{verify_sig_batch, SigCheck};
+use zendoo::mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 use zendoo::mainchain::wallet::Wallet;
 use zendoo::mainchain::{Block, BlockHeader};
 use zendoo::primitives::digest::Digest32;
@@ -705,6 +707,60 @@ fn aggregated_stage2_is_one_verification_for_any_number_of_certificates() {
     assert_eq!(
         (hashing[1] - hashing[0]) * 48,
         (hashing[2] - hashing[1]) * 15
+    );
+}
+
+/// The signature checks of a block of `n` one-input transfers under
+/// distinct keys, as a validator queues them.
+fn transfer_signatures(n: u64) -> Vec<SigCheck> {
+    (0..n)
+        .map(|i| {
+            let owner = Keypair::from_seed(&i.to_le_bytes());
+            let spent = OutPoint {
+                txid: Digest32::hash_bytes(&i.to_le_bytes()),
+                index: 0,
+            };
+            let paid = TxOut::regular(Address::from_label("claims-payee"), Amount::from_units(i));
+            let tx = TransferTx::signed(&[(spent, &owner.secret)], vec![Output::Regular(paid)]);
+            SigCheck {
+                txid: McTransaction::Transfer(tx.clone()).txid(),
+                input: 0,
+                sighash: tx.sighash(),
+                tx_in: tx.inputs[0].clone(),
+            }
+        })
+        .collect()
+}
+
+/// §4.1.2 leaves a validator one cost linear in traffic: the signatures
+/// of the block's plain transfers. Checked one by one that is `n`
+/// multi-scalar evaluations; checked as the batch a validator runs
+/// (`verify_sig_batch`, one lane) it is **one**, whatever `n` — one
+/// shared chain of doublings — and what stays per signature is hashing:
+/// its challenge, its share of the transcript, its coefficient.
+#[test]
+fn a_blocks_transfer_signatures_are_one_evaluation_for_any_number_of_transfers() {
+    let sizes = [2u64, 32, 256];
+    let mut hashing = Vec::new();
+    for n in sizes {
+        let checks = transfer_signatures(n);
+        let one_by_one = cost_of(|| assert!(checks.iter().all(SigCheck::verify)));
+        assert_eq!(one_by_one.group_muls, n, "{n} signatures, one by one");
+        let batched = cost_of(|| assert_eq!(verify_sig_batch(&checks, 1), vec![true; n as usize]));
+        assert_eq!(batched.group_muls, 1, "{n} signatures, one equation");
+        assert_eq!(batched.permutations, 0);
+        assert!(batched.sha_blocks > one_by_one.sha_blocks);
+        hashing.push(batched.sha_blocks);
+    }
+    // 30 more signatures cost 30 more shares of hashing, and so do 224 —
+    // to within the block by which a stream's padding rounds either gap.
+    let gaps = (
+        (hashing[1] - hashing[0]) * (sizes[2] - sizes[1]),
+        (hashing[2] - hashing[1]) * (sizes[1] - sizes[0]),
+    );
+    assert!(
+        gaps.0.abs_diff(gaps.1) <= sizes[2] - sizes[0],
+        "hashing is not linear: {hashing:?}"
     );
 }
 
