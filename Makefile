@@ -1,8 +1,8 @@
 # Zendoo reproduction — developer tasks. `make ci` is the gate.
 
-.PHONY: ci fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-tree test-claims test-benchmark bench-build bench bench-smoke obs-report demo
+.PHONY: ci fmt-check clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims test-benchmark bench-build bench bench-smoke obs-report demo
 
-ci: fmt-check clippy doc doc-test test test-adversarial test-byzantine test-store test-tree test-claims bench-build test-benchmark
+ci: fmt-check clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims bench-build test-benchmark
 
 fmt-check:
 	cargo fmt --check
@@ -32,6 +32,22 @@ test:
 define run-suites
 @total=0; for spec in $(2); do set -- $$spec; pkg=$$1; target=$$2; shift 2; if [ "$$target" = lib ]; then target=--lib; else target="--test $$target"; fi; out=$$(cargo test -q -p "$$pkg" $$target -- "$$@" 2>&1) || { echo "$$out"; exit 1; }; echo "$$out"; n=$$(echo "$$out" | awk '/^test result: ok/ {s+=$$4} END {print s+0}'); total=$$((total + n)); done; echo "$(1) tests: $$total total"
 endef
+
+# The field kernel, by name: `field::` holds the oracle that is not the
+# kernel (a 512-step shift-and-subtract) and the operands that break
+# folds — 0, 1, N − 1, C and C ± 1, 2^255, each limb saturated, every
+# pair of those, dot products of 1–4 of them; products placed on N + 1,
+# 2^256 − 1, 2^256 and 2^256 + 1 after the last fold (the subtraction
+# without a carry, the carry out of 2^256); a first fold into the fifth
+# limb; three and four (N − 1)² in nine limbs; two ring-only moduli
+# whose C takes the fold schedules Fp and Fr do not; random operands in
+# all four. `bigint::` checks the 10-product square against the
+# 16-product multiplication; `poseidon::` holds the known answers no
+# kernel may move and the dense permutation the sparse one must equal.
+# The dev profile keeps overflow checks on, so every wrap the kernel
+# means is an explicit one.
+test-field:
+	$(call run-suites,field,"zendoo-primitives lib field:: bigint:: poseidon::")
 
 # The adversarial/soundness suites, by name: every escrow theft path
 # (escrow_consensus), tampered/forged block-proof aggregates
@@ -105,7 +121,7 @@ bench:
 
 # The two curves that keep a committed record: rewrites
 # BENCH_proof_agg.json (1/16/256 certificates a block) and
-# BENCH_indexer.json (cold start + queries at 10^6 UTXOs; about a minute).
+# BENCH_indexer.json (cold start + queries at 10^6 UTXOs; about half a minute).
 bench-smoke:
 	cargo bench -p zendoo-bench --bench proof_aggregation
 	cargo bench -p zendoo-bench --bench indexer

@@ -213,6 +213,12 @@ pub struct LatusNode {
     /// How many blocks back a mainchain reorg can reach.
     reorg_horizon: usize,
     pending: Vec<ScTransaction>,
+    /// `state` with the first `.1` transactions of `pending` applied as
+    /// the forger will apply them (failures skipped): what the next
+    /// cross-chain transfer is validated against, kept between
+    /// submissions so that each one applies only the queue's new
+    /// suffix. Dropped wherever `pending` is taken or `state` changes.
+    pending_view: Option<(SidechainState, usize)>,
     epoch_builder: EpochProofBuilder,
     current_epoch: EpochId,
     last_mc_ref: Digest32,
@@ -264,6 +270,7 @@ impl LatusNode {
             snapshots: VecDeque::new(),
             reorg_horizon: zendoo_mainchain::chain::ChainParams::default().max_reorg_depth + 1,
             pending: Vec::new(),
+            pending_view: None,
             epoch_builder,
             current_epoch: 0,
             last_mc_ref: mc_anchor,
@@ -426,15 +433,21 @@ impl LatusNode {
         // (e.g. two same-tick transfers racing for one UTXO) must fail
         // here — a silently forge-dropped escrow would leave a stale
         // declared transfer behind. Pending transactions that would be
-        // dropped at forge are skipped, mirroring the forger.
-        let mut scratch = self.state.clone();
-        for tx in &self.pending {
-            let _ = apply_transaction(&self.params, &mut scratch, tx);
+        // dropped at forge are skipped, mirroring the forger. A refusal
+        // leaves the view taken: it may hold half of this transfer, and
+        // the next call rebuilds it from `state`.
+        let (mut view, applied) = self
+            .pending_view
+            .take()
+            .unwrap_or_else(|| (self.state.clone(), 0));
+        for tx in &self.pending[applied..] {
+            let _ = apply_transaction(&self.params, &mut view, tx);
         }
         for tx in &txs {
-            apply_transaction(&self.params, &mut scratch, tx)?;
+            apply_transaction(&self.params, &mut view, tx)?;
         }
         self.pending.extend(txs);
+        self.pending_view = Some((view, self.pending.len()));
         self.pending_cross.push(xct);
         self.xct_nonce += 1;
         Ok(xct)
@@ -511,6 +524,7 @@ impl LatusNode {
         };
 
         let transactions = std::mem::take(&mut self.pending);
+        self.pending_view = None;
         let result = self.forge_and_apply(reference, mc_block, transactions, leadership);
         match result {
             Ok(block) => {
@@ -690,6 +704,7 @@ impl LatusNode {
         let recorded = crate::block::apply_block(&self.params, &mut next, block, self.last_mc_ref)
             .map_err(|_| NodeError::Unavailable("block failed stateful validation"))?;
 
+        self.pending_view = None;
         let snapshot = NodeSnapshot {
             state: std::mem::replace(&mut self.state, next),
             epoch_builder: self.epoch_builder.clone(),
@@ -827,6 +842,7 @@ impl LatusNode {
 
         // Close the epoch's transients.
         let final_mst_root = self.state.mst().root();
+        self.pending_view = None;
         let (bt_list, delta, touch_sequence) = self.state.end_epoch();
 
         let proofdata = wcert_proofdata(last_sc.hash(), final_mst_root, &delta, &declared);
@@ -1068,6 +1084,7 @@ impl LatusNode {
         self.snapshots.truncate(target + 1);
         let snapshot = self.snapshots.pop_back().expect("target is in range");
         let reverted = self.chain.len() - snapshot.chain_len;
+        self.pending_view = None;
         self.state = snapshot.state;
         self.epoch_builder = snapshot.epoch_builder;
         self.last_mc_ref = snapshot.last_mc_ref;
@@ -1228,5 +1245,172 @@ mod tests {
         let before = follower.snapshots.back().unwrap().state.digest();
         assert_eq!(before, forger.snapshots.back().unwrap().state.digest());
         assert_ne!(before, follower.state.digest());
+    }
+
+    /// Same-tick cross-chain transfers are validated against a kept view
+    /// of the pending queue, each applying only the queue's new suffix.
+    /// The oracle is the same node with the view dropped before every
+    /// call — every submission rebuilt from `state`, as each used to be:
+    /// the same `Ok` / `Err`, the same transfers, the same forged block.
+    #[test]
+    fn cross_transfers_validate_against_a_kept_view_of_the_queue() {
+        let mc_wallet = Wallet::from_seed(b"mc-user");
+        let alice = ScWallet::from_seed(b"sc-alice");
+        let bob = ScWallet::from_seed(b"sc-bob");
+        let sid = SidechainId::from_label("node-pending-view");
+        let dest = SidechainId::from_label("node-pending-view-dest");
+        let params = LatusParams::new(sid, 16);
+        let schedule = EpochSchedule::new(2, 20, 2).unwrap();
+        let keys = Arc::new(LatusKeys::generate(params, schedule, b"node-test"));
+        let mut chain = Blockchain::new(ChainParams {
+            genesis_outputs: vec![TxOut::regular(
+                mc_wallet.address(),
+                Amount::from_units(100_000),
+            )],
+            ..ChainParams::default()
+        });
+        let declaration =
+            McTransaction::SidechainDeclaration(Box::new(keys.sidechain_config(&params, schedule)));
+        chain
+            .mine_next_block(mc_wallet.address(), vec![declaration], 1)
+            .unwrap();
+        let forger_keys = Keypair::from_seed(b"forger");
+        let node = || {
+            LatusNode::new(
+                params,
+                schedule,
+                ConsensusParams::with_bootstrap(forger_keys.public),
+                Arc::clone(&keys),
+                forger_keys.clone(),
+                chain.tip_hash(),
+            )
+        };
+        // `kept` keeps its view between calls; `rebuilt` never has one.
+        let (mut kept, mut rebuilt) = (node(), node());
+        let meta = ReceiverMetadata {
+            receiver: alice.address(),
+            payback: mc_wallet.address(),
+        };
+        let mut time = 1;
+        let mut sync_both = |chain: &mut Blockchain,
+                             kept: &mut LatusNode,
+                             rebuilt: &mut LatusNode,
+                             txs: Vec<McTransaction>| {
+            time += 1;
+            let mc_block = chain
+                .mine_next_block(mc_wallet.address(), txs, time)
+                .unwrap();
+            let block = kept.sync_mainchain_block(&mc_block).unwrap();
+            assert_eq!(block, rebuilt.sync_mainchain_block(&mc_block).unwrap());
+            assert!(kept.pending_view.is_none(), "a forged block drops the view");
+            block
+        };
+        for _ in 0..8 {
+            let ft = mc_wallet
+                .forward_transfer(
+                    &chain,
+                    sid,
+                    meta.to_bytes(),
+                    Amount::from_units(1_000),
+                    Amount::ZERO,
+                )
+                .unwrap();
+            sync_both(&mut chain, &mut kept, &mut rebuilt, vec![ft]);
+        }
+        let coins = kept.utxos_of(&alice.address());
+        assert_eq!(coins.len(), 8);
+
+        // One tick: a split transfer, a whole-coin transfer, a plain
+        // payment, a transfer racing the first for its coin, one racing
+        // the plain payment for its coin, then four more that succeed.
+        let payment = alice
+            .pay(kept.state(), bob.address(), Amount::from_units(2_500))
+            .unwrap();
+        let ScTransaction::Payment(PaymentTx { inputs, .. }) = &payment else {
+            panic!("pay builds a payment");
+        };
+        let paid_with: Vec<Utxo> = inputs.iter().map(|i| i.utxo).collect();
+        assert_eq!(paid_with, coins[..3]);
+        let secret = &alice.keypair().secret;
+        let submit = |node: &mut LatusNode, coin: Utxo, units: u64| {
+            zendoo_primitives::opcount::measure(|| {
+                node.submit_cross_transfer(
+                    vec![(coin, secret)],
+                    Amount::from_units(units),
+                    dest,
+                    bob.address(),
+                    alice.address(),
+                )
+                .map_err(|e| format!("{e:?}"))
+            })
+        };
+        enum Step {
+            Transfer(usize, u64),
+            Pay,
+        }
+        use Step::{Pay, Transfer};
+        let script = [
+            (Transfer(3, 400), true),
+            (Transfer(4, 1_000), true),
+            (Pay, true),
+            (Transfer(3, 100), false),
+            (Transfer(0, 1_000), false),
+            (Transfer(5, 300), true),
+            (Transfer(6, 1_000), true),
+            (Transfer(7, 999), true),
+            (Transfer(7, 1), false),
+        ];
+        let mut costs = Vec::new();
+        for (step, accepted) in script {
+            match step {
+                Pay => {
+                    kept.submit_transaction(payment.clone()).unwrap();
+                    rebuilt.submit_transaction(payment.clone()).unwrap();
+                }
+                Transfer(coin, units) => {
+                    rebuilt.pending_view = None;
+                    let (expected, full_cost) = submit(&mut rebuilt, coins[coin], units);
+                    let (got, cost) = submit(&mut kept, coins[coin], units);
+                    assert_eq!(got, expected, "coin {coin}, {units} units");
+                    assert_eq!(got.is_ok(), accepted, "coin {coin}: {got:?}");
+                    assert_eq!(kept.pending_view.is_some(), accepted);
+                    costs.push((cost.permutations, full_cost.permutations));
+                }
+            }
+        }
+        assert_eq!(kept.pending.len(), 2 + 1 + 1 + 2 + 1 + 2);
+        assert_eq!(kept.pending, rebuilt.pending);
+        assert_eq!(
+            kept.pending_cross_transfers(),
+            rebuilt.pending_cross_transfers()
+        );
+        // The first submission meets an empty queue on both nodes. The
+        // seventh (a split transfer like the first, right after an
+        // accepted one) applies its own two transactions on the kept
+        // view, whatever stands in the queue; rebuilt, it pays for the
+        // seven queued before it as well.
+        let (first, seventh) = (costs[0], costs[6]);
+        assert_eq!(first.0, first.1);
+        assert!(
+            seventh.0 <= first.0 + first.0 / 4 && 3 * seventh.0 < seventh.1,
+            "{costs:?}"
+        );
+
+        let block = sync_both(&mut chain, &mut kept, &mut rebuilt, vec![]);
+        assert_eq!(
+            block.transactions,
+            kept.chain().last().unwrap().transactions
+        );
+        assert_eq!(
+            block.transactions.len(),
+            9,
+            "every queued transaction forged"
+        );
+        assert_eq!(kept.state.digest(), rebuilt.state.digest());
+        // The next tick starts from the forged state.
+        let change = kept.utxos_of(&alice.address());
+        let (got, _) = submit(&mut kept, change[0], 1);
+        assert_eq!(got, submit(&mut rebuilt, change[0], 1).0);
+        assert!(got.is_ok(), "{got:?}");
     }
 }

@@ -1,9 +1,12 @@
 //! Fixed-width 256-bit unsigned integer arithmetic.
 //!
 //! [`U256`] is the little-endian 4×u64 limb representation underlying the
-//! prime-field types in [`crate::field`]. Only the operations required by
-//! Montgomery arithmetic, curve decompression and canonical byte encoding
-//! are provided; there is intentionally no general division.
+//! prime-field types in [`crate::field`]. It lends the field kernel its
+//! raw material — carry-returning addition and subtraction, the 512-bit
+//! product and the 512-bit square — plus what exponent scanning, curve
+//! decompression and canonical byte encoding read (bits, windows,
+//! shifts, comparison, bytes). Nothing here knows a modulus, and there
+//! is intentionally no general division.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -99,41 +102,45 @@ impl U256 {
     }
 
     /// Addition returning `(result, carry)`.
+    #[inline]
     pub const fn overflowing_add(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut carry = 0u64;
+        let mut carry = false;
         let mut i = 0;
         while i < 4 {
             let (s1, c1) = self.0[i].overflowing_add(rhs.0[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
+            let (s2, c2) = s1.overflowing_add(carry as u64);
             out[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
+            carry = c1 | c2;
             i += 1;
         }
-        (U256(out), carry != 0)
+        (U256(out), carry)
     }
 
     /// Subtraction returning `(result, borrow)`.
+    #[inline]
     pub const fn overflowing_sub(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut borrow = 0u64;
+        let mut borrow = false;
         let mut i = 0;
         while i < 4 {
             let (d1, b1) = self.0[i].overflowing_sub(rhs.0[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
             out[i] = d2;
-            borrow = (b1 as u64) + (b2 as u64);
+            borrow = b1 | b2;
             i += 1;
         }
-        (U256(out), borrow != 0)
+        (U256(out), borrow)
     }
 
     /// Wrapping addition modulo `2^256`.
+    #[inline]
     pub const fn wrapping_add(&self, rhs: &U256) -> U256 {
         self.overflowing_add(rhs).0
     }
 
     /// Wrapping subtraction modulo `2^256`.
+    #[inline]
     pub const fn wrapping_sub(&self, rhs: &U256) -> U256 {
         self.overflowing_sub(rhs).0
     }
@@ -146,6 +153,7 @@ impl U256 {
     /// Full 256×256→512-bit schoolbook multiplication.
     ///
     /// Returns `(lo, hi)` halves of the product.
+    #[inline]
     pub const fn widening_mul(&self, rhs: &U256) -> (U256, U256) {
         let mut t = [0u64; 8];
         let mut i = 0;
@@ -167,15 +175,48 @@ impl U256 {
         )
     }
 
-    /// Shifts left by one bit, returning the shifted-out top bit as `bool`.
-    pub const fn shl1(&self) -> (U256, bool) {
-        let top = self.0[3] >> 63 == 1;
-        let mut out = [0u64; 4];
-        out[0] = self.0[0] << 1;
-        out[1] = (self.0[1] << 1) | (self.0[0] >> 63);
-        out[2] = (self.0[2] << 1) | (self.0[1] >> 63);
-        out[3] = (self.0[3] << 1) | (self.0[2] >> 63);
-        (U256(out), top)
+    /// Full 256→512-bit squaring: the six off-diagonal limb products
+    /// once, doubled, plus the four diagonal ones — 10 limb products
+    /// where [`U256::widening_mul`] spends 16.
+    ///
+    /// Returns `(lo, hi)` halves of the square.
+    #[inline]
+    pub const fn widening_square(&self) -> (U256, U256) {
+        let a = self.0;
+        // Σ_{i<j} a_i·a_j·2^{64(i+j)} < 2^511, so it fits limbs 1..=7
+        // and doubling it cannot carry out of limb 7.
+        let mut t = [0u64; 8];
+        let mut i = 0;
+        while i < 3 {
+            let mut carry = 0u128;
+            let mut j = i + 1;
+            while j < 4 {
+                let acc = t[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry;
+                t[i + j] = acc as u64;
+                carry = acc >> 64;
+                j += 1;
+            }
+            t[i + 4] = carry as u64;
+            i += 1;
+        }
+        // t ← 2·t + Σ a_i²·2^{128i}, two limbs a step.
+        let mut top = 0u64;
+        let mut carry = 0u128;
+        let mut i = 0;
+        while i < 4 {
+            let sq = (a[i] as u128) * (a[i] as u128);
+            let lo = ((t[2 * i] << 1) | top) as u128 + (sq as u64) as u128 + carry;
+            let hi = ((t[2 * i + 1] << 1) | (t[2 * i] >> 63)) as u128 + (sq >> 64) + (lo >> 64);
+            top = t[2 * i + 1] >> 63;
+            t[2 * i] = lo as u64;
+            t[2 * i + 1] = hi as u64;
+            carry = hi >> 64;
+            i += 1;
+        }
+        (
+            U256([t[0], t[1], t[2], t[3]]),
+            U256([t[4], t[5], t[6], t[7]]),
+        )
     }
 
     /// Shifts right by one bit.
@@ -241,47 +282,6 @@ impl U256 {
             }
             i -= 1;
         }
-    }
-
-    /// Reduces `self` modulo `m`, assuming `self < 2 * m`.
-    ///
-    /// This is the only modular reduction required outside Montgomery form,
-    /// because all moduli used in this workspace exceed `2^255` so any
-    /// 256-bit value is below `2m`.
-    pub const fn reduce_once(&self, m: &U256) -> U256 {
-        if self.const_cmp(m) >= 0 {
-            self.wrapping_sub(m)
-        } else {
-            *self
-        }
-    }
-
-    /// Addition modulo `m`, assuming both operands are already `< m`.
-    pub const fn add_mod(&self, rhs: &U256, m: &U256) -> U256 {
-        let (sum, carry) = self.overflowing_add(rhs);
-        // If the 256-bit addition overflowed, the true value is sum + 2^256,
-        // which is >= m (since m < 2^256); subtracting m once restores range
-        // because sum + 2^256 < 2m when both inputs are < m.
-        if carry {
-            sum.wrapping_sub(m)
-        } else {
-            sum.reduce_once(m)
-        }
-    }
-
-    /// Subtraction modulo `m`, assuming both operands are already `< m`.
-    pub const fn sub_mod(&self, rhs: &U256, m: &U256) -> U256 {
-        let (diff, borrow) = self.overflowing_sub(rhs);
-        if borrow {
-            diff.wrapping_add(m)
-        } else {
-            diff
-        }
-    }
-
-    /// Doubling modulo `m`, assuming `self < m`.
-    pub const fn double_mod(&self, m: &U256) -> U256 {
-        self.add_mod(self, m)
     }
 }
 
@@ -406,21 +406,37 @@ mod tests {
     }
 
     #[test]
-    fn shifts() {
-        let a = U256::from_hex("8000000000000000000000000000000000000000000000000000000000000001");
-        let (shifted, top) = a.shl1();
-        assert!(top);
-        assert_eq!(shifted, U256::from_u64(2));
-        assert_eq!(a.shr1().0[3], 0x4000000000000000);
+    fn widening_square_matches_widening_mul() {
+        let patterns = [
+            U256::ZERO,
+            U256::ONE,
+            U256::MAX,
+            U256([u64::MAX, 0, 0, 0]),
+            U256([0, u64::MAX, 0, 0]),
+            U256([0, 0, u64::MAX, 0]),
+            U256([0, 0, 0, u64::MAX]),
+            U256([0, 0, 0, 1 << 63]),
+            U256([1 << 63, 1 << 63, 1 << 63, 1 << 63]),
+            U256::from_hex("f123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"),
+        ];
+        for a in patterns {
+            assert_eq!(a.widening_square(), a.widening_mul(&a), "{a}");
+        }
+        // A multiplicative walk through limb patterns no list anticipates.
+        let mut a =
+            U256::from_hex("9e3779b97f4a7c15f39cc0605cedc8341082276bf3a27251f86c6a11d0c18e95");
+        for _ in 0..2_000 {
+            assert_eq!(a.widening_square(), a.widening_mul(&a), "{a}");
+            let (lo, hi) = a.widening_square();
+            a = lo.wrapping_add(&hi).wrapping_add(&U256::ONE);
+        }
     }
 
     #[test]
-    fn add_mod_wraps_correctly() {
-        let m = U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
-        let a = m.wrapping_sub(&U256::ONE);
-        assert_eq!(a.add_mod(&U256::ONE, &m), U256::ZERO);
-        assert_eq!(a.add_mod(&a, &m), m.wrapping_sub(&U256::from_u64(2)));
-        assert_eq!(U256::ZERO.sub_mod(&U256::ONE, &m), a);
+    fn shr1_crosses_limbs() {
+        let a = U256::from_hex("8000000000000000000000000000000000000000000000000000000000000001");
+        assert_eq!(a.shr1().0, [0, 0, 0, 0x4000000000000000]);
+        assert_eq!(U256([0, 1, 0, 0]).shr1(), U256([1 << 63, 0, 0, 0]));
     }
 
     #[test]

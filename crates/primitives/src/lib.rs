@@ -4,7 +4,7 @@
 //! scratch on top of the standard library:
 //!
 //! * [`bigint`] — fixed-width 256-bit integers;
-//! * [`field`] — Montgomery-form prime fields (secp256k1 base & scalar);
+//! * [`field`] — prime fields modulo `2^256 − C` (secp256k1 base & scalar);
 //! * [`curve`] — secp256k1 group arithmetic with compression and
 //!   hash-to-curve;
 //! * [`schnorr`] — Schnorr signatures (transaction authorization and the

@@ -38,12 +38,19 @@
 //!   `y_rest = z_rest + (N̂⁻¹w)·z₀`. After round 56 the outstanding
 //!   `N_56′` is applied once (one 2×2 block).
 //!
-//! A partial round thus costs 3 (S-box) + 5 field multiplications instead
-//! of 3 + 9, and the permutation 8·18 + 57·8 + 4 = 604 instead of
+//! A partial round thus costs 3 (S-box) + 5 field products instead of
+//! 3 + 9, and the permutation 8·18 + 57·8 + 4 = 604 instead of
 //! 8·18 + 57·12 = 828, with a third fewer additions. Every `N̂_r` must be
 //! invertible; parameter derivation asserts it (it is, for the Cauchy
 //! matrix in use). The textbook permutation survives only under
 //! `#[cfg(test)]`, as the oracle the optimised one is tested against.
+//!
+//! Every matrix row that is a dot product — the three MDS rows of a full
+//! round, row 0 of a sparse round, the two rows of the tail block — goes
+//! through [`Fp::sum_of_products`], which adds the wide products and
+//! reduces once: the 604 products are followed by 8·12 + 57·6 + 2 = 440
+//! modular reductions, not 604. Two of an S-box's three products are
+//! squarings.
 //!
 //! The constraint model (`gadget_cost::POSEIDON_HASH2` in `zendoo-snark`)
 //! counts S-boxes, which the factorisation does not change.
@@ -64,11 +71,10 @@ const HALF_FULL: usize = FULL_ROUNDS / 2;
 type Matrix = [[Fp; T]; T];
 
 /// One partial round in sparse form (module docs): add `k` to coordinate
-/// 0, S-box it, then apply `N″ = [[n00, v], [u, I]]`.
+/// 0, S-box it, then apply `N″ = [row0, [u, I]]` with `row0 = (n00, v)`.
 struct SparseRound {
     k: Fp,
-    n00: Fp,
-    v: [Fp; 2],
+    row0: [Fp; T],
     u: [Fp; 2],
 }
 
@@ -135,8 +141,7 @@ fn params() -> &'static Params {
             let w = [n[1][0], n[2][0]];
             partial.push(SparseRound {
                 k,
-                n00: n[0][0],
-                v: [n[0][1], n[0][2]],
+                row0: n[0],
                 u: [
                     (d * w[0] - b * w[1]) * det_inv,
                     (a * w[1] - c * w[0]) * det_inv,
@@ -171,15 +176,7 @@ fn sbox(x: Fp) -> Fp {
 }
 
 fn apply_mds(state: &mut [Fp; T], mds: &Matrix) {
-    let mut out = [Fp::ZERO; T];
-    for (i, row) in mds.iter().enumerate() {
-        let mut acc = Fp::ZERO;
-        for (j, m) in row.iter().enumerate() {
-            acc += *m * state[j];
-        }
-        out[i] = acc;
-    }
-    *state = out;
+    *state = mds.map(|row| Fp::sum_of_products(&row, state));
 }
 
 fn full_round(state: &mut [Fp; T], rc: &[Fp; T], mds: &Matrix) {
@@ -200,15 +197,14 @@ pub fn permute(state: &mut [Fp; T]) {
         let z0 = sbox(state[0] + r.k);
         let [_, z1, z2] = *state;
         *state = [
-            r.n00 * z0 + r.v[0] * z1 + r.v[1] * z2,
+            Fp::sum_of_products(&r.row0, &[z0, z1, z2]),
             z1 + r.u[0] * z0,
             z2 + r.u[1] * z0,
         ];
     }
-    let [[a, b], [c, d]] = p.tail_block;
-    let [_, z1, z2] = *state;
-    state[1] = a * z1 + b * z2;
-    state[2] = c * z1 + d * z2;
+    let rest = [state[1], state[2]];
+    state[1] = Fp::sum_of_products(&p.tail_block[0], &rest);
+    state[2] = Fp::sum_of_products(&p.tail_block[1], &rest);
     for rc in &p.tail {
         full_round(state, rc, &p.mds);
     }
