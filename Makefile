@@ -43,7 +43,11 @@ endef
 # whose C takes the fold schedules Fp and Fr do not; random operands in
 # all four. `bigint::` checks the 10-product square against the
 # 16-product multiplication; `poseidon::` holds the known answers no
-# kernel may move and the dense permutation the sparse one must equal.
+# kernel may move, the matrix oracle (Poseidon2 with dense 3×3 M_E / M_I
+# products every round) the addition-only permutation must equal, and
+# the parameter conditions: M_E is MDS, M_I is invertible with the
+# characteristic polynomials of M_I¹…M_I⁸ irreducible, μ is the first
+# candidate of the documented search.
 # The dev profile keeps overflow checks on, so every wrap the kernel
 # means is an explicit one.
 test-field:

@@ -899,24 +899,24 @@ mod tests {
     fn known_answer_roots() {
         assert_eq!(
             empty_hash(),
-            Fp::from_hex("68c794b7d18c10a1d11b507ebb4a70a03d82c847b4d6c2b36036b8713919a8ea")
+            Fp::from_hex("afc43e46949c6cb15e8ff3930f57d94a4cee8ed0e0538547c0fdb07cd9b55e84")
         );
         assert_eq!(
             leaf_hash(0x12_3456_789a, &fp(77)),
-            Fp::from_hex("2271d18a45047b5a278732dc7c693d2c0f6de7d496e8dd695902a0ae33806334")
+            Fp::from_hex("3d4ec6aecd92b39851cbe6a2a4cf865993b54988c09aafce11820fdab4b3af4a")
         );
         for (depth, expected) in [
             (
                 40,
-                "cadea0bb00076185e574695844723c22d2ef0157b36cf05e73133d3f985adb47",
+                "4804054c700d7b222820987017f4e4e6795426a1ee2ed60e575953f541a89413",
             ),
             (
                 48,
-                "452fce16eab154e29493d1b5155ebc0acbf9118d083494ee333b1b93939bbd60",
+                "9a1af8d822b725aaf4d7846cc9d8a5db8b640eb8a6db03be10c209046cf9779f",
             ),
             (
                 63,
-                "b5015702c60b73a26263e88d13e6fa8fc69c58e66fe42fb1bde63d136be226cf",
+                "ef97af227a14df053e3887f8fbb09071a2c23608a03d967496063a142e98b306",
             ),
         ] {
             let tree = tree_of(depth, &[(0x12_3456_789a, 77), (5, 78)]);

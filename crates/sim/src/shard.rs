@@ -31,6 +31,7 @@ use zendoo_core::crosschain::CrossChainTransfer;
 use zendoo_core::ids::SidechainId;
 use zendoo_latus::node::NodeError;
 use zendoo_mainchain::Block;
+use zendoo_primitives::opcount::{self, OpCount};
 use zendoo_telemetry::Snapshot;
 
 use crate::world::ScInstance;
@@ -287,6 +288,7 @@ impl SidechainShard {
             nanos: 0,
             telemetry: None,
         };
+        let mut cost = SyncCost::default();
         if self.stalled() {
             self.backlog.extend_from_slice(feed);
             effects.buffered = feed.len() as u64;
@@ -295,7 +297,7 @@ impl SidechainShard {
             let backlog = std::mem::take(&mut self.backlog);
             let replay = backlog.len() as u64;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.catch_up(&backlog, feed, withhold_all)
+                self.catch_up(&backlog, feed, withhold_all, &mut cost)
             }));
             match outcome {
                 Ok(Ok((forged, certificates, withheld))) => {
@@ -338,6 +340,8 @@ impl SidechainShard {
                     snapshot.add_counter(name, value);
                 }
             }
+            cost.forge.record(&mut snapshot, "forge");
+            cost.certify.record(&mut snapshot, "certify");
             effects.telemetry = Some(snapshot);
         }
         effects
@@ -345,7 +349,8 @@ impl SidechainShard {
 
     /// Replays the healed backlog, then the feed, through
     /// [`SidechainShard::tick`], aggregating
-    /// `(forged, certificates, withheld)` across every block. On an
+    /// `(forged, certificates, withheld)` across every block and their
+    /// cost into `cost`. On an
     /// error the partial work stays in the node (the node rolled its
     /// own state back for the failing block only) and the remaining
     /// blocks are dropped — the shard then stalls like any other
@@ -356,12 +361,13 @@ impl SidechainShard {
         backlog: &[Block],
         feed: &[Block],
         withhold_all: bool,
+        cost: &mut SyncCost,
     ) -> Result<(u64, Vec<WithdrawalCertificate>, u64), NodeError> {
         let mut forged = 0;
         let mut certificates = Vec::new();
         let mut withheld = 0;
         for block in backlog.iter().chain(feed) {
-            let (certificate, w) = self.tick(block, withhold_all)?;
+            let (certificate, w) = self.tick(block, withhold_all, cost)?;
             forged += 1;
             certificates.extend(certificate);
             if w {
@@ -379,12 +385,14 @@ impl SidechainShard {
         &mut self,
         block: &Block,
         withhold_all: bool,
+        cost: &mut SyncCost,
     ) -> Result<(Option<WithdrawalCertificate>, bool), NodeError> {
         if self.panic_next_sync {
             self.panic_next_sync = false;
             panic!("injected shard fault on {}", self.instance.label);
         }
-        self.instance.node.sync_mainchain_block(block)?;
+        let node = &mut self.instance.node;
+        cost.forge.run(|| node.sync_mainchain_block(block))?;
         if !self.instance.node.epoch_complete() {
             return Ok((None, false));
         }
@@ -395,7 +403,8 @@ impl SidechainShard {
             // liveness fault Def 4.2 punishes with ceasing.
             return Ok((None, true));
         }
-        match self.instance.node.produce_certificate() {
+        let node = &mut self.instance.node;
+        match cost.certify.run(|| node.produce_certificate()) {
             Ok(certificate) => Ok((Some(certificate), false)),
             // A certifier that cannot assemble this epoch's proof —
             // e.g. the previous certificate's inclusion was
@@ -406,6 +415,52 @@ impl SidechainShard {
             // simulator error; only real proving failures propagate.
             Err(NodeError::Unavailable(_)) => Ok((None, true)),
             Err(error) => Err(error),
+        }
+    }
+}
+
+/// Where a shard's tick went, summed over every block of
+/// [`SidechainShard::catch_up`]: forging (`sync_mainchain_block`) and
+/// certifying (`produce_certificate`).
+#[derive(Default)]
+struct SyncCost {
+    forge: PhaseCost,
+    certify: PhaseCost,
+}
+
+#[derive(Default)]
+struct PhaseCost {
+    calls: u64,
+    nanos: u64,
+    ops: OpCount,
+}
+
+impl PhaseCost {
+    fn run<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let (out, ops) = opcount::measure(f);
+        self.calls += 1;
+        self.nanos += start.elapsed().as_nanos() as u64;
+        self.ops = self.ops + ops;
+        out
+    }
+
+    /// One `tick.shard.sync.<phase>` span and the
+    /// `latus.<phase>.{permutations,group_muls}` counters. The counts
+    /// are this lane's own (a shard runs on one thread), so they are the
+    /// same on every worker count.
+    fn record(&self, snapshot: &mut Snapshot, phase: &str) {
+        if self.calls == 0 {
+            return;
+        }
+        snapshot.add_span(&format!("tick.shard.sync.{phase}"), self.nanos);
+        for (name, value) in [
+            ("permutations", self.ops.permutations),
+            ("group_muls", self.ops.group_muls),
+        ] {
+            if value > 0 {
+                snapshot.add_counter(&format!("latus.{phase}.{name}"), value);
+            }
         }
     }
 }

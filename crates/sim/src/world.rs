@@ -42,7 +42,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use zendoo_core::certificate::WithdrawalCertificate;
-use zendoo_core::crosschain::CrossChainTransfer;
+use zendoo_core::crosschain::{escrow_address, CrossChainTransfer};
 use zendoo_core::epoch::EpochSchedule;
 use zendoo_core::ids::{Address, Amount, SidechainId};
 use zendoo_crosschain::{CrossChainRouter, RouterSnapshot};
@@ -59,6 +59,7 @@ use zendoo_mainchain::sigbatch::AdmissionReport;
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
 use zendoo_mainchain::wallet::Wallet;
 use zendoo_primitives::schnorr::Keypair;
+use zendoo_primitives::smt;
 use zendoo_snark::batch::fan_out;
 use zendoo_store::{chain_state_digest, Indexer, StoreError, UtxoStore};
 use zendoo_telemetry::{InMemoryRecorder, Snapshot, Telemetry};
@@ -76,7 +77,10 @@ pub struct SimConfig {
     pub epoch_len: u32,
     /// Certificate submission window.
     pub submit_len: u32,
-    /// MST depth.
+    /// MST depth. The default, 63, leaves a §5.3.2 slot collision to
+    /// chance ≈ 2⁻⁶³ a pair rather than to where the hash happens to put
+    /// a test world's leaves; an MST write costs ≈ log₂ n + 2
+    /// permutations at any depth.
     pub mst_depth: u32,
     /// Users funded at MC genesis: `(name, amount)`.
     pub genesis_users: Vec<(String, u64)>,
@@ -127,7 +131,7 @@ impl Default for SimConfig {
             sidechain_labels: vec!["sim-sidechain".into()],
             epoch_len: 6,
             submit_len: 2,
-            mst_depth: 16,
+            mst_depth: 63,
             genesis_users: vec![("alice".into(), 1_000_000), ("bob".into(), 500_000)],
             seed: b"zendoo-sim".to_vec(),
             workers: None,
@@ -476,6 +480,12 @@ impl World {
         chain
             .mine_next_block(miner.address(), declarations, 1)
             .expect("declaration block");
+
+        // Process-wide constants are charged to the first call that
+        // builds them (`opcount`): build them here, so that no shard's
+        // `latus.*` counters depend on which world or lane ran first.
+        escrow_address();
+        smt::empty_hash();
 
         let mut shards = BTreeMap::new();
         for (i, (label, id, params, keys)) in prepared.into_iter().enumerate() {

@@ -354,6 +354,14 @@ fn deterministic_view(
     )
 }
 
+/// What the shards' forging and certifying ran (`opcount`, per lane).
+const LATUS_OP_COUNTERS: [&str; 4] = [
+    "latus.forge.permutations",
+    "latus.forge.group_muls",
+    "latus.certify.permutations",
+    "latus.certify.group_muls",
+];
+
 /// The tentpole determinism claim under instrumentation: a recording
 /// 16-chain world is still bit-identical on one lane and on four
 /// (telemetry is strictly write-only — no instrument site feeds back
@@ -374,7 +382,8 @@ fn instrumented_16_chain_world_is_bit_identical_across_worker_counts() {
     let one_lane_snap = one_lane.telemetry_snapshot();
     let four_lanes_snap = four_lanes.telemetry_snapshot();
     assert!(!one_lane_snap.is_empty() && !four_lanes_snap.is_empty());
-    // …and the counters that describe *outcomes* agree exactly.
+    // …and the counters that describe *outcomes* agree exactly, down to
+    // the operations each shard's forging and certifying ran.
     for name in [
         "mc.blocks_connected",
         "mc.rejects",
@@ -382,7 +391,10 @@ fn instrumented_16_chain_world_is_bit_identical_across_worker_counts() {
         "router.delivered",
         "shard.sc_blocks_forged",
         "shard.certificates_produced",
-    ] {
+    ]
+    .into_iter()
+    .chain(LATUS_OP_COUNTERS)
+    {
         assert_eq!(
             one_lane_snap.counters.get(name),
             four_lanes_snap.counters.get(name),
@@ -412,6 +424,8 @@ fn instrumented_16_chain_world_is_bit_identical_across_worker_counts() {
         "tick.fold",
         "tick.coordinator",
         "tick.shard.sync",
+        "tick.shard.sync.forge",
+        "tick.shard.sync.certify",
         "tick.shard.critical",
         "mc.stage1.precheck",
         "mc.stage2.verify",
@@ -467,6 +481,12 @@ fn aggregated_mode_is_bit_identical_to_individual_across_the_matrix() {
     assert!(reference.conservation_holds() && reference.safeguards_hold());
     let expected = observe(&reference);
     assert_follower_replay_matches(&reference);
+    let op_counts = |world: &World| {
+        let snapshot = world.telemetry_snapshot();
+        LATUS_OP_COUNTERS.map(|name| snapshot.counters.get(name).copied())
+    };
+    let expected_ops = op_counts(&reference);
+    assert!(expected_ops.iter().all(Option::is_some), "{expected_ops:?}");
 
     for (workers, verify_mode) in MATRIX.into_iter().skip(1) {
         let world = verify_mode_ring(8, workers, verify_mode);
@@ -475,6 +495,11 @@ fn aggregated_mode_is_bit_identical_to_individual_across_the_matrix() {
             expected,
             observe(&world),
             "({workers:?}, {verify_mode:?}) diverged from the reference"
+        );
+        assert_eq!(
+            expected_ops,
+            op_counts(&world),
+            "({workers:?}, {verify_mode:?}): shard operation counts diverged"
         );
         let snapshot = world.telemetry_snapshot();
         if verify_mode == VerifyMode::Aggregated {

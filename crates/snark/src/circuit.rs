@@ -100,8 +100,9 @@ impl<C: Circuit> Circuit for &C {
 /// that the *shape* of the modelled proving cost over workload size
 /// matches a real backend.
 pub mod gadget_cost {
-    /// One Poseidon 2-to-1 compression (t=3, 8 full + 57 partial rounds,
-    /// x^5 S-box ⇒ ~3 constraints per S-box application).
+    /// One Poseidon2 2-to-1 compression (t=3, 8 full + 57 partial rounds,
+    /// x^5 S-box ⇒ ~3 constraints per S-box application; the linear
+    /// layers are linear combinations, free in R1CS).
     pub const POSEIDON_HASH2: u64 = 243;
     /// One Merkle-path verification step (hash + selector).
     pub const MERKLE_STEP: u64 = POSEIDON_HASH2 + 2;
