@@ -64,7 +64,8 @@ test-field:
 # refusing a re-mined block with a bad signature exactly as fully inline
 # validation does, in both verify modes (pipeline), the batch equation
 # itself — identity keys and nonce points inside a valid batch, the
-# empty batch (every schnorr:: unit test), cross-chain forgery/replay
+# empty batch, repeated keys sharing one term with a bad signature under
+# a shared key (every schnorr:: unit test), cross-chain forgery/replay
 # (the two adversarial files) and the hostile-input codec corpus
 # (settlement_codec).
 test-adversarial:
@@ -100,10 +101,12 @@ test-tree:
 	$(call run-suites,tree,"zendoo-primitives lib smt::" "zendoo-latus lib payment_witness_replays_root_transition forward_transfer_collision_refunds_payback btr_absence_cannot_be_forged_from_a_neighbour witnessed_path_longer_than_the_tree" "zendoo-latus adversarial removal_with_the_wrong_sibling_kind ownership_path_longer_than_the_tree" "zendoo-latus epoch_flow snapshots_are_handles")
 
 # The paper's scaling claims as assertions on operation counts
-# (tests/paper_claims.rs: experiment → test table in its header), the
-# two claims that live beside their code (E5 at tree level, E7's
-# leadership ∝ stake) and the cost lines of zendoo-snark's private
-# circuits. Host-independent: no clock is read.
+# (tests/paper_claims.rs: experiment → test table in its header; E2 reads
+# n + (n − 1) attestations, 2(n − 1) in-circuit proof checks and one
+# batch evaluation per merge layer), the two claims that live beside
+# their code (E5 at tree level, E7's leadership ∝ stake) and the cost
+# lines of zendoo-snark's private circuits (constraint_cost ==
+# proof_checks × PROOF_VERIFY). Host-independent: no clock is read.
 test-claims:
 	$(call run-suites,claims,"zendoo paper_claims" "zendoo-primitives lib smt::tests::a_write_costs_log_occupancy_not_depth" "zendoo-latus lib consensus::tests::leadership_frequency_tracks_stake" "zendoo-snark lib merge_is_charged_the_two_checks_it_runs wrap_and_fold_are_charged_the_checks_they_run")
 

@@ -27,8 +27,9 @@ use zendoo_primitives::field::Fp;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
 use zendoo_primitives::smt::SmtProof;
 use zendoo_snark::circuit::{gadget_cost, Circuit, Unsatisfied};
+use zendoo_snark::deferred::Deferred;
 use zendoo_snark::inputs::PublicInputs;
-use zendoo_snark::recursive::{verify_state_proof, StateProof};
+use zendoo_snark::recursive::StateProof;
 use zendoo_snark::VerifyingKey;
 
 use crate::block::ScBlockHeader;
@@ -327,9 +328,11 @@ impl Circuit for WcertCircuit {
                         "state proof endpoints do not match the epoch",
                     ));
                 }
-                if !verify_state_proof(&self.base_vk, &self.merge_vk, proof) {
-                    return Err(fail("wcert/transition-proof", "state proof invalid"));
-                }
+                // The one proof this circuit embeds: nothing to batch it
+                // with, so it is checked where it stands.
+                Deferred::eager().state_proof(&self.base_vk, &self.merge_vk, proof, || {
+                    fail("wcert/transition-proof", "state proof invalid")
+                })?;
             }
             None => {
                 if start_digest != final_digest {

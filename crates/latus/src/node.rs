@@ -1247,6 +1247,124 @@ mod tests {
         assert_ne!(before, follower.state.digest());
     }
 
+    /// A bad transfer signature in transition `k` of a multi-block epoch
+    /// — recorded as a forger that never checked it would — is refused
+    /// with the error the eager fold gives, transition `k`'s own
+    /// `latus/input-auth`, by the epoch fold, by `ParallelProver` on 1, 2
+    /// and 4 lanes, and by `produce_certificate`.
+    #[test]
+    fn a_bad_signature_in_transition_k_fails_as_the_eager_fold_does() {
+        let mc_wallet = Wallet::from_seed(b"mc-user");
+        let alice = Keypair::from_seed(b"sc-alice");
+        let alice_address = Address::from_public_key(&alice.public);
+        let sid = SidechainId::from_label("node-bad-signature");
+        let params = LatusParams::new(sid, 16);
+        let schedule = EpochSchedule::new(2, 4, 2).unwrap();
+        let keys = Arc::new(LatusKeys::generate(params, schedule, b"node-test"));
+        let mut chain = Blockchain::new(ChainParams {
+            genesis_outputs: vec![TxOut::regular(
+                mc_wallet.address(),
+                Amount::from_units(100_000),
+            )],
+            ..ChainParams::default()
+        });
+        let declaration =
+            McTransaction::SidechainDeclaration(Box::new(keys.sidechain_config(&params, schedule)));
+        chain
+            .mine_next_block(mc_wallet.address(), vec![declaration], 1)
+            .unwrap();
+        let forger = Keypair::from_seed(b"forger");
+        let mut node = LatusNode::new(
+            params,
+            schedule,
+            ConsensusParams::with_bootstrap(forger.public),
+            Arc::clone(&keys),
+            forger,
+            chain.tip_hash(),
+        );
+        // Two deposits, then one payment in each of the epoch's last two
+        // blocks.
+        let meta = ReceiverMetadata {
+            receiver: alice_address,
+            payback: mc_wallet.address(),
+        };
+        for time in 2..=5 {
+            let txs = if time <= 3 {
+                vec![mc_wallet
+                    .forward_transfer(
+                        &chain,
+                        sid,
+                        meta.to_bytes(),
+                        Amount::from_units(1_000),
+                        Amount::ZERO,
+                    )
+                    .unwrap()]
+            } else {
+                let coin = node.utxos_of(&alice_address)[0];
+                let pay = PaymentTx::create(
+                    vec![(coin, &alice.secret)],
+                    vec![(Address::from_label("bob"), coin.amount)],
+                );
+                node.submit_transaction(ScTransaction::Payment(pay))
+                    .unwrap();
+                vec![]
+            };
+            let mc_block = chain
+                .mine_next_block(mc_wallet.address(), txs, time)
+                .unwrap();
+            node.sync_mainchain_block(&mc_block).unwrap();
+        }
+        assert!(node.epoch_complete());
+
+        // Transition k: the second payment, in the epoch's last block.
+        let (_, witnesses) = node.epoch_builder.owned_chain();
+        let payments: Vec<usize> = (0..witnesses.len())
+            .filter(|&i| matches!(witnesses[i].tx, ScTransaction::Payment(_)))
+            .collect();
+        assert_eq!(payments.len(), 2);
+        let k = payments[1];
+        node.epoch_builder.tamper(k, |w| {
+            if let ScTransaction::Payment(pay) = &mut w.tx {
+                pay.inputs[0].signature = alice.secret.sign("zendoo/sc-sighash-v1", b"junk");
+            }
+        });
+
+        let system = &keys.system;
+        let (states, witnesses) = node.epoch_builder.owned_chain();
+        let eager = (0..witnesses.len())
+            .find_map(|i| {
+                system
+                    .prove_base(states[i], states[i + 1], &witnesses[i])
+                    .err()
+            })
+            .expect("transition k is refused");
+        let ProveError::Unsatisfied(unsatisfied) = &eager else {
+            panic!("{eager:?}");
+        };
+        assert_eq!(unsatisfied.rule, "latus/input-auth");
+        assert_eq!(
+            system.prove_base(states[k], states[k + 1], &witnesses[k]),
+            Err(eager.clone()),
+            "the first refused transition is k"
+        );
+
+        assert_eq!(node.epoch_builder.prove(system), Err(eager.clone()));
+        for workers in [1, 2, 4] {
+            let prover = zendoo_snark::parallel::ParallelProver::new(system, workers);
+            assert_eq!(
+                prover
+                    .prove_chain(&states, &witnesses)
+                    .map(|(proof, _)| proof),
+                Err(eager.clone()),
+                "{workers} lanes"
+            );
+        }
+        match node.produce_certificate() {
+            Err(NodeError::Prove(error)) => assert_eq!(error, eager),
+            other => panic!("certified over a bad signature: {other:?}"),
+        }
+    }
+
     /// Same-tick cross-chain transfers are validated against a kept view
     /// of the pending queue, each applying only the queue's new suffix.
     /// The oracle is the same node with the view dropped before every

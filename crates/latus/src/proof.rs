@@ -5,9 +5,12 @@
 //! and a [`TransitionWitness`], it re-derives the post digest from the
 //! pre digest using only witnessed data — Merkle paths, signatures and
 //! accumulator folds — mirroring what the production base circuit
-//! constrains. [`EpochProofBuilder`] accumulates the per-transaction
-//! witnesses of a withdrawal epoch and folds them into one constant-size
-//! proof via the balanced merge tree of Fig 11.
+//! constrains. Its input signatures are deferred
+//! (`verify_transition_deferred`), so the epoch's base layer checks every
+//! transfer signature of the epoch as one batch equation.
+//! [`EpochProofBuilder`] accumulates the per-transaction witnesses of a
+//! withdrawal epoch and folds them into one constant-size proof via the
+//! balanced merge tree of Fig 11.
 
 use std::sync::Arc;
 use zendoo_core::ids::Address;
@@ -16,6 +19,7 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::smt::{SmtProof, WitnessError};
 use zendoo_snark::circuit::{gadget_cost, Unsatisfied};
+use zendoo_snark::deferred::Deferred;
 use zendoo_snark::recursive::{RecursiveSystem, StateProof, TransitionVerifier};
 
 use crate::mst::mst_position;
@@ -26,7 +30,7 @@ use crate::state::{
 use crate::tx::{
     btr_claimed_utxo, classify_ft_metadata, ft_batch_output_utxo, ft_output_utxo, salvage_payback,
     BtrStep, FtEntryStep, FtKind, FtStep, LeafUpdate, ScTransaction, SignedInput,
-    TransitionWitness, UpdateError,
+    TransitionWitness, UpdateError, SC_SIGHASH_CONTEXT,
 };
 
 /// The Latus single-transition constraint system.
@@ -114,7 +118,9 @@ impl Replay {
 }
 
 /// Checks one signed input: ownership, signature and the matching
-/// removal update; advances the replay.
+/// removal update; advances the replay. The ownership half
+/// (address = H(key)) is checked here; the signature is stated into
+/// `deferred`.
 fn check_spend(
     replay: &mut Replay,
     input: &SignedInput,
@@ -122,13 +128,24 @@ fn check_spend(
     sighash: &Digest32,
     depth: u32,
     index: usize,
+    deferred: &mut Deferred,
 ) -> Result<(), Unsatisfied> {
-    if !input.verify(sighash) {
-        return Err(Unsatisfied::new(
+    let auth = || {
+        Unsatisfied::new(
             "latus/input-auth",
             format!("input {index} ownership/signature check failed"),
-        ));
+        )
+    };
+    if !input.owns_utxo() {
+        return Err(auth());
     }
+    deferred.signature(
+        SC_SIGHASH_CONTEXT,
+        &input.pubkey,
+        sighash.as_bytes(),
+        &input.signature,
+        auth,
+    )?;
     let expected_position = mst_position(&input.utxo, depth);
     if update.position() != expected_position {
         return Err(Unsatisfied::new(
@@ -189,6 +206,19 @@ impl TransitionVerifier for LatusTransitionVerifier {
         to: &Fp,
         w: &TransitionWitness,
     ) -> Result<(), Unsatisfied> {
+        self.verify_transition_deferred(from, to, w, &mut Deferred::eager())
+    }
+
+    /// Every input signature of a payment or withdrawal is stated into
+    /// `deferred`; everything else — the address = H(key) half of input
+    /// authorization included — is checked where it stands.
+    fn verify_transition_deferred(
+        &self,
+        from: &Fp,
+        to: &Fp,
+        w: &TransitionWitness,
+        deferred: &mut Deferred,
+    ) -> Result<(), Unsatisfied> {
         let depth = self.params.mst_depth;
         let mut replay = Replay {
             depth,
@@ -216,7 +246,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
                     ));
                 }
                 for (i, (input, update)) in tx.inputs.iter().zip(&w.updates).enumerate() {
-                    check_spend(&mut replay, input, update, &sighash, depth, i)?;
+                    check_spend(&mut replay, input, update, &sighash, depth, i, deferred)?;
                 }
                 for (output, update) in tx.outputs.iter().zip(&w.updates[tx.inputs.len()..]) {
                     if update.position() != mst_position(output, depth)
@@ -242,7 +272,7 @@ impl TransitionVerifier for LatusTransitionVerifier {
                     ));
                 }
                 for (i, (input, update)) in tx.inputs.iter().zip(&w.updates).enumerate() {
-                    check_spend(&mut replay, input, update, &sighash, depth, i)?;
+                    check_spend(&mut replay, input, update, &sighash, depth, i, deferred)?;
                 }
                 for bt in &tx.backward_transfers {
                     replay.append_bt(bt.receiver, bt.amount);
@@ -611,11 +641,40 @@ impl EpochProofBuilder {
         if self.is_empty() {
             return Ok(None);
         }
-        let states: Vec<Fp> = std::iter::once(self.initial)
+        let (states, witnesses) = self.chain();
+        system.prove_chain(&states, &witnesses).map(Some)
+    }
+
+    /// What [`EpochProofBuilder::prove`] folds: the state digests
+    /// `s_0 … s_n` and the `n` witnesses between them.
+    fn chain(&self) -> (Vec<Fp>, Vec<&TransitionWitness>) {
+        let states = std::iter::once(self.initial)
             .chain(self.transitions().map(|(_, digest)| *digest))
             .collect();
-        let witnesses: Vec<&TransitionWitness> = self.transitions().map(|(w, _)| w).collect();
-        system.prove_chain(&states, &witnesses).map(Some)
+        (states, self.transitions().map(|(w, _)| w).collect())
+    }
+}
+
+#[cfg(test)]
+impl EpochProofBuilder {
+    /// The recorded chain with owned witnesses, for provers that take
+    /// them so.
+    pub(crate) fn owned_chain(&self) -> (Vec<Fp>, Vec<TransitionWitness>) {
+        let (states, witnesses) = self.chain();
+        (states, witnesses.into_iter().cloned().collect())
+    }
+
+    /// Rewrites the witness of transition `k` in place, as a forger
+    /// recording a transition it never checked would.
+    pub(crate) fn tamper(&mut self, k: usize, f: impl FnOnce(&mut TransitionWitness)) {
+        let mut at = k;
+        for block in &mut self.blocks {
+            if at < block.len() {
+                return f(&mut Arc::make_mut(block)[at].0);
+            }
+            at -= block.len();
+        }
+        panic!("no transition {k} recorded");
     }
 }
 

@@ -25,7 +25,7 @@ use crate::mst::{mst_position, Utxo};
 use crate::state::SidechainState;
 
 /// Signature context for sidechain transactions.
-const SC_SIGHASH_CONTEXT: &str = "zendoo/sc-sighash-v1";
+pub(crate) const SC_SIGHASH_CONTEXT: &str = "zendoo/sc-sighash-v1";
 
 /// Why a [`LeafUpdate`] does not apply to a root.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,10 +99,16 @@ pub struct SignedInput {
 impl SignedInput {
     /// Verifies ownership and signature for `sighash`.
     pub fn verify(&self, sighash: &Digest32) -> bool {
-        Address::from_public_key(&self.pubkey) == self.utxo.address
+        self.owns_utxo()
             && self
                 .pubkey
                 .verify(SC_SIGHASH_CONTEXT, sighash.as_bytes(), &self.signature)
+    }
+
+    /// The ownership half of [`SignedInput::verify`]: the spent UTXO's
+    /// address is the hash of the signing key.
+    pub fn owns_utxo(&self) -> bool {
+        Address::from_public_key(&self.pubkey) == self.utxo.address
     }
 }
 

@@ -208,13 +208,14 @@ impl VerdictCache {
 ///
 /// A block builder threads a [`ProofVerdicts::recording`] cache through
 /// its dry run and hands it to [`crate::chain::Blockchain::submit`]:
-/// each proof is then verified exactly once per node — at build time —
-/// instead of once at build and again at stage 2 of submission.
+/// each proof and each signature is then verified at most once per node
+/// — at admission or at build time — instead of again at submission.
 #[derive(Debug, Default)]
 pub struct ProofVerdicts {
     /// SNARK verdicts (prefetched by stage 2, or recorded by a dry run).
     pub proofs: VerdictCache,
-    /// Transfer-signature verdicts (from admission, or from stage 2).
+    /// Transfer-signature verdicts (from admission, from stage 2, or
+    /// recorded by a dry run).
     pub sigs: VerdictCache,
 }
 
@@ -224,15 +225,21 @@ impl ProofVerdicts {
         Self::default()
     }
 
-    /// An empty proof cache that memoizes every inline verification it
-    /// runs, beside the signature verdicts admission established.
+    /// An empty proof cache and the signature verdicts admission
+    /// established, both memoizing every inline verification they run:
+    /// a transfer admitted without a verdict (`Miner::submit_transaction`)
+    /// is verified once, by the builder's dry run, and never again at
+    /// submission.
     pub fn recording(sigs: HashMap<Digest32, bool>) -> Self {
         ProofVerdicts {
             proofs: VerdictCache {
                 recording: true,
                 ..VerdictCache::default()
             },
-            sigs: VerdictCache::with_verdicts(sigs),
+            sigs: VerdictCache {
+                recording: true,
+                ..VerdictCache::with_verdicts(sigs)
+            },
         }
     }
 
@@ -253,6 +260,7 @@ impl ProofVerdicts {
     /// [`crate::chain::Blockchain::submit`] consumes).
     pub fn freeze(&mut self) {
         self.proofs.recording = false;
+        self.sigs.recording = false;
     }
 }
 
@@ -739,11 +747,12 @@ pub fn apply_transaction(
             let mut escrow_inputs: Vec<(Amount, zendoo_core::escrow::EscrowTag)> = Vec::new();
             let mut first_regular: Option<usize> = None;
             let mut total_in = Amount::ZERO;
-            // The sighash (and, when a signature-verdict cache is
-            // attached, the txid) is shared by every input — compute
+            // The sighash (and, when a signature-verdict cache can answer
+            // or records, the txid) is shared by every input — compute
             // each at most once per transaction, not per input.
             let mut sighash_memo: Option<Digest32> = None;
-            let txid_for_sigs = (!verdicts.sigs.is_empty()).then(|| tx.txid());
+            let txid_for_sigs =
+                (verdicts.sigs.recording || !verdicts.sigs.is_empty()).then(|| tx.txid());
             for (i, input) in t.inputs.iter().enumerate() {
                 let spent = *state
                     .utxos

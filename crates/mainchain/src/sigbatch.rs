@@ -6,7 +6,8 @@
 //! ([`zendoo_primitives::schnorr::verify_batch`]): one multi-scalar
 //! evaluation on one shared chain of doublings instead of one per
 //! signature — a validator's one cost still linear in traffic, at
-//! about 0.4 of the per-signature price. [`verify_sig_batch_with`] cuts
+//! about 0.4 of the per-signature price, and less for a signer whose key
+//! the chunk already holds (one key term per signer). [`verify_sig_batch_with`] cuts
 //! the checks into one contiguous chunk per worker
 //! ([`zendoo_snark::batch::fan_out`]), each chunk one equation. An
 //! equation that fails says *that* its chunk holds a bad signature, not
@@ -127,10 +128,15 @@ fn verify_chunk(chunk: &[SigCheck], telemetry: &Telemetry) -> Vec<bool> {
             .iter()
             .map(|c| {
                 let message: &[u8] = c.sighash.as_bytes();
-                (&c.tx_in.pubkey, message, &c.tx_in.signature)
+                (
+                    SIGHASH_CONTEXT,
+                    &c.tx_in.pubkey,
+                    message,
+                    &c.tx_in.signature,
+                )
             })
             .collect();
-        if schnorr::verify_batch(SIGHASH_CONTEXT, &items) {
+        if schnorr::verify_batch(&items) {
             return vec![true; chunk.len()];
         }
         telemetry.counter("sig.batch.fallback", 1);

@@ -23,6 +23,7 @@ use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx,
 use zendoo_mainchain::wallet::Wallet;
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fr;
+use zendoo_primitives::opcount::measure;
 use zendoo_primitives::schnorr::{Keypair, Signature};
 use zendoo_telemetry::Telemetry;
 
@@ -224,6 +225,56 @@ fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
         replay.submit_block(block).unwrap(),
         SubmitOutcome::ExtendedActiveChain
     ));
+}
+
+/// Transfers pooled one at a time (`Miner::submit_transaction`, the
+/// path every queued mainchain transaction of a simulated world takes)
+/// carry no verdict: the builder's dry run verifies each signature once
+/// and records it, and the block then submits without a single group
+/// multiplication — stage 3 answers every signature from the carrier.
+#[test]
+fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
+    let (mut chain, wallets) = chain_with_users(6);
+    let mut miner = Miner::new(
+        Wallet::from_seed(b"sig-miner").address(),
+        MempoolConfig::default(),
+    );
+    for wallet in &wallets {
+        let tx = wallet
+            .pay(
+                &chain,
+                Address::from_label("bob"),
+                Amount::from_units(5),
+                Amount::from_units(1),
+            )
+            .unwrap();
+        miner.submit_transaction(&chain, tx).unwrap();
+    }
+    let (prepared, building) = measure(|| miner.prepare(&chain, 1).unwrap());
+    assert_eq!(prepared.block.transactions.len(), 7);
+    assert_eq!(building.group_muls, 6, "each signature once, at build");
+
+    let (telemetry, recorder) = Telemetry::in_memory();
+    chain.set_telemetry(telemetry);
+    let (outcome, submitting) = measure(|| {
+        chain.submit(
+            prepared.block.clone(),
+            Some(prepared.verdicts),
+            prepared.proof,
+        )
+    });
+    assert!(matches!(outcome, Ok(SubmitOutcome::ExtendedActiveChain)));
+    assert_eq!(submitting.group_muls, 0, "stage 3 re-verifies nothing");
+    let snapshot = recorder.snapshot();
+    assert_eq!(snapshot.counters.get("mc.sig_cache.hit"), Some(&6));
+    assert_eq!(
+        snapshot
+            .counters
+            .get("mc.sig_cache.miss")
+            .copied()
+            .unwrap_or(0),
+        0
+    );
 }
 
 #[test]

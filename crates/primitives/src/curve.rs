@@ -44,12 +44,14 @@
 //!    affine by **one** shared inversion so that every addition is
 //!    mixed. A batch of `n` Schnorr verifications
 //!    ([`crate::schnorr::verify_batch`]) is one such evaluation over
-//!    `2n` points — `PKᵢ` under a full scalar, `Rᵢ` under a 128-bit
-//!    coefficient — and a signature's share of it is ~240 to build its
-//!    two tables, ~110 to normalise them, ~470 for ~43 mixed additions
-//!    of multiples of `PK`, ~240 for ~21 of `R`, and 1/n of the chain
-//!    (1,799), the generator term and the inversion: ≈ 1,070 at
-//!    n ≈ 200 against the ≈ 2,900 of layer 4. Alone, a signature pays
+//!    `n + k` points for `k` distinct keys — each `PK` under a full
+//!    scalar, each `Rᵢ` under a 128-bit coefficient — and a signature
+//!    under a key of its own costs ~240 to build its two tables, ~110 to
+//!    normalise them, ~470 for ~43 mixed additions of multiples of
+//!    `PK`, ~240 for ~21 of `R`, and 1/n of the chain (1,799), the
+//!    generator term and the inversion: ≈ 1,070 at n ≈ 200 against the
+//!    ≈ 2,900 of layer 4. Under a key already in the batch it drops the
+//!    `PK` half, ≈ 450. Alone, a signature pays
 //!    the whole chain *and* the inversion (~400): dearer than layer 4,
 //!    so a batch of one is layer 4.
 //!

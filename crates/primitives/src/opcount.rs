@@ -1,5 +1,6 @@
 //! Operation counts: how many Poseidon permutations, group
-//! multiplications and SHA-256 compressions a piece of work ran.
+//! multiplications and SHA-256 compressions a piece of work ran, and how
+//! many SNARK proofs a circuit verified inside itself.
 //!
 //! The paper's scaling claims are statements about these counts (a
 //! certificate costs the mainchain one proof check whatever the epoch
@@ -12,7 +13,12 @@
 //! unit is the shared chain of doublings, so
 //! [`crate::schnorr::verify_batch`] over n signatures counts 1 where n
 //! calls of `verify` count n) and the SHA-256 compression function —
-//! and [`measure`] reads the difference around a closure.
+//! and [`measure`] reads the difference around a closure. The fourth
+//! count, [`OpCount::proof_checks`], is the one event the group layer
+//! cannot tell apart from a signature: `zendoo-snark` bumps it
+//! ([`proof_check`]) once per SNARK proof a circuit embeds, whether the
+//! prover checks it at once (one `group_mul` of its own) or defers it
+//! into a layer's batch equation (a share of one).
 //!
 //! **Counts are per calling thread.** Work a call hands to other threads
 //! (`zendoo_snark::batch::fan_out` with more than one worker, the sharded
@@ -28,6 +34,7 @@ thread_local! {
     static PERMUTATIONS: Cell<u64> = const { Cell::new(0) };
     static GROUP_MULS: Cell<u64> = const { Cell::new(0) };
     static SHA_BLOCKS: Cell<u64> = const { Cell::new(0) };
+    static PROOF_CHECKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// What a piece of work cost, in the three operations everything else
@@ -42,6 +49,9 @@ pub struct OpCount {
     pub group_muls: u64,
     /// SHA-256 compressions (64-byte blocks).
     pub sha_blocks: u64,
+    /// In-circuit SNARK verifications: what the constraint model prices
+    /// at `gadget_cost::PROOF_VERIFY` apiece.
+    pub proof_checks: u64,
 }
 
 impl Sub for OpCount {
@@ -52,6 +62,7 @@ impl Sub for OpCount {
             permutations: self.permutations - earlier.permutations,
             group_muls: self.group_muls - earlier.group_muls,
             sha_blocks: self.sha_blocks - earlier.sha_blocks,
+            proof_checks: self.proof_checks - earlier.proof_checks,
         }
     }
 }
@@ -64,6 +75,7 @@ impl Add for OpCount {
             permutations: self.permutations + other.permutations,
             group_muls: self.group_muls + other.group_muls,
             sha_blocks: self.sha_blocks + other.sha_blocks,
+            proof_checks: self.proof_checks + other.proof_checks,
         }
     }
 }
@@ -78,6 +90,7 @@ impl Mul<u64> for OpCount {
             permutations: self.permutations * times,
             group_muls: self.group_muls * times,
             sha_blocks: self.sha_blocks * times,
+            proof_checks: self.proof_checks * times,
         }
     }
 }
@@ -102,12 +115,21 @@ pub(crate) fn sha_block() {
     bump(&SHA_BLOCKS);
 }
 
+/// Counts one SNARK verification embedded in a circuit. The proving
+/// system calls it where a circuit owes such a check; nothing else
+/// should.
+#[inline]
+pub fn proof_check() {
+    bump(&PROOF_CHECKS);
+}
+
 /// Everything this thread has run so far.
 fn so_far() -> OpCount {
     OpCount {
         permutations: PERMUTATIONS.get(),
         group_muls: GROUP_MULS.get(),
         sha_blocks: SHA_BLOCKS.get(),
+        proof_checks: PROOF_CHECKS.get(),
     }
 }
 

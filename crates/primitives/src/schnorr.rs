@@ -12,6 +12,7 @@ use crate::field::Fr;
 use crate::sha256::{sha256_tagged, Sha256};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 /// A Schnorr secret key (a nonzero scalar), with its public key derived
@@ -189,36 +190,41 @@ impl Keypair {
     }
 }
 
-/// Verifies a batch of `(key, message, signature)` under one `context`
-/// with one multi-scalar evaluation: `Σ zᵢ·Rᵢ + Σ zᵢeᵢ·PKᵢ − (Σ zᵢsᵢ)·G`
-/// is the identity when every signature satisfies `sᵢ·G − eᵢ·PKᵢ == Rᵢ`,
-/// and for a batch holding any that does not, only with probability
-/// `2⁻¹²⁸` over the coefficients `zᵢ`. Those are hashed from the whole
-/// batch — every key, message and signature — so they repeat from run
+/// Verifies a batch of `(context, key, message, signature)` with one
+/// multi-scalar evaluation: `Σ zᵢ·Rᵢ + Σ zᵢeᵢ·PKᵢ − (Σ zᵢsᵢ)·G` is the
+/// identity when every signature satisfies `sᵢ·G − eᵢ·PKᵢ == Rᵢ`, and
+/// for a batch holding any that does not, only with probability `2⁻¹²⁸`
+/// over the coefficients `zᵢ`. Those are hashed from the whole batch —
+/// every context, key, message and signature — so they repeat from run
 /// to run and no signer can pick a signature after seeing its own.
+///
+/// Items under one key share one term, `(Σ zᵢeᵢ)·PK`: a batch of n
+/// signatures by k keys is n + k points, and what each further
+/// signature under a known key adds is its 128-bit `zᵢ·Rᵢ`. A prover's
+/// merge layer, whose children are attested by two keys, is that case.
 ///
 /// `true` says every signature is valid; `false` says some signature is
 /// not, and not which: the caller re-verifies one by one to find it.
 /// An empty batch is vacuously valid and a batch of one *is*
 /// [`PublicKey::verify`].
-pub fn verify_batch(context: &str, items: &[(&PublicKey, &[u8], &Signature)]) -> bool {
+pub fn verify_batch(items: &[(&str, &PublicKey, &[u8], &Signature)]) -> bool {
     match items {
         [] => return true,
-        [(pk, msg, sig)] => return pk.verify(context, msg, sig),
+        [(context, pk, msg, sig)] => return pk.verify(context, msg, sig),
         _ => {}
     }
     // What `verify` rejects before it multiplies, rejected before any
     // table is built: the identity has no multiples to tabulate.
     if items
         .iter()
-        .any(|(pk, _, sig)| pk.0.is_identity() || sig.r.is_identity())
+        .any(|(_, pk, _, sig)| pk.0.is_identity() || sig.r.is_identity())
     {
         return false;
     }
     let mut transcript = Sha256::new();
-    transcript.update(&(context.len() as u64).to_be_bytes());
-    transcript.update(context.as_bytes());
-    for (pk, msg, sig) in items {
+    for (context, pk, msg, sig) in items {
+        transcript.update(&(context.len() as u64).to_be_bytes());
+        transcript.update(context.as_bytes());
         transcript.update(&pk.to_bytes());
         transcript.update(&(msg.len() as u64).to_be_bytes());
         transcript.update(msg);
@@ -226,8 +232,10 @@ pub fn verify_batch(context: &str, items: &[(&PublicKey, &[u8], &Signature)]) ->
     }
     let transcript = transcript.finalize();
     let mut g = Fr::ZERO;
-    let mut terms = Vec::with_capacity(2 * items.len());
-    for (i, (pk, msg, sig)) in items.iter().enumerate() {
+    let mut terms: Vec<(Fr, AffinePoint)> = Vec::with_capacity(2 * items.len());
+    // The term of each key seen so far, by position in `terms`.
+    let mut key_terms: HashMap<&PublicKey, usize> = HashMap::new();
+    for (i, (context, pk, msg, sig)) in items.iter().enumerate() {
         let digest = sha256_tagged(
             "zendoo/schnorr-batch-z",
             &[&transcript, &(i as u64).to_be_bytes()],
@@ -238,7 +246,14 @@ pub fn verify_batch(context: &str, items: &[(&PublicKey, &[u8], &Signature)]) ->
         z[16..].copy_from_slice(&digest[16..]);
         let z = Fr::from_be_bytes_reduced(&z);
         g -= z * sig.s;
-        terms.push((z * challenge(context, &sig.r, pk, msg), pk.0));
+        let ze = z * challenge(context, &sig.r, pk, msg);
+        match key_terms.entry(*pk) {
+            Entry::Occupied(at) => terms[*at.get()].0 += ze,
+            Entry::Vacant(slot) => {
+                slot.insert(terms.len());
+                terms.push((ze, pk.0));
+            }
+        }
         terms.push((z, sig.r));
     }
     JacobianPoint::lincomb_many(&g, &terms).is_some_and(|sum| sum.is_identity())
@@ -355,9 +370,9 @@ mod tests {
             }
         }
         // Nothing to check is vacuously valid, and a batch of one is `verify`.
-        assert!(verify_batch("test", &[]));
+        assert!(verify_batch(&[]));
         assert!(batch_ok(&good[..1]));
-        assert!(!verify_batch("test", &[(&kp.public, b"other", &sig)]));
+        assert!(!verify_batch(&[("test", &kp.public, b"other", &sig)]));
     }
 
     /// `n` valid items under context `"test"`, distinct keys and messages.
@@ -375,9 +390,9 @@ mod tests {
     fn batch_ok(batch: &[(PublicKey, Vec<u8>, Signature)]) -> bool {
         let items: Vec<_> = batch
             .iter()
-            .map(|(pk, msg, sig)| (pk, msg.as_slice(), sig))
+            .map(|(pk, msg, sig)| ("test", pk, msg.as_slice(), sig))
             .collect();
-        verify_batch("test", &items)
+        verify_batch(&items)
     }
 
     /// What the batch stands in for: every signature on its own.
@@ -404,8 +419,84 @@ mod tests {
         ));
         assert!(batch_ok(&batch));
         // Valid under another context is invalid under this one.
-        let items: Vec<_> = batch.iter().map(|(p, m, s)| (p, m.as_slice(), s)).collect();
-        assert!(!verify_batch("other", &items));
+        let items: Vec<_> = batch
+            .iter()
+            .map(|(p, m, s)| ("other", p, m.as_slice(), s))
+            .collect();
+        assert!(!verify_batch(&items));
+    }
+
+    type Shared = (&'static str, PublicKey, Vec<u8>, Signature);
+
+    /// `n` items signed by `keys` keys in turn, each under its own
+    /// context and message: the shape of a prover's layer, where two
+    /// keys attest every child.
+    fn shared_keys(n: u64, keys: u64) -> Vec<Shared> {
+        const CONTEXTS: [&str; 3] = ["ctx-a", "ctx-b", "ctx-c"];
+        (0..n)
+            .map(|i| {
+                let kp = Keypair::from_seed(&(i % keys).to_le_bytes());
+                let context = CONTEXTS[i as usize % CONTEXTS.len()];
+                let msg = format!("message {i}").into_bytes();
+                let sig = kp.secret.sign(context, &msg);
+                (context, kp.public, msg, sig)
+            })
+            .collect()
+    }
+
+    fn shared_ok(batch: &[Shared]) -> bool {
+        let items: Vec<_> = batch
+            .iter()
+            .map(|(ctx, pk, msg, sig)| (*ctx, pk, msg.as_slice(), sig))
+            .collect();
+        verify_batch(&items)
+    }
+
+    fn shared_each_ok(batch: &[Shared]) -> bool {
+        batch
+            .iter()
+            .all(|(ctx, pk, msg, sig)| pk.verify(ctx, msg, sig))
+    }
+
+    #[test]
+    fn repeated_keys_share_a_term_and_keep_every_verdict() {
+        for (n, keys) in [(2, 1), (9, 1), (9, 2), (16, 3)] {
+            let batch = shared_keys(n, keys);
+            assert!(shared_each_ok(&batch) && shared_ok(&batch), "{n} by {keys}");
+            // One bad signature under a shared key, wherever it sits,
+            // in each of the ways a signature can be bad.
+            for at in [0, n as usize / 2, n as usize - 1] {
+                for how in 0..4 {
+                    let mut bad = batch.clone();
+                    let (ctx, _, msg, sig) = &mut bad[at];
+                    match how {
+                        0 => sig.s += Fr::one(),
+                        1 => msg.push(0),
+                        2 => *ctx = if *ctx == "ctx-a" { "ctx-b" } else { "ctx-a" },
+                        _ => sig.r = sig.r.negate(),
+                    }
+                    assert!(!shared_each_ok(&bad));
+                    assert!(!shared_ok(&bad), "{n} by {keys}: bad {how} at {at}");
+                }
+            }
+        }
+        // Errors that cancel in the merged key term, Σ zᵢeᵢ·PK, are not
+        // errors the batch forgets: two signatures of one key swap
+        // messages, and two trade `s` shifts that sum to zero.
+        let mut batch = shared_keys(6, 1);
+        let (m0, m3) = (batch[0].2.clone(), batch[3].2.clone());
+        batch[0].2 = m3;
+        batch[3].2 = m0;
+        assert!(!shared_ok(&batch));
+        let mut batch = shared_keys(6, 1);
+        batch[1].3.s += Fr::from_u64(3);
+        batch[4].3.s -= Fr::from_u64(3);
+        assert!(!shared_ok(&batch));
+        // Still one evaluation, whatever the keys.
+        let batch = shared_keys(12, 2);
+        let (ok, cost) = crate::opcount::measure(|| shared_ok(&batch));
+        assert!(ok);
+        assert_eq!(cost.group_muls, 1);
     }
 
     #[test]
@@ -470,6 +561,25 @@ mod tests {
                 }
             }
             proptest::prop_assert_eq!(batch_ok(&batch), each_ok(&batch));
+        }
+
+        #[test]
+        fn prop_shared_key_batch_equals_the_conjunction_of_verifies(
+            n in 2u64..12,
+            keys in 1u64..4,
+            corrupt in proptest::collection::vec((0usize..12, 0u8..4), 0..3),
+        ) {
+            let mut batch = shared_keys(n, keys);
+            for (at, how) in corrupt {
+                let (ctx, pk, msg, sig) = &mut batch[at % n as usize];
+                match how {
+                    0 => sig.s += Fr::one(),
+                    1 => *ctx = "ctx-z",
+                    2 => msg.push(how),
+                    _ => *pk = Keypair::from_seed(&(at as u64 + 1).to_le_bytes()).public,
+                }
+            }
+            proptest::prop_assert_eq!(shared_ok(&batch), shared_each_ok(&batch));
         }
     }
 

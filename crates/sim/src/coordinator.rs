@@ -25,6 +25,8 @@
 //! the remaining shards still complete before the first error, in
 //! declaration order, is reported.
 
+use std::time::Instant;
+
 use crossbeam::thread;
 use zendoo_core::crosschain::CrossChainTransfer;
 use zendoo_core::ids::SidechainId;
@@ -131,7 +133,10 @@ pub(crate) fn step(world: &mut World) -> Result<(), SimError> {
     // sidechain. Together with `tick.coordinator` this lets the
     // work/span model be read straight off a telemetry snapshot:
     // `work = Σ tick.coordinator + Σ tick.shard.sync`,
-    // `span = Σ tick.coordinator + Σ tick.shard.critical`.
+    // `span = Σ tick.coordinator + Σ tick.shard.critical`. What this
+    // machine's lanes took, shards run back to back, is `tick.lanes`
+    // (recorded by `tick`): the part of `tick` the block submission
+    // overlaps.
     let critical = shard_nanos.iter().copied().max().unwrap_or(0);
     telemetry.span_nanos("tick.shard.critical", critical);
     submit_result?;
@@ -151,22 +156,27 @@ type TickOutcome = (u64, Vec<u64>, Result<(), BlockError>, Option<SimError>);
 /// and its inbound partition (by value — no shard touches the router).
 type Lane<'a> = Vec<(usize, &'a mut SidechainShard, Vec<CrossChainTransfer>)>;
 
-/// Walks one lane in order. Shard panics are contained inside
-/// `sync_and_certify`; a lane itself never panics.
+/// Walks one lane in order, returning its shards' effects and the
+/// lane's wall time since `start` (its spawn, when it has a thread of
+/// its own). Shard panics are contained inside `sync_and_certify`; a
+/// lane itself never panics.
 fn run_lane(
     lane: Lane<'_>,
     feed: &[Block],
     withhold_all: bool,
     record: bool,
-) -> Vec<(usize, ShardEffects)> {
-    lane.into_iter()
+    start: Instant,
+) -> (Vec<(usize, ShardEffects)>, u64) {
+    let effects = lane
+        .into_iter()
         .map(|(index, shard, inbound)| {
             (
                 index,
                 shard.sync_and_certify(feed, withhold_all, inbound, record),
             )
         })
-        .collect()
+        .collect();
+    (effects, start.elapsed().as_nanos() as u64)
 }
 
 /// The tick body. Errors returned here are *preparation* failures (no
@@ -256,12 +266,14 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
         })
     };
 
-    let (submit_result, mut indexed_effects, mc_tail_nanos) = if workers <= 1 {
+    // `lanes_nanos`: the slowest lane's wall time, its shards back to
+    // back (`tick.lanes`).
+    let (submit_result, mut indexed_effects, mc_tail_nanos, lanes_nanos) = if workers <= 1 {
         // One lane: submit first, then walk the shards in order on this
         // thread (identical outcomes, no spawn cost).
         let (submit, tail) = submit();
-        let effects = run_lane(work, feed, withhold_all, record);
-        (submit, effects, tail)
+        let (effects, lane_nanos) = run_lane(work, feed, withhold_all, record, Instant::now());
+        (submit, effects, tail, lane_nanos)
     } else {
         // Round-robin the shards over `workers` lanes; the coordinator
         // thread submits the block while the lanes sync.
@@ -269,20 +281,27 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
         for (slot, item) in work.into_iter().enumerate() {
             lanes[slot % workers].push(item);
         }
+        let spawned = Instant::now();
         thread::scope(|scope| {
             let handles: Vec<_> = lanes
                 .into_iter()
-                .map(|lane| scope.spawn(move |_| run_lane(lane, feed, withhold_all, record)))
+                .map(|lane| {
+                    scope.spawn(move |_| run_lane(lane, feed, withhold_all, record, spawned))
+                })
                 .collect();
             let (submit, tail) = submit();
             let mut effects = Vec::with_capacity(live);
+            let mut slowest = 0;
             for handle in handles {
-                effects.extend(handle.join().expect("worker lane panicked"));
+                let (lane, lane_nanos) = handle.join().expect("worker lane panicked");
+                effects.extend(lane);
+                slowest = slowest.max(lane_nanos);
             }
-            (submit, effects, tail)
+            (submit, effects, tail, slowest)
         })
         .expect("thread scope")
     };
+    telemetry.span_nanos("tick.lanes", lanes_nanos);
     if submit_result.is_ok() {
         world.metrics.mc_blocks += 1;
     }

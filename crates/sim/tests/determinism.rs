@@ -427,6 +427,7 @@ fn instrumented_16_chain_world_is_bit_identical_across_worker_counts() {
         "tick.shard.sync.forge",
         "tick.shard.sync.certify",
         "tick.shard.critical",
+        "tick.lanes",
         "mc.stage1.precheck",
         "mc.stage2.verify",
         "mc.stage3.apply",
@@ -447,6 +448,58 @@ fn instrumented_16_chain_world_is_bit_identical_across_worker_counts() {
             .is_some_and(|sizes| sizes.count() > 0),
         "no settlement batches recorded"
     );
+}
+
+/// What the tick's named children account for: its serial parts
+/// (prologue, block preparation, effect fold) plus the longer of the
+/// block submission and the lanes it overlaps — on an `sc_mesh`-shaped
+/// world, 8 chains on 2 lanes with deposits and payments every tick,
+/// where each lane runs four shards back to back. Read off the slowest
+/// *shard* instead of the slowest lane, the same sum leaves about half
+/// of this world's tick unaccounted for.
+#[test]
+fn the_lanes_and_the_serial_phases_account_for_the_tick() {
+    const CHAINS: usize = 8;
+    let config = SimConfig {
+        workers: Some(2),
+        epoch_len: scenarios::ring_epoch_len(CHAINS),
+        telemetry: true,
+        ..SimConfig::with_sidechains(CHAINS)
+    };
+    let ticks = 2 * (config.epoch_len as u64 + 1);
+    let mut schedule = Schedule::new();
+    for tick in 0..ticks {
+        for chain in 0..CHAINS {
+            schedule = schedule.at(
+                tick,
+                Action::ForwardTransferTo(chain, "alice".into(), 1_000 + tick),
+            );
+            if tick >= 3 {
+                schedule = schedule.at(
+                    tick,
+                    Action::ScPayOn(chain, "alice".into(), "bob".into(), 10 + tick),
+                );
+            }
+        }
+    }
+    let mut world = World::new(config);
+    schedule.run(&mut world, ticks).unwrap();
+    assert!(world.metrics.certificates_accepted >= CHAINS as u64);
+    let snapshot = world.telemetry_snapshot();
+    let nanos = |span: &str| {
+        snapshot
+            .spans
+            .get(span)
+            .unwrap_or_else(|| panic!("span {span} missing"))
+            .total_nanos as f64
+    };
+    let serial = nanos("tick.prologue") + nanos("tick.mc.prepare") + nanos("tick.fold");
+    let coverage = (serial + nanos("tick.mc.submit").max(nanos("tick.lanes"))) / nanos("tick");
+    assert!(
+        (0.95..=1.0).contains(&coverage),
+        "named children cover {coverage:.3} of the tick"
+    );
+    assert!(nanos("tick.lanes") >= nanos("tick.shard.critical"));
 }
 
 // ---- Aggregated verification must not perturb consensus --------------

@@ -49,10 +49,11 @@ use zendoo_primitives::field::Fp;
 use zendoo_telemetry::Telemetry;
 
 use crate::backend::{
-    prove, setup_deterministic, verify, Proof, ProveError, ProvingKey, VerifyingKey,
+    prove, prove_layer, setup_deterministic, verify, Proof, ProveError, ProvingKey, VerifyingKey,
 };
-use crate::batch::{fan_out, BatchItem};
+use crate::batch::BatchItem;
 use crate::circuit::{gadget_cost, Circuit, Unsatisfied};
+use crate::deferred::Deferred;
 use crate::inputs::PublicInputs;
 
 /// Seed of the protocol-wide deterministic Wrap/Fold setup (the
@@ -132,13 +133,14 @@ impl AggDigest {
 /// collected checks before accepting a [`BlockProof`].
 pub fn expected_statement(items: &[BatchItem]) -> (AggDigest, u64) {
     let digest = items.iter().fold(AggDigest::zero(), |acc, item| {
-        acc.combine(&AggDigest::of_statement(&statement_key(
-            &item.vk,
-            &item.inputs,
-            &item.proof,
-        )))
+        acc.combine(&leaf_digest(item))
     });
     (digest, items.len() as u64)
+}
+
+/// The digest of the singleton multiset `{item}`.
+fn leaf_digest(item: &BatchItem) -> AggDigest {
+    AggDigest::of_statement(&statement_key(&item.vk, &item.inputs, &item.proof))
 }
 
 /// Whether an [`AggregateProof`] came from the Wrap or the Fold circuit.
@@ -250,6 +252,15 @@ impl Circuit for WrapCircuit {
     }
 
     fn check(&self, public: &PublicInputs, item: &BatchItem) -> Result<(), Unsatisfied> {
+        self.check_deferred(public, item, &mut Deferred::eager())
+    }
+
+    fn check_deferred(
+        &self,
+        public: &PublicInputs,
+        item: &BatchItem,
+        deferred: &mut Deferred,
+    ) -> Result<(), Unsatisfied> {
         let (digest, count) = expect_aggregate_statement(public)?;
         if count != 1 {
             return Err(Unsatisfied::new(
@@ -264,10 +275,9 @@ impl Circuit for WrapCircuit {
                 "public digest does not embed the witnessed statement",
             ));
         }
-        if !verify(&item.vk, &item.inputs, &item.proof) {
-            return Err(Unsatisfied::new("wrap/proof", "leaf proof invalid"));
-        }
-        Ok(())
+        deferred.proof(&item.vk, &item.inputs, &item.proof, || {
+            Unsatisfied::new("wrap/proof", "leaf proof invalid")
+        })
     }
 
     fn constraint_cost(&self, _public: &PublicInputs, _item: &BatchItem) -> u64 {
@@ -295,6 +305,15 @@ impl Circuit for FoldCircuit {
     }
 
     fn check(&self, public: &PublicInputs, w: &FoldWitness) -> Result<(), Unsatisfied> {
+        self.check_deferred(public, w, &mut Deferred::eager())
+    }
+
+    fn check_deferred(
+        &self,
+        public: &PublicInputs,
+        w: &FoldWitness,
+        deferred: &mut Deferred,
+    ) -> Result<(), Unsatisfied> {
         let (digest, count) = expect_aggregate_statement(public)?;
         if w.left.count == 0 || w.right.count == 0 {
             return Err(Unsatisfied::new(
@@ -320,12 +339,13 @@ impl Circuit for FoldCircuit {
             ));
         }
         for (side, child) in [("left", &w.left), ("right", &w.right)] {
-            if !verify_aggregate_with(&self.wrap_vk, &self.fold_vk, child) {
-                return Err(Unsatisfied::new(
+            let (vk, inputs) = aggregate_statement(&self.wrap_vk, &self.fold_vk, child);
+            deferred.proof(vk, &inputs, &child.proof, || {
+                Unsatisfied::new(
                     "fold/child-proof",
                     format!("{side} child aggregate invalid"),
-                ));
-            }
+                )
+            })?;
         }
         Ok(())
     }
@@ -342,15 +362,21 @@ pub fn verify_aggregate_with(
     fold_vk: &VerifyingKey,
     aggregate: &AggregateProof,
 ) -> bool {
+    let (vk, inputs) = aggregate_statement(wrap_vk, fold_vk, aggregate);
+    verify(vk, &inputs, &aggregate.proof)
+}
+
+/// The key and public inputs an [`AggregateProof`] verifies under.
+fn aggregate_statement<'a>(
+    wrap_vk: &'a VerifyingKey,
+    fold_vk: &'a VerifyingKey,
+    aggregate: &AggregateProof,
+) -> (&'a VerifyingKey, PublicInputs) {
     let vk = match aggregate.kind {
         AggKind::Wrap => wrap_vk,
         AggKind::Fold => fold_vk,
     };
-    verify(
-        vk,
-        &aggregate_inputs(&aggregate.digest, aggregate.count),
-        &aggregate.proof,
-    )
+    (vk, aggregate_inputs(&aggregate.digest, aggregate.count))
 }
 
 /// A key-generation-only pseudo-circuit (setup consumes only the id) —
@@ -418,7 +444,7 @@ impl AggregationSystem {
     /// [`ProveError::Unsatisfied`] if the leaf proof does not verify —
     /// an aggregate over a false statement cannot be produced.
     pub fn wrap(&self, item: &BatchItem) -> Result<AggregateProof, ProveError> {
-        let digest = AggDigest::of_statement(&statement_key(&item.vk, &item.inputs, &item.proof));
+        let digest = leaf_digest(item);
         let proof = prove(
             &self.wrap_pk,
             &WrapCircuit,
@@ -448,13 +474,9 @@ impl AggregationSystem {
             .count
             .checked_add(right.count)
             .ok_or_else(|| Unsatisfied::new("fold/count-overflow", "leaf count overflow"))?;
-        let circuit = FoldCircuit {
-            wrap_vk: self.wrap_vk,
-            fold_vk: self.fold_vk,
-        };
         let proof = prove(
             &self.fold_pk,
-            &circuit,
+            &self.fold_circuit(),
             &aggregate_inputs(&digest, count),
             &FoldWitness {
                 left: *left,
@@ -469,6 +491,13 @@ impl AggregationSystem {
         })
     }
 
+    fn fold_circuit(&self) -> FoldCircuit {
+        FoldCircuit {
+            wrap_vk: self.wrap_vk,
+            fold_vk: self.fold_vk,
+        }
+    }
+
     /// Verifies an aggregate proof: one constant-time SNARK check.
     pub fn verify_aggregate(&self, aggregate: &AggregateProof) -> bool {
         verify_aggregate_with(&self.wrap_vk, &self.fold_vk, aggregate)
@@ -476,8 +505,10 @@ impl AggregationSystem {
 
     /// Folds a whole work list into one [`BlockProof`]: leaves wrapped
     /// and every tree layer folded on `workers` strided scoped-thread
-    /// lanes (the [`crate::parallel`] layout). The empty list yields
-    /// [`BlockProof::empty`].
+    /// lanes, each layer one [`prove_layer`] — the recursive prover's
+    /// routine, so a lane checks its leaf proofs (or child aggregates) as
+    /// one batch equation before it attests any of them. The empty list
+    /// yields [`BlockProof::empty`].
     ///
     /// # Errors
     ///
@@ -512,9 +543,23 @@ impl AggregationSystem {
         let _build = telemetry.span("snark.aggregate.build");
         let layer: Vec<AggregateProof> = {
             let _span = telemetry.span("snark.aggregate.wrap");
-            fan_out(items, workers, || (), |item| self.wrap(item))
+            let digests: Vec<AggDigest> = items.iter().map(leaf_digest).collect();
+            let statements: Vec<(PublicInputs, &BatchItem)> = digests
+                .iter()
+                .zip(items)
+                .map(|(digest, item)| (aggregate_inputs(digest, 1), item))
+                .collect();
+            let proofs = prove_layer(&self.wrap_pk, &WrapCircuit, &statements, workers)?;
+            digests
                 .into_iter()
-                .collect::<Result<_, _>>()?
+                .zip(proofs)
+                .map(|(digest, proof)| AggregateProof {
+                    digest,
+                    count: 1,
+                    kind: AggKind::Wrap,
+                    proof,
+                })
+                .collect()
         };
         let (aggregate, depth) = self.fold_layers(layer, workers, telemetry)?;
         telemetry.observe("snark.aggregate.depth", depth);
@@ -532,25 +577,38 @@ impl AggregationSystem {
         workers: usize,
         telemetry: &Telemetry,
     ) -> Result<(AggregateProof, u64), ProveError> {
+        let circuit = self.fold_circuit();
         let mut depth = 0u64;
         while layer.len() > 1 {
             depth += 1;
-            let pairs: Vec<(AggregateProof, Option<AggregateProof>)> = layer
-                .chunks(2)
-                .map(|pair| (pair[0], pair.get(1).copied()))
-                .collect();
             let _span = telemetry.span("snark.aggregate.fold");
-            layer = fan_out(
-                &pairs,
-                workers,
-                || (),
-                |(left, right)| match right {
-                    Some(right) => self.fold(left, right),
-                    None => Ok(*left),
-                },
-            )
-            .into_iter()
-            .collect::<Result<_, _>>()?;
+            let statements: Vec<(PublicInputs, FoldWitness)> = layer
+                .chunks_exact(2)
+                .map(|pair| {
+                    let (left, right) = (pair[0], pair[1]);
+                    // A count that overflows wraps here and is refused
+                    // by the circuit (`fold/count-overflow`), as `fold`
+                    // refuses it.
+                    let count = left.count.wrapping_add(right.count);
+                    (
+                        aggregate_inputs(&left.digest.combine(&right.digest), count),
+                        FoldWitness { left, right },
+                    )
+                })
+                .collect();
+            let proofs = prove_layer(&self.fold_pk, &circuit, &statements, workers)?;
+            let odd = layer.chunks_exact(2).remainder().first().copied();
+            layer = statements
+                .iter()
+                .zip(proofs)
+                .map(|((_, w), proof)| AggregateProof {
+                    digest: w.left.digest.combine(&w.right.digest),
+                    count: w.left.count + w.right.count,
+                    kind: AggKind::Fold,
+                    proof,
+                })
+                .chain(odd)
+                .collect();
         }
         Ok((layer.remove(0), depth))
     }
@@ -679,14 +737,11 @@ mod tests {
         assert_eq!(ok, Ok(()));
         assert_eq!(
             WrapCircuit.constraint_cost(&wrap_inputs, &batch[0]),
-            ran.group_muls * gadget_cost::PROOF_VERIFY
+            ran.proof_checks * gadget_cost::PROOF_VERIFY
         );
-        assert_eq!(ran.group_muls, 1);
+        assert_eq!((ran.proof_checks, ran.group_muls), (1, 1));
 
-        let circuit = FoldCircuit {
-            wrap_vk: sys.wrap_vk,
-            fold_vk: sys.fold_vk,
-        };
+        let circuit = sys.fold_circuit();
         let pairs = [
             sys.fold(&wraps[0], &wraps[1]).unwrap(),
             sys.fold(&wraps[2], &wraps[3]).unwrap(),
@@ -701,9 +756,9 @@ mod tests {
             assert_eq!(ok, Ok(()));
             assert_eq!(
                 circuit.constraint_cost(&inputs, &witness),
-                ran.group_muls * gadget_cost::PROOF_VERIFY
+                ran.proof_checks * gadget_cost::PROOF_VERIFY
             );
-            assert_eq!(ran.group_muls, 2);
+            assert_eq!((ran.proof_checks, ran.group_muls), (2, 2));
         }
     }
 
@@ -805,10 +860,36 @@ mod tests {
         let sys = system();
         let mut batch = items(4);
         batch[2].proof = batch[3].proof;
-        assert!(matches!(
-            sys.aggregate(&batch, 2),
-            Err(ProveError::Unsatisfied(_))
-        ));
+        batch[3].proof = batch[0].proof;
+        // The first bad leaf's own refusal, on any number of lanes.
+        let first = sys.wrap(&batch[2]).unwrap_err();
+        assert!(matches!(first, ProveError::Unsatisfied(ref u) if u.rule == "wrap/proof"));
+        for workers in [1, 2, 4] {
+            assert_eq!(sys.aggregate(&batch, workers), Err(first.clone()));
+        }
+    }
+
+    /// Wrap and fold layers are proven a batch equation a lane: the
+    /// block proof is the one per-leaf `wrap` and per-pair `fold` calls
+    /// build, at one group evaluation per layer beside the attestations.
+    #[test]
+    fn aggregate_checks_each_layer_as_one_equation() {
+        use zendoo_primitives::opcount::measure;
+        let sys = system();
+        let batch = items(8);
+        let wraps: Vec<_> = batch.iter().map(|item| sys.wrap(item).unwrap()).collect();
+        let mut layer = wraps;
+        while layer.len() > 1 {
+            layer = layer
+                .chunks(2)
+                .map(|pair| sys.fold(&pair[0], &pair[1]).unwrap())
+                .collect();
+        }
+        let (block, cost) = measure(|| sys.aggregate(&batch, 1).unwrap());
+        assert_eq!(block.aggregate(), Some(&layer[0]));
+        // 8 wraps and 7 folds attest; 8 + 14 proof checks ride on the
+        // wrap layer's equation and the three fold layers'.
+        assert_eq!((cost.group_muls, cost.proof_checks), (8 + 7 + 4, 8 + 14));
     }
 
     #[test]

@@ -11,23 +11,30 @@
 //!   compromised Groth16 ceremony.
 //! * [`prove`] **evaluates the constraint system** and refuses to sign an
 //!   unsatisfied assignment, then emits a constant-size attestation over
-//!   `H(circuit_id ‖ public_inputs)`.
+//!   `H(circuit_id ‖ public_inputs)`. [`prove_layer`] does the same for
+//!   a whole layer of statements, with the proofs and signatures the
+//!   circuits embed checked as one batch equation before the first
+//!   attestation (see [`crate::deferred`]).
 //! * [`verify`] is a single Schnorr verification — constant time in the
 //!   circuit size, linear only in the public-input length, which is the
 //!   succinctness property the mainchain relies on (§4.1.2).
 //!
 //! Proofs are 65 bytes regardless of statement size.
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::Encode;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
 
+use crate::batch::fan_out;
 use crate::circuit::{Circuit, Unsatisfied};
+use crate::deferred::Deferred;
 use crate::inputs::PublicInputs;
 
 /// Signature context binding proofs to this backend version.
-const PROOF_CONTEXT: &str = "zendoo/snark-proof-v1";
+pub(crate) const PROOF_CONTEXT: &str = "zendoo/snark-proof-v1";
 
 /// Errors from the proving side.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -206,16 +213,90 @@ pub fn prove<C: Circuit>(
     public: &PublicInputs,
     witness: &C::Witness,
 ) -> Result<Proof, ProveError> {
-    if pk.circuit_id != circuit.id() {
-        return Err(ProveError::CircuitMismatch {
+    check_key(pk, circuit)?;
+    circuit.check(public, witness)?;
+    Ok(attest(pk, public))
+}
+
+/// Proves a whole layer of statements of one circuit — every base proof
+/// of an epoch, every merge of one tree level — on `workers` strided
+/// lanes (statement `i` on lane `i % workers`), returning the proofs in
+/// statement order: each lane runs [`Circuit::check_deferred`] on its
+/// statements, discharges every embedded proof and signature check they
+/// stated as **one** batch equation ([`Deferred::discharge`]), and only
+/// then attests them. Nothing is signed before its checks held.
+///
+/// Attestations are deterministic signatures over the statement alone,
+/// so the proofs are byte-identical to per-statement [`prove`] calls.
+///
+/// # Errors
+///
+/// Exactly [`prove`]'s, for the first statement in order that it
+/// refuses: when a lane meets a structural violation or its discharge
+/// fails, the layer is proven again by [`prove`], one statement at a
+/// time, and that is the result.
+pub fn prove_layer<C, W>(
+    pk: &ProvingKey,
+    circuit: &C,
+    statements: &[(PublicInputs, W)],
+    workers: usize,
+) -> Result<Vec<Proof>, ProveError>
+where
+    C: Circuit + Sync,
+    W: Borrow<C::Witness> + Sync,
+{
+    check_key(pk, circuit)?;
+    let workers = workers.clamp(1, statements.len().max(1));
+    let lanes: Vec<usize> = (0..workers).collect();
+    let proved = fan_out(
+        &lanes,
+        workers,
+        || (),
+        |&lane| {
+            let mine: Vec<_> = statements.iter().skip(lane).step_by(workers).collect();
+            let mut deferred = Deferred::new();
+            for (public, witness) in &mine {
+                circuit
+                    .check_deferred(public, witness.borrow(), &mut deferred)
+                    .ok()?;
+            }
+            deferred
+                .discharge()
+                .then(|| mine.iter().map(|(public, _)| attest(pk, public)).collect())
+        },
+    );
+    match proved.into_iter().collect::<Option<Vec<Vec<Proof>>>>() {
+        Some(lanes) => {
+            // Lane `w` holds the proofs of statements w, w + workers, …
+            let mut lanes: Vec<_> = lanes.into_iter().map(Vec::into_iter).collect();
+            Ok((0..statements.len())
+                .map(|i| lanes[i % workers].next().expect("one proof per statement"))
+                .collect())
+        }
+        None => statements
+            .iter()
+            .map(|(public, witness)| prove(pk, circuit, public, witness.borrow()))
+            .collect(),
+    }
+}
+
+fn check_key<C: Circuit>(pk: &ProvingKey, circuit: &C) -> Result<(), ProveError> {
+    if pk.circuit_id == circuit.id() {
+        Ok(())
+    } else {
+        Err(ProveError::CircuitMismatch {
             key_circuit: pk.circuit_id,
             statement_circuit: circuit.id(),
-        });
+        })
     }
-    circuit.check(public, witness)?;
+}
+
+/// The attestation over a statement whose constraints held.
+fn attest(pk: &ProvingKey, public: &PublicInputs) -> Proof {
     let message = statement_digest(&pk.circuit_id, public);
-    let attestation = pk.signer.sign(PROOF_CONTEXT, message.as_bytes());
-    Ok(Proof { attestation })
+    Proof {
+        attestation: pk.signer.sign(PROOF_CONTEXT, message.as_bytes()),
+    }
 }
 
 /// Verifies a proof against public inputs
@@ -224,9 +305,22 @@ pub fn prove<C: Circuit>(
 /// Constant-time in the circuit size; this is the unified verifier the
 /// mainchain exposes to all sidechains.
 pub fn verify(vk: &VerifyingKey, public: &PublicInputs, proof: &Proof) -> bool {
-    let message = statement_digest(&vk.circuit_id, public);
-    vk.attestor
-        .verify(PROOF_CONTEXT, message.as_bytes(), &proof.attestation)
+    let (key, message, signature) = attestation(vk, public, proof);
+    key.verify(PROOF_CONTEXT, message.as_bytes(), &signature)
+}
+
+/// The signature check [`verify`] runs, as `(key, message, signature)`
+/// under [`PROOF_CONTEXT`]: what a [`Deferred`] records for a proof.
+pub(crate) fn attestation(
+    vk: &VerifyingKey,
+    public: &PublicInputs,
+    proof: &Proof,
+) -> (PublicKey, Digest32, Signature) {
+    (
+        vk.attestor,
+        statement_digest(&vk.circuit_id, public),
+        proof.attestation,
+    )
 }
 
 /// `H(circuit_id ‖ public_inputs)` — the statement a proof attests to.

@@ -10,6 +10,7 @@
 use std::fmt;
 use zendoo_primitives::digest::Digest32;
 
+use crate::deferred::Deferred;
 use crate::inputs::PublicInputs;
 
 /// Why a constraint system rejected an assignment.
@@ -64,6 +65,31 @@ pub trait Circuit {
     /// Returns [`Unsatisfied`] describing the first violated constraint.
     fn check(&self, public: &PublicInputs, witness: &Self::Witness) -> Result<(), Unsatisfied>;
 
+    /// [`Circuit::check`] with the embedded proof and signature checks
+    /// stated into `deferred` instead of run: what the layer prover
+    /// ([`crate::backend::prove_layer`]) calls, discharging every
+    /// statement's checks of a layer as one equation. The default
+    /// defers nothing.
+    ///
+    /// A circuit that overrides it keeps one implementation: its
+    /// `check` is this method over [`Deferred::eager`], which runs each
+    /// embedded check where it is stated. The constraint model still
+    /// prices what `check` runs (`constraint_cost` below), deferred or
+    /// not: deferral changes when the prover pays, not the statement.
+    ///
+    /// # Errors
+    ///
+    /// [`Unsatisfied`] for the first violated constraint that is not
+    /// deferred (and, eager, for the first that is).
+    fn check_deferred(
+        &self,
+        public: &PublicInputs,
+        witness: &Self::Witness,
+        _deferred: &mut Deferred,
+    ) -> Result<(), Unsatisfied> {
+        self.check(public, witness)
+    }
+
     /// Approximate number of R1CS constraints this assignment occupies.
     ///
     /// A model of the prover's work in [`gadget_cost`] units, with no
@@ -88,6 +114,15 @@ impl<C: Circuit> Circuit for &C {
 
     fn check(&self, public: &PublicInputs, witness: &Self::Witness) -> Result<(), Unsatisfied> {
         (*self).check(public, witness)
+    }
+
+    fn check_deferred(
+        &self,
+        public: &PublicInputs,
+        witness: &Self::Witness,
+        deferred: &mut Deferred,
+    ) -> Result<(), Unsatisfied> {
+        (*self).check_deferred(public, witness, deferred)
     }
 
     fn constraint_cost(&self, public: &PublicInputs, witness: &Self::Witness) -> u64 {

@@ -4,7 +4,9 @@
 //! 2.5): a circuit abstraction ([`circuit`]), a `Setup`/`Prove`/`Verify`
 //! backend with constant-size publicly verifiable proofs ([`backend`]),
 //! unified public inputs ([`inputs`]) and recursive Base/Merge composition
-//! for state-transition systems ([`recursive`]).
+//! for state-transition systems ([`recursive`]), proven a tree layer at
+//! a time with the embedded checks of each layer discharged as one batch
+//! equation ([`deferred`], [`backend::prove_layer`]).
 //!
 //! ## Substitution notice
 //!
@@ -50,14 +52,18 @@ pub mod aggregate;
 pub mod backend;
 pub mod batch;
 pub mod circuit;
+pub mod deferred;
 pub mod inputs;
 pub mod parallel;
 pub mod recursive;
 
 pub use aggregate::{AggDigest, AggKind, AggregateProof, AggregationSystem, BlockProof};
-pub use backend::{prove, setup, setup_deterministic, verify, Proof, ProvingKey, VerifyingKey};
+pub use backend::{
+    prove, prove_layer, setup, setup_deterministic, verify, Proof, ProvingKey, VerifyingKey,
+};
 pub use batch::{verify_batch, BatchItem};
 pub use circuit::{Circuit, Unsatisfied};
+pub use deferred::Deferred;
 pub use inputs::PublicInputs;
 pub use parallel::ParallelProver;
 pub use recursive::{ProofKind, RecursiveSystem, StateProof, TransitionVerifier};

@@ -9,15 +9,15 @@
 //!
 //! [`ParallelProver`] realizes the computational half of that scheme:
 //! base proofs and each merge layer of the Fig 10/11 tree are computed
-//! concurrently by a bounded worker pool, preserving the exact proof
-//! shape of the sequential [`RecursiveSystem::prove_chain`]. The
-//! dispatch/reward bookkeeping lives in `zendoo-latus::prover_pool`.
+//! concurrently by a bounded worker pool, through the very layer routine
+//! of the sequential [`RecursiveSystem::prove_chain`] (which is its
+//! one-lane case), so the proof is the same. The dispatch/reward
+//! bookkeeping lives in `zendoo-latus::prover_pool`.
 
 use zendoo_primitives::field::Fp;
 
 use crate::backend::ProveError;
-use crate::batch::fan_out;
-use crate::recursive::{RecursiveSystem, StateProof, TransitionVerifier};
+use crate::recursive::{check_arity, RecursiveSystem, StateProof, TransitionVerifier};
 
 /// Per-run statistics: which worker produced how many proofs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -70,70 +70,35 @@ where
     }
 
     /// Folds a transition sequence into one proof, computing each tree
-    /// layer in parallel. Produces the same endpoints as the sequential
-    /// fold.
+    /// layer on the worker lanes: the sequential fold's own layer routine
+    /// ([`crate::backend::prove_layer`]) with `workers` lanes, each lane
+    /// one batch equation a layer. The proof is the sequential fold's,
+    /// byte for byte.
     ///
     /// # Errors
     ///
-    /// Propagates the first unsatisfied transition or merge.
+    /// The first unsatisfied transition or merge, as the sequential fold
+    /// reports it.
     pub fn prove_chain(
         &self,
         states: &[Fp],
         witnesses: &[V::Witness],
     ) -> Result<(StateProof, WorkReport), ProveError> {
-        if witnesses.is_empty() || states.len() != witnesses.len() + 1 {
-            return Err(ProveError::Unsatisfied(crate::circuit::Unsatisfied::new(
-                "parallel/arity",
-                format!(
-                    "need n>=1 transitions and n+1 states, got {} states / {} witnesses",
-                    states.len(),
-                    witnesses.len()
-                ),
-            )));
-        }
+        check_arity("parallel/arity", states, witnesses.len())?;
+        let proof = self.system.prove_layers(states, witnesses, self.workers)?;
+        // Statement `i` of a layer ran on lane `i % workers`.
         let mut report = WorkReport::new(self.workers);
-
-        // Layer 0: base proofs, strided across workers.
-        let jobs: Vec<(usize, Fp, Fp, &V::Witness)> = witnesses
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (i, states[i], states[i + 1], w))
-            .collect();
-        let mut layer = self.run_layer(&jobs, |(_, from, to, witness)| {
-            self.system.prove_base(*from, *to, witness)
-        })?;
-        for (i, _) in jobs.iter().enumerate() {
+        for i in 0..witnesses.len() {
             report.base_proofs[i % self.workers] += 1;
         }
-
-        // Merge layers: pair adjacent proofs until one remains.
-        while layer.len() > 1 {
-            let pairs: Vec<(usize, StateProof, Option<StateProof>)> = layer
-                .chunks(2)
-                .enumerate()
-                .map(|(i, pair)| (i, pair[0], pair.get(1).copied()))
-                .collect();
-            layer = self.run_layer(&pairs, |(_, left, right)| match right {
-                Some(right) => self.system.merge(left, right),
-                None => Ok(*left),
-            })?;
-            for (i, _, right) in &pairs {
-                if right.is_some() {
-                    report.merge_proofs[i % self.workers] += 1;
-                }
+        let mut len = witnesses.len();
+        while len > 1 {
+            for i in 0..len / 2 {
+                report.merge_proofs[i % self.workers] += 1;
             }
+            len = len.div_ceil(2);
         }
-        Ok((layer.remove(0), report))
-    }
-
-    /// Runs one tree layer: `jobs[i]` is processed by worker
-    /// `i % workers`; results are returned in job order.
-    fn run_layer<J, F>(&self, jobs: &[J], f: F) -> Result<Vec<StateProof>, ProveError>
-    where
-        J: Sync,
-        F: Fn(&J) -> Result<StateProof, ProveError> + Sync,
-    {
-        fan_out(jobs, self.workers, || (), f).into_iter().collect()
+        Ok((proof, report))
     }
 }
 

@@ -11,16 +11,23 @@
 //!
 //! [`RecursiveSystem::prove_chain`] folds a whole transition sequence into
 //! one constant-size [`StateProof`] via a balanced merge tree, exactly the
-//! shape of Fig 10 (within a block) and Fig 11 (across an epoch).
+//! shape of Fig 10 (within a block) and Fig 11 (across an epoch), one
+//! tree layer at a time ([`crate::backend::prove_layer`]): a merge
+//! layer's child proofs, attested by just the Base and Merge keys, are
+//! checked as one batch equation rather than two verifications a merge.
+
+use std::borrow::Borrow;
 
 use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
 
 use crate::backend::{
-    prove, setup, setup_deterministic, verify, Proof, ProveError, ProvingKey, VerifyingKey,
+    prove, prove_layer, setup, setup_deterministic, verify, Proof, ProveError, ProvingKey,
+    VerifyingKey,
 };
 use crate::circuit::{gadget_cost, Circuit, Unsatisfied};
+use crate::deferred::Deferred;
 use crate::inputs::PublicInputs;
 
 /// The single-step transition relation of a state-transition system
@@ -47,6 +54,25 @@ pub trait TransitionVerifier {
         to: &Fp,
         witness: &Self::Witness,
     ) -> Result<(), Unsatisfied>;
+
+    /// [`TransitionVerifier::verify_transition`] with its embedded
+    /// signature checks stated into `deferred`: the Base circuit's
+    /// [`Circuit::check_deferred`]. The default defers nothing; a
+    /// relation that overrides it defines `verify_transition` as this
+    /// method over [`Deferred::eager`].
+    ///
+    /// # Errors
+    ///
+    /// [`Unsatisfied`] naming the first violated rule not deferred.
+    fn verify_transition_deferred(
+        &self,
+        from: &Fp,
+        to: &Fp,
+        witness: &Self::Witness,
+        _deferred: &mut Deferred,
+    ) -> Result<(), Unsatisfied> {
+        self.verify_transition(from, to, witness)
+    }
 
     /// Constraint-cost estimate for one transition: the Base circuit's
     /// [`Circuit::constraint_cost`], a model (see there).
@@ -110,15 +136,41 @@ pub fn verify_state_proof(
     merge_vk: &VerifyingKey,
     state_proof: &StateProof,
 ) -> bool {
+    let (vk, inputs) = state_statement(base_vk, merge_vk, state_proof);
+    verify(vk, &inputs, &state_proof.proof)
+}
+
+/// The key and public inputs a [`StateProof`] verifies under.
+fn state_statement<'a>(
+    base_vk: &'a VerifyingKey,
+    merge_vk: &'a VerifyingKey,
+    state_proof: &StateProof,
+) -> (&'a VerifyingKey, PublicInputs) {
     let vk = match state_proof.kind {
         ProofKind::Base => base_vk,
         ProofKind::Merge => merge_vk,
     };
-    verify(
-        vk,
-        &transition_inputs(&state_proof.from, &state_proof.to),
-        &state_proof.proof,
-    )
+    (vk, transition_inputs(&state_proof.from, &state_proof.to))
+}
+
+impl Deferred {
+    /// A [`StateProof`] verified inside a circuit — a Merge's child, the
+    /// certificate circuit's epoch proof: [`verify_state_proof`] as an
+    /// embedded check ([`Deferred::proof`]).
+    ///
+    /// # Errors
+    ///
+    /// `on_fail()` when eager and the proof does not verify.
+    pub fn state_proof(
+        &mut self,
+        base_vk: &VerifyingKey,
+        merge_vk: &VerifyingKey,
+        state_proof: &StateProof,
+        on_fail: impl FnOnce() -> Unsatisfied,
+    ) -> Result<(), Unsatisfied> {
+        let (vk, inputs) = state_statement(base_vk, merge_vk, state_proof);
+        self.proof(vk, &inputs, &state_proof.proof, on_fail)
+    }
 }
 
 /// The Base circuit derived from a [`TransitionVerifier`].
@@ -136,6 +188,17 @@ impl<V: TransitionVerifier> Circuit for BaseCircuit<'_, V> {
     fn check(&self, public: &PublicInputs, witness: &Self::Witness) -> Result<(), Unsatisfied> {
         let (from, to) = expect_states(public)?;
         self.verifier.verify_transition(&from, &to, witness)
+    }
+
+    fn check_deferred(
+        &self,
+        public: &PublicInputs,
+        witness: &Self::Witness,
+        deferred: &mut Deferred,
+    ) -> Result<(), Unsatisfied> {
+        let (from, to) = expect_states(public)?;
+        self.verifier
+            .verify_transition_deferred(&from, &to, witness, deferred)
     }
 
     fn constraint_cost(&self, _public: &PublicInputs, witness: &Self::Witness) -> u64 {
@@ -164,6 +227,15 @@ impl Circuit for MergeCircuit {
     }
 
     fn check(&self, public: &PublicInputs, w: &MergeWitness) -> Result<(), Unsatisfied> {
+        self.check_deferred(public, w, &mut Deferred::eager())
+    }
+
+    fn check_deferred(
+        &self,
+        public: &PublicInputs,
+        w: &MergeWitness,
+        deferred: &mut Deferred,
+    ) -> Result<(), Unsatisfied> {
         let (from, to) = expect_states(public)?;
         if w.left.from != from {
             return Err(Unsatisfied::new(
@@ -183,19 +255,12 @@ impl Circuit for MergeCircuit {
                 "child proofs do not meet at a common midpoint s_k",
             ));
         }
-        if !verify_state_proof(&self.base_vk, &self.merge_vk, &w.left) {
-            return Err(Unsatisfied::new(
-                "merge/left-proof",
-                "left child proof invalid",
-            ));
-        }
-        if !verify_state_proof(&self.base_vk, &self.merge_vk, &w.right) {
-            return Err(Unsatisfied::new(
-                "merge/right-proof",
-                "right child proof invalid",
-            ));
-        }
-        Ok(())
+        deferred.state_proof(&self.base_vk, &self.merge_vk, &w.left, || {
+            Unsatisfied::new("merge/left-proof", "left child proof invalid")
+        })?;
+        deferred.state_proof(&self.base_vk, &self.merge_vk, &w.right, || {
+            Unsatisfied::new("merge/right-proof", "right child proof invalid")
+        })
     }
 
     fn constraint_cost(&self, _public: &PublicInputs, _w: &MergeWitness) -> u64 {
@@ -313,15 +378,10 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
     /// [`ProveError::Unsatisfied`] if the children are invalid or not
     /// adjacent.
     pub fn merge(&self, left: &StateProof, right: &StateProof) -> Result<StateProof, ProveError> {
-        let circuit = MergeCircuit {
-            verifier_id: self.verifier.id(),
-            base_vk: self.base_vk,
-            merge_vk: self.merge_vk,
-        };
         let (from, to) = (left.from, right.to);
         let proof = prove(
             &self.merge_pk,
-            &circuit,
+            &self.merge_circuit(),
             &transition_inputs(&from, &to),
             &MergeWitness {
                 left: *left,
@@ -347,44 +407,116 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
     /// (`&[W]` or `&[&W]`), so a caller holding them elsewhere need not
     /// copy them.
     ///
+    /// Each tree layer is one [`prove_layer`] on the calling thread: the
+    /// base layer's transfer signatures, then every merge layer's child
+    /// proofs, discharged as one batch equation a layer. The proof is
+    /// the one per-step [`RecursiveSystem::prove_base`] and
+    /// [`RecursiveSystem::merge`] calls would fold, byte for byte, and
+    /// so is the error.
+    ///
     /// # Errors
     ///
     /// Fails on arity mismatch, an empty sequence, or any unsatisfied
     /// transition.
-    pub fn prove_chain<W: std::borrow::Borrow<V::Witness>>(
+    pub fn prove_chain<W>(&self, states: &[Fp], witnesses: &[W]) -> Result<StateProof, ProveError>
+    where
+        V: Sync,
+        V::Witness: Sync,
+        W: Borrow<V::Witness> + Sync,
+    {
+        check_arity("chain/arity", states, witnesses.len())?;
+        self.prove_layers(states, witnesses, 1)
+    }
+
+    /// The fold itself, every layer through [`prove_layer`] on `workers`
+    /// lanes; the arity was checked by the caller. Layer `k` proves the
+    /// base transitions (`k = 0`) or merges adjacent pairs, an odd last
+    /// proof rising unmerged — the same tree for every `workers`.
+    pub(crate) fn prove_layers<W>(
         &self,
         states: &[Fp],
         witnesses: &[W],
-    ) -> Result<StateProof, ProveError> {
-        if witnesses.is_empty() || states.len() != witnesses.len() + 1 {
-            return Err(ProveError::Unsatisfied(Unsatisfied::new(
-                "chain/arity",
-                format!(
-                    "need n>=1 transitions and n+1 states, got {} states / {} witnesses",
-                    states.len(),
-                    witnesses.len()
-                ),
-            )));
-        }
-        let mut layer: Vec<StateProof> = Vec::with_capacity(witnesses.len());
-        for (i, witness) in witnesses.iter().enumerate() {
-            layer.push(self.prove_base(states[i], states[i + 1], witness.borrow())?);
-        }
-        // Balanced fold: pair adjacent proofs until one remains.
+        workers: usize,
+    ) -> Result<StateProof, ProveError>
+    where
+        V: Sync,
+        V::Witness: Sync,
+        W: Borrow<V::Witness> + Sync,
+    {
+        let base = BaseCircuit {
+            verifier: &self.verifier,
+        };
+        let statements: Vec<(PublicInputs, &V::Witness)> = witnesses
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (transition_inputs(&states[i], &states[i + 1]), w.borrow()))
+            .collect();
+        let proofs = prove_layer(&self.base_pk, &base, &statements, workers)?;
+        let mut layer: Vec<StateProof> = proofs
+            .into_iter()
+            .enumerate()
+            .map(|(i, proof)| StateProof {
+                from: states[i],
+                to: states[i + 1],
+                kind: ProofKind::Base,
+                proof,
+            })
+            .collect();
+        let merge = self.merge_circuit();
         while layer.len() > 1 {
-            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-            let mut iter = layer.chunks(2);
-            for pair in &mut iter {
-                match pair {
-                    [left, right] => next.push(self.merge(left, right)?),
-                    [single] => next.push(*single),
-                    _ => unreachable!("chunks(2) yields 1..=2 items"),
-                }
-            }
-            layer = next;
+            let statements: Vec<(PublicInputs, MergeWitness)> = layer
+                .chunks_exact(2)
+                .map(|pair| {
+                    let (left, right) = (pair[0], pair[1]);
+                    (
+                        transition_inputs(&left.from, &right.to),
+                        MergeWitness { left, right },
+                    )
+                })
+                .collect();
+            let proofs = prove_layer(&self.merge_pk, &merge, &statements, workers)?;
+            let odd = layer.chunks_exact(2).remainder().first().copied();
+            layer = statements
+                .iter()
+                .zip(proofs)
+                .map(|((_, w), proof)| StateProof {
+                    from: w.left.from,
+                    to: w.right.to,
+                    kind: ProofKind::Merge,
+                    proof,
+                })
+                .chain(odd)
+                .collect();
         }
         Ok(layer.remove(0))
     }
+
+    fn merge_circuit(&self) -> MergeCircuit {
+        MergeCircuit {
+            verifier_id: self.verifier.id(),
+            base_vk: self.base_vk,
+            merge_vk: self.merge_vk,
+        }
+    }
+}
+
+/// Refuses a transition sequence that is empty or whose `states` are not
+/// one more than its transitions, under `rule`.
+pub(crate) fn check_arity(
+    rule: &'static str,
+    states: &[Fp],
+    transitions: usize,
+) -> Result<(), ProveError> {
+    if transitions == 0 || states.len() != transitions + 1 {
+        return Err(ProveError::Unsatisfied(Unsatisfied::new(
+            rule,
+            format!(
+                "need n>=1 transitions and n+1 states, got {} states / {transitions} witnesses",
+                states.len()
+            ),
+        )));
+    }
+    Ok(())
 }
 
 impl<V: TransitionVerifier + std::fmt::Debug> std::fmt::Debug for RecursiveSystem<V> {
@@ -496,7 +628,7 @@ mod tests {
 
     /// The cost line beside what `check` runs: the model charges a Merge
     /// two in-circuit proof checks whatever its children fold, and those
-    /// are the verifications the check performs.
+    /// are the verifications the check performs (`proof_checks`).
     #[test]
     fn merge_is_charged_the_two_checks_it_runs() {
         use zendoo_primitives::opcount::measure;
@@ -511,11 +643,7 @@ mod tests {
             sys.merge(&leaves[0], &leaves[1]).unwrap(),
             sys.merge(&leaves[2], &leaves[3]).unwrap(),
         ];
-        let circuit = MergeCircuit {
-            verifier_id: sys.verifier.id(),
-            base_vk: sys.base_vk,
-            merge_vk: sys.merge_vk,
-        };
+        let circuit = sys.merge_circuit();
         for (left, right) in [(leaves[0], leaves[1]), (halves[0], halves[1])] {
             let inputs = transition_inputs(&left.from, &right.to);
             let witness = MergeWitness { left, right };
@@ -523,9 +651,16 @@ mod tests {
             assert_eq!(ok, Ok(()));
             assert_eq!(
                 circuit.constraint_cost(&inputs, &witness),
-                ran.group_muls * gadget_cost::PROOF_VERIFY
+                ran.proof_checks * gadget_cost::PROOF_VERIFY
             );
-            assert_eq!(ran.group_muls, 2);
+            assert_eq!((ran.proof_checks, ran.group_muls), (2, 2));
+            // Deferred, the same two checks are stated and none is run.
+            let mut deferred = Deferred::new();
+            let (ok, deferring) =
+                measure(|| circuit.check_deferred(&inputs, &witness, &mut deferred));
+            assert_eq!(ok, Ok(()));
+            assert_eq!((deferring.proof_checks, deferring.group_muls), (2, 0));
+            assert_eq!(deferred.len(), 2);
         }
     }
 
@@ -613,5 +748,212 @@ mod tests {
             .prove_base(digest_of(0), digest_of(3), &Step { old: 0, delta: 3 })
             .unwrap();
         assert!(verify_state_proof(sys.base_vk(), sys.merge_vk(), &proof));
+    }
+
+    /// The fold as it was before layers: one `prove_base` per transition,
+    /// one `merge` per pair, each checking its children on its own — the
+    /// reference the layered fold must equal, proof and error alike.
+    fn eager_chain<V: TransitionVerifier>(
+        sys: &RecursiveSystem<V>,
+        states: &[Fp],
+        witnesses: &[V::Witness],
+    ) -> Result<StateProof, ProveError> {
+        let mut layer = witnesses
+            .iter()
+            .enumerate()
+            .map(|(i, w)| sys.prove_base(states[i], states[i + 1], w))
+            .collect::<Result<Vec<_>, _>>()?;
+        while layer.len() > 1 {
+            layer = layer
+                .chunks(2)
+                .map(|pair| match pair {
+                    [left, right] => sys.merge(left, right),
+                    [single] => Ok(*single),
+                    _ => unreachable!("chunks(2) yields 1..=2 items"),
+                })
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(layer.remove(0))
+    }
+
+    fn counter_chain(n: u64) -> (Vec<Fp>, Vec<Step>) {
+        let states = (0..=n).map(digest_of).collect();
+        let witnesses = (0..n).map(|old| Step { old, delta: 1 }).collect();
+        (states, witnesses)
+    }
+
+    #[test]
+    fn layered_fold_is_the_eager_fold_byte_for_byte() {
+        let sys = system();
+        for n in [1u64, 2, 3, 5, 8, 13] {
+            let (states, witnesses) = counter_chain(n);
+            let eager = eager_chain(&sys, &states, &witnesses).unwrap();
+            assert_eq!(sys.prove_chain(&states, &witnesses).unwrap(), eager);
+            for workers in [2, 4] {
+                let prover = crate::parallel::ParallelProver::new(&sys, workers);
+                assert_eq!(prover.prove_chain(&states, &witnesses).unwrap().0, eager);
+            }
+        }
+    }
+
+    /// A child that does not verify in merge layer `j` — every base proof
+    /// checked against another setup's base key (`j = 0`), or every merge
+    /// proof against another's merge key (`j = 1`): the layer's equation
+    /// fails and the fold reports what the eager fold reports, the
+    /// first merge's `merge/left-proof`, on every number of lanes.
+    #[test]
+    fn a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does() {
+        let honest = system();
+        let other = RecursiveSystem::new_deterministic(Counter, b"another-setup");
+        let rewired = |base_vk, merge_vk| RecursiveSystem {
+            verifier: Counter,
+            base_pk: honest.base_pk.clone(),
+            base_vk,
+            merge_pk: honest.merge_pk.clone(),
+            merge_vk,
+        };
+        let (states, witnesses) = counter_chain(8);
+        for (layer, sys) in [
+            (0, rewired(other.base_vk, honest.merge_vk)),
+            (1, rewired(honest.base_vk, other.merge_vk)),
+        ] {
+            let eager = eager_chain(&sys, &states, &witnesses).unwrap_err();
+            let ProveError::Unsatisfied(unsatisfied) = &eager else {
+                panic!("layer {layer}: {eager:?}");
+            };
+            assert_eq!(unsatisfied.rule, "merge/left-proof", "layer {layer}");
+            assert_eq!(sys.prove_chain(&states, &witnesses), Err(eager.clone()));
+            for workers in [1, 2, 4] {
+                let prover = crate::parallel::ParallelProver::new(&sys, workers);
+                assert_eq!(
+                    prover
+                        .prove_chain(&states, &witnesses)
+                        .map(|(proof, _)| proof),
+                    Err(eager.clone()),
+                    "layer {layer}, {workers} lanes"
+                );
+            }
+        }
+    }
+
+    /// A counter whose every step is signed by one of two keys: a Base
+    /// circuit with a deferred check, stated between two structural ones.
+    #[derive(Debug)]
+    struct SignedCounter;
+
+    #[derive(Clone)]
+    struct SignedStep {
+        old: u64,
+        key: zendoo_primitives::schnorr::PublicKey,
+        sig: zendoo_primitives::schnorr::Signature,
+    }
+
+    const STEP_CONTEXT: &str = "test/signed-step";
+
+    impl TransitionVerifier for SignedCounter {
+        type Witness = SignedStep;
+
+        fn id(&self) -> Digest32 {
+            Digest32::hash_bytes(b"test/signed-counter")
+        }
+
+        fn verify_transition(&self, from: &Fp, to: &Fp, w: &SignedStep) -> Result<(), Unsatisfied> {
+            self.verify_transition_deferred(from, to, w, &mut Deferred::eager())
+        }
+
+        fn verify_transition_deferred(
+            &self,
+            from: &Fp,
+            to: &Fp,
+            w: &SignedStep,
+            deferred: &mut Deferred,
+        ) -> Result<(), Unsatisfied> {
+            if *from != digest_of(w.old) {
+                return Err(Unsatisfied::new("signed/from", "pre-state mismatch"));
+            }
+            deferred.signature(STEP_CONTEXT, &w.key, &w.old.to_be_bytes(), &w.sig, || {
+                Unsatisfied::new("signed/sig", format!("step {} is not signed", w.old))
+            })?;
+            if *to != digest_of(w.old + 1) {
+                return Err(Unsatisfied::new("signed/to", "post-state mismatch"));
+            }
+            Ok(())
+        }
+    }
+
+    fn signed_step(old: u64) -> SignedStep {
+        let signer = zendoo_primitives::schnorr::Keypair::from_seed(&[(old % 2) as u8]);
+        SignedStep {
+            old,
+            key: signer.public,
+            sig: signer.secret.sign(STEP_CONTEXT, &old.to_be_bytes()),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// `prove_layer` is per-statement `prove`, statement by statement
+        /// and error for error, on a base layer with deferred signatures
+        /// and a merge layer with deferred child proofs, whatever is
+        /// corrupted where and however many lanes prove it.
+        #[test]
+        fn prop_prove_layer_equals_eager_prove(
+            n in 1u64..12,
+            corrupt in proptest::collection::vec((0usize..12, 0u8..7), 0..4),
+            workers in 1usize..5,
+        ) {
+            let sys = RecursiveSystem::new_deterministic(SignedCounter, b"layer-prop");
+            let base = BaseCircuit { verifier: &sys.verifier };
+            let mut steps: Vec<(PublicInputs, SignedStep)> = (0..n)
+                .map(|i| (transition_inputs(&digest_of(i), &digest_of(i + 1)), signed_step(i)))
+                .collect();
+            let leaves: Vec<StateProof> = (0..n)
+                .map(|i| sys.prove_base(digest_of(i), digest_of(i + 1), &signed_step(i)).unwrap())
+                .collect();
+            let mut merges: Vec<(PublicInputs, MergeWitness)> = leaves
+                .chunks_exact(2)
+                .map(|pair| {
+                    let (left, right) = (pair[0], pair[1]);
+                    (transition_inputs(&left.from, &right.to), MergeWitness { left, right })
+                })
+                .collect();
+            for (at, how) in corrupt {
+                let (public, step) = &mut steps[at % n as usize];
+                match how {
+                    0 => step.sig = signed_step(step.old + 1).sig,
+                    1 => step.key = signed_step(step.old + 1).key,
+                    2 => *public = transition_inputs(&digest_of(step.old), &digest_of(99)),
+                    _ if merges.is_empty() => {}
+                    how => {
+                        let donor = leaves[(at + 1) % leaves.len()];
+                        let slot = at % merges.len();
+                        let (public, w) = &mut merges[slot];
+                        match how {
+                            3 => w.left.proof = donor.proof,
+                            4 => w.right.proof = donor.proof,
+                            5 => w.right.kind = ProofKind::Merge,
+                            _ => *public = transition_inputs(&w.left.from, &digest_of(99)),
+                        }
+                    }
+                }
+            }
+            let eager_base: Result<Vec<Proof>, _> = steps
+                .iter()
+                .map(|(public, step)| prove(&sys.base_pk, &base, public, step))
+                .collect();
+            proptest::prop_assert_eq!(
+                prove_layer(&sys.base_pk, &base, &steps, workers),
+                eager_base
+            );
+            let merge = sys.merge_circuit();
+            let eager_merge: Result<Vec<Proof>, _> = merges
+                .iter()
+                .map(|(public, w)| prove(&sys.merge_pk, &merge, public, w))
+                .collect();
+            proptest::prop_assert_eq!(
+                prove_layer(&sys.merge_pk, &merge, &merges, workers),
+                eager_merge
+            );
+        }
     }
 }

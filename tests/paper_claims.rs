@@ -15,7 +15,7 @@
 //! | E1 succinctness (Def 2.3) | `e1_proving_grows_with_the_statement_verifying_does_not` | `snark.prove_us`, `snark.verify_us` |
 //! | E1/E3 decoupling (§4.1.2) | `e1_e3_the_mainchain_pays_the_same_for_one_payment_or_hundreds` | `mainchain.stage2_ms` |
 //! | E3 certificate cost, SNARK vs committee (§4.1.2) | `e3_a_certificate_is_one_check_plus_hashing_linear_in_the_bt_list` | `snark.verify_us`, `primitives.schnorr_verify_us` |
-//! | E2 recursive composition (Def 2.5, Figs 10–11) | `e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs` | `latus.produce_certificate_p50_ms` |
+//! | E2 recursive composition (Def 2.5, Figs 10–11), checked a layer at a time | `e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs` | `latus.produce_certificate_p50_ms` |
 //! | block-level aggregation | `aggregated_stage2_is_one_verification_for_any_number_of_certificates` | `BENCH_proof_agg.json`, `snark.aggregate_verify_us` |
 //! | what stays linear in traffic: transfer signatures (§4.1.2) | `a_blocks_transfer_signatures_are_one_evaluation_for_any_number_of_transfers` | `follower_block_ms`, `mainchain.sig_batch_verify_ms` |
 //! | E4 `SCTxsCommitment` (§4.1.3, Figs 4/12) | `e4_commitment_proofs_are_logarithmic_in_the_sidechains` | `core.sc_commitment_us` |
@@ -35,7 +35,8 @@
 //! private to `zendoo-snark`: E2 and the aggregation test pin what they
 //! run, `recursive::tests::merge_is_charged_the_two_checks_it_runs` and
 //! `aggregate::tests::wrap_and_fold_are_charged_the_checks_they_run`
-//! pin their cost lines to it.
+//! pin their cost lines to it (`constraint_cost == proof_checks ×
+//! PROOF_VERIFY`).
 
 use std::sync::Arc;
 
@@ -564,10 +565,12 @@ fn counter_chain(n: u64) -> (Vec<Fp>, Vec<u64>) {
     ((0..=n).map(counter_digest).collect(), (0..n).collect())
 }
 
-/// Def 2.5, Figs 10–11: folding `n` transitions costs exactly `n` Base
-/// proofs and `n − 1` Merge proofs — a Merge being two proof checks and
-/// one attestation whatever its children fold — and the folded proof
-/// verifies like a single one.
+/// Def 2.5, Figs 10–11: folding `n` transitions is `n` Base and `n − 1`
+/// Merge attestations, and the `2(n − 1)` child proofs the merges check
+/// in-circuit — a Merge being two proof checks and one attestation
+/// whatever its children fold — are checked one tree layer at a time:
+/// one batch evaluation per merge layer, ⌈log₂ n⌉ in all. The folded
+/// proof verifies like a single one.
 #[test]
 fn e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs() {
     let system = RecursiveSystem::new_deterministic(Counter, b"claims");
@@ -578,10 +581,14 @@ fn e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs() {
             .unwrap()
     };
     let base = cost_of(|| step(0));
-    assert_eq!(base.group_muls, 1);
+    assert_eq!((base.group_muls, base.proof_checks), (1, 0));
     let leaves: Vec<_> = (0..4).map(step).collect();
     let merge = cost_of(|| system.merge(&leaves[0], &leaves[1]).unwrap());
-    assert_eq!(merge.group_muls, 3, "two child checks, one attestation");
+    assert_eq!(
+        (merge.group_muls, merge.proof_checks),
+        (3, 2),
+        "alone, two child checks and one attestation"
+    );
     let halves = [
         system.merge(&leaves[0], &leaves[1]).unwrap(),
         system.merge(&leaves[2], &leaves[3]).unwrap(),
@@ -597,7 +604,18 @@ fn e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs() {
     for n in [1u64, 4, 16, 64, 256] {
         let (states, witnesses) = counter_chain(n);
         let (folded, proving) = measure(|| system.prove_chain(&states, &witnesses).unwrap());
-        assert_eq!(proving, base * n + merge * (n - 1), "{n} transitions");
+        let merge_layers = u64::from(n.next_power_of_two().trailing_zeros());
+        assert_eq!(
+            proving.group_muls,
+            n + (n - 1) + merge_layers,
+            "{n} transitions: the attestations and one evaluation a merge layer"
+        );
+        assert_eq!(proving.proof_checks, 2 * (n - 1), "{n} transitions");
+        assert_eq!(
+            proving.permutations,
+            base.permutations * n,
+            "{n} transitions"
+        );
         let verifying = cost_of(|| assert!(system.verify(&folded)));
         assert_eq!(verifying, single, "{n} transitions verify like one");
     }
