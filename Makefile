@@ -62,10 +62,11 @@ test-field:
 # against the per-signature oracle (sig_admission), the
 # one-pass-fill ≡ per-prefix-greedy-fill oracle and a cacheless node
 # refusing a re-mined block with a bad signature exactly as fully inline
-# validation does, in both verify modes (pipeline), the batch equation
-# itself — identity keys and nonce points inside a valid batch, the
-# empty batch, repeated keys sharing one term with a bad signature under
-# a shared key (every schnorr:: unit test), cross-chain forgery/replay
+# validation does, with and without a carried block proof (pipeline),
+# the batch equation itself — identity keys and nonce points inside a
+# valid batch, the empty batch, repeated keys sharing one term with a
+# bad signature under a shared key (every schnorr:: unit test),
+# cross-chain forgery/replay
 # (the two adversarial files) and the hostile-input codec corpus
 # (settlement_codec).
 test-adversarial:
@@ -76,9 +77,10 @@ test-adversarial:
 # (byzantine), random fault plans against the auditor (fault_props), and
 # the determinism matrix the fault machinery must stay inside
 # (determinism): one tick, bit-identical across workers ∈ {1, 2, 3, 4,
-# per-core} × verify mode, every reference world replayed by a cacheless
-# follower (tests/common/mod.rs) — plus the span-name contract the
-# benchmark reads.
+# per-core}, every reference world replayed twice (tests/common/mod.rs):
+# by a cacheless follower given the blocks alone, and by one given each
+# block's recursive proof, which must verify on every block — plus the
+# span-name contract the benchmark reads.
 test-byzantine:
 	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism")
 

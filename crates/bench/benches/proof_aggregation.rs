@@ -1,10 +1,10 @@
 //! Block-level recursive proof aggregation: O(1) mainchain
 //! verification per block.
 //!
-//! Shape to reproduce: a receiving node under `VerifyMode::Individual`
-//! verifies one SNARK per statement in the block — linear in the
-//! block's certificate count. Under `VerifyMode::Aggregated` the block
-//! carries one recursive proof folded from all its statements, and the
+//! Shape to reproduce: a receiving node given a block alone verifies
+//! one SNARK per statement in the block — linear in the block's
+//! certificate count. When the block carries its recursive proof
+//! (`Blockchain::prove_block`), folded from all its statements, the
 //! receiver checks **one** SNARK regardless of block size; the only
 //! per-statement work left is recomputing the multiset statement
 //! digest (one hash each), orders of magnitude cheaper than a curve
@@ -17,7 +17,7 @@
 //!
 //! * `individual_ns` — full stage-2 verification, one SNARK per
 //!   statement (single worker: the linear baseline);
-//! * `aggregated_ns` — full aggregate-mode stage 2: recollect the work
+//! * `aggregated_ns` — full stage 2 for a carried proof: recollect the work
 //!   list, recompute the expected digest, verify one SNARK;
 //! * `aggregate_verify_ns` — the SNARK-verification component alone
 //!   (work list and digest already in hand): flat across block sizes —
@@ -34,7 +34,7 @@ use zendoo_core::ids::SidechainId;
 use zendoo_core::proofdata::ProofData;
 use zendoo_core::SidechainConfigBuilder;
 use zendoo_mainchain::chain::{Blockchain, ChainParams};
-use zendoo_mainchain::pipeline::{self, VerifyMode};
+use zendoo_mainchain::pipeline;
 use zendoo_mainchain::transaction::McTransaction;
 use zendoo_mainchain::{Block, Wallet};
 use zendoo_primitives::digest::Digest32;
@@ -50,13 +50,12 @@ fn sc_id(i: usize) -> SidechainId {
     SidechainId::from_label(&format!("bench-agg-{i}"))
 }
 
-/// An aggregated-mode chain with `n` sidechains and a prepared block
-/// at height 8 carrying one proven certificate per sidechain plus its
-/// recursive block proof.
+/// A chain with `n` sidechains, a prepared block at height 8 carrying
+/// one proven certificate per sidechain, and the block's recursive
+/// proof.
 fn chain_with_cert_block(n: usize) -> (Blockchain, Block, BlockProof, Vec<Digest32>) {
     let miner = Wallet::from_seed(b"bench-agg-miner");
     let mut chain = Blockchain::new(ChainParams::default());
-    chain.set_verify_mode(VerifyMode::Aggregated);
     let mut pks: Vec<ProvingKey> = Vec::with_capacity(n);
     let mut declarations = Vec::with_capacity(n);
     for i in 0..n {
@@ -96,7 +95,9 @@ fn chain_with_cert_block(n: usize) -> (Blockchain, Block, BlockProof, Vec<Digest
         })
         .collect();
     let prepared = chain.prepare_block(miner.address(), certs, 8).unwrap();
-    let proof = prepared.proof.expect("aggregated builder attaches a proof");
+    let proof = chain
+        .prove_block(&prepared.block)
+        .expect("an honest block folds");
     let active: Vec<Digest32> = (0..=chain.height())
         .map(|h| chain.hash_at_height(h).unwrap())
         .collect();

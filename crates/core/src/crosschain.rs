@@ -296,9 +296,15 @@ pub fn decode_xct_list(bytes: &[u8]) -> Option<Result<Vec<CrossChainTransfer>, X
         return Some(Err(XctError::Malformed));
     }
     let count = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    let body = &rest[4..];
-    if body.len() != count * XCT_WIRE_LEN {
-        return Some(Err(XctError::Malformed));
+    Some(decode_xct_entries(count, &rest[4..]).ok_or(XctError::Malformed))
+}
+
+/// Decodes `count` transfers in [`CrossChainTransfer`] wire form, the
+/// entries of both a declared-transfer list and a settlement batch.
+/// `None` unless `entries` holds exactly `count` of them.
+pub(crate) fn decode_xct_entries(count: usize, entries: &[u8]) -> Option<Vec<CrossChainTransfer>> {
+    if entries.len() != count.checked_mul(XCT_WIRE_LEN)? {
+        return None;
     }
     let word = |chunk: &[u8], i: usize| -> [u8; 32] {
         let mut out = [0u8; 32];
@@ -306,7 +312,7 @@ pub fn decode_xct_list(bytes: &[u8]) -> Option<Result<Vec<CrossChainTransfer>, X
         out
     };
     let mut xcts = Vec::with_capacity(count);
-    for chunk in body.chunks_exact(XCT_WIRE_LEN) {
+    for chunk in entries.chunks_exact(XCT_WIRE_LEN) {
         let mut amount = [0u8; 8];
         amount.copy_from_slice(&chunk[96..104]);
         let mut nonce = [0u8; 8];
@@ -321,7 +327,7 @@ pub fn decode_xct_list(bytes: &[u8]) -> Option<Result<Vec<CrossChainTransfer>, X
             nullifier: Nullifier(Digest32(word(chunk, 144))),
         });
     }
-    Some(Ok(xcts))
+    Some(xcts)
 }
 
 /// Extracts the declared cross-chain transfers from a certificate's

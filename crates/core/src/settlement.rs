@@ -249,18 +249,9 @@ fn decode_tagged(bytes: &[u8]) -> Result<SettlementBatch, SettlementError> {
     let dest = SidechainId(word(36));
     let claimed = word(68);
     let count = u32::from_be_bytes([body[100], body[101], body[102], body[103]]) as usize;
-    let entries = &body[104..];
-    if entries.len() != count * XCT_WIRE_LEN {
-        return Err(SettlementError::Malformed);
-    }
-    // Entries reuse the declared-list wire form via the XCT codec.
-    let mut encoded = crate::crosschain::XCT_MAGIC.to_vec();
-    encoded.extend_from_slice(&(count as u32).to_be_bytes());
-    encoded.extend_from_slice(entries);
-    let transfers = match crate::crosschain::decode_xct_list(&encoded) {
-        Some(Ok(transfers)) => transfers,
-        _ => return Err(SettlementError::Malformed),
-    };
+    // Entries share the declared-list wire form.
+    let transfers = crate::crosschain::decode_xct_entries(count, &body[104..])
+        .ok_or(SettlementError::Malformed)?;
     let batch = SettlementBatch::new(source, epoch, dest, transfers);
     let actual = batch.commitment();
     if actual != claimed {

@@ -17,10 +17,12 @@
 //! (a one-pass greedy fill that records the proof verdicts of its dry
 //! run) and [`Blockchain::submit`] the only way a block joins the
 //! chain. What may accompany a block — its builder's verdicts, its
-//! recursive proof — is an explicit carrier argument threaded down to
-//! stage 2; [`Blockchain::submit_block`] is the carrier-less call a
-//! receiving node makes, and [`Blockchain::mine_next_block`] is strict
-//! prepare + submit. The chain keeps no per-submission state.
+//! recursive proof ([`Blockchain::prove_block`]) — is an explicit
+//! carrier argument threaded down to stage 2, and what arrives picks
+//! how stage 2 verifies; [`Blockchain::submit_block`] is the
+//! carrier-less call a receiving node makes, and
+//! [`Blockchain::mine_next_block`] is strict prepare + submit. The chain
+//! keeps no per-submission state.
 
 use std::collections::{HashMap, HashSet};
 use zendoo_core::commitment::{ScTxsCommitment, ScTxsCommitmentBuilder};
@@ -33,7 +35,7 @@ use zendoo_telemetry::Telemetry;
 use zendoo_snark::aggregate::BlockProof;
 
 use crate::block::{Block, BlockHeader};
-use crate::pipeline::{self, BlockUndo, ProofVerdicts, VerifyMode};
+use crate::pipeline::{self, BlockUndo, ProofVerdicts};
 use crate::pow::{mine, Target};
 use crate::registry::{RegistryError, SidechainRegistry};
 use crate::sigbatch;
@@ -345,10 +347,10 @@ impl From<Vec<McTransaction>> for BlockCandidates {
 }
 
 /// A block assembled by [`Blockchain::prepare_block`]: the mined block,
-/// the candidates it had to reject, and what the builder may hand to
-/// [`Blockchain::submit`] alongside the block — the proof verdicts
-/// recorded during the dry run (stage 2 then re-verifies nothing the
-/// builder already checked) and the block-level recursive proof.
+/// the candidates it had to reject, and the proof verdicts recorded
+/// during the dry run, which the builder hands to [`Blockchain::submit`]
+/// alongside the block (stage 2 then re-verifies nothing the builder
+/// already checked).
 #[derive(Debug)]
 pub struct PreparedBlock {
     /// The assembled, mined (not yet submitted) block.
@@ -359,10 +361,6 @@ pub struct PreparedBlock {
     /// Proof verdicts recorded by the dry run, keyed by statement
     /// identity.
     pub verdicts: ProofVerdicts,
-    /// The block-level recursive proof, built when the chain runs in
-    /// [`VerifyMode::Aggregated`] so receiving nodes can verify one
-    /// proof instead of N.
-    pub proof: Option<BlockProof>,
 }
 
 /// The mainchain: block tree + active-chain state.
@@ -376,10 +374,8 @@ pub struct Blockchain {
     /// Single undo record per active block (pruned beyond
     /// `max_reorg_depth`) — stage 3's journal, not a state snapshot.
     undo: HashMap<Digest32, BlockUndo>,
-    /// How stage 2 establishes proof verdicts for arriving blocks.
-    verify_mode: VerifyMode,
-    /// Recursive block proofs of connected blocks (self-built by the
-    /// miner or verified on arrival), by block hash — the inputs to
+    /// Recursive block proofs of connected blocks (carried by their
+    /// builder or verified on arrival), by block hash — the inputs to
     /// [`Blockchain::epoch_proof`] and the proofs relayed to peers.
     block_proofs: HashMap<Digest32, BlockProof>,
     genesis_hash: Digest32,
@@ -434,7 +430,6 @@ impl Blockchain {
             active: vec![genesis_hash],
             state,
             undo: HashMap::new(),
-            verify_mode: VerifyMode::default(),
             block_proofs: HashMap::new(),
             genesis_hash,
             telemetry: Telemetry::disabled(),
@@ -574,31 +569,19 @@ impl Blockchain {
         }
     }
 
-    /// Selects how stage 2 establishes proof verdicts (the default is
-    /// [`VerifyMode::Individual`]). Under [`VerifyMode::Aggregated`]
-    /// the block builder additionally folds every proof check into one
-    /// recursive [`BlockProof`] carried in [`PreparedBlock::proof`].
-    /// The consensus outcome is identical in both modes.
-    pub fn set_verify_mode(&mut self, mode: VerifyMode) {
-        self.verify_mode = mode;
-    }
-
-    /// The active stage-2 verify mode.
-    pub fn verify_mode(&self) -> VerifyMode {
-        self.verify_mode
-    }
-
-    /// The recursive proof recorded for a connected block (self-built
-    /// at preparation or verified on arrival), if any.
+    /// The recursive proof recorded for a connected block (carried with
+    /// its submission), if any.
     pub fn block_proof(&self, hash: &Digest32) -> Option<&BlockProof> {
         self.block_proofs.get(hash)
     }
 
     /// Folds the recorded block proofs of the active heights
     /// `from..=to` into one epoch proof — O(1) verification for a whole
-    /// block window. `None` if any block in the window has no recorded
-    /// proof (e.g. it arrived without one and fell back to individual
-    /// verification).
+    /// block window. A block has a recorded proof only if it was
+    /// submitted with one ([`Blockchain::prove_block`]) that stage 2
+    /// accepted, so this is `None` if any block in the window arrived
+    /// without a carrier (the default of [`Blockchain::mine_next_block`]
+    /// and of a receiving node) or with one that failed.
     pub fn epoch_proof(&self, from: u64, to: u64) -> Option<BlockProof> {
         if from > to {
             return None;
@@ -715,12 +698,16 @@ impl Blockchain {
     ///
     /// * `verdicts` — the proof verdicts its builder recorded
     ///   ([`PreparedBlock::verdicts`]): each proof is verified once per
-    ///   node, at build time, instead of again at submission;
-    /// * `proof` — its recursive [`BlockProof`] (the shape a relaying
-    ///   peer sends): under [`VerifyMode::Aggregated`] stage 2 verifies
-    ///   the single aggregate against this node's own collected work
-    ///   list, falling back to individual verification if it fails.
-    ///   Ignored under [`VerifyMode::Individual`].
+    ///   node, at build time, instead of again at submission; a proof
+    ///   carried beside them is recorded for relaying, not re-verified;
+    /// * `proof` — its recursive [`BlockProof`]
+    ///   ([`Blockchain::prove_block`], the shape a relaying peer sends):
+    ///   without builder verdicts, stage 2 verifies the single aggregate
+    ///   against this node's own collected work list and falls back to
+    ///   verifying every statement if it fails.
+    ///
+    /// With neither, stage 2 verifies every statement
+    /// ([`pipeline::verify_block_proofs`]).
     ///
     /// # Errors
     ///
@@ -891,17 +878,16 @@ impl Blockchain {
         let mut proof_to_record = None;
         // Stage 2: establish the block's proof verdicts against the
         // pre-block state (read-only; no mutation can have happened
-        // yet). Three sources, in order of preference:
+        // yet). What arrived with the block picks the source:
         //
         // 1. Carried verdicts: what the block's builder already
         //    recorded — nothing verifies twice on the same node.
-        // 2. Under `VerifyMode::Aggregated`, an accompanying
-        //    `BlockProof` is checked against this node's own collected
-        //    work list: one SNARK verification for the whole block. On
-        //    success every statement gets a cached `true` verdict; a
-        //    failing or absent aggregate falls back to (3), preserving
+        // 2. A carried `BlockProof` is checked against this node's own
+        //    collected work list: one SNARK verification for the whole
+        //    block. On success every statement gets a cached `true`
+        //    verdict; a failing aggregate falls back to (3), preserving
         //    precise error attribution.
-        // 3. Individual parallel batch verification.
+        // 3. No carrier: individual parallel batch verification.
         //
         // Statements none of these anticipated fall back to inline
         // verification in stage 3 — the sources are optimizations,
@@ -915,34 +901,24 @@ impl Blockchain {
                 verdicts
             }
             None => {
-                let aggregated = match (self.verify_mode, supplied_proof) {
-                    (VerifyMode::Aggregated, Some(proof)) => {
-                        let verdicts = pipeline::verify_block_aggregate(
-                            &self.state,
-                            &block,
-                            hash,
-                            &self.active,
-                            &proof,
-                            &self.telemetry,
-                        );
-                        match verdicts {
-                            Some(verdicts) => {
-                                self.telemetry.counter("mc.stage2.agg_verified", 1);
-                                proof_to_record = Some(proof);
-                                Some(verdicts)
-                            }
-                            None => {
-                                self.telemetry.counter("mc.stage2.agg_fallback", 1);
-                                None
-                            }
-                        }
-                    }
-                    (VerifyMode::Aggregated, None) => {
-                        self.telemetry.counter("mc.stage2.agg_missing", 1);
-                        None
-                    }
-                    (VerifyMode::Individual, _) => None,
-                };
+                let aggregated = supplied_proof.and_then(|proof| {
+                    let verdicts = pipeline::verify_block_aggregate(
+                        &self.state,
+                        &block,
+                        hash,
+                        &self.active,
+                        &proof,
+                        &self.telemetry,
+                    );
+                    let outcome = if verdicts.is_some() {
+                        proof_to_record = Some(proof);
+                        "mc.stage2.agg_verified"
+                    } else {
+                        "mc.stage2.agg_fallback"
+                    };
+                    self.telemetry.counter(outcome, 1);
+                    verdicts
+                });
                 // What this node verifies itself, under one span: the
                 // proofs no aggregate covered, and — whichever way the
                 // proof verdicts came — the block's transfer signatures
@@ -1066,42 +1042,34 @@ impl Blockchain {
             accepted,
         )
         .ok_or(BlockError::MiningFailed)?;
-        let proof = self.build_block_proof(&block);
         Ok(PreparedBlock {
             block,
             rejected,
             verdicts,
-            proof,
         })
     }
 
-    /// Under [`VerifyMode::Aggregated`] the builder folds the block's
-    /// SNARK work list into one recursive [`BlockProof`], so receiving
-    /// nodes verify O(1) proofs instead of N. Returns `None` under
-    /// [`VerifyMode::Individual`], and on a fold failure (a statement
-    /// the dry run could not anticipate): receivers then fall back to
-    /// individual verification.
-    fn build_block_proof(&self, block: &Block) -> Option<BlockProof> {
-        match self.verify_mode {
-            VerifyMode::Individual => None,
-            VerifyMode::Aggregated => {
-                let _span = self.telemetry.span("mc.agg.build");
-                match pipeline::aggregate_block_proof(
-                    &self.state,
-                    block,
-                    block.hash(),
-                    &self.active,
-                    None,
-                    &self.telemetry,
-                ) {
-                    Ok(proof) => Some(proof),
-                    Err(_) => {
-                        self.telemetry.counter("mc.agg.build_failed", 1);
-                        None
-                    }
-                }
-            }
+    /// Folds the SNARK work list of `block` into one recursive
+    /// [`BlockProof`] — the carrier a relaying node passes to
+    /// [`Blockchain::submit`] so a receiver verifies one proof instead
+    /// of one per statement. The work list is read at the active tip, so
+    /// `block` must extend it: call this before submitting the block.
+    /// `None` on a fold failure (a statement that does not verify):
+    /// receivers then verify every statement and attribute the precise
+    /// error.
+    pub fn prove_block(&self, block: &Block) -> Option<BlockProof> {
+        let _span = self.telemetry.span("mc.agg.build");
+        let proof = pipeline::aggregate_block_proof(
+            &self.state,
+            block,
+            block.hash(),
+            &self.active,
+            &self.telemetry,
+        );
+        if proof.is_err() {
+            self.telemetry.counter("mc.agg.build_failed", 1);
         }
+        proof.ok()
     }
 
     /// The one-pass greedy fill: applies every candidate to a single
@@ -1227,9 +1195,10 @@ impl Blockchain {
 
     /// Convenience: build, mine and submit the next block in one call,
     /// strictly — the first candidate the builder rejects is the error
-    /// and nothing is submitted. The builder's recorded verdicts (and,
-    /// under [`VerifyMode::Aggregated`], its recursive proof) travel
-    /// with the block.
+    /// and nothing is submitted. The builder's recorded verdicts travel
+    /// with the block; no recursive proof is built (call
+    /// [`Blockchain::prove_block`] and [`Blockchain::submit`] to carry
+    /// one).
     ///
     /// # Errors
     ///
@@ -1245,11 +1214,7 @@ impl Blockchain {
         if let Some((_, error)) = prepared.rejected.into_iter().next() {
             return Err(error);
         }
-        self.submit(
-            prepared.block.clone(),
-            Some(prepared.verdicts),
-            prepared.proof,
-        )?;
+        self.submit(prepared.block.clone(), Some(prepared.verdicts), None)?;
         Ok(prepared.block)
     }
 }

@@ -53,7 +53,7 @@ pub use chain::{
 };
 pub use mempool::{Mempool, MempoolConfig};
 pub use miner::Miner;
-pub use pipeline::{BlockUndo, ProofVerdicts, VerifyMode};
+pub use pipeline::{BlockUndo, ProofVerdicts};
 pub use registry::{SidechainRegistry, SidechainStatus};
 pub use transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 pub use wallet::Wallet;

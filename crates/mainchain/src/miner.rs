@@ -148,11 +148,7 @@ impl Miner {
     /// Propagates chain errors other than per-transaction rejections.
     pub fn mine(&mut self, chain: &mut Blockchain, time: u64) -> Result<Block, BlockError> {
         let prepared = self.prepare(chain, time)?;
-        chain.submit(
-            prepared.block.clone(),
-            Some(prepared.verdicts),
-            prepared.proof,
-        )?;
+        chain.submit(prepared.block.clone(), Some(prepared.verdicts), None)?;
         Ok(prepared.block)
     }
 
@@ -399,11 +395,7 @@ mod tests {
                 let prepared = miner.prepare(&chain, 1).unwrap();
                 assert!(prepared.rejected.is_empty());
                 chain
-                    .submit(
-                        prepared.block.clone(),
-                        Some(prepared.verdicts),
-                        prepared.proof,
-                    )
+                    .submit(prepared.block.clone(), Some(prepared.verdicts), None)
                     .unwrap();
                 prepared.block
             } else {

@@ -388,25 +388,12 @@ pub fn verify_block_proofs(
 }
 
 // ---- Stage 2, aggregated: one recursive proof per block ------------------
-
-/// How stage 2 establishes a block's proof verdicts.
-///
-/// The consensus outcome is identical in both modes: an aggregate that
-/// fails to verify (or is absent) falls back to individual
-/// verification, which attributes the precise [`BlockError`] in stage 3
-/// exactly as [`VerifyMode::Individual`] would.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum VerifyMode {
-    /// Verify every certificate/BTR/CSW proof individually (in
-    /// parallel) — cost linear in the number of postings.
-    #[default]
-    Individual,
-    /// Verify one recursive [`BlockProof`] covering the whole work
-    /// list — O(1) SNARK checks per block regardless of sidechain
-    /// count. Blocks arriving without a proof fall back to
-    /// [`VerifyMode::Individual`].
-    Aggregated,
-}
+//
+// A block may arrive carrying a recursive [`BlockProof`] over its whole
+// work list. Whether stage 2 checks that one proof or every statement
+// is chosen by what arrives with the block, not by a node setting: an
+// aggregate that fails to verify falls back to [`verify_block_proofs`],
+// which attributes the precise [`BlockError`] in stage 3.
 
 /// The leaf work list of a block as [`BatchItem`]s (the shape both the
 /// batch verifier and the aggregator consume).
@@ -421,10 +408,10 @@ fn proof_batch_items(checks: &[ProofCheck]) -> Vec<BatchItem> {
         .collect()
 }
 
-/// Prover side of [`VerifyMode::Aggregated`]: collects the block's work
-/// list and folds it into one [`BlockProof`] on `workers` lanes under
-/// the shared protocol [`AggregationSystem`]. A block owing no checks
-/// yields [`BlockProof::empty`].
+/// Prover side of the carrier: collects the block's work list and folds
+/// it into one [`BlockProof`] on one lane per core (up to the batch
+/// size) under the shared protocol [`AggregationSystem`]. A block owing
+/// no checks yields [`BlockProof::empty`].
 ///
 /// # Errors
 ///
@@ -437,16 +424,15 @@ pub fn aggregate_block_proof(
     block: &Block,
     block_hash: Digest32,
     active: &[Digest32],
-    workers: Option<usize>,
     telemetry: &Telemetry,
 ) -> Result<BlockProof, ProveError> {
     let checks = collect_proof_checks(state, block, block_hash, active);
     let items = proof_batch_items(&checks);
-    let workers = workers.unwrap_or_else(|| batch::default_workers(items.len()));
+    let workers = batch::default_workers(items.len());
     AggregationSystem::shared().aggregate_with(&items, workers, telemetry)
 }
 
-/// Verifier side of [`VerifyMode::Aggregated`]: recomputes the expected
+/// Verifier side of the carrier: recomputes the expected
 /// aggregate statement from this node's own collected work list (cheap
 /// hashing) and checks the single recursive proof. On success, returns
 /// a [`ProofVerdicts`] cache holding a `true` verdict for **every**

@@ -1,10 +1,10 @@
-//! Block-level recursive proof aggregation on the mainchain: a
-//! receiving node under [`VerifyMode::Aggregated`] checks **one**
-//! recursive proof per block instead of one SNARK per statement, with
-//! consensus outcomes — acceptance, state, and the precise
-//! [`BlockError`] on rejection — provably identical to
-//! [`VerifyMode::Individual`]. A failing or mismatched aggregate falls
-//! back to individual verification, so the aggregate is a pure
+//! Block-level recursive proof aggregation on the mainchain: a block
+//! submitted with its recursive proof ([`Blockchain::prove_block`]) is
+//! checked with **one** recursive proof instead of one SNARK per
+//! statement, with consensus outcomes — acceptance, state, and the
+//! precise [`BlockError`] on rejection — identical to the same block
+//! submitted without one. A failing or mismatched aggregate falls back
+//! to verifying every statement, so the carrier is a pure
 //! verification-cost optimisation, never a consensus change.
 
 mod common;
@@ -18,7 +18,6 @@ use zendoo_core::{
     SidechainConfigBuilder, WithdrawalCertificate,
 };
 use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
-use zendoo_mainchain::pipeline::VerifyMode;
 use zendoo_mainchain::registry::RegistryError;
 use zendoo_mainchain::transaction::McTransaction;
 use zendoo_mainchain::Wallet;
@@ -48,20 +47,28 @@ fn sc_id(i: usize) -> SidechainId {
     SidechainId::from_label(&format!("agg-sc-{i}"))
 }
 
-/// An instrumented chain under `mode` with `n` sidechains declared in
-/// block 1 and epoch 0 fully mined (heights 2..=7; the submission
-/// window opens at height 8). Construction is deterministic, so two
-/// calls yield chains with identical tips — one can play the block
-/// builder and the other the receiving node.
-fn node_with_sidechains(
-    n: usize,
-    mode: VerifyMode,
-) -> (Blockchain, Vec<ProvingKey>, Wallet, Arc<InMemoryRecorder>) {
+/// Prepares the next block of `txs`, folds its recursive proof and
+/// submits it with both carriers, so the chain records the proof.
+fn mine_carrying_proof(chain: &mut Blockchain, miner: &Wallet, txs: Vec<McTransaction>, time: u64) {
+    let prepared = chain.prepare_block(miner.address(), txs, time).unwrap();
+    assert!(prepared.rejected.is_empty());
+    let proof = chain.prove_block(&prepared.block);
+    assert!(proof.is_some(), "an honest block folds");
+    chain
+        .submit(prepared.block, Some(prepared.verdicts), proof)
+        .unwrap();
+}
+
+/// An instrumented chain with `n` sidechains declared in block 1 and
+/// epoch 0 fully mined (heights 2..=7; the submission window opens at
+/// height 8), every block carrying its recursive proof. Construction is
+/// deterministic, so two calls yield chains with identical tips — one
+/// can play the block builder and the other the receiving node.
+fn node_with_sidechains(n: usize) -> (Blockchain, Vec<ProvingKey>, Wallet, Arc<InMemoryRecorder>) {
     let miner = Wallet::from_seed(b"agg-miner");
     let mut chain = Blockchain::new(ChainParams::default());
     let (telemetry, recorder) = Telemetry::in_memory();
     chain.set_telemetry(telemetry);
-    chain.set_verify_mode(mode);
     let mut pks = Vec::with_capacity(n);
     let mut declarations = Vec::with_capacity(n);
     for i in 0..n {
@@ -76,11 +83,9 @@ fn node_with_sidechains(
                 .unwrap(),
         )));
     }
-    chain
-        .mine_next_block(miner.address(), declarations, 1)
-        .unwrap();
+    mine_carrying_proof(&mut chain, &miner, declarations, 1);
     for t in 2..=7 {
-        chain.mine_next_block(miner.address(), vec![], t).unwrap();
+        mine_carrying_proof(&mut chain, &miner, vec![], t);
     }
     (chain, pks, miner, recorder)
 }
@@ -112,14 +117,20 @@ fn cert_block_txs(chain: &Blockchain, pks: &[ProvingKey], n: usize) -> Vec<McTra
 
 #[test]
 fn receiver_verifies_one_aggregate_for_the_whole_block() {
-    let (mut builder, pks, miner, _) = node_with_sidechains(8, VerifyMode::Aggregated);
-    let (mut receiver, _, _, recorder) = node_with_sidechains(8, VerifyMode::Aggregated);
+    let (mut builder, pks, miner, building) = node_with_sidechains(8);
+    let (mut receiver, _, _, recorder) = node_with_sidechains(8);
     assert_eq!(builder.tip_hash(), receiver.tip_hash(), "identical setup");
 
+    building.drain();
     let prepared = builder
         .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 8), 8)
         .unwrap();
-    let proof = prepared.proof.expect("aggregated builder attaches a proof");
+    assert!(
+        !building.drain().spans.contains_key("mc.agg.build"),
+        "the builder does not fold on its own"
+    );
+    let proof = builder.prove_block(&prepared.block).expect("honest block");
+    assert_eq!(building.drain().spans["mc.agg.build"].count, 1);
     assert_eq!(proof.count(), 8, "one wrapped statement per certificate");
     let block = prepared.block.clone();
 
@@ -144,7 +155,7 @@ fn receiver_verifies_one_aggregate_for_the_whole_block() {
 
     // Consensus outcome identical to the builder's own application.
     builder
-        .submit(prepared.block, Some(prepared.verdicts), prepared.proof)
+        .submit(prepared.block, Some(prepared.verdicts), Some(proof))
         .unwrap();
     assert_eq!(builder.tip_hash(), receiver.tip_hash());
     assert_eq!(builder.state(), receiver.state());
@@ -166,17 +177,17 @@ fn receiver_verifies_one_aggregate_for_the_whole_block() {
 
 #[test]
 fn aggregated_success_still_populates_the_verdict_cache() {
-    let (builder, pks, miner, _) = node_with_sidechains(8, VerifyMode::Aggregated);
-    let (mut receiver, _, _, recorder) = node_with_sidechains(8, VerifyMode::Aggregated);
+    let (builder, pks, miner, _) = node_with_sidechains(8);
+    let (mut receiver, _, _, recorder) = node_with_sidechains(8);
     let prepared = builder
         .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 8), 8)
         .unwrap();
+    let proof = builder.prove_block(&prepared.block).expect("honest block");
 
     recorder.drain();
-    receiver
-        .submit(prepared.block, None, Some(prepared.proof.unwrap()))
-        .unwrap();
+    receiver.submit(prepared.block, None, Some(proof)).unwrap();
     let snap = recorder.drain();
+    assert_eq!(snap.counters.get("mc.stage2.agg_verified"), Some(&1));
 
     // Stage 3 found every one of the 8 certificate statements already
     // vouched for by the aggregate — no statement was re-proved inline.
@@ -186,8 +197,8 @@ fn aggregated_success_still_populates_the_verdict_cache() {
 
 #[test]
 fn tampered_aggregate_falls_back_with_identical_consensus_outcome() {
-    let (builder, pks, miner, _) = node_with_sidechains(4, VerifyMode::Aggregated);
-    let (mut receiver, _, _, recorder) = node_with_sidechains(4, VerifyMode::Aggregated);
+    let (builder, pks, miner, _) = node_with_sidechains(4);
+    let (mut receiver, _, _, recorder) = node_with_sidechains(4);
     let prepared = builder
         .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 4), 8)
         .unwrap();
@@ -195,7 +206,8 @@ fn tampered_aggregate_falls_back_with_identical_consensus_outcome() {
     // empty block at the tip): a real proof, but of the wrong
     // statement — digest and count both mismatch.
     let wrong_proof = *builder.block_proof(&builder.tip_hash()).unwrap();
-    assert_ne!(wrong_proof.count(), prepared.proof.unwrap().count());
+    let honest_proof = builder.prove_block(&prepared.block).expect("honest block");
+    assert_ne!(wrong_proof.count(), honest_proof.count());
 
     recorder.drain();
     receiver
@@ -222,11 +234,11 @@ fn tampered_aggregate_falls_back_with_identical_consensus_outcome() {
 
 #[test]
 fn aggregate_over_tampered_statement_attributes_the_precise_error() {
-    let (builder, pks, miner, _) = node_with_sidechains(4, VerifyMode::Aggregated);
+    let (builder, pks, miner, _) = node_with_sidechains(4);
     let prepared = builder
         .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 4), 8)
         .unwrap();
-    let honest_proof = prepared.proof.unwrap();
+    let honest_proof = builder.prove_block(&prepared.block).expect("honest block");
 
     // Cross-wire one certificate proof inside the block and re-mine:
     // the block is structurally valid but carries an invalid SNARK
@@ -254,7 +266,7 @@ fn aggregate_over_tampered_statement_attributes_the_precise_error() {
 
     // Control: without any aggregate, individual verification rejects
     // the block with the canonical invalid-proof error.
-    let (mut control, _, _, _) = node_with_sidechains(4, VerifyMode::Individual);
+    let (mut control, _, _, _) = node_with_sidechains(4);
     let control_err = control.submit_block(tampered.clone()).unwrap_err();
     assert!(matches!(
         control_err,
@@ -263,11 +275,11 @@ fn aggregate_over_tampered_statement_attributes_the_precise_error() {
         ))
     ));
 
-    // Aggregated receiver, honest aggregate over the *untampered*
+    // A receiver given the honest aggregate over the *untampered*
     // statements: the digest mismatch forces the fallback, and the
     // fallback attributes exactly the same error — not some generic
     // "aggregate failed".
-    let (mut receiver, _, _, recorder) = node_with_sidechains(4, VerifyMode::Aggregated);
+    let (mut receiver, _, _, recorder) = node_with_sidechains(4);
     recorder.drain();
     let err = receiver
         .submit(tampered.clone(), None, Some(honest_proof))
@@ -284,9 +296,9 @@ fn aggregate_over_tampered_statement_attributes_the_precise_error() {
 }
 
 #[test]
-fn missing_aggregate_counts_and_falls_back() {
-    let (builder, pks, miner, _) = node_with_sidechains(2, VerifyMode::Aggregated);
-    let (mut receiver, _, _, recorder) = node_with_sidechains(2, VerifyMode::Aggregated);
+fn block_without_a_carrier_verifies_every_statement() {
+    let (builder, pks, miner, _) = node_with_sidechains(2);
+    let (mut receiver, _, _, recorder) = node_with_sidechains(2);
     let block = builder
         .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 2), 8)
         .unwrap()
@@ -295,17 +307,24 @@ fn missing_aggregate_counts_and_falls_back() {
     recorder.drain();
     receiver.submit_block(block).unwrap();
     let snap = recorder.drain();
-    assert_eq!(snap.counters.get("mc.stage2.agg_missing"), Some(&1));
+    // The normal case, not a failure: no aggregate outcome is counted.
+    assert_eq!(snap.counters.get("mc.stage2.agg_verified"), None);
+    assert_eq!(snap.counters.get("mc.stage2.agg_fallback"), None);
+    assert!(!snap.spans.contains_key("mc.stage2.verify_aggregate"));
     assert!(snap.spans.contains_key("mc.stage2.verify"));
+    assert_eq!(snap.counters.get("mc.verdict_cache.hit"), Some(&2));
     assert_eq!(receiver.height(), 8);
+    assert!(receiver.block_proof(&receiver.tip_hash()).is_none());
 }
 
 #[test]
 fn empty_block_carries_and_verifies_the_empty_aggregate() {
-    let (builder, _, miner, _) = node_with_sidechains(1, VerifyMode::Aggregated);
-    let (mut receiver, _, _, recorder) = node_with_sidechains(1, VerifyMode::Aggregated);
+    let (builder, _, miner, _) = node_with_sidechains(1);
+    let (mut receiver, _, _, recorder) = node_with_sidechains(1);
     let prepared = builder.prepare_block(miner.address(), vec![], 8).unwrap();
-    let proof = prepared.proof.expect("empty blocks still carry a proof");
+    let proof = builder
+        .prove_block(&prepared.block)
+        .expect("empty blocks still fold");
     assert_eq!(proof.count(), 0);
     assert!(proof.aggregate().is_none(), "no statements, no SNARK");
 
@@ -316,36 +335,14 @@ fn empty_block_carries_and_verifies_the_empty_aggregate() {
 }
 
 #[test]
-fn individual_mode_ignores_supplied_proofs() {
-    let (builder, pks, miner, _) = node_with_sidechains(2, VerifyMode::Aggregated);
-    let (mut receiver, _, _, recorder) = node_with_sidechains(2, VerifyMode::Individual);
-    let prepared = builder
-        .prepare_block(miner.address(), cert_block_txs(&builder, &pks, 2), 8)
-        .unwrap();
-
-    recorder.drain();
-    receiver
-        .submit(prepared.block, None, Some(prepared.proof.unwrap()))
-        .unwrap();
-    let snap = recorder.drain();
-    assert_eq!(snap.counters.get("mc.stage2.agg_verified"), None);
-    assert!(snap.spans.contains_key("mc.stage2.verify"));
-    assert!(
-        receiver.block_proof(&receiver.tip_hash()).is_none(),
-        "an unverified proof is never recorded"
-    );
-}
-
-#[test]
 fn epoch_proof_folds_the_recorded_block_proofs() {
-    let (mut builder, pks, miner, _) = node_with_sidechains(4, VerifyMode::Aggregated);
-    builder
-        .mine_next_block(miner.address(), cert_block_txs(&builder, &pks, 4), 8)
-        .unwrap();
+    let (mut builder, pks, miner, _) = node_with_sidechains(4);
+    let txs = cert_block_txs(&builder, &pks, 4);
+    mine_carrying_proof(&mut builder, &miner, txs, 8);
     let cert_block = builder.tip_hash();
 
-    // Every self-mined block recorded its proof, so the whole epoch
-    // window folds into one proof covering all 4 statements.
+    // Every block carried its proof, so the whole epoch window folds
+    // into one proof covering all 4 statements.
     let epoch = builder.epoch_proof(1, 8).expect("all proofs recorded");
     assert_eq!(epoch.count(), 4);
     let aggregate = epoch.aggregate().unwrap();
@@ -361,4 +358,11 @@ fn epoch_proof_folds_the_recorded_block_proofs() {
     // out-of-range window is refused.
     assert_eq!(builder.epoch_proof(2, 7).unwrap().count(), 0);
     assert!(builder.epoch_proof(1, 99).is_none());
+
+    // A block mined without a carrier records no proof, so no window
+    // reaching it folds.
+    builder.mine_next_block(miner.address(), vec![], 9).unwrap();
+    assert!(builder.block_proof(&builder.tip_hash()).is_none());
+    assert!(builder.epoch_proof(1, 9).is_none());
+    assert!(builder.epoch_proof(1, 8).is_some());
 }

@@ -19,7 +19,7 @@ use zendoo_core::{
 };
 use zendoo_mainchain::block::Block;
 use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
-use zendoo_mainchain::pipeline::{self, ProofVerdicts, VerifyMode};
+use zendoo_mainchain::pipeline::{self, ProofVerdicts};
 use zendoo_mainchain::registry::RegistryError;
 use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 use zendoo_mainchain::Wallet;
@@ -240,7 +240,8 @@ fn block_undo_is_an_exact_rollback() {
 // ---- Stage 2 batches the block's signatures; stage 3 is unchanged ----------
 
 const SIG_USERS: usize = 9;
-const MODES: [VerifyMode; 2] = [VerifyMode::Individual, VerifyMode::Aggregated];
+/// Whether the block arrives carrying its recursive proof.
+const CARRIED: [bool; 2] = [false, true];
 
 fn sig_user(i: usize) -> Wallet {
     Wallet::from_seed(format!("pipe-user-{i}").as_bytes())
@@ -259,7 +260,6 @@ fn sig_premine(escrow: Vec<TxOut>) -> Vec<TxOut> {
 /// sidechains and its own recorder. Deterministic: two calls give two
 /// nodes at one tip.
 fn sig_node(
-    mode: VerifyMode,
     escrow: Vec<TxOut>,
 ) -> (
     Blockchain,
@@ -270,7 +270,6 @@ fn sig_node(
     let (mut chain, pks, miner) = chain_with_sidechains_premined(2, sig_premine(escrow));
     let (telemetry, recorder) = zendoo_telemetry::Telemetry::in_memory();
     chain.set_telemetry(telemetry);
-    chain.set_verify_mode(mode);
     (chain, pks, miner, recorder)
 }
 
@@ -293,17 +292,17 @@ fn pay_both(chain: &Blockchain, i: usize) -> McTransaction {
 }
 
 /// Two certificates, then every user's two-input transfer: the block a
-/// builder in `mode` makes of them, with its recursive proof if any.
-fn sig_block(mode: VerifyMode) -> (Block, Option<BlockProof>) {
-    let (builder, pks, miner, _) = sig_node(mode, Vec::new());
+/// builder makes of them, with its recursive proof when `carried`.
+fn sig_block(carried: bool) -> (Block, Option<BlockProof>) {
+    let (builder, pks, miner, _) = sig_node(Vec::new());
     let mut txs: Vec<McTransaction> = (0..2)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&builder, &pks, i))))
         .collect();
     txs.extend((0..SIG_USERS).map(|i| pay_both(&builder, i)));
     let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
     assert!(prepared.rejected.is_empty());
-    assert_eq!(prepared.proof.is_some(), mode == VerifyMode::Aggregated);
-    (prepared.block, prepared.proof)
+    let proof = carried.then(|| builder.prove_block(&prepared.block).expect("honest block"));
+    (prepared.block, proof)
 }
 
 /// The transfer at `block.transactions[tx]`, to tamper with.
@@ -331,16 +330,15 @@ fn inline_verdict(chain: &Blockchain, block: &Block) -> Result<(), BlockError> {
     .map(|_| ())
 }
 
-/// Submits `block` to a fresh cacheless receiver in `mode` and asserts
-/// it is refused with exactly the inline validator's error, leaving tip
-/// and state as they were.
+/// Submits `block` (with `proof`, if any) to a fresh cacheless receiver
+/// and asserts it is refused with exactly the inline validator's error,
+/// leaving tip and state as they were.
 fn assert_refused_as_inline(
-    mode: VerifyMode,
     block: Block,
     proof: Option<BlockProof>,
     expected: &BlockError,
 ) -> zendoo_telemetry::Snapshot {
-    let (mut receiver, _, _, recorder) = sig_node(mode, Vec::new());
+    let (mut receiver, _, _, recorder) = sig_node(Vec::new());
     let block = remine(&receiver, block);
     assert_eq!(inline_verdict(&receiver, &block).as_ref(), Err(expected));
     let (tip, state) = (receiver.tip_hash(), receiver.state().clone());
@@ -348,7 +346,8 @@ fn assert_refused_as_inline(
     assert_eq!(
         receiver.submit(block, None, proof).as_ref(),
         Err(expected),
-        "{mode:?}"
+        "carried proof: {}",
+        proof.is_some()
     );
     assert_eq!(receiver.tip_hash(), tip);
     assert_eq!(receiver.state(), &state, "a refused block leaves no trace");
@@ -363,15 +362,14 @@ fn junk_signature() -> zendoo_primitives::schnorr::Signature {
 }
 
 #[test]
-fn bad_signature_refuses_the_block_wherever_it_sits_in_either_mode() {
-    for mode in MODES {
-        let (block, proof) = sig_block(mode);
+fn bad_signature_refuses_the_block_wherever_it_sits_with_or_without_a_carried_proof() {
+    for carried in CARRIED {
+        let (block, proof) = sig_block(carried);
         // Coinbase and two certificates precede the transfers.
         for k in [0, SIG_USERS / 2, SIG_USERS - 1] {
             let mut bad = block.clone();
             transfer_mut(&mut bad, 3 + k).inputs[1].signature = junk_signature();
             let snap = assert_refused_as_inline(
-                mode,
                 bad,
                 proof,
                 &BlockError::BadInputAuthorization { input: 1 },
@@ -381,7 +379,7 @@ fn bad_signature_refuses_the_block_wherever_it_sits_in_either_mode() {
             // through the batch all the same.
             assert_eq!(
                 snap.counters.get("mc.stage2.agg_verified").copied(),
-                (mode == VerifyMode::Aggregated).then_some(1)
+                carried.then_some(1)
             );
             assert_eq!(snap.spans["mc.stage2.verify"].count, 1);
             assert_eq!(snap.spans["sig.batch.verify"].count, 1);
@@ -395,8 +393,8 @@ fn bad_signature_refuses_the_block_wherever_it_sits_in_either_mode() {
 
 #[test]
 fn an_earlier_transaction_failing_a_cheaper_rule_still_names_the_block_error() {
-    for mode in MODES {
-        let (block, _) = sig_block(mode);
+    for carried in CARRIED {
+        let (block, _) = sig_block(carried);
         let mut bad = block.clone();
         transfer_mut(&mut bad, 3 + 6).inputs[1].signature = junk_signature();
 
@@ -407,7 +405,7 @@ fn an_earlier_transaction_failing_a_cheaper_rule_still_names_the_block_error() {
         };
         let mut missing = bad.clone();
         transfer_mut(&mut missing, 3 + 2).inputs[0].outpoint = ghost;
-        assert_refused_as_inline(mode, missing, None, &BlockError::MissingInput(ghost));
+        assert_refused_as_inline(missing, None, &BlockError::MissingInput(ghost));
 
         // An earlier transfer is signed, validly, by a key that does
         // not own what it spends: refused on the address, input 0.
@@ -421,7 +419,6 @@ fn an_earlier_transaction_failing_a_cheaper_rule_still_names_the_block_error() {
             .collect();
         *theft = TransferTx::signed(&spends, theft.outputs.clone());
         assert_refused_as_inline(
-            mode,
             stolen,
             None,
             &BlockError::BadInputAuthorization { input: 0 },
@@ -433,9 +430,9 @@ fn an_earlier_transaction_failing_a_cheaper_rule_still_names_the_block_error() {
 fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
     let batch = batch_for(sc_id(0), &[100, 50]);
     let carol = Wallet::from_seed(b"pipe-carol");
-    for mode in MODES {
+    for carried in CARRIED {
         let escrow = || escrow_premine(&batch.transfers);
-        let (mut builder, _, miner, _) = sig_node(mode, escrow());
+        let (mut builder, _, miner, _) = sig_node(escrow());
         // A settlement (escrow-kind inputs: signatures present, ignored
         // by consensus), three ordinary payments, and a payment to carol
         // that carol spends on in the same block.
@@ -469,11 +466,12 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
         txs.extend((0..3).map(|i| pay_both(&builder, i)));
         let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
         assert!(prepared.rejected.is_empty(), "{:?}", prepared.rejected);
+        let proof = carried.then(|| builder.prove_block(&prepared.block).expect("honest block"));
 
-        let (mut receiver, _, _, recorder) = sig_node(mode, escrow());
+        let (mut receiver, _, _, recorder) = sig_node(escrow());
         recorder.drain();
         receiver
-            .submit(prepared.block.clone(), None, prepared.proof)
+            .submit(prepared.block.clone(), None, proof)
             .unwrap();
         let snap = recorder.drain();
         // The batch held what resolves to a regular output before the
@@ -486,7 +484,7 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
         assert_eq!(snap.counters.get("sig.batch.fallback"), None);
 
         builder
-            .submit(prepared.block, Some(prepared.verdicts), prepared.proof)
+            .submit(prepared.block, Some(prepared.verdicts), proof)
             .unwrap();
         assert_eq!(receiver.tip_hash(), builder.tip_hash());
         assert_eq!(receiver.state(), builder.state());

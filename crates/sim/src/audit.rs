@@ -34,7 +34,7 @@ use zendoo_primitives::digest::Digest32;
 use crate::world::World;
 
 /// One per-tick snapshot of every value pool in the system. Pure state
-/// — comparable across step/verify modes.
+/// — comparable across worker counts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AuditSnapshot {
     /// Observation index (0-based count of `observe` calls).

@@ -202,7 +202,6 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
         block,
         rejected,
         verdicts,
-        proof,
     } = prepared?;
     // Telemetry-side rejection counters were already bumped once per
     // rejected candidate inside the preparation; only the sim-level
@@ -212,11 +211,14 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
             .metrics
             .note_rejection(matches!(tx, McTransaction::Certificate(_)));
     }
-    world.metrics.certificates_accepted += block
-        .transactions
-        .iter()
-        .filter(|tx| matches!(tx, McTransaction::Certificate(_)))
-        .count() as u64;
+    for tx in &block.transactions {
+        match tx {
+            McTransaction::Certificate(_) => world.metrics.certificates_accepted += 1,
+            McTransaction::Btr(_) => world.metrics.btrs_accepted += 1,
+            McTransaction::Csw(_) => world.metrics.csws_accepted += 1,
+            _ => {}
+        }
+    }
     let withhold_all = world.withhold_certificates;
     let record = telemetry.is_enabled();
 
@@ -257,7 +259,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     let submit = || {
         telemetry.time("tick.mc.submit", || {
             let result = chain
-                .submit(block_ref.clone(), Some(verdicts), proof)
+                .submit(block_ref.clone(), Some(verdicts), None)
                 .map(|_| ());
             if result.is_ok() {
                 router.observe_block(chain, block_ref);

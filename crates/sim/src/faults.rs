@@ -10,9 +10,8 @@
 //! [`crate::audit::ConservationAuditor`]).
 //!
 //! Plans are data, so the same plan replays bit-identically under
-//! every [`crate::SimConfig::workers`] count and
-//! [`zendoo_mainchain::VerifyMode`] —
-//! and [`FaultPlan::random`] derives arbitrarily composed plans from a
+//! every [`crate::SimConfig::workers`] count — and
+//! [`FaultPlan::random`] derives arbitrarily composed plans from a
 //! single seed, which the property tests print on failure for exact
 //! reproduction.
 

@@ -68,4 +68,3 @@ pub use faults::{Fault, FaultPlan, RunError};
 pub use metrics::Metrics;
 pub use shard::{ShardEffects, ShardMetrics, SidechainShard};
 pub use world::{ScInstance, SimConfig, SimError, User, World};
-pub use zendoo_mainchain::pipeline::VerifyMode;

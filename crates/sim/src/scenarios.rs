@@ -9,7 +9,6 @@ use crate::audit::ConservationAuditor;
 use crate::events::{Action, Schedule};
 use crate::faults::{Fault, FaultPlan, RunError};
 use crate::world::{SimConfig, SimError, World};
-use zendoo_mainchain::pipeline::VerifyMode;
 
 /// Happy path: forward coins, pay on the SC, withdraw back, run the
 /// requested number of certified epochs.
@@ -174,10 +173,9 @@ pub fn cross_chain_ring(
 
 // ---- Composed Byzantine scenarios -------------------------------------
 //
-// Each takes the worker count and verify mode explicitly so the
-// Byzantine suite can assert bit-identical outcomes across
-// `workers` × `VerifyMode::{Individual,Aggregated}`, and returns the
-// world together with the auditor that watched every tick.
+// Each takes the worker count explicitly so the Byzantine suite can
+// assert bit-identical outcomes across `workers`, and returns the world
+// together with the auditor that watched every tick.
 
 /// Composed fault 1 — *partition healing into a reorg storm with escrow
 /// value in flight*: three chains; a cross-chain transfer escrows on
@@ -192,11 +190,9 @@ pub fn cross_chain_ring(
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn partition_reorg_storm(
     workers: Option<usize>,
-    verify: VerifyMode,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
         workers,
-        verify_mode: verify,
         ..SimConfig::with_sidechains(3)
     };
     let mut world = World::new(config);
@@ -245,11 +241,9 @@ pub fn partition_reorg_storm(
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn certifier_quality_wars(
     workers: Option<usize>,
-    verify: VerifyMode,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
         workers,
-        verify_mode: verify,
         ..SimConfig::with_sidechains(2)
     };
     let mut world = World::new(config);
@@ -283,7 +277,6 @@ pub const CASCADE_SENDERS: usize = 6;
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn withholding_cascade(
     workers: Option<usize>,
-    verify: VerifyMode,
     users: usize,
 ) -> Result<(World, ConservationAuditor), RunError> {
     use zendoo_loadgen::{LoadConfig, LoadGen, Population, Shape};
@@ -300,7 +293,6 @@ pub fn withholding_cascade(
     }
     let config = SimConfig {
         workers,
-        verify_mode: verify,
         genesis_users,
         extra_genesis_outputs: population.genesis_outputs(),
         ..SimConfig::with_sidechains(2 + CASCADE_SENDERS)
@@ -350,11 +342,9 @@ pub fn withholding_cascade(
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn relay_equivocation(
     workers: Option<usize>,
-    verify: VerifyMode,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
         workers,
-        verify_mode: verify,
         ..SimConfig::with_sidechains(2)
     };
     let mut world = World::new(config);
@@ -394,12 +384,10 @@ pub fn relay_equivocation(
 /// [`RunError`] on step failures or any audited-invariant violation.
 pub fn long_horizon_soak(
     workers: Option<usize>,
-    verify: VerifyMode,
     epochs: u64,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
         workers,
-        verify_mode: verify,
         ..SimConfig::with_sidechains(3)
     };
     let epoch = config.epoch_len as u64;

@@ -54,7 +54,6 @@ use zendoo_latus::wallet::{ScWallet, ScWalletError};
 use zendoo_mainchain::chain::{Blockchain, ChainParams, SubmitOutcome};
 use zendoo_mainchain::mempool::{AdmitOutcome, MempoolConfig};
 use zendoo_mainchain::miner::Miner;
-use zendoo_mainchain::pipeline::VerifyMode;
 use zendoo_mainchain::sigbatch::AdmissionReport;
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
 use zendoo_mainchain::wallet::Wallet;
@@ -101,12 +100,6 @@ pub struct SimConfig {
     /// recorder, whose cost is a single branch. Recording can also be
     /// switched on later via [`World::enable_telemetry`].
     pub telemetry: bool,
-    /// How the mainchain checks the SNARK statements of a connecting
-    /// block (see [`VerifyMode`]). Consensus outcomes are identical in
-    /// both modes; `Aggregated` verifies one recursive block proof
-    /// instead of one proof per statement. Switchable later via
-    /// [`World::set_verify_mode`].
-    pub verify_mode: VerifyMode,
     /// Capacity and sharding of the miner's MC mempool. The
     /// default budget is far above scenario-scale traffic (nothing is
     /// ever evicted); load tests shrink it to exercise fee-prioritized
@@ -136,7 +129,6 @@ impl Default for SimConfig {
             seed: b"zendoo-sim".to_vec(),
             workers: None,
             telemetry: false,
-            verify_mode: VerifyMode::default(),
             mempool: MempoolConfig::default(),
             extra_genesis_outputs: Vec::new(),
             persist_dir: None,
@@ -448,7 +440,6 @@ impl World {
             (Telemetry::disabled(), None)
         };
         chain.set_telemetry(telemetry.clone());
-        chain.set_verify_mode(config.verify_mode);
         let mut miner = Miner::new(Wallet::from_seed(b"sim-miner").address(), config.mempool);
         miner.set_telemetry(telemetry.clone());
 
@@ -1138,19 +1129,6 @@ impl World {
     }
 
     // ---- Progression --------------------------------------------------
-
-    /// The mainchain's current proof-verification mode.
-    pub fn verify_mode(&self) -> VerifyMode {
-        self.chain.verify_mode()
-    }
-
-    /// Switches how the mainchain checks the SNARK statements of a
-    /// connecting block (see [`VerifyMode`]). Consensus outcomes are
-    /// identical in both modes; only the verification cost profile
-    /// changes.
-    pub fn set_verify_mode(&mut self, mode: VerifyMode) {
-        self.chain.set_verify_mode(mode);
-    }
 
     /// The world's telemetry handle (shared by the chain, the router
     /// and the coordinator). Disabled unless [`SimConfig::telemetry`]

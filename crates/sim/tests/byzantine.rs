@@ -3,19 +3,18 @@
 //! storms, withholding cascades, quality wars, relay equivocation) in
 //! one run, a [`ConservationAuditor`] checks every value pool after
 //! every tick, and every scenario must be bit-identical across
-//! `workers ∈ {1, 2, 3, 4, per-core}` ×
-//! `VerifyMode::{Individual,Aggregated}` — the fault machinery itself
-//! is part of the determinism contract — and replayable by a cacheless
-//! follower.
+//! `workers ∈ {1, 2, 3, 4, per-core}` — the fault machinery itself is
+//! part of the determinism contract — and replayable by a cacheless
+//! follower, with and without a carried block proof.
 
 mod common;
 
 use common::{assert_follower_replay_matches, MATRIX};
 use zendoo_mainchain::SidechainStatus;
 use zendoo_sim::scenarios::{self, CASCADE_SENDERS};
-use zendoo_sim::{ConservationAuditor, RunError, SimError, VerifyMode, World};
+use zendoo_sim::{ConservationAuditor, RunError, SimError, World};
 
-/// Everything externally observable, for cross-mode comparison.
+/// Everything externally observable, for cross-run comparison.
 fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
     (
         world.chain.tip_hash(),
@@ -25,34 +24,33 @@ fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// Runs `scenario` under every `(workers, verify)` pair of the matrix,
-/// asserts all runs are bit-identical (world state, metrics and the
-/// full audited snapshot stream) and that a cacheless follower replays
-/// the reference chain, and returns the one-lane/individual reference
-/// run.
-fn assert_identical_across_modes(
+/// Runs `scenario` on every worker count of the matrix, asserts all
+/// runs are bit-identical (world state, metrics and the full audited
+/// snapshot stream) and that a cacheless follower replays the reference
+/// chain, and returns the one-lane reference run.
+fn assert_identical_across_workers(
     name: &str,
-    scenario: impl Fn(Option<usize>, VerifyMode) -> Result<(World, ConservationAuditor), RunError>,
+    scenario: impl Fn(Option<usize>) -> Result<(World, ConservationAuditor), RunError>,
 ) -> (World, ConservationAuditor) {
-    let (reference, reference_audit) = scenario(MATRIX[0].0, MATRIX[0].1)
-        .unwrap_or_else(|e| panic!("{name} failed under {:?}: {e}", MATRIX[0]));
+    let (reference, reference_audit) =
+        scenario(MATRIX[0]).unwrap_or_else(|e| panic!("{name} failed under {:?}: {e}", MATRIX[0]));
     assert!(
         !reference_audit.snapshots().is_empty(),
         "{name}: auditor observed no ticks"
     );
     assert_follower_replay_matches(&reference);
-    for (workers, verify) in MATRIX.into_iter().skip(1) {
-        let (world, audit) = scenario(workers, verify)
-            .unwrap_or_else(|e| panic!("{name} failed under ({workers:?}, {verify:?}): {e}"));
+    for workers in MATRIX.into_iter().skip(1) {
+        let (world, audit) =
+            scenario(workers).unwrap_or_else(|e| panic!("{name} failed under {workers:?}: {e}"));
         assert_eq!(
             observe(&reference),
             observe(&world),
-            "{name}: ({workers:?}, {verify:?}) diverged from the reference"
+            "{name}: {workers:?} diverged from the reference"
         );
         assert_eq!(
             reference_audit.snapshots(),
             audit.snapshots(),
-            "{name}: ({workers:?}, {verify:?}) audit history diverged"
+            "{name}: {workers:?} audit history diverged"
         );
     }
     (reference, reference_audit)
@@ -61,7 +59,7 @@ fn assert_identical_across_modes(
 #[test]
 fn partition_reorg_storm_settles_escrow_exactly_once() {
     let (world, audit) =
-        assert_identical_across_modes("partition_reorg_storm", scenarios::partition_reorg_storm);
+        assert_identical_across_workers("partition_reorg_storm", scenarios::partition_reorg_storm);
 
     // The partition really buffered and replayed mainchain blocks…
     assert_eq!(world.metrics.partitions, 1);
@@ -93,8 +91,10 @@ fn partition_reorg_storm_settles_escrow_exactly_once() {
 
 #[test]
 fn quality_wars_never_crown_a_forgery() {
-    let (world, audit) =
-        assert_identical_across_modes("certifier_quality_wars", scenarios::certifier_quality_wars);
+    let (world, audit) = assert_identical_across_workers(
+        "certifier_quality_wars",
+        scenarios::certifier_quality_wars,
+    );
 
     // Both chains were under attack every epoch: forgeries were pooled
     // and every one was rejected by consensus (wrong-quality statements
@@ -133,8 +133,8 @@ fn quality_wars_never_crown_a_forgery() {
 
 #[test]
 fn withholding_cascade_mass_refunds_in_one_window() {
-    let (world, _audit) = assert_identical_across_modes("withholding_cascade", |mode, verify| {
-        scenarios::withholding_cascade(mode, verify, 10_000)
+    let (world, _audit) = assert_identical_across_workers("withholding_cascade", |workers| {
+        scenarios::withholding_cascade(workers, 10_000)
     });
 
     // Six chains ceased in the same settlement window…
@@ -190,7 +190,7 @@ fn withholding_cascade_mass_refunds_in_one_window() {
 #[test]
 fn relay_equivocation_degrades_liveness_not_safety() {
     let (world, audit) =
-        assert_identical_across_modes("relay_equivocation", scenarios::relay_equivocation);
+        assert_identical_across_workers("relay_equivocation", scenarios::relay_equivocation);
 
     assert_eq!(world.metrics.relay_equivocations, 1);
     // The diverged shard buffered the canonical chain, the heal rolled
@@ -212,8 +212,8 @@ fn relay_equivocation_degrades_liveness_not_safety() {
 
 #[test]
 fn long_horizon_soak_survives_sixty_four_epochs_of_mixed_faults() {
-    let (world, audit) = assert_identical_across_modes("long_horizon_soak", |mode, verify| {
-        scenarios::long_horizon_soak(mode, verify, 64)
+    let (world, audit) = assert_identical_across_workers("long_horizon_soak", |workers| {
+        scenarios::long_horizon_soak(workers, 64)
     });
 
     // The horizon was real: ≥64 epochs certified under a standing

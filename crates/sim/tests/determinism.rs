@@ -8,7 +8,7 @@
 mod common;
 
 use common::{assert_follower_replay_matches, MATRIX};
-use zendoo_sim::{scenarios, Action, Schedule, SimConfig, VerifyMode, World};
+use zendoo_sim::{scenarios, Action, Schedule, SimConfig, World};
 use zendoo_telemetry::{Histogram, Snapshot};
 
 /// Every externally observable outcome of a run, for cross-run
@@ -502,72 +502,44 @@ fn the_lanes_and_the_serial_phases_account_for_the_tick() {
     assert!(nanos("tick.lanes") >= nanos("tick.shard.critical"));
 }
 
-// ---- Aggregated verification must not perturb consensus --------------
+// ---- One tick on every worker count, one rule on every follower ------
 
-/// Runs the ring workload under an explicit (workers, verify mode)
-/// pair, recording telemetry.
-fn verify_mode_ring(chains: usize, workers: Option<usize>, verify_mode: VerifyMode) -> World {
-    let config = SimConfig {
-        workers,
-        verify_mode,
-        epoch_len: scenarios::ring_epoch_len(chains),
-        telemetry: true,
-        ..SimConfig::with_sidechains(chains)
-    };
-    let ticks = (config.epoch_len as u64 + 1) * 2;
-    let mut world = World::new(config);
-    scenarios::ring_schedule(chains)
-        .run(&mut world, ticks)
-        .unwrap();
-    world
-}
-
-/// The aggregation acceptance claim: [`VerifyMode::Aggregated`] is a
-/// pure verification-cost optimisation — every externally observable
-/// outcome is bit-identical to [`VerifyMode::Individual`], on every
-/// worker count, and the cross pairs agree too (one lane × Individual
-/// == four lanes × Aggregated and so on).
+/// The matrix over an 8-chain recording ring: every externally
+/// observable outcome and every shard's operation counts equal the
+/// one-lane reference on every worker count. The builder folds no block
+/// proof on its own, and the reference chain replays through followers
+/// with and without a carried proof (see
+/// [`assert_follower_replay_matches`]).
 #[test]
-fn aggregated_mode_is_bit_identical_to_individual_across_the_matrix() {
-    let reference = verify_mode_ring(8, MATRIX[0].0, MATRIX[0].1);
+fn recording_ring_is_bit_identical_across_the_matrix() {
+    let reference = instrumented_ring(8, 1, MATRIX[0]);
     assert!(reference.metrics.certificates_accepted >= 8);
     assert!(reference.conservation_holds() && reference.safeguards_hold());
     let expected = observe(&reference);
     assert_follower_replay_matches(&reference);
     let op_counts = |world: &World| {
         let snapshot = world.telemetry_snapshot();
+        assert!(
+            !snapshot.spans.contains_key("mc.agg.build"),
+            "the tick folded a block proof"
+        );
         LATUS_OP_COUNTERS.map(|name| snapshot.counters.get(name).copied())
     };
     let expected_ops = op_counts(&reference);
     assert!(expected_ops.iter().all(Option::is_some), "{expected_ops:?}");
 
-    for (workers, verify_mode) in MATRIX.into_iter().skip(1) {
-        let world = verify_mode_ring(8, workers, verify_mode);
-        assert_eq!(world.verify_mode(), verify_mode);
+    for workers in MATRIX.into_iter().skip(1) {
+        let world = instrumented_ring(8, 1, workers);
         assert_eq!(
             expected,
             observe(&world),
-            "({workers:?}, {verify_mode:?}) diverged from the reference"
+            "{workers:?} diverged from the reference"
         );
         assert_eq!(
             expected_ops,
             op_counts(&world),
-            "({workers:?}, {verify_mode:?}): shard operation counts diverged"
+            "{workers:?}: shard operation counts diverged"
         );
-        let snapshot = world.telemetry_snapshot();
-        if verify_mode == VerifyMode::Aggregated {
-            // The aggregated runs really built block proofs — the
-            // bit-identical outcome is not because the mode was inert.
-            let builds = snapshot.spans.get("mc.agg.build").map_or(0, |s| s.count);
-            assert!(builds > 0, "no block proofs built at workers={workers:?}");
-            assert_eq!(
-                snapshot.counters.get("mc.agg.build_failed"),
-                None,
-                "block-proof aggregation failed at workers={workers:?}"
-            );
-        } else {
-            assert!(!snapshot.spans.contains_key("mc.agg.build"));
-        }
     }
 }
 
@@ -577,29 +549,28 @@ fn aggregated_mode_is_bit_identical_to_individual_across_the_matrix() {
 /// fork-branch replay, quality-war forgery pooling — must not leak
 /// scheduling nondeterminism: a composed-fault world (partition healed
 /// into a three-fork reorg storm with escrow in flight) is
-/// bit-identical across the whole worker-count × verify-mode matrix,
-/// down to the per-tick audit snapshot stream.
+/// bit-identical across the whole worker-count matrix, down to the
+/// per-tick audit snapshot stream.
 #[test]
 fn composed_fault_world_is_bit_identical_across_the_matrix() {
-    let (reference, reference_audit) =
-        scenarios::partition_reorg_storm(MATRIX[0].0, MATRIX[0].1).unwrap();
+    let (reference, reference_audit) = scenarios::partition_reorg_storm(MATRIX[0]).unwrap();
     // The reference run really exercised the fault paths.
     assert!(reference.metrics.partitions >= 1 && reference.metrics.reorgs >= 3);
     assert!(reference.metrics.blocks_replayed >= 2);
     assert_follower_replay_matches(&reference);
 
-    for (workers, verify) in MATRIX.into_iter().skip(1) {
-        let (world, audit) = scenarios::partition_reorg_storm(workers, verify)
-            .unwrap_or_else(|e| panic!("workers={workers:?}/{verify:?}: {e}"));
+    for workers in MATRIX.into_iter().skip(1) {
+        let (world, audit) = scenarios::partition_reorg_storm(workers)
+            .unwrap_or_else(|e| panic!("workers={workers:?}: {e}"));
         assert_eq!(
             observe(&reference),
             observe(&world),
-            "composed-fault world diverged at workers={workers:?} {verify:?}"
+            "composed-fault world diverged at workers={workers:?}"
         );
         assert_eq!(
             reference_audit.snapshots(),
             audit.snapshots(),
-            "audit history diverged at workers={workers:?} {verify:?}"
+            "audit history diverged at workers={workers:?}"
         );
     }
 }
@@ -609,10 +580,9 @@ fn composed_fault_world_is_bit_identical_across_the_matrix() {
 /// boundary and certify again on the branch, the healed one — merely
 /// behind — catches up and certifies for the first time, all through
 /// the ordinary shard phase, folded in declaration order.
-fn boundary_fork_world(workers: Option<usize>, verify_mode: VerifyMode) -> World {
+fn boundary_fork_world(workers: Option<usize>) -> World {
     let config = SimConfig {
         workers,
-        verify_mode,
         ..SimConfig::with_sidechains(3)
     };
     let mut world = World::new(config);
@@ -641,7 +611,7 @@ fn boundary_fork_world(workers: Option<usize>, verify_mode: VerifyMode) -> World
 /// and re-issues certificates.
 #[test]
 fn boundary_crossing_fork_is_bit_identical_across_the_matrix() {
-    let reference = boundary_fork_world(MATRIX[0].0, MATRIX[0].1);
+    let reference = boundary_fork_world(MATRIX[0]);
     // Both live chains certified epoch 0 twice (the stale certificates
     // are the only rejections); the healed one replayed what survived
     // of its backlog and caught up inside the window.
@@ -661,11 +631,11 @@ fn boundary_crossing_fork_is_bit_identical_across_the_matrix() {
     let expected = observe(&reference);
     assert_follower_replay_matches(&reference);
 
-    for (workers, verify_mode) in MATRIX.into_iter().skip(1) {
+    for workers in MATRIX.into_iter().skip(1) {
         assert_eq!(
             expected,
-            observe(&boundary_fork_world(workers, verify_mode)),
-            "({workers:?}, {verify_mode:?}) diverged from the reference"
+            observe(&boundary_fork_world(workers)),
+            "{workers:?} diverged from the reference"
         );
     }
 }

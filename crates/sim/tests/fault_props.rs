@@ -9,7 +9,7 @@ mod common;
 use common::assert_follower_replay_matches;
 use proptest::prelude::*;
 use zendoo_sim::{
-    Action, ConservationAuditor, Fault, FaultPlan, RunError, Schedule, SimConfig, VerifyMode, World,
+    Action, ConservationAuditor, Fault, FaultPlan, RunError, Schedule, SimConfig, World,
 };
 
 const CHAINS: usize = 3;
@@ -23,7 +23,6 @@ fn run_plan(
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
         workers,
-        verify_mode: VerifyMode::Individual,
         ..SimConfig::with_sidechains(CHAINS)
     };
     let mut world = World::new(config);
@@ -145,7 +144,6 @@ proptest! {
     fn prop_malformed_fts_reconcile_after_drain(seed in any::<u64>()) {
         let config = SimConfig {
             workers: Some(1),
-            verify_mode: VerifyMode::Individual,
             ..SimConfig::with_sidechains(CHAINS)
         };
         let epoch_len = config.epoch_len as u64;

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use zendoo_sim::{Action, Schedule, SimConfig, VerifyMode, World};
+use zendoo_sim::{Action, Schedule, SimConfig, World};
 use zendoo_store::chain_state_digest;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -19,7 +19,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn config(persist_dir: Option<PathBuf>) -> SimConfig {
     SimConfig {
         workers: Some(1),
-        verify_mode: VerifyMode::Individual,
         persist_dir,
         ..SimConfig::with_sidechains(2)
     }

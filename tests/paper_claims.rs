@@ -65,7 +65,7 @@ use zendoo::latus::tx::{
     ReceiverMetadata, ScTransaction,
 };
 use zendoo::mainchain::chain::{Blockchain, ChainParams};
-use zendoo::mainchain::pipeline::{self, VerifyMode};
+use zendoo::mainchain::pipeline;
 use zendoo::mainchain::pow::Target;
 use zendoo::mainchain::sigbatch::{verify_sig_batch, SigCheck};
 use zendoo::mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
@@ -155,10 +155,9 @@ fn config_for(sidechain_id: SidechainId, seed: &[u8]) -> SidechainConfig {
 
 /// A mainchain of `height` blocks: the first declares `sidechains`, the
 /// rest are empty.
-fn mined(sidechains: Vec<SidechainConfig>, height: u64, mode: VerifyMode) -> (Blockchain, Wallet) {
+fn mined(sidechains: Vec<SidechainConfig>, height: u64) -> (Blockchain, Wallet) {
     let miner = Wallet::from_seed(b"claims-miner");
     let mut chain = Blockchain::new(ChainParams::default());
-    chain.set_verify_mode(mode);
     let mut txs = sidechains
         .into_iter()
         .map(|config| McTransaction::SidechainDeclaration(Box::new(config)))
@@ -657,13 +656,14 @@ fn s541_lanes_share_the_base_layer_and_the_merge_tail_is_logarithmic() {
 
 // ------------------------------------------------- block aggregation
 
-/// A chain in aggregated mode with `n` sidechains at the end of their
-/// first epoch, and the next block carrying one certificate for each.
+/// A chain with `n` sidechains at the end of their first epoch, the next
+/// block carrying one certificate for each, and that block's recursive
+/// proof.
 fn block_of_certificates(n: usize) -> (Blockchain, Block, BlockProof) {
     let id = |i: usize| SidechainId::from_label(&format!("claims-agg-{i}"));
     let seed = |i: usize| format!("agg-{i}").into_bytes();
     let configs = (0..n).map(|i| config_for(id(i), &seed(i))).collect();
-    let (chain, miner) = mined(configs, 7, VerifyMode::Aggregated);
+    let (chain, miner) = mined(configs, 7);
     let ends = (
         chain.hash_at_height(1).unwrap(),
         chain.hash_at_height(7).unwrap(),
@@ -674,14 +674,16 @@ fn block_of_certificates(n: usize) -> (Blockchain, Block, BlockProof) {
     let prepared = chain
         .prepare_block(miner.address(), certificates, 8)
         .unwrap();
-    let proof = prepared.proof.expect("the aggregated builder attaches one");
+    let proof = chain
+        .prove_block(&prepared.block)
+        .expect("an honest block folds");
     (chain, prepared.block, proof)
 }
 
 /// The claim `BENCH_proof_agg.json` records the wall clock of: a node
-/// receiving a block checks one proof per statement in individual mode
-/// and **one** in aggregated mode, however many certificates the block
-/// carries; what stays per statement is hashing.
+/// receiving a block alone checks one proof per statement, and **one**
+/// when the block carries its recursive proof, however many
+/// certificates the block holds; what stays per statement is hashing.
 #[test]
 fn aggregated_stage2_is_one_verification_for_any_number_of_certificates() {
     let telemetry = Telemetry::disabled();
@@ -987,7 +989,7 @@ fn certificate_declaring(n: usize) -> WithdrawalCertificate {
 /// appended to a prepared block.
 fn chain_and_block(height: u64, cert: WithdrawalCertificate) -> (Blockchain, Block) {
     let config = config_for(source_chain(), b"routing");
-    let (chain, miner) = mined(vec![config], height, VerifyMode::Individual);
+    let (chain, miner) = mined(vec![config], height);
     let mut block = chain
         .prepare_block(miner.address(), vec![], height + 1)
         .unwrap()
