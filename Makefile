@@ -93,24 +93,30 @@ test-store:
 
 # The one tree, by name: the sparse Merkle tree's differential against
 # the recursive reference of its definition (depths 6 / 40 / 63), the
-# tamper matrix, the persistence laws and the permutation-count pin
-# (every `smt::` unit test), then the Latus cases that rest on the
-# canonical-update rule — a witness replays pre- and post-root, a
-# collision is a membership proof, absence cannot be forged from a
-# neighbour, over-long paths and wrong sibling kinds are refused by rule
-# name, snapshots are handles bounded by the reorg horizon.
+# batched write against sequential inserts and its opening against
+# both roots, the tamper matrices of proofs and of openings, the
+# persistence laws and the permutation-count pins (every `smt::` unit
+# test), then the cases that rest on the canonical-update rule — a
+# witness replays pre- and post-root, a collision refunds from the
+# opening and an opening that hides the occupant or omits the slot is
+# refused, two transfers into one slot mint the first and refund the
+# second, absence cannot be forged from a neighbour, over-long paths
+# and wrong sibling kinds are refused by rule name, snapshots are
+# handles bounded by the reorg horizon, and the indexer's one write per
+# inbound tree keeps the slots one insertion at a time chose.
 test-tree:
-	$(call run-suites,tree,"zendoo-primitives lib smt::" "zendoo-latus lib payment_witness_replays_root_transition forward_transfer_collision_refunds_payback btr_absence_cannot_be_forged_from_a_neighbour witnessed_path_longer_than_the_tree" "zendoo-latus adversarial removal_with_the_wrong_sibling_kind ownership_path_longer_than_the_tree" "zendoo-latus epoch_flow snapshots_are_handles")
+	$(call run-suites,tree,"zendoo-primitives lib smt::" "zendoo-latus lib payment_witness_replays_root_transition forward_transfer_collision_refunds_payback two_transfers_into_one_slot_mint_the_first_and_refund_the_second btr_absence_cannot_be_forged_from_a_neighbour witnessed_path_longer_than_the_tree" "zendoo-latus adversarial removal_with_the_wrong_sibling_kind ownership_path_longer_than_the_tree forward_transfer_opening_that_hides_an_occupant_or_omits_a_slot" "zendoo-latus epoch_flow snapshots_are_handles" "zendoo-store lib a_delta_writes_each_tree_once")
 
 # The paper's scaling claims as assertions on operation counts
 # (tests/paper_claims.rs: experiment → test table in its header; E2 reads
 # n + (n − 1) attestations, 2(n − 1) in-circuit proof checks and one
-# batch evaluation per merge layer), the two claims that live beside
-# their code (E5 at tree level, E7's leadership ∝ stake) and the cost
+# batch evaluation per merge layer; E5 one transfer a transaction and
+# 64 in one), the three claims that live beside their code (E5 at tree
+# level, one write and one batch, E7's leadership ∝ stake) and the cost
 # lines of zendoo-snark's private circuits (constraint_cost ==
 # proof_checks × PROOF_VERIFY). Host-independent: no clock is read.
 test-claims:
-	$(call run-suites,claims,"zendoo paper_claims" "zendoo-primitives lib smt::tests::a_write_costs_log_occupancy_not_depth" "zendoo-latus lib consensus::tests::leadership_frequency_tracks_stake" "zendoo-snark lib merge_is_charged_the_two_checks_it_runs wrap_and_fold_are_charged_the_checks_they_run")
+	$(call run-suites,claims,"zendoo paper_claims" "zendoo-primitives lib smt::tests::a_write_costs_log_occupancy_not_depth smt::tests::a_batch_hashes_each_touched_node_once" "zendoo-latus lib consensus::tests::leadership_frequency_tracks_stake" "zendoo-snark lib merge_is_charged_the_two_checks_it_runs wrap_and_fold_are_charged_the_checks_they_run")
 
 # The standalone benchmark package (BENCHMARK.json runs it from its own
 # checkout): its unit tests, then every workload once at smoke size. It

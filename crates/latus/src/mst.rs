@@ -18,7 +18,7 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::poseidon;
-use zendoo_primitives::smt::{NodeOpening, Smt, SmtError, SmtProof};
+use zendoo_primitives::smt::{NodeOpening, Smt, SmtError, SmtOpening, SmtProof};
 
 /// An unspent output on the Latus sidechain: `(addr, amount, nonce)`
 /// (§5.2).
@@ -222,9 +222,26 @@ impl Mst {
     ///
     /// [`MstError::SlotCollision`] if the slot is taken.
     pub fn add(&mut self, utxo: &Utxo) -> Result<u64, MstError> {
-        let position = mst_position(utxo, self.depth());
-        match self.tree.insert_with(position, utxo.leaf(), *utxo) {
-            Ok(()) => Ok(position),
+        Ok(self.add_many(std::slice::from_ref(utxo))?[0])
+    }
+
+    /// Inserts UTXOs at their deterministic positions in one tree write
+    /// ([`Smt::insert_many`]), returning the positions in the order given.
+    ///
+    /// # Errors
+    ///
+    /// [`MstError::SlotCollision`] if a slot is taken, or two of the
+    /// UTXOs share one. Nothing is inserted on error.
+    pub fn add_many(&mut self, utxos: &[Utxo]) -> Result<Vec<u64>, MstError> {
+        let depth = self.depth();
+        let positions: Vec<u64> = utxos.iter().map(|u| mst_position(u, depth)).collect();
+        let leaves = positions
+            .iter()
+            .zip(utxos)
+            .map(|(position, utxo)| (*position, utxo.leaf(), *utxo))
+            .collect();
+        match self.tree.insert_many(leaves) {
+            Ok(()) => Ok(positions),
             Err(SmtError::SlotOccupied(position)) => Err(MstError::SlotCollision { position }),
             Err(e) => Err(e.into()),
         }
@@ -252,6 +269,12 @@ impl Mst {
     /// what spending the UTXO at `position` must witness.
     pub fn proof_with_sibling(&self, position: u64) -> (SmtProof, Option<NodeOpening>) {
         self.tree.proof_with_sibling(position)
+    }
+
+    /// The union of the walks to `positions`: what a batch of insertions
+    /// there must witness ([`Smt::opening`]).
+    pub fn opening(&self, positions: &[u64]) -> SmtOpening {
+        self.tree.opening(positions)
     }
 
     /// Tree nodes this handle keeps alive that `other` does not share.

@@ -28,8 +28,7 @@ use crate::state::{
     fold_backward_transfer, fold_delta_position, fold_sync, state_digest, SyncKind,
 };
 use crate::tx::{
-    btr_claimed_utxo, classify_ft_metadata, ft_batch_output_utxo, ft_output_utxo, salvage_payback,
-    BtrStep, FtEntryStep, FtKind, FtStep, LeafUpdate, ScTransaction, SignedInput,
+    btr_claimed_utxo, plan_forward_transfers, BtrStep, LeafUpdate, ScTransaction, SignedInput,
     TransitionWitness, UpdateError, SC_SIGHASH_CONTEXT,
 };
 
@@ -162,31 +161,6 @@ fn check_spend(
     replay.apply_update(update)
 }
 
-/// Checks that a collision rejection's evidence proves `position`
-/// occupied under the running root: a membership proof of whatever leaf
-/// sits there.
-fn check_occupied_slot(
-    replay: &Replay,
-    position: u64,
-    occupied: &SmtProof,
-    ft_index: usize,
-) -> Result<(), Unsatisfied> {
-    if occupied.index() != position {
-        return Err(Unsatisfied::new(
-            "latus/ft-collision-pos",
-            format!("ft {ft_index}: collision proof at wrong position"),
-        ));
-    }
-    check_path_depth(occupied, replay.depth, "latus/path-depth")?;
-    if occupied.value().is_none() || occupied.root() != Some(replay.mst_root) {
-        return Err(Unsatisfied::new(
-            "latus/ft-collision",
-            format!("ft {ft_index}: slot not provably occupied"),
-        ));
-    }
-    Ok(())
-}
-
 impl TransitionVerifier for LatusTransitionVerifier {
     type Witness = TransitionWitness;
 
@@ -289,115 +263,51 @@ impl TransitionVerifier for LatusTransitionVerifier {
                         "forward transfers not bound to the MC block commitment",
                     ));
                 }
-                if w.ft_steps.len() != tx.transfers.len() {
+                // The circuit derives each transfer's mint or refund from
+                // the opening through the forger's own plan, then checks
+                // the opening against the running root and replays every
+                // mint as one write.
+                let opening = w.ft_opening.as_ref().ok_or_else(|| {
+                    Unsatisfied::new("latus/ft-opening", "forward transfers need an opening")
+                })?;
+                if opening.depth() != depth {
                     return Err(Unsatisfied::new(
-                        "latus/ft-arity",
-                        "one step required per forward transfer",
+                        "latus/path-depth",
+                        format!(
+                            "MST opening of depth {}, the tree has depth {depth}",
+                            opening.depth()
+                        ),
                     ));
                 }
-                for (i, (ft, step)) in tx.transfers.iter().zip(&w.ft_steps).enumerate() {
-                    // Classic 64-byte metadata, the tagged cross-chain
-                    // form, or an aggregated settlement batch — the
-                    // circuit mirrors the update semantics of
-                    // `tx::apply_transaction` exactly via the shared
-                    // classifier.
-                    let kind = classify_ft_metadata(&self.params.sidechain_id, ft);
-                    let single = match &kind {
-                        FtKind::Classic { receiver, payback } => Some((*receiver, *payback)),
-                        FtKind::Cross { meta } => Some((meta.receiver, meta.payback)),
-                        FtKind::Settlement(_) | FtKind::Malformed => None,
-                    };
-                    match (&kind, single, step) {
-                        (FtKind::Malformed, _, FtStep::RejectedMalformed) => {
-                            // Mirrors `apply_forward_transfers`: a
-                            // malformed FT refunds its full amount to
-                            // the salvaged payback address. The circuit
-                            // re-derives both, so a prover can neither
-                            // redirect nor strand the refund.
-                            replay.append_bt(salvage_payback(&ft.receiver_metadata), ft.amount);
-                        }
-                        (FtKind::Malformed, _, _) => {
-                            return Err(Unsatisfied::new(
-                                "latus/ft-malformed",
-                                format!("ft {i}: malformed metadata must be rejected"),
-                            ));
-                        }
-                        (_, Some((receiver, _)), FtStep::Minted(update)) => {
-                            let utxo = ft_output_utxo(&tx.mc_block, i, receiver, ft.amount);
-                            if update.position() != mst_position(&utxo, depth)
-                                || update.old_leaf().is_some()
-                                || update.new_leaf != Some(utxo.leaf())
-                            {
-                                return Err(Unsatisfied::new(
-                                    "latus/ft-mint",
-                                    format!("ft {i}: mint update malformed"),
-                                ));
-                            }
-                            replay.apply_update(update)?;
-                        }
-                        (_, Some((receiver, payback)), FtStep::RejectedCollision { occupied }) => {
-                            let utxo = ft_output_utxo(&tx.mc_block, i, receiver, ft.amount);
-                            check_occupied_slot(&replay, mst_position(&utxo, depth), occupied, i)?;
-                            replay.append_bt(payback, ft.amount);
-                        }
-                        (FtKind::Settlement(batch), _, FtStep::Settled(entry_steps)) => {
-                            if entry_steps.len() != batch.transfers.len() {
-                                return Err(Unsatisfied::new(
-                                    "latus/ft-batch-arity",
-                                    format!("ft {i}: one sub-step required per batch entry"),
-                                ));
-                            }
-                            for (entry, (xct, entry_step)) in
-                                batch.transfers.iter().zip(entry_steps).enumerate()
-                            {
-                                let utxo = ft_batch_output_utxo(
-                                    &tx.mc_block,
-                                    i,
-                                    entry,
-                                    xct.receiver,
-                                    xct.amount,
-                                );
-                                match entry_step {
-                                    FtEntryStep::Minted(update) => {
-                                        if update.position() != mst_position(&utxo, depth)
-                                            || update.old_leaf().is_some()
-                                            || update.new_leaf != Some(utxo.leaf())
-                                        {
-                                            return Err(Unsatisfied::new(
-                                                "latus/ft-batch-mint",
-                                                format!(
-                                                    "ft {i} entry {entry}: mint update malformed"
-                                                ),
-                                            ));
-                                        }
-                                        replay.apply_update(update)?;
-                                    }
-                                    FtEntryStep::RejectedCollision { occupied } => {
-                                        check_occupied_slot(
-                                            &replay,
-                                            mst_position(&utxo, depth),
-                                            occupied,
-                                            i,
-                                        )?;
-                                        replay.append_bt(xct.payback, xct.amount);
-                                    }
-                                }
-                            }
-                        }
-                        (FtKind::Settlement(_), _, _) => {
-                            return Err(Unsatisfied::new(
-                                "latus/ft-batch",
-                                format!("ft {i}: settlement batch requires settled sub-steps"),
-                            ));
-                        }
-                        (_, Some(_), _) => {
-                            return Err(Unsatisfied::new(
-                                "latus/ft-skip",
-                                format!("ft {i}: well-formed transfer cannot be skipped"),
-                            ));
-                        }
-                        (_, None, _) => unreachable!("single is Some for classic/cross"),
-                    }
+                let opening_error = |e: WitnessError| match e {
+                    WitnessError::Unopened => Unsatisfied::new(
+                        "latus/ft-unopened",
+                        "a transfer's slot is not opened by the witness",
+                    ),
+                    _ => Unsatisfied::new("latus/ft-opening", "the opening is not one of the tree"),
+                };
+                let plan = plan_forward_transfers(&self.params.sidechain_id, tx, depth, |slot| {
+                    opening.occupant(slot).map(|held| held.is_some())
+                })
+                .map_err(opening_error)?;
+                let inserts: Vec<(u64, Fp)> = plan
+                    .mints
+                    .iter()
+                    .map(|(position, utxo)| (*position, utxo.leaf()))
+                    .collect();
+                let (before, after) = opening.roots_of_inserts(&inserts).map_err(opening_error)?;
+                if before != replay.mst_root {
+                    return Err(Unsatisfied::new(
+                        "latus/ft-opening",
+                        "the opening does not match the running root",
+                    ));
+                }
+                replay.mst_root = after;
+                for (position, _) in &plan.mints {
+                    replay.delta_acc = fold_delta_position(replay.delta_acc, *position);
+                }
+                for refund in &plan.refunds {
+                    replay.append_bt(refund.receiver, refund.amount);
                 }
                 replay.sync_acc =
                     fold_sync(replay.sync_acc, SyncKind::ForwardTransfers, &tx.mc_block);
@@ -492,25 +402,17 @@ impl TransitionVerifier for LatusTransitionVerifier {
     }
 
     /// A model, not a circuit: it charges every witnessed MST path the
-    /// siblings it actually carries (≈ log₂ of the occupancy). A
-    /// fixed-shape circuit would pad each path to a bound it chooses.
+    /// siblings it actually carries (≈ log₂ of the occupancy), and a
+    /// forward-transfers opening the nodes it opens — a node the
+    /// transfers' walks share once. A fixed-shape circuit would pad each
+    /// path to a bound it chooses.
     fn transition_cost(&self, w: &TransitionWitness) -> u64 {
         let path = |p: &SmtProof| p.siblings().len() as u64;
         let update = |u: &LeafUpdate| path(&u.path);
-        let entry = |step: &FtEntryStep| match step {
-            FtEntryStep::Minted(u) => update(u),
-            FtEntryStep::RejectedCollision { occupied } => path(occupied),
-        };
         let levels: u64 = w.updates.iter().map(update).sum::<u64>()
-            + w.ft_steps
-                .iter()
-                .map(|step| match step {
-                    FtStep::Minted(u) => update(u),
-                    FtStep::RejectedCollision { occupied } => path(occupied),
-                    FtStep::Settled(entries) => entries.iter().map(entry).sum(),
-                    FtStep::RejectedMalformed => 0,
-                })
-                .sum::<u64>()
+            + w.ft_opening
+                .as_ref()
+                .map_or(0, |opening| opening.opened_nodes() as u64)
             + w.btr_steps
                 .iter()
                 .map(|step| match step {

@@ -225,6 +225,15 @@ impl SidechainState {
         Ok(position)
     }
 
+    /// Records a batch of MST insertions through the protocol path: one
+    /// tree write, then one touch per position in the order given.
+    pub(crate) fn insert_utxos(&mut self, utxos: &[Utxo]) -> Result<(), crate::mst::MstError> {
+        for position in self.mst.add_many(utxos)? {
+            self.touch(position);
+        }
+        Ok(())
+    }
+
     /// Records an MST removal through the protocol path.
     pub(crate) fn remove_utxo(&mut self, utxo: &Utxo) -> Result<u64, crate::mst::MstError> {
         let position = self.mst.remove(utxo)?;

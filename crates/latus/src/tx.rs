@@ -6,12 +6,16 @@
 //!
 //! Application is atomic: every rule is checked on a *plan* before any
 //! mutation happens, then the plan executes. The plan doubles as the
-//! base-proof witness: a sequence of single-leaf MST updates, each
-//! carrying the Merkle path valid at its point in the sequence — exactly
-//! the form a real circuit would witness.
+//! base-proof witness. A payment, withdrawal or BTR fulfilment is a
+//! sequence of single-leaf MST updates, each carrying the Merkle path
+//! valid at its point in the sequence. A forward-transfers transaction is
+//! one batch of insertions witnessed by one opening of the pre-state
+//! tree, from which the circuit re-derives every transfer's outcome.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::convert::Infallible;
+use zendoo_core::crosschain::InboundCrossTransfer;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_core::transfer::{BackwardTransfer, ForwardTransfer};
 use zendoo_core::withdrawal::BackwardTransferRequest;
@@ -19,7 +23,7 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
-use zendoo_primitives::smt::{NodeOpening, SmtProof, WitnessError};
+use zendoo_primitives::smt::{NodeOpening, SmtOpening, SmtProof, WitnessError};
 
 use crate::mst::{mst_position, Utxo};
 use crate::state::SidechainState;
@@ -402,43 +406,6 @@ impl ScTransaction {
     }
 }
 
-/// One step of a synchronized-FT application (§5.3.2): each FT either
-/// mints an output or fails into a rejection.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FtStep {
-    /// The transfer minted a UTXO.
-    Minted(LeafUpdate),
-    /// `MST_Position` collided with an occupied slot; coins refunded via
-    /// backward transfer. The proof shows the slot was occupied.
-    RejectedCollision {
-        /// Membership proof of whatever holds the contested slot.
-        occupied: SmtProof,
-    },
-    /// An aggregated settlement forward transfer (batched cross-chain
-    /// delivery): one sub-step per batch entry, in entry order.
-    Settled(Vec<FtEntryStep>),
-    /// Metadata unparseable; the full amount is refunded via backward
-    /// transfer to the payback address derived by the total
-    /// [`salvage_payback`] rule (never stranded in the registry
-    /// balance).
-    RejectedMalformed,
-}
-
-/// One entry of an aggregated settlement forward transfer: minted into
-/// the entry receiver's slot, or refunded to the entry's payback
-/// address on a slot collision.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FtEntryStep {
-    /// The entry minted a UTXO for its receiver.
-    Minted(LeafUpdate),
-    /// The entry's deterministic slot was occupied; its coins refunded
-    /// via backward transfer to the entry's payback address.
-    RejectedCollision {
-        /// Membership proof of whatever holds the contested slot.
-        occupied: SmtProof,
-    },
-}
-
 /// One step of a synchronized-BTR application (§5.3.4).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BtrStep {
@@ -471,8 +438,11 @@ pub struct TransitionWitness {
     pub pre_sync_accumulator: Fp,
     /// Ordered leaf updates (payments/BTs).
     pub updates: Vec<LeafUpdate>,
-    /// Per-FT steps (only for `ForwardTransfers`).
-    pub ft_steps: Vec<FtStep>,
+    /// The pre-state opening of every slot a `ForwardTransfers`
+    /// transaction tries to mint into (`None` for the other kinds): the
+    /// circuit re-derives each transfer's mint or refund from it and
+    /// replays all the mints as one write.
+    pub ft_opening: Option<SmtOpening>,
     /// Per-BTR steps (only for `BackwardTransferRequests`).
     pub btr_steps: Vec<BtrStep>,
     /// Backward transfers appended by this transition, in order.
@@ -710,7 +680,7 @@ fn execute_spend(
         pre_delta_accumulator,
         pre_sync_accumulator,
         updates,
-        ft_steps: Vec::new(),
+        ft_opening: None,
         btr_steps: Vec::new(),
         appended_bts: withdrawals.to_vec(),
     }
@@ -833,6 +803,141 @@ pub fn salvage_payback(metadata: &[u8]) -> Address {
     Address(Digest32(bytes))
 }
 
+/// One forward transfer's claim on the sidechain, read off its metadata
+/// alone: a mint (or its payback on a taken slot), or a refund outright.
+enum Claim {
+    Mint {
+        utxo: Utxo,
+        payback: Address,
+        credit: Option<InboundCrossTransfer>,
+    },
+    Refund(BackwardTransfer),
+}
+
+/// What a forward-transfers transaction does (§5.3.2), decided in
+/// transfer order: each mint is refused — its coins refunded to its
+/// payback — if its slot is occupied before the transaction or was taken
+/// by an earlier transfer of it, and malformed metadata is refunded to
+/// the [`salvage_payback`] address. The forger plans against its tree and
+/// the transition circuit against the witnessed opening, through this
+/// one function, so the two derive the same outcome for every transfer.
+#[derive(Debug, Default)]
+pub(crate) struct FtPlan {
+    /// Every slot a mint was tried in, in transfer order: what the
+    /// witness must open.
+    pub(crate) probed: Vec<u64>,
+    /// The minted UTXOs with their slots, in transfer order.
+    pub(crate) mints: Vec<(u64, Utxo)>,
+    /// The refunds, in transfer order.
+    pub(crate) refunds: Vec<BackwardTransfer>,
+    /// The inbound cross-chain credits of the minted cross-chain and
+    /// settlement entries, in transfer order.
+    pub(crate) credits: Vec<InboundCrossTransfer>,
+}
+
+/// Plans `ft_tx` on `sidechain_id`'s tree of `depth`, asking `occupied`
+/// whether a slot holds a UTXO before the transaction.
+///
+/// # Errors
+///
+/// Whatever `occupied` fails with.
+pub(crate) fn plan_forward_transfers<E>(
+    sidechain_id: &zendoo_core::ids::SidechainId,
+    ft_tx: &ForwardTransfersTx,
+    depth: u32,
+    mut occupied: impl FnMut(u64) -> Result<bool, E>,
+) -> Result<FtPlan, E> {
+    let mc_block = ft_tx.mc_block;
+    let mut claims = Vec::with_capacity(ft_tx.transfers.len());
+    for (i, ft) in ft_tx.transfers.iter().enumerate() {
+        // Classic 64-byte Latus metadata, the tagged single cross-chain
+        // form, or an aggregated settlement batch delivered by the
+        // mainchain router (§5.3.2 leaves the metadata format to the
+        // sidechain).
+        match classify_ft_metadata(sidechain_id, ft) {
+            // The mainchain already credited this sidechain's registry
+            // balance when it included the FT, so dropping it would
+            // strand the coins there: the full amount goes back through
+            // the consensus-checked backward-transfer path, to an
+            // address the circuit re-derives.
+            FtKind::Malformed => claims.push(Claim::Refund(BackwardTransfer {
+                receiver: salvage_payback(&ft.receiver_metadata),
+                amount: ft.amount,
+            })),
+            FtKind::Classic { receiver, payback } => claims.push(Claim::Mint {
+                utxo: ft_output_utxo(&mc_block, i, receiver, ft.amount),
+                payback,
+                credit: None,
+            }),
+            FtKind::Cross { meta } => claims.push(Claim::Mint {
+                utxo: ft_output_utxo(&mc_block, i, meta.receiver, ft.amount),
+                payback: meta.payback,
+                credit: Some(InboundCrossTransfer {
+                    source: meta.source,
+                    nonce: meta.nonce,
+                    receiver: meta.receiver,
+                    amount: ft.amount,
+                    mc_block,
+                }),
+            }),
+            // One mint per batch entry, each into its own receiver's
+            // slot and refunded to its own payback.
+            FtKind::Settlement(batch) => {
+                claims.extend(
+                    batch
+                        .transfers
+                        .iter()
+                        .enumerate()
+                        .map(|(entry, xct)| Claim::Mint {
+                            utxo: ft_batch_output_utxo(
+                                &mc_block,
+                                i,
+                                entry,
+                                xct.receiver,
+                                xct.amount,
+                            ),
+                            payback: xct.payback,
+                            credit: Some(InboundCrossTransfer {
+                                source: xct.source,
+                                nonce: xct.nonce,
+                                receiver: xct.receiver,
+                                amount: xct.amount,
+                                mc_block,
+                            }),
+                        }),
+                );
+            }
+        }
+    }
+    let mut plan = FtPlan::default();
+    let mut taken = HashSet::new();
+    for claim in claims {
+        match claim {
+            Claim::Refund(refund) => plan.refunds.push(refund),
+            Claim::Mint {
+                utxo,
+                payback,
+                credit,
+            } => {
+                let position = mst_position(&utxo, depth);
+                plan.probed.push(position);
+                if occupied(position)? || !taken.insert(position) {
+                    plan.refunds.push(BackwardTransfer {
+                        receiver: payback,
+                        amount: utxo.amount,
+                    });
+                } else {
+                    plan.mints.push((position, utxo));
+                    plan.credits.extend(credit);
+                }
+            }
+        }
+    }
+    Ok(plan)
+}
+
+/// The execute half of a forward-transfers transaction: the plan, then
+/// one tree write for all its mints.
 fn execute_forward_transfers(
     params: &crate::params::LatusParams,
     state: &mut SidechainState,
@@ -843,113 +948,20 @@ fn execute_forward_transfers(
     let pre_bt_accumulator = state.bt_accumulator();
     let pre_delta_accumulator = state.delta_accumulator();
     let pre_sync_accumulator = state.sync_accumulator();
-    let depth = state.mst().depth();
-    let mut steps = Vec::with_capacity(ft_tx.transfers.len());
-    let mut appended = Vec::new();
-
-    /// Mints `utxo` (or refunds `payback` on a slot collision),
-    /// returning the mint update or the collision evidence.
-    fn mint_or_refund(
-        state: &mut SidechainState,
-        appended: &mut Vec<BackwardTransfer>,
-        utxo: &Utxo,
-        payback: Address,
-        depth: u32,
-    ) -> Result<LeafUpdate, SmtProof> {
-        let position = mst_position(utxo, depth);
-        let path = state.mst().proof(position);
-        if path.value().is_some() {
-            let refund = BackwardTransfer {
-                receiver: payback,
-                amount: utxo.amount,
-            };
-            state.append_backward_transfer(refund);
-            appended.push(refund);
-            return Err(path);
-        }
-        state.insert_utxo(utxo).expect("slot proven empty");
-        Ok(LeafUpdate {
-            path,
-            new_leaf: state.mst().leaf_at(position),
-            sibling: None,
-        })
+    let mst = state.mst();
+    let Ok(plan) = plan_forward_transfers(&params.sidechain_id, ft_tx, mst.depth(), |slot| {
+        Ok::<_, Infallible>(mst.utxo_at(slot).is_some())
+    });
+    let opening = mst.opening(&plan.probed);
+    let minted: Vec<Utxo> = plan.mints.iter().map(|(_, utxo)| *utxo).collect();
+    state
+        .insert_utxos(&minted)
+        .expect("planned into empty, distinct slots");
+    for refund in &plan.refunds {
+        state.append_backward_transfer(*refund);
     }
-
-    for (i, ft) in ft_tx.transfers.iter().enumerate() {
-        // Classic 64-byte Latus metadata, the tagged single cross-chain
-        // form, or an aggregated settlement batch delivered by the
-        // mainchain router (§5.3.2 leaves the metadata format to the
-        // sidechain).
-        match classify_ft_metadata(&params.sidechain_id, ft) {
-            FtKind::Malformed => {
-                // Unparseable metadata. The mainchain already credited
-                // this sidechain's registry balance when it included the
-                // FT, so dropping the transfer here would strand the
-                // coins in that balance forever. Refund the full amount
-                // through the consensus-checked backward-transfer path
-                // instead, to the payback address the shared total
-                // salvage rule derives — the transition circuit
-                // re-derives the same address and amount, so a prover
-                // can neither redirect nor suppress the refund.
-                let refund = BackwardTransfer {
-                    receiver: salvage_payback(&ft.receiver_metadata),
-                    amount: ft.amount,
-                };
-                state.append_backward_transfer(refund);
-                appended.push(refund);
-                steps.push(FtStep::RejectedMalformed);
-            }
-            FtKind::Classic { receiver, payback } => {
-                let utxo = ft_output_utxo(&ft_tx.mc_block, i, receiver, ft.amount);
-                match mint_or_refund(state, &mut appended, &utxo, payback, depth) {
-                    Ok(update) => steps.push(FtStep::Minted(update)),
-                    Err(occupied) => steps.push(FtStep::RejectedCollision { occupied }),
-                }
-            }
-            FtKind::Cross { meta } => {
-                let utxo = ft_output_utxo(&ft_tx.mc_block, i, meta.receiver, ft.amount);
-                match mint_or_refund(state, &mut appended, &utxo, meta.payback, depth) {
-                    Ok(update) => {
-                        state.record_inbound_cross(zendoo_core::crosschain::InboundCrossTransfer {
-                            source: meta.source,
-                            nonce: meta.nonce,
-                            receiver: meta.receiver,
-                            amount: ft.amount,
-                            mc_block: ft_tx.mc_block,
-                        });
-                        steps.push(FtStep::Minted(update));
-                    }
-                    Err(occupied) => steps.push(FtStep::RejectedCollision { occupied }),
-                }
-            }
-            FtKind::Settlement(batch) => {
-                // One mint per batch entry, each into its own receiver's
-                // slot; a colliding entry refunds its own payback.
-                let mut entry_steps = Vec::with_capacity(batch.transfers.len());
-                for (entry, xct) in batch.transfers.iter().enumerate() {
-                    let utxo =
-                        ft_batch_output_utxo(&ft_tx.mc_block, i, entry, xct.receiver, xct.amount);
-                    match mint_or_refund(state, &mut appended, &utxo, xct.payback, depth) {
-                        Ok(update) => {
-                            state.record_inbound_cross(
-                                zendoo_core::crosschain::InboundCrossTransfer {
-                                    source: xct.source,
-                                    nonce: xct.nonce,
-                                    receiver: xct.receiver,
-                                    amount: xct.amount,
-                                    mc_block: ft_tx.mc_block,
-                                },
-                            );
-                            entry_steps.push(FtEntryStep::Minted(update));
-                        }
-                        Err(occupied) => {
-                            entry_steps.push(FtEntryStep::RejectedCollision { occupied });
-                        }
-                    }
-                }
-                steps.push(FtStep::Settled(entry_steps));
-            }
-        }
+    for credit in plan.credits {
+        state.record_inbound_cross(credit);
     }
     state.record_sync(crate::state::SyncKind::ForwardTransfers, &ft_tx.mc_block);
     TransitionWitness {
@@ -959,9 +971,9 @@ fn execute_forward_transfers(
         pre_delta_accumulator,
         pre_sync_accumulator,
         updates: Vec::new(),
-        ft_steps: steps,
+        ft_opening: Some(opening),
         btr_steps: Vec::new(),
-        appended_bts: appended,
+        appended_bts: plan.refunds,
     }
 }
 
@@ -1017,7 +1029,7 @@ fn execute_btrs(
         pre_delta_accumulator,
         pre_sync_accumulator,
         updates: Vec::new(),
-        ft_steps: Vec::new(),
+        ft_opening: None,
         btr_steps: steps,
         appended_bts: appended,
     }
@@ -1252,9 +1264,8 @@ mod tests {
         };
         let (_, tx) = ft_tx(vec![good, malformed]);
         let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
-        assert_eq!(witness.ft_steps.len(), 2);
-        assert!(matches!(witness.ft_steps[0], FtStep::Minted(_)));
-        assert!(matches!(witness.ft_steps[1], FtStep::RejectedMalformed));
+        assert_eq!(state.mst().len(), 1);
+        assert_eq!(witness.ft_opening.map(|o| o.opened_nodes()), Some(0));
         assert_eq!(
             state.balance_of(&Address::from_label("sc-user")),
             Amount::from_units(9)
@@ -1303,7 +1314,6 @@ mod tests {
         };
         let (_, tx) = ft_tx(vec![ft]);
         let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
-        assert!(matches!(witness.ft_steps[0], FtStep::RejectedMalformed));
         assert_eq!(
             witness.appended_bts,
             vec![BackwardTransfer {
@@ -1347,7 +1357,13 @@ mod tests {
         let mut state = SidechainState::new(16);
         let (_, tx) = ft_tx(vec![]);
         let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
-        assert!(witness.ft_steps.is_empty());
+        // Nothing to open: the opening is the root's hash.
+        let opening = witness.ft_opening.expect("a forward-transfers witness");
+        assert_eq!(opening.opened_nodes(), 0);
+        assert_eq!(
+            opening.roots_of_inserts(&[]),
+            Ok((witness.pre_mst_root, witness.pre_mst_root))
+        );
         // The sync accumulator advanced even with no transfers.
         assert_ne!(
             state.sync_accumulator(),
@@ -1400,15 +1416,17 @@ mod tests {
             transfers: vec![ft.clone()],
             binding,
         });
+        let pre = state.clone();
         let from = state.digest();
         let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
-        // The evidence is a membership proof of whatever holds the slot.
-        let FtStep::RejectedCollision { occupied } = &witness.ft_steps[0] else {
-            panic!("collision expected, got {:?}", witness.ft_steps[0]);
-        };
-        assert_eq!(occupied.index(), position);
-        assert_eq!(occupied.value(), Some(blocker.leaf()));
-        assert!(occupied.verify_occupied(&witness.pre_mst_root, &blocker.leaf()));
+        // The opening shows what holds the slot under the pre-root.
+        let opening = witness
+            .ft_opening
+            .clone()
+            .expect("a forward-transfers witness");
+        assert_eq!(opening.occupant(position), Ok(Some(blocker.leaf())));
+        let pre_root = witness.pre_mst_root;
+        assert_eq!(opening.roots_of_inserts(&[]), Ok((pre_root, pre_root)));
         assert_eq!(
             state.backward_transfers(),
             [BackwardTransfer {
@@ -1418,30 +1436,82 @@ mod tests {
         );
         assert_eq!(state.mst().len(), 5, "nothing minted");
 
-        // The circuit accepts exactly that, and neither the same path
-        // ending in nothing nor a mint over the occupant.
+        // The circuit derives exactly that refund. An opening that hides
+        // the occupant (the pre-tree without it) would have it derive a
+        // mint, and does not match the running root; one that omits the
+        // slot, or is of another depth, derives nothing.
         let system = crate::proof::proof_system(params(), b"collision");
         let to = state.digest();
         system.prove_base(from, to, &witness).unwrap();
-        let refused = |step: FtStep| {
+        let refused = |opening: SmtOpening| {
             let mut tampered = witness.clone();
-            tampered.ft_steps[0] = step;
+            tampered.ft_opening = Some(opening);
             format!("{}", system.prove_base(from, to, &tampered).unwrap_err())
         };
-        let emptied = SmtProof::from_parts(
-            position,
-            16,
-            occupied.siblings().to_vec(),
-            zendoo_primitives::smt::Ending::Empty,
+        let mut hidden = pre.clone();
+        hidden.mst_mut().remove(&blocker).unwrap();
+        let err = refused(hidden.mst().opening(&[position]));
+        assert!(err.contains("latus/ft-opening"), "{err}");
+        let err = refused(pre.mst().opening(&[]));
+        assert!(err.contains("latus/ft-unopened"), "{err}");
+        let err = refused(crate::mst::Mst::new(17).opening(&[position]));
+        assert!(err.contains("latus/path-depth"), "{err}");
+    }
+
+    /// Two transfers of one block whose mints map to one slot: the first
+    /// is minted, the second refunded to its own payback — a slot taken
+    /// earlier in the transaction counts as occupied.
+    #[test]
+    fn two_transfers_into_one_slot_mint_the_first_and_refund_the_second() {
+        const DEPTH: u32 = 6;
+        let params = LatusParams::new(params().sidechain_id, DEPTH);
+        let transfer = |receiver: &str, payback: &str, units| ForwardTransfer {
+            sidechain_id: params.sidechain_id,
+            receiver_metadata: ReceiverMetadata {
+                receiver: Address::from_label(receiver),
+                payback: Address::from_label(payback),
+            }
+            .to_bytes(),
+            amount: Amount::from_units(units),
+        };
+        let slot = |mc_block: &Digest32, i: usize, ft: &ForwardTransfer| {
+            let meta = ReceiverMetadata::parse(&ft.receiver_metadata).unwrap();
+            mst_position(
+                &ft_output_utxo(mc_block, i, meta.receiver, ft.amount),
+                DEPTH,
+            )
+        };
+        // Both slots move with the block hash, so search the second
+        // receiver until they coincide (1 in 64 at this depth).
+        let tx = (0..10_000)
+            .find_map(|n| {
+                let fts = [
+                    transfer("first", "mc-first", 9),
+                    transfer(&format!("second-{n}"), "mc-second", 4),
+                ];
+                let (mc_block, tx) = ft_tx(fts.to_vec());
+                (slot(&mc_block, 0, &fts[0]) == slot(&mc_block, 1, &fts[1])).then_some(tx)
+            })
+            .expect("two transfers share a slot within 10,000 draws");
+
+        let mut state = SidechainState::new(DEPTH);
+        let from = state.digest();
+        let witness = apply_transaction(&params, &mut state, &tx).unwrap();
+        assert_eq!(state.mst().len(), 1);
+        assert_eq!(
+            state.balance_of(&Address::from_label("first")),
+            Amount::from_units(9)
         );
-        let err = refused(FtStep::RejectedCollision { occupied: emptied });
-        assert!(err.contains("latus/ft-collision"), "{err}");
-        let err = refused(FtStep::Minted(LeafUpdate {
-            path: occupied.clone(),
-            new_leaf: Some(would_be.leaf()),
-            sibling: None,
-        }));
-        assert!(err.contains("latus/ft-mint"), "{err}");
+        assert_eq!(
+            state.backward_transfers(),
+            [BackwardTransfer {
+                receiver: Address::from_label("mc-second"),
+                amount: Amount::from_units(4),
+            }]
+        );
+        assert_eq!(state.touch_sequence().len(), 1, "one mint, one touch");
+        let system = crate::proof::proof_system(params, b"one-slot");
+        system.prove_base(from, state.digest(), &witness).unwrap();
     }
 
     fn make_btr(utxo: &Utxo) -> BackwardTransferRequest {

@@ -129,7 +129,7 @@ fn dummy_witness(h: &TwoChains) -> zendoo_latus::tx::TransitionWitness {
         pre_delta_accumulator: Fp::from_u64(2),
         pre_sync_accumulator: Fp::from_u64(3),
         updates: vec![],
-        ft_steps: vec![],
+        ft_opening: None,
         btr_steps: vec![],
         appended_bts: vec![],
     }
@@ -302,6 +302,128 @@ fn removal_with_the_wrong_sibling_kind_is_unsatisfied() {
         }
     }
     assert_eq!(kinds.len(), 2, "both sibling kinds were exercised");
+}
+
+/// A forward-transfers witness is one opening of the pre-state tree, and
+/// the circuit derives every transfer's mint or refund from it. An
+/// opening that hides an occupant of the walks (so that a refund would
+/// read as a mint), or omits a transfer's slot, is unsatisfied.
+#[test]
+fn forward_transfer_opening_that_hides_an_occupant_or_omits_a_slot_is_unsatisfied() {
+    use zendoo_core::commitment::ScTxsCommitmentBuilder;
+    use zendoo_core::transfer::ForwardTransfer;
+    use zendoo_latus::mst::{mst_position, Utxo};
+    use zendoo_latus::params::LatusParams;
+    use zendoo_latus::proof::proof_system;
+    use zendoo_latus::state::SidechainState;
+    use zendoo_latus::tx::{
+        apply_transaction, ft_output_utxo, ForwardTransfersTx, McRefBinding, McRefEvidence,
+        ReceiverMetadata, ScTransaction,
+    };
+    use zendoo_mainchain::pow::Target;
+    use zendoo_mainchain::BlockHeader;
+    use zendoo_primitives::smt::{Ending, SmtOpening};
+
+    let sid = zendoo_core::ids::SidechainId::from_label("adv-ft-opening");
+    let params = LatusParams::new(sid, common::MST_DEPTH);
+    let system = proof_system(params, b"adv-ft-opening");
+    let mut state = SidechainState::new(common::MST_DEPTH);
+    for n in 0..6u8 {
+        let coin = Utxo {
+            address: Address::from_label("holder"),
+            amount: Amount::from_units(10),
+            nonce: Digest32::hash_bytes(&[n]),
+        };
+        state.mst_mut().add(&coin).unwrap();
+    }
+    let transfers: Vec<ForwardTransfer> = (0..4)
+        .map(|i| ForwardTransfer {
+            sidechain_id: sid,
+            receiver_metadata: ReceiverMetadata {
+                receiver: Address::from_label(&format!("newcomer-{i}")),
+                payback: Address::from_label("mc-refund"),
+            }
+            .to_bytes(),
+            amount: Amount::from_units(5),
+        })
+        .collect();
+    let mut builder = ScTxsCommitmentBuilder::new();
+    for ft in &transfers {
+        builder.add_forward_transfer(ft.clone());
+    }
+    let commitment = builder.build();
+    let header = BlockHeader {
+        parent: Digest32::ZERO,
+        height: 0,
+        time: 0,
+        tx_root: Digest32::ZERO,
+        sc_txs_commitment: commitment.root(),
+        target: Target::EASIEST,
+        nonce: 0,
+    };
+    let mc_block = header.hash();
+    let slots: Vec<u64> = transfers
+        .iter()
+        .enumerate()
+        .map(|(i, ft)| {
+            let receiver = ReceiverMetadata::parse(&ft.receiver_metadata)
+                .unwrap()
+                .receiver;
+            let minted = ft_output_utxo(&mc_block, i, receiver, ft.amount);
+            mst_position(&minted, common::MST_DEPTH)
+        })
+        .collect();
+    let tx = ScTransaction::ForwardTransfers(ForwardTransfersTx {
+        mc_block,
+        transfers,
+        binding: McRefBinding {
+            header,
+            evidence: McRefEvidence::Membership(commitment.membership_proof(&sid).unwrap()),
+        },
+    });
+
+    let pre = state.clone();
+    let from = state.digest();
+    let witness = apply_transaction(&params, &mut state, &tx).unwrap();
+    let to = state.digest();
+    assert_eq!(state.mst().len(), 10, "every transfer minted");
+    system.prove_base(from, to, &witness).unwrap();
+    let refused = |opening: SmtOpening| {
+        let mut tampered = witness.clone();
+        tampered.ft_opening = Some(opening);
+        format!("{}", system.prove_base(from, to, &tampered).unwrap_err())
+    };
+
+    // Hide each occupant a walk ends in: the opening of the tree without it.
+    let mut hidden = 0;
+    for slot in &slots {
+        let Ending::Leaf { index, .. } = pre.mst().proof(*slot).ending() else {
+            continue;
+        };
+        let mut without = pre.clone();
+        let occupant = *pre.mst().utxo_at(index).unwrap();
+        without.mst_mut().remove(&occupant).unwrap();
+        let err = refused(without.mst().opening(&slots));
+        assert!(err.contains("latus/ft-opening"), "{err}");
+        hidden += 1;
+    }
+    // Omit each slot in turn: where no other walk reaches it, refused.
+    let mut omitted = 0;
+    for k in 0..slots.len() {
+        let mut others = slots.clone();
+        others.remove(k);
+        let opening = pre.mst().opening(&others);
+        if opening.occupant(slots[k]).is_ok() {
+            continue;
+        }
+        let err = refused(opening);
+        assert!(err.contains("latus/ft-unopened"), "{err}");
+        omitted += 1;
+    }
+    assert!(
+        hidden > 0 && omitted > 0,
+        "hidden {hidden}, omitted {omitted}"
+    );
 }
 
 #[test]

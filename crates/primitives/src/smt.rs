@@ -140,49 +140,92 @@ fn branch<P>(left: Link<P>, right: Link<P>) -> Arc<Node<P>> {
     })
 }
 
-/// `child` on the side `right` says, the empty subtree on the other.
-fn beside_empty<P>(right: bool, child: Arc<Node<P>>) -> Arc<Node<P>> {
-    if right {
-        branch(None, Some(child))
-    } else {
-        branch(Some(child), None)
+/// How many of `sorted` (indices, ascending, all below one node of
+/// `height`) lie in that node's left half.
+fn left_half<T>(sorted: &[(u64, T)], height: u32) -> usize {
+    sorted.partition_point(|(index, _)| !bit(*index, height - 1))
+}
+
+/// Folds the canonical subtree of `height` that holds exactly `leaves`
+/// (distinct, ascending, all below it): no occupant is `empty`, a lone
+/// leaf stands for itself wherever it sits, anything else is `join` of
+/// its two halves. Two leaves that share a prefix are pushed down to the
+/// first bit where they differ, an empty half beside them on each level
+/// between. Every node is visited once, so building a tree of hashes or
+/// of nodes this way hashes each branch once.
+fn compact<T: Clone>(
+    height: u32,
+    leaves: &[(u64, T)],
+    empty: &impl Fn() -> T,
+    join: &impl Fn(T, T) -> T,
+) -> T {
+    match leaves {
+        [] => empty(),
+        [(_, leaf)] => leaf.clone(),
+        _ => {
+            let (left, right) = leaves.split_at(left_half(leaves, height));
+            join(
+                compact(height - 1, left, empty, join),
+                compact(height - 1, right, empty, join),
+            )
+        }
     }
 }
 
-/// The subtree of `height` at `link` with `leaf` (a `Node::Leaf` for
-/// `index`) added.
-fn insert_at<P>(
+/// The subtree of `height` at `link` with `leaves` (`Node::Leaf`s,
+/// distinct, ascending, all below it) added. A branch the new leaves
+/// pass through is rebuilt once, whatever the number below it.
+fn insert_all<P>(
     link: &Link<P>,
     height: u32,
-    index: u64,
-    leaf: Arc<Node<P>>,
-) -> Result<Arc<Node<P>>, SmtError> {
-    let Some(node) = link else {
-        return Ok(leaf);
+    leaves: &[(u64, Link<P>)],
+) -> Result<Link<P>, SmtError> {
+    let build = |leaves: &[(u64, Link<P>)]| {
+        compact(height, leaves, &|| None, &|left, right| {
+            Some(branch(left, right))
+        })
     };
-    match &**node {
-        Node::Leaf { index: other, .. } if *other == index => Err(SmtError::SlotOccupied(index)),
-        Node::Leaf { index: other, .. } => {
-            // Push both down to the first bit where they differ, empty
-            // siblings between.
-            let split = u64::BITS - 1 - (other ^ index).leading_zeros();
-            let mut subtree = if bit(index, split) {
-                branch(Some(Arc::clone(node)), Some(leaf))
-            } else {
-                branch(Some(leaf), Some(Arc::clone(node)))
-            };
-            for level in split + 1..height {
-                subtree = beside_empty(bit(index, level), subtree);
+    match link.as_deref() {
+        _ if leaves.is_empty() => Ok(link.clone()),
+        None => Ok(build(leaves)),
+        Some(Node::Leaf { index, .. }) => {
+            let at = leaves.partition_point(|(new, _)| new < index);
+            if leaves.get(at).is_some_and(|(new, _)| new == index) {
+                return Err(SmtError::SlotOccupied(*index));
             }
-            Ok(subtree)
+            let mut all = leaves.to_vec();
+            all.insert(at, (*index, link.clone()));
+            Ok(build(&all))
         }
-        Node::Branch { left, right, .. } => Ok(if bit(index, height - 1) {
-            let right = insert_at(right, height - 1, index, leaf)?;
-            branch(left.clone(), Some(right))
-        } else {
-            let left = insert_at(left, height - 1, index, leaf)?;
-            branch(Some(left), right.clone())
-        }),
+        Some(Node::Branch { left, right, .. }) => {
+            let (to_left, to_right) = leaves.split_at(left_half(leaves, height));
+            Ok(Some(branch(
+                insert_all(left, height - 1, to_left)?,
+                insert_all(right, height - 1, to_right)?,
+            )))
+        }
+    }
+}
+
+/// The opening of the subtree at `link` along the walks to `indices`
+/// (distinct, ascending, all below it): no hashing, every hash it
+/// carries is one a node already holds.
+fn open<P>(link: &Link<P>, height: u32, indices: &[u64]) -> Opened {
+    match link.as_deref() {
+        _ if indices.is_empty() => Opened::Hash(link_hash(link)),
+        None => Opened::Empty,
+        Some(Node::Leaf { index, value, .. }) => Opened::Leaf {
+            index: *index,
+            value: *value,
+        },
+        Some(Node::Branch { left, right, .. }) => {
+            let half = indices.partition_point(|index| !bit(*index, height - 1));
+            let (to_left, to_right) = indices.split_at(half);
+            Opened::Interior(
+                Box::new(open(left, height - 1, to_left)),
+                Box::new(open(right, height - 1, to_right)),
+            )
+        }
     }
 }
 
@@ -356,15 +399,43 @@ impl<P> Smt<P> {
     /// [`SmtError::IndexOutOfRange`] for indices beyond capacity. The
     /// tree is unchanged on error.
     pub fn insert_with(&mut self, index: u64, leaf: Fp, payload: P) -> Result<(), SmtError> {
-        self.check_range(index)?;
-        let node = Arc::new(Node::Leaf {
-            index,
-            value: leaf,
-            hash: leaf_hash(index, &leaf),
-            payload,
-        });
-        self.root = Some(insert_at(&self.root, self.depth, index, node)?);
-        self.len += 1;
+        self.insert_many(vec![(index, leaf, payload)])
+    }
+
+    /// Occupies every slot of `leaves` — `(index, leaf, payload)`, in any
+    /// order — in one write: the tree sequential
+    /// [`Smt::insert_with`]s reach, with each branch the new leaves
+    /// touch hashed once instead of once per leaf below it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Smt::insert_with`] for any of the slots; a slot named twice
+    /// is [`SmtError::SlotOccupied`], as its second insertion would be.
+    /// All or nothing: the tree is unchanged on error.
+    pub fn insert_many(&mut self, mut leaves: Vec<(u64, Fp, P)>) -> Result<(), SmtError> {
+        leaves.sort_unstable_by_key(|(index, _, _)| *index);
+        for (at, (index, _, _)) in leaves.iter().enumerate() {
+            self.check_range(*index)?;
+            if at > 0 && leaves[at - 1].0 == *index {
+                return Err(SmtError::SlotOccupied(*index));
+            }
+        }
+        let count = leaves.len();
+        let nodes: Vec<(u64, Link<P>)> = leaves
+            .into_iter()
+            .map(|(index, value, payload)| {
+                let hash = leaf_hash(index, &value);
+                let leaf = Node::Leaf {
+                    index,
+                    value,
+                    hash,
+                    payload,
+                };
+                (index, Some(Arc::new(leaf)))
+            })
+            .collect();
+        self.root = insert_all(&self.root, self.depth, &nodes)?;
+        self.len += count;
         Ok(())
     }
 
@@ -437,6 +508,33 @@ impl<P> Smt<P> {
             ending,
         };
         (proof, deepest.map(Node::opening))
+    }
+
+    /// The union of the walks from the root to the slots `indices` (in
+    /// any order, repeats allowed): every node a walk passes through
+    /// opened, each walk opened down to where it ends — an empty subtree
+    /// or a lone leaf — and every subtree no walk enters kept as its
+    /// hash. What a batch of insertions into those slots must witness,
+    /// see [`SmtOpening::roots_of_inserts`]. Building it does no hashing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Smt::proof`], for any of the indices.
+    pub fn opening(&self, indices: &[u64]) -> SmtOpening {
+        let mut sorted = indices.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if let Some(last) = sorted.last() {
+            assert!(
+                *last < self.capacity(),
+                "index {last} out of range for depth {}",
+                self.depth
+            );
+        }
+        SmtOpening {
+            depth: self.depth,
+            root: open(&self.root, self.depth, &sorted),
+        }
     }
 
     /// Nodes of this tree that `other` does not share (same node, same
@@ -559,19 +657,23 @@ impl NodeOpening {
     }
 }
 
-/// Why a witnessed single-slot update does not compute
-/// ([`SmtProof::roots_of_update`]).
+/// Why a witnessed update does not compute
+/// ([`SmtProof::roots_of_update`], [`SmtOpening::roots_of_inserts`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WitnessError {
-    /// The path is not one of its tree: more siblings than levels, an
-    /// index beyond capacity, or an ending leaf outside the walked
-    /// prefix.
+    /// The witness is not one of its tree: more siblings (or opened
+    /// levels) than the tree has, an index beyond capacity, or an ending
+    /// leaf outside the walked prefix.
     Malformed,
-    /// An insertion into an occupied slot or a removal from an empty one.
+    /// An insertion into an occupied slot (or twice into one slot) or a
+    /// removal from an empty one.
     WrongOccupancy,
     /// A removal whose deepest sibling is unopened, opened where there is
     /// none, or opened as something that does not hash to it.
     SiblingOpening,
+    /// A walk to a slot the witness speaks about ends in a subtree it
+    /// gives only as a hash.
+    Unopened,
 }
 
 /// A proof for one slot of an [`Smt`]: the siblings of the walk from the
@@ -732,6 +834,168 @@ impl SmtProof {
             _ => return Err(WitnessError::WrongOccupancy),
         };
         Ok((before, after))
+    }
+}
+
+/// One node of an [`SmtOpening`].
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+enum Opened {
+    /// A subtree no walk enters, by its hash.
+    Hash(Fp),
+    /// A walk ends here, in a subtree with no occupant.
+    Empty,
+    /// A walk ends here, in a subtree whose only occupant this is.
+    Leaf { index: u64, value: Fp },
+    /// A node walks pass through, by its two children.
+    Interior(Box<Opened>, Box<Opened>),
+}
+
+/// The union of the walks from an [`Smt`]'s root to a set of slots
+/// ([`Smt::opening`]): each node on a walk opened, each walk down to the
+/// empty subtree or lone leaf it ends in, every other subtree a hash.
+/// The multi-slot twin of [`SmtProof`]: a node that several walks share
+/// is in it — and is hashed by its verifier — once.
+///
+/// Nothing in it is trusted until the first root of
+/// [`SmtOpening::roots_of_inserts`] is compared with a root the verifier
+/// holds; what [`SmtOpening::occupant`] reports is true under that root.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SmtOpening {
+    depth: u32,
+    root: Opened,
+}
+
+impl SmtOpening {
+    /// The depth of the tree the opening claims to be of (as
+    /// [`SmtProof::depth`]: a verifier that knows its tree's depth must
+    /// compare).
+    pub fn depth(&self) -> u32 {
+        self.depth
+    }
+
+    /// Interior nodes the walks pass through: the hashes, beyond the
+    /// leaves the walks end in, that recomputing the root costs.
+    pub fn opened_nodes(&self) -> usize {
+        fn count(node: &Opened) -> usize {
+            match node {
+                Opened::Interior(left, right) => 1 + count(left) + count(right),
+                _ => 0,
+            }
+        }
+        count(&self.root)
+    }
+
+    /// What slot `index` holds under the opening (`None` = empty).
+    ///
+    /// # Errors
+    ///
+    /// [`WitnessError::Unopened`] if the walk to `index` ends in a
+    /// subtree given as a hash; [`WitnessError::Malformed`] for an index
+    /// beyond capacity or a walk that is not one of its tree.
+    pub fn occupant(&self, index: u64) -> Result<Option<Fp>, WitnessError> {
+        self.check_range(index)?;
+        let (mut node, mut height) = (&self.root, self.depth);
+        loop {
+            match node {
+                Opened::Hash(_) => return Err(WitnessError::Unopened),
+                Opened::Empty => return Ok(None),
+                Opened::Leaf {
+                    index: found,
+                    value,
+                } if found >> height == index >> height => {
+                    return Ok((*found == index).then_some(*value))
+                }
+                Opened::Interior(left, right) if height > 0 => {
+                    height -= 1;
+                    node = if bit(index, height) { right } else { left };
+                }
+                _ => return Err(WitnessError::Malformed),
+            }
+        }
+    }
+
+    /// Recomputes, from the witness alone, the root before and the
+    /// *canonical* root after inserting `inserts` — `(index, leaf)`, in
+    /// any order — into empty slots the opening reaches: each subtree
+    /// that receives leaves is rebuilt from the set of its occupants by
+    /// the push-down rule of [`SmtProof::roots_of_update`], each opened
+    /// node is hashed once for each root, and an empty batch costs
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`WitnessError::Unopened`] if an insert's walk ends in a hash,
+    /// [`WitnessError::WrongOccupancy`] for an occupied slot or one named
+    /// twice, [`WitnessError::Malformed`] for an opening or index that is
+    /// not one of a tree of its depth. The caller still has to compare
+    /// the first root with the one it holds.
+    pub fn roots_of_inserts(&self, inserts: &[(u64, Fp)]) -> Result<(Fp, Fp), WitnessError> {
+        let mut leaves = Vec::with_capacity(inserts.len());
+        for (index, value) in inserts {
+            self.check_range(*index)?;
+            leaves.push((*index, *value));
+        }
+        leaves.sort_unstable_by_key(|(index, _)| *index);
+        if leaves.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return Err(WitnessError::WrongOccupancy);
+        }
+        for (index, leaf) in &mut leaves {
+            *leaf = leaf_hash(*index, leaf);
+        }
+        roots_at(&self.root, self.depth, 0, &leaves)
+    }
+
+    fn check_range(&self, index: u64) -> Result<(), WitnessError> {
+        if (1..=MAX_DEPTH).contains(&self.depth) && index >> self.depth == 0 {
+            Ok(())
+        } else {
+            Err(WitnessError::Malformed)
+        }
+    }
+}
+
+/// [`SmtOpening::roots_of_inserts`] below `node`, the node of `height`
+/// whose slots start with `prefix`; `leaves` are the hashed inserts below
+/// it, distinct and ascending.
+fn roots_at(
+    node: &Opened,
+    height: u32,
+    prefix: u64,
+    leaves: &[(u64, Fp)],
+) -> Result<(Fp, Fp), WitnessError> {
+    let rebuilt = |leaves: &[(u64, Fp)]| {
+        compact(height, leaves, &empty_hash, &|left, right| {
+            poseidon::hash2(&left, &right)
+        })
+    };
+    match node {
+        Opened::Hash(hash) if leaves.is_empty() => Ok((*hash, *hash)),
+        Opened::Hash(_) => Err(WitnessError::Unopened),
+        Opened::Empty => Ok((empty_hash(), rebuilt(leaves))),
+        Opened::Leaf { index, value } if index >> height == prefix => {
+            let found = leaf_hash(*index, value);
+            let at = leaves.partition_point(|(new, _)| new < index);
+            if leaves.get(at).is_some_and(|(new, _)| new == index) {
+                return Err(WitnessError::WrongOccupancy);
+            }
+            let mut all = leaves.to_vec();
+            all.insert(at, (*index, found));
+            Ok((found, rebuilt(&all)))
+        }
+        Opened::Interior(left, right) if height > 0 => {
+            let (to_left, to_right) = leaves.split_at(left_half(leaves, height));
+            let (left_before, left_after) = roots_at(left, height - 1, prefix << 1, to_left)?;
+            let (right_before, right_after) =
+                roots_at(right, height - 1, (prefix << 1) | 1, to_right)?;
+            let before = poseidon::hash2(&left_before, &right_before);
+            let after = if leaves.is_empty() {
+                before
+            } else {
+                poseidon::hash2(&left_after, &right_after)
+            };
+            Ok((before, after))
+        }
+        Opened::Leaf { .. } | Opened::Interior(..) => Err(WitnessError::Malformed),
     }
 }
 
@@ -1206,6 +1470,249 @@ mod tests {
         prop_assert_eq!(tree.root(), empty_hash());
         prop_assert_eq!(node_count(&tree), 0);
         Ok(())
+    }
+
+    /// `batch` written into a tree of `initial` at `depth` in one
+    /// [`Smt::insert_many`] and one insertion at a time must agree on
+    /// everything a reader can ask, and the pre-tree's opening must
+    /// witness the write. Slots are clustered as in [`differential`], so
+    /// batches share prefixes and push down lone leaves already there.
+    fn batch_against_sequential(
+        depth: u32,
+        initial: &[u64],
+        batch: &[(u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        let mask = (1u64 << depth) - 1;
+        let slot = |raw: u64| ((raw & 0x7) | ((raw >> 3) << (depth - 3))) & mask;
+        let mut tree = SparseMerkleTree::new(depth);
+        for raw in initial {
+            let _ = tree.insert(slot(*raw), fp(raw + 1));
+        }
+        let pre = tree.clone();
+        let leaves: Vec<(u64, Fp)> = batch.iter().map(|(raw, v)| (slot(*raw), fp(*v))).collect();
+        let indices: Vec<u64> = leaves.iter().map(|(index, _)| *index).collect();
+        let opening = pre.opening(&indices);
+
+        let mut sequential = pre.clone();
+        let one_by_one = leaves
+            .iter()
+            .try_for_each(|(index, leaf)| sequential.insert(*index, *leaf));
+        let witnessed = opening.roots_of_inserts(&leaves);
+        let mut batched = pre.clone();
+        let result = batched.insert_many(leaves.iter().map(|(i, v)| (*i, *v, ())).collect());
+        prop_assert_eq!(result.is_ok(), one_by_one.is_ok());
+        if result.is_err() {
+            // All or nothing, and the witness refuses the same write.
+            prop_assert_eq!((batched.root(), batched.len()), (pre.root(), pre.len()));
+            prop_assert_eq!(witnessed, Err(WitnessError::WrongOccupancy));
+            return Ok(());
+        }
+        let root = batched.root();
+        prop_assert_eq!(root, sequential.root());
+        prop_assert_eq!(witnessed, Ok((pre.root(), root)));
+        prop_assert_eq!(batched.len(), sequential.len());
+        let entries: BTreeMap<u64, Fp> = sequential.iter().map(|(i, v, _)| (i, v)).collect();
+        prop_assert_eq!(root, reference_root(&entries, depth));
+        prop_assert!(batched.iter().map(|(i, v, _)| (i, v)).eq(entries.clone()));
+        for index in &indices {
+            prop_assert_eq!(opening.occupant(*index), Ok(pre.get(*index)));
+            for probe in [*index, index ^ 1, index ^ (1 << (depth - 1))] {
+                prop_assert_eq!(batched.proof(probe), sequential.proof(probe));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn prop_insert_many_equals_sequential_inserts(
+            initial in proptest::collection::vec(0u64..64, 0..12),
+            batch in proptest::collection::vec((0u64..64, 1u64..1_000_000), 0..12)
+        ) {
+            for depth in [6, 40, 63] {
+                batch_against_sequential(depth, &initial, &batch)?;
+            }
+        }
+    }
+
+    #[test]
+    fn insert_many_is_all_or_nothing() {
+        let mut tree = tree_of(6, &[(5, 50), (40, 400)]);
+        let (root, len) = (tree.root(), tree.len());
+        for (bad, error) in [
+            (vec![(7, 1), (5, 2)], SmtError::SlotOccupied(5)),
+            (vec![(7, 1), (9, 2), (7, 3)], SmtError::SlotOccupied(7)),
+            (
+                vec![(7, 1), (64, 2)],
+                SmtError::IndexOutOfRange {
+                    index: 64,
+                    depth: 6,
+                },
+            ),
+        ] {
+            let leaves = bad.into_iter().map(|(i, v)| (i, fp(v), ())).collect();
+            assert_eq!(tree.insert_many(leaves), Err(error));
+            assert_eq!((tree.root(), tree.len()), (root, len));
+        }
+        tree.insert_many(Vec::new()).unwrap();
+        assert_eq!(tree.root(), root);
+    }
+
+    /// Every way of bending a valid opening the verifier must refuse.
+    #[test]
+    fn hostile_openings_are_refused() {
+        // 5 and 7 share a parent two levels down; 40 is across the root.
+        let tree = tree_of(6, &[(5, 50), (7, 70), (40, 400)]);
+        let root = tree.root();
+        let inserts = [(4, fp(4)), (33, fp(33))];
+        let opening = tree.opening(&[4, 33]);
+        let mut written = tree.clone();
+        written
+            .insert_many(inserts.iter().map(|(i, v)| (*i, *v, ())).collect())
+            .unwrap();
+        assert_eq!(
+            opening.roots_of_inserts(&inserts),
+            Ok((root, written.root()))
+        );
+
+        // A walk ending in a hash: slot 33 was not opened.
+        let partial = tree.opening(&[4]);
+        assert_eq!(partial.occupant(33), Err(WitnessError::Unopened));
+        assert_eq!(
+            partial.roots_of_inserts(&inserts),
+            Err(WitnessError::Unopened)
+        );
+        // The same nodes read at another depth: the hashes do not say
+        // which index bits they stand for, so the verifier compares
+        // `depth()` with its tree's, as it does a proof's. Read anyway,
+        // they do not witness this write.
+        let honest = opening.roots_of_inserts(&inserts);
+        for depth in [5, 7, 0, 64] {
+            let other = SmtOpening {
+                depth,
+                ..opening.clone()
+            };
+            assert_ne!(other.roots_of_inserts(&inserts), honest, "depth {depth}");
+        }
+        // A tampered off-walk hash: another before-root.
+        let mut tampered = opening.clone();
+        let Opened::Interior(left, _) = &mut tampered.root else {
+            panic!("three leaves open an interior root");
+        };
+        **left = Opened::Hash(fp(1));
+        let (before, _) = tampered.roots_of_inserts(&[(33, fp(33))]).unwrap();
+        assert_ne!(before, root);
+        // A slot named twice, and a slot that is occupied.
+        assert_eq!(
+            opening.roots_of_inserts(&[(4, fp(4)), (4, fp(5))]),
+            Err(WitnessError::WrongOccupancy)
+        );
+        let occupied = tree.opening(&[5]);
+        assert_eq!(occupied.occupant(5), Ok(Some(fp(50))));
+        assert_eq!(
+            occupied.roots_of_inserts(&[(5, fp(1))]),
+            Err(WitnessError::WrongOccupancy)
+        );
+        // The occupied slot claimed empty: its walk ends in `Empty` or in
+        // a neighbouring slot's leaf alone. Either way the opening now agrees
+        // to the write, and hashes to another root.
+        let hide = |opening: &mut SmtOpening, with: Opened| {
+            let mut node = &mut opening.root;
+            while let Opened::Interior(left, right) = node {
+                node = if matches!(**left, Opened::Hash(_)) {
+                    right
+                } else {
+                    left
+                };
+            }
+            *node = with;
+        };
+        for lie in [
+            Opened::Empty,
+            Opened::Leaf {
+                index: 4,
+                value: fp(50),
+            },
+        ] {
+            let mut hidden = tree.opening(&[5]);
+            hide(&mut hidden, lie);
+            assert_eq!(hidden.occupant(5), Ok(None));
+            let (before, _) = hidden.roots_of_inserts(&[(5, fp(1))]).unwrap();
+            assert_ne!(before, root);
+        }
+        // A leaf outside the node it ends in, and an interior node below
+        // the leaves: not openings of any tree.
+        let mut outside = tree.opening(&[5]);
+        hide(
+            &mut outside,
+            Opened::Leaf {
+                index: 40,
+                value: fp(400),
+            },
+        );
+        assert_eq!(outside.occupant(5), Err(WitnessError::Malformed));
+        assert_eq!(outside.roots_of_inserts(&[]), Err(WitnessError::Malformed));
+        let too_deep = SmtOpening {
+            depth: 1,
+            root: Opened::Interior(
+                Box::new(Opened::Interior(
+                    Box::new(Opened::Empty),
+                    Box::new(Opened::Empty),
+                )),
+                Box::new(Opened::Empty),
+            ),
+        };
+        assert_eq!(too_deep.occupant(0), Err(WitnessError::Malformed));
+        assert_eq!(too_deep.roots_of_inserts(&[]), Err(WitnessError::Malformed));
+    }
+
+    /// The batched write's cost, pinned: `insert_many` hashes each node
+    /// it creates once, and its witness costs that plus the opened nodes
+    /// and the leaves the walks end in. 64 writes into 2¹⁰ leaves share
+    /// their top ≈ 6 levels, so the batch costs about half of 64 single
+    /// writes.
+    #[test]
+    fn a_batch_hashes_each_touched_node_once() {
+        const N: u64 = 1 << 10;
+        const WRITES: u64 = 64;
+        let raw = |i: u64| {
+            let bytes = crate::sha256::sha256(&i.to_be_bytes());
+            u64::from_be_bytes(bytes[..8].try_into().unwrap())
+        };
+        let slot = |i: u64| raw(i) >> (64 - 40);
+        let mut tree = SparseMerkleTree::new(40);
+        tree.insert_many((0..N).map(|i| (slot(i), fp(i), ())).collect())
+            .unwrap();
+        let leaves: Vec<(u64, Fp)> = (N..N + WRITES).map(|i| (slot(i), fp(i))).collect();
+        let indices: Vec<u64> = leaves.iter().map(|(index, _)| *index).collect();
+
+        let mut one_by_one = tree.clone();
+        let (_, sequential) = permutations(|| {
+            for (index, leaf) in &leaves {
+                one_by_one.insert(*index, *leaf).unwrap();
+            }
+        });
+        let (opening, open) = permutations(|| tree.opening(&indices));
+        let pre = tree.clone();
+        let (_, batch) = permutations(|| {
+            tree.insert_many(leaves.iter().map(|(i, v)| (*i, *v, ())).collect())
+                .unwrap()
+        });
+        let (roots, witness) = permutations(|| opening.roots_of_inserts(&leaves));
+
+        assert_eq!(tree.root(), one_by_one.root());
+        assert_eq!(roots, Ok((pre.root(), tree.root())));
+        assert_eq!(open, 0, "an opening is read off the nodes");
+        // The witness rebuilds what the write built, and hashes each
+        // opened node and each leaf a walk ends in once more.
+        let opened = opening.opened_nodes() as u64;
+        assert!((batch + opened..=batch + opened + WRITES).contains(&witness));
+        // ≈ 12.3 permutations a write one at a time, ≈ 6.4 in one batch.
+        assert_eq!((sequential, batch, witness), (786, 410, 709));
+        // An empty batch over an empty opening costs nothing at all.
+        let (roots, nothing) = permutations(|| tree.opening(&[]).roots_of_inserts(&[]));
+        assert_eq!((roots, nothing), (Ok((tree.root(), tree.root())), 0));
     }
 
     proptest! {

@@ -116,6 +116,10 @@ impl Indexer {
                     }
                 }
             }
+            // Each destination's new escrows are probed against its tree
+            // and the slots already planned in this delta, in delta
+            // order, then written in one `insert_many`.
+            let mut planned: BTreeMap<SidechainId, BTreeMap<u64, Fp>> = BTreeMap::new();
             for (outpoint, out) in &delta.added {
                 match out.kind {
                     OutputKind::Regular => {
@@ -125,9 +129,9 @@ impl Indexer {
                         let tree = trees
                             .entry(tag.dest)
                             .or_insert_with(|| SparseMerkleTree::new(INBOUND_TREE_DEPTH));
-                        let (leaf_index, leaf) = inbound_leaf(tree, &tag.nullifier);
-                        tree.insert(leaf_index, leaf)
-                            .expect("probed slot was empty");
+                        let slots = planned.entry(tag.dest).or_default();
+                        let (leaf_index, leaf) = inbound_leaf(tree, slots, &tag.nullifier);
+                        slots.insert(leaf_index, leaf);
                         let entry = PendingInbound {
                             outpoint: *outpoint,
                             source: tag.source,
@@ -145,6 +149,14 @@ impl Indexer {
                         debug_assert!(previous.is_none(), "nullifier escrowed twice");
                     }
                 }
+            }
+            for (dest, slots) in planned {
+                let leaves = slots.into_iter().map(|(index, leaf)| (index, leaf, ()));
+                trees
+                    .get_mut(&dest)
+                    .expect("tree created when its first slot was planned")
+                    .insert_many(leaves.collect())
+                    .expect("probed slots were empty");
             }
         });
     }
@@ -248,17 +260,118 @@ fn debit(balances: &mut BTreeMap<Address, Amount>, address: &Address, amount: Am
 
 /// Deterministic tree slot + leaf for a nullifier: the slot is the
 /// nullifier's leading 64 bits reduced to the tree's capacity, probed
-/// linearly past occupied slots (collisions are resolved identically
-/// on every node, so roots stay comparable); the leaf is the
-/// Poseidon-field reduction of the nullifier digest, never the empty
-/// sentinel.
-fn inbound_leaf(tree: &SparseMerkleTree, nullifier: &Nullifier) -> (u64, Fp) {
+/// linearly past slots occupied in `tree` or already `planned` for it
+/// (collisions are resolved identically on every node, so roots stay
+/// comparable); the leaf is the Poseidon-field reduction of the
+/// nullifier digest, never the empty sentinel.
+fn inbound_leaf(
+    tree: &SparseMerkleTree,
+    planned: &BTreeMap<u64, Fp>,
+    nullifier: &Nullifier,
+) -> (u64, Fp) {
     let bytes = nullifier.0 .0;
     let wide = u64::from_be_bytes(bytes[..8].try_into().expect("8 bytes"));
     let capacity = tree.capacity();
     let mut index = wide % capacity;
-    while tree.is_occupied(index) {
+    while tree.is_occupied(index) || planned.contains_key(&index) {
         index = (index + 1) % capacity;
     }
     (index, Fp::from_be_bytes_reduced(&bytes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zendoo_core::escrow::EscrowTag;
+    use zendoo_mainchain::transaction::TxOut;
+    use zendoo_primitives::digest::Digest32;
+
+    /// Escrow `n` toward `dest`; escrows with one `prefix` start on one
+    /// slot and are probed apart.
+    fn escrow(n: u8, dest: SidechainId, prefix: u8) -> (OutPoint, TxOut) {
+        let mut nullifier = Digest32::hash_bytes(&[n]);
+        nullifier.0[..8].copy_from_slice(&[prefix; 8]);
+        let tag = EscrowTag {
+            source: SidechainId::from_label("source"),
+            epoch: 0,
+            dest,
+            payback: Address::from_label("payback"),
+            nullifier: Nullifier(nullifier),
+        };
+        let outpoint = OutPoint {
+            txid: Digest32::hash_bytes(b"escrows"),
+            index: u32::from(n),
+        };
+        let out = TxOut {
+            address: Address::from_label("escrow"),
+            amount: Amount::from_units(u64::from(n) + 1),
+            kind: OutputKind::Escrow(tag),
+        };
+        (outpoint, out)
+    }
+
+    /// Slots and roots as one insertion at a time, in delta order, left
+    /// them: the batched write moves neither.
+    #[test]
+    fn a_delta_writes_each_tree_once_with_the_slots_one_at_a_time_chose() {
+        let (a, b) = (SidechainId::from_label("a"), SidechainId::from_label("b"));
+        let mut indexer = Indexer::new(Telemetry::disabled());
+        let mut reference: BTreeMap<SidechainId, SparseMerkleTree> = BTreeMap::new();
+        let mut check = |indexer: &mut Indexer, delta: AppliedDelta| {
+            for (_, out) in &delta.removed {
+                if let OutputKind::Escrow(tag) = out.kind {
+                    let entry = indexer.pending_inbound_for(&tag.dest, &tag.nullifier);
+                    let tree = reference.get_mut(&tag.dest).unwrap();
+                    tree.remove(entry.unwrap().leaf_index).unwrap();
+                }
+            }
+            indexer.apply(&delta);
+            for (_, out) in &delta.added {
+                let OutputKind::Escrow(tag) = out.kind else {
+                    continue;
+                };
+                let tree = reference
+                    .entry(tag.dest)
+                    .or_insert_with(|| SparseMerkleTree::new(INBOUND_TREE_DEPTH));
+                let (index, leaf) = inbound_leaf(tree, &BTreeMap::new(), &tag.nullifier);
+                tree.insert(index, leaf).unwrap();
+                let entry = indexer.pending_inbound_for(&tag.dest, &tag.nullifier);
+                assert_eq!(entry.map(|e| e.leaf_index), Some(index));
+            }
+            for (dest, tree) in &reference {
+                assert_eq!(indexer.inbound_root(dest), Some(tree.root()));
+            }
+        };
+
+        let regular = TxOut {
+            address: Address::from_label("alice"),
+            amount: Amount::from_units(7),
+            kind: OutputKind::Regular,
+        };
+        let first = vec![
+            escrow(0, a, 1),
+            escrow(1, b, 1),
+            escrow(2, a, 1),
+            (escrow(3, a, 9).0, regular),
+            escrow(4, a, 2),
+            escrow(5, a, 1),
+            escrow(6, b, 1),
+        ];
+        check(
+            &mut indexer,
+            AppliedDelta {
+                added: first.clone(),
+                removed: Vec::new(),
+            },
+        );
+        // Settle the first of the prefix-1 run, then pile on it again.
+        check(
+            &mut indexer,
+            AppliedDelta {
+                added: vec![escrow(7, a, 1), escrow(8, a, 2), escrow(9, b, 3)],
+                removed: vec![first[0]],
+            },
+        );
+        assert_eq!(indexer.pending_total(), 8);
+    }
 }

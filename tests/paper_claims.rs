@@ -21,6 +21,7 @@
 //! | E4 `SCTxsCommitment` (§4.1.3, Figs 4/12) | `e4_commitment_proofs_are_logarithmic_in_the_sidechains` | `core.sc_commitment_us` |
 //! | E5 MST write, tree level (§5.2, Fig 9) | `zendoo-primitives`: `smt::tests::a_write_costs_log_occupancy_not_depth` | `primitives.smt_insert_us` |
 //! | E5 MST write, Latus level | `e5_a_forward_transfer_costs_log_occupancy_at_any_depth` | `latus.mst_add_us` |
+//! | E5 a block's forward transfers, one write (§5.3.2) | `e5_a_block_of_forward_transfers_is_one_tree_write`; tree level `smt::tests::a_batch_hashes_each_touched_node_once` | `bridge_rush` `epoch_block_ms` |
 //! | E7 leadership ∝ stake (§5.1) | `zendoo-latus`: `consensus::tests::leadership_frequency_tracks_stake` | — |
 //! | E7 lottery cost | `e7_the_lottery_is_one_vrf_evaluation_a_slot` | — |
 //! | §5.4.1 dispatching | `s541_lanes_share_the_base_layer_and_the_merge_tail_is_logarithmic` | `sim.parallel_efficiency` |
@@ -827,11 +828,14 @@ fn e4_commitment_proofs_are_logarithmic_in_the_sidechains() {
 
 // ---------------------------------------------------------------- E5
 
-/// A forward-transfers transaction carrying `ft`, bound to a mainchain
-/// header made up for it (the binding is checked like any other).
-fn forward_transfer_tx(ft: ForwardTransfer) -> ScTransaction {
+/// A forward-transfers transaction carrying `transfers` (to one
+/// sidechain), bound to a mainchain header made up for them (the binding
+/// is checked like any other).
+fn forward_transfers_tx(transfers: Vec<ForwardTransfer>) -> ScTransaction {
     let mut builder = ScTxsCommitmentBuilder::new();
-    builder.add_forward_transfer(ft.clone());
+    for ft in &transfers {
+        builder.add_forward_transfer(ft.clone());
+    }
     let commitment = builder.build();
     let header = BlockHeader {
         parent: Digest32::ZERO,
@@ -844,14 +848,52 @@ fn forward_transfer_tx(ft: ForwardTransfer) -> ScTransaction {
     };
     let evidence = McRefEvidence::Membership(
         commitment
-            .membership_proof(&ft.sidechain_id)
-            .expect("the transfer's own sidechain has data"),
+            .membership_proof(&transfers[0].sidechain_id)
+            .expect("the transfers' own sidechain has data"),
     );
     ScTransaction::ForwardTransfers(ForwardTransfersTx {
         mc_block: header.hash(),
-        transfers: vec![ft],
+        transfers,
         binding: McRefBinding { header, evidence },
     })
+}
+
+const E5_UTXOS: u64 = 1 << 10;
+const E5_TRANSFERS: u64 = 64;
+
+/// What E5's 64 transfers cost one transaction each, `(applying,
+/// proving)` permutations at depth 40 and 63.
+const E5_ONE_BY_ONE: [(u64, u64); 2] = [(1107, 2041), (1119, 2053)];
+
+/// E5's sidechain at `depth`: 2¹⁰ UTXOs held, and its transition
+/// verifier.
+fn e5_sidechain(depth: u32) -> (LatusParams, LatusTransitionVerifier, SidechainState) {
+    let params = LatusParams::new(SidechainId::from_label("claims-e5"), depth);
+    let mut state = SidechainState::new(depth);
+    for i in 0..E5_UTXOS {
+        state
+            .mst_mut()
+            .add(&Utxo {
+                address: Address::from_label(&format!("holder-{}", i % 16)),
+                amount: Amount::from_units(i + 1),
+                nonce: Digest32::hash_bytes(&i.to_be_bytes()),
+            })
+            .unwrap();
+    }
+    (params, LatusTransitionVerifier::new(params), state)
+}
+
+/// E5's `i`-th forward transfer into `params`' sidechain.
+fn e5_transfer(params: &LatusParams, i: u64) -> ForwardTransfer {
+    let meta = ReceiverMetadata {
+        receiver: Address::from_label(&format!("newcomer-{i}")),
+        payback: Address::from_label("mc-refund"),
+    };
+    ForwardTransfer {
+        sidechain_id: params.sidechain_id,
+        receiver_metadata: meta.to_bytes(),
+        amount: Amount::from_units(5),
+    }
 }
 
 /// §5.2, Fig 9, at the level a user sees: crediting one forward transfer
@@ -866,36 +908,13 @@ fn forward_transfer_tx(ft: ForwardTransfer) -> ScTransaction {
 /// `smt::tests::a_write_costs_log_occupancy_not_depth`.
 #[test]
 fn e5_a_forward_transfer_costs_log_occupancy_at_any_depth() {
-    const UTXOS: u64 = 1 << 10;
-    const TRANSFERS: u64 = 64;
-    let log_n = u64::from(UTXOS.ilog2());
-    let sid = SidechainId::from_label("claims-e5");
+    let log_n = u64::from(E5_UTXOS.ilog2());
     let mut totals = Vec::new();
     for depth in [40u32, 63] {
-        let params = LatusParams::new(sid, depth);
-        let verifier = LatusTransitionVerifier::new(params);
-        let mut state = SidechainState::new(depth);
-        for i in 0..UTXOS {
-            state
-                .mst_mut()
-                .add(&Utxo {
-                    address: Address::from_label(&format!("holder-{}", i % 16)),
-                    amount: Amount::from_units(i + 1),
-                    nonce: Digest32::hash_bytes(&i.to_be_bytes()),
-                })
-                .unwrap();
-        }
+        let (params, verifier, mut state) = e5_sidechain(depth);
         let (mut applying, mut proving) = (0, 0);
-        for i in 0..TRANSFERS {
-            let meta = ReceiverMetadata {
-                receiver: Address::from_label(&format!("newcomer-{i}")),
-                payback: Address::from_label("mc-refund"),
-            };
-            let tx = forward_transfer_tx(ForwardTransfer {
-                sidechain_id: sid,
-                receiver_metadata: meta.to_bytes(),
-                amount: Amount::from_units(5),
-            });
+        for i in 0..E5_TRANSFERS {
+            let tx = forward_transfers_tx(vec![e5_transfer(&params, i)]);
             let (from, held) = (state.digest(), state.mst().len());
             let (witness, apply) = measure(|| apply_transaction(&params, &mut state, &tx).unwrap());
             assert_eq!(state.mst().len(), held + 1, "credited, not refunded");
@@ -909,14 +928,44 @@ fn e5_a_forward_transfer_costs_log_occupancy_at_any_depth() {
             proving += prove.permutations;
         }
         assert!(
-            applying <= TRANSFERS * (log_n + 8),
+            applying <= E5_TRANSFERS * (log_n + 8),
             "depth {depth}: {applying}"
         );
         totals.push((applying, proving));
     }
     // ARCHITECTURE.md, "Cost of the hash path": ≈ 17 to apply, ≈ 32 to
     // prove, at either depth.
-    assert_eq!(totals, [(1107, 2041), (1119, 2053)]);
+    assert_eq!(totals, E5_ONE_BY_ONE);
+}
+
+/// §5.3.2: a mainchain block's forward transfers reach the sidechain as
+/// one synchronized transaction, and the MST takes them as one write.
+/// The same 64 transfers as above, arriving in one block, hash each tree
+/// node their walks share once — in the forger's `insert_many` and in
+/// the Base statement's replay of one opening — instead of once per
+/// transfer below it. The tree-level twin is
+/// `smt::tests::a_batch_hashes_each_touched_node_once`.
+#[test]
+fn e5_a_block_of_forward_transfers_is_one_tree_write() {
+    let mut totals = Vec::new();
+    for depth in [40u32, 63] {
+        let (params, verifier, mut state) = e5_sidechain(depth);
+        let transfers = (0..E5_TRANSFERS).map(|i| e5_transfer(&params, i));
+        let tx = forward_transfers_tx(transfers.collect());
+        let from = state.digest();
+        let (witness, apply) = measure(|| apply_transaction(&params, &mut state, &tx).unwrap());
+        assert_eq!(state.mst().len() as u64, E5_UTXOS + E5_TRANSFERS);
+        let to = state.digest();
+        let (_, prove) = measure(|| verifier.verify_transition(&from, &to, &witness).unwrap());
+        totals.push((apply.permutations, prove.permutations));
+    }
+    // ≈ 9.6 a transfer to apply and ≈ 14.3 to prove, against ≈ 17
+    // and ≈ 32 one transaction each: the per-transaction digests and
+    // folds are paid once too.
+    assert_eq!(totals, [(615, 918), (607, 909)]);
+    for ((apply, prove), (one_by_one_apply, one_by_one_prove)) in totals.iter().zip(E5_ONE_BY_ONE) {
+        assert!(*apply < one_by_one_apply && *prove < one_by_one_prove);
+    }
 }
 
 // ---------------------------------------------------------------- E7
