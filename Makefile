@@ -67,10 +67,12 @@ test-field:
 # valid batch, the empty batch, repeated keys sharing one term with a
 # bad signature under a shared key (every schnorr:: unit test),
 # cross-chain forgery/replay
-# (the two adversarial files) and the hostile-input codec corpus
-# (settlement_codec).
+# (the two adversarial files), the hostile-input codec corpus
+# (settlement_codec) and non-canonical public inputs — a digest limb
+# raised by 2¹²⁸, refused by `get_digest` and, in a real certificate
+# and BTR statement, under the rule naming the input.
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name")
 
 # The composed Byzantine suites (docs/SCENARIOS.md): the long-horizon
 # fault-layered scenarios with per-tick conservation auditing
@@ -112,11 +114,16 @@ test-tree:
 # n + (n − 1) attestations, 2(n − 1) in-circuit proof checks and one
 # batch evaluation per merge layer; E5 one transfer a transaction and
 # 64 in one), the three claims that live beside their code (E5 at tree
-# level, one write and one batch, E7's leadership ∝ stake) and the cost
-# lines of zendoo-snark's private circuits (constraint_cost ==
-# proof_checks × PROOF_VERIFY). Host-independent: no clock is read.
+# level, one write and one batch, E7's leadership ∝ stake), and the
+# constraint model read off each check on a real witness
+# (`snark::circuit::constraint_cost`, the check's counts priced by
+# `gadget_cost::price`): the pricing itself, Merge = Fold = 80,000 and
+# Wrap = 40,000 (zendoo-snark's private circuits), the E1/E3
+# certificate statement (one proof check, 228 → 426 permutations), a
+# 1-in/1-out and a 2-in/2-out payment, and the BTR, CSW and historical
+# CSW of epoch_flow (4,129 each). Host-independent: no clock is read.
 test-claims:
-	$(call run-suites,claims,"zendoo paper_claims" "zendoo-primitives lib smt::tests::a_write_costs_log_occupancy_not_depth smt::tests::a_batch_hashes_each_touched_node_once" "zendoo-latus lib consensus::tests::leadership_frequency_tracks_stake" "zendoo-snark lib merge_is_charged_the_two_checks_it_runs wrap_and_fold_are_charged_the_checks_they_run")
+	$(call run-suites,claims,"zendoo paper_claims" "zendoo-primitives lib smt::tests::a_write_costs_log_occupancy_not_depth smt::tests::a_batch_hashes_each_touched_node_once" "zendoo-latus lib consensus::tests::leadership_frequency_tracks_stake a_certificate_statement_is_one_proof_check_and_a_fold_per_touched_slot a_payment_is_priced_by_the_checks_its_transition_runs" "zendoo-latus epoch_flow btr_pre_validated_synced_and_fulfilled ceased_sidechain_csw_recovery historical_csw_survives_data_withholding" "zendoo-snark lib the_model_prices_what_the_check_ran merge_is_charged_the_two_checks_it_runs wrap_and_fold_are_charged_the_checks_they_run")
 
 # The standalone benchmark package (BENCHMARK.json runs it from its own
 # checkout): its unit tests, then every workload once at smoke size. It

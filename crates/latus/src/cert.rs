@@ -26,7 +26,7 @@ use zendoo_primitives::encode::Encode;
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
 use zendoo_primitives::smt::SmtProof;
-use zendoo_snark::circuit::{gadget_cost, Circuit, Unsatisfied};
+use zendoo_snark::circuit::{Circuit, Unsatisfied};
 use zendoo_snark::deferred::Deferred;
 use zendoo_snark::inputs::PublicInputs;
 use zendoo_snark::recursive::StateProof;
@@ -179,6 +179,18 @@ fn fail(rule: &'static str, detail: impl Into<String>) -> Unsatisfied {
     Unsatisfied::new(rule, detail)
 }
 
+/// The digest at public-input offset `index`, refused under `rule`
+/// unless it is two 128-bit limbs (a circuit range-checks each limb, so
+/// a digest has one embedding).
+fn digest_input(
+    public: &PublicInputs,
+    index: usize,
+    rule: &'static str,
+) -> Result<Digest32, Unsatisfied> {
+    let digest = public.get_digest(index);
+    digest.ok_or_else(|| fail(rule, "not a digest of two 128-bit limbs"))
+}
+
 impl Circuit for WcertCircuit {
     type Witness = WcertWitness;
 
@@ -204,10 +216,10 @@ impl Circuit for WcertCircuit {
         let quality = public
             .get_u64(0)
             .ok_or_else(|| fail("wcert/quality", "quality not a u64"))?;
-        let bt_root = public.get_digest(1).expect("len checked");
-        let prev_mc_end = public.get_digest(3).expect("len checked");
-        let mc_end = public.get_digest(5).expect("len checked");
-        let proofdata_root = public.get_digest(7).expect("len checked");
+        let bt_root = digest_input(public, 1, "wcert/bt-root-input")?;
+        let prev_mc_end = digest_input(public, 3, "wcert/prev-mc-end-input")?;
+        let mc_end = digest_input(public, 5, "wcert/mc-end-input")?;
+        let proofdata_root = digest_input(public, 7, "wcert/proofdata-input")?;
 
         // --- MC header chain of the epoch (anchors rule 5).
         if w.mc_headers.len() != self.schedule.epoch_len() as usize {
@@ -456,16 +468,6 @@ impl Circuit for WcertCircuit {
         }
         Ok(())
     }
-
-    /// A model, not a circuit. The certificate witnesses no MST path
-    /// (the state proof carries them all), so none is charged.
-    fn constraint_cost(&self, _public: &PublicInputs, w: &WcertWitness) -> u64 {
-        let headers = (w.mc_headers.len() + w.sc_headers.len()) as u64;
-        let folds = (w.bt_list.len() + w.touch_sequence.len() + w.mc_headers.len() * 2) as u64;
-        gadget_cost::PROOF_VERIFY
-            + headers * 2 * gadget_cost::POSEIDON_HASH2
-            + folds * gadget_cost::POSEIDON_HASH2
-    }
 }
 
 /// Authorization message a UTXO owner signs for a BTR/CSW.
@@ -527,15 +529,15 @@ impl OwnershipWitness {
         if public.len() != 9 {
             return Err(fail("btr/arity", "expected 9 public inputs"));
         }
-        let anchor_block = public.get_digest(0).expect("len checked");
-        let nullifier = Nullifier(public.get_digest(2).expect("len checked"));
-        let receiver = Address(public.get_digest(4).expect("len checked"));
+        let anchor_block = digest_input(public, 0, "btr/anchor-input")?;
+        let nullifier = Nullifier(digest_input(public, 2, "btr/nullifier-input")?);
+        let receiver = Address(digest_input(public, 4, "btr/receiver-input")?);
         let amount = Amount::from_units(
             public
                 .get_u64(6)
                 .ok_or_else(|| fail("btr/amount", "amount not a u64"))?,
         );
-        let proofdata_root = public.get_digest(7).expect("len checked");
+        let proofdata_root = digest_input(public, 7, "btr/proofdata-input")?;
 
         // H(B_w): the anchor certificate's MC block is the public anchor.
         if self.anchor_cert.mc_header.hash() != anchor_block {
@@ -618,14 +620,6 @@ impl Circuit for BtrCircuit {
     fn check(&self, public: &PublicInputs, w: &OwnershipWitness) -> Result<(), Unsatisfied> {
         w.check("btr", &self.params, public)
     }
-
-    /// A model, not a circuit: the membership path is charged the
-    /// siblings it carries; a fixed-shape circuit would pad it to a bound.
-    fn constraint_cost(&self, _public: &PublicInputs, w: &OwnershipWitness) -> u64 {
-        gadget_cost::SCHNORR_VERIFY
-            + w.mst_proof.siblings().len() as u64 * gadget_cost::MERKLE_STEP
-            + 8 * gadget_cost::POSEIDON_HASH2
-    }
 }
 
 /// One later certificate in a historical-ownership chain, witnessing its
@@ -692,9 +686,7 @@ impl Circuit for CswCircuit {
                 // public H(B_w) of the *latest* certificate: temporarily
                 // rebuild the public inputs with the old anchor block.
                 let latest = later.last().expect("nonempty");
-                let anchor_block = public
-                    .get_digest(0)
-                    .ok_or_else(|| fail("csw/arity", "expected 9 public inputs"))?;
+                let anchor_block = digest_input(public, 0, "csw/anchor-input")?;
                 if latest.cert.mc_header.hash() != anchor_block {
                     return Err(fail(
                         "csw/anchor",
@@ -746,17 +738,5 @@ impl Circuit for CswCircuit {
                 Ok(())
             }
         }
-    }
-
-    /// A model, not a circuit: the membership path is charged the
-    /// siblings it carries; a fixed-shape circuit would pad it to a bound.
-    fn constraint_cost(&self, _public: &PublicInputs, w: &CswWitness) -> u64 {
-        let (ownership, links) = match w {
-            CswWitness::Direct(ownership) => (ownership, 0u64),
-            CswWitness::Historical { base, later } => (base, later.len() as u64),
-        };
-        gadget_cost::SCHNORR_VERIFY
-            + ownership.mst_proof.siblings().len() as u64 * gadget_cost::MERKLE_STEP
-            + (links + 8) * gadget_cost::POSEIDON_HASH2
     }
 }

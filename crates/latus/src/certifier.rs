@@ -8,8 +8,8 @@
 //!
 //! * [`CertifierCommittee::verify_native`] — the baseline as the
 //!   original design would run it (the mainchain checks m signatures) —
-//!   used by benchmark E3 to compare MC-side verification cost against
-//!   the SNARK path;
+//!   whose cost the E3 claim (`paper_claims::e3_…`, in the root
+//!   `tests/`) compares against the SNARK path;
 //! * [`CertifierCircuit`] — the same rule packaged *as a sidechain
 //!   SNARK circuit*, demonstrating the universality claim of §4.1: the
 //!   certifier trust model is just another circuit behind the unified
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::Encode;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
-use zendoo_snark::circuit::{gadget_cost, Circuit, Unsatisfied};
+use zendoo_snark::circuit::{Circuit, Unsatisfied};
 use zendoo_snark::inputs::PublicInputs;
 
 /// Signature context for certifier endorsements.
@@ -164,10 +164,6 @@ impl Circuit for CertifierCircuit {
                 ),
             ))
         }
-    }
-
-    fn constraint_cost(&self, _public: &PublicInputs, witness: &Vec<Endorsement>) -> u64 {
-        witness.len() as u64 * gadget_cost::SCHNORR_VERIFY
     }
 }
 

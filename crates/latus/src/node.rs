@@ -23,6 +23,7 @@ use zendoo_core::withdrawal::{
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::schnorr::{Keypair, SecretKey};
 use zendoo_snark::backend::{prove, ProveError, ProvingKey, VerifyingKey};
+use zendoo_snark::inputs::PublicInputs;
 
 use crate::block::{McBlockReference, McRefError, ScBlock, ScBlockHeader};
 use crate::cert::{
@@ -756,6 +757,16 @@ impl LatusNode {
     /// [`NodeError::EpochNotComplete`] before the boundary;
     /// [`NodeError::Prove`] if any witness is inconsistent.
     pub fn produce_certificate(&mut self) -> Result<WithdrawalCertificate, NodeError> {
+        let (cert, public, witness) = self.certificate_statement()?;
+        self.seal_certificate(cert, &public, witness)
+    }
+
+    /// The first half of [`LatusNode::produce_certificate`]: proves the
+    /// epoch, closes its transients and returns the unproven certificate
+    /// with the certificate statement `(public, witness)`.
+    fn certificate_statement(
+        &mut self,
+    ) -> Result<(WithdrawalCertificate, PublicInputs, WcertWitness), NodeError> {
         if !self.epoch_complete() {
             return Err(NodeError::EpochNotComplete);
         }
@@ -846,7 +857,7 @@ impl LatusNode {
         let (bt_list, delta, touch_sequence) = self.state.end_epoch();
 
         let proofdata = wcert_proofdata(last_sc.hash(), final_mst_root, &delta, &declared);
-        let mut cert = WithdrawalCertificate {
+        let cert = WithdrawalCertificate {
             sidechain_id: self.params.sidechain_id,
             epoch_id: epoch,
             quality: last_sc.height,
@@ -870,21 +881,33 @@ impl LatusNode {
             prev_mst_root,
             final_mst_root,
             bt_list,
-            delta: delta.clone(),
+            delta,
             touch_sequence,
             prev_cert: prev_cert_inclusion,
             declared,
         };
+        Ok((cert, public, witness))
+    }
+
+    /// The second half of [`LatusNode::produce_certificate`]: proves the
+    /// certificate statement, archives the epoch and opens the next.
+    fn seal_certificate(
+        &mut self,
+        mut cert: WithdrawalCertificate,
+        public: &PublicInputs,
+        witness: WcertWitness,
+    ) -> Result<WithdrawalCertificate, NodeError> {
         cert.proof = prove(
             &self.keys.wcert_pk,
             &self.keys.wcert_circuit,
-            &public,
+            public,
             &witness,
         )?;
 
         // Archive per-epoch material for user proof services.
+        let epoch = cert.epoch_id;
         self.epoch_msts.insert(epoch, self.state.mst().clone());
-        self.epoch_deltas.insert(epoch, delta);
+        self.epoch_deltas.insert(epoch, witness.delta);
         self.produced_certs.insert(epoch, cert.clone());
 
         // Open the next epoch; the stake distribution for its slots is
@@ -920,25 +943,15 @@ impl LatusNode {
         receiver: Address,
     ) -> Result<BackwardTransferRequest, NodeError> {
         let witness = self.ownership_witness("btr", anchor_epoch, utxo, owner, receiver)?;
-        let anchor_block = witness.anchor_cert.mc_header.hash();
-        let btr = BackwardTransferRequest {
+        let public = withdrawal_inputs(utxo, receiver, witness.anchor_cert.mc_header.hash());
+        Ok(BackwardTransferRequest {
             sidechain_id: self.params.sidechain_id,
             receiver,
             amount: utxo.amount,
             nullifier: utxo.nullifier(),
             proofdata: utxo_proofdata(utxo),
-            proof: {
-                let sysdata = BtrSysData {
-                    last_cert_block: anchor_block,
-                    nullifier: utxo.nullifier(),
-                    receiver,
-                    amount: utxo.amount,
-                };
-                let public = btr_public_inputs(&sysdata, &utxo_proofdata(utxo).merkle_root());
-                prove(&self.keys.btr_pk, &self.keys.btr_circuit, &public, &witness)?
-            },
-        };
-        Ok(btr)
+            proof: prove(&self.keys.btr_pk, &self.keys.btr_circuit, &public, &witness)?,
+        })
     }
 
     /// Builds a fully proven CSW against the certificate of
@@ -1007,13 +1020,7 @@ impl LatusNode {
         anchor_block: Digest32,
         witness: CswWitness,
     ) -> Result<CeasedSidechainWithdrawal, NodeError> {
-        let sysdata = BtrSysData {
-            last_cert_block: anchor_block,
-            nullifier: utxo.nullifier(),
-            receiver,
-            amount: utxo.amount,
-        };
-        let public = btr_public_inputs(&sysdata, &utxo_proofdata(utxo).merkle_root());
+        let public = withdrawal_inputs(utxo, receiver, anchor_block);
         let proof = prove(&self.keys.csw_pk, &self.keys.csw_circuit, &public, &witness)?;
         Ok(CeasedSidechainWithdrawal {
             sidechain_id: self.params.sidechain_id,
@@ -1139,6 +1146,18 @@ impl LatusNode {
     }
 }
 
+/// The public inputs of a BTR or CSW withdrawing `utxo` to `receiver`
+/// against the certificate carried by MC block `anchor_block`.
+fn withdrawal_inputs(utxo: &Utxo, receiver: Address, anchor_block: Digest32) -> PublicInputs {
+    let sysdata = BtrSysData {
+        last_cert_block: anchor_block,
+        nullifier: utxo.nullifier(),
+        receiver,
+        amount: utxo.amount,
+    };
+    btr_public_inputs(&sysdata, &utxo_proofdata(utxo).merkle_root())
+}
+
 impl std::fmt::Debug for LatusNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LatusNode")
@@ -1158,6 +1177,9 @@ mod tests {
     use zendoo_mainchain::chain::{Blockchain, ChainParams};
     use zendoo_mainchain::transaction::{McTransaction, TxOut};
     use zendoo_mainchain::wallet::Wallet;
+    use zendoo_primitives::field::Fp;
+    use zendoo_primitives::opcount::{measure, OpCount};
+    use zendoo_snark::circuit::{constraint_cost, gadget_cost, Circuit};
 
     /// `receive_block` executes a block once, on a clone it then adopts:
     /// the follower must record exactly the transition steps (and
@@ -1530,5 +1552,212 @@ mod tests {
         let (got, _) = submit(&mut kept, change[0], 1);
         assert_eq!(got, submit(&mut rebuilt, change[0], 1).0);
         assert!(got.is_ok(), "{got:?}");
+    }
+
+    /// A mainchain whose genesis funds `miner`, with a Latus sidechain
+    /// `label` of MST depth `depth` declared at height 1, and the
+    /// sidechain's forger.
+    fn deployment(
+        label: &str,
+        depth: u32,
+        schedule: EpochSchedule,
+        miner: &Wallet,
+    ) -> (Blockchain, LatusNode) {
+        let params = LatusParams::new(SidechainId::from_label(label), depth);
+        let keys = Arc::new(LatusKeys::generate(params, schedule, b"node-test"));
+        let mut chain = Blockchain::new(ChainParams {
+            genesis_outputs: vec![TxOut::regular(miner.address(), Amount::from_units(100_000))],
+            ..ChainParams::default()
+        });
+        let declaration =
+            McTransaction::SidechainDeclaration(Box::new(keys.sidechain_config(&params, schedule)));
+        chain
+            .mine_next_block(miner.address(), vec![declaration], 1)
+            .unwrap();
+        let forger = Keypair::from_seed(b"forger");
+        let node = LatusNode::new(
+            params,
+            schedule,
+            ConsensusParams::with_bootstrap(forger.public),
+            keys,
+            forger,
+            chain.tip_hash(),
+        );
+        (chain, node)
+    }
+
+    /// Mines the next MC block with `txs` and syncs `node` to it.
+    fn mine(chain: &mut Blockchain, node: &mut LatusNode, miner: &Wallet, txs: Vec<McTransaction>) {
+        let time = chain.height() + 1;
+        let block = chain.mine_next_block(miner.address(), txs, time).unwrap();
+        node.sync_mainchain_block(&block).unwrap();
+    }
+
+    /// A forward transfer of `units` from `miner` to `receiver` on the
+    /// sidechain.
+    fn deposit(
+        chain: &Blockchain,
+        node: &LatusNode,
+        miner: &Wallet,
+        receiver: Address,
+        units: u64,
+    ) -> McTransaction {
+        let meta = ReceiverMetadata {
+            receiver,
+            payback: miner.address(),
+        };
+        miner
+            .forward_transfer(
+                chain,
+                node.params.sidechain_id,
+                meta.to_bytes(),
+                Amount::from_units(units),
+                Amount::ZERO,
+            )
+            .unwrap()
+    }
+
+    /// Mines to the end of the node's epoch and certifies it, reading the
+    /// certificate statement's operation counts and modelled cost off the
+    /// witness `produce_certificate` proves.
+    fn certify(
+        chain: &mut Blockchain,
+        node: &mut LatusNode,
+        miner: &Wallet,
+    ) -> (WithdrawalCertificate, OpCount, u64) {
+        while !node.epoch_complete() {
+            mine(chain, node, miner, vec![]);
+        }
+        let (cert, public, witness) = node.certificate_statement().unwrap();
+        let circuit = &node.keys.wcert_circuit;
+        let cost = constraint_cost(circuit, &public, &witness).unwrap();
+        let ran = measure(|| circuit.check(&public, &witness)).1;
+        let cert = node.seal_certificate(cert, &public, witness).unwrap();
+        (cert, ran, cost)
+    }
+
+    /// The model half of the E1/E3 claim (the root
+    /// `paper_claims::e1_e3_…` holds the mainchain half), read off the
+    /// certificate statement the node proves. Epoch 0 credits a forward
+    /// transfer and splits it in one payment into `PAYMENTS` outputs;
+    /// epoch 1 spends each in its own payment. Both statements run
+    /// exactly one in-circuit proof check, and the second runs exactly
+    /// one permutation more per MST slot more that its epoch touched:
+    /// (`PAYMENTS` spent + `PAYMENTS` created) − (1 minted + 1 spent +
+    /// `PAYMENTS` created). Nothing else grows: the MC and SC header
+    /// chains are SHA-256 work, which the model does not price.
+    #[test]
+    fn a_certificate_statement_is_one_proof_check_and_a_fold_per_touched_slot() {
+        const PAYMENTS: u64 = 200;
+        let miner = Wallet::from_seed(b"mc-user");
+        let user = Keypair::from_seed(b"sc-user");
+        let me = Address::from_public_key(&user.public);
+        let schedule = EpochSchedule::new(2, 4, 2).unwrap();
+        let (mut chain, mut node) = deployment("node-certificate-cost", 40, schedule, &miner);
+
+        let ft = deposit(&chain, &node, &miner, me, PAYMENTS);
+        mine(&mut chain, &mut node, &miner, vec![ft]);
+        let funded = node.utxos_of(&me)[0];
+        let split = PaymentTx::create(
+            vec![(funded, &user.secret)],
+            vec![(me, Amount::from_units(1)); PAYMENTS as usize],
+        );
+        node.submit_transaction(ScTransaction::Payment(split))
+            .unwrap();
+        let (small, small_ran, small_cost) = certify(&mut chain, &mut node, &miner);
+
+        for coin in node.utxos_of(&me) {
+            let pay = PaymentTx::create(vec![(coin, &user.secret)], vec![(me, coin.amount)]);
+            node.submit_transaction(ScTransaction::Payment(pay))
+                .unwrap();
+        }
+        let posted = McTransaction::Certificate(Box::new(small));
+        mine(&mut chain, &mut node, &miner, vec![posted]);
+        let (_, large_ran, large_cost) = certify(&mut chain, &mut node, &miner);
+
+        for ran in [small_ran, large_ran] {
+            assert_eq!((ran.proof_checks, ran.group_muls), (1, 1), "{ran:?}");
+        }
+        assert_eq!(
+            large_ran.permutations - small_ran.permutations,
+            (PAYMENTS + PAYMENTS) - (1 + 1 + PAYMENTS)
+        );
+        assert_eq!((small_ran.permutations, large_ran.permutations), (228, 426));
+        for (ran, cost) in [(small_ran, small_cost), (large_ran, large_cost)] {
+            assert_eq!(
+                cost,
+                gadget_cost::PROOF_VERIFY + ran.permutations * gadget_cost::POSEIDON_HASH2
+            );
+        }
+        assert_eq!((small_cost, large_cost), (95_404, 143_518));
+    }
+
+    /// A digest enters a statement as two 128-bit limbs, and each limb
+    /// has one value: any limb of a real certificate or BTR statement
+    /// raised by 2¹²⁸ — which leaves its low 16 bytes, and so the digest
+    /// they spell, as they were — is refused under the rule naming the
+    /// input.
+    #[test]
+    fn a_digest_limb_raised_by_2_128_is_refused_by_name() {
+        let miner = Wallet::from_seed(b"mc-user");
+        let user = Keypair::from_seed(b"sc-user");
+        let me = Address::from_public_key(&user.public);
+        let schedule = EpochSchedule::new(2, 4, 2).unwrap();
+        let (mut chain, mut node) = deployment("node-canonical-inputs", 16, schedule, &miner);
+        let ft = deposit(&chain, &node, &miner, me, 400);
+        mine(&mut chain, &mut node, &miner, vec![ft]);
+        while !node.epoch_complete() {
+            mine(&mut chain, &mut node, &miner, vec![]);
+        }
+        let mut two_128 = [0u8; 32];
+        two_128[15] = 1;
+        let two_128 = Fp::from_be_bytes_reduced(&two_128);
+        let raised = |public: &PublicInputs, limb: usize| {
+            let mut elements = public.elements().to_vec();
+            elements[limb] += two_128;
+            PublicInputs::from_elements(elements)
+        };
+
+        let (cert, public, witness) = node.certificate_statement().unwrap();
+        let wcert = &node.keys.wcert_circuit;
+        assert_eq!(wcert.check(&public, &witness), Ok(()));
+        for (limbs, rule) in [
+            (1..3, "wcert/bt-root-input"),
+            (3..5, "wcert/prev-mc-end-input"),
+            (5..7, "wcert/mc-end-input"),
+            (7..9, "wcert/proofdata-input"),
+        ] {
+            for limb in limbs {
+                let refused = wcert.check(&raised(&public, limb), &witness).unwrap_err();
+                assert_eq!(refused.rule, rule, "limb {limb}");
+            }
+        }
+        let cert = node.seal_certificate(cert, &public, witness).unwrap();
+        mine(
+            &mut chain,
+            &mut node,
+            &miner,
+            vec![McTransaction::Certificate(Box::new(cert))],
+        );
+
+        let utxo = node.utxos_of(&me)[0];
+        let receiver = Address::from_label("rescued");
+        let witness = node
+            .ownership_witness("btr", 0, &utxo, &user.secret, receiver)
+            .unwrap();
+        let public = withdrawal_inputs(&utxo, receiver, witness.anchor_cert.mc_header.hash());
+        let btr = &node.keys.btr_circuit;
+        assert_eq!(btr.check(&public, &witness), Ok(()));
+        for (limbs, rule) in [
+            (0..2, "btr/anchor-input"),
+            (2..4, "btr/nullifier-input"),
+            (4..6, "btr/receiver-input"),
+            (7..9, "btr/proofdata-input"),
+        ] {
+            for limb in limbs {
+                let refused = btr.check(&raised(&public, limb), &witness).unwrap_err();
+                assert_eq!(refused.rule, rule, "limb {limb}");
+            }
+        }
     }
 }

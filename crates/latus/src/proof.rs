@@ -18,7 +18,7 @@ use zendoo_core::transfer::BackwardTransfer;
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::smt::{SmtProof, WitnessError};
-use zendoo_snark::circuit::{gadget_cost, Unsatisfied};
+use zendoo_snark::circuit::Unsatisfied;
 use zendoo_snark::deferred::Deferred;
 use zendoo_snark::recursive::{RecursiveSystem, StateProof, TransitionVerifier};
 
@@ -400,40 +400,6 @@ impl TransitionVerifier for LatusTransitionVerifier {
         }
         Ok(())
     }
-
-    /// A model, not a circuit: it charges every witnessed MST path the
-    /// siblings it actually carries (≈ log₂ of the occupancy), and a
-    /// forward-transfers opening the nodes it opens — a node the
-    /// transfers' walks share once. A fixed-shape circuit would pad each
-    /// path to a bound it chooses.
-    fn transition_cost(&self, w: &TransitionWitness) -> u64 {
-        let path = |p: &SmtProof| p.siblings().len() as u64;
-        let update = |u: &LeafUpdate| path(&u.path);
-        let levels: u64 = w.updates.iter().map(update).sum::<u64>()
-            + w.ft_opening
-                .as_ref()
-                .map_or(0, |opening| opening.opened_nodes() as u64)
-            + w.btr_steps
-                .iter()
-                .map(|step| match step {
-                    BtrStep::Fulfilled(u) => update(u),
-                    BtrStep::RejectedAbsent { path: p } => path(p),
-                    BtrStep::RejectedMalformed => 0,
-                })
-                .sum::<u64>();
-        let (sigs, folds) = match &w.tx {
-            ScTransaction::Payment(tx) => (tx.inputs.len() as u64, 0u64),
-            ScTransaction::BackwardTransfer(tx) => {
-                (tx.inputs.len() as u64, tx.backward_transfers.len() as u64)
-            }
-            ScTransaction::ForwardTransfers(_) | ScTransaction::BackwardTransferRequests(_) => {
-                (0, 2)
-            }
-        };
-        sigs * gadget_cost::SCHNORR_VERIFY
-            + levels * gadget_cost::MERKLE_STEP
-            + (folds + 4) * gadget_cost::POSEIDON_HASH2
-    }
 }
 
 fn check_no_duplicate_inputs(inputs: &[SignedInput]) -> Result<(), Unsatisfied> {
@@ -742,24 +708,41 @@ mod tests {
         assert_eq!(builder.initial_digest(), builder.final_digest());
     }
 
+    /// The transition is priced like every circuit, by what its check
+    /// runs: `price(measure(verify_transition))`. A payment costs one
+    /// signature an input (`SCHNORR_VERIFY` = 3,400), and per slot it
+    /// spends or fills the leaf and its path to the root before and the
+    /// root after, at `POSEIDON_HASH2` = 243 a permutation; the two state
+    /// digests and a delta fold per slot come on top.
     #[test]
-    fn transition_cost_scales_with_inputs() {
+    fn a_payment_is_priced_by_the_checks_its_transition_runs() {
+        use zendoo_primitives::opcount::measure;
+        use zendoo_snark::circuit::gadget_cost::price;
         let alice = Keypair::from_seed(b"alice");
         let verifier = LatusTransitionVerifier::new(params());
         let (mut state, utxos) = funded(&alice, &[10, 20, 30]);
-        let small = ScTransaction::Payment(PaymentTx::create(
+        let mut run = |tx: ScTransaction| {
+            let from = state.digest();
+            let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
+            let to = state.digest();
+            let check = || verifier.verify_transition(&from, &to, &witness);
+            assert_eq!(check(), Ok(()));
+            measure(check).1
+        };
+        let small = run(ScTransaction::Payment(PaymentTx::create(
             vec![(utxos[0], &alice.secret)],
             vec![(Address::from_label("b"), Amount::from_units(10))],
-        ));
-        let w_small = apply_transaction(&params(), &mut state, &small).unwrap();
-        let big = ScTransaction::Payment(PaymentTx::create(
+        )));
+        let big = run(ScTransaction::Payment(PaymentTx::create(
             vec![(utxos[1], &alice.secret), (utxos[2], &alice.secret)],
             vec![
                 (Address::from_label("b"), Amount::from_units(25)),
                 (Address::from_label("c"), Amount::from_units(25)),
             ],
-        ));
-        let w_big = apply_transaction(&params(), &mut state, &big).unwrap();
-        assert!(verifier.transition_cost(&w_big) > verifier.transition_cost(&w_small));
+        )));
+        assert_eq!((small.group_muls, small.permutations), (1, 20));
+        assert_eq!(price(small), 8_260);
+        assert_eq!((big.group_muls, big.permutations), (2, 31));
+        assert_eq!(price(big), 14_333);
     }
 }

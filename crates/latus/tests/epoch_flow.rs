@@ -8,7 +8,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use zendoo_core::epoch::EpochSchedule;
 use zendoo_core::ids::{Address, Amount, SidechainId};
+use zendoo_core::withdrawal::{btr_public_inputs, BtrSysData};
+use zendoo_latus::cert::{
+    sign_withdrawal, utxo_proofdata, CswWitness, DeltaLink, OwnershipWitness,
+};
 use zendoo_latus::consensus::ConsensusParams;
+use zendoo_latus::mst::{mst_position, Utxo};
 use zendoo_latus::node::{LatusKeys, LatusNode};
 use zendoo_latus::params::LatusParams;
 use zendoo_latus::tx::{PaymentTx, ReceiverMetadata, ScTransaction};
@@ -16,7 +21,12 @@ use zendoo_mainchain::chain::{Blockchain, ChainParams};
 use zendoo_mainchain::registry::SidechainStatus;
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
 use zendoo_mainchain::wallet::Wallet;
+use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::schnorr::Keypair;
+use zendoo_snark::backend::verify;
+use zendoo_snark::circuit::constraint_cost;
+use zendoo_snark::circuit::gadget_cost::{POSEIDON_HASH2, SCHNORR_VERIFY};
+use zendoo_snark::inputs::PublicInputs;
 
 const EPOCH_LEN: u32 = 6;
 const SUBMIT_LEN: u32 = 2;
@@ -27,6 +37,7 @@ const MST_DEPTH: u32 = 16;
 struct TwoChains {
     chain: Blockchain,
     node: LatusNode,
+    keys: Arc<LatusKeys>,
     mc_wallet: Wallet,
     sc_user: Keypair,
     sid: SidechainId,
@@ -71,13 +82,14 @@ impl TwoChains {
             params,
             schedule,
             ConsensusParams::with_bootstrap(forger.public),
-            keys,
+            Arc::clone(&keys),
             forger,
             anchor,
         );
         TwoChains {
             chain,
             node,
+            keys,
             mc_wallet,
             sc_user,
             sid,
@@ -118,7 +130,49 @@ impl TwoChains {
     fn sc_balance(&self) -> Amount {
         self.chain.state().registry.get(&self.sid).unwrap().balance
     }
+
+    /// The witness `create_btr` / `create_csw` prove for the user's `utxo`
+    /// against the certificate of `epoch`, rebuilt from what the node
+    /// publishes: the archived MST, the certificate's inclusion.
+    fn ownership(
+        &self,
+        domain: &str,
+        epoch: u32,
+        utxo: &Utxo,
+        receiver: Address,
+    ) -> OwnershipWitness {
+        let anchor_cert = self.node.cert_inclusion_for(epoch).unwrap().clone();
+        let anchor = anchor_cert.mc_header.hash();
+        let position = mst_position(utxo, MST_DEPTH);
+        OwnershipWitness {
+            utxo: *utxo,
+            owner: self.sc_user.public,
+            authorization: sign_withdrawal(domain, &self.sc_user.secret, utxo, &receiver, &anchor),
+            mst_proof: self.node.epoch_mst(epoch).unwrap().proof(position),
+            anchor_cert,
+        }
+    }
 }
+
+/// The public inputs of a BTR or CSW withdrawing `utxo` to `receiver`,
+/// anchored at the MC block `anchor`.
+fn withdrawal_inputs(anchor: Digest32, utxo: &Utxo, receiver: Address) -> PublicInputs {
+    let sysdata = BtrSysData {
+        last_cert_block: anchor,
+        nullifier: utxo.nullifier(),
+        receiver,
+        amount: utxo.amount,
+    };
+    btr_public_inputs(&sysdata, &utxo_proofdata(utxo).merkle_root())
+}
+
+/// What the constraint model charges an ownership statement whose
+/// anchored tree holds the UTXO alone: the owner's signature and three
+/// permutations, the leaf and the root it makes alone (4,129). Its
+/// position, nullifier, anchor inclusion and proofdata — and a
+/// historical CSW's delta links — are SHA-256 work, which the model does
+/// not price.
+const LONE_OWNERSHIP_COST: u64 = SCHNORR_VERIFY + 3 * POSEIDON_HASH2;
 
 #[test]
 fn full_transfer_lifecycle_with_real_proofs() {
@@ -231,6 +285,15 @@ fn btr_pre_validated_synced_and_fulfilled() {
         .create_btr(0, &utxo, &h.sc_user.secret, mc_receiver)
         .unwrap();
 
+    // Its statement, priced by what its check runs on the node's witness.
+    let witness = h.ownership("btr", 0, &utxo, mc_receiver);
+    let public = withdrawal_inputs(witness.anchor_cert.mc_header.hash(), &utxo, mc_receiver);
+    assert!(verify(&h.keys.btr_vk, &public, &btr.proof));
+    assert_eq!(
+        constraint_cost(&h.keys.btr_circuit, &public, &witness),
+        Ok(LONE_OWNERSHIP_COST)
+    );
+
     // The MC pre-validates and accepts it (Def 4.5), consuming the
     // nullifier.
     h.step(vec![McTransaction::Btr(Box::new(btr.clone()))]);
@@ -312,6 +375,15 @@ fn ceased_sidechain_csw_recovery() {
         .node
         .create_csw(0, &utxo, &h.sc_user.secret, rescue)
         .unwrap();
+    // Priced like the BTR: the same ownership statement.
+    let ownership = h.ownership("csw", 0, &utxo, rescue);
+    let public = withdrawal_inputs(ownership.anchor_cert.mc_header.hash(), &utxo, rescue);
+    let witness = CswWitness::Direct(ownership);
+    assert!(verify(&h.keys.csw_vk, &public, &csw.proof));
+    assert_eq!(
+        constraint_cost(&h.keys.csw_circuit, &public, &witness),
+        Ok(LONE_OWNERSHIP_COST)
+    );
     h.time += 1;
     h.chain
         .mine_next_block(
@@ -386,6 +458,21 @@ fn historical_csw_survives_data_withholding() {
         .node
         .create_historical_csw(0, 1, &utxo, &h.sc_user.secret, rescue, &deltas)
         .unwrap();
+    // The link to epoch 1 costs the model nothing it prices.
+    let link = DeltaLink {
+        cert: h.node.cert_inclusion_for(1).unwrap().clone(),
+        delta: deltas[&1].clone(),
+    };
+    let public = withdrawal_inputs(link.cert.mc_header.hash(), &utxo, rescue);
+    let witness = CswWitness::Historical {
+        base: h.ownership("csw", 0, &utxo, rescue),
+        later: vec![link],
+    };
+    assert!(verify(&h.keys.csw_vk, &public, &csw.proof));
+    assert_eq!(
+        constraint_cost(&h.keys.csw_circuit, &public, &witness),
+        Ok(LONE_OWNERSHIP_COST)
+    );
     h.time += 1;
     h.chain
         .mine_next_block(

@@ -49,8 +49,10 @@ pub struct OpCount {
     pub group_muls: u64,
     /// SHA-256 compressions (64-byte blocks).
     pub sha_blocks: u64,
-    /// In-circuit SNARK verifications: what the constraint model prices
-    /// at `gadget_cost::PROOF_VERIFY` apiece.
+    /// In-circuit SNARK verifications. Checked eagerly each is also one
+    /// of the `group_muls`; `zendoo_snark::circuit::gadget_cost::price`
+    /// prices it at `PROOF_VERIFY` and the group multiplications left
+    /// over as signatures.
     pub proof_checks: u64,
 }
 

@@ -36,9 +36,9 @@
 //! squarings and one multiplication, and a permutation runs
 //! 8·3 + 57 = 81 S-boxes, so **243 products, 162 of them squarings**.
 //! The linear layers are 5 additions a full round and 9 a partial round
-//! (four of them doublings). The constraint model
-//! (`gadget_cost::POSEIDON_HASH2 = 243` in `zendoo-snark`) counts the
-//! same 81 S-boxes.
+//! (four of them doublings). The constraint model of `zendoo-snark`
+//! prices each counted permutation at these 81 S-boxes, 3 constraints
+//! each (`gadget_cost::POSEIDON_HASH2 = 243`).
 //!
 //! # Constants
 //!
@@ -87,9 +87,9 @@
 //! * The paper adds 7.5 % to the partial rounds: `⌈1.075·52⌉ = 56`.
 //!
 //! This instance runs **57** partial rounds, one more than the bound
-//! asks for, so that a permutation is 81 S-boxes and
-//! `gadget_cost::POSEIDON_HASH2` and the constraint figures built on it
-//! stay exact.
+//! asks for, so that a permutation is 81 S-boxes and the price
+//! `gadget_cost::POSEIDON_HASH2` puts on every permutation a check runs
+//! stays exact.
 
 use crate::field::Fp;
 use crate::sha256::Prg;

@@ -52,7 +52,7 @@ use crate::backend::{
     prove, prove_layer, setup_deterministic, verify, Proof, ProveError, ProvingKey, VerifyingKey,
 };
 use crate::batch::BatchItem;
-use crate::circuit::{gadget_cost, Circuit, Unsatisfied};
+use crate::circuit::{Circuit, Unsatisfied};
 use crate::deferred::Deferred;
 use crate::inputs::PublicInputs;
 
@@ -279,10 +279,6 @@ impl Circuit for WrapCircuit {
             Unsatisfied::new("wrap/proof", "leaf proof invalid")
         })
     }
-
-    fn constraint_cost(&self, _public: &PublicInputs, _item: &BatchItem) -> u64 {
-        gadget_cost::PROOF_VERIFY
-    }
 }
 
 /// The Fold circuit: witnesses two child aggregates whose union is the
@@ -348,10 +344,6 @@ impl Circuit for FoldCircuit {
             })?;
         }
         Ok(())
-    }
-
-    fn constraint_cost(&self, _public: &PublicInputs, _w: &FoldWitness) -> u64 {
-        2 * gadget_cost::PROOF_VERIFY
     }
 }
 
@@ -723,11 +715,13 @@ mod tests {
         assert_eq!(count, 2);
     }
 
-    /// The cost lines beside what `check` runs: the model charges a Wrap
-    /// one in-circuit proof check and a Fold two, whatever the children
-    /// cover, and those are the verifications the checks perform.
+    /// The model reads Wrap's and Fold's costs off their checks: one
+    /// in-circuit proof check for a Wrap (`PROOF_VERIFY` = 40,000) and two
+    /// for a Fold (80,000), whatever the children cover, and nothing else
+    /// it prices.
     #[test]
     fn wrap_and_fold_are_charged_the_checks_they_run() {
+        use crate::circuit::constraint_cost;
         use zendoo_primitives::opcount::measure;
         let sys = system();
         let batch = items(4);
@@ -735,11 +729,11 @@ mod tests {
         let wrap_inputs = aggregate_inputs(&wraps[0].digest, 1);
         let (ok, ran) = measure(|| WrapCircuit.check(&wrap_inputs, &batch[0]));
         assert_eq!(ok, Ok(()));
-        assert_eq!(
-            WrapCircuit.constraint_cost(&wrap_inputs, &batch[0]),
-            ran.proof_checks * gadget_cost::PROOF_VERIFY
-        );
         assert_eq!((ran.proof_checks, ran.group_muls), (1, 1));
+        assert_eq!(
+            constraint_cost(&WrapCircuit, &wrap_inputs, &batch[0]),
+            Ok(40_000)
+        );
 
         let circuit = sys.fold_circuit();
         let pairs = [
@@ -754,11 +748,8 @@ mod tests {
             let witness = FoldWitness { left, right };
             let (ok, ran) = measure(|| circuit.check(&inputs, &witness));
             assert_eq!(ok, Ok(()));
-            assert_eq!(
-                circuit.constraint_cost(&inputs, &witness),
-                ran.proof_checks * gadget_cost::PROOF_VERIFY
-            );
             assert_eq!((ran.proof_checks, ran.group_muls), (2, 2));
+            assert_eq!(constraint_cost(&circuit, &inputs, &witness), Ok(80_000));
         }
     }
 

@@ -3,12 +3,15 @@
 //! The paper (Def 2.3) models a SNARK over "a set of polynomials over a
 //! finite field" in public inputs and witness variables. In this
 //! reproduction a [`Circuit`] is an executable predicate — the constraint
-//! system evaluated directly — plus a constraint-count estimate that
-//! preserves the *cost shape* of real proving (see the substitution
-//! model in [`crate::backend`]).
+//! system evaluated directly (see the substitution model in
+//! [`crate::backend`]). What proving an assignment would cost is read off
+//! that evaluation, not written beside it: [`constraint_cost`] runs the
+//! check and prices the operations it counted ([`gadget_cost::price`]),
+//! so the cost shape of real proving follows whatever the check does.
 
 use std::fmt;
 use zendoo_primitives::digest::Digest32;
+use zendoo_primitives::opcount::measure;
 
 use crate::deferred::Deferred;
 use crate::inputs::PublicInputs;
@@ -73,9 +76,9 @@ pub trait Circuit {
     ///
     /// A circuit that overrides it keeps one implementation: its
     /// `check` is this method over [`Deferred::eager`], which runs each
-    /// embedded check where it is stated. The constraint model still
-    /// prices what `check` runs (`constraint_cost` below), deferred or
-    /// not: deferral changes when the prover pays, not the statement.
+    /// embedded check where it is stated. The constraint model prices
+    /// what `check` runs ([`constraint_cost`]), so deferring changes when
+    /// the prover pays, not what the statement costs.
     ///
     /// # Errors
     ///
@@ -88,19 +91,6 @@ pub trait Circuit {
         _deferred: &mut Deferred,
     ) -> Result<(), Unsatisfied> {
         self.check(public, witness)
-    }
-
-    /// Approximate number of R1CS constraints this assignment occupies.
-    ///
-    /// A model of the prover's work in [`gadget_cost`] units, with no
-    /// effect on soundness and no caller in production code: the claim
-    /// tests (`tests/paper_claims.rs` at the root, and the cost-line
-    /// tests beside the private circuits of this crate) read it next to
-    /// the measured operation counts, so the shape it states — linear in
-    /// the statement, constant per recursion step — cannot drift from
-    /// what `check` runs. The default charges a flat cost.
-    fn constraint_cost(&self, _public: &PublicInputs, _witness: &Self::Witness) -> u64 {
-        1 << 10
     }
 }
 
@@ -124,31 +114,67 @@ impl<C: Circuit> Circuit for &C {
     ) -> Result<(), Unsatisfied> {
         (*self).check_deferred(public, witness, deferred)
     }
-
-    fn constraint_cost(&self, public: &PublicInputs, witness: &Self::Witness) -> u64 {
-        (*self).constraint_cost(public, witness)
-    }
 }
 
-/// Reference constraint-cost figures for common gadgets, mirroring the
-/// R1CS sizes of production circuits: `constraints = Σ gadget costs`, so
-/// that the *shape* of the modelled proving cost over workload size
-/// matches a real backend.
+/// Approximate number of R1CS constraints proving `(public, witness)`
+/// occupies: the operations [`Circuit::check`] runs, priced by
+/// [`gadget_cost::price`]. The check runs twice and the second run is
+/// measured, so constants built on first use are not charged.
+///
+/// A model with no effect on soundness and no caller in production code
+/// (the claim tests read it). It prices what the check computes and
+/// nothing a real circuit adds around it: range checks, selectors,
+/// padding a path to a fixed length.
+///
+/// # Errors
+///
+/// The check's [`Unsatisfied`]: only a satisfying assignment is priced.
+pub fn constraint_cost<C: Circuit>(
+    circuit: &C,
+    public: &PublicInputs,
+    witness: &C::Witness,
+) -> Result<u64, Unsatisfied> {
+    circuit.check(public, witness)?;
+    let (checked, ran) = measure(|| circuit.check(public, witness));
+    checked.map(|()| gadget_cost::price(ran))
+}
+
+/// The constraint model's price list: what one counted operation would
+/// occupy in a production R1CS circuit. These are modelled figures, not
+/// measurements; [`price`] is the only place they meet the counts.
 pub mod gadget_cost {
-    /// One Poseidon2 2-to-1 compression (t=3, 8 full + 57 partial rounds,
-    /// x^5 S-box ⇒ ~3 constraints per S-box application; the linear
-    /// layers are linear combinations, free in R1CS).
+    use zendoo_primitives::opcount::OpCount;
+
+    /// One Poseidon2 permutation (t=3, 8 full + 57 partial rounds, x^5
+    /// S-box ⇒ 3 constraints per S-box application; the linear layers are
+    /// linear combinations, free in R1CS).
     pub const POSEIDON_HASH2: u64 = 243;
-    /// One Merkle-path verification step (hash + selector).
-    pub const MERKLE_STEP: u64 = POSEIDON_HASH2 + 2;
     /// One in-circuit Schnorr verification (scalar mul dominated).
     pub const SCHNORR_VERIFY: u64 = 3_400;
     /// One in-circuit SNARK verification (recursive composition step).
     pub const PROOF_VERIFY: u64 = 40_000;
-    /// One 64-bit range check.
-    pub const RANGE64: u64 = 64;
-    /// Field addition/comparison bookkeeping.
-    pub const FIELD_OP: u64 = 1;
+
+    /// Prices the counts of an eager check, where an embedded proof check
+    /// is one `group_mul` and one `proof_check`: the group multiplications
+    /// left over are signatures. SHA-256 is not priced: part of it is the
+    /// simulated verifier hashing its own statement (a Merge runs 12
+    /// compressions for its 2 proof checks), and pricing that would
+    /// charge a Merge more for hashing than for verifying.
+    ///
+    /// # Panics
+    ///
+    /// On more proof checks than group multiplications (a deferred
+    /// check's counts).
+    pub fn price(ran: OpCount) -> u64 {
+        assert!(
+            ran.proof_checks <= ran.group_muls,
+            "not the counts of an eager check: {ran:?}"
+        );
+        let signatures = ran.group_muls - ran.proof_checks;
+        ran.proof_checks * PROOF_VERIFY
+            + signatures * SCHNORR_VERIFY
+            + ran.permutations * POSEIDON_HASH2
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +212,32 @@ mod tests {
         let err = SquareRoot.check(&public, &Fp::from_u64(8)).unwrap_err();
         assert_eq!(err.rule, "square");
         assert!(!err.to_string().is_empty());
+    }
+
+    /// The model prices a satisfying assignment by what its check ran —
+    /// a comparison of field elements runs nothing priced — and refuses
+    /// to price a false one.
+    #[test]
+    fn the_model_prices_what_the_check_ran() {
+        let mut public = PublicInputs::new();
+        public.push_fp(Fp::from_u64(49));
+        assert_eq!(
+            constraint_cost(&SquareRoot, &public, &Fp::from_u64(7)),
+            Ok(0)
+        );
+        let err = constraint_cost(&SquareRoot, &public, &Fp::from_u64(8)).unwrap_err();
+        assert_eq!(err.rule, "square");
+
+        let ran = zendoo_primitives::opcount::OpCount {
+            permutations: 2,
+            group_muls: 3,
+            sha_blocks: 99,
+            proof_checks: 1,
+        };
+        let priced = gadget_cost::PROOF_VERIFY
+            + 2 * gadget_cost::SCHNORR_VERIFY
+            + 2 * gadget_cost::POSEIDON_HASH2;
+        assert_eq!(gadget_cost::price(ran), priced, "SHA-256 is not priced");
     }
 
     #[test]

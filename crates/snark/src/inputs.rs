@@ -82,25 +82,33 @@ impl PublicInputs {
     }
 
     /// Reads back a digest pushed with [`PublicInputs::push_digest`] at
-    /// element offset `index` (consumes two elements).
+    /// element offset `index` (consumes two elements). `None` unless both
+    /// are 128-bit limbs: a limb plus 2¹²⁸ is another element, not another
+    /// spelling of the same digest.
     pub fn get_digest(&self, index: usize) -> Option<Digest32> {
-        let hi = self.0.get(index)?.to_be_bytes();
-        let lo = self.0.get(index + 1)?.to_be_bytes();
+        let hi: [u8; 16] = self.low_bytes(index)?;
+        let lo: [u8; 16] = self.low_bytes(index + 1)?;
         let mut out = [0u8; 32];
-        out[..16].copy_from_slice(&hi[16..]);
-        out[16..].copy_from_slice(&lo[16..]);
+        out[..16].copy_from_slice(&hi);
+        out[16..].copy_from_slice(&lo);
         Some(Digest32(out))
     }
 
-    /// Reads back a `u64` pushed with [`PublicInputs::push_u64`].
+    /// Reads back a `u64` pushed with [`PublicInputs::push_u64`]; `None`
+    /// for an element of 2⁶⁴ or more.
     pub fn get_u64(&self, index: usize) -> Option<u64> {
+        self.low_bytes(index).map(u64::from_be_bytes)
+    }
+
+    /// The element at `index` as its last `N` big-endian bytes, if the
+    /// bytes before them are zero.
+    fn low_bytes<const N: usize>(&self, index: usize) -> Option<[u8; N]> {
         let bytes = self.0.get(index)?.to_be_bytes();
-        if bytes[..24].iter().any(|b| *b != 0) {
+        let (high, low) = bytes.split_at(bytes.len() - N);
+        if high.iter().any(|b| *b != 0) {
             return None;
         }
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bytes[24..]);
-        Some(u64::from_be_bytes(tail))
+        low.try_into().ok()
     }
 }
 
@@ -149,6 +157,27 @@ mod tests {
         inputs.push_digest(&Digest32::hash_bytes(b"big"));
         // The high limb almost certainly exceeds u64 range.
         assert!(inputs.get_u64(0).is_none() || inputs.get_u64(1).is_none());
+    }
+
+    /// A digest has one embedding: either limb raised by 2¹²⁸ (the same
+    /// low 16 bytes) is refused, as `get_u64` refuses 2⁶⁴.
+    #[test]
+    fn get_digest_refuses_a_limb_of_2_128_or_more() {
+        let d = Digest32::hash_bytes(b"block");
+        let mut inputs = PublicInputs::new();
+        inputs.push_digest(&d);
+        let mut two_128 = [0u8; 32];
+        two_128[15] = 1;
+        let two_128 = Fp::from_be_bytes_reduced(&two_128);
+        for limb in 0..2 {
+            let mut elements = inputs.elements().to_vec();
+            elements[limb] += two_128;
+            let raised = PublicInputs::from_elements(elements);
+            assert_eq!(raised.get_digest(0), None, "limb {limb}");
+        }
+        let mut past_u64 = PublicInputs::new();
+        past_u64.push_fp(Fp::from_u64(u64::MAX) + Fp::from_u64(1));
+        assert_eq!(past_u64.get_u64(0), None);
     }
 
     #[test]

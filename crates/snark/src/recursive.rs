@@ -26,7 +26,7 @@ use crate::backend::{
     prove, prove_layer, setup, setup_deterministic, verify, Proof, ProveError, ProvingKey,
     VerifyingKey,
 };
-use crate::circuit::{gadget_cost, Circuit, Unsatisfied};
+use crate::circuit::{Circuit, Unsatisfied};
 use crate::deferred::Deferred;
 use crate::inputs::PublicInputs;
 
@@ -72,12 +72,6 @@ pub trait TransitionVerifier {
         _deferred: &mut Deferred,
     ) -> Result<(), Unsatisfied> {
         self.verify_transition(from, to, witness)
-    }
-
-    /// Constraint-cost estimate for one transition: the Base circuit's
-    /// [`Circuit::constraint_cost`], a model (see there).
-    fn transition_cost(&self, _witness: &Self::Witness) -> u64 {
-        4 * gadget_cost::MERKLE_STEP
     }
 }
 
@@ -200,10 +194,6 @@ impl<V: TransitionVerifier> Circuit for BaseCircuit<'_, V> {
         self.verifier
             .verify_transition_deferred(&from, &to, witness, deferred)
     }
-
-    fn constraint_cost(&self, _public: &PublicInputs, witness: &Self::Witness) -> u64 {
-        self.verifier.transition_cost(witness)
-    }
 }
 
 /// The Merge circuit: witnesses two adjacent child proofs.
@@ -261,10 +251,6 @@ impl Circuit for MergeCircuit {
         deferred.state_proof(&self.base_vk, &self.merge_vk, &w.right, || {
             Unsatisfied::new("merge/right-proof", "right child proof invalid")
         })
-    }
-
-    fn constraint_cost(&self, _public: &PublicInputs, _w: &MergeWitness) -> u64 {
-        2 * gadget_cost::PROOF_VERIFY
     }
 }
 
@@ -626,11 +612,13 @@ mod tests {
         assert_eq!(merged.kind(), ProofKind::Merge);
     }
 
-    /// The cost line beside what `check` runs: the model charges a Merge
-    /// two in-circuit proof checks whatever its children fold, and those
-    /// are the verifications the check performs (`proof_checks`).
+    /// The model reads a Merge's cost off its check: two in-circuit proof
+    /// checks whatever its children fold, and nothing else it prices —
+    /// 2 × `PROOF_VERIFY` = 80,000 for a merge of leaves and for a merge
+    /// of merges.
     #[test]
     fn merge_is_charged_the_two_checks_it_runs() {
+        use crate::circuit::constraint_cost;
         use zendoo_primitives::opcount::measure;
         let sys = system();
         let leaves: Vec<StateProof> = (0..4)
@@ -649,11 +637,8 @@ mod tests {
             let witness = MergeWitness { left, right };
             let (ok, ran) = measure(|| circuit.check(&inputs, &witness));
             assert_eq!(ok, Ok(()));
-            assert_eq!(
-                circuit.constraint_cost(&inputs, &witness),
-                ran.proof_checks * gadget_cost::PROOF_VERIFY
-            );
             assert_eq!((ran.proof_checks, ran.group_muls), (2, 2));
+            assert_eq!(constraint_cost(&circuit, &inputs, &witness), Ok(80_000));
             // Deferred, the same two checks are stated and none is run.
             let mut deferred = Deferred::new();
             let (ok, deferring) =
