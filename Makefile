@@ -68,11 +68,17 @@ test-field:
 # bad signature under a shared key (every schnorr:: unit test),
 # cross-chain forgery/replay
 # (the two adversarial files), the hostile-input codec corpus
-# (settlement_codec) and non-canonical public inputs — a digest limb
+# (settlement_codec), non-canonical public inputs — a digest limb
 # raised by 2¹²⁸, refused by `get_digest` and, in a real certificate
-# and BTR statement, under the rule naming the input.
+# and BTR statement, under the rule naming the input — and the oracles
+# of the one pairwise fold: the recursive proof and the block aggregate
+# each equal to the per-step prove/merge and wrap/fold calls byte for
+# byte on 1/2/4 lanes, a bad child in merge layer 0 or 1 and a bad
+# signature in transition k of an epoch refused with the eager fold's
+# error, and `prove_layer` equal to per-statement `prove` under random
+# corruption.
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does")
 
 # The composed Byzantine suites (docs/SCENARIOS.md): the long-horizon
 # fault-layered scenarios with per-tick conservation auditing

@@ -33,7 +33,6 @@ pub mod mst;
 pub mod node;
 pub mod params;
 pub mod proof;
-pub mod prover_pool;
 pub mod state;
 pub mod tx;
 pub mod wallet;
@@ -43,7 +42,6 @@ pub use mst::{Mst, MstDelta, Utxo};
 pub use node::{LatusKeys, LatusNode};
 pub use params::LatusParams;
 pub use proof::{EpochProofBuilder, LatusProofSystem, LatusTransitionVerifier};
-pub use prover_pool::{ProverPool, RewardLedger};
 pub use state::SidechainState;
 pub use tx::{PaymentTx, ScTransaction};
 pub use wallet::ScWallet;

@@ -1272,8 +1272,7 @@ mod tests {
     /// A bad transfer signature in transition `k` of a multi-block epoch
     /// — recorded as a forger that never checked it would — is refused
     /// with the error the eager fold gives, transition `k`'s own
-    /// `latus/input-auth`, by the epoch fold, by `ParallelProver` on 1, 2
-    /// and 4 lanes, and by `produce_certificate`.
+    /// `latus/input-auth`, by the epoch fold and by `produce_certificate`.
     #[test]
     fn a_bad_signature_in_transition_k_fails_as_the_eager_fold_does() {
         let mc_wallet = Wallet::from_seed(b"mc-user");
@@ -1371,16 +1370,6 @@ mod tests {
         );
 
         assert_eq!(node.epoch_builder.prove(system), Err(eager.clone()));
-        for workers in [1, 2, 4] {
-            let prover = zendoo_snark::parallel::ParallelProver::new(system, workers);
-            assert_eq!(
-                prover
-                    .prove_chain(&states, &witnesses)
-                    .map(|(proof, _)| proof),
-                Err(eager.clone()),
-                "{workers} lanes"
-            );
-        }
         match node.produce_certificate() {
             Err(NodeError::Prove(error)) => assert_eq!(error, eager),
             other => panic!("certified over a bad signature: {other:?}"),

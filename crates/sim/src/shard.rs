@@ -445,10 +445,10 @@ impl PhaseCost {
         out
     }
 
-    /// One `tick.shard.sync.<phase>` span and the
-    /// `latus.<phase>.{permutations,group_muls}` counters. The counts
-    /// are this lane's own (a shard runs on one thread), so they are the
-    /// same on every worker count.
+    /// One `tick.shard.sync.<phase>` span and the whole `OpCount` as
+    /// `latus.<phase>.{permutations,group_muls,sha_blocks,proof_checks}`
+    /// counters. The counts are this lane's own (a shard runs on one
+    /// thread), so they are the same on every worker count.
     fn record(&self, snapshot: &mut Snapshot, phase: &str) {
         if self.calls == 0 {
             return;
@@ -457,10 +457,10 @@ impl PhaseCost {
         for (name, value) in [
             ("permutations", self.ops.permutations),
             ("group_muls", self.ops.group_muls),
+            ("sha_blocks", self.ops.sha_blocks),
+            ("proof_checks", self.ops.proof_checks),
         ] {
-            if value > 0 {
-                snapshot.add_counter(&format!("latus.{phase}.{name}"), value);
-            }
+            snapshot.add_counter(&format!("latus.{phase}.{name}"), value);
         }
     }
 }

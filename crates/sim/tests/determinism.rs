@@ -355,11 +355,15 @@ fn deterministic_view(
 }
 
 /// What the shards' forging and certifying ran (`opcount`, per lane).
-const LATUS_OP_COUNTERS: [&str; 4] = [
+const LATUS_OP_COUNTERS: [&str; 8] = [
     "latus.forge.permutations",
     "latus.forge.group_muls",
+    "latus.forge.sha_blocks",
+    "latus.forge.proof_checks",
     "latus.certify.permutations",
     "latus.certify.group_muls",
+    "latus.certify.sha_blocks",
+    "latus.certify.proof_checks",
 ];
 
 /// The tentpole determinism claim under instrumentation: a recording

@@ -24,7 +24,8 @@
 //! commutative — *any* fold tree over the same leaf multiset proves the
 //! same statement: balanced, lopsided, or split across workers. That is
 //! what lets [`AggregationSystem::aggregate`] parallelize the layers
-//! freely (same strided worker lanes as [`crate::parallel`]) and what
+//! freely (the strided worker lanes of [`crate::backend::prove_layer`],
+//! folded pairwise as the recursive prover folds its merges) and what
 //! makes epoch aggregation trivial: an epoch proof is just more folding
 //! over the per-block aggregates ([`AggregationSystem::aggregate_epoch`]).
 //!
@@ -49,7 +50,8 @@ use zendoo_primitives::field::Fp;
 use zendoo_telemetry::Telemetry;
 
 use crate::backend::{
-    prove, prove_layer, setup_deterministic, verify, Proof, ProveError, ProvingKey, VerifyingKey,
+    fold_pairs, prove, prove_layer, setup_deterministic, verify, Pair, Proof, ProveError,
+    ProvingKey, TreeNode, VerifyingKey,
 };
 use crate::batch::BatchItem;
 use crate::circuit::{Circuit, Unsatisfied};
@@ -288,26 +290,21 @@ struct FoldCircuit {
     fold_vk: VerifyingKey,
 }
 
-struct FoldWitness {
-    left: AggregateProof,
-    right: AggregateProof,
-}
-
 impl Circuit for FoldCircuit {
-    type Witness = FoldWitness;
+    type Witness = Pair<AggregateProof>;
 
     fn id(&self) -> Digest32 {
         fold_circuit_id()
     }
 
-    fn check(&self, public: &PublicInputs, w: &FoldWitness) -> Result<(), Unsatisfied> {
+    fn check(&self, public: &PublicInputs, w: &Pair<AggregateProof>) -> Result<(), Unsatisfied> {
         self.check_deferred(public, w, &mut Deferred::eager())
     }
 
     fn check_deferred(
         &self,
         public: &PublicInputs,
-        w: &FoldWitness,
+        w: &Pair<AggregateProof>,
         deferred: &mut Deferred,
     ) -> Result<(), Unsatisfied> {
         let (digest, count) = expect_aggregate_statement(public)?;
@@ -344,6 +341,24 @@ impl Circuit for FoldCircuit {
             })?;
         }
         Ok(())
+    }
+}
+
+impl TreeNode for AggregateProof {
+    fn parent_inputs(pair: &Pair<Self>) -> PublicInputs {
+        // A count that overflows wraps here and is refused by the circuit
+        // (`fold/count-overflow`), as `fold` refuses it.
+        let count = pair.left.count.wrapping_add(pair.right.count);
+        aggregate_inputs(&pair.left.digest.combine(&pair.right.digest), count)
+    }
+
+    fn parent(pair: &Pair<Self>, proof: Proof) -> Self {
+        AggregateProof {
+            digest: pair.left.digest.combine(&pair.right.digest),
+            count: pair.left.count + pair.right.count,
+            kind: AggKind::Fold,
+            proof,
+        }
     }
 }
 
@@ -470,7 +485,7 @@ impl AggregationSystem {
             &self.fold_pk,
             &self.fold_circuit(),
             &aggregate_inputs(&digest, count),
-            &FoldWitness {
+            &Pair {
                 left: *left,
                 right: *right,
             },
@@ -553,56 +568,14 @@ impl AggregationSystem {
                 })
                 .collect()
         };
-        let (aggregate, depth) = self.fold_layers(layer, workers, telemetry)?;
+        let (aggregate, depth) =
+            fold_pairs(&self.fold_pk, &self.fold_circuit(), layer, workers, || {
+                telemetry.span("snark.aggregate.fold")
+            })?;
         telemetry.observe("snark.aggregate.depth", depth);
         Ok(BlockProof {
             aggregate: Some(aggregate),
         })
-    }
-
-    /// Folds a non-empty layer pairwise until one proof remains (one
-    /// `snark.aggregate.fold` span per tree level), returning it with
-    /// the tree depth.
-    fn fold_layers(
-        &self,
-        mut layer: Vec<AggregateProof>,
-        workers: usize,
-        telemetry: &Telemetry,
-    ) -> Result<(AggregateProof, u64), ProveError> {
-        let circuit = self.fold_circuit();
-        let mut depth = 0u64;
-        while layer.len() > 1 {
-            depth += 1;
-            let _span = telemetry.span("snark.aggregate.fold");
-            let statements: Vec<(PublicInputs, FoldWitness)> = layer
-                .chunks_exact(2)
-                .map(|pair| {
-                    let (left, right) = (pair[0], pair[1]);
-                    // A count that overflows wraps here and is refused
-                    // by the circuit (`fold/count-overflow`), as `fold`
-                    // refuses it.
-                    let count = left.count.wrapping_add(right.count);
-                    (
-                        aggregate_inputs(&left.digest.combine(&right.digest), count),
-                        FoldWitness { left, right },
-                    )
-                })
-                .collect();
-            let proofs = prove_layer(&self.fold_pk, &circuit, &statements, workers)?;
-            let odd = layer.chunks_exact(2).remainder().first().copied();
-            layer = statements
-                .iter()
-                .zip(proofs)
-                .map(|((_, w), proof)| AggregateProof {
-                    digest: w.left.digest.combine(&w.right.digest),
-                    count: w.left.count + w.right.count,
-                    kind: AggKind::Fold,
-                    proof,
-                })
-                .chain(odd)
-                .collect();
-        }
-        Ok((layer.remove(0), depth))
     }
 
     /// Folds a window of per-block proofs into one epoch proof — just
@@ -625,7 +598,10 @@ impl AggregationSystem {
             return Ok(BlockProof::empty());
         }
         let _build = telemetry.span("snark.aggregate.epoch");
-        let (aggregate, _depth) = self.fold_layers(layer, workers, telemetry)?;
+        let (aggregate, _depth) =
+            fold_pairs(&self.fold_pk, &self.fold_circuit(), layer, workers, || {
+                telemetry.span("snark.aggregate.fold")
+            })?;
         Ok(BlockProof {
             aggregate: Some(aggregate),
         })
@@ -745,7 +721,7 @@ mod tests {
                 &left.digest.combine(&right.digest),
                 left.count + right.count,
             );
-            let witness = FoldWitness { left, right };
+            let witness = Pair { left, right };
             let (ok, ran) = measure(|| circuit.check(&inputs, &witness));
             assert_eq!(ok, Ok(()));
             assert_eq!((ran.proof_checks, ran.group_muls), (2, 2));
@@ -860,24 +836,54 @@ mod tests {
         }
     }
 
-    /// Wrap and fold layers are proven a batch equation a lane: the
-    /// block proof is the one per-leaf `wrap` and per-pair `fold` calls
-    /// build, at one group evaluation per layer beside the attestations.
+    /// The aggregate as it is built a step at a time: one `wrap` per leaf,
+    /// one `fold` per pair, each checking its children on its own, an odd
+    /// last aggregate carried up — the reference the layered fold must
+    /// equal, as `recursive::tests::eager_chain` is for the merges.
+    fn eager_aggregate(
+        sys: &AggregationSystem,
+        items: &[BatchItem],
+    ) -> Result<AggregateProof, ProveError> {
+        let mut layer = items
+            .iter()
+            .map(|item| sys.wrap(item))
+            .collect::<Result<Vec<_>, _>>()?;
+        while layer.len() > 1 {
+            layer = layer
+                .chunks(2)
+                .map(|pair| match pair {
+                    [left, right] => sys.fold(left, right),
+                    [single] => Ok(*single),
+                    _ => unreachable!("chunks(2) yields 1..=2 items"),
+                })
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(layer.remove(0))
+    }
+
+    #[test]
+    fn aggregate_is_the_eager_fold_byte_for_byte() {
+        let sys = system();
+        for n in [1u64, 2, 3, 5, 8, 13] {
+            let batch = items(n);
+            let eager = eager_aggregate(&sys, &batch).unwrap();
+            for workers in [1, 2, 4] {
+                let block = sys.aggregate(&batch, workers).unwrap();
+                assert_eq!(block.aggregate(), Some(&eager), "n={n} workers={workers}");
+            }
+        }
+    }
+
+    /// Wrap and fold layers are proven a batch equation a lane, at one
+    /// group evaluation per layer beside the attestations.
     #[test]
     fn aggregate_checks_each_layer_as_one_equation() {
         use zendoo_primitives::opcount::measure;
         let sys = system();
         let batch = items(8);
-        let wraps: Vec<_> = batch.iter().map(|item| sys.wrap(item).unwrap()).collect();
-        let mut layer = wraps;
-        while layer.len() > 1 {
-            layer = layer
-                .chunks(2)
-                .map(|pair| sys.fold(&pair[0], &pair[1]).unwrap())
-                .collect();
-        }
+        let eager = eager_aggregate(&sys, &batch).unwrap();
         let (block, cost) = measure(|| sys.aggregate(&batch, 1).unwrap());
-        assert_eq!(block.aggregate(), Some(&layer[0]));
+        assert_eq!(block.aggregate(), Some(&eager));
         // 8 wraps and 7 folds attest; 8 + 14 proof checks ride on the
         // wrap layer's equation and the three fold layers'.
         assert_eq!((cost.group_muls, cost.proof_checks), (8 + 7 + 4, 8 + 14));

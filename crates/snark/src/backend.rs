@@ -14,7 +14,9 @@
 //!   `H(circuit_id ‖ public_inputs)`. [`prove_layer`] does the same for
 //!   a whole layer of statements, with the proofs and signatures the
 //!   circuits embed checked as one batch equation before the first
-//!   attestation (see [`crate::deferred`]).
+//!   attestation (see [`crate::deferred`]), and `fold_pairs` folds
+//!   layers pairwise into one proof — the one tree of the Merge and the
+//!   Fold circuits.
 //! * [`verify`] is a single Schnorr verification — constant time in the
 //!   circuit size, linear only in the public-input length, which is the
 //!   succinctness property the mainchain relies on (§4.1.2).
@@ -278,6 +280,73 @@ where
             .map(|(public, witness)| prove(pk, circuit, public, witness.borrow()))
             .collect(),
     }
+}
+
+/// Two adjacent child proofs: the witness of a node of a pairwise tree —
+/// a Merge of two state proofs, a Fold of two aggregates.
+pub(crate) struct Pair<P> {
+    pub(crate) left: P,
+    pub(crate) right: P,
+}
+
+/// A proof a [`Pair`] of its own kind folds into: what [`fold_pairs`]
+/// needs to state a pair and to name the parent once it is attested.
+pub(crate) trait TreeNode: Copy + Sync {
+    /// The public inputs of the parent of `pair`.
+    fn parent_inputs(pair: &Pair<Self>) -> PublicInputs;
+
+    /// The parent of `pair`, attested by `proof`.
+    fn parent(pair: &Pair<Self>, proof: Proof) -> Self;
+}
+
+/// The pairwise tree fold of Figs 10–11: proves a layer's adjacent pairs
+/// with one [`prove_layer`] on `workers` lanes, carries an odd last proof
+/// up unmerged, and repeats until one proof remains — the same tree for
+/// every `workers`. Returns that proof with the tree depth; each pair
+/// layer runs inside what `layer_span` returns.
+///
+/// # Panics
+///
+/// On an empty `layer`: a caller has at least one leaf to fold.
+///
+/// # Errors
+///
+/// [`prove_layer`]'s, for the first layer that has one.
+pub(crate) fn fold_pairs<C, P, S>(
+    pk: &ProvingKey,
+    circuit: &C,
+    mut layer: Vec<P>,
+    workers: usize,
+    layer_span: impl Fn() -> S,
+) -> Result<(P, u64), ProveError>
+where
+    C: Circuit<Witness = Pair<P>> + Sync,
+    P: TreeNode,
+{
+    let mut depth = 0;
+    while layer.len() > 1 {
+        depth += 1;
+        let _span = layer_span();
+        let pairs = layer.chunks_exact(2);
+        let odd = pairs.remainder().first().copied();
+        let statements: Vec<(PublicInputs, Pair<P>)> = pairs
+            .map(|pair| {
+                let pair = Pair {
+                    left: pair[0],
+                    right: pair[1],
+                };
+                (P::parent_inputs(&pair), pair)
+            })
+            .collect();
+        let proofs = prove_layer(pk, circuit, &statements, workers)?;
+        layer = statements
+            .iter()
+            .zip(proofs)
+            .map(|((_, pair), proof)| P::parent(pair, proof))
+            .chain(odd)
+            .collect();
+    }
+    Ok((layer.remove(0), depth))
 }
 
 fn check_key<C: Circuit>(pk: &ProvingKey, circuit: &C) -> Result<(), ProveError> {

@@ -7,8 +7,8 @@
 //! [`verify_batch`] fans a work list out over scoped worker threads and
 //! returns one verdict per item, in order. [`fan_out`] is that fan-out
 //! itself — the one strided scoped-thread map in the workspace, shared
-//! with signature batches, [`crate::parallel::ParallelProver`] and the
-//! aggregation fold.
+//! with signature batches and the lanes of
+//! [`crate::backend::prove_layer`], on which the aggregation fold runs.
 
 use crossbeam::thread;
 use zendoo_telemetry::Telemetry;

@@ -54,7 +54,6 @@ pub mod batch;
 pub mod circuit;
 pub mod deferred;
 pub mod inputs;
-pub mod parallel;
 pub mod recursive;
 
 pub use aggregate::{AggDigest, AggKind, AggregateProof, AggregationSystem, BlockProof};
@@ -65,5 +64,4 @@ pub use batch::{verify_batch, BatchItem};
 pub use circuit::{Circuit, Unsatisfied};
 pub use deferred::Deferred;
 pub use inputs::PublicInputs;
-pub use parallel::ParallelProver;
 pub use recursive::{ProofKind, RecursiveSystem, StateProof, TransitionVerifier};

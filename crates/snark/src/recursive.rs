@@ -23,8 +23,8 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
 
 use crate::backend::{
-    prove, prove_layer, setup, setup_deterministic, verify, Proof, ProveError, ProvingKey,
-    VerifyingKey,
+    fold_pairs, prove, prove_layer, setup_deterministic, verify, Pair, Proof, ProveError,
+    ProvingKey, TreeNode, VerifyingKey,
 };
 use crate::circuit::{Circuit, Unsatisfied};
 use crate::deferred::Deferred;
@@ -203,27 +203,21 @@ struct MergeCircuit {
     merge_vk: VerifyingKey,
 }
 
-/// Witness of a merge step: the midpoint digest plus both child proofs.
-struct MergeWitness {
-    left: StateProof,
-    right: StateProof,
-}
-
 impl Circuit for MergeCircuit {
-    type Witness = MergeWitness;
+    type Witness = Pair<StateProof>;
 
     fn id(&self) -> Digest32 {
         merge_circuit_id(&self.verifier_id)
     }
 
-    fn check(&self, public: &PublicInputs, w: &MergeWitness) -> Result<(), Unsatisfied> {
+    fn check(&self, public: &PublicInputs, w: &Pair<StateProof>) -> Result<(), Unsatisfied> {
         self.check_deferred(public, w, &mut Deferred::eager())
     }
 
     fn check_deferred(
         &self,
         public: &PublicInputs,
-        w: &MergeWitness,
+        w: &Pair<StateProof>,
         deferred: &mut Deferred,
     ) -> Result<(), Unsatisfied> {
         let (from, to) = expect_states(public)?;
@@ -258,6 +252,21 @@ fn merge_circuit_id(verifier_id: &Digest32) -> Digest32 {
     Digest32::hash_tagged("zendoo/merge-circuit", &[verifier_id.as_bytes()])
 }
 
+impl TreeNode for StateProof {
+    fn parent_inputs(pair: &Pair<Self>) -> PublicInputs {
+        transition_inputs(&pair.left.from, &pair.right.to)
+    }
+
+    fn parent(pair: &Pair<Self>, proof: Proof) -> Self {
+        StateProof {
+            from: pair.left.from,
+            to: pair.right.to,
+            kind: ProofKind::Merge,
+            proof,
+        }
+    }
+}
+
 fn expect_states(public: &PublicInputs) -> Result<(Fp, Fp), Unsatisfied> {
     match (public.get(0), public.get(1)) {
         (Some(from), Some(to)) if public.len() == 2 => Ok((from, to)),
@@ -275,31 +284,15 @@ pub struct RecursiveSystem<V: TransitionVerifier> {
 }
 
 impl<V: TransitionVerifier> RecursiveSystem<V> {
-    /// Bootstraps Base and Merge SNARKs for `verifier`
-    /// (paper: `Setup(1^λ)` of Def 2.5).
-    pub fn new<R: rand::Rng + ?Sized>(verifier: V, rng: &mut R) -> Self {
-        let base_circuit = BaseCircuit {
-            verifier: &verifier,
-        };
-        let (base_pk, base_vk) = setup(&base_circuit, rng);
-        // Merge keys depend only on the circuit id, so they can be minted
-        // before the circuit object (which embeds the vk) exists.
-        let (merge_pk, merge_vk) = setup(&IdOnly(merge_circuit_id(&verifier.id())), rng);
-        RecursiveSystem {
-            verifier,
-            base_pk,
-            base_vk,
-            merge_pk,
-            merge_vk,
-        }
-    }
-
-    /// Deterministic bootstrap (reproducible across processes).
+    /// Bootstraps Base and Merge SNARKs for `verifier` from a seed
+    /// (paper: `Setup(1^λ)` of Def 2.5), reproducible across processes.
     pub fn new_deterministic(verifier: V, seed: &[u8]) -> Self {
         let base_circuit = BaseCircuit {
             verifier: &verifier,
         };
         let (base_pk, base_vk) = setup_deterministic(&base_circuit, seed);
+        // Merge keys depend only on the circuit id, so they can be minted
+        // before the circuit object (which embeds the vk) exists.
         let (merge_pk, merge_vk) =
             setup_deterministic(&IdOnly(merge_circuit_id(&verifier.id())), seed);
         RecursiveSystem {
@@ -369,7 +362,7 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
             &self.merge_pk,
             &self.merge_circuit(),
             &transition_inputs(&from, &to),
-            &MergeWitness {
+            &Pair {
                 left: *left,
                 right: *right,
             },
@@ -393,10 +386,11 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
     /// (`&[W]` or `&[&W]`), so a caller holding them elsewhere need not
     /// copy them.
     ///
-    /// Each tree layer is one [`prove_layer`] on the calling thread: the
-    /// base layer's transfer signatures, then every merge layer's child
-    /// proofs, discharged as one batch equation a layer. The proof is
-    /// the one per-step [`RecursiveSystem::prove_base`] and
+    /// The base layer is one [`prove_layer`] on the calling thread, its
+    /// transfer signatures discharged as one batch equation; the merge
+    /// layers are the crate's one pairwise fold, each layer's child
+    /// proofs one equation, an odd last proof carried up unmerged. The
+    /// proof is the one per-step [`RecursiveSystem::prove_base`] and
     /// [`RecursiveSystem::merge`] calls would fold, byte for byte, and
     /// so is the error.
     ///
@@ -410,25 +404,16 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
         V::Witness: Sync,
         W: Borrow<V::Witness> + Sync,
     {
-        check_arity("chain/arity", states, witnesses.len())?;
-        self.prove_layers(states, witnesses, 1)
-    }
-
-    /// The fold itself, every layer through [`prove_layer`] on `workers`
-    /// lanes; the arity was checked by the caller. Layer `k` proves the
-    /// base transitions (`k = 0`) or merges adjacent pairs, an odd last
-    /// proof rising unmerged — the same tree for every `workers`.
-    pub(crate) fn prove_layers<W>(
-        &self,
-        states: &[Fp],
-        witnesses: &[W],
-        workers: usize,
-    ) -> Result<StateProof, ProveError>
-    where
-        V: Sync,
-        V::Witness: Sync,
-        W: Borrow<V::Witness> + Sync,
-    {
+        if witnesses.is_empty() || states.len() != witnesses.len() + 1 {
+            return Err(ProveError::Unsatisfied(Unsatisfied::new(
+                "chain/arity",
+                format!(
+                    "need n>=1 transitions and n+1 states, got {} states / {} witnesses",
+                    states.len(),
+                    witnesses.len()
+                ),
+            )));
+        }
         let base = BaseCircuit {
             verifier: &self.verifier,
         };
@@ -437,8 +422,8 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
             .enumerate()
             .map(|(i, w)| (transition_inputs(&states[i], &states[i + 1]), w.borrow()))
             .collect();
-        let proofs = prove_layer(&self.base_pk, &base, &statements, workers)?;
-        let mut layer: Vec<StateProof> = proofs
+        let proofs = prove_layer(&self.base_pk, &base, &statements, 1)?;
+        let leaves = proofs
             .into_iter()
             .enumerate()
             .map(|(i, proof)| StateProof {
@@ -448,33 +433,8 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
                 proof,
             })
             .collect();
-        let merge = self.merge_circuit();
-        while layer.len() > 1 {
-            let statements: Vec<(PublicInputs, MergeWitness)> = layer
-                .chunks_exact(2)
-                .map(|pair| {
-                    let (left, right) = (pair[0], pair[1]);
-                    (
-                        transition_inputs(&left.from, &right.to),
-                        MergeWitness { left, right },
-                    )
-                })
-                .collect();
-            let proofs = prove_layer(&self.merge_pk, &merge, &statements, workers)?;
-            let odd = layer.chunks_exact(2).remainder().first().copied();
-            layer = statements
-                .iter()
-                .zip(proofs)
-                .map(|((_, w), proof)| StateProof {
-                    from: w.left.from,
-                    to: w.right.to,
-                    kind: ProofKind::Merge,
-                    proof,
-                })
-                .chain(odd)
-                .collect();
-        }
-        Ok(layer.remove(0))
+        let (proof, _depth) = fold_pairs(&self.merge_pk, &self.merge_circuit(), leaves, 1, || ())?;
+        Ok(proof)
     }
 
     fn merge_circuit(&self) -> MergeCircuit {
@@ -484,25 +444,6 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
             merge_vk: self.merge_vk,
         }
     }
-}
-
-/// Refuses a transition sequence that is empty or whose `states` are not
-/// one more than its transitions, under `rule`.
-pub(crate) fn check_arity(
-    rule: &'static str,
-    states: &[Fp],
-    transitions: usize,
-) -> Result<(), ProveError> {
-    if transitions == 0 || states.len() != transitions + 1 {
-        return Err(ProveError::Unsatisfied(Unsatisfied::new(
-            rule,
-            format!(
-                "need n>=1 transitions and n+1 states, got {} states / {transitions} witnesses",
-                states.len()
-            ),
-        )));
-    }
-    Ok(())
 }
 
 impl<V: TransitionVerifier + std::fmt::Debug> std::fmt::Debug for RecursiveSystem<V> {
@@ -634,7 +575,7 @@ mod tests {
         let circuit = sys.merge_circuit();
         for (left, right) in [(leaves[0], leaves[1]), (halves[0], halves[1])] {
             let inputs = transition_inputs(&left.from, &right.to);
-            let witness = MergeWitness { left, right };
+            let witness = Pair { left, right };
             let (ok, ran) = measure(|| circuit.check(&inputs, &witness));
             assert_eq!(ok, Ok(()));
             assert_eq!((ran.proof_checks, ran.group_muls), (2, 2));
@@ -775,10 +716,24 @@ mod tests {
             let eager = eager_chain(&sys, &states, &witnesses).unwrap();
             assert_eq!(sys.prove_chain(&states, &witnesses).unwrap(), eager);
             for workers in [2, 4] {
-                let prover = crate::parallel::ParallelProver::new(&sys, workers);
-                assert_eq!(prover.prove_chain(&states, &witnesses).unwrap().0, eager);
+                assert_eq!(fold_on_lanes(&sys, &states, &witnesses, workers), Ok(eager));
             }
         }
+    }
+
+    /// The merge layers of `prove_chain` on `workers` lanes: the shared
+    /// fold over the per-step base proofs.
+    fn fold_on_lanes(
+        sys: &RecursiveSystem<Counter>,
+        states: &[Fp],
+        witnesses: &[Step],
+        workers: usize,
+    ) -> Result<StateProof, ProveError> {
+        let leaves = (0..witnesses.len())
+            .map(|i| sys.prove_base(states[i], states[i + 1], &witnesses[i]))
+            .collect::<Result<_, _>>()?;
+        fold_pairs(&sys.merge_pk, &sys.merge_circuit(), leaves, workers, || ())
+            .map(|(proof, _depth)| proof)
     }
 
     /// A child that does not verify in merge layer `j` — every base proof
@@ -809,11 +764,8 @@ mod tests {
             assert_eq!(unsatisfied.rule, "merge/left-proof", "layer {layer}");
             assert_eq!(sys.prove_chain(&states, &witnesses), Err(eager.clone()));
             for workers in [1, 2, 4] {
-                let prover = crate::parallel::ParallelProver::new(&sys, workers);
                 assert_eq!(
-                    prover
-                        .prove_chain(&states, &witnesses)
-                        .map(|(proof, _)| proof),
+                    fold_on_lanes(&sys, &states, &witnesses, workers),
                     Err(eager.clone()),
                     "layer {layer}, {workers} lanes"
                 );
@@ -895,11 +847,11 @@ mod tests {
             let leaves: Vec<StateProof> = (0..n)
                 .map(|i| sys.prove_base(digest_of(i), digest_of(i + 1), &signed_step(i)).unwrap())
                 .collect();
-            let mut merges: Vec<(PublicInputs, MergeWitness)> = leaves
+            let mut merges: Vec<(PublicInputs, Pair<StateProof>)> = leaves
                 .chunks_exact(2)
                 .map(|pair| {
                     let (left, right) = (pair[0], pair[1]);
-                    (transition_inputs(&left.from, &right.to), MergeWitness { left, right })
+                    (transition_inputs(&left.from, &right.to), Pair { left, right })
                 })
                 .collect();
             for (at, how) in corrupt {

@@ -24,7 +24,6 @@
 //! | E5 a block's forward transfers, one write (§5.3.2) | `e5_a_block_of_forward_transfers_is_one_tree_write`; tree level `smt::tests::a_batch_hashes_each_touched_node_once` | `bridge_rush` `epoch_block_ms` |
 //! | E7 leadership ∝ stake (§5.1) | `zendoo-latus`: `consensus::tests::leadership_frequency_tracks_stake` | — |
 //! | E7 lottery cost | `e7_the_lottery_is_one_vrf_evaluation_a_slot` | — |
-//! | §5.4.1 dispatching | `s541_lanes_share_the_base_layer_and_the_merge_tail_is_logarithmic` | `sim.parallel_efficiency` |
 //! | cross-chain routing | `routing_is_linear_in_declared_transfers_and_blind_to_chain_length` | `crosschain.observe_p50_us` |
 //!
 //! `make test-claims` runs this file and the cited unit tests.
@@ -84,7 +83,6 @@ use zendoo::snark::aggregate::BlockProof;
 use zendoo::snark::backend::{prove, setup_deterministic, verify, Proof};
 use zendoo::snark::circuit::{constraint_cost, gadget_cost, Circuit, Unsatisfied};
 use zendoo::snark::inputs::PublicInputs;
-use zendoo::snark::parallel::ParallelProver;
 use zendoo::snark::recursive::{RecursiveSystem, TransitionVerifier};
 use zendoo::telemetry::Telemetry;
 
@@ -569,40 +567,6 @@ fn e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs() {
         );
         let verifying = cost_of(|| assert!(system.verify(&folded)));
         assert_eq!(verifying, single, "{n} transitions verify like one");
-    }
-}
-
-// ------------------------------------------------------------ §5.4.1
-
-/// §5.4.1 (the dispatching the Latus incentive scheme pays for): with
-/// `w` lanes no lane proves more than ⌈n/w⌉ transitions, the merges are
-/// the same `n − 1` however they are dealt, and the longest lane — the
-/// critical path — is the base share plus one share of every merge
-/// layer: a tail of ⌈log₂ n⌉ layers that more lanes cannot shorten.
-#[test]
-fn s541_lanes_share_the_base_layer_and_the_merge_tail_is_logarithmic() {
-    const N: u64 = 64;
-    let system = RecursiveSystem::new_deterministic(Counter, b"claims");
-    let (states, witnesses) = counter_chain(N);
-    let sequential = system.prove_chain(&states, &witnesses).unwrap();
-    for (workers, critical_path) in [(1u64, 127u64), (2, 64), (4, 33), (8, 18)] {
-        let prover = ParallelProver::new(&system, workers as usize);
-        let (proof, report) = prover.prove_chain(&states, &witnesses).unwrap();
-        assert_eq!(proof, sequential, "same fold, same proof");
-        assert_eq!(report.base_proofs, vec![N / workers; workers as usize]);
-        assert_eq!(report.merge_proofs.iter().sum::<u64>(), N - 1);
-
-        let mut expected = N.div_ceil(workers);
-        let mut pairs = N / 2;
-        while pairs >= 1 {
-            expected += pairs.div_ceil(workers);
-            pairs /= 2;
-        }
-        assert_eq!(expected, critical_path);
-        let longest = (0..workers as usize)
-            .map(|lane| report.total_for(lane))
-            .max();
-        assert_eq!(longest, Some(critical_path), "{workers} lanes");
     }
 }
 
