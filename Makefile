@@ -80,17 +80,22 @@ test-field:
 test-adversarial:
 	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does")
 
-# The composed Byzantine suites (docs/SCENARIOS.md): the long-horizon
-# fault-layered scenarios with per-tick conservation auditing
-# (byzantine), random fault plans against the auditor (fault_props), and
-# the determinism matrix the fault machinery must stay inside
-# (determinism): one tick, bit-identical across workers ∈ {1, 2, 3, 4,
-# per-core}, every reference world replayed twice (tests/common/mod.rs):
-# by a cacheless follower given the blocks alone, and by one given each
-# block's recursive proof, which must verify on every block — plus the
-# span-name contract the benchmark reads.
+# The composed Byzantine suites (docs/SCENARIOS.md), and every user of
+# the one script: a world's transactions and faults are one vocabulary
+# (`Action`) in one `Schedule`, whose `run` audits conservation after
+# every tick. The long-horizon fault-layered scenarios (byzantine),
+# random fault schedules against the auditor and the sweep of every
+# single fault at every tick (fault_props), the determinism matrix the
+# fault machinery must stay inside (determinism): one tick,
+# bit-identical across workers ∈ {1, 2, 3, 4, per-core}, every
+# reference world replayed twice (tests/common/mod.rs): by a cacheless
+# follower given the blocks alone, and by one given each block's
+# recursive proof, which must verify on every block — plus the
+# span-name contract the benchmark reads. Then the other scripted runs,
+# each audited the same way: the facade's conservation suite, the
+# ceased-chain exits and the canned scenarios.
 test-byzantine:
-	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism")
+	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::")
 
 # The persistence suites: journal kill-and-recover, torn-tail and
 # rollback replay at the store level (recovery), and the world-level

@@ -14,7 +14,8 @@
 //! or through the sim `World`'s `admit_mc_batch`. Everything is a pure
 //! function of the seed: two generators with the same config, shape
 //! and settle history emit byte-identical traffic, which is what lets
-//! the sim's Serial-vs-Sharded determinism tests run under load.
+//! the sim's determinism tests compare worker counts
+//! (`SimConfig::workers`) under load.
 //!
 //! ```
 //! use zendoo_loadgen::{LoadConfig, LoadGen, Population, Shape};

@@ -13,8 +13,8 @@
 //!    metrics.
 //!
 //! Phases 3 (the submission half) and 4 overlap: the shards run on
-//! `SimConfig::workers` scoped worker lanes (the `crossbeam` scoped
-//! pattern of `zendoo_snark::batch`) while the coordinator thread
+//! `SimConfig::workers` scoped worker lanes (`std::thread::scope`, as
+//! in `zendoo_snark::batch`) while the coordinator thread
 //! submits the block and feeds the router. With one lane the same work
 //! runs as an in-thread sequential loop — the determinism reference.
 //!
@@ -27,7 +27,6 @@
 
 use std::time::Instant;
 
-use crossbeam::thread;
 use zendoo_core::crosschain::CrossChainTransfer;
 use zendoo_core::ids::SidechainId;
 use zendoo_mainchain::transaction::McTransaction;
@@ -163,18 +162,12 @@ type Lane<'a> = Vec<(usize, &'a mut SidechainShard, Vec<CrossChainTransfer>)>;
 fn run_lane(
     lane: Lane<'_>,
     feed: &[Block],
-    withhold_all: bool,
     record: bool,
     start: Instant,
 ) -> (Vec<(usize, ShardEffects)>, u64) {
     let effects = lane
         .into_iter()
-        .map(|(index, shard, inbound)| {
-            (
-                index,
-                shard.sync_and_certify(feed, withhold_all, inbound, record),
-            )
-        })
+        .map(|(index, shard, inbound)| (index, shard.sync_and_certify(feed, inbound, record)))
         .collect();
     (effects, start.elapsed().as_nanos() as u64)
 }
@@ -219,7 +212,6 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
             _ => {}
         }
     }
-    let withhold_all = world.withhold_certificates;
     let record = telemetry.is_enabled();
 
     // Split borrows: the scope below hands each worker lane disjoint
@@ -274,7 +266,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
         // One lane: submit first, then walk the shards in order on this
         // thread (identical outcomes, no spawn cost).
         let (submit, tail) = submit();
-        let (effects, lane_nanos) = run_lane(work, feed, withhold_all, record, Instant::now());
+        let (effects, lane_nanos) = run_lane(work, feed, record, Instant::now());
         (submit, effects, tail, lane_nanos)
     } else {
         // Round-robin the shards over `workers` lanes; the coordinator
@@ -284,12 +276,10 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
             lanes[slot % workers].push(item);
         }
         let spawned = Instant::now();
-        thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = lanes
                 .into_iter()
-                .map(|lane| {
-                    scope.spawn(move |_| run_lane(lane, feed, withhold_all, record, spawned))
-                })
+                .map(|lane| scope.spawn(move || run_lane(lane, feed, record, spawned)))
                 .collect();
             let (submit, tail) = submit();
             let mut effects = Vec::with_capacity(live);
@@ -301,7 +291,6 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
             }
             (submit, effects, tail, slowest)
         })
-        .expect("thread scope")
     };
     telemetry.span_nanos("tick.lanes", lanes_nanos);
     if submit_result.is_ok() {

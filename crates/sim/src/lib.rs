@@ -2,12 +2,13 @@
 //!
 //! A deterministic multi-sidechain scenario simulator for the Zendoo
 //! reproduction: a [`world::World`] wires a real mainchain to any
-//! number of real Latus nodes plus a cross-chain router,
-//! [`events::Schedule`] scripts tick-indexed actions (transfers,
-//! payments, withdrawals, cross-chain hops, faults), and [`scenarios`]
-//! provides the canned experiments used by tests and benchmarks —
-//! including the liveness fault (withheld certificates → ceasing),
-//! mainchain fork injection (§5.1's fork-resolution property) and
+//! number of real Latus nodes plus a cross-chain router.
+//! [`events::Schedule`] is the one script of a world (tick-indexed
+//! [`Action`]s, transactions and faults alike) and its
+//! [`Schedule::run`] audits every tick with a [`ConservationAuditor`].
+//! [`scenarios`] provides the canned experiments used by tests and
+//! examples, including the liveness fault (withheld certificates →
+//! ceasing), mainchain fork injection (§5.1's fork-resolution property) and
 //! sidechain→sidechain transfer lifecycles.
 //!
 //! # Sharded stepping
@@ -56,15 +57,13 @@
 pub mod audit;
 pub mod coordinator;
 pub mod events;
-pub mod faults;
 pub mod metrics;
 pub mod scenarios;
 pub mod shard;
 pub mod world;
 
 pub use audit::{AuditSnapshot, AuditViolation, ConservationAuditor};
-pub use events::{Action, Schedule};
-pub use faults::{Fault, FaultPlan, RunError};
+pub use events::{Action, RunError, Schedule};
 pub use metrics::Metrics;
 pub use shard::{ShardEffects, ShardMetrics, SidechainShard};
 pub use world::{ScInstance, SimConfig, SimError, User, World};

@@ -51,7 +51,8 @@ pub struct Metrics {
     /// per-transfer delivery path (`transfers − transactions`, summed
     /// over windows).
     pub settlement_txs_saved: u64,
-    /// Transactions rejected anywhere in the pipeline.
+    /// Transactions rejected anywhere in the pipeline, plus scripted
+    /// actions the world refused (see `Action::fire`).
     pub rejections: u64,
     /// Shard panics contained by the coordinator (each quarantines its
     /// sidechain, which then ceases like any liveness fault).

@@ -1,22 +1,23 @@
 //! Canned scenarios used by tests, examples and benchmarks.
 //!
 //! `docs/SCENARIOS.md` maps each scenario (and each `examples/*.rs`
-//! program) to the paper section it reproduces. The `*_storm`/
-//! `*_cascade`/`*_soak` family composes several Byzantine faults in
-//! one run and audits conservation every tick (see [`crate::audit`]).
+//! program) to the paper section it reproduces. Every scenario scripts
+//! its world in [`Action`]s and is audited every tick (see
+//! [`crate::audit`]); the `*_storm`/`*_cascade`/`*_soak` family
+//! composes several Byzantine faults in one run and returns the
+//! auditor with the world.
 
 use crate::audit::ConservationAuditor;
-use crate::events::{Action, Schedule};
-use crate::faults::{Fault, FaultPlan, RunError};
-use crate::world::{SimConfig, SimError, World};
+use crate::events::{Action, RunError, Schedule};
+use crate::world::{SimConfig, World};
 
 /// Happy path: forward coins, pay on the SC, withdraw back, run the
 /// requested number of certified epochs.
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`].
-pub fn happy_path(epochs: u32) -> Result<World, SimError> {
+/// [`RunError`] on step failures or any audited-invariant violation.
+pub fn happy_path(epochs: u32) -> Result<World, RunError> {
     let mut world = World::new(SimConfig::default());
     let schedule = Schedule::new()
         .at(0, Action::ForwardTransferTo(0, "alice".into(), 10_000))
@@ -34,13 +35,16 @@ pub fn happy_path(epochs: u32) -> Result<World, SimError> {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`].
-pub fn withheld_certificates() -> Result<World, SimError> {
+/// [`RunError`] on step failures or any audited-invariant violation.
+pub fn withheld_certificates() -> Result<World, RunError> {
     let mut world = World::new(SimConfig::default());
     let config = SimConfig::default();
     let schedule = Schedule::new()
         .at(0, Action::ForwardTransferTo(0, "alice".into(), 5_000))
-        .at(config.epoch_len as u64 + 2, Action::WithholdCertificates);
+        .at(
+            config.epoch_len as u64 + 2,
+            Action::WithholdCertificatesOn(0),
+        );
     let ticks = (config.epoch_len as u64 + 1) * 4;
     schedule.run(&mut world, ticks)?;
     Ok(world)
@@ -51,8 +55,8 @@ pub fn withheld_certificates() -> Result<World, SimError> {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`].
-pub fn mc_fork_mid_epoch(depth: u64) -> Result<World, SimError> {
+/// [`RunError`] on step failures or any audited-invariant violation.
+pub fn mc_fork_mid_epoch(depth: u64) -> Result<World, RunError> {
     let mut world = World::new(SimConfig::default());
     let config = SimConfig::default();
     let schedule = Schedule::new()
@@ -71,8 +75,8 @@ pub fn mc_fork_mid_epoch(depth: u64) -> Result<World, SimError> {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`].
-pub fn cross_chain_triangle() -> Result<World, SimError> {
+/// [`RunError`] on step failures or any audited-invariant violation.
+pub fn cross_chain_triangle() -> Result<World, RunError> {
     let config = SimConfig::with_sidechains(3);
     let mut world = World::new(config.clone());
     let epoch = config.epoch_len as u64; // 6: epoch 0 spans heights 2..=7
@@ -102,8 +106,8 @@ pub fn cross_chain_triangle() -> Result<World, SimError> {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`].
-pub fn cross_transfer_to_ceased() -> Result<World, SimError> {
+/// [`RunError`] on step failures or any audited-invariant violation.
+pub fn cross_transfer_to_ceased() -> Result<World, RunError> {
     let config = SimConfig::with_sidechains(2);
     let mut world = World::new(config.clone());
     let epoch = config.epoch_len as u64;
@@ -154,12 +158,12 @@ pub fn ring_schedule(chains: usize) -> Schedule {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`].
+/// [`RunError`] on step failures or any audited-invariant violation.
 pub fn cross_chain_ring(
     chains: usize,
     epochs: u32,
     workers: Option<usize>,
-) -> Result<World, SimError> {
+) -> Result<World, RunError> {
     let config = SimConfig {
         workers,
         epoch_len: ring_epoch_len(chains),
@@ -216,14 +220,13 @@ pub fn partition_reorg_storm(
     // block, which shifts later epoch boundaries one tick earlier — the
     // tick arithmetic below accounts for the two forks already injected
     // when placing the third.
-    let plan = FaultPlan::new(0)
-        .at(3, Fault::Partition(1))
-        .at(5, Fault::HealPartition(1))
-        .at(9, Fault::Reorg(2))
-        .at(10, Fault::Reorg(2))
-        .at(13, Fault::Reorg(2));
-    let mut auditor = ConservationAuditor::new();
-    plan.run(&mut world, &schedule, 21, &mut auditor)?;
+    let schedule = schedule
+        .at(3, Action::PartitionOn(1))
+        .at(5, Action::HealPartitionOn(1))
+        .at(9, Action::McFork(2))
+        .at(10, Action::McFork(2))
+        .at(13, Action::McFork(2));
+    let auditor = schedule.run(&mut world, 21)?;
     Ok((world, auditor))
 }
 
@@ -249,12 +252,10 @@ pub fn certifier_quality_wars(
     let mut world = World::new(config);
     let schedule = Schedule::new()
         .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
-        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000));
-    let plan = FaultPlan::new(0)
-        .at(0, Fault::QualityWar(0))
-        .at(0, Fault::QualityWar(1));
-    let mut auditor = ConservationAuditor::new();
-    plan.run(&mut world, &schedule, 28, &mut auditor)?;
+        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000))
+        .at(0, Action::QualityWarOn(0))
+        .at(0, Action::QualityWarOn(1));
+    let auditor = schedule.run(&mut world, 28)?;
     Ok((world, auditor))
 }
 
@@ -302,7 +303,6 @@ pub fn withholding_cascade(
     let mut gen = LoadGen::new(population, Shape::Zipf { exponent: 1.0 }, &load);
 
     let mut schedule = Schedule::new();
-    let mut plan = FaultPlan::new(0);
     for i in 0..CASCADE_SENDERS {
         let name = format!("sender-{i}");
         let doomed = 2 + i;
@@ -311,17 +311,18 @@ pub fn withholding_cascade(
         // sc-0's epoch-0 certificate.
         schedule = schedule
             .at(0, Action::ForwardTransferTo(0, name.clone(), 10_000))
+            .at(0, Action::WithholdCertificatesOn(doomed))
             .at(2, Action::CrossTransfer(0, doomed, name, 4_000));
-        plan = plan.at(0, Fault::Withhold(doomed));
     }
 
+    // A hand-rolled loop around the one dispatch: the generated load is
+    // admitted between the scripted actions and the block.
     let mut auditor = ConservationAuditor::new();
     for tick in 0..16u64 {
         schedule.fire(&mut world, tick);
-        plan.inject(&mut world, tick);
         let batch = gen.next_batch(200);
         world.admit_mc_batch(batch, 2);
-        world.step().map_err(RunError::Sim)?;
+        world.step()?;
         auditor.observe(&world)?;
         let tip = world.chain.tip_hash();
         gen.population_mut()
@@ -350,12 +351,10 @@ pub fn relay_equivocation(
     let mut world = World::new(config);
     let schedule = Schedule::new()
         .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
-        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000));
-    let plan = FaultPlan::new(0)
-        .at(4, Fault::RelayEquivocate(1))
-        .at(5, Fault::HealRelay(1));
-    let mut auditor = ConservationAuditor::new();
-    plan.run(&mut world, &schedule, 14, &mut auditor)?;
+        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000))
+        .at(4, Action::RelayEquivocateOn(1))
+        .at(5, Action::HealRelayOn(1));
+    let auditor = schedule.run(&mut world, 14)?;
     Ok((world, auditor))
 }
 
@@ -371,7 +370,7 @@ pub fn relay_equivocation(
 ///
 /// Every mainchain fork lengthens the chain by one block, so epoch
 /// boundaries drift one tick *earlier* per prior fork. A tick-indexed
-/// [`FaultPlan`] would slowly slide its forks into the submission
+/// [`Schedule`] would slowly slide its forks into the submission
 /// windows, where one that disconnects the certificate-carrying block
 /// covers the whole window with empty blocks and ceases every chain
 /// (Def 4.2 censorship; a fork replacing an epoch's *last* block does
@@ -396,16 +395,11 @@ pub fn long_horizon_soak(
     let schedule = Schedule::new()
         .at(0, Action::ForwardTransferTo(0, "alice".into(), 200_000))
         // Early cross traffic, delivered under the standing quality war.
-        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000));
-    let plan = FaultPlan::new(0).at(0, Fault::QualityWar(1));
-    // Fires one fault through the tolerant fault-plan dispatch path.
-    fn fault(world: &mut World, f: Fault) {
-        FaultPlan::new(0).at(0, f).inject(world, 0);
-    }
+        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000))
+        .at(0, Action::QualityWarOn(1));
     let mut auditor = ConservationAuditor::new();
     for tick in 0..epochs * epoch + 2 {
         schedule.fire(&mut world, tick);
-        plan.inject(&mut world, tick);
         // Drift-immune cadence: `next` is the height this tick mines;
         // `(e, p)` its epoch and in-epoch position. Positions 0..=1 are
         // the previous epoch's submission window (certificates land at
@@ -415,35 +409,27 @@ pub fn long_horizon_soak(
             let (e, p) = ((next - 2) / epoch, (next - 2) % epoch);
             // A quiet epoch every fourth (e % 4 == 0) keeps a
             // fault-free baseline in the soak.
-            match (e % 4, p) {
-                (1, 2) => fault(&mut world, Fault::Partition(0)),
-                (1, 4) => fault(&mut world, Fault::HealPartition(0)),
-                (2, 2) if e < cease_epoch => fault(&mut world, Fault::RelayEquivocate(2)),
-                (2, 3) if e < cease_epoch => fault(&mut world, Fault::HealRelay(2)),
-                (3, 4) => fault(&mut world, Fault::Reorg(1)),
-                _ => {}
-            }
-            if e == cease_epoch {
-                if p == 1 {
-                    // Queued just before sc-2 stops certifying: its
-                    // escrow matures against a ceased destination and
-                    // must refund exactly once.
-                    let from = world.sidechain_id_at(0);
-                    let to = world.sidechain_id_at(2);
-                    if let (Ok(from), Ok(to)) = (from, to) {
-                        if world
-                            .queue_cross_transfer(&from, &to, "alice", 5_000)
-                            .is_err()
-                        {
-                            world.metrics.rejections += 1;
-                        }
-                    }
-                } else if p == 2 {
-                    fault(&mut world, Fault::Withhold(2));
-                }
+            let cadence = match (e % 4, p) {
+                (1, 2) => Some(Action::PartitionOn(0)),
+                (1, 4) => Some(Action::HealPartitionOn(0)),
+                (2, 2) if e < cease_epoch => Some(Action::RelayEquivocateOn(2)),
+                (2, 3) if e < cease_epoch => Some(Action::HealRelayOn(2)),
+                (3, 4) => Some(Action::McFork(1)),
+                _ => None,
+            };
+            let cease = match (e == cease_epoch, p) {
+                // Queued just before sc-2 stops certifying: its escrow
+                // matures against a ceased destination and must refund
+                // exactly once.
+                (true, 1) => Some(Action::CrossTransfer(0, 2, "alice".into(), 5_000)),
+                (true, 2) => Some(Action::WithholdCertificatesOn(2)),
+                _ => None,
+            };
+            for action in cadence.iter().chain(&cease) {
+                action.fire(&mut world);
             }
         }
-        world.step().map_err(RunError::Sim)?;
+        world.step()?;
         auditor.observe(&world)?;
     }
     Ok((world, auditor))

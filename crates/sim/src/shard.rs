@@ -269,7 +269,6 @@ impl SidechainShard {
     pub(crate) fn sync_and_certify(
         &mut self,
         feed: &[Block],
-        withhold_all: bool,
         inbound: Vec<CrossChainTransfer>,
         record: bool,
     ) -> ShardEffects {
@@ -297,7 +296,7 @@ impl SidechainShard {
             let backlog = std::mem::take(&mut self.backlog);
             let replay = backlog.len() as u64;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.catch_up(&backlog, feed, withhold_all, &mut cost)
+                self.catch_up(&backlog, feed, &mut cost)
             }));
             match outcome {
                 Ok(Ok((forged, certificates, withheld))) => {
@@ -360,14 +359,13 @@ impl SidechainShard {
         &mut self,
         backlog: &[Block],
         feed: &[Block],
-        withhold_all: bool,
         cost: &mut SyncCost,
     ) -> Result<(u64, Vec<WithdrawalCertificate>, u64), NodeError> {
         let mut forged = 0;
         let mut certificates = Vec::new();
         let mut withheld = 0;
         for block in backlog.iter().chain(feed) {
-            let (certificate, w) = self.tick(block, withhold_all, cost)?;
+            let (certificate, w) = self.tick(block, cost)?;
             forged += 1;
             certificates.extend(certificate);
             if w {
@@ -384,7 +382,6 @@ impl SidechainShard {
     fn tick(
         &mut self,
         block: &Block,
-        withhold_all: bool,
         cost: &mut SyncCost,
     ) -> Result<(Option<WithdrawalCertificate>, bool), NodeError> {
         if self.panic_next_sync {
@@ -396,7 +393,7 @@ impl SidechainShard {
         if !self.instance.node.epoch_complete() {
             return Ok((None, false));
         }
-        if withhold_all || self.withheld {
+        if self.withheld {
             // The sidechain stops certifying entirely: a node that
             // never published its certificate cannot prove later
             // epochs either (the proof chain is broken) — exactly the

@@ -309,9 +309,6 @@ pub struct World {
     /// (capacity from [`SimConfig::mempool`]), the block template the
     /// tick prepares, and re-pooling after a reorg.
     pub(crate) miner: Miner,
-    /// When `true`, certificates of *all* sidechains are produced but
-    /// not submitted (the withheld-certificate fault).
-    pub withhold_certificates: bool,
     /// Router receipt-stream cursor already folded into `metrics`.
     pub(crate) receipts_cursor: u64,
     /// Router settlement windows already folded into `metrics`.
@@ -517,7 +514,6 @@ impl World {
                 router
             },
             miner,
-            withhold_certificates: false,
             receipts_cursor: 0,
             settlements_seen: 0,
             router_undo: Vec::new(),
@@ -1355,7 +1351,6 @@ impl World {
         // The shard phase of a fork (a rare path, one lane): every live
         // shard in declaration order, its effects folded like a tick's.
         let mut partition = self.router.pending_by_destination();
-        let withhold_all = self.withhold_certificates;
         let record = self.telemetry.is_enabled();
         let mut reverted = 0;
         let mut first_error = None;
@@ -1368,7 +1363,7 @@ impl World {
                 Ok(shard_reverted) => {
                     reverted += shard_reverted;
                     let inbound = partition.remove(&id).unwrap_or_default();
-                    let effects = shard.sync_and_certify(&branch, withhold_all, inbound, record);
+                    let effects = shard.sync_and_certify(&branch, inbound, record);
                     coordinator::apply_effects(self, effects)
                 }
                 Err(error) => Some(SimError::Node(error)),

@@ -26,7 +26,7 @@ fn certified_world() -> World {
 fn an_accepted_csw_is_counted_once_and_its_replay_is_a_rejection() {
     let mut world = certified_world();
     let sc = world.sidechain_ids()[0];
-    world.withhold_certificates = true;
+    world.withhold_certificates_for(&sc);
     while world.sidechain_status_of(&sc) == Some(SidechainStatus::Active) {
         world.step().unwrap();
     }

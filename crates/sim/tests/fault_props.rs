@@ -1,24 +1,34 @@
-//! Property tests for the fault-composition harness: however a random
-//! [`FaultPlan`] layers partitions, forks, withholding, quality wars
-//! and relay equivocations, every tick's conservation audit passes —
-//! and any failure is reproducible from the printed seed alone,
-//! because the plan is a pure function of it.
+//! Property tests for the fault half of the one script: however
+//! [`Schedule::with_random_faults`] layers partitions, forks,
+//! withholding, quality wars and relay equivocations, every tick's
+//! conservation audit passes — and any failure is reproducible from the
+//! printed seed alone, because the schedule is a pure function of it.
+//! A sweep fires every single fault at every tick.
 
 mod common;
 
 use common::assert_follower_replay_matches;
 use proptest::prelude::*;
-use zendoo_sim::{
-    Action, ConservationAuditor, Fault, FaultPlan, RunError, Schedule, SimConfig, World,
-};
+use zendoo_sim::{Action, ConservationAuditor, RunError, Schedule, SimConfig, World};
 
 const CHAINS: usize = 3;
 const TICKS: u64 = 26;
 
-/// Runs a fault plan over a small cross-chain workload with the auditor
-/// attached to every tick.
-fn run_plan(
-    plan: &FaultPlan,
+/// The small cross-chain workload the faults are layered on.
+fn workload() -> Schedule {
+    Schedule::new()
+        .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
+        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 10_000))
+}
+
+/// The workload under the seed's random faults.
+fn random_schedule(seed: u64) -> Schedule {
+    workload().with_random_faults(seed, CHAINS, TICKS)
+}
+
+/// Runs a schedule on a `CHAINS`-chain world, audited every tick.
+fn run(
+    schedule: &Schedule,
     workers: Option<usize>,
 ) -> Result<(World, ConservationAuditor), RunError> {
     let config = SimConfig {
@@ -26,26 +36,14 @@ fn run_plan(
         ..SimConfig::with_sidechains(CHAINS)
     };
     let mut world = World::new(config);
-    let schedule = Schedule::new()
-        .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
-        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 10_000));
-    let mut auditor = ConservationAuditor::new();
-    plan.run(&mut world, &schedule, TICKS, &mut auditor)?;
+    let auditor = schedule.run(&mut world, TICKS)?;
     Ok((world, auditor))
 }
 
-/// [`run_plan`] over the seed's random fault plan.
-fn run_random_plan(
-    seed: u64,
-    workers: Option<usize>,
-) -> Result<(World, ConservationAuditor), RunError> {
-    run_plan(&FaultPlan::random(seed, CHAINS, TICKS), workers)
-}
-
-/// Two fork placements the random plans only hit by luck, pinned: no
-/// honest chain may cease under either, on one lane and on three.
-fn assert_every_chain_survives(name: &str, plan: FaultPlan, stale_certificates: u64) {
-    let (first, first_audit) = run_plan(&plan, Some(1)).unwrap_or_else(|e| panic!("{name}: {e}"));
+/// Two fork placements the random schedules only hit by luck, pinned:
+/// no honest chain may cease under either, on one lane and on three.
+fn assert_every_chain_survives(name: &str, schedule: Schedule, stale_certificates: u64) {
+    let (first, first_audit) = run(&schedule, Some(1)).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(first_audit.snapshots().len() as u64, TICKS);
     assert_eq!(
         (
@@ -66,7 +64,7 @@ fn assert_every_chain_survives(name: &str, plan: FaultPlan, stale_certificates: 
         assert_eq!(first.shard(id).unwrap().backlog_len(), 0, "{name}");
     }
     assert_follower_replay_matches(&first);
-    let (world, audit) = run_plan(&plan, Some(3)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let (world, audit) = run(&schedule, Some(3)).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(
         observe(&first),
         observe(&world),
@@ -80,23 +78,74 @@ fn assert_every_chain_survives(name: &str, plan: FaultPlan, stale_certificates: 
 /// re-certifies on the branch, inside the still-open window.
 #[test]
 fn forks_on_epoch_boundaries_cease_no_chain() {
-    let plan = FaultPlan::new(0)
-        .at(6, Fault::Reorg(1)) // tip 7, the end of epoch 0
-        .at(11, Fault::Reorg(2)); // tip 13, the end of epoch 1
-                                  // Each fork strands the certificate every chain had just pooled.
-    assert_every_chain_survives("forks on epoch boundaries", plan, 2 * CHAINS as u64);
+    // Each fork strands the certificate every chain had just pooled.
+    let schedule = workload()
+        .at(6, Action::McFork(1)) // tip 7, the end of epoch 0
+        .at(11, Action::McFork(2)); // tip 13, the end of epoch 1
+    assert_every_chain_survives("forks on epoch boundaries", schedule, 2 * CHAINS as u64);
 }
 
 /// A fork fired in the same tick as a heal, before the backlog
 /// replayed: the healed shard is simply behind and catches up.
 #[test]
 fn fork_in_the_tick_of_a_heal_ceases_no_chain() {
-    let plan = FaultPlan::new(0)
-        .at(3, Fault::Partition(1))
-        .at(6, Fault::HealPartition(1))
-        .at(6, Fault::Reorg(1));
+    let schedule = workload()
+        .at(3, Action::PartitionOn(1))
+        .at(6, Action::HealPartitionOn(1))
+        .at(6, Action::McFork(1));
     // The partitioned chain had not certified epoch 0 yet.
-    assert_every_chain_survives("fork in the tick of a heal", plan, CHAINS as u64 - 1);
+    assert_every_chain_survives("fork in the tick of a heal", schedule, CHAINS as u64 - 1);
+}
+
+/// Every single fault at every tick, each in its own audited run: a
+/// two-chain world funds sc-0 at tick 0 and sends sc-0 → sc-1 at tick 2,
+/// and one fault — on either chain, healed two ticks later where it
+/// has a heal — lands at each of the 20 ticks. Chains may cease (Def
+/// 4.2); no run may break an audited invariant.
+#[test]
+fn every_single_fault_at_every_tick_keeps_the_audit() {
+    const SWEEP_CHAINS: usize = 2;
+    const SWEEP_TICKS: u64 = 20;
+    const HEAL_AFTER: u64 = 2;
+    // Each fault family: the injection and, where it has one, its heal.
+    let mut faults: Vec<(Action, Option<Action>)> =
+        (1..=3).map(|depth| (Action::McFork(depth), None)).collect();
+    for sc in 0..SWEEP_CHAINS {
+        faults.extend([
+            (Action::PartitionOn(sc), Some(Action::HealPartitionOn(sc))),
+            (
+                Action::WithholdCertificatesOn(sc),
+                Some(Action::ResumeCertificatesOn(sc)),
+            ),
+            (Action::RelayEquivocateOn(sc), Some(Action::HealRelayOn(sc))),
+            (Action::InjectShardPanic(sc), None),
+            (Action::QualityWarOn(sc), Some(Action::EndQualityWarOn(sc))),
+            (
+                Action::MalformedForwardTransferTo(sc, "alice".into(), 1_000),
+                None,
+            ),
+        ]);
+    }
+    let mut runs = 0;
+    for (inject, heal) in &faults {
+        for tick in 0..SWEEP_TICKS {
+            let mut schedule = workload().at(tick, inject.clone());
+            if let Some(heal) = heal {
+                schedule = schedule.at(tick + HEAL_AFTER, heal.clone());
+            }
+            let mut world = World::new(SimConfig {
+                workers: Some(1),
+                ..SimConfig::with_sidechains(SWEEP_CHAINS)
+            });
+            let auditor = schedule
+                .run(&mut world, SWEEP_TICKS)
+                .unwrap_or_else(|e| panic!("{inject:?} at tick {tick}: {e}"));
+            assert_eq!(auditor.snapshots().len() as u64, SWEEP_TICKS);
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, faults.len() as u64 * SWEEP_TICKS);
+    println!("{runs} single-fault runs, every tick audited");
 }
 
 /// Everything externally observable, for reproducibility comparison.
@@ -113,14 +162,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Whatever faults the seed composes, the run never trips the
-    /// auditor (a violation is an `Err` out of `FaultPlan::run`) and
+    /// auditor (a violation is an `Err` out of `Schedule::run`) and
     /// the final world conserves value. Chains are allowed to *cease*
     /// under random faults — that is Def 4.2 working — but value must
     /// never appear, vanish, or settle twice.
     #[test]
     fn prop_random_fault_plans_conserve_value(seed in any::<u64>()) {
-        let (world, auditor) = run_random_plan(seed, Some(1))
-            .unwrap_or_else(|e| panic!("replay with FaultPlan::random({seed}, {CHAINS}, {TICKS}): {e}"));
+        let (world, auditor) = run(&random_schedule(seed), Some(1))
+            .unwrap_or_else(|e| panic!("replay with with_random_faults({seed}, {CHAINS}, {TICKS}): {e}"));
         prop_assert!(world.conservation_holds(), "seed {} broke conservation", seed);
         prop_assert!(world.safeguards_hold(), "seed {} broke the safeguard", seed);
         prop_assert_eq!(
@@ -132,8 +181,8 @@ proptest! {
     }
 
     /// Malformed-metadata deposits are refunded, never stranded. On top
-    /// of the seed's random plan (which may inject more of them), every
-    /// run deposits one forward transfer with corrupted receiver
+    /// of the seed's random faults (which may inject more of them),
+    /// every run deposits one forward transfer with corrupted receiver
     /// metadata; after the faults heal and the system drains quietly
     /// for four epochs, every still-active chain's locked registry
     /// balance must reconcile *exactly* with its sidechain ledger.
@@ -151,11 +200,10 @@ proptest! {
         let schedule = Schedule::new()
             .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
             .at(1, Action::MalformedForwardTransferTo(0, "alice".into(), 2_000))
-            .at(2, Action::CrossTransfer(0, 1, "alice".into(), 10_000));
-        let plan = FaultPlan::random(seed, CHAINS, TICKS);
-        let mut auditor = ConservationAuditor::new();
-        plan.run(&mut world, &schedule, TICKS, &mut auditor)
-            .unwrap_or_else(|e| panic!("replay with FaultPlan::random({seed}, {CHAINS}, {TICKS}): {e}"));
+            .at(2, Action::CrossTransfer(0, 1, "alice".into(), 10_000))
+            .with_random_faults(seed, CHAINS, TICKS);
+        let mut auditor = schedule.run(&mut world, TICKS)
+            .unwrap_or_else(|e| panic!("replay with with_random_faults({seed}, {CHAINS}, {TICKS}): {e}"));
         prop_assert!(world.metrics.forward_transfers_malformed >= 1, "seed {}", seed);
 
         // Drain: no new transactions or faults for four epochs, so every
@@ -170,20 +218,21 @@ proptest! {
         prop_assert!(world.conservation_holds(), "seed {} broke conservation", seed);
     }
 
-    /// A plan is a pure function of its seed: the same seed replays to
-    /// a bit-identical world and audit history, on one lane and on
-    /// three, and a cacheless follower replays the resulting chain.
+    /// A schedule is a pure function of its seed: two derivations are
+    /// equal, and the same seed replays to a bit-identical world and
+    /// audit history, on one lane and on three, and a cacheless follower
+    /// replays the resulting chain.
     #[test]
     fn prop_same_seed_reproduces_the_run(seed in any::<u64>()) {
-        let plan = FaultPlan::random(seed, CHAINS, TICKS);
-        prop_assert_eq!(plan.seed(), seed);
-        prop_assert!(!plan.is_empty(), "random plans always schedule faults");
+        let schedule = random_schedule(seed);
+        prop_assert_eq!(&schedule, &random_schedule(seed));
+        prop_assert!(schedule != workload(), "random schedules always add faults");
 
-        let (first, first_audit) = run_random_plan(seed, Some(1))
-            .unwrap_or_else(|e| panic!("replay with FaultPlan::random({seed}, {CHAINS}, {TICKS}): {e}"));
+        let (first, first_audit) = run(&schedule, Some(1))
+            .unwrap_or_else(|e| panic!("replay with with_random_faults({seed}, {CHAINS}, {TICKS}): {e}"));
         assert_follower_replay_matches(&first);
         for workers in [Some(1), Some(3)] {
-            let (world, audit) = run_random_plan(seed, workers)
+            let (world, audit) = run(&random_schedule(seed), workers)
                 .unwrap_or_else(|e| panic!("seed {seed} under workers={workers:?}: {e}"));
             prop_assert_eq!(
                 &observe(&first),

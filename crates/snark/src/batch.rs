@@ -10,7 +10,6 @@
 //! with signature batches and the lanes of
 //! [`crate::backend::prove_layer`], on which the aggregation fold runs.
 
-use crossbeam::thread;
 use zendoo_telemetry::Telemetry;
 
 use crate::backend::{verify, Proof, VerifyingKey};
@@ -92,10 +91,10 @@ where
         return items.iter().map(f).collect();
     }
     let (enter, f) = (&enter, &f);
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _guard = enter();
                     items
                         .iter()
@@ -116,7 +115,6 @@ where
             .map(|i| lanes[i % workers].next().expect("one result per item"))
             .collect()
     })
-    .expect("thread scope")
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ fn main() {
 
     // Disaster: the sidechain stops producing certificates (operators
     // vanish, or a malicious majority censors them).
-    world.withhold_certificates = true;
+    world.withhold_certificates_for(&sc);
     println!("\n-- sidechain stops certifying --");
     while world.sidechain_status_of(&sc) == Some(SidechainStatus::Active) {
         world.step().unwrap();

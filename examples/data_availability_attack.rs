@@ -46,7 +46,7 @@ fn main() {
     println!("epochs 1–2 certified by the adversary (state withheld from users)");
 
     // The sidechain then ceases (the adversary walks away).
-    world.withhold_certificates = true;
+    world.withhold_certificates_for(&sc);
     while world.sidechain_status_of(&sc) == Some(SidechainStatus::Active) {
         world.step().unwrap();
     }
