@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use zendoo_core::certificate::WithdrawalCertificate;
+use zendoo_core::commitment::{wcert_hash, ScMembershipProof};
 use zendoo_core::ids::SidechainId;
 use zendoo_mainchain::transaction::{McTransaction, Output};
 use zendoo_primitives::digest::Digest32;
@@ -36,12 +37,12 @@ pub struct McBlockReference {
     /// The synchronized backward transfer requests (`btRequests`).
     pub backward_transfer_requests: BtrTx,
     /// The withdrawal certificate for this sidechain carried by the MC
-    /// block, if any (`wcert`), with its commitment membership proof —
-    /// the inclusion evidence later certificates witness.
-    pub wcert: Option<(
-        WithdrawalCertificate,
-        zendoo_core::commitment::ScMembershipProof,
-    )>,
+    /// block, if any (`wcert`). It is not covered by the block hash:
+    /// [`apply_block`] refuses it unless it hashes to the `WCertHash`
+    /// the reference's membership evidence commits to (and requires
+    /// `None` under `NoData` evidence), so that evidence is also the
+    /// certificate's inclusion proof, which later certificates witness.
+    pub wcert: Option<WithdrawalCertificate>,
 }
 
 /// Failures when deriving a reference from a mainchain block.
@@ -109,8 +110,7 @@ impl McBlockReference {
             }
         }
 
-        let membership = commitment.membership_proof(sidechain_id);
-        let evidence = match membership.clone() {
+        let evidence = match commitment.membership_proof(sidechain_id) {
             Some(proof) => McRefEvidence::Membership(proof),
             None => McRefEvidence::NoData(
                 commitment
@@ -121,10 +121,6 @@ impl McBlockReference {
         let binding = McRefBinding {
             header: mc_block.header,
             evidence,
-        };
-        let wcert = match (wcert, membership) {
-            (Some(cert), Some(proof)) => Some((cert, proof)),
-            _ => None,
         };
         Ok(McBlockReference {
             forward_transfers: ForwardTransfersTx {
@@ -149,6 +145,15 @@ impl McBlockReference {
     /// The referenced MC block header.
     pub fn mc_header(&self) -> &zendoo_mainchain::BlockHeader {
         &self.forward_transfers.binding.header
+    }
+
+    /// The membership proof of this sidechain's data in the referenced
+    /// block, or `None` when the evidence proves the block has none.
+    pub(crate) fn membership(&self) -> Option<&ScMembershipProof> {
+        match &self.forward_transfers.binding.evidence {
+            McRefEvidence::Membership(proof) => Some(proof),
+            McRefEvidence::NoData(_) => None,
+        }
     }
 }
 
@@ -256,6 +261,9 @@ pub enum ScBlockError {
     Tx(TxError),
     /// Header `state_digest` does not match the post-application state.
     StateDigestMismatch,
+    /// A reference's `wcert` is not the certificate its evidence commits
+    /// to.
+    WcertMismatch,
 }
 
 impl std::fmt::Display for ScBlockError {
@@ -272,6 +280,7 @@ impl std::fmt::Display for ScBlockError {
             ),
             ScBlockError::Tx(e) => write!(f, "transaction failed: {e}"),
             ScBlockError::StateDigestMismatch => write!(f, "state digest mismatch"),
+            ScBlockError::WcertMismatch => write!(f, "wcert does not match its evidence"),
         }
     }
 }
@@ -313,7 +322,8 @@ pub fn apply_block(
         return Err(ScBlockError::McRefHashMismatch);
     }
     // Contiguity: each referenced MC block's parent must be the previous
-    // referenced MC block.
+    // referenced MC block. The evidence itself is checked against the
+    // header by the synchronized transactions below.
     let mut expected_parent = last_referenced_mc;
     for reference in &block.mc_references {
         let actual_parent = reference.mc_header().parent;
@@ -324,6 +334,13 @@ pub fn apply_block(
             });
         }
         expected_parent = reference.mc_block_hash();
+        let committed = match reference.membership() {
+            Some(proof) => wcert_hash(reference.wcert.as_ref()) == proof.wcert_hash,
+            None => reference.wcert.is_none(),
+        };
+        if !committed {
+            return Err(ScBlockError::WcertMismatch);
+        }
     }
 
     let mut recorded = Vec::new();

@@ -7,6 +7,15 @@
 //! epoch's transition witnesses, and at each withdrawal-epoch boundary
 //! produces a certificate whose SNARK proof attests the entire epoch
 //! (Fig 11). It also serves user-facing proof requests (BTR/CSW).
+//!
+//! A block joins the node one way. The forger
+//! ([`LatusNode::sync_mainchain_block`]) builds it into a clone of the
+//! state and the follower ([`LatusNode::receive_block`]) applies it to
+//! one; both then hand the block and the clone to one adoption step,
+//! which snapshots the old state for rollback, records the block's
+//! certificate inclusions and witnesses, and makes it the tip. A refused
+//! block or forge never reaches that step and changes nothing. The open
+//! epoch's headers are read off the chain, from `epoch_start` on.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -21,11 +30,12 @@ use zendoo_core::withdrawal::{
     btr_public_inputs, BackwardTransferRequest, BtrSysData, CeasedSidechainWithdrawal,
 };
 use zendoo_primitives::digest::Digest32;
+use zendoo_primitives::field::Fp;
 use zendoo_primitives::schnorr::{Keypair, SecretKey};
 use zendoo_snark::backend::{prove, ProveError, ProvingKey, VerifyingKey};
 use zendoo_snark::inputs::PublicInputs;
 
-use crate::block::{McBlockReference, McRefError, ScBlock, ScBlockHeader};
+use crate::block::{McBlockReference, McRefError, ScBlock, ScBlockError, ScBlockHeader};
 use crate::cert::{
     sign_withdrawal, utxo_proofdata, utxo_proofdata_schema, wcert_proofdata,
     wcert_proofdata_schema, BtrCircuit, CertInclusion, CswCircuit, CswWitness, DeltaLink,
@@ -37,7 +47,8 @@ use crate::params::LatusParams;
 use crate::proof::{proof_system, EpochProofBuilder, LatusProofSystem};
 use crate::state::SidechainState;
 use crate::tx::{
-    apply_transaction, check_transaction, BackwardTransferTx, PaymentTx, ScTransaction, TxError,
+    apply_transaction, check_transaction, BackwardTransferTx, PaymentTx, ScTransaction,
+    TransitionWitness, TxError,
 };
 
 /// All proving/verifying material of one Latus deployment.
@@ -139,6 +150,8 @@ pub enum NodeError {
     Prove(ProveError),
     /// Certificate requested before the epoch's last MC block.
     EpochNotComplete,
+    /// A received block failed stateful validation.
+    Block(ScBlockError),
     /// No data available to serve the request.
     Unavailable(&'static str),
 }
@@ -153,6 +166,7 @@ impl std::fmt::Display for NodeError {
             }
             NodeError::Prove(e) => write!(f, "proving failed: {e}"),
             NodeError::EpochNotComplete => write!(f, "withdrawal epoch not complete"),
+            NodeError::Block(e) => write!(f, "block refused: {e}"),
             NodeError::Unavailable(what) => write!(f, "unavailable: {what}"),
         }
     }
@@ -178,18 +192,19 @@ impl From<ProveError> for NodeError {
     }
 }
 
-/// Snapshot for mainchain-reorg rollback. It costs O(block), not
-/// O(state): the MST inside `state` is a root handle, `epoch_builder`
-/// shares the epoch's witnesses block by block, and the certificate
-/// inclusions are shared pointers.
+/// The node as it stood before one adopted block: exactly what
+/// [`LatusNode::rollback_to_mc`] restores and cannot read off the chain
+/// (it reads the epoch's headers and the slot to resume at there). It
+/// copies no header and no leaf: the MST inside `state` is a root
+/// handle, `epoch_builder` holds one pointer per block of the open
+/// epoch, the certificate inclusions are shared pointers, and the rest
+/// are scalars.
 struct NodeSnapshot {
     state: SidechainState,
     epoch_builder: EpochProofBuilder,
     last_mc_ref: Digest32,
-    epoch_mc_headers: Vec<zendoo_mainchain::BlockHeader>,
-    epoch_sc_headers: Vec<ScBlockHeader>,
     chain_len: usize,
-    slot: u64,
+    epoch_start: usize,
     current_epoch: EpochId,
     /// Certificate inclusions observed so far. An MC reorg can
     /// disconnect the very block that carried a certificate; a
@@ -223,8 +238,9 @@ pub struct LatusNode {
     epoch_builder: EpochProofBuilder,
     current_epoch: EpochId,
     last_mc_ref: Digest32,
-    epoch_mc_headers: Vec<zendoo_mainchain::BlockHeader>,
-    epoch_sc_headers: Vec<ScBlockHeader>,
+    /// Where the open epoch begins in `chain`: its blocks, one per
+    /// referenced MC block, are `chain[epoch_start..]`.
+    epoch_start: usize,
     /// Certificate inclusions observed in MC blocks, per epoch.
     cert_inclusions: BTreeMap<EpochId, Arc<CertInclusion>>,
     /// The MST at each epoch close, as a root handle a historical
@@ -275,8 +291,7 @@ impl LatusNode {
             epoch_builder,
             current_epoch: 0,
             last_mc_ref: mc_anchor,
-            epoch_mc_headers: Vec::new(),
-            epoch_sc_headers: Vec::new(),
+            epoch_start: 0,
             cert_inclusions: BTreeMap::new(),
             epoch_msts: BTreeMap::new(),
             epoch_deltas: BTreeMap::new(),
@@ -465,14 +480,18 @@ impl LatusNode {
     }
 
     /// Observes the next mainchain block: forges the sidechain block
-    /// referencing it (with any pending transactions), applies it, and
-    /// tracks withdrawal-epoch boundaries (Fig 6/7).
+    /// referencing it (with any pending transactions) into a clone of the
+    /// state and adopts it through the step [`LatusNode::receive_block`]
+    /// shares, which also tracks withdrawal-epoch boundaries (Fig 6/7).
     ///
     /// Returns the forged block.
     ///
     /// # Errors
     ///
-    /// [`NodeError`] on non-contiguous MC blocks or malformed data.
+    /// [`NodeError`] on non-contiguous MC blocks, malformed data or a
+    /// forger that wins no slot. A refused forge changes nothing: the
+    /// state, the chain, the slot, the pending queue, the certificate
+    /// inclusions and the rollback snapshots stay as they were.
     pub fn sync_mainchain_block(
         &mut self,
         mc_block: &zendoo_mainchain::Block,
@@ -484,76 +503,70 @@ impl LatusNode {
             });
         }
         let reference = McBlockReference::derive(mc_block, &self.params.sidechain_id)?;
+        self.refresh_stake();
+        let leadership = self.find_leading_slot()?;
 
-        // The rollback snapshot must describe the node *before* this
-        // block, including which certificate inclusions it had seen.
-        let pre_sync_inclusions = self.cert_inclusions.clone();
-
-        // Record any certificate inclusion observed on the MC.
-        if let Some((cert, proof)) = &reference.wcert {
-            self.cert_inclusions.insert(
-                cert.epoch_id,
-                Arc::new(CertInclusion {
-                    certificate: cert.clone(),
-                    mc_header: mc_block.header,
-                    inclusion: proof.clone(),
-                }),
-            );
+        // The synchronized halves are mandatory; their failure refuses
+        // the block (the MC reference itself is malformed) before the
+        // pending queue is touched.
+        let mut next = self.state.clone();
+        let mut recorded = Vec::new();
+        let sync_txs = [
+            ScTransaction::ForwardTransfers(reference.forward_transfers.clone()),
+            ScTransaction::BackwardTransferRequests(reference.backward_transfer_requests.clone()),
+        ];
+        for tx in &sync_txs {
+            let witness = apply_transaction(&self.params, &mut next, tx)?;
+            recorded.push((witness, next.digest()));
         }
 
-        // Refresh the stake snapshot at consensus-epoch boundaries.
+        // Pending user transactions: conflicts (e.g. two payments racing
+        // for one UTXO) are dropped, as a production forger would.
+        let mut included = Vec::new();
+        for tx in std::mem::take(&mut self.pending) {
+            if let Ok(witness) = apply_transaction(&self.params, &mut next, &tx) {
+                recorded.push((witness, next.digest()));
+                included.push(tx);
+            }
+        }
+
+        let mut block = ScBlock {
+            header: ScBlockHeader {
+                parent: self.chain.last().map_or(Digest32::ZERO, ScBlock::hash),
+                height: self.chain.len() as u64,
+                slot: leadership.slot,
+                forger: self.forger.public,
+                vrf_proof: leadership.proof,
+                tx_root: Digest32::ZERO,
+                mc_ref_hashes: vec![reference.mc_block_hash()],
+                state_digest: next.digest(),
+            },
+            mc_references: vec![reference],
+            transactions: included,
+        };
+        block.header.tx_root = block.compute_tx_root();
+        self.adopt(block.clone(), next, recorded);
+        Ok(block)
+    }
+
+    /// Refreshes the stake snapshot at consensus-epoch boundaries, before
+    /// a slot's leadership is claimed or checked.
+    fn refresh_stake(&mut self) {
         let slot_epoch = self.consensus.epoch_of_slot(self.next_slot);
         if slot_epoch != self.stake_epoch || (self.chain.is_empty() && self.stake.is_empty()) {
             self.stake = StakeDistribution::snapshot(&self.state);
             self.stake_epoch = slot_epoch;
         }
-
-        // Find the forging slot (slot leadership lottery, §5.1).
-        let leadership = self.find_leading_slot()?;
-
-        // Snapshot for rollback, then build the block.
-        let snapshot = NodeSnapshot {
-            state: self.state.clone(),
-            epoch_builder: self.epoch_builder.clone(),
-            last_mc_ref: self.last_mc_ref,
-            epoch_mc_headers: self.epoch_mc_headers.clone(),
-            epoch_sc_headers: self.epoch_sc_headers.clone(),
-            chain_len: self.chain.len(),
-            slot: self.next_slot,
-            current_epoch: self.current_epoch,
-            cert_inclusions: pre_sync_inclusions,
-        };
-
-        let transactions = std::mem::take(&mut self.pending);
-        self.pending_view = None;
-        let result = self.forge_and_apply(reference, mc_block, transactions, leadership);
-        match result {
-            Ok(block) => {
-                self.snapshots.push_back(snapshot);
-                self.prune_snapshots();
-                Ok(block)
-            }
-            Err(e) => {
-                // Restore exactly (application mutates state lazily).
-                self.state = snapshot.state;
-                self.epoch_builder = snapshot.epoch_builder;
-                self.last_mc_ref = snapshot.last_mc_ref;
-                self.epoch_mc_headers = snapshot.epoch_mc_headers;
-                self.epoch_sc_headers = snapshot.epoch_sc_headers;
-                self.chain.truncate(snapshot.chain_len);
-                self.next_slot = snapshot.slot;
-                Err(e)
-            }
-        }
     }
 
-    fn find_leading_slot(&mut self) -> Result<LeadershipProof, NodeError> {
+    /// The first slot from `next_slot` on that this node's forger leads
+    /// (slot leadership lottery, §5.1).
+    fn find_leading_slot(&self) -> Result<LeadershipProof, NodeError> {
         // The bootstrap authority (and anyone, while the chain is
         // entirely unstaked) forges without winning the lottery; the
         // VRF proof is still produced for auditability.
         if self.consensus.is_bootstrap_forger(&self.forger.public) || self.stake.total().is_zero() {
             let slot = self.next_slot;
-            self.next_slot += 1;
             let (output, proof) =
                 zendoo_primitives::vrf::prove(&self.forger.secret, &slot.to_be_bytes());
             return Ok(LeadershipProof {
@@ -564,93 +577,26 @@ impl LatusNode {
         }
         // Staked forgers search forward for a leading slot (expected
         // 1/φ(α) tries); a forger without stake never leads.
-        for _ in 0..100_000u32 {
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            if let Some(leadership) =
-                try_lead_slot(&self.consensus, &self.stake, &self.forger.secret, slot)
-            {
-                return Ok(leadership);
-            }
-        }
-        Err(NodeError::Unavailable(
-            "forger holds no stake and never wins a slot",
-        ))
+        (self.next_slot..self.next_slot + 100_000)
+            .find_map(|slot| try_lead_slot(&self.consensus, &self.stake, &self.forger.secret, slot))
+            .ok_or(NodeError::Unavailable(
+                "forger holds no stake and never wins a slot",
+            ))
     }
 
-    fn forge_and_apply(
-        &mut self,
-        reference: McBlockReference,
-        mc_block: &zendoo_mainchain::Block,
-        transactions: Vec<ScTransaction>,
-        leadership: LeadershipProof,
-    ) -> Result<ScBlock, NodeError> {
-        let parent = self
-            .chain
-            .last()
-            .map(|b| b.hash())
-            .unwrap_or(Digest32::ZERO);
-        let height = self.chain.len() as u64;
-
-        // The synchronized halves are mandatory; their failure aborts
-        // the block (the MC reference itself is malformed).
-        let mut recorded = Vec::new();
-        let sync_txs = [
-            ScTransaction::ForwardTransfers(reference.forward_transfers.clone()),
-            ScTransaction::BackwardTransferRequests(reference.backward_transfer_requests.clone()),
-        ];
-        for tx in &sync_txs {
-            let witness = apply_transaction(&self.params, &mut self.state, tx)?;
-            recorded.push((witness, self.state.digest()));
-        }
-
-        // Pending user transactions: conflicts (e.g. two payments racing
-        // for one UTXO) are dropped, as a production forger would.
-        let mut included = Vec::new();
-        for tx in transactions {
-            match apply_transaction(&self.params, &mut self.state, &tx) {
-                Ok(witness) => {
-                    recorded.push((witness, self.state.digest()));
-                    included.push(tx);
-                }
-                Err(_) => { /* dropped from this block */ }
-            }
-        }
-
-        let mut block = ScBlock {
-            header: ScBlockHeader {
-                parent,
-                height,
-                slot: leadership.slot,
-                forger: self.forger.public,
-                vrf_proof: leadership.proof,
-                tx_root: Digest32::ZERO,
-                mc_ref_hashes: vec![reference.mc_block_hash()],
-                state_digest: self.state.digest(),
-            },
-            mc_references: vec![reference],
-            transactions: included,
-        };
-        block.header.tx_root = block.compute_tx_root();
-
-        self.epoch_builder.record_block(recorded);
-        self.last_mc_ref = block.mc_references[0].mc_block_hash();
-        self.epoch_mc_headers.push(mc_block.header);
-        self.epoch_sc_headers.push(block.header.clone());
-        self.chain.push(block.clone());
-        Ok(block)
-    }
-
-    /// Validates and adopts a block forged by *another* node (the
-    /// validator path): checks chain linkage, the 1:1 MC reference
-    /// discipline, VRF slot leadership against the epoch's stake
-    /// snapshot, and full stateful validity — recording the transition
-    /// witnesses so this node can also serve proofs and certificates.
+    /// Validates a block forged by *another* node (the validator path):
+    /// checks chain linkage, the 1:1 MC reference discipline, VRF slot
+    /// leadership against the epoch's stake snapshot, and full stateful
+    /// validity on a clone of the state. Then adopts it through the step
+    /// [`LatusNode::sync_mainchain_block`] shares, recording the
+    /// transition witnesses so this node can also serve proofs and
+    /// certificates.
     ///
     /// # Errors
     ///
-    /// [`NodeError`] naming the violated rule; the node state is
-    /// unchanged on error.
+    /// [`NodeError`] naming the violated rule, [`NodeError::Block`] for
+    /// a block that fails stateful validation. A refused block changes
+    /// nothing, as a refused forge does.
     pub fn receive_block(
         &mut self,
         block: &ScBlock,
@@ -662,14 +608,8 @@ impl LatusNode {
                 found: mc_block.header.parent,
             });
         }
-        // Header linkage.
-        let expected_parent = self
-            .chain
-            .last()
-            .map(|b| b.hash())
-            .unwrap_or(Digest32::ZERO);
-        if block.header.parent != expected_parent || block.header.height != self.chain.len() as u64
-        {
+        let tip = self.chain.last().map_or(Digest32::ZERO, ScBlock::hash);
+        if block.header.parent != tip || block.header.height != self.chain.len() as u64 {
             return Err(NodeError::Unavailable("block does not extend our tip"));
         }
         if block.header.mc_ref_hashes != vec![mc_block.hash()] {
@@ -677,14 +617,9 @@ impl LatusNode {
                 "block must reference exactly the observed MC block",
             ));
         }
-        // Refresh the stake snapshot exactly as the forging path does,
-        // then verify the forger's slot leadership (vacuous while the
-        // chain is unstaked — the bootstrap authority window).
-        let slot_epoch = self.consensus.epoch_of_slot(self.next_slot);
-        if slot_epoch != self.stake_epoch || (self.chain.is_empty() && self.stake.is_empty()) {
-            self.stake = StakeDistribution::snapshot(&self.state);
-            self.stake_epoch = slot_epoch;
-        }
+        // Leadership is vacuous while the chain is unstaked — the
+        // bootstrap authority window.
+        self.refresh_stake();
         let leadership_ok = self.consensus.is_bootstrap_forger(&block.header.forger)
             || self.stake.total().is_zero()
             || crate::consensus::verify_block_leadership(
@@ -698,53 +633,61 @@ impl LatusNode {
             return Err(NodeError::Unavailable("invalid slot leadership"));
         }
 
-        // Execute the block once, on a clone: on error the clone is
-        // dropped and the node is untouched; on success it becomes the
-        // live state and the old state moves into the rollback snapshot.
         let mut next = self.state.clone();
         let recorded = crate::block::apply_block(&self.params, &mut next, block, self.last_mc_ref)
-            .map_err(|_| NodeError::Unavailable("block failed stateful validation"))?;
+            .map_err(NodeError::Block)?;
+        self.adopt(block.clone(), next, recorded);
+        Ok(())
+    }
 
-        self.pending_view = None;
-        let snapshot = NodeSnapshot {
-            state: std::mem::replace(&mut self.state, next),
+    /// Makes `block` the tip, with `state` the state after it and
+    /// `recorded` its transition witnesses: the one step by which a
+    /// forged or received block joins the node. The old state moves into
+    /// the rollback snapshot. Every adopted block references exactly one
+    /// MC block.
+    fn adopt(
+        &mut self,
+        block: ScBlock,
+        state: SidechainState,
+        recorded: Vec<(TransitionWitness, Fp)>,
+    ) {
+        self.snapshots.push_back(NodeSnapshot {
+            state: std::mem::replace(&mut self.state, state),
             epoch_builder: self.epoch_builder.clone(),
             last_mc_ref: self.last_mc_ref,
-            epoch_mc_headers: self.epoch_mc_headers.clone(),
-            epoch_sc_headers: self.epoch_sc_headers.clone(),
             chain_len: self.chain.len(),
-            slot: self.next_slot,
+            epoch_start: self.epoch_start,
             current_epoch: self.current_epoch,
             cert_inclusions: self.cert_inclusions.clone(),
-        };
-        self.epoch_builder.record_block(recorded);
-        // Track certificate inclusions observed in the reference.
+        });
+        // A certificate's inclusion proof is the reference's own
+        // membership evidence: `derive` takes both from one commitment,
+        // and `apply_block` holds a received `wcert` to it.
         for reference in &block.mc_references {
-            if let Some((cert, proof)) = &reference.wcert {
+            if let (Some(certificate), Some(inclusion)) = (&reference.wcert, reference.membership())
+            {
                 self.cert_inclusions.insert(
-                    cert.epoch_id,
+                    certificate.epoch_id,
                     Arc::new(CertInclusion {
-                        certificate: cert.clone(),
-                        mc_header: mc_block.header,
-                        inclusion: proof.clone(),
+                        certificate: certificate.clone(),
+                        mc_header: *reference.mc_header(),
+                        inclusion: inclusion.clone(),
                     }),
                 );
             }
         }
-        self.last_mc_ref = mc_block.hash();
-        self.epoch_mc_headers.push(mc_block.header);
-        self.epoch_sc_headers.push(block.header.clone());
-        self.chain.push(block.clone());
+        self.epoch_builder.record_block(recorded);
+        self.last_mc_ref = block.header.mc_ref_hashes[0];
         self.next_slot = block.header.slot + 1;
-        self.snapshots.push_back(snapshot);
+        self.chain.push(block);
+        self.pending_view = None;
         self.prune_snapshots();
-        Ok(())
     }
 
     /// Returns `true` if the node has referenced the last MC block of
     /// the current withdrawal epoch and can produce its certificate.
     pub fn epoch_complete(&self) -> bool {
-        self.epoch_mc_headers.len() == self.schedule.epoch_len() as usize
+        self.chain.len() - self.epoch_start == self.schedule.epoch_len() as usize
     }
 
     /// Closes the current withdrawal epoch: generates the recursive
@@ -771,11 +714,6 @@ impl LatusNode {
             return Err(NodeError::EpochNotComplete);
         }
         let epoch = self.current_epoch;
-        let last_sc = self
-            .epoch_sc_headers
-            .last()
-            .ok_or(NodeError::Unavailable("no SC blocks this epoch"))?
-            .clone();
 
         // Previous-epoch anchors.
         let (prev_mst_root, prev_sc_block) = if epoch == 0 {
@@ -855,7 +793,15 @@ impl LatusNode {
         let final_mst_root = self.state.mst().root();
         self.pending_view = None;
         let (bt_list, delta, touch_sequence) = self.state.end_epoch();
+        let blocks = &self.chain[self.epoch_start..];
+        let sc_headers: Vec<ScBlockHeader> = blocks.iter().map(|b| b.header.clone()).collect();
+        let mc_headers: Vec<zendoo_mainchain::BlockHeader> = blocks
+            .iter()
+            .map(|b| *b.mc_references[0].mc_header())
+            .collect();
+        self.epoch_start = self.chain.len();
 
+        let last_sc = sc_headers.last().expect("epoch complete");
         let proofdata = wcert_proofdata(last_sc.hash(), final_mst_root, &delta, &declared);
         let cert = WithdrawalCertificate {
             sidechain_id: self.params.sidechain_id,
@@ -867,16 +813,16 @@ impl LatusNode {
                 .expect("zero proof placeholder"),
         };
 
-        let prev_mc_end = self.epoch_mc_headers[0].parent;
-        let mc_end = self.epoch_mc_headers.last().expect("epoch complete").hash();
+        let prev_mc_end = mc_headers[0].parent;
+        let mc_end = mc_headers.last().expect("epoch complete").hash();
         let sysdata = WcertSysData::for_certificate(&cert, prev_mc_end, mc_end);
         let public = wcert_public_inputs(&sysdata, &cert.proofdata.merkle_root());
 
         let witness = WcertWitness {
             epoch_id: epoch,
-            sc_headers: std::mem::take(&mut self.epoch_sc_headers),
+            sc_headers,
             prev_sc_block,
-            mc_headers: std::mem::take(&mut self.epoch_mc_headers),
+            mc_headers,
             state_proof,
             prev_mst_root,
             final_mst_root,
@@ -1091,14 +1037,15 @@ impl LatusNode {
         self.snapshots.truncate(target + 1);
         let snapshot = self.snapshots.pop_back().expect("target is in range");
         let reverted = self.chain.len() - snapshot.chain_len;
+        // The first reverted block's slot stays spent: a second block
+        // forged in it would equivocate.
+        self.next_slot = self.chain[snapshot.chain_len].header.slot + 1;
         self.pending_view = None;
         self.state = snapshot.state;
         self.epoch_builder = snapshot.epoch_builder;
         self.last_mc_ref = snapshot.last_mc_ref;
-        self.epoch_mc_headers = snapshot.epoch_mc_headers;
-        self.epoch_sc_headers = snapshot.epoch_sc_headers;
         self.chain.truncate(snapshot.chain_len);
-        self.next_slot = snapshot.slot;
+        self.epoch_start = snapshot.epoch_start;
         // Un-observe everything the disconnected blocks taught us: a
         // certificate inclusion carried only by a reverted block must
         // not anchor a later proof, and if the rollback crosses an

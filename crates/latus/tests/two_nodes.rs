@@ -9,50 +9,75 @@ mod common;
 use common::TwoChains;
 use std::sync::Arc;
 use zendoo_core::ids::{Address, Amount};
+use zendoo_latus::block::ScBlockError;
 use zendoo_latus::consensus::ConsensusParams;
-use zendoo_latus::node::LatusNode;
+use zendoo_latus::node::{LatusNode, NodeError};
 use zendoo_latus::params::LatusParams;
-use zendoo_latus::tx::{PaymentTx, ReceiverMetadata, ScTransaction};
+use zendoo_latus::tx::{PaymentTx, ReceiverMetadata, ScTransaction, TxError};
 use zendoo_mainchain::transaction::McTransaction;
+use zendoo_mainchain::Block;
 use zendoo_primitives::schnorr::Keypair;
 
-#[test]
-fn validator_follows_forger_and_agrees() {
-    let mut h = TwoChains::new("two-nodes");
-    let params = LatusParams::new(h.sid, common::MST_DEPTH);
-    let mut validator = LatusNode::new(
-        params,
+/// A follower of `h`'s chain whose own forger key derives from `seed`.
+fn follower(h: &TwoChains, seed: &[u8]) -> LatusNode {
+    LatusNode::new(
+        LatusParams::new(h.sid, common::MST_DEPTH),
         h.schedule,
         ConsensusParams::with_bootstrap(Keypair::from_seed(b"forger").public),
         Arc::clone(&h.keys),
-        Keypair::from_seed(b"validator"),
+        Keypair::from_seed(seed),
         h.chain.tip_hash(),
-    );
+    )
+}
 
-    // Epoch 0 with an FT; the validator receives each forged block.
+/// Mines one MC block with `txs`; the forger syncs it and `follower`
+/// receives the forged block.
+fn mine_and_follow(h: &mut TwoChains, follower: &mut LatusNode, txs: Vec<McTransaction>) -> Block {
+    h.time += 1;
+    let mc_block = h
+        .chain
+        .mine_next_block(h.mc_wallet.address(), txs, h.time)
+        .unwrap();
+    let sc_block = h.node.sync_mainchain_block(&mc_block).unwrap();
+    follower.receive_block(&sc_block, &mc_block).unwrap();
+    mc_block
+}
+
+/// A forward transfer of `units` to the SC user.
+fn deposit(h: &TwoChains, units: u64) -> McTransaction {
     let meta = ReceiverMetadata {
         receiver: h.sc_address(),
         payback: h.mc_wallet.address(),
     };
-    let ft = h
-        .mc_wallet
+    h.mc_wallet
         .forward_transfer(
             &h.chain,
             h.sid,
             meta.to_bytes(),
-            Amount::from_units(2_000),
+            Amount::from_units(units),
             Amount::ZERO,
         )
-        .unwrap();
-    let mut pending = vec![ft];
+        .unwrap()
+}
+
+/// The stateful-validation error a refused block carries.
+fn refusal(outcome: Result<(), NodeError>) -> ScBlockError {
+    match outcome {
+        Err(NodeError::Block(error)) => error,
+        other => panic!("expected a block refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn validator_follows_forger_and_agrees() {
+    let mut h = TwoChains::new("two-nodes");
+    let mut validator = follower(&h, b"validator");
+
+    // Epoch 0 with an FT; the validator receives each forged block.
+    let mut pending = vec![deposit(&h, 2_000)];
     while !h.node.epoch_complete() {
-        h.time += 1;
-        let mc_block = h
-            .chain
-            .mine_next_block(h.mc_wallet.address(), std::mem::take(&mut pending), h.time)
-            .unwrap();
-        let sc_block = h.node.sync_mainchain_block(&mc_block).unwrap();
-        validator.receive_block(&sc_block, &mc_block).unwrap();
+        let txs = std::mem::take(&mut pending);
+        mine_and_follow(&mut h, &mut validator, txs);
     }
 
     // Same state, same digest.
@@ -73,15 +98,7 @@ fn validator_follows_forger_and_agrees() {
 #[test]
 fn validator_rejects_tampered_blocks() {
     let mut h = TwoChains::new("two-nodes-tamper");
-    let params = LatusParams::new(h.sid, common::MST_DEPTH);
-    let mut validator = LatusNode::new(
-        params,
-        h.schedule,
-        ConsensusParams::with_bootstrap(Keypair::from_seed(b"forger").public),
-        Arc::clone(&h.keys),
-        Keypair::from_seed(b"validator"),
-        h.chain.tip_hash(),
-    );
+    let mut validator = follower(&h, b"validator");
 
     h.time += 1;
     let mc_block = h
@@ -93,25 +110,136 @@ fn validator_rejects_tampered_blocks() {
     // Tamper the claimed post-state digest.
     let mut forged = sc_block.clone();
     forged.header.state_digest = zendoo_primitives::field::Fp::from_u64(777);
-    assert!(validator.receive_block(&forged, &mc_block).is_err());
+    assert_eq!(
+        refusal(validator.receive_block(&forged, &mc_block)),
+        ScBlockError::StateDigestMismatch
+    );
 
     // Tamper the tx root.
     let mut forged = sc_block.clone();
     forged.header.tx_root = zendoo_primitives::digest::Digest32::hash_bytes(b"lie");
-    assert!(validator.receive_block(&forged, &mc_block).is_err());
+    assert_eq!(
+        refusal(validator.receive_block(&forged, &mc_block)),
+        ScBlockError::TxRootMismatch
+    );
 
-    // Smuggle in an unsigned payment.
+    // Smuggle in an unsigned payment, under a tx root that covers it.
     let mut forged = sc_block.clone();
     forged.transactions.push(ScTransaction::Payment(PaymentTx {
         inputs: vec![],
         outputs: vec![],
     }));
-    assert!(validator.receive_block(&forged, &mc_block).is_err());
+    forged.header.tx_root = forged.compute_tx_root();
+    assert_eq!(
+        refusal(validator.receive_block(&forged, &mc_block)),
+        ScBlockError::Tx(TxError::NoInputs)
+    );
 
     // The honest block is accepted afterwards (state unchanged by the
     // failed attempts).
     validator.receive_block(&sc_block, &mc_block).unwrap();
     assert_eq!(validator.state().digest(), h.node.state().digest());
+}
+
+/// A reference's `wcert` is outside the block hash; the validator holds
+/// it to the certificate hash the reference's commitment evidence binds,
+/// so a raised quality or a dropped certificate is refused by name and
+/// only the honest inclusion is recorded.
+#[test]
+fn validator_refuses_a_forged_or_omitted_wcert() {
+    let mut h = TwoChains::new("two-nodes-wcert");
+    let mut validator = follower(&h, b"validator");
+    let mut pending = vec![deposit(&h, 2_000)];
+    while !h.node.epoch_complete() {
+        let txs = std::mem::take(&mut pending);
+        mine_and_follow(&mut h, &mut validator, txs);
+    }
+    let cert = h.node.produce_certificate().unwrap();
+    assert_eq!(validator.produce_certificate().unwrap(), cert);
+
+    h.time += 1;
+    let mc_block = h
+        .chain
+        .mine_next_block(
+            h.mc_wallet.address(),
+            vec![McTransaction::Certificate(Box::new(cert.clone()))],
+            h.time,
+        )
+        .unwrap();
+    let sc_block = h.node.sync_mainchain_block(&mc_block).unwrap();
+    assert_eq!(sc_block.mc_references[0].wcert.as_ref(), Some(&cert));
+
+    let mut forged = sc_block.clone();
+    let raised = forged.mc_references[0].wcert.as_mut().unwrap();
+    raised.quality += 99;
+    assert_eq!(
+        refusal(validator.receive_block(&forged, &mc_block)),
+        ScBlockError::WcertMismatch
+    );
+    let mut forged = sc_block.clone();
+    forged.mc_references[0].wcert = None;
+    assert_eq!(
+        refusal(validator.receive_block(&forged, &mc_block)),
+        ScBlockError::WcertMismatch
+    );
+    assert!(validator.cert_inclusion_for(0).is_none());
+
+    validator.receive_block(&sc_block, &mc_block).unwrap();
+    assert_eq!(validator.cert_inclusion_for(0).unwrap().certificate, cert);
+    assert_eq!(
+        validator.cert_inclusion_for(0),
+        h.node.cert_inclusion_for(0)
+    );
+}
+
+/// A forger and a follower that sync part of an epoch, roll back to a
+/// fork base inside it and follow the heavier branch to the boundary
+/// land on the same node: the same state and byte-identical
+/// certificates, the epoch's headers read off each one's chain. The
+/// forger does not forge in a reverted block's slot again.
+#[test]
+fn forger_and_follower_agree_across_a_fork() {
+    let mut h = TwoChains::new("two-nodes-fork");
+    let mut validator = follower(&h, b"validator");
+
+    // Branch A: an FT at the first block, the fork base at the second,
+    // then two blocks (one with another FT) the fork will disconnect.
+    let ft = deposit(&h, 1_000);
+    mine_and_follow(&mut h, &mut validator, vec![ft]);
+    let fork_base = mine_and_follow(&mut h, &mut validator, vec![]).hash();
+    let ft = deposit(&h, 300);
+    mine_and_follow(&mut h, &mut validator, vec![ft]);
+    mine_and_follow(&mut h, &mut validator, vec![]);
+
+    // Branch B: three empty blocks from the fork base.
+    let branch = h
+        .chain
+        .mine_branch(&fork_base, 3, h.mc_wallet.address(), 800)
+        .unwrap();
+    for block in &branch {
+        h.chain.submit_block(block.clone()).unwrap();
+    }
+    let spent_slot = h.node.chain()[2].header.slot;
+    assert_eq!(h.node.rollback_to_mc(&fork_base).unwrap(), 2);
+    assert_eq!(validator.rollback_to_mc(&fork_base).unwrap(), 2);
+    assert_eq!(validator.state().digest(), h.node.state().digest());
+    for mc_block in &branch {
+        let sc_block = h.node.sync_mainchain_block(mc_block).unwrap();
+        validator.receive_block(&sc_block, mc_block).unwrap();
+    }
+    assert_eq!(h.node.chain()[2].header.slot, spent_slot + 1);
+    while !h.node.epoch_complete() {
+        mine_and_follow(&mut h, &mut validator, vec![]);
+    }
+    assert!(validator.epoch_complete());
+    assert_eq!(validator.chain(), h.node.chain());
+    assert_eq!(
+        validator.balance_of(&h.sc_address()),
+        Amount::from_units(1_000)
+    );
+
+    let cert_forger = h.node.produce_certificate().unwrap();
+    assert_eq!(validator.produce_certificate().unwrap(), cert_forger);
 }
 
 #[test]
@@ -120,49 +248,23 @@ fn unstaked_non_authority_forger_cannot_extend_the_chain() {
     // neither the bootstrap authority nor a stakeholder can follow the
     // chain as a validator but cannot forge.
     let mut h = TwoChains::new("two-nodes-leadership");
-    let params = LatusParams::new(h.sid, common::MST_DEPTH);
-    let authority = Keypair::from_seed(b"forger").public;
-    let mut rogue = LatusNode::new(
-        params,
-        h.schedule,
-        ConsensusParams::with_bootstrap(authority),
-        Arc::clone(&h.keys),
-        Keypair::from_seed(b"rogue"),
-        h.chain.tip_hash(),
-    );
+    let mut rogue = follower(&h, b"rogue");
 
     // Epoch 0: fund the SC while the rogue follows as validator.
-    let meta = ReceiverMetadata {
-        receiver: h.sc_address(),
-        payback: h.mc_wallet.address(),
-    };
-    let ft = h
-        .mc_wallet
-        .forward_transfer(
-            &h.chain,
-            h.sid,
-            meta.to_bytes(),
-            Amount::from_units(5_000),
-            Amount::ZERO,
-        )
-        .unwrap();
-    let mut pending = vec![ft];
+    let mut pending = vec![deposit(&h, 5_000)];
     while !h.node.epoch_complete() {
-        h.time += 1;
-        let mc_block = h
-            .chain
-            .mine_next_block(h.mc_wallet.address(), std::mem::take(&mut pending), h.time)
-            .unwrap();
-        let sc_block = h.node.sync_mainchain_block(&mc_block).unwrap();
-        rogue.receive_block(&sc_block, &mc_block).unwrap();
+        let txs = std::mem::take(&mut pending);
+        mine_and_follow(&mut h, &mut rogue, txs);
     }
     // Both close the epoch; the rogue's stake snapshot refreshes and is
     // non-empty (the SC user holds all the stake).
     let cert = h.node.produce_certificate().unwrap();
     let _ = rogue.produce_certificate().unwrap();
 
-    // The rogue now tries to forge the next block itself: the lottery
-    // never selects an unstaked forger.
+    // The rogue now tries to forge the next block, which carries the
+    // epoch-0 certificate, itself: the lottery never selects an unstaked
+    // forger, and the refused forge leaves no trace — not even the
+    // certificate inclusion it observed.
     h.time += 1;
     let mc_block = h
         .chain
@@ -172,13 +274,31 @@ fn unstaked_non_authority_forger_cannot_extend_the_chain() {
             h.time,
         )
         .unwrap();
+    let before = (
+        rogue.chain().len(),
+        rogue.state().digest(),
+        rogue.snapshot_count(),
+    );
     let err = rogue.sync_mainchain_block(&mc_block);
     assert!(err.is_err(), "unstaked non-authority forger must not forge");
+    assert!(rogue.cert_inclusion_for(0).is_none());
+    assert_eq!(
+        (
+            rogue.chain().len(),
+            rogue.state().digest(),
+            rogue.snapshot_count()
+        ),
+        before
+    );
 
     // And tampering a valid block's forger identity fails validation:
     let honest_block = h.node.sync_mainchain_block(&mc_block).unwrap();
     let mut forged = honest_block.clone();
     forged.header.forger = Keypair::from_seed(b"rogue").public;
     assert!(rogue.receive_block(&forged, &mc_block).is_err());
+
+    // The honest block is accepted, and with it the inclusion.
+    rogue.receive_block(&honest_block, &mc_block).unwrap();
+    assert!(rogue.cert_inclusion_for(0).is_some());
     let _ = Address::from_label("unused");
 }
