@@ -24,11 +24,11 @@
 //!   verifier hook used by both the mainchain registry and the Latus
 //!   certificate circuit;
 //! * [`CrossChainReceipt`] / [`DeliveryStatus`] — the per-transfer
-//!   outcome record produced by the router in `zendoo-crosschain`.
+//!   outcome, read off the block that spent the transfer's escrow.
 //!
-//! The delivery half (maturity tracking, nullifier bookkeeping across
-//! epochs, forward-transfer injection and refunds) lives in the
-//! `zendoo-crosschain` crate's `CrossChainRouter`.
+//! The delivery half lives in the `zendoo-crosschain` crate: one
+//! stateless function assembles the settlement and refund transactions
+//! that every live escrow output of the chain state calls for.
 
 use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
@@ -36,6 +36,7 @@ use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::schnorr::Keypair;
 
 use crate::certificate::WithdrawalCertificate;
+use crate::escrow::EscrowTag;
 use crate::ids::{Address, Amount, Nullifier, SidechainId};
 use crate::transfer::BackwardTransfer;
 
@@ -414,36 +415,33 @@ pub fn validate_declarations(
     Ok(declared)
 }
 
-/// The terminal outcome of one cross-chain transfer.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The terminal outcome of one cross-chain transfer: how the block at
+/// `mc_height` spent its escrow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliveryStatus {
-    /// Escrowed and waiting for source-certificate maturity.
-    Pending,
-    /// A forward transfer into the destination sidechain was issued.
+    /// A settlement batch forwarded the coins to the destination
+    /// sidechain.
     Delivered {
-        /// Mainchain height the delivery transaction targets.
+        /// Height of the block carrying the settlement.
         mc_height: u64,
     },
     /// The escrowed coins were returned to the payback address.
     Refunded {
-        /// Mainchain height the refund transaction targets.
+        /// Height of the block carrying the refund.
         mc_height: u64,
         /// Why delivery was impossible.
         reason: RefundReason,
     },
-    /// The declaration was rejected outright (nothing was escrowed for
-    /// it, or the escrow could not be claimed).
-    Rejected {
-        /// The violated rule.
-        reason: XctError,
-    },
-    /// The transfer replayed an already-consumed nullifier.
-    ReplayRejected,
-    /// The tracked certificate lost its window's quality race (or its
-    /// payout is otherwise absent), so nothing was escrowed for this
-    /// transfer; the winning certificate's own declaration supersedes
-    /// it.
-    NotEscrowed,
+}
+
+impl DeliveryStatus {
+    /// Height of the block that settled the escrow.
+    pub fn mc_height(&self) -> u64 {
+        match self {
+            DeliveryStatus::Delivered { mc_height }
+            | DeliveryStatus::Refunded { mc_height, .. } => *mc_height,
+        }
+    }
 }
 
 /// Why an escrowed transfer was refunded instead of delivered.
@@ -455,11 +453,15 @@ pub enum RefundReason {
     CeasedDestination,
 }
 
-/// A per-transfer outcome record.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A per-transfer outcome record, read off the block that spent the
+/// transfer's escrow output.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrossChainReceipt {
-    /// The transfer.
-    pub transfer: CrossChainTransfer,
+    /// The spent escrow's tag: window, destination, payback and the
+    /// transfer's nullifier.
+    pub escrow: EscrowTag,
+    /// The escrowed value.
+    pub amount: Amount,
     /// Its outcome.
     pub status: DeliveryStatus,
 }

@@ -20,53 +20,45 @@
 //!    (window, destination, payback, nullifier) and can only be spent
 //!    through the consensus settlement/refund rules — no key, trusted
 //!    or otherwise, authorizes an escrow spend.
-//! 3. **Settle** — the [`CrossChainRouter`] observes accepted
-//!    certificates, tracks quality replacement within the window,
-//!    dedupes by nullifier, and at maturity settles each window in
-//!    batches: all matured escrow UTXOs bound for one destination are
-//!    claimed by a single transaction into one aggregated
-//!    [`SettlementBatch`] forward transfer (per-receiver breakdown
-//!    committed in its metadata), while unknown/ceased destinations
-//!    share one refund transaction paying the senders' payback
-//!    addresses. The router holds no spending authority: consensus
-//!    validates every claim against the escrow tags and would equally
-//!    accept the same transactions from anyone — and reject anything
-//!    else.
+//! 3. **Settle** — what to settle is read off the chain state:
+//!    [`settlement_transactions`] groups the live escrow UTXOs by
+//!    window and claims those bound for one live destination with a
+//!    single transaction into one aggregated [`SettlementBatch`]
+//!    forward transfer (per-receiver breakdown committed in its
+//!    metadata), while unknown/ceased destinations share one refund
+//!    transaction paying the senders' payback addresses. The function
+//!    is stateless and holds no spending authority: consensus
+//!    validates every claim against the escrow tags and accepts the
+//!    same transactions from anyone — and rejects anything else.
+//!    Every live escrow is settled by the next block, so no value is
+//!    left in one.
 //!
 //! The full lifecycle, left to right:
 //!
 //! ```text
-//!  source SC                mainchain (registry + router)          dest SC
-//!  ─────────                ─────────────────────────────          ───────
+//!  source SC                mainchain (registry)                   dest SC
+//!  ─────────                ────────────────────                   ───────
 //!  submit_cross_transfer
 //!    │ spend UTXOs, queue XCT
 //!    ▼
-//!  certificate ──declare──► accept_certificate:        ┌─────────────────┐
-//!  (escrow-paired BTs)        escrow pairing ✓         │ observe_block   │
-//!                             nullifier fresh ✓   ───► │ quality replace │
-//!                                                      │ nullifier dedup │
-//!                           window closes:             └────────┬────────┘
-//!                             escrow BTs pay out                │ mature
-//!                                                      ┌────────▼────────┐
-//!                                                      │collect_deliverie│
-//!                             one settlement tx per    │ batch by dest   │
-//!                             destination (or one  ◄── │ refund ceased / │
-//!                             shared refund tx)        │ unknown dests   │
-//!                                                      └────────┬────────┘
-//!                           settlement FT in next block          │
-//!                                                                ▼
-//!                                                      sync_mainchain_block:
-//!                                                      mint one UTXO per
-//!                                                      batch entry
+//!  certificate ──declare──► accept_certificate:
+//!  (escrow-paired BTs)        escrow pairing ✓
+//!                             nullifier fresh ✓
+//!                           window closes:
+//!                             escrow-kind UTXOs  ─────► settlement_transactions
+//!                                                       (batch by destination,
+//!                             one settlement tx per ◄── refund ceased/unknown)
+//!                             destination (or one
+//!                             shared refund tx)
+//!                           settlement FT in next block ───────► sync_mainchain_block:
+//!                                                                mint one UTXO per
+//!                                                                batch entry
 //! ```
 //!
 //! The message/receipt types and verifier hooks live in
 //! [`zendoo_core::crosschain`] (both chains and the mainchain registry
-//! need them); this crate owns the mainchain-side routing state
-//! machine. For concurrent simulations, the in-flight queue can be
-//! split per destination ([`CrossChainRouter::pending_by_destination`])
-//! so each sidechain shard receives its own inbound view without
-//! contending on the router.
+//! need them). [`CrossChainRouter`] reads receipts and per-window
+//! settlement records back off connected blocks.
 //!
 //! # Examples
 //!
@@ -75,7 +67,7 @@
 //!
 //! let router = CrossChainRouter::new();
 //! assert_eq!(router.pending_count(), 0);
-//! assert_eq!(router.receipts_recorded(), 0);
+//! assert!(router.receipts().is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -83,7 +75,7 @@
 
 pub mod router;
 
-pub use router::{CrossChainRouter, RouterSnapshot, SettlementRecord};
+pub use router::{settlement_transactions, CrossChainRouter, SettlementRecord};
 pub use zendoo_core::crosschain::{
     escrow_address, CrossChainReceipt, CrossChainTransfer, DeliveryStatus, RefundReason, XctError,
 };

@@ -1,20 +1,29 @@
 //! Adversarial cross-chain transfers: replayed and forged
 //! [`CrossChainTransfer`] declarations must be rejected by the
-//! mainchain registry and the router, and a transfer whose destination
-//! ceased must refund its sender — exercised against the full
-//! simulation world (real certificates, real SNARK acceptance).
+//! mainchain registry, and a transfer whose destination ceased must
+//! refund its sender — exercised against the full simulation world
+//! (real certificates, real SNARK acceptance).
 
+use zendoo_core::certificate::{wcert_public_inputs, WcertSysData};
+use zendoo_core::config::SidechainConfigBuilder;
 use zendoo_core::crosschain::{
     encode_xct_list, escrow_address, CrossChainTransfer, DeliveryStatus,
 };
 use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
-use zendoo_core::proofdata::{ProofData, ProofDataElem};
+use zendoo_core::proofdata::{ProofData, ProofDataElem, ProofDataSchema, ProofDataType};
 use zendoo_core::transfer::BackwardTransfer;
 use zendoo_core::verifier::ProofCheck;
 use zendoo_core::WithdrawalCertificate;
+use zendoo_crosschain::{settlement_transactions, CrossChainRouter};
+use zendoo_mainchain::chain::{Blockchain, ChainParams};
 use zendoo_mainchain::registry::{RegistryError, RegistryUndo, SidechainRegistry};
+use zendoo_mainchain::transaction::McTransaction;
+use zendoo_mainchain::wallet::Wallet;
 use zendoo_primitives::digest::Digest32;
 use zendoo_sim::{Action, Schedule, SimConfig, World};
+use zendoo_snark::backend::{prove, setup_deterministic, Proof};
+use zendoo_snark::circuit::{Circuit, Unsatisfied};
+use zendoo_snark::inputs::PublicInputs;
 
 /// Offers `cert` to `registry` as a block at `height` would, with the
 /// SNARK verified inline.
@@ -56,7 +65,7 @@ fn replayed_transfer_is_rejected() {
     // Epoch 0 certifies, matures and delivers.
     world.run(12).unwrap();
     assert_eq!(world.metrics.cross_transfers_delivered, 1);
-    assert!(world.router.nullifier_consumed(&xct.nullifier));
+    assert!(world.router.receipt_for(&xct.nullifier).is_some());
 
     // Forge a replay: a fresh certificate-shaped posting declaring the
     // consumed transfer again, checked directly against the registry.
@@ -66,7 +75,7 @@ fn replayed_transfer_is_rejected() {
     // And through the normal path: submitting a second transfer with
     // identical fields derives the same nullifier only if the nonce
     // repeats; the node's nonce is monotonic, so craft the replay at
-    // the router level instead.
+    // the registry level instead.
     let mut replay_registry: SidechainRegistry = registry.clone();
     // Epoch 2's submission window opens at height 20 (epoch_len 6,
     // submit_len 2, start 2): an in-window, in-schedule replay.
@@ -134,7 +143,7 @@ fn forged_nullifier_is_rejected() {
 }
 
 /// A declaration naming an unregistered destination still escrows (the
-/// mainchain cannot know every future sidechain), but the router
+/// mainchain cannot know every future sidechain), but settlement
 /// refunds the payback address at maturity instead of delivering.
 #[test]
 fn unknown_destination_is_refunded() {
@@ -209,6 +218,138 @@ fn ceased_destination_is_refunded() {
         }
     ));
     assert!(world.conservation_holds());
+}
+
+/// A permissive circuit standing in for the source sidechain's SNARK.
+struct AcceptAll;
+
+impl Circuit for AcceptAll {
+    type Witness = ();
+
+    fn id(&self) -> Digest32 {
+        Digest32::hash_bytes(b"xct-test/accept-all")
+    }
+
+    fn check(&self, _: &PublicInputs, _: &()) -> Result<(), Unsatisfied> {
+        Ok(())
+    }
+}
+
+/// Quality replacement inside a window: only the better certificate's
+/// declaration is ever escrowed. The replaced certificate's transfer
+/// never had an escrow, so nothing of it can strand; the winner's
+/// escrow is settled by the next block, and the router reads the
+/// delivery back off it.
+#[test]
+fn a_replaced_certificate_escrows_nothing() {
+    let miner = Wallet::from_seed(b"xct-miner");
+    let (source, dest) = (
+        SidechainId::from_label("xct-source"),
+        SidechainId::from_label("xct-dest"),
+    );
+    let (pk, vk) = setup_deterministic(&AcceptAll, b"xct-source");
+    let declare = |id, vk, epoch_len| {
+        McTransaction::SidechainDeclaration(Box::new(
+            SidechainConfigBuilder::new(id, vk)
+                .start_block(2)
+                .epoch_len(epoch_len)
+                .submit_len(2)
+                .wcert_proofdata(ProofDataSchema(vec![ProofDataType::Bytes]))
+                .build()
+                .unwrap(),
+        ))
+    };
+    let mut chain = Blockchain::new(ChainParams::default());
+    // The destination's 30-block epoch keeps it active throughout.
+    let declarations = vec![
+        declare(source, vk, 6),
+        declare(dest, setup_deterministic(&AcceptAll, b"xct-dest").1, 30),
+    ];
+    chain
+        .mine_next_block(miner.address(), declarations, 1)
+        .unwrap();
+    let deposit = miner
+        .forward_transfer(
+            &chain,
+            source,
+            vec![],
+            Amount::from_units(1_000),
+            Amount::ZERO,
+        )
+        .unwrap();
+    chain
+        .mine_next_block(miner.address(), vec![deposit], 2)
+        .unwrap();
+    for time in 3..=7 {
+        chain
+            .mine_next_block(miner.address(), vec![], time)
+            .unwrap();
+    }
+    let ends = (
+        chain.hash_at_height(1).unwrap(),
+        chain.hash_at_height(7).unwrap(),
+    );
+    let declaring = |quality, nonce| {
+        let xct = CrossChainTransfer::new(
+            source,
+            dest,
+            Address::from_label("recv"),
+            Amount::from_units(100),
+            nonce,
+            Address::from_label("payback"),
+        );
+        let mut cert = WithdrawalCertificate {
+            sidechain_id: source,
+            epoch_id: 0,
+            quality,
+            bt_list: vec![BackwardTransfer {
+                receiver: escrow_address(),
+                amount: xct.amount,
+            }],
+            proofdata: ProofData(vec![ProofDataElem::Bytes(encode_xct_list(&[xct]))]),
+            proof: Proof::from_bytes(&[0; Proof::SIZE]).unwrap(),
+        };
+        let sysdata = WcertSysData::for_certificate(&cert, ends.0, ends.1);
+        let inputs = wcert_public_inputs(&sysdata, &cert.proofdata.merkle_root());
+        cert.proof = prove(&pk, &AcceptAll, &inputs, &()).unwrap();
+        (xct, McTransaction::Certificate(Box::new(cert)))
+    };
+    let (replaced, first) = declaring(1, 0);
+    let (winner, second) = declaring(2, 1);
+    chain
+        .mine_next_block(miner.address(), vec![first], 8)
+        .unwrap();
+    chain
+        .mine_next_block(miner.address(), vec![second], 9)
+        .unwrap();
+    // The window closes at height 10: the winner alone matures.
+    chain.mine_next_block(miner.address(), vec![], 10).unwrap();
+    let escrowed: Vec<Nullifier> = chain
+        .state()
+        .utxos
+        .escrows()
+        .map(|(_, out)| out.escrow_tag().unwrap().nullifier)
+        .collect();
+    assert_eq!(escrowed, vec![winner.nullifier]);
+
+    let settlement = settlement_transactions(&chain);
+    assert_eq!(settlement.len(), 1);
+    let block = chain
+        .mine_next_block(miner.address(), settlement, 11)
+        .unwrap();
+    let mut router = CrossChainRouter::new();
+    router.observe_block(&chain, &block);
+    assert_eq!(chain.state().utxos.escrows().count(), 0);
+    assert_eq!(
+        router.receipt_for(&winner.nullifier).map(|r| r.status),
+        Some(DeliveryStatus::Delivered { mc_height: 11 })
+    );
+    assert!(router.receipt_for(&replaced.nullifier).is_none());
+    assert_eq!(router.pending_count(), 0);
+    assert_eq!(
+        chain.state().registry.get(&dest).unwrap().balance,
+        Amount::from_units(100)
+    );
 }
 
 /// A certificate declaring a transfer without the matching escrow

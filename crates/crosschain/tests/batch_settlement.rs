@@ -1,8 +1,8 @@
 //! Windowed batch settlement end to end: a maturity window with `n`
 //! transfers to `k` destinations settles in exactly `k` mainchain
 //! transactions (plus at most one shared refund transaction), the
-//! destinations mint one UTXO per aggregated entry, and the router
-//! rolls back cleanly across mainchain forks.
+//! destinations mint one UTXO per aggregated entry, and what the router
+//! read off the chain rolls back cleanly across mainchain forks.
 
 use zendoo_core::crosschain::DeliveryStatus;
 use zendoo_core::ids::Amount;
@@ -149,10 +149,9 @@ fn mixed_window_batches_refunds_into_one_transaction() {
     assert!(world.conservation_holds());
 }
 
-/// A mainchain fork that drops the declaring certificate also rewinds
-/// the router: the queued window disappears, the nullifiers are
-/// released, and the replayed epoch re-declares and settles exactly
-/// once.
+/// A mainchain fork that drops the declaring certificate drops its
+/// declared transfers with it, and the replayed epoch re-declares and
+/// settles exactly once.
 #[test]
 fn router_rolls_back_with_mainchain_forks() {
     // A 3-block submission window leaves room for the dropped
@@ -178,26 +177,26 @@ fn router_rolls_back_with_mainchain_forks() {
     }
     assert_eq!(world.router.pending_count(), 1);
 
-    // Fork off the certificate block: the router must forget the
-    // pending window and release the reservation.
+    // Fork off the certificate block: its declaration leaves the
+    // chain with it.
     world.inject_mc_fork(1).unwrap();
     assert_eq!(
         world.router.pending_count(),
         0,
         "pending window rolled back with the fork"
     );
-    assert!(!world.router.nullifier_consumed(&xct.nullifier));
+    assert!(world.router.receipt_for(&xct.nullifier).is_none());
 
     // The sidechain re-produces its certificate on the new branch; the
     // transfer is re-declared and settles exactly once.
     world.run(14).unwrap();
-    assert!(world.router.nullifier_consumed(&xct.nullifier));
+    assert!(world.router.receipt_for(&xct.nullifier).is_some());
     let delivered = world
         .router
         .receipts()
         .iter()
         .filter(|r| {
-            r.transfer.nullifier == xct.nullifier
+            r.escrow.nullifier == xct.nullifier
                 && matches!(r.status, DeliveryStatus::Delivered { .. })
         })
         .count();
@@ -207,9 +206,8 @@ fn router_rolls_back_with_mainchain_forks() {
 }
 
 /// A second fork whose base lands *inside* the first fork's branch
-/// still rewinds the router (the replacement branch records its own
-/// undo entries), metrics stay in lock-step with the receipts, and the
-/// transfer settles exactly once.
+/// still rewinds what the router read, metrics stay in lock-step with
+/// the receipts, and the transfer settles exactly once.
 #[test]
 fn nested_forks_rewind_router_into_prior_branch() {
     let config = SimConfig {
@@ -245,7 +243,7 @@ fn nested_forks_rewind_router_into_prior_branch() {
         0,
         "router rewound into the prior branch"
     );
-    assert!(!world.router.nullifier_consumed(&xct.nullifier));
+    assert!(world.router.receipt_for(&xct.nullifier).is_none());
 
     world.run(20).unwrap();
     let delivered_receipts = world
@@ -259,44 +257,7 @@ fn nested_forks_rewind_router_into_prior_branch() {
         world.metrics.cross_transfers_delivered, delivered_receipts,
         "metrics rewound with the router — no double counting"
     );
-    assert!(world.router.nullifier_consumed(&xct.nullifier));
+    assert!(world.router.receipt_for(&xct.nullifier).is_some());
     assert!(world.conservation_holds());
     assert!(world.safeguards_hold());
-}
-
-/// Receipt retention: a capped router evicts old receipts but keeps
-/// the stream cursor arithmetic and drain semantics consistent.
-#[test]
-fn receipt_retention_caps_memory() {
-    let mut world = World::new(SimConfig::with_sidechains(2));
-    world.router.set_receipt_capacity(Some(2));
-    let ids = world.sidechain_ids().to_vec();
-    world
-        .queue_forward_transfer_on(&ids[0], "alice", 50_000)
-        .unwrap();
-    world.run(1).unwrap();
-    let mut nullifiers = Vec::new();
-    for amount in [1_000, 2_000, 3_000] {
-        let xct = world
-            .queue_cross_transfer(&ids[0], &ids[1], "alice", amount)
-            .unwrap();
-        nullifiers.push(xct.nullifier);
-        world.run(1).unwrap();
-    }
-    world.run(12).unwrap();
-    // All three delivered (the nullifier set is authoritative even when
-    // the receipt log is capped).
-    for nullifier in &nullifiers {
-        assert!(world.router.nullifier_consumed(nullifier));
-    }
-    // 3 Pending + 3 Delivered receipts recorded, only 2 retained.
-    assert_eq!(world.router.receipts_recorded(), 6);
-    assert_eq!(world.router.receipts().len(), 2);
-    // Draining empties the log but keeps the monotonic counter.
-    let drained = world.router.drain_receipts();
-    assert_eq!(drained.len(), 2);
-    assert!(world.router.receipts().is_empty());
-    assert_eq!(world.router.receipts_recorded(), 6);
-    // Metrics survived the eviction (counted via the stream cursor).
-    assert!(world.conservation_holds());
 }

@@ -569,6 +569,21 @@ impl Blockchain {
         }
     }
 
+    /// The outputs the active block `hash` spent, read off its undo
+    /// record: nothing for a block deeper than
+    /// [`ChainParams::max_reorg_depth`] (its record is pruned) or off
+    /// the active chain.
+    pub fn spent_outputs(&self, hash: &Digest32) -> impl Iterator<Item = (&OutPoint, &TxOut)> {
+        self.undo
+            .get(hash)
+            .into_iter()
+            .flat_map(|undo| undo.ops())
+            .filter_map(|op| match op {
+                pipeline::UtxoOp::Spent(outpoint, out) => Some((outpoint, out)),
+                pipeline::UtxoOp::Created(_) => None,
+            })
+    }
+
     /// The recursive proof recorded for a connected block (carried with
     /// its submission), if any.
     pub fn block_proof(&self, hash: &Digest32) -> Option<&BlockProof> {

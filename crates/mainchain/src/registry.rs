@@ -72,6 +72,28 @@ impl SidechainEntry {
             .map(|c| c.mc_block)
             .unwrap_or(Digest32::ZERO)
     }
+
+    /// The epoch whose submission window closes exactly at `height`:
+    /// the block at `height` ceases the sidechain or matures that
+    /// epoch's certificate.
+    fn epoch_closing_at(&self, height: u64) -> Option<EpochId> {
+        let schedule = self.config.schedule;
+        let closing = schedule.epoch_of_height(height)?.checked_sub(1)?;
+        (schedule.ceasing_height(closing) == height).then_some(closing)
+    }
+
+    /// Whether the sidechain can take a forward transfer in the block
+    /// at `height`: it is active, and that block's epoch bookkeeping
+    /// does not cease it (a submission window closing there without a
+    /// certificate, Def 4.2). The one cease rule, shared by
+    /// [`SidechainRegistry::begin_block`] and anyone assembling a
+    /// transaction for the next block.
+    pub fn active_at(&self, height: u64) -> bool {
+        self.status == SidechainStatus::Active
+            && self
+                .epoch_closing_at(height)
+                .is_none_or(|epoch| self.certificates.contains_key(&epoch))
+    }
 }
 
 /// One output of a matured certificate payout: a backward transfer,
@@ -440,18 +462,9 @@ impl SidechainRegistry {
             if entry.status == SidechainStatus::Ceased {
                 continue;
             }
-            let schedule = entry.config.schedule;
-            // Find the epoch whose window closes exactly at this height.
-            let Some(current_epoch) = schedule.epoch_of_height(height) else {
+            let Some(closing_epoch) = entry.epoch_closing_at(height) else {
                 continue;
             };
-            if current_epoch == 0 {
-                continue;
-            }
-            let closing_epoch = current_epoch - 1;
-            if schedule.ceasing_height(closing_epoch) != height {
-                continue;
-            }
             match entry.certificates.get_mut(&closing_epoch) {
                 None => {
                     entry.status = SidechainStatus::Ceased;
@@ -482,6 +495,10 @@ impl SidechainRegistry {
                     // *regular* UTXOs. Fail loudly instead.
                     let declared = crosschain::declared_transfers(&accepted.certificate)
                         .expect("declaration validated at certificate acceptance");
+                    // A nullifier already in the set (consumed since
+                    // acceptance by a BTR of the same sidechain) is left
+                    // as it is: the escrow below still matures, and the
+                    // next block settles it like any other.
                     for xct in &declared {
                         if self.nullifiers.insert((*id, xct.nullifier)) {
                             undo.ops

@@ -1,12 +1,15 @@
 //! The unspent-transaction-output set.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use zendoo_core::ids::{Address, Amount};
 
 use crate::transaction::{OutPoint, TxOut};
 
-/// The mainchain UTXO set.
+/// The mainchain UTXO set, with an index of its escrow-kind outputs
+/// (cross-chain value awaiting settlement). `insert` and `remove` keep
+/// the index, so every path that edits the set — a block, its undo
+/// journal, a builder's rollback — keeps it too.
 ///
 /// # Examples
 ///
@@ -26,6 +29,7 @@ use crate::transaction::{OutPoint, TxOut};
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UtxoSet {
     entries: HashMap<OutPoint, TxOut>,
+    escrows: BTreeSet<OutPoint>,
 }
 
 impl UtxoSet {
@@ -47,12 +51,30 @@ impl UtxoSet {
     /// Adds a new unspent output. Returns the previous value if the
     /// outpoint was (erroneously) already present.
     pub fn insert(&mut self, outpoint: OutPoint, output: TxOut) -> Option<TxOut> {
-        self.entries.insert(outpoint, output)
+        if output.is_escrow() {
+            self.escrows.insert(outpoint);
+        }
+        let previous = self.entries.insert(outpoint, output);
+        if previous.is_some_and(|out| out.is_escrow()) && !output.is_escrow() {
+            self.escrows.remove(&outpoint);
+        }
+        previous
     }
 
     /// Spends an output, returning it.
     pub fn remove(&mut self, outpoint: &OutPoint) -> Option<TxOut> {
-        self.entries.remove(outpoint)
+        let removed = self.entries.remove(outpoint);
+        if removed.is_some_and(|out| out.is_escrow()) {
+            self.escrows.remove(outpoint);
+        }
+        removed
+    }
+
+    /// The live escrow-kind outputs, in outpoint order.
+    pub fn escrows(&self) -> impl Iterator<Item = (&OutPoint, &TxOut)> {
+        self.escrows
+            .iter()
+            .map(|outpoint| (outpoint, &self.entries[outpoint]))
     }
 
     /// Number of unspent outputs.
@@ -136,6 +158,33 @@ mod tests {
         set.insert(op(1, 0), out("alice", 5));
         assert!(set.remove(&op(1, 0)).is_some());
         assert!(set.remove(&op(1, 0)).is_none());
+    }
+
+    #[test]
+    fn the_escrow_index_follows_inserts_and_removes() {
+        use zendoo_core::escrow::EscrowTag;
+        use zendoo_core::ids::{Nullifier, SidechainId};
+        let tag = EscrowTag {
+            source: SidechainId::from_label("source"),
+            epoch: 0,
+            dest: SidechainId::from_label("dest"),
+            payback: Address::from_label("payback"),
+            nullifier: Nullifier(Digest32::hash_bytes(b"n")),
+        };
+        let escrow = TxOut::escrow(Address::from_label("escrow"), Amount::from_units(3), tag);
+        let mut set = UtxoSet::new();
+        set.insert(op(2, 0), escrow);
+        set.insert(op(1, 0), out("alice", 5));
+        set.insert(op(1, 1), escrow);
+        let live = |set: &UtxoSet| set.escrows().map(|(op, _)| *op).collect::<Vec<_>>();
+        let mut expected = vec![op(2, 0), op(1, 1)];
+        expected.sort();
+        assert_eq!(live(&set), expected);
+        set.remove(&op(2, 0));
+        assert_eq!(live(&set), vec![op(1, 1)]);
+        // Overwriting an escrow with a regular output drops it too.
+        set.insert(op(1, 1), out("bob", 3));
+        assert!(live(&set).is_empty());
     }
 
     #[test]

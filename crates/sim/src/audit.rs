@@ -2,9 +2,9 @@
 //!
 //! A [`ConservationAuditor`] snapshots every value pool in the system —
 //! mainchain UTXOs (escrowed value broken out), registry-locked
-//! sidechain balances, router-pending transfers and the sidechains' own
-//! ledgers — once per tick, and asserts the end-to-end invariants the
-//! paper's construction promises under *any* fault mix:
+//! sidechain balances and the sidechains' own ledgers — once per tick,
+//! and asserts the end-to-end invariants the paper's construction
+//! promises under *any* fault mix:
 //!
 //! 1. **Conservation** — spendable UTXO value plus registry-locked value
 //!    equals net minted coins, every tick (escrowed in-flight value is
@@ -19,6 +19,9 @@
 //! 4. **Quality-war integrity** — no forged competing certificate (see
 //!    [`crate::world::World::start_quality_war`]) is ever accepted into
 //!    the registry.
+//! 5. **No stranded escrow** — no escrow-kind UTXO outlives its
+//!    window by more than one block: the block after maturity settles
+//!    it, to its destination or back to its payback address.
 //!
 //! Snapshots are pure functions of world state, so two worlds that are
 //! bit-identical (e.g. stepped on one lane vs four) produce equal
@@ -50,8 +53,6 @@ pub struct AuditSnapshot {
     pub escrow_value: Amount,
     /// Sidechain balances locked in the registry.
     pub locked_value: Amount,
-    /// Value of transfers queued in the router's maturity windows.
-    pub router_pending_value: Amount,
     /// Sum of all non-quarantined sidechain ledgers.
     pub sidechain_value: Amount,
 }
@@ -111,6 +112,16 @@ pub enum AuditViolation {
         /// Digest of the accepted forged certificate.
         digest: Digest32,
     },
+    /// An escrow-kind UTXO is still live more than one block after its
+    /// window matured it: cross-chain value no block settled.
+    StrandedEscrow {
+        /// The escrowed transfer's nullifier.
+        nullifier: Nullifier,
+        /// Height of the block that matured it.
+        matured_at: u64,
+        /// The chain height at which it was found.
+        height: u64,
+    },
 }
 
 impl std::fmt::Display for AuditViolation {
@@ -162,6 +173,15 @@ impl std::fmt::Display for AuditViolation {
                 f,
                 "forged certificate {digest:?} accepted for {chain} epoch {epoch}"
             ),
+            AuditViolation::StrandedEscrow {
+                nullifier,
+                matured_at,
+                height,
+            } => write!(
+                f,
+                "escrow {nullifier:?} matured at height {matured_at} is still live at \
+                 height {height}"
+            ),
         }
     }
 }
@@ -169,8 +189,8 @@ impl std::fmt::Display for AuditViolation {
 impl std::error::Error for AuditViolation {}
 
 /// Snapshots world value pools every tick and asserts the conservation,
-/// safeguard, exactly-once-settlement and quality-war invariants (see
-/// the module docs).
+/// safeguard, exactly-once-settlement, quality-war and stranded-escrow
+/// invariants (see the module docs).
 ///
 /// # Examples
 ///
@@ -283,14 +303,8 @@ impl ConservationAuditor {
 
     fn snapshot(&self, world: &World) -> AuditSnapshot {
         let state = world.chain.state();
-        let escrow_value = Amount::checked_sum(
-            state
-                .utxos
-                .iter()
-                .filter(|(_, out)| out.is_escrow())
-                .map(|(_, out)| out.amount),
-        )
-        .expect("escrowed value fits in u64");
+        let escrow_value = Amount::checked_sum(state.utxos.escrows().map(|(_, out)| out.amount))
+            .expect("escrowed value fits in u64");
         let sidechain_value = world
             .sidechain_ids()
             .iter()
@@ -307,7 +321,6 @@ impl ConservationAuditor {
             utxo_value: state.utxos.total_value(),
             escrow_value,
             locked_value: state.registry.total_locked(),
-            router_pending_value: world.router.pending_value(),
             sidechain_value,
         }
     }
@@ -355,17 +368,16 @@ impl ConservationAuditor {
             }
         }
 
-        // 3. Exactly-once settlement per nullifier. The router rewinds
-        //    its receipt stream with the chain on reorgs, so receipts
-        //    visible here are all on the active branch: any duplicate
-        //    terminal is a real double-settlement.
+        // 3. Exactly-once settlement per nullifier. The router's
+        //    receipts are read off the active branch (a fork's branch
+        //    replaces what the disconnected blocks settled), so any
+        //    duplicate terminal is a real double-settlement.
         let mut terminals: BTreeMap<Nullifier, (u32, u32)> = BTreeMap::new();
         for receipt in world.router.receipts() {
-            let entry = terminals.entry(receipt.transfer.nullifier).or_default();
+            let entry = terminals.entry(receipt.escrow.nullifier).or_default();
             match receipt.status {
                 DeliveryStatus::Delivered { .. } => entry.0 += 1,
                 DeliveryStatus::Refunded { .. } => entry.1 += 1,
-                _ => {}
             }
         }
         for (nullifier, (delivered, refunded)) in terminals {
@@ -395,6 +407,31 @@ impl ConservationAuditor {
                         });
                     }
                 }
+            }
+        }
+
+        // 5. Every escrow settles in the block after the one that
+        //    matured it: no cross-chain value is left in an output no
+        //    block spends.
+        let height = world.chain.height();
+        for (_, out) in state.utxos.escrows() {
+            let tag = out
+                .escrow_tag()
+                .expect("the escrow index holds escrow outputs");
+            let matured_at = state
+                .registry
+                .get(&tag.source)
+                .expect("only a registered source escrows")
+                .config
+                .schedule
+                .ceasing_height(tag.epoch);
+            self.checks += 1;
+            if height > matured_at + 1 {
+                return Err(AuditViolation::StrandedEscrow {
+                    nullifier: tag.nullifier,
+                    matured_at,
+                    height,
+                });
             }
         }
         Ok(())

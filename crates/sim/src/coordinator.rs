@@ -2,21 +2,23 @@
 //!
 //! There is one tick, and it performs these phases —
 //!
-//! 1. snapshot the router against the pre-block tip (reorg undo),
-//! 2. drain matured cross-chain settlements into the miner's pool,
-//! 3. prepare the next mainchain block in one pass (`Miner::prepare`,
+//! 1. pool the settlement of every live escrow
+//!    (`zendoo_crosschain::settlement_transactions`, read off the chain
+//!    state),
+//! 2. prepare the next mainchain block in one pass (`Miner::prepare`,
 //!    recording proof verdicts) and submit it with those verdicts as
 //!    its carrier (`Blockchain::submit`), so each proof is verified
 //!    once per node,
-//! 4. hand the block to every sidechain shard (sync + certify),
-//! 5. fold shard effect logs and fresh router receipts into the
-//!    metrics.
+//! 3. hand the block to every sidechain shard (sync + certify),
+//! 4. fold shard effect logs and the receipts read off the block into
+//!    the metrics.
 //!
-//! Phases 3 (the submission half) and 4 overlap: the shards run on
+//! Phases 2 (the submission half) and 3 overlap: the shards run on
 //! `SimConfig::workers` scoped worker lanes (`std::thread::scope`, as
 //! in `zendoo_snark::batch`) while the coordinator thread
-//! submits the block and feeds the router. With one lane the same work
-//! runs as an in-thread sequential loop — the determinism reference.
+//! submits the block and reads its settlements. With one lane the same
+//! work runs as an in-thread sequential loop — the determinism
+//! reference.
 //!
 //! Determinism contract: shard work communicates only through ordered
 //! [`ShardEffects`] logs, applied in sidechain declaration order, so a
@@ -27,8 +29,8 @@
 
 use std::time::Instant;
 
-use zendoo_core::crosschain::CrossChainTransfer;
 use zendoo_core::ids::SidechainId;
+use zendoo_crosschain::settlement_transactions;
 use zendoo_mainchain::transaction::McTransaction;
 use zendoo_mainchain::{Block, BlockError, PreparedBlock};
 use zendoo_telemetry::Telemetry;
@@ -36,35 +38,16 @@ use zendoo_telemetry::Telemetry;
 use crate::shard::{ShardEffects, SidechainShard};
 use crate::world::{SimError, World};
 
-/// The tick's prologue: bump time, snapshot the router against the
-/// pre-block tip (pruned to the reorg window), drain matured
-/// settlements into the mempool, and partition the router's remaining
-/// in-flight queue per destination (each shard's read-only inbound
-/// view for this tick).
-///
-/// The partition is a by-value copy costing O(in-flight transfers) —
-/// bounded by the open settlement windows, which drain at maturity.
-/// That copy is deliberate: handing each shard its own slice is what
-/// lets the parallel phase run with zero shard→router contention
-/// (shards answering inbound queries never lock the router the
-/// coordinator is concurrently feeding).
-fn prologue(world: &mut World) -> std::collections::BTreeMap<SidechainId, Vec<CrossChainTransfer>> {
+/// The tick's prologue: bump time and pool the settlement of every
+/// live escrow, read off the chain state.
+fn prologue(world: &mut World) {
     world.time += 1;
-    let undo = world.capture_router_undo(world.chain.tip_hash());
-    world.router_undo.push(undo);
-    let keep = world.chain.params().max_reorg_depth + 1;
-    if world.router_undo.len() > keep {
-        let drop = world.router_undo.len() - keep;
-        world.router_undo.drain(..drop);
-    }
-    let deliveries = world.router.collect_deliveries(&world.chain);
-    for tx in deliveries {
+    for tx in settlement_transactions(&world.chain) {
         // Consensus-assembled escrow claims: zero-fee, but classed as
         // settlements by the pool, so no fee-paying flood can evict or
         // outrank them.
         world.queue_mc_tx(tx);
     }
-    world.router.pending_by_destination()
 }
 
 /// How many worker lanes `SimConfig::workers` asks for: its value, or
@@ -151,9 +134,8 @@ pub(crate) fn step(world: &mut World) -> Result<(), SimError> {
 type TickOutcome = (u64, Vec<u64>, Result<(), BlockError>, Option<SimError>);
 
 /// One worker lane's share of the shard phase: live shards, each paired
-/// with its declaration index (effects are re-ordered by it afterwards)
-/// and its inbound partition (by value — no shard touches the router).
-type Lane<'a> = Vec<(usize, &'a mut SidechainShard, Vec<CrossChainTransfer>)>;
+/// with its declaration index (effects are re-ordered by it afterwards).
+type Lane<'a> = Vec<(usize, &'a mut SidechainShard)>;
 
 /// Walks one lane in order, returning its shards' effects and the
 /// lane's wall time since `start` (its spawn, when it has a thread of
@@ -167,7 +149,7 @@ fn run_lane(
 ) -> (Vec<(usize, ShardEffects)>, u64) {
     let effects = lane
         .into_iter()
-        .map(|(index, shard, inbound)| (index, shard.sync_and_certify(feed, inbound, record)))
+        .map(|(index, shard)| (index, shard.sync_and_certify(feed, record)))
         .collect();
     (effects, start.elapsed().as_nanos() as u64)
 }
@@ -177,8 +159,8 @@ fn run_lane(
 /// the tuple so the caller can record timing first.
 fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimError> {
     // Everything before the worker scope is coordinator critical path
-    // (prologue's router snapshot + settlement + partition included).
-    let (mut partition, prologue_nanos) = telemetry.time("tick.prologue", || prologue(world));
+    // (the prologue's settlement included).
+    let ((), prologue_nanos) = telemetry.time("tick.prologue", || prologue(world));
 
     // The miner drains its pool into the block builder as *admitted*
     // candidates: every entry passed stage-1 precheck on its way in
@@ -236,8 +218,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
         if shard.quarantined {
             continue;
         }
-        let inbound = partition.remove(id).unwrap_or_default();
-        work.push((index, shard, inbound));
+        work.push((index, shard));
     }
     let live = work.len();
 
@@ -245,7 +226,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
 
     // The coordinator's own critical path through the shard phase:
     // stage 2 consumes the carried verdicts, stage 3 applies, and the
-    // router observes the connected block.
+    // router reads the connected block's settlements.
     let block_ref = &block;
     let feed = std::slice::from_ref(block_ref);
     let submit = || {

@@ -2,7 +2,8 @@
 //!
 //! A deterministic multi-sidechain scenario simulator for the Zendoo
 //! reproduction: a [`world::World`] wires a real mainchain to any
-//! number of real Latus nodes plus a cross-chain router.
+//! number of real Latus nodes, settling cross-chain transfers as the
+//! chain state calls for.
 //! [`events::Schedule`] is the one script of a world (tick-indexed
 //! [`Action`]s, transactions and faults alike) and its
 //! [`Schedule::run`] audits every tick with a [`ConservationAuditor`].
@@ -20,7 +21,7 @@
 //!
 //! ```text
 //!                ┌──────────── coordinator ────────────┐
-//!  tick t:       │ router snapshot → settle matured    │
+//!  tick t:       │ settle every live escrow            │
 //!                │ prepare block (one-pass, records    │
 //!                │ proof verdicts)                     │
 //!                ├──── scoped worker threads ──────────┤

@@ -41,11 +41,15 @@ pub struct Metrics {
     pub cross_transfers_delivered: u64,
     /// Cross-chain transfers refunded (unknown/ceased destination).
     pub cross_transfers_refunded: u64,
-    /// Cross-chain transfers rejected (replay, bad declaration).
+    /// Escrowed cross-chain transfers that settled neither way. Always
+    /// 0: a replayed or malformed declaration is refused with its
+    /// certificate, and the block after maturity settles every escrow
+    /// (the auditor's stranded-escrow check). Kept as a slot of
+    /// [`Metrics::report`] so recorded reports stay comparable.
     pub cross_transfers_rejected: u64,
-    /// Maturity windows settled by the router.
+    /// Settlements of a maturity window, one per window and block.
     pub settlement_windows: u64,
-    /// Batched settlement transactions issued (delivery + refund).
+    /// Batched settlement transactions mined (delivery + refund).
     pub settlement_txs: u64,
     /// Mainchain transactions saved by windowed batching versus the
     /// per-transfer delivery path (`transfers − transactions`, summed

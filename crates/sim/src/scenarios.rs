@@ -101,8 +101,8 @@ pub fn cross_chain_triangle() -> Result<World, RunError> {
 
 /// Refund path: a transfer whose destination sidechain ceases before
 /// delivery. `sc-1` withholds its certificates from the start, so it is
-/// ceased by the time alice's `sc-0 → sc-1` escrow matures; the router
-/// refunds her mainchain payback address.
+/// ceased by the time alice's `sc-0 → sc-1` escrow matures, and its
+/// settlement refunds her mainchain payback address.
 ///
 /// # Errors
 ///

@@ -5,9 +5,8 @@
 //! sidechain logic) makes the per-tick sidechain phase embarrassingly
 //! parallel: each sidechain node only consumes the mined mainchain
 //! block. A [`SidechainShard`] owns everything one sidechain needs for
-//! that phase — the deployed [`ScInstance`], its fault flags, its
-//! per-chain [`ShardMetrics`] and its partition of the router's
-//! in-flight inbound queue — and
+//! that phase — the deployed [`ScInstance`], its fault flags and its
+//! per-chain [`ShardMetrics`] — and
 //! [`SidechainShard::sync_and_certify`] performs one tick of work,
 //! returning an ordered [`ShardEffects`] log instead of mutating any
 //! coordinator state.
@@ -27,7 +26,6 @@
 use std::time::Instant;
 
 use zendoo_core::certificate::WithdrawalCertificate;
-use zendoo_core::crosschain::CrossChainTransfer;
 use zendoo_core::ids::SidechainId;
 use zendoo_latus::node::NodeError;
 use zendoo_mainchain::Block;
@@ -101,7 +99,7 @@ pub struct ShardEffects {
 }
 
 /// One sidechain's slice of the world: the deployed instance plus the
-/// shard-local fault flags, metrics and inbound view.
+/// shard-local fault flags and metrics.
 pub struct SidechainShard {
     pub(crate) instance: ScInstance,
     /// Per-chain withheld-certificate fault.
@@ -135,9 +133,6 @@ pub struct SidechainShard {
     /// `World::start_quality_war`).
     pub(crate) quality_war: bool,
     pub(crate) metrics: ShardMetrics,
-    /// This chain's partition of the router's in-flight inbound queue,
-    /// refreshed each tick (no shard ever touches the router itself).
-    pub(crate) pending_inbound: Vec<CrossChainTransfer>,
 }
 
 impl SidechainShard {
@@ -152,7 +147,6 @@ impl SidechainShard {
             backlog: Vec::new(),
             quality_war: false,
             metrics: ShardMetrics::default(),
-            pending_inbound: Vec::new(),
         }
     }
 
@@ -186,13 +180,6 @@ impl SidechainShard {
     /// Canonical blocks currently buffered, awaiting a heal.
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()
-    }
-
-    /// The transfers currently routed toward this chain (escrowed on
-    /// the mainchain, awaiting maturity) as of the last tick — the
-    /// shard's private copy of the router partition.
-    pub fn pending_inbound(&self) -> &[CrossChainTransfer] {
-        &self.pending_inbound
     }
 
     /// Relay-equivocation fault: the node adopts `phantom` — a sibling
@@ -266,15 +253,9 @@ impl SidechainShard {
     /// produced (and rejected by the mainchain if the submission window
     /// already closed: Def 4.2 ceasing is decided by the mainchain,
     /// never by the faulty shard).
-    pub(crate) fn sync_and_certify(
-        &mut self,
-        feed: &[Block],
-        inbound: Vec<CrossChainTransfer>,
-        record: bool,
-    ) -> ShardEffects {
+    pub(crate) fn sync_and_certify(&mut self, feed: &[Block], record: bool) -> ShardEffects {
         let start = Instant::now();
         let id = self.instance.id;
-        self.pending_inbound = inbound;
         let mut effects = ShardEffects {
             id,
             forged: 0,

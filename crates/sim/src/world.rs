@@ -15,8 +15,11 @@
 //!
 //! The world drives each sidechain node block-by-block against the
 //! shared mainchain, produces certificates per sidechain at epoch
-//! boundaries, and routes declared [`CrossChainTransfer`]s between
-//! sidechains through the [`CrossChainRouter`].
+//! boundaries, and settles declared [`CrossChainTransfer`]s between
+//! sidechains as the chain state calls for
+//! ([`zendoo_crosschain::settlement_transactions`]), reading the
+//! outcome back off each connected block with the
+//! [`CrossChainRouter`].
 //!
 //! # Examples
 //!
@@ -42,10 +45,11 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use zendoo_core::certificate::WithdrawalCertificate;
+use zendoo_core::crosschain::DeliveryStatus;
 use zendoo_core::crosschain::{escrow_address, CrossChainTransfer};
 use zendoo_core::epoch::EpochSchedule;
 use zendoo_core::ids::{Address, Amount, SidechainId};
-use zendoo_crosschain::{CrossChainRouter, RouterSnapshot};
+use zendoo_crosschain::CrossChainRouter;
 use zendoo_latus::consensus::ConsensusParams;
 use zendoo_latus::node::{LatusKeys, LatusNode, NodeError};
 use zendoo_latus::params::LatusParams;
@@ -217,8 +221,7 @@ pub enum SimError {
     /// A requested mainchain fork cannot be injected: the depth must
     /// be at least 1, leave the sidechain-declaration block on the
     /// active chain, and fit inside the chain's `max_reorg_depth` undo
-    /// window (beyond it neither the registry journal nor the router
-    /// snapshots can rewind).
+    /// window (beyond it the registry journal cannot rewind).
     ForkTooDeep {
         /// The requested fork depth in blocks.
         requested: u64,
@@ -303,26 +306,17 @@ pub struct World {
     pub users: HashMap<String, User>,
     /// Collected metrics.
     pub metrics: Metrics,
-    /// The cross-chain transfer router.
+    /// Receipts and settlement records read off every connected block
+    /// (the metrics' cross-chain counters are folded from it).
     pub router: CrossChainRouter,
     /// The mainchain miner: admission into its fee-prioritized pool
     /// (capacity from [`SimConfig::mempool`]), the block template the
     /// tick prepares, and re-pooling after a reorg.
     pub(crate) miner: Miner,
-    /// Router receipt-stream cursor already folded into `metrics`.
-    pub(crate) receipts_cursor: u64,
-    /// Router settlement windows already folded into `metrics`.
-    pub(crate) settlements_seen: usize,
-    /// Per-block router undo records keyed by the pre-block chain tip,
-    /// so `inject_mc_fork` can rewind the router (and the
-    /// receipt-derived metrics) alongside the registry undo records
-    /// (pruned to the chain's reorg window).
-    pub(crate) router_undo: Vec<RouterUndo>,
     /// Digests of every forged competing certificate injected by a
     /// quality war — the audit ground truth: none of these may ever
     /// appear as an accepted certificate in the registry. Append-only
-    /// on purpose (a reorg never legitimizes a forgery, so the set is
-    /// not part of the router undo records).
+    /// on purpose: a reorg never legitimizes a forgery.
     pub(crate) forged_certs: BTreeSet<zendoo_primitives::digest::Digest32>,
     pub(crate) time: u64,
     /// Worker lanes for the shard phase ([`SimConfig::workers`]).
@@ -338,33 +332,12 @@ pub struct World {
     pub(crate) persistence: Option<Persistence>,
 }
 
-/// The persistence stack one world drives: the journaled store, the
-/// indexer derived from its deltas, and the indexer's private cursor
-/// into the router's receipt stream.
+/// The persistence stack one world drives: the journaled store and the
+/// indexer derived from its deltas.
 pub(crate) struct Persistence {
     pub(crate) dir: std::path::PathBuf,
     pub(crate) store: UtxoStore,
     pub(crate) indexer: Indexer,
-    pub(crate) receipts_cursor: u64,
-}
-
-/// Everything a mainchain fork must rewind besides the chain itself:
-/// the router state at the pre-block tip plus the receipt-derived
-/// metric counters — without the latter, transfers re-settled on the
-/// replacement branch would be double-counted.
-#[derive(Clone)]
-pub(crate) struct RouterUndo {
-    /// The chain tip this record is consistent with.
-    tip: zendoo_primitives::digest::Digest32,
-    router: RouterSnapshot,
-    receipts_cursor: u64,
-    settlements_seen: usize,
-    cross_delivered: u64,
-    cross_refunded: u64,
-    cross_rejected: u64,
-    settlement_windows: u64,
-    settlement_txs: u64,
-    settlement_txs_saved: u64,
 }
 
 impl World {
@@ -514,9 +487,6 @@ impl World {
                 router
             },
             miner,
-            receipts_cursor: 0,
-            settlements_seen: 0,
-            router_undo: Vec::new(),
             forged_certs: BTreeSet::new(),
             time: 1,
             workers: config.workers,
@@ -524,10 +494,6 @@ impl World {
             recorder,
             persistence: None,
         };
-        // Anchor snapshot: the router state at the bootstrap tip, so
-        // forks reaching back to the first stepped block can rewind it.
-        let anchor = world.capture_router_undo(world.chain.tip_hash());
-        world.router_undo.push(anchor);
         if let Some(dir) = &config.persist_dir {
             world
                 .attach_persistence(dir)
@@ -560,13 +526,11 @@ impl World {
             )));
         }
         self.chain.enable_event_log();
-        let mut indexer = Indexer::from_store(&store, self.telemetry.clone());
-        indexer.ingest_receipts(self.router.receipts_since(0));
+        let indexer = Indexer::from_store(&store, self.telemetry.clone());
         self.persistence = Some(Persistence {
             dir: dir.to_path_buf(),
             store,
             indexer,
-            receipts_cursor: self.router.receipts_recorded(),
         });
         Ok(())
     }
@@ -598,15 +562,11 @@ impl World {
                 self.chain.height(),
             )));
         }
-        let mut indexer = Indexer::from_store(&store, self.telemetry.clone());
-        // Receipts live with the router, not the journal: re-ingest the
-        // full retained stream.
-        indexer.ingest_receipts(self.router.receipts_since(0));
+        let indexer = Indexer::from_store(&store, self.telemetry.clone());
         self.persistence = Some(Persistence {
             dir,
             store,
             indexer,
-            receipts_cursor: self.router.receipts_recorded(),
         });
         Ok(digest)
     }
@@ -623,64 +583,18 @@ impl World {
     }
 
     /// Drains this tick's chain events into the store (journal +
-    /// fsync), folds the deltas into the indexer, and ingests fresh
-    /// router receipts. No-op without attached persistence.
+    /// fsync) and folds the deltas into the indexer. No-op without
+    /// attached persistence.
     fn persist_sync(&mut self) -> Result<(), SimError> {
-        if self.persistence.is_none() {
+        let Some(persistence) = self.persistence.as_mut() else {
             return Ok(());
-        }
-        let events = self.chain.drain_events();
-        let persistence = self.persistence.as_mut().expect("checked above");
-        for event in &events {
+        };
+        for event in &self.chain.drain_events() {
             let delta = persistence.store.apply_event(event)?;
             persistence.indexer.apply(&delta);
         }
         persistence.store.commit()?;
-        // A fork rewind truncates the router's receipt log; clamp so
-        // the cursor never points past it.
-        let recorded = self.router.receipts_recorded();
-        if persistence.receipts_cursor > recorded {
-            persistence.receipts_cursor = recorded;
-        }
-        persistence
-            .indexer
-            .ingest_receipts(self.router.receipts_since(persistence.receipts_cursor));
-        persistence.receipts_cursor = recorded;
         Ok(())
-    }
-
-    /// Captures the router state and receipt-derived metric counters,
-    /// consistent with chain tip `tip`.
-    pub(crate) fn capture_router_undo(
-        &self,
-        tip: zendoo_primitives::digest::Digest32,
-    ) -> RouterUndo {
-        RouterUndo {
-            tip,
-            router: self.router.snapshot(),
-            receipts_cursor: self.receipts_cursor,
-            settlements_seen: self.settlements_seen,
-            cross_delivered: self.metrics.cross_transfers_delivered,
-            cross_refunded: self.metrics.cross_transfers_refunded,
-            cross_rejected: self.metrics.cross_transfers_rejected,
-            settlement_windows: self.metrics.settlement_windows,
-            settlement_txs: self.metrics.settlement_txs,
-            settlement_txs_saved: self.metrics.settlement_txs_saved,
-        }
-    }
-
-    /// Restores a [`RouterUndo`] record: router state, stream cursors
-    /// and the receipt-derived metric counters.
-    fn restore_router_undo(&mut self, undo: RouterUndo) {
-        self.router.restore(undo.router);
-        self.receipts_cursor = undo.receipts_cursor;
-        self.settlements_seen = undo.settlements_seen;
-        self.metrics.cross_transfers_delivered = undo.cross_delivered;
-        self.metrics.cross_transfers_refunded = undo.cross_refunded;
-        self.metrics.cross_transfers_rejected = undo.cross_rejected;
-        self.metrics.settlement_windows = undo.settlement_windows;
-        self.metrics.settlement_txs = undo.settlement_txs;
-        self.metrics.settlement_txs_saved = undo.settlement_txs_saved;
     }
 
     // ---- Lookup -------------------------------------------------------
@@ -715,7 +629,7 @@ impl World {
     }
 
     /// A sidechain's shard (instance + fault flags + per-chain
-    /// metrics + inbound view).
+    /// metrics).
     pub fn shard(&self, id: &SidechainId) -> Option<&SidechainShard> {
         self.shards.get(id)
     }
@@ -723,15 +637,6 @@ impl World {
     /// A shard's per-chain metrics.
     pub fn shard_metrics_of(&self, id: &SidechainId) -> Option<&ShardMetrics> {
         self.shards.get(id).map(|shard| &shard.metrics)
-    }
-
-    /// The transfers currently routed toward `id` (this shard's
-    /// private copy of the router partition, as of the last tick).
-    pub fn pending_inbound_of(&self, id: &SidechainId) -> &[CrossChainTransfer] {
-        self.shards
-            .get(id)
-            .map(|shard| shard.pending_inbound())
-            .unwrap_or(&[])
     }
 
     /// The ids of shards quarantined by a contained panic, in id
@@ -1192,43 +1097,42 @@ impl World {
         self.persist_sync()
     }
 
-    /// Folds freshly produced router receipts and settlement records
-    /// into the metrics.
+    /// Sets the cross-chain counters of the metrics from what the
+    /// router read off the active chain, so a fork's rewind of that
+    /// log rewinds them too.
     pub(crate) fn sync_cross_metrics(&mut self) {
-        use zendoo_core::crosschain::DeliveryStatus;
-        for receipt in self.router.receipts_since(self.receipts_cursor) {
+        let metrics = &mut self.metrics;
+        (
+            metrics.cross_transfers_delivered,
+            metrics.cross_transfers_refunded,
+        ) = (0, 0);
+        for receipt in self.router.receipts() {
             match receipt.status {
-                DeliveryStatus::Delivered { .. } => self.metrics.cross_transfers_delivered += 1,
-                DeliveryStatus::Refunded { .. } => self.metrics.cross_transfers_refunded += 1,
-                DeliveryStatus::Rejected { .. }
-                | DeliveryStatus::ReplayRejected
-                | DeliveryStatus::NotEscrowed => self.metrics.cross_transfers_rejected += 1,
-                DeliveryStatus::Pending => {}
+                DeliveryStatus::Delivered { .. } => metrics.cross_transfers_delivered += 1,
+                DeliveryStatus::Refunded { .. } => metrics.cross_transfers_refunded += 1,
             }
         }
-        self.receipts_cursor = self.router.receipts_recorded();
-        for record in &self.router.settlements()[self.settlements_seen..] {
-            self.metrics.settlement_windows += 1;
-            self.metrics.settlement_txs += (record.delivery_txs + record.refund_txs) as u64;
-            // Batching can only shrink a window's transaction count: the
-            // router emits at most one delivery tx per destination plus
-            // one shared refund tx, never more txs than transfers. An
-            // underflow here is a router accounting bug, not a value to
-            // clamp away.
-            let saved = record
-                .transfers
-                .checked_sub(record.delivery_txs + record.refund_txs)
-                .unwrap_or_else(|| {
-                    debug_assert!(
-                        false,
-                        "settlement window emitted more txs ({} + {}) than transfers ({})",
-                        record.delivery_txs, record.refund_txs, record.transfers
-                    );
-                    0
-                });
-            self.metrics.settlement_txs_saved += saved as u64;
+        let settlements = self.router.settlements();
+        metrics.settlement_windows = settlements.len() as u64;
+        (metrics.settlement_txs, metrics.settlement_txs_saved) = (0, 0);
+        for record in settlements {
+            let txs = record.delivery_txs + record.refund_txs;
+            metrics.settlement_txs += txs as u64;
+            // Batching can only shrink a window's transaction count:
+            // settlement assembles at most one delivery tx per
+            // destination plus one shared refund tx, never more txs than
+            // transfers. An underflow here is an accounting bug, not a
+            // value to clamp away.
+            let saved = record.transfers.checked_sub(txs).unwrap_or_else(|| {
+                debug_assert!(
+                    false,
+                    "settlement window took more txs ({txs}) than transfers ({})",
+                    record.transfers
+                );
+                0
+            });
+            metrics.settlement_txs_saved += saved as u64;
         }
-        self.settlements_seen = self.router.settlements().len();
     }
 
     /// Runs `n` steps.
@@ -1268,10 +1172,10 @@ impl World {
     /// Injects a mainchain fork: builds `depth + 1` empty blocks on the
     /// branch point `depth` blocks below the tip, triggering a reorg;
     /// re-pools the disconnected transactions ([`Miner::on_reorg`]);
-    /// rewinds the cross-chain router to its snapshot at the fork base
-    /// (so queued escrows, nullifier reservations and receipts roll
-    /// back in lock-step with the registry undo records) and lets it
-    /// observe the branch; and rewrites what each shard will be fed
+    /// lets the router read the branch, which replaces what it read off
+    /// the disconnected blocks (escrows they settled are live again,
+    /// and the next tick settles them on the branch); and rewrites what
+    /// each shard will be fed
     /// ([`SidechainShard::reorg`]) before running the ordinary shard
     /// phase over the replacement branch — so a node certifies at
     /// every epoch boundary the branch crosses, a stalled shard buffers
@@ -1330,27 +1234,12 @@ impl World {
             self.metrics
                 .note_rejection(matches!(tx, McTransaction::Certificate(_)));
         }
-        // Rewind the router (and the receipt-derived metrics) to the
-        // fork base, then let it observe the replacement branch —
-        // recording one undo entry per branch block so a later fork
-        // based *inside* this branch can also rewind.
-        if let Some(at) = self
-            .router_undo
-            .iter()
-            .rposition(|undo| undo.tip == fork_base)
-        {
-            let undo = self.router_undo[at].clone();
-            self.restore_router_undo(undo);
-            self.router_undo.truncate(at + 1);
-            for block in &branch {
-                let undo = self.capture_router_undo(block.header.parent);
-                self.router_undo.push(undo);
-                self.router.observe_block(&self.chain, block);
-            }
+        for block in &branch {
+            self.router.observe_block(&self.chain, block);
         }
+        self.sync_cross_metrics();
         // The shard phase of a fork (a rare path, one lane): every live
         // shard in declaration order, its effects folded like a tick's.
-        let mut partition = self.router.pending_by_destination();
         let record = self.telemetry.is_enabled();
         let mut reverted = 0;
         let mut first_error = None;
@@ -1362,8 +1251,7 @@ impl World {
             let error = match shard.reorg(&fork_base, &disconnected) {
                 Ok(shard_reverted) => {
                     reverted += shard_reverted;
-                    let inbound = partition.remove(&id).unwrap_or_default();
-                    let effects = shard.sync_and_certify(&branch, inbound, record);
+                    let effects = shard.sync_and_certify(&branch, record);
                     coordinator::apply_effects(self, effects)
                 }
                 Err(error) => Some(SimError::Node(error)),

@@ -412,6 +412,42 @@ fn fork_replacing_an_epoch_boundary_redeclares_its_cross_transfers() {
     }
 }
 
+/// The auditor's stranded-escrow check: blocks mined past the world's
+/// own tick — which settles every live escrow in its prologue — leave
+/// a matured escrow unspent, and the audit names it.
+#[test]
+fn an_escrow_no_block_settles_is_reported_stranded() {
+    use zendoo_sim::audit::AuditViolation;
+    use zendoo_sim::{Action, Schedule, SimConfig};
+
+    let mut world = World::new(SimConfig::with_sidechains(2));
+    let schedule = Schedule::new()
+        .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
+        .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000));
+    let mut tick = 0;
+    while world.chain.state().utxos.escrows().count() == 0 {
+        schedule.fire(&mut world, tick);
+        world.step().unwrap();
+        tick += 1;
+    }
+    let matured_at = world.chain.height();
+    ConservationAuditor::new().observe(&world).unwrap();
+
+    let miner = zendoo_mainchain::Wallet::from_seed(b"bypass").address();
+    for time in [9_001, 9_002] {
+        world.chain.mine_next_block(miner, vec![], time).unwrap();
+    }
+    let violation = ConservationAuditor::new().observe(&world).unwrap_err();
+    assert!(
+        matches!(
+            violation,
+            AuditViolation::StrandedEscrow { matured_at: at, height, .. }
+                if at == matured_at && height == matured_at + 2
+        ),
+        "{violation}"
+    );
+}
+
 /// A healed shard that has not replayed its backlog yet is simply
 /// behind: a fork injected before its next tick trims the replaced part
 /// of the backlog and the shard catches up through the ordinary phase

@@ -37,7 +37,6 @@ fn observe(world: &World) -> impl PartialEq + std::fmt::Debug {
                 node.chain().len(),
                 node.inbound_cross_transfers().to_vec(),
                 world.shard_metrics_of(id).unwrap().clone(),
-                world.pending_inbound_of(id).to_vec(),
             )
         })
         .collect();

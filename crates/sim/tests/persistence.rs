@@ -33,7 +33,7 @@ fn schedule() -> Schedule {
 
 /// The full persistence story in one run: per-tick digest equality,
 /// a mid-run kill-and-recover, a crash mid-append (torn tail), the
-/// indexer serving balance/pending-inbound/receipt queries, and the
+/// indexer serving balance and pending-inbound queries, and the
 /// persisted world ending bit-identical to an unpersisted twin.
 #[test]
 fn persisted_world_matches_in_memory_through_kills_and_torn_tails() {
@@ -93,15 +93,17 @@ fn persisted_world_matches_in_memory_through_kills_and_torn_tails() {
     }
 
     // The escrow really flowed through the index: pending while in
-    // flight, drained on settlement, terminal receipt served.
+    // flight, drained on settlement, terminal receipt read off the
+    // settling block.
     assert!(max_pending >= 1, "cross transfer never showed as pending");
     let indexer = world.indexer().unwrap();
     assert_eq!(indexer.pending_total(), 0, "escrow stranded in the index");
     let nullifier = escrow_nullifier.expect("escrow was observed");
-    let receipt = indexer
+    let receipt = world
+        .router
         .receipt_for(&nullifier)
         .expect("settled transfer has a receipt");
-    assert_eq!(receipt.transfer.amount.units(), 8_000);
+    assert_eq!(receipt.amount.units(), 8_000);
     assert_eq!(world.metrics.cross_transfers_delivered, 1);
 
     // Indexed balances agree with the chain for every named user.

@@ -9,18 +9,13 @@
 //!   awaiting settlement, keyed by nullifier, each mirrored as a leaf
 //!   of that sidechain's incremental sparse Merkle tree (so a
 //!   sidechain can be handed a succinct commitment to everything
-//!   headed its way);
-//! - **receipts** — terminal cross-chain transfer outcomes ingested
-//!   from the router's receipt stream, by nullifier.
+//!   headed its way).
 //!
-//! Receipts live with the router, not the journal; after a restart the
-//! indexer's chain-derived indexes rebuild from the store
-//! ([`Indexer::from_store`]) and receipts re-ingest from the router's
-//! log.
+//! After a restart every index rebuilds from the store
+//! ([`Indexer::from_store`]).
 
 use std::collections::BTreeMap;
 
-use zendoo_core::crosschain::CrossChainReceipt;
 use zendoo_core::ids::{Address, Amount, EpochId, Nullifier, SidechainId};
 use zendoo_mainchain::transaction::OutputKind;
 use zendoo_mainchain::OutPoint;
@@ -63,7 +58,6 @@ pub struct Indexer {
     balances: BTreeMap<Address, Amount>,
     pending: BTreeMap<SidechainId, BTreeMap<Nullifier, PendingInbound>>,
     trees: BTreeMap<SidechainId, SparseMerkleTree>,
-    receipts: BTreeMap<Nullifier, CrossChainReceipt>,
     telemetry: Telemetry,
 }
 
@@ -74,7 +68,6 @@ impl Indexer {
             balances: BTreeMap::new(),
             pending: BTreeMap::new(),
             trees: BTreeMap::new(),
-            receipts: BTreeMap::new(),
             telemetry,
         }
     }
@@ -161,16 +154,6 @@ impl Indexer {
         });
     }
 
-    /// Ingests terminal transfer outcomes from the router's receipt
-    /// stream (pass the slice a cursor-tracked
-    /// `CrossChainRouter::receipts_since` returned).
-    pub fn ingest_receipts(&mut self, receipts: &[CrossChainReceipt]) {
-        for receipt in receipts {
-            self.receipts
-                .insert(receipt.transfer.nullifier, receipt.clone());
-        }
-    }
-
     /// Balance of `address` (regular outputs only). Records an
     /// `indexer.query.balance` span.
     pub fn balance(&self, address: &Address) -> Amount {
@@ -226,16 +209,6 @@ impl Indexer {
     /// until the first escrow toward `dest` is observed.
     pub fn inbound_root(&self, dest: &SidechainId) -> Option<Fp> {
         self.trees.get(dest).map(SparseMerkleTree::root)
-    }
-
-    /// The terminal outcome of a transfer, by nullifier. Records an
-    /// `indexer.query.receipt` span.
-    pub fn receipt_for(&self, nullifier: &Nullifier) -> Option<&CrossChainReceipt> {
-        let receipts = &self.receipts;
-        let (found, _nanos) = self
-            .telemetry
-            .time("indexer.query.receipt", || receipts.get(nullifier));
-        found
     }
 }
 

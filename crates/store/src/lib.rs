@@ -19,8 +19,7 @@
 //! - [`Indexer`] — secondary indexes derived from the store's applied
 //!   deltas: per-address balances, per-sidechain **pending inbound**
 //!   transfers (escrow-kind UTXOs awaiting settlement, keyed by
-//!   nullifier) with an incremental sparse Merkle tree per sidechain,
-//!   and settlement receipts ingested from the cross-chain router.
+//!   nullifier) with an incremental sparse Merkle tree per sidechain.
 //!
 //! The journal reuses the shape of the chain's own
 //! [`zendoo_mainchain::BlockUndo`] op-log: connect records carry the

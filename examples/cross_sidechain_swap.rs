@@ -9,8 +9,8 @@
 //!    escrowed by a backward transfer inside `sc-0`'s withdrawal
 //!    certificate, whose proofdata commits the declared
 //!    `CrossChainTransfer` (covered by the certificate SNARK);
-//! 4. at certificate maturity the router delivers the escrow as a
-//!    forward transfer into `sc-1`;
+//! 4. at certificate maturity the escrow is settled as a forward
+//!    transfer into `sc-1`;
 //! 5. withdraw from `sc-1` back to the mainchain.
 //!
 //! ```text
@@ -54,8 +54,8 @@ fn main() {
         xct.amount, xct.nullifier
     );
 
-    // Step 3: run until the source certificate matured and the router
-    // delivered the escrow into sc-1 (epoch + submission window).
+    // Step 3: run until the source certificate matured and its escrow
+    // was delivered into sc-1 (epoch + submission window).
     world.run_epochs(2).unwrap();
     println!(
         "\nafter maturity: alice holds {} on sc-0 and {} on sc-1",

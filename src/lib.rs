@@ -18,10 +18,11 @@
 //!   bound to the mainchain, MST accounting, recursive epoch proofs,
 //!   certificate/BTR/CSW circuits;
 //! * [`crosschain`] — sidechain→sidechain transfers routed through the
-//!   mainchain (escrowed certificate declarations + delivery router);
+//!   mainchain (escrowed certificate declarations, settled as the chain
+//!   state calls for);
 //! * [`sim`] — the deterministic multi-sidechain scenario simulator;
 //! * [`telemetry`] — the zero-dependency observability layer (spans,
-//!   counters, histograms) instrumenting the pipeline, the router and
+//!   counters, histograms) instrumenting the pipeline, settlement and
 //!   the simulator (see `docs/OBSERVABILITY.md`).
 //!
 //! # Examples

@@ -113,8 +113,9 @@ proptest! {
         prop_assert!(world.safeguards_hold(), "a sidechain outran its safeguard");
 
         // (3) Transfer accounting: every initiated transfer is either
-        // settled (delivered/refunded/rejected), queued in the router
-        // awaiting maturity, or still undeclared on its source node —
+        // settled (delivered/refunded/rejected), declared on the
+        // mainchain and awaiting settlement, or still undeclared on its
+        // source node —
         // nothing is silently dropped. (Exact only while no certificate
         // was rejected; a rejected certificate takes its declarations
         // with it.)
@@ -174,7 +175,7 @@ proptest! {
             .receipts()
             .iter()
             .filter(|r| matches!(r.status, DeliveryStatus::Delivered { .. }))
-            .map(|r| r.transfer.amount.units())
+            .map(|r| r.amount.units())
             .sum();
         let inbound_value: u64 = world
             .sidechain_ids()
@@ -223,7 +224,7 @@ proptest! {
             .receipts()
             .iter()
             .filter(|r| matches!(r.status, DeliveryStatus::Refunded { .. }))
-            .map(|r| r.transfer.amount.units())
+            .map(|r| r.amount.units())
             .sum();
         if world.metrics.cross_transfers_refunded > 0 {
             prop_assert!(refunded_value > 0, "refund receipts carry the value");

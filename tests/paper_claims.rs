@@ -24,7 +24,7 @@
 //! | E5 a block's forward transfers, one write (§5.3.2) | `e5_a_block_of_forward_transfers_is_one_tree_write`; tree level `smt::tests::a_batch_hashes_each_touched_node_once` | `bridge_rush` `epoch_block_ms` |
 //! | E7 leadership ∝ stake (§5.1) | `zendoo-latus`: `consensus::tests::leadership_frequency_tracks_stake` | — |
 //! | E7 lottery cost | `e7_the_lottery_is_one_vrf_evaluation_a_slot` | — |
-//! | cross-chain routing | `routing_is_linear_in_declared_transfers_and_blind_to_chain_length` | `crosschain.observe_p50_us` |
+//! | cross-chain routing | `routing_is_linear_in_declared_transfers_and_blind_to_chain_length` | `crosschain.collect_p95_ms` |
 //!
 //! `make test-claims` runs this file and the cited unit tests.
 //!
@@ -50,10 +50,10 @@ use zendoo::core::crosschain::{
 };
 use zendoo::core::epoch::EpochSchedule;
 use zendoo::core::ids::{Address, Amount, SidechainId};
-use zendoo::core::proofdata::{ProofData, ProofDataElem};
+use zendoo::core::proofdata::{ProofData, ProofDataElem, ProofDataSchema, ProofDataType};
 use zendoo::core::transfer::{BackwardTransfer, ForwardTransfer};
 use zendoo::core::verifier::verify_certificate;
-use zendoo::crosschain::CrossChainRouter;
+use zendoo::crosschain::settlement_transactions;
 use zendoo::latus::certifier::{CertifierCircuit, CertifierCommittee, Endorsement};
 use zendoo::latus::consensus::{try_lead_slot, ConsensusParams, StakeDistribution};
 use zendoo::latus::mst::Utxo;
@@ -946,51 +946,77 @@ fn certificate_declaring(n: usize) -> WithdrawalCertificate {
     }
 }
 
-/// A chain of `height` blocks with the source sidechain registered (the
-/// router reads its epoch schedule for maturity heights), and the next
-/// block carrying `cert`. The router reads the transaction list only —
-/// the registry checked the proof at acceptance — so the certificate is
-/// appended to a prepared block.
-fn chain_and_block(height: u64, cert: WithdrawalCertificate) -> (Blockchain, Block) {
-    let config = config_for(source_chain(), b"routing");
-    let (chain, miner) = mined(vec![config], height);
-    let mut block = chain
-        .prepare_block(miner.address(), vec![], height + 1)
-        .unwrap()
-        .block;
-    block.transactions.push(posted(cert));
-    (chain, block)
+/// A chain whose source sidechain, active from `start`, holds the
+/// matured epoch-0 `cert`: its escrows are live at the tip. The
+/// destination is never registered, so settling them is a refund.
+fn chain_with_matured(start: u64, cert: WithdrawalCertificate) -> Blockchain {
+    let (_, vk) = setup_deterministic(&AcceptAll, b"routing");
+    let config = SidechainConfigBuilder::new(source_chain(), vk)
+        .start_block(start)
+        .epoch_len(6)
+        .submit_len(2)
+        .wcert_proofdata(ProofDataSchema(vec![ProofDataType::Bytes]))
+        .build()
+        .unwrap();
+    let schedule = config.schedule;
+    let (mut chain, miner) = mined(vec![config], 1);
+    let deposit = miner
+        .forward_transfer(
+            &chain,
+            source_chain(),
+            vec![],
+            Amount::from_units(45_000),
+            Amount::ZERO,
+        )
+        .unwrap();
+    let mut txs = vec![deposit];
+    while chain.height() < schedule.ceasing_height(0) {
+        let height = chain.height() + 1;
+        if height == schedule.epoch_first_height(1) {
+            let ends = (
+                chain.hash_at_height(start - 1).unwrap(),
+                chain.hash_at_height(schedule.epoch_last_height(0)).unwrap(),
+            );
+            txs.push(posted(proven(cert.clone(), b"routing", ends)));
+        }
+        chain
+            .mine_next_block(miner.address(), std::mem::take(&mut txs), height)
+            .unwrap();
+    }
+    chain
 }
 
-/// What routing adds per accepted certificate — validating its
-/// declarations on the mainchain, queueing them in the router — is
-/// linear in the transfers it declares, nothing for a certificate that
-/// declares none, and the same at mainchain height 2 and 200.
+/// What routing costs the mainchain is linear in the transfers a
+/// certificate declares and the same at any chain length: validating
+/// the declaration at acceptance, and assembling the settlement of the
+/// escrows it matured (nothing for a certificate that declares none).
 #[test]
 fn routing_is_linear_in_declared_transfers_and_blind_to_chain_length() {
     let validating = |n: usize| {
         let cert = certificate_declaring(n);
         cost_of(|| assert_eq!(validate_declarations(&cert).unwrap().len(), n))
     };
-    let observing = |height: u64, n: usize| {
-        let (chain, block) = chain_and_block(height, certificate_declaring(n));
-        cost_of(|| {
-            let mut router = CrossChainRouter::new();
-            router.observe_block(&chain, &block);
-            assert_eq!(router.pending_count(), n);
-        })
+    let settling = |start: u64, n: usize| {
+        let chain = chain_with_matured(start, certificate_declaring(n));
+        assert_eq!(chain.state().utxos.escrows().count(), n);
+        cost_of(|| settlement_transactions(&chain))
     };
     assert_eq!(validating(0), OpCount::default());
-    assert_eq!(observing(2, 0), OpCount::default());
+    assert_eq!(settling(2, 0), OpCount::default());
     let per_transfer = validating(1);
     assert!(per_transfer.sha_blocks > 0);
     assert_eq!(per_transfer.group_muls + per_transfer.permutations, 0);
     assert_eq!(validating(8), per_transfer * 8);
     assert_eq!(validating(64), per_transfer * 64);
-    // The router also hashes the certificate once, as one stream: whole
-    // blocks every eight transfers, so linear in steps of eight.
-    let eight_more = observing(2, 16) - observing(2, 8);
-    assert!(eight_more.sha_blocks > 8 * per_transfer.sha_blocks);
-    assert_eq!(observing(2, 64), observing(2, 8) + eight_more * 7);
-    assert_eq!(observing(200, 8), observing(2, 8));
+    // Settling signs one filler input per escrow and hashes the claim
+    // once, as one stream: whole blocks every 64 escrows, so linear in
+    // steps of 64.
+    let (one, sixty_four) = (settling(2, 1), settling(2, 64));
+    assert_eq!(sixty_four.group_muls, 64 * one.group_muls);
+    assert_eq!(sixty_four.permutations, 0);
+    assert_eq!(
+        settling(2, 192) - settling(2, 128),
+        settling(2, 128) - sixty_four
+    );
+    assert_eq!(settling(200, 64), sixty_four);
 }
