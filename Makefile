@@ -76,12 +76,19 @@ test-field:
 # byte on 1/2/4 lanes, a bad child in merge layer 0 or 1 and a bad
 # signature in transition k of an epoch refused with the eager fold's
 # error, and `prove_layer` equal to per-statement `prove` under random
-# corruption. Then the Latus follower (two_nodes): a tampered state
-# digest, tx root or smuggled payment refused by name, a reference whose
-# `wcert` is forged or dropped refused by name, a refused forge that
-# leaves no trace, and forger and follower agreeing across a fork.
+# corruption. One commitment per mainchain block: a reference taken
+# from another block's commitment refused by name, an absent chain
+# served `NoData` evidence and no certificate (one smuggled in refused
+# by name), the reference from the shared commitment equal to a scan of
+# the block's transactions (latus lib), a repeated or reordered block
+# body refused by name at stage 1 and a validation that hashes each
+# transfer id once (pipeline). Then the Latus follower (two_nodes): a
+# tampered state digest, tx root or smuggled payment refused by name, a
+# reference whose `wcert` is forged or dropped refused by name, a
+# refused forge that leaves no trace, and forger and follower agreeing
+# across a fork.
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does" "zendoo-latus two_nodes")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary
@@ -96,9 +103,12 @@ test-adversarial:
 # recursive proof, which must verify on every block — plus the
 # span-name contract the benchmark reads. Then the other scripted runs,
 # each audited the same way: the facade's conservation suite, the
-# ceased-chain exits and the canned scenarios.
+# ceased-chain exits and the canned scenarios. Last, the one commitment
+# per mainchain block (shared_commitment): an idle shard hashes the same
+# to forge whether the block carries 1 or 64 forward transfers for
+# another chain.
 test-byzantine:
-	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::")
+	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::" "zendoo-sim shared_commitment")
 
 # The persistence suites: journal kill-and-recover, torn-tail and
 # rollback replay at the store level (recovery), and the world-level

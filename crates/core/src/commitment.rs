@@ -199,29 +199,55 @@ impl ScTxsCommitmentBuilder {
     }
 
     /// Builds the commitment tree (always including the two sentinels).
-    pub fn build(&self) -> ScTxsCommitment {
+    pub fn build(self) -> ScTxsCommitment {
         // Leaves sorted by id: BTreeMap iteration is ordered; sentinels
         // bracket all real ids.
-        let mut leaves: Vec<(SidechainId, Digest32, Digest32)> = Vec::new();
-        let (lo_txs, lo_wcert) = sentinel_leaf(&SidechainId::MIN_SENTINEL);
-        leaves.push((SidechainId::MIN_SENTINEL, lo_txs, lo_wcert));
+        let sentinel = |id: SidechainId| {
+            let (txs_hash, wcert_hash) = sentinel_leaf(&id);
+            Leaf {
+                id,
+                roots: None,
+                txs_hash,
+                wcert_hash,
+            }
+        };
+        let mut leaves = Vec::with_capacity(self.entries.len() + 2);
+        leaves.push(sentinel(SidechainId::MIN_SENTINEL));
         for (id, data) in &self.entries {
-            leaves.push((*id, data.txs_hash(), data.wcert_hash()));
+            let (ft_root, btr_root) = (data.ft_root(), data.btr_root());
+            leaves.push(Leaf {
+                id: *id,
+                roots: Some((ft_root, btr_root)),
+                txs_hash: txs_hash(&ft_root, &btr_root),
+                wcert_hash: data.wcert_hash(),
+            });
         }
-        let (hi_txs, hi_wcert) = sentinel_leaf(&SidechainId::MAX_SENTINEL);
-        leaves.push((SidechainId::MAX_SENTINEL, hi_txs, hi_wcert));
+        leaves.push(sentinel(SidechainId::MAX_SENTINEL));
 
         let leaf_hashes: Vec<[u8; 32]> = leaves
             .iter()
-            .map(|(id, txs, wcert)| sc_leaf_hash(id, txs, wcert).0)
+            .map(|leaf| sc_leaf_hash(&leaf.id, &leaf.txs_hash, &leaf.wcert_hash).0)
             .collect();
         let tree = MerkleTree::<Sha256Hasher>::from_leaves(leaf_hashes);
         ScTxsCommitment {
             tree,
             leaves,
-            entries: self.entries.clone(),
+            entries: self.entries,
         }
     }
+}
+
+/// One leaf of the top tree: its id and the hashes its `SCHash` is
+/// made of.
+#[derive(Clone, Copy, Debug)]
+struct Leaf {
+    id: SidechainId,
+    /// `(FTHash, BTRHash)`, kept so a membership proof hashes nothing
+    /// [`ScTxsCommitmentBuilder::build`] already hashed; `None` for the
+    /// two sentinels.
+    roots: Option<(Digest32, Digest32)>,
+    txs_hash: Digest32,
+    wcert_hash: Digest32,
 }
 
 /// The built commitment for one block: the tree plus enough context to
@@ -229,9 +255,8 @@ impl ScTxsCommitmentBuilder {
 #[derive(Clone, Debug)]
 pub struct ScTxsCommitment {
     tree: MerkleTree<Sha256Hasher>,
-    /// `(id, txs_hash, wcert_hash)` per leaf, sorted by id, sentinels
-    /// included.
-    leaves: Vec<(SidechainId, Digest32, Digest32)>,
+    /// Sorted by id, sentinels included.
+    leaves: Vec<Leaf>,
     entries: BTreeMap<SidechainId, ScBlockData>,
 }
 
@@ -251,20 +276,18 @@ impl ScTxsCommitment {
         self.entries.keys()
     }
 
-    fn leaf_index(&self, id: &SidechainId) -> Option<usize> {
-        self.leaves.iter().position(|(lid, _, _)| lid == id)
-    }
-
     /// Produces the `mproof` of §5.5.1 for a sidechain present in the
-    /// block. Returns `None` if the block has no data for `id`.
+    /// block: one Merkle path, no leaf re-hashed. Returns `None` if the
+    /// block has no data for `id`.
     pub fn membership_proof(&self, id: &SidechainId) -> Option<ScMembershipProof> {
-        let data = self.entries.get(id)?;
-        let index = self.leaf_index(id)?;
+        let index = self.leaves.binary_search_by(|leaf| leaf.id.cmp(id)).ok()?;
+        let leaf = &self.leaves[index];
+        let (ft_root, btr_root) = leaf.roots?;
         Some(ScMembershipProof {
             sidechain_id: *id,
-            ft_root: data.ft_root(),
-            btr_root: data.btr_root(),
-            wcert_hash: data.wcert_hash(),
+            ft_root,
+            btr_root,
+            wcert_hash: leaf.wcert_hash,
             merkle: self.tree.proof(index).expect("leaf index in range"),
         })
     }
@@ -278,18 +301,14 @@ impl ScTxsCommitment {
         }
         // Find bracketing leaves: largest < id and smallest > id. Because
         // the sentinels are always present, both exist and are adjacent.
-        let right_pos = self
-            .leaves
-            .iter()
-            .position(|(lid, _, _)| lid > id)
-            .expect("MAX sentinel bounds every id");
+        let right_pos = self.leaves.partition_point(|leaf| leaf.id < *id);
         let left_pos = right_pos - 1;
         let mk = |pos: usize| {
-            let (lid, txs, wcert) = self.leaves[pos];
+            let leaf = self.leaves[pos];
             NeighborLeaf {
-                sidechain_id: lid,
-                txs_hash: txs,
-                wcert_hash: wcert,
+                sidechain_id: leaf.id,
+                txs_hash: leaf.txs_hash,
+                wcert_hash: leaf.wcert_hash,
                 merkle: self.tree.proof(pos).expect("leaf index in range"),
             }
         };

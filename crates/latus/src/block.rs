@@ -9,9 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 use zendoo_core::certificate::WithdrawalCertificate;
-use zendoo_core::commitment::{wcert_hash, ScMembershipProof};
+use zendoo_core::commitment::{wcert_hash, ScBlockData, ScMembershipProof, ScTxsCommitment};
 use zendoo_core::ids::SidechainId;
-use zendoo_mainchain::transaction::{McTransaction, Output};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::field::Fp;
@@ -30,6 +29,8 @@ use crate::tx::{
 /// carrying both synchronization halves. Either half may have an empty
 /// list (with absence/membership evidence); the `wcert` field records a
 /// certificate observed for this sidechain in the referenced block.
+/// [`McBlockReference::derive`] takes it from the block's sc-txs
+/// commitment, the one tree every sidechain shares.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct McBlockReference {
     /// The synchronized forward transfers (`forwardTransfers`).
@@ -48,8 +49,8 @@ pub struct McBlockReference {
 /// Failures when deriving a reference from a mainchain block.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum McRefError {
-    /// The block's header commitment does not match its transactions —
-    /// a malformed mainchain block.
+    /// The commitment handed over is not the one the block's header
+    /// commits to: another block's commitment, or a malformed block.
     CommitmentMismatch,
     /// The commitment tree could not produce the needed proof.
     ProofUnavailable,
@@ -59,7 +60,7 @@ impl std::fmt::Display for McRefError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             McRefError::CommitmentMismatch => {
-                write!(f, "MC block commitment does not match its transactions")
+                write!(f, "sc-txs commitment does not match the MC block header")
             }
             McRefError::ProofUnavailable => write!(f, "commitment proof unavailable"),
         }
@@ -69,53 +70,41 @@ impl std::fmt::Display for McRefError {
 impl std::error::Error for McRefError {}
 
 impl McBlockReference {
-    /// Derives the reference for `sidechain_id` from a full MC block —
-    /// the synchronization step of Fig 7: extract this sidechain's FTs,
-    /// BTRs and certificate, with commitment evidence from the header.
+    /// Takes this sidechain's part of a mainchain block — the
+    /// synchronization step of Fig 7: its FTs, BTRs and certificate,
+    /// with commitment evidence from the header — out of the block's
+    /// sc-txs commitment, built once for every sidechain and rebuilt by
+    /// none.
     ///
     /// # Errors
     ///
-    /// [`McRefError::CommitmentMismatch`] for malformed MC blocks.
+    /// [`McRefError::CommitmentMismatch`] when `commitment` is not the
+    /// one `mc_block`'s header commits to.
     pub fn derive(
         mc_block: &zendoo_mainchain::Block,
+        commitment: &ScTxsCommitment,
         sidechain_id: &SidechainId,
     ) -> Result<Self, McRefError> {
-        let commitment = zendoo_mainchain::Blockchain::build_commitment(&mc_block.transactions);
         if commitment.root() != mc_block.header.sc_txs_commitment {
             return Err(McRefError::CommitmentMismatch);
         }
         let block_hash = mc_block.hash();
-
-        let mut fts = Vec::new();
-        let mut btrs = Vec::new();
-        let mut wcert = None;
-        for tx in &mc_block.transactions {
-            match tx {
-                McTransaction::Transfer(t) => {
-                    for output in &t.outputs {
-                        if let Output::Forward(ft) = output {
-                            if ft.sidechain_id == *sidechain_id {
-                                fts.push(ft.clone());
-                            }
-                        }
-                    }
-                }
-                McTransaction::Btr(btr) if btr.sidechain_id == *sidechain_id => {
-                    btrs.push((**btr).clone());
-                }
-                McTransaction::Certificate(cert) if cert.sidechain_id == *sidechain_id => {
-                    wcert = Some((**cert).clone());
-                }
-                _ => {}
-            }
-        }
-
-        let evidence = match commitment.membership_proof(sidechain_id) {
-            Some(proof) => McRefEvidence::Membership(proof),
-            None => McRefEvidence::NoData(
-                commitment
-                    .absence_proof(sidechain_id)
-                    .ok_or(McRefError::ProofUnavailable)?,
+        let (evidence, data) = match commitment.data_for(sidechain_id) {
+            Some(data) => (
+                McRefEvidence::Membership(
+                    commitment
+                        .membership_proof(sidechain_id)
+                        .ok_or(McRefError::ProofUnavailable)?,
+                ),
+                data.clone(),
+            ),
+            None => (
+                McRefEvidence::NoData(
+                    commitment
+                        .absence_proof(sidechain_id)
+                        .ok_or(McRefError::ProofUnavailable)?,
+                ),
+                ScBlockData::default(),
             ),
         };
         let binding = McRefBinding {
@@ -125,15 +114,15 @@ impl McBlockReference {
         Ok(McBlockReference {
             forward_transfers: ForwardTransfersTx {
                 mc_block: block_hash,
-                transfers: fts,
+                transfers: data.forward_transfers,
                 binding: binding.clone(),
             },
             backward_transfer_requests: BtrTx {
                 mc_block: block_hash,
-                requests: btrs,
+                requests: data.backward_transfer_requests,
                 binding,
             },
-            wcert,
+            wcert: data.certificate,
         })
     }
 
@@ -359,7 +348,7 @@ mod tests {
     use super::*;
     use zendoo_core::ids::Amount;
     use zendoo_mainchain::chain::{Blockchain, ChainParams};
-    use zendoo_mainchain::transaction::TxOut;
+    use zendoo_mainchain::transaction::{McTransaction, Output, TxOut};
     use zendoo_mainchain::wallet::Wallet;
     use zendoo_primitives::schnorr::Keypair;
 
@@ -432,7 +421,12 @@ mod tests {
             .unwrap();
         let _ = other_meta;
 
-        let reference = McBlockReference::derive(&block, &sid()).unwrap();
+        let reference = McBlockReference::derive(
+            &block,
+            &Blockchain::build_commitment(&block.transactions),
+            &sid(),
+        )
+        .unwrap();
         assert_eq!(reference.forward_transfers.transfers.len(), 1);
         assert_eq!(
             reference.forward_transfers.transfers[0].amount,
@@ -462,7 +456,12 @@ mod tests {
         let block = chain
             .mine_next_block(alice.address(), vec![ft_tx], 1)
             .unwrap();
-        let reference = McBlockReference::derive(&block, &sid()).unwrap();
+        let reference = McBlockReference::derive(
+            &block,
+            &Blockchain::build_commitment(&block.transactions),
+            &sid(),
+        )
+        .unwrap();
 
         let params = LatusParams::new(sid(), 16);
         let mut state = SidechainState::new(16);
@@ -476,7 +475,12 @@ mod tests {
 
     fn empty_reference_for(chain: &mut Blockchain, miner: &Wallet) -> McBlockReference {
         let block = chain.mine_next_block(miner.address(), vec![], 7).unwrap();
-        McBlockReference::derive(&block, &sid()).unwrap()
+        McBlockReference::derive(
+            &block,
+            &Blockchain::build_commitment(&block.transactions),
+            &sid(),
+        )
+        .unwrap()
     }
 
     fn forge_test_block(
@@ -584,6 +588,159 @@ mod tests {
         let mut state = SidechainState::new(16);
         let err = apply_block(&params, &mut state, &block, genesis_hash).unwrap_err();
         assert_eq!(err, ScBlockError::StateDigestMismatch);
+    }
+
+    // ---- The shared commitment against a scan of the transactions --------
+
+    fn label(index: u8) -> SidechainId {
+        SidechainId::from_label(&format!("eq-{index}"))
+    }
+
+    fn any_proof() -> zendoo_snark::backend::Proof {
+        let signature = Keypair::from_seed(b"eq").secret.sign("eq", b"m");
+        zendoo_snark::backend::Proof::from_bytes(&signature.to_bytes()).unwrap()
+    }
+
+    fn forward(to: u8, amount: u64) -> Output {
+        Output::Forward(zendoo_core::transfer::ForwardTransfer {
+            sidechain_id: label(to),
+            receiver_metadata: vec![to, amount as u8],
+            amount: Amount::from_units(amount),
+        })
+    }
+
+    /// One mainchain transaction of a random mix: a transfer with one
+    /// forward output (and a regular one), a transfer with two forward
+    /// outputs to neighbouring chains, a BTR, or a certificate.
+    fn mixed_tx(kind: u8, to: u8, amount: u64) -> McTransaction {
+        match kind {
+            0 => McTransaction::Transfer(zendoo_mainchain::transaction::TransferTx {
+                inputs: vec![],
+                outputs: vec![
+                    forward(to, amount),
+                    Output::Regular(TxOut::regular(
+                        zendoo_core::ids::Address::from_label("change"),
+                        Amount::from_units(amount),
+                    )),
+                ],
+            }),
+            1 => McTransaction::Transfer(zendoo_mainchain::transaction::TransferTx {
+                inputs: vec![],
+                outputs: vec![forward(to, amount), forward(to + 1, amount + 1)],
+            }),
+            2 => McTransaction::Btr(Box::new(zendoo_core::withdrawal::BackwardTransferRequest {
+                sidechain_id: label(to),
+                receiver: zendoo_core::ids::Address::from_label("user"),
+                amount: Amount::from_units(amount),
+                nullifier: zendoo_core::ids::Nullifier::from_utxo_digest(&Digest32::hash_bytes(
+                    &amount.to_le_bytes(),
+                )),
+                proofdata: zendoo_core::proofdata::ProofData::empty(),
+                proof: any_proof(),
+            })),
+            _ => McTransaction::Certificate(Box::new(WithdrawalCertificate {
+                sidechain_id: label(to),
+                epoch_id: amount as u32,
+                quality: amount,
+                bt_list: vec![],
+                proofdata: zendoo_core::proofdata::ProofData::empty(),
+                proof: any_proof(),
+            })),
+        }
+    }
+
+    /// The reference as `derive` used to build it: rebuild the
+    /// commitment, then scan every transaction for this chain's data.
+    fn scanned_reference(mc_block: &zendoo_mainchain::Block, id: &SidechainId) -> McBlockReference {
+        let commitment = Blockchain::build_commitment(&mc_block.transactions);
+        assert_eq!(commitment.root(), mc_block.header.sc_txs_commitment);
+        let mut fts = Vec::new();
+        let mut btrs = Vec::new();
+        let mut wcert = None;
+        for tx in &mc_block.transactions {
+            match tx {
+                McTransaction::Transfer(t) => {
+                    for output in &t.outputs {
+                        if let Output::Forward(ft) = output {
+                            if ft.sidechain_id == *id {
+                                fts.push(ft.clone());
+                            }
+                        }
+                    }
+                }
+                McTransaction::Btr(btr) if btr.sidechain_id == *id => {
+                    btrs.push((**btr).clone());
+                }
+                McTransaction::Certificate(cert) if cert.sidechain_id == *id => {
+                    wcert = Some((**cert).clone());
+                }
+                _ => {}
+            }
+        }
+        let evidence = match commitment.membership_proof(id) {
+            Some(proof) => McRefEvidence::Membership(proof),
+            None => McRefEvidence::NoData(commitment.absence_proof(id).unwrap()),
+        };
+        let binding = McRefBinding {
+            header: mc_block.header,
+            evidence,
+        };
+        McBlockReference {
+            forward_transfers: ForwardTransfersTx {
+                mc_block: mc_block.hash(),
+                transfers: fts,
+                binding: binding.clone(),
+            },
+            backward_transfer_requests: BtrTx {
+                mc_block: mc_block.hash(),
+                requests: btrs,
+                binding,
+            },
+            wcert,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Every chain's reference taken from the one shared commitment
+        /// equals the one a scan of the block's transactions builds,
+        /// for chains with data and chains without.
+        #[test]
+        fn prop_reference_from_the_shared_commitment_equals_the_scan(
+            mix in proptest::collection::vec((0u8..4, 0u8..6, 1u64..1_000), 0..24),
+        ) {
+            let mut transactions = vec![McTransaction::Coinbase(
+                zendoo_mainchain::transaction::CoinbaseTx { height: 1, outputs: vec![] },
+            )];
+            let mut certified = std::collections::HashSet::new();
+            for (kind, to, amount) in mix {
+                // At most one certificate per chain and block (Fig 4).
+                if kind == 3 && !certified.insert(to) {
+                    continue;
+                }
+                transactions.push(mixed_tx(kind, to, amount));
+            }
+            let commitment = Blockchain::build_commitment(&transactions);
+            let mut block = zendoo_mainchain::Block {
+                header: zendoo_mainchain::BlockHeader {
+                    parent: Digest32::hash_bytes(b"parent"),
+                    height: 1,
+                    time: 1,
+                    tx_root: Digest32::ZERO,
+                    sc_txs_commitment: commitment.root(),
+                    target: zendoo_mainchain::pow::Target::EASIEST,
+                    nonce: 0,
+                },
+                transactions,
+            };
+            block.header.tx_root = zendoo_mainchain::Block::tx_root_of(&block.txids());
+            // Ids 0..=6 can carry data; 7 and 8 never do.
+            for index in 0..9 {
+                let id = label(index);
+                let shared = McBlockReference::derive(&block, &commitment, &id).unwrap();
+                proptest::prop_assert_eq!(shared, scanned_reference(&block, &id));
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
+use zendoo_core::commitment::ScTxsCommitment;
 use zendoo_core::config::{SidechainConfig, SidechainConfigBuilder};
 use zendoo_core::crosschain::{
     declared_transfers, escrow_address, CrossChainTransfer, InboundCrossTransfer,
@@ -484,17 +485,26 @@ impl LatusNode {
     /// state and adopts it through the step [`LatusNode::receive_block`]
     /// shares, which also tracks withdrawal-epoch boundaries (Fig 6/7).
     ///
+    /// `commitment` is the block's sc-txs commitment, built once by
+    /// whoever delivers the block and shared by every sidechain node it
+    /// is delivered to: this node takes its part of it
+    /// ([`McBlockReference::derive`]) and rebuilds nothing. A caller
+    /// holding only the block builds the commitment from the block's
+    /// transactions first, as the mainchain's stage 1 does.
+    ///
     /// Returns the forged block.
     ///
     /// # Errors
     ///
-    /// [`NodeError`] on non-contiguous MC blocks, malformed data or a
+    /// [`NodeError`] on non-contiguous MC blocks, a commitment that is
+    /// not the one the block's header commits to, malformed data or a
     /// forger that wins no slot. A refused forge changes nothing: the
     /// state, the chain, the slot, the pending queue, the certificate
     /// inclusions and the rollback snapshots stay as they were.
     pub fn sync_mainchain_block(
         &mut self,
         mc_block: &zendoo_mainchain::Block,
+        commitment: &ScTxsCommitment,
     ) -> Result<ScBlock, NodeError> {
         if mc_block.header.parent != self.last_mc_ref {
             return Err(NodeError::NonContiguousMcBlock {
@@ -502,7 +512,7 @@ impl LatusNode {
                 found: mc_block.header.parent,
             });
         }
-        let reference = McBlockReference::derive(mc_block, &self.params.sidechain_id)?;
+        let reference = McBlockReference::derive(mc_block, commitment, &self.params.sidechain_id)?;
         self.refresh_stake();
         let leadership = self.find_leading_slot()?;
 
@@ -1184,7 +1194,12 @@ mod tests {
             let mc_block = chain
                 .mine_next_block(mc_wallet.address(), vec![ft], time)
                 .unwrap();
-            let sc_block = forger.sync_mainchain_block(&mc_block).unwrap();
+            let sc_block = forger
+                .sync_mainchain_block(
+                    &mc_block,
+                    &Blockchain::build_commitment(&mc_block.transactions),
+                )
+                .unwrap();
             follower.receive_block(&sc_block, &mc_block).unwrap();
         }
         for coin in forger.utxos_of(&alice.address()) {
@@ -1195,7 +1210,12 @@ mod tests {
         let mc_block = chain
             .mine_next_block(mc_wallet.address(), vec![], 4)
             .unwrap();
-        let sc_block = forger.sync_mainchain_block(&mc_block).unwrap();
+        let sc_block = forger
+            .sync_mainchain_block(
+                &mc_block,
+                &Blockchain::build_commitment(&mc_block.transactions),
+            )
+            .unwrap();
         assert_eq!(sc_block.transactions.len(), 2);
         follower.receive_block(&sc_block, &mc_block).unwrap();
 
@@ -1280,7 +1300,11 @@ mod tests {
             let mc_block = chain
                 .mine_next_block(mc_wallet.address(), txs, time)
                 .unwrap();
-            node.sync_mainchain_block(&mc_block).unwrap();
+            node.sync_mainchain_block(
+                &mc_block,
+                &Blockchain::build_commitment(&mc_block.transactions),
+            )
+            .unwrap();
         }
         assert!(node.epoch_complete());
 
@@ -1376,8 +1400,21 @@ mod tests {
             let mc_block = chain
                 .mine_next_block(mc_wallet.address(), txs, time)
                 .unwrap();
-            let block = kept.sync_mainchain_block(&mc_block).unwrap();
-            assert_eq!(block, rebuilt.sync_mainchain_block(&mc_block).unwrap());
+            let block = kept
+                .sync_mainchain_block(
+                    &mc_block,
+                    &Blockchain::build_commitment(&mc_block.transactions),
+                )
+                .unwrap();
+            assert_eq!(
+                block,
+                rebuilt
+                    .sync_mainchain_block(
+                        &mc_block,
+                        &Blockchain::build_commitment(&mc_block.transactions)
+                    )
+                    .unwrap()
+            );
             assert!(kept.pending_view.is_none(), "a forged block drops the view");
             block
         };
@@ -1526,7 +1563,8 @@ mod tests {
     fn mine(chain: &mut Blockchain, node: &mut LatusNode, miner: &Wallet, txs: Vec<McTransaction>) {
         let time = chain.height() + 1;
         let block = chain.mine_next_block(miner.address(), txs, time).unwrap();
-        node.sync_mainchain_block(&block).unwrap();
+        node.sync_mainchain_block(&block, &Blockchain::build_commitment(&block.transactions))
+            .unwrap();
     }
 
     /// A forward transfer of `units` from `miner` to `receiver` on the

@@ -4,17 +4,23 @@
 //! tampers exactly one thing and asserts the mainchain (or the prover
 //! itself) rejects it — covering the WCert statement rules (§5.5.3.1),
 //! the BTR/CSW statements (§5.5.3.2–3), quality racing, window
-//! discipline and nullifier replay.
+//! discipline, nullifier replay, and a mainchain reference taken from
+//! the wrong block's commitment or smuggling a certificate past
+//! `NoData` evidence.
 
 mod common;
 
 use common::TwoChains;
 use std::collections::BTreeMap;
-use zendoo_core::ids::{Address, Amount, Nullifier};
+use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
 use zendoo_core::proofdata::{ProofData, ProofDataElem};
 use zendoo_core::transfer::BackwardTransfer;
+use zendoo_latus::block::{apply_block, McBlockReference, McRefError, ScBlockError};
+use zendoo_latus::node::NodeError;
+use zendoo_latus::params::LatusParams;
+use zendoo_latus::tx::{McRefEvidence, ReceiverMetadata};
 use zendoo_mainchain::transaction::McTransaction;
-use zendoo_mainchain::BlockError;
+use zendoo_mainchain::{BlockError, Blockchain};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
 
@@ -511,4 +517,120 @@ fn mainchain_rejects_cert_outside_window_even_with_valid_proof() {
         .try_submit(McTransaction::Certificate(Box::new(cert)))
         .unwrap_err();
     assert!(matches!(err, BlockError::Registry(_)), "{err}");
+}
+
+// ---- One commitment per mainchain block, shared by every chain ----------
+
+/// A node handed the sc-txs commitment of another block — here one that
+/// credits this chain a forward transfer the block does not carry —
+/// refuses it by name before touching anything, and forges on the right
+/// one.
+#[test]
+fn a_reference_from_another_blocks_commitment_is_refused() {
+    let mut h = TwoChains::new("adv-foreign-commitment");
+    let meta = ReceiverMetadata {
+        receiver: h.sc_address(),
+        payback: h.mc_wallet.address(),
+    };
+    let ft = h
+        .mc_wallet
+        .forward_transfer(
+            &h.chain,
+            h.sid,
+            meta.to_bytes(),
+            Amount::from_units(700),
+            Amount::ZERO,
+        )
+        .unwrap();
+    let funding = h.step(vec![ft]);
+    h.time += 1;
+    let next = h
+        .chain
+        .mine_next_block(h.mc_wallet.address(), vec![], h.time)
+        .unwrap();
+    let foreign = Blockchain::build_commitment(&funding.transactions);
+    assert!(foreign.data_for(&h.sid).is_some());
+
+    assert_eq!(
+        McBlockReference::derive(&next, &foreign, &h.sid),
+        Err(McRefError::CommitmentMismatch)
+    );
+    let (tip, state) = (h.node.chain().len(), h.node.state().digest());
+    assert!(matches!(
+        h.node.sync_mainchain_block(&next, &foreign),
+        Err(NodeError::McRef(McRefError::CommitmentMismatch))
+    ));
+    assert_eq!(
+        (h.node.chain().len(), h.node.state().digest()),
+        (tip, state)
+    );
+    let block = h
+        .node
+        .sync_mainchain_block(&next, &Blockchain::build_commitment(&next.transactions))
+        .unwrap();
+    assert!(block.mc_references[0]
+        .forward_transfers
+        .transfers
+        .is_empty());
+}
+
+/// A chain absent from a block whose commitment holds another chain's
+/// data is served `NoData` evidence and no certificate; a reference
+/// that smuggles a certificate in under that evidence is refused by
+/// name, and the honest one applies.
+#[test]
+fn an_absent_chain_is_served_no_data_and_no_certificate() {
+    let mut h = TwoChains::new("adv-absent");
+    let cert = h.bootstrap_funded(1_000);
+    let other = SidechainId::from_label("adv-absent-other");
+    let schedule = zendoo_core::epoch::EpochSchedule::new(
+        h.chain.height() + 2,
+        common::EPOCH_LEN,
+        common::SUBMIT_LEN,
+    )
+    .unwrap();
+    let declaration = h
+        .keys
+        .sidechain_config(&LatusParams::new(other, common::MST_DEPTH), schedule);
+    h.step(vec![McTransaction::SidechainDeclaration(Box::new(
+        declaration,
+    ))]);
+
+    let ft = h
+        .mc_wallet
+        .forward_transfer(
+            &h.chain,
+            other,
+            vec![0; 8],
+            Amount::from_units(300),
+            Amount::ZERO,
+        )
+        .unwrap();
+    let parent = h.chain.tip_hash();
+    h.time += 1;
+    let mc_block = h
+        .chain
+        .mine_next_block(h.mc_wallet.address(), vec![ft], h.time)
+        .unwrap();
+    let commitment = Blockchain::build_commitment(&mc_block.transactions);
+    assert!(commitment.data_for(&other).is_some());
+    assert!(commitment.data_for(&h.sid).is_none());
+
+    let reference = McBlockReference::derive(&mc_block, &commitment, &h.sid).unwrap();
+    assert!(matches!(
+        reference.forward_transfers.binding.evidence,
+        McRefEvidence::NoData(_)
+    ));
+    assert!(reference.wcert.is_none());
+
+    let params = LatusParams::new(h.sid, common::MST_DEPTH);
+    let before = h.node.state().clone();
+    let sc_block = h.node.sync_mainchain_block(&mc_block, &commitment).unwrap();
+    let mut smuggled = sc_block.clone();
+    smuggled.mc_references[0].wcert = Some(cert);
+    assert_eq!(
+        apply_block(&params, &mut before.clone(), &smuggled, parent).unwrap_err(),
+        ScBlockError::WcertMismatch
+    );
+    apply_block(&params, &mut before.clone(), &sc_block, parent).unwrap();
 }

@@ -85,7 +85,9 @@ impl TwoChains {
             .chain
             .mine_next_block(self.mc_wallet.address(), txs, self.time)
             .unwrap();
-        self.node.sync_mainchain_block(&block).unwrap();
+        self.node
+            .sync_mainchain_block(&block, &Blockchain::build_commitment(&block.transactions))
+            .unwrap();
         block
     }
 

@@ -107,7 +107,9 @@ impl TwoChains {
             .unwrap();
         self.synced_height += 1;
         assert_eq!(block.header.height, self.synced_height);
-        self.node.sync_mainchain_block(&block).unwrap();
+        self.node
+            .sync_mainchain_block(&block, &Blockchain::build_commitment(&block.transactions))
+            .unwrap();
     }
 
     /// Runs MC blocks (and node sync) until the node's withdrawal epoch
@@ -567,8 +569,12 @@ fn mainchain_reorg_rolls_back_sidechain() {
     let reverted = h.node.rollback_to_mc(&fork_base).unwrap();
     assert_eq!(reverted, 1);
     assert_eq!(h.node.balance_of(&h.sc_address()), Amount::ZERO);
-    h.node.sync_mainchain_block(&b1).unwrap();
-    h.node.sync_mainchain_block(&b2).unwrap();
+    h.node
+        .sync_mainchain_block(&b1, &Blockchain::build_commitment(&b1.transactions))
+        .unwrap();
+    h.node
+        .sync_mainchain_block(&b2, &Blockchain::build_commitment(&b2.transactions))
+        .unwrap();
     h.synced_height = h.chain.height();
     assert_eq!(h.node.chain().len(), 2, "one block per new-branch MC block");
 }

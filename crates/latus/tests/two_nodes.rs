@@ -15,7 +15,7 @@ use zendoo_latus::node::{LatusNode, NodeError};
 use zendoo_latus::params::LatusParams;
 use zendoo_latus::tx::{PaymentTx, ReceiverMetadata, ScTransaction, TxError};
 use zendoo_mainchain::transaction::McTransaction;
-use zendoo_mainchain::Block;
+use zendoo_mainchain::{Block, Blockchain};
 use zendoo_primitives::schnorr::Keypair;
 
 /// A follower of `h`'s chain whose own forger key derives from `seed`.
@@ -38,7 +38,13 @@ fn mine_and_follow(h: &mut TwoChains, follower: &mut LatusNode, txs: Vec<McTrans
         .chain
         .mine_next_block(h.mc_wallet.address(), txs, h.time)
         .unwrap();
-    let sc_block = h.node.sync_mainchain_block(&mc_block).unwrap();
+    let sc_block = h
+        .node
+        .sync_mainchain_block(
+            &mc_block,
+            &Blockchain::build_commitment(&mc_block.transactions),
+        )
+        .unwrap();
     follower.receive_block(&sc_block, &mc_block).unwrap();
     mc_block
 }
@@ -105,7 +111,13 @@ fn validator_rejects_tampered_blocks() {
         .chain
         .mine_next_block(h.mc_wallet.address(), vec![], h.time)
         .unwrap();
-    let sc_block = h.node.sync_mainchain_block(&mc_block).unwrap();
+    let sc_block = h
+        .node
+        .sync_mainchain_block(
+            &mc_block,
+            &Blockchain::build_commitment(&mc_block.transactions),
+        )
+        .unwrap();
 
     // Tamper the claimed post-state digest.
     let mut forged = sc_block.clone();
@@ -166,7 +178,13 @@ fn validator_refuses_a_forged_or_omitted_wcert() {
             h.time,
         )
         .unwrap();
-    let sc_block = h.node.sync_mainchain_block(&mc_block).unwrap();
+    let sc_block = h
+        .node
+        .sync_mainchain_block(
+            &mc_block,
+            &Blockchain::build_commitment(&mc_block.transactions),
+        )
+        .unwrap();
     assert_eq!(sc_block.mc_references[0].wcert.as_ref(), Some(&cert));
 
     let mut forged = sc_block.clone();
@@ -224,7 +242,13 @@ fn forger_and_follower_agree_across_a_fork() {
     assert_eq!(validator.rollback_to_mc(&fork_base).unwrap(), 2);
     assert_eq!(validator.state().digest(), h.node.state().digest());
     for mc_block in &branch {
-        let sc_block = h.node.sync_mainchain_block(mc_block).unwrap();
+        let sc_block = h
+            .node
+            .sync_mainchain_block(
+                mc_block,
+                &Blockchain::build_commitment(&mc_block.transactions),
+            )
+            .unwrap();
         validator.receive_block(&sc_block, mc_block).unwrap();
     }
     assert_eq!(h.node.chain()[2].header.slot, spent_slot + 1);
@@ -279,7 +303,10 @@ fn unstaked_non_authority_forger_cannot_extend_the_chain() {
         rogue.state().digest(),
         rogue.snapshot_count(),
     );
-    let err = rogue.sync_mainchain_block(&mc_block);
+    let err = rogue.sync_mainchain_block(
+        &mc_block,
+        &Blockchain::build_commitment(&mc_block.transactions),
+    );
     assert!(err.is_err(), "unstaked non-authority forger must not forge");
     assert!(rogue.cert_inclusion_for(0).is_none());
     assert_eq!(
@@ -292,7 +319,13 @@ fn unstaked_non_authority_forger_cannot_extend_the_chain() {
     );
 
     // And tampering a valid block's forger identity fails validation:
-    let honest_block = h.node.sync_mainchain_block(&mc_block).unwrap();
+    let honest_block = h
+        .node
+        .sync_mainchain_block(
+            &mc_block,
+            &Blockchain::build_commitment(&mc_block.transactions),
+        )
+        .unwrap();
     let mut forged = honest_block.clone();
     forged.header.forger = Keypair::from_seed(b"rogue").public;
     assert!(rogue.receive_block(&forged, &mc_block).is_err());

@@ -72,15 +72,16 @@ impl Block {
         self.header.hash()
     }
 
-    /// Computes the Merkle root over this block's transaction ids.
-    pub fn compute_tx_root(transactions: &[McTransaction]) -> Digest32 {
-        let leaves: Vec<[u8; 32]> = transactions.iter().map(|tx| tx.txid().0).collect();
-        Digest32(MerkleTree::<Sha256Hasher>::from_leaves(leaves).root())
+    /// This block's transaction ids, in block order.
+    pub fn txids(&self) -> Vec<Digest32> {
+        self.transactions.iter().map(McTransaction::txid).collect()
     }
 
-    /// Returns `true` if the header's `tx_root` matches the body.
-    pub fn tx_root_consistent(&self) -> bool {
-        Self::compute_tx_root(&self.transactions) == self.header.tx_root
+    /// The Merkle root over transaction ids already computed, in block
+    /// order (the header's `tx_root` over [`Block::txids`]).
+    pub fn tx_root_of(txids: &[Digest32]) -> Digest32 {
+        let leaves: Vec<[u8; 32]> = txids.iter().map(|txid| txid.0).collect();
+        Digest32(MerkleTree::<Sha256Hasher>::from_leaves(leaves).root())
     }
 }
 
@@ -123,19 +124,17 @@ mod tests {
             height: 1,
             outputs: vec![],
         })];
-        let mut h = header();
-        h.tx_root = Block::compute_tx_root(&txs);
-        let block = Block {
-            header: h,
+        let mut block = Block {
+            header: header(),
             transactions: txs,
         };
-        assert!(block.tx_root_consistent());
+        block.header.tx_root = Block::tx_root_of(&block.txids());
         let mut bad = block.clone();
         bad.transactions.push(McTransaction::Coinbase(CoinbaseTx {
             height: 2,
             outputs: vec![],
         }));
-        assert!(!bad.tx_root_consistent());
+        assert_ne!(Block::tx_root_of(&bad.txids()), bad.header.tx_root);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! keeps no per-submission state.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use zendoo_core::commitment::{ScTxsCommitment, ScTxsCommitmentBuilder};
 use zendoo_core::escrow::EscrowError;
 use zendoo_core::ids::{Address, Amount};
@@ -240,6 +241,11 @@ pub enum SubmitOutcome {
 #[derive(Clone, Debug)]
 struct StoredBlock {
     block: Block,
+    /// The block's transaction ids, in order, as stage 1 computed them:
+    /// stages 2 and 3 hash no transaction again, on first connection or
+    /// on a reorg's reconnection. Kept while the block can still be
+    /// connected: `prune_undo` empties it with the undo record.
+    txids: Vec<Digest32>,
     cumulative_work: u128,
 }
 
@@ -347,14 +353,19 @@ impl From<Vec<McTransaction>> for BlockCandidates {
 }
 
 /// A block assembled by [`Blockchain::prepare_block`]: the mined block,
-/// the candidates it had to reject, and the proof verdicts recorded
-/// during the dry run, which the builder hands to [`Blockchain::submit`]
-/// alongside the block (stage 2 then re-verifies nothing the builder
-/// already checked).
+/// the sc-txs commitment its header commits to, the candidates it had
+/// to reject, and the proof verdicts recorded during the dry run, which
+/// the builder hands to [`Blockchain::submit`] alongside the block
+/// (stage 2 then re-verifies nothing the builder already checked).
 #[derive(Debug)]
 pub struct PreparedBlock {
     /// The assembled, mined (not yet submitted) block.
     pub block: Block,
+    /// The block's sc-txs commitment, built once while mining: every
+    /// sidechain node handed the block takes its part from this one
+    /// tree instead of rebuilding it (stage 1 of [`Blockchain::submit`]
+    /// still builds its own, to check the block against its header).
+    pub commitment: Arc<ScTxsCommitment>,
     /// Candidates rejected during the one-pass greedy fill, with the
     /// rule each violated (in candidate order).
     pub rejected: Vec<(McTransaction, BlockError)>,
@@ -389,7 +400,7 @@ pub struct Blockchain {
 impl Blockchain {
     /// Creates a chain with a freshly mined genesis block.
     pub fn new(params: ChainParams) -> Self {
-        let genesis = mine_block(
+        let (genesis, _) = mine_block(
             &params,
             Digest32::ZERO,
             0,
@@ -420,6 +431,7 @@ impl Blockchain {
             genesis_hash,
             StoredBlock {
                 block: genesis,
+                txids: vec![txid],
                 cumulative_work: params.target.work(),
             },
         );
@@ -757,10 +769,10 @@ impl Blockchain {
             return Err(BlockError::KnownInvalid(hash));
         }
         // Stage 1: stateless precheck.
-        {
+        let txids = {
             let _span = self.telemetry.span("mc.stage1.precheck");
-            pipeline::precheck_block(self.params.target, &block)?;
-        }
+            pipeline::precheck_block(self.params.target, &block)?
+        };
         let parent = self
             .blocks
             .get(&block.header.parent)
@@ -777,6 +789,7 @@ impl Blockchain {
             hash,
             StoredBlock {
                 block,
+                txids,
                 cumulative_work,
             },
         );
@@ -884,7 +897,7 @@ impl Blockchain {
         verdicts: Option<ProofVerdicts>,
         proof: Option<BlockProof>,
     ) -> Result<(), BlockError> {
-        let block = self.blocks[&hash].block.clone();
+        let StoredBlock { block, txids, .. } = &self.blocks[&hash];
         debug_assert_eq!(block.header.parent, self.tip_hash());
         // A recursive proof accompanying this block: carried with the
         // submission, or recorded when the block first connected
@@ -919,7 +932,7 @@ impl Blockchain {
                 let aggregated = supplied_proof.and_then(|proof| {
                     let verdicts = pipeline::verify_block_aggregate(
                         &self.state,
-                        &block,
+                        block,
                         hash,
                         &self.active,
                         &proof,
@@ -948,7 +961,7 @@ impl Blockchain {
                 let mut verdicts = aggregated.unwrap_or_else(|| {
                     pipeline::verify_block_proofs(
                         &self.state,
-                        &block,
+                        block,
                         hash,
                         &self.active,
                         None,
@@ -956,7 +969,7 @@ impl Blockchain {
                     )
                 });
                 verdicts.sigs =
-                    sigbatch::verify_block_signatures(&self.state, &block, &self.telemetry);
+                    sigbatch::verify_block_signatures(&self.state, block, txids, &self.telemetry);
                 verdicts
             }
         };
@@ -967,7 +980,8 @@ impl Blockchain {
             let _span = self.telemetry.span("mc.stage3.apply");
             pipeline::apply_block(
                 &mut self.state,
-                &block,
+                block,
+                txids,
                 hash,
                 &self.active,
                 self.params.block_subsidy,
@@ -985,10 +999,11 @@ impl Blockchain {
             self.telemetry
                 .observe("mc.block_txs", block.transactions.len() as u64);
         }
+        let height = block.header.height;
         if let Some(proof) = proof_to_record {
             self.block_proofs.insert(hash, proof);
         }
-        self.record_connect_event(hash, block.header.height, &undo);
+        self.record_connect_event(hash, height, &undo);
         self.undo.insert(hash, undo);
         self.active.push(hash);
         self.prune_undo();
@@ -1010,7 +1025,14 @@ impl Blockchain {
         if self.active.len() > self.params.max_reorg_depth {
             let prune_below = self.active.len() - self.params.max_reorg_depth;
             for hash in &self.active[..prune_below] {
-                self.undo.remove(hash);
+                // Below the undo window a block is never connected again
+                // (`activate` refuses such a reorg first): its ids go
+                // with its undo record.
+                if self.undo.remove(hash).is_some() {
+                    if let Some(stored) = self.blocks.get_mut(hash) {
+                        stored.txids = Vec::new();
+                    }
+                }
             }
         }
     }
@@ -1048,7 +1070,7 @@ impl Blockchain {
             .block_subsidy
             .checked_add(fees)
             .ok_or(BlockError::AmountOverflow)?;
-        let block = mine_block(
+        let (block, commitment) = mine_block(
             &self.params,
             self.tip_hash(),
             self.height() + 1,
@@ -1059,6 +1081,7 @@ impl Blockchain {
         .ok_or(BlockError::MiningFailed)?;
         Ok(PreparedBlock {
             block,
+            commitment: Arc::new(commitment),
             rejected,
             verdicts,
         })
@@ -1090,13 +1113,14 @@ impl Blockchain {
     /// The one-pass greedy fill: applies every candidate to a single
     /// scratch state in order, rolling a failing candidate back via the
     /// undo journal, and records every proof verdict the dry run
-    /// produced. Returns `(accepted, rejected, fees, verdicts)`.
+    /// produced. Returns `(accepted, rejected, fees, verdicts)`, each
+    /// accepted candidate with its id (hashed once, here).
     #[allow(clippy::type_complexity)]
     fn fill_block(
         &self,
         candidates: BlockCandidates,
     ) -> (
-        Vec<McTransaction>,
+        Vec<(McTransaction, Digest32)>,
         Vec<(McTransaction, BlockError)>,
         Amount,
         ProofVerdicts,
@@ -1128,9 +1152,11 @@ impl Blockchain {
                 }
             }
             let mark = undo.mark();
+            let txid = tx.txid();
             match pipeline::apply_transaction(
                 &mut scratch,
                 &tx,
+                txid,
                 height,
                 Digest32::ZERO,
                 &self.active,
@@ -1140,7 +1166,7 @@ impl Blockchain {
                 Ok(fee) => match fees.checked_add(fee) {
                     Some(total) => {
                         fees = total;
-                        accepted.push(tx);
+                        accepted.push((tx, txid));
                     }
                     None => {
                         undo.revert_to_mark(&mut scratch, mark);
@@ -1193,7 +1219,7 @@ impl Blockchain {
         let mut parent = *base;
         let mut branch = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let block = mine_block(
+            let (block, _) = mine_block(
                 &self.params,
                 parent,
                 start + 1 + i,
@@ -1234,28 +1260,37 @@ impl Blockchain {
     }
 }
 
-/// Assembles the block `coinbase_outputs` + `transactions` on `parent`
-/// and mines its header; `None` when the attempt bound is exhausted.
+/// Assembles the block `coinbase_outputs` + `transactions` (each with
+/// its id) on `parent` and mines its header. Returns the block with the
+/// sc-txs commitment its header commits to; `None` when the attempt
+/// bound is exhausted.
 fn mine_block(
     params: &ChainParams,
     parent: Digest32,
     height: u64,
     time: u64,
     coinbase_outputs: Vec<TxOut>,
-    transactions: Vec<McTransaction>,
-) -> Option<Block> {
-    let mut all = Vec::with_capacity(transactions.len() + 1);
-    all.push(McTransaction::Coinbase(CoinbaseTx {
+    transactions: Vec<(McTransaction, Digest32)>,
+) -> Option<(Block, ScTxsCommitment)> {
+    let coinbase = McTransaction::Coinbase(CoinbaseTx {
         height,
         outputs: coinbase_outputs,
-    }));
-    all.extend(transactions);
+    });
+    let mut txids = Vec::with_capacity(transactions.len() + 1);
+    txids.push(coinbase.txid());
+    let mut all = Vec::with_capacity(transactions.len() + 1);
+    all.push(coinbase);
+    for (tx, txid) in transactions {
+        all.push(tx);
+        txids.push(txid);
+    }
+    let commitment = Blockchain::build_commitment(&all);
     let mut header = BlockHeader {
         parent,
         height,
         time,
-        tx_root: Block::compute_tx_root(&all),
-        sc_txs_commitment: Blockchain::build_commitment(&all).root(),
+        tx_root: Block::tx_root_of(&txids),
+        sc_txs_commitment: commitment.root(),
         target: params.target,
         nonce: 0,
     };
@@ -1268,10 +1303,13 @@ fn mine_block(
         },
         params.max_mine_attempts,
     )?;
-    Some(Block {
-        header,
-        transactions: all,
-    })
+    Some((
+        Block {
+            header,
+            transactions: all,
+        },
+        commitment,
+    ))
 }
 
 impl std::fmt::Debug for Blockchain {

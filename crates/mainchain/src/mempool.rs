@@ -183,8 +183,9 @@ pub struct TakenBatch {
 ///
 /// let mut pool = Mempool::new();
 /// let tx = McTransaction::Coinbase(CoinbaseTx { height: 1, outputs: vec![] });
-/// assert_eq!(pool.admit(tx.clone(), Amount::ZERO, vec![]), AdmitOutcome::Admitted);
-/// assert_eq!(pool.admit(tx, Amount::ZERO, vec![]), AdmitOutcome::Duplicate);
+/// let txid = tx.txid();
+/// assert_eq!(pool.admit(tx.clone(), txid, Amount::ZERO, vec![]), AdmitOutcome::Admitted);
+/// assert_eq!(pool.admit(tx, txid, Amount::ZERO, vec![]), AdmitOutcome::Duplicate);
 /// assert_eq!(pool.len(), 1);
 /// ```
 #[derive(Clone, Debug)]
@@ -239,19 +240,20 @@ impl Mempool {
         (route % self.shards.len() as u64) as usize
     }
 
-    /// Admits a transaction with its fee (as resolved against the
-    /// current UTXO set) and any signature verdicts established at
-    /// admission. Evicts lowest-priority entries as needed to respect
-    /// the byte/count budget.
+    /// Admits a transaction under its id `txid` (the caller hashed it
+    /// once already), with its fee (as resolved against the current
+    /// UTXO set) and any signature verdicts established at admission.
+    /// Evicts lowest-priority entries as needed to respect the
+    /// byte/count budget.
     pub fn admit(
         &mut self,
         tx: McTransaction,
+        txid: Digest32,
         fee: Amount,
         sig_verdicts: Vec<(Digest32, bool)>,
     ) -> AdmitOutcome {
         let telemetry = self.telemetry.clone();
         let _span = telemetry.span("mc.mempool.admit");
-        let txid = tx.txid();
         let shard = self.shard_of(&txid);
         if self.shards[shard].entries.contains_key(&txid) {
             return AdmitOutcome::Duplicate;
@@ -437,7 +439,8 @@ mod tests {
 
     /// Pools `tx` at fee zero; `true` only if it was pooled.
     fn insert(pool: &mut Mempool, tx: McTransaction) -> bool {
-        pool.admit(tx, Amount::ZERO, vec![]) == AdmitOutcome::Admitted
+        let txid = tx.txid();
+        pool.admit(tx, txid, Amount::ZERO, vec![]) == AdmitOutcome::Admitted
     }
 
     fn small_pool(max_count: usize) -> Mempool {
@@ -452,9 +455,9 @@ mod tests {
     fn fee_order_preserved() {
         let mut pool = Mempool::new();
         let (a, b, c) = (transfer(1), transfer(2), transfer(3));
-        pool.admit(a.clone(), Amount::from_units(10), vec![]);
-        pool.admit(b.clone(), Amount::from_units(30), vec![]);
-        pool.admit(c.clone(), Amount::from_units(20), vec![]);
+        pool.admit(a.clone(), a.txid(), Amount::from_units(10), vec![]);
+        pool.admit(b.clone(), b.txid(), Amount::from_units(30), vec![]);
+        pool.admit(c.clone(), c.txid(), Amount::from_units(20), vec![]);
         let taken = pool.take_ordered(3).txs;
         assert_eq!(taken, vec![b, c, a], "highest fee rate first");
         assert!(pool.is_empty());
@@ -484,10 +487,10 @@ mod tests {
         let cheap = transfer(1);
         let mid = transfer(2);
         let rich = transfer(3);
-        pool.admit(cheap.clone(), Amount::from_units(1), vec![]);
-        pool.admit(mid.clone(), Amount::from_units(50), vec![]);
+        pool.admit(cheap.clone(), cheap.txid(), Amount::from_units(1), vec![]);
+        pool.admit(mid.clone(), mid.txid(), Amount::from_units(50), vec![]);
         assert_eq!(
-            pool.admit(rich.clone(), Amount::from_units(100), vec![]),
+            pool.admit(rich.clone(), rich.txid(), Amount::from_units(100), vec![]),
             AdmitOutcome::Admitted
         );
         assert_eq!(pool.len(), 2);
@@ -499,11 +502,21 @@ mod tests {
     #[test]
     fn incoming_below_floor_is_rejected() {
         let mut pool = small_pool(2);
-        pool.admit(transfer(1), Amount::from_units(50), vec![]);
-        pool.admit(transfer(2), Amount::from_units(100), vec![]);
+        pool.admit(
+            transfer(1),
+            transfer(1).txid(),
+            Amount::from_units(50),
+            vec![],
+        );
+        pool.admit(
+            transfer(2),
+            transfer(2).txid(),
+            Amount::from_units(100),
+            vec![],
+        );
         let broke = transfer(3);
         assert_eq!(
-            pool.admit(broke.clone(), Amount::ZERO, vec![]),
+            pool.admit(broke.clone(), broke.txid(), Amount::ZERO, vec![]),
             AdmitOutcome::RejectedFull
         );
         assert!(!pool.contains(&broke.txid()));
@@ -520,13 +533,18 @@ mod tests {
             max_bytes: size + size / 2,
         });
         assert_eq!(
-            pool.admit(victim.clone(), Amount::from_units(1), vec![]),
+            pool.admit(victim.clone(), victim.txid(), Amount::from_units(1), vec![]),
             AdmitOutcome::Admitted
         );
         // A higher-fee transaction displaces it; the pool never
         // exceeds its byte budget.
         assert_eq!(
-            pool.admit(transfer(2), Amount::from_units(9), vec![]),
+            pool.admit(
+                transfer(2),
+                transfer(2).txid(),
+                Amount::from_units(9),
+                vec![]
+            ),
             AdmitOutcome::Admitted
         );
         assert!(!pool.contains(&victim.txid()));
@@ -550,11 +568,21 @@ mod tests {
         ));
         assert_eq!(class_of(&claim), TxClass::Settlement);
         let whale = transfer(1);
-        pool.admit(claim.clone(), Amount::ZERO, vec![]);
-        pool.admit(whale.clone(), Amount::from_units(1_000_000), vec![]);
+        pool.admit(claim.clone(), claim.txid(), Amount::ZERO, vec![]);
+        pool.admit(
+            whale.clone(),
+            whale.txid(),
+            Amount::from_units(1_000_000),
+            vec![],
+        );
         // A further whale evicts the transfer, never the claim.
         assert_eq!(
-            pool.admit(transfer(2), Amount::from_units(2_000_000), vec![]),
+            pool.admit(
+                transfer(2),
+                transfer(2).txid(),
+                Amount::from_units(2_000_000),
+                vec![]
+            ),
             AdmitOutcome::Admitted
         );
         assert!(pool.contains(&claim.txid()));
@@ -589,7 +617,12 @@ mod tests {
         let mut pool = Mempool::new();
         let a = transfer(1);
         let key = Digest32::hash_bytes(b"verdict-key");
-        pool.admit(a.clone(), Amount::from_units(1), vec![(key, true)]);
+        pool.admit(
+            a.clone(),
+            a.txid(),
+            Amount::from_units(1),
+            vec![(key, true)],
+        );
         let batch = pool.take_ordered(10);
         assert_eq!(batch.txs, vec![a]);
         assert_eq!(batch.sig_verdicts.get(&key), Some(&true));
@@ -600,8 +633,14 @@ mod tests {
         let mut pool = small_pool(1);
         let victim = transfer(1);
         let key = Digest32::hash_bytes(b"victim-key");
-        pool.admit(victim, Amount::from_units(1), vec![(key, true)]);
-        pool.admit(transfer(2), Amount::from_units(10), vec![]);
+        let txid = victim.txid();
+        pool.admit(victim, txid, Amount::from_units(1), vec![(key, true)]);
+        pool.admit(
+            transfer(2),
+            transfer(2).txid(),
+            Amount::from_units(10),
+            vec![],
+        );
         let batch = pool.take_ordered(10);
         assert!(batch.sig_verdicts.is_empty(), "evicted verdicts purged");
     }

@@ -85,7 +85,8 @@ impl Miner {
             return Err(error);
         }
         let fee = fee_of(&tx, |op| chain.state().utxos.get(op).map(|o| o.amount));
-        Ok(self.mempool.admit(tx, fee, Vec::new()))
+        let txid = tx.txid();
+        Ok(self.mempool.admit(tx, txid, fee, Vec::new()))
     }
 
     /// Admits a whole batch through the fee-aware, batch-verified

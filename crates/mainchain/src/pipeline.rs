@@ -7,7 +7,9 @@
 //!    work, coinbase discipline, txid uniqueness and the
 //!    `scTxsCommitment` rebuild. No chain state is consulted beyond the
 //!    consensus parameters; [`precheck_transaction`] is the same stage
-//!    applied to a single transaction at mempool admission.
+//!    applied to a single transaction at mempool admission. It hashes
+//!    each transaction id once and returns the ids, which the chain
+//!    stores beside the block for stages 2 and 3.
 //! 2. **Parallel proof and signature verification**
 //!    ([`verify_block_proofs`], [`crate::sigbatch`]) — every SNARK check
 //!    the block owes (certificates, BTRs, CSWs) is collected into a
@@ -94,7 +96,9 @@ pub fn precheck_transaction(tx: &McTransaction) -> Result<(), BlockError> {
 
 /// Stage-1 checks for a whole block: target/PoW, tx-root and commitment
 /// consistency, coinbase discipline and txid uniqueness. Consults no
-/// chain state beyond `expected_target`.
+/// chain state beyond `expected_target`. Returns the block's txids, in
+/// order: each transaction is hashed once here, and stages 2 and 3 take
+/// its id from this list.
 ///
 /// # Errors
 ///
@@ -102,14 +106,15 @@ pub fn precheck_transaction(tx: &McTransaction) -> Result<(), BlockError> {
 pub fn precheck_block(
     expected_target: crate::pow::Target,
     block: &Block,
-) -> Result<(), BlockError> {
+) -> Result<Vec<Digest32>, BlockError> {
     if block.header.target != expected_target {
         return Err(BlockError::WrongTarget);
     }
     if !block.header.meets_target() {
         return Err(BlockError::BadProofOfWork);
     }
-    if !block.tx_root_consistent() {
+    let txids = block.txids();
+    if Block::tx_root_of(&txids) != block.header.tx_root {
         return Err(BlockError::TxRootMismatch);
     }
     match block.transactions.first() {
@@ -129,17 +134,15 @@ pub fn precheck_block(
     {
         return Err(BlockError::BadCoinbase("multiple coinbases"));
     }
-    let mut seen = HashSet::new();
-    for tx in &block.transactions {
-        if !seen.insert(tx.txid()) {
-            return Err(BlockError::DuplicateTxid(tx.txid()));
-        }
+    let mut seen = HashSet::with_capacity(txids.len());
+    if let Some(duplicate) = txids.iter().find(|txid| !seen.insert(**txid)) {
+        return Err(BlockError::DuplicateTxid(*duplicate));
     }
     let commitment = crate::chain::Blockchain::build_commitment(&block.transactions);
     if commitment.root() != block.header.sc_txs_commitment {
         return Err(BlockError::CommitmentMismatch);
     }
-    Ok(())
+    Ok(txids)
 }
 
 // ---- Stage 2: parallel proof verification --------------------------------
@@ -581,7 +584,9 @@ pub fn revert_block(state: &mut ChainState, undo: BlockUndo) {
 
 /// Stage 3: applies a block's effects to `state`, journaling every
 /// mutation. On success, returns the block's [`BlockUndo`]; on failure,
-/// the partial journal is reverted and the state is untouched.
+/// the partial journal is reverted and the state is untouched. `txids`
+/// are the block's transaction ids in order, as [`precheck_block`]
+/// returned them.
 ///
 /// `verdicts` supplies the stage-2 proof verdicts; pass
 /// [`ProofVerdicts::inline`] to verify every proof inline.
@@ -593,15 +598,22 @@ pub fn revert_block(state: &mut ChainState, undo: BlockUndo) {
 pub fn apply_block(
     state: &mut ChainState,
     block: &Block,
+    txids: &[Digest32],
     block_hash: Digest32,
     active: &[Digest32],
     block_subsidy: Amount,
     verdicts: &ProofVerdicts,
 ) -> Result<BlockUndo, BlockError> {
+    assert_eq!(
+        txids.len(),
+        block.transactions.len(),
+        "stage 3 takes one id per transaction"
+    );
     let mut undo = BlockUndo::new(state);
     match apply_block_inner(
         state,
         block,
+        txids,
         block_hash,
         active,
         block_subsidy,
@@ -636,9 +648,11 @@ pub(crate) fn begin_block(state: &mut ChainState, height: u64, undo: &mut BlockU
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn apply_block_inner(
     state: &mut ChainState,
     block: &Block,
+    txids: &[Digest32],
     block_hash: Digest32,
     active: &[Digest32],
     block_subsidy: Amount,
@@ -650,8 +664,8 @@ fn apply_block_inner(
 
     // Phase 1: non-coinbase transactions, accumulating fees.
     let mut fees = Amount::ZERO;
-    for tx in &block.transactions[1..] {
-        let fee = apply_transaction(state, tx, height, block_hash, active, verdicts, undo)?;
+    for (tx, txid) in block.transactions.iter().zip(txids).skip(1) {
+        let fee = apply_transaction(state, tx, *txid, height, block_hash, active, verdicts, undo)?;
         fees = fees.checked_add(fee).ok_or(BlockError::AmountOverflow)?;
     }
 
@@ -675,13 +689,12 @@ fn apply_block_inner(
     if cb_total > allowed {
         return Err(BlockError::BadCoinbase("claims more than subsidy + fees"));
     }
-    let txid = block.transactions[0].txid();
     for (i, out) in cb.outputs.iter().enumerate() {
         create_utxo(
             state,
             undo,
             OutPoint {
-                txid,
+                txid: txids[0],
                 index: i as u32,
             },
             *out,
@@ -696,8 +709,9 @@ fn apply_block_inner(
     Ok(())
 }
 
-/// Applies one non-coinbase transaction, returning its fee. Mutations
-/// are journaled into `undo`; proof checks consult `verdicts`.
+/// Applies one non-coinbase transaction whose id is `txid`, returning
+/// its fee. Mutations are journaled into `undo`; proof checks consult
+/// `verdicts`.
 ///
 /// # Errors
 ///
@@ -706,6 +720,7 @@ fn apply_block_inner(
 pub fn apply_transaction(
     state: &mut ChainState,
     tx: &McTransaction,
+    txid: Digest32,
     height: u64,
     block_hash: Digest32,
     active: &[Digest32],
@@ -733,12 +748,10 @@ pub fn apply_transaction(
             let mut escrow_inputs: Vec<(Amount, zendoo_core::escrow::EscrowTag)> = Vec::new();
             let mut first_regular: Option<usize> = None;
             let mut total_in = Amount::ZERO;
-            // The sighash (and, when a signature-verdict cache can answer
-            // or records, the txid) is shared by every input — compute
-            // each at most once per transaction, not per input.
+            // The sighash is shared by every input — compute it at most
+            // once per transaction, not per input.
             let mut sighash_memo: Option<Digest32> = None;
-            let txid_for_sigs =
-                (verdicts.sigs.recording || !verdicts.sigs.is_empty()).then(|| tx.txid());
+            let cached = verdicts.sigs.recording || !verdicts.sigs.is_empty();
             for (i, input) in t.inputs.iter().enumerate() {
                 let spent = *state
                     .utxos
@@ -752,12 +765,13 @@ pub fn apply_transaction(
                             return Err(BlockError::BadInputAuthorization { input: i });
                         }
                         let sighash = *sighash_memo.get_or_insert_with(|| t.sighash());
-                        let ok = match txid_for_sigs {
-                            Some(txid) => verdicts.sigs.check(
+                        let ok = if cached {
+                            verdicts.sigs.check(
                                 crate::sigbatch::sig_cache_key(&txid, input, &sighash),
                                 || input.verify_signature(&sighash),
-                            ),
-                            None => input.verify_signature(&sighash),
+                            )
+                        } else {
+                            input.verify_signature(&sighash)
                         };
                         if !ok {
                             return Err(BlockError::BadInputAuthorization { input: i });
@@ -842,7 +856,6 @@ pub fn apply_transaction(
             for input in &t.inputs {
                 spend_utxo(state, undo, &input.outpoint);
             }
-            let txid = tx.txid();
             for (i, output) in t.outputs.iter().enumerate() {
                 match output {
                     Output::Regular(out) => {
@@ -898,10 +911,7 @@ pub fn apply_transaction(
             create_utxo(
                 state,
                 undo,
-                OutPoint {
-                    txid: tx.txid(),
-                    index: 0,
-                },
+                OutPoint { txid, index: 0 },
                 TxOut::regular(bt.receiver, bt.amount),
             );
             Ok(Amount::ZERO)

@@ -185,7 +185,8 @@ pub(crate) fn queue_sig_checks(
 }
 
 /// Stage 2 for signatures: every check the block's transfers owe
-/// against the pre-block state ([`queue_sig_checks`]), verified as one
+/// against the pre-block state ([`queue_sig_checks`], under the `txids`
+/// stage 1 computed), verified as one
 /// batch on one lane per core, as the verdict cache stage 3 consults
 /// where it would otherwise verify inline. A transaction whose key does
 /// not match queues nothing — stage 3 refuses it, and the block, by the
@@ -193,13 +194,14 @@ pub(crate) fn queue_sig_checks(
 pub(crate) fn verify_block_signatures(
     state: &ChainState,
     block: &Block,
+    txids: &[Digest32],
     telemetry: &Telemetry,
 ) -> VerdictCache {
     let mut checks = Vec::new();
-    for tx in &block.transactions {
+    for (tx, txid) in block.transactions.iter().zip(txids) {
         if let McTransaction::Transfer(transfer) = tx {
             // An `Err` is stage 3's to report, in transaction order.
-            let _ = queue_sig_checks(state, tx.txid(), transfer, &mut checks);
+            let _ = queue_sig_checks(state, *txid, transfer, &mut checks);
         }
     }
     if checks.is_empty() {
@@ -263,6 +265,7 @@ where
 {
     struct Pending {
         tx: McTransaction,
+        txid: Digest32,
         fee: Amount,
         /// Range into the flat check list.
         checks: std::ops::Range<usize>,
@@ -294,6 +297,7 @@ where
         let fee = fee_of(&tx, |op| state.utxos.get(op).map(|o| o.amount));
         pending.push(Pending {
             tx,
+            txid,
             fee,
             checks: start..checks.len(),
         });
@@ -315,7 +319,7 @@ where
         let tx_verdicts: Vec<(Digest32, bool)> = range
             .map(|i| (checks[i].cache_key(), verdicts[i]))
             .collect();
-        match pool.admit(p.tx, p.fee, tx_verdicts) {
+        match pool.admit(p.tx, p.txid, p.fee, tx_verdicts) {
             AdmitOutcome::Admitted => report.admitted += 1,
             AdmitOutcome::Duplicate => report.duplicate += 1,
             AdmitOutcome::RejectedFull => report.rejected += 1,

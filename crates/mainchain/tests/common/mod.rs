@@ -8,7 +8,7 @@ use zendoo_mainchain::pow;
 /// passes stage 1 again and only what was tampered with differs.
 pub fn remine(chain: &Blockchain, mut block: Block) -> Block {
     let mut header = block.header;
-    header.tx_root = Block::compute_tx_root(&block.transactions);
+    header.tx_root = Block::tx_root_of(&block.txids());
     header.sc_txs_commitment = Blockchain::build_commitment(&block.transactions).root();
     header.nonce = pow::mine(
         &chain.params().target,

@@ -457,6 +457,7 @@ fn coinbase_cannot_mint_escrow_outputs() {
     let err = pipeline::apply_block(
         &mut forged_state,
         &block,
+        &block.txids(),
         block.hash(),
         &active,
         chain.params().block_subsidy,

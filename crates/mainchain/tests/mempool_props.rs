@@ -59,7 +59,7 @@ proptest! {
         });
         for (i, fee) in fees.iter().enumerate() {
             let tx = transfer(i as u64);
-            let outcome = pool.admit(tx.clone(), Amount::from_units(*fee), vec![]);
+            let outcome = pool.admit(tx.clone(), tx.txid(), Amount::from_units(*fee), vec![]);
             prop_assert!(pool.len() <= max_count, "count budget violated");
             match outcome {
                 AdmitOutcome::Admitted => prop_assert!(pool.contains(&tx.txid())),
@@ -85,7 +85,7 @@ proptest! {
         });
         let txs: Vec<McTransaction> = (0..fees.len() as u64).map(transfer).collect();
         for (i, (tx, fee)) in txs.iter().zip(&fees).enumerate() {
-            pool.admit(tx.clone(), Amount::from_units(*fee), vec![]);
+            pool.admit(tx.clone(), tx.txid(), Amount::from_units(*fee), vec![]);
             // Oracle: the top-min(i+1, cap) of everything seen so far.
             let mut seen: Vec<usize> = (0..=i).collect();
             seen.sort_by_key(|&j| std::cmp::Reverse(priority(&txs[j], fees[j], j)));
@@ -115,7 +115,7 @@ proptest! {
         let txs: Vec<McTransaction> = (0..fees.len() as u64).map(transfer).collect();
         for (i, (tx, fee)) in txs.iter().zip(&fees).enumerate() {
             prop_assert_eq!(
-                pool.admit(tx.clone(), Amount::from_units(*fee), vec![]),
+                pool.admit(tx.clone(), tx.txid(), Amount::from_units(*fee), vec![]),
                 AdmitOutcome::Admitted,
                 "unbounded pool admits everything ({i})"
             );
@@ -145,24 +145,24 @@ proptest! {
         });
         let victim = transfer(1);
         prop_assert_eq!(
-            pool.admit(victim.clone(), Amount::from_units(fee_a), vec![]),
+            pool.admit(victim.clone(), victim.txid(), Amount::from_units(fee_a), vec![]),
             AdmitOutcome::Admitted
         );
         prop_assert_eq!(
-            pool.admit(victim.clone(), Amount::from_units(fee_a), vec![]),
+            pool.admit(victim.clone(), victim.txid(), Amount::from_units(fee_a), vec![]),
             AdmitOutcome::Duplicate
         );
         prop_assert_eq!(pool.len(), 1, "duplicate never double-pools");
         // A strictly higher fee rate evicts it…
         prop_assert_eq!(
-            pool.admit(transfer(2), Amount::from_units(fee_b), vec![]),
+            pool.admit(transfer(2), transfer(2).txid(), Amount::from_units(fee_b), vec![]),
             AdmitOutcome::Admitted
         );
         prop_assert!(!pool.contains(&victim.txid()));
         // …after which the txid is fresh again, and a matching high
         // fee re-admits it.
         prop_assert_eq!(
-            pool.admit(victim.clone(), Amount::from_units(fee_b * 2), vec![]),
+            pool.admit(victim.clone(), victim.txid(), Amount::from_units(fee_b * 2), vec![]),
             AdmitOutcome::Admitted
         );
         prop_assert!(pool.contains(&victim.txid()));
@@ -183,7 +183,7 @@ proptest! {
         });
         let txs: Vec<McTransaction> = (0..n as u64).map(transfer).collect();
         for (i, tx) in txs.iter().enumerate() {
-            pool.admit(tx.clone(), Amount::from_units(i as u64), vec![]);
+            pool.admit(tx.clone(), tx.txid(), Amount::from_units(i as u64), vec![]);
         }
         let confirmed: Vec<Digest32> = txs
             .iter()

@@ -1,8 +1,9 @@
 //! Staged-pipeline behavior: multi-certificate blocks verify their
 //! proofs in parallel with verdicts identical to the serial path, the
 //! per-block undo journal is an exact rollback, the one-pass block
-//! fill equals the per-prefix greedy fill, and the batched settlement
-//! consensus rules hold on the mainchain apply path.
+//! fill equals the per-prefix greedy fill, stage 1 hashes each
+//! transaction id once for the whole validation, and the batched
+//! settlement consensus rules hold on the mainchain apply path.
 
 mod common;
 
@@ -13,6 +14,7 @@ use zendoo_core::escrow::{EscrowError, EscrowTag};
 use zendoo_core::ids::{Address, Amount, EpochId, SidechainId};
 use zendoo_core::proofdata::ProofData;
 use zendoo_core::settlement::{SettlementBatch, SettlementError};
+use zendoo_core::transfer::ForwardTransfer;
 use zendoo_core::{
     certificate::{wcert_public_inputs, WcertSysData},
     SidechainConfigBuilder, WithdrawalCertificate,
@@ -24,6 +26,7 @@ use zendoo_mainchain::registry::RegistryError;
 use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 use zendoo_mainchain::Wallet;
 use zendoo_primitives::digest::Digest32;
+use zendoo_primitives::opcount::measure;
 use zendoo_primitives::schnorr::Keypair;
 use zendoo_snark::aggregate::BlockProof;
 use zendoo_snark::backend::{prove, setup_deterministic, ProvingKey};
@@ -192,11 +195,19 @@ fn parallel_verdicts_match_serial_application() {
     let mut cached_state = chain.state().clone();
     let mut inline_state = chain.state().clone();
     let subsidy = chain.params().block_subsidy;
-    let cached =
-        pipeline::apply_block(&mut cached_state, &block, hash, &active, subsidy, &verdicts);
+    let cached = pipeline::apply_block(
+        &mut cached_state,
+        &block,
+        &block.txids(),
+        hash,
+        &active,
+        subsidy,
+        &verdicts,
+    );
     let inline = pipeline::apply_block(
         &mut inline_state,
         &block,
+        &block.txids(),
         hash,
         &active,
         subsidy,
@@ -226,6 +237,7 @@ fn block_undo_is_an_exact_rollback() {
     let undo = pipeline::apply_block(
         &mut state,
         &block,
+        &block.txids(),
         hash,
         &active,
         chain.params().block_subsidy,
@@ -322,6 +334,7 @@ fn inline_verdict(chain: &Blockchain, block: &Block) -> Result<(), BlockError> {
     pipeline::apply_block(
         &mut chain.state().clone(),
         block,
+        &block.txids(),
         block.hash(),
         &active,
         chain.params().block_subsidy,
@@ -489,6 +502,119 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
         assert_eq!(receiver.tip_hash(), builder.tip_hash());
         assert_eq!(receiver.state(), builder.state());
     }
+}
+
+// ---- Stage 1 hashes each transaction once; stages 2 and 3 reuse the ids ----
+
+/// Stage 1 computes the block's ids once and checks both the tx root
+/// and uniqueness on them: a repeated transfer is still named by its
+/// id, and a reordered body under the honest header still fails the
+/// root.
+#[test]
+fn a_repeated_or_reordered_transaction_fails_stage_1_by_name() {
+    let (block, _) = sig_block(false);
+    let (mut receiver, _, _, _) = sig_node(Vec::new());
+    let target = receiver.params().target;
+
+    let repeat = block.transactions[3 + 4].clone();
+    let mut repeated = block.clone();
+    repeated.transactions.push(repeat.clone());
+    let repeated = remine(&receiver, repeated);
+    let named = BlockError::DuplicateTxid(repeat.txid());
+    assert_eq!(
+        pipeline::precheck_block(target, &repeated),
+        Err(named.clone())
+    );
+    assert_eq!(receiver.submit_block(repeated).unwrap_err(), named);
+
+    let mut reordered = block.clone();
+    reordered.transactions.swap(3, 4);
+    assert_eq!(
+        receiver.submit_block(reordered).unwrap_err(),
+        BlockError::TxRootMismatch
+    );
+
+    assert_eq!(pipeline::precheck_block(target, &block), Ok(block.txids()));
+    receiver.submit_block(block).unwrap();
+}
+
+/// User `i` spending both premined outputs: one regular output, and a
+/// forward transfer to `sc_id(0)` carrying `metadata` bytes.
+fn pay_and_forward(chain: &Blockchain, i: usize, metadata: usize) -> McTransaction {
+    let user = sig_user(i);
+    let owned = chain.state().utxos.owned_by(&user.address());
+    let spends: Vec<_> = owned
+        .iter()
+        .map(|(outpoint, _)| (*outpoint, &user.keypair().secret))
+        .collect();
+    McTransaction::Transfer(TransferTx::signed(
+        &spends,
+        vec![
+            Output::Regular(TxOut::regular(
+                Address::from_label("bob"),
+                Amount::from_units(2_000),
+            )),
+            Output::Forward(ForwardTransfer {
+                sidechain_id: sc_id(0),
+                receiver_metadata: vec![0; metadata],
+                amount: Amount::from_units(900 + i as u64),
+            }),
+        ],
+    ))
+}
+
+/// SHA-256 blocks a cacheless node spends validating a block of
+/// [`SIG_USERS`] [`pay_and_forward`] transfers, and the transfers.
+fn validation_sha(metadata: usize) -> (u64, Vec<McTransaction>) {
+    let (builder, _, miner, _) = sig_node(Vec::new());
+    let txs: Vec<_> = (0..SIG_USERS)
+        .map(|i| pay_and_forward(&builder, i, metadata))
+        .collect();
+    let prepared = builder
+        .prepare_block(miner.address(), txs.clone(), 8)
+        .unwrap();
+    assert!(prepared.rejected.is_empty());
+    let (mut receiver, _, _, _) = sig_node(Vec::new());
+    let (outcome, cost) = measure(|| receiver.submit_block(prepared.block));
+    outcome.unwrap();
+    (cost.sha_blocks, txs)
+}
+
+/// Validating a block hashes each transaction's id once. Two blocks of
+/// the same transfers differ only in how many metadata bytes each
+/// forward output carries; those bytes are hashed by the transfer's id,
+/// by its sighash — queued in stage 2 and checked in stage 3 — and by
+/// the transfer's leaf in the commitment stage 1 rebuilds, and by
+/// nothing else. What the longer block costs beyond the sighashes and
+/// leaves is one id per transfer.
+#[test]
+fn validating_a_block_hashes_each_transfer_id_once() {
+    // Warm the lazily built constants, which the first call pays for.
+    validation_sha(8);
+    let (short, short_txs) = validation_sha(8);
+    let (long, long_txs) = validation_sha(8 + 640);
+    let sha = |f: &dyn Fn() -> Digest32| measure(f).1.sha_blocks as i64;
+    let (mut ids, mut others) = (0, 0);
+    for (s, l) in short_txs.iter().zip(&long_txs) {
+        let (McTransaction::Transfer(st), McTransaction::Transfer(lt)) = (s, l) else {
+            unreachable!("pay_and_forward makes transfers")
+        };
+        let (Output::Forward(sf), Output::Forward(lf)) = (&st.outputs[1], &lt.outputs[1]) else {
+            unreachable!("output 1 is the forward transfer")
+        };
+        ids += sha(&|| l.txid()) - sha(&|| s.txid());
+        others += 2 * (sha(&|| lt.sighash()) - sha(&|| st.sighash()));
+        others += sha(&|| lf.digest()) - sha(&|| sf.digest());
+    }
+    assert!(
+        ids >= 10 * SIG_USERS as i64,
+        "the extra bytes reach the ids"
+    );
+    assert_eq!(
+        long as i64 - short as i64 - others,
+        ids,
+        "each transfer's id is hashed once"
+    );
 }
 
 // ---- One-pass fill ≡ per-prefix greedy fill -------------------------------

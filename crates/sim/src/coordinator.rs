@@ -32,10 +32,10 @@ use std::time::Instant;
 use zendoo_core::ids::SidechainId;
 use zendoo_crosschain::settlement_transactions;
 use zendoo_mainchain::transaction::McTransaction;
-use zendoo_mainchain::{Block, BlockError, PreparedBlock};
+use zendoo_mainchain::{BlockError, PreparedBlock};
 use zendoo_telemetry::Telemetry;
 
-use crate::shard::{ShardEffects, SidechainShard};
+use crate::shard::{McDelivery, ShardEffects, SidechainShard};
 use crate::world::{SimError, World};
 
 /// The tick's prologue: bump time and pool the settlement of every
@@ -143,7 +143,7 @@ type Lane<'a> = Vec<(usize, &'a mut SidechainShard)>;
 /// lane itself never panics.
 fn run_lane(
     lane: Lane<'_>,
-    feed: &[Block],
+    feed: &[McDelivery],
     record: bool,
     start: Instant,
 ) -> (Vec<(usize, ShardEffects)>, u64) {
@@ -175,6 +175,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     });
     let PreparedBlock {
         block,
+        commitment,
         rejected,
         verdicts,
     } = prepared?;
@@ -224,11 +225,15 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
 
     let workers = lanes(workers).clamp(1, live.max(1));
 
-    // The coordinator's own critical path through the shard phase:
-    // stage 2 consumes the carried verdicts, stage 3 applies, and the
-    // router reads the connected block's settlements.
-    let block_ref = &block;
-    let feed = std::slice::from_ref(block_ref);
+    // Every lane gets the block with the sc-txs commitment its builder
+    // already built: the one build for all shards. The coordinator's
+    // own critical path through the shard phase: stage 1 checks the
+    // block against its header, stage 2 consumes the carried verdicts,
+    // stage 3 applies, and the router reads the connected block's
+    // settlements.
+    let delivery = McDelivery { block, commitment };
+    let block_ref = &delivery.block;
+    let feed = std::slice::from_ref(&delivery);
     let submit = || {
         telemetry.time("tick.mc.submit", || {
             let result = chain

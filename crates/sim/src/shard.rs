@@ -23,9 +23,11 @@
 //! point of view, exactly the liveness fault of Def 4.2, so the chain
 //! eventually ceases) while the rest of the world keeps stepping.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use zendoo_core::certificate::WithdrawalCertificate;
+use zendoo_core::commitment::ScTxsCommitment;
 use zendoo_core::ids::SidechainId;
 use zendoo_latus::node::NodeError;
 use zendoo_mainchain::Block;
@@ -33,6 +35,17 @@ use zendoo_primitives::opcount::{self, OpCount};
 use zendoo_telemetry::Snapshot;
 
 use crate::world::ScInstance;
+
+/// A mainchain block as a shard receives it: the block and its sc-txs
+/// commitment, built once by whoever delivers the block (the tick's
+/// block builder, a fork's replacement branch) and shared by every
+/// shard it reaches. Each node takes its own part of the commitment; no
+/// shard rebuilds it.
+#[derive(Clone, Debug)]
+pub(crate) struct McDelivery {
+    pub(crate) block: Block,
+    pub(crate) commitment: Arc<ScTxsCommitment>,
+}
 
 /// Per-sidechain counters, owned by the shard itself (the global
 /// [`crate::metrics::Metrics`] aggregates across chains).
@@ -125,8 +138,9 @@ pub struct SidechainShard {
     /// node while partitioned or diverged, replayed in order on the
     /// first sync after the heal. A shard with a non-empty backlog is
     /// simply behind; a mainchain fork drops the part it disconnected
-    /// ([`SidechainShard::reorg`]).
-    pub(crate) backlog: Vec<Block>,
+    /// ([`SidechainShard::reorg`]). Each block keeps the commitment it
+    /// was delivered with.
+    pub(crate) backlog: Vec<McDelivery>,
     /// Adversarial-certifier fault: while set, every honest
     /// certificate this shard produces is raced on the mainchain by
     /// forged competitors the coordinator injects (see
@@ -185,9 +199,11 @@ impl SidechainShard {
     /// Relay-equivocation fault: the node adopts `phantom` — a sibling
     /// of the canonical tip only this shard was shown — and diverges;
     /// the phantom's parent is the last block both histories share.
-    pub(crate) fn adopt_phantom(&mut self, phantom: &Block) -> Result<(), NodeError> {
-        self.instance.node.sync_mainchain_block(phantom)?;
-        self.diverged = Some(phantom.header.parent);
+    pub(crate) fn adopt_phantom(&mut self, phantom: &McDelivery) -> Result<(), NodeError> {
+        self.instance
+            .node
+            .sync_mainchain_block(&phantom.block, &phantom.commitment)?;
+        self.diverged = Some(phantom.block.header.parent);
         self.metrics.sc_blocks += 1;
         self.metrics.equivocations += 1;
         Ok(())
@@ -234,7 +250,7 @@ impl SidechainShard {
             self.diverged = None;
         }
         self.backlog
-            .retain(|block| !disconnected.contains(&block.hash()));
+            .retain(|delivery| !disconnected.contains(&delivery.block.hash()));
         Ok(reverted)
     }
 
@@ -253,7 +269,7 @@ impl SidechainShard {
     /// produced (and rejected by the mainchain if the submission window
     /// already closed: Def 4.2 ceasing is decided by the mainchain,
     /// never by the faulty shard).
-    pub(crate) fn sync_and_certify(&mut self, feed: &[Block], record: bool) -> ShardEffects {
+    pub(crate) fn sync_and_certify(&mut self, feed: &[McDelivery], record: bool) -> ShardEffects {
         let start = Instant::now();
         let id = self.instance.id;
         let mut effects = ShardEffects {
@@ -338,15 +354,15 @@ impl SidechainShard {
     #[allow(clippy::type_complexity)]
     fn catch_up(
         &mut self,
-        backlog: &[Block],
-        feed: &[Block],
+        backlog: &[McDelivery],
+        feed: &[McDelivery],
         cost: &mut SyncCost,
     ) -> Result<(u64, Vec<WithdrawalCertificate>, u64), NodeError> {
         let mut forged = 0;
         let mut certificates = Vec::new();
         let mut withheld = 0;
-        for block in backlog.iter().chain(feed) {
-            let (certificate, w) = self.tick(block, cost)?;
+        for delivery in backlog.iter().chain(feed) {
+            let (certificate, w) = self.tick(delivery, cost)?;
             forged += 1;
             certificates.extend(certificate);
             if w {
@@ -362,7 +378,7 @@ impl SidechainShard {
     /// Returns the certificate, or whether certification was withheld.
     fn tick(
         &mut self,
-        block: &Block,
+        delivery: &McDelivery,
         cost: &mut SyncCost,
     ) -> Result<(Option<WithdrawalCertificate>, bool), NodeError> {
         if self.panic_next_sync {
@@ -370,7 +386,8 @@ impl SidechainShard {
             panic!("injected shard fault on {}", self.instance.label);
         }
         let node = &mut self.instance.node;
-        cost.forge.run(|| node.sync_mainchain_block(block))?;
+        cost.forge
+            .run(|| node.sync_mainchain_block(&delivery.block, &delivery.commitment))?;
         if !self.instance.node.epoch_complete() {
             return Ok((None, false));
         }

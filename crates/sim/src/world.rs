@@ -61,6 +61,7 @@ use zendoo_mainchain::miner::Miner;
 use zendoo_mainchain::sigbatch::AdmissionReport;
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
 use zendoo_mainchain::wallet::Wallet;
+use zendoo_mainchain::Block;
 use zendoo_primitives::schnorr::Keypair;
 use zendoo_primitives::smt;
 use zendoo_snark::batch::fan_out;
@@ -69,7 +70,7 @@ use zendoo_telemetry::{InMemoryRecorder, Snapshot, Telemetry};
 
 use crate::coordinator;
 use crate::metrics::Metrics;
-use crate::shard::{ShardMetrics, SidechainShard};
+use crate::shard::{McDelivery, ShardMetrics, SidechainShard};
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -982,12 +983,13 @@ impl World {
             .chain
             .mine_branch(&tip, 1, self.miner.address(), 800_000 + self.time)?
             .pop()
+            .map(delivery)
             .expect("mine_branch(count=1) yields one block");
         shard.adopt_phantom(&phantom)?;
         self.metrics.sc_blocks += 1;
         self.metrics.relay_equivocations += 1;
         self.time += 1;
-        Ok(phantom.hash())
+        Ok(phantom.block.hash())
     }
 
     /// Heals a relay equivocation: rolls the diverged node back to the
@@ -1237,6 +1239,7 @@ impl World {
         for block in &branch {
             self.router.observe_block(&self.chain, block);
         }
+        let branch: Vec<McDelivery> = branch.into_iter().map(delivery).collect();
         self.sync_cross_metrics();
         // The shard phase of a fork (a rare path, one lane): every live
         // shard in declaration order, its effects folded like a tick's.
@@ -1321,4 +1324,12 @@ impl std::fmt::Debug for World {
             .field("metrics", &self.metrics)
             .finish()
     }
+}
+
+/// A block mined off the tick's path — a fork's replacement branch, a
+/// phantom relay block — made deliverable: its sc-txs commitment is
+/// built here, once for every shard it reaches.
+fn delivery(block: Block) -> McDelivery {
+    let commitment = Arc::new(Blockchain::build_commitment(&block.transactions));
+    McDelivery { block, commitment }
 }

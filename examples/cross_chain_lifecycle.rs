@@ -82,7 +82,8 @@ fn main() {
             let block = chain
                 .mine_next_block(alice_mc.address(), std::mem::take(&mut pending_mc), time)
                 .unwrap();
-            node.sync_mainchain_block(&block).unwrap();
+            node.sync_mainchain_block(&block, &Blockchain::build_commitment(&block.transactions))
+                .unwrap();
         }
         let cert = node.produce_certificate().unwrap();
         println!(
@@ -134,7 +135,8 @@ fn main() {
         let block = chain
             .mine_next_block(alice_mc.address(), std::mem::take(&mut pending_mc), time)
             .unwrap();
-        node.sync_mainchain_block(&block).unwrap();
+        node.sync_mainchain_block(&block, &Blockchain::build_commitment(&block.transactions))
+            .unwrap();
     }
 
     let entry = chain.state().registry.get(&sid).unwrap();

@@ -304,7 +304,9 @@ impl TwoChains {
             .chain
             .mine_next_block(self.wallet.address(), txs, time)
             .unwrap();
-        self.node.sync_mainchain_block(&block).unwrap();
+        self.node
+            .sync_mainchain_block(&block, &Blockchain::build_commitment(&block.transactions))
+            .unwrap();
     }
 
     /// Runs the node's open epoch to its end and certifies it.

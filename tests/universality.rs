@@ -166,7 +166,9 @@ fn three_trust_models_one_verifier() {
     // Run epoch 0 (heights 2..=5), syncing the Latus node.
     while h.chain.height() < schedule.epoch_last_height(0) {
         let block = h.mine(vec![]).unwrap();
-        latus_node.sync_mainchain_block(&block).unwrap();
+        latus_node
+            .sync_mainchain_block(&block, &Blockchain::build_commitment(&block.transactions))
+            .unwrap();
     }
 
     // Certificates for epoch 0, each authorized per its own model.
@@ -212,7 +214,9 @@ fn three_trust_models_one_verifier() {
             McTransaction::Certificate(Box::new(latus_cert)),
         ])
         .unwrap();
-    latus_node.sync_mainchain_block(&block).unwrap();
+    latus_node
+        .sync_mainchain_block(&block, &Blockchain::build_commitment(&block.transactions))
+        .unwrap();
 
     for sid in [central_id, committee_id, latus_id] {
         let entry = h.chain.state().registry.get(&sid).unwrap();
