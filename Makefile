@@ -7,8 +7,8 @@ ci: fmt-check clippy doc doc-test test test-field test-adversarial test-byzantin
 fmt-check:
 	cargo fmt --check
 
-# Every workspace member that is ours: the library crates, the two
-# recorded curves (zendoo-bench) and the root facade with its examples
+# Every workspace member that is ours: the library crates, the
+# recorded curve (zendoo-bench) and the root facade with its examples
 # and tests.
 # --no-deps keeps the offline stand-ins in crates/support out.
 clippy:
@@ -54,24 +54,25 @@ test-field:
 	$(call run-suites,field,"zendoo-primitives lib field:: bigint:: poseidon::")
 
 # The adversarial/soundness suites, by name: every escrow theft path
-# (escrow_consensus), tampered/forged block-proof aggregates
-# (aggregation), forged-signature/poisoned-verdict batched admission and
-# the forgeries a plain sum of verification equations accepts — a
-# cancelling pair, traded nonce points, a bad signature first / middle /
-# last, an all-bad batch, random corrupted subsets on 1/2/3/8/64 workers
-# against the per-signature oracle (sig_admission), the
-# one-pass-fill ≡ per-prefix-greedy-fill oracle and a cacheless node
-# refusing a re-mined block with a bad signature exactly as fully inline
-# validation does, with and without a carried block proof (pipeline),
-# the batch equation itself — identity keys and nonce points inside a
-# valid batch, the empty batch, repeated keys sharing one term with a
-# bad signature under a shared key (every schnorr:: unit test),
-# cross-chain forgery/replay
-# (the two adversarial files), the hostile-input codec corpus
+# (escrow_consensus), forged-signature/poisoned-verdict batched
+# admission and the forgeries a plain sum of verification equations
+# accepts — a cancelling pair, traded nonce points, a bad signature
+# first / middle / last, an all-bad batch, random corrupted subsets on
+# 1/2/3/8/64 workers against the per-signature oracle (sig_admission),
+# the one-pass-fill ≡ per-prefix-greedy-fill oracle, a cacheless node
+# refusing a re-mined block with a bad signature exactly as fully
+# inline validation does and one with a cross-wired certificate proof
+# by name (pipeline), a fork off a block that failed to connect — its
+# grandchild, a second branch off its child, a block on another fork
+# stored above it — refused by name with the chain untouched
+# (chain_behavior), the batch equation itself — identity keys and nonce
+# points inside a valid batch, the empty batch, repeated keys sharing
+# one term with a bad signature under a shared key (every schnorr::
+# unit test), cross-chain forgery/replay (the two adversarial files), the hostile-input codec corpus
 # (settlement_codec), non-canonical public inputs — a digest limb
 # raised by 2¹²⁸, refused by `get_digest` and, in a real certificate
 # and BTR statement, under the rule naming the input — and the oracles
-# of the one pairwise fold: the recursive proof and the block aggregate
+# of the one pairwise fold: the recursive proof and the Wrap/Fold aggregate
 # each equal to the per-step prove/merge and wrap/fold calls byte for
 # byte on 1/2/4 lanes, a bad child in merge layer 0 or 1 and a bad
 # signature in transition k of an epoch refused with the eager fold's
@@ -88,7 +89,7 @@ test-field:
 # refused forge that leaves no trace, and forger and follower agreeing
 # across a fork.
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain aggregation" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary
@@ -98,10 +99,9 @@ test-adversarial:
 # single fault at every tick (fault_props), the determinism matrix the
 # fault machinery must stay inside (determinism): one tick,
 # bit-identical across workers ∈ {1, 2, 3, 4, per-core}, every
-# reference world replayed twice (tests/common/mod.rs): by a cacheless
-# follower given the blocks alone, and by one given each block's
-# recursive proof, which must verify on every block — plus the
-# span-name contract the benchmark reads. Then the other scripted runs,
+# reference world replayed by a cacheless follower given the blocks
+# alone (tests/common/mod.rs), which must land on the world's tip and
+# state digest — plus the span-name contract the benchmark reads. Then the other scripted runs,
 # each audited the same way: the facade's conservation suite, the
 # ceased-chain exits and the canned scenarios. Last, the one commitment
 # per mainchain block (shared_commitment): an idle shard hashes the same
@@ -157,19 +157,17 @@ test-benchmark:
 	cargo test -q --offline --manifest-path benchmark/Cargo.toml
 	cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 
-# Builds the two recorded curves as `cargo bench` would (clippy only
-# checks them), so an API change cannot break them silently.
+# Builds the recorded curve as `cargo bench` would (clippy only checks
+# it), so an API change cannot break it silently.
 bench-build:
 	cargo bench -p zendoo-bench --no-run
 
 bench:
 	cargo bench -p zendoo-bench
 
-# The two curves that keep a committed record: rewrites
-# BENCH_proof_agg.json (1/16/256 certificates a block) and
+# The one curve that keeps a committed record: rewrites
 # BENCH_indexer.json (cold start + queries at 10^6 UTXOs; about half a minute).
 bench-smoke:
-	cargo bench -p zendoo-bench --bench proof_aggregation
 	cargo bench -p zendoo-bench --bench indexer
 
 obs-report:

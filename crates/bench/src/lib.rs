@@ -1,4 +1,4 @@
-//! The two scaling curves worth a committed record, and their reporter.
+//! The one scaling curve worth a committed record, and its reporter.
 //!
 //! The repository has **one** benchmark system, split by one rule:
 //!
@@ -9,34 +9,13 @@
 //! * how a cost *scales* with a parameter the paper's claims are about
 //!   is a statement on operation counts, asserted by the root
 //!   `tests/paper_claims.rs` (`make test-claims`), not a curve;
-//! * this crate keeps the two curves whose wall clock *is* the result:
-//!   `proof_aggregation` (1 → 256 certificates a block) and `indexer`
-//!   (10⁶ UTXOs / 10⁵ pending transfers). Each is a plain program that
-//!   times itself and writes `BENCH_*.json` through [`write_report`]
-//!   (`make bench-smoke` regenerates both) — plus
+//! * this crate keeps the one curve whose wall clock *is* the result:
+//!   `indexer` (10⁶ UTXOs / 10⁵ pending transfers), a plain program
+//!   that times itself and writes `BENCH_indexer.json` through
+//!   [`write_report`] (`make bench-smoke` regenerates it) — plus
 //!   `tests/noop_overhead.rs`.
 
 use std::process::Command;
-
-use zendoo_primitives::digest::Digest32;
-use zendoo_snark::circuit::{Circuit, Unsatisfied};
-use zendoo_snark::inputs::PublicInputs;
-
-/// A permissive circuit for a bench that measures everything *around*
-/// the circuit (collecting, aggregating and checking a block's proofs).
-pub struct AcceptAll(pub &'static str);
-
-impl Circuit for AcceptAll {
-    type Witness = ();
-
-    fn id(&self) -> Digest32 {
-        Digest32::hash_tagged("bench/accept-all", &[self.0.as_bytes()])
-    }
-
-    fn check(&self, _: &PublicInputs, _: &()) -> Result<(), Unsatisfied> {
-        Ok(())
-    }
-}
 
 /// Cores available to this process (`host_cores` in every report).
 pub fn host_cores() -> usize {

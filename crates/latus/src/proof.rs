@@ -667,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_proof_over_multiple_transitions() {
+    fn epoch_builder_proves_multiple_transitions() {
         let alice = Keypair::from_seed(b"alice");
         let bob = Keypair::from_seed(b"bob");
         let (mut state, utxos) = funded(&alice, &[10, 20]);

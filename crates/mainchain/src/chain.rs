@@ -16,13 +16,12 @@
 //! One block path: [`Blockchain::prepare_block`] is the only builder
 //! (a one-pass greedy fill that records the proof verdicts of its dry
 //! run) and [`Blockchain::submit`] the only way a block joins the
-//! chain. What may accompany a block — its builder's verdicts, its
-//! recursive proof ([`Blockchain::prove_block`]) — is an explicit
-//! carrier argument threaded down to stage 2, and what arrives picks
-//! how stage 2 verifies; [`Blockchain::submit_block`] is the
-//! carrier-less call a receiving node makes, and
-//! [`Blockchain::mine_next_block`] is strict prepare + submit. The chain
-//! keeps no per-submission state.
+//! chain. What may accompany a block is its builder's verdicts, an
+//! explicit argument threaded down to stage 2; without them stage 2
+//! verifies every proof and signature itself.
+//! [`Blockchain::submit_block`] is the verdict-less call a receiving
+//! node makes, and [`Blockchain::mine_next_block`] is strict prepare +
+//! submit. The chain keeps no per-submission state.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -32,8 +31,6 @@ use zendoo_core::ids::{Address, Amount};
 use zendoo_core::settlement::SettlementError;
 use zendoo_primitives::digest::Digest32;
 use zendoo_telemetry::Telemetry;
-
-use zendoo_snark::aggregate::BlockProof;
 
 use crate::block::{Block, BlockHeader};
 use crate::pipeline::{self, BlockUndo, ProofVerdicts};
@@ -88,7 +85,9 @@ pub struct ChainState {
 pub enum BlockError {
     /// The parent block is unknown.
     UnknownParent(Digest32),
-    /// The block was already marked invalid (or extends an invalid one).
+    /// The block was already marked invalid, or extends one: a block that
+    /// failed to connect is marked invalid with every stored block above
+    /// it, so nothing built on it is stored again.
     KnownInvalid(Digest32),
     /// Declared height does not follow the parent.
     BadHeight {
@@ -385,10 +384,6 @@ pub struct Blockchain {
     /// Single undo record per active block (pruned beyond
     /// `max_reorg_depth`) — stage 3's journal, not a state snapshot.
     undo: HashMap<Digest32, BlockUndo>,
-    /// Recursive block proofs of connected blocks (carried by their
-    /// builder or verified on arrival), by block hash — the inputs to
-    /// [`Blockchain::epoch_proof`] and the proofs relayed to peers.
-    block_proofs: HashMap<Digest32, BlockProof>,
     genesis_hash: Digest32,
     /// Observability sink ([`Telemetry::disabled`] by default).
     telemetry: Telemetry,
@@ -442,7 +437,6 @@ impl Blockchain {
             active: vec![genesis_hash],
             state,
             undo: HashMap::new(),
-            block_proofs: HashMap::new(),
             genesis_hash,
             telemetry: Telemetry::disabled(),
             event_log: None,
@@ -470,15 +464,17 @@ impl Blockchain {
         }
     }
 
-    /// Builds the net connect delta of a just-applied block from its
-    /// undo journal and the post-apply state. Outputs both created and
-    /// spent inside the block are elided: they never existed in the
-    /// inter-block UTXO set, so neither the store nor a reorg needs
-    /// them.
-    fn record_connect_event(&mut self, hash: Digest32, height: u64, undo: &BlockUndo) {
-        if self.event_log.is_none() {
+    /// Records the net delta of block `hash` at `height`, read off its
+    /// undo journal against the post-block state: right after stage 3
+    /// connected it (`connected`), or right before
+    /// `pipeline::revert_block` disconnects it — the exact inverse. An
+    /// output both created and spent inside the block is elided: it
+    /// never existed in the inter-block UTXO set, so neither the store
+    /// nor a reorg needs it.
+    fn record_event(&mut self, hash: Digest32, height: u64, undo: &BlockUndo, connected: bool) {
+        let Some(log) = self.event_log.as_mut() else {
             return;
-        }
+        };
         let mut created = Vec::new();
         let mut spent = Vec::new();
         let mut ephemeral = HashSet::new();
@@ -498,61 +494,22 @@ impl Blockchain {
                 }
             }
         }
-        self.event_log
-            .as_mut()
-            .expect("checked above")
-            .push(ChainEvent::Connected {
+        log.push(if connected {
+            ChainEvent::Connected {
                 hash,
                 height,
                 created,
                 spent,
-            });
-    }
-
-    /// Builds the net disconnect delta of the tip about to be reverted
-    /// (the exact inverse of its connect event). Must run *before*
-    /// `pipeline::revert_block`, while the post-block state is still
-    /// current.
-    fn record_disconnect_event(&mut self, hash: Digest32, height: u64, undo: &BlockUndo) {
-        if self.event_log.is_none() {
-            return;
-        }
-        let mut created = Vec::new();
-        let mut spent = Vec::new();
-        let mut ephemeral = HashSet::new();
-        for op in undo.ops() {
-            match op {
-                pipeline::UtxoOp::Created(outpoint) => {
-                    if self.state.utxos.contains(outpoint) {
-                        created.push(*outpoint);
-                    } else {
-                        ephemeral.insert(*outpoint);
-                    }
-                }
-                pipeline::UtxoOp::Spent(outpoint, out) => {
-                    if !ephemeral.remove(outpoint) {
-                        spent.push((*outpoint, *out));
-                    }
-                }
             }
-        }
-        let parent = self
-            .blocks
-            .get(&hash)
-            .expect("disconnecting a stored block")
-            .block
-            .header
-            .parent;
-        self.event_log
-            .as_mut()
-            .expect("checked above")
-            .push(ChainEvent::Disconnected {
+        } else {
+            ChainEvent::Disconnected {
                 hash,
                 height,
-                parent,
-                created,
+                parent: self.blocks[&hash].block.header.parent,
+                created: created.into_iter().map(|(outpoint, _)| outpoint).collect(),
                 spent,
-            });
+            }
+        });
     }
 
     /// Attaches a telemetry handle; the three pipeline stages, block
@@ -594,33 +551,6 @@ impl Blockchain {
                 pipeline::UtxoOp::Spent(outpoint, out) => Some((outpoint, out)),
                 pipeline::UtxoOp::Created(_) => None,
             })
-    }
-
-    /// The recursive proof recorded for a connected block (carried with
-    /// its submission), if any.
-    pub fn block_proof(&self, hash: &Digest32) -> Option<&BlockProof> {
-        self.block_proofs.get(hash)
-    }
-
-    /// Folds the recorded block proofs of the active heights
-    /// `from..=to` into one epoch proof — O(1) verification for a whole
-    /// block window. A block has a recorded proof only if it was
-    /// submitted with one ([`Blockchain::prove_block`]) that stage 2
-    /// accepted, so this is `None` if any block in the window arrived
-    /// without a carrier (the default of [`Blockchain::mine_next_block`]
-    /// and of a receiving node) or with one that failed.
-    pub fn epoch_proof(&self, from: u64, to: u64) -> Option<BlockProof> {
-        if from > to {
-            return None;
-        }
-        let mut proofs = Vec::with_capacity((to - from + 1) as usize);
-        for height in from..=to {
-            proofs.push(*self.block_proofs.get(&self.hash_at_height(height)?)?);
-        }
-        let workers = zendoo_snark::batch::default_workers(proofs.len());
-        zendoo_snark::aggregate::AggregationSystem::shared()
-            .aggregate_epoch(&proofs, workers, &self.telemetry)
-            .ok()
     }
 
     /// The chain parameters.
@@ -708,33 +638,25 @@ impl Blockchain {
 
     /// Submits a block as a receiving node sees it, with nothing
     /// accompanying it: validates, stores, and reorganizes if it creates
-    /// a heavier chain. [`Blockchain::submit`] without a carrier.
+    /// a heavier chain. [`Blockchain::submit`] without verdicts.
     ///
     /// # Errors
     ///
     /// See [`Blockchain::submit`].
     pub fn submit_block(&mut self, block: Block) -> Result<SubmitOutcome, BlockError> {
-        self.submit(block, None, None)
+        self.submit(block, None)
     }
 
     /// The one way a block joins the chain: validates, stores, and
-    /// reorganizes if it creates a heavier chain. The optional carrier
-    /// travels with the block down to stage 2 and can only save work,
-    /// never change the outcome (including the precise [`BlockError`] on
-    /// rejection):
-    ///
-    /// * `verdicts` — the proof verdicts its builder recorded
-    ///   ([`PreparedBlock::verdicts`]): each proof is verified once per
-    ///   node, at build time, instead of again at submission; a proof
-    ///   carried beside them is recorded for relaying, not re-verified;
-    /// * `proof` — its recursive [`BlockProof`]
-    ///   ([`Blockchain::prove_block`], the shape a relaying peer sends):
-    ///   without builder verdicts, stage 2 verifies the single aggregate
-    ///   against this node's own collected work list and falls back to
-    ///   verifying every statement if it fails.
-    ///
-    /// With neither, stage 2 verifies every statement
-    /// ([`pipeline::verify_block_proofs`]).
+    /// reorganizes if it creates a heavier chain. `verdicts` are the
+    /// proof verdicts its builder recorded ([`PreparedBlock::verdicts`]):
+    /// they travel with the block down to stage 2, so each proof is
+    /// verified once per node, at build time, instead of again at
+    /// submission. They can only save work, never change the outcome
+    /// (including the precise [`BlockError`] on rejection). Without
+    /// them, stage 2 verifies every statement
+    /// ([`pipeline::verify_block_proofs`]) and every transfer signature
+    /// itself.
     ///
     /// # Errors
     ///
@@ -742,13 +664,14 @@ impl Blockchain {
     /// violations surface when the block's branch attempts activation.
     /// [`BlockError::ReorgTooDeep`] refuses a heavier branch rooted below
     /// the retained undo window and leaves the chain exactly as it was.
+    /// [`BlockError::KnownInvalid`] refuses a block that failed to
+    /// connect, or one built on it, with the chain untouched.
     pub fn submit(
         &mut self,
         block: Block,
         verdicts: Option<ProofVerdicts>,
-        proof: Option<BlockProof>,
     ) -> Result<SubmitOutcome, BlockError> {
-        let result = self.submit_inner(block, verdicts, proof);
+        let result = self.submit_inner(block, verdicts);
         if let Err(error) = &result {
             self.count_rejection(error);
         }
@@ -759,7 +682,6 @@ impl Blockchain {
         &mut self,
         block: Block,
         verdicts: Option<ProofVerdicts>,
-        proof: Option<BlockProof>,
     ) -> Result<SubmitOutcome, BlockError> {
         let hash = block.hash();
         if self.blocks.contains_key(&hash) {
@@ -797,7 +719,7 @@ impl Blockchain {
         if cumulative_work <= tip_work {
             return Ok(SubmitOutcome::StoredOnFork);
         }
-        let (disconnected, connected) = self.activate(hash, verdicts, proof)?;
+        let (disconnected, connected) = self.activate(hash, verdicts)?;
         if disconnected.is_empty() && connected.len() == 1 {
             Ok(SubmitOutcome::ExtendedActiveChain)
         } else {
@@ -809,17 +731,18 @@ impl Blockchain {
     }
 
     /// Makes `new_tip` the active tip, disconnecting/connecting as
-    /// needed; the carrier (`verdicts`, `proof`) belongs to `new_tip`.
-    /// On a connect failure, the offending block is marked invalid and
-    /// the previous active chain is restored. A branch rooted below the
-    /// retained undo window is refused before anything is disconnected.
+    /// needed; `verdicts` belong to `new_tip`. On a connect failure, the
+    /// offending block is invalidated with everything stored above it
+    /// and the previous active chain is restored. A branch rooted below
+    /// the retained undo window is refused before anything is
+    /// disconnected.
     fn activate(
         &mut self,
         new_tip: Digest32,
         mut verdicts: Option<ProofVerdicts>,
-        mut proof: Option<BlockProof>,
     ) -> Result<(Vec<Digest32>, Vec<Digest32>), BlockError> {
-        // Path from new_tip down to the first active ancestor.
+        // Path from new_tip down to the first active ancestor: every
+        // ancestor of a stored block is stored (`invalidate` keeps it so).
         let mut to_connect = Vec::new();
         let mut cursor = new_tip;
         while !self.is_active(&cursor) {
@@ -850,19 +773,18 @@ impl Blockchain {
         let mut connected = Vec::new();
         for hash in &to_connect {
             let carried = if *hash == new_tip {
-                (verdicts.take(), proof.take())
+                verdicts.take()
             } else {
-                (None, None)
+                None
             };
-            if let Err(e) = self.connect_block(*hash, carried.0, carried.1) {
+            if let Err(e) = self.connect_block(*hash, carried) {
                 // Invalidate and roll back to the previous chain.
-                self.invalid.insert(*hash);
-                self.blocks.remove(hash);
+                self.invalidate(*hash);
                 for _ in &connected {
                     self.disconnect_tip();
                 }
                 for stale in disconnected.iter().rev() {
-                    self.connect_block(*stale, None, None)
+                    self.connect_block(*stale, None)
                         .expect("previously active block must reconnect");
                 }
                 return Err(e);
@@ -870,6 +792,26 @@ impl Blockchain {
             connected.push(*hash);
         }
         Ok((disconnected, connected))
+    }
+
+    /// Marks `bad` invalid and drops it from the store together with
+    /// every stored block above it: those extend an invalid block, so no
+    /// stored block ever has an invalid (or missing) ancestor, and a
+    /// block built on any of them is refused as
+    /// [`BlockError::KnownInvalid`] at submission. None of them is
+    /// active: `bad` failed to connect.
+    fn invalidate(&mut self, bad: Digest32) {
+        let mut doomed = vec![bad];
+        while let Some(hash) = doomed.pop() {
+            self.blocks.remove(&hash);
+            self.invalid.insert(hash);
+            doomed.extend(
+                self.blocks
+                    .iter()
+                    .filter(|(_, stored)| stored.block.header.parent == hash)
+                    .map(|(child, _)| *child),
+            );
+        }
     }
 
     /// Disconnects the active tip, replaying its undo journal, and
@@ -881,7 +823,7 @@ impl Blockchain {
             .undo
             .remove(&tip)
             .expect("undo record checked before the first disconnect");
-        self.record_disconnect_event(tip, self.height(), &undo);
+        self.record_event(tip, self.height(), &undo, false);
         pipeline::revert_block(&mut self.state, undo);
         self.active.pop();
         tip
@@ -889,85 +831,39 @@ impl Blockchain {
 
     /// Connects a stored block on top of the current tip: stage 2
     /// establishes the verdict of every SNARK in the block before stage
-    /// 3 applies it atomically. `verdicts` and `proof` are the carrier
-    /// the block was submitted with, if any.
+    /// 3 applies it atomically. `verdicts` are what the block was
+    /// submitted with, if anything.
     fn connect_block(
         &mut self,
         hash: Digest32,
         verdicts: Option<ProofVerdicts>,
-        proof: Option<BlockProof>,
     ) -> Result<(), BlockError> {
         let StoredBlock { block, txids, .. } = &self.blocks[&hash];
         debug_assert_eq!(block.header.parent, self.tip_hash());
-        // A recursive proof accompanying this block: carried with the
-        // submission, or recorded when the block first connected
-        // (reorg reconnects reuse it).
-        let supplied_proof = proof.or_else(|| self.block_proofs.get(&hash).copied());
-        let mut proof_to_record = None;
         // Stage 2: establish the block's proof verdicts against the
         // pre-block state (read-only; no mutation can have happened
-        // yet). What arrived with the block picks the source:
-        //
-        // 1. Carried verdicts: what the block's builder already
-        //    recorded — nothing verifies twice on the same node.
-        // 2. A carried `BlockProof` is checked against this node's own
-        //    collected work list: one SNARK verification for the whole
-        //    block. On success every statement gets a cached `true`
-        //    verdict; a failing aggregate falls back to (3), preserving
-        //    precise error attribution.
-        // 3. No carrier: individual parallel batch verification.
-        //
-        // Statements none of these anticipated fall back to inline
-        // verification in stage 3 — the sources are optimizations,
+        // yet). The builder's recorded verdicts, when they came with the
+        // block: nothing verifies twice on the same node. Otherwise this
+        // node verifies, under one span, every proof as a parallel batch
+        // and the block's transfer signatures as one batch equation, so
+        // stage 3 finds a verdict where it would verify each inline.
+        // Statements neither anticipated fall back to inline
+        // verification in stage 3 — the verdicts are an optimization,
         // never a semantic change.
         let verdicts = match verdicts {
             Some(verdicts) => {
                 self.telemetry.counter("mc.stage2.verdicts_reused", 1);
-                // The builder's own proof is carriage for peers, not
-                // re-verified here.
-                proof_to_record = supplied_proof;
                 verdicts
             }
             None => {
-                let aggregated = supplied_proof.and_then(|proof| {
-                    let verdicts = pipeline::verify_block_aggregate(
-                        &self.state,
-                        block,
-                        hash,
-                        &self.active,
-                        &proof,
-                        &self.telemetry,
-                    );
-                    let outcome = if verdicts.is_some() {
-                        proof_to_record = Some(proof);
-                        "mc.stage2.agg_verified"
-                    } else {
-                        "mc.stage2.agg_fallback"
-                    };
-                    self.telemetry.counter(outcome, 1);
-                    verdicts
-                });
-                // What this node verifies itself, under one span: the
-                // proofs no aggregate covered, and — whichever way the
-                // proof verdicts came — the block's transfer signatures
-                // as one batch, so stage 3 finds a verdict where it
-                // would verify each signature inline.
-                let has_transfers = block
-                    .transactions
-                    .iter()
-                    .any(|tx| matches!(tx, McTransaction::Transfer(_)));
-                let _span = (aggregated.is_none() || has_transfers)
-                    .then(|| self.telemetry.span("mc.stage2.verify"));
-                let mut verdicts = aggregated.unwrap_or_else(|| {
-                    pipeline::verify_block_proofs(
-                        &self.state,
-                        block,
-                        hash,
-                        &self.active,
-                        None,
-                        &self.telemetry,
-                    )
-                });
+                let _span = self.telemetry.span("mc.stage2.verify");
+                let mut verdicts = pipeline::verify_block_proofs(
+                    &self.state,
+                    block,
+                    hash,
+                    &self.active,
+                    &self.telemetry,
+                );
                 verdicts.sigs =
                     sigbatch::verify_block_signatures(&self.state, block, txids, &self.telemetry);
                 verdicts
@@ -1000,10 +896,7 @@ impl Blockchain {
                 .observe("mc.block_txs", block.transactions.len() as u64);
         }
         let height = block.header.height;
-        if let Some(proof) = proof_to_record {
-            self.block_proofs.insert(hash, proof);
-        }
-        self.record_connect_event(hash, height, &undo);
+        self.record_event(hash, height, &undo, true);
         self.undo.insert(hash, undo);
         self.active.push(hash);
         self.prune_undo();
@@ -1085,29 +978,6 @@ impl Blockchain {
             rejected,
             verdicts,
         })
-    }
-
-    /// Folds the SNARK work list of `block` into one recursive
-    /// [`BlockProof`] — the carrier a relaying node passes to
-    /// [`Blockchain::submit`] so a receiver verifies one proof instead
-    /// of one per statement. The work list is read at the active tip, so
-    /// `block` must extend it: call this before submitting the block.
-    /// `None` on a fold failure (a statement that does not verify):
-    /// receivers then verify every statement and attribute the precise
-    /// error.
-    pub fn prove_block(&self, block: &Block) -> Option<BlockProof> {
-        let _span = self.telemetry.span("mc.agg.build");
-        let proof = pipeline::aggregate_block_proof(
-            &self.state,
-            block,
-            block.hash(),
-            &self.active,
-            &self.telemetry,
-        );
-        if proof.is_err() {
-            self.telemetry.counter("mc.agg.build_failed", 1);
-        }
-        proof.ok()
     }
 
     /// The one-pass greedy fill: applies every candidate to a single
@@ -1237,9 +1107,7 @@ impl Blockchain {
     /// Convenience: build, mine and submit the next block in one call,
     /// strictly — the first candidate the builder rejects is the error
     /// and nothing is submitted. The builder's recorded verdicts travel
-    /// with the block; no recursive proof is built (call
-    /// [`Blockchain::prove_block`] and [`Blockchain::submit`] to carry
-    /// one).
+    /// with the block.
     ///
     /// # Errors
     ///
@@ -1255,7 +1123,7 @@ impl Blockchain {
         if let Some((_, error)) = prepared.rejected.into_iter().next() {
             return Err(error);
         }
-        self.submit(prepared.block.clone(), Some(prepared.verdicts), None)?;
+        self.submit(prepared.block.clone(), Some(prepared.verdicts))?;
         Ok(prepared.block)
     }
 }

@@ -149,7 +149,7 @@ impl Miner {
     /// Propagates chain errors other than per-transaction rejections.
     pub fn mine(&mut self, chain: &mut Blockchain, time: u64) -> Result<Block, BlockError> {
         let prepared = self.prepare(chain, time)?;
-        chain.submit(prepared.block.clone(), Some(prepared.verdicts), None)?;
+        chain.submit(prepared.block.clone(), Some(prepared.verdicts))?;
         Ok(prepared.block)
     }
 
@@ -396,7 +396,7 @@ mod tests {
                 let prepared = miner.prepare(&chain, 1).unwrap();
                 assert!(prepared.rejected.is_empty());
                 chain
-                    .submit(prepared.block.clone(), Some(prepared.verdicts), None)
+                    .submit(prepared.block.clone(), Some(prepared.verdicts))
                     .unwrap();
                 prepared.block
             } else {

@@ -38,8 +38,6 @@ use zendoo_core::ids::{Amount, EpochId, SidechainId};
 use zendoo_core::settlement;
 use zendoo_core::verifier::{self, ProofCheck};
 use zendoo_primitives::digest::Digest32;
-use zendoo_snark::aggregate::{expected_statement, AggregationSystem, BlockProof};
-use zendoo_snark::backend::ProveError;
 use zendoo_snark::batch::{self, BatchItem};
 use zendoo_telemetry::Telemetry;
 
@@ -360,26 +358,30 @@ pub fn collect_proof_checks(
     checks
 }
 
-/// Stage 2: collects a block's proof work list and verifies it on
-/// `workers` scoped threads (defaulting to one lane per core). Returns
-/// the filled verdict cache for stage 3. Batch sizes and per-worker
-/// verify time record through `telemetry` (see
-/// [`batch::verify_batch_with`]).
+/// Stage 2: collects a block's proof work list and verifies it on one
+/// scoped thread per core (up to the list's size). Returns the filled
+/// verdict cache for stage 3. Batch sizes and per-worker verify time
+/// record through `telemetry` (see [`batch::verify_batch_with`]).
 pub fn verify_block_proofs(
     state: &ChainState,
     block: &Block,
     block_hash: Digest32,
     active: &[Digest32],
-    workers: Option<usize>,
     telemetry: &Telemetry,
 ) -> ProofVerdicts {
     let checks = collect_proof_checks(state, block, block_hash, active);
     if checks.is_empty() {
         return ProofVerdicts::inline();
     }
-    let items = proof_batch_items(&checks);
-    let workers = workers.unwrap_or_else(|| batch::default_workers(items.len()));
-    let outcomes = batch::verify_batch_with(&items, workers, telemetry);
+    let items: Vec<BatchItem> = checks
+        .iter()
+        .map(|c| BatchItem {
+            vk: c.vk,
+            inputs: c.inputs.clone(),
+            proof: c.proof,
+        })
+        .collect();
+    let outcomes = batch::verify_batch_with(&items, batch::default_workers(items.len()), telemetry);
     // Duplicate statements (same key) necessarily share a verdict.
     ProofVerdicts::prefetched(
         checks
@@ -388,80 +390,6 @@ pub fn verify_block_proofs(
             .map(|(check, verdict)| (check.key(), verdict))
             .collect(),
     )
-}
-
-// ---- Stage 2, aggregated: one recursive proof per block ------------------
-//
-// A block may arrive carrying a recursive [`BlockProof`] over its whole
-// work list. Whether stage 2 checks that one proof or every statement
-// is chosen by what arrives with the block, not by a node setting: an
-// aggregate that fails to verify falls back to [`verify_block_proofs`],
-// which attributes the precise [`BlockError`] in stage 3.
-
-/// The leaf work list of a block as [`BatchItem`]s (the shape both the
-/// batch verifier and the aggregator consume).
-fn proof_batch_items(checks: &[ProofCheck]) -> Vec<BatchItem> {
-    checks
-        .iter()
-        .map(|c| BatchItem {
-            vk: c.vk,
-            inputs: c.inputs.clone(),
-            proof: c.proof,
-        })
-        .collect()
-}
-
-/// Prover side of the carrier: collects the block's work list and folds
-/// it into one [`BlockProof`] on one lane per core (up to the batch
-/// size) under the shared protocol [`AggregationSystem`]. A block owing
-/// no checks yields [`BlockProof::empty`].
-///
-/// # Errors
-///
-/// [`ProveError::Unsatisfied`] if any collected statement does not
-/// verify — a block containing a false statement has no aggregate (the
-/// caller falls back to carrying no proof; receivers then verify
-/// individually and attribute the precise error).
-pub fn aggregate_block_proof(
-    state: &ChainState,
-    block: &Block,
-    block_hash: Digest32,
-    active: &[Digest32],
-    telemetry: &Telemetry,
-) -> Result<BlockProof, ProveError> {
-    let checks = collect_proof_checks(state, block, block_hash, active);
-    let items = proof_batch_items(&checks);
-    let workers = batch::default_workers(items.len());
-    AggregationSystem::shared().aggregate_with(&items, workers, telemetry)
-}
-
-/// Verifier side of the carrier: recomputes the expected
-/// aggregate statement from this node's own collected work list (cheap
-/// hashing) and checks the single recursive proof. On success, returns
-/// a [`ProofVerdicts`] cache holding a `true` verdict for **every**
-/// collected statement — stage 3 and miner-side verdict reuse consume
-/// it exactly as they would a batch-verified cache, so the verdict
-/// cache never silently regresses under aggregation. On mismatch or
-/// proof failure, returns `None` and the caller falls back to
-/// individual verification.
-pub fn verify_block_aggregate(
-    state: &ChainState,
-    block: &Block,
-    block_hash: Digest32,
-    active: &[Digest32],
-    proof: &BlockProof,
-    telemetry: &Telemetry,
-) -> Option<ProofVerdicts> {
-    let _span = telemetry.span("mc.stage2.verify_aggregate");
-    let checks = collect_proof_checks(state, block, block_hash, active);
-    let items = proof_batch_items(&checks);
-    let (expected_digest, expected_count) = expected_statement(&items);
-    if !AggregationSystem::shared().verify_block_proof(proof, &expected_digest, expected_count) {
-        return None;
-    }
-    Some(ProofVerdicts::prefetched(
-        checks.iter().map(|check| (check.key(), true)).collect(),
-    ))
 }
 
 // ---- Stage 3: atomic application with a single undo record ---------------

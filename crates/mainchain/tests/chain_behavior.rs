@@ -6,12 +6,16 @@
 //! (`AcceptAll`) — these tests exercise the mainchain rules, not the
 //! Latus circuits (those live in the zendoo-latus crate).
 
+mod common;
+
+use common::remine;
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
 use zendoo_core::config::{SidechainConfig, SidechainConfigBuilder};
 use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
 use zendoo_core::proofdata::ProofData;
 use zendoo_core::transfer::BackwardTransfer;
 use zendoo_core::withdrawal::{btr_public_inputs, BtrSysData, CeasedSidechainWithdrawal};
+use zendoo_mainchain::block::Block;
 use zendoo_mainchain::chain::{Blockchain, ChainParams};
 use zendoo_mainchain::registry::SidechainStatus;
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
@@ -584,6 +588,103 @@ fn refused_deep_fork_leaves_the_chain_untouched() {
     }
     assert_eq!(chain.height(), 10);
     assert_ne!(chain.hash_at_height(8), Some(tip));
+}
+
+/// A peer's block on top of `base` whose coinbase overpays: stage 1
+/// does not price the coinbase, so the block is stored, and it fails
+/// only when its branch tries to connect.
+fn overpaying_block(chain: &Blockchain, base: &Digest32, miner: &Wallet, time: u64) -> Block {
+    let mut block = chain
+        .mine_branch(base, 1, miner.address(), time)
+        .unwrap()
+        .remove(0);
+    let McTransaction::Coinbase(coinbase) = &mut block.transactions[0] else {
+        unreachable!("a mined block starts with its coinbase")
+    };
+    coinbase.outputs[0].amount = chain
+        .params()
+        .block_subsidy
+        .checked_add(Amount::from_units(1))
+        .unwrap();
+    remine(chain, block)
+}
+
+/// A block that fails to connect takes every stored block above it
+/// with it. A peer's overpaying block at the tip's height is stored on
+/// a fork; its child makes the branch heavier and fails on the parent's
+/// coinbase. Then a grandchild, a second branch off the child, and a
+/// block on another fork block stored above a failed one are each
+/// refused by name: the chain is untouched, and it still mines.
+#[test]
+fn a_fork_off_a_block_that_failed_to_connect_is_refused_by_name() {
+    use zendoo_mainchain::{BlockError, SubmitOutcome};
+    let miner = Wallet::from_seed(b"miner");
+    let mut chain = Blockchain::new(ChainParams::default());
+    for time in 1..=3 {
+        chain
+            .mine_next_block(miner.address(), vec![], time)
+            .unwrap();
+    }
+    let (tip, state) = (chain.tip_hash(), chain.state().clone());
+
+    let parent = overpaying_block(&chain, &chain.hash_at_height(2).unwrap(), &miner, 500);
+    assert_eq!(
+        chain.submit_block(parent.clone()),
+        Ok(SubmitOutcome::StoredOnFork)
+    );
+    let path = chain
+        .mine_branch(&parent.hash(), 2, miner.address(), 600)
+        .unwrap();
+    let (child, grandchild) = (path[0].clone(), path[1].clone());
+    let mut second = grandchild.clone();
+    second.header.time += 100;
+    let second = remine(&chain, second);
+    assert_eq!(
+        chain.submit_block(child.clone()),
+        Err(BlockError::BadCoinbase("claims more than subsidy + fees"))
+    );
+    for block in [grandchild, second] {
+        let hash = block.hash();
+        assert_eq!(
+            chain.submit_block(block),
+            Err(BlockError::KnownInvalid(hash))
+        );
+    }
+    assert!(chain.block(&parent.hash()).is_none());
+    assert!(chain.block(&child.hash()).is_none());
+    assert_eq!(chain.tip_hash(), tip);
+    assert_eq!(chain.state(), &state);
+
+    // Deeper: the overpaying block one below the tip's height, with two
+    // stored children at the tip's height. A grandchild through one of
+    // them fails on it; the other child goes with it.
+    let parent = overpaying_block(&chain, &chain.hash_at_height(1).unwrap(), &miner, 700);
+    chain.submit_block(parent.clone()).unwrap();
+    let left = chain
+        .mine_branch(&parent.hash(), 2, miner.address(), 800)
+        .unwrap();
+    let right = chain
+        .mine_branch(&parent.hash(), 2, miner.address(), 900)
+        .unwrap();
+    assert_eq!(
+        chain.submit_block(right[0].clone()),
+        Ok(SubmitOutcome::StoredOnFork)
+    );
+    chain.submit_block(left[0].clone()).unwrap();
+    assert!(matches!(
+        chain.submit_block(left[1].clone()),
+        Err(BlockError::BadCoinbase(_))
+    ));
+    assert!(chain.block(&right[0].hash()).is_none());
+    assert_eq!(
+        chain.submit_block(right[1].clone()),
+        Err(BlockError::KnownInvalid(right[1].hash()))
+    );
+    assert_eq!(chain.tip_hash(), tip);
+    assert_eq!(chain.state(), &state);
+
+    chain.mine_next_block(miner.address(), vec![], 4).unwrap();
+    assert_eq!(chain.height(), 4);
 }
 
 #[test]

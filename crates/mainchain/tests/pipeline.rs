@@ -28,7 +28,6 @@ use zendoo_mainchain::Wallet;
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::opcount::measure;
 use zendoo_primitives::schnorr::Keypair;
-use zendoo_snark::aggregate::BlockProof;
 use zendoo_snark::backend::{prove, setup_deterministic, ProvingKey};
 use zendoo_snark::circuit::{Circuit, Unsatisfied};
 use zendoo_snark::inputs::PublicInputs;
@@ -175,7 +174,7 @@ fn parallel_verdicts_match_serial_application() {
         .block;
     let hash = block.hash();
 
-    // Stage 2 prefetch with multiple workers...
+    // Stage 2 prefetch on every core...
     let verdicts = pipeline::verify_block_proofs(
         chain.state(),
         &block,
@@ -183,7 +182,6 @@ fn parallel_verdicts_match_serial_application() {
         &(0..=chain.height())
             .map(|h| chain.hash_at_height(h).unwrap())
             .collect::<Vec<_>>(),
-        Some(4),
         &zendoo_telemetry::Telemetry::disabled(),
     );
     assert_eq!(verdicts.proofs.len(), 8, "one verdict per certificate");
@@ -249,11 +247,115 @@ fn block_undo_is_an_exact_rollback() {
     assert_eq!(state, before, "undo journal restores the state exactly");
 }
 
+// ---- A receiving node's stage 2: one verdict per statement ---------------
+
+/// [`chain_with_sidechains`] recording into its own recorder.
+/// Deterministic: two calls give a builder and a receiver at one tip.
+fn recording_node(
+    n: usize,
+) -> (
+    Blockchain,
+    Vec<ProvingKey>,
+    Wallet,
+    std::sync::Arc<zendoo_telemetry::InMemoryRecorder>,
+) {
+    let (mut chain, pks, miner) = chain_with_sidechains(n);
+    let (telemetry, recorder) = zendoo_telemetry::Telemetry::in_memory();
+    chain.set_telemetry(telemetry);
+    (chain, pks, miner, recorder)
+}
+
+fn certificate_txs(chain: &Blockchain, pks: &[ProvingKey], n: usize) -> Vec<McTransaction> {
+    (0..n)
+        .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(chain, pks, i))))
+        .collect()
+}
+
+/// A block that arrives alone is verified by the receiver itself, under
+/// `mc.stage2.verify`: one batch of all its proofs, one verdict per
+/// statement, and stage 3 answers every certificate from that batch.
+#[test]
+fn a_receiver_verifies_each_statement_once_under_stage_2() {
+    let (builder, pks, miner, _) = recording_node(4);
+    let (mut receiver, _, _, recorder) = recording_node(4);
+    let block = builder
+        .prepare_block(miner.address(), certificate_txs(&builder, &pks, 4), 8)
+        .unwrap()
+        .block;
+
+    recorder.drain();
+    receiver.submit_block(block).unwrap();
+    let snap = recorder.drain();
+    assert_eq!(snap.spans["mc.stage2.verify"].count, 1);
+    assert_eq!(snap.spans["snark.batch.verify"].count, 1);
+    assert_eq!(snap.histograms["snark.batch.proofs"].sum(), 4);
+    assert_eq!(snap.counters.get("mc.verdict_cache.hit"), Some(&4));
+    assert_eq!(snap.counters.get("mc.verdict_cache.miss"), Some(&0));
+    assert_eq!(receiver.height(), 8);
+    for i in 0..4 {
+        assert!(receiver
+            .state()
+            .registry
+            .accepted_certificate(&sc_id(i), 0)
+            .is_some());
+    }
+}
+
+/// A block with no certificate, BTR or CSW owes no proof check: stage 2
+/// runs no batch and stage 3 consults no proof verdict.
+#[test]
+fn an_empty_block_owes_no_proof_check() {
+    let (builder, _, miner, _) = recording_node(1);
+    let (mut receiver, _, _, recorder) = recording_node(1);
+    let block = builder
+        .prepare_block(miner.address(), vec![], 8)
+        .unwrap()
+        .block;
+
+    recorder.drain();
+    receiver.submit_block(block).unwrap();
+    let snap = recorder.drain();
+    assert!(!snap.spans.contains_key("snark.batch.verify"));
+    assert_eq!(snap.counters.get("mc.verdict_cache.hit"), Some(&0));
+    assert_eq!(snap.counters.get("mc.verdict_cache.miss"), Some(&0));
+    assert_eq!(receiver.height(), 8);
+}
+
+/// A receiver given a block whose certificate carries another's proof
+/// refuses it with the per-statement error, and nothing connects.
+#[test]
+fn a_receiver_refuses_a_cross_wired_certificate_proof_by_name() {
+    let (builder, pks, miner, _) = recording_node(4);
+    let mut block = builder
+        .prepare_block(miner.address(), certificate_txs(&builder, &pks, 4), 8)
+        .unwrap()
+        .block;
+    // Coinbase first, then the four certificates in order.
+    let donor = match &block.transactions[3] {
+        McTransaction::Certificate(cert) => cert.proof,
+        other => panic!("not a certificate: {other:?}"),
+    };
+    match &mut block.transactions[2] {
+        McTransaction::Certificate(cert) => cert.proof = donor,
+        other => panic!("not a certificate: {other:?}"),
+    }
+    let block = remine(&builder, block);
+
+    let (mut receiver, _, _, _) = recording_node(4);
+    let state = receiver.state().clone();
+    assert_eq!(
+        receiver.submit_block(block),
+        Err(BlockError::Registry(RegistryError::Verify(
+            zendoo_core::verifier::VerifyError::InvalidProof
+        )))
+    );
+    assert_eq!(receiver.height(), 7, "the block never connected");
+    assert_eq!(receiver.state(), &state);
+}
+
 // ---- Stage 2 batches the block's signatures; stage 3 is unchanged ----------
 
 const SIG_USERS: usize = 9;
-/// Whether the block arrives carrying its recursive proof.
-const CARRIED: [bool; 2] = [false, true];
 
 fn sig_user(i: usize) -> Wallet {
     Wallet::from_seed(format!("pipe-user-{i}").as_bytes())
@@ -304,8 +406,8 @@ fn pay_both(chain: &Blockchain, i: usize) -> McTransaction {
 }
 
 /// Two certificates, then every user's two-input transfer: the block a
-/// builder makes of them, with its recursive proof when `carried`.
-fn sig_block(carried: bool) -> (Block, Option<BlockProof>) {
+/// builder makes of them.
+fn sig_block() -> Block {
     let (builder, pks, miner, _) = sig_node(Vec::new());
     let mut txs: Vec<McTransaction> = (0..2)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&builder, &pks, i))))
@@ -313,8 +415,7 @@ fn sig_block(carried: bool) -> (Block, Option<BlockProof>) {
     txs.extend((0..SIG_USERS).map(|i| pay_both(&builder, i)));
     let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
     assert!(prepared.rejected.is_empty());
-    let proof = carried.then(|| builder.prove_block(&prepared.block).expect("honest block"));
-    (prepared.block, proof)
+    prepared.block
 }
 
 /// The transfer at `block.transactions[tx]`, to tamper with.
@@ -343,25 +444,16 @@ fn inline_verdict(chain: &Blockchain, block: &Block) -> Result<(), BlockError> {
     .map(|_| ())
 }
 
-/// Submits `block` (with `proof`, if any) to a fresh cacheless receiver
-/// and asserts it is refused with exactly the inline validator's error,
-/// leaving tip and state as they were.
-fn assert_refused_as_inline(
-    block: Block,
-    proof: Option<BlockProof>,
-    expected: &BlockError,
-) -> zendoo_telemetry::Snapshot {
+/// Submits `block` to a fresh cacheless receiver and asserts it is
+/// refused with exactly the inline validator's error, leaving tip and
+/// state as they were.
+fn assert_refused_as_inline(block: Block, expected: &BlockError) -> zendoo_telemetry::Snapshot {
     let (mut receiver, _, _, recorder) = sig_node(Vec::new());
     let block = remine(&receiver, block);
     assert_eq!(inline_verdict(&receiver, &block).as_ref(), Err(expected));
     let (tip, state) = (receiver.tip_hash(), receiver.state().clone());
     recorder.drain();
-    assert_eq!(
-        receiver.submit(block, None, proof).as_ref(),
-        Err(expected),
-        "carried proof: {}",
-        proof.is_some()
-    );
+    assert_eq!(receiver.submit_block(block).as_ref(), Err(expected));
     assert_eq!(receiver.tip_hash(), tip);
     assert_eq!(receiver.state(), &state, "a refused block leaves no trace");
     recorder.drain()
@@ -375,133 +467,109 @@ fn junk_signature() -> zendoo_primitives::schnorr::Signature {
 }
 
 #[test]
-fn bad_signature_refuses_the_block_wherever_it_sits_with_or_without_a_carried_proof() {
-    for carried in CARRIED {
-        let (block, proof) = sig_block(carried);
-        // Coinbase and two certificates precede the transfers.
-        for k in [0, SIG_USERS / 2, SIG_USERS - 1] {
-            let mut bad = block.clone();
-            transfer_mut(&mut bad, 3 + k).inputs[1].signature = junk_signature();
-            let snap = assert_refused_as_inline(
-                bad,
-                proof,
-                &BlockError::BadInputAuthorization { input: 1 },
-            );
-            // Certificates are no part of what was tampered with: the
-            // aggregate still covers them, and the signatures went
-            // through the batch all the same.
-            assert_eq!(
-                snap.counters.get("mc.stage2.agg_verified").copied(),
-                carried.then_some(1)
-            );
-            assert_eq!(snap.spans["mc.stage2.verify"].count, 1);
-            assert_eq!(snap.spans["sig.batch.verify"].count, 1);
-            assert_eq!(
-                snap.histograms["sig.batch.sigs"].sum(),
-                2 * SIG_USERS as u64
-            );
-        }
+fn bad_signature_refuses_the_block_wherever_it_sits() {
+    let block = sig_block();
+    // Coinbase and two certificates precede the transfers.
+    for k in [0, SIG_USERS / 2, SIG_USERS - 1] {
+        let mut bad = block.clone();
+        transfer_mut(&mut bad, 3 + k).inputs[1].signature = junk_signature();
+        let snap = assert_refused_as_inline(bad, &BlockError::BadInputAuthorization { input: 1 });
+        // The signatures went through the batch all the same.
+        assert_eq!(snap.spans["mc.stage2.verify"].count, 1);
+        assert_eq!(snap.spans["sig.batch.verify"].count, 1);
+        assert_eq!(
+            snap.histograms["sig.batch.sigs"].sum(),
+            2 * SIG_USERS as u64
+        );
     }
 }
 
 #[test]
 fn an_earlier_transaction_failing_a_cheaper_rule_still_names_the_block_error() {
-    for carried in CARRIED {
-        let (block, _) = sig_block(carried);
-        let mut bad = block.clone();
-        transfer_mut(&mut bad, 3 + 6).inputs[1].signature = junk_signature();
+    let mut bad = sig_block();
+    transfer_mut(&mut bad, 3 + 6).inputs[1].signature = junk_signature();
 
-        // An earlier transfer spends an output that does not exist.
-        let ghost = OutPoint {
-            txid: Digest32::hash_bytes(b"no such transaction"),
-            index: 0,
-        };
-        let mut missing = bad.clone();
-        transfer_mut(&mut missing, 3 + 2).inputs[0].outpoint = ghost;
-        assert_refused_as_inline(missing, None, &BlockError::MissingInput(ghost));
+    // An earlier transfer spends an output that does not exist.
+    let ghost = OutPoint {
+        txid: Digest32::hash_bytes(b"no such transaction"),
+        index: 0,
+    };
+    let mut missing = bad.clone();
+    transfer_mut(&mut missing, 3 + 2).inputs[0].outpoint = ghost;
+    assert_refused_as_inline(missing, &BlockError::MissingInput(ghost));
 
-        // An earlier transfer is signed, validly, by a key that does
-        // not own what it spends: refused on the address, input 0.
-        let stranger = Keypair::from_seed(b"stranger");
-        let mut stolen = bad.clone();
-        let theft = transfer_mut(&mut stolen, 3 + 2);
-        let spends: Vec<_> = theft
-            .inputs
-            .iter()
-            .map(|input| (input.outpoint, &stranger.secret))
-            .collect();
-        *theft = TransferTx::signed(&spends, theft.outputs.clone());
-        assert_refused_as_inline(
-            stolen,
-            None,
-            &BlockError::BadInputAuthorization { input: 0 },
-        );
-    }
+    // An earlier transfer is signed, validly, by a key that does not own
+    // what it spends: refused on the address, input 0.
+    let stranger = Keypair::from_seed(b"stranger");
+    let mut stolen = bad.clone();
+    let theft = transfer_mut(&mut stolen, 3 + 2);
+    let spends: Vec<_> = theft
+        .inputs
+        .iter()
+        .map(|input| (input.outpoint, &stranger.secret))
+        .collect();
+    *theft = TransferTx::signed(&spends, theft.outputs.clone());
+    assert_refused_as_inline(stolen, &BlockError::BadInputAuthorization { input: 0 });
 }
 
 #[test]
 fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
     let batch = batch_for(sc_id(0), &[100, 50]);
     let carol = Wallet::from_seed(b"pipe-carol");
-    for carried in CARRIED {
-        let escrow = || escrow_premine(&batch.transfers);
-        let (mut builder, _, miner, _) = sig_node(escrow());
-        // A settlement (escrow-kind inputs: signatures present, ignored
-        // by consensus), three ordinary payments, and a payment to carol
-        // that carol spends on in the same block.
-        let settlement = McTransaction::Transfer(TransferTx::escrow_claiming(
-            &escrow_outpoints(&builder),
-            vec![Output::Forward(batch.forward_transfer().unwrap())],
-        ));
-        let user = sig_user(3);
-        let owned = builder.state().utxos.owned_by(&user.address());
-        let to_carol = McTransaction::Transfer(TransferTx::signed(
-            &[(owned[0].0, &user.keypair().secret)],
-            vec![Output::Regular(TxOut::regular(
-                carol.address(),
-                owned[0].1.amount,
-            ))],
-        ));
-        let carol_spends = McTransaction::Transfer(TransferTx::signed(
-            &[(
-                OutPoint {
-                    txid: to_carol.txid(),
-                    index: 0,
-                },
-                &carol.keypair().secret,
-            )],
-            vec![Output::Regular(TxOut::regular(
-                Address::from_label("dave"),
-                Amount::from_units(900),
-            ))],
-        ));
-        let mut txs = vec![settlement, to_carol, carol_spends];
-        txs.extend((0..3).map(|i| pay_both(&builder, i)));
-        let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
-        assert!(prepared.rejected.is_empty(), "{:?}", prepared.rejected);
-        let proof = carried.then(|| builder.prove_block(&prepared.block).expect("honest block"));
+    let escrow = || escrow_premine(&batch.transfers);
+    let (mut builder, _, miner, _) = sig_node(escrow());
+    // A settlement (escrow-kind inputs: signatures present, ignored
+    // by consensus), three ordinary payments, and a payment to carol
+    // that carol spends on in the same block.
+    let settlement = McTransaction::Transfer(TransferTx::escrow_claiming(
+        &escrow_outpoints(&builder),
+        vec![Output::Forward(batch.forward_transfer().unwrap())],
+    ));
+    let user = sig_user(3);
+    let owned = builder.state().utxos.owned_by(&user.address());
+    let to_carol = McTransaction::Transfer(TransferTx::signed(
+        &[(owned[0].0, &user.keypair().secret)],
+        vec![Output::Regular(TxOut::regular(
+            carol.address(),
+            owned[0].1.amount,
+        ))],
+    ));
+    let carol_spends = McTransaction::Transfer(TransferTx::signed(
+        &[(
+            OutPoint {
+                txid: to_carol.txid(),
+                index: 0,
+            },
+            &carol.keypair().secret,
+        )],
+        vec![Output::Regular(TxOut::regular(
+            Address::from_label("dave"),
+            Amount::from_units(900),
+        ))],
+    ));
+    let mut txs = vec![settlement, to_carol, carol_spends];
+    txs.extend((0..3).map(|i| pay_both(&builder, i)));
+    let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
+    assert!(prepared.rejected.is_empty(), "{:?}", prepared.rejected);
 
-        let (mut receiver, _, _, recorder) = sig_node(escrow());
-        recorder.drain();
-        receiver
-            .submit(prepared.block.clone(), None, proof)
-            .unwrap();
-        let snap = recorder.drain();
-        // The batch held what resolves to a regular output before the
-        // block — 1 + 3·2 inputs; the two escrow inputs owe no
-        // signature and carol's, spending an output of this block, was
-        // verified inline where stage 3 met it.
-        assert_eq!(snap.histograms["sig.batch.sigs"].sum(), 7);
-        assert_eq!(snap.counters.get("mc.sig_cache.hit"), Some(&7));
-        assert_eq!(snap.counters.get("mc.sig_cache.miss"), Some(&1));
-        assert_eq!(snap.counters.get("sig.batch.fallback"), None);
+    let (mut receiver, _, _, recorder) = sig_node(escrow());
+    recorder.drain();
+    receiver.submit_block(prepared.block.clone()).unwrap();
+    let snap = recorder.drain();
+    // The batch held what resolves to a regular output before the
+    // block — 1 + 3·2 inputs; the two escrow inputs owe no
+    // signature and carol's, spending an output of this block, was
+    // verified inline where stage 3 met it.
+    assert_eq!(snap.histograms["sig.batch.sigs"].sum(), 7);
+    assert_eq!(snap.counters.get("mc.sig_cache.hit"), Some(&7));
+    assert_eq!(snap.counters.get("mc.sig_cache.miss"), Some(&1));
+    assert_eq!(snap.counters.get("sig.batch.fallback"), None);
 
-        builder
-            .submit(prepared.block, Some(prepared.verdicts), proof)
-            .unwrap();
-        assert_eq!(receiver.tip_hash(), builder.tip_hash());
-        assert_eq!(receiver.state(), builder.state());
-    }
+    builder
+        .submit(prepared.block, Some(prepared.verdicts))
+        .unwrap();
+    assert_eq!(receiver.tip_hash(), builder.tip_hash());
+    assert_eq!(receiver.state(), builder.state());
 }
 
 // ---- Stage 1 hashes each transaction once; stages 2 and 3 reuse the ids ----
@@ -512,7 +580,7 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
 /// root.
 #[test]
 fn a_repeated_or_reordered_transaction_fails_stage_1_by_name() {
-    let (block, _) = sig_block(false);
+    let block = sig_block();
     let (mut receiver, _, _, _) = sig_node(Vec::new());
     let target = receiver.params().target;
 

@@ -257,7 +257,7 @@ fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
     let (telemetry, recorder) = Telemetry::in_memory();
     chain.set_telemetry(telemetry);
     let (outcome, submitting) =
-        measure(|| chain.submit(prepared.block.clone(), Some(prepared.verdicts), None));
+        measure(|| chain.submit(prepared.block.clone(), Some(prepared.verdicts)));
     assert!(matches!(outcome, Ok(SubmitOutcome::ExtendedActiveChain)));
     assert_eq!(submitting.group_muls, 0, "stage 3 re-verifies nothing");
     let snapshot = recorder.snapshot();

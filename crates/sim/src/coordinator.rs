@@ -236,9 +236,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     let feed = std::slice::from_ref(&delivery);
     let submit = || {
         telemetry.time("tick.mc.submit", || {
-            let result = chain
-                .submit(block_ref.clone(), Some(verdicts), None)
-                .map(|_| ());
+            let result = chain.submit(block_ref.clone(), Some(verdicts)).map(|_| ());
             if result.is_ok() {
                 router.observe_block(chain, block_ref);
             }

@@ -5,7 +5,7 @@
 //! every tick, and every scenario must be bit-identical across
 //! `workers ∈ {1, 2, 3, 4, per-core}` — the fault machinery itself is
 //! part of the determinism contract — and replayable by a cacheless
-//! follower, with and without a carried block proof.
+//! follower.
 
 mod common;
 

@@ -1,13 +1,14 @@
-//! Block-level recursive proof aggregation.
+//! Recursive proof aggregation: a multiset of proof checks folded into
+//! **one** constant-size recursive proof (the recursive-composition
+//! scheme of the Latus incentive paper, arXiv:2103.13754, built on the
+//! Base/Merge machinery of [`crate::recursive`]).
 //!
-//! The staged mainchain pipeline verifies every certificate/BTR/CSW
-//! SNARK of a block individually (in parallel) — cost linear in the
-//! number of postings. This module folds all of a block's proof checks
-//! into **one** constant-size recursive proof, so a receiving node (or
-//! a light client) verifies O(1) proofs per block regardless of how
-//! many sidechains certify (the recursive-composition scheme of the
-//! Latus incentive paper, arXiv:2103.13754, built on the Base/Merge
-//! machinery of [`crate::recursive`]).
+//! The mainchain does not fold: Zendoo checks each certificate, BTR and
+//! CSW with one `Verify(vk, public_input, proof)` (§4.1.2), and the
+//! pipeline's stage 2 does exactly that, batched. The proving system is
+//! measured by the benchmark's `snark.aggregate_*` probe, and
+//! [`statement_key`], the identity of one proof check, keys the
+//! mainchain's verdict cache.
 //!
 //! Two circuits are derived:
 //!
@@ -25,9 +26,7 @@
 //! same statement: balanced, lopsided, or split across workers. That is
 //! what lets [`AggregationSystem::aggregate`] parallelize the layers
 //! freely (the strided worker lanes of [`crate::backend::prove_layer`],
-//! folded pairwise as the recursive prover folds its merges) and what
-//! makes epoch aggregation trivial: an epoch proof is just more folding
-//! over the per-block aggregates ([`AggregationSystem::aggregate_epoch`]).
+//! folded pairwise as the recursive prover folds its merges).
 //!
 //! The verifier recomputes the expected digest from its own collected
 //! work list (cheap hashing, no proof work) and then checks a single
@@ -47,7 +46,6 @@ use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::Encode;
 use zendoo_primitives::field::Fp;
-use zendoo_telemetry::Telemetry;
 
 use crate::backend::{
     fold_pairs, prove, prove_layer, setup_deterministic, verify, Pair, Proof, ProveError,
@@ -362,17 +360,6 @@ impl TreeNode for AggregateProof {
     }
 }
 
-/// Verifies an [`AggregateProof`] given the two verification keys —
-/// one constant-time SNARK check, usable without the proving side.
-pub fn verify_aggregate_with(
-    wrap_vk: &VerifyingKey,
-    fold_vk: &VerifyingKey,
-    aggregate: &AggregateProof,
-) -> bool {
-    let (vk, inputs) = aggregate_statement(wrap_vk, fold_vk, aggregate);
-    verify(vk, &inputs, &aggregate.proof)
-}
-
 /// The key and public inputs an [`AggregateProof`] verifies under.
 fn aggregate_statement<'a>(
     wrap_vk: &'a VerifyingKey,
@@ -507,7 +494,8 @@ impl AggregationSystem {
 
     /// Verifies an aggregate proof: one constant-time SNARK check.
     pub fn verify_aggregate(&self, aggregate: &AggregateProof) -> bool {
-        verify_aggregate_with(&self.wrap_vk, &self.fold_vk, aggregate)
+        let (vk, inputs) = aggregate_statement(&self.wrap_vk, &self.fold_vk, aggregate);
+        verify(vk, &inputs, &aggregate.proof)
     }
 
     /// Folds a whole work list into one [`BlockProof`]: leaves wrapped
@@ -523,85 +511,27 @@ impl AggregationSystem {
     /// does not verify — a block with any false statement has no
     /// aggregate, the prover-side mirror of the verifier's rejection.
     pub fn aggregate(&self, items: &[BatchItem], workers: usize) -> Result<BlockProof, ProveError> {
-        self.aggregate_with(items, workers, &Telemetry::disabled())
-    }
-
-    /// [`AggregationSystem::aggregate`] with telemetry: records the
-    /// work-list size (`snark.aggregate.proofs` histogram), the fold
-    /// tree depth (`snark.aggregate.depth` histogram), wrap-layer and
-    /// per-fold-layer wall time (`snark.aggregate.wrap` /
-    /// `snark.aggregate.fold` spans) and the whole build
-    /// (`snark.aggregate.build` span).
-    ///
-    /// # Errors
-    ///
-    /// See [`AggregationSystem::aggregate`].
-    pub fn aggregate_with(
-        &self,
-        items: &[BatchItem],
-        workers: usize,
-        telemetry: &Telemetry,
-    ) -> Result<BlockProof, ProveError> {
-        telemetry.observe("snark.aggregate.proofs", items.len() as u64);
         if items.is_empty() {
-            telemetry.observe("snark.aggregate.depth", 0);
             return Ok(BlockProof::empty());
         }
-        let _build = telemetry.span("snark.aggregate.build");
-        let layer: Vec<AggregateProof> = {
-            let _span = telemetry.span("snark.aggregate.wrap");
-            let digests: Vec<AggDigest> = items.iter().map(leaf_digest).collect();
-            let statements: Vec<(PublicInputs, &BatchItem)> = digests
-                .iter()
-                .zip(items)
-                .map(|(digest, item)| (aggregate_inputs(digest, 1), item))
-                .collect();
-            let proofs = prove_layer(&self.wrap_pk, &WrapCircuit, &statements, workers)?;
-            digests
-                .into_iter()
-                .zip(proofs)
-                .map(|(digest, proof)| AggregateProof {
-                    digest,
-                    count: 1,
-                    kind: AggKind::Wrap,
-                    proof,
-                })
-                .collect()
-        };
-        let (aggregate, depth) =
-            fold_pairs(&self.fold_pk, &self.fold_circuit(), layer, workers, || {
-                telemetry.span("snark.aggregate.fold")
-            })?;
-        telemetry.observe("snark.aggregate.depth", depth);
-        Ok(BlockProof {
-            aggregate: Some(aggregate),
-        })
-    }
-
-    /// Folds a window of per-block proofs into one epoch proof — just
-    /// more folding, since the digest is a multiset sum. Empty block
-    /// proofs contribute nothing; a window of only empty blocks yields
-    /// [`BlockProof::empty`].
-    ///
-    /// # Errors
-    ///
-    /// [`ProveError::Unsatisfied`] if any constituent aggregate is
-    /// invalid.
-    pub fn aggregate_epoch(
-        &self,
-        blocks: &[BlockProof],
-        workers: usize,
-        telemetry: &Telemetry,
-    ) -> Result<BlockProof, ProveError> {
-        let layer: Vec<AggregateProof> = blocks.iter().filter_map(|b| b.aggregate).collect();
-        if layer.is_empty() {
-            return Ok(BlockProof::empty());
-        }
-        let _build = telemetry.span("snark.aggregate.epoch");
-        let (aggregate, _depth) =
-            fold_pairs(&self.fold_pk, &self.fold_circuit(), layer, workers, || {
-                telemetry.span("snark.aggregate.fold")
-            })?;
+        let digests: Vec<AggDigest> = items.iter().map(leaf_digest).collect();
+        let statements: Vec<(PublicInputs, &BatchItem)> = digests
+            .iter()
+            .zip(items)
+            .map(|(digest, item)| (aggregate_inputs(digest, 1), item))
+            .collect();
+        let proofs = prove_layer(&self.wrap_pk, &WrapCircuit, &statements, workers)?;
+        let layer = digests
+            .into_iter()
+            .zip(proofs)
+            .map(|(digest, proof)| AggregateProof {
+                digest,
+                count: 1,
+                kind: AggKind::Wrap,
+                proof,
+            })
+            .collect();
+        let aggregate = fold_pairs(&self.fold_pk, &self.fold_circuit(), layer, workers)?;
         Ok(BlockProof {
             aggregate: Some(aggregate),
         })
@@ -899,29 +829,6 @@ mod tests {
             ..left
         };
         assert!(sys.fold(&left, &forged).is_err());
-    }
-
-    #[test]
-    fn epoch_fold_covers_all_blocks() {
-        let sys = system();
-        let batch = items(7);
-        let block_a = sys.aggregate(&batch[..3], 2).unwrap();
-        let block_b = sys.aggregate(&[], 2).unwrap(); // empty block
-        let block_c = sys.aggregate(&batch[3..], 2).unwrap();
-        let epoch = sys
-            .aggregate_epoch(&[block_a, block_b, block_c], 2, &Telemetry::disabled())
-            .unwrap();
-        let (expected, count) = expected_statement(&batch);
-        assert!(sys.verify_block_proof(&epoch, &expected, count));
-        // All-empty window.
-        let empty = sys
-            .aggregate_epoch(
-                &[BlockProof::empty(), BlockProof::empty()],
-                2,
-                &Telemetry::disabled(),
-            )
-            .unwrap();
-        assert_eq!(empty, BlockProof::empty());
     }
 
     #[test]

@@ -301,9 +301,8 @@ pub(crate) trait TreeNode: Copy + Sync {
 
 /// The pairwise tree fold of Figs 10–11: proves a layer's adjacent pairs
 /// with one [`prove_layer`] on `workers` lanes, carries an odd last proof
-/// up unmerged, and repeats until one proof remains — the same tree for
-/// every `workers`. Returns that proof with the tree depth; each pair
-/// layer runs inside what `layer_span` returns.
+/// up unmerged, and repeats until one proof remains, which it returns —
+/// the same tree for every `workers`.
 ///
 /// # Panics
 ///
@@ -312,21 +311,17 @@ pub(crate) trait TreeNode: Copy + Sync {
 /// # Errors
 ///
 /// [`prove_layer`]'s, for the first layer that has one.
-pub(crate) fn fold_pairs<C, P, S>(
+pub(crate) fn fold_pairs<C, P>(
     pk: &ProvingKey,
     circuit: &C,
     mut layer: Vec<P>,
     workers: usize,
-    layer_span: impl Fn() -> S,
-) -> Result<(P, u64), ProveError>
+) -> Result<P, ProveError>
 where
     C: Circuit<Witness = Pair<P>> + Sync,
     P: TreeNode,
 {
-    let mut depth = 0;
     while layer.len() > 1 {
-        depth += 1;
-        let _span = layer_span();
         let pairs = layer.chunks_exact(2);
         let odd = pairs.remainder().first().copied();
         let statements: Vec<(PublicInputs, Pair<P>)> = pairs
@@ -346,7 +341,7 @@ where
             .chain(odd)
             .collect();
     }
-    Ok((layer.remove(0), depth))
+    Ok(layer.remove(0))
 }
 
 fn check_key<C: Circuit>(pk: &ProvingKey, circuit: &C) -> Result<(), ProveError> {

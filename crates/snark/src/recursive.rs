@@ -433,8 +433,7 @@ impl<V: TransitionVerifier> RecursiveSystem<V> {
                 proof,
             })
             .collect();
-        let (proof, _depth) = fold_pairs(&self.merge_pk, &self.merge_circuit(), leaves, 1, || ())?;
-        Ok(proof)
+        fold_pairs(&self.merge_pk, &self.merge_circuit(), leaves, 1)
     }
 
     fn merge_circuit(&self) -> MergeCircuit {
@@ -732,8 +731,7 @@ mod tests {
         let leaves = (0..witnesses.len())
             .map(|i| sys.prove_base(states[i], states[i + 1], &witnesses[i]))
             .collect::<Result<_, _>>()?;
-        fold_pairs(&sys.merge_pk, &sys.merge_circuit(), leaves, workers, || ())
-            .map(|(proof, _depth)| proof)
+        fold_pairs(&sys.merge_pk, &sys.merge_circuit(), leaves, workers)
     }
 
     /// A child that does not verify in merge layer `j` — every base proof

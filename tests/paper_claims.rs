@@ -16,7 +16,6 @@
 //! | E1/E3 decoupling (§4.1.2) | `e1_e3_the_mainchain_pays_the_same_for_one_payment_or_hundreds` | `mainchain.stage2_ms` |
 //! | E3 certificate cost, SNARK vs committee (§4.1.2) | `e3_a_certificate_is_one_check_plus_hashing_linear_in_the_bt_list` | `snark.verify_us`, `primitives.schnorr_verify_us` |
 //! | E2 recursive composition (Def 2.5, Figs 10–11), checked a layer at a time | `e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs` | `latus.produce_certificate_p50_ms` |
-//! | block-level aggregation | `aggregated_stage2_is_one_verification_for_any_number_of_certificates` | `BENCH_proof_agg.json`, `snark.aggregate_verify_us` |
 //! | what stays linear in traffic: transfer signatures (§4.1.2) | `a_blocks_transfer_signatures_are_one_evaluation_for_any_number_of_transfers` | `follower_block_ms`, `mainchain.sig_batch_verify_ms` |
 //! | E4 `SCTxsCommitment` (§4.1.3, Figs 4/12) | `e4_commitment_proofs_are_logarithmic_in_the_sidechains` | `core.sc_commitment_us` |
 //! | E5 MST write, tree level (§5.2, Fig 9) | `zendoo-primitives`: `smt::tests::a_write_costs_log_occupancy_not_depth` | `primitives.smt_insert_us` |
@@ -66,12 +65,11 @@ use zendoo::latus::tx::{
     ReceiverMetadata, ScTransaction,
 };
 use zendoo::mainchain::chain::{Blockchain, ChainParams};
-use zendoo::mainchain::pipeline;
 use zendoo::mainchain::pow::Target;
 use zendoo::mainchain::sigbatch::{verify_sig_batch, SigCheck};
 use zendoo::mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
 use zendoo::mainchain::wallet::Wallet;
-use zendoo::mainchain::{Block, BlockHeader};
+use zendoo::mainchain::BlockHeader;
 use zendoo::primitives::digest::Digest32;
 use zendoo::primitives::encode::Encode;
 use zendoo::primitives::field::Fp;
@@ -79,12 +77,10 @@ use zendoo::primitives::merkle::{MerkleHasher, Sha256Hasher};
 use zendoo::primitives::opcount::{measure, OpCount};
 use zendoo::primitives::poseidon;
 use zendoo::primitives::schnorr::Keypair;
-use zendoo::snark::aggregate::BlockProof;
 use zendoo::snark::backend::{prove, setup_deterministic, verify, Proof};
 use zendoo::snark::circuit::{constraint_cost, gadget_cost, Circuit, Unsatisfied};
 use zendoo::snark::inputs::PublicInputs;
 use zendoo::snark::recursive::{RecursiveSystem, TransitionVerifier};
-use zendoo::telemetry::Telemetry;
 
 /// What `f` costs once the lazily built constants it meets exist: the
 /// first call warms, the second is measured.
@@ -572,81 +568,7 @@ fn e2_a_chain_of_n_is_n_base_and_n_minus_one_merge_proofs() {
     }
 }
 
-// ------------------------------------------------- block aggregation
-
-/// A chain with `n` sidechains at the end of their first epoch, the next
-/// block carrying one certificate for each, and that block's recursive
-/// proof.
-fn block_of_certificates(n: usize) -> (Blockchain, Block, BlockProof) {
-    let id = |i: usize| SidechainId::from_label(&format!("claims-agg-{i}"));
-    let seed = |i: usize| format!("agg-{i}").into_bytes();
-    let configs = (0..n).map(|i| config_for(id(i), &seed(i))).collect();
-    let (chain, miner) = mined(configs, 7);
-    let ends = (
-        chain.hash_at_height(1).unwrap(),
-        chain.hash_at_height(7).unwrap(),
-    );
-    let certificates = (0..n)
-        .map(|i| posted(proven(certificate(id(i), 1, vec![]), &seed(i), ends)))
-        .collect::<Vec<_>>();
-    let prepared = chain
-        .prepare_block(miner.address(), certificates, 8)
-        .unwrap();
-    let proof = chain
-        .prove_block(&prepared.block)
-        .expect("an honest block folds");
-    (chain, prepared.block, proof)
-}
-
-/// The claim `BENCH_proof_agg.json` records the wall clock of: a node
-/// receiving a block alone checks one proof per statement, and **one**
-/// when the block carries its recursive proof, however many
-/// certificates the block holds; what stays per statement is hashing.
-#[test]
-fn aggregated_stage2_is_one_verification_for_any_number_of_certificates() {
-    let telemetry = Telemetry::disabled();
-    let mut hashing = Vec::new();
-    for n in [1usize, 16, 64] {
-        let (chain, block, proof) = block_of_certificates(n);
-        let hash = block.hash();
-        let active: Vec<Digest32> = (0..=chain.height())
-            .map(|h| chain.hash_at_height(h).unwrap())
-            .collect();
-        let individual = cost_of(|| {
-            let verdicts = pipeline::verify_block_proofs(
-                chain.state(),
-                &block,
-                hash,
-                &active,
-                Some(1),
-                &telemetry,
-            );
-            assert_eq!(verdicts.proofs.len(), n);
-        });
-        assert_eq!(
-            individual.group_muls, n as u64,
-            "{n} certificates, one by one"
-        );
-        let aggregated = cost_of(|| {
-            pipeline::verify_block_aggregate(
-                chain.state(),
-                &block,
-                hash,
-                &active,
-                &proof,
-                &telemetry,
-            )
-            .expect("the honest aggregate verifies")
-        });
-        assert_eq!(aggregated.group_muls, 1, "{n} certificates, aggregated");
-        hashing.push(aggregated.sha_blocks);
-    }
-    // 15 more statements cost 15 more shares of hashing, and so do 48.
-    assert_eq!(
-        (hashing[1] - hashing[0]) * 48,
-        (hashing[2] - hashing[1]) * 15
-    );
-}
+// ----------------------------------------------- transfer signatures
 
 /// The signature checks of a block of `n` one-input transfers under
 /// distinct keys, as a validator queues them.
