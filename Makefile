@@ -1,11 +1,29 @@
 # Zendoo reproduction — developer tasks. `make ci` is the gate.
 
-.PHONY: ci fmt-check clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims test-benchmark bench-build bench bench-smoke obs-report demo
+.PHONY: ci fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims test-benchmark bench-build bench bench-smoke obs-report demo
 
-ci: fmt-check clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims bench-build test-benchmark
+ci: fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims bench-build test-benchmark
 
 fmt-check:
 	cargo fmt --check
+
+# `unsafe` lives in one audited place: the call into the SHA-extensions
+# kernel in zendoo-primitives' sha256.rs, after the CPU reported every
+# feature the kernel enables. Fails on any other `unsafe` block, fn or
+# impl or `allow(unsafe_code)` in our code (crates/support, the offline
+# stand-ins, aside), and on a crate root other than zendoo-primitives
+# without `#![forbid(unsafe_code)]`.
+unsafe-audit:
+	@found=$$(grep -rEn 'unsafe \{|unsafe fn|unsafe impl|allow\(unsafe_code\)' crates/*/src crates/*/tests crates/*/benches src examples tests); \
+	expected='crates/primitives/src/sha256.rs:[0-9]+:    #\[allow\(unsafe_code\)\]$$'; \
+	if [ "$$(echo "$$found" | wc -l)" -ne 2 ] || ! echo "$$found" | grep -Eq "$$expected" || ! echo "$$found" | grep -Eq '^crates/primitives/src/sha256.rs:[0-9]+: +unsafe \{ rounds\(state, blocks\) \}$$'; then \
+		echo "unsafe outside the one audited block in crates/primitives/src/sha256.rs:"; echo "$$found"; exit 1; fi; \
+	for root in src/lib.rs crates/*/src/lib.rs; do \
+		[ "$$root" = crates/primitives/src/lib.rs ] && continue; \
+		grep -q '^#!\[forbid(unsafe_code)\]$$' "$$root" || { echo "$$root lacks #![forbid(unsafe_code)]"; exit 1; }; \
+	done; \
+	grep -q '^#!\[deny(unsafe_code)\]$$' crates/primitives/src/lib.rs || { echo "crates/primitives/src/lib.rs lacks #![deny(unsafe_code)]"; exit 1; }; \
+	echo "unsafe audit: one block (crates/primitives/src/sha256.rs), every other crate root forbids unsafe_code"
 
 # Every workspace member that is ours: the library crates, the
 # recorded curve (zendoo-bench) and the root facade with its examples
@@ -48,10 +66,17 @@ endef
 # the parameter conditions: M_E is MDS, M_I is invertible with the
 # characteristic polynomials of M_I¹…M_I⁸ irreducible, μ is the first
 # candidate of the documented search.
+# `sha256::` holds the SHA-256 kernels: the FIPS 180-4 vectors through
+# the public API (the empty, 24-, 448- and 896-bit messages and a
+# million a's), the SHA-extensions kernel against the portable rounds on
+# 2,000 pseudo-random blocks from one state (block by block and in one
+# call), every message length 0–256 split at the block edges against a
+# reference that pads byte by byte, and the dispatch choosing the SHA
+# extensions on a CPU that reports them.
 # The dev profile keeps overflow checks on, so every wrap the kernel
 # means is an explicit one.
 test-field:
-	$(call run-suites,field,"zendoo-primitives lib field:: bigint:: poseidon::")
+	$(call run-suites,field/sha256,"zendoo-primitives lib field:: bigint:: poseidon:: sha256::")
 
 # The adversarial/soundness suites, by name: every escrow theft path
 # (escrow_consensus), forged-signature/poisoned-verdict batched

@@ -15,6 +15,8 @@
 //!   [`write_report`] (`make bench-smoke` regenerates it) — plus
 //!   `tests/noop_overhead.rs`.
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 /// Cores available to this process (`host_cores` in every report).

@@ -10,7 +10,9 @@
 //! * [`schnorr`] — Schnorr signatures (transaction authorization and the
 //!   attestation primitive of the simulated SNARK);
 //! * [`vrf`] — an ECVRF used for Ouroboros-style slot-leader selection;
-//! * [`sha256`] — FIPS 180-4 SHA-256, double-SHA-256 and a counter PRG;
+//! * [`sha256`] — FIPS 180-4 SHA-256, double-SHA-256 and a counter PRG,
+//!   on the x86-64 SHA extensions when the CPU has them and portable
+//!   rounds otherwise (the crate's one `unsafe` block is that call);
 //! * [`poseidon`] — the SNARK-friendly algebraic hash (paper §5.4);
 //! * [`merkle`] — Merkle hash trees and proofs (paper Definition 2.2);
 //! * [`smt`] — the fixed-depth sparse Merkle tree behind the Latus MST;
@@ -30,7 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod bigint;
 pub mod curve;

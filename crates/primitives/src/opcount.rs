@@ -113,8 +113,8 @@ pub(crate) fn group_mul() {
 }
 
 #[inline]
-pub(crate) fn sha_block() {
-    bump(&SHA_BLOCKS);
+pub(crate) fn sha_blocks(n: u64) {
+    SHA_BLOCKS.with(|count| count.set(count.get() + n));
 }
 
 /// Counts one SNARK verification embedded in a circuit. The proving

@@ -1,10 +1,41 @@
 //! SHA-256 (FIPS 180-4) implemented from scratch.
 //!
-//! Used by the mainchain for block ids, transaction ids, proof-of-work and
-//! the sidechain-transactions commitment tree, and as the byte-level
-//! collision-resistant hash of the paper's Definition 2.1. Also provides
-//! [`sha256d`] (the Bitcoin-style double hash) and a counter-mode [`Prg`]
-//! for deterministic parameter generation.
+//! Used by the mainchain for block ids, transaction ids, sighashes,
+//! proof-of-work and the sidechain-transactions commitment tree, and as
+//! the byte-level collision-resistant hash of the paper's Definition
+//! 2.1. Also provides [`sha256d`] (the Bitcoin-style double hash) and a
+//! counter-mode [`Prg`] for deterministic parameter generation.
+//!
+//! # Two kernels, one function
+//!
+//! Every hash in this module runs through one compression function over
+//! a run of whole 64-byte blocks, which has two kernels:
+//!
+//! * **`sha-ni`** — the x86-64 SHA extensions (`SHA256RNDS2`,
+//!   `SHA256MSG1`, `SHA256MSG2`), two rounds an instruction, with the
+//!   state held in two registers across every block of the run;
+//! * **`portable`** — the FIPS 180-4 rounds in plain Rust, for CPUs
+//!   without the extensions and other targets. It is also the oracle the
+//!   tests hold the hardware kernel to.
+//!
+//! The choice is made per call from what the CPU reports
+//! (`is_x86_feature_detected!` for `sha`, `sse2`, `ssse3` and `sse4.1`,
+//! which std caches), never from an option; [`kernel`] names the one in
+//! use so a reported figure can say which produced it. Both compute the
+//! same function, so every digest is bit-identical across hosts.
+//!
+//! The hardware kernel is a safe `#[target_feature]` function: its
+//! intrinsics take and return values, words go in through
+//! `u32::from_be_bytes` and come back through `_mm_extract_epi32`, and
+//! no raw pointer is formed. Calling it is the one `unsafe` block in this
+//! crate (`#![deny(unsafe_code)]`, allowed on that one function), made
+//! right after an assertion that the CPU reports every feature it
+//! enables — without them the instructions would be undefined.
+//!
+//! [`opcount`](crate::opcount) counts one SHA-256 block per compression
+//! on either kernel: whole blocks go to the kernel in one call, and
+//! `finalize` pads with one call of at most two blocks, so a message of
+//! n bytes costs ⌊(n + 8) / 64⌋ + 1 blocks whichever kernel runs.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -71,33 +102,30 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            Self::compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer_len = 0;
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        let (blocks, rest) = input.as_chunks::<64>();
+        if !blocks.is_empty() {
+            Self::compress(&mut self.state, blocks);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Completes the hash, producing the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` above may have mutated total_len; irrelevant, bit_len is fixed.
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // 0x80, zeros up to 56 mod 64, then the bit length: one or two
+        // blocks, absorbed in one call.
+        let pad_len = if self.buffer_len < 56 { 64 } else { 128 } - self.buffer_len;
+        let mut pad = [0u8; 128];
+        pad[0] = 0x80;
+        pad[pad_len - 8..pad_len].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..pad_len]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -106,16 +134,41 @@ impl Sha256 {
         out
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        crate::opcount::sha_block();
+    /// Runs the compression function over `blocks` on the kernel
+    /// [`kernel`] names, counting one SHA-256 block each.
+    fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        crate::opcount::sha_blocks(blocks.len() as u64);
+        (selected().1)(state, blocks);
+    }
+}
+
+/// A compression kernel: the state after `blocks`, one after another.
+type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
+
+/// The kernel this CPU runs, by name and function: one choice, so the
+/// name a figure reports is the kernel that produced it.
+fn selected() -> (&'static str, Kernel) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::available() {
+        return ("sha-ni", sha_ni::compress);
+    }
+    ("portable", compress_portable)
+}
+
+/// The compression kernel this CPU runs: `"sha-ni"` when it reports the
+/// x86-64 SHA extensions, `"portable"` otherwise. Digests do not depend
+/// on it; timings do.
+pub fn kernel() -> &'static str {
+    selected().0
+}
+
+/// The FIPS 180-4 rounds in plain Rust: the kernel for CPUs without the
+/// SHA extensions, and the oracle the hardware kernel is tested against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for (i, item) in w.iter_mut().take(16).enumerate() {
-            *item = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -125,7 +178,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -146,14 +199,125 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// The x86-64 SHA-extensions kernel.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Whether this CPU reports every feature [`rounds`] enables
+    /// (std caches the answer after the first query).
+    #[inline]
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses `blocks` into `state` with the SHA extensions.
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not report every feature [`rounds`] enables;
+    /// [`selected`](super::selected) checks [`available`] first.
+    #[allow(unsafe_code)]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        assert!(available(), "this CPU does not report the SHA extensions");
+        // SAFETY: `rounds` is safe apart from its target features, and
+        // the assertion above has seen this CPU report every one of them.
+        unsafe { rounds(state, blocks) }
+    }
+
+    /// Compresses `blocks` into `state`, keeping the state in two
+    /// registers from the first block to the last.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Four rounds from message words `w` (lane 0 first): two
+        // `SHA256RNDS2`, each taking two words plus constants.
+        macro_rules! rounds4 {
+            ($abef:ident, $cdgh:ident, $w:expr, $i:expr) => {{
+                let k = _mm_set_epi32(
+                    K[4 * $i + 3] as i32,
+                    K[4 * $i + 2] as i32,
+                    K[4 * $i + 1] as i32,
+                    K[4 * $i] as i32,
+                );
+                let wk = _mm_add_epi32($w, k);
+                $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+                $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            }};
+        }
+        // Words 4i..4i + 4 of a block, lane 0 first.
+        let words = |block: &[u8; 64], i: usize| {
+            let w = |j: usize| {
+                let at = 16 * i + 4 * j;
+                u32::from_be_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]]) as i32
+            };
+            _mm_set_epi32(w(3), w(2), w(1), w(0))
+        };
+        // The next four schedule words from the last sixteen.
+        let schedule = |w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i| {
+            let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+            _mm_sha256msg2_epu32(t, w3)
+        };
+
+        // The instructions want the state as (a, b, e, f) and (c, d, g, h).
+        let s = |i: usize| state[i] as i32;
+        let dcba = _mm_set_epi32(s(3), s(2), s(1), s(0));
+        let hgfe = _mm_set_epi32(s(7), s(6), s(5), s(4));
+        let cdab = _mm_shuffle_epi32::<0xB1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1B>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xF0>(efgh, cdab);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = words(block, 0);
+            let mut w1 = words(block, 1);
+            let mut w2 = words(block, 2);
+            let mut w3 = words(block, 3);
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            for i in (4..16).step_by(4) {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4!(abef, cdgh, w0, i);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4!(abef, cdgh, w1, i + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4!(abef, cdgh, w2, i + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4!(abef, cdgh, w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32::<0x1B>(abef);
+        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+        let dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
+        let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+        *state = [
+            _mm_extract_epi32::<0>(dcba) as u32,
+            _mm_extract_epi32::<1>(dcba) as u32,
+            _mm_extract_epi32::<2>(dcba) as u32,
+            _mm_extract_epi32::<3>(dcba) as u32,
+            _mm_extract_epi32::<0>(hgfe) as u32,
+            _mm_extract_epi32::<1>(hgfe) as u32,
+            _mm_extract_epi32::<2>(hgfe) as u32,
+            _mm_extract_epi32::<3>(hgfe) as u32,
+        ];
     }
 }
 
@@ -289,6 +453,97 @@ mod tests {
             hasher.update(&data[split..]);
             assert_eq!(hasher.finalize(), sha256(&data), "split at {split}");
         }
+    }
+
+    #[test]
+    fn nist_vector_896_bits() {
+        assert_eq!(
+            hex(&sha256(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
+    }
+
+    /// A reference `finalize` that pads one byte at a time through
+    /// `update`: 0x80, zeros until 56 bytes of a block are filled, then
+    /// the bit length.
+    fn finalize_bytewise(mut hasher: Sha256) -> [u8; 32] {
+        let bit_len = hasher.total_len.wrapping_mul(8);
+        hasher.update(&[0x80]);
+        while hasher.buffer_len != 56 {
+            hasher.update(&[0x00]);
+        }
+        hasher.update(&bit_len.to_be_bytes());
+        let mut out = [0u8; 32];
+        for (i, word) in hasher.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn every_length_and_split_pads_as_byte_by_byte_padding_does() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(256).collect();
+        for len in 0..=256 {
+            let message = &data[..len];
+            let mut whole = Sha256::new();
+            whole.update(message);
+            let expected = finalize_bytewise(whole);
+            assert_eq!(sha256(message), expected, "length {len}");
+            for split in [0usize, 1, 55, 56, 63, 64, 65, 119, 120] {
+                let split = split.min(len);
+                let mut hasher = Sha256::new();
+                hasher.update(&message[..split]);
+                hasher.update(&message[split..]);
+                assert_eq!(
+                    hasher.finalize(),
+                    expected,
+                    "length {len}, split at {split}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn both_kernels_compress_alike() {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::available() {
+            let mut prg = Prg::new("sha256/kernels");
+            let mut state = [0u32; 8];
+            for word in &mut state {
+                *word = prg.next_u64() as u32;
+            }
+            let mut blocks = vec![[0u8; 64]; 2_000];
+            for block in &mut blocks {
+                prg.fill(block);
+            }
+            let (mut portable, mut hardware) = (state, state);
+            for (i, block) in blocks.iter().enumerate() {
+                compress_portable(&mut portable, std::slice::from_ref(block));
+                sha_ni::compress(&mut hardware, std::slice::from_ref(block));
+                assert_eq!(hardware, portable, "block {i}");
+            }
+            let mut run = state;
+            sha_ni::compress(&mut run, &blocks);
+            assert_eq!(run, portable, "one call over every block");
+            return;
+        }
+        eprintln!("no SHA extensions on this CPU: only the portable kernel runs");
+    }
+
+    #[test]
+    fn the_cpu_s_sha_extensions_are_used_when_it_reports_them() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            assert_eq!(kernel(), "sha-ni");
+            return;
+        }
+        assert_eq!(kernel(), "portable");
     }
 
     #[test]

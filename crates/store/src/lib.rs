@@ -31,6 +31,8 @@
 //! the store; `indexer.sync` spans and `indexer.query.*` spans on the
 //! indexer.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod indexer;
 pub mod journal;

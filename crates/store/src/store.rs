@@ -157,21 +157,18 @@ impl UtxoStore {
     /// snapshot's tip must not be applied afterwards; bootstrap right
     /// after [`Blockchain::enable_event_log`], before the next block.
     pub fn bootstrap(&mut self, chain: &Blockchain) -> Result<(), StoreError> {
+        let entries = sorted_utxos(chain);
         let mut payload = Vec::new();
         TAG_SNAPSHOT.encode_into(&mut payload);
-        chain.tip_hash().encode_into(&mut payload);
-        chain.height().encode_into(&mut payload);
-        let mut entries: Vec<(OutPoint, TxOut)> = chain
-            .state()
-            .utxos
-            .iter()
-            .map(|(op, out)| (*op, *out))
-            .collect();
-        entries.sort_by_key(|(op, _)| *op);
-        encode_pairs(&mut payload, &entries);
+        encode_state(
+            &mut payload,
+            chain.tip_hash(),
+            chain.height(),
+            entries.iter().copied(),
+        );
 
         self.journal.append(&payload)?;
-        self.utxos = entries.into_iter().collect();
+        self.utxos = entries.into_iter().map(|(op, out)| (*op, *out)).collect();
         self.tip = chain.tip_hash();
         self.height = chain.height();
         self.seeded = true;
@@ -252,15 +249,7 @@ impl UtxoStore {
     /// live chain, via [`chain_state_digest`]) hold bit-identical
     /// state iff their digests match.
     pub fn state_digest(&self) -> Digest32 {
-        let mut buf = Vec::new();
-        self.tip.encode_into(&mut buf);
-        self.height.encode_into(&mut buf);
-        (self.utxos.len() as u64).encode_into(&mut buf);
-        for (outpoint, out) in &self.utxos {
-            outpoint.encode_into(&mut buf);
-            out.encode_into(&mut buf);
-        }
-        Digest32::hash_tagged("zendoo.store.state", &[&buf])
+        digest_state(self.tip, self.height, self.utxos.iter())
     }
 
     /// The journal file's on-disk size in bytes.
@@ -273,25 +262,49 @@ impl UtxoStore {
 /// from a live chain — the "in-memory" side of the persisted ==
 /// in-memory comparison.
 pub fn chain_state_digest(chain: &Blockchain) -> Digest32 {
-    let mut entries: Vec<(OutPoint, TxOut)> = chain
-        .state()
-        .utxos
-        .iter()
-        .map(|(op, out)| (*op, *out))
-        .collect();
-    entries.sort_by_key(|(op, _)| *op);
+    digest_state(
+        chain.tip_hash(),
+        chain.height(),
+        sorted_utxos(chain).into_iter(),
+    )
+}
+
+/// `chain`'s UTXO set by reference, in outpoint order.
+fn sorted_utxos(chain: &Blockchain) -> Vec<(&OutPoint, &TxOut)> {
+    let mut entries: Vec<_> = chain.state().utxos.iter().collect();
+    entries.sort_unstable_by_key(|(op, _)| **op);
+    entries
+}
+
+/// The digest of a state's canonical encoding ([`encode_state`]).
+fn digest_state<'a>(
+    tip: Digest32,
+    height: u64,
+    entries: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)>,
+) -> Digest32 {
     let mut buf = Vec::new();
-    chain.tip_hash().encode_into(&mut buf);
-    chain.height().encode_into(&mut buf);
-    (entries.len() as u64).encode_into(&mut buf);
-    for (outpoint, out) in &entries {
-        outpoint.encode_into(&mut buf);
-        out.encode_into(&mut buf);
-    }
+    encode_state(&mut buf, tip, height, entries);
     Digest32::hash_tagged("zendoo.store.state", &[&buf])
 }
 
-fn encode_pairs(out: &mut Vec<u8>, pairs: &[(OutPoint, TxOut)]) {
+/// The canonical encoding of a UTXO state — tip, height, then the
+/// entries, which must be in outpoint order. A journal snapshot carries
+/// it and the state digest hashes it.
+fn encode_state<'a>(
+    out: &mut Vec<u8>,
+    tip: Digest32,
+    height: u64,
+    entries: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)>,
+) {
+    tip.encode_into(out);
+    height.encode_into(out);
+    encode_pairs(out, entries);
+}
+
+fn encode_pairs<'a>(
+    out: &mut Vec<u8>,
+    pairs: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)>,
+) {
     (pairs.len() as u64).encode_into(out);
     for (outpoint, txout) in pairs {
         outpoint.encode_into(out);
@@ -339,8 +352,8 @@ fn encode_event(event: &ChainEvent) -> Vec<u8> {
             TAG_CONNECT.encode_into(&mut payload);
             hash.encode_into(&mut payload);
             height.encode_into(&mut payload);
-            encode_pairs(&mut payload, created);
-            encode_pairs(&mut payload, spent);
+            encode_pairs(&mut payload, created.iter().map(|(op, out)| (op, out)));
+            encode_pairs(&mut payload, spent.iter().map(|(op, out)| (op, out)));
         }
         ChainEvent::Disconnected {
             hash,
@@ -354,7 +367,7 @@ fn encode_event(event: &ChainEvent) -> Vec<u8> {
             height.encode_into(&mut payload);
             parent.encode_into(&mut payload);
             encode_outpoints(&mut payload, created);
-            encode_pairs(&mut payload, spent);
+            encode_pairs(&mut payload, spent.iter().map(|(op, out)| (op, out)));
         }
     }
     payload
@@ -492,5 +505,56 @@ fn replay_record(
             apply_event_to(&event, utxos, tip, height, *seeded).map(|_| ())
         }
         t => Err(CodecError::BadTag(t).into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zendoo_mainchain::chain::ChainParams;
+    use zendoo_mainchain::wallet::Wallet;
+
+    /// The digest's value on a fixed chain of three blocks, one of them
+    /// carrying a payment: a change to its encoding on either side, the
+    /// persisted or the in-memory one, shows here.
+    #[test]
+    fn state_digest_known_answer() {
+        let alice = Wallet::from_seed(b"digest-alice");
+        let bob = Wallet::from_seed(b"digest-bob");
+        let miner = Wallet::from_seed(b"digest-miner");
+        let mut chain = Blockchain::new(ChainParams {
+            genesis_outputs: vec![TxOut::regular(
+                alice.address(),
+                Amount::from_units(1_000_000),
+            )],
+            ..ChainParams::default()
+        });
+        for height in 1..=3u64 {
+            let txs = if height == 2 {
+                let pay = alice
+                    .pay(
+                        &chain,
+                        bob.address(),
+                        Amount::from_units(2_500),
+                        Amount::from_units(10),
+                    )
+                    .expect("alice is funded");
+                vec![pay]
+            } else {
+                vec![]
+            };
+            chain
+                .mine_next_block(miner.address(), txs, height)
+                .expect("block mines");
+        }
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("zendoo-store-{}-digest-kat", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = UtxoStore::open(&dir, Telemetry::disabled()).expect("store opens");
+        store.bootstrap(&chain).expect("store seeds");
+        let expected = "3e94012335f379bcbe679fb739f025cd75137fdb6d275420f4a61c1f7bc02413";
+        assert_eq!(chain_state_digest(&chain).to_hex(), expected);
+        assert_eq!(store.state_digest().to_hex(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

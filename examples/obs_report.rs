@@ -1,17 +1,21 @@
 //! Live telemetry walkthrough: runs an instrumented 16-chain ring
 //! world and prints the span-tree report — per-stage pipeline wall
 //! time, verdict-cache hit rate, rejection counters and settlement
-//! batch histograms, straight from `World::telemetry_snapshot()`.
+//! batch histograms, straight from `World::telemetry_snapshot()`. The
+//! header names the SHA-256 kernel the host ran, since every timing
+//! below depends on it.
 //!
 //! ```text
 //! cargo run --release --example obs_report
 //! ```
 
+use zendoo::primitives::sha256;
 use zendoo::sim::{scenarios, SimConfig, World};
 use zendoo::telemetry::render_report;
 
 fn main() {
-    println!("=== Pipeline observability report ===\n");
+    println!("=== Pipeline observability report ===");
+    println!("sha-256 kernel: {}\n", sha256::kernel());
 
     let chains = 16;
     let epochs = 2u64;
