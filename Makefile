@@ -89,12 +89,19 @@ test-field:
 # inline validation does and one with a cross-wired certificate proof
 # by name (pipeline), a fork off a block that failed to connect — its
 # grandchild, a second branch off its child, a block on another fork
-# stored above it — refused by name with the chain untouched
-# (chain_behavior), the batch equation itself — identity keys and nonce
+# stored above it — refused by name with the chain untouched, and the
+# registry and block refusals asserted by name: a certificate outside
+# its submission window, one for a ceased sidechain, the safeguard on
+# a certificate and on a CSW, a transfer spending one output twice (by
+# the builder and by a receiving node) and a header short of a
+# configured target (chain_behavior), the batch equation itself — identity keys and nonce
 # points inside a valid batch, the empty batch, repeated keys sharing
 # one term with a bad signature under a shared key (every schnorr::
 # unit test), cross-chain forgery/replay (the two adversarial files), the hostile-input codec corpus
-# (settlement_codec), non-canonical public inputs — a digest limb
+# (settlement_codec) and the totality harness over every wire form — the
+# round trip, every prefix, a trailing byte, every bit flip and 1,000
+# random strings per form, its payload count printed (the root
+# facade's codec), non-canonical public inputs — a digest limb
 # raised by 2¹²⁸, refused by `get_digest` and, in a real certificate
 # and BTR statement, under the rule naming the input — and the oracles
 # of the one pairwise fold: the recursive proof and the Wrap/Fold aggregate
@@ -114,7 +121,7 @@ test-field:
 # refused forge that leaves no trace, and forger and follower agreeing
 # across a fork.
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary
@@ -136,11 +143,14 @@ test-byzantine:
 	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::" "zendoo-sim shared_commitment")
 
 # The persistence suites: journal kill-and-recover, torn-tail and
-# rollback replay at the store level (recovery), and the world-level
-# lockstep contract — per-tick digest equality through mid-run kills,
-# torn tails and reorgs (persistence).
+# rollback replay at the store level (recovery), every crash point of a
+# 3-record journal — cut at each byte offset, each bit of its last
+# frame flipped — landing on the committed prefix with the exact torn
+# bytes and resuming appends (crash_points, case counts printed), and
+# the world-level lockstep contract — per-tick digest equality through
+# mid-run kills, torn tails and reorgs (persistence).
 test-store:
-	$(call run-suites,store,"zendoo-store recovery" "zendoo-sim persistence")
+	$(call run-suites,store,"zendoo-store recovery" "zendoo-store crash_points --nocapture" "zendoo-sim persistence")
 
 # The one tree, by name: the sparse Merkle tree's differential against
 # the recursive reference of its definition (depths 6 / 40 / 63), the

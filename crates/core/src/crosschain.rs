@@ -32,7 +32,7 @@
 
 use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
-use zendoo_primitives::encode::{digest, Encode};
+use zendoo_primitives::encode::{decode_with, digest, Decode, DecodeError, Encode, Reader};
 use zendoo_primitives::schnorr::Keypair;
 
 use crate::certificate::WithdrawalCertificate;
@@ -127,15 +127,15 @@ impl CrossChainTransfer {
 
     /// The receiver metadata the delivery forward transfer carries:
     /// `receiver ‖ payback ‖ source ‖ nonce` ([`XCT_METADATA_LEN`]
-    /// bytes). The destination sidechain parses this with
-    /// [`parse_cross_metadata`].
+    /// bytes), the destination sidechain's [`CrossChainMetadata`].
     pub fn receiver_metadata(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(XCT_METADATA_LEN);
-        out.extend_from_slice(self.receiver.0.as_bytes());
-        out.extend_from_slice(self.payback.0.as_bytes());
-        out.extend_from_slice(self.source.0.as_bytes());
-        out.extend_from_slice(&self.nonce.to_be_bytes());
-        out
+        CrossChainMetadata {
+            receiver: self.receiver,
+            payback: self.payback,
+            source: self.source,
+            nonce: self.nonce,
+        }
+        .encoded()
     }
 }
 
@@ -148,6 +148,21 @@ impl Encode for CrossChainTransfer {
         self.nonce.encode_into(out);
         self.payback.encode_into(out);
         self.nullifier.encode_into(out);
+    }
+}
+
+impl Decode for CrossChainTransfer {
+    const MIN_LEN: usize = XCT_WIRE_LEN;
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(CrossChainTransfer {
+            source: reader.read()?,
+            dest: reader.read()?,
+            receiver: reader.read()?,
+            amount: reader.read()?,
+            nonce: reader.read()?,
+            payback: reader.read()?,
+            nullifier: reader.read()?,
+        })
     }
 }
 
@@ -165,24 +180,25 @@ pub struct CrossChainMetadata {
     pub nonce: u64,
 }
 
-/// Parses [`XCT_METADATA_LEN`]-byte cross-chain receiver metadata.
-pub fn parse_cross_metadata(bytes: &[u8]) -> Option<CrossChainMetadata> {
-    if bytes.len() != XCT_METADATA_LEN {
-        return None;
+impl Encode for CrossChainMetadata {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.receiver.encode_into(out);
+        self.payback.encode_into(out);
+        self.source.encode_into(out);
+        self.nonce.encode_into(out);
     }
-    let word = |i: usize| -> [u8; 32] {
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&bytes[i * 32..(i + 1) * 32]);
-        out
-    };
-    let mut nonce = [0u8; 8];
-    nonce.copy_from_slice(&bytes[96..104]);
-    Some(CrossChainMetadata {
-        receiver: Address(Digest32(word(0))),
-        payback: Address(Digest32(word(1))),
-        source: SidechainId(Digest32(word(2))),
-        nonce: u64::from_be_bytes(nonce),
-    })
+}
+
+impl Decode for CrossChainMetadata {
+    const MIN_LEN: usize = XCT_METADATA_LEN;
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(CrossChainMetadata {
+            receiver: reader.read()?,
+            payback: reader.read()?,
+            source: reader.read()?,
+            nonce: reader.read()?,
+        })
+    }
 }
 
 /// Seed of the historic "escrow authority" keypair. Only the derived
@@ -278,10 +294,7 @@ impl std::error::Error for XctError {}
 pub fn encode_xct_list(xcts: &[CrossChainTransfer]) -> Vec<u8> {
     let mut out = Vec::with_capacity(XCT_MAGIC.len() + 4 + xcts.len() * XCT_WIRE_LEN);
     out.extend_from_slice(XCT_MAGIC);
-    out.extend_from_slice(&(xcts.len() as u32).to_be_bytes());
-    for xct in xcts {
-        xct.encode_into(&mut out);
-    }
+    encode_xct_entries(xcts, &mut out);
     out
 }
 
@@ -289,46 +302,25 @@ pub fn encode_xct_list(xcts: &[CrossChainTransfer]) -> Vec<u8> {
 /// with [`XCT_MAGIC`] (the element is not a declaration); `Some(Err)`
 /// when it claims to be one but is malformed.
 pub fn decode_xct_list(bytes: &[u8]) -> Option<Result<Vec<CrossChainTransfer>, XctError>> {
-    if bytes.len() < XCT_MAGIC.len() || &bytes[..XCT_MAGIC.len()] != XCT_MAGIC {
-        return None;
-    }
-    let rest = &bytes[XCT_MAGIC.len()..];
-    if rest.len() < 4 {
-        return Some(Err(XctError::Malformed));
-    }
-    let count = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    Some(decode_xct_entries(count, &rest[4..]).ok_or(XctError::Malformed))
+    let body = bytes.strip_prefix(XCT_MAGIC.as_slice())?;
+    Some(decode_with(body, read_xct_entries).map_err(|_| XctError::Malformed))
 }
 
-/// Decodes `count` transfers in [`CrossChainTransfer`] wire form, the
-/// entries of both a declared-transfer list and a settlement batch.
-/// `None` unless `entries` holds exactly `count` of them.
-pub(crate) fn decode_xct_entries(count: usize, entries: &[u8]) -> Option<Vec<CrossChainTransfer>> {
-    if entries.len() != count.checked_mul(XCT_WIRE_LEN)? {
-        return None;
+/// Writes transfers behind a u32 count: the body of a declared-transfer
+/// list and the tail of a settlement batch.
+pub(crate) fn encode_xct_entries(xcts: &[CrossChainTransfer], out: &mut Vec<u8>) {
+    (xcts.len() as u32).encode_into(out);
+    for xct in xcts {
+        xct.encode_into(out);
     }
-    let word = |chunk: &[u8], i: usize| -> [u8; 32] {
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&chunk[i..i + 32]);
-        out
-    };
-    let mut xcts = Vec::with_capacity(count);
-    for chunk in entries.chunks_exact(XCT_WIRE_LEN) {
-        let mut amount = [0u8; 8];
-        amount.copy_from_slice(&chunk[96..104]);
-        let mut nonce = [0u8; 8];
-        nonce.copy_from_slice(&chunk[104..112]);
-        xcts.push(CrossChainTransfer {
-            source: SidechainId(Digest32(word(chunk, 0))),
-            dest: SidechainId(Digest32(word(chunk, 32))),
-            receiver: Address(Digest32(word(chunk, 64))),
-            amount: Amount::from_units(u64::from_be_bytes(amount)),
-            nonce: u64::from_be_bytes(nonce),
-            payback: Address(Digest32(word(chunk, 112))),
-            nullifier: Nullifier(Digest32(word(chunk, 144))),
-        });
-    }
-    Some(xcts)
+}
+
+/// Reads what [`encode_xct_entries`] wrote.
+pub(crate) fn read_xct_entries(
+    reader: &mut Reader<'_>,
+) -> Result<Vec<CrossChainTransfer>, DecodeError> {
+    let count: u32 = reader.read()?;
+    reader.seq(count.into())
 }
 
 /// Extracts the declared cross-chain transfers from a certificate's
@@ -548,12 +540,12 @@ mod tests {
     #[test]
     fn metadata_roundtrip() {
         let t = xct(7, 33);
-        let meta = parse_cross_metadata(&t.receiver_metadata()).unwrap();
+        let meta = CrossChainMetadata::decode(&t.receiver_metadata()).unwrap();
         assert_eq!(meta.receiver, t.receiver);
         assert_eq!(meta.payback, t.payback);
         assert_eq!(meta.source, t.source);
         assert_eq!(meta.nonce, 7);
-        assert!(parse_cross_metadata(&[0u8; 64]).is_none());
+        assert!(CrossChainMetadata::decode(&[0u8; 64]).is_err());
     }
 
     #[test]

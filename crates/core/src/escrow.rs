@@ -33,7 +33,7 @@
 //! consumes an escrow-kind input (or carries a settlement batch).
 
 use serde::{Deserialize, Serialize};
-use zendoo_primitives::encode::Encode;
+use zendoo_primitives::encode::{Decode, DecodeError, Encode, Reader};
 
 use crate::crosschain::CrossChainTransfer;
 use crate::ids::{Address, Amount, EpochId, Nullifier, SidechainId};
@@ -78,6 +78,19 @@ impl Encode for EscrowTag {
         self.dest.encode_into(out);
         self.payback.encode_into(out);
         self.nullifier.encode_into(out);
+    }
+}
+
+impl Decode for EscrowTag {
+    const MIN_LEN: usize = 32 + 4 + 32 + 32 + 32;
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(EscrowTag {
+            source: reader.read()?,
+            epoch: reader.read()?,
+            dest: reader.read()?,
+            payback: reader.read()?,
+            nullifier: reader.read()?,
+        })
     }
 }
 

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use zendoo_primitives::digest::Digest32;
-use zendoo_primitives::encode::Encode;
+use zendoo_primitives::encode::{Decode, DecodeError, Encode, Reader};
 
 /// A unique identifier of a registered sidechain (`ledgerId` in the
 /// paper). Derived from the hash of the sidechain-creation transaction.
@@ -197,6 +197,24 @@ impl Encode for Amount {
         self.0.encode_into(out);
     }
 }
+
+/// `Decode` for the newtypes above: the one field's decoding.
+macro_rules! decode_newtype {
+    ($($ty:ident($inner:ty)),*) => {$(
+        impl Decode for $ty {
+            const MIN_LEN: usize = <$inner>::MIN_LEN;
+            fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok($ty(reader.read()?))
+            }
+        }
+    )*};
+}
+decode_newtype!(
+    SidechainId(Digest32),
+    Address(Digest32),
+    Nullifier(Digest32),
+    Amount(u64)
+);
 
 #[cfg(test)]
 mod tests {

@@ -18,9 +18,9 @@
 //! the same metadata to mint one UTXO per entry.
 
 use zendoo_primitives::digest::Digest32;
-use zendoo_primitives::encode::Encode;
+use zendoo_primitives::encode::{decode_with, Encode};
 
-use crate::crosschain::{CrossChainTransfer, XCT_WIRE_LEN};
+use crate::crosschain::{encode_xct_entries, read_xct_entries, CrossChainTransfer, XCT_WIRE_LEN};
 use crate::ids::{Amount, EpochId, SidechainId};
 use crate::transfer::ForwardTransfer;
 
@@ -199,14 +199,9 @@ impl SettlementBatch {
     pub fn receiver_metadata(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(XSB_HEADER_LEN + self.transfers.len() * XCT_WIRE_LEN);
         out.extend_from_slice(XSB_MAGIC);
-        out.extend_from_slice(self.source.0.as_bytes());
-        out.extend_from_slice(&self.epoch.to_be_bytes());
-        out.extend_from_slice(self.dest.0.as_bytes());
-        out.extend_from_slice(self.commitment().as_bytes());
-        out.extend_from_slice(&(self.transfers.len() as u32).to_be_bytes());
-        for xct in &self.transfers {
-            xct.encode_into(&mut out);
-        }
+        (self.source, self.epoch, self.dest).encode_into(&mut out);
+        self.commitment().encode_into(&mut out);
+        encode_xct_entries(&self.transfers, &mut out);
         out
     }
 
@@ -228,31 +223,16 @@ impl SettlementBatch {
 pub fn decode_settlement_metadata(
     bytes: &[u8],
 ) -> Option<Result<SettlementBatch, SettlementError>> {
-    if bytes.len() < XSB_MAGIC.len() || &bytes[..XSB_MAGIC.len()] != XSB_MAGIC {
-        return None;
-    }
-    Some(decode_tagged(bytes))
+    bytes.strip_prefix(XSB_MAGIC.as_slice()).map(decode_tagged)
 }
 
-fn decode_tagged(bytes: &[u8]) -> Result<SettlementBatch, SettlementError> {
-    if bytes.len() < XSB_HEADER_LEN {
-        return Err(SettlementError::Malformed);
-    }
-    let body = &bytes[XSB_MAGIC.len()..];
-    let word = |offset: usize| -> Digest32 {
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&body[offset..offset + 32]);
-        Digest32(out)
-    };
-    let source = SidechainId(word(0));
-    let epoch = EpochId::from_be_bytes([body[32], body[33], body[34], body[35]]);
-    let dest = SidechainId(word(36));
-    let claimed = word(68);
-    let count = u32::from_be_bytes([body[100], body[101], body[102], body[103]]) as usize;
-    // Entries share the declared-list wire form.
-    let transfers = crate::crosschain::decode_xct_entries(count, &body[104..])
-        .ok_or(SettlementError::Malformed)?;
-    let batch = SettlementBatch::new(source, epoch, dest, transfers);
+fn decode_tagged(body: &[u8]) -> Result<SettlementBatch, SettlementError> {
+    let (batch, claimed) = decode_with(body, |r| {
+        let (source, epoch, dest, claimed) = (r.read()?, r.read()?, r.read()?, r.read()?);
+        let batch = SettlementBatch::new(source, epoch, dest, read_xct_entries(r)?);
+        Ok((batch, claimed))
+    })
+    .map_err(|_| SettlementError::Malformed)?;
     let actual = batch.commitment();
     if actual != claimed {
         return Err(SettlementError::ForgedCommitment { claimed, actual });

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_primitives::digest::Digest32;
-use zendoo_primitives::encode::{digest, Encode};
+use zendoo_primitives::encode::{digest, Decode, DecodeError, Encode, Reader};
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::poseidon;
 use zendoo_primitives::smt::{NodeOpening, Smt, SmtError, SmtOpening, SmtProof};
@@ -58,6 +58,17 @@ impl Encode for Utxo {
         self.address.encode_into(out);
         self.amount.encode_into(out);
         self.nonce.encode_into(out);
+    }
+}
+
+impl Decode for Utxo {
+    const MIN_LEN: usize = 32 + 8 + 32;
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Utxo {
+            address: reader.read()?,
+            amount: reader.read()?,
+            nonce: reader.read()?,
+        })
     }
 }
 

@@ -20,7 +20,7 @@ use zendoo_core::ids::{Address, Amount};
 use zendoo_core::transfer::{BackwardTransfer, ForwardTransfer};
 use zendoo_core::withdrawal::BackwardTransferRequest;
 use zendoo_primitives::digest::Digest32;
-use zendoo_primitives::encode::{digest, Encode};
+use zendoo_primitives::encode::{digest, Decode, DecodeError, Encode, Reader};
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
 use zendoo_primitives::smt::{NodeOpening, SmtOpening, SmtProof, WitnessError};
@@ -226,25 +226,29 @@ pub struct ReceiverMetadata {
 impl ReceiverMetadata {
     /// Serializes to the on-chain 64-byte form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(self.receiver.0.as_bytes());
-        out.extend_from_slice(self.payback.0.as_bytes());
-        out
+        self.encoded()
     }
 
     /// Parses metadata; `None` marks the FT malformed (§5.3.2: the
     /// mainchain never validates metadata semantics).
     pub fn parse(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != 64 {
-            return None;
-        }
-        let mut receiver = [0u8; 32];
-        let mut payback = [0u8; 32];
-        receiver.copy_from_slice(&bytes[..32]);
-        payback.copy_from_slice(&bytes[32..]);
-        Some(ReceiverMetadata {
-            receiver: Address(Digest32(receiver)),
-            payback: Address(Digest32(payback)),
+        Self::decode(bytes).ok()
+    }
+}
+
+impl Encode for ReceiverMetadata {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.receiver.encode_into(out);
+        self.payback.encode_into(out);
+    }
+}
+
+impl Decode for ReceiverMetadata {
+    const MIN_LEN: usize = 64;
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(ReceiverMetadata {
+            receiver: reader.read()?,
+            payback: reader.read()?,
         })
     }
 }
@@ -350,27 +354,9 @@ pub struct BtrTx {
 /// (`proofdata = {utxo}`, §5.5.3.2 — element 0 is the encoded UTXO).
 pub fn btr_claimed_utxo(btr: &BackwardTransferRequest) -> Option<Utxo> {
     match btr.proofdata.get(0)? {
-        zendoo_core::proofdata::ProofDataElem::Bytes(bytes) => decode_utxo(bytes),
+        zendoo_core::proofdata::ProofDataElem::Bytes(bytes) => Utxo::decode(bytes).ok(),
         _ => None,
     }
-}
-
-/// Canonical UTXO byte decoding (inverse of its `Encode` impl).
-pub fn decode_utxo(bytes: &[u8]) -> Option<Utxo> {
-    if bytes.len() != 32 + 8 + 32 {
-        return None;
-    }
-    let mut address = [0u8; 32];
-    address.copy_from_slice(&bytes[..32]);
-    let mut amount = [0u8; 8];
-    amount.copy_from_slice(&bytes[32..40]);
-    let mut nonce = [0u8; 32];
-    nonce.copy_from_slice(&bytes[40..]);
-    Some(Utxo {
-        address: Address(Digest32(address)),
-        amount: Amount::from_units(u64::from_be_bytes(amount)),
-        nonce: Digest32(nonce),
-    })
 }
 
 /// A Latus transaction (§5.3's four logical types).
@@ -767,7 +753,7 @@ pub fn classify_ft_metadata(
             payback: meta.payback,
         };
     }
-    if let Some(meta) = zendoo_core::crosschain::parse_cross_metadata(&ft.receiver_metadata) {
+    if let Ok(meta) = zendoo_core::crosschain::CrossChainMetadata::decode(&ft.receiver_metadata) {
         return FtKind::Cross { meta };
     }
     match zendoo_core::settlement::decode_settlement_metadata(&ft.receiver_metadata) {
@@ -776,8 +762,7 @@ pub fn classify_ft_metadata(
         {
             FtKind::Settlement(batch)
         }
-        Some(_) => FtKind::Malformed,
-        None => FtKind::Malformed,
+        _ => FtKind::Malformed,
     }
 }
 
@@ -1620,8 +1605,8 @@ mod tests {
             amount: Amount::from_units(123),
             nonce: Digest32::hash_bytes(b"n"),
         };
-        assert_eq!(decode_utxo(&utxo.encoded()), Some(utxo));
-        assert_eq!(decode_utxo(b"short"), None);
+        assert_eq!(Utxo::decode(&utxo.encoded()), Ok(utxo));
+        assert_eq!(Utxo::decode(b"short"), Err(DecodeError::UnexpectedEof));
     }
 
     #[test]

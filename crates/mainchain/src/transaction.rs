@@ -15,7 +15,7 @@ use zendoo_core::transfer::ForwardTransfer;
 use zendoo_core::withdrawal::{BackwardTransferRequest, CeasedSidechainWithdrawal};
 use zendoo_core::WithdrawalCertificate;
 use zendoo_primitives::digest::Digest32;
-use zendoo_primitives::encode::{digest, Encode};
+use zendoo_primitives::encode::{digest, Decode, DecodeError, Encode, Reader};
 use zendoo_primitives::schnorr::{Keypair, PublicKey, SecretKey, Signature};
 
 /// Signature context for transaction inputs.
@@ -34,6 +34,16 @@ impl Encode for OutPoint {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.txid.encode_into(out);
         self.index.encode_into(out);
+    }
+}
+
+impl Decode for OutPoint {
+    const MIN_LEN: usize = 32 + 4;
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(OutPoint {
+            txid: reader.read()?,
+            index: reader.read()?,
+        })
     }
 }
 
@@ -63,6 +73,17 @@ impl Encode for OutputKind {
                 1u8.encode_into(out);
                 tag.encode_into(out);
             }
+        }
+    }
+}
+
+impl Decode for OutputKind {
+    const MIN_LEN: usize = 1;
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match reader.read()? {
+            0 => Ok(OutputKind::Regular),
+            1 => Ok(OutputKind::Escrow(reader.read()?)),
+            t => Err(DecodeError::BadTag(t)),
         }
     }
 }
@@ -119,6 +140,17 @@ impl Encode for TxOut {
         self.address.encode_into(out);
         self.amount.encode_into(out);
         self.kind.encode_into(out);
+    }
+}
+
+impl Decode for TxOut {
+    const MIN_LEN: usize = 32 + 8 + OutputKind::MIN_LEN;
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(TxOut {
+            address: reader.read()?,
+            amount: reader.read()?,
+            kind: reader.read()?,
+        })
     }
 }
 

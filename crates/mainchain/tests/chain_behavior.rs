@@ -15,9 +15,10 @@ use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
 use zendoo_core::proofdata::ProofData;
 use zendoo_core::transfer::BackwardTransfer;
 use zendoo_core::withdrawal::{btr_public_inputs, BtrSysData, CeasedSidechainWithdrawal};
-use zendoo_mainchain::block::Block;
-use zendoo_mainchain::chain::{Blockchain, ChainParams};
-use zendoo_mainchain::registry::SidechainStatus;
+use zendoo_mainchain::block::{Block, BlockHeader};
+use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
+use zendoo_mainchain::pow::Target;
+use zendoo_mainchain::registry::{RegistryError, SidechainStatus};
 use zendoo_mainchain::transaction::{McTransaction, TxOut};
 use zendoo_mainchain::wallet::Wallet;
 use zendoo_primitives::digest::Digest32;
@@ -297,9 +298,15 @@ fn certificate_accepted_only_in_window() {
     // First try *before* the window: submit at height 14+1=15 is IN window.
     // To test "too early", attempt epoch 1's certificate now.
     let early = h.certificate_quiet(1, 1);
-    assert!(h
-        .submit_tx(McTransaction::Certificate(Box::new(early)))
-        .is_err());
+    assert_eq!(
+        h.submit_tx(McTransaction::Certificate(Box::new(early))),
+        Err(BlockError::Registry(
+            RegistryError::OutsideSubmissionWindow {
+                epoch: 1,
+                height: 15
+            }
+        ))
+    );
     // In-window certificate accepted (lands at height 15).
     h.submit_tx(McTransaction::Certificate(Box::new(cert)))
         .unwrap();
@@ -345,9 +352,12 @@ fn late_certificate_rejected_and_sidechain_ceases() {
     h.mine_to_height(18);
     assert_eq!(h.sc_status(), SidechainStatus::Ceased);
     let late = h.certificate(0, 1, vec![]);
-    assert!(h
-        .submit_tx(McTransaction::Certificate(Box::new(late)))
-        .is_err());
+    assert_eq!(
+        h.submit_tx(McTransaction::Certificate(Box::new(late))),
+        Err(BlockError::Registry(RegistryError::SidechainCeased(
+            h.sc_id
+        )))
+    );
 }
 
 #[test]
@@ -429,6 +439,13 @@ fn safeguard_rejects_overdraw() {
     let err = h
         .submit_tx(McTransaction::Certificate(Box::new(greedy)))
         .unwrap_err();
+    assert_eq!(
+        err,
+        BlockError::Registry(RegistryError::SafeguardViolation {
+            requested: Amount::from_units(101),
+            available: Amount::from_units(100),
+        })
+    );
     let msg = format!("{err}");
     assert!(msg.contains("safeguard"), "got: {msg}");
 }
@@ -467,7 +484,13 @@ fn csw_flow_after_ceasing() {
 
     // Safeguard on CSW.
     let greedy = h.csw(user, 201, b"utxo-2");
-    assert!(h.submit_tx(McTransaction::Csw(Box::new(greedy))).is_err());
+    assert_eq!(
+        h.submit_tx(McTransaction::Csw(Box::new(greedy))),
+        Err(BlockError::Registry(RegistryError::SafeguardViolation {
+            requested: Amount::from_units(201),
+            available: Amount::from_units(200),
+        }))
+    );
 }
 
 #[test]
@@ -757,6 +780,73 @@ fn double_spend_across_blocks_rejected() {
         h.submit_tx(tx),
         Err(zendoo_mainchain::BlockError::MissingInput(_))
     ));
+}
+
+#[test]
+fn a_transfer_spending_one_output_twice_is_refused_by_name() {
+    let mut h = Harness::new();
+    let McTransaction::Transfer(mut tx) = h
+        .alice
+        .pay(
+            &h.chain,
+            Address::from_label("bob"),
+            Amount::from_units(10),
+            Amount::ZERO,
+        )
+        .unwrap()
+    else {
+        panic!("a payment is a transfer");
+    };
+    let twice = tx.inputs[0].outpoint;
+    tx.inputs.push(tx.inputs[0].clone());
+    let tx = McTransaction::Transfer(tx);
+    // The builder refuses it by name...
+    assert_eq!(
+        h.submit_tx(tx.clone()),
+        Err(BlockError::DoubleSpendInBlock(twice))
+    );
+    // ...and so does a node receiving a block that carries it.
+    let mut block = h
+        .chain
+        .prepare_block(h.miner.address(), vec![], h.time + 1)
+        .unwrap()
+        .block;
+    block.transactions.push(tx);
+    let block = remine(&h.chain, block);
+    let tip = h.chain.tip_hash();
+    assert_eq!(
+        h.chain.submit_block(block).map(|_| ()),
+        Err(BlockError::DoubleSpendInBlock(twice))
+    );
+    assert_eq!(h.chain.tip_hash(), tip);
+}
+
+/// The default target accepts every hash, so a chain configured with a
+/// harder one is where a header can fall short of it.
+#[test]
+fn a_header_short_of_the_target_is_refused_as_bad_proof_of_work() {
+    let miner = Wallet::from_seed(b"miner");
+    let mut chain = Blockchain::new(ChainParams {
+        target: Target::with_leading_zero_bits(8),
+        ..ChainParams::default()
+    });
+    let mut block = chain
+        .prepare_block(miner.address(), vec![], 1)
+        .unwrap()
+        .block;
+    assert!(block.header.meets_target());
+    block.header = (0..)
+        .map(|nonce| BlockHeader {
+            nonce,
+            ..block.header
+        })
+        .find(|header| !header.meets_target())
+        .unwrap();
+    assert_eq!(
+        chain.submit_block(block).map(|_| ()),
+        Err(BlockError::BadProofOfWork)
+    );
+    assert_eq!(chain.height(), 0);
 }
 
 #[test]

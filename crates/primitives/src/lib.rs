@@ -16,7 +16,7 @@
 //! * [`poseidon`] — the SNARK-friendly algebraic hash (paper §5.4);
 //! * [`merkle`] — Merkle hash trees and proofs (paper Definition 2.2);
 //! * [`smt`] — the fixed-depth sparse Merkle tree behind the Latus MST;
-//! * [`digest`] / [`encode`] — canonical ids and deterministic encoding;
+//! * [`digest`] / [`encode`] — canonical ids, encoding and decoding;
 //! * [`opcount`] — per-thread counts of permutations, group
 //!   multiplications and SHA-256 compressions, for claims on cost shape.
 //!
@@ -48,7 +48,7 @@ pub mod smt;
 pub mod vrf;
 
 pub use digest::Digest32;
-pub use encode::Encode;
+pub use encode::{Decode, Encode};
 pub use field::{Fp, Fr};
 
 /// Lower-case hex of `bytes`, for the known-answer tests.

@@ -19,10 +19,14 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use zendoo_primitives::encode::{Decode, Encode, Reader};
+
 const MAGIC: &[u8; 4] = b"ZSJ1";
 /// Upper bound on a single record; a length field above this is treated
 /// as corruption rather than an allocation request.
 const MAX_RECORD: u32 = 1 << 28;
+/// A frame's length and checksum fields.
+const FRAME_HEADER: usize = <(u32, u64)>::MIN_LEN;
 
 /// What [`Journal::open`] found on disk.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -61,22 +65,22 @@ impl Journal {
         if contents.len() >= MAGIC.len() && &contents[..MAGIC.len()] == MAGIC {
             good = MAGIC.len();
             loop {
-                let rest = &contents[good..];
-                if rest.len() < 12 {
+                let mut frame = Reader::new(&contents[good..]);
+                let Ok((len, checksum)) = frame.read::<(u32, u64)>() else {
                     break; // incomplete frame header: torn tail
+                };
+                if len > MAX_RECORD {
+                    break; // hostile length
                 }
-                let len = u32::from_be_bytes(rest[..4].try_into().expect("4 bytes"));
-                if len > MAX_RECORD || rest.len() - 12 < len as usize {
-                    break; // hostile length or incomplete payload
-                }
-                let checksum = u64::from_be_bytes(rest[4..12].try_into().expect("8 bytes"));
-                let payload = &rest[12..12 + len as usize];
+                let Ok(payload) = frame.bytes(len as usize) else {
+                    break; // incomplete payload
+                };
                 if fnv1a64(payload) != checksum {
                     break; // corrupt record
                 }
                 replay(payload);
                 stats.records += 1;
-                good += 12 + len as usize;
+                good += FRAME_HEADER + payload.len();
             }
         }
         // good == 0 here means an empty file (fresh journal) or one
@@ -117,9 +121,8 @@ impl Journal {
             payload.len() as u64 <= MAX_RECORD as u64,
             "record exceeds MAX_RECORD"
         );
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_be_bytes());
+        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+        (payload.len() as u32, fnv1a64(payload)).encode_into(&mut frame);
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
         self.len += frame.len() as u64;

@@ -21,6 +21,10 @@
 //!   transfers (escrow-kind UTXOs awaiting settlement, keyed by
 //!   nullifier) with an incremental sparse Merkle tree per sidechain.
 //!
+//! Modules: [`journal`] (the checksum-framed record file), [`store`]
+//! (the mirror and its replay; records are read back with the types'
+//! own `Decode`, beside their `Encode`) and [`indexer`].
+//!
 //! The journal reuses the shape of the chain's own
 //! [`zendoo_mainchain::BlockUndo`] op-log: connect records carry the
 //! block's net created/spent outputs (with spent values retained), so
@@ -33,7 +37,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod codec;
 pub mod indexer;
 pub mod journal;
 pub mod store;

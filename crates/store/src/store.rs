@@ -7,10 +7,9 @@ use std::path::Path;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_mainchain::{Blockchain, ChainEvent, OutPoint, TxOut};
 use zendoo_primitives::digest::Digest32;
-use zendoo_primitives::encode::Encode;
+use zendoo_primitives::encode::{decode_with, DecodeError, Encode};
 use zendoo_telemetry::Telemetry;
 
-use crate::codec::{CodecError, Reader};
 use crate::journal::{Journal, JournalStats};
 
 const JOURNAL_FILE: &str = "utxo-journal.log";
@@ -27,7 +26,7 @@ pub enum StoreError {
     Io(io::Error),
     /// A journal record passed its checksum but failed to decode —
     /// a format-version mismatch or a writer bug, never silent.
-    Codec(CodecError),
+    Codec(DecodeError),
     /// An event does not follow the store's tip (wrong height or
     /// parent) — the event stream and the store diverged.
     Discontinuity {
@@ -65,8 +64,8 @@ impl From<io::Error> for StoreError {
     }
 }
 
-impl From<CodecError> for StoreError {
-    fn from(e: CodecError) -> Self {
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
         StoreError::Codec(e)
     }
 }
@@ -298,46 +297,11 @@ fn encode_state<'a>(
 ) {
     tip.encode_into(out);
     height.encode_into(out);
-    encode_pairs(out, entries);
-}
-
-fn encode_pairs<'a>(
-    out: &mut Vec<u8>,
-    pairs: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)>,
-) {
-    (pairs.len() as u64).encode_into(out);
-    for (outpoint, txout) in pairs {
-        outpoint.encode_into(out);
-        txout.encode_into(out);
+    // The same bytes as `Vec<(OutPoint, TxOut)>`, read back as one.
+    (entries.len() as u64).encode_into(out);
+    for entry in entries {
+        entry.encode_into(out);
     }
-}
-
-fn encode_outpoints(out: &mut Vec<u8>, outpoints: &[OutPoint]) {
-    (outpoints.len() as u64).encode_into(out);
-    for outpoint in outpoints {
-        outpoint.encode_into(out);
-    }
-}
-
-fn decode_pairs(reader: &mut Reader<'_>) -> Result<Vec<(OutPoint, TxOut)>, CodecError> {
-    // Minimum pair size: outpoint (36) + regular txout (41).
-    let len = reader.len_prefix(36 + 41)?;
-    let mut pairs = Vec::with_capacity(len);
-    for _ in 0..len {
-        let outpoint = reader.outpoint()?;
-        let txout = reader.txout()?;
-        pairs.push((outpoint, txout));
-    }
-    Ok(pairs)
-}
-
-fn decode_outpoints(reader: &mut Reader<'_>) -> Result<Vec<OutPoint>, CodecError> {
-    let len = reader.len_prefix(36)?;
-    let mut outpoints = Vec::with_capacity(len);
-    for _ in 0..len {
-        outpoints.push(reader.outpoint()?);
-    }
-    Ok(outpoints)
 }
 
 fn encode_event(event: &ChainEvent) -> Vec<u8> {
@@ -349,11 +313,8 @@ fn encode_event(event: &ChainEvent) -> Vec<u8> {
             created,
             spent,
         } => {
-            TAG_CONNECT.encode_into(&mut payload);
-            hash.encode_into(&mut payload);
-            height.encode_into(&mut payload);
-            encode_pairs(&mut payload, created.iter().map(|(op, out)| (op, out)));
-            encode_pairs(&mut payload, spent.iter().map(|(op, out)| (op, out)));
+            (TAG_CONNECT, hash, height).encode_into(&mut payload);
+            (created, spent).encode_into(&mut payload);
         }
         ChainEvent::Disconnected {
             hash,
@@ -362,12 +323,8 @@ fn encode_event(event: &ChainEvent) -> Vec<u8> {
             created,
             spent,
         } => {
-            TAG_DISCONNECT.encode_into(&mut payload);
-            hash.encode_into(&mut payload);
-            height.encode_into(&mut payload);
-            parent.encode_into(&mut payload);
-            encode_outpoints(&mut payload, created);
-            encode_pairs(&mut payload, spent.iter().map(|(op, out)| (op, out)));
+            (TAG_DISCONNECT, hash, height).encode_into(&mut payload);
+            (parent, created, spent).encode_into(&mut payload);
         }
     }
     payload
@@ -461,51 +418,37 @@ fn replay_record(
     height: &mut u64,
     seeded: &mut bool,
 ) -> Result<(), StoreError> {
-    let mut reader = Reader::new(payload);
-    match reader.u8()? {
+    let (&tag, body) = payload.split_first().ok_or(DecodeError::UnexpectedEof)?;
+    let event = match tag {
         TAG_SNAPSHOT => {
-            let snap_tip = reader.digest32()?;
-            let snap_height = reader.u64()?;
-            let pairs = decode_pairs(&mut reader)?;
-            reader.finish()?;
+            let (snap_tip, snap_height, pairs): (_, _, Vec<_>) =
+                decode_with(body, |r| Ok((r.read()?, r.read()?, r.read()?)))?;
             *utxos = pairs.into_iter().collect();
             *tip = snap_tip;
             *height = snap_height;
             *seeded = true;
-            Ok(())
+            return Ok(());
         }
-        TAG_CONNECT => {
-            let hash = reader.digest32()?;
-            let event_height = reader.u64()?;
-            let created = decode_pairs(&mut reader)?;
-            let spent = decode_pairs(&mut reader)?;
-            reader.finish()?;
-            let event = ChainEvent::Connected {
-                hash,
-                height: event_height,
-                created,
-                spent,
-            };
-            apply_event_to(&event, utxos, tip, height, *seeded).map(|_| ())
-        }
-        TAG_DISCONNECT => {
-            let hash = reader.digest32()?;
-            let event_height = reader.u64()?;
-            let parent = reader.digest32()?;
-            let created = decode_outpoints(&mut reader)?;
-            let spent = decode_pairs(&mut reader)?;
-            reader.finish()?;
-            let event = ChainEvent::Disconnected {
-                hash,
-                height: event_height,
-                parent,
-                created,
-                spent,
-            };
-            apply_event_to(&event, utxos, tip, height, *seeded).map(|_| ())
-        }
-        t => Err(CodecError::BadTag(t).into()),
-    }
+        TAG_CONNECT => decode_with(body, |r| {
+            Ok(ChainEvent::Connected {
+                hash: r.read()?,
+                height: r.read()?,
+                created: r.read()?,
+                spent: r.read()?,
+            })
+        })?,
+        TAG_DISCONNECT => decode_with(body, |r| {
+            Ok(ChainEvent::Disconnected {
+                hash: r.read()?,
+                height: r.read()?,
+                parent: r.read()?,
+                created: r.read()?,
+                spent: r.read()?,
+            })
+        })?,
+        t => return Err(DecodeError::BadTag(t).into()),
+    };
+    apply_event_to(&event, utxos, tip, height, *seeded).map(|_| ())
 }
 
 #[cfg(test)]
