@@ -48,8 +48,8 @@ use crate::params::LatusParams;
 use crate::proof::{proof_system, EpochProofBuilder, LatusProofSystem};
 use crate::state::SidechainState;
 use crate::tx::{
-    apply_transaction, check_transaction, BackwardTransferTx, PaymentTx, ScTransaction,
-    TransitionWitness, TxError,
+    apply_transaction, apply_transaction_held, check_transaction, verified_keys,
+    BackwardTransferTx, PaymentTx, ScTransaction, TransitionWitness, TxError,
 };
 
 /// All proving/verifying material of one Latus deployment.
@@ -214,7 +214,50 @@ struct NodeSnapshot {
     cert_inclusions: BTreeMap<EpochId, Arc<CertInclusion>>,
 }
 
+/// A transaction this node admitted into its pending queue, with the
+/// [`crate::tx::sig_verdict_key`] of each input signature its admission
+/// check verified. Whoever applies it next on this node — the forger,
+/// or the pending view a cross-chain transfer is checked against —
+/// re-runs every state-dependent rule but answers those signature
+/// checks from the held verdicts. The verdicts leave the node with the
+/// entry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Pending {
+    tx: ScTransaction,
+    verified: Vec<Digest32>,
+}
+
+impl Pending {
+    /// `tx`, whose check against the node's state (or pending view)
+    /// just passed — which verified each of its input signatures.
+    fn admitted(tx: ScTransaction) -> Self {
+        Pending {
+            verified: verified_keys(&tx),
+            tx,
+        }
+    }
+
+    /// [`apply_transaction`], without verifying a held signature again.
+    fn apply(
+        &self,
+        params: &LatusParams,
+        state: &mut SidechainState,
+    ) -> Result<TransitionWitness, TxError> {
+        apply_transaction_held(params, state, &self.tx, &self.verified)
+    }
+}
+
 /// A Latus full node / forger.
+///
+/// Each signature is verified once per node before the certificate
+/// circuit checks the epoch. The pending queue holds only transactions
+/// this node admitted itself — through [`LatusNode::submit_transaction`]
+/// (checked against the state) or [`LatusNode::submit_cross_transfer`]
+/// (applied to the pending view) — each with the verdicts of the
+/// signatures that admission verified; forging and the pending view
+/// reuse them and verify no admitted signature twice. A block from
+/// another forger ([`LatusNode::receive_block`]) is verified in full,
+/// and a rollback re-queues nothing, so no verdict outlives its entry.
 pub struct LatusNode {
     params: LatusParams,
     schedule: EpochSchedule,
@@ -229,7 +272,7 @@ pub struct LatusNode {
     snapshots: VecDeque<NodeSnapshot>,
     /// How many blocks back a mainchain reorg can reach.
     reorg_horizon: usize,
-    pending: Vec<ScTransaction>,
+    pending: Vec<Pending>,
     /// `state` with the first `.1` transactions of `pending` applied as
     /// the forger will apply them (failures skipped): what the next
     /// cross-chain transfer is validated against, kept between
@@ -370,7 +413,7 @@ impl LatusNode {
             }
         }
         check_transaction(&self.params, &self.state, &tx)?;
-        self.pending.push(tx);
+        self.pending.push(Pending::admitted(tx));
         Ok(())
     }
 
@@ -450,20 +493,22 @@ impl LatusNode {
         // (e.g. two same-tick transfers racing for one UTXO) must fail
         // here — a silently forge-dropped escrow would leave a stale
         // declared transfer behind. Pending transactions that would be
-        // dropped at forge are skipped, mirroring the forger. A refusal
-        // leaves the view taken: it may hold half of this transfer, and
-        // the next call rebuilds it from `state`.
+        // dropped at forge are skipped, mirroring the forger, and their
+        // signatures are answered from their admission verdicts, as the
+        // forger answers them. A refusal leaves the view taken: it may
+        // hold half of this transfer, and the next call rebuilds it from
+        // `state`.
         let (mut view, applied) = self
             .pending_view
             .take()
             .unwrap_or_else(|| (self.state.clone(), 0));
-        for tx in &self.pending[applied..] {
-            let _ = apply_transaction(&self.params, &mut view, tx);
+        for pending in &self.pending[applied..] {
+            let _ = pending.apply(&self.params, &mut view);
         }
         for tx in &txs {
             apply_transaction(&self.params, &mut view, tx)?;
         }
-        self.pending.extend(txs);
+        self.pending.extend(txs.into_iter().map(Pending::admitted));
         self.pending_view = Some((view, self.pending.len()));
         self.pending_cross.push(xct);
         self.xct_nonce += 1;
@@ -531,12 +576,14 @@ impl LatusNode {
         }
 
         // Pending user transactions: conflicts (e.g. two payments racing
-        // for one UTXO) are dropped, as a production forger would.
+        // for one UTXO) are dropped, as a production forger would. Every
+        // rule runs again on the new state except the signature checks
+        // admission already answered.
         let mut included = Vec::new();
-        for tx in std::mem::take(&mut self.pending) {
-            if let Ok(witness) = apply_transaction(&self.params, &mut next, &tx) {
+        for pending in std::mem::take(&mut self.pending) {
+            if let Ok(witness) = pending.apply(&self.params, &mut next) {
                 recorded.push((witness, next.digest()));
-                included.push(tx);
+                included.push(pending.tx);
             }
         }
 

@@ -103,10 +103,13 @@ pub struct SignedInput {
 impl SignedInput {
     /// Verifies ownership and signature for `sighash`.
     pub fn verify(&self, sighash: &Digest32) -> bool {
-        self.owns_utxo()
-            && self
-                .pubkey
-                .verify(SC_SIGHASH_CONTEXT, sighash.as_bytes(), &self.signature)
+        self.owns_utxo() && self.verify_signature(sighash)
+    }
+
+    /// The signature half of [`SignedInput::verify`].
+    fn verify_signature(&self, sighash: &Digest32) -> bool {
+        self.pubkey
+            .verify(SC_SIGHASH_CONTEXT, sighash.as_bytes(), &self.signature)
     }
 
     /// The ownership half of [`SignedInput::verify`]: the spent UTXO's
@@ -122,6 +125,23 @@ impl Encode for SignedInput {
         self.pubkey.to_bytes().encode_into(out);
         self.signature.to_bytes().encode_into(out);
     }
+}
+
+/// The key under which a node holds the verdict of one input
+/// signature: binds the signed message (the sighash, which fixes the
+/// spent UTXOs and what they pay), the signing key and the signature
+/// bytes, so a held verdict can only answer the exact check it was
+/// computed for — the sidechain's counterpart of the mainchain's
+/// `sigbatch::sig_cache_key`.
+pub fn sig_verdict_key(sighash: &Digest32, input: &SignedInput) -> Digest32 {
+    Digest32::hash_tagged(
+        "zendoo/sc-sig-verdict-v1",
+        &[
+            sighash.as_bytes(),
+            &input.pubkey.to_bytes(),
+            &input.signature.to_bytes(),
+        ],
+    )
 }
 
 /// Signs `sighash` once per input. The sighash covers only the spent
@@ -512,14 +532,31 @@ pub fn check_transaction(
     state: &SidechainState,
     tx: &ScTransaction,
 ) -> Result<(), TxError> {
+    check_transaction_held(params, state, tx, &[])
+}
+
+/// [`check_transaction`] by a node that already holds verdicts for some
+/// of `tx`'s input signatures: `held` lists the [`sig_verdict_key`] of
+/// each signature it verified before, and a listed signature is not
+/// verified again. Every other rule runs as it does without them, so the
+/// outcome is [`check_transaction`]'s.
+pub(crate) fn check_transaction_held(
+    params: &crate::params::LatusParams,
+    state: &SidechainState,
+    tx: &ScTransaction,
+    held: &[Digest32],
+) -> Result<(), TxError> {
     match tx {
-        ScTransaction::Payment(p) => check_spend(state, &p.inputs, &p.outputs, &[], &p.sighash()),
+        ScTransaction::Payment(p) => {
+            check_spend(state, &p.inputs, &p.outputs, &[], &p.sighash(), held)
+        }
         ScTransaction::BackwardTransfer(bt) => check_spend(
             state,
             &bt.inputs,
             &[],
             &bt.backward_transfers,
             &bt.sighash(),
+            held,
         ),
         ScTransaction::ForwardTransfers(ft) => ft
             .binding
@@ -550,7 +587,18 @@ pub fn apply_transaction(
     state: &mut SidechainState,
     tx: &ScTransaction,
 ) -> Result<TransitionWitness, TxError> {
-    check_transaction(params, state, tx)?;
+    apply_transaction_held(params, state, tx, &[])
+}
+
+/// [`apply_transaction`] with the verdicts a node holds for `tx`'s input
+/// signatures ([`check_transaction_held`]).
+pub(crate) fn apply_transaction_held(
+    params: &crate::params::LatusParams,
+    state: &mut SidechainState,
+    tx: &ScTransaction,
+    held: &[Digest32],
+) -> Result<TransitionWitness, TxError> {
+    check_transaction_held(params, state, tx, held)?;
     Ok(match tx {
         ScTransaction::Payment(p) => execute_spend(state, tx, &p.inputs, &p.outputs, &[]),
         ScTransaction::BackwardTransfer(bt) => {
@@ -561,14 +609,33 @@ pub fn apply_transaction(
     })
 }
 
+/// The verdict key of every input signature of `tx` (none for a
+/// synchronized transaction): what a node holds for a transaction once
+/// a check of it passed, which verified each of them.
+pub(crate) fn verified_keys(tx: &ScTransaction) -> Vec<Digest32> {
+    let (inputs, sighash) = match tx {
+        ScTransaction::Payment(p) => (&p.inputs, p.sighash()),
+        ScTransaction::BackwardTransfer(bt) => (&bt.inputs, bt.sighash()),
+        ScTransaction::ForwardTransfers(_) | ScTransaction::BackwardTransferRequests(_) => {
+            return Vec::new()
+        }
+    };
+    inputs
+        .iter()
+        .map(|input| sig_verdict_key(&sighash, input))
+        .collect()
+}
+
 /// The plan half of a payment or backward-transfer transaction: every
-/// rule, no mutation.
+/// rule, no mutation. A signature whose [`sig_verdict_key`] is in `held`
+/// was verified before and is not verified again; its key binding is.
 fn check_spend(
     state: &SidechainState,
     inputs: &[SignedInput],
     outputs: &[Utxo],
     withdrawals: &[BackwardTransfer],
     sighash: &Digest32,
+    held: &[Digest32],
 ) -> Result<(), TxError> {
     if inputs.is_empty() {
         return Err(TxError::NoInputs);
@@ -579,7 +646,10 @@ fn check_spend(
         if !seen.insert(input.utxo.digest()) {
             return Err(TxError::DuplicateInput(input.utxo.digest()));
         }
-        if !input.verify(sighash) {
+        let authorized = input.owns_utxo()
+            && ((!held.is_empty() && held.contains(&sig_verdict_key(sighash, input)))
+                || input.verify_signature(sighash));
+        if !authorized {
             return Err(TxError::BadAuthorization { input: i });
         }
         if !state.mst().contains(&input.utxo) {

@@ -33,7 +33,8 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_telemetry::Telemetry;
 
 use crate::block::{Block, BlockHeader};
-use crate::pipeline::{self, BlockUndo, ProofVerdicts};
+use crate::mempool::TakenBatch;
+use crate::pipeline::{self, BlockUndo, ProofVerdicts, VerdictCache};
 use crate::pow::{mine, Target};
 use crate::registry::{RegistryError, SidechainRegistry};
 use crate::sigbatch;
@@ -310,23 +311,31 @@ impl ChainEvent {
 /// Candidate transactions handed to the one-pass block builder,
 /// carrying what admission already established about them.
 ///
-/// Pool-sourced candidates ([`BlockCandidates::admitted`]) passed the
-/// stage-1 stateless precheck when they were admitted and bring the
-/// signature verdicts batch admission recorded — the builder skips
-/// the redundant precheck (counted on `mc.precheck.skipped`) and
-/// answers signature checks from the verdict cache. Raw candidates
-/// (any plain `Vec` via `From`) get the explicit stage-1 pass at build
-/// time instead (counted on `mc.precheck.run`).
+/// Pool-sourced candidates (a [`TakenBatch`], or
+/// [`BlockCandidates::admitted`]) passed the stage-1 stateless precheck
+/// when they were admitted and bring the signature verdicts batch
+/// admission recorded — the builder skips the redundant precheck
+/// (counted on `mc.precheck.skipped`) and answers signature checks from
+/// the verdict cache. A pool's template also brings the id each entry
+/// was pooled under, and marks the entries pooled without a signature
+/// check: the builder verifies those as one batch before its dry run.
+/// Raw candidates (any plain `Vec` via `From`) get the explicit stage-1
+/// pass at build time instead (counted on `mc.precheck.run`).
 #[derive(Debug, Default)]
 pub struct BlockCandidates {
     /// Candidate transactions, in template order.
-    pub txs: Vec<McTransaction>,
+    txs: Vec<McTransaction>,
+    /// The id of each of `txs`, in the same order.
+    txids: Vec<Digest32>,
     /// `true` when every candidate already passed stage-1 at
     /// admission.
-    pub admitted: bool,
+    admitted: bool,
     /// Transfer-signature verdicts established at admission, keyed by
     /// [`crate::sigbatch::sig_cache_key`].
-    pub sig_verdicts: HashMap<Digest32, bool>,
+    sig_verdicts: HashMap<Digest32, bool>,
+    /// Indexes into `txs` of the candidates pooled without a signature
+    /// check, ascending.
+    unverified: Vec<usize>,
 }
 
 impl BlockCandidates {
@@ -334,9 +343,26 @@ impl BlockCandidates {
     /// `sig_verdicts` carries the signatures verified there.
     pub fn admitted(txs: Vec<McTransaction>, sig_verdicts: HashMap<Digest32, bool>) -> Self {
         BlockCandidates {
+            txids: txs.iter().map(McTransaction::txid).collect(),
             txs,
             admitted: true,
             sig_verdicts,
+            unverified: Vec::new(),
+        }
+    }
+}
+
+/// A pool's template: admitted candidates under the ids they were
+/// pooled with, the unverified ones marked.
+impl From<TakenBatch> for BlockCandidates {
+    fn from(batch: TakenBatch) -> Self {
+        debug_assert_eq!(batch.txids.len(), batch.txs.len(), "one id per entry");
+        BlockCandidates {
+            txs: batch.txs,
+            txids: batch.txids,
+            admitted: true,
+            sig_verdicts: batch.sig_verdicts,
+            unverified: batch.unverified,
         }
     }
 }
@@ -345,6 +371,7 @@ impl BlockCandidates {
 impl From<Vec<McTransaction>> for BlockCandidates {
     fn from(txs: Vec<McTransaction>) -> Self {
         BlockCandidates {
+            txids: txs.iter().map(McTransaction::txid).collect(),
             txs,
             ..Self::default()
         }
@@ -864,8 +891,11 @@ impl Blockchain {
                     &self.active,
                     &self.telemetry,
                 );
-                verdicts.sigs =
-                    sigbatch::verify_block_signatures(&self.state, block, txids, &self.telemetry);
+                verdicts.sigs = VerdictCache::with_verdicts(sigbatch::verify_transfer_signatures(
+                    &self.state,
+                    block.transactions.iter().zip(txids.iter().copied()),
+                    &self.telemetry,
+                ));
                 verdicts
             }
         };
@@ -984,7 +1014,7 @@ impl Blockchain {
     /// scratch state in order, rolling a failing candidate back via the
     /// undo journal, and records every proof verdict the dry run
     /// produced. Returns `(accepted, rejected, fees, verdicts)`, each
-    /// accepted candidate with its id (hashed once, here).
+    /// accepted candidate with the id it came with.
     #[allow(clippy::type_complexity)]
     fn fill_block(
         &self,
@@ -997,9 +1027,19 @@ impl Blockchain {
     ) {
         let BlockCandidates {
             txs: candidates,
+            txids,
             admitted,
-            sig_verdicts,
+            mut sig_verdicts,
+            unverified,
         } = candidates;
+        // The candidates pooled without a signature check owe theirs
+        // now: one batch against the pre-block state, before the dry
+        // run consults the cache. Everything else costs nothing here.
+        sig_verdicts.extend(sigbatch::verify_transfer_signatures(
+            &self.state,
+            unverified.iter().map(|&i| (&candidates[i], txids[i])),
+            &self.telemetry,
+        ));
         let height = self.height() + 1;
         let mut scratch = self.state.clone();
         let mut undo = BlockUndo::new(&scratch);
@@ -1008,7 +1048,7 @@ impl Blockchain {
         let mut fees = Amount::ZERO;
         let mut accepted = Vec::with_capacity(candidates.len());
         let mut rejected = Vec::new();
-        for tx in candidates {
+        for (tx, txid) in candidates.into_iter().zip(txids) {
             // Stage-1 stateless precheck: pool-sourced candidates
             // already passed it at admission, so the builder skips the
             // redundant pass (the counters prove the skip rate).
@@ -1022,7 +1062,6 @@ impl Blockchain {
                 }
             }
             let mark = undo.mark();
-            let txid = tx.txid();
             match pipeline::apply_transaction(
                 &mut scratch,
                 &tx,

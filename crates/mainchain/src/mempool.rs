@@ -148,8 +148,10 @@ struct Entry {
     size: usize,
     /// Signature verdicts established at admission, keyed by
     /// [`crate::sigbatch::sig_cache_key`]; travel with the entry into
-    /// the block template so building never re-verifies.
-    sig_verdicts: Vec<(Digest32, bool)>,
+    /// the block template so building never re-verifies. `None` for an
+    /// entry pooled without a signature check
+    /// ([`Mempool::admit_unverified`]).
+    sig_verdicts: Option<Vec<(Digest32, bool)>>,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -161,15 +163,21 @@ struct Shard {
 }
 
 /// A block template drained from the pool by [`Mempool::take_ordered`]:
-/// transactions in highest-priority-first order plus every signature
-/// verdict established for them at admission.
+/// transactions in highest-priority-first order with the ids they were
+/// pooled under, every signature verdict established for them at
+/// admission, and which of them were pooled without one.
 #[derive(Clone, Debug, Default)]
 pub struct TakenBatch {
     /// Template transactions, highest priority first.
     pub txs: Vec<McTransaction>,
+    /// The id each of `txs` was pooled under, in the same order.
+    pub txids: Vec<Digest32>,
     /// Admission-time signature verdicts for `txs`, keyed by
     /// [`crate::sigbatch::sig_cache_key`].
     pub sig_verdicts: HashMap<Digest32, bool>,
+    /// Indexes into `txs` of the entries pooled without a signature
+    /// check ([`Mempool::admit_unverified`]), ascending.
+    pub unverified: Vec<usize>,
 }
 
 /// A sharded mempool with fee-prioritized eviction.
@@ -242,7 +250,7 @@ impl Mempool {
 
     /// Admits a transaction under its id `txid` (the caller hashed it
     /// once already), with its fee (as resolved against the current
-    /// UTXO set) and any signature verdicts established at admission.
+    /// UTXO set) and the signature verdicts established at admission.
     /// Evicts lowest-priority entries as needed to respect the
     /// byte/count budget.
     pub fn admit(
@@ -251,6 +259,29 @@ impl Mempool {
         txid: Digest32,
         fee: Amount,
         sig_verdicts: Vec<(Digest32, bool)>,
+    ) -> AdmitOutcome {
+        self.insert(tx, txid, fee, Some(sig_verdicts))
+    }
+
+    /// [`Mempool::admit`] for a transaction whose signatures nobody has
+    /// checked yet: the entry is marked, and the block builder verifies
+    /// the marked entries of its template as one batch
+    /// ([`TakenBatch::unverified`]).
+    pub fn admit_unverified(
+        &mut self,
+        tx: McTransaction,
+        txid: Digest32,
+        fee: Amount,
+    ) -> AdmitOutcome {
+        self.insert(tx, txid, fee, None)
+    }
+
+    fn insert(
+        &mut self,
+        tx: McTransaction,
+        txid: Digest32,
+        fee: Amount,
+        sig_verdicts: Option<Vec<(Digest32, bool)>>,
     ) -> AdmitOutcome {
         let telemetry = self.telemetry.clone();
         let _span = telemetry.span("mc.mempool.admit");
@@ -344,8 +375,8 @@ impl Mempool {
     /// Removes and returns up to `max` transactions as a block
     /// template: consensus transactions first, then settlements, then
     /// transfers by descending fee rate (a k-way merge of the shard
-    /// indexes), together with their admission-time signature
-    /// verdicts.
+    /// indexes), together with their pooled ids, their admission-time
+    /// signature verdicts and the marks of the unverified ones.
     pub fn take_ordered(&mut self, max: usize) -> TakenBatch {
         let mut batch = TakenBatch::default();
         while batch.txs.len() < max {
@@ -368,8 +399,12 @@ impl Mempool {
                 .expect("index and entries agree");
             self.count -= 1;
             self.bytes -= entry.size;
-            batch.sig_verdicts.extend(entry.sig_verdicts);
+            match entry.sig_verdicts {
+                Some(verdicts) => batch.sig_verdicts.extend(verdicts),
+                None => batch.unverified.push(batch.txs.len()),
+            }
             batch.txs.push(entry.tx);
+            batch.txids.push(txid);
         }
         self.update_gauges();
         batch
@@ -626,6 +661,19 @@ mod tests {
         let batch = pool.take_ordered(10);
         assert_eq!(batch.txs, vec![a]);
         assert_eq!(batch.sig_verdicts.get(&key), Some(&true));
+    }
+
+    #[test]
+    fn the_template_carries_pooled_ids_and_marks_the_unverified() {
+        let mut pool = Mempool::new();
+        let (a, b) = (transfer(1), transfer(2));
+        pool.admit(a.clone(), a.txid(), Amount::from_units(2), vec![]);
+        pool.admit_unverified(b.clone(), b.txid(), Amount::from_units(1));
+        let batch = pool.take_ordered(10);
+        assert_eq!(batch.txs, vec![a.clone(), b.clone()]);
+        assert_eq!(batch.txids, vec![a.txid(), b.txid()]);
+        assert_eq!(batch.unverified, vec![1], "only b was pooled unchecked");
+        assert!(batch.sig_verdicts.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_telemetry::Telemetry;
 
 use crate::block::Block;
-use crate::chain::{BlockCandidates, BlockError, Blockchain, PreparedBlock};
+use crate::chain::{BlockError, Blockchain, PreparedBlock};
 use crate::mempool::{fee_of, AdmitOutcome, Mempool, MempoolConfig};
 use crate::sigbatch::{self, AdmissionReport};
 use crate::transaction::McTransaction;
@@ -70,7 +70,11 @@ impl Miner {
     /// space), then the fee resolved against `chain`'s confirmed UTXO
     /// set establishes the entry's priority. Everything pooled here has
     /// passed precheck, which is what lets [`Miner::prepare`] hand the
-    /// drained template to the builder as *admitted* candidates.
+    /// drained template to the builder as *admitted* candidates. No
+    /// signature is checked here: the entry is pooled unverified
+    /// ([`Mempool::admit_unverified`]), and the next block build
+    /// verifies it in one batch with the template's other unverified
+    /// entries.
     ///
     /// # Errors
     ///
@@ -86,7 +90,7 @@ impl Miner {
         }
         let fee = fee_of(&tx, |op| chain.state().utxos.get(op).map(|o| o.amount));
         let txid = tx.txid();
-        Ok(self.mempool.admit(tx, txid, fee, Vec::new()))
+        Ok(self.mempool.admit_unverified(tx, txid, fee))
     }
 
     /// Admits a whole batch through the fee-aware, batch-verified
@@ -122,12 +126,12 @@ impl Miner {
     }
 
     /// Drains the whole pool in template order (consensus, settlements,
-    /// transfers by fee rate — [`MempoolConfig`] is the bound) and
-    /// assembles and mines the next block in one pass
-    /// ([`Blockchain::prepare_block`]). Nothing is submitted: the
-    /// caller hands [`PreparedBlock::block`] to [`Blockchain::submit`]
-    /// with the recorded verdicts as its carrier, and decides what a
-    /// rejected candidate means to it.
+    /// transfers by fee rate — [`MempoolConfig`] is the bound) with the
+    /// ids the entries were pooled under, and assembles and mines the
+    /// next block in one pass ([`Blockchain::prepare_block`]). Nothing
+    /// is submitted: the caller hands [`PreparedBlock::block`] to
+    /// [`Blockchain::submit`] with the recorded verdicts as its carrier,
+    /// and decides what a rejected candidate means to it.
     ///
     /// # Errors
     ///
@@ -135,8 +139,7 @@ impl Miner {
     /// [`PreparedBlock::rejected`] instead.
     pub fn prepare(&mut self, chain: &Blockchain, time: u64) -> Result<PreparedBlock, BlockError> {
         let batch = self.mempool.take_ordered(usize::MAX);
-        let candidates = BlockCandidates::admitted(batch.txs, batch.sig_verdicts);
-        chain.prepare_block(self.address, candidates, time)
+        chain.prepare_block(self.address, batch, time)
     }
 
     /// [`Miner::prepare`] + [`Blockchain::submit`]: candidates the

@@ -201,11 +201,11 @@ impl VerdictCache {
 /// What stage 3 knows before it starts: the verdicts of a block's SNARK
 /// checks, keyed by full statement identity ([`ProofCheck::key`]), and
 /// the transfer-signature verdicts established as a batch — at mempool
-/// admission for a builder, in stage 2 for a node receiving the block —
-/// keyed by [`crate::sigbatch::sig_cache_key`] (txid + key + message +
-/// signature — a verdict can only answer the exact check that produced
-/// it). Both are [`VerdictCache`]s, consulted at exactly the point
-/// where the validator would verify inline.
+/// admission or block build for a builder, in stage 2 for a node
+/// receiving the block — keyed by [`crate::sigbatch::sig_cache_key`]
+/// (txid + key + message + signature — a verdict can only answer the
+/// exact check that produced it). Both are [`VerdictCache`]s, consulted
+/// at exactly the point where the validator would verify inline.
 ///
 /// A block builder threads a [`ProofVerdicts::recording`] cache through
 /// its dry run and hands it to [`crate::chain::Blockchain::submit`]:
@@ -215,8 +215,8 @@ impl VerdictCache {
 pub struct ProofVerdicts {
     /// SNARK verdicts (prefetched by stage 2, or recorded by a dry run).
     pub proofs: VerdictCache,
-    /// Transfer-signature verdicts (from admission, from stage 2, or
-    /// recorded by a dry run).
+    /// Transfer-signature verdicts (from admission, from the builder's
+    /// batch, from stage 2, or recorded by a dry run).
     pub sigs: VerdictCache,
 }
 
@@ -226,11 +226,11 @@ impl ProofVerdicts {
         Self::default()
     }
 
-    /// An empty proof cache and the signature verdicts admission
-    /// established, both memoizing every inline verification they run:
-    /// a transfer admitted without a verdict (`Miner::submit_transaction`)
-    /// is verified once, by the builder's dry run, and never again at
-    /// submission.
+    /// An empty proof cache and the signature verdicts established
+    /// before the dry run, both memoizing every inline verification
+    /// they run: a signature the batches did not reach (an input that
+    /// resolves only inside the block) is verified once, by the
+    /// builder's dry run, and never again at submission.
     pub fn recording(sigs: HashMap<Digest32, bool>) -> Self {
         ProofVerdicts {
             proofs: VerdictCache {

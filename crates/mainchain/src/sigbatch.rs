@@ -1,5 +1,5 @@
-//! Batched transfer-signature verification, at mempool admission and
-//! in stage 2 of block acceptance.
+//! Batched transfer-signature verification, at mempool admission, at
+//! block build and in stage 2 of block acceptance.
 //!
 //! Wherever two or more transfer signatures are checked together, what
 //! verifies them is one randomised equation over the whole lot
@@ -14,7 +14,8 @@
 //! which: the chunk is re-verified signature by signature
 //! ([`SigCheck::verify`]) — the per-signature check is the definition,
 //! the equation only a faster way to the same verdict vector. It has
-//! two callers:
+//! three callers, and each signature meets only one of them on a node
+//! before the block carrying it connects:
 //!
 //! * **admission** ([`admit_batch_with`]): stage-1 precheck, input
 //!   resolution against the confirmed UTXO set (establishing each
@@ -25,12 +26,25 @@
 //!   computed for) and travels with the pooled entry into the block
 //!   template: the miner's stage-3 dry run consults the cache
 //!   ([`crate::pipeline::ProofVerdicts::sigs`]) and re-verifies nothing;
-//! * **stage 2** of a node connecting a block nobody vouched for
-//!   (`verify_block_signatures`): the same checks against the pre-block
+//! * **block build** (`Blockchain::prepare_block`): the template's
+//!   entries pooled one at a time without a check
+//!   (`Miner::submit_transaction` marks them unverified) are verified
+//!   against the pre-block state before the dry run, under the ids they
+//!   were pooled with, into the same cache — entries that came with
+//!   verdicts cost nothing here;
+//! * **stage 2** of a node connecting a block nobody vouched for: the
+//!   same checks over the block's transfers against the pre-block
 //!   state, the same cache handed to stage 3.
 //!
-//! A cache miss falls back to inline verification — batching,
-//! parallelism and caching are optimizations, never a semantic change.
+//! The last two share [`verify_transfer_signatures`].
+//!
+//! Inputs that resolve only inside the block (an output of an earlier
+//! transaction of the same block) are left to stage 3, which verifies
+//! them inline. A cache miss falls back to inline verification —
+//! batching, parallelism and caching are optimizations, never a
+//! semantic change.
+
+use std::collections::HashMap;
 
 use zendoo_core::ids::{Address, Amount};
 use zendoo_primitives::digest::Digest32;
@@ -38,10 +52,8 @@ use zendoo_primitives::schnorr;
 use zendoo_snark::batch::{default_workers, fan_out};
 use zendoo_telemetry::Telemetry;
 
-use crate::block::Block;
 use crate::chain::{BlockError, ChainState};
 use crate::mempool::{fee_of, AdmitOutcome, Mempool};
-use crate::pipeline::VerdictCache;
 use crate::transaction::{McTransaction, OutputKind, TransferTx, TxIn, SIGHASH_CONTEXT};
 
 /// The cache key of one signature verdict: binds the transaction, the
@@ -184,38 +196,35 @@ pub(crate) fn queue_sig_checks(
     Ok(())
 }
 
-/// Stage 2 for signatures: every check the block's transfers owe
-/// against the pre-block state ([`queue_sig_checks`], under the `txids`
-/// stage 1 computed), verified as one
-/// batch on one lane per core, as the verdict cache stage 3 consults
-/// where it would otherwise verify inline. A transaction whose key does
-/// not match queues nothing — stage 3 refuses it, and the block, by the
-/// cheaper rule.
-pub(crate) fn verify_block_signatures(
+/// Every check the transfers among `txs` (each with its id) owe against
+/// `state` ([`queue_sig_checks`]), verified as one batch on one lane per
+/// core, as verdicts keyed by [`sig_cache_key`] for the cache stage 3
+/// consults where it would otherwise verify inline. A transaction whose
+/// key does not match queues nothing — stage 3 refuses it by the
+/// cheaper rule, in transaction order. Stage 2 of a received block and
+/// the builder's unverified candidates both come through here.
+pub(crate) fn verify_transfer_signatures<'a>(
     state: &ChainState,
-    block: &Block,
-    txids: &[Digest32],
+    txs: impl Iterator<Item = (&'a McTransaction, Digest32)>,
     telemetry: &Telemetry,
-) -> VerdictCache {
+) -> HashMap<Digest32, bool> {
     let mut checks = Vec::new();
-    for (tx, txid) in block.transactions.iter().zip(txids) {
+    for (tx, txid) in txs {
         if let McTransaction::Transfer(transfer) = tx {
-            // An `Err` is stage 3's to report, in transaction order.
-            let _ = queue_sig_checks(state, *txid, transfer, &mut checks);
+            // An `Err` is stage 3's to report.
+            let _ = queue_sig_checks(state, txid, transfer, &mut checks);
         }
     }
     if checks.is_empty() {
-        return VerdictCache::default();
+        return HashMap::new();
     }
     let workers = default_workers(checks.len());
     let verdicts = verify_sig_batch_with(&checks, workers, telemetry);
-    VerdictCache::with_verdicts(
-        checks
-            .iter()
-            .map(SigCheck::cache_key)
-            .zip(verdicts)
-            .collect(),
-    )
+    checks
+        .iter()
+        .map(SigCheck::cache_key)
+        .zip(verdicts)
+        .collect()
 }
 
 /// What became of one admission batch.

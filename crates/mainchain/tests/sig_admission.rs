@@ -229,9 +229,12 @@ fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
 
 /// Transfers pooled one at a time (`Miner::submit_transaction`, the
 /// path every queued mainchain transaction of a simulated world takes)
-/// carry no verdict: the builder's dry run verifies each signature once
-/// and records it, and the block then submits without a single group
-/// multiplication — stage 3 answers every signature from the carrier.
+/// carry no verdict: the builder verifies their signatures as one batch
+/// before its dry run, and the block then submits without a single
+/// group multiplication — stage 3 answers every signature from the
+/// carrier. The batch runs on one lane per core, and operation counts
+/// are per thread, so the build is read off the batch histogram, which
+/// no worker count changes.
 #[test]
 fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
     let (mut chain, wallets) = chain_with_users(6);
@@ -250,18 +253,169 @@ fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
             .unwrap();
         miner.submit_transaction(&chain, tx).unwrap();
     }
-    let (prepared, building) = measure(|| miner.prepare(&chain, 1).unwrap());
-    assert_eq!(prepared.block.transactions.len(), 7);
-    assert_eq!(building.group_muls, 6, "each signature once, at build");
-
     let (telemetry, recorder) = Telemetry::in_memory();
     chain.set_telemetry(telemetry);
+    let prepared = miner.prepare(&chain, 1).unwrap();
+    assert_eq!(prepared.block.transactions.len(), 7);
+    let building = recorder.drain();
+    assert_eq!(
+        building.histograms["sig.batch.sigs"].sum(),
+        6,
+        "each signature once, at build"
+    );
+    assert_eq!(building.spans["sig.batch.verify"].count, 1, "in one batch");
+    assert_eq!(building.counters.get("mc.sig_cache.hit"), Some(&6));
+
     let (outcome, submitting) =
         measure(|| chain.submit(prepared.block.clone(), Some(prepared.verdicts)));
     assert!(matches!(outcome, Ok(SubmitOutcome::ExtendedActiveChain)));
     assert_eq!(submitting.group_muls, 0, "stage 3 re-verifies nothing");
-    let snapshot = recorder.snapshot();
+    let snapshot = recorder.drain();
     assert_eq!(snapshot.counters.get("mc.sig_cache.hit"), Some(&6));
+    assert_eq!(
+        snapshot
+            .counters
+            .get("mc.sig_cache.miss")
+            .copied()
+            .unwrap_or(0),
+        0
+    );
+}
+
+/// One bad signature among transfers pooled one at a time — first, in
+/// the middle or last — goes through the builder's batch with the
+/// others: the bad transfer leaves the template as
+/// `BadInputAuthorization` and every other one confirms. The verdicts of exactly the checks the builder queues equal
+/// the per-signature oracle on 1, 2 and 4 workers, so the template is
+/// the same whatever lanes the build host has.
+#[test]
+fn a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits() {
+    const USERS: usize = 7;
+    for at in [0, USERS / 2, USERS - 1] {
+        let (mut chain, wallets) = chain_with_users(USERS);
+        let mut miner = Miner::new(
+            Wallet::from_seed(b"sig-miner").address(),
+            MempoolConfig::default(),
+        );
+        let txs: Vec<McTransaction> = wallets
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let tx = w
+                    .pay(
+                        &chain,
+                        Address::from_label("bob"),
+                        Amount::from_units(5),
+                        Amount::from_units(1),
+                    )
+                    .unwrap();
+                if i == at {
+                    tamper(&tx)
+                } else {
+                    tx
+                }
+            })
+            .collect();
+        for tx in &txs {
+            miner.submit_transaction(&chain, tx.clone()).unwrap();
+        }
+
+        let queued: Vec<SigCheck> = txs
+            .iter()
+            .map(|tx| {
+                let McTransaction::Transfer(t) = tx else {
+                    unreachable!()
+                };
+                SigCheck {
+                    txid: tx.txid(),
+                    input: 0,
+                    tx_in: t.inputs[0].clone(),
+                    sighash: t.sighash(),
+                }
+            })
+            .collect();
+        let expected: Vec<bool> = (0..USERS).map(|i| i != at).collect();
+        assert_eq!(oracle(&queued), expected);
+        for workers in [1, 2, 4] {
+            assert_eq!(
+                verify_sig_batch(&queued, workers),
+                expected,
+                "bad at {at}, workers={workers}"
+            );
+        }
+
+        let (telemetry, recorder) = Telemetry::in_memory();
+        chain.set_telemetry(telemetry);
+        let prepared = miner.prepare(&chain, 1).unwrap();
+        assert_eq!(
+            prepared.rejected,
+            vec![(
+                txs[at].clone(),
+                BlockError::BadInputAuthorization { input: 0 }
+            )],
+            "bad at {at}"
+        );
+        let confirmed: Vec<&McTransaction> = txs.iter().filter(|tx| *tx != &txs[at]).collect();
+        assert_eq!(
+            prepared.block.transactions[1..].iter().collect::<Vec<_>>(),
+            confirmed
+        );
+        let building = recorder.drain();
+        assert_eq!(
+            building.histograms["sig.batch.sigs"].sum(),
+            USERS as u64,
+            "every queued signature went through the batch"
+        );
+        chain
+            .submit(prepared.block.clone(), Some(prepared.verdicts))
+            .unwrap();
+        assert_eq!(
+            chain.state().utxos.balance_of(&Address::from_label("bob")),
+            Amount::from_units(5 * (USERS as u64 - 1))
+        );
+        // A node given the block alone verifies every signature itself
+        // and agrees.
+        let mut replay = Blockchain::new(chain.params().clone());
+        assert!(matches!(
+            replay.submit_block(prepared.block),
+            Ok(SubmitOutcome::ExtendedActiveChain)
+        ));
+    }
+}
+
+/// Transfers that came through batch admission carry their verdicts
+/// into the template: the build queues no check, runs no batch and no
+/// group multiplication, and answers every signature from the cache.
+#[test]
+fn batch_admitted_transfers_queue_no_checks_at_build() {
+    let (mut chain, wallets) = chain_with_users(5);
+    let mut miner = Miner::new(
+        Wallet::from_seed(b"sig-miner").address(),
+        MempoolConfig::default(),
+    );
+    let txs: Vec<McTransaction> = wallets
+        .iter()
+        .map(|w| {
+            w.pay(
+                &chain,
+                Address::from_label("bob"),
+                Amount::from_units(5),
+                Amount::from_units(1),
+            )
+            .unwrap()
+        })
+        .collect();
+    assert_eq!(miner.submit_batch(&chain, txs, 2, |_, _| {}).admitted, 5);
+
+    let (telemetry, recorder) = Telemetry::in_memory();
+    chain.set_telemetry(telemetry);
+    let (prepared, building) = measure(|| miner.prepare(&chain, 1).unwrap());
+    assert_eq!(prepared.block.transactions.len(), 6);
+    assert_eq!(building.group_muls, 0, "nothing verified at build");
+    let snapshot = recorder.drain();
+    assert!(!snapshot.histograms.contains_key("sig.batch.sigs"));
+    assert!(!snapshot.spans.contains_key("sig.batch.verify"));
+    assert_eq!(snapshot.counters.get("mc.sig_cache.hit"), Some(&5));
     assert_eq!(
         snapshot
             .counters
