@@ -97,7 +97,11 @@ test-field:
 # configured target (chain_behavior), the batch equation itself — identity keys and nonce
 # points inside a valid batch, the empty batch, repeated keys sharing
 # one term with a bad signature under a shared key (every schnorr::
-# unit test), cross-chain forgery/replay (the two adversarial files), the hostile-input codec corpus
+# unit test), cross-chain forgery/replay (the two adversarial files),
+# every declaration refusal of the one escrow-pairing rule — a
+# declaration without its escrow, a wrong amount, a tampered nullifier,
+# a foreign source, a self transfer, zero coins, a nullifier declared
+# twice (zendoo-core crosschain::) — the hostile-input codec corpus
 # (settlement_codec) and the totality harness over every wire form — the
 # round trip, every prefix, a trailing byte, every bit flip and 1,000
 # random strings per form, its payload count printed (the root
@@ -118,8 +122,9 @@ test-field:
 # transfer id once (pipeline). Then the Latus follower (two_nodes): a
 # tampered state digest, tx root or smuggled payment refused by name, a
 # reference whose `wcert` is forged or dropped refused by name, a
-# refused forge that leaves no trace, and forger and follower agreeing
-# across a fork. Last, each signature verified once per node, by name:
+# refused forge that leaves no trace, forger and follower agreeing
+# across a fork, and a follower refusing by name to certify an epoch
+# whose escrow withdrawal it holds no declaration for. Last, each signature verified once per node, by name:
 # transfers pooled one at a time verified in one batch at block build
 # (a bad one first, in the middle or last dropped by name, the rest
 # confirmed; the batch equal to the per-signature oracle on 1/2/4
@@ -130,13 +135,16 @@ test-field:
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain::" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary
 # (`Action`) in one `Schedule`, whose `run` audits conservation after
 # every tick. The long-horizon fault-layered scenarios (byzantine),
-# random fault schedules against the auditor and the sweep of every
+# among them a fork that orphans one sender's declared transfer, after
+# which another sender's transfer of the same amount must reach its own
+# receiver, and a queued transfer whose input a fork reverts, which must
+# leave nothing to declare; random fault schedules against the auditor and the sweep of every
 # single fault at every tick (fault_props), the determinism matrix the
 # fault machinery must stay inside (determinism): one tick,
 # bit-identical across workers ∈ {1, 2, 3, 4, per-core}, every

@@ -16,7 +16,7 @@
 //!   address inside the same certificate's `BTList` — so declaring a
 //!   cross-chain transfer *necessarily* moves the coins out of the
 //!   source sidechain's safeguard balance (conservation by
-//!   construction, enforced by [`check_escrow_pairing`]);
+//!   construction, enforced by [`escrow_pairs`]);
 //! * a **proofdata commitment**: the declared transfer list is encoded
 //!   as one `Bytes` proofdata element ([`encode_xct_list`]). Since
 //!   `MH(proofdata)` is part of the certificate's SNARK public input,
@@ -343,32 +343,52 @@ pub fn declared_transfers(
     Ok(Vec::new())
 }
 
-/// Checks the escrow-pairing conservation rule: the backward transfers
-/// paying [`escrow_address`] inside `bt_list` must match `declared`
-/// one-to-one, in order, with equal amounts.
+/// The escrow-pairing conservation rule: the backward transfers paying
+/// [`escrow_address`] inside `bt_list` must match `declared`
+/// one-to-one, in order, with equal amounts. Returns, per backward
+/// transfer, the declared transfer it pays for (`None` if not escrow).
 ///
 /// # Errors
 ///
 /// [`XctError::EscrowMismatch`] / [`XctError::AmountMismatch`].
+pub fn escrow_pairs<'a>(
+    declared: &'a [CrossChainTransfer],
+    bt_list: &[BackwardTransfer],
+) -> Result<Vec<Option<&'a CrossChainTransfer>>, XctError> {
+    let escrow = escrow_address();
+    let escrowed = bt_list.iter().filter(|bt| bt.receiver == escrow).count();
+    if escrowed != declared.len() {
+        return Err(XctError::EscrowMismatch {
+            declared: declared.len(),
+            escrowed,
+        });
+    }
+    let mut next = declared.iter().enumerate();
+    bt_list
+        .iter()
+        .map(|bt| {
+            if bt.receiver != escrow {
+                return Ok(None);
+            }
+            let (index, xct) = next.next().expect("one declaration per escrow withdrawal");
+            if xct.amount != bt.amount {
+                return Err(XctError::AmountMismatch { index });
+            }
+            Ok(Some(xct))
+        })
+        .collect()
+}
+
+/// [`escrow_pairs`] without its output.
+///
+/// # Errors
+///
+/// As for [`escrow_pairs`].
 pub fn check_escrow_pairing(
     declared: &[CrossChainTransfer],
     bt_list: &[BackwardTransfer],
 ) -> Result<(), XctError> {
-    let escrow = escrow_address();
-    let escrowed: Vec<&BackwardTransfer> =
-        bt_list.iter().filter(|bt| bt.receiver == escrow).collect();
-    if escrowed.len() != declared.len() {
-        return Err(XctError::EscrowMismatch {
-            declared: declared.len(),
-            escrowed: escrowed.len(),
-        });
-    }
-    for (index, (xct, bt)) in declared.iter().zip(&escrowed).enumerate() {
-        if xct.amount != bt.amount {
-            return Err(XctError::AmountMismatch { index });
-        }
-    }
-    Ok(())
+    escrow_pairs(declared, bt_list).map(|_| ())
 }
 
 /// Full certificate-level validation of a cross-chain declaration, as
@@ -556,6 +576,23 @@ mod tests {
     }
 
     #[test]
+    fn escrow_pairs_skip_plain_withdrawals() {
+        let plain = |amount| BackwardTransfer {
+            receiver: Address::from_label("user"),
+            amount: Amount::from_units(amount),
+        };
+        let list = [xct(1, 10), xct(2, 20)];
+        let bt_list = [plain(10), escrow_bt(10), plain(20), escrow_bt(20)];
+        let pairs = escrow_pairs(&list, &bt_list).unwrap();
+        assert_eq!(pairs, [None, Some(&list[0]), None, Some(&list[1])]);
+        let swapped = [escrow_bt(20), plain(10), escrow_bt(10)];
+        assert_eq!(
+            escrow_pairs(&list, &swapped),
+            Err(XctError::AmountMismatch { index: 0 })
+        );
+    }
+
+    #[test]
     fn declaration_without_escrow_rejected() {
         let cert = cert_with(&[xct(1, 10)], vec![]);
         assert!(matches!(
@@ -600,6 +637,9 @@ mod tests {
         circular.nullifier = circular.derive_nullifier();
         let cert = cert_with(&[circular], vec![escrow_bt(10)]);
         assert_eq!(validate_declarations(&cert), Err(XctError::SelfTransfer));
+
+        let cert = cert_with(&[xct(1, 0)], vec![escrow_bt(0)]);
+        assert_eq!(validate_declarations(&cert), Err(XctError::ZeroAmount));
     }
 
     #[test]

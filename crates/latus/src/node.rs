@@ -23,7 +23,7 @@ use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCert
 use zendoo_core::commitment::ScTxsCommitment;
 use zendoo_core::config::{SidechainConfig, SidechainConfigBuilder};
 use zendoo_core::crosschain::{
-    declared_transfers, escrow_address, CrossChainTransfer, InboundCrossTransfer,
+    check_escrow_pairing, escrow_address, CrossChainTransfer, InboundCrossTransfer,
 };
 use zendoo_core::epoch::EpochSchedule;
 use zendoo_core::ids::{Address, Amount, EpochId, SidechainId};
@@ -199,9 +199,12 @@ impl From<ProveError> for NodeError {
 /// copies no header and no leaf: the MST inside `state` is a root
 /// handle, `epoch_builder` holds one pointer per block of the open
 /// epoch, the certificate inclusions are shared pointers, and the rest
-/// are scalars.
+/// are scalars or the open epoch's few declarations.
 struct NodeSnapshot {
     state: SidechainState,
+    /// Restored with `state`: a reverted block takes its declarations
+    /// with it, and a reopened epoch gets back those it had declared.
+    declared: Vec<CrossChainTransfer>,
     epoch_builder: EpochProofBuilder,
     last_mc_ref: Digest32,
     chain_len: usize,
@@ -220,11 +223,13 @@ struct NodeSnapshot {
 /// or the pending view a cross-chain transfer is checked against —
 /// re-runs every state-dependent rule but answers those signature
 /// checks from the held verdicts. The verdicts leave the node with the
-/// entry.
+/// entry, and so does `declares`: the cross-chain transfer an escrow
+/// withdrawal pays for, declared when a forged block applies the entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Pending {
     tx: ScTransaction,
     verified: Vec<Digest32>,
+    declares: Option<CrossChainTransfer>,
 }
 
 impl Pending {
@@ -234,6 +239,7 @@ impl Pending {
         Pending {
             verified: verified_keys(&tx),
             tx,
+            declares: None,
         }
     }
 
@@ -258,6 +264,9 @@ impl Pending {
 /// reuse them and verify no admitted signature twice. A block from
 /// another forger ([`LatusNode::receive_block`]) is verified in full,
 /// and a rollback re-queues nothing, so no verdict outlives its entry.
+/// A cross-chain transfer rides its escrow withdrawal's pending entry,
+/// then the open epoch's `declared` list, which the certificate pairs
+/// with the epoch's withdrawals by [`check_escrow_pairing`].
 pub struct LatusNode {
     params: LatusParams,
     schedule: EpochSchedule,
@@ -297,9 +306,9 @@ pub struct LatusNode {
     stake: StakeDistribution,
     stake_epoch: u64,
     next_slot: u64,
-    /// Outbound cross-chain transfers awaiting declaration in a
-    /// certificate (their escrow withdrawals sit in `pending`/state).
-    pending_cross: Vec<CrossChainTransfer>,
+    /// The transfers paid for by the open epoch's escrow withdrawals,
+    /// in the order of its backward transfers.
+    declared: Vec<CrossChainTransfer>,
     /// Monotonic nonce for outbound cross-chain transfers.
     xct_nonce: u64,
 }
@@ -343,7 +352,7 @@ impl LatusNode {
             stake: StakeDistribution::default(),
             stake_epoch: 0,
             next_slot: 0,
-            pending_cross: Vec::new(),
+            declared: Vec::new(),
             xct_nonce: 0,
         }
     }
@@ -419,8 +428,8 @@ impl LatusNode {
 
     /// Initiates a sidechain→sidechain transfer: spends `inputs`
     /// (owned by one key) into an escrow withdrawal of exactly `amount`
-    /// and registers the [`CrossChainTransfer`] for declaration in this
-    /// epoch's certificate. When the inputs exceed `amount`, a change
+    /// and attaches the [`CrossChainTransfer`] to it, for the epoch that
+    /// forges it to declare. When the inputs exceed `amount`, a change
     /// split payment precedes the escrow withdrawal in the same block.
     ///
     /// # Errors
@@ -491,13 +500,12 @@ impl LatusNode {
         // applied*: the escrow withdrawal may spend the split payment's
         // output, and a conflict with an earlier pending transaction
         // (e.g. two same-tick transfers racing for one UTXO) must fail
-        // here — a silently forge-dropped escrow would leave a stale
-        // declared transfer behind. Pending transactions that would be
-        // dropped at forge are skipped, mirroring the forger, and their
-        // signatures are answered from their admission verdicts, as the
-        // forger answers them. A refusal leaves the view taken: it may
-        // hold half of this transfer, and the next call rebuilds it from
-        // `state`.
+        // here rather than be dropped at forge with its declaration.
+        // Pending transactions that would be dropped at forge are
+        // skipped, mirroring the forger, and their signatures are
+        // answered from their admission verdicts, as the forger answers
+        // them. A refusal leaves the view taken: it may hold half of
+        // this transfer, and the next call rebuilds it from `state`.
         let (mut view, applied) = self
             .pending_view
             .take()
@@ -509,15 +517,19 @@ impl LatusNode {
             apply_transaction(&self.params, &mut view, tx)?;
         }
         self.pending.extend(txs.into_iter().map(Pending::admitted));
+        let escrow_withdrawal = self.pending.last_mut().expect("`txs` ends with it");
+        escrow_withdrawal.declares = Some(xct);
         self.pending_view = Some((view, self.pending.len()));
-        self.pending_cross.push(xct);
         self.xct_nonce += 1;
         Ok(xct)
     }
 
-    /// Outbound cross-chain transfers not yet declared in a certificate.
-    pub fn pending_cross_transfers(&self) -> &[CrossChainTransfer] {
-        &self.pending_cross
+    /// Outbound cross-chain transfers accepted here and not yet declared
+    /// by a produced certificate: the open epoch's, then those whose
+    /// escrow withdrawals still wait in the pending queue.
+    pub fn pending_cross_transfers(&self) -> Vec<CrossChainTransfer> {
+        let queued = self.pending.iter().filter_map(|pending| pending.declares);
+        self.declared.iter().copied().chain(queued).collect()
     }
 
     /// Inbound cross-chain transfers credited on this sidechain.
@@ -576,13 +588,15 @@ impl LatusNode {
         }
 
         // Pending user transactions: conflicts (e.g. two payments racing
-        // for one UTXO) are dropped, as a production forger would. Every
-        // rule runs again on the new state except the signature checks
+        // for one UTXO) are dropped with their declarations. Every rule
+        // runs again on the new state except the signature checks
         // admission already answered.
         let mut included = Vec::new();
+        let mut declared = Vec::new();
         for pending in std::mem::take(&mut self.pending) {
             if let Ok(witness) = pending.apply(&self.params, &mut next) {
                 recorded.push((witness, next.digest()));
+                declared.extend(pending.declares);
                 included.push(pending.tx);
             }
         }
@@ -603,6 +617,7 @@ impl LatusNode {
         };
         block.header.tx_root = block.compute_tx_root();
         self.adopt(block.clone(), next, recorded);
+        self.declared.extend(declared);
         Ok(block)
     }
 
@@ -710,6 +725,7 @@ impl LatusNode {
     ) {
         self.snapshots.push_back(NodeSnapshot {
             state: std::mem::replace(&mut self.state, state),
+            declared: self.declared.clone(),
             epoch_builder: self.epoch_builder.clone(),
             last_mc_ref: self.last_mc_ref,
             chain_len: self.chain.len(),
@@ -755,6 +771,8 @@ impl LatusNode {
     /// # Errors
     ///
     /// [`NodeError::EpochNotComplete`] before the boundary;
+    /// [`NodeError::Unavailable`], the node unchanged, when the epoch's
+    /// anchors or an escrow withdrawal's declaration are not held here;
     /// [`NodeError::Prove`] if any witness is inconsistent.
     pub fn produce_certificate(&mut self) -> Result<WithdrawalCertificate, NodeError> {
         let (cert, public, witness) = self.certificate_statement()?;
@@ -803,50 +821,18 @@ impl LatusNode {
             Some(CertInclusion::clone(inclusion))
         };
 
+        // The epoch's escrow withdrawals must pair with its declarations,
+        // also checked before any destructive step: only another forger's
+        // block brings a withdrawal declared elsewhere.
+        check_escrow_pairing(&self.declared, self.state.backward_transfers()).map_err(|_| {
+            NodeError::Unavailable("escrow withdrawal without a declared cross-chain transfer")
+        })?;
+
         // The recursive proof over the epoch (Fig 11).
         let state_proof = self.epoch_builder.prove(&self.keys.system)?;
 
-        // Pair pending cross-chain transfers with the epoch's escrow
-        // withdrawals, in BT-list order, *before* the destructive epoch
-        // close — a pairing failure must leave the node state intact.
-        // Transfers whose escrow did not land this epoch stay pending
-        // for the next certificate. (An escrow withdrawal with no
-        // declared transfer cannot arise through this node's own API —
-        // `submit_transaction` rejects direct escrow withdrawals — but
-        // a block from a hostile forger could carry one; failing here
-        // without touching state keeps the error recoverable.)
-        let escrow = escrow_address();
-        let mut declared = Vec::new();
-        let mut used = Vec::new();
-        for bt in self
-            .state
-            .backward_transfers()
-            .iter()
-            .filter(|bt| bt.receiver == escrow)
-        {
-            let matched = self
-                .pending_cross
-                .iter()
-                .enumerate()
-                .find(|(i, xct)| !used.contains(i) && xct.amount == bt.amount);
-            match matched {
-                Some((i, xct)) => {
-                    used.push(i);
-                    declared.push(*xct);
-                }
-                None => {
-                    return Err(NodeError::Unavailable(
-                        "escrow withdrawal without a declared cross-chain transfer",
-                    ));
-                }
-            }
-        }
-        used.sort_unstable();
-        for i in used.into_iter().rev() {
-            self.pending_cross.remove(i);
-        }
-
         // Close the epoch's transients.
+        let declared = std::mem::take(&mut self.declared);
         let final_mst_root = self.state.mst().root();
         self.pending_view = None;
         let (bt_list, delta, touch_sequence) = self.state.end_epoch();
@@ -1099,6 +1085,7 @@ impl LatusNode {
         self.next_slot = self.chain[snapshot.chain_len].header.slot + 1;
         self.pending_view = None;
         self.state = snapshot.state;
+        self.declared = snapshot.declared;
         self.epoch_builder = snapshot.epoch_builder;
         self.last_mc_ref = snapshot.last_mc_ref;
         self.chain.truncate(snapshot.chain_len);
@@ -1112,24 +1099,9 @@ impl LatusNode {
         self.cert_inclusions = snapshot.cert_inclusions;
         if snapshot.current_epoch < self.current_epoch {
             self.current_epoch = snapshot.current_epoch;
-            let reopened = self.produced_certs.split_off(&snapshot.current_epoch);
+            self.produced_certs.split_off(&snapshot.current_epoch);
             self.epoch_msts.split_off(&snapshot.current_epoch);
             self.epoch_deltas.split_off(&snapshot.current_epoch);
-            // The reopened epoch's certificate consumed the transfers
-            // it declared. Those whose escrow withdrawal survives in
-            // the restored state (declarations follow BT-list order)
-            // wait for the next certificate again — or it could never
-            // pair them and the chain would stop certifying.
-            let escrow = escrow_address();
-            let bts = self.state.backward_transfers();
-            let surviving = bts.iter().filter(|bt| bt.receiver == escrow).count();
-            let declared = reopened
-                .values()
-                .next()
-                .and_then(|cert| declared_transfers(cert).ok())
-                .unwrap_or_default();
-            self.pending_cross
-                .splice(0..0, declared.into_iter().take(surviving));
         }
         Ok(reverted)
     }

@@ -8,7 +8,8 @@ mod common;
 
 use common::TwoChains;
 use std::sync::Arc;
-use zendoo_core::ids::{Address, Amount};
+use zendoo_core::crosschain::escrow_address;
+use zendoo_core::ids::{Address, Amount, SidechainId};
 use zendoo_latus::block::ScBlockError;
 use zendoo_latus::consensus::ConsensusParams;
 use zendoo_latus::node::{LatusNode, NodeError};
@@ -264,6 +265,90 @@ fn forger_and_follower_agree_across_a_fork() {
 
     let cert_forger = h.node.produce_certificate().unwrap();
     assert_eq!(validator.produce_certificate().unwrap(), cert_forger);
+}
+
+/// A follower holds no declaration for the forger's cross-chain
+/// transfer, so the escrow withdrawal a received block carries pairs
+/// with nothing: it refuses to certify the epoch by name, before any
+/// destructive step — asked again, it refuses again. Its node stays
+/// whole: a fork that replaces the epoch's last block rolls it back,
+/// and it follows the forger's replacement block to the boundary and
+/// the same refusal. (It cannot follow past a boundary it did not
+/// close: the next state digest commits to the closed epoch.)
+#[test]
+fn a_follower_refuses_to_certify_an_escrow_withdrawal_it_holds_no_declaration_for() {
+    let mut h = TwoChains::new("two-nodes-escrow");
+    let mut validator = follower(&h, b"validator");
+
+    let ft = deposit(&h, 2_000);
+    mine_and_follow(&mut h, &mut validator, vec![ft]);
+    let coin = h.node.utxos_of(&h.sc_address())[0];
+    h.node
+        .submit_cross_transfer(
+            vec![(coin, &h.sc_user.secret)],
+            Amount::from_units(1_500),
+            SidechainId::from_label("two-nodes-escrow-dest"),
+            Address::from_label("receiver"),
+            h.mc_wallet.address(),
+        )
+        .unwrap();
+    let mut fork_base = h.chain.tip_hash();
+    while !h.node.epoch_complete() {
+        fork_base = h.chain.tip_hash();
+        mine_and_follow(&mut h, &mut validator, vec![]);
+    }
+    let escrow = escrow_address();
+    assert!(validator
+        .state()
+        .backward_transfers()
+        .iter()
+        .any(|bt| bt.receiver == escrow));
+
+    let refuses_to_certify = |validator: &mut LatusNode| {
+        let before = (validator.state().digest(), validator.current_epoch());
+        for _ in 0..2 {
+            match validator.produce_certificate() {
+                Err(NodeError::Unavailable(what)) => assert_eq!(
+                    what,
+                    "escrow withdrawal without a declared cross-chain transfer"
+                ),
+                other => panic!("expected the pairing refusal, got {other:?}"),
+            }
+            assert!(validator.epoch_complete());
+            assert_eq!(
+                (validator.state().digest(), validator.current_epoch()),
+                before
+            );
+        }
+    };
+    refuses_to_certify(&mut validator);
+
+    let branch = h
+        .chain
+        .mine_branch(&fork_base, 2, h.mc_wallet.address(), 900)
+        .unwrap();
+    for block in &branch {
+        h.chain.submit_block(block.clone()).unwrap();
+    }
+    assert_eq!(h.node.rollback_to_mc(&fork_base).unwrap(), 1);
+    assert_eq!(validator.rollback_to_mc(&fork_base).unwrap(), 1);
+    let sc_block = h
+        .node
+        .sync_mainchain_block(
+            &branch[0],
+            &Blockchain::build_commitment(&branch[0].transactions),
+        )
+        .unwrap();
+    validator.receive_block(&sc_block, &branch[0]).unwrap();
+    assert_eq!(validator.chain(), h.node.chain());
+    refuses_to_certify(&mut validator);
+    let certificate = h.node.produce_certificate().unwrap();
+    assert_eq!(
+        zendoo_core::crosschain::declared_transfers(&certificate)
+            .unwrap()
+            .len(),
+        1
+    );
 }
 
 #[test]

@@ -510,31 +510,20 @@ impl SidechainRegistry {
                         // order (enforced at certificate acceptance);
                         // each pairing yields the consensus tag the
                         // escrow-kind UTXO will carry. An escrow-
-                        // addressed BT with no declaration left cannot
-                        // exist for an accepted certificate — and must
-                        // not silently mature untagged (it would be
+                        // addressed BT with no declaration cannot exist
+                        // for an accepted certificate — and must not
+                        // silently mature untagged (it would be
                         // key-spendable at a public address).
-                        let escrow = crosschain::escrow_address();
-                        let mut next = 0usize;
-                        let transfers = accepted
-                            .certificate
-                            .bt_list
+                        let bt_list = &accepted.certificate.bt_list;
+                        let pairs = crosschain::escrow_pairs(&declared, bt_list)
+                            .expect("escrow pairing validated at certificate acceptance");
+                        let transfers = bt_list
                             .iter()
-                            .map(|bt| {
-                                let tag = if bt.receiver == escrow {
-                                    let xct = declared.get(next).expect(
-                                        "escrow pairing validated at certificate acceptance",
-                                    );
-                                    next += 1;
-                                    Some(EscrowTag::for_transfer(xct, closing_epoch))
-                                } else {
-                                    None
-                                };
-                                PayoutOutput {
-                                    receiver: bt.receiver,
-                                    amount: bt.amount,
-                                    escrow: tag,
-                                }
+                            .zip(pairs)
+                            .map(|(bt, xct)| PayoutOutput {
+                                receiver: bt.receiver,
+                                amount: bt.amount,
+                                escrow: xct.map(|xct| EscrowTag::for_transfer(xct, closing_epoch)),
                             })
                             .collect();
                         payouts.push(MaturedPayout {

@@ -521,3 +521,126 @@ fn cross_transfer_to_undeployed_chain_is_a_typed_error() {
     let node = world.node_of(&home).unwrap();
     assert!(node.pending_cross_transfers().is_empty());
 }
+
+/// What `name` holds on sidechain `sc`.
+fn balance_on(world: &World, sc: &zendoo_core::ids::SidechainId, name: &str) -> u64 {
+    let address = world.user(name).unwrap().sc_address_on(sc);
+    world.node_of(sc).unwrap().balance_of(&address).units()
+}
+
+/// A fork that reverts the block holding one sender's escrow withdrawal
+/// reverts the transfer's declaration with it. A later transfer of the
+/// same amount by another sender is declared with its own receiver:
+/// Bob's coins reach Bob, and Alice's orphaned transfer pays no one.
+/// Conservation alone cannot see a swap of receivers: no value is lost,
+/// so the test reads the delivered nullifier and both balances.
+#[test]
+fn a_fork_orphaned_declaration_never_pays_another_senders_receiver() {
+    use zendoo_sim::{Action, Schedule, SimConfig};
+
+    let mut world = World::new(SimConfig::with_sidechains(2));
+    let (src, dst) = (world.sidechain_ids()[0], world.sidechain_ids()[1]);
+    let funding = Schedule::new()
+        .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
+        .at(0, Action::ForwardTransferTo(0, "bob".into(), 50_000));
+    let mut auditor = funding.run(&mut world, 2).unwrap();
+    let mut step = |world: &mut World| {
+        world.step().unwrap();
+        auditor.observe(world).unwrap_or_else(|v| panic!("{v}"));
+    };
+
+    let alice = world
+        .queue_cross_transfer(&src, &dst, "alice", 20_000)
+        .unwrap();
+    step(&mut world);
+    assert_eq!(
+        world.inject_mc_fork(1).unwrap(),
+        2,
+        "one block on each chain"
+    );
+    let bob = world
+        .queue_cross_transfer(&src, &dst, "bob", 20_000)
+        .unwrap();
+    // Epoch 0 closes at height 7 and matures at 11; the escrow settles
+    // in the next block.
+    for _ in 0..10 {
+        step(&mut world);
+    }
+
+    let delivered: Vec<_> = world
+        .router
+        .receipts()
+        .iter()
+        .map(|receipt| receipt.escrow.nullifier)
+        .collect();
+    assert_eq!(delivered, [bob.nullifier]);
+    assert!(world.router.receipt_for(&alice.nullifier).is_none());
+    assert_eq!(balance_on(&world, &dst, "bob"), 20_000);
+    assert_eq!(balance_on(&world, &dst, "alice"), 0);
+    assert_eq!(balance_on(&world, &src, "alice"), 50_000);
+    assert_eq!(balance_on(&world, &src, "bob"), 30_000);
+    assert_eq!(world.metrics.cross_transfers_delivered, 1);
+}
+
+/// A queued cross-chain transfer whose input a fork reverts is dropped
+/// at forge with its declaration: the forward transfer that minted the
+/// input is mined again into another UTXO, nothing is left to declare,
+/// and Alice's retry is declared and delivered as itself.
+#[test]
+fn a_forge_dropped_escrow_withdrawal_takes_its_declaration_with_it() {
+    use zendoo_sim::SimConfig;
+
+    let mut world = World::new(SimConfig::with_sidechains(2));
+    let (src, dst) = (world.sidechain_ids()[0], world.sidechain_ids()[1]);
+    let mut auditor = ConservationAuditor::new();
+    let mut step = |world: &mut World| {
+        world.step().unwrap();
+        auditor.observe(world).unwrap_or_else(|v| panic!("{v}"));
+    };
+    let alice_on_src = world.user("alice").unwrap().sc_address_on(&src);
+    let coins = |world: &World| world.node_of(&src).unwrap().utxos_of(&alice_on_src);
+
+    world
+        .queue_forward_transfer_on(&src, "alice", 50_000)
+        .unwrap();
+    step(&mut world);
+    let minted = coins(&world);
+    assert_eq!(minted.len(), 1);
+    let orphan = world
+        .queue_cross_transfer(&src, &dst, "alice", 20_000)
+        .unwrap();
+    assert_eq!(
+        world.node_of(&src).unwrap().pending_cross_transfers(),
+        [orphan]
+    );
+
+    world.inject_mc_fork(1).unwrap();
+    step(&mut world);
+    let reminted = coins(&world);
+    assert_eq!(reminted.len(), 1, "the forward transfer is mined again");
+    assert_ne!(reminted, minted, "into another UTXO");
+    assert!(
+        world
+            .node_of(&src)
+            .unwrap()
+            .pending_cross_transfers()
+            .is_empty(),
+        "the dropped escrow withdrawal took its declaration with it"
+    );
+
+    let retry = world
+        .queue_cross_transfer(&src, &dst, "alice", 20_000)
+        .unwrap();
+    for _ in 0..10 {
+        step(&mut world);
+    }
+    let delivered: Vec<_> = world
+        .router
+        .receipts()
+        .iter()
+        .map(|receipt| receipt.escrow.nullifier)
+        .collect();
+    assert_eq!(delivered, [retry.nullifier]);
+    assert_eq!(balance_on(&world, &dst, "alice"), 20_000);
+    assert_eq!(balance_on(&world, &src, "alice"), 30_000);
+}
