@@ -1,8 +1,18 @@
 # Zendoo reproduction — developer tasks. `make ci` is the gate.
 
-.PHONY: ci fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims test-benchmark bench-build bench bench-smoke obs-report demo
+.PHONY: ci serde-audit fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims test-benchmark bench-build bench bench-smoke obs-report demo
 
-ci: fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims bench-build test-benchmark
+ci: serde-audit fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims bench-build test-benchmark
+
+# No code of ours names serde: canonical bytes are the in-repo
+# `Encode`/`Decode` pair, and the serde stand-in in crates/support
+# expands its derives to nothing. Fails on any mention in our sources,
+# tests, benches and examples (crates/support aside), so the surface
+# cannot grow back while the manifests still carry the edge.
+serde-audit:
+	@if grep -rn serde crates/*/src crates/*/tests crates/*/benches src examples tests; then \
+		echo "serde named outside crates/support (above)"; exit 1; fi; \
+	echo "serde audit: no code of ours names serde"
 
 fmt-check:
 	cargo fmt --check
@@ -93,11 +103,16 @@ test-field:
 # registry and block refusals asserted by name: a certificate outside
 # its submission window, one for a ceased sidechain, the safeguard on
 # a certificate and on a CSW, a transfer spending one output twice (by
-# the builder and by a receiving node) and a header short of a
-# configured target (chain_behavior), the batch equation itself — identity keys and nonce
+# the builder and by a receiving node), a header short of a
+# configured target, a header at the wrong height or declaring another
+# target, a sidechain id declared twice, an activation height at or
+# below the declaring block and a CSW against an active sidechain
+# (chain_behavior), the batch equation itself — identity keys and nonce
 # points inside a valid batch, the empty batch, repeated keys sharing
 # one term with a bad signature under a shared key (every schnorr::
-# unit test), cross-chain forgery/replay (the two adversarial files),
+# unit test), cross-chain forgery/replay (the two adversarial files;
+# the Latus one also refuses by name a mainchain block past a gap in
+# the synced ones and a certificate asked for mid-epoch),
 # every declaration refusal of the one escrow-pairing rule — a
 # declaration without its escrow, a wrong amount, a tampered nullifier,
 # a foreign source, a self transfer, zero coins, a nullifier declared
@@ -135,7 +150,7 @@ test-field:
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain::" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain::" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary

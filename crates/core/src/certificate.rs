@@ -5,7 +5,6 @@
 //! serves as the sidechain heartbeat. Authorization is purely by SNARK —
 //! there are no certifiers or other privileged submitters.
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_snark::backend::Proof;
@@ -16,7 +15,7 @@ use crate::proofdata::ProofData;
 use crate::transfer::{bt_list_root, BackwardTransfer};
 
 /// `WCert = (ledgerId, epochId, quality, BTList, proofdata, proof)`.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WithdrawalCertificate {
     /// The sidechain this certificate speaks for.
     pub sidechain_id: SidechainId,
@@ -69,7 +68,7 @@ impl Encode for WithdrawalCertificate {
 /// The two block hashes anchor the proof to the active chain and the
 /// correct epoch; the mainchain computes them itself — a submitter cannot
 /// substitute its own values.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WcertSysData {
     /// The certificate's claimed quality.
     pub quality: Quality,

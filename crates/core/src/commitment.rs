@@ -22,7 +22,6 @@
 //! tree always contains two sentinel leaves with the minimum and maximum
 //! ids, so any absent id has adjacent neighbors.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::merkle::{MerkleProof, MerkleTree, Sha256Hasher};
@@ -33,7 +32,7 @@ use crate::transfer::ForwardTransfer;
 use crate::withdrawal::BackwardTransferRequest;
 
 /// Everything one block contains for one sidechain.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScBlockData {
     /// Forward transfers to this sidechain, in block order.
     pub forward_transfers: Vec<ForwardTransfer>,
@@ -322,7 +321,7 @@ impl ScTxsCommitment {
 
 /// Proof that a sidechain's subtree — with specific FT/BTR roots and
 /// certificate hash — is committed in a block's `SCTxsCommitment`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScMembershipProof {
     /// The proven sidechain.
     pub sidechain_id: SidechainId,
@@ -376,7 +375,7 @@ impl ScMembershipProof {
 }
 
 /// One bracketing neighbor inside a [`ScAbsenceProof`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NeighborLeaf {
     /// The neighbor's sidechain id (may be a sentinel).
     pub sidechain_id: SidechainId,
@@ -396,7 +395,7 @@ impl NeighborLeaf {
 
 /// Proof that a block contains **no** data for a sidechain: two adjacent
 /// leaves whose ids bracket the target id.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScAbsenceProof {
     /// The id proven absent.
     pub target: SidechainId,

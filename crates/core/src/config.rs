@@ -6,7 +6,6 @@
 //! ("NULL" in the paper), disabling mainchain-managed withdrawals for
 //! that sidechain.
 
-use serde::{Deserialize, Serialize};
 use zendoo_snark::backend::VerifyingKey;
 
 use crate::epoch::{EpochSchedule, ScheduleError};
@@ -14,7 +13,7 @@ use crate::ids::SidechainId;
 use crate::proofdata::ProofDataSchema;
 
 /// Immutable configuration registered at sidechain creation.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SidechainConfig {
     /// Unique sidechain identifier (`ledgerId`).
     pub id: SidechainId,
@@ -72,16 +71,6 @@ impl SidechainConfig {
             return Err(ConfigError::ReservedId(self.id));
         }
         Ok(())
-    }
-
-    /// Returns `true` if BTR submission is enabled for this sidechain.
-    pub fn supports_btr(&self) -> bool {
-        self.btr_vk.is_some()
-    }
-
-    /// Returns `true` if CSW submission is enabled for this sidechain.
-    pub fn supports_csw(&self) -> bool {
-        self.csw_vk.is_some()
     }
 }
 
@@ -244,8 +233,8 @@ mod tests {
         let config = SidechainConfigBuilder::new(SidechainId::from_label("a"), vk())
             .build()
             .unwrap();
-        assert!(!config.supports_btr());
-        assert!(!config.supports_csw());
+        assert!(config.btr_vk.is_none());
+        assert!(config.csw_vk.is_none());
     }
 
     #[test]
@@ -258,8 +247,8 @@ mod tests {
             .csw_vk(vk())
             .build()
             .unwrap();
-        assert!(config.supports_btr());
-        assert!(config.supports_csw());
+        assert!(config.btr_vk.is_some());
+        assert!(config.csw_vk.is_some());
         assert_eq!(config.schedule.start_block(), 7);
     }
 

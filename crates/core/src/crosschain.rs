@@ -30,7 +30,6 @@
 //! stateless function assembles the settlement and refund transactions
 //! that every live escrow output of the chain state calls for.
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{decode_with, digest, Decode, DecodeError, Encode, Reader};
 use zendoo_primitives::schnorr::Keypair;
@@ -57,7 +56,7 @@ pub const XCT_METADATA_LEN: usize = 32 + 32 + 32 + 8;
 /// Declared by the **source** sidechain as part of a withdrawal
 /// certificate; delivered to the **destination** sidechain as a forward
 /// transfer once the certificate matures on the mainchain.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CrossChainTransfer {
     /// The declaring (paying) sidechain.
     pub source: SidechainId,

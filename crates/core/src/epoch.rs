@@ -5,8 +5,6 @@
 //! must land within the first `submit_len` blocks of epoch `i + 1`; if the
 //! window closes without one, the sidechain is **ceased** (Def 4.2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::EpochId;
 
 /// The deterministic epoch calendar of one sidechain.
@@ -24,7 +22,7 @@ use crate::ids::EpochId;
 /// assert!(sched.in_submission_window(0, 110));
 /// assert!(!sched.in_submission_window(0, 113));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EpochSchedule {
     start_block: u64,
     epoch_len: u32,

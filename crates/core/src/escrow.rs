@@ -32,7 +32,6 @@
 //! mainchain's block pipeline applies it to every transaction that
 //! consumes an escrow-kind input (or carries a settlement batch).
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::encode::{Decode, DecodeError, Encode, Reader};
 
 use crate::crosschain::CrossChainTransfer;
@@ -41,7 +40,7 @@ use crate::settlement::SettlementBatch;
 
 /// The consensus tag carried by an escrow-kind output: everything the
 /// mainchain needs to decide, structurally, where the value may go.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EscrowTag {
     /// The sidechain whose certificate escrowed the value.
     pub source: SidechainId,

@@ -1,13 +1,12 @@
 //! Protocol-level identifiers and quantities shared by both chains.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{Decode, DecodeError, Encode, Reader};
 
 /// A unique identifier of a registered sidechain (`ledgerId` in the
 /// paper). Derived from the hash of the sidechain-creation transaction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SidechainId(pub Digest32);
 
 impl SidechainId {
@@ -66,7 +65,7 @@ pub type EpochId = u32;
 pub type Quality = u64;
 
 /// A mainchain address: the hash of a Schnorr public key.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(pub Digest32);
 
 impl Address {
@@ -105,7 +104,7 @@ impl Encode for Address {
 /// A nullifier: the unique identifier of coins claimed by a BTR or CSW
 /// (§4.1.2.1). The mainchain rejects two submissions with the same
 /// nullifier, providing double-spend prevention without sidechain state.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Nullifier(pub Digest32);
 
 impl Nullifier {
@@ -145,9 +144,7 @@ impl Encode for Nullifier {
 /// assert_eq!(a.checked_add(b), Some(Amount::from_units(8)));
 /// assert_eq!(b.checked_sub(a), None);
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Amount(u64);
 
 impl Amount {

@@ -7,14 +7,13 @@
 //! validates the shape and feeds only the Merkle root `MH(proofdata)` to
 //! the SNARK verifier, keeping the public-input list short (footnote 6).
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::merkle::{MerkleTree, Sha256Hasher};
 
 /// The declared type of one proofdata element.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProofDataType {
     /// A field element.
     Field,
@@ -27,7 +26,7 @@ pub enum ProofDataType {
 }
 
 /// One typed proofdata element.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ProofDataElem {
     /// A field element.
     Field(Fp),
@@ -85,7 +84,7 @@ impl Encode for ProofDataElem {
 }
 
 /// The ordered proofdata payload of a certificate/BTR/CSW.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ProofData(pub Vec<ProofDataElem>);
 
 impl ProofData {
@@ -123,7 +122,7 @@ impl Encode for ProofData {
 }
 
 /// The proofdata shape declared at sidechain creation (§4.2).
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ProofDataSchema(pub Vec<ProofDataType>);
 
 impl ProofDataSchema {

@@ -1,6 +1,5 @@
 //! Forward and backward transfers (paper §4.1.1, Def 4.1 / Def 4.3).
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 
@@ -12,7 +11,7 @@ use crate::ids::{Address, Amount, SidechainId};
 /// `FT = (ledgerId, receiverMetadata, amount)` — the mainchain validates
 /// only `ledgerId` and `amount`; the metadata's semantics belong to the
 /// sidechain (§4.1.1).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ForwardTransfer {
     /// Destination sidechain.
     pub sidechain_id: SidechainId,
@@ -41,7 +40,7 @@ impl Encode for ForwardTransfer {
 /// containing withdrawal certificate is accepted (Def 4.3).
 ///
 /// `BT = (receiverAddr, amount)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BackwardTransfer {
     /// Mainchain address to credit.
     pub receiver: Address,

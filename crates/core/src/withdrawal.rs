@@ -11,7 +11,6 @@
 //! state) and are validated by sidechain-defined SNARKs whose verifying
 //! keys were registered at creation.
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_snark::backend::Proof;
@@ -22,7 +21,7 @@ use crate::proofdata::ProofData;
 
 /// `BTR = (ledgerId, receiver, amount, nullifier, proofdata, proof)`
 /// (Def 4.5).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BackwardTransferRequest {
     /// The sidechain being asked to process the withdrawal.
     pub sidechain_id: SidechainId,
@@ -59,7 +58,7 @@ impl Encode for BackwardTransferRequest {
 /// `CSW = (ledgerId, receiver, amount, nullifier, proofdata, proof)`
 /// (Def 4.6). Structurally identical to a BTR, but pays out directly and
 /// is accepted only for ceased sidechains.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CeasedSidechainWithdrawal {
     /// The ceased sidechain whose balance is drawn.
     pub sidechain_id: SidechainId,
@@ -95,7 +94,7 @@ impl Encode for CeasedSidechainWithdrawal {
 
 /// The mainchain-enforced part of a BTR/CSW public input
 /// (paper: `btr_sysdata = (H(B_w), nullifier, receiver, amount)`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BtrSysData {
     /// Hash of the MC block containing the sidechain's latest accepted
     /// withdrawal certificate.

@@ -7,7 +7,6 @@
 //! transactions. References must be contiguous: a block may only
 //! reference the MC block following the last referenced one.
 
-use serde::{Deserialize, Serialize};
 use zendoo_core::certificate::WithdrawalCertificate;
 use zendoo_core::commitment::{wcert_hash, ScBlockData, ScMembershipProof, ScTxsCommitment};
 use zendoo_core::ids::SidechainId;
@@ -31,7 +30,7 @@ use crate::tx::{
 /// certificate observed for this sidechain in the referenced block.
 /// [`McBlockReference::derive`] takes it from the block's sc-txs
 /// commitment, the one tree every sidechain shares.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct McBlockReference {
     /// The synchronized forward transfers (`forwardTransfers`).
     pub forward_transfers: ForwardTransfersTx,
@@ -147,7 +146,7 @@ impl McBlockReference {
 }
 
 /// A Latus block header.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScBlockHeader {
     /// Parent SC block hash (zero for the genesis block).
     pub parent: Digest32,
@@ -188,7 +187,7 @@ impl Encode for ScBlockHeader {
 }
 
 /// A full Latus block.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScBlock {
     /// The header.
     pub header: ScBlockHeader,

@@ -13,7 +13,6 @@
 //!   uses `mst_delta` chains to survive data-availability attacks
 //!   (Appendix A).
 
-use serde::{Deserialize, Serialize};
 use zendoo_core::certificate::WithdrawalCertificate;
 use zendoo_core::commitment::ScMembershipProof;
 use zendoo_core::crosschain::{self, CrossChainTransfer};
@@ -95,7 +94,7 @@ pub fn utxo_proofdata_schema() -> ProofDataSchema {
 
 /// Evidence that a certificate is committed in a specific MC block: the
 /// header plus the commitment-subtree membership proof.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CertInclusion {
     /// The certificate.
     pub certificate: WithdrawalCertificate,
@@ -117,7 +116,7 @@ impl CertInclusion {
 }
 
 /// Witness of the Latus withdrawal-certificate circuit.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WcertWitness {
     /// The epoch being closed.
     pub epoch_id: EpochId,
@@ -503,7 +502,7 @@ pub fn sign_withdrawal(
 
 /// Witness proving ownership of a UTXO in the state committed by a
 /// specific certificate (the core of both BTR and CSW, §5.5.3.2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OwnershipWitness {
     /// The claimed UTXO.
     pub utxo: Utxo,
@@ -624,7 +623,7 @@ impl Circuit for BtrCircuit {
 
 /// One later certificate in a historical-ownership chain, witnessing its
 /// full `mst_delta`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeltaLink {
     /// The certificate (with inclusion evidence).
     pub cert: CertInclusion,
@@ -633,7 +632,7 @@ pub struct DeltaLink {
 }
 
 /// Witness of the CSW circuit (§5.5.3.3).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum CswWitness {
     /// Ownership in the *latest* certificate's state (the common case).
     Direct(OwnershipWitness),

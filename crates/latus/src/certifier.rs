@@ -15,7 +15,6 @@
 //!   certifier trust model is just another circuit behind the unified
 //!   verifier interface.
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::Encode;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
@@ -26,7 +25,7 @@ use zendoo_snark::inputs::PublicInputs;
 const CERTIFIER_CONTEXT: &str = "zendoo/certifier-endorsement";
 
 /// An m-of-n certifier committee.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CertifierCommittee {
     members: Vec<PublicKey>,
     threshold: usize,
@@ -115,7 +114,7 @@ impl CertifierCommittee {
 }
 
 /// One certifier's signature over a certificate statement.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Endorsement {
     /// The member's index in the committee.
     pub member_index: u32,

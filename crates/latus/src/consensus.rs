@@ -12,7 +12,6 @@
 //! a simulated randomness beacon standing in for Ouroboros's VRF-output
 //! folding.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_primitives::digest::Digest32;
@@ -22,7 +21,7 @@ use zendoo_primitives::vrf::{self, VrfOutput, VrfProof};
 use crate::state::SidechainState;
 
 /// Consensus parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConsensusParams {
     /// Slots per consensus epoch (`k` in §5.1).
     pub slots_per_epoch: u64,
@@ -88,7 +87,7 @@ impl ConsensusParams {
 }
 
 /// The stake distribution `SD_Ep` fixed before an epoch begins.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StakeDistribution {
     stakes: BTreeMap<Address, Amount>,
     total: Amount,
@@ -160,7 +159,7 @@ fn slot_message(params: &ConsensusParams, slot: u64) -> Vec<u8> {
 }
 
 /// Evidence of slot leadership.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LeadershipProof {
     /// The slot claimed.
     pub slot: u64,

@@ -11,7 +11,6 @@
 //! [`MstError::SlotCollision`] — the forward-transfer failure mode of
 //! §5.3.2.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_primitives::digest::Digest32;
@@ -22,7 +21,7 @@ use zendoo_primitives::smt::{NodeOpening, Smt, SmtError, SmtOpening, SmtProof};
 
 /// An unspent output on the Latus sidechain: `(addr, amount, nonce)`
 /// (§5.2).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Utxo {
     /// Owner address (hash of a Schnorr public key).
     pub address: Address,
@@ -300,7 +299,7 @@ impl Mst {
 /// Stored sparsely (set of touched positions) because production depths
 /// make a dense bit vector infeasible; [`MstDelta::to_bit_string`]
 /// renders the dense form for small trees (the Appendix A example).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MstDelta {
     depth: u32,
     touched: BTreeSet<u64>,

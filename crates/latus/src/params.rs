@@ -1,6 +1,5 @@
 //! Latus sidechain parameters.
 
-use serde::{Deserialize, Serialize};
 use zendoo_core::ids::SidechainId;
 
 /// Static parameters of one Latus deployment.
@@ -14,7 +13,7 @@ use zendoo_core::ids::SidechainId;
 /// let params = LatusParams::new(SidechainId::from_label("app"), 16);
 /// assert_eq!(params.mst_depth, 16);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LatusParams {
     /// The sidechain's registered `ledgerId`.
     pub sidechain_id: SidechainId,

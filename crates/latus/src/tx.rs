@@ -12,7 +12,6 @@
 //! one batch of insertions witnessed by one opening of the pre-state
 //! tree, from which the circuit re-derives every transfer's outcome.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::convert::Infallible;
 use zendoo_core::crosschain::InboundCrossTransfer;
@@ -45,7 +44,7 @@ pub enum UpdateError {
 /// `path` is valid against the tree root *before* this update and says
 /// what the slot held; applying the update writes `new_leaf` there and
 /// yields the next root. `None` denotes the empty slot.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LeafUpdate {
     /// Merkle path (and position) of the touched slot.
     pub path: SmtProof,
@@ -90,7 +89,7 @@ impl LeafUpdate {
 }
 
 /// A signed transaction input.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignedInput {
     /// The spent UTXO (full payload; the circuit checks membership).
     pub utxo: Utxo,
@@ -167,7 +166,7 @@ fn bt_sighash(spent: &[Utxo], backward_transfers: &[BackwardTransfer]) -> Digest
 }
 
 /// A regular multi-input multi-output payment (§5.3.1).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PaymentTx {
     /// Spent UTXOs with authorization.
     pub inputs: Vec<SignedInput>,
@@ -200,7 +199,7 @@ impl PaymentTx {
 
 /// A backward-transfer transaction (§5.3.3): spends UTXOs and appends
 /// backward transfers for the next certificate.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BackwardTransferTx {
     /// Spent UTXOs with authorization.
     pub inputs: Vec<SignedInput>,
@@ -235,7 +234,7 @@ impl BackwardTransferTx {
 
 /// Latus forward-transfer receiver metadata: 64 bytes —
 /// `receiverAddr (32) ‖ paybackAddr (32)` (§5.3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReceiverMetadata {
     /// The sidechain address to credit.
     pub receiver: Address,
@@ -276,7 +275,7 @@ impl Decode for ReceiverMetadata {
 /// Evidence that a synchronized transaction carries *exactly* the
 /// referenced MC block's data for this sidechain (§5.5.1: `mproof` /
 /// `proofOfNoData`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum McRefEvidence {
     /// The block has data for this sidechain: a commitment-subtree
     /// membership proof.
@@ -290,7 +289,7 @@ pub enum McRefEvidence {
 /// header plus commitment evidence. The base circuit verifies the header
 /// hash and the evidence against `header.sc_txs_commitment`, so forgers
 /// cannot fabricate, drop or reorder synchronized items.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct McRefBinding {
     /// The referenced MC block header.
     pub header: zendoo_mainchain::BlockHeader,
@@ -348,7 +347,7 @@ impl McRefBinding {
 /// The synchronized forward-transfers transaction (§5.3.2): the
 /// sidechain-side "receiving" half of MC→SC transfers, acting as a
 /// mainchain-authorized coinbase.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForwardTransfersTx {
     /// Hash of the referenced MC block (`mcid`).
     pub mc_block: Digest32,
@@ -360,7 +359,7 @@ pub struct ForwardTransfersTx {
 }
 
 /// The synchronized backward-transfer-requests transaction (§5.3.4).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BtrTx {
     /// Hash of the referenced MC block (`mcid`).
     pub mc_block: Digest32,
@@ -380,7 +379,7 @@ pub fn btr_claimed_utxo(btr: &BackwardTransferRequest) -> Option<Utxo> {
 }
 
 /// A Latus transaction (§5.3's four logical types).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScTransaction {
     /// Regular payment.
     Payment(PaymentTx),
@@ -413,7 +412,7 @@ impl ScTransaction {
 }
 
 /// One step of a synchronized-BTR application (§5.3.4).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BtrStep {
     /// The claimed UTXO existed; it is spent and a BT appended.
     Fulfilled(LeafUpdate),
@@ -430,7 +429,7 @@ pub enum BtrStep {
 
 /// The full witness of one state transition: everything the base circuit
 /// needs to re-derive `s_{i+1}` from `s_i` (§5.4).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TransitionWitness {
     /// The applied transaction.
     pub tx: ScTransaction,

@@ -634,3 +634,52 @@ fn an_absent_chain_is_served_no_data_and_no_certificate() {
     );
     apply_block(&params, &mut before.clone(), &sc_block, parent).unwrap();
 }
+
+/// A mainchain block whose parent is not the last one synced is refused
+/// by name; the node stays where it was and syncs the gap in order.
+#[test]
+fn a_mainchain_block_past_a_gap_is_refused_by_name() {
+    let mut h = TwoChains::new("adv-gap");
+    h.step(vec![]);
+    let expected = h.chain.tip_hash();
+    let mine = |h: &mut TwoChains| {
+        h.time += 1;
+        h.chain
+            .mine_next_block(h.mc_wallet.address(), vec![], h.time)
+            .unwrap()
+    };
+    let skipped = mine(&mut h);
+    let block = mine(&mut h);
+    let sync = |h: &mut TwoChains, block: &zendoo_mainchain::Block| {
+        h.node
+            .sync_mainchain_block(block, &Blockchain::build_commitment(&block.transactions))
+            .map(|_| ())
+    };
+    let refused = sync(&mut h, &block);
+    assert!(
+        matches!(refused, Err(NodeError::NonContiguousMcBlock { expected: e, found })
+            if e == expected && found == skipped.hash()),
+        "{refused:?}"
+    );
+    sync(&mut h, &skipped).unwrap();
+    sync(&mut h, &block).unwrap();
+}
+
+/// A certificate is produced only at the epoch's end: asked for one in
+/// the middle of the epoch, the node refuses by name and certifies the
+/// same epoch once its last block is synced.
+#[test]
+fn a_certificate_asked_for_mid_epoch_is_refused_by_name() {
+    let mut h = TwoChains::new("adv-early");
+    h.step(vec![]);
+    assert!(!h.node.epoch_complete());
+    let refused = h.node.produce_certificate();
+    assert!(
+        matches!(refused, Err(NodeError::EpochNotComplete)),
+        "{refused:?}"
+    );
+    while !h.node.epoch_complete() {
+        h.step(vec![]);
+    }
+    assert_eq!(h.node.produce_certificate().unwrap().epoch_id, 0);
+}

@@ -4,7 +4,6 @@
 //! sidechain-transactions commitment tree, so sidechain nodes can verify
 //! their slice of a block from the header alone.
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::Encode;
 use zendoo_primitives::merkle::{MerkleTree, Sha256Hasher};
@@ -14,7 +13,7 @@ use crate::pow::Target;
 use crate::transaction::McTransaction;
 
 /// A mainchain block header (the paper's `MCBlockHeader`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BlockHeader {
     /// Hash of the parent block (`prevBlock`).
     pub parent: Digest32,
@@ -58,7 +57,7 @@ impl Encode for BlockHeader {
 }
 
 /// A full mainchain block.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Block {
     /// The header.
     pub header: BlockHeader,

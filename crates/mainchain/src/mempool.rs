@@ -1,14 +1,13 @@
-//! A sharded, fee-prioritized transaction mempool.
+//! A fee-prioritized transaction mempool.
 //!
-//! The pool is partitioned into N txid-routed shards; each shard keeps
-//! a fee-rate-ordered priority index over its entries so admission,
-//! eviction and confirmed-removal are all O(log shard). Capacity is a
-//! configurable byte *and* count budget ([`MempoolConfig`]): when the
-//! pool is full the lowest-priority entry anywhere is evicted (or the
-//! incoming transaction rejected, if it ranks below everything
-//! already pooled). [`Mempool::take_ordered`] merges the shards into a
-//! highest-fee-rate-first block template, so block building packs the
-//! highest-paying transactions first.
+//! The pool keeps its entries by txid beside one fee-rate-ordered
+//! priority index, so admission, eviction and confirmed-removal are
+//! all O(log pool). Capacity is a configurable byte *and* count budget
+//! ([`MempoolConfig`]): when the pool is full the lowest-priority entry
+//! is evicted (or the incoming transaction rejected, if it ranks below
+//! everything already pooled). [`Mempool::take_ordered`] drains the
+//! index from its top into a highest-fee-rate-first block template, so
+//! block building packs the highest-paying transactions first.
 //!
 //! **Priority.** Entries order by `(class, fee rate, age)`:
 //!
@@ -42,11 +41,9 @@ use zendoo_telemetry::Telemetry;
 
 use crate::transaction::{escrow_claim_address, McTransaction, OutPoint};
 
-/// Capacity and partitioning knobs for the [`Mempool`].
+/// Capacity budget of the [`Mempool`].
 #[derive(Clone, Copy, Debug)]
 pub struct MempoolConfig {
-    /// Number of txid-routed shards (at least 1).
-    pub shards: usize,
     /// Maximum number of pooled transactions before eviction.
     pub max_count: usize,
     /// Maximum total encoded bytes before eviction.
@@ -56,7 +53,6 @@ pub struct MempoolConfig {
 impl Default for MempoolConfig {
     fn default() -> Self {
         MempoolConfig {
-            shards: 8,
             max_count: 200_000,
             max_bytes: 256 << 20,
         }
@@ -154,14 +150,6 @@ struct Entry {
     sig_verdicts: Option<Vec<(Digest32, bool)>>,
 }
 
-#[derive(Clone, Debug, Default)]
-struct Shard {
-    entries: HashMap<Digest32, Entry>,
-    /// Priority index: ascending = evict-first, descending = template
-    /// order. Keys are unique (the seq component).
-    index: BTreeMap<PriorityKey, Digest32>,
-}
-
 /// A block template drained from the pool by [`Mempool::take_ordered`]:
 /// transactions in highest-priority-first order with the ids they were
 /// pooled under, every signature verdict established for them at
@@ -180,7 +168,7 @@ pub struct TakenBatch {
     pub unverified: Vec<usize>,
 }
 
-/// A sharded mempool with fee-prioritized eviction.
+/// A mempool with fee-prioritized eviction.
 ///
 /// # Examples
 ///
@@ -198,9 +186,11 @@ pub struct TakenBatch {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Mempool {
-    shards: Vec<Shard>,
+    entries: HashMap<Digest32, Entry>,
+    /// Priority index: ascending = evict-first, descending = template
+    /// order. Keys are unique (the seq component).
+    index: BTreeMap<PriorityKey, Digest32>,
     config: MempoolConfig,
-    count: usize,
     bytes: usize,
     next_seq: u64,
     telemetry: Telemetry,
@@ -218,13 +208,12 @@ impl Mempool {
         Self::with_config(MempoolConfig::default())
     }
 
-    /// Creates an empty pool with explicit capacity/sharding.
+    /// Creates an empty pool with an explicit capacity.
     pub fn with_config(config: MempoolConfig) -> Self {
-        let shards = config.shards.max(1);
         Mempool {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            config: MempoolConfig { shards, ..config },
-            count: 0,
+            entries: HashMap::new(),
+            index: BTreeMap::new(),
+            config,
             bytes: 0,
             next_seq: 0,
             telemetry: Telemetry::disabled(),
@@ -240,12 +229,6 @@ impl Mempool {
     /// The pool's capacity configuration.
     pub fn config(&self) -> &MempoolConfig {
         &self.config
-    }
-
-    fn shard_of(&self, txid: &Digest32) -> usize {
-        let b = txid.as_bytes();
-        let route = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-        (route % self.shards.len() as u64) as usize
     }
 
     /// Admits a transaction under its id `txid` (the caller hashed it
@@ -285,8 +268,7 @@ impl Mempool {
     ) -> AdmitOutcome {
         let telemetry = self.telemetry.clone();
         let _span = telemetry.span("mc.mempool.admit");
-        let shard = self.shard_of(&txid);
-        if self.shards[shard].entries.contains_key(&txid) {
+        if self.entries.contains_key(&txid) {
             return AdmitOutcome::Duplicate;
         }
         let size = tx.encoded_size();
@@ -297,11 +279,11 @@ impl Mempool {
         };
         // Make room: evict strictly-lower-priority entries; if the
         // incoming transaction is itself the lowest, turn it away.
-        while self.count >= self.config.max_count || self.bytes + size > self.config.max_bytes {
-            match self.lowest() {
-                Some((victim_shard, victim_key)) if victim_key < key => {
-                    self.evict_one(victim_shard, victim_key);
-                }
+        while self.entries.len() >= self.config.max_count
+            || self.bytes + size > self.config.max_bytes
+        {
+            match self.index.first_key_value() {
+                Some((&victim, _)) if victim < key => self.evict_one(victim),
                 _ => {
                     self.telemetry.counter("mc.mempool.rejected_full", 1);
                     return AdmitOutcome::RejectedFull;
@@ -309,10 +291,9 @@ impl Mempool {
             }
         }
         self.next_seq += 1;
-        self.count += 1;
         self.bytes += size;
-        self.shards[shard].index.insert(key, txid);
-        self.shards[shard].entries.insert(
+        self.index.insert(key, txid);
+        self.entries.insert(
             txid,
             Entry {
                 tx,
@@ -326,26 +307,13 @@ impl Mempool {
         AdmitOutcome::Admitted
     }
 
-    /// The globally lowest-priority entry as `(shard, key)`.
-    fn lowest(&self) -> Option<(usize, PriorityKey)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.index.first_key_value().map(|(k, _)| (i, *k)))
-            .min_by_key(|(_, k)| *k)
-    }
-
-    fn evict_one(&mut self, shard: usize, key: PriorityKey) {
+    fn evict_one(&mut self, key: PriorityKey) {
         let telemetry = self.telemetry.clone();
         let _span = telemetry.span("mc.mempool.evict");
-        let Some(txid) = self.shards[shard].index.remove(&key) else {
+        let Some(txid) = self.index.remove(&key) else {
             return;
         };
-        let entry = self.shards[shard]
-            .entries
-            .remove(&txid)
-            .expect("index and entries agree");
-        self.count -= 1;
+        let entry = self.entries.remove(&txid).expect("index and entries agree");
         self.bytes -= entry.size;
         self.telemetry.counter("mc.mempool.evicted", 1);
         self.telemetry
@@ -354,12 +322,12 @@ impl Mempool {
 
     /// Returns `true` if the pool knows this txid.
     pub fn contains(&self, txid: &Digest32) -> bool {
-        self.shards[self.shard_of(txid)].entries.contains_key(txid)
+        self.entries.contains_key(txid)
     }
 
     /// Number of pending transactions.
     pub fn len(&self) -> usize {
-        self.count
+        self.entries.len()
     }
 
     /// Total encoded bytes pooled.
@@ -369,35 +337,21 @@ impl Mempool {
 
     /// Returns `true` if the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.entries.is_empty()
     }
 
     /// Removes and returns up to `max` transactions as a block
     /// template: consensus transactions first, then settlements, then
-    /// transfers by descending fee rate (a k-way merge of the shard
-    /// indexes), together with their pooled ids, their admission-time
-    /// signature verdicts and the marks of the unverified ones.
+    /// transfers by descending fee rate, together with their pooled
+    /// ids, their admission-time signature verdicts and the marks of
+    /// the unverified ones.
     pub fn take_ordered(&mut self, max: usize) -> TakenBatch {
         let mut batch = TakenBatch::default();
         while batch.txs.len() < max {
-            let Some((shard, key)) = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.index.last_key_value().map(|(k, _)| (i, *k)))
-                .max_by_key(|(_, k)| *k)
-            else {
+            let Some((_, txid)) = self.index.pop_last() else {
                 break;
             };
-            let txid = self.shards[shard]
-                .index
-                .remove(&key)
-                .expect("key just observed");
-            let entry = self.shards[shard]
-                .entries
-                .remove(&txid)
-                .expect("index and entries agree");
-            self.count -= 1;
+            let entry = self.entries.remove(&txid).expect("index and entries agree");
             self.bytes -= entry.size;
             match entry.sig_verdicts {
                 Some(verdicts) => batch.sig_verdicts.extend(verdicts),
@@ -412,13 +366,11 @@ impl Mempool {
 
     /// Drops transactions whose ids appear in `confirmed` (called
     /// after a block connects). O(confirmed), not O(pool): each txid
-    /// routes to its shard and removes one entry + one index key.
+    /// removes one entry + one index key.
     pub fn remove_confirmed(&mut self, confirmed: &[Digest32]) {
         for txid in confirmed {
-            let shard = self.shard_of(txid);
-            if let Some(entry) = self.shards[shard].entries.remove(txid) {
-                self.shards[shard].index.remove(&entry.key);
-                self.count -= 1;
+            if let Some(entry) = self.entries.remove(txid) {
+                self.index.remove(&entry.key);
                 self.bytes -= entry.size;
             }
         }
@@ -427,7 +379,8 @@ impl Mempool {
 
     fn update_gauges(&self) {
         if self.telemetry.is_enabled() {
-            self.telemetry.gauge("mc.mempool.size", self.count as u64);
+            self.telemetry
+                .gauge("mc.mempool.size", self.entries.len() as u64);
             self.telemetry.gauge("mc.mempool.bytes", self.bytes as u64);
         }
     }
@@ -480,7 +433,6 @@ mod tests {
 
     fn small_pool(max_count: usize) -> Mempool {
         Mempool::with_config(MempoolConfig {
-            shards: 4,
             max_count,
             max_bytes: usize::MAX,
         })
@@ -563,7 +515,6 @@ mod tests {
         let victim = transfer(1);
         let size = victim.encoded_size();
         let mut pool = Mempool::with_config(MempoolConfig {
-            shards: 2,
             max_count: usize::MAX,
             max_bytes: size + size / 2,
         });

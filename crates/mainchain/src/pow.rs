@@ -6,12 +6,11 @@
 //! accounting is exact so cumulative-work fork choice behaves correctly
 //! even across chains with different targets.
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::bigint::U256;
 use zendoo_primitives::digest::Digest32;
 
 /// A proof-of-work target: a block hash must be numerically ≤ the target.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Target(pub [u8; 32]);
 
 impl Target {

@@ -12,7 +12,6 @@
 //! certificate with the highest quality" without ever reverting payouts
 //! of a lower-quality certificate accepted earlier in the same window.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use zendoo_core::certificate::WithdrawalCertificate;
 use zendoo_core::config::SidechainConfig;
@@ -25,7 +24,7 @@ use zendoo_core::withdrawal::{BackwardTransferRequest, CeasedSidechainWithdrawal
 use zendoo_primitives::digest::Digest32;
 
 /// Liveness of a registered sidechain (Def 4.2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SidechainStatus {
     /// Posting certificates on schedule.
     Active,
@@ -34,7 +33,7 @@ pub enum SidechainStatus {
 }
 
 /// A certificate accepted into the registry (best-of-epoch so far).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AcceptedCertificate {
     /// The certificate.
     pub certificate: WithdrawalCertificate,
@@ -45,7 +44,7 @@ pub struct AcceptedCertificate {
 }
 
 /// Registry state for one sidechain.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SidechainEntry {
     /// Immutable creation-time configuration.
     pub config: SidechainConfig,
@@ -293,7 +292,7 @@ impl RegistryUndo {
 }
 
 /// The registry of all sidechains known to the mainchain.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SidechainRegistry {
     entries: BTreeMap<SidechainId, SidechainEntry>,
     nullifiers: HashSet<(SidechainId, Nullifier)>,

@@ -7,7 +7,6 @@
 //! certificates, BTRs and CSWs are special transaction kinds
 //! (§4.1.3's four cross-chain actions plus bootstrapping, §4.2).
 
-use serde::{Deserialize, Serialize};
 use zendoo_core::config::SidechainConfig;
 use zendoo_core::escrow::EscrowTag;
 use zendoo_core::ids::{Address, Amount};
@@ -22,7 +21,7 @@ use zendoo_primitives::schnorr::{Keypair, PublicKey, SecretKey, Signature};
 pub(crate) const SIGHASH_CONTEXT: &str = "zendoo/mc-sighash-v1";
 
 /// A reference to a spendable output: `(txid, output index)`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OutPoint {
     /// The creating transaction (or certificate) digest.
     pub txid: Digest32,
@@ -50,7 +49,7 @@ impl Decode for OutPoint {
 /// How an output may be spent: by its address's key, or — for escrowed
 /// cross-chain value — only through the consensus settlement/refund
 /// rules ([`zendoo_core::escrow`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OutputKind {
     /// A regular pay-to-address output: spending requires a signature
     /// from the address's key.
@@ -90,7 +89,7 @@ impl Decode for OutputKind {
 
 /// A spendable output: an address, an amount and the consensus
 /// [`OutputKind`] governing how it may be spent.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TxOut {
     /// The controlled address (hash of a Schnorr public key). For
     /// escrow-kind outputs this is a pure marker — no key authorizes
@@ -155,7 +154,7 @@ impl Decode for TxOut {
 }
 
 /// An output of a transfer transaction: spendable or a forward transfer.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Output {
     /// A regular spendable output.
     Regular(TxOut),
@@ -192,7 +191,7 @@ impl Encode for Output {
 /// A transaction input: the outpoint it spends plus spending
 /// authorization (public key whose hash matches the output's address and
 /// a Schnorr signature over the sighash).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TxIn {
     /// The spent output.
     pub outpoint: OutPoint,
@@ -224,7 +223,7 @@ impl Encode for TxIn {
 
 /// A multi-input multi-output transfer, possibly with forward-transfer
 /// outputs (the paper's regular transaction with FT outputs).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TransferTx {
     /// Spent outputs with authorization.
     pub inputs: Vec<TxIn>,
@@ -306,7 +305,7 @@ impl Encode for TransferTx {
 }
 
 /// The block-subsidy transaction (first in every block).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CoinbaseTx {
     /// Height of the containing block (makes the txid unique).
     pub height: u64,
@@ -322,7 +321,7 @@ impl Encode for CoinbaseTx {
 }
 
 /// A mainchain transaction.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum McTransaction {
     /// Block subsidy.
     Coinbase(CoinbaseTx),

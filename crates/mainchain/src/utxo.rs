@@ -1,6 +1,5 @@
 //! The unspent-transaction-output set.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use zendoo_core::ids::{Address, Amount};
 
@@ -26,7 +25,7 @@ use crate::transaction::{OutPoint, TxOut};
 /// assert_eq!(set.remove(&op).unwrap().amount, Amount::from_units(5));
 /// assert!(set.get(&op).is_none());
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UtxoSet {
     entries: HashMap<OutPoint, TxOut>,
     escrows: BTreeSet<OutPoint>,

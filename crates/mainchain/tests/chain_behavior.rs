@@ -508,7 +508,13 @@ fn csw_rejected_while_active() {
         .unwrap();
     h.submit_tx(ft).unwrap();
     let csw = h.csw(Address::from_label("u"), 10, b"utxo");
-    assert!(h.submit_tx(McTransaction::Csw(Box::new(csw))).is_err());
+    assert_eq!(
+        h.submit_tx(McTransaction::Csw(Box::new(csw))),
+        Err(BlockError::Registry(RegistryError::SidechainStillActive(
+            h.sc_id
+        )))
+    );
+    assert_eq!(h.sc_balance(), Amount::from_units(500));
 }
 
 #[test]
@@ -903,11 +909,89 @@ fn sidechain_declaration_id_uniqueness() {
     let mut config = h.config.clone();
     // Same id again → rejected.
     let dup = McTransaction::SidechainDeclaration(Box::new(config.clone()));
-    assert!(h.submit_tx(dup).is_err());
+    assert_eq!(
+        h.submit_tx(dup),
+        Err(BlockError::Registry(RegistryError::IdUnavailable(h.sc_id)))
+    );
     // Fresh id, future start → accepted.
     config.id = SidechainId::from_label("other");
     config.schedule = zendoo_core::epoch::EpochSchedule::new(h.chain.height() + 10, 10, 3).unwrap();
     let fresh = McTransaction::SidechainDeclaration(Box::new(config));
     h.submit_tx(fresh).unwrap();
     assert_eq!(h.chain.state().registry.len(), 2);
+}
+
+#[test]
+fn a_header_at_the_wrong_height_is_refused_by_name() {
+    let mut h = Harness::new();
+    let expected = h.chain.height() + 1;
+    let mut block = h
+        .chain
+        .prepare_block(h.miner.address(), vec![], h.time + 1)
+        .unwrap()
+        .block;
+    // The coinbase names the same height, so only the height is wrong.
+    block.header.height = expected + 1;
+    let Some(McTransaction::Coinbase(coinbase)) = block.transactions.first_mut() else {
+        panic!("a block opens with its coinbase");
+    };
+    coinbase.height = expected + 1;
+    let block = remine(&h.chain, block);
+    let tip = h.chain.tip_hash();
+    assert_eq!(
+        h.chain.submit_block(block).map(|_| ()),
+        Err(BlockError::BadHeight {
+            claimed: expected + 1,
+            expected
+        })
+    );
+    assert_eq!(h.chain.tip_hash(), tip);
+}
+
+/// The chain has one fixed target: a header declaring another is
+/// refused even when it meets the (harder) target it declares.
+#[test]
+fn a_header_declaring_another_target_is_refused_by_name() {
+    let mut h = Harness::new();
+    let mut block = h
+        .chain
+        .prepare_block(h.miner.address(), vec![], h.time + 1)
+        .unwrap()
+        .block;
+    let harder = Target::with_leading_zero_bits(4);
+    assert_ne!(harder, h.chain.params().target);
+    block.header = (0..)
+        .map(|nonce| BlockHeader {
+            nonce,
+            target: harder,
+            ..block.header
+        })
+        .find(|header| header.meets_target())
+        .unwrap();
+    let tip = h.chain.tip_hash();
+    assert_eq!(
+        h.chain.submit_block(block).map(|_| ()),
+        Err(BlockError::WrongTarget)
+    );
+    assert_eq!(h.chain.tip_hash(), tip);
+}
+
+#[test]
+fn an_activation_at_or_below_the_declaring_height_is_refused_by_name() {
+    let mut h = Harness::new();
+    let declared_at = h.chain.height() + 1;
+    let mut config = h.config.clone();
+    config.id = SidechainId::from_label("too-soon");
+    for start_block in [declared_at - 1, declared_at] {
+        config.schedule = zendoo_core::epoch::EpochSchedule::new(start_block, 10, 3).unwrap();
+        let declaration = McTransaction::SidechainDeclaration(Box::new(config.clone()));
+        assert_eq!(
+            h.submit_tx(declaration),
+            Err(BlockError::Registry(RegistryError::ActivationNotInFuture {
+                start_block,
+                declared_at
+            }))
+        );
+    }
+    assert_eq!(h.chain.state().registry.len(), 1);
 }

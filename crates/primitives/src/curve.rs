@@ -263,23 +263,6 @@ impl Mul<Fr> for AffinePoint {
     }
 }
 
-impl serde::Serialize for AffinePoint {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(&self.to_compressed())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for AffinePoint {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let bytes: Vec<u8> = serde::Deserialize::deserialize(deserializer)?;
-        let arr: [u8; 33] = bytes
-            .try_into()
-            .map_err(|_| serde::de::Error::custom("expected 33 bytes"))?;
-        AffinePoint::from_compressed(&arr)
-            .ok_or_else(|| serde::de::Error::custom("invalid curve point"))
-    }
-}
-
 /// A point in Jacobian projective coordinates `(X : Y : Z)` with
 /// `x = X/Z²`, `y = Y/Z³`. The identity is represented by `Z = 0`.
 #[derive(Clone, Copy, Debug)]

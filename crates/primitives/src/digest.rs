@@ -1,6 +1,5 @@
 //! 32-byte digests used as chain-level identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 32-byte digest (block hash, transaction id, commitment root, …).
@@ -14,7 +13,7 @@ use std::fmt;
 /// assert_eq!(d, Digest32::hash_bytes(b"hello"));
 /// assert_ne!(d, Digest32::ZERO);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Digest32(pub [u8; 32]);
 
 impl Digest32 {

@@ -477,23 +477,6 @@ impl<P: FieldParams> From<u64> for Fp256<P> {
     }
 }
 
-impl<P: FieldParams> serde::Serialize for Fp256<P> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(&self.to_be_bytes())
-    }
-}
-
-impl<'de, P: FieldParams> serde::Deserialize<'de> for Fp256<P> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let bytes: Vec<u8> = serde::Deserialize::deserialize(deserializer)?;
-        let arr: [u8; 32] = bytes
-            .try_into()
-            .map_err(|_| serde::de::Error::custom("expected 32 bytes"))?;
-        Fp256::from_be_bytes_canonical(&arr)
-            .ok_or_else(|| serde::de::Error::custom("non-canonical field element"))
-    }
-}
-
 /// Marker for the secp256k1 base field (`p = 2^256 - 2^32 - 977`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SecpBase;

@@ -8,7 +8,6 @@
 use crate::field::Fp;
 use crate::poseidon;
 use crate::sha256::sha256_tagged;
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 use std::sync::OnceLock;
 
@@ -142,11 +141,7 @@ impl<H: MerkleHasher> MerkleTree<H> {
 }
 
 /// A proof of membership of a leaf in a [`MerkleTree`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "H::Node: Serialize",
-    deserialize = "H::Node: serde::de::DeserializeOwned"
-))]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleProof<H: MerkleHasher> {
     leaf_index: u64,
     siblings: Vec<H::Node>,

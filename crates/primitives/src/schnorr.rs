@@ -11,7 +11,6 @@ use crate::curve::{AffinePoint, JacobianPoint};
 use crate::field::Fr;
 use crate::sha256::{sha256_tagged, Sha256};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
@@ -91,7 +90,7 @@ impl fmt::Debug for SecretKey {
 }
 
 /// A Schnorr public key (a curve point).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PublicKey(AffinePoint);
 
 impl PublicKey {
@@ -133,7 +132,7 @@ impl fmt::Debug for PublicKey {
 }
 
 /// A Schnorr signature `(R, s)`; 65 bytes serialized.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Signature {
     r: AffinePoint,
     s: Fr,

@@ -27,7 +27,6 @@
 use crate::field::Fp;
 use crate::merkle::{MerkleHasher, PoseidonHasher};
 use crate::poseidon;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Height of the tallest supported tree (indices are `u64`).
@@ -615,7 +614,7 @@ impl<'a, P> Iterator for Iter<'a, P> {
 }
 
 /// What a proof's walk from the root ends in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Ending {
     /// An empty subtree: every slot below it is empty.
     Empty,
@@ -629,7 +628,7 @@ pub enum Ending {
 }
 
 /// A node hash opened as the one kind it is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeOpening {
     /// The node is a lone leaf.
     Leaf {
@@ -680,7 +679,7 @@ pub enum WitnessError {
 /// root towards the slot — at most `depth` of them — and what the walk
 /// ends in. It proves membership when it ends in the slot's own leaf and
 /// absence when it ends in an empty subtree or in another slot's leaf.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SmtProof {
     index: u64,
     depth: u32,
@@ -838,7 +837,7 @@ impl SmtProof {
 }
 
 /// One node of an [`SmtOpening`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum Opened {
     /// A subtree no walk enters, by its hash.
     Hash(Fp),
@@ -859,7 +858,7 @@ enum Opened {
 /// Nothing in it is trusted until the first root of
 /// [`SmtOpening::roots_of_inserts`] is compared with a root the verifier
 /// holds; what [`SmtOpening::occupant`] reports is true under that root.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SmtOpening {
     depth: u32,
     root: Opened,

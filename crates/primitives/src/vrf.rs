@@ -11,13 +11,12 @@ use crate::curve::{AffinePoint, JacobianPoint};
 use crate::field::Fr;
 use crate::schnorr::{PublicKey, SecretKey};
 use crate::sha256::sha256_tagged;
-use serde::{Deserialize, Serialize};
 
 /// Domain tag for hash-to-curve inside the VRF.
 const H2C_DOMAIN: &str = "zendoo/vrf-h2c";
 
 /// A VRF output: 32 uniform bytes, a pure function of `(sk, msg)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct VrfOutput(pub [u8; 32]);
 
 impl VrfOutput {
@@ -31,7 +30,7 @@ impl VrfOutput {
 }
 
 /// A VRF proof `(Γ, c, s)`: the evaluated point plus a DLEQ transcript.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VrfProof {
     gamma: AffinePoint,
     c: Fr,

@@ -1,9 +1,7 @@
 //! Simulation metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters collected while a scenario runs.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Mainchain blocks mined.
     pub mc_blocks: u64,

@@ -102,25 +102,17 @@ pub struct SimConfig {
     /// histograms across the mainchain pipeline, the router and the
     /// shards); snapshot it via [`World::telemetry_snapshot`]. The
     /// default is `false`: every instrument site then hits the no-op
-    /// recorder, whose cost is a single branch. Recording can also be
-    /// switched on later via [`World::enable_telemetry`].
+    /// recorder, whose cost is a single branch.
     pub telemetry: bool,
-    /// Capacity and sharding of the miner's MC mempool. The
-    /// default budget is far above scenario-scale traffic (nothing is
-    /// ever evicted); load tests shrink it to exercise fee-prioritized
-    /// eviction under pressure.
+    /// Capacity of the miner's MC mempool. The default budget is far
+    /// above scenario-scale traffic (nothing is ever evicted); load
+    /// tests shrink it to exercise fee-prioritized eviction under
+    /// pressure.
     pub mempool: MempoolConfig,
     /// Extra mainchain genesis outputs appended after the
     /// [`SimConfig::genesis_users`] outputs. Load generation funds
     /// populations too large for named users through this hook.
     pub extra_genesis_outputs: Vec<TxOut>,
-    /// When set, the world persists the mainchain's UTXO set through a
-    /// journaled [`UtxoStore`] in this directory and serves
-    /// balance/receipt/pending-inbound queries from an [`Indexer`]
-    /// over it (both synced and fsynced at the end of every tick).
-    /// `None` (the default) runs fully in memory. Can also be attached
-    /// later via [`World::attach_persistence`].
-    pub persist_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for SimConfig {
@@ -136,7 +128,6 @@ impl Default for SimConfig {
             telemetry: false,
             mempool: MempoolConfig::default(),
             extra_genesis_outputs: Vec::new(),
-            persist_dir: None,
         }
     }
 }
@@ -324,12 +315,12 @@ pub struct World {
     pub(crate) workers: Option<usize>,
     /// The telemetry handle shared by the chain, the router, the
     /// miner's pool and the coordinator (disabled unless
-    /// [`SimConfig::telemetry`] or [`World::enable_telemetry`]).
+    /// [`SimConfig::telemetry`]).
     pub(crate) telemetry: Telemetry,
     /// The sink behind `telemetry` when recording is on.
     pub(crate) recorder: Option<Arc<InMemoryRecorder>>,
     /// Durable UTXO store + indexer, when persistence is attached
-    /// ([`SimConfig::persist_dir`] / [`World::attach_persistence`]).
+    /// ([`World::attach_persistence`]).
     pub(crate) persistence: Option<Persistence>,
 }
 
@@ -476,7 +467,7 @@ impl World {
             );
         }
 
-        let mut world = World {
+        World {
             chain,
             shards,
             order: sidechain_ids,
@@ -494,13 +485,7 @@ impl World {
             telemetry,
             recorder,
             persistence: None,
-        };
-        if let Some(dir) = &config.persist_dir {
-            world
-                .attach_persistence(dir)
-                .expect("SimConfig::persist_dir must be usable");
         }
-        world
     }
 
     /// Attaches durable persistence: the chain starts logging
@@ -1035,25 +1020,9 @@ impl World {
 
     /// The world's telemetry handle (shared by the chain, the router
     /// and the coordinator). Disabled unless [`SimConfig::telemetry`]
-    /// was set or [`World::enable_telemetry`] was called.
+    /// was set.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Switches telemetry recording on (idempotent). All subsequent
-    /// steps record into an in-memory recorder; anything recorded
-    /// before the switch is lost (the disabled recorder drops
-    /// everything).
-    pub fn enable_telemetry(&mut self) {
-        if self.recorder.is_some() {
-            return;
-        }
-        let (telemetry, recorder) = Telemetry::in_memory();
-        self.chain.set_telemetry(telemetry.clone());
-        self.router.set_telemetry(telemetry.clone());
-        self.miner.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self.recorder = Some(recorder);
     }
 
     /// A deterministic snapshot of everything recorded so far: spans

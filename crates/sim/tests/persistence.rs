@@ -1,10 +1,10 @@
-//! World-level persistence contract: with `SimConfig::persist_dir`
-//! set, the journaled store and indexer mirror the live world
+//! World-level persistence contract: with `World::attach_persistence`
+//! called right after `World::new`, the journaled store and indexer mirror the live world
 //! bit-identically every tick — through kill-and-recover restarts,
 //! torn journal tails, and mainchain reorgs — without perturbing the
 //! run itself.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use zendoo_sim::{Action, Schedule, SimConfig, World};
 use zendoo_store::chain_state_digest;
@@ -16,12 +16,18 @@ fn temp_dir(tag: &str) -> PathBuf {
     p
 }
 
-fn config(persist_dir: Option<PathBuf>) -> SimConfig {
+fn config() -> SimConfig {
     SimConfig {
         workers: Some(1),
-        persist_dir,
         ..SimConfig::with_sidechains(2)
     }
+}
+
+/// A fresh world persisting to `dir` from genesis on.
+fn persisted_world(dir: &Path) -> World {
+    let mut world = World::new(config());
+    world.attach_persistence(dir).unwrap();
+    world
 }
 
 fn schedule() -> Schedule {
@@ -38,10 +44,9 @@ fn schedule() -> Schedule {
 #[test]
 fn persisted_world_matches_in_memory_through_kills_and_torn_tails() {
     let dir = temp_dir("lockstep");
-    let cfg = config(Some(dir.clone()));
-    let ticks = (cfg.epoch_len as u64 + 1) * 3;
-    let mut world = World::new(cfg);
-    let mut twin = World::new(config(None));
+    let ticks = (config().epoch_len as u64 + 1) * 3;
+    let mut world = persisted_world(&dir);
+    let mut twin = World::new(config());
     let schedule = schedule();
 
     let mut max_pending = 0usize;
@@ -132,7 +137,7 @@ fn persisted_world_matches_in_memory_through_kills_and_torn_tails() {
 #[test]
 fn reorg_rolls_the_persisted_store_back_in_lockstep() {
     let dir = temp_dir("reorg");
-    let mut world = World::new(config(Some(dir.clone())));
+    let mut world = persisted_world(&dir);
     let schedule = Schedule::new()
         .at(0, Action::ForwardTransferTo(0, "alice".into(), 30_000))
         .at(1, Action::CrossTransfer(0, 1, "alice".into(), 5_000));

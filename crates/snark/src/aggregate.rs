@@ -42,7 +42,6 @@
 //! unsatisfied statements, not on key secrecy (see the substitution
 //! model in [`crate::backend`]).
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::Encode;
 use zendoo_primitives::field::Fp;
@@ -81,7 +80,7 @@ pub fn statement_key(vk: &VerifyingKey, inputs: &PublicInputs, proof: &Proof) ->
 /// tree's shape cannot change the statement — at the price of being a
 /// *multiset* commitment: order is deliberately not bound, which is
 /// sound because verdicts attach to statements, not positions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AggDigest {
     hi: Fp,
     lo: Fp,
@@ -144,7 +143,7 @@ fn leaf_digest(item: &BatchItem) -> AggDigest {
 }
 
 /// Whether an [`AggregateProof`] came from the Wrap or the Fold circuit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AggKind {
     /// Attests a single leaf statement.
     Wrap,
@@ -154,7 +153,7 @@ pub enum AggKind {
 
 /// A succinct proof that every leaf statement in a multiset (committed
 /// by `digest`, `count` leaves) verifies.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AggregateProof {
     digest: AggDigest,
     count: u64,
@@ -187,7 +186,7 @@ impl AggregateProof {
 /// The aggregate proof of one block's proof work list. A block owing no
 /// SNARK checks carries the empty proof (`aggregate` is `None`): there
 /// is nothing to attest and nothing to verify.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BlockProof {
     aggregate: Option<AggregateProof>,
 }

@@ -25,7 +25,6 @@
 
 use std::borrow::Borrow;
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::Encode;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
@@ -106,7 +105,7 @@ impl std::fmt::Debug for ProvingKey {
 ///
 /// This is what a sidechain registers with the mainchain at creation time
 /// (§4.2); the mainchain needs nothing else to validate certificates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VerifyingKey {
     circuit_id: Digest32,
     attestor: PublicKey,
@@ -128,7 +127,7 @@ impl VerifyingKey {
 }
 
 /// A constant-size proof (65 bytes serialized).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Proof {
     attestation: Signature,
 }

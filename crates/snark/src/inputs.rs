@@ -6,7 +6,6 @@
 //! (mainchain block hashes, Merkle roots) enter as two 128-bit limbs so
 //! the embedding is injective.
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::Encode;
 use zendoo_primitives::field::Fp;
@@ -23,7 +22,7 @@ use zendoo_primitives::field::Fp;
 /// inputs.push_u64(42).push_fp(Fp::from_u64(7));
 /// assert_eq!(inputs.len(), 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct PublicInputs(Vec<Fp>);
 
 impl PublicInputs {

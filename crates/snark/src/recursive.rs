@@ -18,7 +18,6 @@
 
 use std::borrow::Borrow;
 
-use serde::{Deserialize, Serialize};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
 
@@ -76,7 +75,7 @@ pub trait TransitionVerifier {
 }
 
 /// Whether a [`StateProof`] came from the Base or the Merge circuit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProofKind {
     /// Proof of a single transition.
     Base,
@@ -86,7 +85,7 @@ pub enum ProofKind {
 
 /// A succinct proof that some transition sequence leads from state digest
 /// `from` to state digest `to`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StateProof {
     from: Fp,
     to: Fp,

@@ -1,15 +1,16 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The build environment has no network access, so this workspace
-//! vendors the minimal serde API surface its own code touches: the
-//! `Serialize`/`Deserialize`/`Serializer`/`Deserializer` traits (used
-//! by a handful of manual impls over byte representations) and the
-//! no-op derive macros from the sibling `serde_derive` stand-in.
+//! vendors a minimal serde API surface: the
+//! `Serialize`/`Deserialize`/`Serializer`/`Deserializer` traits over a
+//! byte-oriented data model and the no-op derive macros from the
+//! sibling `serde_derive` stand-in.
 //!
-//! The data model is deliberately byte-oriented: the only manual impls
-//! in the workspace serialize to and from byte strings. Nothing in the
-//! repository drives an actual serializer — canonical wire encoding
-//! goes through the in-repo `Encode` trait instead.
+//! No code of the workspace calls it any more: no type derives or
+//! implements a serde trait (`make serde-audit` keeps it so), and
+//! canonical wire encoding goes through the in-repo `Encode`/`Decode`
+//! pair. Only the dependency edges in the manifests remain, until they
+//! are dropped together with this crate.
 
 pub use serde_derive::{Deserialize, Serialize};
 

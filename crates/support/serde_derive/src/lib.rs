@@ -1,12 +1,11 @@
 //! Offline stand-in for the `serde_derive` proc-macro crate.
 //!
 //! The workspace builds without network access, so the real crates.io
-//! `serde` stack is unavailable. Nothing in this repository performs
-//! actual serialization through serde (all wire formats go through the
-//! in-repo `Encode` trait); the derives exist so type definitions keep
-//! their familiar `#[derive(Serialize, Deserialize)]` shape. These
-//! derives therefore expand to nothing: the types simply do not get
-//! serde impls, and no code requires them to.
+//! `serde` stack is unavailable. These derives expand to nothing, and
+//! no type of the workspace uses them any more: all wire formats go
+//! through the in-repo `Encode`/`Decode` pair, and `make serde-audit`
+//! fails if a derive comes back. Only the dependency edge through the
+//! `serde` stand-in remains, until both crates are dropped.
 
 use proc_macro::TokenStream;
 
