@@ -174,15 +174,20 @@ test-adversarial:
 test-byzantine:
 	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::" "zendoo-sim shared_commitment")
 
-# The persistence suites: journal kill-and-recover, torn-tail and
-# rollback replay at the store level (recovery), every crash point of a
-# 3-record journal — cut at each byte offset, each bit of its last
-# frame flipped — landing on the committed prefix with the exact torn
-# bytes and resuming appends (crash_points, case counts printed), and
+# The persistence suites: the store's unit tests (the journal checksum's
+# known answer and every single-bit flip, a ZSJ1 journal refused, the
+# store's refusals by name, the exact state check, the streamed digest,
+# the index rebuild against applying the whole store), journal
+# kill-and-recover, torn-tail and rollback replay at the store level
+# (recovery), every crash point of a 3-record journal — cut at each
+# byte offset, each bit of its last frame flipped — landing on the
+# committed prefix with the exact torn bytes and resuming appends
+# (crash_points, case counts printed), and
 # the world-level lockstep contract — per-tick digest equality through
-# mid-run kills, torn tails and reorgs (persistence).
+# mid-run kills, torn tails and reorgs, and a journal one respect off
+# the live chain refused on attach and on restart (persistence).
 test-store:
-	$(call run-suites,store,"zendoo-store recovery" "zendoo-store crash_points --nocapture" "zendoo-sim persistence")
+	$(call run-suites,store,"zendoo-store lib" "zendoo-store recovery" "zendoo-store crash_points --nocapture" "zendoo-sim persistence")
 
 # The one tree, by name: the sparse Merkle tree's differential against
 # the recursive reference of its definition (depths 6 / 40 / 63), the

@@ -336,14 +336,64 @@ pub fn sha256d(data: &[u8]) -> [u8; 32] {
 /// One-shot SHA-256 over the concatenation of several segments, with
 /// length framing so that segment boundaries cannot be confused.
 pub fn sha256_tagged(tag: &str, segments: &[&[u8]]) -> [u8; 32] {
-    let mut hasher = Sha256::new();
-    hasher.update(&(tag.len() as u64).to_be_bytes());
-    hasher.update(tag.as_bytes());
+    let mut hasher = TaggedSha256::new(tag);
     for segment in segments {
-        hasher.update(&(segment.len() as u64).to_be_bytes());
+        hasher.segment(segment.len() as u64);
         hasher.update(segment);
     }
     hasher.finalize()
+}
+
+/// [`sha256_tagged`] written a piece at a time: each segment's length
+/// is declared up front, then its bytes arrive in any number of
+/// [`update`](TaggedSha256::update)s. The digest equals
+/// `sha256_tagged(tag, segments)` over the same segments, so a large
+/// segment can be hashed without ever holding it whole.
+///
+/// # Panics
+///
+/// When a segment receives more or fewer bytes than it declared, at
+/// the `update`, `segment` or `finalize` call that shows it.
+#[derive(Clone, Debug)]
+pub struct TaggedSha256 {
+    hasher: Sha256,
+    /// Bytes the open segment still expects.
+    remaining: u64,
+}
+
+impl TaggedSha256 {
+    /// Starts a tagged hash.
+    pub fn new(tag: &str) -> Self {
+        let mut hasher = TaggedSha256 {
+            hasher: Sha256::new(),
+            remaining: 0,
+        };
+        hasher.segment(tag.len() as u64);
+        hasher.update(tag.as_bytes());
+        hasher
+    }
+
+    /// Opens the next segment, `len` bytes long.
+    pub fn segment(&mut self, len: u64) {
+        assert_eq!(self.remaining, 0, "the previous segment is short");
+        self.hasher.update(&len.to_be_bytes());
+        self.remaining = len;
+    }
+
+    /// Absorbs the next bytes of the open segment.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.remaining = self
+            .remaining
+            .checked_sub(bytes.len() as u64)
+            .expect("bytes beyond the declared segment length");
+        self.hasher.update(bytes);
+    }
+
+    /// The digest.
+    pub fn finalize(self) -> [u8; 32] {
+        assert_eq!(self.remaining, 0, "the last segment is short");
+        self.hasher.finalize()
+    }
 }
 
 /// A deterministic counter-mode SHA-256 pseudo-random generator.
@@ -557,6 +607,43 @@ mod tests {
         let b = sha256_tagged("t", &[b"a", b"bc"]);
         assert_ne!(a, b, "length framing must distinguish segmentations");
         assert_ne!(sha256_tagged("t1", &[b"x"]), sha256_tagged("t2", &[b"x"]));
+    }
+
+    /// The framing written out by hand: a 64-bit length before the tag
+    /// and before each segment. A segment fed in pieces hashes as one.
+    #[test]
+    fn tagged_hash_frames_each_segment_with_its_length() {
+        let mut framed = Vec::new();
+        for part in [&b"tag"[..], b"", b"hello world"] {
+            framed.extend_from_slice(&(part.len() as u64).to_be_bytes());
+            framed.extend_from_slice(part);
+        }
+        let one_shot = sha256_tagged("tag", &[b"", b"hello world"]);
+        assert_eq!(one_shot, sha256(&framed));
+        let mut pieces = TaggedSha256::new("tag");
+        pieces.segment(0);
+        pieces.segment(11);
+        for piece in [&b"hel"[..], b"", b"lo wor", b"ld"] {
+            pieces.update(piece);
+        }
+        assert_eq!(pieces.finalize(), one_shot);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the declared segment length")]
+    fn a_tagged_segment_refuses_bytes_beyond_its_length() {
+        let mut hasher = TaggedSha256::new("tag");
+        hasher.segment(2);
+        hasher.update(b"abc");
+    }
+
+    #[test]
+    #[should_panic(expected = "the last segment is short")]
+    fn a_tagged_hash_refuses_a_short_last_segment() {
+        let mut hasher = TaggedSha256::new("tag");
+        hasher.segment(2);
+        hasher.update(b"a");
+        hasher.finalize();
     }
 
     #[test]

@@ -65,7 +65,7 @@ use zendoo_mainchain::Block;
 use zendoo_primitives::schnorr::Keypair;
 use zendoo_primitives::smt;
 use zendoo_snark::batch::fan_out;
-use zendoo_store::{chain_state_digest, Indexer, StoreError, UtxoStore};
+use zendoo_store::{Indexer, StoreError, UtxoStore};
 use zendoo_telemetry::{InMemoryRecorder, Snapshot, Telemetry};
 
 use crate::coordinator;
@@ -503,7 +503,7 @@ impl World {
         let mut store = UtxoStore::open(dir, self.telemetry.clone())?;
         if !store.is_seeded() {
             store.bootstrap(&self.chain)?;
-        } else if store.state_digest() != chain_state_digest(&self.chain) {
+        } else if !store.matches(&self.chain) {
             return Err(SimError::Store(format!(
                 "journal in {} holds a different chain state (height {} vs {})",
                 dir.display(),
@@ -523,8 +523,9 @@ impl World {
 
     /// Kill-and-recover: drops the live store/indexer (as a crashed
     /// process would) and rebuilds both purely from the journal on
-    /// disk, verifying the recovered state is bit-identical to the
-    /// in-memory chain. Returns the recovered state digest.
+    /// disk, verifying the recovered state equals the in-memory chain
+    /// entry for entry ([`UtxoStore::matches`]). Returns the recovered
+    /// state digest.
     ///
     /// # Errors
     ///
@@ -539,15 +540,15 @@ impl World {
         drop((persistence.store, persistence.indexer));
 
         let store = UtxoStore::open(&dir, self.telemetry.clone())?;
-        let digest = store.state_digest();
-        if digest != chain_state_digest(&self.chain) {
+        if !store.matches(&self.chain) {
             return Err(SimError::Store(format!(
-                "journal in {} recovered to height {} but the live chain is at {}",
+                "journal in {} recovered a chain state other than the live one (height {} vs {})",
                 dir.display(),
                 store.height(),
                 self.chain.height(),
             )));
         }
+        let digest = store.state_digest();
         let indexer = Indexer::from_store(&store, self.telemetry.clone());
         self.persistence = Some(Persistence {
             dir,

@@ -6,8 +6,14 @@
 
 use std::path::{Path, PathBuf};
 
-use zendoo_sim::{Action, Schedule, SimConfig, World};
-use zendoo_store::chain_state_digest;
+use zendoo_core::escrow::EscrowTag;
+use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
+use zendoo_mainchain::transaction::OutputKind;
+use zendoo_mainchain::{Blockchain, ChainEvent, OutPoint, TxOut};
+use zendoo_primitives::digest::Digest32;
+use zendoo_sim::{Action, Schedule, SimConfig, SimError, World};
+use zendoo_store::{chain_state_digest, UtxoStore};
+use zendoo_telemetry::Telemetry;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -169,4 +175,177 @@ fn reorg_rolls_the_persisted_store_back_in_lockstep() {
     }
     assert!(world.conservation_holds() && world.safeguards_hold());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A block that connects on the store's tip and disconnects again,
+/// spending `spent` and restoring `restored`: journaled like any other
+/// events, it leaves the store's state edited in one respect — or, with
+/// `parent` other than the tip, on another tip.
+fn detour(
+    store: &UtxoStore,
+    spent: Vec<(OutPoint, TxOut)>,
+    restored: Vec<(OutPoint, TxOut)>,
+    parent: Digest32,
+) -> Vec<ChainEvent> {
+    let hash = Digest32::hash_bytes(b"detour");
+    let height = store.height() + 1;
+    vec![
+        ChainEvent::Connected {
+            hash,
+            height,
+            created: Vec::new(),
+            spent,
+        },
+        ChainEvent::Disconnected {
+            hash,
+            height,
+            parent,
+            created: Vec::new(),
+            spent: restored,
+        },
+    ]
+}
+
+/// A journal in `dir` holding `chain`'s state, in place of any there.
+fn fresh_journal(dir: &Path, chain: &Blockchain) {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut store = UtxoStore::open(dir, Telemetry::disabled()).unwrap();
+    store.bootstrap(chain).unwrap();
+}
+
+/// Journals `edit`'s events on the store persisted in `dir`.
+fn edit_journal(dir: &Path, edit: &dyn Fn(&UtxoStore) -> Vec<ChainEvent>) {
+    let mut store = UtxoStore::open(dir, Telemetry::disabled()).unwrap();
+    for event in edit(&store) {
+        store.apply_event(&event).unwrap();
+    }
+    store.commit().unwrap();
+}
+
+/// A journal that differs from the live chain in exactly one respect
+/// is refused with `SimError::Store`, both when persistence attaches to
+/// it and when a restart recovers it; one edited back to the live state
+/// is accepted by both.
+#[test]
+fn a_journal_one_respect_off_the_live_chain_is_refused() {
+    let (attach_dir, reopen_dir) = (temp_dir("refuse-attach"), temp_dir("refuse-reopen"));
+    let mut world = World::new(config());
+    let schedule = schedule();
+    for tick in 0..4 {
+        schedule.fire(&mut world, tick);
+        world.step().unwrap();
+    }
+    type Edit = Box<dyn Fn(&UtxoStore) -> Vec<ChainEvent>>;
+    let first = |store: &UtxoStore| {
+        let (outpoint, out) = store.iter().next().expect("the chain holds outputs");
+        (*outpoint, *out)
+    };
+    let edits: Vec<(&str, Edit)> = vec![
+        (
+            "one entry's amount",
+            Box::new(move |store| {
+                let (outpoint, out) = first(store);
+                let more = TxOut {
+                    amount: out.amount.checked_add(Amount::from_units(1)).unwrap(),
+                    ..out
+                };
+                detour(
+                    store,
+                    vec![(outpoint, out)],
+                    vec![(outpoint, more)],
+                    store.tip(),
+                )
+            }),
+        ),
+        (
+            "one entry's kind",
+            Box::new(move |store| {
+                let (outpoint, out) = first(store);
+                let escrow = TxOut {
+                    kind: OutputKind::Escrow(EscrowTag {
+                        source: SidechainId::from_label("source"),
+                        epoch: 0,
+                        dest: SidechainId::from_label("elsewhere"),
+                        payback: Address::from_label("payback"),
+                        nullifier: Nullifier(Digest32::hash_bytes(b"nullifier")),
+                    }),
+                    ..out
+                };
+                detour(
+                    store,
+                    vec![(outpoint, out)],
+                    vec![(outpoint, escrow)],
+                    store.tip(),
+                )
+            }),
+        ),
+        (
+            "one missing entry",
+            Box::new(move |store| detour(store, vec![first(store)], Vec::new(), store.tip())),
+        ),
+        (
+            "one extra entry",
+            Box::new(move |store| {
+                let absent = OutPoint {
+                    txid: Digest32::hash_bytes(b"absent"),
+                    index: 0,
+                };
+                detour(
+                    store,
+                    Vec::new(),
+                    vec![(absent, first(store).1)],
+                    store.tip(),
+                )
+            }),
+        ),
+        (
+            "the tip",
+            Box::new(|store| {
+                let elsewhere = Digest32::hash_bytes(b"another tip");
+                detour(store, Vec::new(), Vec::new(), elsewhere)
+            }),
+        ),
+        (
+            "the height",
+            Box::new(|store| {
+                vec![ChainEvent::Connected {
+                    hash: store.tip(),
+                    height: store.height() + 1,
+                    created: Vec::new(),
+                    spent: Vec::new(),
+                }]
+            }),
+        ),
+    ];
+
+    let refused = |outcome: Result<(), SimError>, respect: &str, path: &str| match outcome {
+        Err(SimError::Store(_)) => {}
+        other => panic!("{path} accepted a journal off in {respect}: {other:?}"),
+    };
+    for (respect, edit) in &edits {
+        fresh_journal(&attach_dir, &world.chain);
+        edit_journal(&attach_dir, edit.as_ref());
+        refused(world.attach_persistence(&attach_dir), respect, "attach");
+
+        let _ = std::fs::remove_dir_all(&reopen_dir);
+        world.attach_persistence(&reopen_dir).unwrap();
+        edit_journal(&reopen_dir, edit.as_ref());
+        refused(world.reopen_persistence().map(|_| ()), respect, "reopen");
+        assert!(world.store().is_none(), "a refused restart keeps no store");
+    }
+
+    // A detour that restores what it spent leaves the state as it was:
+    // accepted both ways.
+    let unchanged: Edit = Box::new(move |store| {
+        let entry = first(store);
+        detour(store, vec![entry], vec![entry], store.tip())
+    });
+    fresh_journal(&attach_dir, &world.chain);
+    edit_journal(&attach_dir, unchanged.as_ref());
+    world.attach_persistence(&attach_dir).unwrap();
+    edit_journal(&attach_dir, unchanged.as_ref());
+    let digest = world.reopen_persistence().unwrap();
+    assert_eq!(digest, chain_state_digest(&world.chain));
+    let _ = std::fs::remove_dir_all(&attach_dir);
+    let _ = std::fs::remove_dir_all(&reopen_dir);
 }

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 
+use zendoo_core::escrow::EscrowTag;
 use zendoo_core::ids::{Address, Amount, EpochId, Nullifier, SidechainId};
 use zendoo_mainchain::transaction::OutputKind;
 use zendoo_mainchain::OutPoint;
@@ -72,15 +73,54 @@ impl Indexer {
         }
     }
 
-    /// Cold-start: rebuilds every chain-derived index by scanning the
-    /// (already replayed) store. Records an `indexer.coldstart` span.
+    /// Cold-start: rebuilds every chain-derived index in one scan of
+    /// the (already replayed) store, copying none of it. The result is
+    /// the indexer that [`Indexer::apply`] of the whole store as one
+    /// delta would build: regular outputs' balances are summed in one
+    /// sorted pass and bulk-built, and escrows take the same slots and
+    /// the same per-destination write. Records an `indexer.coldstart`
+    /// span.
     pub fn from_store(store: &UtxoStore, telemetry: Telemetry) -> Self {
         let mut indexer = Indexer::new(telemetry.clone());
-        let seed = AppliedDelta {
-            added: store.iter().map(|(op, out)| (*op, *out)).collect(),
-            removed: Vec::new(),
-        };
-        let (_, _nanos) = telemetry.time("indexer.coldstart", || indexer.apply(&seed));
+        let (_, _nanos) = telemetry.time("indexer.coldstart", || {
+            let mut regular = Vec::new();
+            let mut planned = BTreeMap::new();
+            for (outpoint, out) in store.iter() {
+                match out.kind {
+                    OutputKind::Regular => regular.push((leading_word(&out.address), out)),
+                    OutputKind::Escrow(tag) => plan_escrow(
+                        &mut indexer.pending,
+                        &mut indexer.trees,
+                        &mut planned,
+                        *outpoint,
+                        out.amount,
+                        &tag,
+                    ),
+                }
+            }
+            write_planned(&mut indexer.trees, planned);
+            // Address order by leading word. Two addresses that share
+            // one (hashes, so about never) meet somewhere in their run
+            // of equal words; then the run order is redone by whole
+            // addresses.
+            regular.sort_unstable_by_key(|(word, _)| *word);
+            if regular
+                .windows(2)
+                .any(|pair| pair[0].0 == pair[1].0 && pair[0].1.address != pair[1].1.address)
+            {
+                regular.sort_unstable_by_key(|(_, out)| out.address);
+            }
+            let mut balances: Vec<(Address, Amount)> = Vec::new();
+            for (_, out) in regular {
+                match balances.last_mut() {
+                    Some((last, sum)) if *last == out.address => {
+                        *sum = sum.checked_add(out.amount).expect("chain-invariant sum");
+                    }
+                    _ => balances.push((out.address, out.amount)),
+                }
+            }
+            indexer.balances = balances.into_iter().collect();
+        });
         indexer
     }
 
@@ -109,48 +149,18 @@ impl Indexer {
                     }
                 }
             }
-            // Each destination's new escrows are probed against its tree
-            // and the slots already planned in this delta, in delta
-            // order, then written in one `insert_many`.
-            let mut planned: BTreeMap<SidechainId, BTreeMap<u64, Fp>> = BTreeMap::new();
+            let mut planned = BTreeMap::new();
             for (outpoint, out) in &delta.added {
                 match out.kind {
                     OutputKind::Regular => {
                         credit(balances, &out.address, out.amount);
                     }
                     OutputKind::Escrow(tag) => {
-                        let tree = trees
-                            .entry(tag.dest)
-                            .or_insert_with(|| SparseMerkleTree::new(INBOUND_TREE_DEPTH));
-                        let slots = planned.entry(tag.dest).or_default();
-                        let (leaf_index, leaf) = inbound_leaf(tree, slots, &tag.nullifier);
-                        slots.insert(leaf_index, leaf);
-                        let entry = PendingInbound {
-                            outpoint: *outpoint,
-                            source: tag.source,
-                            epoch: tag.epoch,
-                            dest: tag.dest,
-                            payback: tag.payback,
-                            nullifier: tag.nullifier,
-                            amount: out.amount,
-                            leaf_index,
-                        };
-                        let previous = pending
-                            .entry(tag.dest)
-                            .or_default()
-                            .insert(tag.nullifier, entry);
-                        debug_assert!(previous.is_none(), "nullifier escrowed twice");
+                        plan_escrow(pending, trees, &mut planned, *outpoint, out.amount, &tag);
                     }
                 }
             }
-            for (dest, slots) in planned {
-                let leaves = slots.into_iter().map(|(index, leaf)| (index, leaf, ()));
-                trees
-                    .get_mut(&dest)
-                    .expect("tree created when its first slot was planned")
-                    .insert_many(leaves.collect())
-                    .expect("probed slots were empty");
-            }
+            write_planned(trees, planned);
         });
     }
 
@@ -210,6 +220,62 @@ impl Indexer {
     pub fn inbound_root(&self, dest: &SidechainId) -> Option<Fp> {
         self.trees.get(dest).map(SparseMerkleTree::root)
     }
+}
+
+/// Each destination's new escrows, slot by slot, before the write.
+type Planned = BTreeMap<SidechainId, BTreeMap<u64, Fp>>;
+
+/// Indexes one new escrow as pending and plans its leaf: the slot is
+/// probed against its destination's tree and the slots already planned,
+/// so escrows planned in order take the slots one insertion at a time
+/// would give them.
+fn plan_escrow(
+    pending: &mut BTreeMap<SidechainId, BTreeMap<Nullifier, PendingInbound>>,
+    trees: &mut BTreeMap<SidechainId, SparseMerkleTree>,
+    planned: &mut Planned,
+    outpoint: OutPoint,
+    amount: Amount,
+    tag: &EscrowTag,
+) {
+    let tree = trees
+        .entry(tag.dest)
+        .or_insert_with(|| SparseMerkleTree::new(INBOUND_TREE_DEPTH));
+    let slots = planned.entry(tag.dest).or_default();
+    let (leaf_index, leaf) = inbound_leaf(tree, slots, &tag.nullifier);
+    slots.insert(leaf_index, leaf);
+    let entry = PendingInbound {
+        outpoint,
+        source: tag.source,
+        epoch: tag.epoch,
+        dest: tag.dest,
+        payback: tag.payback,
+        nullifier: tag.nullifier,
+        amount,
+        leaf_index,
+    };
+    let previous = pending
+        .entry(tag.dest)
+        .or_default()
+        .insert(tag.nullifier, entry);
+    debug_assert!(previous.is_none(), "nullifier escrowed twice");
+}
+
+/// Writes each destination's planned leaves in one `insert_many`.
+fn write_planned(trees: &mut BTreeMap<SidechainId, SparseMerkleTree>, planned: Planned) {
+    for (dest, slots) in planned {
+        let leaves = slots.into_iter().map(|(index, leaf)| (index, leaf, ()));
+        trees
+            .get_mut(&dest)
+            .expect("tree created when its first slot was planned")
+            .insert_many(leaves.collect())
+            .expect("probed slots were empty");
+    }
+}
+
+/// An address's first eight bytes, read big-endian: ordering by it
+/// agrees with address order wherever it does not tie.
+fn leading_word(address: &Address) -> u64 {
+    u64::from_be_bytes(address.0 .0[..8].try_into().expect("8 bytes"))
 }
 
 fn credit(balances: &mut BTreeMap<Address, Amount>, address: &Address, amount: Amount) {
@@ -281,6 +347,125 @@ mod tests {
             kind: OutputKind::Escrow(tag),
         };
         (outpoint, out)
+    }
+
+    /// `from_store`'s definition: an empty indexer that applies the
+    /// whole store as one delta.
+    fn applied_whole(store: &UtxoStore) -> Indexer {
+        let mut indexer = Indexer::new(Telemetry::disabled());
+        indexer.apply(&AppliedDelta {
+            added: store.iter().map(|(op, out)| (*op, *out)).collect(),
+            removed: Vec::new(),
+        });
+        indexer
+    }
+
+    /// A store holding `outputs`, created by one connected block.
+    fn store_of(dir: &std::path::Path, outputs: Vec<(OutPoint, TxOut)>) -> UtxoStore {
+        use zendoo_mainchain::chain::{Blockchain, ChainParams};
+        use zendoo_mainchain::ChainEvent;
+        let mut store = UtxoStore::open(dir, Telemetry::disabled()).unwrap();
+        store
+            .bootstrap(&Blockchain::new(ChainParams::default()))
+            .unwrap();
+        let block = ChainEvent::Connected {
+            hash: Digest32::hash_bytes(b"block"),
+            height: 1,
+            created: outputs,
+            spent: Vec::new(),
+        };
+        store.apply_event(&block).unwrap();
+        store
+    }
+
+    /// Random stores — few addresses, so balances sum many outputs, and
+    /// in every other case three addresses that share their leading
+    /// word, so the balance sort meets its tie; zero amounts; escrows to
+    /// several destinations whose nullifiers share leading bytes, so
+    /// slots collide and are probed apart — index alike both ways:
+    /// balances, pending maps, every root.
+    #[test]
+    fn from_store_equals_applying_the_whole_store_as_one_delta() {
+        use zendoo_primitives::sha256::Prg;
+        let dir = {
+            let mut dir = std::env::temp_dir();
+            dir.push(format!("zendoo-indexer-{}-equivalence", std::process::id()));
+            dir
+        };
+        let dests: Vec<SidechainId> = (0..4)
+            .map(|i| SidechainId::from_label(&format!("dest-{i}")))
+            .collect();
+        let (mut zeros, mut probed) = (0, 0);
+        for case in 0..24u64 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut prg = Prg::new(&format!("indexer-equivalence-{case}"));
+            let size = prg.next_u64() % 400;
+            let outputs = (0..size)
+                .map(|i| {
+                    let outpoint = OutPoint {
+                        txid: Digest32::hash_bytes(&i.to_be_bytes()),
+                        index: (prg.next_u64() % 4) as u32,
+                    };
+                    let amount = Amount::from_units(match prg.next_u64() % 4 {
+                        0 => 0,
+                        _ => prg.next_u64() % 1_000,
+                    });
+                    let kind = if prg.next_u64().is_multiple_of(3) {
+                        let mut nullifier = Digest32::hash_bytes(&i.to_le_bytes());
+                        nullifier.0[..8].copy_from_slice(&(prg.next_u64() % 8).to_be_bytes());
+                        OutputKind::Escrow(EscrowTag {
+                            source: SidechainId::from_label("source"),
+                            epoch: (prg.next_u64() % 3) as u32,
+                            dest: dests[(prg.next_u64() % 4) as usize],
+                            payback: Address::from_label("payback"),
+                            nullifier: Nullifier(nullifier),
+                        })
+                    } else {
+                        OutputKind::Regular
+                    };
+                    let holder = prg.next_u64() % 9;
+                    let mut address = Address::from_label(&format!("holder-{holder}"));
+                    if case % 2 == 0 && holder < 3 {
+                        address.0 .0[..8].fill(0);
+                    }
+                    (
+                        outpoint,
+                        TxOut {
+                            address,
+                            amount,
+                            kind,
+                        },
+                    )
+                })
+                .collect();
+            let store = store_of(&dir, outputs);
+            zeros += store.iter().filter(|(_, out)| out.amount.is_zero()).count();
+            let (rebuilt, applied) = (
+                Indexer::from_store(&store, Telemetry::disabled()),
+                applied_whole(&store),
+            );
+            assert_eq!(rebuilt.balances, applied.balances, "case {case}");
+            assert_eq!(rebuilt.pending, applied.pending, "case {case}");
+            let roots = |indexer: &Indexer| -> Vec<(SidechainId, Fp)> {
+                indexer
+                    .trees
+                    .iter()
+                    .map(|(dest, tree)| (*dest, tree.root()))
+                    .collect()
+            };
+            assert_eq!(roots(&rebuilt), roots(&applied), "case {case}");
+            probed += rebuilt
+                .pending
+                .values()
+                .flat_map(BTreeMap::values)
+                .filter(|entry| entry.leaf_index != u64::from(entry.nullifier.0 .0[7]))
+                .count();
+        }
+        assert!(
+            zeros > 0 && probed > 0,
+            "{zeros} zero amounts, {probed} probed slots"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Slots and roots as one insertion at a time, in delta order, left

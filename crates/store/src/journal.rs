@@ -1,11 +1,36 @@
 //! The append-only record journal.
 //!
-//! On-disk layout: a 4-byte magic header (`ZSJ1`) followed by records,
+//! On-disk layout: a 4-byte magic header (`ZSJ2`) followed by records,
 //! each framed as
 //!
 //! ```text
-//! [len: u32 BE] [fnv1a64(payload): u64 BE] [payload: len bytes]
+//! [len: u32 BE] [checksum(payload): u64 BE] [payload: len bytes]
 //! ```
+//!
+//! **The checksum** reads the payload a little-endian `u64` word at a
+//! time, the last word zero-padded:
+//!
+//! ```text
+//! h ← SEED ⊕ len
+//! h ← rotl((h ⊕ w) · K, R)      for each word w
+//! checksum = fmix(h)
+//! ```
+//!
+//! `K` is odd, so multiplying by it is a bijection of `u64`; so are
+//! the xor and the rotation. One step is therefore a bijection of its
+//! word for a fixed running state, and of the running state for a fixed
+//! word. Change the bytes of one aligned word and leave the rest: the
+//! state after that word's step changes, each later step is a bijection
+//! of the state and so keeps it changed, and the final fold `fmix` is
+//! invertible too. So any change confined to one word, every single-bit
+//! flip among them, always changes the checksum. A change of length
+//! changes the seed. Damage spread over several words is caught with
+//! high probability, not always: this is corruption detection, not an
+//! integrity guarantee (the restart's exact check against the live
+//! chain is that).
+//!
+//! A `ZSJ1` file, the earlier format with FNV-1a checksums, is refused
+//! with an error naming it and left as it is on disk.
 //!
 //! Appends buffer in the OS page cache; [`Journal::commit`] issues
 //! `fdatasync`, which is the durability point — a record is *committed*
@@ -21,7 +46,9 @@ use std::path::{Path, PathBuf};
 
 use zendoo_primitives::encode::{Decode, Encode, Reader};
 
-const MAGIC: &[u8; 4] = b"ZSJ1";
+const MAGIC: &[u8; 4] = b"ZSJ2";
+/// The earlier format's header: byte-wise FNV-1a checksums.
+const RETIRED_MAGIC: &[u8; 4] = b"ZSJ1";
 /// Upper bound on a single record; a length field above this is treated
 /// as corruption rather than an allocation request.
 const MAX_RECORD: u32 = 1 << 28;
@@ -59,6 +86,15 @@ impl Journal {
             .open(path)?;
         let mut contents = Vec::new();
         file.read_to_end(&mut contents)?;
+        if contents.starts_with(RETIRED_MAGIC) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} is a ZSJ1 journal (FNV-1a checksums); this build reads ZSJ2 only",
+                    path.display()
+                ),
+            ));
+        }
 
         let mut stats = JournalStats::default();
         let mut good = 0usize;
@@ -66,7 +102,7 @@ impl Journal {
             good = MAGIC.len();
             loop {
                 let mut frame = Reader::new(&contents[good..]);
-                let Ok((len, checksum)) = frame.read::<(u32, u64)>() else {
+                let Ok((len, sum)) = frame.read::<(u32, u64)>() else {
                     break; // incomplete frame header: torn tail
                 };
                 if len > MAX_RECORD {
@@ -75,7 +111,7 @@ impl Journal {
                 let Ok(payload) = frame.bytes(len as usize) else {
                     break; // incomplete payload
                 };
-                if fnv1a64(payload) != checksum {
+                if checksum(payload) != sum {
                     break; // corrupt record
                 }
                 replay(payload);
@@ -122,7 +158,7 @@ impl Journal {
             "record exceeds MAX_RECORD"
         );
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        (payload.len() as u32, fnv1a64(payload)).encode_into(&mut frame);
+        (payload.len() as u32, checksum(payload)).encode_into(&mut frame);
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
         self.len += frame.len() as u64;
@@ -135,16 +171,30 @@ impl Journal {
     }
 }
 
-/// FNV-1a 64-bit — cheap, dependency-free corruption detection for
-/// record payloads (not a cryptographic integrity guarantee; the state
-/// digest comparison provides end-to-end verification).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// The frame checksum: one multiply a word. See the module docs for
+/// why a change inside one word always shows.
+fn checksum(payload: &[u8]) -> u64 {
+    const SEED: u64 = 0x6a09_e667_f3bc_c908;
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    const R: u32 = 29;
+    let step = |h: u64, word: u64| ((h ^ word).wrapping_mul(K)).rotate_left(R);
+    let mut words = payload.chunks_exact(8);
+    let mut h = SEED ^ payload.len() as u64;
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
     }
-    hash
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(word));
+    }
+    // The 64-bit finalizer of MurmurHash3: each step is invertible.
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 #[cfg(test)]
@@ -228,6 +278,74 @@ mod tests {
         let (seen, stats) = reopen_payloads(&path);
         assert_eq!(seen, vec![b"good".to_vec()]);
         assert!(stats.torn_bytes > 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checksum_known_answer() {
+        let sums: Vec<u64> = [&b""[..], b"a", b"zendoo journal", &[0xff; 17]]
+            .iter()
+            .map(|payload| checksum(payload))
+            .collect();
+        assert_eq!(
+            sums,
+            vec![
+                0xbd0e_d0d0_8a42_a70c,
+                0x90d2_ebf7_76f1_32a1,
+                0x55c5_e0d8_7968_67c9,
+                0x681f_1232_b828_0006,
+            ]
+        );
+    }
+
+    /// Every single-bit flip changes the sum: each payload length from
+    /// 0 to 17 (every tail length, one and two whole words), then 1 KiB.
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        let mut payloads: Vec<Vec<u8>> = (0..=17u8)
+            .map(|len| (0..len).map(|i| i.wrapping_mul(37) ^ len).collect())
+            .collect();
+        payloads.push(
+            (0..1024u32)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+                .collect(),
+        );
+        let mut flips = 0;
+        for payload in &payloads {
+            let sum = checksum(payload);
+            let mut flipped = payload.clone();
+            for bit in 0..payload.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&flipped), sum, "len {} bit {bit}", payload.len());
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                flips += 1;
+            }
+        }
+        assert_eq!(flips, 8 * (17 * 18 / 2 + 1024));
+    }
+
+    /// Zero padding does not make a payload and its zero-extension one:
+    /// the length is in the seed.
+    #[test]
+    fn trailing_zeros_change_the_checksum() {
+        assert_ne!(checksum(b"ab"), checksum(b"ab\0"));
+        assert_ne!(checksum(b""), checksum(&[0; 8]));
+    }
+
+    #[test]
+    fn a_zsj1_journal_is_refused_by_name_and_left_on_disk() {
+        let path = temp_path("zsj1");
+        let mut old = b"ZSJ1".to_vec();
+        old.extend_from_slice(&3u32.to_be_bytes());
+        old.extend_from_slice(&0u64.to_be_bytes());
+        old.extend_from_slice(b"old");
+        std::fs::write(&path, &old).unwrap();
+        let error = Journal::open(&path, |_| panic!("nothing replays"))
+            .err()
+            .expect("a ZSJ1 journal is refused");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("ZSJ1"), "{error}");
+        assert_eq!(std::fs::read(&path).unwrap(), old);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -13,13 +13,15 @@
 //!   the journal — a torn or corrupt tail (a crash mid-write) is
 //!   detected by checksum and discarded, so recovery always lands on
 //!   the last committed block, bit-identical to the in-memory state
-//!   that produced it ([`UtxoStore::state_digest`] /
-//!   [`chain_state_digest`]).
+//!   that produced it ([`UtxoStore::matches`] checks that entry for
+//!   entry; [`UtxoStore::state_digest`] / [`chain_state_digest`] hash
+//!   it).
 //!
 //! - [`Indexer`] — secondary indexes derived from the store's applied
-//!   deltas: per-address balances, per-sidechain **pending inbound**
-//!   transfers (escrow-kind UTXOs awaiting settlement, keyed by
-//!   nullifier) with an incremental sparse Merkle tree per sidechain.
+//!   deltas (after a restart, from one scan of the store): per-address
+//!   balances, per-sidechain **pending inbound** transfers (escrow-kind
+//!   UTXOs awaiting settlement, keyed by nullifier) with an incremental
+//!   sparse Merkle tree per sidechain.
 //!
 //! Modules: [`journal`] (the checksum-framed record file), [`store`]
 //! (the mirror and its replay; records are read back with the types'
@@ -30,10 +32,11 @@
 //! block's net created/spent outputs (with spent values retained), so
 //! every record is invertible and replay needs no external context.
 //!
-//! Telemetry: `store.append`, `store.commit`, `store.replay` spans and
-//! `store.records_replayed` / `store.torn_bytes_discarded` counters on
-//! the store; `indexer.sync` spans and `indexer.query.*` spans on the
-//! indexer.
+//! Telemetry: `store.append`, `store.commit`, `store.replay` and
+//! `store.verify` spans and `store.records_replayed` /
+//! `store.torn_bytes_discarded` counters on the store;
+//! `indexer.coldstart`, `indexer.sync` and `indexer.query.*` spans on
+//! the indexer.
 
 #![forbid(unsafe_code)]
 

@@ -4,10 +4,13 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
+use zendoo_core::escrow::EscrowTag;
 use zendoo_core::ids::{Address, Amount};
+use zendoo_mainchain::transaction::OutputKind;
 use zendoo_mainchain::{Blockchain, ChainEvent, OutPoint, TxOut};
 use zendoo_primitives::digest::Digest32;
-use zendoo_primitives::encode::{decode_with, DecodeError, Encode};
+use zendoo_primitives::encode::{decode_with, Decode, DecodeError, Encode};
+use zendoo_primitives::sha256::TaggedSha256;
 use zendoo_telemetry::Telemetry;
 
 use crate::journal::{Journal, JournalStats};
@@ -18,6 +21,10 @@ const JOURNAL_FILE: &str = "utxo-journal.log";
 const TAG_SNAPSHOT: u8 = 0;
 const TAG_CONNECT: u8 = 1;
 const TAG_DISCONNECT: u8 = 2;
+
+/// The state digest hashes its encoding through a buffer of about this
+/// many bytes, never the whole encoding at once.
+const DIGEST_CHUNK: usize = 1 << 16;
 
 /// Storage-layer failures.
 #[derive(Debug)]
@@ -164,6 +171,7 @@ impl UtxoStore {
             chain.tip_hash(),
             chain.height(),
             entries.iter().copied(),
+            |_| {},
         );
 
         self.journal.append(&payload)?;
@@ -251,6 +259,22 @@ impl UtxoStore {
         digest_state(self.tip, self.height, self.utxos.iter())
     }
 
+    /// Whether this store holds exactly `chain`'s state: the same tip,
+    /// height and UTXO count, and every stored entry present in the
+    /// live set with an equal output. That is exact equality, which
+    /// equal digests only imply; the live set is looked up, never
+    /// sorted, encoded or hashed. Records a `store.verify` span.
+    pub fn matches(&self, chain: &Blockchain) -> bool {
+        let live = &chain.state().utxos;
+        let (same, _nanos) = self.telemetry.time("store.verify", || {
+            self.tip == chain.tip_hash()
+                && self.height == chain.height()
+                && self.utxos.len() == live.len()
+                && self.utxos.iter().all(|(op, out)| live.get(op) == Some(out))
+        });
+        same
+    }
+
     /// The journal file's on-disk size in bytes.
     pub fn journal_bytes(&self) -> u64 {
         self.journal.len_bytes()
@@ -275,32 +299,56 @@ fn sorted_utxos(chain: &Blockchain) -> Vec<(&OutPoint, &TxOut)> {
     entries
 }
 
-/// The digest of a state's canonical encoding ([`encode_state`]).
+/// The digest of a state's canonical encoding ([`encode_state`]), as
+/// `Digest32::hash_tagged("zendoo.store.state", &[encoding])` gives it.
+/// The encoding's length is summed first, then its bytes stream into
+/// the hash [`DIGEST_CHUNK`] at a time.
 fn digest_state<'a>(
     tip: Digest32,
     height: u64,
-    entries: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)>,
+    entries: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)> + Clone,
 ) -> Digest32 {
+    let entries_len: usize = entries.clone().map(|(_, out)| entry_len(out)).sum();
+    let mut hasher = TaggedSha256::new("zendoo.store.state");
+    hasher.segment((Digest32::MIN_LEN + 2 * u64::MIN_LEN + entries_len) as u64);
     let mut buf = Vec::new();
-    encode_state(&mut buf, tip, height, entries);
-    Digest32::hash_tagged("zendoo.store.state", &[&buf])
+    encode_state(&mut buf, tip, height, entries, |buf| {
+        if buf.len() >= DIGEST_CHUNK {
+            hasher.update(buf);
+            buf.clear();
+        }
+    });
+    hasher.update(&buf);
+    Digest32(hasher.finalize())
+}
+
+/// The encoded length of one `(OutPoint, TxOut)` entry: every field is
+/// fixed-width, and an escrow output adds its tag.
+fn entry_len(out: &TxOut) -> usize {
+    let tag = match out.kind {
+        OutputKind::Regular => 0,
+        OutputKind::Escrow(_) => EscrowTag::MIN_LEN,
+    };
+    <(OutPoint, TxOut)>::MIN_LEN + tag
 }
 
 /// The canonical encoding of a UTXO state — tip, height, then the
 /// entries, which must be in outpoint order. A journal snapshot carries
-/// it and the state digest hashes it.
+/// it and the state digest hashes it. `spill` sees `out` after each
+/// entry and may drain it.
 fn encode_state<'a>(
     out: &mut Vec<u8>,
     tip: Digest32,
     height: u64,
     entries: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)>,
+    mut spill: impl FnMut(&mut Vec<u8>),
 ) {
-    tip.encode_into(out);
-    height.encode_into(out);
-    // The same bytes as `Vec<(OutPoint, TxOut)>`, read back as one.
-    (entries.len() as u64).encode_into(out);
+    // The same bytes as `(Digest32, u64, Vec<(OutPoint, TxOut)>)`,
+    // read back as one.
+    (tip, height, entries.len() as u64).encode_into(out);
     for entry in entries {
         entry.encode_into(out);
+        spill(out);
     }
 }
 
@@ -454,8 +502,228 @@ fn replay_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zendoo_core::ids::{Nullifier, SidechainId};
     use zendoo_mainchain::chain::ChainParams;
     use zendoo_mainchain::wallet::Wallet;
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("zendoo-store-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn escrow_tag(dest: &str) -> EscrowTag {
+        EscrowTag {
+            source: SidechainId::from_label("source"),
+            epoch: 3,
+            dest: SidechainId::from_label(dest),
+            payback: Address::from_label("payback"),
+            nullifier: Nullifier(Digest32::hash_bytes(dest.as_bytes())),
+        }
+    }
+
+    /// A chain of two blocks over a genesis holding two regular outputs
+    /// and one escrow, and a store bootstrapped from it.
+    fn chain_and_store(tag: &str) -> (Blockchain, UtxoStore, std::path::PathBuf) {
+        let miner = Wallet::from_seed(b"matches-miner");
+        let mut chain = Blockchain::new(ChainParams {
+            genesis_outputs: vec![
+                TxOut::regular(Address::from_label("alice"), Amount::from_units(500)),
+                TxOut::regular(Address::from_label("bob"), Amount::from_units(70)),
+                TxOut {
+                    address: Address::from_label("escrow"),
+                    amount: Amount::from_units(30),
+                    kind: OutputKind::Escrow(escrow_tag("dest")),
+                },
+            ],
+            ..ChainParams::default()
+        });
+        for height in 1..=2 {
+            chain
+                .mine_next_block(miner.address(), vec![], height)
+                .expect("block mines");
+        }
+        let dir = temp_dir(tag);
+        let mut store = UtxoStore::open(&dir, Telemetry::disabled()).expect("store opens");
+        store.bootstrap(&chain).expect("store seeds");
+        (chain, store, dir)
+    }
+
+    /// The stored entry holding `label`'s output.
+    fn entry_of(store: &UtxoStore, label: &str) -> OutPoint {
+        let address = Address::from_label(label);
+        *store
+            .iter()
+            .find(|(_, out)| out.address == address)
+            .expect("genesis output")
+            .0
+    }
+
+    /// A store that differs from the live chain in exactly one respect
+    /// does not match it; an untouched one does.
+    #[test]
+    fn matches_refuses_a_store_that_differs_in_one_respect() {
+        let (chain, mut store, dir) = chain_and_store("matches");
+        assert!(store.matches(&chain));
+        let alice = entry_of(&store, "alice");
+        let escrow = entry_of(&store, "escrow");
+        let absent = OutPoint {
+            txid: Digest32::hash_bytes(b"absent"),
+            index: 0,
+        };
+        type Edit = fn(&mut UtxoStore, OutPoint, OutPoint, OutPoint);
+        let edits: [(&str, Edit); 8] = [
+            ("an entry's amount", |s, alice, _, _| {
+                s.utxos.get_mut(&alice).unwrap().amount = Amount::from_units(501);
+            }),
+            ("an entry's address", |s, alice, _, _| {
+                s.utxos.get_mut(&alice).unwrap().address = Address::from_label("mallory");
+            }),
+            ("an entry's kind", |s, alice, _, _| {
+                s.utxos.get_mut(&alice).unwrap().kind = OutputKind::Escrow(escrow_tag("dest"));
+            }),
+            ("an escrow's tag", |s, _, escrow, _| {
+                s.utxos.get_mut(&escrow).unwrap().kind = OutputKind::Escrow(escrow_tag("other"));
+            }),
+            ("a missing entry", |s, alice, _, _| {
+                s.utxos.remove(&alice);
+            }),
+            ("an extra entry", |s, alice, _, absent| {
+                let out = s.utxos[&alice];
+                s.utxos.insert(absent, out);
+            }),
+            ("an entry at another outpoint", |s, alice, _, absent| {
+                let out = s.utxos.remove(&alice).unwrap();
+                s.utxos.insert(absent, out);
+            }),
+            ("the tip", |s, _, _, _| {
+                s.tip = Digest32::hash_bytes(b"another tip")
+            }),
+        ];
+        for (respect, edit) in edits {
+            let saved = (store.utxos.clone(), store.tip);
+            edit(&mut store, alice, escrow, absent);
+            assert!(!store.matches(&chain), "{respect} went unnoticed");
+            (store.utxos, store.tip) = saved;
+        }
+        store.height += 1;
+        assert!(!store.matches(&chain), "the height went unnoticed");
+        store.height -= 1;
+        assert!(store.matches(&chain));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Streaming the encoding through the hash in chunks gives the
+    /// one-shot tagged hash of the whole encoding, across many chunks.
+    #[test]
+    fn the_streamed_digest_equals_the_hash_of_the_whole_encoding() {
+        let entries: BTreeMap<OutPoint, TxOut> = (0..2_000u32)
+            .map(|i| {
+                let outpoint = OutPoint {
+                    txid: Digest32::hash_bytes(&i.to_be_bytes()),
+                    index: i % 3,
+                };
+                let address = Address::from_label(&format!("holder-{}", i % 17));
+                let mut out = TxOut::regular(address, Amount::from_units(u64::from(i)));
+                if i % 5 == 0 {
+                    out.kind = OutputKind::Escrow(escrow_tag(&format!("dest-{}", i % 3)));
+                }
+                (outpoint, out)
+            })
+            .collect();
+        let tip = Digest32::hash_bytes(b"tip");
+        let mut whole = Vec::new();
+        encode_state(&mut whole, tip, 9, entries.iter(), |_| {});
+        assert!(whole.len() > 3 * DIGEST_CHUNK);
+        assert_eq!(
+            digest_state(tip, 9, entries.iter()),
+            Digest32::hash_tagged("zendoo.store.state", &[&whole])
+        );
+        assert_eq!(
+            digest_state(
+                tip,
+                9,
+                [].iter().map(|(op, out): &(OutPoint, TxOut)| (op, out))
+            ),
+            Digest32::hash_tagged("zendoo.store.state", &[&(tip, 9u64, 0u64).encoded()])
+        );
+    }
+
+    /// A record that passes its checksum but carries an unknown tag is
+    /// a `Codec` refusal, not a torn tail.
+    #[test]
+    fn a_checksummed_record_with_an_unknown_tag_is_a_codec_refusal() {
+        let (_, store, dir) = chain_and_store("codec");
+        drop(store);
+        let (mut journal, _) = Journal::open(&dir.join(JOURNAL_FILE), |_| {}).unwrap();
+        journal.append(&[7, 1, 2, 3]).unwrap();
+        journal.commit().unwrap();
+        drop(journal);
+        let refusal = UtxoStore::open(&dir, Telemetry::disabled()).err();
+        assert!(
+            matches!(refusal, Some(StoreError::Codec(DecodeError::BadTag(7)))),
+            "{refusal:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn events_off_the_tip_are_discontinuities() {
+        let (chain, mut store, dir) = chain_and_store("discontinuity");
+        let wrong_height = ChainEvent::Connected {
+            hash: Digest32::hash_bytes(b"block"),
+            height: chain.height() + 2,
+            created: vec![],
+            spent: vec![],
+        };
+        let not_the_tip = ChainEvent::Disconnected {
+            hash: Digest32::hash_bytes(b"not the tip"),
+            height: chain.height(),
+            parent: Digest32::ZERO,
+            created: vec![],
+            spent: vec![],
+        };
+        for event in [wrong_height, not_the_tip] {
+            let refusal = store.apply_event(&event).err();
+            assert!(
+                matches!(refusal, Some(StoreError::Discontinuity { .. })),
+                "{refusal:?}"
+            );
+        }
+        assert!(store.matches(&chain));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spending_an_absent_output_or_recreating_a_present_one_is_inconsistent() {
+        let (chain, mut store, dir) = chain_and_store("inconsistent");
+        let alice = entry_of(&store, "alice");
+        let out = *store.get(&alice).unwrap();
+        let absent = OutPoint {
+            txid: Digest32::hash_bytes(b"absent"),
+            index: 0,
+        };
+        let connect = |created, spent| ChainEvent::Connected {
+            hash: Digest32::hash_bytes(b"block"),
+            height: chain.height() + 1,
+            created,
+            spent,
+        };
+        let spend_absent = connect(vec![], vec![(absent, out)]);
+        let recreate_present = connect(vec![(alice, out)], vec![]);
+        for (event, what) in [
+            (spend_absent, "spent output not in store"),
+            (recreate_present, "created outpoint already present"),
+        ] {
+            let refusal = store.apply_event(&event).err();
+            assert!(
+                matches!(refusal, Some(StoreError::Inconsistent(w)) if w == what),
+                "{refusal:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// The digest's value on a fixed chain of three blocks, one of them
     /// carrying a payment: a change to its encoding on either side, the
@@ -490,9 +758,7 @@ mod tests {
                 .mine_next_block(miner.address(), txs, height)
                 .expect("block mines");
         }
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("zendoo-store-{}-digest-kat", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("digest-kat");
         let mut store = UtxoStore::open(&dir, Telemetry::disabled()).expect("store opens");
         store.bootstrap(&chain).expect("store seeds");
         let expected = "3e94012335f379bcbe679fb739f025cd75137fdb6d275420f4a61c1f7bc02413";

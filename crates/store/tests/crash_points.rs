@@ -19,7 +19,7 @@ use zendoo_store::UtxoStore;
 use zendoo_telemetry::Telemetry;
 
 const JOURNAL_FILE: &str = "utxo-journal.log";
-/// The journal's file header (`ZSJ1`).
+/// The journal's file header (`ZSJ2`).
 const MAGIC_LEN: usize = 4;
 
 fn temp_dir(tag: &str) -> PathBuf {
