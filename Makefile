@@ -176,8 +176,15 @@ test-byzantine:
 
 # The persistence suites: the store's unit tests (the journal checksum's
 # known answer and every single-bit flip, a ZSJ1 journal refused, the
-# store's refusals by name, the exact state check, the streamed digest,
-# the index rebuild against applying the whole store), journal
+# store's refusals by name — an outpoint one of the mirror's two maps
+# holds is present to the other — the exact state check with a regular
+# entry turned escrow moving between the maps, the streamed digest, the
+# digest's known answers, one of them on escrows that sort between
+# regular outputs so the merged walk of the two maps is pinned byte for
+# byte, the index rebuild against applying the whole store), the
+# mainchain's two-map UTXO set against a one-map model under random
+# inserts of either kind onto fresh, regular and escrow outpoints,
+# removes and lookups (utxo_model), journal
 # kill-and-recover, torn-tail and rollback replay at the store level
 # (recovery), every crash point of a 3-record journal — cut at each
 # byte offset, each bit of its last frame flipped — landing on the
@@ -187,7 +194,7 @@ test-byzantine:
 # mid-run kills, torn tails and reorgs, and a journal one respect off
 # the live chain refused on attach and on restart (persistence).
 test-store:
-	$(call run-suites,store,"zendoo-store lib" "zendoo-store recovery" "zendoo-store crash_points --nocapture" "zendoo-sim persistence")
+	$(call run-suites,store,"zendoo-store lib" "zendoo-mainchain utxo_model" "zendoo-store recovery" "zendoo-store crash_points --nocapture" "zendoo-sim persistence")
 
 # The one tree, by name: the sparse Merkle tree's differential against
 # the recursive reference of its definition (depths 6 / 40 / 63), the

@@ -7,11 +7,14 @@
 //! logarithmic in the set size afterwards.
 //!
 //! This bench builds the full-scale store from synthetic chain events,
-//! kills it, recovers, and records `BENCH_indexer.json` through
-//! [`zendoo_bench::write_report`] with the measured cold-start
-//! breakdown and per-query-class latency percentiles — all read from
-//! the `store.*` / `indexer.*` telemetry spans the components record
-//! about themselves. (Cold start at workload size is the benchmark's
+//! generated one block at a time, kills it, recovers, and records
+//! `BENCH_indexer.json` through [`zendoo_bench::write_report`] with the
+//! measured cold-start breakdown and per-query-class latency
+//! percentiles — all read from the `store.*` / `indexer.*` telemetry
+//! spans the components record about themselves — and the process's
+//! peak resident set (`VmHWM`), which the store's in-memory mirror and
+//! the rebuilt index set: no more than one block's events is held
+//! besides them. (Cold start at workload size is the benchmark's
 //! `node_restart`: `cold_start_s`, `store.replay_ms`,
 //! `store.index_rebuild_ms`.)
 
@@ -48,25 +51,24 @@ fn temp_dir(tag: &str) -> PathBuf {
     p
 }
 
-/// Deterministic synthetic chain events: `blocks` connects, each
-/// creating `created` outputs (every 10th an escrow until `pending`
-/// escrows exist) and spending `spent` regular outputs of the previous
-/// block.
+/// Deterministic synthetic chain events, made as they are consumed:
+/// `blocks` connects, each creating `created` outputs (every 10th an
+/// escrow until `pending` escrows exist) and spending `spent` regular
+/// outputs of the previous block.
 fn synthetic_events(
     blocks: usize,
     created: usize,
     spent: usize,
     pending: usize,
-) -> Vec<ChainEvent> {
+) -> impl Iterator<Item = ChainEvent> {
     let dests: Vec<SidechainId> = (0..DESTS as u64)
         .map(|d| SidechainId(digest("dest", d)))
         .collect();
     let source = SidechainId(digest("source", 0));
-    let mut events = Vec::with_capacity(blocks);
     let mut escrows = 0usize;
     let mut global = 0u64;
     let mut prev_regular: Vec<(OutPoint, TxOut)> = Vec::new();
-    for block in 0..blocks {
+    (0..blocks).map(move |block| {
         let mut created_now = Vec::with_capacity(created);
         let mut regular_now = Vec::with_capacity(created);
         for i in 0..created {
@@ -102,27 +104,41 @@ fn synthetic_events(
                 .collect()
         };
         prev_regular = regular_now;
-        events.push(ChainEvent::Connected {
+        ChainEvent::Connected {
             hash: digest("block", block as u64 + 1),
             height: block as u64 + 1,
             created: created_now,
             spent: spent_now,
-        });
-    }
-    events
+        }
+    })
 }
 
 /// Bootstraps a store in `dir` from an empty chain and feeds it the
 /// synthetic events (committing once per block, as the sim does).
-fn populate(dir: &Path, events: &[ChainEvent], telemetry: Telemetry) -> UtxoStore {
+fn populate(
+    dir: &Path,
+    events: impl Iterator<Item = ChainEvent>,
+    telemetry: Telemetry,
+) -> UtxoStore {
     let chain = Blockchain::new(ChainParams::default());
     let mut store = UtxoStore::open(dir, telemetry).expect("open");
     store.bootstrap(&chain).expect("bootstrap");
     for event in events {
-        store.apply_event(event).expect("apply");
+        store.apply_event(&event).expect("apply");
         store.commit().expect("commit");
     }
     store
+}
+
+/// The process's peak resident set in MB (`VmHWM`), `None` where
+/// `/proc` does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn quantiles(snapshot: &Snapshot, span: &str) -> (u64, u64, u64, u64) {
@@ -149,7 +165,7 @@ fn query_block(name: &str, (count, p50, p99, max): (u64, u64, u64, u64)) -> Stri
 fn main() {
     let dir = temp_dir("report");
     let events = synthetic_events(BLOCKS, CREATED_PER_BLOCK, SPENT_PER_BLOCK, PENDING);
-    let store = populate(&dir, &events, Telemetry::disabled());
+    let store = populate(&dir, events, Telemetry::disabled());
     let utxos = store.utxo_count();
     assert!(utxos >= 1_000_000, "scale floor missed: {utxos} UTXOs");
     let journal_bytes = std::fs::metadata(dir.join("utxo-journal.log"))
@@ -195,6 +211,7 @@ fn main() {
     }
     let pending_list = quantiles(&recorder.drain(), "indexer.query.pending");
 
+    let peak_rss = peak_rss_mb().map_or_else(|| "null".into(), |mb| format!("{mb:.1}"));
     write_report(
         "indexer",
         &format!(
@@ -202,7 +219,7 @@ fn main() {
             indexer.funded_addresses(),
         ),
         &format!(
-            "{{\n    \"cold_start\": {{\"records_replayed\": {records}, \"journal_replay_ms\": {}, \"index_rebuild_ms\": {}, \"total_ms\": {}}},\n    \"queries\": {{\n      {},\n      {},\n      {}\n    }}\n  }}",
+            "{{\n    \"cold_start\": {{\"records_replayed\": {records}, \"journal_replay_ms\": {}, \"index_rebuild_ms\": {}, \"total_ms\": {}}},\n    \"memory\": {{\"peak_rss_mb\": {peak_rss}}},\n    \"queries\": {{\n      {},\n      {},\n      {}\n    }}\n  }}",
             replay_ns / 1_000_000,
             rebuild_ns / 1_000_000,
             (replay_ns + rebuild_ns) / 1_000_000,
@@ -212,7 +229,7 @@ fn main() {
         ),
     );
     println!(
-        "indexer/report: {utxos} UTXOs replayed in {}ms + rebuilt in {}ms; pending point query p99 {}ns",
+        "indexer/report: {utxos} UTXOs replayed in {}ms + rebuilt in {}ms; pending point query p99 {}ns; peak RSS {peak_rss} MB",
         replay_ns / 1_000_000,
         rebuild_ns / 1_000_000,
         pending_point.2,

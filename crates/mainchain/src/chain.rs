@@ -508,7 +508,7 @@ impl Blockchain {
         for op in undo.ops() {
             match op {
                 pipeline::UtxoOp::Created(outpoint) => match self.state.utxos.get(outpoint) {
-                    Some(out) => created.push((*outpoint, *out)),
+                    Some(out) => created.push((*outpoint, out)),
                     // Absent post-apply: created and spent in-block.
                     None => {
                         ephemeral.insert(*outpoint);

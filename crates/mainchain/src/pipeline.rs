@@ -681,7 +681,7 @@ pub fn apply_transaction(
             let mut sighash_memo: Option<Digest32> = None;
             let cached = verdicts.sigs.recording || !verdicts.sigs.is_empty();
             for (i, input) in t.inputs.iter().enumerate() {
-                let spent = *state
+                let spent = state
                     .utxos
                     .get(&input.outpoint)
                     .ok_or(BlockError::MissingInput(input.outpoint))?;

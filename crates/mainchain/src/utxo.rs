@@ -1,14 +1,23 @@
 //! The unspent-transaction-output set.
+//!
+//! A UTXO costs what it holds. Nearly every output is regular: an
+//! address and an amount, 76 bytes with its outpoint. The few
+//! escrow-kind outputs (cross-chain value awaiting settlement) also
+//! carry a 132-byte [`zendoo_core::escrow::EscrowTag`]. So the set is
+//! two maps — regular outputs as `(Address, Amount)`, escrows whole in
+//! outpoint order — and an outpoint lives in at most one of them. The
+//! escrow map is also the settlement index: [`UtxoSet::escrows`] walks
+//! it, and no second bookkeeping follows `insert` and `remove`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use zendoo_core::ids::{Address, Amount};
 
-use crate::transaction::{OutPoint, TxOut};
+use crate::transaction::{OutPoint, OutputKind, TxOut};
 
-/// The mainchain UTXO set, with an index of its escrow-kind outputs
-/// (cross-chain value awaiting settlement). `insert` and `remove` keep
-/// the index, so every path that edits the set — a block, its undo
-/// journal, a builder's rollback — keeps it too.
+/// The mainchain UTXO set: regular outputs by outpoint, and escrow-kind
+/// outputs in their own ordered map (see the module docs). Every path
+/// that edits the set — a block, its undo journal, a builder's
+/// rollback — goes through `insert` and `remove`.
 ///
 /// # Examples
 ///
@@ -27,8 +36,8 @@ use crate::transaction::{OutPoint, TxOut};
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UtxoSet {
-    entries: HashMap<OutPoint, TxOut>,
-    escrows: BTreeSet<OutPoint>,
+    regular: HashMap<OutPoint, (Address, Amount)>,
+    escrows: BTreeMap<OutPoint, TxOut>,
 }
 
 impl UtxoSet {
@@ -38,66 +47,84 @@ impl UtxoSet {
     }
 
     /// Looks up an unspent output.
-    pub fn get(&self, outpoint: &OutPoint) -> Option<&TxOut> {
-        self.entries.get(outpoint)
+    pub fn get(&self, outpoint: &OutPoint) -> Option<TxOut> {
+        self.regular
+            .get(outpoint)
+            .map(|&(address, amount)| TxOut::regular(address, amount))
+            .or_else(|| self.escrows.get(outpoint).copied())
     }
 
     /// Returns `true` if `outpoint` is unspent.
     pub fn contains(&self, outpoint: &OutPoint) -> bool {
-        self.entries.contains_key(outpoint)
+        self.regular.contains_key(outpoint) || self.escrows.contains_key(outpoint)
     }
 
     /// Adds a new unspent output. Returns the previous value if the
     /// outpoint was (erroneously) already present.
     pub fn insert(&mut self, outpoint: OutPoint, output: TxOut) -> Option<TxOut> {
-        if output.is_escrow() {
-            self.escrows.insert(outpoint);
+        match output.kind {
+            OutputKind::Regular => self
+                .regular
+                .insert(outpoint, (output.address, output.amount))
+                .map(|(address, amount)| TxOut::regular(address, amount))
+                .or_else(|| self.escrows.remove(&outpoint)),
+            OutputKind::Escrow(_) => self
+                .escrows
+                .insert(outpoint, output)
+                .or_else(|| self.remove_regular(&outpoint)),
         }
-        let previous = self.entries.insert(outpoint, output);
-        if previous.is_some_and(|out| out.is_escrow()) && !output.is_escrow() {
-            self.escrows.remove(&outpoint);
-        }
-        previous
     }
 
     /// Spends an output, returning it.
     pub fn remove(&mut self, outpoint: &OutPoint) -> Option<TxOut> {
-        let removed = self.entries.remove(outpoint);
-        if removed.is_some_and(|out| out.is_escrow()) {
-            self.escrows.remove(outpoint);
-        }
-        removed
+        self.remove_regular(outpoint)
+            .or_else(|| self.escrows.remove(outpoint))
+    }
+
+    fn remove_regular(&mut self, outpoint: &OutPoint) -> Option<TxOut> {
+        let (address, amount) = self.regular.remove(outpoint)?;
+        Some(TxOut::regular(address, amount))
     }
 
     /// The live escrow-kind outputs, in outpoint order.
     pub fn escrows(&self) -> impl Iterator<Item = (&OutPoint, &TxOut)> {
-        self.escrows
-            .iter()
-            .map(|outpoint| (outpoint, &self.entries[outpoint]))
+        self.escrows.iter()
     }
 
     /// Number of unspent outputs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.regular.len() + self.escrows.len()
     }
 
     /// Returns `true` if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.regular.is_empty() && self.escrows.is_empty()
     }
 
     /// Iterates over all `(outpoint, output)` entries (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (&OutPoint, &TxOut)> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (&OutPoint, TxOut)> {
+        let regular = self
+            .regular
+            .iter()
+            .map(|(outpoint, &(address, amount))| (outpoint, TxOut::regular(address, amount)));
+        regular.chain(self.escrows.iter().map(|(outpoint, out)| (outpoint, *out)))
+    }
+
+    /// Every output's address and amount, escrows included.
+    fn holdings(&self) -> impl Iterator<Item = (&Address, Amount)> {
+        let regular = self
+            .regular
+            .values()
+            .map(|(address, amount)| (address, *amount));
+        regular.chain(self.escrows.values().map(|out| (&out.address, out.amount)))
     }
 
     /// Total value held by `address`.
     pub fn balance_of(&self, address: &Address) -> Amount {
         Amount::checked_sum(
-            self.entries
-                .values()
-                .filter(|o| o.address == *address)
-                .map(|o| o.amount),
+            self.holdings()
+                .filter(|(holder, _)| *holder == address)
+                .map(|(_, amount)| amount),
         )
         .expect("total supply fits in u64")
     }
@@ -105,10 +132,9 @@ impl UtxoSet {
     /// All outpoints owned by `address`, with their outputs.
     pub fn owned_by(&self, address: &Address) -> Vec<(OutPoint, TxOut)> {
         let mut owned: Vec<(OutPoint, TxOut)> = self
-            .entries
             .iter()
             .filter(|(_, o)| o.address == *address)
-            .map(|(op, o)| (*op, *o))
+            .map(|(op, o)| (*op, o))
             .collect();
         owned.sort_by_key(|(op, _)| *op);
         owned
@@ -116,7 +142,7 @@ impl UtxoSet {
 
     /// Total value of every unspent output (supply audit).
     pub fn total_value(&self) -> Amount {
-        Amount::checked_sum(self.entries.values().map(|o| o.amount))
+        Amount::checked_sum(self.holdings().map(|(_, amount)| amount))
             .expect("total supply fits in u64")
     }
 }

@@ -770,7 +770,7 @@ fn certificate_maturation_mints_tagged_escrow_utxos() {
         txid: cert_digest,
         index: 0,
     };
-    let escrowed = *chain.state().utxos.get(&outpoint).unwrap();
+    let escrowed = chain.state().utxos.get(&outpoint).unwrap();
     assert!(escrowed.is_escrow(), "matured escrow BT carries the kind");
     assert_eq!(
         *escrowed.escrow_tag().unwrap(),

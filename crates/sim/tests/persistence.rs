@@ -238,7 +238,7 @@ fn a_journal_one_respect_off_the_live_chain_is_refused() {
     type Edit = Box<dyn Fn(&UtxoStore) -> Vec<ChainEvent>>;
     let first = |store: &UtxoStore| {
         let (outpoint, out) = store.iter().next().expect("the chain holds outputs");
-        (*outpoint, *out)
+        (*outpoint, out)
     };
     let edits: Vec<(&str, Edit)> = vec![
         (

@@ -74,49 +74,51 @@ impl Indexer {
     }
 
     /// Cold-start: rebuilds every chain-derived index in one scan of
-    /// the (already replayed) store, copying none of it. The result is
-    /// the indexer that [`Indexer::apply`] of the whole store as one
-    /// delta would build: regular outputs' balances are summed in one
-    /// sorted pass and bulk-built, and escrows take the same slots and
-    /// the same per-destination write. Records an `indexer.coldstart`
-    /// span.
+    /// each of the (already replayed) store's two maps, copying neither.
+    /// The result is the indexer that [`Indexer::apply`] of the whole
+    /// store as one delta would build: regular outputs' balances are
+    /// summed in one sorted pass and bulk-built, and escrows, in
+    /// outpoint order, take the same slots and the same per-destination
+    /// write. Records an `indexer.coldstart` span.
     pub fn from_store(store: &UtxoStore, telemetry: Telemetry) -> Self {
         let mut indexer = Indexer::new(telemetry.clone());
         let (_, _nanos) = telemetry.time("indexer.coldstart", || {
-            let mut regular = Vec::new();
             let mut planned = BTreeMap::new();
-            for (outpoint, out) in store.iter() {
-                match out.kind {
-                    OutputKind::Regular => regular.push((leading_word(&out.address), out)),
-                    OutputKind::Escrow(tag) => plan_escrow(
-                        &mut indexer.pending,
-                        &mut indexer.trees,
-                        &mut planned,
-                        *outpoint,
-                        out.amount,
-                        &tag,
-                    ),
-                }
+            for (outpoint, out) in store.escrows() {
+                let tag = out.escrow_tag().expect("the escrow map holds escrows only");
+                plan_escrow(
+                    &mut indexer.pending,
+                    &mut indexer.trees,
+                    &mut planned,
+                    *outpoint,
+                    out.amount,
+                    tag,
+                );
             }
             write_planned(&mut indexer.trees, planned);
+            let mut regular: Vec<(u64, &Address, Amount)> = store
+                .regular()
+                .values()
+                .map(|(address, amount)| (leading_word(address), address, *amount))
+                .collect();
             // Address order by leading word. Two addresses that share
             // one (hashes, so about never) meet somewhere in their run
             // of equal words; then the run order is redone by whole
             // addresses.
-            regular.sort_unstable_by_key(|(word, _)| *word);
+            regular.sort_unstable_by_key(|(word, _, _)| *word);
             if regular
                 .windows(2)
-                .any(|pair| pair[0].0 == pair[1].0 && pair[0].1.address != pair[1].1.address)
+                .any(|pair| pair[0].0 == pair[1].0 && pair[0].1 != pair[1].1)
             {
-                regular.sort_unstable_by_key(|(_, out)| out.address);
+                regular.sort_unstable_by_key(|(_, address, _)| *address);
             }
             let mut balances: Vec<(Address, Amount)> = Vec::new();
-            for (_, out) in regular {
+            for (_, address, amount) in regular {
                 match balances.last_mut() {
-                    Some((last, sum)) if *last == out.address => {
-                        *sum = sum.checked_add(out.amount).expect("chain-invariant sum");
+                    Some((last, sum)) if last == address => {
+                        *sum = sum.checked_add(amount).expect("chain-invariant sum");
                     }
-                    _ => balances.push((out.address, out.amount)),
+                    _ => balances.push((*address, amount)),
                 }
             }
             indexer.balances = balances.into_iter().collect();
@@ -354,7 +356,7 @@ mod tests {
     fn applied_whole(store: &UtxoStore) -> Indexer {
         let mut indexer = Indexer::new(Telemetry::disabled());
         indexer.apply(&AppliedDelta {
-            added: store.iter().map(|(op, out)| (*op, *out)).collect(),
+            added: store.iter().map(|(op, out)| (*op, out)).collect(),
             removed: Vec::new(),
         });
         indexer

@@ -1,12 +1,23 @@
 //! The journaled persistent UTXO store.
+//!
+//! The in-memory mirror keeps the set as two maps, both in outpoint
+//! order: regular outputs as `(Address, Amount)` — 76 bytes an entry
+//! with the outpoint — and the few escrow-kind outputs whole, tag
+//! included. An outpoint lives in at most one of them. The canonical
+//! order that the snapshot record, the state digest and
+//! [`UtxoStore::iter`] use is the two maps merged by outpoint, so the
+//! bytes are those of one map of whole outputs.
 
+use std::collections::btree_map::{self, Entry};
 use std::collections::BTreeMap;
 use std::io;
+use std::iter::Peekable;
 use std::path::Path;
 
 use zendoo_core::escrow::EscrowTag;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_mainchain::transaction::OutputKind;
+use zendoo_mainchain::utxo::UtxoSet;
 use zendoo_mainchain::{Blockchain, ChainEvent, OutPoint, TxOut};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{decode_with, Decode, DecodeError, Encode};
@@ -88,11 +99,105 @@ pub struct AppliedDelta {
     pub removed: Vec<(OutPoint, TxOut)>,
 }
 
+/// The mirrored set: regular outputs and escrow-kind outputs in two
+/// maps (see the module docs).
+#[derive(Clone, Default)]
+struct Mirror {
+    regular: BTreeMap<OutPoint, (Address, Amount)>,
+    escrows: BTreeMap<OutPoint, TxOut>,
+}
+
+impl Mirror {
+    /// A live set's entries, sorted into the two maps.
+    fn of(live: &UtxoSet) -> Mirror {
+        let regular = live
+            .iter()
+            .filter(|(_, out)| !out.is_escrow())
+            .map(|(outpoint, out)| (*outpoint, (out.address, out.amount)));
+        Mirror {
+            regular: regular.collect(),
+            escrows: live.escrows().map(|(op, out)| (*op, *out)).collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.regular.len() + self.escrows.len()
+    }
+
+    fn get(&self, outpoint: &OutPoint) -> Option<TxOut> {
+        self.regular
+            .get(outpoint)
+            .map(|&(address, amount)| TxOut::regular(address, amount))
+            .or_else(|| self.escrows.get(outpoint).copied())
+    }
+
+    /// Adds an output at an outpoint neither map holds; returns `false`
+    /// and writes nothing otherwise.
+    fn insert_new(&mut self, outpoint: OutPoint, out: &TxOut) -> bool {
+        match out.kind {
+            OutputKind::Regular => match self.regular.entry(outpoint) {
+                Entry::Vacant(slot) if !self.escrows.contains_key(&outpoint) => {
+                    slot.insert((out.address, out.amount));
+                    true
+                }
+                _ => false,
+            },
+            OutputKind::Escrow(_) => match self.escrows.entry(outpoint) {
+                Entry::Vacant(slot) if !self.regular.contains_key(&outpoint) => {
+                    slot.insert(*out);
+                    true
+                }
+                _ => false,
+            },
+        }
+    }
+
+    fn remove(&mut self, outpoint: &OutPoint) -> Option<TxOut> {
+        self.regular
+            .remove(outpoint)
+            .map(|(address, amount)| TxOut::regular(address, amount))
+            .or_else(|| self.escrows.remove(outpoint))
+    }
+
+    /// Every entry, the two maps merged into outpoint order.
+    fn iter(&self) -> Merged<'_> {
+        Merged {
+            regular: self.regular.iter().peekable(),
+            escrows: self.escrows.iter().peekable(),
+        }
+    }
+}
+
+/// [`Mirror::iter`]: a merge of the two ordered maps.
+struct Merged<'a> {
+    regular: Peekable<btree_map::Iter<'a, OutPoint, (Address, Amount)>>,
+    escrows: Peekable<btree_map::Iter<'a, OutPoint, TxOut>>,
+}
+
+impl<'a> Iterator for Merged<'a> {
+    type Item = (&'a OutPoint, TxOut);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let regular_first = match (self.regular.peek(), self.escrows.peek()) {
+            (Some((regular, _)), Some((escrow, _))) => regular < escrow,
+            (regular, _) => regular.is_some(),
+        };
+        if regular_first {
+            let (outpoint, &(address, amount)) = self.regular.next()?;
+            Some((outpoint, TxOut::regular(address, amount)))
+        } else {
+            let (outpoint, out) = self.escrows.next()?;
+            Some((outpoint, *out))
+        }
+    }
+}
+
 /// In-memory mirror + append-only journal of the active chain's UTXO
-/// set. See the crate docs for the durability contract.
+/// set. See the crate docs for the durability contract, and the module
+/// docs for the mirror's layout.
 pub struct UtxoStore {
     journal: Journal,
-    utxos: BTreeMap<OutPoint, TxOut>,
+    utxos: Mirror,
     tip: Digest32,
     height: u64,
     /// `false` until a snapshot record seeds the store (a freshly
@@ -111,7 +216,7 @@ impl UtxoStore {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
 
-        let mut utxos = BTreeMap::new();
+        let mut utxos = Mirror::default();
         let mut tip = Digest32::ZERO;
         let mut height = 0u64;
         let mut seeded = false;
@@ -163,19 +268,19 @@ impl UtxoStore {
     /// snapshot's tip must not be applied afterwards; bootstrap right
     /// after [`Blockchain::enable_event_log`], before the next block.
     pub fn bootstrap(&mut self, chain: &Blockchain) -> Result<(), StoreError> {
-        let entries = sorted_utxos(chain);
+        let utxos = Mirror::of(&chain.state().utxos);
         let mut payload = Vec::new();
         TAG_SNAPSHOT.encode_into(&mut payload);
         encode_state(
             &mut payload,
             chain.tip_hash(),
             chain.height(),
-            entries.iter().copied(),
+            &utxos,
             |_| {},
         );
 
         self.journal.append(&payload)?;
-        self.utxos = entries.into_iter().map(|(op, out)| (*op, *out)).collect();
+        self.utxos = utxos;
         self.tip = chain.tip_hash();
         self.height = chain.height();
         self.seeded = true;
@@ -195,7 +300,9 @@ impl UtxoStore {
         let (result, _nanos) = self.telemetry.time("store.append", || {
             let payload = encode_event(event);
             journal.append(&payload)?;
-            apply_event_to(event, utxos, tip, height, seeded)
+            let mut delta = AppliedDelta::default();
+            apply_event_to(event, utxos, tip, height, seeded, Some(&mut delta))?;
+            Ok(delta)
         });
         result
     }
@@ -226,27 +333,40 @@ impl UtxoStore {
     }
 
     /// Looks up one output.
-    pub fn get(&self, outpoint: &OutPoint) -> Option<&TxOut> {
+    pub fn get(&self, outpoint: &OutPoint) -> Option<TxOut> {
         self.utxos.get(outpoint)
     }
 
     /// Iterates the mirrored set in canonical (outpoint) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&OutPoint, &TxOut)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&OutPoint, TxOut)> {
         self.utxos.iter()
+    }
+
+    /// The regular outputs, as `(address, amount)`, in outpoint order.
+    pub(crate) fn regular(&self) -> &BTreeMap<OutPoint, (Address, Amount)> {
+        &self.utxos.regular
+    }
+
+    /// The escrow-kind outputs, in outpoint order.
+    pub(crate) fn escrows(&self) -> &BTreeMap<OutPoint, TxOut> {
+        &self.utxos.escrows
     }
 
     /// Sum of all mirrored outputs.
     pub fn total_value(&self) -> Amount {
-        Amount::checked_sum(self.utxos.values().map(|o| o.amount)).expect("chain-invariant sum")
+        let regular = self.utxos.regular.values().map(|(_, amount)| *amount);
+        let escrowed = self.utxos.escrows.values().map(|out| out.amount);
+        Amount::checked_sum(regular.chain(escrowed)).expect("chain-invariant sum")
     }
 
     /// Sum of regular outputs controlled by `address`.
     pub fn balance_of(&self, address: &Address) -> Amount {
         Amount::checked_sum(
             self.utxos
+                .regular
                 .values()
-                .filter(|o| !o.is_escrow() && o.address == *address)
-                .map(|o| o.amount),
+                .filter(|(holder, _)| holder == address)
+                .map(|(_, amount)| *amount),
         )
         .expect("chain-invariant sum")
     }
@@ -256,21 +376,26 @@ impl UtxoStore {
     /// live chain, via [`chain_state_digest`]) hold bit-identical
     /// state iff their digests match.
     pub fn state_digest(&self) -> Digest32 {
-        digest_state(self.tip, self.height, self.utxos.iter())
+        digest_state(self.tip, self.height, &self.utxos)
     }
 
     /// Whether this store holds exactly `chain`'s state: the same tip,
-    /// height and UTXO count, and every stored entry present in the
-    /// live set with an equal output. That is exact equality, which
-    /// equal digests only imply; the live set is looked up, never
-    /// sorted, encoded or hashed. Records a `store.verify` span.
+    /// height and UTXO count, and every stored entry, in either map,
+    /// present in the live set with an equal output. That is exact
+    /// equality, which equal digests only imply; the live set is looked
+    /// up, never sorted, encoded or hashed. Records a `store.verify`
+    /// span.
     pub fn matches(&self, chain: &Blockchain) -> bool {
         let live = &chain.state().utxos;
+        let Mirror { regular, escrows } = &self.utxos;
         let (same, _nanos) = self.telemetry.time("store.verify", || {
             self.tip == chain.tip_hash()
                 && self.height == chain.height()
                 && self.utxos.len() == live.len()
-                && self.utxos.iter().all(|(op, out)| live.get(op) == Some(out))
+                && regular.iter().all(|(op, &(address, amount))| {
+                    live.get(op) == Some(TxOut::regular(address, amount))
+                })
+                && escrows.iter().all(|(op, out)| live.get(op) == Some(*out))
         });
         same
     }
@@ -285,34 +410,22 @@ impl UtxoStore {
 /// from a live chain — the "in-memory" side of the persisted ==
 /// in-memory comparison.
 pub fn chain_state_digest(chain: &Blockchain) -> Digest32 {
-    digest_state(
-        chain.tip_hash(),
-        chain.height(),
-        sorted_utxos(chain).into_iter(),
-    )
-}
-
-/// `chain`'s UTXO set by reference, in outpoint order.
-fn sorted_utxos(chain: &Blockchain) -> Vec<(&OutPoint, &TxOut)> {
-    let mut entries: Vec<_> = chain.state().utxos.iter().collect();
-    entries.sort_unstable_by_key(|(op, _)| **op);
-    entries
+    let utxos = Mirror::of(&chain.state().utxos);
+    digest_state(chain.tip_hash(), chain.height(), &utxos)
 }
 
 /// The digest of a state's canonical encoding ([`encode_state`]), as
 /// `Digest32::hash_tagged("zendoo.store.state", &[encoding])` gives it.
-/// The encoding's length is summed first, then its bytes stream into
-/// the hash [`DIGEST_CHUNK`] at a time.
-fn digest_state<'a>(
-    tip: Digest32,
-    height: u64,
-    entries: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)> + Clone,
-) -> Digest32 {
-    let entries_len: usize = entries.clone().map(|(_, out)| entry_len(out)).sum();
+/// The encoding's length comes first — every field is fixed-width, and
+/// an escrow adds its tag — then its bytes stream into the hash
+/// [`DIGEST_CHUNK`] at a time.
+fn digest_state(tip: Digest32, height: u64, utxos: &Mirror) -> Digest32 {
+    let entries_len =
+        utxos.len() * <(OutPoint, TxOut)>::MIN_LEN + utxos.escrows.len() * EscrowTag::MIN_LEN;
     let mut hasher = TaggedSha256::new("zendoo.store.state");
     hasher.segment((Digest32::MIN_LEN + 2 * u64::MIN_LEN + entries_len) as u64);
     let mut buf = Vec::new();
-    encode_state(&mut buf, tip, height, entries, |buf| {
+    encode_state(&mut buf, tip, height, utxos, |buf| {
         if buf.len() >= DIGEST_CHUNK {
             hasher.update(buf);
             buf.clear();
@@ -322,31 +435,21 @@ fn digest_state<'a>(
     Digest32(hasher.finalize())
 }
 
-/// The encoded length of one `(OutPoint, TxOut)` entry: every field is
-/// fixed-width, and an escrow output adds its tag.
-fn entry_len(out: &TxOut) -> usize {
-    let tag = match out.kind {
-        OutputKind::Regular => 0,
-        OutputKind::Escrow(_) => EscrowTag::MIN_LEN,
-    };
-    <(OutPoint, TxOut)>::MIN_LEN + tag
-}
-
 /// The canonical encoding of a UTXO state — tip, height, then the
-/// entries, which must be in outpoint order. A journal snapshot carries
-/// it and the state digest hashes it. `spill` sees `out` after each
-/// entry and may drain it.
-fn encode_state<'a>(
+/// entries in outpoint order. A journal snapshot carries it and the
+/// state digest hashes it. `spill` sees `out` after each entry and may
+/// drain it.
+fn encode_state(
     out: &mut Vec<u8>,
     tip: Digest32,
     height: u64,
-    entries: impl ExactSizeIterator<Item = (&'a OutPoint, &'a TxOut)>,
+    utxos: &Mirror,
     mut spill: impl FnMut(&mut Vec<u8>),
 ) {
     // The same bytes as `(Digest32, u64, Vec<(OutPoint, TxOut)>)`,
     // read back as one.
-    (tip, height, entries.len() as u64).encode_into(out);
-    for entry in entries {
+    (tip, height, utxos.len() as u64).encode_into(out);
+    for entry in utxos.iter() {
         entry.encode_into(out);
         spill(out);
     }
@@ -379,15 +482,17 @@ fn encode_event(event: &ChainEvent) -> Vec<u8> {
 }
 
 /// Applies one event to the in-memory mirror with continuity checks,
-/// returning the net delta. Shared by live application and journal
-/// replay (replay re-decodes into the same [`ChainEvent`] shape).
+/// recording the net change in `delta` when one is given. Shared by
+/// live application and journal replay (replay re-decodes into the same
+/// [`ChainEvent`] shape, and keeps no delta).
 fn apply_event_to(
     event: &ChainEvent,
-    utxos: &mut BTreeMap<OutPoint, TxOut>,
+    utxos: &mut Mirror,
     tip: &mut Digest32,
     height: &mut u64,
     seeded: bool,
-) -> Result<AppliedDelta, StoreError> {
+    mut delta: Option<&mut AppliedDelta>,
+) -> Result<(), StoreError> {
     if !seeded {
         return Err(StoreError::Inconsistent(
             "event applied to an unseeded store (bootstrap first)",
@@ -406,22 +511,25 @@ fn apply_event_to(
                     got: format!("connect of {hash} at height {event_height}"),
                 });
             }
-            let mut delta = AppliedDelta::default();
             for (outpoint, _) in spent {
                 let Some(out) = utxos.remove(outpoint) else {
                     return Err(StoreError::Inconsistent("spent output not in store"));
                 };
-                delta.removed.push((*outpoint, out));
+                if let Some(delta) = delta.as_deref_mut() {
+                    delta.removed.push((*outpoint, out));
+                }
             }
             for (outpoint, out) in created {
-                if utxos.insert(*outpoint, *out).is_some() {
+                if !utxos.insert_new(*outpoint, out) {
                     return Err(StoreError::Inconsistent("created outpoint already present"));
                 }
-                delta.added.push((*outpoint, *out));
+            }
+            if let Some(delta) = delta {
+                delta.added.extend_from_slice(created);
             }
             *tip = *hash;
             *height = *event_height;
-            Ok(delta)
+            Ok(())
         }
         ChainEvent::Disconnected {
             hash,
@@ -436,24 +544,27 @@ fn apply_event_to(
                     got: format!("disconnect of {hash} at height {event_height}"),
                 });
             }
-            let mut delta = AppliedDelta::default();
             for outpoint in created {
                 let Some(out) = utxos.remove(outpoint) else {
                     return Err(StoreError::Inconsistent("rolled-back output not in store"));
                 };
-                delta.removed.push((*outpoint, out));
+                if let Some(delta) = delta.as_deref_mut() {
+                    delta.removed.push((*outpoint, out));
+                }
             }
             for (outpoint, out) in spent {
-                if utxos.insert(*outpoint, *out).is_some() {
+                if !utxos.insert_new(*outpoint, out) {
                     return Err(StoreError::Inconsistent(
                         "restored outpoint already present",
                     ));
                 }
-                delta.added.push((*outpoint, *out));
+            }
+            if let Some(delta) = delta {
+                delta.added.extend_from_slice(spent);
             }
             *tip = *parent;
             *height = event_height - 1;
-            Ok(delta)
+            Ok(())
         }
     }
 }
@@ -461,7 +572,7 @@ fn apply_event_to(
 /// Decodes and applies one journal record during replay.
 fn replay_record(
     payload: &[u8],
-    utxos: &mut BTreeMap<OutPoint, TxOut>,
+    utxos: &mut Mirror,
     tip: &mut Digest32,
     height: &mut u64,
     seeded: &mut bool,
@@ -469,9 +580,36 @@ fn replay_record(
     let (&tag, body) = payload.split_first().ok_or(DecodeError::UnexpectedEof)?;
     let event = match tag {
         TAG_SNAPSHOT => {
-            let (snap_tip, snap_height, pairs): (_, _, Vec<_>) =
-                decode_with(body, |r| Ok((r.read()?, r.read()?, r.read()?)))?;
-            *utxos = pairs.into_iter().collect();
+            // Decoded straight into the two maps' entries, which arrive
+            // in outpoint order and are bulk-built.
+            let (mut regular, mut escrows) = (Vec::new(), Vec::new());
+            let mut ordered = true;
+            let (snap_tip, snap_height) = decode_with(body, |r| {
+                let head: (Digest32, u64) = (r.read()?, r.read()?);
+                let len: u64 = r.read()?;
+                if len > (body.len() / <(OutPoint, TxOut)>::MIN_LEN) as u64 {
+                    return Err(DecodeError::BadLength(len));
+                }
+                regular.reserve(len as usize);
+                let mut previous = None;
+                for _ in 0..len {
+                    let (outpoint, out): (OutPoint, TxOut) = r.read()?;
+                    ordered &= previous < Some(outpoint);
+                    previous = Some(outpoint);
+                    match out.kind {
+                        OutputKind::Regular => regular.push((outpoint, (out.address, out.amount))),
+                        OutputKind::Escrow(_) => escrows.push((outpoint, out)),
+                    }
+                }
+                Ok(head)
+            })?;
+            if !ordered {
+                return Err(StoreError::Inconsistent("snapshot out of outpoint order"));
+            }
+            *utxos = Mirror {
+                regular: regular.into_iter().collect(),
+                escrows: escrows.into_iter().collect(),
+            };
             *tip = snap_tip;
             *height = snap_height;
             *seeded = true;
@@ -496,7 +634,7 @@ fn replay_record(
         })?,
         t => return Err(DecodeError::BadTag(t).into()),
     };
-    apply_event_to(&event, utxos, tip, height, *seeded).map(|_| ())
+    apply_event_to(&event, utxos, tip, height, *seeded, None)
 }
 
 #[cfg(test)]
@@ -575,27 +713,31 @@ mod tests {
         type Edit = fn(&mut UtxoStore, OutPoint, OutPoint, OutPoint);
         let edits: [(&str, Edit); 8] = [
             ("an entry's amount", |s, alice, _, _| {
-                s.utxos.get_mut(&alice).unwrap().amount = Amount::from_units(501);
+                s.utxos.regular.get_mut(&alice).unwrap().1 = Amount::from_units(501);
             }),
             ("an entry's address", |s, alice, _, _| {
-                s.utxos.get_mut(&alice).unwrap().address = Address::from_label("mallory");
+                s.utxos.regular.get_mut(&alice).unwrap().0 = Address::from_label("mallory");
             }),
+            // A regular entry turned into an escrow moves between the maps.
             ("an entry's kind", |s, alice, _, _| {
-                s.utxos.get_mut(&alice).unwrap().kind = OutputKind::Escrow(escrow_tag("dest"));
+                let (address, amount) = s.utxos.regular.remove(&alice).unwrap();
+                let out = TxOut::escrow(address, amount, escrow_tag("dest"));
+                s.utxos.escrows.insert(alice, out);
             }),
             ("an escrow's tag", |s, _, escrow, _| {
-                s.utxos.get_mut(&escrow).unwrap().kind = OutputKind::Escrow(escrow_tag("other"));
+                s.utxos.escrows.get_mut(&escrow).unwrap().kind =
+                    OutputKind::Escrow(escrow_tag("other"));
             }),
             ("a missing entry", |s, alice, _, _| {
-                s.utxos.remove(&alice);
+                s.utxos.regular.remove(&alice);
             }),
             ("an extra entry", |s, alice, _, absent| {
-                let out = s.utxos[&alice];
-                s.utxos.insert(absent, out);
+                let entry = s.utxos.regular[&alice];
+                s.utxos.regular.insert(absent, entry);
             }),
             ("an entry at another outpoint", |s, alice, _, absent| {
-                let out = s.utxos.remove(&alice).unwrap();
-                s.utxos.insert(absent, out);
+                let entry = s.utxos.regular.remove(&alice).unwrap();
+                s.utxos.regular.insert(absent, entry);
             }),
             ("the tip", |s, _, _, _| {
                 s.tip = Digest32::hash_bytes(b"another tip")
@@ -633,19 +775,23 @@ mod tests {
             })
             .collect();
         let tip = Digest32::hash_bytes(b"tip");
-        let mut whole = Vec::new();
-        encode_state(&mut whole, tip, 9, entries.iter(), |_| {});
+        let mut mirror = Mirror::default();
+        for (outpoint, out) in &entries {
+            assert!(mirror.insert_new(*outpoint, out));
+        }
+        // The two maps merged give the bytes of one ordered list of
+        // whole outputs.
+        let whole = (tip, 9u64, entries.into_iter().collect::<Vec<_>>()).encoded();
         assert!(whole.len() > 3 * DIGEST_CHUNK);
+        let mut encoded = Vec::new();
+        encode_state(&mut encoded, tip, 9, &mirror, |_| {});
+        assert_eq!(encoded, whole);
         assert_eq!(
-            digest_state(tip, 9, entries.iter()),
+            digest_state(tip, 9, &mirror),
             Digest32::hash_tagged("zendoo.store.state", &[&whole])
         );
         assert_eq!(
-            digest_state(
-                tip,
-                9,
-                [].iter().map(|(op, out): &(OutPoint, TxOut)| (op, out))
-            ),
+            digest_state(tip, 9, &Mirror::default()),
             Digest32::hash_tagged("zendoo.store.state", &[&(tip, 9u64, 0u64).encoded()])
         );
     }
@@ -665,6 +811,46 @@ mod tests {
             matches!(refusal, Some(StoreError::Codec(DecodeError::BadTag(7)))),
             "{refusal:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot's entries must arrive in strictly ascending outpoint
+    /// order, as the writer puts them: one repeated or out of order is
+    /// refused by name, wherever each entry would be kept.
+    #[test]
+    fn a_snapshot_out_of_outpoint_order_is_inconsistent() {
+        let dir = temp_dir("snapshot-order");
+        let [low, high] = [1, 2].map(|n| OutPoint {
+            txid: Digest32::hash_bytes(b"snapshot"),
+            index: n,
+        });
+        let regular = TxOut::regular(Address::from_label("alice"), Amount::from_units(5));
+        let escrow = TxOut::escrow(
+            Address::from_label("escrow"),
+            Amount::from_units(3),
+            escrow_tag("dest"),
+        );
+        for entries in [
+            vec![(high, regular), (low, regular)],
+            vec![(low, regular), (low, escrow)],
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let (mut journal, _) = Journal::open(&dir.join(JOURNAL_FILE), |_| {}).unwrap();
+            let mut payload = vec![TAG_SNAPSHOT];
+            (Digest32::ZERO, 0u64, entries).encode_into(&mut payload);
+            journal.append(&payload).unwrap();
+            journal.commit().unwrap();
+            drop(journal);
+            let refusal = UtxoStore::open(&dir, Telemetry::disabled()).err();
+            assert!(
+                matches!(
+                    refusal,
+                    Some(StoreError::Inconsistent("snapshot out of outpoint order"))
+                ),
+                "{refusal:?}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -699,7 +885,7 @@ mod tests {
     fn spending_an_absent_output_or_recreating_a_present_one_is_inconsistent() {
         let (chain, mut store, dir) = chain_and_store("inconsistent");
         let alice = entry_of(&store, "alice");
-        let out = *store.get(&alice).unwrap();
+        let out = store.get(&alice).unwrap();
         let absent = OutPoint {
             txid: Digest32::hash_bytes(b"absent"),
             index: 0,
@@ -710,11 +896,18 @@ mod tests {
             created,
             spent,
         };
+        let escrow = entry_of(&store, "escrow");
+        let escrowed = store.get(&escrow).unwrap();
         let spend_absent = connect(vec![], vec![(absent, out)]);
         let recreate_present = connect(vec![(alice, out)], vec![]);
+        // An outpoint one map holds is present to the other map too.
+        let regular_over_escrow = connect(vec![(escrow, out)], vec![]);
+        let escrow_over_regular = connect(vec![(alice, escrowed)], vec![]);
         for (event, what) in [
             (spend_absent, "spent output not in store"),
             (recreate_present, "created outpoint already present"),
+            (regular_over_escrow, "created outpoint already present"),
+            (escrow_over_regular, "created outpoint already present"),
         ] {
             let refusal = store.apply_event(&event).err();
             assert!(
@@ -764,6 +957,56 @@ mod tests {
         let expected = "3e94012335f379bcbe679fb739f025cd75137fdb6d275420f4a61c1f7bc02413";
         assert_eq!(chain_state_digest(&chain).to_hex(), expected);
         assert_eq!(store.state_digest().to_hex(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The digest's value on a state whose escrows sort between its
+    /// regular outputs, recorded before the mirror was split in two:
+    /// the merged walk of the two maps must give the bytes one map of
+    /// whole outputs gave, on the live side, the store's side and
+    /// after a replay of the snapshot.
+    #[test]
+    fn state_digest_known_answer_with_escrows_between_regular_outputs() {
+        let miner = Wallet::from_seed(b"digest-escrows-miner");
+        let regular = |label: &str, units| {
+            TxOut::regular(Address::from_label(label), Amount::from_units(units))
+        };
+        let escrow = |dest: &str, units| {
+            TxOut::escrow(
+                Address::from_label("escrow"),
+                Amount::from_units(units),
+                escrow_tag(dest),
+            )
+        };
+        let mut chain = Blockchain::new(ChainParams {
+            genesis_outputs: vec![
+                regular("alice", 500),
+                escrow("dest-a", 30),
+                regular("bob", 70),
+                escrow("dest-b", 40),
+                regular("carol", 9),
+            ],
+            ..ChainParams::default()
+        });
+        for height in 1..=2 {
+            chain
+                .mine_next_block(miner.address(), vec![], height)
+                .expect("block mines");
+        }
+        let dir = temp_dir("digest-kat-escrows");
+        let mut store = UtxoStore::open(&dir, Telemetry::disabled()).expect("store opens");
+        store.bootstrap(&chain).expect("store seeds");
+        let kinds: String = store
+            .iter()
+            .map(|(_, out)| if out.is_escrow() { 'e' } else { 'r' })
+            .collect();
+        assert!(kinds.contains("rer"), "escrows between regulars: {kinds}");
+        let expected = "71e83935e242b4eb9575e30904680f5c3b89a2a6bf5b5851bc22f2b67fa9f45b";
+        assert_eq!(chain_state_digest(&chain).to_hex(), expected);
+        assert_eq!(store.state_digest().to_hex(), expected);
+        drop(store);
+        let reopened = UtxoStore::open(&dir, Telemetry::disabled()).expect("store reopens");
+        assert_eq!(reopened.state_digest().to_hex(), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
