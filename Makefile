@@ -1,8 +1,8 @@
 # Zendoo reproduction — developer tasks. `make ci` is the gate.
 
-.PHONY: ci serde-audit fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims test-benchmark bench-build bench bench-smoke obs-report demo
+.PHONY: ci serde-audit fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims test-crates test-benchmark bench-build bench bench-smoke obs-report demo
 
-ci: serde-audit fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims bench-build test-benchmark
+ci: serde-audit fmt-check unsafe-audit clippy doc doc-test test test-field test-adversarial test-byzantine test-store test-tree test-claims test-crates bench-build test-benchmark
 
 # No code of ours names serde: canonical bytes are the in-repo
 # `Encode`/`Decode` pair, and the serde stand-in in crates/support
@@ -116,7 +116,8 @@ test-field:
 # every declaration refusal of the one escrow-pairing rule — a
 # declaration without its escrow, a wrong amount, a tampered nullifier,
 # a foreign source, a self transfer, zero coins, a nullifier declared
-# twice (zendoo-core crosschain::) — the hostile-input codec corpus
+# twice (zendoo-core crosschain::), a settlement batch entry from another
+# source chain (SettlementError::SourceMismatch) — the hostile-input codec corpus
 # (settlement_codec) and the totality harness over every wire form — the
 # round trip, every prefix, a trailing byte, every bit flip and 1,000
 # random strings per form, its payload count printed (the root
@@ -136,6 +137,8 @@ test-field:
 # body refused by name at stage 1 and a validation that hashes each
 # transfer id once (pipeline). Then the Latus follower (two_nodes): a
 # tampered state digest, tx root or smuggled payment refused by name, a
+# body carrying another block's reference under a header naming the
+# observed block refused by name (ScBlockError::McRefHashMismatch), a
 # reference whose `wcert` is forged or dropped refused by name, a
 # refused forge that leaves no trace, forger and follower agreeing
 # across a fork, and a follower refusing by name to certify an epoch
@@ -150,7 +153,7 @@ test-field:
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain::" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary
@@ -227,6 +230,17 @@ test-tree:
 # CSW of epoch_flow (4,129 each). Host-independent: no clock is read.
 test-claims:
 	$(call run-suites,claims,"zendoo paper_claims" "zendoo-primitives lib smt::tests::a_write_costs_log_occupancy_not_depth smt::tests::a_batch_hashes_each_touched_node_once" "zendoo-latus lib consensus::tests::leadership_frequency_tracks_stake a_certificate_statement_is_one_proof_check_and_a_fold_per_touched_slot a_payment_is_priced_by_the_checks_its_transition_runs" "zendoo-latus epoch_flow btr_pre_validated_synced_and_fulfilled ceased_sidechain_csw_recovery historical_csw_survives_data_withholding" "zendoo-snark lib the_model_prices_what_the_check_ran merge_is_charged_the_two_checks_it_runs wrap_and_fold_are_charged_the_checks_they_run")
+
+# Every other suite of our crates, whole: the telemetry handle's
+# contract and the histogram properties, the disabled handle's overhead
+# bound (noop_overhead), the mainchain's unit tests, invariants and
+# mempool properties, the sc-txs commitment properties, batch
+# settlement, the Latus wallet flow, load generation, the field and
+# curve algebra, the sim's load determinism and the SNARK soundness
+# suite. With the steps above, `make ci` runs every test target of
+# every crate of ours.
+test-crates:
+	$(call run-suites,crates,"zendoo-telemetry lib" "zendoo-telemetry histogram_props" "zendoo-bench noop_overhead" "zendoo-mainchain lib" "zendoo-mainchain invariants" "zendoo-mainchain mempool_props" "zendoo-core commitment_props" "zendoo-crosschain batch_settlement" "zendoo-latus wallet_flow" "zendoo-loadgen loadgen" "zendoo-primitives algebra" "zendoo-sim load_determinism" "zendoo-snark soundness")
 
 # The standalone benchmark package (BENCHMARK.json runs it from its own
 # checkout): its unit tests, then every workload once at smoke size. It

@@ -176,10 +176,10 @@ fn main() {
 
     // Cold start under a recording telemetry: journal replay
     // (`store.replay`) then index rebuild (`indexer.coldstart`).
-    let (telemetry, recorder) = Telemetry::in_memory();
+    let telemetry = Telemetry::in_memory();
     let store = UtxoStore::open(&dir, telemetry.clone()).expect("recover");
-    let indexer = Indexer::from_store(&store, telemetry);
-    let cold = recorder.drain();
+    let indexer = Indexer::from_store(&store, telemetry.clone());
+    let cold = telemetry.drain();
     let replay_ns = cold.spans["store.replay"].total_nanos;
     let rebuild_ns = cold.spans["indexer.coldstart"].total_nanos;
     let records = cold.counters["store.records_replayed"];
@@ -194,7 +194,7 @@ fn main() {
         let address = Address(digest("addr", (i * 97) % ADDRESSES as u64));
         std::hint::black_box(indexer.balance(&address));
     }
-    let balance = quantiles(&recorder.drain(), "indexer.query.balance");
+    let balance = quantiles(&telemetry.drain(), "indexer.query.balance");
     for i in 0..10_000u64 {
         let n = (i * 97) % PENDING as u64;
         let nullifier = Nullifier(digest("null", n));
@@ -205,11 +205,11 @@ fn main() {
                 .expect("pending entry exists"),
         );
     }
-    let pending_point = quantiles(&recorder.drain(), "indexer.query.pending");
+    let pending_point = quantiles(&telemetry.drain(), "indexer.query.pending");
     for i in 0..256u64 {
         std::hint::black_box(indexer.pending_inbound(&dests[i as usize % DESTS]).len());
     }
-    let pending_list = quantiles(&recorder.drain(), "indexer.query.pending");
+    let pending_list = quantiles(&telemetry.drain(), "indexer.query.pending");
 
     let peak_rss = peak_rss_mb().map_or_else(|| "null".into(), |mb| format!("{mb:.1}"));
     write_report(

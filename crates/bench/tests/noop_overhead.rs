@@ -1,6 +1,7 @@
-//! Smoke check of the disabled-telemetry contract: with the default
-//! no-op recorder, every instrument site must cost about one branch —
-//! no clock reads, no allocation, no locking.
+//! Smoke check of the disabled-telemetry contract: on the default
+//! disabled `Telemetry` handle (no snapshot behind it), every instrument
+//! site must cost about one null check — no clock reads, no allocation,
+//! no locking.
 //!
 //! The bound here is deliberately loose (it runs in debug mode on
 //! arbitrarily noisy CI hosts): it will not catch a few extra
@@ -14,12 +15,12 @@ use zendoo_telemetry::Telemetry;
 /// Iterations per instrument kind.
 const ITERS: u64 = 200_000;
 /// Average per-call budget, in nanoseconds. A branch costs ~1 ns; a
-/// debug-build call with an `Arc` deref costs tens; an accidental
+/// debug-build call through a closure costs tens; an accidental
 /// allocation, clock read or lock costs hundreds to thousands.
 const BUDGET_NANOS_PER_CALL: u64 = 1_000;
 
 #[test]
-fn disabled_recorder_overhead_is_about_a_branch() {
+fn disabled_handle_overhead_is_about_a_branch() {
     let telemetry = Telemetry::disabled();
     assert!(!telemetry.is_enabled());
 

@@ -372,6 +372,25 @@ mod tests {
         ));
     }
 
+    /// A batch entry from another source chain is refused by name, on
+    /// the decoded carrier and by the batch itself.
+    #[test]
+    fn a_batch_entry_from_another_source_is_refused_by_name() {
+        let mut stray = xct(9, 50);
+        stray.source = SidechainId::from_label("elsewhere");
+        stray.nullifier = stray.derive_nullifier();
+        let mut b = batch(2);
+        b.transfers.push(stray);
+        assert_eq!(
+            b.validate(),
+            Err(SettlementError::SourceMismatch { index: 2 })
+        );
+        assert!(matches!(
+            decode_settlement_metadata(&b.receiver_metadata()),
+            Some(Err(SettlementError::SourceMismatch { index: 2 }))
+        ));
+    }
+
     #[test]
     fn commitment_binds_window_and_entries() {
         let a = batch(2);

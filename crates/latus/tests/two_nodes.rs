@@ -154,6 +154,40 @@ fn validator_rejects_tampered_blocks() {
     assert_eq!(validator.state().digest(), h.node.state().digest());
 }
 
+/// A block whose header names the observed mainchain block but whose
+/// body carries another block's reference passes the node's header
+/// check and is refused by name when the block is applied, under a tx
+/// root that covers the swapped body.
+#[test]
+fn a_body_carrying_another_blocks_reference_is_refused_by_name() {
+    let mut h = TwoChains::new("two-nodes-mc-ref");
+    let mut validator = follower(&h, b"validator");
+    let forge_next = |h: &mut TwoChains| {
+        h.time += 1;
+        let mc_block = h
+            .chain
+            .mine_next_block(h.mc_wallet.address(), vec![], h.time)
+            .unwrap();
+        let commitment = Blockchain::build_commitment(&mc_block.transactions);
+        let sc_block = h.node.sync_mainchain_block(&mc_block, &commitment).unwrap();
+        (mc_block, sc_block)
+    };
+    let (mc_block, sc_block) = forge_next(&mut h);
+    let (_, next_sc_block) = forge_next(&mut h);
+
+    let mut forged = sc_block.clone();
+    forged.mc_references = next_sc_block.mc_references.clone();
+    forged.header.tx_root = forged.compute_tx_root();
+    assert_eq!(forged.header.mc_ref_hashes, vec![mc_block.hash()]);
+    assert_eq!(
+        refusal(validator.receive_block(&forged, &mc_block)),
+        ScBlockError::McRefHashMismatch
+    );
+
+    validator.receive_block(&sc_block, &mc_block).unwrap();
+    assert_eq!(validator.chain().len(), 1);
+}
+
 /// A reference's `wcert` is outside the block hash; the validator holds
 /// it to the certificate hash the reference's commitment evidence binds,
 /// so a raised quality or a dropped certificate is refused by name and

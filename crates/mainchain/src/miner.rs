@@ -52,7 +52,7 @@ impl Miner {
     /// Attaches a telemetry handle to the pool (its `mc.mempool.*`
     /// instruments). The default is [`Telemetry::disabled`].
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.mempool.set_telemetry(telemetry);
+        self.mempool.set_telemetry(telemetry.clone());
     }
 
     /// The reward address.
@@ -293,8 +293,8 @@ mod tests {
     #[test]
     fn precheck_failure_is_returned_and_counted() {
         let (mut chain, mut miner, _) = setup();
-        let (telemetry, recorder) = Telemetry::in_memory();
-        chain.set_telemetry(telemetry);
+        let telemetry = Telemetry::in_memory();
+        chain.set_telemetry(telemetry.clone());
         let coinbase = McTransaction::Coinbase(crate::transaction::CoinbaseTx {
             height: 1,
             outputs: vec![],
@@ -303,7 +303,7 @@ mod tests {
         let error = miner.submit_transaction(&chain, coinbase).unwrap_err();
         assert_eq!(error, expected);
         assert!(miner.mempool().is_empty(), "never occupies pool space");
-        let counters = recorder.snapshot().counters;
+        let counters = telemetry.snapshot().counters;
         assert_eq!(counters.get("mc.rejects"), Some(&1));
         assert_eq!(
             counters.get(&format!("mc.reject.{}", error.variant_name())),
@@ -383,8 +383,8 @@ mod tests {
         // two halves the simulator's tick overlaps with its shard lanes.
         let run = |split: bool| {
             let (mut chain, mut miner, alice) = setup();
-            let (telemetry, recorder) = Telemetry::in_memory();
-            chain.set_telemetry(telemetry);
+            let telemetry = Telemetry::in_memory();
+            chain.set_telemetry(telemetry.clone());
             let tx = alice
                 .pay(
                     &chain,
@@ -406,7 +406,7 @@ mod tests {
                 miner.mine(&mut chain, 1).unwrap()
             };
             assert!(miner.mempool().is_empty());
-            (block, chain.tip_hash(), recorder.snapshot().counters)
+            (block, chain.tip_hash(), telemetry.snapshot().counters)
         };
         let (mined, mined_tip, mined_counters) = run(false);
         let (split, split_tip, split_counters) = run(true);

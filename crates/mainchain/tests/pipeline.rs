@@ -249,7 +249,7 @@ fn block_undo_is_an_exact_rollback() {
 
 // ---- A receiving node's stage 2: one verdict per statement ---------------
 
-/// [`chain_with_sidechains`] recording into its own recorder.
+/// [`chain_with_sidechains`] recording into its own telemetry handle.
 /// Deterministic: two calls give a builder and a receiver at one tip.
 fn recording_node(
     n: usize,
@@ -257,12 +257,12 @@ fn recording_node(
     Blockchain,
     Vec<ProvingKey>,
     Wallet,
-    std::sync::Arc<zendoo_telemetry::InMemoryRecorder>,
+    zendoo_telemetry::Telemetry,
 ) {
     let (mut chain, pks, miner) = chain_with_sidechains(n);
-    let (telemetry, recorder) = zendoo_telemetry::Telemetry::in_memory();
-    chain.set_telemetry(telemetry);
-    (chain, pks, miner, recorder)
+    let telemetry = zendoo_telemetry::Telemetry::in_memory();
+    chain.set_telemetry(telemetry.clone());
+    (chain, pks, miner, telemetry)
 }
 
 fn certificate_txs(chain: &Blockchain, pks: &[ProvingKey], n: usize) -> Vec<McTransaction> {
@@ -277,15 +277,15 @@ fn certificate_txs(chain: &Blockchain, pks: &[ProvingKey], n: usize) -> Vec<McTr
 #[test]
 fn a_receiver_verifies_each_statement_once_under_stage_2() {
     let (builder, pks, miner, _) = recording_node(4);
-    let (mut receiver, _, _, recorder) = recording_node(4);
+    let (mut receiver, _, _, telemetry) = recording_node(4);
     let block = builder
         .prepare_block(miner.address(), certificate_txs(&builder, &pks, 4), 8)
         .unwrap()
         .block;
 
-    recorder.drain();
+    telemetry.drain();
     receiver.submit_block(block).unwrap();
-    let snap = recorder.drain();
+    let snap = telemetry.drain();
     assert_eq!(snap.spans["mc.stage2.verify"].count, 1);
     assert_eq!(snap.spans["snark.batch.verify"].count, 1);
     assert_eq!(snap.histograms["snark.batch.proofs"].sum(), 4);
@@ -306,15 +306,15 @@ fn a_receiver_verifies_each_statement_once_under_stage_2() {
 #[test]
 fn an_empty_block_owes_no_proof_check() {
     let (builder, _, miner, _) = recording_node(1);
-    let (mut receiver, _, _, recorder) = recording_node(1);
+    let (mut receiver, _, _, telemetry) = recording_node(1);
     let block = builder
         .prepare_block(miner.address(), vec![], 8)
         .unwrap()
         .block;
 
-    recorder.drain();
+    telemetry.drain();
     receiver.submit_block(block).unwrap();
-    let snap = recorder.drain();
+    let snap = telemetry.drain();
     assert!(!snap.spans.contains_key("snark.batch.verify"));
     assert_eq!(snap.counters.get("mc.verdict_cache.hit"), Some(&0));
     assert_eq!(snap.counters.get("mc.verdict_cache.miss"), Some(&0));
@@ -371,20 +371,20 @@ fn sig_premine(escrow: Vec<TxOut>) -> Vec<TxOut> {
 }
 
 /// A node at height 7 holding [`sig_premine`], two certifiable
-/// sidechains and its own recorder. Deterministic: two calls give two
-/// nodes at one tip.
+/// sidechains and its own telemetry handle. Deterministic: two calls
+/// give two nodes at one tip.
 fn sig_node(
     escrow: Vec<TxOut>,
 ) -> (
     Blockchain,
     Vec<ProvingKey>,
     Wallet,
-    std::sync::Arc<zendoo_telemetry::InMemoryRecorder>,
+    zendoo_telemetry::Telemetry,
 ) {
     let (mut chain, pks, miner) = chain_with_sidechains_premined(2, sig_premine(escrow));
-    let (telemetry, recorder) = zendoo_telemetry::Telemetry::in_memory();
-    chain.set_telemetry(telemetry);
-    (chain, pks, miner, recorder)
+    let telemetry = zendoo_telemetry::Telemetry::in_memory();
+    chain.set_telemetry(telemetry.clone());
+    (chain, pks, miner, telemetry)
 }
 
 /// User `i` spending both premined outputs in one two-input transfer.
@@ -448,15 +448,15 @@ fn inline_verdict(chain: &Blockchain, block: &Block) -> Result<(), BlockError> {
 /// refused with exactly the inline validator's error, leaving tip and
 /// state as they were.
 fn assert_refused_as_inline(block: Block, expected: &BlockError) -> zendoo_telemetry::Snapshot {
-    let (mut receiver, _, _, recorder) = sig_node(Vec::new());
+    let (mut receiver, _, _, telemetry) = sig_node(Vec::new());
     let block = remine(&receiver, block);
     assert_eq!(inline_verdict(&receiver, &block).as_ref(), Err(expected));
     let (tip, state) = (receiver.tip_hash(), receiver.state().clone());
-    recorder.drain();
+    telemetry.drain();
     assert_eq!(receiver.submit_block(block).as_ref(), Err(expected));
     assert_eq!(receiver.tip_hash(), tip);
     assert_eq!(receiver.state(), &state, "a refused block leaves no trace");
-    recorder.drain()
+    telemetry.drain()
 }
 
 /// A signature that verifies — for another key over other bytes.
@@ -552,10 +552,10 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
     let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
     assert!(prepared.rejected.is_empty(), "{:?}", prepared.rejected);
 
-    let (mut receiver, _, _, recorder) = sig_node(escrow());
-    recorder.drain();
+    let (mut receiver, _, _, telemetry) = sig_node(escrow());
+    telemetry.drain();
     receiver.submit_block(prepared.block.clone()).unwrap();
-    let snap = recorder.drain();
+    let snap = telemetry.drain();
     // The batch held what resolves to a regular output before the
     // block — 1 + 3·2 inputs; the two escrow inputs owe no
     // signature and carol's, spending an output of this block, was

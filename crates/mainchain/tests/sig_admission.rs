@@ -162,13 +162,13 @@ fn worker_count_never_changes_the_admitted_set() {
 #[test]
 fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
     let (mut chain, wallets) = chain_with_users(10);
-    let (telemetry, recorder) = Telemetry::in_memory();
+    let telemetry = Telemetry::in_memory();
     chain.set_telemetry(telemetry.clone());
     let mut miner = Miner::new(
         Wallet::from_seed(b"sig-miner").address(),
         MempoolConfig::default(),
     );
-    miner.set_telemetry(telemetry);
+    miner.set_telemetry(telemetry.clone());
 
     let txs: Vec<McTransaction> = wallets
         .iter()
@@ -189,7 +189,7 @@ fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
     let block = miner.mine(&mut chain, 1).unwrap();
     assert_eq!(block.transactions.len(), 11, "coinbase + the whole batch");
 
-    let snapshot = recorder.snapshot();
+    let snapshot = telemetry.snapshot();
     assert_eq!(
         snapshot.counters.get("mc.precheck.skipped").copied(),
         Some(10),
@@ -253,11 +253,11 @@ fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
             .unwrap();
         miner.submit_transaction(&chain, tx).unwrap();
     }
-    let (telemetry, recorder) = Telemetry::in_memory();
-    chain.set_telemetry(telemetry);
+    let telemetry = Telemetry::in_memory();
+    chain.set_telemetry(telemetry.clone());
     let prepared = miner.prepare(&chain, 1).unwrap();
     assert_eq!(prepared.block.transactions.len(), 7);
-    let building = recorder.drain();
+    let building = telemetry.drain();
     assert_eq!(
         building.histograms["sig.batch.sigs"].sum(),
         6,
@@ -270,7 +270,7 @@ fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
         measure(|| chain.submit(prepared.block.clone(), Some(prepared.verdicts)));
     assert!(matches!(outcome, Ok(SubmitOutcome::ExtendedActiveChain)));
     assert_eq!(submitting.group_muls, 0, "stage 3 re-verifies nothing");
-    let snapshot = recorder.drain();
+    let snapshot = telemetry.drain();
     assert_eq!(snapshot.counters.get("mc.sig_cache.hit"), Some(&6));
     assert_eq!(
         snapshot
@@ -344,8 +344,8 @@ fn a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits() {
             );
         }
 
-        let (telemetry, recorder) = Telemetry::in_memory();
-        chain.set_telemetry(telemetry);
+        let telemetry = Telemetry::in_memory();
+        chain.set_telemetry(telemetry.clone());
         let prepared = miner.prepare(&chain, 1).unwrap();
         assert_eq!(
             prepared.rejected,
@@ -360,7 +360,7 @@ fn a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits() {
             prepared.block.transactions[1..].iter().collect::<Vec<_>>(),
             confirmed
         );
-        let building = recorder.drain();
+        let building = telemetry.drain();
         assert_eq!(
             building.histograms["sig.batch.sigs"].sum(),
             USERS as u64,
@@ -407,12 +407,12 @@ fn batch_admitted_transfers_queue_no_checks_at_build() {
         .collect();
     assert_eq!(miner.submit_batch(&chain, txs, 2, |_, _| {}).admitted, 5);
 
-    let (telemetry, recorder) = Telemetry::in_memory();
-    chain.set_telemetry(telemetry);
+    let telemetry = Telemetry::in_memory();
+    chain.set_telemetry(telemetry.clone());
     let (prepared, building) = measure(|| miner.prepare(&chain, 1).unwrap());
     assert_eq!(prepared.block.transactions.len(), 6);
     assert_eq!(building.group_muls, 0, "nothing verified at build");
-    let snapshot = recorder.drain();
+    let snapshot = telemetry.drain();
     assert!(!snapshot.histograms.contains_key("sig.batch.sigs"));
     assert!(!snapshot.spans.contains_key("sig.batch.verify"));
     assert_eq!(snapshot.counters.get("mc.sig_cache.hit"), Some(&5));
@@ -594,10 +594,10 @@ fn forgeries_a_plain_sum_accepts_are_flagged_at_their_indices() {
 #[test]
 fn a_failed_equation_is_counted_once_per_chunk() {
     let fallbacks = |batch: &[SigCheck], workers| {
-        let (telemetry, recorder) = Telemetry::in_memory();
+        let telemetry = Telemetry::in_memory();
         let verdicts = verify_sig_batch_with(batch, workers, &telemetry);
         assert_eq!(verdicts, oracle(batch));
-        let snapshot = recorder.snapshot();
+        let snapshot = telemetry.snapshot();
         assert_eq!(
             snapshot.histograms["sig.batch.sigs"].sum(),
             batch.len() as u64
@@ -637,7 +637,7 @@ fn a_failed_equation_is_counted_once_per_chunk() {
             }
         })
         .collect();
-    let (telemetry, recorder) = Telemetry::in_memory();
+    let telemetry = Telemetry::in_memory();
     let report = admit_batch_with(
         &mut Mempool::new(),
         chain.state(),
@@ -648,7 +648,7 @@ fn a_failed_equation_is_counted_once_per_chunk() {
     );
     assert_eq!((report.admitted, report.rejected), (3, 1));
     assert_eq!(
-        recorder.snapshot().counters.get("sig.batch.fallback"),
+        telemetry.snapshot().counters.get("sig.batch.fallback"),
         Some(&1)
     );
 }

@@ -65,7 +65,7 @@ pub(crate) fn lanes(workers: Option<usize>) -> usize {
 /// of worker-thread scheduling.
 pub(crate) fn apply_effects(world: &mut World, effects: ShardEffects) -> Option<SimError> {
     if let Some(snapshot) = &effects.telemetry {
-        world.absorb_shard_telemetry(snapshot);
+        world.telemetry.absorb(snapshot);
     }
     world.metrics.sc_blocks += effects.forged;
     world.metrics.blocks_buffered += effects.buffered;

@@ -66,5 +66,5 @@ pub mod world;
 pub use audit::{AuditSnapshot, AuditViolation, ConservationAuditor};
 pub use events::{Action, RunError, Schedule};
 pub use metrics::Metrics;
-pub use shard::{ShardEffects, ShardMetrics, SidechainShard};
+pub use shard::{ShardEffects, SidechainShard};
 pub use world::{ScInstance, SimConfig, SimError, User, World};

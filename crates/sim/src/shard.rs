@@ -6,7 +6,7 @@
 //! parallel: each sidechain node only consumes the mined mainchain
 //! block. A [`SidechainShard`] owns everything one sidechain needs for
 //! that phase — the deployed [`ScInstance`], its fault flags and its
-//! per-chain [`ShardMetrics`] — and
+//! pending feed — and
 //! [`SidechainShard::sync_and_certify`] performs one tick of work,
 //! returning an ordered [`ShardEffects`] log instead of mutating any
 //! coordinator state.
@@ -47,29 +47,6 @@ pub(crate) struct McDelivery {
     pub(crate) commitment: Arc<ScTxsCommitment>,
 }
 
-/// Per-sidechain counters, owned by the shard itself (the global
-/// [`crate::metrics::Metrics`] aggregates across chains).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardMetrics {
-    /// Sidechain blocks forged by this chain.
-    pub sc_blocks: u64,
-    /// Certificates this chain produced.
-    pub certificates_produced: u64,
-    /// Certificate opportunities deliberately withheld (fault).
-    pub certificates_withheld: u64,
-    /// Sidechain blocks reverted by mainchain reorgs.
-    pub sc_blocks_reverted: u64,
-    /// Contained panics (each one quarantines the shard).
-    pub panics: u64,
-    /// Canonical mainchain blocks buffered while the shard was
-    /// partitioned or following an equivocating relay.
-    pub blocks_buffered: u64,
-    /// Buffered blocks replayed into the node after a heal.
-    pub blocks_replayed: u64,
-    /// Equivocating sibling blocks accepted from a faulty relay.
-    pub equivocations: u64,
-}
-
 /// The ordered effect log one shard produces for one tick. The
 /// coordinator folds these into the global metrics and mempool in
 /// declaration order, so the outcome is independent of which worker
@@ -105,14 +82,17 @@ pub struct ShardEffects {
     pub nanos: u64,
     /// The shard-local telemetry recorded during this tick (present
     /// only when the world is recording). Shards never touch the
-    /// world's recorder directly: the coordinator absorbs these
-    /// snapshots in declaration order, so the aggregate is identical
-    /// whichever worker thread ran which shard when.
+    /// world's [`zendoo_telemetry::Telemetry`] handle: the coordinator
+    /// absorbs these snapshots into it in declaration order, so the
+    /// aggregate is identical whichever worker thread ran which shard
+    /// when.
     pub telemetry: Option<Snapshot>,
 }
 
 /// One sidechain's slice of the world: the deployed instance plus the
-/// shard-local fault flags and metrics.
+/// shard-local fault flags and pending feed. What a shard did is
+/// counted once, in the world's [`crate::metrics::Metrics`], from the
+/// [`ShardEffects`] it returns.
 pub struct SidechainShard {
     pub(crate) instance: ScInstance,
     /// Per-chain withheld-certificate fault.
@@ -146,7 +126,6 @@ pub struct SidechainShard {
     /// forged competitors the coordinator injects (see
     /// `World::start_quality_war`).
     pub(crate) quality_war: bool,
-    pub(crate) metrics: ShardMetrics,
 }
 
 impl SidechainShard {
@@ -160,7 +139,6 @@ impl SidechainShard {
             diverged: None,
             backlog: Vec::new(),
             quality_war: false,
-            metrics: ShardMetrics::default(),
         }
     }
 
@@ -172,11 +150,6 @@ impl SidechainShard {
     /// The deployed sidechain instance.
     pub fn instance(&self) -> &ScInstance {
         &self.instance
-    }
-
-    /// The shard-local metrics.
-    pub fn metrics(&self) -> &ShardMetrics {
-        &self.metrics
     }
 
     /// Returns `true` once a contained panic quarantined this shard.
@@ -204,8 +177,6 @@ impl SidechainShard {
             .node
             .sync_mainchain_block(&phantom.block, &phantom.commitment)?;
         self.diverged = Some(phantom.block.header.parent);
-        self.metrics.sc_blocks += 1;
-        self.metrics.equivocations += 1;
         Ok(())
     }
 
@@ -216,9 +187,7 @@ impl SidechainShard {
         let Some(base) = self.diverged.take() else {
             return Ok(0);
         };
-        let reverted = self.instance.node.rollback_to_mc(&base)?;
-        self.metrics.sc_blocks_reverted += reverted as u64;
-        Ok(reverted)
+        self.instance.node.rollback_to_mc(&base)
     }
 
     /// Mainchain-fork resolution (§5.1) for this shard, given the
@@ -243,7 +212,6 @@ impl SidechainShard {
         let mut reverted = 0;
         if stands_on.is_some_and(|hash| disconnected.contains(&hash)) {
             reverted = self.instance.node.rollback_to_mc(fork_base)?;
-            self.metrics.sc_blocks_reverted += reverted as u64;
             // The rollback removed the phantom relay block along with
             // its anchor: the equivocation is resolved and the shard
             // resumes on its own.
@@ -288,7 +256,6 @@ impl SidechainShard {
         if self.stalled() {
             self.backlog.extend_from_slice(feed);
             effects.buffered = feed.len() as u64;
-            self.metrics.blocks_buffered += effects.buffered;
         } else {
             let backlog = std::mem::take(&mut self.backlog);
             let replay = backlog.len() as u64;
@@ -301,17 +268,12 @@ impl SidechainShard {
                     effects.certificates = certificates;
                     effects.withheld = withheld;
                     effects.replayed = replay;
-                    self.metrics.sc_blocks += forged;
-                    self.metrics.certificates_produced += effects.certificates.len() as u64;
-                    self.metrics.certificates_withheld += withheld;
-                    self.metrics.blocks_replayed += replay;
                 }
                 Ok(Err(error)) => {
                     effects.error = Some(error);
                 }
                 Err(payload) => {
                     self.quarantined = true;
-                    self.metrics.panics += 1;
                     effects.panicked = Some(panic_message(payload));
                 }
             }

@@ -66,11 +66,11 @@ use zendoo_primitives::schnorr::Keypair;
 use zendoo_primitives::smt;
 use zendoo_snark::batch::fan_out;
 use zendoo_store::{Indexer, StoreError, UtxoStore};
-use zendoo_telemetry::{InMemoryRecorder, Snapshot, Telemetry};
+use zendoo_telemetry::{Snapshot, Telemetry};
 
 use crate::coordinator;
 use crate::metrics::Metrics;
-use crate::shard::{McDelivery, ShardMetrics, SidechainShard};
+use crate::shard::{McDelivery, SidechainShard};
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -97,12 +97,12 @@ pub struct SimConfig {
     /// Outcomes are bit-identical for every value; only the wall-clock
     /// profile changes.
     pub workers: Option<usize>,
-    /// When `true` the world records telemetry into an
-    /// [`InMemoryRecorder`] from construction on (spans, counters and
-    /// histograms across the mainchain pipeline, the router and the
-    /// shards); snapshot it via [`World::telemetry_snapshot`]. The
-    /// default is `false`: every instrument site then hits the no-op
-    /// recorder, whose cost is a single branch.
+    /// When `true` the world's [`Telemetry`] handle records from
+    /// construction on (spans, counters and histograms across the
+    /// mainchain pipeline, the router, the store and the shards);
+    /// snapshot it via [`World::telemetry_snapshot`]. The default is
+    /// `false`: the handle is disabled, and every instrument site costs
+    /// a null check.
     pub telemetry: bool,
     /// Capacity of the miner's MC mempool. The default budget is far
     /// above scenario-scale traffic (nothing is ever evicted); load
@@ -289,8 +289,8 @@ impl From<StoreError> for SimError {
 pub struct World {
     /// The mainchain.
     pub chain: Blockchain,
-    /// Per-sidechain shards (instance + faults + per-chain metrics),
-    /// keyed by id.
+    /// Per-sidechain shards (instance + faults + pending feed), keyed
+    /// by id.
     pub(crate) shards: BTreeMap<SidechainId, SidechainShard>,
     /// Sidechain ids in declaration order.
     pub(crate) order: Vec<SidechainId>,
@@ -317,8 +317,6 @@ pub struct World {
     /// miner's pool and the coordinator (disabled unless
     /// [`SimConfig::telemetry`]).
     pub(crate) telemetry: Telemetry,
-    /// The sink behind `telemetry` when recording is on.
-    pub(crate) recorder: Option<Arc<InMemoryRecorder>>,
     /// Durable UTXO store + indexer, when persistence is attached
     /// ([`World::attach_persistence`]).
     pub(crate) persistence: Option<Persistence>,
@@ -395,11 +393,10 @@ impl World {
             ..ChainParams::default()
         };
         let mut chain = Blockchain::new(chain_params);
-        let (telemetry, recorder) = if config.telemetry {
-            let (telemetry, recorder) = Telemetry::in_memory();
-            (telemetry, Some(recorder))
+        let telemetry = if config.telemetry {
+            Telemetry::in_memory()
         } else {
-            (Telemetry::disabled(), None)
+            Telemetry::disabled()
         };
         chain.set_telemetry(telemetry.clone());
         let mut miner = Miner::new(Wallet::from_seed(b"sim-miner").address(), config.mempool);
@@ -483,7 +480,6 @@ impl World {
             time: 1,
             workers: config.workers,
             telemetry,
-            recorder,
             persistence: None,
         }
     }
@@ -615,15 +611,9 @@ impl World {
         self.shards.get(id).map(|shard| &shard.instance)
     }
 
-    /// A sidechain's shard (instance + fault flags + per-chain
-    /// metrics).
+    /// A sidechain's shard (instance + fault flags + pending feed).
     pub fn shard(&self, id: &SidechainId) -> Option<&SidechainShard> {
         self.shards.get(id)
-    }
-
-    /// A shard's per-chain metrics.
-    pub fn shard_metrics_of(&self, id: &SidechainId) -> Option<&ShardMetrics> {
-        self.shards.get(id).map(|shard| &shard.metrics)
     }
 
     /// The ids of shards quarantined by a contained panic, in id
@@ -1034,19 +1024,7 @@ impl World {
     /// `mc.block_txs`, …). Empty when recording is off. Render it with
     /// [`zendoo_telemetry::render_report`].
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.recorder
-            .as_ref()
-            .map(|recorder| recorder.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Merges a shard-local snapshot into the world recorder (used by
-    /// the coordinator, which absorbs shard effects in declaration
-    /// order so the aggregate is identical for every worker count).
-    pub(crate) fn absorb_shard_telemetry(&mut self, snapshot: &Snapshot) {
-        if let Some(recorder) = &self.recorder {
-            recorder.absorb(snapshot);
-        }
+        self.telemetry.snapshot()
     }
 
     /// Advances the world by one mainchain block: drains matured

@@ -27,9 +27,9 @@ pub const MATRIX: [Option<usize>; 5] = [Some(1), Some(2), Some(3), Some(4), None
 /// counters a *receiving* node pays (the world submits each block with
 /// its builder's verdicts, so its own stage 2 never verifies).
 pub fn assert_follower_replay_matches(world: &World) -> Snapshot {
-    let (telemetry, recorder) = Telemetry::in_memory();
+    let telemetry = Telemetry::in_memory();
     let mut follower = Blockchain::new(world.chain.params().clone());
-    follower.set_telemetry(telemetry);
+    follower.set_telemetry(telemetry.clone());
     for height in 1..=world.chain.height() {
         let block = world.chain.block_at_height(height).expect("active block");
         follower
@@ -42,5 +42,5 @@ pub fn assert_follower_replay_matches(world: &World) -> Snapshot {
         chain_state_digest(&world.chain),
         "follower state diverged from the world's chain"
     );
-    recorder.snapshot()
+    telemetry.snapshot()
 }

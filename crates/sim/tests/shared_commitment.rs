@@ -46,9 +46,9 @@ fn idle_forge_sha(transfers: usize) -> u64 {
         balance.units() + deposited,
         "every transfer is in the block"
     );
-    assert_eq!(world.shard(&idle).unwrap().metrics().blocks_buffered, 0);
+    assert_eq!(world.shard(&idle).unwrap().backlog_len(), 0);
     assert_eq!(
-        world.shard(&busy).unwrap().metrics().blocks_buffered,
+        world.shard(&busy).unwrap().backlog_len(),
         1,
         "the busy chain forged nothing"
     );

@@ -288,9 +288,13 @@ impl UtxoStore {
         Ok(())
     }
 
-    /// Journals and applies one chain event, returning the net delta.
-    /// Durable only after [`UtxoStore::commit`]. Records a
+    /// Applies one chain event and journals it, returning the net
+    /// delta. Durable only after [`UtxoStore::commit`]. Records a
     /// `store.append` span.
+    ///
+    /// Only an accepted event is journaled: a refused one, or one whose
+    /// append fails, leaves the mirror, the tip and the journal as they
+    /// were.
     pub fn apply_event(&mut self, event: &ChainEvent) -> Result<AppliedDelta, StoreError> {
         let journal = &mut self.journal;
         let utxos = &mut self.utxos;
@@ -298,10 +302,15 @@ impl UtxoStore {
         let height = &mut self.height;
         let seeded = self.seeded;
         let (result, _nanos) = self.telemetry.time("store.append", || {
-            let payload = encode_event(event);
-            journal.append(&payload)?;
+            let (old_tip, old_height) = (*tip, *height);
             let mut delta = AppliedDelta::default();
-            apply_event_to(event, utxos, tip, height, seeded, Some(&mut delta))?;
+            let applied = apply_event_to(event, utxos, tip, height, seeded, Some(&mut delta))
+                .and_then(|()| Ok(journal.append(&encode_event(event))?));
+            if let Err(error) = applied {
+                undo(utxos, &delta);
+                (*tip, *height) = (old_tip, old_height);
+                return Err(error);
+            }
             Ok(delta)
         });
         result
@@ -482,9 +491,13 @@ fn encode_event(event: &ChainEvent) -> Vec<u8> {
 }
 
 /// Applies one event to the in-memory mirror with continuity checks,
-/// recording the net change in `delta` when one is given. Shared by
-/// live application and journal replay (replay re-decodes into the same
-/// [`ChainEvent`] shape, and keeps no delta).
+/// recording each output it removes and adds in `delta` when one is
+/// given. Shared by live application and journal replay (replay
+/// re-decodes into the same [`ChainEvent`] shape, and keeps no delta).
+///
+/// A refusal part-way leaves the mirror partly written and the tip
+/// untouched; what was written is in `delta`, for [`undo`]. Replay
+/// needs no undo: a refused record fails the whole open.
 fn apply_event_to(
     event: &ChainEvent,
     utxos: &mut Mirror,
@@ -523,9 +536,9 @@ fn apply_event_to(
                 if !utxos.insert_new(*outpoint, out) {
                     return Err(StoreError::Inconsistent("created outpoint already present"));
                 }
-            }
-            if let Some(delta) = delta {
-                delta.added.extend_from_slice(created);
+                if let Some(delta) = delta.as_deref_mut() {
+                    delta.added.push((*outpoint, *out));
+                }
             }
             *tip = *hash;
             *height = *event_height;
@@ -558,14 +571,25 @@ fn apply_event_to(
                         "restored outpoint already present",
                     ));
                 }
-            }
-            if let Some(delta) = delta {
-                delta.added.extend_from_slice(spent);
+                if let Some(delta) = delta.as_deref_mut() {
+                    delta.added.push((*outpoint, *out));
+                }
             }
             *tip = *parent;
             *height = event_height - 1;
             Ok(())
         }
+    }
+}
+
+/// Takes back what [`apply_event_to`] wrote to the mirror, as `delta`
+/// recorded it: the added outputs go, the removed ones return.
+fn undo(utxos: &mut Mirror, delta: &AppliedDelta) {
+    for (outpoint, _) in &delta.added {
+        utxos.remove(outpoint);
+    }
+    for (outpoint, out) in &delta.removed {
+        utxos.insert_new(*outpoint, out);
     }
 }
 
@@ -870,12 +894,14 @@ mod tests {
             created: vec![],
             spent: vec![],
         };
+        let before = (store.journal_bytes(), store.state_digest());
         for event in [wrong_height, not_the_tip] {
             let refusal = store.apply_event(&event).err();
             assert!(
                 matches!(refusal, Some(StoreError::Discontinuity { .. })),
                 "{refusal:?}"
             );
+            assert_eq!((store.journal_bytes(), store.state_digest()), before);
         }
         assert!(store.matches(&chain));
         let _ = std::fs::remove_dir_all(&dir);
@@ -903,6 +929,7 @@ mod tests {
         // An outpoint one map holds is present to the other map too.
         let regular_over_escrow = connect(vec![(escrow, out)], vec![]);
         let escrow_over_regular = connect(vec![(alice, escrowed)], vec![]);
+        let before = (store.journal_bytes(), store.state_digest());
         for (event, what) in [
             (spend_absent, "spent output not in store"),
             (recreate_present, "created outpoint already present"),
@@ -914,7 +941,61 @@ mod tests {
                 matches!(refusal, Some(StoreError::Inconsistent(w)) if w == what),
                 "{refusal:?}"
             );
+            assert_eq!((store.journal_bytes(), store.state_digest()), before);
         }
+        assert!(store.matches(&chain));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An event refused part-way — a connect that spends a present
+    /// output, then an absent one; a disconnect that restores one output
+    /// over a present one after rolling back another — changes nothing,
+    /// and is never journaled: after a commit the directory reopens to
+    /// the state before the refusal.
+    #[test]
+    fn an_event_refused_part_way_leaves_the_store_and_its_journal_as_they_were() {
+        let (chain, mut store, dir) = chain_and_store("part-way");
+        let (alice, bob) = (entry_of(&store, "alice"), entry_of(&store, "bob"));
+        let (alice_out, bob_out) = (store.get(&alice).unwrap(), store.get(&bob).unwrap());
+        let absent = OutPoint {
+            txid: Digest32::hash_bytes(b"absent"),
+            index: 0,
+        };
+        let spends_present_then_absent = ChainEvent::Connected {
+            hash: Digest32::hash_bytes(b"block"),
+            height: chain.height() + 1,
+            created: vec![(absent, alice_out)],
+            spent: vec![(alice, alice_out), (absent, alice_out)],
+        };
+        let restores_over_a_present_output = ChainEvent::Disconnected {
+            hash: chain.tip_hash(),
+            height: chain.height(),
+            parent: Digest32::ZERO,
+            created: vec![alice],
+            spent: vec![(absent, alice_out), (bob, bob_out)],
+        };
+        let before = (store.journal_bytes(), store.state_digest());
+        for (event, what) in [
+            (spends_present_then_absent, "spent output not in store"),
+            (
+                restores_over_a_present_output,
+                "restored outpoint already present",
+            ),
+        ] {
+            let refusal = store.apply_event(&event).err();
+            assert!(
+                matches!(refusal, Some(StoreError::Inconsistent(w)) if w == what),
+                "{refusal:?}"
+            );
+            assert_eq!((store.journal_bytes(), store.state_digest()), before);
+            assert_eq!(store.get(&alice), Some(alice_out));
+            assert_eq!(store.get(&absent), None);
+        }
+        assert!(store.matches(&chain));
+        store.commit().unwrap();
+        drop(store);
+        let reopened = UtxoStore::open(&dir, Telemetry::disabled()).expect("reopens");
+        assert_eq!(reopened.state_digest(), before.1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

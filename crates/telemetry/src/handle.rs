@@ -1,76 +1,37 @@
-//! The [`Recorder`] sink trait, the no-op default, and the clonable
-//! [`Telemetry`] handle every instrumented component owns.
+//! The clonable [`Telemetry`] handle every instrumented component owns.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::memory::InMemoryRecorder;
+use crate::snapshot::Snapshot;
 
-/// A sink for telemetry events. Implementations must be thread-safe;
-/// the handle calls them from pipeline worker threads and sim shard
-/// lanes.
-///
-/// [`Recorder::enabled`] is the single gate the [`Telemetry`] handle
-/// checks before doing any work — a recorder that returns `false`
-/// never receives events, and span call sites never read the clock.
-pub trait Recorder: Send + Sync {
-    /// Whether events should be recorded at all. The handle checks
-    /// this before timing spans, so a `false` here keeps disabled
-    /// overhead to roughly one branch.
-    fn enabled(&self) -> bool;
-
-    /// Records one completed span occurrence of `nanos` wall time
-    /// under the dotted path `path`.
-    fn record_span(&self, path: &str, nanos: u64);
-
-    /// Adds `delta` to the counter `name`.
-    fn add(&self, name: &str, delta: u64);
-
-    /// Sets the gauge `name` to `value` (last write wins).
-    fn gauge(&self, name: &str, value: u64);
-
-    /// Records one sample `value` into the histogram `name`.
-    fn observe(&self, name: &str, value: u64);
-}
-
-/// The default sink: drops everything and reports itself disabled.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn record_span(&self, _path: &str, _nanos: u64) {}
-    fn add(&self, _name: &str, _delta: u64) {}
-    fn gauge(&self, _name: &str, _value: u64) {}
-    fn observe(&self, _name: &str, _value: u64) {}
-}
-
-/// A cheaply clonable handle to a [`Recorder`].
+/// A cheaply clonable telemetry handle: disabled, or recording into one
+/// [`Snapshot`] that every clone shares.
 ///
 /// Components store one of these (defaulting to
 /// [`Telemetry::disabled`]) and call [`Telemetry::span`],
 /// [`Telemetry::counter`], [`Telemetry::gauge`] and
 /// [`Telemetry::observe`] on their hot paths. Every call first checks
-/// [`Telemetry::is_enabled`]; with the no-op recorder that check is
-/// the entire cost.
+/// [`Telemetry::is_enabled`] — a null check — and a disabled handle
+/// does nothing else: its spans never read the clock. A recording
+/// handle aggregates (it does not buffer) under a mutex, so memory stays
+/// bounded however long a scenario runs.
 ///
 /// # Examples
 ///
 /// ```
 /// use zendoo_telemetry::Telemetry;
 ///
-/// let (telemetry, recorder) = Telemetry::in_memory();
+/// let telemetry = Telemetry::in_memory();
 /// {
 ///     let _guard = telemetry.span("demo.outer");
 ///     telemetry.counter("demo.events", 1);
 /// }
-/// assert_eq!(recorder.snapshot().spans["demo.outer"].count, 1);
+/// assert_eq!(telemetry.snapshot().spans["demo.outer"].count, 1);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Telemetry {
-    recorder: Arc<dyn Recorder>,
+    sink: Option<Arc<Mutex<Snapshot>>>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -81,40 +42,56 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 impl Telemetry {
-    /// A handle backed by the given recorder.
-    pub fn new(recorder: Arc<dyn Recorder>) -> Self {
-        Telemetry { recorder }
+    /// The default disabled handle (a null check per call).
+    pub fn disabled() -> Self {
+        Telemetry { sink: None }
     }
 
-    /// The default disabled handle (no-op recorder, ~a branch per call).
-    pub fn disabled() -> Self {
+    /// A handle recording into a fresh, empty snapshot.
+    pub fn in_memory() -> Self {
         Telemetry {
-            recorder: Arc::new(NoopRecorder),
+            sink: Some(Arc::default()),
         }
     }
 
-    /// A handle backed by a fresh [`InMemoryRecorder`], returned
-    /// alongside it so callers can snapshot what was recorded.
-    pub fn in_memory() -> (Self, Arc<InMemoryRecorder>) {
-        let recorder = Arc::new(InMemoryRecorder::new());
-        (
-            Telemetry {
-                recorder: recorder.clone(),
-            },
-            recorder,
-        )
+    /// Whether the handle is recording.
+    pub fn is_enabled(&self) -> bool {
+        self.sink.is_some()
     }
 
-    /// Whether the backing recorder is collecting events.
-    pub fn is_enabled(&self) -> bool {
-        self.recorder.enabled()
+    /// The shared snapshot, locked; `None` when disabled.
+    fn lock(&self) -> Option<MutexGuard<'_, Snapshot>> {
+        let sink = self.sink.as_ref()?;
+        Some(sink.lock().expect("no thread panics while recording"))
+    }
+
+    /// Applies `record` to the shared snapshot, if there is one.
+    fn record(&self, record: impl FnOnce(&mut Snapshot)) {
+        if let Some(mut snapshot) = self.lock() {
+            record(&mut snapshot);
+        }
+    }
+
+    /// A copy of everything recorded so far (empty when disabled).
+    pub fn snapshot(&self) -> Snapshot {
+        self.lock()
+            .map(|snapshot| snapshot.clone())
+            .unwrap_or_default()
+    }
+
+    /// Takes everything recorded so far, leaving the handle's snapshot
+    /// empty (empty when disabled).
+    pub fn drain(&self) -> Snapshot {
+        self.lock()
+            .map(|mut snapshot| std::mem::take(&mut *snapshot))
+            .unwrap_or_default()
+    }
+
+    /// Folds an externally built snapshot (e.g. a shard's) into this
+    /// handle's; does nothing when disabled.
+    pub fn absorb(&self, other: &Snapshot) {
+        self.record(|snapshot| snapshot.merge(other));
     }
 
     /// Starts a timed span named by the dotted `path` (e.g.
@@ -133,38 +110,30 @@ impl Telemetry {
     /// measured duration — for call sites that must time work even
     /// when telemetry is off (see [`Telemetry::time`]).
     pub fn span_nanos(&self, path: &str, nanos: u64) {
-        if self.is_enabled() {
-            self.recorder.record_span(path, nanos);
-        }
+        self.record(|snapshot| snapshot.add_span(path, nanos));
     }
 
     /// Adds `delta` to the counter `name`.
     pub fn counter(&self, name: &str, delta: u64) {
-        if self.is_enabled() {
-            self.recorder.add(name, delta);
-        }
+        self.record(|snapshot| snapshot.add_counter(name, delta));
     }
 
     /// Sets the gauge `name` to `value`.
     pub fn gauge(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            self.recorder.gauge(name, value);
-        }
+        self.record(|snapshot| snapshot.set_gauge(name, value));
     }
 
     /// Records one sample into the histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            self.recorder.observe(name, value);
-        }
+        self.record(|snapshot| snapshot.add_observation(name, value));
     }
 
     /// Runs `f`, **always** measuring its wall time, recording a span
     /// only when enabled, and returning `(result, nanos)`.
     ///
     /// This is the bridge for callers that need the measurement
-    /// regardless of whether a recorder is attached (e.g. the sim
-    /// coordinator's span accounting).
+    /// whether or not the handle records (e.g. the sim coordinator's
+    /// span accounting).
     ///
     /// # Examples
     ///
@@ -198,8 +167,7 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             self.telemetry
-                .recorder
-                .record_span(self.path, start.elapsed().as_nanos() as u64);
+                .span_nanos(self.path, start.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -218,13 +186,22 @@ mod tests {
             telemetry.gauge("g", 2);
             telemetry.observe("h", 3);
         }
-        // Nothing to assert against — the point is it cannot panic
-        // and the span guard never read the clock.
+        assert!(telemetry.snapshot().is_empty());
+        assert!(telemetry.drain().is_empty());
+    }
+
+    #[test]
+    fn absorbing_into_a_disabled_handle_does_nothing() {
+        let mut shard = Snapshot::default();
+        shard.add_counter("shard.events", 4);
+        let telemetry = Telemetry::disabled();
+        telemetry.absorb(&shard);
+        assert!(telemetry.snapshot().is_empty());
     }
 
     #[test]
     fn in_memory_handle_records_everything() {
-        let (telemetry, recorder) = Telemetry::in_memory();
+        let telemetry = Telemetry::in_memory();
         {
             let _span = telemetry.span("tick.total");
             telemetry.counter("events", 2);
@@ -233,7 +210,7 @@ mod tests {
             telemetry.observe("sizes", 4);
             telemetry.observe("sizes", 8);
         }
-        let snap = recorder.snapshot();
+        let snap = telemetry.snapshot();
         assert_eq!(snap.spans["tick.total"].count, 1);
         assert_eq!(snap.counters["events"], 5);
         assert_eq!(snap.gauges["depth"], 9);
@@ -242,14 +219,42 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_records_into_the_same_snapshot() {
+        let telemetry = Telemetry::in_memory();
+        let clone = telemetry.clone();
+        telemetry.counter("events", 1);
+        clone.counter("events", 2);
+        clone.span_nanos("work", 5);
+        assert_eq!(telemetry.snapshot(), clone.snapshot());
+        assert_eq!(telemetry.snapshot().counters["events"], 3);
+        assert_eq!(telemetry.snapshot().spans["work"].total_nanos, 5);
+    }
+
+    #[test]
+    fn absorb_merges_and_drain_empties() {
+        let telemetry = Telemetry::in_memory();
+        telemetry.counter("events", 1);
+        let mut shard = Snapshot::default();
+        shard.add_counter("events", 2);
+        shard.add_span("tick.shard.sync", 7);
+        telemetry.absorb(&shard);
+
+        let drained = telemetry.drain();
+        assert_eq!(drained.counters["events"], 3);
+        assert_eq!(drained.spans["tick.shard.sync"].count, 1);
+        assert!(telemetry.snapshot().is_empty());
+        assert!(telemetry.drain().is_empty());
+    }
+
+    #[test]
     fn time_measures_even_when_disabled() {
         let telemetry = Telemetry::disabled();
         let (value, _nanos) = telemetry.time("work", || 7u32);
         assert_eq!(value, 7);
 
-        let (telemetry, recorder) = Telemetry::in_memory();
+        let telemetry = Telemetry::in_memory();
         let (_, nanos) = telemetry.time("work", || std::hint::black_box(1 + 1));
-        let snap = recorder.snapshot();
+        let snap = telemetry.snapshot();
         assert_eq!(snap.spans["work"].count, 1);
         assert_eq!(snap.spans["work"].total_nanos, nanos);
     }

@@ -1,81 +1,9 @@
-//! The metric primitives: atomic [`Counter`]s and [`Gauge`]s for
-//! lock-free hot paths, and the log2-bucketed [`Histogram`] every
-//! latency/size distribution aggregates into.
+//! The log2-bucketed [`Histogram`] every latency/size distribution
+//! aggregates into.
 //!
 //! All counts **saturate** instead of wrapping: a telemetry layer must
 //! never turn an overflow into a nonsense report (or a panic) on a
 //! hot path.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing atomic counter with saturating addition.
-///
-/// # Examples
-///
-/// ```
-/// use zendoo_telemetry::Counter;
-///
-/// let hits = Counter::default();
-/// hits.add(2);
-/// hits.add(1);
-/// assert_eq!(hits.get(), 3);
-/// ```
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta`, saturating at `u64::MAX`.
-    pub fn add(&self, delta: u64) {
-        // fetch_update never fails with a total closure; the CAS loop
-        // is the price of saturation (plain fetch_add wraps).
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(delta))
-            });
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins atomic gauge (queue depths, pool sizes).
-///
-/// # Examples
-///
-/// ```
-/// use zendoo_telemetry::Gauge;
-///
-/// let depth = Gauge::default();
-/// depth.set(7);
-/// assert_eq!(depth.get(), 7);
-/// ```
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the current value.
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Number of histogram buckets: bucket 0 holds exactly the value `0`,
 /// bucket `b ≥ 1` holds the values in `[2^(b-1), 2^b)` (bucket 64's
@@ -90,7 +18,7 @@ pub const BUCKETS: usize = 65;
 /// is within the containing bucket — off by at most a factor of two —
 /// while recording costs one increment. Histograms merge
 /// commutatively ([`Histogram::merge`]), which is what lets per-shard
-/// recorders fold into one aggregate in any (fixed) order. All counts
+/// snapshots fold into one aggregate in any (fixed) order. All counts
 /// saturate.
 ///
 /// # Examples
@@ -269,14 +197,6 @@ mod tests {
         assert!(p50 <= p90 && p90 <= p99);
         assert!(p99 <= h.max());
         assert!(h.min() <= p50);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.add(10);
-        assert_eq!(c.get(), u64::MAX);
     }
 
     #[test]

@@ -1,13 +1,10 @@
-//! The aggregating [`InMemoryRecorder`], its deterministic
-//! [`Snapshot`], the [`render_report`] span tree, and the
-//! `BENCH_*.json`-shaped emission.
+//! The deterministic [`Snapshot`] a recording [`crate::Telemetry`]
+//! handle aggregates into, and the [`render_report`] span tree.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use crate::hist::Histogram;
-use crate::recorder::Recorder;
 
 /// Aggregate statistics for one span path.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -36,7 +33,7 @@ impl SpanStats {
     }
 }
 
-/// A deterministic aggregate of everything a recorder saw.
+/// A deterministic aggregate of everything a handle recorded.
 ///
 /// All maps are `BTreeMap`s keyed by event name, so iteration order —
 /// and therefore [`render_report`] output — is fixed regardless of the order events arrived in.
@@ -119,68 +116,6 @@ impl Snapshot {
             && self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
-    }
-}
-
-/// A [`Recorder`] that aggregates events into a [`Snapshot`] under a
-/// mutex. Aggregation (not buffering) keeps memory bounded no matter
-/// how long a scenario runs, and the `BTreeMap`-backed snapshot keeps
-/// output deterministic.
-#[derive(Debug, Default)]
-pub struct InMemoryRecorder {
-    inner: Mutex<Snapshot>,
-}
-
-impl InMemoryRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A copy of everything recorded so far.
-    pub fn snapshot(&self) -> Snapshot {
-        self.inner.lock().expect("telemetry lock").clone()
-    }
-
-    /// Takes the current snapshot, leaving the recorder empty.
-    pub fn drain(&self) -> Snapshot {
-        std::mem::take(&mut *self.inner.lock().expect("telemetry lock"))
-    }
-
-    /// Folds an externally built snapshot (e.g. from a shard-local
-    /// recorder) into this one.
-    pub fn absorb(&self, snapshot: &Snapshot) {
-        self.inner.lock().expect("telemetry lock").merge(snapshot);
-    }
-}
-
-impl Recorder for InMemoryRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn record_span(&self, path: &str, nanos: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .add_span(path, nanos);
-    }
-    fn add(&self, name: &str, delta: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .add_counter(name, delta);
-    }
-    fn gauge(&self, name: &str, value: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .set_gauge(name, value);
-    }
-    fn observe(&self, name: &str, value: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .add_observation(name, value);
     }
 }
 
@@ -323,6 +258,18 @@ mod tests {
     }
 
     #[test]
+    fn counters_saturate() {
+        let mut s = Snapshot::default();
+        s.add_counter("x", u64::MAX - 1);
+        s.add_counter("x", 10);
+        assert_eq!(s.counters["x"], u64::MAX);
+        let mut other = Snapshot::default();
+        other.add_counter("x", 1);
+        s.merge(&other);
+        assert_eq!(s.counters["x"], u64::MAX);
+    }
+
+    #[test]
     fn report_shows_tree_and_self_time() {
         let report = render_report(&sample());
         // Parent "mc" total is 6us, children (verify) account for 4us:
@@ -331,13 +278,5 @@ mod tests {
         assert!(report.contains("2.0us"), "{report}");
         assert!(report.contains("counters:"), "{report}");
         assert!(report.contains("mc.blocks"), "{report}");
-    }
-
-    #[test]
-    fn drain_resets() {
-        let rec = InMemoryRecorder::new();
-        rec.add("x", 1);
-        assert!(!rec.drain().is_empty());
-        assert!(rec.snapshot().is_empty());
     }
 }
