@@ -234,13 +234,16 @@ test-claims:
 # Every other suite of our crates, whole: the telemetry handle's
 # contract and the histogram properties, the disabled handle's overhead
 # bound (noop_overhead), the mainchain's unit tests, invariants and
-# mempool properties, the sc-txs commitment properties, batch
+# mempool properties, its state machine's behaviour whole
+# (chain_behavior: test-adversarial runs only its refusals, by name;
+# here conservation, fees and reorgs run too), the sc-txs commitment
+# properties, batch
 # settlement, the Latus wallet flow, load generation, the field and
 # curve algebra, the sim's load determinism and the SNARK soundness
 # suite. With the steps above, `make ci` runs every test target of
 # every crate of ours.
 test-crates:
-	$(call run-suites,crates,"zendoo-telemetry lib" "zendoo-telemetry histogram_props" "zendoo-bench noop_overhead" "zendoo-mainchain lib" "zendoo-mainchain invariants" "zendoo-mainchain mempool_props" "zendoo-core commitment_props" "zendoo-crosschain batch_settlement" "zendoo-latus wallet_flow" "zendoo-loadgen loadgen" "zendoo-primitives algebra" "zendoo-sim load_determinism" "zendoo-snark soundness")
+	$(call run-suites,crates,"zendoo-telemetry lib" "zendoo-telemetry histogram_props" "zendoo-bench noop_overhead" "zendoo-mainchain lib" "zendoo-mainchain invariants" "zendoo-mainchain mempool_props" "zendoo-mainchain chain_behavior" "zendoo-core commitment_props" "zendoo-crosschain batch_settlement" "zendoo-latus wallet_flow" "zendoo-loadgen loadgen" "zendoo-primitives algebra" "zendoo-sim load_determinism" "zendoo-snark soundness")
 
 # The standalone benchmark package (BENCHMARK.json runs it from its own
 # checkout): its unit tests, then every workload once at smoke size. It

@@ -961,14 +961,16 @@ impl Blockchain {
     }
 
     /// Assembles and mines (without submitting) the next block on the
-    /// active tip in **one pass**: every candidate is applied to a
-    /// single scratch state in order, a failing candidate is rolled
-    /// back via the undo journal and reported in
+    /// active tip in **one pass**: every candidate is applied in order
+    /// to the live chain state under the block's undo journal, a
+    /// failing candidate is rolled back to its mark and reported in
     /// [`PreparedBlock::rejected`] (the greedy fill a miner wants —
     /// without re-validating the accepted prefix per candidate), and
     /// every proof verified during the dry run is recorded in
     /// [`PreparedBlock::verdicts`] so [`Blockchain::submit`] never
-    /// re-verifies it.
+    /// re-verifies it. The whole dry run is reverted through the same
+    /// journal before this returns, on every path: the state is the
+    /// tip's again, whatever the outcome.
     ///
     /// A plain `Vec<McTransaction>` is a list of raw candidates;
     /// pool-sourced candidates carrying admission context
@@ -982,56 +984,18 @@ impl Blockchain {
     /// the coinbase; per-candidate failures are reported in the
     /// returned `rejected` list instead.
     pub fn prepare_block(
-        &self,
+        &mut self,
         miner: Address,
         candidates: impl Into<BlockCandidates>,
         time: u64,
     ) -> Result<PreparedBlock, BlockError> {
-        let (accepted, rejected, fees, verdicts) = self.fill_block(candidates.into());
-        let subsidy = self
-            .params
-            .block_subsidy
-            .checked_add(fees)
-            .ok_or(BlockError::AmountOverflow)?;
-        let (block, commitment) = mine_block(
-            &self.params,
-            self.tip_hash(),
-            self.height() + 1,
-            time,
-            vec![TxOut::regular(miner, subsidy)],
-            accepted,
-        )
-        .ok_or(BlockError::MiningFailed)?;
-        Ok(PreparedBlock {
-            block,
-            commitment: Arc::new(commitment),
-            rejected,
-            verdicts,
-        })
-    }
-
-    /// The one-pass greedy fill: applies every candidate to a single
-    /// scratch state in order, rolling a failing candidate back via the
-    /// undo journal, and records every proof verdict the dry run
-    /// produced. Returns `(accepted, rejected, fees, verdicts)`, each
-    /// accepted candidate with the id it came with.
-    #[allow(clippy::type_complexity)]
-    fn fill_block(
-        &self,
-        candidates: BlockCandidates,
-    ) -> (
-        Vec<(McTransaction, Digest32)>,
-        Vec<(McTransaction, BlockError)>,
-        Amount,
-        ProofVerdicts,
-    ) {
         let BlockCandidates {
             txs: candidates,
             txids,
             admitted,
             mut sig_verdicts,
             unverified,
-        } = candidates;
+        } = candidates.into();
         // The candidates pooled without a signature check owe theirs
         // now: one batch against the pre-block state, before the dry
         // run consults the cache. Everything else costs nothing here.
@@ -1041,10 +1005,9 @@ impl Blockchain {
             &self.telemetry,
         ));
         let height = self.height() + 1;
-        let mut scratch = self.state.clone();
-        let mut undo = BlockUndo::new(&scratch);
+        let mut undo = BlockUndo::new(&self.state);
         let mut verdicts = ProofVerdicts::recording(sig_verdicts);
-        pipeline::begin_block(&mut scratch, height, &mut undo);
+        pipeline::begin_block(&mut self.state, height, &mut undo);
         let mut fees = Amount::ZERO;
         let mut accepted = Vec::with_capacity(candidates.len());
         let mut rejected = Vec::new();
@@ -1063,7 +1026,7 @@ impl Blockchain {
             }
             let mark = undo.mark();
             match pipeline::apply_transaction(
-                &mut scratch,
+                &mut self.state,
                 &tx,
                 txid,
                 height,
@@ -1078,16 +1041,18 @@ impl Blockchain {
                         accepted.push((tx, txid));
                     }
                     None => {
-                        undo.revert_to_mark(&mut scratch, mark);
+                        undo.revert_to_mark(&mut self.state, mark);
                         rejected.push((tx, BlockError::AmountOverflow));
                     }
                 },
                 Err(e) => {
-                    undo.revert_to_mark(&mut scratch, mark);
+                    undo.revert_to_mark(&mut self.state, mark);
                     rejected.push((tx, e));
                 }
             }
         }
+        // Back to the tip's state before anything below can return.
+        pipeline::revert_block(&mut self.state, undo);
         verdicts.freeze();
         if self.telemetry.is_enabled() {
             self.count_sig_cache(&verdicts, (0, 0));
@@ -1095,7 +1060,26 @@ impl Blockchain {
         for (_, error) in &rejected {
             self.count_rejection(error);
         }
-        (accepted, rejected, fees, verdicts)
+        let subsidy = self
+            .params
+            .block_subsidy
+            .checked_add(fees)
+            .ok_or(BlockError::AmountOverflow)?;
+        let (block, commitment) = mine_block(
+            &self.params,
+            self.tip_hash(),
+            height,
+            time,
+            vec![TxOut::regular(miner, subsidy)],
+            accepted,
+        )
+        .ok_or(BlockError::MiningFailed)?;
+        Ok(PreparedBlock {
+            block,
+            commitment: Arc::new(commitment),
+            rejected,
+            verdicts,
+        })
     }
 
     /// Fork-injection hook: mines `count` empty blocks (coinbase only,

@@ -137,7 +137,11 @@ impl Miner {
     ///
     /// See [`Blockchain::prepare_block`]; per-candidate failures are in
     /// [`PreparedBlock::rejected`] instead.
-    pub fn prepare(&mut self, chain: &Blockchain, time: u64) -> Result<PreparedBlock, BlockError> {
+    pub fn prepare(
+        &mut self,
+        chain: &mut Blockchain,
+        time: u64,
+    ) -> Result<PreparedBlock, BlockError> {
         let batch = self.mempool.take_ordered(usize::MAX);
         chain.prepare_block(self.address, batch, time)
     }
@@ -396,7 +400,7 @@ mod tests {
             let report = miner.submit_batch(&chain, vec![tx], 1, |_, _| {});
             assert_eq!(report.admitted, 1);
             let block = if split {
-                let prepared = miner.prepare(&chain, 1).unwrap();
+                let prepared = miner.prepare(&mut chain, 1).unwrap();
                 assert!(prepared.rejected.is_empty());
                 chain
                     .submit(prepared.block.clone(), Some(prepared.verdicts))

@@ -416,9 +416,10 @@ pub struct BlockUndo {
 }
 
 /// A position inside a [`BlockUndo`] journal, for rolling back the
-/// suffix written by a single failed transaction (the one-pass block
-/// builder's per-candidate rollback).
-#[derive(Clone, Copy, Debug)]
+/// suffix written after it: a single failed transaction (the one-pass
+/// block builder's per-candidate rollback), or the whole block from
+/// the default mark, its start.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct UndoMark {
     utxo_ops: usize,
     registry_ops: usize,
@@ -426,7 +427,8 @@ pub struct UndoMark {
 
 impl BlockUndo {
     /// An empty journal over `state` (stage 3 keeps it as the block's
-    /// undo record; the block builder's dry run discards it).
+    /// undo record; the block builder reverts its dry run on the live
+    /// state through it).
     pub(crate) fn new(state: &ChainState) -> Self {
         BlockUndo {
             ops: Vec::new(),
@@ -462,8 +464,11 @@ impl BlockUndo {
     }
 
     /// Reverts (and drops from the journal) every mutation recorded
-    /// after `mark` — the per-transaction rollback used by the one-pass
-    /// block builder when a candidate fails mid-application.
+    /// after `mark`, newest first — the per-transaction rollback used
+    /// by the one-pass block builder when a candidate fails
+    /// mid-application, and, from the journal's start, the whole-block
+    /// rollback of [`revert_block`]. The one reverse replay of the
+    /// journal.
     pub fn revert_to_mark(&mut self, state: &mut ChainState, mark: UndoMark) {
         for op in self.ops.drain(mark.utxo_ops..).rev() {
             match op {
@@ -493,20 +498,11 @@ fn spend_utxo(state: &mut ChainState, undo: &mut BlockUndo, outpoint: &OutPoint)
     spent
 }
 
-/// Reverts a connected block: replays the UTXO and registry journals in
-/// reverse and restores the pre-block mint counter.
-pub fn revert_block(state: &mut ChainState, undo: BlockUndo) {
-    for op in undo.ops.iter().rev() {
-        match op {
-            UtxoOp::Created(outpoint) => {
-                state.utxos.remove(outpoint);
-            }
-            UtxoOp::Spent(outpoint, output) => {
-                state.utxos.insert(*outpoint, *output);
-            }
-        }
-    }
-    state.registry.revert(undo.registry);
+/// Reverts a connected block, or the block builder's dry run: rolls
+/// the whole journal back from its start and restores the pre-block
+/// mint counter.
+pub fn revert_block(state: &mut ChainState, mut undo: BlockUndo) {
+    undo.revert_to_mark(state, UndoMark::default());
     state.minted = undo.minted;
 }
 
@@ -628,11 +624,12 @@ fn apply_block_inner(
             *out,
         );
     }
-    // Net minted coins: coinbase output minus recycled fees.
-    let net = cb_total.checked_sub(fees).unwrap_or(Amount::ZERO);
+    // Net minted coins: coinbase output minus recycled fees. Fees the
+    // coinbase leaves unclaimed are burned, so the net can be negative.
     state.minted = state
         .minted
-        .checked_add(net)
+        .checked_sub(fees)
+        .and_then(|minted| minted.checked_add(cb_total))
         .ok_or(BlockError::AmountOverflow)?;
     Ok(())
 }

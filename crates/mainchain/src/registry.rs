@@ -232,7 +232,7 @@ impl From<XctError> for RegistryError {
 }
 
 /// One journaled registry mutation, recorded by the mutation methods
-/// and replayed in reverse by [`SidechainRegistry::revert`].
+/// and replayed in reverse by [`SidechainRegistry::revert_to`].
 #[derive(Clone, Debug)]
 enum RegistryOp {
     /// A sidechain was declared (undo: remove the entry).
@@ -275,19 +275,6 @@ impl RegistryUndo {
     /// Returns `true` when nothing was journaled.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Appends `other`'s ops after this journal's (keeps one journal
-    /// per block while composing per-phase journals).
-    pub fn append(&mut self, other: &mut RegistryUndo) {
-        self.ops.append(&mut other.ops);
-    }
-
-    /// Truncates the journal back to `len` ops **without** reverting
-    /// them (callers revert first via
-    /// [`SidechainRegistry::revert_to`]).
-    fn truncate(&mut self, len: usize) {
-        self.ops.truncate(len);
     }
 }
 
@@ -338,39 +325,28 @@ impl SidechainRegistry {
         self.nullifiers.contains(&(*id, *nullifier))
     }
 
-    /// Reverts every mutation in `undo`, newest first. After this the
-    /// registry is bit-identical to its state before the journaled
-    /// methods ran.
-    pub fn revert(&mut self, undo: RegistryUndo) {
-        self.revert_ops(&undo.ops, 0);
-    }
-
     /// Reverts the journal's suffix past `mark` (as returned by
-    /// [`RegistryUndo::len`] before a mutation batch) and truncates the
-    /// journal — per-transaction rollback inside one block's journal.
+    /// [`RegistryUndo::len`] before a mutation batch), newest first, and
+    /// drops it from the journal — per-transaction rollback inside one
+    /// block's journal, or the whole block from mark 0.
     pub fn revert_to(&mut self, undo: &mut RegistryUndo, mark: usize) {
-        self.revert_ops(&undo.ops, mark);
-        undo.truncate(mark);
-    }
-
-    fn revert_ops(&mut self, ops: &[RegistryOp], from: usize) {
-        for op in ops[from..].iter().rev() {
+        for op in undo.ops.drain(mark..).rev() {
             match op {
                 RegistryOp::Declared(id) => {
-                    self.entries.remove(id);
+                    self.entries.remove(&id);
                 }
                 RegistryOp::Credited(id, amount) => {
-                    let entry = self.entries.get_mut(id).expect("journaled entry exists");
+                    let entry = self.entries.get_mut(&id).expect("journaled entry exists");
                     entry.balance = entry
                         .balance
-                        .checked_sub(*amount)
+                        .checked_sub(amount)
                         .expect("journaled credit reverts");
                 }
                 RegistryOp::Debited(id, amount) => {
-                    let entry = self.entries.get_mut(id).expect("journaled entry exists");
+                    let entry = self.entries.get_mut(&id).expect("journaled entry exists");
                     entry.balance = entry
                         .balance
-                        .checked_add(*amount)
+                        .checked_add(amount)
                         .expect("journaled debit reverts");
                 }
                 RegistryOp::CertInserted {
@@ -378,31 +354,31 @@ impl SidechainRegistry {
                     epoch,
                     previous,
                 } => {
-                    let entry = self.entries.get_mut(id).expect("journaled entry exists");
+                    let entry = self.entries.get_mut(&id).expect("journaled entry exists");
                     match previous {
                         Some(prev) => {
-                            entry.certificates.insert(*epoch, (**prev).clone());
+                            entry.certificates.insert(epoch, *prev);
                         }
                         None => {
-                            entry.certificates.remove(epoch);
+                            entry.certificates.remove(&epoch);
                         }
                     }
                 }
                 RegistryOp::NullifierInserted(id, nullifier) => {
-                    self.nullifiers.remove(&(*id, *nullifier));
+                    self.nullifiers.remove(&(id, nullifier));
                 }
                 RegistryOp::Ceased(id) => {
                     self.entries
-                        .get_mut(id)
+                        .get_mut(&id)
                         .expect("journaled entry exists")
                         .status = SidechainStatus::Active;
                 }
                 RegistryOp::Matured(id, epoch) => {
                     self.entries
-                        .get_mut(id)
+                        .get_mut(&id)
                         .expect("journaled entry exists")
                         .certificates
-                        .get_mut(epoch)
+                        .get_mut(&epoch)
                         .expect("journaled certificate exists")
                         .matured = false;
                 }

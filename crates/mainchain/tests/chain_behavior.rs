@@ -995,3 +995,159 @@ fn an_activation_at_or_below_the_declaring_height_is_refused_by_name() {
     }
     assert_eq!(h.chain.state().registry.len(), 1);
 }
+
+/// `utxos.total_value() + registry.total_locked()`, the supply the
+/// chain's `minted` counter must equal.
+fn supply(chain: &Blockchain) -> Amount {
+    let state = chain.state();
+    state
+        .utxos
+        .total_value()
+        .checked_add(state.registry.total_locked())
+        .unwrap()
+}
+
+/// A coinbase may claim less than subsidy + fees: what it leaves
+/// unclaimed is burned. Here it claims 10 units of a block whose one
+/// transfer pays a 500-unit fee, so `minted` falls by 490, conservation
+/// holds after the block, and a reorg that disconnects it restores
+/// `minted` to the pre-block value plus the new branch's subsidies.
+#[test]
+fn a_coinbase_claiming_less_than_its_fees_burns_the_rest() {
+    use zendoo_mainchain::SubmitOutcome;
+    let miner = Wallet::from_seed(b"miner");
+    let alice = Wallet::from_seed(b"alice");
+    let mut chain = Blockchain::new(ChainParams {
+        genesis_outputs: vec![TxOut::regular(alice.address(), Amount::from_units(10_000))],
+        ..ChainParams::default()
+    });
+    let pay = alice
+        .pay(
+            &chain,
+            Address::from_label("bob"),
+            Amount::from_units(100),
+            Amount::from_units(500),
+        )
+        .unwrap();
+    let mut block = chain
+        .prepare_block(miner.address(), vec![pay], 1)
+        .unwrap()
+        .block;
+    let McTransaction::Coinbase(coinbase) = &mut block.transactions[0] else {
+        unreachable!("a mined block starts with its coinbase")
+    };
+    coinbase.outputs[0].amount = Amount::from_units(10);
+    let block = remine(&chain, block);
+
+    assert_eq!(
+        chain.submit_block(block),
+        Ok(SubmitOutcome::ExtendedActiveChain)
+    );
+    assert_eq!(supply(&chain), Amount::from_units(9_510));
+    assert_eq!(chain.state().minted, supply(&chain));
+
+    let branch = chain
+        .mine_branch(&chain.genesis_hash(), 2, miner.address(), 900)
+        .unwrap();
+    for block in branch {
+        chain.submit_block(block).unwrap();
+    }
+    assert_eq!(chain.height(), 2);
+    let subsidy = chain.params().block_subsidy;
+    assert_eq!(
+        chain.state().minted,
+        Amount::checked_sum([Amount::from_units(10_000), subsidy, subsidy]).unwrap()
+    );
+    assert_eq!(chain.state().minted, supply(&chain));
+}
+
+/// A premine of `u64::MAX` spent all but one unit as fee: the dry run
+/// accepts the transfer, but `block_subsidy + fees` does not fit, so the
+/// builder refuses the block as `AmountOverflow` and leaves the live
+/// state as the tip's.
+#[test]
+fn a_coinbase_past_u64_max_is_refused_by_the_builder_by_name() {
+    let miner = Wallet::from_seed(b"miner");
+    let alice = Wallet::from_seed(b"alice");
+    let mut chain = Blockchain::new(ChainParams {
+        genesis_outputs: vec![TxOut::regular(
+            alice.address(),
+            Amount::from_units(u64::MAX),
+        )],
+        ..ChainParams::default()
+    });
+    let pay = alice
+        .pay(
+            &chain,
+            Address::from_label("bob"),
+            Amount::from_units(1),
+            Amount::from_units(u64::MAX - 1),
+        )
+        .unwrap();
+    let (tip, state) = (chain.tip_hash(), chain.state().clone());
+    assert_eq!(
+        chain
+            .prepare_block(miner.address(), vec![pay], 1)
+            .map(|_| ()),
+        Err(BlockError::AmountOverflow)
+    );
+    assert_eq!(chain.state(), &state);
+    assert_eq!(chain.tip_hash(), tip);
+    assert_eq!(chain.height(), 0);
+}
+
+/// One mining attempt a block at a one-bit target: a header whose
+/// first nonce misses the target cannot be mined, and the builder
+/// refuses it as `MiningFailed` after the dry run, leaving the live
+/// state as the tip's. The premine is the first whose genesis mines at
+/// nonce 0 (found with a roomier attempt bound), and the timestamp the
+/// first whose block does not.
+#[test]
+fn a_block_whose_first_nonce_misses_the_target_is_refused_by_name() {
+    let miner = Wallet::from_seed(b"miner");
+    let alice = Wallet::from_seed(b"alice");
+    let params = (0..)
+        .map(|extra| ChainParams {
+            target: Target::with_leading_zero_bits(1),
+            genesis_outputs: vec![TxOut::regular(
+                alice.address(),
+                Amount::from_units(10_000 + extra),
+            )],
+            max_mine_attempts: 1,
+            ..ChainParams::default()
+        })
+        .find(|params| {
+            let roomy = Blockchain::new(ChainParams {
+                max_mine_attempts: 64,
+                ..params.clone()
+            });
+            roomy.block_at_height(0).unwrap().header.nonce == 0
+        })
+        .unwrap();
+    let mut chain = Blockchain::new(params);
+    let pay = alice
+        .pay(
+            &chain,
+            Address::from_label("bob"),
+            Amount::from_units(100),
+            Amount::from_units(5),
+        )
+        .unwrap();
+    let (tip, state) = (chain.tip_hash(), chain.state().clone());
+    let time = (1..)
+        .find(|&time| {
+            chain
+                .prepare_block(miner.address(), vec![pay.clone()], time)
+                .is_err()
+        })
+        .unwrap();
+    assert_eq!(
+        chain
+            .prepare_block(miner.address(), vec![pay], time)
+            .map(|_| ()),
+        Err(BlockError::MiningFailed)
+    );
+    assert_eq!(chain.state(), &state);
+    assert_eq!(chain.tip_hash(), tip);
+    assert_eq!(chain.height(), 0);
+}

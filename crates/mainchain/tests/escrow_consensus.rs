@@ -433,7 +433,7 @@ fn escrow_to_escrow_laundering_rejected() {
 #[test]
 fn coinbase_cannot_mint_escrow_outputs() {
     let t = transfer(sc_id(0), 1, 100);
-    let (chain, _, _) = chain_with(1, Vec::new());
+    let (mut chain, _, _) = chain_with(1, Vec::new());
     let state = chain.state().clone();
     let mut forged_state = state.clone();
     let block = {

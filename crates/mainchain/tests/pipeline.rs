@@ -20,7 +20,7 @@ use zendoo_core::{
     SidechainConfigBuilder, WithdrawalCertificate,
 };
 use zendoo_mainchain::block::Block;
-use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
+use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams, PreparedBlock};
 use zendoo_mainchain::pipeline::{self, ProofVerdicts};
 use zendoo_mainchain::registry::RegistryError;
 use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
@@ -164,7 +164,7 @@ fn tampered_proof_in_multi_certificate_block_rejects_block() {
 
 #[test]
 fn parallel_verdicts_match_serial_application() {
-    let (chain, pks, miner) = chain_with_sidechains(8);
+    let (mut chain, pks, miner) = chain_with_sidechains(8);
     let certs: Vec<McTransaction> = (0..8)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&chain, &pks, i))))
         .collect();
@@ -217,7 +217,7 @@ fn parallel_verdicts_match_serial_application() {
 
 #[test]
 fn block_undo_is_an_exact_rollback() {
-    let (chain, pks, miner) = chain_with_sidechains(3);
+    let (mut chain, pks, miner) = chain_with_sidechains(3);
     let certs: Vec<McTransaction> = (0..3)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&chain, &pks, i))))
         .collect();
@@ -276,7 +276,7 @@ fn certificate_txs(chain: &Blockchain, pks: &[ProvingKey], n: usize) -> Vec<McTr
 /// statement, and stage 3 answers every certificate from that batch.
 #[test]
 fn a_receiver_verifies_each_statement_once_under_stage_2() {
-    let (builder, pks, miner, _) = recording_node(4);
+    let (mut builder, pks, miner, _) = recording_node(4);
     let (mut receiver, _, _, telemetry) = recording_node(4);
     let block = builder
         .prepare_block(miner.address(), certificate_txs(&builder, &pks, 4), 8)
@@ -305,7 +305,7 @@ fn a_receiver_verifies_each_statement_once_under_stage_2() {
 /// runs no batch and stage 3 consults no proof verdict.
 #[test]
 fn an_empty_block_owes_no_proof_check() {
-    let (builder, _, miner, _) = recording_node(1);
+    let (mut builder, _, miner, _) = recording_node(1);
     let (mut receiver, _, _, telemetry) = recording_node(1);
     let block = builder
         .prepare_block(miner.address(), vec![], 8)
@@ -325,7 +325,7 @@ fn an_empty_block_owes_no_proof_check() {
 /// refuses it with the per-statement error, and nothing connects.
 #[test]
 fn a_receiver_refuses_a_cross_wired_certificate_proof_by_name() {
-    let (builder, pks, miner, _) = recording_node(4);
+    let (mut builder, pks, miner, _) = recording_node(4);
     let mut block = builder
         .prepare_block(miner.address(), certificate_txs(&builder, &pks, 4), 8)
         .unwrap()
@@ -408,7 +408,7 @@ fn pay_both(chain: &Blockchain, i: usize) -> McTransaction {
 /// Two certificates, then every user's two-input transfer: the block a
 /// builder makes of them.
 fn sig_block() -> Block {
-    let (builder, pks, miner, _) = sig_node(Vec::new());
+    let (mut builder, pks, miner, _) = sig_node(Vec::new());
     let mut txs: Vec<McTransaction> = (0..2)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&builder, &pks, i))))
         .collect();
@@ -634,7 +634,7 @@ fn pay_and_forward(chain: &Blockchain, i: usize, metadata: usize) -> McTransacti
 /// SHA-256 blocks a cacheless node spends validating a block of
 /// [`SIG_USERS`] [`pay_and_forward`] transfers, and the transfers.
 fn validation_sha(metadata: usize) -> (u64, Vec<McTransaction>) {
-    let (builder, _, miner, _) = sig_node(Vec::new());
+    let (mut builder, _, miner, _) = sig_node(Vec::new());
     let txs: Vec<_> = (0..SIG_USERS)
         .map(|i| pay_and_forward(&builder, i, metadata))
         .collect();
@@ -687,13 +687,30 @@ fn validating_a_block_hashes_each_transfer_id_once() {
 
 // ---- One-pass fill ≡ per-prefix greedy fill -------------------------------
 
+/// `chain.prepare_block`, asserting that the dry run leaves the chain's
+/// state, tip and height exactly as they were: the builder works on the
+/// live state and reverts it through the block's journal.
+fn prepare_reverted(
+    chain: &mut Blockchain,
+    miner: Address,
+    candidates: Vec<McTransaction>,
+) -> PreparedBlock {
+    let before = (chain.state().clone(), chain.tip_hash(), chain.height());
+    let prepared = chain.prepare_block(miner, candidates, 8).unwrap();
+    assert!(
+        (chain.state(), chain.tip_hash(), chain.height()) == (&before.0, before.1, before.2),
+        "prepare_block left the chain's state, tip or height changed"
+    );
+    prepared
+}
+
 /// The greedy reference the one-pass builder must equal: candidate `i`
 /// is accepted iff a block of the accepted prefix plus `i` rejects
 /// nothing — one full dry run per candidate, O(n²) overall. Returns the
 /// accepted candidates in order and, per rejected candidate, its index
 /// and error.
 fn per_prefix_greedy_fill(
-    chain: &Blockchain,
+    chain: &mut Blockchain,
     candidates: &[McTransaction],
 ) -> (Vec<McTransaction>, Vec<(usize, BlockError)>) {
     let mut accepted: Vec<McTransaction> = Vec::new();
@@ -701,9 +718,7 @@ fn per_prefix_greedy_fill(
     for (i, tx) in candidates.iter().enumerate() {
         let mut trial = accepted.clone();
         trial.push(tx.clone());
-        let prepared = chain
-            .prepare_block(Address::from_label("m"), trial, 8)
-            .unwrap();
+        let prepared = prepare_reverted(chain, Address::from_label("m"), trial);
         match prepared.rejected.into_iter().next() {
             None => accepted.push(tx.clone()),
             Some((_, error)) => rejected.push((i, error)),
@@ -721,7 +736,10 @@ type Op = (usize, usize, usize, usize);
 /// one coin are an in-block double spend), 1 = overspend, 2 = bad
 /// signature, 3 = child spending output 0 of the transfer candidate
 /// `back` places before it (accepted or not), 4 = certificate, 5 =
-/// certificate with a cross-wired proof.
+/// certificate with a cross-wired proof, 6 = forward transfer of `coin`
+/// to a declared sidechain, 7 = forward transfers of `coin` to a
+/// declared sidechain and then to an unknown one (the first credit is
+/// journaled before the second fails).
 fn candidates_from(
     chain: &Blockchain,
     pks: &[ProvingKey],
@@ -761,6 +779,22 @@ fn candidates_from(
                     owner + 1,
                 )
             }
+            6 | 7 => {
+                let forward = |sidechain_id, units| {
+                    Output::Forward(ForwardTransfer {
+                        sidechain_id,
+                        receiver_metadata: vec![],
+                        amount: Amount::from_units(units),
+                    })
+                };
+                let mut outputs = vec![forward(sc_id(coin % 2), 400)];
+                if kind == 7 {
+                    outputs.push(forward(SidechainId::from_label("pipe-sc-unknown"), 400));
+                }
+                let transfer = TransferTx::signed(&[(outpoint, secret(user))], outputs);
+                candidates.push(McTransaction::Transfer(transfer));
+                continue;
+            }
             _ => {
                 let mut cert = epoch0_cert(chain, pks, coin % 2);
                 if kind == 5 {
@@ -786,10 +820,12 @@ proptest! {
 
     /// The one-pass fill behind `prepare_block` accepts the same
     /// candidates in the same order as the per-prefix greedy fill, and
-    /// rejects each of the others with the same `BlockError`.
+    /// rejects each of the others with the same `BlockError`; and every
+    /// `prepare_block`, the one-pass fill's and each of the reference's,
+    /// leaves the chain's state, tip and height as they were.
     #[test]
     fn prop_one_pass_fill_equals_per_prefix_greedy_fill(
-        random in proptest::collection::vec((0usize..6, 0usize..3, 0usize..3, 0usize..16), 4..10),
+        random in proptest::collection::vec((0usize..8, 0usize..3, 0usize..3, 0usize..16), 4..10),
         user in 0usize..3,
     ) {
         let users: Vec<Wallet> = (0..3)
@@ -799,7 +835,7 @@ proptest! {
             .iter()
             .flat_map(|user| vec![TxOut::regular(user.address(), Amount::from_units(1_000)); 4])
             .collect();
-        let (chain, pks, miner) = chain_with_sidechains_premined(2, premine);
+        let (mut chain, pks, miner) = chain_with_sidechains_premined(2, premine);
         // Every list ends with one of each named case, on coin 3 (which
         // the random part never touches, so these verdicts are known).
         let n = random.len();
@@ -812,13 +848,13 @@ proptest! {
             (3, 0, 0, 0),        // child of a rejected parent
             (2, user + 2, 3, 0), // bad signature
             (5, 0, 1, 0),        // certificate with a tampered proof
+            (7, user + 1, 3, 0), // forward transfers, the second unknown
+            (6, user + 1, 3, 0), // forward transfer
         ]);
         let candidates = candidates_from(&chain, &pks, &users, &ops);
 
-        let prepared = chain
-            .prepare_block(miner.address(), candidates.clone(), 8)
-            .unwrap();
-        let (accepted, rejected) = per_prefix_greedy_fill(&chain, &candidates);
+        let prepared = prepare_reverted(&mut chain, miner.address(), candidates.clone());
+        let (accepted, rejected) = per_prefix_greedy_fill(&mut chain, &candidates);
 
         let tail: Vec<_> = rejected
             .iter()
@@ -833,6 +869,7 @@ proptest! {
                 (4, "missing_input"),
                 (5, "bad_input_authorization"),
                 (6, "registry"),
+                (7, "registry"),
             ]
         );
         prop_assert_eq!(&prepared.block.transactions[1..], &accepted[..]);

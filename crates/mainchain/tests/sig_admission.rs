@@ -255,7 +255,7 @@ fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
     }
     let telemetry = Telemetry::in_memory();
     chain.set_telemetry(telemetry.clone());
-    let prepared = miner.prepare(&chain, 1).unwrap();
+    let prepared = miner.prepare(&mut chain, 1).unwrap();
     assert_eq!(prepared.block.transactions.len(), 7);
     let building = telemetry.drain();
     assert_eq!(
@@ -346,7 +346,7 @@ fn a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits() {
 
         let telemetry = Telemetry::in_memory();
         chain.set_telemetry(telemetry.clone());
-        let prepared = miner.prepare(&chain, 1).unwrap();
+        let prepared = miner.prepare(&mut chain, 1).unwrap();
         assert_eq!(
             prepared.rejected,
             vec![(
@@ -409,7 +409,7 @@ fn batch_admitted_transfers_queue_no_checks_at_build() {
 
     let telemetry = Telemetry::in_memory();
     chain.set_telemetry(telemetry.clone());
-    let (prepared, building) = measure(|| miner.prepare(&chain, 1).unwrap());
+    let (prepared, building) = measure(|| miner.prepare(&mut chain, 1).unwrap());
     assert_eq!(prepared.block.transactions.len(), 6);
     assert_eq!(building.group_muls, 0, "nothing verified at build");
     let snapshot = telemetry.drain();
@@ -428,7 +428,7 @@ fn batch_admitted_transfers_queue_no_checks_at_build() {
 
 #[test]
 fn forged_verdict_fools_only_the_local_builder_never_consensus() {
-    let (chain, wallets) = chain_with_users(1);
+    let (mut chain, wallets) = chain_with_users(1);
     let bad = tamper(
         &wallets[0]
             .pay(

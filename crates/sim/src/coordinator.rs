@@ -171,7 +171,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     // fatal (fault scenarios schedule actions that are *supposed* to
     // fail).
     let (prepared, prepare_nanos) = telemetry.time("tick.mc.prepare", || {
-        world.miner.prepare(&world.chain, world.time)
+        world.miner.prepare(&mut world.chain, world.time)
     });
     let PreparedBlock {
         block,
