@@ -72,10 +72,20 @@ endef
 # all four. `bigint::` checks the 10-product square against the
 # 16-product multiplication; `poseidon::` holds the known answers no
 # kernel may move, the matrix oracle (Poseidon2 with dense 3×3 M_E / M_I
-# products every round) the addition-only permutation must equal, and
-# the parameter conditions: M_E is MDS, M_I is invertible with the
-# characteristic polynomials of M_I¹…M_I⁸ irreducible, μ is the first
-# candidate of the documented search.
+# products every round, in Fp arithmetic) the addition-only 5×52-limb
+# permutation must equal — on random states and on edge states
+# (permute_matches_matrix_form_on_edge_states: 0, N − 1, N − C,
+# 2^52 − 1, 2^104, 2^255, each 52-bit limb saturated) — the headroom of
+# its limbs at the bounds its module docs state
+# (products_at_the_limb_bound_match_the_reference: every limb at 2^57 − 1
+# and the other edges, into the product and the square, against the
+# 4×64 kernel; prop_products_below_the_limb_bound_match_the_reference;
+# weak_normalisation_at_its_bound_keeps_the_value: limbs at 2^60 − 1;
+# limbs_round_trip_on_edge_values: Fp → limbs → Fp and the exit's
+# non-canonical edges p, p + 1, 2^256 and 2^257 − 1), and the parameter
+# conditions: M_E is MDS, M_I is invertible with the characteristic
+# polynomials of M_I¹…M_I⁸ irreducible, μ is the first candidate of the
+# documented search.
 # `sha256::` holds the SHA-256 kernels: the FIPS 180-4 vectors through
 # the public API (the empty, 24-, 448- and 896-bit messages and a
 # million a's), the SHA-extensions kernel against the portable rounds on
@@ -117,14 +127,18 @@ test-field:
 # declaration without its escrow, a wrong amount, a tampered nullifier,
 # a foreign source, a self transfer, zero coins, a nullifier declared
 # twice (zendoo-core crosschain::), a settlement batch entry from another
-# source chain (SettlementError::SourceMismatch) — the hostile-input codec corpus
+# source chain (SettlementError::SourceMismatch), a decoded batch whose
+# entries sum past u64::MAX refused by check_settlement_output
+# (SettlementError::AmountOverflow) — the hostile-input codec corpus
 # (settlement_codec) and the totality harness over every wire form — the
 # round trip, every prefix, a trailing byte, every bit flip and 1,000
 # random strings per form, its payload count printed (the root
 # facade's codec), non-canonical public inputs — a digest limb
 # raised by 2¹²⁸, refused by `get_digest` and, in a real certificate
-# and BTR statement, under the rule naming the input — and the oracles
-# of the one pairwise fold: the recursive proof and the Wrap/Fold aggregate
+# and BTR statement, under the rule naming the input — a validly signed
+# Latus payment whose outputs sum past u64::MAX refused by
+# check_transaction (TxError::AmountOverflow) with the state untouched —
+# and the oracles of the one pairwise fold: the recursive proof and the Wrap/Fold aggregate
 # each equal to the per-step prove/merge and wrap/fold calls byte for
 # byte on 1/2/4 lanes, a bad child in merge layer 0 or 1 and a bad
 # signature in transition k of an epoch refused with the eager fold's
@@ -153,7 +167,7 @@ test-field:
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary

@@ -430,6 +430,36 @@ mod tests {
         ));
     }
 
+    /// A batch whose entries sum past `u64::MAX` decodes — each entry is
+    /// well formed and the commitment matches — and its carrier is
+    /// refused by name when the entry total is taken. The check reads
+    /// the output alone, which is left as it was.
+    #[test]
+    fn a_batch_whose_entries_sum_past_u64_max_is_refused_by_name() {
+        let b = SettlementBatch::new(
+            SidechainId::from_label("src"),
+            3,
+            SidechainId::from_label("dst"),
+            vec![xct(0, u64::MAX), xct(1, 1)],
+        );
+        assert_eq!(b.forward_transfer(), None);
+        let ft = ForwardTransfer {
+            sidechain_id: b.dest,
+            receiver_metadata: b.receiver_metadata(),
+            amount: Amount::from_units(u64::MAX),
+        };
+        assert_eq!(
+            decode_settlement_metadata(&ft.receiver_metadata),
+            Some(Ok(b))
+        );
+        let before = ft.clone();
+        assert_eq!(
+            check_settlement_output(&ft),
+            Err(SettlementError::AmountOverflow)
+        );
+        assert_eq!(ft, before);
+    }
+
     #[test]
     fn forward_transfer_carries_total() {
         let b = batch(3);

@@ -1265,6 +1265,36 @@ mod tests {
         ));
     }
 
+    /// A validly signed payment whose outputs sum past `u64::MAX` is
+    /// refused by name: the signature verifies (the input rules run
+    /// first), then the output sum overflows before the value rule could
+    /// compare it. Neither the check nor the apply behind it leaves a
+    /// trace in the state.
+    #[test]
+    fn a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name() {
+        let alice = Keypair::from_seed(b"alice");
+        let (mut state, utxos) = funded_state(&alice, &[10]);
+        let tx = ScTransaction::Payment(PaymentTx::create(
+            vec![(utxos[0], &alice.secret)],
+            vec![
+                (Address::from_label("bob"), Amount::from_units(u64::MAX)),
+                (Address::from_label("carol"), Amount::from_units(1)),
+            ],
+        ));
+        let (digest, touched) = (state.digest(), state.touch_sequence().to_vec());
+        assert_eq!(
+            check_transaction(&params(), &state, &tx),
+            Err(TxError::AmountOverflow)
+        );
+        assert_eq!(
+            apply_transaction(&params(), &mut state, &tx).map(|_| ()),
+            Err(TxError::AmountOverflow)
+        );
+        assert_eq!(state.digest(), digest);
+        assert_eq!(state.touch_sequence(), touched);
+        assert!(state.mst().contains(&utxos[0]));
+    }
+
     #[test]
     fn payment_rejects_wrong_signer() {
         let alice = Keypair::from_seed(b"alice");

@@ -11,6 +11,9 @@
 //! An element is its canonical integer in `[0, N)`: no Montgomery form,
 //! no conversion on the way in or out. `from_u64` stores the limb,
 //! `one()` is 1, `to_u256` / `to_be_bytes` / `is_odd` read the limbs.
+//! The Poseidon permutation runs its own limbs: it converts its state
+//! to radix 2⁵² on entry and back on exit (the `poseidon` module docs,
+//! # Representation), so this kernel serves every other product.
 //!
 //! # The kernel
 //!

@@ -26,19 +26,56 @@
 //!   `xᵢ ← s + μᵢ·xᵢ`;
 //! * 4 more full rounds.
 //!
-//! In a partial round `x₁ + x₂`, `2·x₁` and `8·x₂` (doublings) do not
-//! depend on the S-box output, so they are computed while it runs and
-//! the round's critical path is S-box → add (`s`) → add.
+//! In a partial round `x₁ + x₂`, `2·x₁` and `8·x₂` do not depend on the
+//! S-box output, so they are computed while it runs and the round's
+//! critical path is S-box → add (`s`) → add.
 //!
 //! # Counts
 //!
 //! The S-boxes are the only field products: `x⁵ = (x²)²·x` is two
 //! squarings and one multiplication, and a permutation runs
 //! 8·3 + 57 = 81 S-boxes, so **243 products, 162 of them squarings**.
-//! The linear layers are 5 additions a full round and 9 a partial round
-//! (four of them doublings). The constraint model of `zendoo-snark`
-//! prices each counted permutation at these 81 S-boxes, 3 constraints
-//! each (`gadget_cost::POSEIDON_HASH2 = 243`).
+//! The linear layers are 5 additions a full round and, a partial round,
+//! 5 additions and 2 scalings (`2·x₁`, `8·x₂`). The constraint model of
+//! `zendoo-snark` prices each counted permutation at these 81 S-boxes,
+//! 3 constraints each (`gadget_cost::POSEIDON_HASH2 = 243`).
+//!
+//! # Representation
+//!
+//! [`permute`] converts the state once on entry into five radix-2⁵²
+//! limbs (`Σ lᵢ·2^(52·i)` in five `u64`s, the layout of libsecp256k1's
+//! `field_5x52`), runs all 65 rounds there, and converts back to
+//! canonical [`Fp`] once on exit. [`Fp`]'s 4×64-bit kernel serves every
+//! other product. A product here is 25 limb products (a square 15: the
+//! off-diagonal ones against a doubled limb) summed in nine 128-bit
+//! columns, with the reduction folded in: `2²⁶⁰ ≡ R = 2⁴·C =
+//! 0x1000003D10 (mod p)` moves column `k + 5` onto column `k` times `R`,
+//! and each column's pieces at `2⁰`, `2⁵²` and `2¹⁰⁴` are added into the
+//! limbs they land on. Nothing is reduced further than the next product
+//! needs. The bounds, per limb:
+//!
+//! | step | takes | returns |
+//! |---|---|---|
+//! | product, square | below `2⁵⁷` | limb 0 below `2⁵²`, the others below `2⁵³ + 2⁴⁹` (so below `2⁵⁴`) |
+//! | weak normalisation | below `2⁶⁰` | limb 0 below `2⁵² + 2⁴⁶`, limbs 1–3 below `2⁵²`, limb 4 below `2⁴⁸` (so below `2⁵³`) |
+//! | entry | canonical [`Fp`] | limbs 0–3 below `2⁵²`, limb 4 below `2⁴⁸` |
+//! | exit | below `2⁶⁰` | canonical [`Fp`] |
+//!
+//! Below `2⁵⁷`, a product's columns stay below `2¹¹⁷` and each piece
+//! folded in is one `u64` product. The additions and scalings of `M_E`
+//! and `M_I` are limb-wise and unreduced:
+//!
+//! * A full round's `M_E` adds four S-box outputs: below `2⁵⁶`, and below
+//!   `2⁵⁷` with the next round constant, which is what an S-box takes.
+//! * A partial round weakly normalises `x₁` and `x₂` on entry, the only
+//!   normalisations between entry and exit. With `y₀` its S-box output,
+//!   it leaves `x₀ = 2y₀ + x₁ + x₂` and `x₁ = y₀ + 3x₁ + x₂` below
+//!   `2⁵⁵ + 2⁵⁴` and `x₂ = y₀ + x₁ + 9x₂` below `3·2⁵⁵`: each is below
+//!   `2⁵⁷` with a constant added, for the next partial or full round.
+//!
+//! The tests feed the maximum of every bound through the kernel under
+//! the dev profile, whose overflow checks trap any addition or product
+//! past its type.
 //!
 //! # Constants
 //!
@@ -91,6 +128,7 @@
 //! `gadget_cost::POSEIDON_HASH2` puts on every permutation a check runs
 //! stays exact.
 
+use crate::bigint::U256;
 use crate::field::Fp;
 use crate::sha256::Prg;
 use std::sync::OnceLock;
@@ -104,20 +142,165 @@ pub const PARTIAL_ROUNDS: usize = 57;
 
 const HALF_FULL: usize = FULL_ROUNDS / 2;
 
+/// An integer `Σ lᵢ·2^(52·i)` in five radix-2⁵² limbs, reduced modulo
+/// `p` only as far as the module docs' bounds need (# Representation).
+type Limbs = [u64; 5];
+
+/// The low 52 bits of a limb.
+const M52: u64 = (1 << 52) - 1;
+/// The low 48 bits: limb 4 of a value below `2²⁵⁶`.
+const M48: u64 = (1 << 48) - 1;
+/// `2²⁵⁶ mod p = C`.
+const C: u64 = 0x1_0000_03D1;
+/// `2²⁶⁰ mod p = 2⁴·C`.
+const R: u64 = C << 4;
+
+/// A canonical element in limbs: every limb below `2⁵²`, limb 4 below
+/// `2⁴⁸`.
+fn to_limbs(x: &Fp) -> Limbs {
+    let [w0, w1, w2, w3] = x.to_u256().limbs();
+    [
+        w0 & M52,
+        (w0 >> 52 | w1 << 12) & M52,
+        (w1 >> 40 | w2 << 24) & M52,
+        (w2 >> 28 | w3 << 36) & M52,
+        w3 >> 16,
+    ]
+}
+
+/// The canonical element of limbs below `2⁶⁰`.
+fn to_fp(a: &Limbs) -> Fp {
+    // The second pass carries limb 0's excess through; a carry that
+    // reaches 2²⁵⁶ leaves limbs 1–3 zero and limb 0 below 2⁴⁶, so its
+    // fold ends with every limb below 2⁵², limb 4 below 2⁴⁸.
+    let [l0, l1, l2, l3, l4] = weak(&weak(a));
+    let words = [
+        l0 | l1 << 52,
+        l1 >> 12 | l2 << 40,
+        l2 >> 24 | l3 << 28,
+        l3 >> 36 | l4 << 16,
+    ];
+    // Below 2²⁵⁶ < 2p: one subtraction.
+    Fp::from_u256(U256::from_limbs(words))
+}
+
+/// Weak normalisation of limbs below `2⁶⁰`: limbs 1–3 below `2⁵²`,
+/// limb 4 below `2⁴⁸`, limb 0 below `2⁵² + 2⁴⁶`.
+#[inline(always)]
+fn weak(a: &Limbs) -> Limbs {
+    let mut out = *a;
+    for i in 0..4 {
+        out[i + 1] += out[i] >> 52;
+        out[i] &= M52;
+    }
+    out[0] += (out[4] >> 48) * C;
+    out[4] &= M48;
+    out
+}
+
+#[inline(always)]
+fn add(a: &Limbs, b: &Limbs) -> Limbs {
+    std::array::from_fn(|i| a[i] + b[i])
+}
+
+/// `k·a`, limb by limb.
+#[inline(always)]
+fn scale(a: &Limbs, k: u64) -> Limbs {
+    a.map(|x| x * k)
+}
+
+/// Reduces the nine columns `Σ_{i+j=k} aᵢ·bⱼ` of a product of limbs
+/// below `2⁵⁷` to limbs below `2⁵⁴` (# Representation).
+#[inline(always)]
+fn reduce(mut p: [u128; 9]) -> Limbs {
+    // The bits of column k ≥ 5 above 2⁶⁴ move up into column k + 1
+    // (2⁶⁴ = 2¹²·2⁵²); then 2²⁶⁰ ≡ R folds column k + 5 into column k.
+    for k in 5..8 {
+        let above = (p[k] >> 64) as u64;
+        p[k + 1] += (above * (1 << 12)) as u128;
+    }
+    let mut r: [u128; 5] = std::array::from_fn(|k| p[k]);
+    for k in 0..4 {
+        r[k] += wide(p[k + 5] as u64, R);
+    }
+    r[4] += wide((p[8] >> 64) as u64, R << 12);
+    // Each column in pieces at 2⁰, 2⁵² and 2¹⁰⁴, added into the limbs
+    // they land on: the pieces at 2²⁶⁰ and 2³¹² fold once more.
+    let lo = r.map(|x| x as u64 & M52);
+    let mid = r.map(|x| (x >> 52) as u64 & M52);
+    let top = r.map(|x| (x >> 104) as u64);
+    let l0 = lo[0] as u128 + wide(mid[4] + top[3], R);
+    [
+        l0 as u64 & M52,
+        lo[1] + mid[0] + top[4] * R + (l0 >> 52) as u64,
+        lo[2] + mid[1] + top[0],
+        lo[3] + mid[2] + top[1],
+        lo[4] + mid[3] + top[2],
+    ]
+}
+
+/// The 128-bit product of two limbs.
+#[inline(always)]
+fn wide(a: u64, b: u64) -> u128 {
+    a as u128 * b as u128
+}
+
+/// `a·b` for limbs below `2⁵⁷`: 25 limb products and the fold.
+#[inline(always)]
+fn mul(a: &Limbs, b: &Limbs) -> Limbs {
+    let m = |i: usize, j: usize| wide(a[i], b[j]);
+    reduce([
+        m(0, 0),
+        m(0, 1) + m(1, 0),
+        m(0, 2) + m(1, 1) + m(2, 0),
+        m(0, 3) + m(1, 2) + m(2, 1) + m(3, 0),
+        m(0, 4) + m(1, 3) + m(2, 2) + m(3, 1) + m(4, 0),
+        m(1, 4) + m(2, 3) + m(3, 2) + m(4, 1),
+        m(2, 4) + m(3, 3) + m(4, 2),
+        m(3, 4) + m(4, 3),
+        m(4, 4),
+    ])
+}
+
+/// `a²` for limbs below `2⁵⁷`: 15 limb products (the off-diagonal ones
+/// against a doubled limb) and the fold; the columns are [`mul`]'s.
+#[inline(always)]
+fn sqr(a: &Limbs) -> Limbs {
+    let d = scale(a, 2);
+    reduce([
+        wide(a[0], a[0]),
+        wide(d[0], a[1]),
+        wide(d[0], a[2]) + wide(a[1], a[1]),
+        wide(d[0], a[3]) + wide(d[1], a[2]),
+        wide(d[0], a[4]) + wide(d[1], a[3]) + wide(a[2], a[2]),
+        wide(d[1], a[4]) + wide(d[2], a[3]),
+        wide(d[2], a[4]) + wide(a[3], a[3]),
+        wide(d[3], a[4]),
+        wide(a[4], a[4]),
+    ])
+}
+
+/// `x⁵ = (x²)²·x` for limbs below `2⁵⁷`.
+#[inline(always)]
+fn sbox(x: &Limbs) -> Limbs {
+    mul(&sqr(&sqr(x)), x)
+}
+
+/// The round constants in limbs, as [`permute`] adds them.
 struct Params {
     /// The constant triples of the full rounds, in round order: the
     /// first half runs before the partial rounds, the second after.
-    full: [[Fp; T]; FULL_ROUNDS],
+    full: [[Limbs; T]; FULL_ROUNDS],
     /// The constant each partial round adds to `x₀`.
-    partial: [Fp; PARTIAL_ROUNDS],
+    partial: [Limbs; PARTIAL_ROUNDS],
 }
 
 fn params() -> &'static Params {
     static PARAMS: OnceLock<Params> = OnceLock::new();
     PARAMS.get_or_init(|| {
         let mut prg = Prg::new("zendoo/poseidon2-v1/round-constants");
-        let mut full = [[Fp::ZERO; T]; FULL_ROUNDS];
-        let mut partial = [Fp::ZERO; PARTIAL_ROUNDS];
+        let mut full = [[[0; 5]; T]; FULL_ROUNDS];
+        let mut partial = [[0; 5]; PARTIAL_ROUNDS];
         let (head, tail) = full.split_at_mut(HALF_FULL);
         let in_round_order = head
             .iter_mut()
@@ -125,31 +308,24 @@ fn params() -> &'static Params {
             .chain(&mut partial)
             .chain(tail.iter_mut().flatten());
         for c in in_round_order {
-            *c = Fp::from_be_bytes_reduced(&prg.next_bytes32());
+            *c = to_limbs(&Fp::from_be_bytes_reduced(&prg.next_bytes32()));
         }
         Params { full, partial }
     })
 }
 
-#[inline]
-fn sbox(x: Fp) -> Fp {
-    // x^5
-    let x2 = x.square();
-    x2.square() * x
-}
-
 /// `M_E = circ(2, 1, 1)`: `xᵢ ← xᵢ + s` with `s = x₀ + x₁ + x₂`.
-#[inline]
-fn external_layer(state: &mut [Fp; T]) {
-    let s = state[0] + state[1] + state[2];
+#[inline(always)]
+fn external_layer(state: &mut [Limbs; T]) {
+    let s = add(&add(&state[0], &state[1]), &state[2]);
     for x in state.iter_mut() {
-        *x += s;
+        *x = add(x, &s);
     }
 }
 
-fn full_round(state: &mut [Fp; T], rc: &[Fp; T]) {
+fn full_round(state: &mut [Limbs; T], rc: &[Limbs; T]) {
     for (x, c) in state.iter_mut().zip(rc) {
-        *x = sbox(*x + *c);
+        *x = sbox(&add(x, c));
     }
     external_layer(state);
 }
@@ -159,24 +335,26 @@ pub fn permute(state: &mut [Fp; T]) {
     crate::opcount::permutation();
     let p = params();
     let (head, tail) = p.full.split_at(HALF_FULL);
-    external_layer(state);
+    let mut x = state.each_ref().map(to_limbs);
+    external_layer(&mut x);
     for rc in head {
-        full_round(state, rc);
+        full_round(&mut x, rc);
     }
     for c in &p.partial {
-        let [x0, x1, x2] = *state;
+        let (x1, x2) = (weak(&x[1]), weak(&x[2]));
         // Independent of the S-box output: off the critical path.
-        let rest = x1 + x2;
-        let x1_twice = x1.double();
-        let x2_eight = x2.double().double().double();
-        let y0 = sbox(x0 + *c);
+        let rest = add(&x1, &x2);
+        let x1_twice = scale(&x1, 2);
+        let x2_eight = scale(&x2, 8);
+        let y0 = sbox(&add(&x[0], c));
         // M_I = J + diag(1, 2, 8).
-        let s = y0 + rest;
-        *state = [s + y0, s + x1_twice, s + x2_eight];
+        let s = add(&y0, &rest);
+        x = [add(&s, &y0), add(&s, &x1_twice), add(&s, &x2_eight)];
     }
     for rc in tail {
-        full_round(state, rc);
+        full_round(&mut x, rc);
     }
+    *state = x.each_ref().map(to_fp);
 }
 
 /// Two-to-one compression: the Merkle-tree node hash.
@@ -276,20 +454,42 @@ mod tests {
         })
     }
 
-    /// The textbook permutation, multiplying the dense `M_E` / `M_I`
-    /// every round: the oracle [`permute`] is tested against.
+    /// The round constants as field elements, drawn from the module
+    /// docs' PRG in round order: the oracle reads neither [`params`] nor
+    /// the limbs.
+    fn constants() -> ([[Fp; T]; FULL_ROUNDS], [Fp; PARTIAL_ROUNDS]) {
+        let mut prg = Prg::new("zendoo/poseidon2-v1/round-constants");
+        let mut next = || Fp::from_be_bytes_reduced(&prg.next_bytes32());
+        let mut full = [[Fp::ZERO; T]; FULL_ROUNDS];
+        let mut partial = [Fp::ZERO; PARTIAL_ROUNDS];
+        for (round, triple) in full.iter_mut().enumerate() {
+            if round == HALF_FULL {
+                partial = std::array::from_fn(|_| next());
+            }
+            *triple = std::array::from_fn(|_| next());
+        }
+        (full, partial)
+    }
+
+    fn sbox_fp(x: Fp) -> Fp {
+        x.square().square() * x
+    }
+
+    /// The textbook permutation in `Fp` arithmetic, multiplying the
+    /// dense `M_E` / `M_I` every round: the oracle [`permute`] is tested
+    /// against.
     fn permute_matrix(state: &mut [Fp; T]) {
-        let p = params();
+        let (full, partial) = constants();
         let (m_e, m_i) = (external_matrix(), ones_plus_diag(MU));
         *state = apply(&m_e, state);
-        for (round, rc) in p.full.iter().enumerate() {
+        for (round, rc) in full.iter().enumerate() {
             if round == HALF_FULL {
-                for c in &p.partial {
-                    state[0] = sbox(state[0] + *c);
+                for c in &partial {
+                    state[0] = sbox_fp(state[0] + *c);
                     *state = apply(&m_i, state);
                 }
             }
-            let sboxed = std::array::from_fn(|i| sbox(state[i] + rc[i]));
+            let sboxed = std::array::from_fn(|i| sbox_fp(state[i] + rc[i]));
             *state = apply(&m_e, &sboxed);
         }
     }
@@ -526,19 +726,188 @@ mod tests {
         );
     }
 
+    /// `2ᵏ` for `k < 256`.
+    fn pow2(k: usize) -> U256 {
+        let mut limbs = [0; 4];
+        limbs[k / 64] = 1 << (k % 64);
+        U256::from_limbs(limbs)
+    }
+
+    /// The edge values of the representation: 0, 1, N − 1, N − C,
+    /// 2⁵² − 1, 2¹⁰⁴, 2²⁵⁵, each 52-bit limb saturated alone (limb 4 to
+    /// its 48 bits) and all of them at once (`2²⁵⁶ − 1`, reduced).
+    fn edge_values() -> Vec<Fp> {
+        let n = SecpBase::MODULUS;
+        let c = n.wrapping_neg();
+        let mut values: Vec<Fp> = [
+            U256::ZERO,
+            U256::ONE,
+            n.wrapping_sub(&U256::ONE),
+            n.wrapping_sub(&c),
+            U256::from_u64(M52),
+            pow2(104),
+            pow2(255),
+            U256::MAX,
+        ]
+        .iter()
+        .map(|v| Fp::from_u256(*v))
+        .collect();
+        for i in 0..5 {
+            let saturated = (0..if i == 4 { 48 } else { 52 })
+                .map(|bit| Fp::from_u256(pow2(52 * i + bit)))
+                .fold(Fp::ZERO, |sum, x| sum + x);
+            values.push(saturated);
+        }
+        values
+    }
+
+    /// What limbs stand for, in the 4×64 kernel: `Σ lᵢ·2^(52·i) mod p`.
+    fn value(a: &Limbs) -> Fp {
+        let radix = Fp::from_u256(pow2(52));
+        a.iter()
+            .rev()
+            .fold(Fp::ZERO, |acc, &l| acc * radix + Fp::from_u64(l))
+    }
+
+    /// The largest limb a product or square takes.
+    const PRODUCT_IN: u64 = (1 << 57) - 1;
+
+    fn assert_product_out(out: &Limbs) {
+        assert!(out[0] < 1 << 52, "{out:x?}");
+        assert!(
+            out[1..].iter().all(|&l| l < (1 << 53) + (1 << 49)),
+            "{out:x?}"
+        );
+    }
+
+    fn assert_weak_out(out: &Limbs) {
+        assert!(out[0] < (1 << 52) + (1 << 46), "{out:x?}");
+        assert!(out[1..4].iter().all(|&l| l < 1 << 52), "{out:x?}");
+        assert!(out[4] < 1 << 48, "{out:x?}");
+    }
+
+    fn check_product(a: &Limbs, b: &Limbs) {
+        let product = mul(a, b);
+        assert_eq!(value(&product), value(a) * value(b), "{a:x?} · {b:x?}");
+        assert_product_out(&product);
+        let square = sqr(a);
+        assert_eq!(value(&square), value(a).square(), "{a:x?}²");
+        assert_product_out(&square);
+    }
+
+    /// The operands at the edges of the bounds: every limb at the
+    /// maximum a product takes, each limb alone at it, a product's and a
+    /// weak normalisation's largest outputs, and the edge values.
+    fn edge_operands() -> Vec<Limbs> {
+        let mut operands = vec![
+            [PRODUCT_IN; 5],
+            [
+                M52,
+                (1 << 53) + (1 << 49) - 1,
+                (1 << 53) + (1 << 49) - 1,
+                (1 << 53) + (1 << 49) - 1,
+                (1 << 53) + (1 << 49) - 1,
+            ],
+            [(1 << 52) + (1 << 46) - 1, M52, M52, M52, M48],
+        ];
+        for i in 0..5 {
+            let mut alone = [0; 5];
+            alone[i] = PRODUCT_IN;
+            operands.push(alone);
+        }
+        operands.extend(edge_values().iter().map(to_limbs));
+        operands
+    }
+
+    #[test]
+    fn products_at_the_limb_bound_match_the_reference() {
+        let operands = edge_operands();
+        for a in &operands {
+            for b in &operands {
+                check_product(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn weak_normalisation_at_its_bound_keeps_the_value() {
+        let top = (1 << 60) - 1;
+        let mut inputs = vec![[top; 5], [top, 0, 0, 0, 0], [0, 0, 0, 0, top]];
+        inputs.extend(edge_operands());
+        for a in &inputs {
+            let out = weak(a);
+            assert_eq!(value(&out), value(a), "{a:x?}");
+            assert_weak_out(&out);
+            assert_eq!(to_fp(a), value(a), "{a:x?}");
+        }
+    }
+
+    #[test]
+    fn limbs_round_trip_on_edge_values() {
+        for x in edge_values() {
+            let limbs = to_limbs(&x);
+            assert!(
+                limbs[..4].iter().all(|&l| l <= M52) && limbs[4] <= M48,
+                "{x:?}"
+            );
+            assert_eq!(value(&limbs), x);
+            assert_eq!(to_fp(&limbs), x);
+        }
+        // Non-canonical limbs on the exit's edges: p itself, p + 1,
+        // 2²⁵⁶ − 1, 2²⁵⁶ (limb 4 at 2⁴⁸), and 2²⁵⁷ − 1, whose first fold
+        // lifts limb 0 past 2⁵² and the carry ripples to 2²⁵⁶ again.
+        let n = to_limbs(&Fp::from_u256(SecpBase::MODULUS.wrapping_sub(&U256::ONE)));
+        let at_p = [n[0] + 1, n[1], n[2], n[3], n[4]];
+        let past_p = [n[0] + 2, n[1], n[2], n[3], n[4]];
+        for a in [
+            at_p,
+            past_p,
+            [M52, M52, M52, M52, M48],
+            [0, 0, 0, 0, 1 << 48],
+            [M52, M52, M52, M52, (1 << 49) - 1],
+        ] {
+            let x = to_fp(&a);
+            assert_eq!(x, value(&a), "{a:x?}");
+            assert_eq!(Fp::from_u256(x.to_u256()), x, "{a:x?} left non-canonical");
+        }
+    }
+
     #[test]
     fn permute_matches_matrix_form_on_edge_states() {
         let (zero, top) = (Fp::ZERO, p_minus_1());
-        for state in [[zero; T], [top; T], [zero, top, zero], [top, zero, top]] {
+        let mut states = vec![[zero; T], [top; T], [zero, top, zero], [top, zero, top]];
+        let edges = edge_values();
+        for (i, x) in edges.iter().enumerate() {
+            states.push([*x; T]);
+            states.push([
+                *x,
+                edges[(i + 1) % edges.len()],
+                edges[(i + 2) % edges.len()],
+            ]);
+        }
+        for state in states {
             let (mut fast, mut textbook) = (state, state);
             permute(&mut fast);
             permute_matrix(&mut textbook);
-            assert_eq!(fast, textbook);
+            assert_eq!(fast, textbook, "{state:?}");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_products_below_the_limb_bound_match_the_reference(
+            a in any::<[u8; 40]>(), b in any::<[u8; 40]>()
+        ) {
+            // Five random limbs below 2⁵⁷.
+            let limbs = |bytes: [u8; 40]| -> Limbs {
+                std::array::from_fn(|i| {
+                    u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes")) >> 7
+                })
+            };
+            check_product(&limbs(a), &limbs(b));
+        }
+
         #[test]
         fn prop_permute_matches_matrix_form(
             a in any::<[u8; 32]>(), b in any::<[u8; 32]>(), c in any::<[u8; 32]>()
