@@ -21,9 +21,11 @@ use crate::withdrawal::{
 
 /// One SNARK verification the mainchain owes for a posting: the
 /// registered verifying key, the fully assembled public inputs, and the
-/// submitted proof. Statement assembly is split from proof checking so
-/// a block's checks can be collected up front and verified in parallel
-/// before any state mutation (the staged-pipeline hook).
+/// submitted proof. The `verify_*_with` functions assemble it and hand
+/// it to their caller's check, which may verify it at once
+/// ([`ProofCheck::run`]), answer it from a verdict cache, or record it
+/// for a later batch and answer for now — the mainchain's stage-3 walk
+/// does all three.
 #[derive(Clone, Debug)]
 pub struct ProofCheck {
     /// The registered verifying key.
@@ -55,7 +57,7 @@ impl ProofCheck {
 /// Assembles the [`ProofCheck`] for a withdrawal certificate (the
 /// statement of "WCert Verification" rules 3–4, independent of the
 /// cheap schema/quality checks).
-pub fn certificate_proof_check(
+fn certificate_proof_check(
     config: &SidechainConfig,
     cert: &WithdrawalCertificate,
     prev_epoch_last_block: Digest32,
@@ -71,7 +73,7 @@ pub fn certificate_proof_check(
 
 /// Assembles the [`ProofCheck`] for a backward transfer request.
 /// `None` when the sidechain registered no `btr_vk`.
-pub fn btr_proof_check(
+fn btr_proof_check(
     config: &SidechainConfig,
     btr: &BackwardTransferRequest,
     last_cert_block: Digest32,
@@ -92,7 +94,7 @@ pub fn btr_proof_check(
 
 /// Assembles the [`ProofCheck`] for a ceased sidechain withdrawal.
 /// `None` when the sidechain registered no `csw_vk`.
-pub fn csw_proof_check(
+fn csw_proof_check(
     config: &SidechainConfig,
     csw: &CeasedSidechainWithdrawal,
     last_cert_block: Digest32,
@@ -185,7 +187,7 @@ pub fn verify_certificate(
 
 /// [`verify_certificate`] with a pluggable proof check: `check` receives
 /// the assembled [`ProofCheck`] and returns its verdict. The staged
-/// block pipeline passes a verdict cache filled by parallel workers;
+/// block pipeline passes its verdicts (cached, or owed to one batch);
 /// [`verify_certificate`] passes [`ProofCheck::run`].
 ///
 /// # Errors

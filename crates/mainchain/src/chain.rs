@@ -3,10 +3,10 @@
 //!
 //! Fork choice is by cumulative work (Def 3.1's Bitcoin-backbone model).
 //! Block acceptance runs the three-stage [`crate::pipeline`]: stateless
-//! precheck at submission, parallel SNARK verification of the block's
-//! certificate/BTR/CSW proofs beside one batch equation over its
-//! transfer signatures, then atomic state application journaled
-//! into a single [`crate::pipeline::BlockUndo`] record per block — so
+//! precheck at submission, then atomic state application journaled
+//! into a single [`crate::pipeline::BlockUndo`] record per block (a
+//! received block's certificate/BTR/CSW proofs and transfer signatures
+//! verified after the walk as one batch each) — so
 //! reorgs of up to [`ChainParams::max_reorg_depth`] blocks are exact
 //! state rollbacks (the mechanism exercised by the paper's "mainchain
 //! forks resolution" property, §5.1) without retaining a full state
@@ -17,8 +17,9 @@
 //! (a one-pass greedy fill that records the proof verdicts of its dry
 //! run) and [`Blockchain::submit`] the only way a block joins the
 //! chain. What may accompany a block is its builder's verdicts, an
-//! explicit argument threaded down to stage 2; without them stage 2
-//! verifies every proof and signature itself.
+//! explicit argument threaded down to stage 3; without them stage 3
+//! owes every proof and signature check it meets, and stage 2 verifies
+//! them after the walk.
 //! [`Blockchain::submit_block`] is the verdict-less call a receiving
 //! node makes, and [`Blockchain::mine_next_block`] is strict prepare +
 //! submit. The chain keeps no per-submission state.
@@ -34,7 +35,7 @@ use zendoo_telemetry::Telemetry;
 
 use crate::block::{Block, BlockHeader};
 use crate::mempool::TakenBatch;
-use crate::pipeline::{self, BlockUndo, ProofVerdicts, VerdictCache};
+use crate::pipeline::{self, BlockUndo, ProofVerdicts};
 use crate::pow::{mine, Target};
 use crate::registry::{RegistryError, SidechainRegistry};
 use crate::sigbatch;
@@ -382,7 +383,7 @@ impl From<Vec<McTransaction>> for BlockCandidates {
 /// the sc-txs commitment its header commits to, the candidates it had
 /// to reject, and the proof verdicts recorded during the dry run, which
 /// the builder hands to [`Blockchain::submit`] alongside the block
-/// (stage 2 then re-verifies nothing the builder already checked).
+/// (stage 3 then re-verifies nothing the builder already checked).
 #[derive(Debug)]
 pub struct PreparedBlock {
     /// The assembled, mined (not yet submitted) block.
@@ -676,14 +677,15 @@ impl Blockchain {
 
     /// The one way a block joins the chain: validates, stores, and
     /// reorganizes if it creates a heavier chain. `verdicts` are the
-    /// proof verdicts its builder recorded ([`PreparedBlock::verdicts`]):
-    /// they travel with the block down to stage 2, so each proof is
-    /// verified once per node, at build time, instead of again at
-    /// submission. They can only save work, never change the outcome
-    /// (including the precise [`BlockError`] on rejection). Without
-    /// them, stage 2 verifies every statement
-    /// ([`pipeline::verify_block_proofs`]) and every transfer signature
-    /// itself.
+    /// proof and signature verdicts its builder recorded
+    /// ([`PreparedBlock::verdicts`]): they travel with the block down to
+    /// stage 3, so each check is verified once per node, at admission or
+    /// build time, instead of again at submission. They can only save
+    /// work, never change the outcome (including the precise
+    /// [`BlockError`] on rejection). Without them, stage 3 walks the
+    /// block once, owing every proof and signature check it meets, and
+    /// stage 2 verifies what it owes as one batch of each; so does every
+    /// block a reorg connects.
     ///
     /// # Errors
     ///
@@ -856,10 +858,15 @@ impl Blockchain {
         tip
     }
 
-    /// Connects a stored block on top of the current tip: stage 2
-    /// establishes the verdict of every SNARK in the block before stage
-    /// 3 applies it atomically. `verdicts` are what the block was
-    /// submitted with, if anything.
+    /// Connects a stored block on top of the current tip. `verdicts` are
+    /// what the block was submitted with, if anything: its builder's,
+    /// from which stage 3 answers every check. Without them, stage 3
+    /// walks the block once under [`ProofVerdicts::deferring`], and
+    /// stage 2 verifies what the walk owes as one batch of proofs and
+    /// one of signatures ([`ProofVerdicts::discharge`]). Only when a
+    /// verdict fails does stage 3 run again, the walk reverted, on the
+    /// discharged verdicts: it refuses the block with the inline
+    /// validator's error and verifies nothing twice.
     fn connect_block(
         &mut self,
         hash: Digest32,
@@ -867,60 +874,55 @@ impl Blockchain {
     ) -> Result<(), BlockError> {
         let StoredBlock { block, txids, .. } = &self.blocks[&hash];
         debug_assert_eq!(block.header.parent, self.tip_hash());
-        // Stage 2: establish the block's proof verdicts against the
-        // pre-block state (read-only; no mutation can have happened
-        // yet). The builder's recorded verdicts, when they came with the
-        // block: nothing verifies twice on the same node. Otherwise this
-        // node verifies, under one span, every proof as a parallel batch
-        // and the block's transfer signatures as one batch equation, so
-        // stage 3 finds a verdict where it would verify each inline.
-        // Statements neither anticipated fall back to inline
-        // verification in stage 3 — the verdicts are an optimization,
-        // never a semantic change.
-        let verdicts = match verdicts {
-            Some(verdicts) => {
-                self.telemetry.counter("mc.stage2.verdicts_reused", 1);
-                verdicts
-            }
-            None => {
-                let _span = self.telemetry.span("mc.stage2.verify");
-                let mut verdicts = pipeline::verify_block_proofs(
-                    &self.state,
-                    block,
-                    hash,
-                    &self.active,
-                    &self.telemetry,
-                );
-                verdicts.sigs = VerdictCache::with_verdicts(sigbatch::verify_transfer_signatures(
-                    &self.state,
-                    block.transactions.iter().zip(txids.iter().copied()),
-                    &self.telemetry,
-                ));
-                verdicts
-            }
-        };
         // Stage 3: atomic application (reverts itself on failure).
-        let (hits_before, misses_before) = verdicts.proofs.stats();
-        let sigs_before = verdicts.sigs.stats();
-        let undo = {
+        let stage3 = |state: &mut ChainState, verdicts: &ProofVerdicts| {
             let _span = self.telemetry.span("mc.stage3.apply");
             pipeline::apply_block(
-                &mut self.state,
+                state,
                 block,
                 txids,
                 hash,
                 &self.active,
                 self.params.block_subsidy,
-                &verdicts,
-            )?
+                verdicts,
+            )
         };
+        let (verdicts, applied) = match verdicts {
+            Some(verdicts) => {
+                self.telemetry.counter("mc.stage2.verdicts_reused", 1);
+                let applied = stage3(&mut self.state, &verdicts);
+                (verdicts, applied)
+            }
+            None => {
+                let deferred = ProofVerdicts::deferring();
+                let walk = stage3(&mut self.state, &deferred);
+                let discharged = {
+                    let _span = self.telemetry.span("mc.stage2.verify");
+                    deferred.discharge(&self.telemetry)
+                };
+                match discharged {
+                    // Every answer the walk was given was the true one.
+                    None => (deferred, walk),
+                    Some(verdicts) => {
+                        if let Ok(undo) = walk {
+                            pipeline::revert_block(&mut self.state, undo);
+                        }
+                        let applied = stage3(&mut self.state, &verdicts);
+                        (verdicts, applied)
+                    }
+                }
+            }
+        };
+        // Whether or not the block connects: what stage 3 asked the
+        // verdicts (a deferred check is neither a hit nor a miss).
         if self.telemetry.is_enabled() {
             let (hits, misses) = verdicts.proofs.stats();
-            self.telemetry
-                .counter("mc.verdict_cache.hit", hits - hits_before);
-            self.telemetry
-                .counter("mc.verdict_cache.miss", misses - misses_before);
-            self.count_sig_cache(&verdicts, sigs_before);
+            self.telemetry.counter("mc.verdict_cache.hit", hits);
+            self.telemetry.counter("mc.verdict_cache.miss", misses);
+            self.count_sig_cache(&verdicts);
+        }
+        let undo = applied?;
+        if self.telemetry.is_enabled() {
             self.telemetry.counter("mc.blocks_connected", 1);
             self.telemetry
                 .observe("mc.block_txs", block.transactions.len() as u64);
@@ -933,29 +935,36 @@ impl Blockchain {
         Ok(())
     }
 
-    /// Counts the signature-cache hits and misses since `before` on
-    /// `mc.sig_cache.*` (nothing when no signature was checked).
-    fn count_sig_cache(&self, verdicts: &ProofVerdicts, before: (u64, u64)) {
+    /// Counts the signature-cache hits and misses on `mc.sig_cache.*`
+    /// (nothing when no signature was checked).
+    fn count_sig_cache(&self, verdicts: &ProofVerdicts) {
         let (hits, misses) = verdicts.sigs.stats();
-        if hits + misses > before.0 + before.1 {
-            self.telemetry.counter("mc.sig_cache.hit", hits - before.0);
-            self.telemetry
-                .counter("mc.sig_cache.miss", misses - before.1);
+        if hits + misses > 0 {
+            self.telemetry.counter("mc.sig_cache.hit", hits);
+            self.telemetry.counter("mc.sig_cache.miss", misses);
         }
     }
 
+    /// Drops the undo record (and the stored ids) of the one block the
+    /// last connect pushed below the undo window. Every block under it
+    /// left the window on an earlier connect: the active chain only
+    /// moves below the window by one block per connect, since `activate`
+    /// refuses a reorg that would disconnect a block without its record.
     fn prune_undo(&mut self) {
-        if self.active.len() > self.params.max_reorg_depth {
-            let prune_below = self.active.len() - self.params.max_reorg_depth;
-            for hash in &self.active[..prune_below] {
-                // Below the undo window a block is never connected again
-                // (`activate` refuses such a reorg first): its ids go
-                // with its undo record.
-                if self.undo.remove(hash).is_some() {
-                    if let Some(stored) = self.blocks.get_mut(hash) {
-                        stored.txids = Vec::new();
-                    }
-                }
+        let Some(depth) = self
+            .active
+            .len()
+            .checked_sub(self.params.max_reorg_depth + 1)
+        else {
+            return;
+        };
+        let hash = self.active[depth];
+        // Below the undo window a block is never connected again
+        // (`activate` refuses such a reorg first): its ids go with its
+        // undo record.
+        if self.undo.remove(&hash).is_some() {
+            if let Some(stored) = self.blocks.get_mut(&hash) {
+                stored.txids = Vec::new();
             }
         }
     }
@@ -1053,10 +1062,10 @@ impl Blockchain {
         }
         // Back to the tip's state before anything below can return.
         pipeline::revert_block(&mut self.state, undo);
-        verdicts.freeze();
         if self.telemetry.is_enabled() {
-            self.count_sig_cache(&verdicts, (0, 0));
+            self.count_sig_cache(&verdicts);
         }
+        verdicts.freeze();
         for (_, error) in &rejected {
             self.count_rejection(error);
         }

@@ -10,20 +10,21 @@
 //!    applied to a single transaction at mempool admission. It hashes
 //!    each transaction id once and returns the ids, which the chain
 //!    stores beside the block for stages 2 and 3.
-//! 2. **Parallel proof and signature verification**
-//!    ([`verify_block_proofs`], [`crate::sigbatch`]) — every SNARK check
-//!    the block owes (certificates, BTRs, CSWs) is collected into a
-//!    work list and verified on scoped worker threads *before any state
-//!    mutation*, one check per statement; every transfer signature
-//!    whose input resolves in the pre-block state is collected beside
-//!    them and verified as one batch equation per worker. The verdicts
-//!    land in a [`ProofVerdicts`] cache keyed by full statement (or
-//!    signature) identity, so stage 3 consumes them without re-deriving
-//!    trust: a cache miss (the prefetch guessed a different statement
-//!    than the stateful walk assembles, an input spends an output of
-//!    the same block) silently falls back to inline verification —
-//!    parallelism and batching are optimizations, never a semantic
-//!    change.
+//! 2. **Batched proof and signature verification**
+//!    ([`ProofVerdicts`]) — the verdict of every SNARK check the block
+//!    owes (certificates, BTRs, CSWs) and of every transfer signature,
+//!    keyed by full statement (or signature) identity. A block that
+//!    comes with its builder's verdicts brings them. A block that
+//!    arrives alone is walked once by stage 3 under
+//!    [`ProofVerdicts::deferring`], which answers each check `true` and
+//!    records it as owed; [`ProofVerdicts::discharge`] then verifies the
+//!    owed proofs as one parallel batch and the owed signatures as one
+//!    batch equation per worker. When a verdict fails, stage 3 runs
+//!    again with the discharged verdicts as its cache: that walk meets
+//!    the first failing check in serial order and names it, and
+//!    verifies nothing twice. Statements are assembled in one place,
+//!    the walk; batching and deferral are optimizations, never a
+//!    semantic change.
 //! 3. **Atomic state application** ([`apply_block`]) — the stateful
 //!    walk. All mutations are journaled into a single [`BlockUndo`]
 //!    record per block; on any failure the journal is replayed in
@@ -34,17 +35,18 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use zendoo_core::ids::{Amount, EpochId, SidechainId};
+use zendoo_core::ids::Amount;
 use zendoo_core::settlement;
-use zendoo_core::verifier::{self, ProofCheck};
+use zendoo_core::verifier::ProofCheck;
 use zendoo_primitives::digest::Digest32;
 use zendoo_snark::batch::{self, BatchItem};
 use zendoo_telemetry::Telemetry;
 
 use crate::block::Block;
 use crate::chain::{BlockError, ChainState};
-use crate::registry::{RegistryUndo, SidechainRegistry};
-use crate::transaction::{McTransaction, OutPoint, Output, TxOut};
+use crate::registry::RegistryUndo;
+use crate::sigbatch::{self, SigCheck};
+use crate::transaction::{McTransaction, OutPoint, Output, TxIn, TxOut};
 
 // ---- Stage 1: stateless precheck -----------------------------------------
 
@@ -143,7 +145,7 @@ pub fn precheck_block(
     Ok(txids)
 }
 
-// ---- Stage 2: parallel proof verification --------------------------------
+// ---- Stage 2: batched proof and signature verification -------------------
 
 /// One verdict cache: boolean outcomes by key, with one contract — a
 /// hit can never change an outcome, because a miss runs the check
@@ -164,16 +166,6 @@ impl VerdictCache {
             verdicts: RefCell::new(verdicts),
             ..Self::default()
         }
-    }
-
-    /// Number of cached verdicts.
-    pub fn len(&self) -> usize {
-        self.verdicts.borrow().len()
-    }
-
-    /// Returns `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The verdict for `key`: cached if known, `inline()` otherwise
@@ -201,23 +193,38 @@ impl VerdictCache {
 /// What stage 3 knows before it starts: the verdicts of a block's SNARK
 /// checks, keyed by full statement identity ([`ProofCheck::key`]), and
 /// the transfer-signature verdicts established as a batch — at mempool
-/// admission or block build for a builder, in stage 2 for a node
-/// receiving the block — keyed by [`crate::sigbatch::sig_cache_key`]
-/// (txid + key + message + signature — a verdict can only answer the
-/// exact check that produced it). Both are [`VerdictCache`]s, consulted
-/// at exactly the point where the validator would verify inline.
+/// admission or block build for a builder, by the discharge of a
+/// deferring walk for a node receiving the block — keyed by
+/// [`sigbatch::sig_cache_key`] (txid + key + message + signature — a
+/// verdict can only answer the exact check that produced it). Both are
+/// [`VerdictCache`]s, consulted through [`ProofVerdicts::check`] and
+/// `check_sig` at exactly the point where the validator
+/// would verify inline.
 ///
 /// A block builder threads a [`ProofVerdicts::recording`] cache through
 /// its dry run and hands it to [`crate::chain::Blockchain::submit`]:
 /// each proof and each signature is then verified at most once per node
-/// — at admission or at build time — instead of again at submission.
+/// — at admission or at build time — instead of again at submission. A
+/// node receiving a block alone walks it under
+/// [`ProofVerdicts::deferring`] and settles what the walk owes with
+/// [`ProofVerdicts::discharge`].
 #[derive(Debug, Default)]
 pub struct ProofVerdicts {
-    /// SNARK verdicts (prefetched by stage 2, or recorded by a dry run).
+    /// SNARK verdicts (recorded by a dry run, or discharged).
     pub proofs: VerdictCache,
     /// Transfer-signature verdicts (from admission, from the builder's
-    /// batch, from stage 2, or recorded by a dry run).
+    /// batch, recorded by a dry run, or discharged).
     pub sigs: VerdictCache,
+    /// The checks a deferring walk met, each answered `true` for now;
+    /// `None` answers every check from the caches.
+    owed: Option<RefCell<Owed>>,
+}
+
+/// What a deferring walk owes, in the order it met the checks.
+#[derive(Debug, Default)]
+struct Owed {
+    proofs: Vec<ProofCheck>,
+    sigs: Vec<SigCheck>,
 }
 
 impl ProofVerdicts {
@@ -241,155 +248,121 @@ impl ProofVerdicts {
                 recording: true,
                 ..VerdictCache::with_verdicts(sigs)
             },
+            owed: None,
         }
     }
 
-    fn prefetched(proofs: HashMap<Digest32, bool>) -> Self {
+    /// Answers every proof and signature check `true` and records it as
+    /// owed, for [`ProofVerdicts::discharge`]. A walk under it is the
+    /// inline walk exactly when every owed check holds; the cheap rules
+    /// (address binding, schema, quality, amounts) still run in place.
+    pub fn deferring() -> Self {
         ProofVerdicts {
-            proofs: VerdictCache::with_verdicts(proofs),
-            sigs: VerdictCache::default(),
+            owed: Some(RefCell::default()),
+            ..Self::default()
         }
     }
 
-    /// The verdict for `job`: cached if prefetched or previously
-    /// recorded, inline otherwise.
+    /// The verdict for `job`: owed when deferring, cached if recorded
+    /// or discharged, inline otherwise.
     pub fn check(&self, job: &ProofCheck) -> bool {
+        if let Some(owed) = &self.owed {
+            owed.borrow_mut().proofs.push(job.clone());
+            return true;
+        }
         self.proofs.check(job.key(), || job.run())
     }
 
-    /// Stops recording; the recorded verdicts stay (the shape
+    /// The verdict for the signature of `tx_in`, input `input` of the
+    /// transfer `txid` whose sighash is `sighash`: owed when deferring,
+    /// cached if known, inline otherwise.
+    pub(crate) fn check_sig(
+        &self,
+        txid: Digest32,
+        input: usize,
+        tx_in: &TxIn,
+        sighash: Digest32,
+    ) -> bool {
+        if let Some(owed) = &self.owed {
+            owed.borrow_mut().sigs.push(SigCheck {
+                txid,
+                input,
+                tx_in: tx_in.clone(),
+                sighash,
+            });
+            return true;
+        }
+        self.sigs
+            .check(sigbatch::sig_cache_key(&txid, tx_in, &sighash), || {
+                tx_in.verify_signature(&sighash)
+            })
+    }
+
+    /// Takes and verifies what a deferring walk owes: its proofs as one
+    /// parallel batch ([`batch::verify_batch_with`], `snark.batch.*`),
+    /// its signatures as one batch equation per worker
+    /// ([`sigbatch::verify_sig_batch_with`], `sig.batch.*`); nothing
+    /// owed of a kind runs no batch of it. `None` when every owed check
+    /// holds: each answer the walk was given was the true one, so its
+    /// outcome is the inline validator's. Otherwise the verdicts, keyed
+    /// where stage 3 looks them up, for the rerun that meets the first
+    /// failing check in serial order — it meets no check the deferring
+    /// walk did not, so it verifies nothing again.
+    pub fn discharge(&self, telemetry: &Telemetry) -> Option<ProofVerdicts> {
+        let Owed { proofs, sigs } = self.owed.as_ref().map(RefCell::take).unwrap_or_default();
+        let proof_verdicts = if proofs.is_empty() {
+            Vec::new()
+        } else {
+            let items: Vec<BatchItem> = proofs
+                .iter()
+                .map(|c| BatchItem {
+                    vk: c.vk,
+                    inputs: c.inputs.clone(),
+                    proof: c.proof,
+                })
+                .collect();
+            batch::verify_batch_with(&items, batch::default_workers(items.len()), telemetry)
+        };
+        let sig_verdicts = if sigs.is_empty() {
+            Vec::new()
+        } else {
+            sigbatch::verify_sig_batch_with(&sigs, batch::default_workers(sigs.len()), telemetry)
+        };
+        if proof_verdicts
+            .iter()
+            .chain(&sig_verdicts)
+            .all(|holds| *holds)
+        {
+            return None;
+        }
+        Some(ProofVerdicts {
+            proofs: VerdictCache::with_verdicts(
+                proofs
+                    .iter()
+                    .map(ProofCheck::key)
+                    .zip(proof_verdicts)
+                    .collect(),
+            ),
+            sigs: VerdictCache::with_verdicts(
+                sigs.iter()
+                    .map(SigCheck::cache_key)
+                    .zip(sig_verdicts)
+                    .collect(),
+            ),
+            owed: None,
+        })
+    }
+
+    /// Stops recording and restarts the hit and miss counts; the
+    /// recorded verdicts stay (the shape
     /// [`crate::chain::Blockchain::submit`] consumes).
     pub fn freeze(&mut self) {
-        self.proofs.recording = false;
-        self.sigs.recording = false;
-    }
-}
-
-/// Collects every SNARK check a block owes, in transaction order,
-/// against a read-only view of the pre-block state.
-///
-/// The walk mirrors the stateful validator's statement assembly: a
-/// certificate accepted earlier in the same block moves the BTR/CSW
-/// anchor (`H(B_w)`) of later postings for that sidechain to the block
-/// being validated, so the tracker carries per-sidechain anchor
-/// overrides. Transactions whose statements cannot be assembled
-/// (unknown sidechain, missing boundary block, disabled operation) are
-/// skipped — stage 3 rejects them with the precise cheap-check error.
-pub fn collect_proof_checks(
-    state: &ChainState,
-    block: &Block,
-    block_hash: Digest32,
-    active: &[Digest32],
-) -> Vec<ProofCheck> {
-    let boundary = |h: u64| active.get(h as usize).copied();
-    let registry = &state.registry;
-    // Per-sidechain `(epoch, anchor)` of the latest certificate, as it
-    // evolves through the block.
-    let mut anchors: HashMap<SidechainId, (Option<EpochId>, Digest32)> = HashMap::new();
-    fn anchor_of(
-        anchors: &mut HashMap<SidechainId, (Option<EpochId>, Digest32)>,
-        registry: &SidechainRegistry,
-        id: &SidechainId,
-    ) -> (Option<EpochId>, Digest32) {
-        *anchors.entry(*id).or_insert_with(|| {
-            registry
-                .get(id)
-                .and_then(|e| e.certificates.iter().next_back())
-                .map(|(epoch, accepted)| (Some(*epoch), accepted.mc_block))
-                .unwrap_or((None, Digest32::ZERO))
-        })
-    }
-    let mut checks = Vec::new();
-    for tx in &block.transactions {
-        match tx {
-            McTransaction::Certificate(cert) => {
-                let Some(entry) = registry.get(&cert.sidechain_id) else {
-                    continue;
-                };
-                let schedule = entry.config.schedule;
-                let prev_end = if cert.epoch_id == 0 {
-                    if schedule.start_block() == 0 {
-                        Some(Digest32::ZERO)
-                    } else {
-                        boundary(schedule.start_block() - 1)
-                    }
-                } else {
-                    boundary(schedule.epoch_last_height(cert.epoch_id - 1))
-                };
-                let epoch_end = boundary(schedule.epoch_last_height(cert.epoch_id));
-                if let (Some(prev_end), Some(epoch_end)) = (prev_end, epoch_end) {
-                    checks.push(verifier::certificate_proof_check(
-                        &entry.config,
-                        cert,
-                        prev_end,
-                        epoch_end,
-                    ));
-                }
-                // Acceptance would make this the latest certificate,
-                // anchored at the block being validated.
-                let (epoch, _) = anchor_of(&mut anchors, registry, &cert.sidechain_id);
-                if epoch.is_none() || epoch <= Some(cert.epoch_id) {
-                    anchors.insert(cert.sidechain_id, (Some(cert.epoch_id), block_hash));
-                }
-            }
-            McTransaction::Btr(btr) => {
-                let Some(entry) = registry.get(&btr.sidechain_id) else {
-                    continue;
-                };
-                let (_, anchor) = anchor_of(&mut anchors, registry, &btr.sidechain_id);
-                if let Some(check) = verifier::btr_proof_check(&entry.config, btr, anchor) {
-                    checks.push(check);
-                }
-            }
-            McTransaction::Csw(csw) => {
-                let Some(entry) = registry.get(&csw.sidechain_id) else {
-                    continue;
-                };
-                let (_, anchor) = anchor_of(&mut anchors, registry, &csw.sidechain_id);
-                if let Some(check) = verifier::csw_proof_check(&entry.config, csw, anchor) {
-                    checks.push(check);
-                }
-            }
-            McTransaction::Coinbase(_)
-            | McTransaction::Transfer(_)
-            | McTransaction::SidechainDeclaration(_) => {}
+        for cache in [&mut self.proofs, &mut self.sigs] {
+            cache.recording = false;
+            cache.hits.set(0);
+            cache.misses.set(0);
         }
     }
-    checks
-}
-
-/// Stage 2: collects a block's proof work list and verifies it on one
-/// scoped thread per core (up to the list's size). Returns the filled
-/// verdict cache for stage 3. Batch sizes and per-worker verify time
-/// record through `telemetry` (see [`batch::verify_batch_with`]).
-pub fn verify_block_proofs(
-    state: &ChainState,
-    block: &Block,
-    block_hash: Digest32,
-    active: &[Digest32],
-    telemetry: &Telemetry,
-) -> ProofVerdicts {
-    let checks = collect_proof_checks(state, block, block_hash, active);
-    if checks.is_empty() {
-        return ProofVerdicts::inline();
-    }
-    let items: Vec<BatchItem> = checks
-        .iter()
-        .map(|c| BatchItem {
-            vk: c.vk,
-            inputs: c.inputs.clone(),
-            proof: c.proof,
-        })
-        .collect();
-    let outcomes = batch::verify_batch_with(&items, batch::default_workers(items.len()), telemetry);
-    // Duplicate statements (same key) necessarily share a verdict.
-    ProofVerdicts::prefetched(
-        checks
-            .iter()
-            .zip(outcomes)
-            .map(|(check, verdict)| (check.key(), verdict))
-            .collect(),
-    )
 }
 
 // ---- Stage 3: atomic application with a single undo record ---------------
@@ -512,8 +485,9 @@ pub fn revert_block(state: &mut ChainState, mut undo: BlockUndo) {
 /// are the block's transaction ids in order, as [`precheck_block`]
 /// returned them.
 ///
-/// `verdicts` supplies the stage-2 proof verdicts; pass
-/// [`ProofVerdicts::inline`] to verify every proof inline.
+/// Every proof and signature check consults `verdicts`: pass
+/// [`ProofVerdicts::inline`] to verify each where it is met, or
+/// [`ProofVerdicts::deferring`] to owe it to one batch.
 ///
 /// # Errors
 ///
@@ -635,8 +609,8 @@ fn apply_block_inner(
 }
 
 /// Applies one non-coinbase transaction whose id is `txid`, returning
-/// its fee. Mutations are journaled into `undo`; proof checks consult
-/// `verdicts`.
+/// its fee. Mutations are journaled into `undo`; proof and signature
+/// checks consult `verdicts`.
 ///
 /// # Errors
 ///
@@ -676,7 +650,6 @@ pub fn apply_transaction(
             // The sighash is shared by every input — compute it at most
             // once per transaction, not per input.
             let mut sighash_memo: Option<Digest32> = None;
-            let cached = verdicts.sigs.recording || !verdicts.sigs.is_empty();
             for (i, input) in t.inputs.iter().enumerate() {
                 let spent = state
                     .utxos
@@ -690,15 +663,7 @@ pub fn apply_transaction(
                             return Err(BlockError::BadInputAuthorization { input: i });
                         }
                         let sighash = *sighash_memo.get_or_insert_with(|| t.sighash());
-                        let ok = if cached {
-                            verdicts.sigs.check(
-                                crate::sigbatch::sig_cache_key(&txid, input, &sighash),
-                                || input.verify_signature(&sighash),
-                            )
-                        } else {
-                            input.verify_signature(&sighash)
-                        };
-                        if !ok {
+                        if !verdicts.check_sig(txid, i, input, sighash) {
                             return Err(BlockError::BadInputAuthorization { input: i });
                         }
                         first_regular.get_or_insert(i);

@@ -547,9 +547,11 @@ impl SidechainRegistry {
     ///
     /// `boundary_hash(h)` must return the active-chain block hash at
     /// height `h` (for the `wcert_sysdata` epoch anchors). `check` is
-    /// the SNARK check — the staged pipeline passes its stage-2 verdict
-    /// cache, [`ProofCheck::run`] verifies inline; every cheap rule
-    /// still runs here, in serial order.
+    /// the SNARK check — the staged pipeline passes its verdicts
+    /// ([`crate::pipeline::ProofVerdicts::check`]: cached, or owed to one
+    /// batch), [`ProofCheck::run`] verifies inline; every cheap rule
+    /// still runs here, in serial order. This is the one place the
+    /// epoch-boundary anchors of a certificate's statement are read.
     ///
     /// # Errors
     ///
@@ -602,22 +604,17 @@ impl SidechainRegistry {
             .get_mut(&cert.sidechain_id)
             .expect("looked up above");
         // Epoch boundary anchors (H(B^{i-1}_last), H(B^i_last)).
-        let epoch_end = schedule.epoch_last_height(cert.epoch_id);
+        let boundary = |h: u64| boundary_hash(h).ok_or(RegistryError::MissingBoundaryBlock(h));
         let prev_end = if cert.epoch_id == 0 {
             if schedule.start_block() == 0 {
                 Digest32::ZERO
             } else {
-                boundary_hash(schedule.start_block() - 1).ok_or(
-                    RegistryError::MissingBoundaryBlock(schedule.start_block() - 1),
-                )?
+                boundary(schedule.start_block() - 1)?
             }
         } else {
-            boundary_hash(schedule.epoch_last_height(cert.epoch_id - 1)).ok_or(
-                RegistryError::MissingBoundaryBlock(schedule.epoch_last_height(cert.epoch_id - 1)),
-            )?
+            boundary(schedule.epoch_last_height(cert.epoch_id - 1))?
         };
-        let epoch_end_hash =
-            boundary_hash(epoch_end).ok_or(RegistryError::MissingBoundaryBlock(epoch_end))?;
+        let epoch_end_hash = boundary(schedule.epoch_last_height(cert.epoch_id))?;
 
         let best_quality = entry
             .certificates
@@ -755,5 +752,125 @@ impl SidechainRegistry {
     pub fn total_locked(&self) -> Amount {
         Amount::checked_sum(self.entries.values().map(|e| e.balance))
             .expect("total supply fits in u64")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zendoo_core::config::SidechainConfigBuilder;
+    use zendoo_core::proofdata::ProofData;
+    use zendoo_snark::backend::{setup_deterministic, Proof};
+    use zendoo_snark::circuit::{Circuit, Unsatisfied};
+    use zendoo_snark::inputs::PublicInputs;
+
+    /// A permissive circuit: only its verifying key is needed here.
+    struct AcceptAll;
+
+    impl Circuit for AcceptAll {
+        type Witness = ();
+
+        fn id(&self) -> Digest32 {
+            Digest32::hash_bytes(b"registry-test/accept-all")
+        }
+
+        fn check(&self, _: &PublicInputs, _: &()) -> Result<(), Unsatisfied> {
+            Ok(())
+        }
+    }
+
+    /// A registry holding one sidechain declared at height 1, epoch 0
+    /// over heights 2..=7, its submission window 8..=9.
+    fn registry() -> (SidechainRegistry, SidechainId) {
+        let (_, vk) = setup_deterministic(&AcceptAll, b"registry-test");
+        let id = SidechainId::from_label("registry-test-sc");
+        let config = SidechainConfigBuilder::new(id, vk)
+            .start_block(2)
+            .epoch_len(6)
+            .submit_len(2)
+            .build()
+            .unwrap();
+        let mut registry = SidechainRegistry::new();
+        registry
+            .declare(config, 1, &mut RegistryUndo::default())
+            .unwrap();
+        (registry, id)
+    }
+
+    fn certificate(id: SidechainId, bt_list: Vec<BackwardTransfer>) -> WithdrawalCertificate {
+        WithdrawalCertificate {
+            sidechain_id: id,
+            epoch_id: 0,
+            quality: 1,
+            bt_list,
+            proofdata: ProofData::empty(),
+            proof: Proof::from_bytes(&[0u8; 65]).unwrap(),
+        }
+    }
+
+    /// A certificate whose epoch boundary the caller cannot resolve is
+    /// refused by name, with the height asked for, before any proof is
+    /// checked and with nothing journaled.
+    #[test]
+    fn a_boundary_block_the_chain_cannot_name_is_refused_as_missing() {
+        let (mut registry, id) = registry();
+        let before = registry.clone();
+        let mut undo = RegistryUndo::default();
+        let mut accept = |boundary: &dyn Fn(u64) -> Option<Digest32>| {
+            registry.accept_certificate(
+                &certificate(id, Vec::new()),
+                8,
+                Digest32::hash_bytes(b"block 8"),
+                boundary,
+                |_| panic!("no statement without its anchors"),
+                &mut undo,
+            )
+        };
+        // Epoch 0 starts after the block before activation, height 1.
+        assert_eq!(
+            accept(&|_| None),
+            Err(RegistryError::MissingBoundaryBlock(1))
+        );
+        // It ends at height 7.
+        assert_eq!(
+            accept(&|h| (h != 7).then(|| Digest32::hash_bytes(&h.to_le_bytes()))),
+            Err(RegistryError::MissingBoundaryBlock(7))
+        );
+        assert!(undo.is_empty());
+        assert_eq!(registry, before);
+    }
+
+    /// Amounts past `u64::MAX` are refused by name: a forward transfer
+    /// that would push the safeguard balance over, and a certificate
+    /// whose backward transfers sum over — the state untouched by both.
+    #[test]
+    fn an_amount_past_u64_max_is_refused_as_amount_overflow() {
+        let (mut registry, id) = registry();
+        let mut undo = RegistryUndo::default();
+        registry
+            .credit_forward_transfer(&id, Amount::from_units(u64::MAX), &mut undo)
+            .unwrap();
+        let before = (registry.clone(), undo.len());
+        assert_eq!(
+            registry.credit_forward_transfer(&id, Amount::from_units(1), &mut undo),
+            Err(RegistryError::AmountOverflow)
+        );
+
+        let half = BackwardTransfer {
+            receiver: Address::from_label("registry-test-receiver"),
+            amount: Amount::from_units(u64::MAX / 2 + 1),
+        };
+        assert_eq!(
+            registry.accept_certificate(
+                &certificate(id, vec![half, half]),
+                8,
+                Digest32::hash_bytes(b"block 8"),
+                |h| Some(Digest32::hash_bytes(&h.to_le_bytes())),
+                |_| true,
+                &mut undo,
+            ),
+            Err(RegistryError::AmountOverflow)
+        );
+        assert_eq!((registry, undo.len()), before);
     }
 }

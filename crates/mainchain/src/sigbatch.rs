@@ -1,5 +1,6 @@
 //! Batched transfer-signature verification, at mempool admission, at
-//! block build and in stage 2 of block acceptance.
+//! block build and when a receiving node discharges a block's deferred
+//! checks.
 //!
 //! Wherever two or more transfer signatures are checked together, what
 //! verifies them is one randomised equation over the whole lot
@@ -30,18 +31,16 @@
 //!   entries pooled one at a time without a check
 //!   (`Miner::submit_transaction` marks them unverified) are verified
 //!   against the pre-block state before the dry run, under the ids they
-//!   were pooled with, into the same cache — entries that came with
-//!   verdicts cost nothing here;
-//! * **stage 2** of a node connecting a block nobody vouched for: the
-//!   same checks over the block's transfers against the pre-block
-//!   state, the same cache handed to stage 3.
+//!   were pooled with, into the same cache
+//!   ([`verify_transfer_signatures`]) — entries that came with verdicts
+//!   cost nothing here. An input that resolves only inside the block
+//!   is verified by the dry run, once, and recorded;
+//! * **a receiving node** connecting a block nobody vouched for: stage
+//!   3 walks the block once and owes every signature it meets, in-block
+//!   spends included, and stage 2 verifies them all as one batch
+//!   ([`crate::pipeline::ProofVerdicts::discharge`]).
 //!
-//! The last two share [`verify_transfer_signatures`].
-//!
-//! Inputs that resolve only inside the block (an output of an earlier
-//! transaction of the same block) are left to stage 3, which verifies
-//! them inline. A cache miss falls back to inline verification —
-//! batching, parallelism and caching are optimizations, never a
+//! Batching, parallelism and caching are optimizations, never a
 //! semantic change.
 
 use std::collections::HashMap;
@@ -198,11 +197,11 @@ pub(crate) fn queue_sig_checks(
 
 /// Every check the transfers among `txs` (each with its id) owe against
 /// `state` ([`queue_sig_checks`]), verified as one batch on one lane per
-/// core, as verdicts keyed by [`sig_cache_key`] for the cache stage 3
-/// consults where it would otherwise verify inline. A transaction whose
-/// key does not match queues nothing — stage 3 refuses it by the
-/// cheaper rule, in transaction order. Stage 2 of a received block and
-/// the builder's unverified candidates both come through here.
+/// core, as verdicts keyed by [`sig_cache_key`] for the cache the
+/// builder's dry run consults where it would otherwise verify inline. A
+/// transaction whose key does not match queues nothing — the dry run
+/// refuses it by the cheaper rule. The builder's candidates pooled
+/// without a check are its one caller.
 pub(crate) fn verify_transfer_signatures<'a>(
     state: &ChainState,
     txs: impl Iterator<Item = (&'a McTransaction, Digest32)>,

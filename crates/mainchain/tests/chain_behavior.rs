@@ -619,6 +619,97 @@ fn refused_deep_fork_leaves_the_chain_untouched() {
     assert_ne!(chain.hash_at_height(8), Some(tip));
 }
 
+/// Alice spending the `i`-th genesis output to bob.
+fn spend_genesis_output(chain: &Blockchain, alice: &Wallet, i: u32) -> McTransaction {
+    use zendoo_mainchain::transaction::{OutPoint, Output, TransferTx};
+    let genesis = chain.block_at_height(0).unwrap().transactions[0].txid();
+    McTransaction::Transfer(TransferTx::signed(
+        &[(
+            OutPoint {
+                txid: genesis,
+                index: i,
+            },
+            &alice.keypair().secret,
+        )],
+        vec![Output::Regular(TxOut::regular(
+            Address::from_label("bob"),
+            Amount::from_units(100),
+        ))],
+    ))
+}
+
+/// Every active block spends something, so its undo record is there
+/// exactly when `spent_outputs` names an output: the top
+/// `max_reorg_depth` blocks keep theirs, every block below has lost it.
+fn assert_undo_window(chain: &Blockchain) {
+    let depth = chain.params().max_reorg_depth as u64;
+    for height in 1..=chain.height() {
+        let hash = chain.hash_at_height(height).unwrap();
+        assert_eq!(
+            chain.spent_outputs(&hash).count() > 0,
+            height + depth > chain.height(),
+            "undo record at height {height} of {}",
+            chain.height()
+        );
+    }
+}
+
+/// Each connect drops the one undo record it pushes out of the window:
+/// past the window, through a reorg inside it and on after it, the
+/// blocks below the window have no record and every block inside has
+/// its own.
+#[test]
+fn each_connect_prunes_the_one_record_that_leaves_the_undo_window() {
+    let miner = Wallet::from_seed(b"miner");
+    let alice = Wallet::from_seed(b"alice");
+    let params = ChainParams {
+        max_reorg_depth: 3,
+        genesis_outputs: (0..16)
+            .map(|_| TxOut::regular(alice.address(), Amount::from_units(100)))
+            .collect(),
+        ..ChainParams::default()
+    };
+    let mut chain = Blockchain::new(params.clone());
+    for i in 0..8 {
+        let spend = spend_genesis_output(&chain, &alice, i);
+        chain
+            .mine_next_block(miner.address(), vec![spend], u64::from(i) + 1)
+            .unwrap();
+        assert_undo_window(&chain);
+    }
+
+    // Three blocks off height 6, each spending another output: the
+    // third outweighs the tip and disconnects heights 7 and 8.
+    let mut branch = Blockchain::new(params);
+    for height in 1..=6 {
+        let block = chain.block_at_height(height).unwrap().clone();
+        branch.submit_block(block).unwrap();
+    }
+    let stale = [7, 8].map(|height| chain.hash_at_height(height).unwrap());
+    for i in 8..11 {
+        let spend = spend_genesis_output(&branch, &alice, i);
+        let block = branch
+            .mine_next_block(miner.address(), vec![spend], 100 + u64::from(i))
+            .unwrap();
+        chain.submit_block(block).unwrap();
+        assert_undo_window(&chain);
+    }
+    assert_eq!(chain.tip_hash(), branch.tip_hash());
+    for hash in &stale {
+        assert!(!chain.is_active(hash));
+        assert_eq!(chain.spent_outputs(hash).count(), 0);
+    }
+
+    for i in 11..14 {
+        let spend = spend_genesis_output(&chain, &alice, i);
+        chain
+            .mine_next_block(miner.address(), vec![spend], 200 + u64::from(i))
+            .unwrap();
+        assert_undo_window(&chain);
+    }
+    assert_eq!(chain.height(), 12);
+}
+
 /// A peer's block on top of `base` whose coinbase overpays: stage 1
 /// does not price the coinbase, so the block is stored, and it fails
 /// only when its branch tries to connect.

@@ -1,9 +1,10 @@
-//! Staged-pipeline behavior: multi-certificate blocks verify their
-//! proofs in parallel with verdicts identical to the serial path, the
-//! per-block undo journal is an exact rollback, the one-pass block
-//! fill equals the per-prefix greedy fill, stage 1 hashes each
-//! transaction id once for the whole validation, and the batched
-//! settlement consensus rules hold on the mainchain apply path.
+//! Staged-pipeline behavior: a receiving node's one deferring walk and
+//! its batched discharge leave the state, and refuse a block with the
+//! error, of the inline validator, each check verified once; the
+//! per-block undo journal is an exact rollback, the one-pass block fill
+//! equals the per-prefix greedy fill, stage 1 hashes each transaction id
+//! once for the whole validation, and the batched settlement consensus
+//! rules hold on the mainchain apply path.
 
 mod common;
 
@@ -162,8 +163,11 @@ fn tampered_proof_in_multi_certificate_block_rejects_block() {
         .is_none());
 }
 
+/// A walk under deferred verdicts, once its discharge finds every owed
+/// check holding, leaves the state the inline walk leaves; what it owed
+/// is the block's eight statements, verified as one batch.
 #[test]
-fn parallel_verdicts_match_serial_application() {
+fn the_deferred_walk_and_its_discharge_leave_the_inline_state() {
     let (mut chain, pks, miner) = chain_with_sidechains(8);
     let certs: Vec<McTransaction> = (0..8)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&chain, &pks, i))))
@@ -173,46 +177,41 @@ fn parallel_verdicts_match_serial_application() {
         .unwrap()
         .block;
     let hash = block.hash();
-
-    // Stage 2 prefetch on every core...
-    let verdicts = pipeline::verify_block_proofs(
-        chain.state(),
-        &block,
-        hash,
-        &(0..=chain.height())
-            .map(|h| chain.hash_at_height(h).unwrap())
-            .collect::<Vec<_>>(),
-        &zendoo_telemetry::Telemetry::disabled(),
-    );
-    assert_eq!(verdicts.proofs.len(), 8, "one verdict per certificate");
-
-    // ...then stage 3 with the cache and stage 3 inline must agree.
     let active: Vec<Digest32> = (0..=chain.height())
         .map(|h| chain.hash_at_height(h).unwrap())
         .collect();
-    let mut cached_state = chain.state().clone();
-    let mut inline_state = chain.state().clone();
     let subsidy = chain.params().block_subsidy;
-    let cached = pipeline::apply_block(
-        &mut cached_state,
-        &block,
-        &block.txids(),
-        hash,
-        &active,
-        subsidy,
-        &verdicts,
+    let walk = |state: &mut _, verdicts: &ProofVerdicts| {
+        pipeline::apply_block(
+            state,
+            &block,
+            &block.txids(),
+            hash,
+            &active,
+            subsidy,
+            verdicts,
+        )
+    };
+
+    let mut deferred_state = chain.state().clone();
+    let deferred = ProofVerdicts::deferring();
+    assert!(walk(&mut deferred_state, &deferred).is_ok());
+    let telemetry = zendoo_telemetry::Telemetry::in_memory();
+    assert!(
+        deferred.discharge(&telemetry).is_none(),
+        "every owed check holds"
     );
-    let inline = pipeline::apply_block(
-        &mut inline_state,
-        &block,
-        &block.txids(),
-        hash,
-        &active,
-        subsidy,
-        &ProofVerdicts::inline(),
+    let snap = telemetry.snapshot();
+    assert_eq!(snap.spans["snark.batch.verify"].count, 1);
+    assert_eq!(
+        snap.histograms["snark.batch.proofs"].sum(),
+        8,
+        "one owed proof per certificate"
     );
-    assert!(cached.is_ok() && inline.is_ok());
-    assert_eq!(cached_state, inline_state);
+
+    let mut inline_state = chain.state().clone();
+    assert!(walk(&mut inline_state, &ProofVerdicts::inline()).is_ok());
+    assert_eq!(deferred_state, inline_state);
 }
 
 #[test]
@@ -247,7 +246,7 @@ fn block_undo_is_an_exact_rollback() {
     assert_eq!(state, before, "undo journal restores the state exactly");
 }
 
-// ---- A receiving node's stage 2: one verdict per statement ---------------
+// ---- A receiving node: one walk, one batch, one verdict per statement -----
 
 /// [`chain_with_sidechains`] recording into its own telemetry handle.
 /// Deterministic: two calls give a builder and a receiver at one tip.
@@ -271,9 +270,11 @@ fn certificate_txs(chain: &Blockchain, pks: &[ProvingKey], n: usize) -> Vec<McTr
         .collect()
 }
 
-/// A block that arrives alone is verified by the receiver itself, under
-/// `mc.stage2.verify`: one batch of all its proofs, one verdict per
-/// statement, and stage 3 answers every certificate from that batch.
+/// A block that arrives alone is verified by the receiver itself: its
+/// one stage-3 walk owes every certificate's proof, and stage 2 verifies
+/// them under `mc.stage2.verify` as one batch, one verdict per
+/// statement. Nothing is verified inline: a deferred check is neither a
+/// cache hit nor a miss.
 #[test]
 fn a_receiver_verifies_each_statement_once_under_stage_2() {
     let (mut builder, pks, miner, _) = recording_node(4);
@@ -288,8 +289,9 @@ fn a_receiver_verifies_each_statement_once_under_stage_2() {
     let snap = telemetry.drain();
     assert_eq!(snap.spans["mc.stage2.verify"].count, 1);
     assert_eq!(snap.spans["snark.batch.verify"].count, 1);
+    assert_eq!(snap.spans["mc.stage3.apply"].count, 1, "one walk");
     assert_eq!(snap.histograms["snark.batch.proofs"].sum(), 4);
-    assert_eq!(snap.counters.get("mc.verdict_cache.hit"), Some(&4));
+    assert_eq!(snap.counters.get("mc.verdict_cache.hit"), Some(&0));
     assert_eq!(snap.counters.get("mc.verdict_cache.miss"), Some(&0));
     assert_eq!(receiver.height(), 8);
     for i in 0..4 {
@@ -353,7 +355,7 @@ fn a_receiver_refuses_a_cross_wired_certificate_proof_by_name() {
     assert_eq!(receiver.state(), &state);
 }
 
-// ---- Stage 2 batches the block's signatures; stage 3 is unchanged ----------
+// ---- The walk owes the block's signatures; stage 2 batches them -----------
 
 const SIG_USERS: usize = 9;
 
@@ -426,8 +428,8 @@ fn transfer_mut(block: &mut Block, tx: usize) -> &mut TransferTx {
     }
 }
 
-/// What the validator did before stage 2 knew about signatures: stage 3
-/// over the pre-block state with every check inline.
+/// The inline validator: stage 3 over the pre-block state with every
+/// check verified where it is met.
 fn inline_verdict(chain: &Blockchain, block: &Block) -> Result<(), BlockError> {
     let active: Vec<Digest32> = (0..=chain.height())
         .map(|h| chain.hash_at_height(h).unwrap())
@@ -474,12 +476,20 @@ fn bad_signature_refuses_the_block_wherever_it_sits() {
         let mut bad = block.clone();
         transfer_mut(&mut bad, 3 + k).inputs[1].signature = junk_signature();
         let snap = assert_refused_as_inline(bad, &BlockError::BadInputAuthorization { input: 1 });
-        // The signatures went through the batch all the same.
+        // The walk owed every signature, the bad one included, and the
+        // batch verified them once; the rerun that named the bad one
+        // found each verdict it asked for in the discharge.
         assert_eq!(snap.spans["mc.stage2.verify"].count, 1);
         assert_eq!(snap.spans["sig.batch.verify"].count, 1);
         assert_eq!(
             snap.histograms["sig.batch.sigs"].sum(),
             2 * SIG_USERS as u64
+        );
+        assert_eq!(snap.spans["mc.stage3.apply"].count, 2, "walk and rerun");
+        assert_eq!(snap.counters.get("mc.sig_cache.miss"), Some(&0));
+        assert_eq!(
+            snap.counters.get("mc.sig_cache.hit"),
+            Some(&(2 * k as u64 + 2))
         );
     }
 }
@@ -512,21 +522,12 @@ fn an_earlier_transaction_failing_a_cheaper_rule_still_names_the_block_error() {
     assert_refused_as_inline(stolen, &BlockError::BadInputAuthorization { input: 0 });
 }
 
-#[test]
-fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
-    let batch = batch_for(sc_id(0), &[100, 50]);
+/// User 3 paying carol one premined output, and carol spending it on
+/// in the same block: an input that resolves only inside the block.
+fn to_carol_and_on(chain: &Blockchain) -> [McTransaction; 2] {
     let carol = Wallet::from_seed(b"pipe-carol");
-    let escrow = || escrow_premine(&batch.transfers);
-    let (mut builder, _, miner, _) = sig_node(escrow());
-    // A settlement (escrow-kind inputs: signatures present, ignored
-    // by consensus), three ordinary payments, and a payment to carol
-    // that carol spends on in the same block.
-    let settlement = McTransaction::Transfer(TransferTx::escrow_claiming(
-        &escrow_outpoints(&builder),
-        vec![Output::Forward(batch.forward_transfer().unwrap())],
-    ));
     let user = sig_user(3);
-    let owned = builder.state().utxos.owned_by(&user.address());
+    let owned = chain.state().utxos.owned_by(&user.address());
     let to_carol = McTransaction::Transfer(TransferTx::signed(
         &[(owned[0].0, &user.keypair().secret)],
         vec![Output::Regular(TxOut::regular(
@@ -547,7 +548,23 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
             Amount::from_units(900),
         ))],
     ));
-    let mut txs = vec![settlement, to_carol, carol_spends];
+    [to_carol, carol_spends]
+}
+
+#[test]
+fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
+    let batch = batch_for(sc_id(0), &[100, 50]);
+    let escrow = || escrow_premine(&batch.transfers);
+    let (mut builder, _, miner, _) = sig_node(escrow());
+    // A settlement (escrow-kind inputs: signatures present, ignored
+    // by consensus), three ordinary payments, and a payment to carol
+    // that carol spends on in the same block.
+    let settlement = McTransaction::Transfer(TransferTx::escrow_claiming(
+        &escrow_outpoints(&builder),
+        vec![Output::Forward(batch.forward_transfer().unwrap())],
+    ));
+    let mut txs = vec![settlement];
+    txs.extend(to_carol_and_on(&builder));
     txs.extend((0..3).map(|i| pay_both(&builder, i)));
     let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
     assert!(prepared.rejected.is_empty(), "{:?}", prepared.rejected);
@@ -556,13 +573,15 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
     telemetry.drain();
     receiver.submit_block(prepared.block.clone()).unwrap();
     let snap = telemetry.drain();
-    // The batch held what resolves to a regular output before the
-    // block — 1 + 3·2 inputs; the two escrow inputs owe no
-    // signature and carol's, spending an output of this block, was
-    // verified inline where stage 3 met it.
-    assert_eq!(snap.histograms["sig.batch.sigs"].sum(), 7);
-    assert_eq!(snap.counters.get("mc.sig_cache.hit"), Some(&7));
-    assert_eq!(snap.counters.get("mc.sig_cache.miss"), Some(&1));
+    // The batch held every regular input — 1 + 1 + 3·2, carol's in-block
+    // spend included; the two escrow inputs owe no signature. A deferred
+    // check is neither a cache hit nor a miss: nothing was verified
+    // where the walk met it.
+    assert_eq!(snap.spans["sig.batch.verify"].count, 1);
+    assert_eq!(snap.histograms["sig.batch.sigs"].sum(), 8);
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter("mc.sig_cache.hit"), 0);
+    assert_eq!(counter("mc.sig_cache.miss"), 0);
     assert_eq!(snap.counters.get("sig.batch.fallback"), None);
 
     builder
@@ -570,6 +589,62 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
         .unwrap();
     assert_eq!(receiver.tip_hash(), builder.tip_hash());
     assert_eq!(receiver.state(), builder.state());
+}
+
+/// A junk signature on carol's in-block spend — an input no pre-block
+/// state resolves — is refused by name, as the inline validator refuses
+/// it: the walk owed it to the batch like any other.
+#[test]
+fn a_junk_signature_on_an_in_block_spend_is_refused_by_name() {
+    let (mut builder, _, miner, _) = sig_node(Vec::new());
+    let mut txs = to_carol_and_on(&builder).to_vec();
+    txs.extend((0..3).map(|i| pay_both(&builder, i)));
+    let mut block = builder
+        .prepare_block(miner.address(), txs, 8)
+        .unwrap()
+        .block;
+    // Coinbase, the payment to carol, then carol's spend.
+    transfer_mut(&mut block, 2).inputs[0].signature = junk_signature();
+    let snap = assert_refused_as_inline(block, &BlockError::BadInputAuthorization { input: 0 });
+    assert_eq!(snap.histograms["sig.batch.sigs"].sum(), 1 + 1 + 3 * 2);
+    assert_eq!(snap.counters.get("mc.sig_cache.miss"), Some(&0));
+}
+
+/// The deferral's trap: the walk answers an earlier certificate's
+/// cross-wired proof `true`, runs on, and fails later on a transfer
+/// spending an output that does not exist. Its own error is not the
+/// inline validator's: the discharge finds the false proof, and the
+/// rerun on the discharged verdicts stops at it first and names it,
+/// asking the cache for the one proof verdict it meets and verifying
+/// nothing again.
+#[test]
+fn a_false_proof_before_a_missing_input_is_refused_as_the_inline_validator_does() {
+    let mut block = sig_block();
+    // Coinbase, two certificates, then the transfers.
+    let donor = match &block.transactions[2] {
+        McTransaction::Certificate(cert) => cert.proof,
+        other => panic!("not a certificate: {other:?}"),
+    };
+    match &mut block.transactions[1] {
+        McTransaction::Certificate(cert) => cert.proof = donor,
+        other => panic!("not a certificate: {other:?}"),
+    }
+    let ghost = OutPoint {
+        txid: Digest32::hash_bytes(b"no such transaction"),
+        index: 0,
+    };
+    transfer_mut(&mut block, 3 + 4).inputs[0].outpoint = ghost;
+
+    let snap = assert_refused_as_inline(
+        block,
+        &BlockError::Registry(RegistryError::Verify(
+            zendoo_core::verifier::VerifyError::InvalidProof,
+        )),
+    );
+    assert_eq!(snap.histograms["snark.batch.proofs"].sum(), 2);
+    assert_eq!(snap.spans["mc.stage3.apply"].count, 2, "walk and rerun");
+    assert_eq!(snap.counters.get("mc.verdict_cache.hit"), Some(&1));
+    assert_eq!(snap.counters.get("mc.verdict_cache.miss"), Some(&0));
 }
 
 // ---- Stage 1 hashes each transaction once; stages 2 and 3 reuse the ids ----
@@ -651,10 +726,10 @@ fn validation_sha(metadata: usize) -> (u64, Vec<McTransaction>) {
 /// Validating a block hashes each transaction's id once. Two blocks of
 /// the same transfers differ only in how many metadata bytes each
 /// forward output carries; those bytes are hashed by the transfer's id,
-/// by its sighash — queued in stage 2 and checked in stage 3 — and by
-/// the transfer's leaf in the commitment stage 1 rebuilds, and by
-/// nothing else. What the longer block costs beyond the sighashes and
-/// leaves is one id per transfer.
+/// by its sighash — once, where the stage-3 walk meets the first
+/// signed input — and by the transfer's leaf in the commitment stage 1
+/// rebuilds, and by nothing else. What the longer block costs beyond
+/// the sighashes and leaves is one id per transfer.
 #[test]
 fn validating_a_block_hashes_each_transfer_id_once() {
     // Warm the lazily built constants, which the first call pays for.
@@ -671,7 +746,7 @@ fn validating_a_block_hashes_each_transfer_id_once() {
             unreachable!("output 1 is the forward transfer")
         };
         ids += sha(&|| l.txid()) - sha(&|| s.txid());
-        others += 2 * (sha(&|| lt.sighash()) - sha(&|| st.sighash()));
+        others += sha(&|| lt.sighash()) - sha(&|| st.sighash());
         others += sha(&|| lf.digest()) - sha(&|| sf.digest());
     }
     assert!(

@@ -228,8 +228,8 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     // Every lane gets the block with the sc-txs commitment its builder
     // already built: the one build for all shards. The coordinator's
     // own critical path through the shard phase: stage 1 checks the
-    // block against its header, stage 2 consumes the carried verdicts,
-    // stage 3 applies, and the router reads the connected block's
+    // block against its header, stage 3 applies it on the carried
+    // verdicts, and the router reads the connected block's
     // settlements.
     let delivery = McDelivery { block, commitment };
     let block_ref = &delivery.block;

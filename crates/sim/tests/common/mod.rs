@@ -18,14 +18,16 @@ pub const MATRIX: [Option<usize>; 5] = [Some(1), Some(2), Some(3), Some(4), None
 /// A cache that ever changed an outcome in the world's tick would make
 /// this follower reject a block or diverge.
 ///
-/// The follower's stage 2 verifies each block's transfer signatures as
-/// one batch equation per worker, so every reference world of the
-/// determinism matrix also exercises the batch against the chain its
-/// builder assembled from per-transaction admission verdicts.
+/// The follower walks each block once in stage 3, owing every proof and
+/// transfer signature it meets, and verifies what it owes after the walk
+/// as one batch of proofs and one batch equation per worker over the
+/// signatures, so every reference world of the determinism matrix also
+/// exercises the deferral and the batch against the chain its builder
+/// assembled from per-transaction admission verdicts.
 ///
 /// Returns what the follower recorded about itself: the spans and
 /// counters a *receiving* node pays (the world submits each block with
-/// its builder's verdicts, so its own stage 2 never verifies).
+/// its builder's verdicts, so it runs no such batch for its own blocks).
 pub fn assert_follower_replay_matches(world: &World) -> Snapshot {
     let telemetry = Telemetry::in_memory();
     let mut follower = Blockchain::new(world.chain.params().clone());
