@@ -112,7 +112,13 @@ test-field:
 # of the same block, a cross-wired certificate proof, and the
 # deferral's trap, a cross-wired proof before a transfer spending a
 # missing output, refused with the proof's error and nothing verified
-# twice (pipeline), a fork off a block that failed to connect — its
+# twice, and the hostile-block generator — the builder's block of random
+# payments, in-block spends, certificates, forward transfers, BTRs and
+# CSWs under 0–3 random corruptions (a junk signature, a cross-wired
+# proof, a missing input, an amount past u64::MAX, a reused nullifier,
+# two transactions swapped), refused by a cacheless receiver exactly as
+# the serial inline validator refuses it, its case count and tallies
+# printed (pipeline), a fork off a block that failed to connect — its
 # grandchild, a second branch off its child, a block on another fork
 # stored above it — refused by name with the chain untouched, and the
 # registry and block refusals asserted by name: a certificate outside
@@ -121,8 +127,10 @@ test-field:
 # the builder and by a receiving node), a header short of a
 # configured target, a header at the wrong height or declaring another
 # target, a sidechain id declared twice, an activation height at or
-# below the declaring block and a CSW against an active sidechain
-# (chain_behavior), a certificate whose epoch boundary the chain cannot
+# below the declaring block, a CSW against an active sidechain and a
+# BTR following its chain's certificate in one block, whose anchor no
+# proof can bind (RegistryError::MissingBoundaryBlock, by the builder
+# and by a receiving node) (chain_behavior), a certificate whose epoch boundary the chain cannot
 # name (RegistryError::MissingBoundaryBlock) and a forward transfer and
 # a certificate summing past u64::MAX (RegistryError::AmountOverflow)
 # (mainchain lib registry::), the batch equation itself — identity keys and nonce
@@ -175,7 +183,7 @@ test-field:
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary
@@ -190,14 +198,18 @@ test-adversarial:
 # bit-identical across workers ∈ {1, 2, 3, 4, per-core}, every
 # reference world replayed by a cacheless follower given the blocks
 # alone (tests/common/mod.rs), which must land on the world's tip and
-# state digest — plus the span-name contract the benchmark reads. Then the other scripted runs,
+# state digest — plus the span-name contract the benchmark reads. The
+# test that reads the tick's wall-clock coverage runs alone, on one test
+# thread: beside the target's other tests a 2-core host has more
+# runnable threads than cores, and time lost to scheduling between the
+# spans counts against coverage. Then the other scripted runs,
 # each audited the same way: the facade's conservation suite, the
 # ceased-chain exits and the canned scenarios. Last, the one commitment
 # per mainchain block (shared_commitment): an idle shard hashes the same
 # to forge whether the block carries 1 or 64 forward transfers for
 # another chain.
 test-byzantine:
-	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::" "zendoo-sim shared_commitment")
+	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism --skip the_lanes_and_the_serial_phases_account_for_the_tick" "zendoo-sim determinism the_lanes_and_the_serial_phases_account_for_the_tick --test-threads=1" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::" "zendoo-sim shared_commitment")
 
 # The persistence suites: the store's unit tests (the journal checksum's
 # known answer and every single-bit flip, a ZSJ1 journal refused, the

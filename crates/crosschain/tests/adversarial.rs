@@ -35,7 +35,6 @@ fn accept(
     registry.accept_certificate(
         cert,
         height,
-        Digest32::hash_bytes(b"blk"),
         |_| Some(Digest32::ZERO),
         ProofCheck::run,
         &mut RegistryUndo::default(),

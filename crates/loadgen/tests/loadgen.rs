@@ -87,7 +87,7 @@ fn generated_traffic_survives_real_admission_and_mining() {
             "round {round}: every generated tx admits"
         );
         assert_eq!(report.rejected, 0);
-        let block = miner.mine(&mut chain, round + 1).unwrap();
+        let block = miner.mine(&mut chain, round + 1).unwrap().block;
         assert_eq!(
             block.transactions.len(),
             151,

@@ -13,16 +13,15 @@
 //! snapshot per block. A heavier branch rooted deeper than that is
 //! refused before anything is disconnected.
 //!
-//! One block path: [`Blockchain::prepare_block`] is the only builder
-//! (a one-pass greedy fill that records the proof verdicts of its dry
-//! run) and [`Blockchain::submit`] the only way a block joins the
-//! chain. What may accompany a block is its builder's verdicts, an
-//! explicit argument threaded down to stage 3; without them stage 3
-//! owes every proof and signature check it meets, and stage 2 verifies
-//! them after the walk.
-//! [`Blockchain::submit_block`] is the verdict-less call a receiving
-//! node makes, and [`Blockchain::mine_next_block`] is strict prepare +
-//! submit. The chain keeps no per-submission state.
+//! Two ways a block joins the chain, each walked once by stage 3:
+//! [`Blockchain::mine_next`] builds the node's own block in one pass on
+//! the live state — a greedy fill whose walk, once the block is mined
+//! and its coinbase applied, is the connect — and
+//! [`Blockchain::submit_block`] takes a block from elsewhere, whose one
+//! walk owes every proof and signature check it meets to the batches
+//! stage 2 verifies after it. [`Blockchain::mine_next_block`] is the
+//! strict builder: a rejected candidate is its error. The chain keeps
+//! no per-submission state.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -242,10 +241,10 @@ pub enum SubmitOutcome {
 #[derive(Clone, Debug)]
 struct StoredBlock {
     block: Block,
-    /// The block's transaction ids, in order, as stage 1 computed them:
-    /// stages 2 and 3 hash no transaction again, on first connection or
-    /// on a reorg's reconnection. Kept while the block can still be
-    /// connected: `prune_undo` empties it with the undo record.
+    /// The block's transaction ids, in order, as stage 1 or the builder
+    /// computed them: stages 2 and 3 hash no transaction again, on first
+    /// connection or on a reorg's reconnection. Kept while the block can
+    /// still be connected: `prune_undo` empties it with the undo record.
     txids: Vec<Digest32>,
     cumulative_work: u128,
 }
@@ -319,7 +318,7 @@ impl ChainEvent {
 /// (counted on `mc.precheck.skipped`) and answers signature checks from
 /// the verdict cache. A pool's template also brings the id each entry
 /// was pooled under, and marks the entries pooled without a signature
-/// check: the builder verifies those as one batch before its dry run.
+/// check: the builder verifies those as one batch before its walk.
 /// Raw candidates (any plain `Vec` via `From`) get the explicit stage-1
 /// pass at build time instead (counted on `mc.precheck.run`).
 #[derive(Debug, Default)]
@@ -368,7 +367,7 @@ impl From<TakenBatch> for BlockCandidates {
     }
 }
 
-/// Candidates of unknown provenance: stage-1 runs at build time.
+/// Candidates of unknown provenance: stage 1 runs at build time.
 impl From<Vec<McTransaction>> for BlockCandidates {
     fn from(txs: Vec<McTransaction>) -> Self {
         BlockCandidates {
@@ -379,26 +378,20 @@ impl From<Vec<McTransaction>> for BlockCandidates {
     }
 }
 
-/// A block assembled by [`Blockchain::prepare_block`]: the mined block,
-/// the sc-txs commitment its header commits to, the candidates it had
-/// to reject, and the proof verdicts recorded during the dry run, which
-/// the builder hands to [`Blockchain::submit`] alongside the block
-/// (stage 3 then re-verifies nothing the builder already checked).
+/// A block [`Blockchain::mine_next`] built, mined and connected: the
+/// block, the sc-txs commitment its header commits to, and the
+/// candidates it had to reject.
 #[derive(Debug)]
-pub struct PreparedBlock {
-    /// The assembled, mined (not yet submitted) block.
+pub struct MinedBlock {
+    /// The block, now the active tip.
     pub block: Block,
     /// The block's sc-txs commitment, built once while mining: every
     /// sidechain node handed the block takes its part from this one
-    /// tree instead of rebuilding it (stage 1 of [`Blockchain::submit`]
-    /// still builds its own, to check the block against its header).
+    /// tree instead of rebuilding it.
     pub commitment: Arc<ScTxsCommitment>,
     /// Candidates rejected during the one-pass greedy fill, with the
     /// rule each violated (in candidate order).
     pub rejected: Vec<(McTransaction, BlockError)>,
-    /// Proof verdicts recorded by the dry run, keyed by statement
-    /// identity.
-    pub verdicts: ProofVerdicts,
 }
 
 /// The mainchain: block tree + active-chain state.
@@ -423,7 +416,7 @@ pub struct Blockchain {
 impl Blockchain {
     /// Creates a chain with a freshly mined genesis block.
     pub fn new(params: ChainParams) -> Self {
-        let (genesis, _) = mine_block(
+        let (genesis, txids, _) = mine_block(
             &params,
             Digest32::ZERO,
             0,
@@ -437,7 +430,7 @@ impl Blockchain {
         let mut state = ChainState::default();
         let genesis_total = Amount::checked_sum(params.genesis_outputs.iter().map(|o| o.amount))
             .expect("genesis premine fits in u64");
-        let txid = genesis.transactions[0].txid();
+        let txid = txids[0];
         for (i, out) in params.genesis_outputs.iter().enumerate() {
             state.utxos.insert(
                 OutPoint {
@@ -454,7 +447,7 @@ impl Blockchain {
             genesis_hash,
             StoredBlock {
                 block: genesis,
-                txids: vec![txid],
+                txids,
                 cumulative_work: params.target.work(),
             },
         );
@@ -664,28 +657,11 @@ impl Blockchain {
         builder.build()
     }
 
-    /// Submits a block as a receiving node sees it, with nothing
-    /// accompanying it: validates, stores, and reorganizes if it creates
-    /// a heavier chain. [`Blockchain::submit`] without verdicts.
-    ///
-    /// # Errors
-    ///
-    /// See [`Blockchain::submit`].
-    pub fn submit_block(&mut self, block: Block) -> Result<SubmitOutcome, BlockError> {
-        self.submit(block, None)
-    }
-
-    /// The one way a block joins the chain: validates, stores, and
-    /// reorganizes if it creates a heavier chain. `verdicts` are the
-    /// proof and signature verdicts its builder recorded
-    /// ([`PreparedBlock::verdicts`]): they travel with the block down to
-    /// stage 3, so each check is verified once per node, at admission or
-    /// build time, instead of again at submission. They can only save
-    /// work, never change the outcome (including the precise
-    /// [`BlockError`] on rejection). Without them, stage 3 walks the
-    /// block once, owing every proof and signature check it meets, and
-    /// stage 2 verifies what it owes as one batch of each; so does every
-    /// block a reorg connects.
+    /// The one way a block from elsewhere joins the chain: validates,
+    /// stores, and reorganizes if it creates a heavier chain. Stage 3
+    /// walks the block once, owing every proof and signature check it
+    /// meets, and stage 2 verifies what it owes as one batch of each; so
+    /// does every block a reorg connects.
     ///
     /// # Errors
     ///
@@ -695,23 +671,15 @@ impl Blockchain {
     /// the retained undo window and leaves the chain exactly as it was.
     /// [`BlockError::KnownInvalid`] refuses a block that failed to
     /// connect, or one built on it, with the chain untouched.
-    pub fn submit(
-        &mut self,
-        block: Block,
-        verdicts: Option<ProofVerdicts>,
-    ) -> Result<SubmitOutcome, BlockError> {
-        let result = self.submit_inner(block, verdicts);
+    pub fn submit_block(&mut self, block: Block) -> Result<SubmitOutcome, BlockError> {
+        let result = self.submit_inner(block);
         if let Err(error) = &result {
             self.count_rejection(error);
         }
         result
     }
 
-    fn submit_inner(
-        &mut self,
-        block: Block,
-        verdicts: Option<ProofVerdicts>,
-    ) -> Result<SubmitOutcome, BlockError> {
+    fn submit_inner(&mut self, block: Block) -> Result<SubmitOutcome, BlockError> {
         let hash = block.hash();
         if self.blocks.contains_key(&hash) {
             return Err(BlockError::Duplicate(hash));
@@ -724,6 +692,30 @@ impl Blockchain {
             let _span = self.telemetry.span("mc.stage1.precheck");
             pipeline::precheck_block(self.params.target, &block)?
         };
+        let cumulative_work = self.store(hash, block, txids)?;
+        let tip_work = self.cumulative_work(&self.tip_hash()).expect("tip stored");
+        if cumulative_work <= tip_work {
+            return Ok(SubmitOutcome::StoredOnFork);
+        }
+        let (disconnected, connected) = self.activate(hash)?;
+        if disconnected.is_empty() && connected.len() == 1 {
+            Ok(SubmitOutcome::ExtendedActiveChain)
+        } else {
+            Ok(SubmitOutcome::Reorganized {
+                disconnected,
+                connected,
+            })
+        }
+    }
+
+    /// Stores `block` under `hash`, with its transaction ids, above its
+    /// stored parent, and returns its cumulative work.
+    fn store(
+        &mut self,
+        hash: Digest32,
+        block: Block,
+        txids: Vec<Digest32>,
+    ) -> Result<u128, BlockError> {
         let parent = self
             .blocks
             .get(&block.header.parent)
@@ -744,31 +736,17 @@ impl Blockchain {
                 cumulative_work,
             },
         );
-        let tip_work = self.cumulative_work(&self.tip_hash()).expect("tip stored");
-        if cumulative_work <= tip_work {
-            return Ok(SubmitOutcome::StoredOnFork);
-        }
-        let (disconnected, connected) = self.activate(hash, verdicts)?;
-        if disconnected.is_empty() && connected.len() == 1 {
-            Ok(SubmitOutcome::ExtendedActiveChain)
-        } else {
-            Ok(SubmitOutcome::Reorganized {
-                disconnected,
-                connected,
-            })
-        }
+        Ok(cumulative_work)
     }
 
     /// Makes `new_tip` the active tip, disconnecting/connecting as
-    /// needed; `verdicts` belong to `new_tip`. On a connect failure, the
-    /// offending block is invalidated with everything stored above it
-    /// and the previous active chain is restored. A branch rooted below
-    /// the retained undo window is refused before anything is
-    /// disconnected.
+    /// needed. On a connect failure, the offending block is invalidated
+    /// with everything stored above it and the previous active chain is
+    /// restored. A branch rooted below the retained undo window is
+    /// refused before anything is disconnected.
     fn activate(
         &mut self,
         new_tip: Digest32,
-        mut verdicts: Option<ProofVerdicts>,
     ) -> Result<(Vec<Digest32>, Vec<Digest32>), BlockError> {
         // Path from new_tip down to the first active ancestor: every
         // ancestor of a stored block is stored (`invalidate` keeps it so).
@@ -801,19 +779,14 @@ impl Blockchain {
         // Connect the new branch.
         let mut connected = Vec::new();
         for hash in &to_connect {
-            let carried = if *hash == new_tip {
-                verdicts.take()
-            } else {
-                None
-            };
-            if let Err(e) = self.connect_block(*hash, carried) {
+            if let Err(e) = self.connect_block(*hash) {
                 // Invalidate and roll back to the previous chain.
                 self.invalidate(*hash);
                 for _ in &connected {
                     self.disconnect_tip();
                 }
                 for stale in disconnected.iter().rev() {
-                    self.connect_block(*stale, None)
+                    self.connect_block(*stale)
                         .expect("previously active block must reconnect");
                 }
                 return Err(e);
@@ -858,20 +831,14 @@ impl Blockchain {
         tip
     }
 
-    /// Connects a stored block on top of the current tip. `verdicts` are
-    /// what the block was submitted with, if anything: its builder's,
-    /// from which stage 3 answers every check. Without them, stage 3
-    /// walks the block once under [`ProofVerdicts::deferring`], and
-    /// stage 2 verifies what the walk owes as one batch of proofs and
-    /// one of signatures ([`ProofVerdicts::discharge`]). Only when a
-    /// verdict fails does stage 3 run again, the walk reverted, on the
+    /// Connects a stored block on top of the current tip. Stage 3 walks
+    /// the block once under [`ProofVerdicts::deferring`], and stage 2
+    /// verifies what the walk owes as one batch of proofs and one of
+    /// signatures ([`ProofVerdicts::discharge`]). Only when a verdict
+    /// fails does stage 3 run again, the walk reverted, on the
     /// discharged verdicts: it refuses the block with the inline
     /// validator's error and verifies nothing twice.
-    fn connect_block(
-        &mut self,
-        hash: Digest32,
-        verdicts: Option<ProofVerdicts>,
-    ) -> Result<(), BlockError> {
+    fn connect_block(&mut self, hash: Digest32) -> Result<(), BlockError> {
         let StoredBlock { block, txids, .. } = &self.blocks[&hash];
         debug_assert_eq!(block.header.parent, self.tip_hash());
         // Stage 3: atomic application (reverts itself on failure).
@@ -881,63 +848,63 @@ impl Blockchain {
                 state,
                 block,
                 txids,
-                hash,
                 &self.active,
                 self.params.block_subsidy,
                 verdicts,
             )
         };
-        let (verdicts, applied) = match verdicts {
+        let deferred = ProofVerdicts::deferring();
+        let walk = stage3(&mut self.state, &deferred);
+        let discharged = {
+            let _span = self.telemetry.span("mc.stage2.verify");
+            deferred.discharge(&self.telemetry)
+        };
+        let (verdicts, applied) = match discharged {
+            // Every answer the walk was given was the true one.
+            None => (deferred, walk),
             Some(verdicts) => {
-                self.telemetry.counter("mc.stage2.verdicts_reused", 1);
+                if let Ok(undo) = walk {
+                    pipeline::revert_block(&mut self.state, undo);
+                }
                 let applied = stage3(&mut self.state, &verdicts);
                 (verdicts, applied)
-            }
-            None => {
-                let deferred = ProofVerdicts::deferring();
-                let walk = stage3(&mut self.state, &deferred);
-                let discharged = {
-                    let _span = self.telemetry.span("mc.stage2.verify");
-                    deferred.discharge(&self.telemetry)
-                };
-                match discharged {
-                    // Every answer the walk was given was the true one.
-                    None => (deferred, walk),
-                    Some(verdicts) => {
-                        if let Ok(undo) = walk {
-                            pipeline::revert_block(&mut self.state, undo);
-                        }
-                        let applied = stage3(&mut self.state, &verdicts);
-                        (verdicts, applied)
-                    }
-                }
             }
         };
         // Whether or not the block connects: what stage 3 asked the
         // verdicts (a deferred check is neither a hit nor a miss).
-        if self.telemetry.is_enabled() {
-            let (hits, misses) = verdicts.proofs.stats();
-            self.telemetry.counter("mc.verdict_cache.hit", hits);
-            self.telemetry.counter("mc.verdict_cache.miss", misses);
-            self.count_sig_cache(&verdicts);
-        }
-        let undo = applied?;
+        self.count_verdicts(&verdicts);
+        self.connected(hash, applied?);
+        Ok(())
+    }
+
+    /// The bookkeeping of the stored block `hash`, which stage 3 has
+    /// just applied on top of the tip under the journal `undo`: its
+    /// event, its undo record, the active chain, the undo window and the
+    /// counters. The one tail of both ways a block connects.
+    fn connected(&mut self, hash: Digest32, undo: BlockUndo) {
+        let block = &self.blocks[&hash].block;
+        let height = block.header.height;
         if self.telemetry.is_enabled() {
             self.telemetry.counter("mc.blocks_connected", 1);
             self.telemetry
                 .observe("mc.block_txs", block.transactions.len() as u64);
         }
-        let height = block.header.height;
         self.record_event(hash, height, &undo, true);
         self.undo.insert(hash, undo);
         self.active.push(hash);
         self.prune_undo();
-        Ok(())
     }
 
-    /// Counts the signature-cache hits and misses on `mc.sig_cache.*`
-    /// (nothing when no signature was checked).
-    fn count_sig_cache(&self, verdicts: &ProofVerdicts) {
+    /// Counts what a walk asked `verdicts`: proof-cache hits and misses
+    /// on `mc.verdict_cache.*`, and the signature cache's on
+    /// `mc.sig_cache.*` (nothing there when no signature was checked).
+    fn count_verdicts(&self, verdicts: &ProofVerdicts) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let (hits, misses) = verdicts.proofs.stats();
+        self.telemetry.counter("mc.verdict_cache.hit", hits);
+        self.telemetry.counter("mc.verdict_cache.miss", misses);
         let (hits, misses) = verdicts.sigs.stats();
         if hits + misses > 0 {
             self.telemetry.counter("mc.sig_cache.hit", hits);
@@ -969,17 +936,17 @@ impl Blockchain {
         }
     }
 
-    /// Assembles and mines (without submitting) the next block on the
-    /// active tip in **one pass**: every candidate is applied in order
-    /// to the live chain state under the block's undo journal, a
-    /// failing candidate is rolled back to its mark and reported in
-    /// [`PreparedBlock::rejected`] (the greedy fill a miner wants —
-    /// without re-validating the accepted prefix per candidate), and
-    /// every proof verified during the dry run is recorded in
-    /// [`PreparedBlock::verdicts`] so [`Blockchain::submit`] never
-    /// re-verifies it. The whole dry run is reverted through the same
-    /// journal before this returns, on every path: the state is the
-    /// tip's again, whatever the outcome.
+    /// Builds, mines and connects the next block on the active tip in
+    /// **one pass**: every candidate is applied in order to the live
+    /// chain state under the block's undo journal, a failing candidate
+    /// is rolled back to its mark and reported in
+    /// [`MinedBlock::rejected`] (the greedy fill a miner wants — without
+    /// re-validating the accepted prefix per candidate), and once the
+    /// block is mined its coinbase is applied under the same journal,
+    /// which becomes the block's undo record. That walk is the connect:
+    /// the block runs no stage 1 and no second walk. Every proof is
+    /// verified inline (`mc.verdict_cache.miss`); a failed mining or
+    /// coinbase reverts the walk and leaves the tip as it was.
     ///
     /// A plain `Vec<McTransaction>` is a list of raw candidates;
     /// pool-sourced candidates carrying admission context
@@ -992,22 +959,30 @@ impl Blockchain {
     /// [`BlockError::MiningFailed`] or amount overflow while assembling
     /// the coinbase; per-candidate failures are reported in the
     /// returned `rejected` list instead.
-    pub fn prepare_block(
+    pub fn mine_next(
         &mut self,
         miner: Address,
         candidates: impl Into<BlockCandidates>,
         time: u64,
-    ) -> Result<PreparedBlock, BlockError> {
+    ) -> Result<MinedBlock, BlockError> {
+        self.draft(candidates.into()).connect(miner, time)
+    }
+
+    /// The builder's one walk: `candidates` applied in order on the live
+    /// state under the next block's journal, each failing one rolled
+    /// back and listed as rejected. The draft reverts the walk when
+    /// dropped unconnected.
+    fn draft(&mut self, candidates: BlockCandidates) -> Draft<'_> {
         let BlockCandidates {
             txs: candidates,
             txids,
             admitted,
             mut sig_verdicts,
             unverified,
-        } = candidates.into();
+        } = candidates;
         // The candidates pooled without a signature check owe theirs
-        // now: one batch against the pre-block state, before the dry
-        // run consults the cache. Everything else costs nothing here.
+        // now: one batch against the pre-block state, before the walk
+        // consults the cache. Everything else costs nothing here.
         sig_verdicts.extend(sigbatch::verify_transfer_signatures(
             &self.state,
             unverified.iter().map(|&i| (&candidates[i], txids[i])),
@@ -1015,80 +990,64 @@ impl Blockchain {
         ));
         let height = self.height() + 1;
         let mut undo = BlockUndo::new(&self.state);
-        let mut verdicts = ProofVerdicts::recording(sig_verdicts);
-        pipeline::begin_block(&mut self.state, height, &mut undo);
+        let verdicts = ProofVerdicts::admitted(sig_verdicts);
         let mut fees = Amount::ZERO;
         let mut accepted = Vec::with_capacity(candidates.len());
         let mut rejected = Vec::new();
-        for (tx, txid) in candidates.into_iter().zip(txids) {
-            // Stage-1 stateless precheck: pool-sourced candidates
-            // already passed it at admission, so the builder skips the
-            // redundant pass (the counters prove the skip rate).
-            if admitted {
-                self.telemetry.counter("mc.precheck.skipped", 1);
-            } else {
-                self.telemetry.counter("mc.precheck.run", 1);
-                if let Err(e) = pipeline::precheck_transaction(&tx) {
-                    rejected.push((tx, e));
-                    continue;
-                }
-            }
-            let mark = undo.mark();
-            match pipeline::apply_transaction(
-                &mut self.state,
-                &tx,
-                txid,
-                height,
-                Digest32::ZERO,
-                &self.active,
-                &verdicts,
-                &mut undo,
-            ) {
-                Ok(fee) => match fees.checked_add(fee) {
-                    Some(total) => {
-                        fees = total;
-                        accepted.push((tx, txid));
+        {
+            let _span = self.telemetry.span("mc.stage3.apply");
+            pipeline::begin_block(&mut self.state, height, &mut undo);
+            for (tx, txid) in candidates.into_iter().zip(txids) {
+                // Stage-1 stateless precheck: pool-sourced candidates
+                // already passed it at admission, so the builder skips
+                // the redundant pass (the counters prove the skip rate).
+                if admitted {
+                    self.telemetry.counter("mc.precheck.skipped", 1);
+                } else {
+                    self.telemetry.counter("mc.precheck.run", 1);
+                    if let Err(e) = pipeline::precheck_transaction(&tx) {
+                        rejected.push((tx, e));
+                        continue;
                     }
-                    None => {
+                }
+                let mark = undo.mark();
+                match pipeline::apply_transaction(
+                    &mut self.state,
+                    &tx,
+                    txid,
+                    height,
+                    &self.active,
+                    &verdicts,
+                    &mut undo,
+                ) {
+                    Ok(fee) => match fees.checked_add(fee) {
+                        Some(total) => {
+                            fees = total;
+                            accepted.push((tx, txid));
+                        }
+                        None => {
+                            undo.revert_to_mark(&mut self.state, mark);
+                            rejected.push((tx, BlockError::AmountOverflow));
+                        }
+                    },
+                    Err(e) => {
                         undo.revert_to_mark(&mut self.state, mark);
-                        rejected.push((tx, BlockError::AmountOverflow));
+                        rejected.push((tx, e));
                     }
-                },
-                Err(e) => {
-                    undo.revert_to_mark(&mut self.state, mark);
-                    rejected.push((tx, e));
                 }
             }
         }
-        // Back to the tip's state before anything below can return.
-        pipeline::revert_block(&mut self.state, undo);
-        if self.telemetry.is_enabled() {
-            self.count_sig_cache(&verdicts);
-        }
-        verdicts.freeze();
+        self.count_verdicts(&verdicts);
         for (_, error) in &rejected {
             self.count_rejection(error);
         }
-        let subsidy = self
-            .params
-            .block_subsidy
-            .checked_add(fees)
-            .ok_or(BlockError::AmountOverflow)?;
-        let (block, commitment) = mine_block(
-            &self.params,
-            self.tip_hash(),
-            height,
-            time,
-            vec![TxOut::regular(miner, subsidy)],
+        Draft {
+            chain: self,
+            undo: Some(undo),
             accepted,
-        )
-        .ok_or(BlockError::MiningFailed)?;
-        Ok(PreparedBlock {
-            block,
-            commitment: Arc::new(commitment),
             rejected,
-            verdicts,
-        })
+            fees,
+        }
     }
 
     /// Fork-injection hook: mines `count` empty blocks (coinbase only,
@@ -1121,7 +1080,7 @@ impl Blockchain {
         let mut parent = *base;
         let mut branch = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let (block, _) = mine_block(
+            let (block, _, _) = mine_block(
                 &self.params,
                 parent,
                 start + 1 + i,
@@ -1136,34 +1095,97 @@ impl Blockchain {
         Ok(branch)
     }
 
-    /// Convenience: build, mine and submit the next block in one call,
-    /// strictly — the first candidate the builder rejects is the error
-    /// and nothing is submitted. The builder's recorded verdicts travel
-    /// with the block.
+    /// [`Blockchain::mine_next`], strictly: the first candidate the walk
+    /// rejects is the error, and nothing is mined or connected.
     ///
     /// # Errors
     ///
     /// The first rejected candidate's [`BlockError`], else see
-    /// [`Blockchain::prepare_block`] and [`Blockchain::submit`].
+    /// [`Blockchain::mine_next`].
     pub fn mine_next_block(
         &mut self,
         miner: Address,
         transactions: Vec<McTransaction>,
         time: u64,
     ) -> Result<Block, BlockError> {
-        let prepared = self.prepare_block(miner, transactions, time)?;
-        if let Some((_, error)) = prepared.rejected.into_iter().next() {
-            return Err(error);
+        let draft = self.draft(transactions.into());
+        if let Some((_, error)) = draft.rejected.first() {
+            return Err(error.clone());
         }
-        self.submit(prepared.block.clone(), Some(prepared.verdicts))?;
-        Ok(prepared.block)
+        Ok(draft.connect(miner, time)?.block)
+    }
+}
+
+/// The next block's walk on the live state, not yet mined: the accepted
+/// candidates with their ids, the rejected ones with their errors, the
+/// fees, and the block's journal. [`Draft::connect`] mines the block and
+/// connects it on that journal; dropped unconnected, the draft reverts
+/// the walk, and the state is the tip's again.
+struct Draft<'a> {
+    chain: &'a mut Blockchain,
+    /// `None` once connected.
+    undo: Option<BlockUndo>,
+    accepted: Vec<(McTransaction, Digest32)>,
+    rejected: Vec<(McTransaction, BlockError)>,
+    fees: Amount,
+}
+
+impl Draft<'_> {
+    /// Mines the accepted candidates on the tip with a coinbase paying
+    /// `miner` the subsidy and the fees, applies the coinbase under the
+    /// walk's journal and connects the block with that journal as its
+    /// undo record.
+    fn connect(mut self, miner: Address, time: u64) -> Result<MinedBlock, BlockError> {
+        let chain = &mut *self.chain;
+        let subsidy = chain.params.block_subsidy;
+        let claim = subsidy
+            .checked_add(self.fees)
+            .ok_or(BlockError::AmountOverflow)?;
+        let height = chain.height() + 1;
+        let (block, txids, commitment) = mine_block(
+            &chain.params,
+            chain.tip_hash(),
+            height,
+            time,
+            vec![TxOut::regular(miner, claim)],
+            std::mem::take(&mut self.accepted),
+        )
+        .ok_or(BlockError::MiningFailed)?;
+        let undo = self.undo.as_mut().expect("a draft connects once");
+        pipeline::apply_coinbase(
+            &mut chain.state,
+            &block.transactions[0],
+            txids[0],
+            self.fees,
+            subsidy,
+            undo,
+        )?;
+        let undo = self.undo.take().expect("a draft connects once");
+        let hash = block.hash();
+        chain
+            .store(hash, block.clone(), txids)
+            .expect("a draft builds on the tip");
+        chain.connected(hash, undo);
+        Ok(MinedBlock {
+            block,
+            commitment: Arc::new(commitment),
+            rejected: std::mem::take(&mut self.rejected),
+        })
+    }
+}
+
+impl Drop for Draft<'_> {
+    fn drop(&mut self) {
+        if let Some(undo) = self.undo.take() {
+            pipeline::revert_block(&mut self.chain.state, undo);
+        }
     }
 }
 
 /// Assembles the block `coinbase_outputs` + `transactions` (each with
-/// its id) on `parent` and mines its header. Returns the block with the
-/// sc-txs commitment its header commits to; `None` when the attempt
-/// bound is exhausted.
+/// its id) on `parent` and mines its header. Returns the block with its
+/// transaction ids and the sc-txs commitment its header commits to;
+/// `None` when the attempt bound is exhausted.
 fn mine_block(
     params: &ChainParams,
     parent: Digest32,
@@ -1171,7 +1193,7 @@ fn mine_block(
     time: u64,
     coinbase_outputs: Vec<TxOut>,
     transactions: Vec<(McTransaction, Digest32)>,
-) -> Option<(Block, ScTxsCommitment)> {
+) -> Option<(Block, Vec<Digest32>, ScTxsCommitment)> {
     let coinbase = McTransaction::Coinbase(CoinbaseTx {
         height,
         outputs: coinbase_outputs,
@@ -1208,6 +1230,7 @@ fn mine_block(
             header,
             transactions: all,
         },
+        txids,
         commitment,
     ))
 }

@@ -48,7 +48,7 @@ pub mod wallet;
 
 pub use block::{Block, BlockHeader};
 pub use chain::{
-    BlockCandidates, BlockError, Blockchain, ChainEvent, ChainParams, ChainState, PreparedBlock,
+    BlockCandidates, BlockError, Blockchain, ChainEvent, ChainParams, ChainState, MinedBlock,
     SubmitOutcome,
 };
 pub use mempool::{Mempool, MempoolConfig};

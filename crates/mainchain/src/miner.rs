@@ -6,8 +6,7 @@ use zendoo_core::ids::Address;
 use zendoo_primitives::digest::Digest32;
 use zendoo_telemetry::Telemetry;
 
-use crate::block::Block;
-use crate::chain::{BlockError, Blockchain, PreparedBlock};
+use crate::chain::{BlockError, Blockchain, MinedBlock};
 use crate::mempool::{fee_of, AdmitOutcome, Mempool, MempoolConfig};
 use crate::sigbatch::{self, AdmissionReport};
 use crate::transaction::McTransaction;
@@ -30,8 +29,8 @@ use crate::transaction::McTransaction;
 ///
 /// let mut chain = Blockchain::new(ChainParams::default());
 /// let mut miner = Miner::new(Wallet::from_seed(b"miner").address(), MempoolConfig::default());
-/// let block = miner.mine(&mut chain, 1).unwrap();
-/// assert_eq!(chain.tip_hash(), block.hash());
+/// let mined = miner.mine(&mut chain, 1).unwrap();
+/// assert_eq!(chain.tip_hash(), mined.block.hash());
 /// ```
 #[derive(Debug)]
 pub struct Miner {
@@ -69,7 +68,7 @@ impl Miner {
     /// precheck (structurally invalid submissions never occupy pool
     /// space), then the fee resolved against `chain`'s confirmed UTXO
     /// set establishes the entry's priority. Everything pooled here has
-    /// passed precheck, which is what lets [`Miner::prepare`] hand the
+    /// passed precheck, which is what lets [`Miner::mine`] hand the
     /// drained template to the builder as *admitted* candidates. No
     /// signature is checked here: the entry is pooled unverified
     /// ([`Mempool::admit_unverified`]), and the next block build
@@ -127,37 +126,17 @@ impl Miner {
 
     /// Drains the whole pool in template order (consensus, settlements,
     /// transfers by fee rate — [`MempoolConfig`] is the bound) with the
-    /// ids the entries were pooled under, and assembles and mines the
-    /// next block in one pass ([`Blockchain::prepare_block`]). Nothing
-    /// is submitted: the caller hands [`PreparedBlock::block`] to
-    /// [`Blockchain::submit`] with the recorded verdicts as its carrier,
-    /// and decides what a rejected candidate means to it.
+    /// ids the entries were pooled under, and builds, mines and connects
+    /// the next block in one pass ([`Blockchain::mine_next`]). Candidates
+    /// the chain rejects are dropped and listed in
+    /// [`MinedBlock::rejected`]; the caller decides what they mean to it.
     ///
     /// # Errors
     ///
-    /// See [`Blockchain::prepare_block`]; per-candidate failures are in
-    /// [`PreparedBlock::rejected`] instead.
-    pub fn prepare(
-        &mut self,
-        chain: &mut Blockchain,
-        time: u64,
-    ) -> Result<PreparedBlock, BlockError> {
+    /// See [`Blockchain::mine_next`].
+    pub fn mine(&mut self, chain: &mut Blockchain, time: u64) -> Result<MinedBlock, BlockError> {
         let batch = self.mempool.take_ordered(usize::MAX);
-        chain.prepare_block(self.address, batch, time)
-    }
-
-    /// [`Miner::prepare`] + [`Blockchain::submit`]: candidates the
-    /// chain rejects are dropped, and every proof verified while
-    /// building travels with the block instead of being verified a
-    /// second time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chain errors other than per-transaction rejections.
-    pub fn mine(&mut self, chain: &mut Blockchain, time: u64) -> Result<Block, BlockError> {
-        let prepared = self.prepare(chain, time)?;
-        chain.submit(prepared.block.clone(), Some(prepared.verdicts))?;
-        Ok(prepared.block)
+        chain.mine_next(self.address, batch, time)
     }
 
     /// Handles a reorg notification: transactions from disconnected
@@ -244,7 +223,7 @@ mod tests {
             miner.submit_transaction(&chain, tx).unwrap(),
             AdmitOutcome::Admitted
         );
-        let block = miner.mine(&mut chain, 1).unwrap();
+        let block = miner.mine(&mut chain, 1).unwrap().block;
         assert_eq!(block.transactions.len(), 2, "coinbase + transfer");
         assert!(miner.mempool().is_empty());
         assert_eq!(
@@ -275,7 +254,7 @@ mod tests {
             .unwrap();
         miner.submit_transaction(&chain, good).unwrap();
         miner.submit_transaction(&chain, conflict).unwrap();
-        let block = miner.mine(&mut chain, 1).unwrap();
+        let block = miner.mine(&mut chain, 1).unwrap().block;
         // Exactly one of the two conflicting spends confirmed.
         assert_eq!(block.transactions.len(), 2);
         let bob = chain.state().utxos.balance_of(&Address::from_label("bob"));
@@ -289,7 +268,7 @@ mod tests {
     #[test]
     fn empty_pool_mines_empty_block() {
         let (mut chain, mut miner, _) = setup();
-        let block = miner.mine(&mut chain, 1).unwrap();
+        let block = miner.mine(&mut chain, 1).unwrap().block;
         assert_eq!(block.transactions.len(), 1, "coinbase only");
         assert_eq!(chain.height(), 1);
     }
@@ -377,48 +356,7 @@ mod tests {
         // ... and the disconnected fee payer still outranks it: its
         // inputs are unspent again, so its fee resolves as it did.
         miner.on_reorg(&chain, &disconnected);
-        let block = miner.mine(&mut chain, 92).unwrap();
+        let block = miner.mine(&mut chain, 92).unwrap().block;
         assert_eq!(block.transactions[1..], [paying, free]);
-    }
-
-    #[test]
-    fn prepare_then_submit_is_mine() {
-        // Two identical worlds; one mines in one call, the other in the
-        // two halves the simulator's tick overlaps with its shard lanes.
-        let run = |split: bool| {
-            let (mut chain, mut miner, alice) = setup();
-            let telemetry = Telemetry::in_memory();
-            chain.set_telemetry(telemetry.clone());
-            let tx = alice
-                .pay(
-                    &chain,
-                    Address::from_label("bob"),
-                    Amount::from_units(10),
-                    Amount::from_units(1),
-                )
-                .unwrap();
-            let report = miner.submit_batch(&chain, vec![tx], 1, |_, _| {});
-            assert_eq!(report.admitted, 1);
-            let block = if split {
-                let prepared = miner.prepare(&mut chain, 1).unwrap();
-                assert!(prepared.rejected.is_empty());
-                chain
-                    .submit(prepared.block.clone(), Some(prepared.verdicts))
-                    .unwrap();
-                prepared.block
-            } else {
-                miner.mine(&mut chain, 1).unwrap()
-            };
-            assert!(miner.mempool().is_empty());
-            (block, chain.tip_hash(), telemetry.snapshot().counters)
-        };
-        let (mined, mined_tip, mined_counters) = run(false);
-        let (split, split_tip, split_counters) = run(true);
-        assert_eq!(mined, split);
-        assert_eq!(mined_tip, split_tip);
-        assert_eq!(mined_tip, mined.hash());
-        // Same verdict-cache traffic: the carrier saved the same work.
-        assert!(mined_counters.contains_key("mc.sig_cache.hit"));
-        assert_eq!(mined_counters, split_counters);
     }
 }

@@ -13,9 +13,11 @@
 //! 2. **Batched proof and signature verification**
 //!    ([`ProofVerdicts`]) — the verdict of every SNARK check the block
 //!    owes (certificates, BTRs, CSWs) and of every transfer signature,
-//!    keyed by full statement (or signature) identity. A block that
-//!    comes with its builder's verdicts brings them. A block that
-//!    arrives alone is walked once by stage 3 under
+//!    keyed by full statement (or signature) identity. A node's own
+//!    block is walked once, by its builder, on the live state: proofs
+//!    inline, signatures from the admission verdicts, and that walk is
+//!    the connect ([`crate::chain::Blockchain::mine_next`]). A block
+//!    that arrives from elsewhere is walked once by stage 3 under
 //!    [`ProofVerdicts::deferring`], which answers each check `true` and
 //!    records it as owed; [`ProofVerdicts::discharge`] then verifies the
 //!    owed proofs as one parallel batch and the owed signatures as one
@@ -149,13 +151,10 @@ pub fn precheck_block(
 
 /// One verdict cache: boolean outcomes by key, with one contract — a
 /// hit can never change an outcome, because a miss runs the check
-/// inline. A **recording** cache additionally memoizes every inline
-/// outcome (interior mutability, so stage 3 records through the shared
-/// reference it is handed).
+/// inline.
 #[derive(Debug, Default)]
 pub struct VerdictCache {
-    verdicts: RefCell<HashMap<Digest32, bool>>,
-    recording: bool,
+    verdicts: HashMap<Digest32, bool>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -163,24 +162,19 @@ pub struct VerdictCache {
 impl VerdictCache {
     pub(crate) fn with_verdicts(verdicts: HashMap<Digest32, bool>) -> Self {
         VerdictCache {
-            verdicts: RefCell::new(verdicts),
+            verdicts,
             ..Self::default()
         }
     }
 
-    /// The verdict for `key`: cached if known, `inline()` otherwise
-    /// (memoized when recording).
+    /// The verdict for `key`: cached if known, `inline()` otherwise.
     pub fn check(&self, key: Digest32, inline: impl FnOnce() -> bool) -> bool {
-        if let Some(verdict) = self.verdicts.borrow().get(&key) {
+        if let Some(verdict) = self.verdicts.get(&key) {
             self.hits.set(self.hits.get().saturating_add(1));
             return *verdict;
         }
         self.misses.set(self.misses.get().saturating_add(1));
-        let verdict = inline();
-        if self.recording {
-            self.verdicts.borrow_mut().insert(key, verdict);
-        }
-        verdict
+        inline()
     }
 
     /// `(hits, misses)` of every [`VerdictCache::check`] so far: a hit
@@ -201,19 +195,19 @@ impl VerdictCache {
 /// `check_sig` at exactly the point where the validator
 /// would verify inline.
 ///
-/// A block builder threads a [`ProofVerdicts::recording`] cache through
-/// its dry run and hands it to [`crate::chain::Blockchain::submit`]:
-/// each proof and each signature is then verified at most once per node
-/// — at admission or at build time — instead of again at submission. A
-/// node receiving a block alone walks it under
-/// [`ProofVerdicts::deferring`] and settles what the walk owes with
-/// [`ProofVerdicts::discharge`].
+/// A block builder walks its candidates once, on the live state, with
+/// the admission verdicts as its signature cache
+/// ([`crate::chain::Blockchain::mine_next`]): every proof, and every
+/// signature admission did not vouch for, is verified inline there, and
+/// that walk is the connect. A node receiving a block alone walks it
+/// under [`ProofVerdicts::deferring`] and settles what the walk owes
+/// with [`ProofVerdicts::discharge`].
 #[derive(Debug, Default)]
 pub struct ProofVerdicts {
-    /// SNARK verdicts (recorded by a dry run, or discharged).
+    /// SNARK verdicts (discharged).
     pub proofs: VerdictCache,
     /// Transfer-signature verdicts (from admission, from the builder's
-    /// batch, recorded by a dry run, or discharged).
+    /// batch, or discharged).
     pub sigs: VerdictCache,
     /// The checks a deferring walk met, each answered `true` for now;
     /// `None` answers every check from the caches.
@@ -234,21 +228,13 @@ impl ProofVerdicts {
     }
 
     /// An empty proof cache and the signature verdicts established
-    /// before the dry run, both memoizing every inline verification
-    /// they run: a signature the batches did not reach (an input that
-    /// resolves only inside the block) is verified once, by the
-    /// builder's dry run, and never again at submission.
-    pub fn recording(sigs: HashMap<Digest32, bool>) -> Self {
+    /// before the builder's walk: every proof is verified inline, and so
+    /// is a signature the batches did not reach (an input that resolves
+    /// only inside the block).
+    pub(crate) fn admitted(sigs: HashMap<Digest32, bool>) -> Self {
         ProofVerdicts {
-            proofs: VerdictCache {
-                recording: true,
-                ..VerdictCache::default()
-            },
-            sigs: VerdictCache {
-                recording: true,
-                ..VerdictCache::with_verdicts(sigs)
-            },
-            owed: None,
+            sigs: VerdictCache::with_verdicts(sigs),
+            ..Self::default()
         }
     }
 
@@ -263,8 +249,8 @@ impl ProofVerdicts {
         }
     }
 
-    /// The verdict for `job`: owed when deferring, cached if recorded
-    /// or discharged, inline otherwise.
+    /// The verdict for `job`: owed when deferring, cached if
+    /// discharged, inline otherwise.
     pub fn check(&self, job: &ProofCheck) -> bool {
         if let Some(owed) = &self.owed {
             owed.borrow_mut().proofs.push(job.clone());
@@ -352,17 +338,6 @@ impl ProofVerdicts {
             owed: None,
         })
     }
-
-    /// Stops recording and restarts the hit and miss counts; the
-    /// recorded verdicts stay (the shape
-    /// [`crate::chain::Blockchain::submit`] consumes).
-    pub fn freeze(&mut self) {
-        for cache in [&mut self.proofs, &mut self.sigs] {
-            cache.recording = false;
-            cache.hits.set(0);
-            cache.misses.set(0);
-        }
-    }
 }
 
 // ---- Stage 3: atomic application with a single undo record ---------------
@@ -399,9 +374,9 @@ pub struct UndoMark {
 }
 
 impl BlockUndo {
-    /// An empty journal over `state` (stage 3 keeps it as the block's
-    /// undo record; the block builder reverts its dry run on the live
-    /// state through it).
+    /// An empty journal over `state`: stage 3 keeps it as the block's
+    /// undo record, and so does the block builder, whose walk on the
+    /// live state it reverts when the block does not connect.
     pub(crate) fn new(state: &ChainState) -> Self {
         BlockUndo {
             ops: Vec::new(),
@@ -471,9 +446,9 @@ fn spend_utxo(state: &mut ChainState, undo: &mut BlockUndo, outpoint: &OutPoint)
     spent
 }
 
-/// Reverts a connected block, or the block builder's dry run: rolls
-/// the whole journal back from its start and restores the pre-block
-/// mint counter.
+/// Reverts a connected block, or a builder's walk whose block does not
+/// connect: rolls the whole journal back from its start and restores
+/// the pre-block mint counter.
 pub fn revert_block(state: &mut ChainState, mut undo: BlockUndo) {
     undo.revert_to_mark(state, UndoMark::default());
     state.minted = undo.minted;
@@ -497,7 +472,6 @@ pub fn apply_block(
     state: &mut ChainState,
     block: &Block,
     txids: &[Digest32],
-    block_hash: Digest32,
     active: &[Digest32],
     block_subsidy: Amount,
     verdicts: &ProofVerdicts,
@@ -512,7 +486,6 @@ pub fn apply_block(
         state,
         block,
         txids,
-        block_hash,
         active,
         block_subsidy,
         verdicts,
@@ -526,7 +499,7 @@ pub fn apply_block(
     }
 }
 
-/// Block start, shared by stage 3 and the block builder's dry run:
+/// Block start, shared by stage 3 and the block builder's walk:
 /// epoch bookkeeping at `height` — ceasing (Def 4.2) and certificate
 /// maturity, whose payouts become UTXOs before any transaction runs.
 pub(crate) fn begin_block(state: &mut ChainState, height: u64, undo: &mut BlockUndo) {
@@ -546,12 +519,10 @@ pub(crate) fn begin_block(state: &mut ChainState, height: u64, undo: &mut BlockU
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn apply_block_inner(
     state: &mut ChainState,
     block: &Block,
     txids: &[Digest32],
-    block_hash: Digest32,
     active: &[Digest32],
     block_subsidy: Amount,
     verdicts: &ProofVerdicts,
@@ -563,13 +534,39 @@ fn apply_block_inner(
     // Phase 1: non-coinbase transactions, accumulating fees.
     let mut fees = Amount::ZERO;
     for (tx, txid) in block.transactions.iter().zip(txids).skip(1) {
-        let fee = apply_transaction(state, tx, *txid, height, block_hash, active, verdicts, undo)?;
+        let fee = apply_transaction(state, tx, *txid, height, active, verdicts, undo)?;
         fees = fees.checked_add(fee).ok_or(BlockError::AmountOverflow)?;
     }
 
-    // Phase 2: coinbase (applied last: its outputs are unspendable
-    // within the creating block).
-    let McTransaction::Coinbase(cb) = &block.transactions[0] else {
+    // Phase 2: coinbase.
+    apply_coinbase(
+        state,
+        &block.transactions[0],
+        txids[0],
+        fees,
+        block_subsidy,
+        undo,
+    )
+}
+
+/// Block end, shared by stage 3 and the block builder: the coinbase
+/// `tx` (id `txid`), applied after every other transaction of its block
+/// — its outputs are unspendable within the creating block — when those
+/// paid `fees`. It may claim at most `block_subsidy + fees`.
+///
+/// # Errors
+///
+/// [`BlockError::BadCoinbase`] for a misplaced coinbase, one minting an
+/// escrow output or claiming too much; [`BlockError::AmountOverflow`].
+pub(crate) fn apply_coinbase(
+    state: &mut ChainState,
+    tx: &McTransaction,
+    txid: Digest32,
+    fees: Amount,
+    block_subsidy: Amount,
+    undo: &mut BlockUndo,
+) -> Result<(), BlockError> {
+    let McTransaction::Coinbase(cb) = tx else {
         return Err(BlockError::BadCoinbase(
             "first transaction must be coinbase",
         ));
@@ -592,7 +589,7 @@ fn apply_block_inner(
             state,
             undo,
             OutPoint {
-                txid: txids[0],
+                txid,
                 index: i as u32,
             },
             *out,
@@ -608,20 +605,19 @@ fn apply_block_inner(
     Ok(())
 }
 
-/// Applies one non-coinbase transaction whose id is `txid`, returning
-/// its fee. Mutations are journaled into `undo`; proof and signature
-/// checks consult `verdicts`.
+/// Applies one non-coinbase transaction whose id is `txid`, in the block
+/// at `height` on the active chain `active` (hashes by height, below
+/// `height`), returning its fee. Mutations are journaled into `undo`;
+/// proof and signature checks consult `verdicts`.
 ///
 /// # Errors
 ///
 /// [`BlockError`] naming the violated rule.
-#[allow(clippy::too_many_arguments)]
 pub fn apply_transaction(
     state: &mut ChainState,
     tx: &McTransaction,
     txid: Digest32,
     height: u64,
-    block_hash: Digest32,
     active: &[Digest32],
     verdicts: &ProofVerdicts,
     undo: &mut BlockUndo,
@@ -780,7 +776,6 @@ pub fn apply_transaction(
             state.registry.accept_certificate(
                 cert,
                 height,
-                block_hash,
                 boundary,
                 |job| verdicts.check(job),
                 &mut undo.registry,
@@ -788,16 +783,21 @@ pub fn apply_transaction(
             Ok(Amount::ZERO)
         }
         McTransaction::Btr(btr) => {
-            state
-                .registry
-                .accept_btr(btr, |job| verdicts.check(job), &mut undo.registry)?;
+            state.registry.accept_btr(
+                btr,
+                boundary,
+                |job| verdicts.check(job),
+                &mut undo.registry,
+            )?;
             Ok(Amount::ZERO)
         }
         McTransaction::Csw(csw) => {
-            let bt =
-                state
-                    .registry
-                    .accept_csw(csw, |job| verdicts.check(job), &mut undo.registry)?;
+            let bt = state.registry.accept_csw(
+                csw,
+                boundary,
+                |job| verdicts.check(job),
+                &mut undo.registry,
+            )?;
             create_utxo(
                 state,
                 undo,

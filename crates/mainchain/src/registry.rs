@@ -3,8 +3,8 @@
 //! Tracks, per registered sidechain: its immutable configuration (§4.2),
 //! the **safeguard balance** (§4.1.2.2), its liveness status (Def 4.2),
 //! accepted certificates per epoch with quality replacement (§4.1.2), the
-//! consumed nullifier set (§4.1.2.1) and the anchor block for BTR/CSW
-//! proofs (`H(B_w)`).
+//! consumed nullifier set (§4.1.2.1) and the height of the anchor block
+//! for BTR/CSW proofs (`H(B_w)`, read off the active chain).
 //!
 //! Certificate payouts *mature* when the submission window closes: only
 //! the highest-quality certificate of the epoch pays its backward
@@ -37,8 +37,9 @@ pub enum SidechainStatus {
 pub struct AcceptedCertificate {
     /// The certificate.
     pub certificate: WithdrawalCertificate,
-    /// Hash of the MC block that carried it (the BTR anchor `B_w`).
-    pub mc_block: Digest32,
+    /// Height of the MC block that carried it: the active chain names
+    /// the BTR/CSW anchor `B_w` there.
+    pub mc_height: u64,
     /// Whether the payout has matured (window closed).
     pub matured: bool,
 }
@@ -64,12 +65,19 @@ impl SidechainEntry {
         self.certificates.values().next_back()
     }
 
-    /// The BTR/CSW anchor: hash of the block carrying the latest
-    /// certificate, or zero before any certificate exists.
-    pub fn last_certificate_block(&self) -> Digest32 {
-        self.last_certificate()
-            .map(|c| c.mc_block)
-            .unwrap_or(Digest32::ZERO)
+    /// The BTR/CSW anchor `H(B_w)`: the hash `boundary_hash` names at
+    /// the latest certificate's height (none when it rode in the block
+    /// being applied), or zero before any certificate exists.
+    fn anchor(
+        &self,
+        boundary_hash: impl Fn(u64) -> Option<Digest32>,
+    ) -> Result<Digest32, RegistryError> {
+        match self.last_certificate() {
+            None => Ok(Digest32::ZERO),
+            Some(c) => {
+                boundary_hash(c.mc_height).ok_or(RegistryError::MissingBoundaryBlock(c.mc_height))
+            }
+        }
     }
 
     /// The epoch whose submission window closes exactly at `height`:
@@ -541,9 +549,9 @@ impl SidechainRegistry {
         Ok(())
     }
 
-    /// Accepts a withdrawal certificate carried by the block at
-    /// `height` / `block_hash` ("WCert Verification", §4.1.2),
-    /// journaling the certificate insertion into `undo`.
+    /// Accepts a withdrawal certificate carried by the block at `height`
+    /// ("WCert Verification", §4.1.2), journaling the certificate
+    /// insertion into `undo`.
     ///
     /// `boundary_hash(h)` must return the active-chain block hash at
     /// height `h` (for the `wcert_sysdata` epoch anchors). `check` is
@@ -551,25 +559,21 @@ impl SidechainRegistry {
     /// ([`crate::pipeline::ProofVerdicts::check`]: cached, or owed to one
     /// batch), [`ProofCheck::run`] verifies inline; every cheap rule
     /// still runs here, in serial order. This is the one place the
-    /// epoch-boundary anchors of a certificate's statement are read.
+    /// epoch-boundary anchors of a certificate's statement are read; a
+    /// BTR's or CSW's anchor is read through the same `boundary_hash`.
     ///
     /// # Errors
     ///
     /// All rules of §4.1.2: active sidechain, correct window, increasing
     /// quality, valid SNARK, safeguard.
-    pub fn accept_certificate<F, C>(
+    pub fn accept_certificate(
         &mut self,
         cert: &WithdrawalCertificate,
         height: u64,
-        block_hash: Digest32,
-        boundary_hash: F,
-        check: C,
+        boundary_hash: impl Fn(u64) -> Option<Digest32>,
+        check: impl FnOnce(&ProofCheck) -> bool,
         undo: &mut RegistryUndo,
-    ) -> Result<(), RegistryError>
-    where
-        F: Fn(u64) -> Option<Digest32>,
-        C: FnOnce(&ProofCheck) -> bool,
-    {
+    ) -> Result<(), RegistryError> {
         let entry = self
             .entries
             .get_mut(&cert.sidechain_id)
@@ -643,7 +647,7 @@ impl SidechainRegistry {
             cert.epoch_id,
             AcceptedCertificate {
                 certificate: cert.clone(),
-                mc_block: block_hash,
+                mc_height: height,
                 matured: false,
             },
         );
@@ -656,23 +660,23 @@ impl SidechainRegistry {
     }
 
     /// Accepts a backward transfer request (§4.1.2.1). Consumes the
-    /// nullifier (journaled into `undo`); moves no coins. `check` is the
-    /// SNARK check (see
-    /// [`SidechainRegistry::accept_certificate`]).
+    /// nullifier (journaled into `undo`); moves no coins.
+    /// `boundary_hash` and `check` are as for
+    /// [`SidechainRegistry::accept_certificate`]; the anchor is the block
+    /// `boundary_hash` names at the latest certificate's height.
     ///
     /// # Errors
     ///
-    /// Unknown/ceased sidechain, disabled BTRs, reused nullifier, or
-    /// invalid proof.
-    pub fn accept_btr<C>(
+    /// Unknown/ceased sidechain, disabled BTRs, reused nullifier, an
+    /// anchor the chain cannot name (the latest certificate rode in this
+    /// same block), or invalid proof.
+    pub fn accept_btr(
         &mut self,
         btr: &BackwardTransferRequest,
-        check: C,
+        boundary_hash: impl Fn(u64) -> Option<Digest32>,
+        check: impl FnOnce(&ProofCheck) -> bool,
         undo: &mut RegistryUndo,
-    ) -> Result<(), RegistryError>
-    where
-        C: FnOnce(&ProofCheck) -> bool,
-    {
+    ) -> Result<(), RegistryError> {
         let entry = self
             .entries
             .get(&btr.sidechain_id)
@@ -684,7 +688,7 @@ impl SidechainRegistry {
         if self.nullifiers.contains(&key) {
             return Err(RegistryError::NullifierReused(btr.nullifier));
         }
-        verifier::verify_btr_with(&entry.config, btr, entry.last_certificate_block(), check)?;
+        verifier::verify_btr_with(&entry.config, btr, entry.anchor(boundary_hash)?, check)?;
         self.nullifiers.insert(key);
         undo.ops.push(RegistryOp::NullifierInserted(
             btr.sidechain_id,
@@ -695,23 +699,20 @@ impl SidechainRegistry {
 
     /// Accepts a ceased sidechain withdrawal (§5.5.3.3): consumes the
     /// nullifier, debits the balance (both journaled into `undo`) and
-    /// returns the payout for the chain layer to credit. `check` is the
-    /// SNARK check (see
-    /// [`SidechainRegistry::accept_certificate`]).
+    /// returns the payout for the chain layer to credit. `boundary_hash`
+    /// and `check` are as for [`SidechainRegistry::accept_btr`].
     ///
     /// # Errors
     ///
     /// Requires a *ceased* sidechain, an enabled CSW key, a fresh
-    /// nullifier, a valid proof, and the safeguard.
-    pub fn accept_csw<C>(
+    /// nullifier, a nameable anchor, a valid proof, and the safeguard.
+    pub fn accept_csw(
         &mut self,
         csw: &CeasedSidechainWithdrawal,
-        check: C,
+        boundary_hash: impl Fn(u64) -> Option<Digest32>,
+        check: impl FnOnce(&ProofCheck) -> bool,
         undo: &mut RegistryUndo,
-    ) -> Result<BackwardTransfer, RegistryError>
-    where
-        C: FnOnce(&ProofCheck) -> bool,
-    {
+    ) -> Result<BackwardTransfer, RegistryError> {
         let entry = self
             .entries
             .get_mut(&csw.sidechain_id)
@@ -723,7 +724,7 @@ impl SidechainRegistry {
         if self.nullifiers.contains(&key) {
             return Err(RegistryError::NullifierReused(csw.nullifier));
         }
-        let anchor = entry.last_certificate_block();
+        let anchor = entry.anchor(boundary_hash)?;
         verifier::verify_csw_with(&entry.config, csw, anchor, check)?;
         if csw.amount > entry.balance {
             return Err(RegistryError::SafeguardViolation {
@@ -820,7 +821,6 @@ mod tests {
             registry.accept_certificate(
                 &certificate(id, Vec::new()),
                 8,
-                Digest32::hash_bytes(b"block 8"),
                 boundary,
                 |_| panic!("no statement without its anchors"),
                 &mut undo,
@@ -864,7 +864,6 @@ mod tests {
             registry.accept_certificate(
                 &certificate(id, vec![half, half]),
                 8,
-                Digest32::hash_bytes(b"block 8"),
                 |h| Some(Digest32::hash_bytes(&h.to_le_bytes())),
                 |_| true,
                 &mut undo,

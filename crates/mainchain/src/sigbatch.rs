@@ -25,16 +25,16 @@
 //!   [`sig_cache_key`] (txid + key + message + signature, so a verdict
 //!   can never authorize anything but the exact signature it was
 //!   computed for) and travels with the pooled entry into the block
-//!   template: the miner's stage-3 dry run consults the cache
-//!   ([`crate::pipeline::ProofVerdicts::sigs`]) and re-verifies nothing;
-//! * **block build** (`Blockchain::prepare_block`): the template's
-//!   entries pooled one at a time without a check
-//!   (`Miner::submit_transaction` marks them unverified) are verified
-//!   against the pre-block state before the dry run, under the ids they
-//!   were pooled with, into the same cache
-//!   ([`verify_transfer_signatures`]) — entries that came with verdicts
-//!   cost nothing here. An input that resolves only inside the block
-//!   is verified by the dry run, once, and recorded;
+//!   template: the miner's one stage-3 walk, which connects the block,
+//!   consults the cache ([`crate::pipeline::ProofVerdicts::sigs`]) and
+//!   re-verifies nothing;
+//! * **block build** (`Blockchain::mine_next`): the template's entries
+//!   pooled one at a time without a check (`Miner::submit_transaction`
+//!   marks them unverified) are verified against the pre-block state
+//!   before the walk, under the ids they were pooled with, into the
+//!   same cache ([`verify_transfer_signatures`]) — entries that came
+//!   with verdicts cost nothing here. An input that resolves only
+//!   inside the block is verified by the walk, once;
 //! * **a receiving node** connecting a block nobody vouched for: stage
 //!   3 walks the block once and owes every signature it meets, in-block
 //!   spends included, and stage 2 verifies them all as one batch
@@ -198,8 +198,8 @@ pub(crate) fn queue_sig_checks(
 /// Every check the transfers among `txs` (each with its id) owe against
 /// `state` ([`queue_sig_checks`]), verified as one batch on one lane per
 /// core, as verdicts keyed by [`sig_cache_key`] for the cache the
-/// builder's dry run consults where it would otherwise verify inline. A
-/// transaction whose key does not match queues nothing — the dry run
+/// builder's walk consults where it would otherwise verify inline. A
+/// transaction whose key does not match queues nothing — the walk
 /// refuses it by the cheaper rule. The builder's candidates pooled
 /// without a check are its one caller.
 pub(crate) fn verify_transfer_signatures<'a>(

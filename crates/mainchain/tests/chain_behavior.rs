@@ -8,13 +8,15 @@
 
 mod common;
 
-use common::remine;
+use common::{assemble, remine};
 use zendoo_core::certificate::{wcert_public_inputs, WcertSysData, WithdrawalCertificate};
 use zendoo_core::config::{SidechainConfig, SidechainConfigBuilder};
 use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
 use zendoo_core::proofdata::ProofData;
 use zendoo_core::transfer::BackwardTransfer;
-use zendoo_core::withdrawal::{btr_public_inputs, BtrSysData, CeasedSidechainWithdrawal};
+use zendoo_core::withdrawal::{
+    btr_public_inputs, BackwardTransferRequest, BtrSysData, CeasedSidechainWithdrawal,
+};
 use zendoo_mainchain::block::{Block, BlockHeader};
 use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
 use zendoo_mainchain::pow::Target;
@@ -146,14 +148,44 @@ impl Harness {
         cert
     }
 
+    /// The BTR/CSW anchor the chain names now: the hash of the block
+    /// carrying the latest certificate, zero before any.
+    fn anchor(&self) -> Digest32 {
+        let entry = self.chain.state().registry.get(&self.sc_id).unwrap();
+        entry.last_certificate().map_or(Digest32::ZERO, |c| {
+            self.chain.hash_at_height(c.mc_height).unwrap()
+        })
+    }
+
+    /// A BTR of 10 units to `u`, proven (permissively) against `anchor`.
+    fn btr(&self, anchor: Digest32, nullifier_seed: &[u8]) -> BackwardTransferRequest {
+        let (btr_pk, _) = setup_deterministic(&AcceptAll("btr"), b"h");
+        let mut btr = BackwardTransferRequest {
+            sidechain_id: self.sc_id,
+            receiver: Address::from_label("u"),
+            amount: Amount::from_units(10),
+            nullifier: Nullifier::from_utxo_digest(&Digest32::hash_bytes(nullifier_seed)),
+            proofdata: ProofData::empty(),
+            proof: zendoo_snark::backend::Proof::from_bytes(&[0u8; 65]).unwrap(),
+        };
+        let sysdata = BtrSysData {
+            last_cert_block: anchor,
+            nullifier: btr.nullifier,
+            receiver: btr.receiver,
+            amount: btr.amount,
+        };
+        let inputs = btr_public_inputs(&sysdata, &btr.proofdata.merkle_root());
+        btr.proof = prove(&btr_pk, &AcceptAll("btr"), &inputs, &()).unwrap();
+        btr
+    }
+
     fn csw(
         &self,
         receiver: Address,
         amount: u64,
         nullifier_seed: &[u8],
     ) -> CeasedSidechainWithdrawal {
-        let entry = self.chain.state().registry.get(&self.sc_id).unwrap();
-        let anchor = entry.last_certificate_block();
+        let anchor = self.anchor();
         let mut csw = CeasedSidechainWithdrawal {
             sidechain_id: self.sc_id,
             receiver,
@@ -812,10 +844,9 @@ fn duplicate_block_rejected() {
     let mut h = Harness::new();
     let block = h
         .chain
-        .prepare_block(h.miner.address(), vec![], 99)
+        .mine_next(h.miner.address(), vec![], 99)
         .unwrap()
         .block;
-    h.chain.submit_block(block.clone()).unwrap();
     assert!(matches!(
         h.chain.submit_block(block),
         Err(zendoo_mainchain::BlockError::Duplicate(_))
@@ -835,11 +866,7 @@ fn tampered_block_commitment_rejected() {
             Amount::ZERO,
         )
         .unwrap();
-    let mut block = h
-        .chain
-        .prepare_block(h.miner.address(), vec![ft], 99)
-        .unwrap()
-        .block;
+    let mut block = assemble(&h.chain, h.miner.address(), vec![ft], 99);
     // Corrupt the commitment and re-mine so PoW still passes.
     block.header.sc_txs_commitment = Digest32::hash_bytes(b"lie");
     let target = h.chain.params().target;
@@ -903,13 +930,7 @@ fn a_transfer_spending_one_output_twice_is_refused_by_name() {
         Err(BlockError::DoubleSpendInBlock(twice))
     );
     // ...and so does a node receiving a block that carries it.
-    let mut block = h
-        .chain
-        .prepare_block(h.miner.address(), vec![], h.time + 1)
-        .unwrap()
-        .block;
-    block.transactions.push(tx);
-    let block = remine(&h.chain, block);
+    let block = assemble(&h.chain, h.miner.address(), vec![tx], h.time + 1);
     let tip = h.chain.tip_hash();
     assert_eq!(
         h.chain.submit_block(block).map(|_| ()),
@@ -927,10 +948,7 @@ fn a_header_short_of_the_target_is_refused_as_bad_proof_of_work() {
         target: Target::with_leading_zero_bits(8),
         ..ChainParams::default()
     });
-    let mut block = chain
-        .prepare_block(miner.address(), vec![], 1)
-        .unwrap()
-        .block;
+    let mut block = assemble(&chain, miner.address(), vec![], 1);
     assert!(block.header.meets_target());
     block.header = (0..)
         .map(|nonce| BlockHeader {
@@ -961,30 +979,7 @@ fn btr_nullifier_consumed_and_replay_rejected() {
         .unwrap();
     h.submit_tx(ft).unwrap();
 
-    let (btr_pk, _) = setup_deterministic(&AcceptAll("btr"), b"h");
-    let entry_anchor = h
-        .chain
-        .state()
-        .registry
-        .get(&h.sc_id)
-        .unwrap()
-        .last_certificate_block();
-    let mut btr = zendoo_core::withdrawal::BackwardTransferRequest {
-        sidechain_id: h.sc_id,
-        receiver: Address::from_label("u"),
-        amount: Amount::from_units(10),
-        nullifier: Nullifier::from_utxo_digest(&Digest32::hash_bytes(b"coin")),
-        proofdata: ProofData::empty(),
-        proof: zendoo_snark::backend::Proof::from_bytes(&[0u8; 65]).unwrap(),
-    };
-    let sysdata = BtrSysData {
-        last_cert_block: entry_anchor,
-        nullifier: btr.nullifier,
-        receiver: btr.receiver,
-        amount: btr.amount,
-    };
-    let inputs = btr_public_inputs(&sysdata, &btr.proofdata.merkle_root());
-    btr.proof = prove(&btr_pk, &AcceptAll("btr"), &inputs, &()).unwrap();
+    let btr = h.btr(h.anchor(), b"coin");
 
     h.submit_tx(McTransaction::Btr(Box::new(btr.clone())))
         .unwrap();
@@ -1016,11 +1011,7 @@ fn sidechain_declaration_id_uniqueness() {
 fn a_header_at_the_wrong_height_is_refused_by_name() {
     let mut h = Harness::new();
     let expected = h.chain.height() + 1;
-    let mut block = h
-        .chain
-        .prepare_block(h.miner.address(), vec![], h.time + 1)
-        .unwrap()
-        .block;
+    let mut block = assemble(&h.chain, h.miner.address(), vec![], h.time + 1);
     // The coinbase names the same height, so only the height is wrong.
     block.header.height = expected + 1;
     let Some(McTransaction::Coinbase(coinbase)) = block.transactions.first_mut() else {
@@ -1044,11 +1035,7 @@ fn a_header_at_the_wrong_height_is_refused_by_name() {
 #[test]
 fn a_header_declaring_another_target_is_refused_by_name() {
     let mut h = Harness::new();
-    let mut block = h
-        .chain
-        .prepare_block(h.miner.address(), vec![], h.time + 1)
-        .unwrap()
-        .block;
+    let mut block = assemble(&h.chain, h.miner.address(), vec![], h.time + 1);
     let harder = Target::with_leading_zero_bits(4);
     assert_ne!(harder, h.chain.params().target);
     block.header = (0..)
@@ -1120,12 +1107,9 @@ fn a_coinbase_claiming_less_than_its_fees_burns_the_rest() {
             Amount::from_units(500),
         )
         .unwrap();
-    let mut block = chain
-        .prepare_block(miner.address(), vec![pay], 1)
-        .unwrap()
-        .block;
+    let mut block = assemble(&chain, miner.address(), vec![pay], 1);
     let McTransaction::Coinbase(coinbase) = &mut block.transactions[0] else {
-        unreachable!("a mined block starts with its coinbase")
+        unreachable!("an assembled block starts with its coinbase")
     };
     coinbase.outputs[0].amount = Amount::from_units(10);
     let block = remine(&chain, block);
@@ -1152,7 +1136,7 @@ fn a_coinbase_claiming_less_than_its_fees_burns_the_rest() {
     assert_eq!(chain.state().minted, supply(&chain));
 }
 
-/// A premine of `u64::MAX` spent all but one unit as fee: the dry run
+/// A premine of `u64::MAX` spent all but one unit as fee: the walk
 /// accepts the transfer, but `block_subsidy + fees` does not fit, so the
 /// builder refuses the block as `AmountOverflow` and leaves the live
 /// state as the tip's.
@@ -1177,9 +1161,7 @@ fn a_coinbase_past_u64_max_is_refused_by_the_builder_by_name() {
         .unwrap();
     let (tip, state) = (chain.tip_hash(), chain.state().clone());
     assert_eq!(
-        chain
-            .prepare_block(miner.address(), vec![pay], 1)
-            .map(|_| ()),
+        chain.mine_next(miner.address(), vec![pay], 1).map(|_| ()),
         Err(BlockError::AmountOverflow)
     );
     assert_eq!(chain.state(), &state);
@@ -1189,10 +1171,11 @@ fn a_coinbase_past_u64_max_is_refused_by_the_builder_by_name() {
 
 /// One mining attempt a block at a one-bit target: a header whose
 /// first nonce misses the target cannot be mined, and the builder
-/// refuses it as `MiningFailed` after the dry run, leaving the live
-/// state as the tip's. The premine is the first whose genesis mines at
-/// nonce 0 (found with a roomier attempt bound), and the timestamp the
-/// first whose block does not.
+/// refuses it as `MiningFailed` after its walk, leaving the live state
+/// as the tip's. The premine is the first whose genesis mines at nonce
+/// 0 (found with a roomier attempt bound), and the timestamp the first
+/// whose block does not (each tried on a fresh chain, since a block
+/// that mines connects).
 #[test]
 fn a_block_whose_first_nonce_misses_the_target_is_refused_by_name() {
     let miner = Wallet::from_seed(b"miner");
@@ -1215,30 +1198,79 @@ fn a_block_whose_first_nonce_misses_the_target_is_refused_by_name() {
             roomy.block_at_height(0).unwrap().header.nonce == 0
         })
         .unwrap();
-    let mut chain = Blockchain::new(params);
+    let fresh = Blockchain::new(params.clone());
     let pay = alice
         .pay(
-            &chain,
+            &fresh,
             Address::from_label("bob"),
             Amount::from_units(100),
             Amount::from_units(5),
         )
         .unwrap();
-    let (tip, state) = (chain.tip_hash(), chain.state().clone());
-    let time = (1..)
-        .find(|&time| {
-            chain
-                .prepare_block(miner.address(), vec![pay.clone()], time)
-                .is_err()
+    let (tip, state) = (fresh.tip_hash(), fresh.state().clone());
+    let (chain, outcome) = (1..)
+        .map(|time| {
+            let mut chain = Blockchain::new(params.clone());
+            let outcome = chain
+                .mine_next(miner.address(), vec![pay.clone()], time)
+                .map(|_| ());
+            (chain, outcome)
         })
+        .find(|(_, outcome)| outcome.is_err())
         .unwrap();
-    assert_eq!(
-        chain
-            .prepare_block(miner.address(), vec![pay], time)
-            .map(|_| ()),
-        Err(BlockError::MiningFailed)
-    );
+    assert_eq!(outcome, Err(BlockError::MiningFailed));
     assert_eq!(chain.state(), &state);
     assert_eq!(chain.tip_hash(), tip);
     assert_eq!(chain.height(), 0);
+}
+
+/// A BTR proven against the anchor before its chain's first certificate
+/// (zero), following that certificate in one block: the certificate's
+/// block is the anchor now, and no proof can bind its hash, so the
+/// chain cannot name the anchor at that height. The builder refuses the
+/// BTR by name and connects the certificate; a receiver given a block
+/// carrying both refuses it by name, tip and state unchanged. A BTR
+/// proven against the anchor the chain names once the certificate's
+/// block connected is accepted in the next block.
+#[test]
+fn a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block() {
+    // Epoch 0 spans heights 5..=14; its submission window opens at 15.
+    let at_window = || {
+        let mut h = Harness::new();
+        h.mine_to_height(14);
+        h
+    };
+    let mut h = at_window();
+    let height = h.chain.height() + 1;
+    let certificate = McTransaction::Certificate(Box::new(h.certificate(0, 1, vec![])));
+    let btr = McTransaction::Btr(Box::new(h.btr(Digest32::ZERO, b"coin")));
+    let missing = BlockError::Registry(RegistryError::MissingBoundaryBlock(height));
+    let candidates = vec![certificate.clone(), btr.clone()];
+
+    let mut receiver = at_window();
+    let block = assemble(
+        &receiver.chain,
+        receiver.miner.address(),
+        candidates.clone(),
+        h.time + 1,
+    );
+    let (tip, state) = (receiver.chain.tip_hash(), receiver.chain.state().clone());
+    assert_eq!(receiver.chain.submit_block(block), Err(missing.clone()));
+    assert_eq!(receiver.chain.tip_hash(), tip);
+    assert_eq!(receiver.chain.state(), &state);
+
+    h.time += 1;
+    let mined = h
+        .chain
+        .mine_next(h.miner.address(), candidates, h.time)
+        .unwrap();
+    assert_eq!(mined.rejected, vec![(btr, missing)]);
+    assert_eq!(mined.block.transactions[1..], [certificate]);
+    assert_eq!(h.chain.height(), height);
+    assert_eq!(h.chain.tip_hash(), mined.block.hash());
+    assert_eq!(h.anchor(), mined.block.hash());
+
+    let anchored = h.btr(h.anchor(), b"coin");
+    h.submit_tx(McTransaction::Btr(Box::new(anchored))).unwrap();
+    assert_eq!(h.chain.height(), height + 1);
 }

@@ -25,6 +25,9 @@
 //! drives a real certificate declaration through maturation to prove
 //! the registry is what mints the kind — no premine backdoor involved.
 
+mod common;
+
+use common::assemble;
 use zendoo_core::crosschain::{encode_xct_list, escrow_address, CrossChainTransfer};
 use zendoo_core::escrow::{EscrowError, EscrowTag};
 use zendoo_core::ids::{Address, Amount, EpochId, SidechainId};
@@ -433,15 +436,12 @@ fn escrow_to_escrow_laundering_rejected() {
 #[test]
 fn coinbase_cannot_mint_escrow_outputs() {
     let t = transfer(sc_id(0), 1, 100);
-    let (mut chain, _, _) = chain_with(1, Vec::new());
+    let (chain, _, _) = chain_with(1, Vec::new());
     let state = chain.state().clone();
     let mut forged_state = state.clone();
     let block = {
         // Hand-build a block whose coinbase smuggles an escrow output.
-        let mut block = chain
-            .prepare_block(Address::from_label("m"), vec![], 8)
-            .unwrap()
-            .block;
+        let mut block = assemble(&chain, Address::from_label("m"), vec![], 8);
         if let McTransaction::Coinbase(cb) = &mut block.transactions[0] {
             cb.outputs.push(TxOut::escrow(
                 escrow_address(),
@@ -458,7 +458,6 @@ fn coinbase_cannot_mint_escrow_outputs() {
         &mut forged_state,
         &block,
         &block.txids(),
-        block.hash(),
         &active,
         chain.params().block_subsidy,
         &pipeline::ProofVerdicts::inline(),

@@ -8,20 +8,26 @@
 
 mod common;
 
-use common::remine;
+use std::collections::BTreeMap;
+
+use common::{assemble, remine};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use zendoo_core::crosschain::{escrow_address, CrossChainTransfer};
 use zendoo_core::escrow::{EscrowError, EscrowTag};
-use zendoo_core::ids::{Address, Amount, EpochId, SidechainId};
+use zendoo_core::ids::{Address, Amount, EpochId, Nullifier, SidechainId};
 use zendoo_core::proofdata::ProofData;
 use zendoo_core::settlement::{SettlementBatch, SettlementError};
 use zendoo_core::transfer::ForwardTransfer;
+use zendoo_core::withdrawal::{
+    btr_public_inputs, BackwardTransferRequest, BtrSysData, CeasedSidechainWithdrawal,
+};
 use zendoo_core::{
     certificate::{wcert_public_inputs, WcertSysData},
     SidechainConfigBuilder, WithdrawalCertificate,
 };
 use zendoo_mainchain::block::Block;
-use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams, PreparedBlock};
+use zendoo_mainchain::chain::{BlockError, Blockchain, ChainParams};
 use zendoo_mainchain::pipeline::{self, ProofVerdicts};
 use zendoo_mainchain::registry::RegistryError;
 use zendoo_mainchain::transaction::{McTransaction, OutPoint, Output, TransferTx, TxOut};
@@ -155,7 +161,7 @@ fn tampered_proof_in_multi_certificate_block_rejects_block() {
         ),
         "tampered proof must reject the block, got {err:?}"
     );
-    // Nothing was applied: the failed dry-run left no certificate.
+    // Nothing was applied: the refused walk left no certificate.
     assert!(chain
         .state()
         .registry
@@ -168,29 +174,15 @@ fn tampered_proof_in_multi_certificate_block_rejects_block() {
 /// is the block's eight statements, verified as one batch.
 #[test]
 fn the_deferred_walk_and_its_discharge_leave_the_inline_state() {
-    let (mut chain, pks, miner) = chain_with_sidechains(8);
+    let (chain, pks, miner) = chain_with_sidechains(8);
     let certs: Vec<McTransaction> = (0..8)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&chain, &pks, i))))
         .collect();
-    let block = chain
-        .prepare_block(miner.address(), certs, 8)
-        .unwrap()
-        .block;
-    let hash = block.hash();
-    let active: Vec<Digest32> = (0..=chain.height())
-        .map(|h| chain.hash_at_height(h).unwrap())
-        .collect();
+    let block = assemble(&chain, miner.address(), certs, 8);
+    let active = active_chain(&chain);
     let subsidy = chain.params().block_subsidy;
     let walk = |state: &mut _, verdicts: &ProofVerdicts| {
-        pipeline::apply_block(
-            state,
-            &block,
-            &block.txids(),
-            hash,
-            &active,
-            subsidy,
-            verdicts,
-        )
+        pipeline::apply_block(state, &block, &block.txids(), &active, subsidy, verdicts)
     };
 
     let mut deferred_state = chain.state().clone();
@@ -216,18 +208,11 @@ fn the_deferred_walk_and_its_discharge_leave_the_inline_state() {
 
 #[test]
 fn block_undo_is_an_exact_rollback() {
-    let (mut chain, pks, miner) = chain_with_sidechains(3);
+    let (chain, pks, miner) = chain_with_sidechains(3);
     let certs: Vec<McTransaction> = (0..3)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&chain, &pks, i))))
         .collect();
-    let block = chain
-        .prepare_block(miner.address(), certs, 8)
-        .unwrap()
-        .block;
-    let hash = block.hash();
-    let active: Vec<Digest32> = (0..=chain.height())
-        .map(|h| chain.hash_at_height(h).unwrap())
-        .collect();
+    let block = assemble(&chain, miner.address(), certs, 8);
 
     let before = chain.state().clone();
     let mut state = chain.state().clone();
@@ -235,8 +220,7 @@ fn block_undo_is_an_exact_rollback() {
         &mut state,
         &block,
         &block.txids(),
-        hash,
-        &active,
+        &active_chain(&chain),
         chain.params().block_subsidy,
         &ProofVerdicts::inline(),
     )
@@ -280,7 +264,7 @@ fn a_receiver_verifies_each_statement_once_under_stage_2() {
     let (mut builder, pks, miner, _) = recording_node(4);
     let (mut receiver, _, _, telemetry) = recording_node(4);
     let block = builder
-        .prepare_block(miner.address(), certificate_txs(&builder, &pks, 4), 8)
+        .mine_next(miner.address(), certificate_txs(&builder, &pks, 4), 8)
         .unwrap()
         .block;
 
@@ -309,10 +293,7 @@ fn a_receiver_verifies_each_statement_once_under_stage_2() {
 fn an_empty_block_owes_no_proof_check() {
     let (mut builder, _, miner, _) = recording_node(1);
     let (mut receiver, _, _, telemetry) = recording_node(1);
-    let block = builder
-        .prepare_block(miner.address(), vec![], 8)
-        .unwrap()
-        .block;
+    let block = builder.mine_next(miner.address(), vec![], 8).unwrap().block;
 
     telemetry.drain();
     receiver.submit_block(block).unwrap();
@@ -327,11 +308,13 @@ fn an_empty_block_owes_no_proof_check() {
 /// refuses it with the per-statement error, and nothing connects.
 #[test]
 fn a_receiver_refuses_a_cross_wired_certificate_proof_by_name() {
-    let (mut builder, pks, miner, _) = recording_node(4);
-    let mut block = builder
-        .prepare_block(miner.address(), certificate_txs(&builder, &pks, 4), 8)
-        .unwrap()
-        .block;
+    let (builder, pks, miner, _) = recording_node(4);
+    let mut block = assemble(
+        &builder,
+        miner.address(),
+        certificate_txs(&builder, &pks, 4),
+        8,
+    );
     // Coinbase first, then the four certificates in order.
     let donor = match &block.transactions[3] {
         McTransaction::Certificate(cert) => cert.proof,
@@ -407,17 +390,15 @@ fn pay_both(chain: &Blockchain, i: usize) -> McTransaction {
     ))
 }
 
-/// Two certificates, then every user's two-input transfer: the block a
-/// builder makes of them.
+/// Two certificates, then every user's two-input transfer, assembled
+/// into one block to tamper with.
 fn sig_block() -> Block {
-    let (mut builder, pks, miner, _) = sig_node(Vec::new());
+    let (builder, pks, miner, _) = sig_node(Vec::new());
     let mut txs: Vec<McTransaction> = (0..2)
         .map(|i| McTransaction::Certificate(Box::new(epoch0_cert(&builder, &pks, i))))
         .collect();
     txs.extend((0..SIG_USERS).map(|i| pay_both(&builder, i)));
-    let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
-    assert!(prepared.rejected.is_empty());
-    prepared.block
+    assemble(&builder, miner.address(), txs, 8)
 }
 
 /// The transfer at `block.transactions[tx]`, to tamper with.
@@ -428,22 +409,34 @@ fn transfer_mut(block: &mut Block, tx: usize) -> &mut TransferTx {
     }
 }
 
-/// The inline validator: stage 3 over the pre-block state with every
-/// check verified where it is met.
-fn inline_verdict(chain: &Blockchain, block: &Block) -> Result<(), BlockError> {
-    let active: Vec<Digest32> = (0..=chain.height())
+/// The active chain's hashes by height, as stage 3 reads them.
+fn active_chain(chain: &Blockchain) -> Vec<Digest32> {
+    (0..=chain.height())
         .map(|h| chain.hash_at_height(h).unwrap())
-        .collect();
-    pipeline::apply_block(
-        &mut chain.state().clone(),
+        .collect()
+}
+
+/// The inline validator: stage 3 over a copy of `chain`'s state with
+/// every check verified where it is met. Returns the copy.
+fn inline_apply(
+    chain: &Blockchain,
+    block: &Block,
+) -> (Result<(), BlockError>, zendoo_mainchain::ChainState) {
+    let mut state = chain.state().clone();
+    let outcome = pipeline::apply_block(
+        &mut state,
         block,
         &block.txids(),
-        block.hash(),
-        &active,
+        &active_chain(chain),
         chain.params().block_subsidy,
         &ProofVerdicts::inline(),
     )
-    .map(|_| ())
+    .map(|_| ());
+    (outcome, state)
+}
+
+fn inline_verdict(chain: &Blockchain, block: &Block) -> Result<(), BlockError> {
+    inline_apply(chain, block).0
 }
 
 /// Submits `block` to a fresh cacheless receiver and asserts it is
@@ -566,12 +559,12 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
     let mut txs = vec![settlement];
     txs.extend(to_carol_and_on(&builder));
     txs.extend((0..3).map(|i| pay_both(&builder, i)));
-    let prepared = builder.prepare_block(miner.address(), txs, 8).unwrap();
-    assert!(prepared.rejected.is_empty(), "{:?}", prepared.rejected);
+    let mined = builder.mine_next(miner.address(), txs, 8).unwrap();
+    assert!(mined.rejected.is_empty(), "{:?}", mined.rejected);
 
     let (mut receiver, _, _, telemetry) = sig_node(escrow());
     telemetry.drain();
-    receiver.submit_block(prepared.block.clone()).unwrap();
+    receiver.submit_block(mined.block).unwrap();
     let snap = telemetry.drain();
     // The batch held every regular input — 1 + 1 + 3·2, carol's in-block
     // spend included; the two escrow inputs owe no signature. A deferred
@@ -584,9 +577,6 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
     assert_eq!(counter("mc.sig_cache.miss"), 0);
     assert_eq!(snap.counters.get("sig.batch.fallback"), None);
 
-    builder
-        .submit(prepared.block, Some(prepared.verdicts))
-        .unwrap();
     assert_eq!(receiver.tip_hash(), builder.tip_hash());
     assert_eq!(receiver.state(), builder.state());
 }
@@ -596,13 +586,10 @@ fn in_block_spend_chains_and_escrow_settlements_connect_on_a_cacheless_node() {
 /// it: the walk owed it to the batch like any other.
 #[test]
 fn a_junk_signature_on_an_in_block_spend_is_refused_by_name() {
-    let (mut builder, _, miner, _) = sig_node(Vec::new());
+    let (builder, _, miner, _) = sig_node(Vec::new());
     let mut txs = to_carol_and_on(&builder).to_vec();
     txs.extend((0..3).map(|i| pay_both(&builder, i)));
-    let mut block = builder
-        .prepare_block(miner.address(), txs, 8)
-        .unwrap()
-        .block;
+    let mut block = assemble(&builder, miner.address(), txs, 8);
     // Coinbase, the payment to carol, then carol's spend.
     transfer_mut(&mut block, 2).inputs[0].signature = junk_signature();
     let snap = assert_refused_as_inline(block, &BlockError::BadInputAuthorization { input: 0 });
@@ -713,12 +700,10 @@ fn validation_sha(metadata: usize) -> (u64, Vec<McTransaction>) {
     let txs: Vec<_> = (0..SIG_USERS)
         .map(|i| pay_and_forward(&builder, i, metadata))
         .collect();
-    let prepared = builder
-        .prepare_block(miner.address(), txs.clone(), 8)
-        .unwrap();
-    assert!(prepared.rejected.is_empty());
+    let mined = builder.mine_next(miner.address(), txs.clone(), 8).unwrap();
+    assert!(mined.rejected.is_empty());
     let (mut receiver, _, _, _) = sig_node(Vec::new());
-    let (outcome, cost) = measure(|| receiver.submit_block(prepared.block));
+    let (outcome, cost) = measure(|| receiver.submit_block(mined.block));
     outcome.unwrap();
     (cost.sha_blocks, txs)
 }
@@ -762,30 +747,15 @@ fn validating_a_block_hashes_each_transfer_id_once() {
 
 // ---- One-pass fill ≡ per-prefix greedy fill -------------------------------
 
-/// `chain.prepare_block`, asserting that the dry run leaves the chain's
-/// state, tip and height exactly as they were: the builder works on the
-/// live state and reverts it through the block's journal.
-fn prepare_reverted(
-    chain: &mut Blockchain,
-    miner: Address,
-    candidates: Vec<McTransaction>,
-) -> PreparedBlock {
-    let before = (chain.state().clone(), chain.tip_hash(), chain.height());
-    let prepared = chain.prepare_block(miner, candidates, 8).unwrap();
-    assert!(
-        (chain.state(), chain.tip_hash(), chain.height()) == (&before.0, before.1, before.2),
-        "prepare_block left the chain's state, tip or height changed"
-    );
-    prepared
-}
-
 /// The greedy reference the one-pass builder must equal: candidate `i`
-/// is accepted iff a block of the accepted prefix plus `i` rejects
-/// nothing — one full dry run per candidate, O(n²) overall. Returns the
-/// accepted candidates in order and, per rejected candidate, its index
-/// and error.
+/// is accepted iff the inline validator accepts a block of the accepted
+/// prefix plus `i`, assembled by hand — one full walk per candidate,
+/// O(n²) overall, none of it through the builder. A raw candidate meets
+/// the stage-1 transaction precheck first, as the builder's does.
+/// Returns the accepted candidates in order and, per rejected
+/// candidate, its index and error.
 fn per_prefix_greedy_fill(
-    chain: &mut Blockchain,
+    chain: &Blockchain,
     candidates: &[McTransaction],
 ) -> (Vec<McTransaction>, Vec<(usize, BlockError)>) {
     let mut accepted: Vec<McTransaction> = Vec::new();
@@ -793,10 +763,12 @@ fn per_prefix_greedy_fill(
     for (i, tx) in candidates.iter().enumerate() {
         let mut trial = accepted.clone();
         trial.push(tx.clone());
-        let prepared = prepare_reverted(chain, Address::from_label("m"), trial);
-        match prepared.rejected.into_iter().next() {
-            None => accepted.push(tx.clone()),
-            Some((_, error)) => rejected.push((i, error)),
+        let verdict = pipeline::precheck_transaction(tx).and_then(|()| {
+            inline_verdict(chain, &assemble(chain, Address::from_label("m"), trial, 8))
+        });
+        match verdict {
+            Ok(()) => accepted.push(tx.clone()),
+            Err(error) => rejected.push((i, error)),
         }
     }
     (accepted, rejected)
@@ -805,9 +777,7 @@ fn per_prefix_greedy_fill(
 /// One generated candidate: `(kind, user, coin, back)`.
 type Op = (usize, usize, usize, usize);
 
-/// Builds the candidate list `ops` describe, over a chain where each of
-/// three users owns four 1,000-unit coins and two sidechains can
-/// certify epoch 0. Kinds: 0 = valid transfer of `coin` (two ops naming
+/// Builds the candidate list `ops` describe, over a [`fill_node`]. Kinds: 0 = valid transfer of `coin` (two ops naming
 /// one coin are an in-block double spend), 1 = overspend, 2 = bad
 /// signature, 3 = child spending output 0 of the transfer candidate
 /// `back` places before it (accepted or not), 4 = certificate, 5 =
@@ -890,27 +860,36 @@ fn candidates_from(
     candidates
 }
 
+/// A chain where each of three users owns four 1,000-unit coins and two
+/// sidechains can certify epoch 0, with the users. Deterministic: two
+/// calls give a builder and a receiver at one tip.
+fn fill_node() -> (Blockchain, Vec<ProvingKey>, Wallet, Vec<Wallet>) {
+    let users: Vec<Wallet> = (0..3)
+        .map(|i| Wallet::from_seed(format!("fill-user-{i}").as_bytes()))
+        .collect();
+    let premine = users
+        .iter()
+        .flat_map(|user| vec![TxOut::regular(user.address(), Amount::from_units(1_000)); 4])
+        .collect();
+    let (chain, pks, miner) = chain_with_sidechains_premined(2, premine);
+    (chain, pks, miner, users)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The one-pass fill behind `prepare_block` accepts the same
-    /// candidates in the same order as the per-prefix greedy fill, and
-    /// rejects each of the others with the same `BlockError`; and every
-    /// `prepare_block`, the one-pass fill's and each of the reference's,
-    /// leaves the chain's state, tip and height as they were.
+    /// The one-pass fill behind `mine_next` accepts the same candidates
+    /// in the same order as the per-prefix greedy fill, and rejects each
+    /// of the others with the same `BlockError`. Its one walk is the
+    /// connect: state, tip and height advance by exactly the one block
+    /// it returns — the inline validator's state for that block — and a
+    /// receiver given the block alone ends in the same state.
     #[test]
     fn prop_one_pass_fill_equals_per_prefix_greedy_fill(
         random in proptest::collection::vec((0usize..8, 0usize..3, 0usize..3, 0usize..16), 4..10),
         user in 0usize..3,
     ) {
-        let users: Vec<Wallet> = (0..3)
-            .map(|i| Wallet::from_seed(format!("fill-user-{i}").as_bytes()))
-            .collect();
-        let premine = users
-            .iter()
-            .flat_map(|user| vec![TxOut::regular(user.address(), Amount::from_units(1_000)); 4])
-            .collect();
-        let (mut chain, pks, miner) = chain_with_sidechains_premined(2, premine);
+        let (mut chain, pks, miner, users) = fill_node();
         // Every list ends with one of each named case, on coin 3 (which
         // the random part never touches, so these verdicts are known).
         let n = random.len();
@@ -928,8 +907,9 @@ proptest! {
         ]);
         let candidates = candidates_from(&chain, &pks, &users, &ops);
 
-        let prepared = prepare_reverted(&mut chain, miner.address(), candidates.clone());
-        let (accepted, rejected) = per_prefix_greedy_fill(&mut chain, &candidates);
+        let (accepted, rejected) = per_prefix_greedy_fill(&chain, &candidates);
+        let (tip, height) = (chain.tip_hash(), chain.height());
+        let mined = chain.mine_next(miner.address(), candidates.clone(), 8).unwrap();
 
         let tail: Vec<_> = rejected
             .iter()
@@ -947,12 +927,25 @@ proptest! {
                 (7, "registry"),
             ]
         );
-        prop_assert_eq!(&prepared.block.transactions[1..], &accepted[..]);
+        prop_assert_eq!(&mined.block.transactions[1..], &accepted[..]);
         let reference: Vec<(McTransaction, BlockError)> = rejected
             .into_iter()
             .map(|(i, error)| (candidates[i].clone(), error))
             .collect();
-        prop_assert_eq!(prepared.rejected, reference);
+        prop_assert_eq!(&mined.rejected, &reference);
+
+        // Exactly one block on the old tip, and the inline validator's
+        // state for it.
+        prop_assert_eq!(mined.block.header.parent, tip);
+        prop_assert_eq!(chain.height(), height + 1);
+        prop_assert_eq!(chain.tip_hash(), mined.block.hash());
+        let (mut receiver, ..) = fill_node();
+        let (outcome, inline_state) = inline_apply(&receiver, &mined.block);
+        prop_assert_eq!(outcome, Ok(()));
+        prop_assert!(&inline_state == chain.state(), "the walk left the inline state");
+        receiver.submit_block(mined.block).unwrap();
+        prop_assert_eq!(receiver.tip_hash(), chain.tip_hash());
+        prop_assert!(receiver.state() == chain.state(), "a receiver's state diverged");
     }
 }
 
@@ -1107,5 +1100,585 @@ fn settlement_cannot_spend_non_escrow_inputs() {
     assert!(
         matches!(err, BlockError::Escrow(EscrowError::EntryUnbacked { .. })),
         "settlement without escrow-kind backing must be rejected, got {err:?}"
+    );
+}
+
+// ---- Hostile blocks: every validator held equal --------------------------
+//
+// One generator of valid blocks — random transfers with in-block spend
+// chains, certificates, forward transfers, BTRs and CSWs, filled by the
+// builder — and of corrupted ones: 0–3 of six corruptions applied to the
+// builder's block. A cacheless receiver's `submit_block` must refuse
+// exactly what the serial inline validator (stage 1, then stage 3 with
+// every check verified where it is met) refuses, with the same error,
+// and leave the state, tip and height that validator leaves.
+
+/// Cases the hostile-block generator runs.
+const HOSTILE_CASES: usize = 128;
+/// Spenders of the hostile world, each owning three 1,000-unit coins.
+const HOSTILE_USERS: usize = 4;
+/// The height of the hostile block.
+const HOSTILE_HEIGHT: u64 = 16;
+/// Heights carrying the BTR chain's and the CSW chain's certificates.
+const BTR_ANCHOR: u64 = 10;
+const CSW_ANCHOR: u64 = 6;
+
+fn hostile_user(i: usize) -> Wallet {
+    Wallet::from_seed(format!("hostile-user-{i}").as_bytes())
+}
+
+fn hostile_id(label: &str) -> SidechainId {
+    SidechainId::from_label(&format!("hostile-{label}"))
+}
+
+/// The keys a hostile candidate is proven with.
+struct HostileKeys {
+    /// Certificate keys of the two chains certifiable in the hostile
+    /// block.
+    wcert: [ProvingKey; 2],
+    btr: ProvingKey,
+    csw: ProvingKey,
+}
+
+/// A node one block short of [`HOSTILE_HEIGHT`], on a chain carrying:
+/// - `hostile-btr` (BTRs on): certified at [`BTR_ANCHOR`], active, one
+///   BTR nullifier (`"spent"`) consumed at height 11;
+/// - `hostile-csw` (CSWs on): funded with 5,000 units, certified at
+///   [`CSW_ANCHOR`], ceased at height 12 for want of its next
+///   certificate;
+/// - `hostile-cert-0` and `-1`: epoch 0 over heights 2..=15, so both
+///   can certify in the hostile block.
+///
+/// Deterministic: every call gives a node at one tip.
+fn hostile_node() -> (Blockchain, Wallet, HostileKeys) {
+    let miner = Wallet::from_seed(b"hostile-miner");
+    let funder = Wallet::from_seed(b"hostile-funder");
+    let mut premine = vec![TxOut::regular(
+        funder.address(),
+        Amount::from_units(100_000),
+    )];
+    for i in 0..HOSTILE_USERS {
+        let address = hostile_user(i).address();
+        premine.extend([1_000; 3].map(|units| TxOut::regular(address, Amount::from_units(units))));
+    }
+    let mut chain = Blockchain::new(ChainParams {
+        genesis_outputs: premine,
+        ..ChainParams::default()
+    });
+    let setup = |label: &str| setup_deterministic(&AcceptAll("wcert"), label.as_bytes());
+    let (btr_pk, btr_vk) = setup_deterministic(&AcceptAll("btr"), b"hostile");
+    let (csw_pk, csw_vk) = setup_deterministic(&AcceptAll("csw"), b"hostile");
+    let config = |label: &str, epoch_len: u32, vk| {
+        SidechainConfigBuilder::new(hostile_id(label), vk)
+            .start_block(2)
+            .epoch_len(epoch_len)
+            .submit_len(2)
+    };
+    let (btr_wcert, vk) = setup("btr");
+    let btr_config = config("btr", 8, vk).btr_vk(btr_vk).build().unwrap();
+    let (csw_wcert, vk) = setup("csw");
+    let csw_config = config("csw", 4, vk).csw_vk(csw_vk).build().unwrap();
+    let (wcert0, vk0) = setup("cert-0");
+    let (wcert1, vk1) = setup("cert-1");
+    let declarations = [
+        btr_config,
+        csw_config,
+        config("cert-0", 14, vk0).build().unwrap(),
+        config("cert-1", 14, vk1).build().unwrap(),
+    ]
+    .map(|config| McTransaction::SidechainDeclaration(Box::new(config)));
+    chain
+        .mine_next_block(miner.address(), declarations.to_vec(), 1)
+        .unwrap();
+    let fund = funder
+        .forward_transfer(
+            &chain,
+            hostile_id("csw"),
+            vec![],
+            Amount::from_units(5_000),
+            Amount::ZERO,
+        )
+        .unwrap();
+    for height in 2..HOSTILE_HEIGHT {
+        let txs = match height {
+            2 => vec![fund.clone()],
+            CSW_ANCHOR => vec![certify(&chain, &csw_wcert, "csw", 5, 1)],
+            BTR_ANCHOR => vec![certify(&chain, &btr_wcert, "btr", 9, 1)],
+            11 => vec![McTransaction::Btr(Box::new(hostile_btr(
+                &btr_pk,
+                chain.hash_at_height(BTR_ANCHOR).unwrap(),
+                "spent",
+                10,
+            )))],
+            _ => vec![],
+        };
+        chain.mine_next_block(miner.address(), txs, height).unwrap();
+    }
+    assert_eq!(chain.height(), HOSTILE_HEIGHT - 1);
+    let keys = HostileKeys {
+        wcert: [wcert0, wcert1],
+        btr: btr_pk,
+        csw: csw_pk,
+    };
+    (chain, miner, keys)
+}
+
+/// The epoch-0 certificate of `hostile-<label>` at `quality`, proven
+/// against the chain's blocks at height 1 and `epoch_end`.
+fn certify(
+    chain: &Blockchain,
+    pk: &ProvingKey,
+    label: &str,
+    epoch_end: u64,
+    quality: u64,
+) -> McTransaction {
+    let mut cert = WithdrawalCertificate {
+        sidechain_id: hostile_id(label),
+        epoch_id: 0,
+        quality,
+        bt_list: vec![],
+        proofdata: ProofData::empty(),
+        proof: zendoo_snark::backend::Proof::from_bytes(&[0u8; 65]).unwrap(),
+    };
+    let sysdata = WcertSysData::for_certificate(
+        &cert,
+        chain.hash_at_height(1).unwrap(),
+        chain.hash_at_height(epoch_end).unwrap(),
+    );
+    let inputs = wcert_public_inputs(&sysdata, &cert.proofdata.merkle_root());
+    cert.proof = prove(pk, &AcceptAll("wcert"), &inputs, &()).unwrap();
+    McTransaction::Certificate(Box::new(cert))
+}
+
+/// The statement a BTR or CSW of `amount` to `hostile-user-0`, spending
+/// the nullifier named `seed`, proves against `anchor`.
+fn withdrawal_inputs(anchor: Digest32, nullifier: Nullifier, amount: Amount) -> PublicInputs {
+    let sysdata = BtrSysData {
+        last_cert_block: anchor,
+        nullifier,
+        receiver: hostile_user(0).address(),
+        amount,
+    };
+    btr_public_inputs(&sysdata, &ProofData::empty().merkle_root())
+}
+
+fn hostile_nullifier(seed: &str) -> Nullifier {
+    Nullifier::from_utxo_digest(&Digest32::hash_bytes(seed.as_bytes()))
+}
+
+fn hostile_btr(
+    pk: &ProvingKey,
+    anchor: Digest32,
+    seed: &str,
+    units: u64,
+) -> BackwardTransferRequest {
+    let (nullifier, amount) = (hostile_nullifier(seed), Amount::from_units(units));
+    BackwardTransferRequest {
+        sidechain_id: hostile_id("btr"),
+        receiver: hostile_user(0).address(),
+        amount,
+        nullifier,
+        proofdata: ProofData::empty(),
+        proof: prove(
+            pk,
+            &AcceptAll("btr"),
+            &withdrawal_inputs(anchor, nullifier, amount),
+            &(),
+        )
+        .unwrap(),
+    }
+}
+
+fn hostile_csw(
+    pk: &ProvingKey,
+    anchor: Digest32,
+    seed: &str,
+    units: u64,
+) -> CeasedSidechainWithdrawal {
+    let (nullifier, amount) = (hostile_nullifier(seed), Amount::from_units(units));
+    CeasedSidechainWithdrawal {
+        sidechain_id: hostile_id("csw"),
+        receiver: hostile_user(0).address(),
+        amount,
+        nullifier,
+        proofdata: ProofData::empty(),
+        proof: prove(
+            pk,
+            &AcceptAll("csw"),
+            &withdrawal_inputs(anchor, nullifier, amount),
+            &(),
+        )
+        .unwrap(),
+    }
+}
+
+/// Random candidates for the hostile block: payments, children spending
+/// an earlier payment's first output in the same block, certificates,
+/// forward transfers, BTRs and CSWs (nullifiers from a small set, so
+/// some repeat, and `"spent"` among them).
+fn hostile_candidates(
+    chain: &Blockchain,
+    keys: &HostileKeys,
+    rng: &mut TestRng,
+) -> Vec<McTransaction> {
+    let seeds = ["a", "b", "c", "spent"];
+    let btr_anchor = chain.hash_at_height(BTR_ANCHOR).unwrap();
+    let csw_anchor = chain.hash_at_height(CSW_ANCHOR).unwrap();
+    let users: Vec<Wallet> = (0..HOSTILE_USERS).map(hostile_user).collect();
+    // Output 0 of every payment so far, with its owner.
+    let mut heads: Vec<(OutPoint, usize)> = Vec::new();
+    let mut candidates = Vec::new();
+    for _ in 0..4 + rng.index(9) {
+        let user = rng.index(HOSTILE_USERS);
+        let (coin, _) = chain.state().utxos.owned_by(&users[user].address())[rng.index(3)];
+        let secret = |owner: usize| &users[owner].keypair().secret;
+        let pay = |to: usize, units: u64| {
+            Output::Regular(TxOut::regular(
+                users[to % HOSTILE_USERS].address(),
+                Amount::from_units(units),
+            ))
+        };
+        let tx = match rng.index(6) {
+            0 => {
+                let to = user + 1 + rng.index(HOSTILE_USERS - 1);
+                let tx = TransferTx::signed(&[(coin, secret(user))], vec![pay(to, 900)]);
+                heads.push((
+                    OutPoint {
+                        txid: McTransaction::Transfer(tx.clone()).txid(),
+                        index: 0,
+                    },
+                    to % HOSTILE_USERS,
+                ));
+                McTransaction::Transfer(tx)
+            }
+            1 if !heads.is_empty() => {
+                let (head, owner) = heads[rng.index(heads.len())];
+                let tx = TransferTx::signed(&[(head, secret(owner))], vec![pay(owner + 1, 800)]);
+                heads.push((
+                    OutPoint {
+                        txid: McTransaction::Transfer(tx.clone()).txid(),
+                        index: 0,
+                    },
+                    (owner + 1) % HOSTILE_USERS,
+                ));
+                McTransaction::Transfer(tx)
+            }
+            2 => {
+                let i = rng.index(2);
+                let quality = 1 + rng.index(3) as u64;
+                certify(chain, &keys.wcert[i], &format!("cert-{i}"), 15, quality)
+            }
+            3 => {
+                let dest = ["btr", "cert-0", "cert-1", "csw"][rng.index(4)];
+                McTransaction::Transfer(TransferTx::signed(
+                    &[(coin, secret(user))],
+                    vec![
+                        Output::Forward(ForwardTransfer {
+                            sidechain_id: hostile_id(dest),
+                            receiver_metadata: vec![],
+                            amount: Amount::from_units(400),
+                        }),
+                        pay(user, 500),
+                    ],
+                ))
+            }
+            4 => McTransaction::Btr(Box::new(hostile_btr(
+                &keys.btr,
+                btr_anchor,
+                seeds[rng.index(4)],
+                10,
+            ))),
+            _ => McTransaction::Csw(Box::new(hostile_csw(
+                &keys.csw,
+                csw_anchor,
+                seeds[rng.index(4)],
+                100 * (1 + rng.index(5) as u64),
+            ))),
+        };
+        candidates.push(tx);
+    }
+    candidates
+}
+
+/// What a hostile block's generator may do to the builder's block.
+#[derive(Clone, Copy, Debug)]
+enum Corruption {
+    /// A junk signature at one input of one transfer.
+    JunkSignature,
+    /// One posting's proof swapped for another posting's, or for a proof
+    /// of a junk statement when the block holds one posting.
+    CrossWiredProof,
+    /// One input of one transfer made to spend an output that does not
+    /// exist.
+    MissingInput,
+    /// An output of `u64::MAX` added to the coinbase or to a transfer.
+    PastU64Max,
+    /// A second BTR or CSW spending a nullifier the block (or the chain)
+    /// already spends.
+    ReusedNullifier,
+    /// Two transactions swapped.
+    Swap,
+}
+
+const CORRUPTIONS: [Corruption; 6] = [
+    Corruption::JunkSignature,
+    Corruption::CrossWiredProof,
+    Corruption::MissingInput,
+    Corruption::PastU64Max,
+    Corruption::ReusedNullifier,
+    Corruption::Swap,
+];
+
+/// Applies `corruption` to `block`, a block on `chain`'s tip, and says
+/// whether it found something to corrupt. The caller re-mines.
+fn corrupt(
+    block: &mut Block,
+    corruption: Corruption,
+    chain: &Blockchain,
+    keys: &HostileKeys,
+    rng: &mut TestRng,
+) -> bool {
+    let indexes = |block: &Block, pick: fn(&McTransaction) -> bool| -> Vec<usize> {
+        (1..block.transactions.len())
+            .filter(|&i| pick(&block.transactions[i]))
+            .collect()
+    };
+    let transfers = indexes(block, |tx| matches!(tx, McTransaction::Transfer(_)));
+    let postings = indexes(block, |tx| {
+        matches!(
+            tx,
+            McTransaction::Certificate(_) | McTransaction::Btr(_) | McTransaction::Csw(_)
+        )
+    });
+    match corruption {
+        Corruption::JunkSignature | Corruption::MissingInput => {
+            let Some(tx) = pick(&transfers, rng) else {
+                return false;
+            };
+            let transfer = transfer_mut(block, tx);
+            let input = rng.index(transfer.inputs.len());
+            let input = &mut transfer.inputs[input];
+            match corruption {
+                Corruption::JunkSignature => input.signature = junk_signature(),
+                _ => {
+                    input.outpoint = OutPoint {
+                        txid: Digest32::hash_bytes(b"no such transaction"),
+                        index: 0,
+                    }
+                }
+            }
+        }
+        Corruption::CrossWiredProof => {
+            let Some(target) = pick(&postings, rng) else {
+                return false;
+            };
+            let donor = match postings.iter().find(|&&i| i != target) {
+                Some(&i) => proof_of(&block.transactions[i]),
+                None => prove(
+                    &keys.btr,
+                    &AcceptAll("btr"),
+                    &withdrawal_inputs(Digest32::ZERO, hostile_nullifier("junk"), Amount::ZERO),
+                    &(),
+                )
+                .unwrap(),
+            };
+            match &mut block.transactions[target] {
+                McTransaction::Certificate(cert) => cert.proof = donor,
+                McTransaction::Btr(btr) => btr.proof = donor,
+                McTransaction::Csw(csw) => csw.proof = donor,
+                other => unreachable!("not a posting: {other:?}"),
+            }
+        }
+        Corruption::PastU64Max => {
+            let past = TxOut::regular(hostile_user(1).address(), Amount::from_units(u64::MAX));
+            if rng.index(2) == 0 {
+                let McTransaction::Coinbase(coinbase) = &mut block.transactions[0] else {
+                    unreachable!("a block opens with its coinbase")
+                };
+                coinbase.outputs.push(past);
+            } else {
+                let Some(tx) = pick(&transfers, rng) else {
+                    return false;
+                };
+                transfer_mut(block, tx).outputs.push(Output::Regular(past));
+            }
+        }
+        Corruption::ReusedNullifier => {
+            let withdrawals = indexes(block, |tx| {
+                matches!(tx, McTransaction::Btr(_) | McTransaction::Csw(_))
+            });
+            let btr_anchor = chain.hash_at_height(BTR_ANCHOR).unwrap();
+            let csw_anchor = chain.hash_at_height(CSW_ANCHOR).unwrap();
+            // A fresh posting of another amount (so another id) spending
+            // the same nullifier, proven against the right anchor.
+            let (at, again) = match pick(&withdrawals, rng) {
+                None => (
+                    block.transactions.len(),
+                    McTransaction::Btr(Box::new(hostile_btr(&keys.btr, btr_anchor, "spent", 12))),
+                ),
+                Some(i) => {
+                    let again = match &block.transactions[i] {
+                        McTransaction::Btr(btr) => {
+                            let mut again = hostile_btr(&keys.btr, btr_anchor, "again", 13);
+                            again.nullifier = btr.nullifier;
+                            again.proof = prove(
+                                &keys.btr,
+                                &AcceptAll("btr"),
+                                &withdrawal_inputs(btr_anchor, again.nullifier, again.amount),
+                                &(),
+                            )
+                            .unwrap();
+                            McTransaction::Btr(Box::new(again))
+                        }
+                        McTransaction::Csw(csw) => {
+                            let mut again = hostile_csw(&keys.csw, csw_anchor, "again", 13);
+                            again.nullifier = csw.nullifier;
+                            again.proof = prove(
+                                &keys.csw,
+                                &AcceptAll("csw"),
+                                &withdrawal_inputs(csw_anchor, again.nullifier, again.amount),
+                                &(),
+                            )
+                            .unwrap();
+                            McTransaction::Csw(Box::new(again))
+                        }
+                        other => unreachable!("not a withdrawal: {other:?}"),
+                    };
+                    (i + 1, again)
+                }
+            };
+            block.transactions.insert(at, again);
+        }
+        Corruption::Swap => {
+            let n = block.transactions.len();
+            if n < 3 {
+                return false;
+            }
+            let a = 1 + rng.index(n - 1);
+            let b = 1 + (a + rng.index(n - 2)) % (n - 1);
+            block.transactions.swap(a, b);
+        }
+    }
+    true
+}
+
+/// One of `indexes`, at random; `None` when there is none.
+fn pick(indexes: &[usize], rng: &mut TestRng) -> Option<usize> {
+    (!indexes.is_empty()).then(|| indexes[rng.index(indexes.len())])
+}
+
+fn proof_of(tx: &McTransaction) -> zendoo_snark::backend::Proof {
+    match tx {
+        McTransaction::Certificate(cert) => cert.proof,
+        McTransaction::Btr(btr) => btr.proof,
+        McTransaction::Csw(csw) => csw.proof,
+        other => unreachable!("not a posting: {other:?}"),
+    }
+}
+
+/// The serial inline validator: stage 1, then stage 3 over a copy of
+/// `chain`'s state with every check verified where it is met. Returns
+/// its verdict and the copy.
+fn serial_inline(
+    chain: &Blockchain,
+    block: &Block,
+) -> (Result<(), BlockError>, zendoo_mainchain::ChainState) {
+    match pipeline::precheck_block(chain.params().target, block) {
+        Err(error) => (Err(error), chain.state().clone()),
+        Ok(_) => inline_apply(chain, block),
+    }
+}
+
+/// Generated hostile blocks: the builder fills a block from random
+/// candidates, and 0–3 random corruptions are applied to it. A cacheless
+/// receiver must return the serial inline validator's verdict — the
+/// same refusal, error for error — and end in its state, tip and height;
+/// a block left uncorrupted must also leave the receiver in the
+/// builder's state, at its tip. Prints the cases run, what the
+/// builder's blocks held, the corruptions applied and the outcomes
+/// seen.
+#[test]
+fn prop_hostile_blocks_are_refused_as_the_inline_validator_refuses_them() {
+    let mut rng = TestRng::deterministic("pipeline::prop_hostile_blocks");
+    let mut held: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut applied: BTreeMap<String, usize> = BTreeMap::new();
+    let mut outcomes: BTreeMap<&str, usize> = BTreeMap::new();
+    for case in 0..HOSTILE_CASES {
+        let (mut builder, miner, keys) = hostile_node();
+        let (mut receiver, _, _) = hostile_node();
+        let candidates = hostile_candidates(&builder, &keys, &mut rng);
+        let mined = builder
+            .mine_next(miner.address(), candidates, HOSTILE_HEIGHT)
+            .unwrap();
+        let in_block: Vec<Digest32> = mined.block.txids();
+        for tx in &mined.block.transactions[1..] {
+            let kind = match tx {
+                McTransaction::Transfer(t)
+                    if t.inputs.iter().any(|i| in_block.contains(&i.outpoint.txid)) =>
+                {
+                    "in_block_spend"
+                }
+                McTransaction::Transfer(t)
+                    if t.outputs.iter().any(|o| matches!(o, Output::Forward(_))) =>
+                {
+                    "forward_transfer"
+                }
+                McTransaction::Transfer(_) => "payment",
+                McTransaction::Certificate(_) => "certificate",
+                McTransaction::Btr(_) => "btr",
+                McTransaction::Csw(_) => "csw",
+                other => unreachable!("not a candidate: {other:?}"),
+            };
+            *held.entry(kind).or_default() += 1;
+        }
+        let mut block = mined.block.clone();
+        let mut corrupted = Vec::new();
+        for _ in 0..rng.index(4) {
+            let corruption = CORRUPTIONS[rng.index(CORRUPTIONS.len())];
+            if corrupt(&mut block, corruption, &receiver, &keys, &mut rng) {
+                *applied.entry(format!("{corruption:?}")).or_default() += 1;
+                corrupted.push(corruption);
+            }
+        }
+        if !corrupted.is_empty() {
+            block = remine(&receiver, block);
+        }
+        let case = format!("case {case}, corrupted by {corrupted:?}");
+
+        let (expected, inline_state) = serial_inline(&receiver, &block);
+        let (tip, height) = (receiver.tip_hash(), receiver.height());
+        let got = receiver.submit_block(block.clone()).map(|_| ());
+        assert_eq!(got, expected, "{case}: the receiver's verdict");
+        assert!(
+            receiver.state() == &inline_state,
+            "{case}: the receiver's state is not the inline validator's"
+        );
+        match &expected {
+            Ok(()) => {
+                assert_eq!(receiver.tip_hash(), block.hash(), "{case}");
+                assert_eq!(receiver.height(), height + 1, "{case}");
+            }
+            Err(_) => {
+                assert_eq!(receiver.tip_hash(), tip, "{case}");
+                assert_eq!(receiver.height(), height, "{case}");
+            }
+        }
+        if corrupted.is_empty() {
+            assert_eq!(got, Ok(()), "{case}: the builder's block");
+            assert_eq!(receiver.tip_hash(), builder.tip_hash(), "{case}");
+            assert!(
+                receiver.state() == builder.state(),
+                "{case}: builder and receiver states diverged"
+            );
+        }
+        let outcome = match &expected {
+            Ok(()) => "connected",
+            Err(error) => error.variant_name(),
+        };
+        *outcomes.entry(outcome).or_default() += 1;
+    }
+    println!(
+        "hostile blocks: {HOSTILE_CASES} cases; the builder's blocks held {held:?}; \
+         corruptions applied {applied:?}; outcomes {outcomes:?}"
     );
 }

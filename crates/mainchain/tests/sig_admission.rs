@@ -1,8 +1,8 @@
 //! Adversarial batched-admission tests: tampered signatures die at
 //! admission, worker parallelism never changes the admitted set, an
 //! admitted batch mines without re-running stage-1 or signature
-//! verification — and a *forged* verdict cache can fool only the local
-//! template builder, never an independent verifier. Each worker's chunk
+//! verification, its block walked once — and a *forged* verdict cache
+//! can fool only the local builder, never an independent verifier. Each worker's chunk
 //! is one batch equation: the forgeries a plain sum of the verification
 //! equations would accept are flagged at their indices, and the verdict
 //! vector equals the per-signature oracle for every worker count.
@@ -186,7 +186,7 @@ fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
     assert_eq!(report.admitted, 10);
     assert_eq!(report.sig_checks, 10);
 
-    let block = miner.mine(&mut chain, 1).unwrap();
+    let block = miner.mine(&mut chain, 1).unwrap().block;
     assert_eq!(block.transactions.len(), 11, "coinbase + the whole batch");
 
     let snapshot = telemetry.snapshot();
@@ -205,9 +205,9 @@ fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
     );
     assert_eq!(
         snapshot.counters.get("mc.sig_cache.hit").copied(),
-        Some(20),
-        "every verdict comes from the admission cache, consulted twice \
-         per signature: at template build and at block connect"
+        Some(10),
+        "every verdict comes from the admission cache, consulted once \
+         per signature: by the one walk that builds and connects the block"
     );
     assert_eq!(
         snapshot
@@ -230,11 +230,11 @@ fn admitted_batch_mines_without_rerunning_precheck_or_signatures() {
 /// Transfers pooled one at a time (`Miner::submit_transaction`, the
 /// path every queued mainchain transaction of a simulated world takes)
 /// carry no verdict: the builder verifies their signatures as one batch
-/// before its dry run, and the block then submits without a single
-/// group multiplication — stage 3 answers every signature from the
-/// carrier. The batch runs on one lane per core, and operation counts
-/// are per thread, so the build is read off the batch histogram, which
-/// no worker count changes.
+/// before its walk, and that one walk, which connects the block,
+/// answers every signature from the batch — nothing is verified at a
+/// submission, since the node's own block has none. The batch runs on
+/// one lane per core, and operation counts are per thread, so the build
+/// is read off the batch histogram, which no worker count changes.
 #[test]
 fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
     let (mut chain, wallets) = chain_with_users(6);
@@ -255,8 +255,9 @@ fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
     }
     let telemetry = Telemetry::in_memory();
     chain.set_telemetry(telemetry.clone());
-    let prepared = miner.prepare(&mut chain, 1).unwrap();
-    assert_eq!(prepared.block.transactions.len(), 7);
+    let mined = miner.mine(&mut chain, 1).unwrap();
+    assert_eq!(mined.block.transactions.len(), 7);
+    assert_eq!(chain.tip_hash(), mined.block.hash());
     let building = telemetry.drain();
     assert_eq!(
         building.histograms["sig.batch.sigs"].sum(),
@@ -264,22 +265,22 @@ fn queued_transfers_are_verified_once_at_build_and_never_at_submit() {
         "each signature once, at build"
     );
     assert_eq!(building.spans["sig.batch.verify"].count, 1, "in one batch");
+    assert_eq!(building.spans["mc.stage3.apply"].count, 1, "one walk");
+    assert!(
+        !building.spans.contains_key("mc.stage1.precheck"),
+        "the node's own block runs no stage 1"
+    );
     assert_eq!(building.counters.get("mc.sig_cache.hit"), Some(&6));
-
-    let (outcome, submitting) =
-        measure(|| chain.submit(prepared.block.clone(), Some(prepared.verdicts)));
-    assert!(matches!(outcome, Ok(SubmitOutcome::ExtendedActiveChain)));
-    assert_eq!(submitting.group_muls, 0, "stage 3 re-verifies nothing");
-    let snapshot = telemetry.drain();
-    assert_eq!(snapshot.counters.get("mc.sig_cache.hit"), Some(&6));
     assert_eq!(
-        snapshot
+        building
             .counters
             .get("mc.sig_cache.miss")
             .copied()
             .unwrap_or(0),
-        0
+        0,
+        "the walk re-verifies nothing"
     );
+    assert_eq!(building.counters.get("mc.blocks_connected"), Some(&1));
 }
 
 /// One bad signature among transfers pooled one at a time — first, in
@@ -346,9 +347,9 @@ fn a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits() {
 
         let telemetry = Telemetry::in_memory();
         chain.set_telemetry(telemetry.clone());
-        let prepared = miner.prepare(&mut chain, 1).unwrap();
+        let mined = miner.mine(&mut chain, 1).unwrap();
         assert_eq!(
-            prepared.rejected,
+            mined.rejected,
             vec![(
                 txs[at].clone(),
                 BlockError::BadInputAuthorization { input: 0 }
@@ -357,7 +358,7 @@ fn a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits() {
         );
         let confirmed: Vec<&McTransaction> = txs.iter().filter(|tx| *tx != &txs[at]).collect();
         assert_eq!(
-            prepared.block.transactions[1..].iter().collect::<Vec<_>>(),
+            mined.block.transactions[1..].iter().collect::<Vec<_>>(),
             confirmed
         );
         let building = telemetry.drain();
@@ -366,9 +367,7 @@ fn a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits() {
             USERS as u64,
             "every queued signature went through the batch"
         );
-        chain
-            .submit(prepared.block.clone(), Some(prepared.verdicts))
-            .unwrap();
+        assert_eq!(chain.tip_hash(), mined.block.hash());
         assert_eq!(
             chain.state().utxos.balance_of(&Address::from_label("bob")),
             Amount::from_units(5 * (USERS as u64 - 1))
@@ -377,7 +376,7 @@ fn a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits() {
         // and agrees.
         let mut replay = Blockchain::new(chain.params().clone());
         assert!(matches!(
-            replay.submit_block(prepared.block),
+            replay.submit_block(mined.block),
             Ok(SubmitOutcome::ExtendedActiveChain)
         ));
     }
@@ -409,8 +408,8 @@ fn batch_admitted_transfers_queue_no_checks_at_build() {
 
     let telemetry = Telemetry::in_memory();
     chain.set_telemetry(telemetry.clone());
-    let (prepared, building) = measure(|| miner.prepare(&mut chain, 1).unwrap());
-    assert_eq!(prepared.block.transactions.len(), 6);
+    let (mined, building) = measure(|| miner.mine(&mut chain, 1).unwrap());
+    assert_eq!(mined.block.transactions.len(), 6);
     assert_eq!(building.group_muls, 0, "nothing verified at build");
     let snapshot = telemetry.drain();
     assert!(!snapshot.histograms.contains_key("sig.batch.sigs"));
@@ -445,37 +444,48 @@ fn forged_verdict_fools_only_the_local_builder_never_consensus() {
     let forged_key = sig_cache_key(&bad.txid(), &t.inputs[0], &t.sighash());
 
     // Without a verdict the builder falls back to inline verification
-    // and drops the forged transfer from the template.
+    // and drops the forged transfer from its block.
     let honest = chain
-        .prepare_block(
+        .mine_next(
             Address::from_label("miner"),
             BlockCandidates::admitted(vec![bad.clone()], HashMap::new()),
             1,
         )
         .unwrap();
     assert_eq!(honest.block.transactions.len(), 1, "coinbase only");
+    assert_eq!(
+        honest.rejected,
+        vec![(bad.clone(), BlockError::BadInputAuthorization { input: 0 })]
+    );
 
-    // A forged `true` verdict makes the *local* builder include it…
+    // A forged `true` verdict makes the *local* builder's one walk
+    // include it, and that walk is the local connect…
     let poisoned = chain
-        .prepare_block(
+        .mine_next(
             Address::from_label("miner"),
             BlockCandidates::admitted(vec![bad], HashMap::from([(forged_key, true)])),
-            1,
+            2,
         )
         .unwrap();
     assert_eq!(
         poisoned.block.transactions.len(),
         2,
-        "poisoned cache smuggles the forged transfer into the template"
+        "poisoned cache smuggles the forged transfer into the block"
     );
+    assert!(poisoned.rejected.is_empty());
+    assert_eq!(chain.tip_hash(), poisoned.block.hash());
 
     // …but consensus is not the cache: an independent chain verifies
-    // the signature itself and rejects the block.
+    // the signature itself, takes the honest block and refuses the
+    // poisoned one, its tip unmoved.
     let mut replay = Blockchain::new(chain.params().clone());
+    replay.submit_block(honest.block).unwrap();
+    let tip = replay.tip_hash();
     assert!(matches!(
         replay.submit_block(poisoned.block),
         Err(BlockError::BadInputAuthorization { input: 0 })
     ));
+    assert_eq!(replay.tip_hash(), tip);
 }
 
 // ---- One equation per chunk: verdicts equal the per-signature oracle ------

@@ -5,19 +5,18 @@
 //! 1. pool the settlement of every live escrow
 //!    (`zendoo_crosschain::settlement_transactions`, read off the chain
 //!    state),
-//! 2. prepare the next mainchain block in one pass (`Miner::prepare`,
-//!    recording proof verdicts) and submit it with those verdicts as
-//!    its carrier (`Blockchain::submit`), so each proof is verified
-//!    once per node,
-//! 3. hand the block to every sidechain shard (sync + certify),
+//! 2. build, mine and connect the next mainchain block in one walk
+//!    (`Miner::mine`, `Blockchain::mine_next`), so each proof is
+//!    verified once per node,
+//! 3. hand the connected block to every sidechain shard (sync +
+//!    certify) while the router reads its settlements,
 //! 4. fold shard effect logs and the receipts read off the block into
 //!    the metrics.
 //!
-//! Phases 2 (the submission half) and 3 overlap: the shards run on
-//! `SimConfig::workers` scoped worker lanes (`std::thread::scope`, as
-//! in `zendoo_snark::batch`) while the coordinator thread
-//! submits the block and reads its settlements. With one lane the same
-//! work runs as an in-thread sequential loop — the determinism
+//! In phase 3 the shards run on `SimConfig::workers` scoped worker
+//! lanes (`std::thread::scope`, as in `zendoo_snark::batch`) while the
+//! coordinator thread has the router observe the block. With one lane
+//! the same work runs as an in-thread sequential loop — the determinism
 //! reference.
 //!
 //! Determinism contract: shard work communicates only through ordered
@@ -32,7 +31,7 @@ use std::time::Instant;
 use zendoo_core::ids::SidechainId;
 use zendoo_crosschain::settlement_transactions;
 use zendoo_mainchain::transaction::McTransaction;
-use zendoo_mainchain::{BlockError, PreparedBlock};
+use zendoo_mainchain::MinedBlock;
 use zendoo_telemetry::Telemetry;
 
 use crate::shard::{McDelivery, ShardEffects, SidechainShard};
@@ -106,9 +105,9 @@ pub(crate) fn apply_effects(world: &mut World, effects: ShardEffects) -> Option<
 pub(crate) fn step(world: &mut World) -> Result<(), SimError> {
     let telemetry = world.telemetry.clone();
     let (outcome, _total_nanos) = telemetry.time("tick", || tick(world, &telemetry));
-    // A preparation failure records no coordinator span; a submission
-    // failure or shard error still does (the effect fold ran).
-    let (coordinator_nanos, shard_nanos, submit_result, first_error) = outcome?;
+    // A block that failed to mine records no coordinator span; a shard
+    // error still does (the effect fold ran).
+    let (coordinator_nanos, shard_nanos, first_error) = outcome?;
     telemetry.span_nanos("tick.coordinator", coordinator_nanos);
     // The shard critical path — the slowest shard's wall time, i.e.
     // what the shard phase costs a machine with at least one core per
@@ -117,11 +116,10 @@ pub(crate) fn step(world: &mut World) -> Result<(), SimError> {
     // `work = Σ tick.coordinator + Σ tick.shard.sync`,
     // `span = Σ tick.coordinator + Σ tick.shard.critical`. What this
     // machine's lanes took, shards run back to back, is `tick.lanes`
-    // (recorded by `tick`): the part of `tick` the block submission
+    // (recorded by `tick`): the part of `tick` the router's observe
     // overlaps.
     let critical = shard_nanos.iter().copied().max().unwrap_or(0);
     telemetry.span_nanos("tick.shard.critical", critical);
-    submit_result?;
     match first_error {
         Some(error) => Err(error),
         None => Ok(()),
@@ -129,9 +127,9 @@ pub(crate) fn step(world: &mut World) -> Result<(), SimError> {
 }
 
 /// The phase outcome of one tick: coordinator-critical-path
-/// nanoseconds, per-shard nanoseconds in declaration order, the block
-/// submission result and the first shard error (if any).
-type TickOutcome = (u64, Vec<u64>, Result<(), BlockError>, Option<SimError>);
+/// nanoseconds, per-shard nanoseconds in declaration order and the first
+/// shard error (if any).
+type TickOutcome = (u64, Vec<u64>, Option<SimError>);
 
 /// One worker lane's share of the shard phase: live shards, each paired
 /// with its declaration index (effects are re-ordered by it afterwards).
@@ -154,9 +152,9 @@ fn run_lane(
     (effects, start.elapsed().as_nanos() as u64)
 }
 
-/// The tick body. Errors returned here are *preparation* failures (no
-/// timing recorded); submission and shard failures are reported inside
-/// the tuple so the caller can record timing first.
+/// The tick body. Errors returned here are failures to mine the block
+/// (no timing recorded); shard failures are reported inside the tuple so
+/// the caller can record timing first.
 fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimError> {
     // Everything before the worker scope is coordinator critical path
     // (the prologue's settlement included).
@@ -166,22 +164,22 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     // candidates: every entry passed stage-1 precheck on its way in
     // (`World::queue_mc_tx` / `World::admit_mc_batch`), so the builder
     // skips the redundant re-run (`mc.precheck.skipped`), and any
-    // admission-time signature verdicts ride along so stage 3's dry
-    // run re-verifies nothing. Rejected candidates are counted, not
-    // fatal (fault scenarios schedule actions that are *supposed* to
-    // fail).
-    let (prepared, prepare_nanos) = telemetry.time("tick.mc.prepare", || {
-        world.miner.prepare(&mut world.chain, world.time)
+    // admission-time signature verdicts ride along so its walk
+    // re-verifies nothing. That walk connects the block. Rejected
+    // candidates are counted, not fatal (fault scenarios schedule
+    // actions that are *supposed* to fail).
+    let (mined, prepare_nanos) = telemetry.time("tick.mc.prepare", || {
+        world.miner.mine(&mut world.chain, world.time)
     });
-    let PreparedBlock {
+    let MinedBlock {
         block,
         commitment,
         rejected,
-        verdicts,
-    } = prepared?;
+    } = mined?;
+    world.metrics.mc_blocks += 1;
     // Telemetry-side rejection counters were already bumped once per
-    // rejected candidate inside the preparation; only the sim-level
-    // metrics are folded here.
+    // rejected candidate inside the walk; only the sim-level metrics are
+    // folded here.
     for (tx, _) in &rejected {
         world
             .metrics
@@ -225,36 +223,30 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
 
     let workers = lanes(workers).clamp(1, live.max(1));
 
-    // Every lane gets the block with the sc-txs commitment its builder
-    // already built: the one build for all shards. The coordinator's
-    // own critical path through the shard phase: stage 1 checks the
-    // block against its header, stage 3 applies it on the carried
-    // verdicts, and the router reads the connected block's
-    // settlements.
+    // Every lane gets the connected block with the sc-txs commitment
+    // its builder already built: the one build for all shards. The
+    // coordinator's own critical path through the shard phase: the
+    // router reads the block's settlements.
     let delivery = McDelivery { block, commitment };
     let block_ref = &delivery.block;
     let feed = std::slice::from_ref(&delivery);
-    let submit = || {
-        telemetry.time("tick.mc.submit", || {
-            let result = chain.submit(block_ref.clone(), Some(verdicts)).map(|_| ());
-            if result.is_ok() {
-                router.observe_block(chain, block_ref);
-            }
-            result
-        })
+    let mut observe = || {
+        telemetry
+            .time("tick.mc.submit", || router.observe_block(chain, block_ref))
+            .1
     };
 
     // `lanes_nanos`: the slowest lane's wall time, its shards back to
     // back (`tick.lanes`).
-    let (submit_result, mut indexed_effects, mc_tail_nanos, lanes_nanos) = if workers <= 1 {
-        // One lane: submit first, then walk the shards in order on this
+    let (mut indexed_effects, mc_tail_nanos, lanes_nanos) = if workers <= 1 {
+        // One lane: observe first, then walk the shards in order on this
         // thread (identical outcomes, no spawn cost).
-        let (submit, tail) = submit();
+        let tail = observe();
         let (effects, lane_nanos) = run_lane(work, feed, record, Instant::now());
-        (submit, effects, tail, lane_nanos)
+        (effects, tail, lane_nanos)
     } else {
         // Round-robin the shards over `workers` lanes; the coordinator
-        // thread submits the block while the lanes sync.
+        // thread has the router observe the block while the lanes sync.
         let mut lanes: Vec<Lane<'_>> = (0..workers).map(|_| Vec::new()).collect();
         for (slot, item) in work.into_iter().enumerate() {
             lanes[slot % workers].push(item);
@@ -265,7 +257,7 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
                 .into_iter()
                 .map(|lane| scope.spawn(move || run_lane(lane, feed, record, spawned)))
                 .collect();
-            let (submit, tail) = submit();
+            let tail = observe();
             let mut effects = Vec::with_capacity(live);
             let mut slowest = 0;
             for handle in handles {
@@ -273,19 +265,16 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
                 effects.extend(lane);
                 slowest = slowest.max(lane_nanos);
             }
-            (submit, effects, tail, slowest)
+            (effects, tail, slowest)
         })
     };
     telemetry.span_nanos("tick.lanes", lanes_nanos);
-    if submit_result.is_ok() {
-        world.metrics.mc_blocks += 1;
-    }
 
     // Apply effect logs in declaration order — the determinism
-    // contract's single ordered channel (folded even if the submit
-    // failed, so contained panics and produced certificates are never
-    // silently dropped). The fold is coordinator work too: it counts
-    // toward the critical path the work/span model reports.
+    // contract's single ordered channel, so contained panics and
+    // produced certificates are never silently dropped. The fold is
+    // coordinator work too: it counts toward the critical path the
+    // work/span model reports.
     let ((shard_nanos, first_error), fold_nanos) = telemetry.time("tick.fold", || {
         indexed_effects.sort_by_key(|(index, _)| *index);
         let mut shard_nanos = Vec::with_capacity(indexed_effects.len());
@@ -303,7 +292,6 @@ fn tick(world: &mut World, telemetry: &Telemetry) -> Result<TickOutcome, SimErro
     Ok((
         prologue_nanos + prepare_nanos + mc_tail_nanos + fold_nanos,
         shard_nanos,
-        submit_result,
         first_error,
     ))
 }

@@ -22,13 +22,13 @@
 //! ```text
 //!                ┌──────────── coordinator ────────────┐
 //!  tick t:       │ settle every live escrow            │
-//!                │ prepare block (one-pass, records    │
-//!                │ proof verdicts)                     │
+//!                │ build, mine and connect the block   │
+//!                │ (one walk on the live state)        │
 //!                ├──── scoped worker threads ──────────┤
-//!                │ submit block     ║ shard sc-0 sync  │
-//!                │ (stage 2 reuses  ║ shard sc-1 sync  │
-//!                │  verdicts,       ║ shard sc-2 …     │
-//!                │  stage 3 applies)║   + certify      │
+//!                │ router observes  ║ shard sc-0 sync  │
+//!                │ the block's      ║ shard sc-1 sync  │
+//!                │ settlements      ║ shard sc-2 …     │
+//!                │                  ║   + certify      │
 //!                ├─────────────────────────────────────┤
 //!                │ apply ShardEffects in declaration   │
 //!                │ order; fold receipts into metrics   │

@@ -1017,8 +1017,9 @@ impl World {
     }
 
     /// A deterministic snapshot of everything recorded so far: spans
-    /// (`tick`, `mc.stage1.precheck` … `mc.stage3.apply`,
-    /// `snark.batch.verify`, `router.observe`, `tick.shard.sync`),
+    /// (`tick`, `tick.mc.prepare`, `mc.stage3.apply`, `router.observe`,
+    /// `tick.shard.sync`, and a fork's `mc.stage1.precheck` …
+    /// `snark.batch.verify`),
     /// counters (`mc.reject.*`, `mc.verdict_cache.*`, `router.*`,
     /// `shard.*`) and histograms (`router.settlement.batch_size`,
     /// `mc.block_txs`, …). Empty when recording is off. Render it with

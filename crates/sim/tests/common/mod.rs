@@ -12,8 +12,8 @@ use zendoo_telemetry::{Snapshot, Telemetry};
 pub const MATRIX: [Option<usize>; 5] = [Some(1), Some(2), Some(3), Some(4), None];
 
 /// The cacheless oracle: the world's active chain replayed into a fresh
-/// [`Blockchain`] through `submit_block` — no builder verdicts, no
-/// admission signature verdicts, every check re-run from the block
+/// [`Blockchain`] through `submit_block` — no admission signature
+/// verdicts, no builder's walk, every check re-run from the block
 /// bytes alone — which must land on the world's tip and state digest.
 /// A cache that ever changed an outcome in the world's tick would make
 /// this follower reject a block or diverge.
@@ -26,8 +26,8 @@ pub const MATRIX: [Option<usize>; 5] = [Some(1), Some(2), Some(3), Some(4), None
 /// assembled from per-transaction admission verdicts.
 ///
 /// Returns what the follower recorded about itself: the spans and
-/// counters a *receiving* node pays (the world submits each block with
-/// its builder's verdicts, so it runs no such batch for its own blocks).
+/// counters a *receiving* node pays (the world builds and connects its
+/// own blocks in one walk, so it runs no such batch for them).
 pub fn assert_follower_replay_matches(world: &World) -> Snapshot {
     let telemetry = Telemetry::in_memory();
     let mut follower = Blockchain::new(world.chain.params().clone());

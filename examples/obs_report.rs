@@ -45,5 +45,5 @@ fn main() {
         world.metrics.cross_transfers_initiated,
     );
 
-    println!("\n(the tick submits each block with the proof verdicts its builder recorded — stage 2 shows up as the mc.stage2.verdicts_reused counter; a receiving node fed by `submit_block` pays the mc.stage2.verify spans instead — the benchmark's `mainchain.follower_*` metrics and `snark.batch_verify8_ms` measure that side)");
+    println!("\n(the tick builds, mines and connects each block in one walk under tick.mc.prepare — its proofs verified inline, counted as mc.verdict_cache.miss; a receiving node fed by `submit_block` pays the mc.stage1.precheck and mc.stage2.verify spans instead — the benchmark's `mainchain.follower_*` metrics and `snark.batch_verify8_ms` measure that side)");
 }
