@@ -138,7 +138,9 @@ test-field:
 # one term with a bad signature under a shared key (every schnorr::
 # unit test), cross-chain forgery/replay (the two adversarial files;
 # the Latus one also refuses by name a mainchain block past a gap in
-# the synced ones and a certificate asked for mid-epoch),
+# the synced ones, a certificate asked for mid-epoch and a reference
+# for either commitment-tree sentinel id, McRefError::ProofUnavailable,
+# by `derive` and by a node built for one, which stays as it was),
 # every declaration refusal of the one escrow-pairing rule — a
 # declaration without its escrow, a wrong amount, a tampered nullifier,
 # a foreign source, a self transfer, zero coins, a nullifier declared
@@ -169,21 +171,33 @@ test-field:
 # tampered state digest, tx root or smuggled payment refused by name, a
 # body carrying another block's reference under a header naming the
 # observed block refused by name (ScBlockError::McRefHashMismatch), a
-# reference whose `wcert` is forged or dropped refused by name, a
-# refused forge that leaves no trace, forger and follower agreeing
-# across a fork, and a follower refusing by name to certify an epoch
-# whose escrow withdrawal it holds no declaration for. Last, each signature verified once per node, by name:
+# reference whose `wcert` is forged or dropped refused by name, a block
+# re-stamped with its parent's slot refused by name
+# (NodeError::SpentSlot), a refused forge that leaves no trace, forger
+# and follower agreeing across a fork, a follower refusing by name to
+# certify an epoch whose escrow withdrawal it holds no declaration for,
+# the follower's deferral trap — a junk signature on a block's first
+# payment and an unknown input on its last, refused as BadAuthorization
+# though the signature-owing walk meets the unknown input first — and
+# the hostile Latus block generator: the forger's block of random
+# payments, withdrawals and in-block spends under 0–3 random
+# corruptions (a junk signature, a key not owning its coin, an unknown
+# input, a duplicate input, outputs past u64::MAX, two transactions
+# swapped), refused by the follower's one-batch receive exactly as the
+# inline `apply_block` refuses it, its case count and tallies printed.
+# Last, each signature verified once per node, by name:
 # transfers pooled one at a time verified in one batch at block build
 # (a bad one first, in the middle or last dropped by name, the rest
 # confirmed; the batch equal to the per-signature oracle on 1/2/4
 # workers), batch-admitted ones queueing nothing there (sig_admission);
 # every Latus spend rule refusing a payment by name at admission, a
 # forger forging admitted payments without verifying them again while a
-# follower verifies each and refuses another key's signature by name,
+# follower verifies them as one batch and refuses another key's
+# signature by name,
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name" "zendoo-latus two_nodes" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name" "zendoo-latus two_nodes --nocapture" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary

@@ -16,11 +16,12 @@ use zendoo_primitives::field::Fp;
 use zendoo_primitives::merkle::{MerkleTree, Sha256Hasher};
 use zendoo_primitives::schnorr::PublicKey;
 use zendoo_primitives::vrf::VrfProof;
+use zendoo_snark::deferred::Deferred;
 
 use crate::params::LatusParams;
 use crate::state::SidechainState;
 use crate::tx::{
-    apply_transaction, BtrTx, ForwardTransfersTx, McRefBinding, McRefEvidence, ScTransaction,
+    apply_transaction_with, BtrTx, ForwardTransfersTx, McRefBinding, McRefEvidence, ScTransaction,
     TransitionWitness, TxError,
 };
 
@@ -286,7 +287,8 @@ impl From<TxError> for ScBlockError {
 /// records, Fig 10).
 ///
 /// `last_referenced_mc` is the hash of the most recently referenced MC
-/// block before this one (enforcing reference contiguity, §5.1).
+/// block before this one (enforcing reference contiguity, §5.1). Input
+/// signatures are stated into `sigs`: an `Ok` holds once it discharges.
 ///
 /// # Errors
 ///
@@ -297,6 +299,7 @@ pub fn apply_block(
     state: &mut SidechainState,
     block: &ScBlock,
     last_referenced_mc: Digest32,
+    sigs: &mut Deferred,
 ) -> Result<Vec<(TransitionWitness, Fp)>, ScBlockError> {
     if block.compute_tx_root() != block.header.tx_root {
         return Err(ScBlockError::TxRootMismatch);
@@ -333,7 +336,7 @@ pub fn apply_block(
 
     let mut recorded = Vec::new();
     for tx in block.ordered_transactions() {
-        let witness = apply_transaction(params, state, &tx)?;
+        let witness = apply_transaction_with(params, state, &tx, sigs)?;
         recorded.push((witness, state.digest()));
     }
     if state.digest() != block.header.state_digest {
@@ -345,6 +348,7 @@ pub fn apply_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::apply_transaction;
     use zendoo_core::ids::Amount;
     use zendoo_mainchain::chain::{Blockchain, ChainParams};
     use zendoo_mainchain::transaction::{McTransaction, Output, TxOut};
@@ -536,7 +540,14 @@ mod tests {
         );
 
         let mut state = SidechainState::new(16);
-        let witnesses = apply_block(&params, &mut state, &block, genesis_hash).unwrap();
+        let witnesses = apply_block(
+            &params,
+            &mut state,
+            &block,
+            genesis_hash,
+            &mut Deferred::eager(),
+        )
+        .unwrap();
         assert_eq!(witnesses.len(), 2, "FTTx + BTRTx halves");
         assert_eq!(state.digest(), block.header.state_digest);
     }
@@ -562,6 +573,7 @@ mod tests {
             &mut state,
             &block,
             Digest32::hash_bytes(b"wrong-parent"),
+            &mut Deferred::eager(),
         )
         .unwrap_err();
         assert!(matches!(err, ScBlockError::NonContiguousReference { .. }));
@@ -585,7 +597,14 @@ mod tests {
         block.header.state_digest = Fp::from_u64(99);
         block.header.tx_root = block.compute_tx_root();
         let mut state = SidechainState::new(16);
-        let err = apply_block(&params, &mut state, &block, genesis_hash).unwrap_err();
+        let err = apply_block(
+            &params,
+            &mut state,
+            &block,
+            genesis_hash,
+            &mut Deferred::eager(),
+        )
+        .unwrap_err();
         assert_eq!(err, ScBlockError::StateDigestMismatch);
     }
 

@@ -16,6 +16,8 @@
 //! certificate inclusions and witnesses, and makes it the tip. A refused
 //! block or forge never reaches that step and changes nothing. The open
 //! epoch's headers are read off the chain, from `epoch_start` on.
+//! Admission checks input signatures eagerly, the forger owes them to
+//! admission, and the follower owes a block's to one batch.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -34,6 +36,7 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::schnorr::{Keypair, SecretKey};
 use zendoo_snark::backend::{prove, ProveError, ProvingKey, VerifyingKey};
+use zendoo_snark::deferred::Deferred;
 use zendoo_snark::inputs::PublicInputs;
 
 use crate::block::{McBlockReference, McRefError, ScBlock, ScBlockError, ScBlockHeader};
@@ -48,8 +51,8 @@ use crate::params::LatusParams;
 use crate::proof::{proof_system, EpochProofBuilder, LatusProofSystem};
 use crate::state::SidechainState;
 use crate::tx::{
-    apply_transaction, apply_transaction_held, check_transaction, verified_keys,
-    BackwardTransferTx, PaymentTx, ScTransaction, TransitionWitness, TxError,
+    apply_transaction, apply_transaction_with, check_transaction, BackwardTransferTx, PaymentTx,
+    ScTransaction, TransitionWitness, TxError,
 };
 
 /// All proving/verifying material of one Latus deployment.
@@ -147,6 +150,9 @@ pub enum NodeError {
         /// Found parent.
         found: Digest32,
     },
+    /// A received block claims this slot, at or before the last adopted
+    /// block's: a second block in a spent slot would equivocate.
+    SpentSlot(u64),
     /// Proof generation failed (a bug or inconsistent state).
     Prove(ProveError),
     /// Certificate requested before the epoch's last MC block.
@@ -165,6 +171,7 @@ impl std::fmt::Display for NodeError {
             NodeError::NonContiguousMcBlock { expected, found } => {
                 write!(f, "MC block parent {found}, expected {expected}")
             }
+            NodeError::SpentSlot(slot) => write!(f, "slot {slot} already spent"),
             NodeError::Prove(e) => write!(f, "proving failed: {e}"),
             NodeError::EpochNotComplete => write!(f, "withdrawal epoch not complete"),
             NodeError::Block(e) => write!(f, "block refused: {e}"),
@@ -217,53 +224,45 @@ struct NodeSnapshot {
     cert_inclusions: BTreeMap<EpochId, Arc<CertInclusion>>,
 }
 
-/// A transaction this node admitted into its pending queue, with the
-/// [`crate::tx::sig_verdict_key`] of each input signature its admission
-/// check verified. Whoever applies it next on this node — the forger,
-/// or the pending view a cross-chain transfer is checked against —
-/// re-runs every state-dependent rule but answers those signature
-/// checks from the held verdicts. The verdicts leave the node with the
-/// entry, and so does `declares`: the cross-chain transfer an escrow
-/// withdrawal pays for, declared when a forged block applies the entry.
+/// A transaction this node admitted into its pending queue, whose
+/// admission verified the signatures over its immutable bytes. Whoever
+/// applies it next here — the forger, or the pending view a cross-chain
+/// transfer is checked against — re-runs every state-dependent rule.
+/// `declares` is the cross-chain transfer an escrow withdrawal pays
+/// for, declared when a forged block applies the entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Pending {
     tx: ScTransaction,
-    verified: Vec<Digest32>,
     declares: Option<CrossChainTransfer>,
 }
 
 impl Pending {
-    /// `tx`, whose check against the node's state (or pending view)
-    /// just passed — which verified each of its input signatures.
+    /// `tx`, whose eager check just passed.
     fn admitted(tx: ScTransaction) -> Self {
-        Pending {
-            verified: verified_keys(&tx),
-            tx,
-            declares: None,
-        }
+        Pending { tx, declares: None }
     }
 
-    /// [`apply_transaction`], without verifying a held signature again.
+    /// [`apply_transaction`] with the input signatures stated into a
+    /// deferral that is never discharged: admission verified them.
     fn apply(
         &self,
         params: &LatusParams,
         state: &mut SidechainState,
     ) -> Result<TransitionWitness, TxError> {
-        apply_transaction_held(params, state, &self.tx, &self.verified)
+        apply_transaction_with(params, state, &self.tx, &mut Deferred::new())
     }
 }
 
 /// A Latus full node / forger.
 ///
 /// Each signature is verified once per node before the certificate
-/// circuit checks the epoch. The pending queue holds only transactions
-/// this node admitted itself — through [`LatusNode::submit_transaction`]
-/// (checked against the state) or [`LatusNode::submit_cross_transfer`]
-/// (applied to the pending view) — each with the verdicts of the
-/// signatures that admission verified; forging and the pending view
-/// reuse them and verify no admitted signature twice. A block from
-/// another forger ([`LatusNode::receive_block`]) is verified in full,
-/// and a rollback re-queues nothing, so no verdict outlives its entry.
+/// circuit checks the epoch, stated into a [`Deferred`]. The pending
+/// queue holds only transactions this node admitted itself, eagerly —
+/// through [`LatusNode::submit_transaction`] (checked against the state)
+/// or [`LatusNode::submit_cross_transfer`] (applied to the pending view);
+/// forging and the pending view owe those signatures to admission. A
+/// block from another forger ([`LatusNode::receive_block`]) is verified
+/// in full, its signatures as one batch.
 /// A cross-chain transfer rides its escrow withdrawal's pending entry,
 /// then the open epoch's `declared` list, which the certificate pairs
 /// with the epoch's withdrawals by [`check_escrow_pairing`].
@@ -502,10 +501,10 @@ impl LatusNode {
         // (e.g. two same-tick transfers racing for one UTXO) must fail
         // here rather than be dropped at forge with its declaration.
         // Pending transactions that would be dropped at forge are
-        // skipped, mirroring the forger, and their signatures are
-        // answered from their admission verdicts, as the forger answers
-        // them. A refusal leaves the view taken: it may hold half of
-        // this transfer, and the next call rebuilds it from `state`.
+        // skipped, mirroring the forger, and their signatures are owed
+        // to their admission, as the forger owes them. A refusal leaves
+        // the view taken: it may hold half of this transfer, and the
+        // next call rebuilds it from `state`.
         let (mut view, applied) = self
             .pending_view
             .take()
@@ -590,7 +589,7 @@ impl LatusNode {
         // Pending user transactions: conflicts (e.g. two payments racing
         // for one UTXO) are dropped with their declarations. Every rule
         // runs again on the new state except the signature checks
-        // admission already answered.
+        // admission already made.
         let mut included = Vec::new();
         let mut declared = Vec::new();
         for pending in std::mem::take(&mut self.pending) {
@@ -657,9 +656,12 @@ impl LatusNode {
     }
 
     /// Validates a block forged by *another* node (the validator path):
-    /// checks chain linkage, the 1:1 MC reference discipline, VRF slot
-    /// leadership against the epoch's stake snapshot, and full stateful
-    /// validity on a clone of the state. Then adopts it through the step
+    /// checks chain linkage, the 1:1 MC reference discipline, an unspent
+    /// slot, VRF slot leadership against the epoch's stake snapshot, and
+    /// full stateful validity on a clone of the state, its signatures
+    /// owed to one batch. A refused walk or batch walks a fresh clone
+    /// again eagerly, so a refusal is the inline validator's, by name.
+    /// Then adopts it through the step
     /// [`LatusNode::sync_mainchain_block`] shares, recording the
     /// transition witnesses so this node can also serve proofs and
     /// certificates.
@@ -689,6 +691,9 @@ impl LatusNode {
                 "block must reference exactly the observed MC block",
             ));
         }
+        if block.header.slot < self.next_slot {
+            return Err(NodeError::SpentSlot(block.header.slot));
+        }
         // Leadership is vacuous while the chain is unstaked — the
         // bootstrap authority window.
         self.refresh_stake();
@@ -705,9 +710,16 @@ impl LatusNode {
             return Err(NodeError::Unavailable("invalid slot leadership"));
         }
 
-        let mut next = self.state.clone();
-        let recorded = crate::block::apply_block(&self.params, &mut next, block, self.last_mc_ref)
-            .map_err(NodeError::Block)?;
+        let walk = |sigs: &mut Deferred| {
+            let mut next = self.state.clone();
+            crate::block::apply_block(&self.params, &mut next, block, self.last_mc_ref, sigs)
+                .map(|recorded| (next, recorded))
+        };
+        let mut sigs = Deferred::new();
+        let (next, recorded) = match walk(&mut sigs) {
+            Ok(walked) if sigs.discharge() => walked,
+            _ => walk(&mut Deferred::eager()).map_err(NodeError::Block)?,
+        };
         self.adopt(block.clone(), next, recorded);
         Ok(())
     }

@@ -29,7 +29,7 @@ use crate::state::{
 };
 use crate::tx::{
     btr_claimed_utxo, plan_forward_transfers, BtrStep, LeafUpdate, ScTransaction, SignedInput,
-    TransitionWitness, UpdateError, SC_SIGHASH_CONTEXT,
+    TransitionWitness, UpdateError,
 };
 
 /// The Latus single-transition constraint system.
@@ -116,10 +116,10 @@ impl Replay {
     }
 }
 
-/// Checks one signed input: ownership, signature and the matching
-/// removal update; advances the replay. The ownership half
-/// (address = H(key)) is checked here; the signature is stated into
-/// `deferred`.
+/// Checks one signed input: its authorization
+/// ([`SignedInput::authorize`], which the native spend rule runs too;
+/// the signature is stated into `deferred`) and the matching removal
+/// update; advances the replay.
 fn check_spend(
     replay: &mut Replay,
     input: &SignedInput,
@@ -129,22 +129,12 @@ fn check_spend(
     index: usize,
     deferred: &mut Deferred,
 ) -> Result<(), Unsatisfied> {
-    let auth = || {
+    input.authorize(sighash, deferred, || {
         Unsatisfied::new(
             "latus/input-auth",
             format!("input {index} ownership/signature check failed"),
         )
-    };
-    if !input.owns_utxo() {
-        return Err(auth());
-    }
-    deferred.signature(
-        SC_SIGHASH_CONTEXT,
-        &input.pubkey,
-        sighash.as_bytes(),
-        &input.signature,
-        auth,
-    )?;
+    })?;
     let expected_position = mst_position(&input.utxo, depth);
     if update.position() != expected_position {
         return Err(Unsatisfied::new(

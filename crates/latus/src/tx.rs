@@ -23,12 +23,13 @@ use zendoo_primitives::encode::{digest, Decode, DecodeError, Encode, Reader};
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
 use zendoo_primitives::smt::{NodeOpening, SmtOpening, SmtProof, WitnessError};
+use zendoo_snark::deferred::Deferred;
 
 use crate::mst::{mst_position, Utxo};
 use crate::state::SidechainState;
 
 /// Signature context for sidechain transactions.
-pub(crate) const SC_SIGHASH_CONTEXT: &str = "zendoo/sc-sighash-v1";
+const SC_SIGHASH_CONTEXT: &str = "zendoo/sc-sighash-v1";
 
 /// Why a [`LeafUpdate`] does not apply to a root.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,21 +101,32 @@ pub struct SignedInput {
 }
 
 impl SignedInput {
-    /// Verifies ownership and signature for `sighash`.
-    pub fn verify(&self, sighash: &Digest32) -> bool {
-        self.owns_utxo() && self.verify_signature(sighash)
-    }
-
-    /// The signature half of [`SignedInput::verify`].
-    fn verify_signature(&self, sighash: &Digest32) -> bool {
-        self.pubkey
-            .verify(SC_SIGHASH_CONTEXT, sighash.as_bytes(), &self.signature)
-    }
-
-    /// The ownership half of [`SignedInput::verify`]: the spent UTXO's
-    /// address is the hash of the signing key.
-    pub fn owns_utxo(&self) -> bool {
-        Address::from_public_key(&self.pubkey) == self.utxo.address
+    /// The one authorization rule of an input, native and in-circuit:
+    /// the spent UTXO's address is the hash of the signing key, checked
+    /// here, and the signature over `sighash` verifies, stated into
+    /// `sigs` — checked there when it is eager, owed to its discharge
+    /// otherwise.
+    ///
+    /// # Errors
+    ///
+    /// `on_fail()` when the key does not own the UTXO, or when `sigs` is
+    /// eager and the signature does not verify.
+    pub(crate) fn authorize<E>(
+        &self,
+        sighash: &Digest32,
+        sigs: &mut Deferred,
+        on_fail: impl FnOnce() -> E,
+    ) -> Result<(), E> {
+        if Address::from_public_key(&self.pubkey) != self.utxo.address {
+            return Err(on_fail());
+        }
+        sigs.signature(
+            SC_SIGHASH_CONTEXT,
+            &self.pubkey,
+            sighash.as_bytes(),
+            &self.signature,
+            on_fail,
+        )
     }
 }
 
@@ -124,23 +136,6 @@ impl Encode for SignedInput {
         self.pubkey.to_bytes().encode_into(out);
         self.signature.to_bytes().encode_into(out);
     }
-}
-
-/// The key under which a node holds the verdict of one input
-/// signature: binds the signed message (the sighash, which fixes the
-/// spent UTXOs and what they pay), the signing key and the signature
-/// bytes, so a held verdict can only answer the exact check it was
-/// computed for — the sidechain's counterpart of the mainchain's
-/// `sigbatch::sig_cache_key`.
-pub fn sig_verdict_key(sighash: &Digest32, input: &SignedInput) -> Digest32 {
-    Digest32::hash_tagged(
-        "zendoo/sc-sig-verdict-v1",
-        &[
-            sighash.as_bytes(),
-            &input.pubkey.to_bytes(),
-            &input.signature.to_bytes(),
-        ],
-    )
 }
 
 /// Signs `sighash` once per input. The sighash covers only the spent
@@ -531,23 +526,22 @@ pub fn check_transaction(
     state: &SidechainState,
     tx: &ScTransaction,
 ) -> Result<(), TxError> {
-    check_transaction_held(params, state, tx, &[])
+    check_transaction_with(params, state, tx, &mut Deferred::eager())
 }
 
-/// [`check_transaction`] by a node that already holds verdicts for some
-/// of `tx`'s input signatures: `held` lists the [`sig_verdict_key`] of
-/// each signature it verified before, and a listed signature is not
-/// verified again. Every other rule runs as it does without them, so the
-/// outcome is [`check_transaction`]'s.
-pub(crate) fn check_transaction_held(
+/// [`check_transaction`] with each input signature stated into `sigs`
+/// ([`SignedInput::authorize`]); every other rule runs where it stands.
+/// Under [`Deferred::eager`] this is [`check_transaction`]; otherwise an
+/// `Ok` holds only once `sigs` discharges.
+pub(crate) fn check_transaction_with(
     params: &crate::params::LatusParams,
     state: &SidechainState,
     tx: &ScTransaction,
-    held: &[Digest32],
+    sigs: &mut Deferred,
 ) -> Result<(), TxError> {
     match tx {
         ScTransaction::Payment(p) => {
-            check_spend(state, &p.inputs, &p.outputs, &[], &p.sighash(), held)
+            check_spend(state, &p.inputs, &p.outputs, &[], &p.sighash(), sigs)
         }
         ScTransaction::BackwardTransfer(bt) => check_spend(
             state,
@@ -555,7 +549,7 @@ pub(crate) fn check_transaction_held(
             &[],
             &bt.backward_transfers,
             &bt.sighash(),
-            held,
+            sigs,
         ),
         ScTransaction::ForwardTransfers(ft) => ft
             .binding
@@ -586,18 +580,18 @@ pub fn apply_transaction(
     state: &mut SidechainState,
     tx: &ScTransaction,
 ) -> Result<TransitionWitness, TxError> {
-    apply_transaction_held(params, state, tx, &[])
+    apply_transaction_with(params, state, tx, &mut Deferred::eager())
 }
 
-/// [`apply_transaction`] with the verdicts a node holds for `tx`'s input
-/// signatures ([`check_transaction_held`]).
-pub(crate) fn apply_transaction_held(
+/// [`apply_transaction`] with each input signature stated into `sigs`
+/// ([`check_transaction_with`]).
+pub(crate) fn apply_transaction_with(
     params: &crate::params::LatusParams,
     state: &mut SidechainState,
     tx: &ScTransaction,
-    held: &[Digest32],
+    sigs: &mut Deferred,
 ) -> Result<TransitionWitness, TxError> {
-    check_transaction_held(params, state, tx, held)?;
+    check_transaction_with(params, state, tx, sigs)?;
     Ok(match tx {
         ScTransaction::Payment(p) => execute_spend(state, tx, &p.inputs, &p.outputs, &[]),
         ScTransaction::BackwardTransfer(bt) => {
@@ -608,33 +602,15 @@ pub(crate) fn apply_transaction_held(
     })
 }
 
-/// The verdict key of every input signature of `tx` (none for a
-/// synchronized transaction): what a node holds for a transaction once
-/// a check of it passed, which verified each of them.
-pub(crate) fn verified_keys(tx: &ScTransaction) -> Vec<Digest32> {
-    let (inputs, sighash) = match tx {
-        ScTransaction::Payment(p) => (&p.inputs, p.sighash()),
-        ScTransaction::BackwardTransfer(bt) => (&bt.inputs, bt.sighash()),
-        ScTransaction::ForwardTransfers(_) | ScTransaction::BackwardTransferRequests(_) => {
-            return Vec::new()
-        }
-    };
-    inputs
-        .iter()
-        .map(|input| sig_verdict_key(&sighash, input))
-        .collect()
-}
-
 /// The plan half of a payment or backward-transfer transaction: every
-/// rule, no mutation. A signature whose [`sig_verdict_key`] is in `held`
-/// was verified before and is not verified again; its key binding is.
+/// rule, no mutation, each input signature stated into `sigs`.
 fn check_spend(
     state: &SidechainState,
     inputs: &[SignedInput],
     outputs: &[Utxo],
     withdrawals: &[BackwardTransfer],
     sighash: &Digest32,
-    held: &[Digest32],
+    sigs: &mut Deferred,
 ) -> Result<(), TxError> {
     if inputs.is_empty() {
         return Err(TxError::NoInputs);
@@ -645,12 +621,7 @@ fn check_spend(
         if !seen.insert(input.utxo.digest()) {
             return Err(TxError::DuplicateInput(input.utxo.digest()));
         }
-        let authorized = input.owns_utxo()
-            && ((!held.is_empty() && held.contains(&sig_verdict_key(sighash, input)))
-                || input.verify_signature(sighash));
-        if !authorized {
-            return Err(TxError::BadAuthorization { input: i });
-        }
+        input.authorize(sighash, sigs, || TxError::BadAuthorization { input: i })?;
         if !state.mst().contains(&input.utxo) {
             return Err(TxError::UnknownInput(input.utxo.digest()));
         }

@@ -3,12 +3,13 @@
 //!
 //! A payment or withdrawal is checked against every §5.3 spend rule
 //! where it enters the node. The signature check is the only rule whose
-//! answer cannot change with the state, so a forger holds the verdicts
-//! of the signatures it verified at admission and does not verify them
+//! answer cannot change with the state, so a forger owes the signatures
+//! it verified at admission to that admission and does not verify them
 //! again when it forges them into a block, or when it applies them to
 //! the pending view a cross-chain transfer is checked against. Every
 //! state-dependent rule runs again there, and a node receiving the
-//! block from another forger verifies every signature itself.
+//! block from another forger verifies every signature itself, as one
+//! batch equation.
 
 mod common;
 
@@ -27,7 +28,7 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::opcount::{measure, OpCount};
 use zendoo_primitives::schnorr::Keypair;
 
-/// The payments a forged block carries in the verdict-reuse tests.
+/// The payments a forged block carries in the verify-once tests.
 const PAYMENTS: usize = 8;
 
 /// A follower of `h`'s chain, as `two_nodes` builds one.
@@ -252,10 +253,10 @@ fn every_spend_rule_refuses_by_name_at_admission() {
 /// forging a block of `PAYMENTS` admitted payments costs the group
 /// multiplications of forging an empty block — the VRF evaluation
 /// alone. A follower receiving that block verifies all `PAYMENTS`
-/// signatures itself, and refuses by name a copy of the block in which
-/// one payment carries another key's signature.
+/// signatures itself as one batch equation, and refuses by name a copy
+/// of the block in which one payment carries another key's signature.
 #[test]
-fn a_forger_reuses_its_admission_verdicts_and_a_follower_does_not() {
+fn a_forger_owes_signatures_to_admission_and_a_follower_to_one_batch() {
     let mut h = TwoChains::new("admission-forge");
     let mut validator = follower(&h);
     let coins = fund(&mut h, Some(&mut validator), PAYMENTS);
@@ -281,8 +282,8 @@ fn a_forger_reuses_its_admission_verdicts_and_a_follower_does_not() {
         "forging {PAYMENTS} admitted payments verifies none of them again"
     );
 
-    // The follower holds no verdict: a payment signed by another key is
-    // refused by name, and the refusal changes nothing.
+    // The follower was not the admitting node: a payment signed by
+    // another key is refused by name, and the refusal changes nothing.
     let mut forged = sc_block.clone();
     forged.transactions[PAYMENTS / 2] = signed_by_another_key(&forged.transactions[PAYMENTS / 2]);
     forged.header.tx_root = forged.compute_tx_root();
@@ -296,14 +297,14 @@ fn a_forger_reuses_its_admission_verdicts_and_a_follower_does_not() {
     let ((), full_receive) = measure(|| validator.receive_block(&sc_block, &mc_block).unwrap());
     assert_eq!(
         full_receive.group_muls - empty_receive.group_muls,
-        PAYMENTS as u64,
-        "the follower verifies every signature of the block"
+        1,
+        "the follower verifies every signature of the block in one batch"
     );
     assert_eq!(validator.state().digest(), h.node.state().digest());
 }
 
 /// The pending view a cross-chain transfer is checked against applies
-/// the queued payments with their admission verdicts: a transfer
+/// the queued payments owing their signatures to admission: a transfer
 /// submitted after `PAYMENTS` payments costs the group multiplications
 /// of the same transfer submitted on an empty queue.
 #[test]

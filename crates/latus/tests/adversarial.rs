@@ -12,17 +12,21 @@ mod common;
 
 use common::TwoChains;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use zendoo_core::ids::{Address, Amount, Nullifier, SidechainId};
 use zendoo_core::proofdata::{ProofData, ProofDataElem};
 use zendoo_core::transfer::BackwardTransfer;
 use zendoo_latus::block::{apply_block, McBlockReference, McRefError, ScBlockError};
-use zendoo_latus::node::NodeError;
+use zendoo_latus::consensus::ConsensusParams;
+use zendoo_latus::node::{LatusNode, NodeError};
 use zendoo_latus::params::LatusParams;
 use zendoo_latus::tx::{McRefEvidence, ReceiverMetadata};
 use zendoo_mainchain::transaction::McTransaction;
 use zendoo_mainchain::{BlockError, Blockchain};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
+use zendoo_primitives::schnorr::Keypair;
+use zendoo_snark::deferred::Deferred;
 
 #[test]
 fn tampered_quality_rejected() {
@@ -628,11 +632,83 @@ fn an_absent_chain_is_served_no_data_and_no_certificate() {
     let sc_block = h.node.sync_mainchain_block(&mc_block, &commitment).unwrap();
     let mut smuggled = sc_block.clone();
     smuggled.mc_references[0].wcert = Some(cert);
-    assert_eq!(
-        apply_block(&params, &mut before.clone(), &smuggled, parent).unwrap_err(),
-        ScBlockError::WcertMismatch
+    let inline = |block| {
+        apply_block(
+            &params,
+            &mut before.clone(),
+            block,
+            parent,
+            &mut Deferred::eager(),
+        )
+    };
+    assert_eq!(inline(&smuggled).unwrap_err(), ScBlockError::WcertMismatch);
+    inline(&sc_block).unwrap();
+}
+
+/// The commitment tree's two sentinel ids (all `0x00`, all `0xff`) bound
+/// every block's leaves and are never a sidechain's data, so no
+/// membership or absence proof exists for them: a reference for either
+/// is refused by name, and a node built for one refuses to sync and
+/// stays as it was.
+#[test]
+fn a_reference_for_a_sentinel_id_is_refused_as_proof_unavailable() {
+    let mut h = TwoChains::new("adv-sentinel");
+    let anchor = h.chain.tip_hash();
+    let meta = ReceiverMetadata {
+        receiver: h.sc_address(),
+        payback: h.mc_wallet.address(),
+    };
+    let ft = h
+        .mc_wallet
+        .forward_transfer(
+            &h.chain,
+            h.sid,
+            meta.to_bytes(),
+            Amount::from_units(700),
+            Amount::ZERO,
+        )
+        .unwrap();
+    h.time += 1;
+    let mc_block = h
+        .chain
+        .mine_next_block(h.mc_wallet.address(), vec![ft], h.time)
+        .unwrap();
+    let commitment = Blockchain::build_commitment(&mc_block.transactions);
+    let sentinels = [0x00, 0xff].map(|byte| SidechainId(Digest32([byte; 32])));
+    for sentinel in &sentinels {
+        assert!(sentinel.is_reserved());
+        assert_eq!(
+            McBlockReference::derive(&mc_block, &commitment, sentinel),
+            Err(McRefError::ProofUnavailable)
+        );
+    }
+
+    let forger = Keypair::from_seed(b"forger");
+    let mut node = LatusNode::new(
+        LatusParams::new(sentinels[1], common::MST_DEPTH),
+        h.schedule,
+        ConsensusParams::with_bootstrap(forger.public),
+        Arc::clone(&h.keys),
+        forger,
+        anchor,
     );
-    apply_block(&params, &mut before.clone(), &sc_block, parent).unwrap();
+    let seen = |node: &LatusNode| {
+        (
+            node.chain().len(),
+            node.state().digest(),
+            node.snapshot_count(),
+            node.current_epoch(),
+        )
+    };
+    let before = seen(&node);
+    for _ in 0..2 {
+        let refused = node.sync_mainchain_block(&mc_block, &commitment);
+        assert!(
+            matches!(refused, Err(NodeError::McRef(McRefError::ProofUnavailable))),
+            "{refused:?}"
+        );
+        assert_eq!(seen(&node), before);
+    }
 }
 
 /// A mainchain block whose parent is not the last one synced is refused

@@ -1,4 +1,5 @@
-//! Deferred in-circuit checks: verify once per layer.
+//! Deferred signature and proof checks: verify once per layer, or once
+//! per block.
 //!
 //! Some circuits embed verifications — a Merge its two child proofs
 //! (Def 2.5), a Fold its two child aggregates, a Latus transition the
@@ -20,6 +21,8 @@
 //! ([`crate::backend::prove_layer`]) discharges it before it signs
 //! anything, and reruns the eager check when the discharge fails, so a
 //! deferred check can save work and never change a verdict or an error.
+//! The native Latus spend rule states its input signatures here too: a
+//! node receiving a block keeps that contract per block.
 
 use zendoo_primitives::opcount;
 use zendoo_primitives::schnorr::{self, PublicKey, Signature};
@@ -37,9 +40,10 @@ struct Owed {
     signature: Signature,
 }
 
-/// The embedded checks of one or more circuit evaluations: checked where
-/// they are stated ([`Deferred::eager`]) or collected for one batch
-/// equation ([`Deferred::new`], [`Deferred::discharge`]).
+/// The embedded checks of one or more circuit evaluations or native rule
+/// walks: checked where they are stated ([`Deferred::eager`]) or
+/// collected for one batch equation ([`Deferred::new`],
+/// [`Deferred::discharge`]).
 #[derive(Debug, Default)]
 pub struct Deferred {
     eager: bool,
@@ -87,19 +91,20 @@ impl Deferred {
     }
 
     /// An embedded Schnorr verification of `signature` over `message`
-    /// under `key`, domain-separated by `context`.
+    /// under `key`, domain-separated by `context`; `on_fail` names the
+    /// rule in the caller's error type.
     ///
     /// # Errors
     ///
     /// `on_fail()` when eager and the signature does not verify.
-    pub fn signature(
+    pub fn signature<E>(
         &mut self,
         context: &'static str,
         key: &PublicKey,
         message: &[u8],
         signature: &Signature,
-        on_fail: impl FnOnce() -> Unsatisfied,
-    ) -> Result<(), Unsatisfied> {
+        on_fail: impl FnOnce() -> E,
+    ) -> Result<(), E> {
         if self.eager {
             return if key.verify(context, message, signature) {
                 Ok(())
