@@ -155,7 +155,11 @@ test-field:
 # raised by 2¹²⁸, refused by `get_digest` and, in a real certificate
 # and BTR statement, under the rule naming the input — a validly signed
 # Latus payment whose outputs sum past u64::MAX refused by
-# check_transaction (TxError::AmountOverflow) with the state untouched —
+# check_transaction (TxError::AmountOverflow) with the state untouched,
+# a forward transfer whose 104-byte metadata names a cross-chain source
+# and nonce with no escrow behind it refunded to its payback, minting
+# nothing and crediting no inbound transfer (settlement batches are the
+# one cross-chain delivery form) —
 # and the oracles of the one pairwise fold: the recursive proof and the Wrap/Fold aggregate
 # each equal to the per-step prove/merge and wrap/fold calls byte for
 # byte on 1/2/4 lanes, a bad child in merge layer 0 or 1 and a bad
@@ -197,7 +201,7 @@ test-field:
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name" "zendoo-latus two_nodes --nocapture" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name an_ft_in_the_per_transfer_cross_layout_is_refunded_not_credited" "zendoo-latus two_nodes --nocapture" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary
@@ -206,7 +210,9 @@ test-adversarial:
 # among them a fork that orphans one sender's declared transfer, after
 # which another sender's transfer of the same amount must reach its own
 # receiver, and a queued transfer whose input a fork reverts, which must
-# leave nothing to declare; random fault schedules against the auditor and the sweep of every
+# leave nothing to declare, and a malformed deposit that reconciliation
+# names stranded (AuditViolation::Stranded) until its refund matures;
+# random fault schedules against the auditor and the sweep of every
 # single fault at every tick (fault_props), the determinism matrix the
 # fault machinery must stay inside (determinism): one tick,
 # bit-identical across workers ∈ {1, 2, 3, 4, per-core}, every

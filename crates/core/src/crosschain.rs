@@ -47,15 +47,13 @@ pub const XCT_MAGIC: &[u8; 5] = b"XCTv1";
 /// Byte length of one encoded [`CrossChainTransfer`].
 pub const XCT_WIRE_LEN: usize = 32 + 32 + 32 + 8 + 8 + 32 + 32;
 
-/// Byte length of the cross-chain receiver metadata carried by the
-/// delivery forward transfer: `receiver ‖ payback ‖ source ‖ nonce`.
-pub const XCT_METADATA_LEN: usize = 32 + 32 + 32 + 8;
-
 /// A sidechain→sidechain transfer message.
 ///
 /// Declared by the **source** sidechain as part of a withdrawal
-/// certificate; delivered to the **destination** sidechain as a forward
-/// transfer once the certificate matures on the mainchain.
+/// certificate; delivered to the **destination** sidechain as an entry
+/// of a settlement-batch forward transfer
+/// ([`crate::settlement::SettlementBatch`]) once the certificate matures
+/// on the mainchain and its escrow settles.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CrossChainTransfer {
     /// The declaring (paying) sidechain.
@@ -123,19 +121,6 @@ impl CrossChainTransfer {
     pub fn digest(&self) -> Digest32 {
         digest("zendoo/xct", self)
     }
-
-    /// The receiver metadata the delivery forward transfer carries:
-    /// `receiver ‖ payback ‖ source ‖ nonce` ([`XCT_METADATA_LEN`]
-    /// bytes), the destination sidechain's [`CrossChainMetadata`].
-    pub fn receiver_metadata(&self) -> Vec<u8> {
-        CrossChainMetadata {
-            receiver: self.receiver,
-            payback: self.payback,
-            source: self.source,
-            nonce: self.nonce,
-        }
-        .encoded()
-    }
 }
 
 impl Encode for CrossChainTransfer {
@@ -161,41 +146,6 @@ impl Decode for CrossChainTransfer {
             nonce: reader.read()?,
             payback: reader.read()?,
             nullifier: reader.read()?,
-        })
-    }
-}
-
-/// Parsed cross-chain receiver metadata (the destination-side view of a
-/// delivery forward transfer).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CrossChainMetadata {
-    /// Destination-sidechain address to credit.
-    pub receiver: Address,
-    /// Mainchain refund address (used on slot collisions).
-    pub payback: Address,
-    /// The sidechain the coins came from.
-    pub source: SidechainId,
-    /// The originating transfer's nonce.
-    pub nonce: u64,
-}
-
-impl Encode for CrossChainMetadata {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.receiver.encode_into(out);
-        self.payback.encode_into(out);
-        self.source.encode_into(out);
-        self.nonce.encode_into(out);
-    }
-}
-
-impl Decode for CrossChainMetadata {
-    const MIN_LEN: usize = XCT_METADATA_LEN;
-    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(CrossChainMetadata {
-            receiver: reader.read()?,
-            payback: reader.read()?,
-            source: reader.read()?,
-            nonce: reader.read()?,
         })
     }
 }
@@ -554,17 +504,6 @@ mod tests {
         let mut tampered = base;
         tampered.amount = Amount::from_units(11);
         assert!(!tampered.nullifier_consistent());
-    }
-
-    #[test]
-    fn metadata_roundtrip() {
-        let t = xct(7, 33);
-        let meta = CrossChainMetadata::decode(&t.receiver_metadata()).unwrap();
-        assert_eq!(meta.receiver, t.receiver);
-        assert_eq!(meta.payback, t.payback);
-        assert_eq!(meta.source, t.source);
-        assert_eq!(meta.nonce, 7);
-        assert!(CrossChainMetadata::decode(&[0u8; 64]).is_err());
     }
 
     #[test]

@@ -21,8 +21,8 @@ use crate::withdrawal::{
 
 /// One SNARK verification the mainchain owes for a posting: the
 /// registered verifying key, the fully assembled public inputs, and the
-/// submitted proof. The `verify_*_with` functions assemble it and hand
-/// it to their caller's check, which may verify it at once
+/// submitted proof. The `verify_*` functions assemble it and hand it to
+/// their caller's check, which may verify it at once
 /// ([`ProofCheck::run`]), answer it from a verdict cache, or record it
 /// for a later batch and answer for now — the mainchain's stage-3 walk
 /// does all three.
@@ -165,35 +165,14 @@ impl From<SchemaViolation> for VerifyError {
 /// active sidechain and correct window — are height-dependent and live in
 /// the mainchain state machine).
 ///
-/// # Errors
-///
-/// See [`VerifyError`].
-pub fn verify_certificate(
-    config: &SidechainConfig,
-    cert: &WithdrawalCertificate,
-    best_quality_so_far: Option<Quality>,
-    prev_epoch_last_block: Digest32,
-    epoch_last_block: Digest32,
-) -> Result<(), VerifyError> {
-    verify_certificate_with(
-        config,
-        cert,
-        best_quality_so_far,
-        prev_epoch_last_block,
-        epoch_last_block,
-        ProofCheck::run,
-    )
-}
-
-/// [`verify_certificate`] with a pluggable proof check: `check` receives
-/// the assembled [`ProofCheck`] and returns its verdict. The staged
-/// block pipeline passes its verdicts (cached, or owed to one batch);
-/// [`verify_certificate`] passes [`ProofCheck::run`].
+/// `check` receives the assembled [`ProofCheck`] and returns its verdict:
+/// [`ProofCheck::run`] verifies it at once, and the staged block pipeline
+/// passes its verdicts (cached, or owed to one batch).
 ///
 /// # Errors
 ///
 /// See [`VerifyError`].
-pub fn verify_certificate_with<F>(
+pub fn verify_certificate<F>(
     config: &SidechainConfig,
     cert: &WithdrawalCertificate,
     best_quality_so_far: Option<Quality>,
@@ -222,27 +201,14 @@ where
 
 /// Verifies a backward transfer request against the registered
 /// `btr_vk` (Def 4.5). `last_cert_block` is the hash of the MC block
-/// containing the sidechain's most recent accepted certificate (`H(B_w)`).
+/// containing the sidechain's most recent accepted certificate (`H(B_w)`);
+/// `check` decides the proof (see [`verify_certificate`]).
 ///
 /// # Errors
 ///
 /// See [`VerifyError`]; in particular
 /// [`VerifyError::OperationDisabled`] when `btr_vk` is `NULL`.
-pub fn verify_btr(
-    config: &SidechainConfig,
-    btr: &BackwardTransferRequest,
-    last_cert_block: Digest32,
-) -> Result<(), VerifyError> {
-    verify_btr_with(config, btr, last_cert_block, ProofCheck::run)
-}
-
-/// [`verify_btr`] with a pluggable proof check (see
-/// [`verify_certificate_with`]).
-///
-/// # Errors
-///
-/// See [`VerifyError`].
-pub fn verify_btr_with<F>(
+pub fn verify_btr<F>(
     config: &SidechainConfig,
     btr: &BackwardTransferRequest,
     last_cert_block: Digest32,
@@ -261,26 +227,14 @@ where
 }
 
 /// Verifies a ceased sidechain withdrawal against the registered
-/// `csw_vk` (Def 4.6). Same statement shape as a BTR.
+/// `csw_vk` (Def 4.6). Same statement shape as a BTR; `check` decides the
+/// proof (see [`verify_certificate`]).
 ///
 /// # Errors
 ///
-/// See [`VerifyError`].
-pub fn verify_csw(
-    config: &SidechainConfig,
-    csw: &CeasedSidechainWithdrawal,
-    last_cert_block: Digest32,
-) -> Result<(), VerifyError> {
-    verify_csw_with(config, csw, last_cert_block, ProofCheck::run)
-}
-
-/// [`verify_csw`] with a pluggable proof check (see
-/// [`verify_certificate_with`]).
-///
-/// # Errors
-///
-/// See [`VerifyError`].
-pub fn verify_csw_with<F>(
+/// See [`VerifyError`]; in particular
+/// [`VerifyError::OperationDisabled`] when `csw_vk` is `NULL`.
+pub fn verify_csw<F>(
     config: &SidechainConfig,
     csw: &CeasedSidechainWithdrawal,
     last_cert_block: Digest32,
@@ -378,6 +332,7 @@ mod tests {
                 None,
                 Digest32::hash_bytes(b"prev"),
                 Digest32::hash_bytes(b"end"),
+                ProofCheck::run,
             ),
             Ok(())
         );
@@ -393,6 +348,7 @@ mod tests {
             Some(5),
             Digest32::hash_bytes(b"prev"),
             Digest32::hash_bytes(b"end"),
+            ProofCheck::run,
         )
         .unwrap_err();
         assert_eq!(
@@ -408,6 +364,7 @@ mod tests {
             Some(4),
             Digest32::hash_bytes(b"prev"),
             Digest32::hash_bytes(b"end"),
+            ProofCheck::run,
         )
         .is_ok());
     }
@@ -423,6 +380,7 @@ mod tests {
             None,
             Digest32::hash_bytes(b"prev"),
             Digest32::hash_bytes(b"forked-end"),
+            ProofCheck::run,
         )
         .unwrap_err();
         assert_eq!(err, VerifyError::InvalidProof);
@@ -439,6 +397,7 @@ mod tests {
             None,
             Digest32::hash_bytes(b"prev"),
             Digest32::hash_bytes(b"end"),
+            ProofCheck::run,
         )
         .unwrap_err();
         assert!(matches!(err, VerifyError::Schema(_)));
@@ -469,9 +428,14 @@ mod tests {
         let f = fixture();
         let anchor = Digest32::hash_bytes(b"cert-block");
         let btr = signed_btr(&f, anchor);
-        assert_eq!(verify_btr(&f.config, &btr, anchor), Ok(()));
+        assert_eq!(verify_btr(&f.config, &btr, anchor, ProofCheck::run), Ok(()));
         assert_eq!(
-            verify_btr(&f.config, &btr, Digest32::hash_bytes(b"other")),
+            verify_btr(
+                &f.config,
+                &btr,
+                Digest32::hash_bytes(b"other"),
+                ProofCheck::run
+            ),
             Err(VerifyError::InvalidProof)
         );
     }
@@ -483,7 +447,7 @@ mod tests {
         config.btr_vk = None;
         let btr = signed_btr(&f, Digest32::ZERO);
         assert_eq!(
-            verify_btr(&config, &btr, Digest32::ZERO),
+            verify_btr(&config, &btr, Digest32::ZERO, ProofCheck::run),
             Err(VerifyError::OperationDisabled("btr"))
         );
     }
@@ -502,7 +466,7 @@ mod tests {
             proof: zendoo_snark::backend::Proof::from_bytes(&[0u8; 65]).unwrap(),
         };
         assert_eq!(
-            verify_csw(&config, &csw, Digest32::ZERO),
+            verify_csw(&config, &csw, Digest32::ZERO, ProofCheck::run),
             Err(VerifyError::OperationDisabled("csw"))
         );
     }

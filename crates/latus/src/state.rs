@@ -113,7 +113,11 @@ pub fn epoch_start_digest(mst_root: Fp) -> Fp {
     )
 }
 
-/// The full sidechain state.
+/// The full sidechain state: the MST, the current epoch's transients —
+/// its backward transfers and the ordered positions it touched, each
+/// beside the running accumulator the state digest binds — the
+/// mainchain-sync accumulator, and the log of inbound cross-chain
+/// credits.
 ///
 /// # Examples
 ///
@@ -138,16 +142,17 @@ pub struct SidechainState {
     mst: Mst,
     backward_transfers: Vec<BackwardTransfer>,
     bt_accumulator: Fp,
-    /// MST positions touched since the last epoch reset (`mst_delta`).
-    delta: MstDelta,
     delta_accumulator: Fp,
-    /// Ordered touch sequence behind the delta accumulator (witness for
-    /// the WCert circuit's rule 8).
+    /// MST positions touched since the last epoch reset, in order: the
+    /// witness behind the delta accumulator, and the one source of the
+    /// epoch's `mst_delta` (the set of its positions, built by
+    /// [`SidechainState::end_epoch`]).
     touch_sequence: Vec<u64>,
     sync_accumulator: Fp,
-    /// Inbound cross-chain transfers credited on this sidechain
-    /// (observability log; not part of the state digest — the credited
-    /// UTXOs already are, through the MST root).
+    /// Inbound cross-chain transfers credited on this sidechain, each a
+    /// minted settlement-batch entry and so an escrow the mainchain
+    /// matched (observability log; not part of the state digest — the
+    /// credited UTXOs already are, through the MST root).
     inbound_cross: Vec<InboundCrossTransfer>,
 }
 
@@ -158,7 +163,6 @@ impl SidechainState {
             mst: Mst::new(mst_depth),
             backward_transfers: Vec::new(),
             bt_accumulator: empty_bt_accumulator(),
-            delta: MstDelta::new(mst_depth),
             delta_accumulator: empty_delta_accumulator(),
             touch_sequence: Vec::new(),
             sync_accumulator: empty_sync_accumulator(),
@@ -186,11 +190,6 @@ impl SidechainState {
     /// The running backward-transfer accumulator.
     pub fn bt_accumulator(&self) -> Fp {
         self.bt_accumulator
-    }
-
-    /// The epoch's touched-position delta.
-    pub fn delta(&self) -> &MstDelta {
-        &self.delta
     }
 
     /// The running delta accumulator.
@@ -242,7 +241,6 @@ impl SidechainState {
     }
 
     fn touch(&mut self, position: u64) {
-        self.delta.touch(position);
         self.delta_accumulator = fold_delta_position(self.delta_accumulator, position);
         self.touch_sequence.push(position);
     }
@@ -270,13 +268,17 @@ impl SidechainState {
     }
 
     /// Closes a withdrawal epoch: returns the certificate ingredients —
-    /// `(bt_list, delta, touch_sequence)` — and resets the transients
-    /// (§5.2.1: "backward_transfers is transient and reset every new
-    /// withdrawal epoch").
+    /// `(bt_list, delta, touch_sequence)`, the delta being the set of the
+    /// sequence's positions — and resets the transients (§5.2.1:
+    /// "backward_transfers is transient and reset every new withdrawal
+    /// epoch").
     pub fn end_epoch(&mut self) -> (Vec<BackwardTransfer>, MstDelta, Vec<u64>) {
         let bts = std::mem::take(&mut self.backward_transfers);
-        let delta = std::mem::replace(&mut self.delta, MstDelta::new(self.mst.depth()));
         let touches = std::mem::take(&mut self.touch_sequence);
+        let mut delta = MstDelta::new(self.mst.depth());
+        for &position in &touches {
+            delta.touch(position);
+        }
         self.bt_accumulator = empty_bt_accumulator();
         self.delta_accumulator = empty_delta_accumulator();
         self.sync_accumulator = empty_sync_accumulator();
@@ -297,6 +299,7 @@ impl SidechainState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use zendoo_primitives::digest::Digest32;
 
     fn bt(addr: &str, amount: u64) -> BackwardTransfer {
@@ -336,8 +339,13 @@ mod tests {
             delta_sequence_accumulator(state.touch_sequence())
         );
         assert_eq!(state.touch_sequence().len(), 3);
-        // Delta (a set) has 2 distinct positions.
-        assert_eq!(state.delta().count(), 2);
+        // The epoch's delta is the set of those positions: 2 distinct.
+        let (_, delta, touches) = state.end_epoch();
+        assert_eq!(
+            delta.iter().collect::<BTreeSet<_>>(),
+            touches.iter().copied().collect()
+        );
+        assert_eq!(delta.count(), 2);
     }
 
     #[test]
@@ -374,10 +382,13 @@ mod tests {
         let mst_root = state.mst().root();
         let (bts, delta, touches) = state.end_epoch();
         assert_eq!(bts.len(), 1);
-        assert_eq!(delta.count(), 1);
         assert_eq!(touches.len(), 1);
+        assert_eq!(
+            delta.iter().collect::<BTreeSet<_>>(),
+            touches.iter().copied().collect()
+        );
         assert!(state.backward_transfers().is_empty());
-        assert_eq!(state.delta().count(), 0);
+        assert!(state.touch_sequence().is_empty());
         assert_eq!(state.bt_accumulator(), empty_bt_accumulator());
         assert_eq!(state.delta_accumulator(), empty_delta_accumulator());
         assert_eq!(state.sync_accumulator(), empty_sync_accumulator());

@@ -423,7 +423,11 @@ pub enum BtrStep {
 }
 
 /// The full witness of one state transition: everything the base circuit
-/// needs to re-derive `s_{i+1}` from `s_i` (§5.4).
+/// needs to re-derive `s_{i+1}` from `s_i` (§5.4). It names no backward
+/// transfer: the circuit re-derives each one the transition appends — a
+/// withdrawal from the transaction, a refund from the forward-transfer
+/// opening, a fulfilled request from its step — and folds it into the
+/// pre-accumulator; the state keeps the list itself.
 #[derive(Clone, Debug)]
 pub struct TransitionWitness {
     /// The applied transaction.
@@ -445,8 +449,6 @@ pub struct TransitionWitness {
     pub ft_opening: Option<SmtOpening>,
     /// Per-BTR steps (only for `BackwardTransferRequests`).
     pub btr_steps: Vec<BtrStep>,
-    /// Backward transfers appended by this transition, in order.
-    pub appended_bts: Vec<BackwardTransfer>,
 }
 
 /// Transaction application failures (§5.3 rules).
@@ -708,7 +710,6 @@ fn execute_spend(
         updates,
         ft_opening: None,
         btr_steps: Vec::new(),
-        appended_bts: withdrawals.to_vec(),
     }
 }
 
@@ -758,31 +759,29 @@ pub fn ft_batch_output_utxo(
 /// circuit so both sides dispatch identically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FtKind {
-    /// Classic 64-byte Latus metadata.
+    /// Classic 64-byte Latus metadata: a mainchain user's deposit.
     Classic {
         /// The sidechain address to credit.
         receiver: Address,
         /// The mainchain refund address.
         payback: Address,
     },
-    /// Tagged single cross-chain transfer metadata (per-transfer
-    /// delivery form).
-    Cross {
-        /// Parsed cross-chain metadata.
-        meta: zendoo_core::crosschain::CrossChainMetadata,
-    },
-    /// An aggregated settlement batch (windowed batch delivery). The
-    /// decoded batch passed its commitment check, totals the FT amount
-    /// and targets this sidechain.
+    /// A settlement batch: the one cross-chain delivery form, built by
+    /// the mainchain's settlement of matured escrows, whose escrow rule
+    /// binds each entry to a certificate-declared transfer. The decoded
+    /// batch passed its commitment check, totals the FT amount and
+    /// targets this sidechain.
     Settlement(zendoo_core::settlement::SettlementBatch),
-    /// None of the known forms (or a batch whose commitment, total or
-    /// destination is wrong): the FT is rejected as malformed.
+    /// Neither form (or a batch whose commitment, total or destination
+    /// is wrong): the FT is refunded to its [`salvage_payback`] address.
     Malformed,
 }
 
 /// Classifies one forward transfer's metadata for `sidechain_id`
 /// (§5.3.2 leaves the metadata format to the sidechain; Latus accepts
-/// the classic, cross-transfer and settlement-batch forms).
+/// the classic deposit and the settlement batch, and nothing else —
+/// so every inbound cross-chain credit is an escrow the mainchain
+/// matched).
 pub fn classify_ft_metadata(
     sidechain_id: &zendoo_core::ids::SidechainId,
     ft: &ForwardTransfer,
@@ -792,9 +791,6 @@ pub fn classify_ft_metadata(
             receiver: meta.receiver,
             payback: meta.payback,
         };
-    }
-    if let Ok(meta) = zendoo_core::crosschain::CrossChainMetadata::decode(&ft.receiver_metadata) {
-        return FtKind::Cross { meta };
     }
     match zendoo_core::settlement::decode_settlement_metadata(&ft.receiver_metadata) {
         Some(Ok(batch))
@@ -811,12 +807,12 @@ pub fn classify_ft_metadata(
 /// The rule is total and deterministic, so the transition circuit can
 /// re-derive (and therefore enforce) the exact refund the state
 /// transition performs: blobs long enough to carry the classic
-/// layout's payback slot (bytes 32..64 — the same offset the
-/// cross-transfer form uses) refund to that slot, so a truncated or
-/// overlong classic blob still pays back the address its sender put
-/// there; anything shorter refunds to its zero-padded leading bytes —
-/// a deterministic address, so the value is provably parked on the
-/// mainchain instead of silently stranded in the registry balance.
+/// layout's payback slot (bytes 32..64) refund to that slot, so a
+/// truncated or overlong classic blob still pays back the address its
+/// sender put there; anything shorter refunds to its zero-padded
+/// leading bytes — a deterministic address, so the value is provably
+/// parked on the mainchain instead of silently stranded in the registry
+/// balance.
 pub fn salvage_payback(metadata: &[u8]) -> Address {
     let mut bytes = [0u8; 32];
     if metadata.len() >= 64 {
@@ -855,8 +851,8 @@ pub(crate) struct FtPlan {
     pub(crate) mints: Vec<(u64, Utxo)>,
     /// The refunds, in transfer order.
     pub(crate) refunds: Vec<BackwardTransfer>,
-    /// The inbound cross-chain credits of the minted cross-chain and
-    /// settlement entries, in transfer order.
+    /// The inbound cross-chain credits of the minted settlement
+    /// entries, in transfer order.
     pub(crate) credits: Vec<InboundCrossTransfer>,
 }
 
@@ -875,10 +871,8 @@ pub(crate) fn plan_forward_transfers<E>(
     let mc_block = ft_tx.mc_block;
     let mut claims = Vec::with_capacity(ft_tx.transfers.len());
     for (i, ft) in ft_tx.transfers.iter().enumerate() {
-        // Classic 64-byte Latus metadata, the tagged single cross-chain
-        // form, or an aggregated settlement batch delivered by the
-        // mainchain router (§5.3.2 leaves the metadata format to the
-        // sidechain).
+        // Classic 64-byte Latus metadata or a settlement batch
+        // (§5.3.2 leaves the metadata format to the sidechain).
         match classify_ft_metadata(sidechain_id, ft) {
             // The mainchain already credited this sidechain's registry
             // balance when it included the FT, so dropping it would
@@ -893,17 +887,6 @@ pub(crate) fn plan_forward_transfers<E>(
                 utxo: ft_output_utxo(&mc_block, i, receiver, ft.amount),
                 payback,
                 credit: None,
-            }),
-            FtKind::Cross { meta } => claims.push(Claim::Mint {
-                utxo: ft_output_utxo(&mc_block, i, meta.receiver, ft.amount),
-                payback: meta.payback,
-                credit: Some(InboundCrossTransfer {
-                    source: meta.source,
-                    nonce: meta.nonce,
-                    receiver: meta.receiver,
-                    amount: ft.amount,
-                    mc_block,
-                }),
             }),
             // One mint per batch entry, each into its own receiver's
             // slot and refunded to its own payback.
@@ -982,8 +965,8 @@ fn execute_forward_transfers(
     state
         .insert_utxos(&minted)
         .expect("planned into empty, distinct slots");
-    for refund in &plan.refunds {
-        state.append_backward_transfer(*refund);
+    for refund in plan.refunds {
+        state.append_backward_transfer(refund);
     }
     for credit in plan.credits {
         state.record_inbound_cross(credit);
@@ -998,7 +981,6 @@ fn execute_forward_transfers(
         updates: Vec::new(),
         ft_opening: Some(opening),
         btr_steps: Vec::new(),
-        appended_bts: plan.refunds,
     }
 }
 
@@ -1013,7 +995,6 @@ fn execute_btrs(
     let pre_sync_accumulator = state.sync_accumulator();
     let depth = state.mst().depth();
     let mut steps = Vec::with_capacity(btr_tx.requests.len());
-    let mut appended = Vec::new();
     for request in &btr_tx.requests {
         let Some(utxo) = btr_claimed_utxo(request) else {
             steps.push(BtrStep::RejectedMalformed);
@@ -1028,12 +1009,10 @@ fn execute_btrs(
         let (path, sibling) = state.mst().proof_with_sibling(position);
         if state.mst().utxo_at(position) == Some(&utxo) {
             state.remove_utxo(&utxo).expect("present");
-            let bt = BackwardTransfer {
+            state.append_backward_transfer(BackwardTransfer {
                 receiver: request.receiver,
                 amount: request.amount,
-            };
-            state.append_backward_transfer(bt);
-            appended.push(bt);
+            });
             steps.push(BtrStep::Fulfilled(LeafUpdate {
                 path,
                 new_leaf: None,
@@ -1056,7 +1035,6 @@ fn execute_btrs(
         updates: Vec::new(),
         ft_opening: None,
         btr_steps: steps,
-        appended_bts: appended,
     }
 }
 
@@ -1290,9 +1268,14 @@ mod tests {
             vec![(utxos[0], &alice.secret)],
             vec![(mc_addr, Amount::from_units(10))],
         ));
-        let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
-        assert_eq!(witness.appended_bts.len(), 1);
-        assert_eq!(state.backward_transfers().len(), 1);
+        apply_transaction(&params(), &mut state, &tx).unwrap();
+        assert_eq!(
+            state.backward_transfers(),
+            [BackwardTransfer {
+                receiver: mc_addr,
+                amount: Amount::from_units(10),
+            }]
+        );
         assert_eq!(state.total_value(), Amount::ZERO);
         assert_eq!(
             state.bt_accumulator(),
@@ -1328,13 +1311,12 @@ mod tests {
         // The malformed FT's full amount is refunded via backward
         // transfer — never stranded in the MC-side registry balance.
         assert_eq!(
-            witness.appended_bts,
-            vec![BackwardTransfer {
+            state.backward_transfers(),
+            [BackwardTransfer {
                 receiver: salvage_payback(&[1, 2, 3]),
                 amount: Amount::from_units(4),
             }]
         );
-        assert_eq!(state.backward_transfers(), witness.appended_bts);
     }
 
     #[test]
@@ -1368,16 +1350,52 @@ mod tests {
             amount: Amount::from_units(7),
         };
         let (_, tx) = ft_tx(vec![ft]);
-        let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
+        apply_transaction(&params(), &mut state, &tx).unwrap();
         assert_eq!(
-            witness.appended_bts,
-            vec![BackwardTransfer {
+            state.backward_transfers(),
+            [BackwardTransfer {
                 receiver: payback,
                 amount: Amount::from_units(7),
             }]
         );
         // Nothing minted on the sidechain: the value went back out.
         assert_eq!(state.total_value(), Amount::ZERO);
+    }
+
+    /// Metadata `receiver ‖ payback ‖ source ‖ nonce` (104 bytes) names
+    /// a cross-chain source that no escrow backs, and any mainchain user
+    /// can send it: it is malformed, refunded to the payback at bytes
+    /// 32..64, and mints nothing and credits no inbound transfer.
+    #[test]
+    fn an_ft_in_the_per_transfer_cross_layout_is_refunded_not_credited() {
+        let mut state = SidechainState::new(16);
+        let payback = Address::from_label("mc-payback");
+        let mut blob = Vec::new();
+        Address::from_label("sc-user").encode_into(&mut blob);
+        payback.encode_into(&mut blob);
+        zendoo_core::ids::SidechainId::from_label("elsewhere").encode_into(&mut blob);
+        7u64.encode_into(&mut blob);
+        assert_eq!(blob.len(), 104);
+        let ft = ForwardTransfer {
+            sidechain_id: params().sidechain_id,
+            receiver_metadata: blob,
+            amount: Amount::from_units(5),
+        };
+        assert_eq!(
+            classify_ft_metadata(&params().sidechain_id, &ft),
+            FtKind::Malformed
+        );
+        let (_, tx) = ft_tx(vec![ft]);
+        apply_transaction(&params(), &mut state, &tx).unwrap();
+        assert_eq!(
+            state.backward_transfers(),
+            [BackwardTransfer {
+                receiver: payback,
+                amount: Amount::from_units(5),
+            }]
+        );
+        assert_eq!(state.total_value(), Amount::ZERO, "nothing minted");
+        assert!(state.inbound_cross_transfers().is_empty());
     }
 
     #[test]
@@ -1635,7 +1653,6 @@ mod tests {
         let refused = |path: SmtProof| {
             let mut tampered = witness.clone();
             tampered.btr_steps[0] = BtrStep::RejectedAbsent { path };
-            tampered.appended_bts.clear();
             format!(
                 "{}",
                 system.prove_base(from, censored, &tampered).unwrap_err()

@@ -141,7 +141,6 @@ fn dummy_witness(h: &TwoChains) -> zendoo_latus::tx::TransitionWitness {
         updates: vec![],
         ft_opening: None,
         btr_steps: vec![],
-        appended_bts: vec![],
     }
 }
 

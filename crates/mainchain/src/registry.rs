@@ -624,7 +624,7 @@ impl SidechainRegistry {
             .certificates
             .get(&cert.epoch_id)
             .map(|c| c.certificate.quality);
-        verifier::verify_certificate_with(
+        verifier::verify_certificate(
             &entry.config,
             cert,
             best_quality,
@@ -688,7 +688,7 @@ impl SidechainRegistry {
         if self.nullifiers.contains(&key) {
             return Err(RegistryError::NullifierReused(btr.nullifier));
         }
-        verifier::verify_btr_with(&entry.config, btr, entry.anchor(boundary_hash)?, check)?;
+        verifier::verify_btr(&entry.config, btr, entry.anchor(boundary_hash)?, check)?;
         self.nullifiers.insert(key);
         undo.ops.push(RegistryOp::NullifierInserted(
             btr.sidechain_id,
@@ -725,7 +725,7 @@ impl SidechainRegistry {
             return Err(RegistryError::NullifierReused(csw.nullifier));
         }
         let anchor = entry.anchor(boundary_hash)?;
-        verifier::verify_csw_with(&entry.config, csw, anchor, check)?;
+        verifier::verify_csw(&entry.config, csw, anchor, check)?;
         if csw.amount > entry.balance {
             return Err(RegistryError::SafeguardViolation {
                 requested: csw.amount,

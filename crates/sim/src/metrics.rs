@@ -49,9 +49,9 @@ pub struct Metrics {
     pub settlement_windows: u64,
     /// Batched settlement transactions mined (delivery + refund).
     pub settlement_txs: u64,
-    /// Mainchain transactions saved by windowed batching versus the
-    /// per-transfer delivery path (`transfers − transactions`, summed
-    /// over windows).
+    /// Mainchain transactions saved by windowed batching versus one
+    /// delivery transaction per transfer (`transfers − transactions`,
+    /// summed over windows).
     pub settlement_txs_saved: u64,
     /// Transactions rejected anywhere in the pipeline, plus scripted
     /// actions the world refused (see `Action::fire`).

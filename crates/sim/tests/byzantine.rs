@@ -448,6 +448,58 @@ fn an_escrow_no_block_settles_is_reported_stranded() {
     );
 }
 
+/// The auditor's reconciliation at quiescence: a malformed deposit
+/// raises its chain's registry balance when its block connects but
+/// mints nothing on the sidechain, so until the certificate carrying its
+/// refund matures the locked balance exceeds the ledger by exactly the
+/// deposit and the audit names the chain stranded; once the window
+/// matures the refund, the two reconcile and the payback holds the coins.
+#[test]
+fn a_malformed_deposit_is_stranded_until_its_refund_matures() {
+    use zendoo_core::ids::Amount;
+    use zendoo_sim::audit::AuditViolation;
+    use zendoo_sim::SimConfig;
+
+    let config = SimConfig::default();
+    let window = 3 * u64::from(config.epoch_len);
+    let mut world = World::new(config);
+    let sc = world.sidechain_ids()[0];
+    world
+        .queue_forward_transfer_on(&sc, "alice", 7_500)
+        .unwrap();
+    world.run_epochs(1).unwrap();
+    let mut auditor = ConservationAuditor::new();
+    auditor.check_reconciled(&world).unwrap();
+
+    world
+        .queue_malformed_forward_transfer_on(&sc, "alice", 2_000)
+        .unwrap();
+    world.step().unwrap();
+    let on_chain = world.node_of(&sc).unwrap().state().total_value();
+    let stranded = AuditViolation::Stranded {
+        chain: sc.to_string(),
+        locked: on_chain.checked_add(Amount::from_units(2_000)).unwrap(),
+        on_chain,
+    };
+    let payback = world.user("alice").unwrap().mc_address();
+    let before = world.chain.state().utxos.balance_of(&payback);
+    let mut steps = 0;
+    while let Err(violation) = auditor.check_reconciled(&world) {
+        assert_eq!(violation, stranded, "after {steps} steps");
+        assert!(
+            steps < window,
+            "the refund did not mature in {window} steps"
+        );
+        world.step().unwrap();
+        steps += 1;
+    }
+    assert!(steps > 0, "the refund matured in the deposit's own block");
+    assert_eq!(
+        world.chain.state().utxos.balance_of(&payback),
+        before.checked_add(Amount::from_units(2_000)).unwrap()
+    );
+}
+
 /// A healed shard that has not replayed its backlog yet is simply
 /// behind: a fork injected before its next tick trims the replaced part
 /// of the backlog and the shard catches up through the ordinary phase

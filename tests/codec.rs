@@ -20,9 +20,7 @@ use std::fmt::Debug;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use zendoo::core::crosschain::{
-    decode_xct_list, encode_xct_list, CrossChainMetadata, CrossChainTransfer, XCT_MAGIC,
-};
+use zendoo::core::crosschain::{decode_xct_list, encode_xct_list, CrossChainTransfer, XCT_MAGIC};
 use zendoo::core::escrow::EscrowTag;
 use zendoo::core::ids::{Address, Amount, Nullifier, SidechainId};
 use zendoo::core::settlement::{decode_settlement_metadata, SettlementBatch, XSB_MAGIC};
@@ -247,18 +245,6 @@ fn every_wire_form_is_total() {
         decode: typed,
         magic: b"",
         hostile: vec![],
-    });
-    total += check_totality(Form {
-        name: "CrossChainMetadata",
-        values: [xct(1, 10), xct(7, 33)]
-            .iter()
-            .map(|t| CrossChainMetadata::decode(&t.receiver_metadata()).unwrap())
-            .collect(),
-        encode: Encode::encoded,
-        decode: typed,
-        magic: b"",
-        // A classic 64-byte Latus metadata is not a cross transfer.
-        hostile: vec![(vec![0; 64], Some(Err("UnexpectedEof".into())))],
     });
     total += check_totality(Form {
         name: "Utxo",

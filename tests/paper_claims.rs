@@ -51,7 +51,7 @@ use zendoo::core::epoch::EpochSchedule;
 use zendoo::core::ids::{Address, Amount, SidechainId};
 use zendoo::core::proofdata::{ProofData, ProofDataElem, ProofDataSchema, ProofDataType};
 use zendoo::core::transfer::{BackwardTransfer, ForwardTransfer};
-use zendoo::core::verifier::verify_certificate;
+use zendoo::core::verifier::{verify_certificate, ProofCheck};
 use zendoo::crosschain::settlement_transactions;
 use zendoo::latus::certifier::{CertifierCircuit, CertifierCommittee, Endorsement};
 use zendoo::latus::consensus::{try_lead_slot, ConsensusParams, StakeDistribution};
@@ -322,7 +322,17 @@ impl TwoChains {
             .chain
             .hash_at_height(first + u64::from(EPOCH_LEN) - 1)
             .unwrap();
-        cost_of(|| verify_certificate(&self.config, cert, None, prev_end, epoch_end).unwrap())
+        cost_of(|| {
+            verify_certificate(
+                &self.config,
+                cert,
+                None,
+                prev_end,
+                epoch_end,
+                ProofCheck::run,
+            )
+            .unwrap()
+        })
     }
 }
 
@@ -427,7 +437,9 @@ fn e3_a_certificate_is_one_check_plus_hashing_linear_in_the_bt_list() {
     let epoch_end = Digest32::hash_bytes(b"epoch-end");
     let verification = |quality: u64, bts: Vec<BackwardTransfer>| {
         let cert = proven(certificate(sid, quality, bts), b"e3", (prev_end, epoch_end));
-        cost_of(|| verify_certificate(&config, &cert, None, prev_end, epoch_end).unwrap())
+        cost_of(|| {
+            verify_certificate(&config, &cert, None, prev_end, epoch_end, ProofCheck::run).unwrap()
+        })
     };
 
     let sizes = [0usize, 16, 64, 256];
