@@ -130,7 +130,10 @@ test-field:
 # below the declaring block, a CSW against an active sidechain and a
 # BTR following its chain's certificate in one block, whose anchor no
 # proof can bind (RegistryError::MissingBoundaryBlock, by the builder
-# and by a receiving node) (chain_behavior), a certificate whose epoch boundary the chain cannot
+# and by a receiving node), a received block carrying a transfer that
+# spends nothing (BlockError::NoInputs) or pays out more than its input
+# holds (BlockError::ValueImbalance) with height, tip and UTXO set
+# unchanged (chain_behavior), a certificate whose epoch boundary the chain cannot
 # name (RegistryError::MissingBoundaryBlock) and a forward transfer and
 # a certificate summing past u64::MAX (RegistryError::AmountOverflow)
 # (mainchain lib registry::), the batch equation itself — identity keys and nonce
@@ -156,6 +159,12 @@ test-field:
 # and BTR statement, under the rule naming the input — a validly signed
 # Latus payment whose outputs sum past u64::MAX refused by
 # check_transaction (TxError::AmountOverflow) with the state untouched,
+# an MST leaf update replayed on another root (UpdateError::StaleRoot),
+# a header carrying a VRF proof where leadership is vacuous or none
+# where it is not refused by the one leadership verifier, a header
+# signature failing when any other header field changes, an epoch
+# schedule of zero length or a submission window outside 1..=epoch_len
+# (ScheduleError::{ZeroEpochLength, BadSubmitLength}),
 # a forward transfer whose 104-byte metadata names a cross-chain source
 # and nonce with no escrow behind it refunded to its payback, minting
 # nothing and crediting no inbound transfer (settlement batches are the
@@ -171,8 +180,16 @@ test-field:
 # by name), the reference from the shared commitment equal to a scan of
 # the block's transactions (latus lib), a repeated or reordered block
 # body refused by name at stage 1 and a validation that hashes each
-# transfer id once (pipeline). Then the Latus follower (two_nodes): a
-# tampered state digest, tx root or smuggled payment refused by name, a
+# transfer id once (pipeline). Then the Latus follower (two_nodes): an
+# honest block whose forger a relay rewrote to an unstaked key, or whose
+# slot it moved 5 ahead, refused as NodeError::BadHeaderSignature with
+# tip and state unchanged, a block off the follower's tip
+# (NodeError::NotOnTip) or naming other MC blocks than the observed one
+# (NodeError::WrongMcReference) refused with chain, state and snapshots
+# unchanged, a staked slot's block stripped of its VRF proof or moved
+# to another slot refused as NodeError::NotLeader; a tampered state
+# digest, tx root or smuggled payment, each re-signed by the forger,
+# refused by name, a
 # body carrying another block's reference under a header naming the
 # observed block refused by name (ScBlockError::McRefHashMismatch), a
 # reference whose `wcert` is forged or dropped refused by name, a block
@@ -187,8 +204,11 @@ test-field:
 # payments, withdrawals and in-block spends under 0–3 random
 # corruptions (a junk signature, a key not owning its coin, an unknown
 # input, a duplicate input, outputs past u64::MAX, two transactions
-# swapped), refused by the follower's one-batch receive exactly as the
-# inline `apply_block` refuses it, its case count and tallies printed.
+# swapped) re-signed by the forger, one case in eight then moving the
+# signed slot (the one unsigned class), refused by the follower's
+# one-batch receive exactly as the inline validator (the header
+# signature, then `apply_block`) refuses it, its case count and tallies
+# printed.
 # Last, each signature verified once per node, by name:
 # transfers pooled one at a time verified in one batch at block build
 # (a bad one first, in the middle or last dropped by name, the rest
@@ -201,12 +221,15 @@ test-field:
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name an_ft_in_the_per_transfer_cross_layout_is_refunded_not_credited" "zendoo-latus two_nodes --nocapture" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block a_block_with_an_input_less_transfer_is_refused_as_no_inputs a_block_with_a_transfer_paying_past_its_inputs_is_refused_as_value_imbalance" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name a_zero_epoch_or_a_bad_submit_window_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name an_ft_in_the_per_transfer_cross_layout_is_refunded_not_credited a_leaf_update_on_another_root_is_refused_as_stale_root vacuous_leadership_carries_no_proof leadership_verifies_and_binds_slot a_header_signature_binds_every_field" "zendoo-latus two_nodes --nocapture" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary
 # (`Action`) in one `Schedule`, whose `run` audits conservation after
-# every tick. The long-horizon fault-layered scenarios (byzantine),
+# every tick. First the auditor shown to fire (sim lib audit::): a
+# reconciled world with one pool corrupted through a test-only door
+# names AuditViolation::{Conservation, Safeguard, DoubleSettlement,
+# ForgedWinner}, field by field. The long-horizon fault-layered scenarios (byzantine),
 # among them a fork that orphans one sender's declared transfer, after
 # which another sender's transfer of the same amount must reach its own
 # receiver, and a queued transfer whose input a fork reverts, which must
@@ -229,7 +252,7 @@ test-adversarial:
 # to forge whether the block carries 1 or 64 forward transfers for
 # another chain.
 test-byzantine:
-	$(call run-suites,byzantine,"zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism --skip the_lanes_and_the_serial_phases_account_for_the_tick" "zendoo-sim determinism the_lanes_and_the_serial_phases_account_for_the_tick --test-threads=1" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::" "zendoo-sim shared_commitment")
+	$(call run-suites,byzantine,"zendoo-sim lib audit::" "zendoo-sim byzantine" "zendoo-sim fault_props" "zendoo-sim determinism --skip the_lanes_and_the_serial_phases_account_for_the_tick" "zendoo-sim determinism the_lanes_and_the_serial_phases_account_for_the_tick --test-threads=1" "zendoo conservation" "zendoo-sim exits" "zendoo-sim lib scenarios::" "zendoo-sim shared_commitment")
 
 # The persistence suites: the store's unit tests (the journal checksum's
 # known answer and every single-bit flip, a ZSJ1 journal refused, the

@@ -134,23 +134,6 @@ impl EpochSchedule {
     pub fn ceasing_height(&self, epoch: EpochId) -> u64 {
         self.epoch_first_height(epoch + 1) + self.submit_len as u64
     }
-
-    /// The newest epoch whose submission window is already closed at
-    /// `height` (i.e. a certificate for it must exist by now), if any.
-    pub fn latest_due_epoch(&self, height: u64) -> Option<EpochId> {
-        // Epoch e is due once height >= ceasing_height(e).
-        let current = self.epoch_of_height(height)?;
-        let mut candidate = current;
-        loop {
-            if self.ceasing_height(candidate) <= height {
-                return Some(candidate);
-            }
-            if candidate == 0 {
-                return None;
-            }
-            candidate -= 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,11 +146,22 @@ mod tests {
     }
 
     #[test]
-    fn construction_validation() {
-        assert!(EpochSchedule::new(0, 0, 1).is_err());
-        assert!(EpochSchedule::new(0, 10, 0).is_err());
-        assert!(EpochSchedule::new(0, 10, 11).is_err());
+    fn a_zero_epoch_or_a_bad_submit_window_is_refused_by_name() {
+        assert_eq!(
+            EpochSchedule::new(0, 0, 1),
+            Err(ScheduleError::ZeroEpochLength)
+        );
+        for submit_len in [0, 11] {
+            assert_eq!(
+                EpochSchedule::new(0, 10, submit_len),
+                Err(ScheduleError::BadSubmitLength {
+                    submit_len,
+                    epoch_len: 10
+                })
+            );
+        }
         assert!(EpochSchedule::new(0, 10, 10).is_ok());
+        assert!(EpochSchedule::new(0, 10, 1).is_ok());
     }
 
     #[test]
@@ -190,16 +184,6 @@ mod tests {
         assert!(s.in_submission_window(0, 1024));
         assert!(!s.in_submission_window(0, 1025));
         assert_eq!(s.ceasing_height(0), 1025);
-    }
-
-    #[test]
-    fn latest_due_epoch_progression() {
-        let s = sched();
-        assert_eq!(s.latest_due_epoch(1000), None);
-        assert_eq!(s.latest_due_epoch(1024), None);
-        assert_eq!(s.latest_due_epoch(1025), Some(0));
-        assert_eq!(s.latest_due_epoch(1044), Some(0));
-        assert_eq!(s.latest_due_epoch(1045), Some(1));
     }
 
     proptest! {

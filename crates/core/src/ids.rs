@@ -5,19 +5,12 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{Decode, DecodeError, Encode, Reader};
 
 /// A unique identifier of a registered sidechain (`ledgerId` in the
-/// paper). Derived from the hash of the sidechain-creation transaction.
+/// paper), named by its declaration; the registry refuses an id already
+/// taken.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SidechainId(pub Digest32);
 
 impl SidechainId {
-    /// Derives the id from the creating transaction's digest.
-    pub fn from_creation_tx(txid: &Digest32) -> Self {
-        SidechainId(Digest32::hash_tagged(
-            "zendoo/sidechain-id",
-            &[txid.as_bytes()],
-        ))
-    }
-
     /// Deterministic id from a label — for tests and examples.
     pub fn from_label(label: &str) -> Self {
         SidechainId(Digest32::hash_tagged(
@@ -229,19 +222,6 @@ mod tests {
         assert_eq!(
             Amount::checked_sum([u64::MAX, 1].map(Amount::from_units)),
             None
-        );
-    }
-
-    #[test]
-    fn sidechain_id_derivation_is_stable() {
-        let tx = Digest32::hash_bytes(b"creation-tx");
-        assert_eq!(
-            SidechainId::from_creation_tx(&tx),
-            SidechainId::from_creation_tx(&tx)
-        );
-        assert_ne!(
-            SidechainId::from_creation_tx(&tx),
-            SidechainId::from_label("x")
         );
     }
 

@@ -14,7 +14,7 @@ use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::encode::{digest, Encode};
 use zendoo_primitives::field::Fp;
 use zendoo_primitives::merkle::{MerkleTree, Sha256Hasher};
-use zendoo_primitives::schnorr::PublicKey;
+use zendoo_primitives::schnorr::{PublicKey, SecretKey, Signature};
 use zendoo_primitives::vrf::VrfProof;
 use zendoo_snark::deferred::Deferred;
 
@@ -146,7 +146,12 @@ impl McBlockReference {
     }
 }
 
-/// A Latus block header.
+/// The context a forger signs its block header under.
+const HEADER_CONTEXT: &str = "zendoo/sc-block-header-sig";
+
+/// A Latus block header, signed by the forger that won its slot (§5.1):
+/// the signature binds every other field, so a relay can change neither
+/// the slot nor the forger a block claims.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScBlockHeader {
     /// Parent SC block hash (zero for the genesis block).
@@ -157,14 +162,17 @@ pub struct ScBlockHeader {
     pub slot: u64,
     /// The forger's public key.
     pub forger: PublicKey,
-    /// VRF proof of slot leadership (§5.1).
-    pub vrf_proof: VrfProof,
+    /// VRF proof of slot leadership (§5.1); `None` where leadership is
+    /// vacuous (the bootstrap authority, or a chain nobody stakes in).
+    pub vrf_proof: Option<VrfProof>,
     /// Merkle root over all contained transaction ids (sync + regular).
     pub tx_root: Digest32,
     /// Ordered MC block hashes referenced by this block.
     pub mc_ref_hashes: Vec<Digest32>,
     /// The state digest after applying this block.
     pub state_digest: Fp,
+    /// The forger's Schnorr signature over every field above.
+    pub signature: Signature,
 }
 
 impl ScBlockHeader {
@@ -172,18 +180,48 @@ impl ScBlockHeader {
     pub fn hash(&self) -> Digest32 {
         digest("zendoo/sc-block-header", self)
     }
+
+    /// The bytes the forger signs: every field but the signature.
+    fn signed_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.parent.encode_into(&mut out);
+        self.height.encode_into(&mut out);
+        self.slot.encode_into(&mut out);
+        self.forger.to_bytes().encode_into(&mut out);
+        self.vrf_proof
+            .map(|proof| proof.to_bytes().to_vec())
+            .encode_into(&mut out);
+        self.tx_root.encode_into(&mut out);
+        self.mc_ref_hashes.encode_into(&mut out);
+        self.state_digest.encode_into(&mut out);
+        out
+    }
+
+    /// Signs the header with the forger's key: the last step of forging.
+    pub fn sign(&mut self, forger: &SecretKey) {
+        self.signature = forger.sign(HEADER_CONTEXT, &self.signed_bytes());
+    }
+
+    /// States the forger's signature over the header into `sigs`.
+    ///
+    /// # Errors
+    ///
+    /// `on_fail()` when `sigs` is eager and the signature fails.
+    pub fn authorize<E>(&self, sigs: &mut Deferred, on_fail: impl FnOnce() -> E) -> Result<(), E> {
+        sigs.signature(
+            HEADER_CONTEXT,
+            &self.forger,
+            &self.signed_bytes(),
+            &self.signature,
+            on_fail,
+        )
+    }
 }
 
 impl Encode for ScBlockHeader {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.parent.encode_into(out);
-        self.height.encode_into(out);
-        self.slot.encode_into(out);
-        self.forger.to_bytes().encode_into(out);
-        self.vrf_proof.to_bytes().to_vec().encode_into(out);
-        self.tx_root.encode_into(out);
-        self.mc_ref_hashes.encode_into(out);
-        self.state_digest.encode_into(out);
+        out.extend_from_slice(&self.signed_bytes());
+        self.signature.to_bytes().encode_into(out);
     }
 }
 
@@ -348,6 +386,7 @@ pub fn apply_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consensus::{try_lead_slot, ConsensusParams, StakeDistribution};
     use crate::tx::apply_transaction;
     use zendoo_core::ids::Amount;
     use zendoo_mainchain::chain::{Blockchain, ChainParams};
@@ -502,14 +541,11 @@ mod tests {
                 height,
                 slot: height,
                 forger: Keypair::from_seed(b"forger").public,
-                vrf_proof: zendoo_primitives::vrf::prove(
-                    &Keypair::from_seed(b"forger").secret,
-                    b"slot",
-                )
-                .1,
+                vrf_proof: None,
                 tx_root: Digest32::ZERO,
                 mc_ref_hashes: references.iter().map(|r| r.mc_block_hash()).collect(),
                 state_digest: Fp::ZERO,
+                signature: Signature::from_bytes(&[0; 65]).unwrap(),
             },
             mc_references: references,
             transactions,
@@ -519,6 +555,7 @@ mod tests {
         }
         block.header.tx_root = block.compute_tx_root();
         block.header.state_digest = scratch.digest();
+        block.header.sign(&Keypair::from_seed(b"forger").secret);
         *state = scratch;
         block
     }
@@ -550,6 +587,51 @@ mod tests {
         .unwrap();
         assert_eq!(witnesses.len(), 2, "FTTx + BTRTx halves");
         assert_eq!(state.digest(), block.header.state_digest);
+    }
+
+    /// The forger's signature covers every other header field: each one
+    /// changed alone fails the eager check, by the caller's name.
+    #[test]
+    fn a_header_signature_binds_every_field() {
+        let (mut chain, alice) = chain_with_ft();
+        let params = LatusParams::new(sid(), 16);
+        let reference = empty_reference_for(&mut chain, &alice);
+        let block = forge_test_block(
+            &params,
+            &mut SidechainState::new(16),
+            Digest32::ZERO,
+            0,
+            vec![reference],
+            vec![],
+        );
+        let check = |header: &ScBlockHeader| header.authorize(&mut Deferred::eager(), || "bad");
+        assert_eq!(check(&block.header), Ok(()));
+        let other = Keypair::from_seed(b"other");
+        let rewrites: [fn(&mut ScBlockHeader, &Keypair); 9] = [
+            |h, _| h.parent = Digest32::hash_bytes(b"p"),
+            |h, _| h.height += 1,
+            |h, _| h.slot += 5,
+            |h, k| h.forger = k.public,
+            |h, k| {
+                let alone = StakeDistribution::from_entries([(
+                    zendoo_core::ids::Address::from_public_key(&k.public),
+                    zendoo_core::ids::Amount::from_units(1),
+                )]);
+                let params = ConsensusParams::default();
+                h.vrf_proof =
+                    (0..).find_map(|slot| try_lead_slot(&params, &alone, &k.secret, slot));
+            },
+            |h, _| h.tx_root = Digest32::hash_bytes(b"t"),
+            |h, _| h.mc_ref_hashes.push(Digest32::ZERO),
+            |h, _| h.state_digest = Fp::from_u64(1),
+            |h, k| h.signature = k.secret.sign(HEADER_CONTEXT, &h.signed_bytes()),
+        ];
+        for (i, rewrite) in rewrites.iter().enumerate() {
+            let mut header = block.header.clone();
+            rewrite(&mut header, &other);
+            assert_eq!(check(&header), Err("bad"), "field {i}");
+            assert_ne!(header.hash(), block.header.hash(), "field {i}");
+        }
     }
 
     #[test]

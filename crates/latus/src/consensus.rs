@@ -11,12 +11,20 @@
 //! the epoch randomness is derived from a hash chain seeded at genesis —
 //! a simulated randomness beacon standing in for Ouroboros's VRF-output
 //! folding.
+//!
+//! A forger proves its slot with [`try_lead_slot`]; a block's proof is
+//! checked by the one verifier, [`verify_block_leadership`]. Leadership
+//! is vacuous ([`ConsensusParams::leadership_is_vacuous`]) for the
+//! bootstrap authority and while nobody holds stake: such a block
+//! carries no VRF proof. Either way the forger signs the block header
+//! ([`crate::block::ScBlockHeader::signature`]), so the slot and forger
+//! a block claims are the forger's own.
 
 use std::collections::BTreeMap;
 use zendoo_core::ids::{Address, Amount};
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::schnorr::{PublicKey, SecretKey};
-use zendoo_primitives::vrf::{self, VrfOutput, VrfProof};
+use zendoo_primitives::vrf::{self, VrfProof};
 
 use crate::state::SidechainState;
 
@@ -57,9 +65,15 @@ impl ConsensusParams {
         }
     }
 
-    /// Returns `true` if `forger` is the bootstrap authority.
-    pub fn is_bootstrap_forger(&self, forger: &PublicKey) -> bool {
-        self.bootstrap_forger.as_ref() == Some(forger)
+    /// Returns `true` when `forger` leads every slot without the
+    /// lottery: it is the bootstrap authority, or nobody holds stake in
+    /// `distribution`.
+    pub fn leadership_is_vacuous(
+        &self,
+        distribution: &StakeDistribution,
+        forger: &PublicKey,
+    ) -> bool {
+        self.bootstrap_forger.as_ref() == Some(forger) || distribution.total().is_zero()
     }
 
     /// The consensus epoch containing `slot`.
@@ -158,84 +172,47 @@ fn slot_message(params: &ConsensusParams, slot: u64) -> Vec<u8> {
     msg
 }
 
-/// Evidence of slot leadership.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LeadershipProof {
-    /// The slot claimed.
-    pub slot: u64,
-    /// The VRF output (below the stakeholder's threshold).
-    pub output: VrfOutput,
-    /// The VRF proof.
-    pub proof: VrfProof,
-}
-
 /// Evaluates the slot-leader lottery for a stakeholder
 /// (the `Select` procedure of §5.1, evaluated locally and privately as
 /// in Praos).
 ///
-/// Returns `Some` when `VRF(sk, η ‖ slot) < φ_f(α)`.
+/// Returns the VRF proof when `VRF(sk, η ‖ slot) < φ_f(α)`.
 pub fn try_lead_slot(
     params: &ConsensusParams,
     distribution: &StakeDistribution,
     sk: &SecretKey,
     slot: u64,
-) -> Option<LeadershipProof> {
+) -> Option<VrfProof> {
     let address = Address::from_public_key(&sk.public_key());
     let alpha = distribution.relative_stake(&address);
     if alpha <= 0.0 {
         return None;
     }
     let (output, proof) = vrf::prove(sk, &slot_message(params, slot));
-    if output.as_unit_fraction() < params.threshold(alpha) {
-        Some(LeadershipProof {
-            slot,
-            output,
-            proof,
-        })
-    } else {
-        None
-    }
+    (output.as_unit_fraction() < params.threshold(alpha)).then_some(proof)
 }
 
-/// Verifies a leadership claim for `pk` at `slot` under the epoch's
-/// distribution.
-pub fn verify_leadership(
-    params: &ConsensusParams,
-    distribution: &StakeDistribution,
-    pk: &PublicKey,
-    claim: &LeadershipProof,
-) -> bool {
-    let address = Address::from_public_key(pk);
-    let alpha = distribution.relative_stake(&address);
-    if alpha <= 0.0 {
-        return false;
-    }
-    let Some(output) = vrf::verify(pk, &slot_message(params, claim.slot), &claim.proof) else {
-        return false;
-    };
-    output == claim.output && output.as_unit_fraction() < params.threshold(alpha)
-}
-
-/// Verifies the leadership embedded in a block header: the VRF proof
-/// must be valid for `(η ‖ slot)` under the forger's key and its output
-/// below the forger's stake threshold. Used by validating (non-forging)
-/// nodes.
+/// Verifies the leadership a block header claims for `forger` at
+/// `slot`. Where leadership is vacuous the header must carry no proof;
+/// otherwise its VRF proof must be valid for `(η ‖ slot)` under the
+/// forger's key, with an output below the forger's stake threshold.
 pub fn verify_block_leadership(
     params: &ConsensusParams,
     distribution: &StakeDistribution,
     forger: &PublicKey,
     slot: u64,
-    proof: &VrfProof,
+    proof: Option<&VrfProof>,
 ) -> bool {
-    let address = Address::from_public_key(forger);
-    let alpha = distribution.relative_stake(&address);
+    if params.leadership_is_vacuous(distribution, forger) {
+        return proof.is_none();
+    }
+    let alpha = distribution.relative_stake(&Address::from_public_key(forger));
     if alpha <= 0.0 {
         return false;
     }
-    match vrf::verify(forger, &slot_message(params, slot), proof) {
-        Some(output) => output.as_unit_fraction() < params.threshold(alpha),
-        None => false,
-    }
+    proof
+        .and_then(|proof| vrf::verify(forger, &slot_message(params, slot), proof))
+        .is_some_and(|output| output.as_unit_fraction() < params.threshold(alpha))
 }
 
 #[cfg(test)]
@@ -280,19 +257,75 @@ mod tests {
         // slots suffice).
         let mut found = None;
         for slot in 0..5_000 {
-            if let Some(claim) = try_lead_slot(&p, &dist, &alice.secret, slot) {
-                found = Some(claim);
+            if let Some(proof) = try_lead_slot(&p, &dist, &alice.secret, slot) {
+                found = Some((slot, proof));
                 break;
             }
         }
-        let claim = found.expect("alice leads some slot");
-        assert!(verify_leadership(&p, &dist, &alice.public, &claim));
-        // Bob cannot reuse alice's claim.
-        assert!(!verify_leadership(&p, &dist, &bob.public, &claim));
+        let (slot, proof) = found.expect("alice leads some slot");
+        assert!(verify_block_leadership(
+            &p,
+            &dist,
+            &alice.public,
+            slot,
+            Some(&proof)
+        ));
+        // Bob cannot reuse alice's proof.
+        assert!(!verify_block_leadership(
+            &p,
+            &dist,
+            &bob.public,
+            slot,
+            Some(&proof)
+        ));
         // A different slot invalidates the proof.
-        let mut wrong_slot = claim.clone();
-        wrong_slot.slot += 1;
-        assert!(!verify_leadership(&p, &dist, &alice.public, &wrong_slot));
+        assert!(!verify_block_leadership(
+            &p,
+            &dist,
+            &alice.public,
+            slot + 1,
+            Some(&proof)
+        ));
+        // A staked slot needs a proof.
+        assert!(!verify_block_leadership(
+            &p,
+            &dist,
+            &alice.public,
+            slot,
+            None
+        ));
+    }
+
+    /// Leadership is vacuous for the bootstrap authority and on an
+    /// unstaked chain, and there a header carries no VRF proof, not even
+    /// a winning one; a staked chain holds everyone else to the lottery.
+    #[test]
+    fn vacuous_leadership_carries_no_proof() {
+        let alice = Keypair::from_seed(b"alice");
+        let authority = Keypair::from_seed(b"authority");
+        let staked = StakeDistribution::from_entries([(
+            Address::from_public_key(&alice.public),
+            Amount::from_units(100),
+        )]);
+        let unstaked = StakeDistribution::default();
+        let p = ConsensusParams::with_bootstrap(authority.public);
+        let (slot, won) = (0..)
+            .find_map(|slot| try_lead_slot(&p, &staked, &alice.secret, slot).map(|w| (slot, w)))
+            .unwrap();
+        let verify = |dist: &StakeDistribution, forger: &Keypair, proof: Option<&VrfProof>| {
+            verify_block_leadership(&p, dist, &forger.public, slot, proof)
+        };
+        assert!(!p.leadership_is_vacuous(&staked, &alice.public));
+        assert!(verify(&staked, &alice, Some(&won)));
+        assert!(!verify(&staked, &alice, None));
+        assert!(p.leadership_is_vacuous(&unstaked, &alice.public));
+        assert!(verify(&unstaked, &alice, None));
+        assert!(!verify(&unstaked, &alice, Some(&won)));
+        for dist in [&unstaked, &staked] {
+            assert!(p.leadership_is_vacuous(dist, &authority.public));
+            assert!(verify(dist, &authority, None));
+            assert!(!verify(dist, &authority, Some(&won)));
+        }
     }
 
     #[test]

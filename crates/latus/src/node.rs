@@ -17,7 +17,8 @@
 //! block or forge never reaches that step and changes nothing. The open
 //! epoch's headers are read off the chain, from `epoch_start` on.
 //! Admission checks input signatures eagerly, the forger owes them to
-//! admission, and the follower owes a block's to one batch.
+//! admission, and the follower owes a block's to one batch, the
+//! forger's signature over its header first.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -34,7 +35,7 @@ use zendoo_core::withdrawal::{
 };
 use zendoo_primitives::digest::Digest32;
 use zendoo_primitives::field::Fp;
-use zendoo_primitives::schnorr::{Keypair, SecretKey};
+use zendoo_primitives::schnorr::{Keypair, SecretKey, Signature};
 use zendoo_snark::backend::{prove, ProveError, ProvingKey, VerifyingKey};
 use zendoo_snark::deferred::Deferred;
 use zendoo_snark::inputs::PublicInputs;
@@ -45,7 +46,7 @@ use crate::cert::{
     wcert_proofdata_schema, BtrCircuit, CertInclusion, CswCircuit, CswWitness, DeltaLink,
     OwnershipWitness, WcertCircuit, WcertWitness,
 };
-use crate::consensus::{try_lead_slot, ConsensusParams, LeadershipProof, StakeDistribution};
+use crate::consensus::{try_lead_slot, ConsensusParams, StakeDistribution};
 use crate::mst::{mst_position, Mst, MstDelta, Utxo};
 use crate::params::LatusParams;
 use crate::proof::{proof_system, EpochProofBuilder, LatusProofSystem};
@@ -150,9 +151,20 @@ pub enum NodeError {
         /// Found parent.
         found: Digest32,
     },
+    /// A received block does not extend this node's tip.
+    NotOnTip,
+    /// A received block references other MC blocks than the observed one.
+    WrongMcReference,
     /// A received block claims this slot, at or before the last adopted
     /// block's: a second block in a spent slot would equivocate.
     SpentSlot(u64),
+    /// A received block's forger does not lead its slot (§5.1).
+    NotLeader {
+        /// The slot claimed.
+        slot: u64,
+    },
+    /// A received block's header signature is not its forger's.
+    BadHeaderSignature,
     /// Proof generation failed (a bug or inconsistent state).
     Prove(ProveError),
     /// Certificate requested before the epoch's last MC block.
@@ -171,7 +183,11 @@ impl std::fmt::Display for NodeError {
             NodeError::NonContiguousMcBlock { expected, found } => {
                 write!(f, "MC block parent {found}, expected {expected}")
             }
+            NodeError::NotOnTip => write!(f, "block does not extend our tip"),
+            NodeError::WrongMcReference => write!(f, "block references another MC block"),
             NodeError::SpentSlot(slot) => write!(f, "slot {slot} already spent"),
+            NodeError::NotLeader { slot } => write!(f, "forger does not lead slot {slot}"),
+            NodeError::BadHeaderSignature => write!(f, "bad block header signature"),
             NodeError::Prove(e) => write!(f, "proving failed: {e}"),
             NodeError::EpochNotComplete => write!(f, "withdrawal epoch not complete"),
             NodeError::Block(e) => write!(f, "block refused: {e}"),
@@ -570,7 +586,7 @@ impl LatusNode {
         }
         let reference = McBlockReference::derive(mc_block, commitment, &self.params.sidechain_id)?;
         self.refresh_stake();
-        let leadership = self.find_leading_slot()?;
+        let (slot, vrf_proof) = self.find_leading_slot()?;
 
         // The synchronized halves are mandatory; their failure refuses
         // the block (the MC reference itself is malformed) before the
@@ -604,17 +620,19 @@ impl LatusNode {
             header: ScBlockHeader {
                 parent: self.chain.last().map_or(Digest32::ZERO, ScBlock::hash),
                 height: self.chain.len() as u64,
-                slot: leadership.slot,
+                slot,
                 forger: self.forger.public,
-                vrf_proof: leadership.proof,
+                vrf_proof,
                 tx_root: Digest32::ZERO,
                 mc_ref_hashes: vec![reference.mc_block_hash()],
                 state_digest: next.digest(),
+                signature: Signature::from_bytes(&[0; 65]).expect("the unsigned placeholder"),
             },
             mc_references: vec![reference],
             transactions: included,
         };
         block.header.tx_root = block.compute_tx_root();
+        block.header.sign(&self.forger.secret);
         self.adopt(block.clone(), next, recorded);
         self.declared.extend(declared);
         Ok(block)
@@ -631,25 +649,24 @@ impl LatusNode {
     }
 
     /// The first slot from `next_slot` on that this node's forger leads
-    /// (slot leadership lottery, §5.1).
-    fn find_leading_slot(&self) -> Result<LeadershipProof, NodeError> {
-        // The bootstrap authority (and anyone, while the chain is
-        // entirely unstaked) forges without winning the lottery; the
-        // VRF proof is still produced for auditability.
-        if self.consensus.is_bootstrap_forger(&self.forger.public) || self.stake.total().is_zero() {
-            let slot = self.next_slot;
-            let (output, proof) =
-                zendoo_primitives::vrf::prove(&self.forger.secret, &slot.to_be_bytes());
-            return Ok(LeadershipProof {
-                slot,
-                output,
-                proof,
-            });
+    /// (slot leadership lottery, §5.1), with its VRF proof: `None` where
+    /// leadership is vacuous, and that slot is `next_slot`.
+    fn find_leading_slot(
+        &self,
+    ) -> Result<(u64, Option<zendoo_primitives::vrf::VrfProof>), NodeError> {
+        if self
+            .consensus
+            .leadership_is_vacuous(&self.stake, &self.forger.public)
+        {
+            return Ok((self.next_slot, None));
         }
         // Staked forgers search forward for a leading slot (expected
         // 1/φ(α) tries); a forger without stake never leads.
         (self.next_slot..self.next_slot + 100_000)
-            .find_map(|slot| try_lead_slot(&self.consensus, &self.stake, &self.forger.secret, slot))
+            .find_map(|slot| {
+                try_lead_slot(&self.consensus, &self.stake, &self.forger.secret, slot)
+                    .map(|proof| (slot, Some(proof)))
+            })
             .ok_or(NodeError::Unavailable(
                 "forger holds no stake and never wins a slot",
             ))
@@ -658,8 +675,9 @@ impl LatusNode {
     /// Validates a block forged by *another* node (the validator path):
     /// checks chain linkage, the 1:1 MC reference discipline, an unspent
     /// slot, VRF slot leadership against the epoch's stake snapshot, and
-    /// full stateful validity on a clone of the state, its signatures
-    /// owed to one batch. A refused walk or batch walks a fresh clone
+    /// then, on a clone of the state, the forger's header signature and
+    /// full stateful validity, every signature owed to one batch with
+    /// the header's first. A refused walk or batch walks a fresh clone
     /// again eagerly, so a refusal is the inline validator's, by name.
     /// Then adopts it through the step
     /// [`LatusNode::sync_mainchain_block`] shares, recording the
@@ -682,43 +700,39 @@ impl LatusNode {
                 found: mc_block.header.parent,
             });
         }
+        let header = &block.header;
         let tip = self.chain.last().map_or(Digest32::ZERO, ScBlock::hash);
-        if block.header.parent != tip || block.header.height != self.chain.len() as u64 {
-            return Err(NodeError::Unavailable("block does not extend our tip"));
+        if header.parent != tip || header.height != self.chain.len() as u64 {
+            return Err(NodeError::NotOnTip);
         }
-        if block.header.mc_ref_hashes != vec![mc_block.hash()] {
-            return Err(NodeError::Unavailable(
-                "block must reference exactly the observed MC block",
-            ));
+        if header.mc_ref_hashes != vec![mc_block.hash()] {
+            return Err(NodeError::WrongMcReference);
         }
-        if block.header.slot < self.next_slot {
-            return Err(NodeError::SpentSlot(block.header.slot));
+        if header.slot < self.next_slot {
+            return Err(NodeError::SpentSlot(header.slot));
         }
-        // Leadership is vacuous while the chain is unstaked — the
-        // bootstrap authority window.
         self.refresh_stake();
-        let leadership_ok = self.consensus.is_bootstrap_forger(&block.header.forger)
-            || self.stake.total().is_zero()
-            || crate::consensus::verify_block_leadership(
-                &self.consensus,
-                &self.stake,
-                &block.header.forger,
-                block.header.slot,
-                &block.header.vrf_proof,
-            );
-        if !leadership_ok {
-            return Err(NodeError::Unavailable("invalid slot leadership"));
+        if !crate::consensus::verify_block_leadership(
+            &self.consensus,
+            &self.stake,
+            &header.forger,
+            header.slot,
+            header.vrf_proof.as_ref(),
+        ) {
+            return Err(NodeError::NotLeader { slot: header.slot });
         }
 
         let walk = |sigs: &mut Deferred| {
+            header.authorize(sigs, || NodeError::BadHeaderSignature)?;
             let mut next = self.state.clone();
             crate::block::apply_block(&self.params, &mut next, block, self.last_mc_ref, sigs)
                 .map(|recorded| (next, recorded))
+                .map_err(NodeError::Block)
         };
         let mut sigs = Deferred::new();
         let (next, recorded) = match walk(&mut sigs) {
             Ok(walked) if sigs.discharge() => walked,
-            _ => walk(&mut Deferred::eager()).map_err(NodeError::Block)?,
+            _ => walk(&mut Deferred::eager())?,
         };
         self.adopt(block.clone(), next, recorded);
         Ok(())

@@ -1182,6 +1182,31 @@ mod tests {
         assert_eq!(root, state.mst().root());
     }
 
+    /// A leaf update replayed against another root than the one its path
+    /// authenticates under — out of order, or on a foreign root — is
+    /// refused by name.
+    #[test]
+    fn a_leaf_update_on_another_root_is_refused_as_stale_root() {
+        let alice = Keypair::from_seed(b"alice");
+        let (mut state, utxos) = funded_state(&alice, &[10, 20]);
+        let pre_root = state.mst().root();
+        let tx = ScTransaction::Payment(PaymentTx::create(
+            vec![(utxos[0], &alice.secret)],
+            vec![(Address::from_label("bob"), Amount::from_units(10))],
+        ));
+        let witness = apply_transaction(&params(), &mut state, &tx).unwrap();
+        let [first, second] = &witness.updates[..] else {
+            panic!("a spend and an output: {:?}", witness.updates.len());
+        };
+        assert_eq!(second.apply_to_root(&pre_root), Err(UpdateError::StaleRoot));
+        assert_eq!(
+            first.apply_to_root(&Fp::from_u64(7)),
+            Err(UpdateError::StaleRoot)
+        );
+        let after_first = first.apply_to_root(&pre_root).unwrap();
+        assert!(second.apply_to_root(&after_first).is_ok());
+    }
+
     #[test]
     fn payment_rejects_overdraw_unknown_duplicate() {
         let alice = Keypair::from_seed(b"alice");

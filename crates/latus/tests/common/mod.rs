@@ -5,6 +5,7 @@
 use std::sync::Arc;
 use zendoo_core::epoch::EpochSchedule;
 use zendoo_core::ids::{Address, Amount, SidechainId};
+use zendoo_latus::block::ScBlock;
 use zendoo_latus::consensus::ConsensusParams;
 use zendoo_latus::node::{LatusKeys, LatusNode};
 use zendoo_latus::params::LatusParams;
@@ -18,6 +19,16 @@ pub const EPOCH_LEN: u32 = 6;
 pub const SUBMIT_LEN: u32 = 2;
 pub const START_BLOCK: u64 = 2;
 pub const MST_DEPTH: u32 = 16;
+/// The seed of the harness forger's key, the chain's bootstrap
+/// authority.
+pub const FORGER_SEED: &[u8] = b"forger";
+
+/// Re-roots a tampered block over its body and re-signs its header as
+/// the harness forger would, so that only the tampering is wrong.
+pub fn reseal(block: &mut ScBlock) {
+    block.header.tx_root = block.compute_tx_root();
+    block.header.sign(&Keypair::from_seed(FORGER_SEED).secret);
+}
 
 /// A two-chain test harness.
 pub struct TwoChains {
@@ -57,7 +68,7 @@ impl TwoChains {
             )
             .unwrap();
         let anchor = chain.tip_hash();
-        let forger = Keypair::from_seed(b"forger");
+        let forger = Keypair::from_seed(FORGER_SEED);
         let node = LatusNode::new(
             params,
             schedule,

@@ -1,8 +1,10 @@
 //! Multi-node agreement (paper §5.1's decentralization): a forger and an
 //! independent validator process the same mainchain; the validator
-//! checks every block (linkage, leadership, stateful validity) and ends
-//! with an identical state — and, holding the same witnesses, produces a
-//! byte-identical certificate.
+//! checks every block (linkage, leadership, the forger's header
+//! signature, stateful validity) and ends with an identical state — and,
+//! holding the same witnesses, produces a byte-identical certificate.
+//! A tampered block is re-signed by the forger ([`common::reseal`])
+//! wherever a test means to reach a body rule.
 
 mod common;
 
@@ -23,6 +25,7 @@ use zendoo_latus::tx::{
 use zendoo_mainchain::transaction::McTransaction;
 use zendoo_mainchain::{Block, Blockchain};
 use zendoo_primitives::digest::Digest32;
+use zendoo_primitives::field::Fp;
 use zendoo_primitives::schnorr::Keypair;
 use zendoo_snark::deferred::Deferred;
 
@@ -130,6 +133,7 @@ fn validator_rejects_tampered_blocks() {
     // Tamper the claimed post-state digest.
     let mut forged = sc_block.clone();
     forged.header.state_digest = zendoo_primitives::field::Fp::from_u64(777);
+    common::reseal(&mut forged);
     assert_eq!(
         refusal(validator.receive_block(&forged, &mc_block)),
         ScBlockError::StateDigestMismatch
@@ -138,6 +142,9 @@ fn validator_rejects_tampered_blocks() {
     // Tamper the tx root.
     let mut forged = sc_block.clone();
     forged.header.tx_root = zendoo_primitives::digest::Digest32::hash_bytes(b"lie");
+    forged
+        .header
+        .sign(&Keypair::from_seed(common::FORGER_SEED).secret);
     assert_eq!(
         refusal(validator.receive_block(&forged, &mc_block)),
         ScBlockError::TxRootMismatch
@@ -149,7 +156,7 @@ fn validator_rejects_tampered_blocks() {
         inputs: vec![],
         outputs: vec![],
     }));
-    forged.header.tx_root = forged.compute_tx_root();
+    common::reseal(&mut forged);
     assert_eq!(
         refusal(validator.receive_block(&forged, &mc_block)),
         ScBlockError::Tx(TxError::NoInputs)
@@ -203,10 +210,224 @@ fn a_block_in_its_parents_slot_is_refused_by_name() {
     assert_eq!(validator.state().digest(), h.node.state().digest());
 }
 
+/// What a refused block must leave as it was: the follower's chain,
+/// state digest and rollback snapshots.
+fn view(node: &LatusNode) -> (Vec<ScBlock>, Fp, usize) {
+    (
+        node.chain().to_vec(),
+        node.state().digest(),
+        node.snapshot_count(),
+    )
+}
+
+/// A forger and a follower that agree on three blocks, one carrying a
+/// 2,000-coin deposit, and the fourth block, forged and not yet
+/// received. No certificate fixed a stake snapshot, so leadership is
+/// vacuous: any key leads any slot.
+fn an_honest_block_in_the_vacuous_window(label: &str) -> (TwoChains, LatusNode, Block, ScBlock) {
+    let mut h = TwoChains::new(label);
+    let mut validator = follower(&h, b"validator");
+    let first = deposit(&h, 2_000);
+    for txs in [vec![first], vec![], vec![]] {
+        mine_and_follow(&mut h, &mut validator, txs);
+    }
+    h.time += 1;
+    let mc_block = h
+        .chain
+        .mine_next_block(h.mc_wallet.address(), vec![], h.time)
+        .unwrap();
+    let sc_block = h
+        .node
+        .sync_mainchain_block(
+            &mc_block,
+            &Blockchain::build_commitment(&mc_block.transactions),
+        )
+        .unwrap();
+    assert_eq!(sc_block.header.vrf_proof, None, "vacuous leadership");
+    (h, validator, mc_block, sc_block)
+}
+
+/// `validator` refuses a relay's `rewritten` copy of `honest` as
+/// `NodeError::BadHeaderSignature` with nothing changed, then takes the
+/// honest block into the forger's tip and state.
+fn refused_as_bad_header_signature_then_honest_accepted(
+    h: &TwoChains,
+    validator: &mut LatusNode,
+    mc_block: &Block,
+    honest: &ScBlock,
+    rewritten: &ScBlock,
+) {
+    let before = view(validator);
+    let refused = validator.receive_block(rewritten, mc_block);
+    assert!(
+        matches!(refused, Err(NodeError::BadHeaderSignature)),
+        "{:?}",
+        refused.map(|()| rewritten.header.clone())
+    );
+    assert_eq!(view(validator), before);
+    validator.receive_block(honest, mc_block).unwrap();
+    assert_eq!(validator.chain(), h.node.chain());
+    assert_eq!(validator.state().digest(), h.node.state().digest());
+}
+
+/// A relay rewrites an honest block's forger to an unstaked key inside
+/// the vacuous window, where that key leads as well as the forger: the
+/// header signature is the forger's, so the follower refuses the block
+/// by name, and then takes the honest block.
+#[test]
+fn a_block_relayed_under_another_forger_is_refused_as_bad_header_signature() {
+    let (h, mut validator, mc_block, sc_block) =
+        an_honest_block_in_the_vacuous_window("two-nodes-relay-forger");
+    let mut rewritten = sc_block.clone();
+    rewritten.header.forger = Keypair::from_seed(b"relay").public;
+    refused_as_bad_header_signature_then_honest_accepted(
+        &h,
+        &mut validator,
+        &mc_block,
+        &sc_block,
+        &rewritten,
+    );
+}
+
+/// A relay moves an honest block's slot 5 ahead, which an unspent slot
+/// and vacuous leadership allow: the follower refuses it by name as the
+/// forger never signed that slot, and then takes the honest block.
+#[test]
+fn a_block_relayed_five_slots_ahead_is_refused_as_bad_header_signature() {
+    let (h, mut validator, mc_block, sc_block) =
+        an_honest_block_in_the_vacuous_window("two-nodes-relay-slot");
+    let mut rewritten = sc_block.clone();
+    rewritten.header.slot += 5;
+    refused_as_bad_header_signature_then_honest_accepted(
+        &h,
+        &mut validator,
+        &mc_block,
+        &sc_block,
+        &rewritten,
+    );
+}
+
+/// A block that does not extend the follower's tip — another parent, or
+/// another height — is refused by name, even re-signed by the forger,
+/// and changes nothing.
+#[test]
+fn a_block_off_the_followers_tip_is_refused_as_not_on_tip() {
+    let (h, mut validator, mc_block, sc_block) =
+        an_honest_block_in_the_vacuous_window("two-nodes-off-tip");
+    let mut other_parent = sc_block.clone();
+    other_parent.header.parent = Digest32::hash_bytes(b"elsewhere");
+    let mut other_height = sc_block.clone();
+    other_height.header.height += 1;
+    for mut rewritten in [other_parent, other_height] {
+        common::reseal(&mut rewritten);
+        let before = view(&validator);
+        let refused = validator.receive_block(&rewritten, &mc_block);
+        assert!(matches!(refused, Err(NodeError::NotOnTip)), "{refused:?}");
+        assert_eq!(view(&validator), before);
+    }
+    validator.receive_block(&sc_block, &mc_block).unwrap();
+    assert_eq!(validator.chain(), h.node.chain());
+}
+
+/// A header that references other MC blocks than exactly the one
+/// observed with it — another block, or that block twice — is refused
+/// by name, even re-signed by the forger, and changes nothing.
+#[test]
+fn a_block_referencing_other_mc_blocks_is_refused_as_wrong_mc_reference() {
+    let (h, mut validator, mc_block, sc_block) =
+        an_honest_block_in_the_vacuous_window("two-nodes-mc-refs");
+    let mut another = sc_block.clone();
+    another.header.mc_ref_hashes = vec![Digest32::hash_bytes(b"elsewhere")];
+    let mut twice = sc_block.clone();
+    twice.header.mc_ref_hashes = vec![mc_block.hash(), mc_block.hash()];
+    for mut rewritten in [another, twice] {
+        rewritten
+            .header
+            .sign(&Keypair::from_seed(common::FORGER_SEED).secret);
+        let before = view(&validator);
+        let refused = validator.receive_block(&rewritten, &mc_block);
+        assert!(
+            matches!(refused, Err(NodeError::WrongMcReference)),
+            "{refused:?}"
+        );
+        assert_eq!(view(&validator), before);
+    }
+    validator.receive_block(&sc_block, &mc_block).unwrap();
+    assert_eq!(validator.chain(), h.node.chain());
+}
+
+/// A staked chain with no bootstrap authority: the forger holds all the
+/// stake after epoch 0 and wins its slots in the lottery, and the
+/// follower checks each win. The forger's block without its VRF proof,
+/// or with it moved to the next slot, is refused by name even re-signed
+/// by the forger, and the honest block is then accepted.
+#[test]
+fn a_staked_slot_without_its_winning_proof_is_refused_as_not_leader() {
+    let mut h = TwoChains::new("two-nodes-staked");
+    let staker = Keypair::from_seed(b"sc-user");
+    let staked_node = |h: &TwoChains, forger: Keypair| {
+        LatusNode::new(
+            LatusParams::new(h.sid, common::MST_DEPTH),
+            h.schedule,
+            ConsensusParams::default(),
+            Arc::clone(&h.keys),
+            forger,
+            h.chain.tip_hash(),
+        )
+    };
+    h.node = staked_node(&h, staker.clone());
+    let mut validator = staked_node(&h, Keypair::from_seed(b"validator"));
+    let mut pending = vec![deposit(&h, 5_000)];
+    while !h.node.epoch_complete() {
+        let txs = std::mem::take(&mut pending);
+        mine_and_follow(&mut h, &mut validator, txs);
+    }
+    assert!(h.node.chain().iter().all(|b| b.header.vrf_proof.is_none()));
+    let cert = h.node.produce_certificate().unwrap();
+    assert_eq!(validator.produce_certificate().unwrap(), cert);
+
+    h.time += 1;
+    let mc_block = h
+        .chain
+        .mine_next_block(
+            h.mc_wallet.address(),
+            vec![McTransaction::Certificate(Box::new(cert))],
+            h.time,
+        )
+        .unwrap();
+    let sc_block = h
+        .node
+        .sync_mainchain_block(
+            &mc_block,
+            &Blockchain::build_commitment(&mc_block.transactions),
+        )
+        .unwrap();
+    assert!(sc_block.header.vrf_proof.is_some(), "a lottery win");
+
+    let mut stripped = sc_block.clone();
+    stripped.header.vrf_proof = None;
+    let mut moved = sc_block.clone();
+    moved.header.slot += 1;
+    for mut rewritten in [stripped, moved] {
+        rewritten.header.sign(&staker.secret);
+        let slot = rewritten.header.slot;
+        let before = view(&validator);
+        let refused = validator.receive_block(&rewritten, &mc_block);
+        assert!(
+            matches!(refused, Err(NodeError::NotLeader { slot: s }) if s == slot),
+            "{refused:?}"
+        );
+        assert_eq!(view(&validator), before);
+    }
+    validator.receive_block(&sc_block, &mc_block).unwrap();
+    assert_eq!(validator.chain(), h.node.chain());
+    assert_eq!(validator.state().digest(), h.node.state().digest());
+}
+
 /// A block whose header names the observed mainchain block but whose
 /// body carries another block's reference passes the node's header
 /// check and is refused by name when the block is applied, under a tx
-/// root that covers the swapped body.
+/// root that covers the swapped body and the forger's signature.
 #[test]
 fn a_body_carrying_another_blocks_reference_is_refused_by_name() {
     let mut h = TwoChains::new("two-nodes-mc-ref");
@@ -226,7 +447,7 @@ fn a_body_carrying_another_blocks_reference_is_refused_by_name() {
 
     let mut forged = sc_block.clone();
     forged.mc_references = next_sc_block.mc_references.clone();
-    forged.header.tx_root = forged.compute_tx_root();
+    common::reseal(&mut forged);
     assert_eq!(forged.header.mc_ref_hashes, vec![mc_block.hash()]);
     assert_eq!(
         refusal(validator.receive_block(&forged, &mc_block)),
@@ -486,7 +707,8 @@ fn unstaked_non_authority_forger_cannot_extend_the_chain() {
         before
     );
 
-    // And tampering a valid block's forger identity fails validation:
+    // And a valid block's forger identity, rewritten to the rogue's
+    // unstaked key, leads no slot on the staked chain:
     let honest_block = h
         .node
         .sync_mainchain_block(
@@ -496,7 +718,11 @@ fn unstaked_non_authority_forger_cannot_extend_the_chain() {
         .unwrap();
     let mut forged = honest_block.clone();
     forged.header.forger = Keypair::from_seed(b"rogue").public;
-    assert!(rogue.receive_block(&forged, &mc_block).is_err());
+    let refused = rogue.receive_block(&forged, &mc_block);
+    assert!(
+        matches!(refused, Err(NodeError::NotLeader { slot }) if slot == forged.header.slot),
+        "{refused:?}"
+    );
 
     // The honest block is accepted, and with it the inclusion.
     rogue.receive_block(&honest_block, &mc_block).unwrap();
@@ -726,6 +952,7 @@ impl Hostile {
                 txs.swap(k, j);
                 return true;
             }
+            Corruption::UnsignedSlot => unreachable!("a header rewrite, made after re-signing"),
         }
         self.resign(tx);
         true
@@ -765,6 +992,9 @@ enum Corruption {
     PastU64Max,
     /// Two transactions trade places.
     Swap,
+    /// The header's slot moves 1–5 ahead after the forger signed it: the
+    /// one class no one re-signs.
+    UnsignedSlot,
 }
 
 const CORRUPTIONS: [Corruption; 6] = [
@@ -776,20 +1006,30 @@ const CORRUPTIONS: [Corruption; 6] = [
     Corruption::Swap,
 ];
 
-/// The stateful refusal a received block carries, if any.
-fn block_outcome(outcome: Result<(), NodeError>) -> Result<(), ScBlockError> {
+/// Why a generated block is refused after the node's header checks:
+/// its header signature, or a stateful rule.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Refusal {
+    BadHeaderSignature,
+    Block(ScBlockError),
+}
+
+/// The refusal a received block carries, if any.
+fn block_outcome(outcome: Result<(), NodeError>) -> Result<(), Refusal> {
     match outcome {
         Ok(()) => Ok(()),
-        Err(NodeError::Block(error)) => Err(error),
-        Err(other) => panic!("expected a stateful verdict, got {other:?}"),
+        Err(NodeError::BadHeaderSignature) => Err(Refusal::BadHeaderSignature),
+        Err(NodeError::Block(error)) => Err(Refusal::Block(error)),
+        Err(other) => panic!("expected a signature or stateful verdict, got {other:?}"),
     }
 }
 
 /// The rule a block verdict names: the variant, without its fields.
-fn rule_name(verdict: &Result<(), ScBlockError>) -> String {
+fn rule_name(verdict: &Result<(), Refusal>) -> String {
     let named = match verdict {
         Ok(()) => return "adopted".into(),
-        Err(ScBlockError::Tx(error)) => format!("{error:?}"),
+        Err(Refusal::Block(ScBlockError::Tx(error))) => format!("{error:?}"),
+        Err(Refusal::Block(error)) => format!("{error:?}"),
         Err(error) => format!("{error:?}"),
     };
     named
@@ -828,7 +1068,7 @@ fn a_junk_signature_before_an_unknown_input_is_refused_as_bad_authorization() {
     inputs_mut(last)[0].utxo.nonce = Digest32::hash_bytes(b"never minted");
     let ghost = inputs_mut(last)[0].utxo.digest();
     w.resign(last);
-    trap.header.tx_root = trap.compute_tx_root();
+    common::reseal(&mut trap);
 
     let params = *w.follower.params();
     let parent_mc = mc_block.header.parent;
@@ -858,15 +1098,16 @@ fn a_junk_signature_before_an_unknown_input_is_refused_as_bad_authorization() {
 }
 
 /// Generated hostile blocks: the forger forges a block of random
-/// payments, withdrawals and in-block spends, and 0–3 random corruptions
-/// are applied to it. The follower must return the inline validator's
-/// verdict (`apply_block` under an eager deferral, on a clone of its
-/// state) — the same refusal, error for error — and end in its state
-/// digest and at its tip; a block left uncorrupted must leave the
-/// follower in the forger's state, at its tip. Prints the cases run,
-/// what the forged blocks held, the corruptions applied, the outcomes
-/// and how often the signature-owing walk alone would have named
-/// another rule than the inline validator.
+/// payments, withdrawals and in-block spends, 0–3 random corruptions are
+/// applied to it and the forger re-signs it; one case in eight then
+/// moves the signed header's slot. The follower must return the inline
+/// validator's verdict (the header signature, then `apply_block`, both
+/// under an eager deferral, on a clone of its state) — the same refusal,
+/// error for error — and end in its state digest and at its tip; a block
+/// left uncorrupted must leave the follower in the forger's state, at
+/// its tip. Prints the cases run, what the forged blocks held, the
+/// corruptions applied, the outcomes and how often the signature-owing
+/// walk alone would have named another rule than the inline validator.
 #[test]
 fn prop_hostile_latus_blocks_are_refused_as_the_inline_validator_refuses_them() {
     let mut rng = TestRng::deterministic("two_nodes::prop_hostile_latus_blocks");
@@ -900,23 +1141,30 @@ fn prop_hostile_latus_blocks_are_refused_as_the_inline_validator_refuses_them() 
         for _ in 0..rng.index(4) {
             let corruption = CORRUPTIONS[rng.index(CORRUPTIONS.len())];
             if w.corrupt(&mut block, corruption, &mut rng) {
-                *applied.entry(format!("{corruption:?}")).or_default() += 1;
                 corrupted.push(corruption);
             }
         }
-        block.header.tx_root = block.compute_tx_root();
+        common::reseal(&mut block);
+        if rng.index(8) == 0 {
+            block.header.slot += 1 + rng.index(5) as u64;
+            corrupted.push(Corruption::UnsignedSlot);
+        }
+        for corruption in &corrupted {
+            *applied.entry(format!("{corruption:?}")).or_default() += 1;
+        }
         let case = format!("case {case}, corrupted by {corrupted:?}");
 
         let parent_mc = mc_block.header.parent;
         let mut inline_state = w.follower.state().clone();
-        let expected = apply_block(
-            &params,
-            &mut inline_state,
-            &block,
-            parent_mc,
-            &mut Deferred::eager(),
-        )
-        .map(|_| ());
+        let mut eager = Deferred::eager();
+        let expected = block
+            .header
+            .authorize(&mut eager, || Refusal::BadHeaderSignature)
+            .and_then(|()| {
+                apply_block(&params, &mut inline_state, &block, parent_mc, &mut eager)
+                    .map(|_| ())
+                    .map_err(Refusal::Block)
+            });
         let mut owed = Deferred::new();
         let walked = apply_block(
             &params,
@@ -925,7 +1173,8 @@ fn prop_hostile_latus_blocks_are_refused_as_the_inline_validator_refuses_them() 
             parent_mc,
             &mut owed,
         )
-        .map(|_| ());
+        .map(|_| ())
+        .map_err(Refusal::Block);
         if walked.is_err() && walked != expected {
             walk_differs += 1;
         }

@@ -204,7 +204,7 @@ pub struct TxIn {
 impl TxIn {
     /// Verifies this input's signature over a precomputed sighash.
     /// Callers must separately check that the key hashes to the spent
-    /// output's address ([`TransferTx::verify_input`] does both);
+    /// output's address (stage 3's `BadInputAuthorization` rule does);
     /// splitting the two lets batch admission verify many signatures
     /// without recomputing the sighash per input.
     pub fn verify_signature(&self, sighash: &Digest32) -> bool {
@@ -281,19 +281,6 @@ impl TransferTx {
             .map(|outpoint| (*outpoint, &claim.secret))
             .collect();
         Self::signed(&spends, outputs)
-    }
-
-    /// Verifies one input's authorization against the output it spends.
-    pub fn verify_input(&self, index: usize, spent: &TxOut) -> bool {
-        let Some(input) = self.inputs.get(index) else {
-            return false;
-        };
-        if Address::from_public_key(&input.pubkey) != spent.address {
-            return false;
-        }
-        input
-            .pubkey
-            .verify(SIGHASH_CONTEXT, self.sighash().as_bytes(), &input.signature)
     }
 }
 
@@ -456,7 +443,6 @@ mod tests {
     #[test]
     fn signed_transfer_inputs_verify() {
         let kp = keypair(b"alice");
-        let spent = TxOut::regular(Address::from_public_key(&kp.public), Amount::from_units(10));
         let tx = TransferTx::signed(
             &[(outpoint(1), &kp.secret)],
             vec![Output::Regular(TxOut::regular(
@@ -464,7 +450,8 @@ mod tests {
                 Amount::from_units(9),
             ))],
         );
-        assert!(tx.verify_input(0, &spent));
+        assert_eq!(tx.inputs[0].pubkey, kp.public);
+        assert!(tx.inputs[0].verify_signature(&tx.sighash()));
     }
 
     #[test]
@@ -493,15 +480,19 @@ mod tests {
             Address::from_public_key(&alice.public),
             Amount::from_units(10),
         );
-        // Mallory signs with her own key — address check must fail.
+        // Mallory signs with her own key: the signature holds, and the
+        // key does not own the output.
         let tx = TransferTx::signed(&[(outpoint(1), &mallory.secret)], vec![]);
-        assert!(!tx.verify_input(0, &spent));
+        assert!(tx.inputs[0].verify_signature(&tx.sighash()));
+        assert_ne!(
+            Address::from_public_key(&tx.inputs[0].pubkey),
+            spent.address
+        );
     }
 
     #[test]
     fn tampering_with_outputs_invalidates_signature() {
         let kp = keypair(b"alice");
-        let spent = TxOut::regular(Address::from_public_key(&kp.public), Amount::from_units(10));
         let mut tx = TransferTx::signed(
             &[(outpoint(1), &kp.secret)],
             vec![Output::Regular(TxOut::regular(
@@ -513,7 +504,7 @@ mod tests {
             Address::from_label("mallory"),
             Amount::from_units(9),
         ));
-        assert!(!tx.verify_input(0, &spent));
+        assert!(!tx.inputs[0].verify_signature(&tx.sighash()));
     }
 
     #[test]

@@ -939,6 +939,77 @@ fn a_transfer_spending_one_output_twice_is_refused_by_name() {
     assert_eq!(h.chain.tip_hash(), tip);
 }
 
+/// The chain's height, tip and a digest of its UTXO set: what a refused
+/// block must leave as it was.
+fn chain_view(chain: &Blockchain) -> (u64, Digest32, Digest32) {
+    use zendoo_mainchain::transaction::OutPoint;
+    let mut utxos: Vec<(OutPoint, TxOut)> = chain
+        .state()
+        .utxos
+        .iter()
+        .map(|(outpoint, out)| (*outpoint, out))
+        .collect();
+    utxos.sort_by_key(|(outpoint, _)| *outpoint);
+    (
+        chain.height(),
+        chain.tip_hash(),
+        zendoo_primitives::encode::digest("chain_behavior/utxos", &utxos),
+    )
+}
+
+/// A block carrying a transfer that spends nothing is refused by name
+/// and leaves the chain as it was.
+#[test]
+fn a_block_with_an_input_less_transfer_is_refused_as_no_inputs() {
+    use zendoo_mainchain::transaction::{Output, TransferTx};
+    let mut h = Harness::new();
+    let mint = McTransaction::Transfer(TransferTx {
+        inputs: vec![],
+        outputs: vec![Output::Regular(TxOut::regular(
+            Address::from_label("bob"),
+            Amount::from_units(10),
+        ))],
+    });
+    let block = assemble(&h.chain, h.miner.address(), vec![mint], h.time + 1);
+    let before = chain_view(&h.chain);
+    assert_eq!(
+        h.chain.submit_block(block).map(|_| ()),
+        Err(BlockError::NoInputs)
+    );
+    assert_eq!(chain_view(&h.chain), before);
+    h.mine_empty(1);
+}
+
+/// A block carrying a signed transfer that pays out one unit more than
+/// its input holds is refused by name and leaves the chain as it was.
+#[test]
+fn a_block_with_a_transfer_paying_past_its_inputs_is_refused_as_value_imbalance() {
+    use zendoo_mainchain::transaction::{OutPoint, Output, TransferTx};
+    let mut h = Harness::new();
+    let genesis = h.chain.block_at_height(0).unwrap().transactions[0].txid();
+    let overpay = McTransaction::Transfer(TransferTx::signed(
+        &[(
+            OutPoint {
+                txid: genesis,
+                index: 0,
+            },
+            &h.alice.keypair().secret,
+        )],
+        vec![Output::Regular(TxOut::regular(
+            Address::from_label("bob"),
+            Amount::from_units(1_000_001),
+        ))],
+    ));
+    let block = assemble(&h.chain, h.miner.address(), vec![overpay], h.time + 1);
+    let before = chain_view(&h.chain);
+    assert_eq!(
+        h.chain.submit_block(block).map(|_| ()),
+        Err(BlockError::ValueImbalance)
+    );
+    assert_eq!(chain_view(&h.chain), before);
+    h.mine_empty(1);
+}
+
 /// The default target accepts every hash, so a chain configured with a
 /// harder one is where a header can fall short of it.
 #[test]

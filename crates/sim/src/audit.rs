@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use zendoo_core::crosschain::DeliveryStatus;
+use zendoo_core::crosschain::{CrossChainReceipt, DeliveryStatus};
 use zendoo_core::ids::{Amount, Nullifier};
 use zendoo_primitives::digest::Digest32;
 
@@ -372,24 +372,7 @@ impl ConservationAuditor {
         //    receipts are read off the active branch (a fork's branch
         //    replaces what the disconnected blocks settled), so any
         //    duplicate terminal is a real double-settlement.
-        let mut terminals: BTreeMap<Nullifier, (u32, u32)> = BTreeMap::new();
-        for receipt in world.router.receipts() {
-            let entry = terminals.entry(receipt.escrow.nullifier).or_default();
-            match receipt.status {
-                DeliveryStatus::Delivered { .. } => entry.0 += 1,
-                DeliveryStatus::Refunded { .. } => entry.1 += 1,
-            }
-        }
-        for (nullifier, (delivered, refunded)) in terminals {
-            self.checks += 1;
-            if delivered + refunded > 1 {
-                return Err(AuditViolation::DoubleSettlement {
-                    nullifier,
-                    delivered,
-                    refunded,
-                });
-            }
-        }
+        self.check_settled_once(world.router.receipts())?;
 
         // 4. Quality wars never crown a forgery: every accepted
         //    certificate must be absent from the forged-digest ledger.
@@ -435,5 +418,184 @@ impl ConservationAuditor {
             }
         }
         Ok(())
+    }
+
+    /// Invariant 3: at most one terminal receipt per transfer nullifier.
+    fn check_settled_once(&mut self, receipts: &[CrossChainReceipt]) -> Result<(), AuditViolation> {
+        let mut terminals: BTreeMap<Nullifier, (u32, u32)> = BTreeMap::new();
+        for receipt in receipts {
+            let entry = terminals.entry(receipt.escrow.nullifier).or_default();
+            match receipt.status {
+                DeliveryStatus::Delivered { .. } => entry.0 += 1,
+                DeliveryStatus::Refunded { .. } => entry.1 += 1,
+            }
+        }
+        for (nullifier, (delivered, refunded)) in terminals {
+            self.checks += 1;
+            if delivered + refunded > 1 {
+                return Err(AuditViolation::DoubleSettlement {
+                    nullifier,
+                    delivered,
+                    refunded,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Each check shown to fire: a reconciled world, one pool corrupted
+    //! through a door only these tests reach, the named violation.
+
+    use super::*;
+    use crate::events::{Action, Schedule};
+    use crate::world::SimConfig;
+    use zendoo_core::ids::{Address, SidechainId};
+    use zendoo_core::transfer::ForwardTransfer;
+    use zendoo_latus::tx::ReceiverMetadata;
+    use zendoo_mainchain::transaction::{McTransaction, Output, TransferTx};
+    use zendoo_mainchain::{Block, BlockHeader, Blockchain};
+
+    /// Two chains, a deposit and one cross-chain transfer delivered,
+    /// every certificate accepted, every tick audited, and the ledgers
+    /// reconciled with the registry.
+    fn reconciled_world() -> (World, ConservationAuditor) {
+        let mut world = World::new(SimConfig::with_sidechains(2));
+        let schedule = Schedule::new()
+            .at(0, Action::ForwardTransferTo(0, "alice".into(), 50_000))
+            .at(2, Action::CrossTransfer(0, 1, "alice".into(), 20_000));
+        let mut auditor = schedule.run(&mut world, 12).unwrap();
+        auditor.check_reconciled(&world).unwrap();
+        assert_eq!(world.metrics.cross_transfers_delivered, 1);
+        assert_eq!(world.router.receipts().len(), 1);
+        (world, auditor)
+    }
+
+    /// Door: the auditor's next observation, with one pool of its
+    /// snapshot corrupted by `corrupt`.
+    fn observe_corrupted(
+        auditor: &mut ConservationAuditor,
+        world: &World,
+        corrupt: impl FnOnce(&mut AuditSnapshot),
+    ) -> Result<(), AuditViolation> {
+        let mut snapshot = auditor.snapshot(world);
+        corrupt(&mut snapshot);
+        auditor.snapshots.push(snapshot);
+        auditor.check(world)
+    }
+
+    /// Door: `id`'s node syncs a mainchain block no miner mined, carrying
+    /// a forward transfer of `units` to it, so its ledger gains value the
+    /// registry never locked.
+    fn phantom_deposit(world: &mut World, id: &SidechainId, units: u64) {
+        let phantom = Address::from_label("phantom");
+        let deposit = McTransaction::Transfer(TransferTx {
+            inputs: vec![],
+            outputs: vec![Output::Forward(ForwardTransfer {
+                sidechain_id: *id,
+                receiver_metadata: ReceiverMetadata {
+                    receiver: phantom,
+                    payback: phantom,
+                }
+                .to_bytes(),
+                amount: Amount::from_units(units),
+            })],
+        });
+        let commitment = Blockchain::build_commitment(std::slice::from_ref(&deposit));
+        let block = Block {
+            header: BlockHeader {
+                parent: world.chain.tip_hash(),
+                height: world.chain.height() + 1,
+                time: 0,
+                tx_root: Digest32::ZERO,
+                sc_txs_commitment: commitment.root(),
+                target: world.chain.params().target,
+                nonce: 0,
+            },
+            transactions: vec![deposit],
+        };
+        world
+            .node_of_mut(id)
+            .unwrap()
+            .sync_mainchain_block(&block, &commitment)
+            .unwrap();
+    }
+
+    #[test]
+    fn value_appearing_outside_consensus_is_a_conservation_violation() {
+        let (world, mut auditor) = reconciled_world();
+        let raised = Amount::from_units(1_000);
+        let verdict = observe_corrupted(&mut auditor, &world, |snapshot| {
+            snapshot.utxo_value = snapshot.utxo_value.checked_add(raised).unwrap();
+        });
+        assert_eq!(
+            verdict,
+            Err(AuditViolation::Conservation {
+                tick: 12,
+                utxo_value: world
+                    .chain
+                    .state()
+                    .utxos
+                    .total_value()
+                    .checked_add(raised)
+                    .unwrap(),
+                locked_value: world.chain.state().registry.total_locked(),
+                minted: world.chain.state().minted,
+            })
+        );
+    }
+
+    #[test]
+    fn a_ledger_above_its_registry_balance_is_a_safeguard_violation() {
+        let (mut world, mut auditor) = reconciled_world();
+        let id = world.sidechain_ids()[1];
+        let locked = world.chain.state().registry.get(&id).unwrap().balance;
+        let on_chain = world.node_of(&id).unwrap().state().total_value();
+        assert_eq!(on_chain, locked);
+        phantom_deposit(&mut world, &id, 700);
+        assert_eq!(
+            auditor.observe(&world).map(|_| ()),
+            Err(AuditViolation::Safeguard {
+                chain: id.to_string(),
+                on_chain: on_chain.checked_add(Amount::from_units(700)).unwrap(),
+                locked,
+            })
+        );
+    }
+
+    #[test]
+    fn a_transfer_settled_twice_is_a_double_settlement() {
+        let (world, mut auditor) = reconciled_world();
+        let delivered = world.router.receipts()[0];
+        assert!(matches!(delivered.status, DeliveryStatus::Delivered { .. }));
+        assert_eq!(auditor.check_settled_once(&[delivered]), Ok(()));
+        assert_eq!(
+            auditor.check_settled_once(&[delivered, delivered]),
+            Err(AuditViolation::DoubleSettlement {
+                nullifier: delivered.escrow.nullifier,
+                delivered: 2,
+                refunded: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn a_forged_digest_in_the_registry_is_a_forged_winner() {
+        let (mut world, mut auditor) = reconciled_world();
+        let id = world.sidechain_ids()[1];
+        let digest = world.chain.state().registry.get(&id).unwrap().certificates[&0]
+            .certificate
+            .digest();
+        world.forged_certs.insert(digest);
+        assert_eq!(
+            auditor.observe(&world).map(|_| ()),
+            Err(AuditViolation::ForgedWinner {
+                chain: id.to_string(),
+                epoch: 0,
+                digest,
+            })
+        );
     }
 }

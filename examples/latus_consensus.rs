@@ -10,7 +10,7 @@
 
 use zendoo::core::ids::{Address, Amount};
 use zendoo::latus::consensus::{
-    try_lead_slot, verify_leadership, ConsensusParams, StakeDistribution,
+    try_lead_slot, verify_block_leadership, ConsensusParams, StakeDistribution,
 };
 use zendoo::primitives::schnorr::Keypair;
 
@@ -64,13 +64,14 @@ fn main() {
     for slot in 0..slots {
         let mut any = false;
         for (i, (_, kp)) in keys.iter().enumerate() {
-            if let Some(claim) = try_lead_slot(&params, &distribution, &kp.secret, slot) {
-                // Every claim must verify publicly.
-                assert!(verify_leadership(
+            if let Some(proof) = try_lead_slot(&params, &distribution, &kp.secret, slot) {
+                // Every claim must verify publicly, as a block header's.
+                assert!(verify_block_leadership(
                     &params,
                     &distribution,
                     &kp.public,
-                    &claim
+                    slot,
+                    Some(&proof)
                 ));
                 verified += 1;
                 counts[i] += 1;
