@@ -93,10 +93,20 @@ endef
 # call), every message length 0–256 split at the block edges against a
 # reference that pads byte by byte, and the dispatch choosing the SHA
 # extensions on a CPU that reports them.
+# `field::` also holds the divstep inversion against the Fermat
+# exponentiation it replaced (divstep_inversion_matches_fermat: both
+# fields, 1, N − 1, 2^255 and random values; zero refused). Three
+# `curve::` tests by name check the single-point multiplications: the
+# GLV split recombining to its scalar with both halves below 2^128
+# (random scalars, 0, 1, n − 1, λ, n − λ, ⌊n/2⌋ and ⌊n/2⌋ + 1), k·P,
+# a·G + b·P and a·P + b·Q against a double-and-add reference (small
+# scalars over small multiples of G, where the accumulator meets the
+# entry it adds, and full-width edge and random scalars), and the 6-bit
+# comb on 0, 1, n − 1 and 2^252 − 1.
 # The dev profile keeps overflow checks on, so every wrap the kernel
 # means is an explicit one.
 test-field:
-	$(call run-suites,field/sha256,"zendoo-primitives lib field:: bigint:: poseidon:: sha256::")
+	$(call run-suites,field/sha256,"zendoo-primitives lib field:: bigint:: poseidon:: sha256:: curve::tests::glv_split_recombines_with_halves_below_2_128 curve::tests::single_evaluations_match_double_and_add curve::tests::comb_matches_double_and_add_on_full_digits")
 
 # The adversarial/soundness suites, by name: every escrow theft path
 # (escrow_consensus), forged-signature/poisoned-verdict batched
@@ -133,7 +143,9 @@ test-field:
 # and by a receiving node), a received block carrying a transfer that
 # spends nothing (BlockError::NoInputs) or pays out more than its input
 # holds (BlockError::ValueImbalance) with height, tip and UTXO set
-# unchanged (chain_behavior), a certificate whose epoch boundary the chain cannot
+# unchanged, a certificate, a BTR and a CSW naming an undeclared
+# sidechain (RegistryError::UnknownSidechain) with height, tip, UTXO set
+# and registry unchanged (chain_behavior), a certificate whose epoch boundary the chain cannot
 # name (RegistryError::MissingBoundaryBlock) and a forward transfer and
 # a certificate summing past u64::MAX (RegistryError::AmountOverflow)
 # (mainchain lib registry::), the batch equation itself — identity keys and nonce
@@ -148,7 +160,9 @@ test-field:
 # declaration without its escrow, a wrong amount, a tampered nullifier,
 # a foreign source, a self transfer, zero coins, a nullifier declared
 # twice (zendoo-core crosschain::), a settlement batch entry from another
-# source chain (SettlementError::SourceMismatch), a decoded batch whose
+# source chain (SettlementError::SourceMismatch), an entry whose
+# nullifier its fields do not derive, by the batch, the decoder and
+# check_settlement_output (SettlementError::BadNullifier), a decoded batch whose
 # entries sum past u64::MAX refused by check_settlement_output
 # (SettlementError::AmountOverflow) — the hostile-input codec corpus
 # (settlement_codec) and the totality harness over every wire form — the
@@ -221,7 +235,7 @@ test-field:
 # and a cross-chain transfer's pending view re-verifying none of the
 # queued payments (latus admission).
 test-adversarial:
-	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block a_block_with_an_input_less_transfer_is_refused_as_no_inputs a_block_with_a_transfer_paying_past_its_inputs_is_refused_as_value_imbalance" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name a_zero_epoch_or_a_bad_submit_window_is_refused_by_name" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name an_ft_in_the_per_transfer_cross_layout_is_refunded_not_credited a_leaf_update_on_another_root_is_refused_as_stale_root vacuous_leadership_carries_no_proof leadership_verifies_and_binds_slot a_header_signature_binds_every_field" "zendoo-latus two_nodes --nocapture" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
+	$(call run-suites,adversarial,"zendoo-mainchain escrow_consensus" "zendoo-mainchain sig_admission" "zendoo-mainchain pipeline --nocapture" "zendoo-mainchain chain_behavior a_fork_off_a_block_that_failed_to_connect_is_refused_by_name certificate_accepted_only_in_window late_certificate_rejected_and_sidechain_ceases safeguard_rejects_overdraw csw_flow_after_ceasing a_transfer_spending_one_output_twice_is_refused_by_name a_header_short_of_the_target_is_refused_as_bad_proof_of_work a_header_at_the_wrong_height_is_refused_by_name a_header_declaring_another_target_is_refused_by_name sidechain_declaration_id_uniqueness an_activation_at_or_below_the_declaring_height_is_refused_by_name csw_rejected_while_active a_btr_after_its_chains_certificate_in_one_block_is_refused_as_missing_boundary_block a_block_with_an_input_less_transfer_is_refused_as_no_inputs a_block_with_a_transfer_paying_past_its_inputs_is_refused_as_value_imbalance a_certificate_btr_or_csw_for_an_undeclared_sidechain_is_refused_as_unknown_sidechain" "zendoo-mainchain lib a_boundary_block_the_chain_cannot_name_is_refused_as_missing an_amount_past_u64_max_is_refused_as_amount_overflow" "zendoo-primitives lib schnorr::" "zendoo-crosschain adversarial" "zendoo-latus adversarial" "zendoo-core lib crosschain:: a_batch_entry_from_another_source_is_refused_by_name a_batch_whose_entries_sum_past_u64_max_is_refused_by_name a_zero_epoch_or_a_bad_submit_window_is_refused_by_name a_batch_entry_with_a_foreign_nullifier_is_refused_as_bad_nullifier" "zendoo-core settlement_codec" "zendoo codec --nocapture" "zendoo-snark lib get_digest_refuses_a_limb_of_2_128_or_more layered_fold_is_the_eager_fold_byte_for_byte a_bad_child_in_merge_layer_j_fails_as_the_eager_fold_does prop_prove_layer_equals_eager_prove aggregate_is_the_eager_fold_byte_for_byte" "zendoo-latus lib a_digest_limb_raised_by_2_128_is_refused_by_name a_bad_signature_in_transition_k_fails_as_the_eager_fold_does prop_reference_from_the_shared_commitment_equals_the_scan a_payment_whose_outputs_sum_past_u64_max_is_refused_by_name an_ft_in_the_per_transfer_cross_layout_is_refunded_not_credited a_leaf_update_on_another_root_is_refused_as_stale_root vacuous_leadership_carries_no_proof leadership_verifies_and_binds_slot a_header_signature_binds_every_field" "zendoo-latus two_nodes --nocapture" "zendoo-mainchain sig_admission queued_transfers_are_verified_once_at_build_and_never_at_submit a_bad_signature_among_queued_transfers_is_dropped_wherever_it_sits batch_admitted_transfers_queue_no_checks_at_build" "zendoo-latus admission")
 
 # The composed Byzantine suites (docs/SCENARIOS.md), and every user of
 # the one script: a world's transactions and faults are one vocabulary

@@ -391,6 +391,32 @@ mod tests {
         ));
     }
 
+    /// An entry whose nullifier is not the one its fields derive is
+    /// refused by name, by the batch and on the decoded carrier: the
+    /// commitment covers the entry as written, so it does not catch it.
+    #[test]
+    fn a_batch_entry_with_a_foreign_nullifier_is_refused_as_bad_nullifier() {
+        let mut b = batch(3);
+        b.transfers[1].nullifier = b.transfers[0].nullifier;
+        assert_eq!(
+            b.validate(),
+            Err(SettlementError::BadNullifier { index: 1 })
+        );
+        assert_eq!(
+            decode_settlement_metadata(&b.receiver_metadata()),
+            Some(Err(SettlementError::BadNullifier { index: 1 }))
+        );
+        let ft = ForwardTransfer {
+            sidechain_id: b.dest,
+            receiver_metadata: b.receiver_metadata(),
+            amount: b.total_amount().expect("small amounts"),
+        };
+        assert_eq!(
+            check_settlement_output(&ft),
+            Err(SettlementError::BadNullifier { index: 1 })
+        );
+    }
+
     #[test]
     fn commitment_binds_window_and_entries() {
         let a = batch(2);

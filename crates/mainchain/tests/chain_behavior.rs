@@ -1010,6 +1010,40 @@ fn a_block_with_a_transfer_paying_past_its_inputs_is_refused_as_value_imbalance(
     h.mine_empty(1);
 }
 
+/// A certificate, a BTR and a CSW naming a sidechain no declaration
+/// created are each refused by name through `submit_block`, and leave
+/// the chain and the registry as they were.
+#[test]
+fn a_certificate_btr_or_csw_for_an_undeclared_sidechain_is_refused_as_unknown_sidechain() {
+    let mut h = Harness::new();
+    h.mine_to_height(14);
+    let stranger = SidechainId::from_label("undeclared");
+    let mut cert = h.certificate(0, 1, vec![]);
+    cert.sidechain_id = stranger;
+    let mut btr = h.btr(h.anchor(), b"coin");
+    btr.sidechain_id = stranger;
+    let mut csw = h.csw(Address::from_label("u"), 10, b"utxo");
+    csw.sidechain_id = stranger;
+    for tx in [
+        McTransaction::Certificate(Box::new(cert)),
+        McTransaction::Btr(Box::new(btr)),
+        McTransaction::Csw(Box::new(csw)),
+    ] {
+        let block = assemble(&h.chain, h.miner.address(), vec![tx], h.time + 1);
+        let before = chain_view(&h.chain);
+        let registry = h.chain.state().registry.clone();
+        assert_eq!(
+            h.chain.submit_block(block).map(|_| ()),
+            Err(BlockError::Registry(RegistryError::UnknownSidechain(
+                stranger
+            )))
+        );
+        assert_eq!(chain_view(&h.chain), before);
+        assert_eq!(h.chain.state().registry, registry);
+    }
+    h.mine_empty(1);
+}
+
 /// The default target accepts every hash, so a chain configured with a
 /// harder one is where a header can fall short of it.
 #[test]

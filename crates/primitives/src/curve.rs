@@ -8,37 +8,52 @@
 //! # The multiplication layer
 //!
 //! Costs are in field multiplications (a squaring is a multiplication
-//! here); a doubling is 7, a general Jacobian addition 16.
+//! here); a doubling is 7, a general Jacobian addition 16, and an
+//! inversion ([`Fp256::invert`](crate::field::Fp256::invert), a divstep
+//! gcd) about 50.
 //!
 //! 1. **Mixed addition** ([`JacobianPoint::add_affine`], madd-2007-bl):
 //!    adding a point with `Z = 1` costs 11 instead of 16. Every table
 //!    of generator multiples is affine, so every generator addition is
 //!    mixed.
-//! 2. **Width-5 wNAF, variable base** ([`JacobianPoint::mul_scalar`]):
-//!    the scalar is recoded into signed odd digits `±1 … ±15`, at most
-//!    one nonzero in any five positions, over a table of the 8 odd
-//!    multiples `P, 3P … 15P` — 256 doublings and ~43 additions where
-//!    double-and-add takes ~128.
+//! 2. **Width-5 wNAF, variable base**: a scalar is recoded into signed
+//!    odd digits `±1 … ±15`, at most one nonzero in any five positions,
+//!    over a table of the 8 odd multiples `P, 3P … 15P` — one addition
+//!    per ~6 bits where double-and-add takes one per 2.
 //! 3. **Generator tables**, built once per process at first use (a
-//!    [`OnceLock`]; about a thousand Jacobian additions normalised with
-//!    one batched inversion, under a millisecond). 1,024 `(x, y)` pairs
-//!    of 64 bytes, 64 KiB in all:
-//!    * the 64 odd multiples `G, 3G … 127G`, for width-8 wNAF digits
-//!      when `G` shares a doubling chain with another base;
-//!    * a 4-bit comb `j·16^i·G` (`i < 64`, `j = 1 … 15`, 60 KiB of the
-//!      64): [`JacobianPoint::mul_generator`] adds one entry per
-//!      nonzero scalar nibble — at most 64 mixed additions (~700) and
-//!      **no** doublings.
-//! 4. **Straus interleaving** ([`JacobianPoint::lincomb_generator`],
-//!    [`JacobianPoint::lincomb`]): `a·G + b·P` and `a·P + b·Q` run on
-//!    one shared chain of 256 doublings. A Schnorr verification
-//!    `s·G − e·PK` is then 1,792 for the doublings, ~310 for ~28 mixed
-//!    additions of generator multiples, ~690 for ~43 general additions
-//!    of multiples of `PK` and ~120 to build their table: ≈ 2,900 in
-//!    all, against ≈ 7,700 for two double-and-add passes with general
-//!    additions. [`JacobianPoint::eq_affine`] compares the result with
-//!    the signature's affine `R` without an inversion.
-//! 5. **Straus over a slice** ([`JacobianPoint::lincomb_many`]):
+//!    [`OnceLock`]; about 2,800 Jacobian additions normalised with one
+//!    batched inversion, a couple of milliseconds). 2,837 `(x, y)` pairs
+//!    of 64 bytes, about 177 KiB in all:
+//!    * the 64 odd multiples `G, 3G … 127G` and their 64 images
+//!      `(β·x, y)` under the endomorphism (layer 4), for width-8 wNAF
+//!      digits when `G` shares a doubling chain with another base;
+//!    * a 6-bit comb `j·64^i·G` (`i < 43`, `j = 1 … 63`, 169 KiB of the
+//!      177): [`JacobianPoint::mul_generator`] adds one entry per
+//!      nonzero 6-bit digit — at most 43 mixed additions (~470) and
+//!      **no** doublings, where a 4-bit comb took 64 (~700).
+//! 4. **The GLV endomorphism** (Gallant–Lambert–Vanstone, CRYPTO 2001):
+//!    on secp256k1 `λ·(x, y) = (β·x, y)` for cube roots of unity `λ`
+//!    modulo `n` and `β` modulo `p`, so `φ(P) = λ·P` costs one
+//!    multiplication — `(β·X, Y, Z)` in Jacobian form. A scalar splits
+//!    as `k ≡ k₁ + λ·k₂ (mod n)` with `|k₁|, |k₂| < 2^128` (its
+//!    coordinates in a short basis of the lattice of splits of zero,
+//!    rounded: two 256×256-bit products and three scalar products), and
+//!    `k·P = k₁·P + k₂·φ(P)` needs a chain of 129 doublings instead of
+//!    257. A half above `n/2` is used negated, by negating the digits
+//!    that select its table entries.
+//! 5. **Straus interleaving over the split**
+//!    ([`JacobianPoint::mul_scalar`], [`JacobianPoint::lincomb_generator`],
+//!    [`JacobianPoint::lincomb`]): `k·P`, `a·G + b·P` and `a·P + b·Q` run
+//!    their two or four halves on one shared chain of 129 doublings. A
+//!    Schnorr verification `s·G − e·PK` is then ~900 for the doublings,
+//!    ~320 for ~29 mixed additions from the generator's two tables,
+//!    ~690 for ~43 general additions of multiples of `PK` and `φ(PK)`,
+//!    and ~130 to build their tables: ≈ 2,000 in all, against ≈ 2,900
+//!    on one unsplit chain of 257 doublings and ≈ 7,700 for two
+//!    double-and-add passes with general additions.
+//!    [`JacobianPoint::eq_affine`] compares the result with the
+//!    signature's affine `R` without an inversion.
+//! 6. **Straus over a slice** ([`JacobianPoint::lincomb_many`]):
 //!    `g·G + Σ kᵢ·Pᵢ` for any number of terms on the same single chain
 //!    of 257 doublings, every term's odd-multiples table normalised to
 //!    affine by **one** shared inversion so that every addition is
@@ -50,19 +65,22 @@
 //!    normalise them, ~470 for ~43 mixed additions of multiples of
 //!    `PK`, ~240 for ~21 of `R`, and 1/n of the chain (1,799), the
 //!    generator term and the inversion: ≈ 1,070 at n ≈ 200 against the
-//!    ≈ 2,900 of layer 4. Under a key already in the batch it drops the
-//!    `PK` half, ≈ 450. Alone, a signature pays
-//!    the whole chain *and* the inversion (~400): dearer than layer 4,
-//!    so a batch of one is layer 4.
+//!    ≈ 2,000 of layer 5. Under a key already in the batch it drops the
+//!    `PK` half, ≈ 450. The scalars are not split: the chain is paid
+//!    once for the whole batch, so a split would save 128 doublings once
+//!    and recode every term twice. Alone, a signature pays the whole
+//!    chain: dearer than layer 5, so a batch of one is layer 5.
 //!
-//! **Not constant time.** Digit recoding, table indexing and the
-//! skipped zero digits all branch on the scalar, as the double-and-add
-//! loop this replaced branched on its bits: signing leaks timing here,
-//! which a reproduction running simulated chains accepts and a wallet
-//! must not.
+//! **Not constant time.** The split's signs, digit recoding, table
+//! indexing and the skipped zero digits all branch on the scalar, as
+//! the double-and-add loop this replaced branched on its bits, and the
+//! divstep inversion's step count and branches depend on the value it
+//! inverts (a signature's nonce point among them): signing leaks timing
+//! here, which a reproduction running simulated chains accepts and a
+//! wallet must not.
 
 use crate::bigint::U256;
-use crate::field::{Fp, Fr};
+use crate::field::{FieldParams, Fp, Fr, SecpScalar};
 use crate::sha256::sha256_tagged;
 use rand::Rng;
 use std::fmt;
@@ -424,16 +442,17 @@ impl JacobianPoint {
         self.add_xy(&entry.x, &y)
     }
 
-    /// Variable-base scalar multiplication `scalar · self` (width-5
-    /// wNAF over the 8 odd multiples of `self`).
+    /// Variable-base scalar multiplication `scalar · self` (the GLV
+    /// split over width-5 wNAF on the 8 odd multiples of `self` and
+    /// their images under the endomorphism).
     pub fn mul_scalar(&self, scalar: &Fr) -> Self {
         interleave(None, [(scalar, self)])
     }
 
     /// Fixed-base scalar multiplication `scalar · G` from the comb
-    /// table: one mixed addition per nonzero nibble, no doublings.
+    /// table: one mixed addition per nonzero 6-bit digit, no doublings.
     pub fn mul_generator(scalar: &Fr) -> Self {
-        crate::opcount::group_mul();
+        crate::opcount::fixed_base();
         let k = scalar.to_u256();
         let mut acc = Self::identity();
         for (i, row) in generator_tables().comb().chunks_exact(COMB_ROW).enumerate() {
@@ -532,6 +551,8 @@ impl Mul<Fr> for JacobianPoint {
 /// Scalars are below `2^256` and a wNAF recoding can carry one position
 /// past the top bit.
 const WNAF_LEN: usize = 257;
+/// A GLV half is below `2^128`, and its recoding may carry once too.
+const HALF_LEN: usize = 129;
 /// wNAF width for a variable base: 8 odd multiples, built per call.
 const VAR_WIDTH: usize = 5;
 /// Odd multiples of a variable base a width-5 digit selects from.
@@ -540,22 +561,105 @@ const VAR_ODD: usize = 1 << (VAR_WIDTH - 2);
 const GEN_WIDTH: usize = 8;
 /// Odd multiples of the generator a width-8 digit selects from.
 const GEN_ODD: usize = 1 << (GEN_WIDTH - 2);
-/// The comb reads a scalar as 64 digits of this many bits, …
-const COMB_BITS: usize = 4;
+/// The comb reads a scalar as 43 digits of this many bits (the top one
+/// holding bits 252–255), …
+const COMB_BITS: usize = 6;
 /// … one table row per digit position, …
-const COMB_ROWS: usize = 256 / COMB_BITS;
-/// … each holding `16^i·G` times every nonzero digit value.
+const COMB_ROWS: usize = 256_usize.div_ceil(COMB_BITS);
+/// … each holding `64^i·G` times every nonzero digit value.
 const COMB_ROW: usize = (1 << COMB_BITS) - 1;
 
-/// Width-`w` non-adjacent form of `k`, least significant digit first:
-/// `k = Σ dᵢ·2^i`, every nonzero digit odd with `|dᵢ| < 2^(w−1)`, and at
-/// most one nonzero digit in any `w` consecutive positions.
-fn wnaf(k: &U256, w: usize) -> [i8; WNAF_LEN] {
+/// `λ`, a cube root of unity modulo the group order `n`: on secp256k1
+/// `λ·(x, y) = (β·x, y)` for every point, so multiplying by `λ` costs one
+/// field multiplication.
+const LAMBDA: U256 = U256([
+    0xDF02_967C_1B23_BD72,
+    0x122E_22EA_2081_6678,
+    0xA526_1C02_8812_645A,
+    0x5363_AD4C_C05C_30E0,
+]);
+/// `β`, the cube root of unity modulo `p` that acts as [`LAMBDA`].
+const BETA: U256 = U256([
+    0xC139_6C28_7195_01EE,
+    0x9CF0_4975_12F5_8995,
+    0x6E64_479E_AC34_34E9,
+    0x7AE9_6A2B_657C_0710,
+]);
+/// `−b₁` for the short basis `(a₁, b₁)`, `(a₂, b₂)` of the lattice of
+/// the `(k₁, k₂)` with `k₁ + λ·k₂ ≡ 0 (mod n)`.
+const MINUS_B1: U256 = U256([0x6F54_7FA9_0ABF_E4C3, 0xE443_7ED6_010E_8828, 0, 0]);
+/// `−b₂ mod n`.
+const MINUS_B2: U256 = U256([
+    0xD765_CDA8_3DB1_562C,
+    0x8A28_0AC5_0774_346D,
+    0xFFFF_FFFF_FFFF_FFFE,
+    0xFFFF_FFFF_FFFF_FFFF,
+]);
+/// `round(2^384·b₂/n)`: `round(k·g₁/2^384)` and `round(k·g₂/2^384)` are
+/// the coordinates of `(k, 0)` in that basis, rounded to integers.
+const G1: U256 = U256([
+    0xE893_209A_45DB_B031,
+    0x3DAA_8A14_71E8_CA7F,
+    0xE86C_90E4_9284_EB15,
+    0x3086_D221_A7D4_6BCD,
+]);
+/// `round(2^384·(−b₁)/n)`.
+const G2: U256 = U256([
+    0x1571_B4AE_8AC4_7F71,
+    0x2212_08AC_9DF5_06C6,
+    0x6F54_7FA9_0ABF_E4C4,
+    0xE443_7ED6_010E_8828,
+]);
+/// `⌊n/2⌋`: a half above it is used negated.
+const HALF_ORDER: U256 = <SecpScalar as FieldParams>::MODULUS.shr1();
+
+/// `round(k·g / 2^384)`.
+fn mul_shift_384(k: &U256, g: &U256) -> U256 {
+    let (_, U256([_, h1, h2, h3])) = k.widening_mul(g);
+    U256([h2, h3, 0, 0]).wrapping_add(&U256::from_u64(h1 >> 63))
+}
+
+/// The GLV split `k ≡ k₁ + λ·k₂ (mod n)`: each half as its magnitude,
+/// below `2^128`, and whether it is negated.
+fn split(k: &Fr) -> [(U256, bool); 2] {
+    let c1 = mul_shift_384(&k.to_u256(), &G1);
+    let c2 = mul_shift_384(&k.to_u256(), &G2);
+    let k2 =
+        Fr::from_u256(c1) * Fr::from_u256(MINUS_B1) + Fr::from_u256(c2) * Fr::from_u256(MINUS_B2);
+    let k1 = *k - Fr::from_u256(LAMBDA) * k2;
+    [k1, k2].map(|half| {
+        let negated = half.to_u256() > HALF_ORDER;
+        let magnitude = if negated { -half } else { half };
+        let magnitude = magnitude.to_u256();
+        debug_assert!(magnitude.bits() <= 128, "a GLV half is below 2^128");
+        (magnitude, negated)
+    })
+}
+
+/// The width-`w` wNAF digits of both halves of `k`'s split, a negated
+/// half's digits negated: `k·P = Σ d₁ᵢ·2^i·P + Σ d₂ᵢ·2^i·φ(P)`.
+fn split_wnaf(k: &Fr, w: usize) -> [[i8; HALF_LEN]; 2] {
+    split(k).map(|(magnitude, negated)| {
+        let digits = wnaf::<HALF_LEN>(&magnitude, w);
+        if negated {
+            digits.map(|d| -d)
+        } else {
+            digits
+        }
+    })
+}
+
+/// Width-`w` non-adjacent form of `k < 2^(LEN − 1)`, least significant
+/// digit first: `k = Σ dᵢ·2^i`, every nonzero digit odd with
+/// `|dᵢ| < 2^(w−1)`, and at most one nonzero digit in any `w` consecutive
+/// positions.
+fn wnaf<const LEN: usize>(k: &U256, w: usize) -> [i8; LEN] {
     debug_assert!((2..=8).contains(&w), "digits must fit an i8");
-    let mut digits = [0i8; WNAF_LEN];
+    debug_assert!(k.bits() < LEN, "the recoding carries at most one position");
+    let mut digits = [0i8; LEN];
     let mut carry = 0u64;
     let mut pos = 0;
-    while pos < WNAF_LEN {
+    while pos < LEN {
         if u64::from(k.bit(pos)) == carry {
             pos += 1;
             continue;
@@ -568,7 +672,8 @@ fn wnaf(k: &U256, w: usize) -> [i8; WNAF_LEN] {
         digits[pos] = (word as i64 - ((carry as i64) << w)) as i8;
         pos += w;
     }
-    // A window reaching past bit 255 has a zero top bit and cannot carry.
+    // A window reaching past the top bit of `k` is odd and below 2^(w−1),
+    // so it cannot carry.
     debug_assert_eq!(carry, 0);
     digits
 }
@@ -583,21 +688,39 @@ fn odd_multiples(p: &JacobianPoint) -> [JacobianPoint; VAR_ODD] {
     table
 }
 
-/// `g·G + Σ kᵢ·Pᵢ` by Straus interleaving: every term is recoded to
-/// wNAF (width 8 over the generator's odd-multiples table, width 5 over
-/// a per-call table for the others) and all of them share one chain of
-/// doublings.
+/// `φ(P) = λ·P = (β·X, Y, Z)`.
+fn endomorphism(p: &JacobianPoint, beta: &Fp) -> JacobianPoint {
+    JacobianPoint {
+        x: p.x * *beta,
+        ..*p
+    }
+}
+
+/// `g·G + Σ kᵢ·Pᵢ` by Straus interleaving over the GLV split: every
+/// scalar becomes two halves below `2^128`, one on the base and one on
+/// its image under `φ`, each recoded to wNAF (width 8 over the
+/// generator's tables, width 5 over a per-call table of `Pᵢ` and its
+/// `φ`-image), and all of them share one chain of 129 doublings.
 fn interleave<const N: usize>(g: Option<&Fr>, terms: [(&Fr, &JacobianPoint); N]) -> JacobianPoint {
-    crate::opcount::group_mul();
-    let g = g.map(|g| (wnaf(&g.to_u256(), GEN_WIDTH), generator_tables().odd()));
-    let terms = terms.map(|(k, p)| (wnaf(&k.to_u256(), VAR_WIDTH), odd_multiples(p)));
+    crate::opcount::variable_base();
+    let g = g.map(|g| {
+        let tables = generator_tables();
+        let [d1, d2] = split_wnaf(g, GEN_WIDTH);
+        [(d1, tables.odd()), (d2, tables.odd_beta())]
+    });
+    let beta = Fp::from_u256(BETA);
+    let terms = terms.map(|(k, p)| {
+        let table = odd_multiples(p);
+        let [d1, d2] = split_wnaf(k, VAR_WIDTH);
+        [(d1, table), (d2, table.map(|q| endomorphism(&q, &beta)))]
+    });
     let mut acc = JacobianPoint::identity();
-    for pos in (0..WNAF_LEN).rev() {
+    for pos in (0..HALF_LEN).rev() {
         acc = acc.double();
-        if let Some((digits, table)) = &g {
+        for (digits, table) in g.iter().flatten() {
             acc = acc.add_digit(digits[pos], table);
         }
-        for (digits, table) in &terms {
+        for (digits, table) in terms.iter().flatten() {
             let digit = digits[pos];
             if digit != 0 {
                 // A digit ±(2i + 1) selects entry i of an odd-multiples table.
@@ -609,13 +732,14 @@ fn interleave<const N: usize>(g: Option<&Fr>, terms: [(&Fr, &JacobianPoint); N])
     acc
 }
 
-/// [`interleave`] over a slice: `g·G + Σ kᵢ·Pᵢ` with every term's
-/// odd-multiples table normalised to affine by **one** shared inversion,
-/// so every addition on the one chain of doublings is mixed. `None` when
-/// a table entry is the point at infinity, which for points on the
-/// curve means some `Pᵢ` is.
+/// `g·G + Σ kᵢ·Pᵢ` with every term's odd-multiples table normalised to
+/// affine by **one** shared inversion, so every addition on the one
+/// chain of doublings is mixed. The scalars are not split: the terms
+/// already share one chain, so a split would halve it once and recode
+/// every term twice. `None` when a table entry is the point at infinity,
+/// which for points on the curve means some `Pᵢ` is.
 fn interleave_many(g: &Fr, terms: &[(Fr, AffinePoint)]) -> Option<JacobianPoint> {
-    crate::opcount::group_mul();
+    crate::opcount::multi_scalar();
     let multiples: Vec<JacobianPoint> = terms
         .iter()
         .flat_map(|(_, p)| odd_multiples(&p.to_jacobian()))
@@ -625,7 +749,7 @@ fn interleave_many(g: &Fr, terms: &[(Fr, AffinePoint)]) -> Option<JacobianPoint>
         .iter()
         .map(|(k, _)| wnaf(&k.to_u256(), VAR_WIDTH))
         .collect();
-    let g_digits = wnaf(&g.to_u256(), GEN_WIDTH);
+    let g_digits = wnaf::<WNAF_LEN>(&g.to_u256(), GEN_WIDTH);
     let g_table = generator_tables().odd();
     let mut acc = JacobianPoint::identity();
     for pos in (0..WNAF_LEN).rev() {
@@ -645,7 +769,8 @@ struct TablePoint {
 }
 
 /// The precomputed multiples of `G` (see the module docs for layout),
-/// in one allocation: the odd multiples, then the comb rows.
+/// in one allocation: the odd multiples, their `φ`-images, then the
+/// comb rows.
 struct GeneratorTables(Vec<TablePoint>);
 
 impl GeneratorTables {
@@ -654,9 +779,14 @@ impl GeneratorTables {
         &self.0[..GEN_ODD]
     }
 
-    /// `comb()[15·i + j − 1] = j·16^i·G` for `i < 64`, `j = 1 … 15`.
+    /// `odd_beta()[i] = (2i + 1)·λ·G = (β·x, y)` of `odd()[i]`.
+    fn odd_beta(&self) -> &[TablePoint] {
+        &self.0[GEN_ODD..2 * GEN_ODD]
+    }
+
+    /// `comb()[63·i + j − 1] = j·64^i·G` for `i < 43`, `j = 1 … 63`.
     fn comb(&self) -> &[TablePoint] {
-        &self.0[GEN_ODD..]
+        &self.0[2 * GEN_ODD..]
     }
 }
 
@@ -666,11 +796,15 @@ fn generator_tables() -> &'static GeneratorTables {
     TABLES.get_or_init(|| {
         let g = JacobianPoint::generator();
         let twice = g.double();
-        let mut points = Vec::with_capacity(GEN_ODD + COMB_ROWS * COMB_ROW);
+        let beta = Fp::from_u256(BETA);
+        let mut points = Vec::with_capacity(2 * GEN_ODD + COMB_ROWS * COMB_ROW);
         let mut odd = g;
         for _ in 0..GEN_ODD {
             points.push(odd);
             odd = odd.add_point(&twice);
+        }
+        for i in 0..GEN_ODD {
+            points.push(endomorphism(&points[i], &beta));
         }
         let mut base = g;
         for _ in 0..COMB_ROWS {
@@ -679,7 +813,7 @@ fn generator_tables() -> &'static GeneratorTables {
                 points.push(multiple);
                 multiple = multiple.add_point(&base);
             }
-            // `multiple` is now 16·base, the next row's base.
+            // `multiple` is now 64·base, the next row's base.
             base = multiple;
         }
         GeneratorTables(
@@ -1076,9 +1210,9 @@ mod tests {
         })
     }
 
-    /// The three wNAF invariants.
-    fn check_wnaf(k: &U256, w: usize) {
-        let digits = wnaf(k, w);
+    /// The three wNAF invariants, over `LEN` positions.
+    fn check_wnaf<const LEN: usize>(k: &U256, w: usize) {
+        let digits = wnaf::<LEN>(k, w);
         // The digit sum and `k` are both below 2^258 in magnitude, so
         // agreeing modulo two different 256-bit primes makes them equal
         // as integers — including the digit at position 256, which a
@@ -1092,7 +1226,7 @@ mod tests {
                     i32::from(d).abs() < 1 << (w - 1),
                     "digit {d} at {i} too large"
                 );
-                let window_end = (i + w).min(WNAF_LEN);
+                let window_end = (i + w).min(LEN);
                 assert!(
                     digits[i + 1..window_end].iter().all(|&d| d == 0),
                     "two nonzero digits within {w} positions of {i}"
@@ -1106,34 +1240,198 @@ mod tests {
         let n_minus_1 = (-Fr::one()).to_u256();
         for w in [2, VAR_WIDTH, GEN_WIDTH] {
             for k in [U256::ZERO, U256::ONE, U256::MAX, n_minus_1] {
-                check_wnaf(&k, w);
+                check_wnaf::<WNAF_LEN>(&k, w);
             }
             for k in 0..256 {
-                check_wnaf(&pow2(k), w);
-                check_wnaf(&pow2(k).wrapping_sub(&U256::ONE), w);
+                check_wnaf::<WNAF_LEN>(&pow2(k), w);
+                check_wnaf::<WNAF_LEN>(&pow2(k).wrapping_sub(&U256::ONE), w);
+            }
+            // A GLV half's recoding, below 2^128 over 129 positions.
+            for k in 0..=128 {
+                check_wnaf::<HALF_LEN>(&pow2(k).wrapping_sub(&U256::ONE), w);
             }
         }
-        // The carry out of bit 255 needs the 257th position.
-        assert_eq!(wnaf(&U256::MAX, VAR_WIDTH)[256], 1);
-        assert_eq!(wnaf(&n_minus_1, VAR_WIDTH)[256], 1);
+        // The carry out of bit 255 needs the 257th position, and out of
+        // bit 127 the 129th.
+        assert_eq!(wnaf::<WNAF_LEN>(&U256::MAX, VAR_WIDTH)[256], 1);
+        assert_eq!(wnaf::<WNAF_LEN>(&n_minus_1, VAR_WIDTH)[256], 1);
+        assert_eq!(
+            wnaf::<HALF_LEN>(&pow2(128).wrapping_sub(&U256::ONE), VAR_WIDTH)[128],
+            1
+        );
     }
 
     #[test]
     fn generator_tables_hold_the_documented_multiples() {
         let tables = generator_tables();
         assert_eq!(tables.odd().len(), 64);
-        assert_eq!(tables.comb().len(), 64 * 15);
+        assert_eq!(tables.odd_beta().len(), 64);
+        assert_eq!(tables.comb().len(), 43 * 63);
         let g = JacobianPoint::generator();
         let check = |entry: &TablePoint, k: Fr| {
             let expected = mul_naive(&g, &k).to_affine();
             assert_eq!((entry.x, entry.y), (expected.x(), expected.y()));
         };
+        let lambda = Fr::from_u256(LAMBDA);
         for i in [0, 1, 31, 63] {
             check(&tables.odd()[i], Fr::from_u64(2 * i as u64 + 1));
+            check(
+                &tables.odd_beta()[i],
+                Fr::from_u64(2 * i as u64 + 1) * lambda,
+            );
         }
-        for (i, j) in [(0, 1), (0, 15), (1, 1), (17, 9), (63, 1), (63, 15)] {
-            let k = Fr::from_u256(pow2(4 * i)) * Fr::from_u64(j as u64);
-            check(&tables.comb()[15 * i + j - 1], k);
+        for (i, j) in [
+            (0, 1),
+            (0, 63),
+            (1, 1),
+            (17, 9),
+            (41, 63),
+            (42, 1),
+            (42, 15),
+        ] {
+            let k = Fr::from_u256(pow2(6 * i)) * Fr::from_u64(j as u64);
+            check(&tables.comb()[63 * i + j - 1], k);
+        }
+    }
+
+    /// `k₁ + λ·k₂` from a split, as the scalar it should recombine to.
+    fn recombine(split: [(U256, bool); 2]) -> Fr {
+        let [k1, k2] = split.map(|(magnitude, negated)| {
+            let half = Fr::from_u256(magnitude);
+            if negated {
+                -half
+            } else {
+                half
+            }
+        });
+        k1 + Fr::from_u256(LAMBDA) * k2
+    }
+
+    /// The scalars the split is most likely to get wrong: the edges of
+    /// the scalar field, λ and −λ (whose halves are (0, ±1)), and the
+    /// two sides of the negation threshold ⌊n/2⌋.
+    fn split_edge_scalars() -> Vec<Fr> {
+        let lambda = Fr::from_u256(LAMBDA);
+        let half = Fr::from_u256(HALF_ORDER);
+        let mut out = vec![
+            Fr::ZERO,
+            Fr::one(),
+            -Fr::one(),
+            lambda,
+            -lambda,
+            half,
+            half + Fr::one(),
+        ];
+        out.extend(edge_scalars());
+        out
+    }
+
+    #[test]
+    fn glv_split_recombines_with_halves_below_2_128() {
+        let lambda = Fr::from_u256(LAMBDA);
+        // λ is a cube root of unity, and acts on G as β does on its x.
+        assert_eq!(lambda * lambda * lambda, Fr::one());
+        let g = AffinePoint::generator();
+        let lambda_g = mul_naive(&g.to_jacobian(), &lambda).to_affine();
+        assert_eq!(
+            (lambda_g.x(), lambda_g.y()),
+            (Fp::from_u256(BETA) * g.x(), g.y())
+        );
+        let mut r = rng();
+        let random = (0..3_000).map(|_| Fr::random(&mut r));
+        for k in split_edge_scalars().into_iter().chain(random) {
+            let halves = split(&k);
+            assert_eq!(recombine(halves), k, "{k:?}");
+            for (magnitude, negated) in halves {
+                assert!(
+                    magnitude.bits() <= 128,
+                    "{k:?}: half {magnitude:x} too wide"
+                );
+                assert!(!(negated && magnitude.is_zero()), "{k:?}: a negated zero");
+            }
+        }
+        // λ splits as (0, 1) and −λ as (0, −1).
+        assert_eq!(split(&lambda), [(U256::ZERO, false), (U256::ONE, false)]);
+        assert_eq!(split(&-lambda), [(U256::ZERO, false), (U256::ONE, true)]);
+    }
+
+    /// Bases `m·G` for small `m` of either sign, and `(3/2)·G`: the
+    /// accumulator of a chain over scalars of a few bits meets plus or
+    /// minus the very entry it adds, so `add_xy` and `add_point` take
+    /// their doubling and cancellation branches.
+    fn small_multiple_bases() -> Vec<AffinePoint> {
+        let half = Fr::from_u64(2).invert().expect("2 is invertible");
+        let mut out: Vec<AffinePoint> = (1..=6)
+            .flat_map(|m| {
+                let p = JacobianPoint::mul_generator(&Fr::from_u64(m)).to_affine();
+                [p, p.negate()]
+            })
+            .collect();
+        out.push(JacobianPoint::mul_generator(&(Fr::from_u64(3) * half)).to_affine());
+        out
+    }
+
+    #[test]
+    fn single_evaluations_match_double_and_add() {
+        let g = JacobianPoint::generator();
+        let small: Vec<Fr> = (-7i64..=7)
+            .map(|v| {
+                if v < 0 {
+                    -Fr::from_u64(v.unsigned_abs())
+                } else {
+                    Fr::from_u64(v as u64)
+                }
+            })
+            .collect();
+        let bases = small_multiple_bases();
+        for p in &bases {
+            let pj = p.to_jacobian();
+            for a in &small {
+                assert_eq!(pj.mul_scalar(a), mul_naive(&pj, a));
+                for b in &small {
+                    let expected = mul_naive(&g, a) + mul_naive(&pj, b);
+                    assert_eq!(JacobianPoint::lincomb_generator(a, b, p), expected);
+                    for q in &bases[..3] {
+                        let expected = mul_naive(&pj, a) + mul_naive(&q.to_jacobian(), b);
+                        assert_eq!(JacobianPoint::lincomb(a, p, b, q), expected);
+                    }
+                }
+            }
+        }
+        // Full-width scalars: the split's edges and random ones, over the
+        // small bases, the edge points and random points.
+        let mut r = rng();
+        let mut scalars = split_edge_scalars();
+        scalars.extend((0..16).map(|_| Fr::random(&mut r)));
+        let mut points = bases;
+        points.extend(edge_points());
+        points.extend((0..4).map(|_| AffinePoint::random(&mut r)));
+        for (i, a) in scalars.iter().enumerate() {
+            for (j, p) in points.iter().enumerate() {
+                let b = &scalars[(i + j + 1) % scalars.len()];
+                let q = &points[(i + j + 1) % points.len()];
+                let (pj, qj) = (p.to_jacobian(), q.to_jacobian());
+                assert_eq!(pj.mul_scalar(a), mul_naive(&pj, a));
+                assert_eq!(
+                    JacobianPoint::lincomb_generator(a, b, p),
+                    mul_naive(&g, a) + mul_naive(&pj, b)
+                );
+                assert_eq!(
+                    JacobianPoint::lincomb(a, p, b, q),
+                    mul_naive(&pj, a) + mul_naive(&qj, b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn comb_matches_double_and_add_on_full_digits() {
+        let g = JacobianPoint::generator();
+        // 2^252 − 1: every 6-bit digit below the top one is 63; n − 1
+        // carries the top digit 15 over 63s and mixed digits.
+        let full_digits = Fr::from_u256(pow2(252).wrapping_sub(&U256::ONE));
+        for k in [Fr::ZERO, Fr::one(), -Fr::one(), full_digits] {
+            assert_eq!(JacobianPoint::mul_generator(&k), mul_naive(&g, &k), "{k:?}");
         }
     }
 
@@ -1170,7 +1468,7 @@ mod tests {
 
         #[test]
         fn prop_wnaf_invariants(k in any::<[u8; 32]>(), w in 2usize..9) {
-            check_wnaf(&U256::from_be_bytes(&k), w);
+            check_wnaf::<WNAF_LEN>(&U256::from_be_bytes(&k), w);
         }
     }
 }

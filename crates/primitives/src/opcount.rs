@@ -20,6 +20,14 @@
 //! prover checks it at once (one `group_mul` of its own) or defers it
 //! into a layer's batch equation (a share of one).
 //!
+//! **Three kinds of group multiplication.** Their costs differ several
+//! times over, so each is counted apart and [`OpCount::group_muls`] is
+//! their sum: [`OpCount::fixed_base`] (`k·G` from the comb: a key, a
+//! signature, a simulated proof), [`OpCount::variable_base`] (one Straus
+//! evaluation over the GLV split: `k·P`, a verification `a·G + b·P`,
+//! `a·P + b·Q`) and [`OpCount::multi_scalar`] (one batch evaluation
+//! `g·G + Σ kᵢ·Pᵢ`, whatever its length).
+//!
 //! **Counts are per calling thread.** Work a call hands to other threads
 //! (`zendoo_snark::batch::fan_out` with more than one worker, the sharded
 //! tick) is not seen by the caller's [`measure`]: state a claim over a
@@ -32,7 +40,9 @@ use std::ops::{Add, Mul, Sub};
 
 thread_local! {
     static PERMUTATIONS: Cell<u64> = const { Cell::new(0) };
-    static GROUP_MULS: Cell<u64> = const { Cell::new(0) };
+    static FIXED_BASE: Cell<u64> = const { Cell::new(0) };
+    static VARIABLE_BASE: Cell<u64> = const { Cell::new(0) };
+    static MULTI_SCALAR: Cell<u64> = const { Cell::new(0) };
     static SHA_BLOCKS: Cell<u64> = const { Cell::new(0) };
     static PROOF_CHECKS: Cell<u64> = const { Cell::new(0) };
 }
@@ -43,10 +53,18 @@ thread_local! {
 pub struct OpCount {
     /// Poseidon permutations (one per `hash2` / `hash_leaf`).
     pub permutations: u64,
-    /// Multi-scalar group evaluations: a Schnorr signature or
+    /// Group multiplications of every kind: a Schnorr signature or
     /// verification — and so a simulated SNARK proof or its check — is
-    /// one, and so is a batch of verifications.
+    /// one, and so is a batch of verifications. Always
+    /// `fixed_base + variable_base + multi_scalar`.
     pub group_muls: u64,
+    /// Comb multiplications `k·G`: keys, signatures, simulated proofs.
+    pub fixed_base: u64,
+    /// Single Straus evaluations: `k·P`, `a·G + b·P`, `a·P + b·Q` (a
+    /// verification, a simulated proof's eager check).
+    pub variable_base: u64,
+    /// Batch evaluations `g·G + Σ kᵢ·Pᵢ`, one per batch.
+    pub multi_scalar: u64,
     /// SHA-256 compressions (64-byte blocks).
     pub sha_blocks: u64,
     /// In-circuit SNARK verifications. Checked eagerly each is also one
@@ -63,6 +81,9 @@ impl Sub for OpCount {
         OpCount {
             permutations: self.permutations - earlier.permutations,
             group_muls: self.group_muls - earlier.group_muls,
+            fixed_base: self.fixed_base - earlier.fixed_base,
+            variable_base: self.variable_base - earlier.variable_base,
+            multi_scalar: self.multi_scalar - earlier.multi_scalar,
             sha_blocks: self.sha_blocks - earlier.sha_blocks,
             proof_checks: self.proof_checks - earlier.proof_checks,
         }
@@ -76,6 +97,9 @@ impl Add for OpCount {
         OpCount {
             permutations: self.permutations + other.permutations,
             group_muls: self.group_muls + other.group_muls,
+            fixed_base: self.fixed_base + other.fixed_base,
+            variable_base: self.variable_base + other.variable_base,
+            multi_scalar: self.multi_scalar + other.multi_scalar,
             sha_blocks: self.sha_blocks + other.sha_blocks,
             proof_checks: self.proof_checks + other.proof_checks,
         }
@@ -91,6 +115,9 @@ impl Mul<u64> for OpCount {
         OpCount {
             permutations: self.permutations * times,
             group_muls: self.group_muls * times,
+            fixed_base: self.fixed_base * times,
+            variable_base: self.variable_base * times,
+            multi_scalar: self.multi_scalar * times,
             sha_blocks: self.sha_blocks * times,
             proof_checks: self.proof_checks * times,
         }
@@ -108,8 +135,18 @@ pub(crate) fn permutation() {
 }
 
 #[inline]
-pub(crate) fn group_mul() {
-    bump(&GROUP_MULS);
+pub(crate) fn fixed_base() {
+    bump(&FIXED_BASE);
+}
+
+#[inline]
+pub(crate) fn variable_base() {
+    bump(&VARIABLE_BASE);
+}
+
+#[inline]
+pub(crate) fn multi_scalar() {
+    bump(&MULTI_SCALAR);
 }
 
 #[inline]
@@ -127,9 +164,14 @@ pub fn proof_check() {
 
 /// Everything this thread has run so far.
 fn so_far() -> OpCount {
+    let (fixed_base, variable_base, multi_scalar) =
+        (FIXED_BASE.get(), VARIABLE_BASE.get(), MULTI_SCALAR.get());
     OpCount {
         permutations: PERMUTATIONS.get(),
-        group_muls: GROUP_MULS.get(),
+        group_muls: fixed_base + variable_base + multi_scalar,
+        fixed_base,
+        variable_base,
+        multi_scalar,
         sha_blocks: SHA_BLOCKS.get(),
         proof_checks: PROOF_CHECKS.get(),
     }
@@ -160,11 +202,15 @@ mod tests {
         work();
         let kp = Keypair::from_seed(b"opcount");
         let (sig, sign) = measure(|| kp.secret.sign("opcount", b"m"));
-        assert_eq!(sign.group_muls, 1);
+        assert_eq!((sign.group_muls, sign.fixed_base), (1, 1));
         assert_eq!(sign.permutations, 0);
         let (ok, verify) = measure(|| kp.public.verify("opcount", b"m", &sig));
         assert!(ok);
-        assert_eq!(verify.group_muls, 1);
+        assert_eq!((verify.group_muls, verify.variable_base), (1, 1));
+        let item = ("opcount", &kp.public, &b"m"[..], &sig);
+        let (ok, batch) = measure(|| crate::schnorr::verify_batch(&[item, item]));
+        assert!(ok);
+        assert_eq!((batch.group_muls, batch.multi_scalar), (1, 1));
         let (_, hash) = measure(work);
         assert_eq!(
             hash,

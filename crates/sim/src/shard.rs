@@ -403,8 +403,9 @@ impl PhaseCost {
     }
 
     /// One `tick.shard.sync.<phase>` span and the whole `OpCount` as
-    /// `latus.<phase>.{permutations,group_muls,sha_blocks,proof_checks}`
-    /// counters. The counts are this lane's own (a shard runs on one
+    /// `latus.<phase>.{permutations,group_muls,fixed_base,variable_base,
+    /// multi_scalar,sha_blocks,proof_checks}` counters (`group_muls` the
+    /// sum of the three kinds after it). The counts are this lane's own (a shard runs on one
     /// thread), so they are the same on every worker count.
     fn record(&self, snapshot: &mut Snapshot, phase: &str) {
         if self.calls == 0 {
@@ -414,6 +415,9 @@ impl PhaseCost {
         for (name, value) in [
             ("permutations", self.ops.permutations),
             ("group_muls", self.ops.group_muls),
+            ("fixed_base", self.ops.fixed_base),
+            ("variable_base", self.ops.variable_base),
+            ("multi_scalar", self.ops.multi_scalar),
             ("sha_blocks", self.ops.sha_blocks),
             ("proof_checks", self.ops.proof_checks),
         ] {

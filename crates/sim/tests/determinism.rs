@@ -363,13 +363,19 @@ fn deterministic_view(
 }
 
 /// What the shards' forging and certifying ran (`opcount`, per lane).
-const LATUS_OP_COUNTERS: [&str; 8] = [
+const LATUS_OP_COUNTERS: [&str; 14] = [
     "latus.forge.permutations",
     "latus.forge.group_muls",
+    "latus.forge.fixed_base",
+    "latus.forge.variable_base",
+    "latus.forge.multi_scalar",
     "latus.forge.sha_blocks",
     "latus.forge.proof_checks",
     "latus.certify.permutations",
     "latus.certify.group_muls",
+    "latus.certify.fixed_base",
+    "latus.certify.variable_base",
+    "latus.certify.multi_scalar",
     "latus.certify.sha_blocks",
     "latus.certify.proof_checks",
 ];

@@ -231,6 +231,9 @@ mod tests {
         let ran = zendoo_primitives::opcount::OpCount {
             permutations: 2,
             group_muls: 3,
+            fixed_base: 0,
+            variable_base: 3,
+            multi_scalar: 0,
             sha_blocks: 99,
             proof_checks: 1,
         };
